@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-smoke bench-json snapshot-bench test-nommap stress fuzz cover cover-check check clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-smoke bench-json snapshot-bench boot-profile test-nommap stress fuzz cover cover-check check clean
 
 all: build
 
@@ -93,6 +93,20 @@ snapshot-bench:
 	@cat snapbench.txt
 	$(GO) run ./cmd/benchjson -in snapbench.txt -merge BENCH_ci.json -out BENCH_ci.json
 	@rm -f snapbench.txt
+
+# Where a cold boot's time goes: BenchmarkSeedBoot (load a 170k-triple
+# dump → open a fresh store seeded with it → warm the weak summary, its
+# pruner and the planner weights — the sequence benchmark/ times as
+# setup_s) on one CPU under the CPU profiler: the top 20 functions by
+# cumulative time, then who calls the run sort (store.newMemCols) and for
+# how long — one caller means the boot sorts its triples once. The test
+# binary and profile live in a temp directory.
+boot-profile:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -run 'XXX-none' -bench 'BenchmarkSeedBoot$$' -benchtime 10x -cpu 1 \
+		-o "$$d/rdfsum.test" -cpuprofile "$$d/cpu.out" . && \
+	$(GO) tool pprof -top -cum -nodecount 20 -focus 'BenchmarkSeedBoot' -hide '^testing\.' "$$d/rdfsum.test" "$$d/cpu.out" && \
+	$(GO) tool pprof -peek 'store\.newMemCols$$' "$$d/rdfsum.test" "$$d/cpu.out" | sed -n '/flat%/,$$p'
 
 # The mmap-free portability build: every mapped path falls back to eager
 # reads (mirrored as a CI job).

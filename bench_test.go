@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"rdfsum"
 	"rdfsum/internal/cliques"
 	"rdfsum/internal/core"
+	"rdfsum/internal/dict"
 	"rdfsum/internal/ntriples"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
@@ -250,20 +252,33 @@ func BenchmarkLUBMSummaries(b *testing.B) {
 
 // --- substrate micro-benchmarks -------------------------------------------
 
-func BenchmarkNTriplesParse(b *testing.B) {
-	g := bsbmGraph(b, 200)
-	var buf bytes.Buffer
-	if err := ntriples.Write(&buf, g.Decode()); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+// BenchmarkParseNTriples streams BSBM N-Triples text (products=1000,
+// ≈ 58k triples) through the parser with every term interned, the way a
+// load does: MB/s, and allocations per triple — the copy-free fast path
+// leaves only the dictionary's clone of each distinct term.
+func BenchmarkParseNTriples(b *testing.B) {
+	data := ntData(b, 1000)
+	triples := bytes.Count(data, []byte{'\n'})
 	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
+	b.ReportAllocs()
+	var allocs uint64
 	for i := 0; i < b.N; i++ {
-		if _, err := ntriples.Parse(bytes.NewReader(data)); err != nil {
+		d := dict.New()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := ntriples.ParseFunc(bytes.NewReader(data), func(t rdf.Triple) error {
+			d.Encode(t.S)
+			d.Encode(t.P)
+			d.Encode(t.O)
+			return nil
+		})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		allocs += m1.Mallocs - m0.Mallocs
 	}
+	b.ReportMetric(float64(allocs)/float64(b.N)/float64(triples), "allocs/triple")
 }
 
 // ntData renders a cached BSBM graph as N-Triples bytes for the load
@@ -428,6 +443,46 @@ func BenchmarkStreamingIngest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSeedBoot is rdfsumd's cold boot as benchmark/ times it, in
+// process: load an N-Triples dump (sequentially, as the pinned harness
+// does), open a fresh durable store seeded with it — builders, base
+// run, snapshot-1, epoch 1 — then warm what the first query of each
+// template builds: the weak summary, its pruner and the planner weights.
+// BSBM 3000 products ≈ 170k triples (1000 ≈ 58k under -short).
+// `make boot-profile` runs it under the CPU profiler.
+func BenchmarkSeedBoot(b *testing.B) {
+	products := 3000
+	if testing.Short() {
+		products = 1000
+	}
+	data := ntData(b, products)
+	dump := filepath.Join(b.TempDir(), "dump.nt")
+	if err := os.WriteFile(dump, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := rdfsum.LoadFile(dump, &rdfsum.LoadOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), fmt.Sprintf("store-%d", i)), &rdfsum.LiveOptions{Seed: g})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum, _, err := lv.Summary(rdfsum.Weak, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rdfsum.NewQueryPruner(sum)
+		sum.ComputeWeights()
+		if err := lv.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -383,3 +383,29 @@ func TestParseMaintain(t *testing.T) {
 		t.Error("parseMaintain accepted an unknown kind")
 	}
 }
+
+// TestPlanStatsOutliveEpochs: planner weights tolerate planStatsMaxStale
+// epochs of ingest even at -max-stale 0, where every query's pruner
+// refreshes the weak-summary cell. Forty one-triple batches with a query
+// after each cost two ComputeWeights passes (epochs 2 and 35), not forty.
+func TestPlanStatsOutliveEpochs(t *testing.T) {
+	ts, srv := liveTestServer(t, nil)
+	for i := 0; i < 40; i++ {
+		if code, body := postBody(t, ts.URL+"/v1/triples", ntBody(i, 1)); code != http.StatusOK {
+			t.Fatalf("ingest %d: status %d: %v", i, code, body)
+		}
+		code, body := postQuery(t, ts.URL+"/v1/query", `SELECT ?s ?o WHERE { ?s <http://x/p1> ?o }`)
+		if code != http.StatusOK {
+			t.Fatalf("query %d: status %d: %v", i, code, body)
+		}
+		if _, pruned := body["prune_epoch"]; !pruned {
+			t.Fatalf("query %d ran without the weak pruning gate; the test needs it to refresh the summary cell", i)
+		}
+	}
+	srv.weightsMu.Lock()
+	builds := srv.weightsBuilds
+	srv.weightsMu.Unlock()
+	if builds != 2 {
+		t.Fatalf("ComputeWeights ran %d times over 40 epochs, want 2 (planStatsMaxStale = %d)", builds, planStatsMaxStale)
+	}
+}

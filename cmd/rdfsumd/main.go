@@ -164,6 +164,11 @@ func main() {
 	logger.Info(fmt.Sprintf("rdfsumd: listening on %s", ln.Addr()))
 	logger.Info(fmt.Sprintf("rdfsumd: serving %d triples, %s, epoch %d, maintaining %s",
 		st.Triples, mode, st.Epoch, maintainNames(lv)))
+	var bootAttrs []any
+	for _, ph := range srv.bootPhases(lv) {
+		bootAttrs = append(bootAttrs, ph.name+"_s", ph.d.Seconds())
+	}
+	logger.Info("boot phases", bootAttrs...)
 	if err := http.Serve(ln, srv.handler()); err != nil {
 		logger.Error("server exited", "error", err)
 		os.Exit(1)

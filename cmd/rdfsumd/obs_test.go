@@ -6,6 +6,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +45,60 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	if err := obs.LintExposition(strings.NewReader(body)); err != nil {
 		t.Errorf("exposition lint: %v\n%s", err, body)
+	}
+}
+
+// TestMetricsExpositionBootPhases: a seeded cold boot reports how long
+// its load, builders, snapshot and index phases took (and no WAL replay);
+// reopening the same store reports a replay and no snapshot write. The
+// scrape stays lint-clean with the new family.
+func TestMetricsExpositionBootPhases(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "seed.nt")
+	if err := os.WriteFile(dump, []byte(ntBody(0, 500)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	liveDir := t.TempDir()
+	boot := func(in string) map[string]float64 {
+		t.Helper()
+		srv, err := newServer(serverConfig{liveDir: liveDir, in: in, workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.close() //nolint:errcheck
+		ts := httptest.NewServer(srv.handler())
+		defer ts.Close()
+		body, _ := scrapeMetrics(t, ts)
+		if err := obs.LintExposition(strings.NewReader(body)); err != nil {
+			t.Errorf("exposition lint: %v", err)
+		}
+		phases := map[string]float64{}
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, `rdfsum_boot_phase_seconds{phase="`); ok {
+				name, val, _ := strings.Cut(rest, `"} `)
+				v, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					t.Fatalf("unparsable sample %q: %v", line, err)
+				}
+				phases[name] = v
+			}
+		}
+		if len(phases) != 5 {
+			t.Fatalf("boot phases in the scrape = %v, want load, builders, snapshot, wal_replay, index", phases)
+		}
+		return phases
+	}
+	cold := boot(dump)
+	for _, ph := range []string{"load", "builders", "snapshot", "index"} {
+		if cold[ph] <= 0 {
+			t.Errorf("seeded cold boot: phase %s = %v s, want > 0", ph, cold[ph])
+		}
+	}
+	if cold["wal_replay"] != 0 {
+		t.Errorf("seeded cold boot replayed a WAL for %v s", cold["wal_replay"])
+	}
+	warm := boot("")
+	if warm["wal_replay"] <= 0 || warm["snapshot"] != 0 || warm["load"] != 0 {
+		t.Errorf("reopen: phases = %v, want a WAL replay and no load or snapshot write", warm)
 	}
 }
 

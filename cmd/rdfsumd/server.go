@@ -69,10 +69,15 @@ type server struct {
 	satGraph *rdfsum.Graph
 	satIx    *store.Index
 
-	weightsMu    sync.Mutex
-	weightsInst  uint64
-	weightsEpoch uint64
-	weights      *rdfsum.Weights
+	weightsMu     sync.Mutex
+	weightsInst   uint64
+	weightsEpoch  uint64
+	weights       *rdfsum.Weights
+	weightsBuilds uint64 // ComputeWeights calls so far
+
+	// bootLoad is how long newServer spent loading the -in dump or
+	// snapshot; the store's own boot phases come from Live.BootTimings.
+	bootLoad time.Duration
 
 	// Observability: the per-instance registry (store gauges sampled at
 	// scrape time + HTTP histograms; merged with obs.Default by
@@ -143,8 +148,10 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg.in = ""
 	}
 	var seed *rdfsum.Graph
+	var bootLoad time.Duration
 	if cfg.in != "" {
 		var err error
+		t0 := time.Now()
 		// Names declaring an RDF dump — .nt/.ttl, with or without a
 		// .gz/.zst layer — stream through the format-aware parallel
 		// loader; anything else is read as a binary snapshot.
@@ -156,6 +163,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", cfg.in, err)
 		}
+		bootLoad = time.Since(t0)
 	}
 	opts := &rdfsum.LiveOptions{
 		NoSync: cfg.noSync, Seed: seed, Maintain: cfg.maintain,
@@ -174,7 +182,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	} else {
 		lv = rdfsum.NewLiveWithOptions(seed, opts)
 	}
-	s := &server{lv: lv, maxStale: cfg.maxStale}
+	s := &server{lv: lv, maxStale: cfg.maxStale, bootLoad: bootLoad}
 	s.queue = rdfsum.NewIngestQueue(lv, cfg.queueDepth, cfg.queueBytes)
 	if lv.Durable() {
 		s.leader = repl.NewLeader(lv)
@@ -247,6 +255,7 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 	sumStaleness := r.GaugeVec("rdfsum_summary_staleness", "Epochs the cached summary trails the store by, per kind.", "kind", "mode")
 	sumLazy := r.CounterVec("rdfsum_summary_lazy_builds_total", "Full summary rebuilds served lazily, per kind.", "kind", "mode")
 	sumRebuilds := r.CounterVec("rdfsum_summary_maintenance_rebuilds_total", "Incremental-maintenance rebuilds, per kind.", "kind", "mode")
+	bootSeconds := r.GaugeVec("rdfsum_boot_phase_seconds", "Seconds the serving store's boot spent in each phase (0 for a phase it did not go through).", "phase")
 
 	boolGauge := func(v bool) float64 {
 		if v {
@@ -289,6 +298,9 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 			bootstraps.Set(float64(fs.Bootstraps))
 			tailing.Set(boolGauge(fs.State == repl.StateTailing))
 		}
+		for _, ph := range s.bootPhases(lv) {
+			bootSeconds.With(ph.name).Set(ph.d.Seconds())
+		}
 		for _, ks := range lv.Status() {
 			mode := "lazy"
 			if ks.Maintained {
@@ -310,6 +322,26 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 			sumRebuilds.With(kind, mode).Set(float64(ks.Rebuilds))
 		}
 	})
+}
+
+// bootPhase is one named slice of the boot's wall time.
+type bootPhase struct {
+	name string
+	d    time.Duration
+}
+
+// bootPhases decomposes the boot of the store being served: the dump
+// load done by newServer, then the phases of the live store's Open. On a
+// follower lv is the current bootstrap's store and load is zero.
+func (s *server) bootPhases(lv *rdfsum.Live) []bootPhase {
+	bt := lv.BootTimings()
+	return []bootPhase{
+		{"load", s.bootLoad},
+		{"builders", bt.Builders},
+		{"snapshot", bt.Snapshot},
+		{"wal_replay", bt.WALReplay},
+		{"index", bt.Index},
+	}
 }
 
 // state returns the live store to serve this request from and the
@@ -444,33 +476,38 @@ func (s *server) pruner(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind) (*rdfsum
 }
 
 // planStatsMaxStale is the minimum staleness tolerance applied to the
-// planner's weights lookup. Join-order statistics are pure heuristics —
-// a stale estimate reorders joins suboptimally, never wrongly — so they
-// are not worth an O(graph) weak-summary rebuild on the query path after
-// every ingest batch (which -max-stale 0, the soundness-oriented
-// default, would otherwise force).
+// planner's weights. Join-order statistics are pure heuristics — a stale
+// estimate reorders joins suboptimally, never wrongly — so they are not
+// worth an O(graph) ComputeWeights pass on the query path after every
+// ingest batch (which -max-stale 0, the soundness-oriented default,
+// would otherwise force).
 const planStatsMaxStale = 32
 
 // planStats returns the weak summary's quotient-map cardinalities, the
-// statistics behind the planner's join ordering, rebuilt when the weak
-// summary trails by more than the staleness tolerance. Nil (with a
-// logged warning) when the weak summary cannot be built.
+// statistics behind the planner's join ordering, recomputed when they
+// trail the published epoch by more than the staleness tolerance. The
+// cached weights are judged against the store's epoch itself, not
+// against the weak-summary cell's: at -max-stale 0 the pruner refreshes
+// that cell on every query, so a cache keyed on it never held across an
+// ingest. Nil (with a logged warning) when the weak summary cannot be
+// built.
 func (s *server) planStats(lv *rdfsum.Live, inst uint64) *rdfsum.Weights {
-	stale := s.maxStale
-	if stale < planStatsMaxStale {
-		stale = planStatsMaxStale
+	stale := max(s.maxStale, planStatsMaxStale)
+	s.weightsMu.Lock()
+	defer s.weightsMu.Unlock()
+	if s.weights != nil && s.weightsInst == inst && s.weightsEpoch+stale >= lv.Epoch() {
+		return s.weights
 	}
 	sum, epoch, err := lv.Summary(rdfsum.Weak, stale)
 	if err != nil {
 		s.logger.Warn("planner stats unavailable", "error", err)
 		return nil
 	}
-	s.weightsMu.Lock()
-	defer s.weightsMu.Unlock()
 	if s.weights == nil || s.weightsInst != inst || s.weightsEpoch != epoch {
 		s.weights = sum.ComputeWeights()
 		s.weightsInst = inst
 		s.weightsEpoch = epoch
+		s.weightsBuilds++
 	}
 	return s.weights
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rdfsum/internal/dict"
 	"rdfsum/internal/store"
@@ -100,15 +101,9 @@ func flatten(m map[store.Triple]*edgeAcc, keyOf func(store.Triple) dict.ID) ([]E
 	}
 	// Deterministic order: map iteration would otherwise reorder the
 	// estimator's float sums (and hence tie-breaking) run to run.
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i].Edge, all[j].Edge
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		return a.O < b.O
+	slices.SortFunc(all, func(x, y EdgeStat) int {
+		a, b := x.Edge, y.Edge
+		return cmp.Or(cmp.Compare(a.P, b.P), cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O))
 	})
 	byKey := make(map[dict.ID][]EdgeStat)
 	for _, st := range all {

@@ -9,6 +9,7 @@ package dict
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"rdfsum/internal/rdf"
@@ -67,8 +68,21 @@ func (d *Dict) Share() {
 	}
 }
 
+// own returns t with its strings copied out of whatever buffer they
+// alias. The parsers hand out terms that are substrings of an input line
+// or slab; a dictionary that stored such a term would pin the whole
+// buffer for its own lifetime (~150 bytes of line per 60-byte term).
+// Interning pays this once per distinct term, on the miss path only.
+func own(t rdf.Term) rdf.Term {
+	t.Value = strings.Clone(t.Value)
+	t.Datatype = strings.Clone(t.Datatype)
+	t.Lang = strings.Clone(t.Lang)
+	return t
+}
+
 // Encode interns t and returns its ID, assigning a fresh one on first
-// sight.
+// sight. The dictionary keeps its own copy of a new term's strings, so t
+// may alias a buffer the caller goes on to drop.
 func (d *Dict) Encode(t rdf.Term) ID {
 	if d.mu != nil {
 		d.mu.Lock()
@@ -77,6 +91,7 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	if id, ok := d.index[t]; ok {
 		return id
 	}
+	t = own(t)
 	if d.base != nil {
 		if id, ok := d.base.Lookup(t); ok {
 			d.index[t] = id

@@ -3,6 +3,7 @@ package dict
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rdfsum/internal/rdf"
@@ -68,9 +69,7 @@ func EncodeFrontCoded(terms []rdf.Term) (pages, dir, sorted []byte) {
 	for i := range perm {
 		perm[i] = ID(i + 1)
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		return terms[perm[i]-1].Compare(terms[perm[j]-1]) < 0
-	})
+	slices.SortFunc(perm, func(a, b ID) int { return terms[a-1].Compare(terms[b-1]) })
 	sorted = make([]byte, len(perm)*4)
 	for i, id := range perm {
 		binary.LittleEndian.PutUint32(sorted[i*4:], uint32(id))

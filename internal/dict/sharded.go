@@ -1,9 +1,10 @@
 package dict
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
-	"sort"
+	"slices"
 	"sync"
 
 	"rdfsum/internal/rdf"
@@ -76,8 +77,9 @@ func (s *Sharded) shardOf(t rdf.Term) int {
 }
 
 // Observe interns t under a provisional ID and records key as an
-// occurrence position, keeping the minimum per term. Safe for concurrent
-// use.
+// occurrence position, keeping the minimum per term. A term seen for the
+// first time is copied (see own), so t may alias a parse buffer. Safe for
+// concurrent use.
 func (s *Sharded) Observe(t rdf.Term, key uint64) ProvID {
 	idx := s.shardOf(t)
 	sh := &s.shards[idx]
@@ -95,6 +97,7 @@ func (s *Sharded) Observe(t rdf.Term, key uint64) ProvID {
 		// the billions — past the library's 700M-term design point.
 		panic(fmt.Sprintf("dict: shard %d overflow (%d terms)", idx, local))
 	}
+	t = own(t)
 	sh.terms = append(sh.terms, t)
 	sh.first = append(sh.first, key)
 	sh.index[t] = uint32(local)
@@ -138,7 +141,7 @@ func (s *Sharded) Finalize(base *Dict) [][]ID {
 			entries = append(entries, entry{key: key, prov: provOf(i, local)})
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	for _, e := range entries {
 		shardIdx, local := e.prov.split()
 		remap[shardIdx][local] = base.Encode(s.shards[shardIdx].terms[local])

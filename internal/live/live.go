@@ -51,6 +51,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -167,7 +169,23 @@ type Live struct {
 	// RecoveredTorn reports whether Open dropped a torn tail from the WAL
 	// (the crash-recovery path was exercised).
 	RecoveredTorn bool
+
+	boot BootTimings // written by Open/New before the store is shared
 }
+
+// BootTimings is how long each phase of Open (or New) took. A phase the
+// boot did not go through stays zero: Snapshot is only paid by a seeded
+// fresh store, WALReplay only by a reopened one.
+type BootTimings struct {
+	Builders  time.Duration // feeding the graph to the maintained summary builders
+	Snapshot  time.Duration // encoding and writing snapshot-1 from the seed's base run
+	WALReplay time.Duration // replaying the generation's WAL over its snapshot
+	Index     time.Duration // sorting (or adopting) the base run and publishing epoch 1
+}
+
+// BootTimings reports the phase durations of the Open/New call that
+// created l.
+func (l *Live) BootTimings() BootTimings { return l.boot }
 
 // New returns a memory-only live graph over g (nil for empty): the full
 // concurrency model without durability, maintaining the weak summary.
@@ -196,13 +214,14 @@ func NewWithOptions(g *store.Graph, opts Options) *Live {
 	}
 	l.applied = uint64(g.NumEdges())
 	l.mu.Lock()
-	l.publishLocked()
+	l.publishInitialLocked(nil)
 	l.mu.Unlock()
 	return l
 }
 
 // initBuilders installs the maintained-kind builder set over g.
 func (l *Live) initBuilders(g *store.Graph, kinds []core.Kind) error {
+	defer func(t0 time.Time) { l.boot.Builders = time.Since(t0) }(time.Now())
 	set, err := core.NewBuilderSet(g, maintainOrDefault(kinds))
 	if err != nil {
 		return err
@@ -246,6 +265,9 @@ func Open(dir string, opts Options) (*Live, error) {
 		l.spill = &store.SpillConfig{Dir: spillDir, MinBytes: opts.IndexSpillBytes}
 	}
 
+	// seedRun is the seed's sorted base run: snapshot-1 is written from it
+	// and epoch 1 serves it, so the seed is sorted once.
+	var seedRun store.RunCols
 	gen, err := readManifest(dir)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -263,9 +285,13 @@ func Open(dir string, opts Options) (*Live, error) {
 			// Persist the seed as the generation's base snapshot so the
 			// WAL starts empty and replay cost stays proportional to
 			// post-seed writes.
-			if err := l.writeSnapshotFile(1, g); err != nil {
+			t0 := time.Now()
+			seedRun = store.NewRunCols(g.All())
+			l.boot.Index = time.Since(t0)
+			if err := l.writeSnapshotFile(1, g, seedRun); err != nil {
 				return nil, err
 			}
+			l.boot.Snapshot = time.Since(t0) - l.boot.Index
 		}
 		l.wal, err = createWAL(l.walPath(1), l.sync)
 		if err != nil {
@@ -304,6 +330,7 @@ func Open(dir string, opts Options) (*Live, error) {
 		}
 		l.gen = gen
 		records := int64(0)
+		t0 := time.Now()
 		good, version, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
 			records++
 			if op == OpDelete {
@@ -319,6 +346,7 @@ func Open(dir string, opts Options) (*Live, error) {
 		if err != nil {
 			return nil, err
 		}
+		l.boot.WALReplay = time.Since(t0)
 		l.RecoveredTorn = torn
 		l.wal, err = openWALForAppend(l.walPath(gen), good, l.sync, version, records)
 		if err != nil {
@@ -328,7 +356,7 @@ func Open(dir string, opts Options) (*Live, error) {
 
 	l.applied = uint64(l.graph().NumEdges()) + l.deleted
 	l.mu.Lock()
-	l.publishLocked()
+	l.publishInitialLocked(seedRun)
 	l.mu.Unlock()
 	if l.wal != nil && l.wal.version < walVersion {
 		// Upgrade path: a generation logged in the v1 format cannot
@@ -457,40 +485,42 @@ func (l *Live) anyPresentLocked(triples []rdf.Triple) bool {
 	return false
 }
 
+// publishInitialLocked installs epoch 1 at Open/New. Caller holds l.mu.
+// The index's base run is, in order of preference: base, when Open just
+// sorted the seed to write its snapshot; the mapped snapshot's own
+// column sections, served zero-copy, while the graph is still
+// unmaterialized (the component slices then hold only the WAL-replayed
+// tail, and nothing O(|G|) happens here); else a fresh sort of the
+// graph.
+func (l *Live) publishInitialLocked(base store.RunCols) {
+	t0 := time.Now()
+	defer epochPublishSeconds.ObserveSince(t0)
+	g := l.graph()
+	view := g.SnapshotView()
+	var tail []store.Triple
+	switch snap := g.Base(); {
+	case base != nil:
+	case snap != nil:
+		base = snap.Runs()
+		tail = slices.Concat(g.Data, g.Types, g.Schema)
+	default:
+		base = store.NewRunCols(view.All())
+	}
+	ix := store.NewIndexFromBase(base, tail, store.IndexOptions{Fanout: l.fanout, Spill: l.spill})
+	l.installLocked(view, ix)
+	l.boot.Index += time.Since(t0)
+}
+
 // publishLocked builds and atomically installs the next epoch after an
-// append (or at open). Caller holds l.mu. The graph view shares storage
-// with the writer's graph (copy-on-write: appends land beyond the view's
-// clipped bounds); the index gains one delta run holding only the batch,
-// so publish cost is O(batch), independent of the graph size.
+// append. Caller holds l.mu. The graph view shares storage with the
+// writer's graph (copy-on-write: appends land beyond the view's clipped
+// bounds); the index gains one delta run holding only the batch, so
+// publish cost is O(batch), independent of the graph size.
 func (l *Live) publishLocked() {
 	defer epochPublishSeconds.ObserveSince(time.Now())
 	g := l.graph()
-	view := g.SnapshotView()
-	var ix *store.Index
-	if prev := l.cur.Load(); prev == nil {
-		opts := store.IndexOptions{Fanout: l.fanout, Spill: l.spill}
-		if base := g.Base(); base != nil {
-			// Snapshot-backed graph, still unmaterialized: the index's base
-			// run is the snapshot's own column sections, served zero-copy
-			// from the mapping, and the component slices hold only the
-			// WAL-replayed tail. Nothing O(|G|) happens here.
-			tail := make([]store.Triple, 0, len(g.Data)+len(g.Types)+len(g.Schema))
-			tail = append(tail, g.Data...)
-			tail = append(tail, g.Types...)
-			tail = append(tail, g.Schema...)
-			ix = store.NewIndexFromBase(base.Runs(), tail, opts)
-		} else {
-			ix = store.NewIndexWithOptions(view, opts)
-		}
-	} else {
-		delta := make([]store.Triple, 0,
-			len(g.Data)-l.lastD+len(g.Types)-l.lastT+len(g.Schema)-l.lastS)
-		delta = append(delta, g.Data[l.lastD:]...)
-		delta = append(delta, g.Types[l.lastT:]...)
-		delta = append(delta, g.Schema[l.lastS:]...)
-		ix = prev.Index.Applied(delta, nil)
-	}
-	l.installLocked(view, ix)
+	delta := slices.Concat(g.Data[l.lastD:], g.Types[l.lastT:], g.Schema[l.lastS:])
+	l.installLocked(g.SnapshotView(), l.cur.Load().Index.Applied(delta, nil))
 }
 
 // publishDeletesLocked installs the epoch after a delete batch: the
@@ -502,14 +532,6 @@ func (l *Live) publishDeletesLocked(tombs []store.Triple) {
 	view := l.graph().SnapshotView()
 	ix := l.cur.Load().Index.Applied(nil, tombs)
 	l.installLocked(view, ix)
-}
-
-// publishCompactedLocked installs an epoch whose index is folded into a
-// single run with all tombstones dropped (the graph is unchanged).
-func (l *Live) publishCompactedLocked() {
-	defer epochPublishSeconds.ObserveSince(time.Now())
-	cur := l.cur.Load()
-	l.installLocked(cur.Graph, cur.Index.Compacted())
 }
 
 func (l *Live) installLocked(view *store.Graph, ix *store.Index) {
@@ -663,25 +685,52 @@ func (l *Live) Stats() Stats {
 }
 
 // Compact folds the WAL into a fresh store snapshot and starts an empty
-// log: it writes snapshot-<gen+1>, creates wal-<gen+1>, atomically swaps
-// CURRENT to the new generation, and deletes the old generation's files.
-// A crash at any point leaves either the old generation fully intact or
-// the new one fully current — never a half state. It also publishes an
-// epoch whose index is folded into a single run with every tombstone
-// dropped, resetting read amplification. Readers are unaffected: their
-// epochs reference only in-memory state, and index runs are immutable —
-// a snapshot held across a Compact keeps its exact contents.
+// log: it folds the published index into a single run with every
+// tombstone dropped, writes snapshot-<gen+1> from that run's columns
+// (the graph's triples are sorted once, by the fold), creates
+// wal-<gen+1>, atomically swaps CURRENT to the new generation, deletes
+// the old generation's files, and publishes the folded index as a new
+// epoch, resetting read amplification. A crash at any point leaves
+// either the old generation fully intact or the new one fully current —
+// never a half state. Readers are unaffected: their epochs reference
+// only in-memory state, and index runs are immutable — a snapshot held
+// across a Compact keeps its exact contents.
 func (l *Live) Compact() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	err := l.compactLocked()
+	l.mu.Unlock()
+	if err == nil {
+		// A generation's worth of heap just died at once (old runs, fold
+		// scratch, snapshot encode buffers), and a GC cycle that marked
+		// while it was live has set the next heap goal tens of MB too
+		// high. Collecting now paces the next allocation burst — usually
+		// the summaries that follow a compaction — against the real live
+		// heap: peak RSS on probe-bsbm 230 → 216 MB for ≈ 50 ms.
+		runtime.GC()
+	}
+	return err
+}
+
+// compactLocked is Compact under l.mu.
+func (l *Live) compactLocked() error {
 	if l.closed {
 		return errors.New("live: store is closed")
 	}
 	if l.dir == "" {
 		return errors.New("live: memory-only store cannot compact (no directory)")
 	}
+	// The folded index's visible multiset is the writer graph's: under
+	// l.mu the published epoch is the writer's head. On an error below
+	// the fold is simply dropped and the published epoch keeps serving
+	// (a fold that spilled leaves its file for the next Open's wipe).
+	cur := l.cur.Load()
+	folded := cur.Index.Compacted()
+	cols, ok := folded.Cols()
+	if !ok {
+		panic("live: compacted index is not a single tombstone-free run")
+	}
 	newGen := l.gen + 1
-	if err := l.writeSnapshotFile(newGen, l.graph()); err != nil {
+	if err := l.writeSnapshotFile(newGen, l.graph(), cols); err != nil {
 		return err
 	}
 	newWAL, err := createWAL(l.walPath(newGen), l.sync)
@@ -698,7 +747,7 @@ func (l *Live) Compact() error {
 	l.wal, l.gen = newWAL, newGen
 	os.Remove(l.walPath(oldGen))
 	os.Remove(l.snapshotPath(oldGen))
-	l.publishCompactedLocked()
+	l.publishFoldedLocked(cur.Graph, folded)
 	return nil
 }
 
@@ -711,8 +760,16 @@ func (l *Live) CompactIndex() error {
 	if l.closed {
 		return errors.New("live: store is closed")
 	}
-	l.publishCompactedLocked()
+	cur := l.cur.Load()
+	l.publishFoldedLocked(cur.Graph, cur.Index.Compacted())
 	return nil
+}
+
+// publishFoldedLocked installs an epoch over the unchanged graph view
+// whose index is the single-run fold of the published one.
+func (l *Live) publishFoldedLocked(view *store.Graph, folded *store.Index) {
+	defer epochPublishSeconds.ObserveSince(time.Now())
+	l.installLocked(view, folded)
 }
 
 // Close flushes and closes the WAL and releases the directory lock.
@@ -756,14 +813,14 @@ func (l *Live) snapshotPath(gen uint64) string {
 // writeSnapshotFile durably writes gen's base snapshot via tmp + fsync +
 // rename, so a crash never leaves a half-written snapshot under the final
 // name.
-func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph) error {
+func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph, cols store.RunCols) error {
 	path := l.snapshotPath(gen)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := store.WriteSnapshotV2(f, g); err != nil {
+	if err := store.WriteSnapshotV2(f, g, cols); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

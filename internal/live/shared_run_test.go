@@ -1,0 +1,200 @@
+package live
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"rdfsum/internal/core"
+	"rdfsum/internal/rdf"
+	"rdfsum/internal/samples"
+	"rdfsum/internal/store"
+)
+
+// wantSnapshotBytes is what the generation's snapshot must be: the file
+// the plain writer produces for the published graph from a fresh sort of
+// its triples (store's own tests pin that writer to a comparison-sort
+// reference). Live never sorts for the file — it hands the writer the
+// run its index serves — so equality here is what keeps
+// disk_bytes_per_triple where it was.
+func wantSnapshotBytes(t *testing.T, l *Live) []byte {
+	t.Helper()
+	g := l.Snapshot().Graph
+	var buf bytes.Buffer
+	if err := store.WriteSnapshotV2(&buf, g, store.NewRunCols(g.All())); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func checkSnapshotBytes(t *testing.T, l *Live, what string) {
+	t.Helper()
+	got, err := os.ReadFile(l.snapshotPath(l.Stats().Gen))
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !bytes.Equal(got, wantSnapshotBytes(t, l)) {
+		t.Fatalf("%s: snapshot-%d differs from the reference writer's file", what, l.Stats().Gen)
+	}
+}
+
+// TestLiveSeedSnapshotByteIdentical: the snapshot a seed boot writes from
+// the base run it then serves is the reference file, for every sample
+// graph, with and without spilling.
+func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
+	graphs := map[string]func() *store.Graph{
+		"fig2": samples.Fig2, "fig5": samples.Fig5, "fig8": samples.Fig8,
+		"fig10": samples.Fig10, "book": samples.BookGraph,
+		"bulk": func() *store.Graph { return store.FromTriples(flattenBatches(40, 25)) },
+	}
+	for name, mk := range graphs {
+		for _, spill := range []int64{0, 1} {
+			l, err := Open(t.TempDir(), Options{Seed: mk(), IndexSpillBytes: spill})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkSnapshotBytes(t, l, fmt.Sprintf("%s spill=%d seed boot", name, spill))
+			if got, want := scanIndex(l.Snapshot().Index), scanIndex(store.NewIndex(l.Snapshot().Graph)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s spill=%d: epoch 1 index diverges from a fresh index over the seed", name, spill)
+			}
+			// The shared run must survive being both written and served.
+			if err := l.AddBatch(mkBatch(5000, 20)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			checkSnapshotBytes(t, l, fmt.Sprintf("%s spill=%d compact", name, spill))
+			l.Close()
+		}
+	}
+}
+
+// TestLiveCompactSnapshotByteIdentical: through a random interleaving of
+// adds, deletes (of present and absent triples), compactions and reopens
+// — maintained and unmaintained, heap and spilled runs — every snapshot
+// Compact writes from the folded index's run is the reference file for
+// the graph at that moment.
+func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
+	configs := []Options{
+		{IndexFanout: 3},
+		{IndexFanout: 3, IndexSpillBytes: 1},
+		{IndexFanout: 2, IndexSpillBytes: 1, Maintain: []core.Kind{}}, // reopens stay unmaterialized
+	}
+	for ci, opts := range configs {
+		rng := rand.New(rand.NewPCG(uint64(ci), 77))
+		dir := t.TempDir()
+		l, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fed []rdf.Triple
+		compactions := 0
+		for step := 0; step < 120; step++ {
+			switch op := rng.IntN(10); {
+			case op < 5:
+				b := mkBatch(rng.IntN(400), 1+rng.IntN(30)) // overlapping ranges: duplicates happen
+				fed = append(fed, b...)
+				if err := l.AddBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			case op < 7 && len(fed) > 0:
+				dead := []rdf.Triple{fed[rng.IntN(len(fed))], fed[rng.IntN(len(fed))], mkBatch(9000+step, 1)[0]}
+				if _, err := l.DeleteBatch(dead); err != nil {
+					t.Fatal(err)
+				}
+				fed = removeAll(fed, dead)
+			case op < 9:
+				if err := l.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				compactions++
+				checkSnapshotBytes(t, l, fmt.Sprintf("config %d step %d", ci, step))
+			default:
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if l, err = Open(dir, opts); err != nil {
+					t.Fatalf("config %d step %d: reopen: %v", ci, step, err)
+				}
+			}
+		}
+		if compactions == 0 {
+			t.Fatalf("config %d: the sequence never compacted", ci)
+		}
+		if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("config %d: store diverges from the model after the sequence", ci)
+		}
+		l.Close()
+	}
+}
+
+// TestLiveCompactAbandonedBeforeManifestSwap: a compaction that dies
+// after snapshot-<gen+1> (and even wal-<gen+1>) reached the disk but
+// before CURRENT was swapped must be invisible: the store reopens on the
+// old generation with every acknowledged batch, discards the orphans,
+// and compacts cleanly afterwards.
+func TestLiveCompactAbandonedBeforeManifestSwap(t *testing.T) {
+	for _, withWAL := range []bool{false, true} {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Seed: store.FromTriples(mkBatch(0, 50))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := mkBatch(0, 50)
+		for i := 1; i <= 5; i++ {
+			b := mkBatch(i*100, 20)
+			acked = append(acked, b...)
+			if err := l.AddBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.DeleteBatch(acked[60:65]); err != nil {
+			t.Fatal(err)
+		}
+		acked = removeAll(acked, acked[60:65])
+		// The first steps of Compact, as it performs them, then the crash.
+		l.mu.Lock()
+		cols, ok := l.cur.Load().Index.Compacted().Cols()
+		if !ok {
+			t.Fatal("compacted index exposes no single run")
+		}
+		if err := l.writeSnapshotFile(l.gen+1, l.graph(), cols); err != nil {
+			t.Fatal(err)
+		}
+		if withWAL {
+			w, err := createWAL(l.walPath(l.gen+1), l.sync)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.close()
+		}
+		l.mu.Unlock()
+		l.Close()
+
+		l2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("withWAL=%v: reopen after abandoned compaction: %v", withWAL, err)
+		}
+		if gen := l2.Stats().Gen; gen != 1 {
+			t.Fatalf("withWAL=%v: reopened on generation %d, want the old generation 1", withWAL, gen)
+		}
+		if got, want := canonical(l2.Snapshot().Graph), canonical(store.FromTriples(acked)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("withWAL=%v: acknowledged batches lost across an abandoned compaction", withWAL)
+		}
+		for _, orphan := range []string{"snapshot-2.rdfsum", "wal-2.log"} {
+			if _, err := os.Stat(filepath.Join(dir, orphan)); !os.IsNotExist(err) {
+				t.Fatalf("withWAL=%v: orphan %s survived the reopen", withWAL, orphan)
+			}
+		}
+		if err := l2.Compact(); err != nil {
+			t.Fatalf("withWAL=%v: compaction after recovery: %v", withWAL, err)
+		}
+		checkSnapshotBytes(t, l2, "compaction after recovery")
+		l2.Close()
+	}
+}

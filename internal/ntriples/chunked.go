@@ -3,6 +3,7 @@ package ntriples
 import (
 	"bytes"
 	"io"
+	"unsafe"
 
 	"rdfsum/internal/rdf"
 )
@@ -94,6 +95,11 @@ func tooLongMsg() string {
 // ParseSlab parses every line of one slab, calling fn for each triple with
 // its global 1-based line number. Blank and comment lines are skipped,
 // exactly as in ParseFunc. Errors carry the global line number.
+//
+// Lines are parsed in place: a term without escapes is a substring of
+// s.Data, viewed as a string without copying. The caller must therefore
+// never modify s.Data again — not even after ParseSlab returns, for as
+// long as any term it produced is alive.
 func ParseSlab(s Slab, fn func(lineNo int, t rdf.Triple) error) error {
 	data := s.Data
 	lineNo := s.StartLine
@@ -110,7 +116,7 @@ func ParseSlab(s Slab, fn func(lineNo int, t rdf.Triple) error) error {
 		if n := len(raw); n > 0 && raw[n-1] == '\r' {
 			raw = raw[:n-1] // match bufio.ScanLines' CR stripping
 		}
-		t, ok, err := parseLine(string(raw), lineNo)
+		t, ok, err := parseLine(unsafe.String(unsafe.SliceData(raw), len(raw)), lineNo)
 		if err != nil {
 			return err
 		}

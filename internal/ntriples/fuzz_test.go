@@ -11,7 +11,8 @@ import (
 // input: whatever Parse accepts, Write must serialize back into a
 // document Parse accepts again, yielding the identical triples — the
 // invariant that makes WAL records, HTTP ingest bodies and CLI output
-// mutually interchangeable.
+// mutually interchangeable. Every input also goes through the
+// fast-path-vs-builder differential check (checkFastPath).
 //
 // Seeds live in testdata/fuzz/FuzzParse (committed corpus); run the
 // fuzzer with `make fuzz` or:
@@ -31,6 +32,9 @@ func FuzzParse(f *testing.F) {
 	f.Add(strings.Repeat("<http://a> <http://p> <http://b> .\n", 4))
 
 	f.Fuzz(func(t *testing.T, doc string) {
+		// Differential: the substring fast paths and the rune-by-rune
+		// builder agree on every line — terms, error text, line, column.
+		checkFastPath(t, doc)
 		triples, err := ParseString(doc)
 		if err != nil {
 			return // rejected input is fine; panics are the failure mode

@@ -9,7 +9,7 @@
 package ntriples
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -48,39 +48,36 @@ func ParseString(s string) ([]rdf.Triple, error) {
 
 // ParseFunc streams triples from r to fn, stopping at the first syntax
 // error or the first error returned by fn. This is the loading path used
-// for large files: no intermediate slice is built.
+// for large files: no intermediate slice is built, and no line is copied
+// — the input is read in slabs (SplitSlabs) whose lines are parsed in
+// place (ParseSlab), so a term without escapes is a substring of its
+// slab. A caller that retains terms retains their slabs; the
+// dictionaries clone what they intern, so loading does not.
 func ParseFunc(r io.Reader, fn func(rdf.Triple) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		t, ok, err := parseLine(line, lineNo)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := fn(t); err != nil {
-			return err
-		}
+	var parseErr error // the error ParseSlab stopped on, if any
+	err := SplitSlabs(r, parseFuncSlabBytes, func(s Slab) error {
+		parseErr = ParseSlab(s, func(_ int, t rdf.Triple) error { return fn(t) })
+		return parseErr
+	})
+	var pe *ParseError
+	if err == nil || err == parseErr || errors.As(err, &pe) {
+		return err
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			// The scanner stalls on the line after the last one it
-			// delivered; report it instead of the opaque scanner error.
-			return &ParseError{Line: lineNo + 1, Msg: tooLongMsg()}
-		}
-		return fmt.Errorf("ntriples: read: %w", err)
-	}
-	return nil
+	return fmt.Errorf("ntriples: read: %w", err)
 }
+
+// parseFuncSlabBytes is ParseFunc's read granularity: large enough that
+// the per-slab allocation and carry copy vanish against parsing, small
+// enough that a retained term pins little.
+const parseFuncSlabBytes = 64 * 1024
 
 // parseLine parses a single line. ok is false for blank and comment lines.
 func parseLine(line string, lineNo int) (t rdf.Triple, ok bool, err error) {
-	p := &lineParser{in: line, line: lineNo}
+	return parseLineWith(lineParser{in: line, line: lineNo})
+}
+
+func parseLineWith(lp lineParser) (t rdf.Triple, ok bool, err error) {
+	p := &lp
 	p.skipWS()
 	if p.eof() || p.peek() == '#' {
 		return rdf.Triple{}, false, nil
@@ -119,6 +116,10 @@ type lineParser struct {
 	in   string
 	pos  int
 	line int
+	// builderOnly disables the substring fast paths, so every term goes
+	// through the rune-by-rune builder. Only the differential tests set
+	// it: the two paths must agree on every input.
+	builderOnly bool
 }
 
 func (p *lineParser) errorf(format string, args ...any) error {
@@ -150,8 +151,48 @@ func (p *lineParser) term() (rdf.Term, error) {
 	}
 }
 
+// byteSet marks the bytes that end a fast-path span.
+type byteSet [256]bool
+
+func newByteSet(bytes string) *byteSet {
+	var set byteSet
+	for i := 0; i < len(bytes); i++ {
+		set[bytes[i]] = true
+	}
+	return &set
+}
+
+var (
+	iriStops     = newByteSet(">\\ \t") // close, escape, and the whitespace the builder path rejects
+	literalStops = newByteSet("\"\\")   // close, escape
+)
+
+// cleanSpan returns the length of the longest prefix of s free of stop
+// bytes, and whether that prefix is valid UTF-8 (the builder path
+// substitutes U+FFFD for invalid bytes, so only a valid span may be
+// returned as a substring).
+func cleanSpan(s string, stops *byteSet) (n int, valid bool) {
+	ascii := true
+	for n < len(s) && !stops[s[n]] {
+		ascii = ascii && s[n] < utf8.RuneSelf
+		n++
+	}
+	return n, ascii || utf8.ValidString(s[:n])
+}
+
 func (p *lineParser) iriRef() (rdf.Term, error) {
 	p.pos++ // consume '<'
+	// Fast path: nothing but valid UTF-8 up to the closing '>' — the IRI
+	// is a substring of the line. Anything else (escape, whitespace,
+	// empty or unterminated IRI) is left to the builder below, from the
+	// same position, so both paths produce the same terms and messages.
+	if !p.builderOnly {
+		rest := p.in[p.pos:]
+		if n, valid := cleanSpan(rest, iriStops); n > 0 && n < len(rest) && rest[n] == '>' && valid {
+			p.pos += n + 1
+			return rdf.NewIRI(rest[:n]), nil
+		}
+	}
 	var b strings.Builder
 	for {
 		if p.eof() {
@@ -252,6 +293,15 @@ func (p *lineParser) blankNode() (rdf.Term, error) {
 
 func (p *lineParser) literal() (rdf.Term, error) {
 	p.pos++ // consume '"'
+	// Fast path, as in iriRef: an escape-free, valid-UTF-8 lexical form
+	// is a substring of the line.
+	if !p.builderOnly {
+		rest := p.in[p.pos:]
+		if n, valid := cleanSpan(rest, literalStops); n < len(rest) && rest[n] == '"' && valid {
+			p.pos += n + 1
+			return p.literalSuffix(rest[:n])
+		}
+	}
 	var b strings.Builder
 	for {
 		if p.eof() {

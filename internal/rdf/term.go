@@ -140,15 +140,22 @@ func escapeLiteral(b *strings.Builder, s string) {
 	}
 }
 
-// escapeIRI writes an IRI, escaping the few characters disallowed between
-// angle brackets.
+// escapeIRI writes an IRI, escaping the characters disallowed between
+// angle brackets: the punctuation below and everything up to the space
+// (an IRI can hold those only through a \u escape, and must be written
+// back the same way or it no longer parses). This runs once per rune of
+// every IRI cell of a query result, hence the plain switch.
 func escapeIRI(b *strings.Builder, s string) {
 	for _, r := range s {
 		switch r {
 		case '<', '>', '"', '{', '}', '|', '^', '`', '\\':
 			fmt.Fprintf(b, "\\u%04X", r)
 		default:
-			b.WriteRune(r)
+			if r <= ' ' {
+				fmt.Fprintf(b, "\\u%04X", r)
+			} else {
+				b.WriteRune(r)
+			}
 		}
 	}
 }

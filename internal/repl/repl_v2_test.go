@@ -67,7 +67,7 @@ func TestFollowerRejectsUnknownSnapshotVersion(t *testing.T) {
 	// A structurally plausible stream with an unknown version byte.
 	g := store.FromTriples(mkBatch(0, 5))
 	var snap bytes.Buffer
-	if err := store.WriteSnapshotV2(&snap, g); err != nil {
+	if err := store.WriteSnapshotV2(&snap, g, store.NewRunCols(g.All())); err != nil {
 		t.Fatal(err)
 	}
 	raw := snap.Bytes()

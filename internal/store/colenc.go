@@ -51,37 +51,34 @@ func (o Order) unkey(k1, k2, k3 dict.ID) Triple {
 func zigzag(x int64) uint64   { return uint64((x << 1) ^ (x >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// encodeCol serializes ts — already sorted in ord — into the column
-// payload format.
-func encodeCol(ord Order, ts []Triple) []byte {
-	nBlocks := (len(ts) + colBlockTriples - 1) / colBlockTriples
+// encodeCol serializes col — sorted in ord — into the column payload
+// format. It reads through a Cursor, so heap, mapped and spilled columns
+// all encode (to the same bytes for the same triples).
+func encodeCol(ord Order, col Col) []byte {
+	n := col.Len()
+	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
 	skip := make([]byte, nBlocks*colSkipEntryBytes)
 	var blocks []byte
 	var tmp [3 * binary.MaxVarintLen64]byte
+	cur := col.Cursor(0, n)
 	for b := 0; b < nBlocks; b++ {
-		lo := b * colBlockTriples
-		hi := lo + colBlockTriples
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		k1, k2, k3 := ord.key(ts[lo])
+		p1, p2, p3 := ord.key(cur.Next())
 		e := skip[b*colSkipEntryBytes:]
-		binary.LittleEndian.PutUint32(e[0:4], uint32(k1))
-		binary.LittleEndian.PutUint32(e[4:8], uint32(k2))
-		binary.LittleEndian.PutUint32(e[8:12], uint32(k3))
+		binary.LittleEndian.PutUint32(e[0:4], uint32(p1))
+		binary.LittleEndian.PutUint32(e[4:8], uint32(p2))
+		binary.LittleEndian.PutUint32(e[8:12], uint32(p3))
 		binary.LittleEndian.PutUint64(e[12:20], uint64(8+len(skip)+len(blocks)))
-		p1, p2, p3 := k1, k2, k3
-		for _, t := range ts[lo+1 : hi] {
-			c1, c2, c3 := ord.key(t)
-			n := binary.PutUvarint(tmp[:], uint64(c1-p1))
-			n += binary.PutUvarint(tmp[n:], zigzag(int64(c2)-int64(p2)))
-			n += binary.PutUvarint(tmp[n:], zigzag(int64(c3)-int64(p3)))
-			blocks = append(blocks, tmp[:n]...)
+		for i := min(colBlockTriples, n-b*colBlockTriples) - 1; i > 0; i-- {
+			c1, c2, c3 := ord.key(cur.Next())
+			w := binary.PutUvarint(tmp[:], uint64(c1-p1))
+			w += binary.PutUvarint(tmp[w:], zigzag(int64(c2)-int64(p2)))
+			w += binary.PutUvarint(tmp[w:], zigzag(int64(c3)-int64(p3)))
+			blocks = append(blocks, tmp[:w]...)
 			p1, p2, p3 = c1, c2, c3
 		}
 	}
 	out := make([]byte, 8, 8+len(skip)+len(blocks))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(ts)))
+	binary.LittleEndian.PutUint32(out[0:4], uint32(n))
 	binary.LittleEndian.PutUint32(out[4:8], uint32(nBlocks))
 	out = append(out, skip...)
 	return append(out, blocks...)

@@ -261,7 +261,7 @@ func SaveFile(path string, g *Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteSnapshotV2(f, g); err != nil {
+	if err := WriteSnapshotV2(f, g, NewRunCols(g.All())); err != nil {
 		f.Close()
 		return err
 	}

@@ -23,9 +23,15 @@ import (
 //     duplicates preserved) sorted three ways as varint-delta columns
 //     (colenc.go) — the zero-copy base run of the tiered index.
 
-// WriteSnapshotV2 serializes the graph to w in snapshot format v2.
-func WriteSnapshotV2(w io.Writer, g *Graph) error {
+// WriteSnapshotV2 serializes the graph to w in snapshot format v2. cols
+// must hold exactly g's triple multiset — the run an index over g
+// already serves (a fresh NewRunCols(g.All()), or Index.Cols after a
+// fold): the writer encodes its column sections from it and never sorts.
+func WriteSnapshotV2(w io.Writer, g *Graph, cols RunCols) error {
 	g.Ensure()
+	if cols.length() != g.NumEdges() {
+		return fmt.Errorf("store: snapshot run holds %d triples, graph %d", cols.length(), g.NumEdges())
+	}
 	d := g.Dict()
 	terms := make([]rdf.Term, d.Len())
 	for i := range terms {
@@ -33,18 +39,26 @@ func WriteSnapshotV2(w io.Writer, g *Graph) error {
 	}
 	pages, dir, sorted := dict.EncodeFrontCoded(terms)
 
-	// The column run holds the full triple multiset (all three
-	// components, duplicates preserved) sorted three ways. g.All()
-	// returns a fresh slice, so newMemCols may adopt it.
-	mc := newMemCols(g.All())
-
 	counts := [4]uint64{uint64(len(terms)), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))}
 	ids := []byte{secDictPages, secDictDir, secDictSorted, secCompData, secCompTypes, secCompSchema, secColSPO, secColPOS, secColOSP, secVocab}
+	cp := encodeCols(cols)
 	payloads := [][]byte{pages, dir, sorted,
 		encodeComp(g.Data), encodeComp(g.Types), encodeComp(g.Schema),
-		encodeCol(OrderSPO, mc.spo), encodeCol(OrderPOS, mc.pos), encodeCol(OrderOSP, mc.osp),
+		cp[OrderSPO], cp[OrderPOS], cp[OrderOSP],
 		encodeVocabSec(g.Vocab())}
 	return writeContainer(w, fileKindSnapshot, counts, ids, payloads)
+}
+
+// colSectionIDs maps each sort order to its column section.
+var colSectionIDs = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, OrderOSP: secColOSP}
+
+// encodeCols encodes a run's three columns, in colSectionIDs order.
+func encodeCols(cols RunCols) [][]byte {
+	out := make([][]byte, NumOrders)
+	for o := range out {
+		out[o] = encodeCol(Order(o), cols.col(Order(o)))
+	}
+	return out
 }
 
 // encodeVocabSec serializes the five interpreted-vocabulary IDs. The
@@ -207,7 +221,7 @@ func newSnapshotFile(data []byte, verify bool) (*SnapshotFile, error) {
 // (snapshot or spill run).
 func openContainerCols(c *container, wantLen int) (RunCols, error) {
 	m := &mappedCols{n: wantLen}
-	for o, id := range [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, OrderOSP: secColOSP} {
+	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -25,7 +26,7 @@ func v2Sample(t *testing.T) (*Graph, []byte) {
 		rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/q"), rdf.NewTypedLiteral("3", "http://www.w3.org/2001/XMLSchema#int")),
 	})
 	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, g); err != nil {
+	if err := WriteSnapshotV2(&buf, g, NewRunCols(g.All())); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	return g, buf.Bytes()
@@ -399,5 +400,93 @@ func TestInspectSnapshotV2(t *testing.T) {
 		if s.Off%v2PageSize != 0 {
 			t.Fatalf("section %s not page aligned: offset %d", s.Name, s.Off)
 		}
+	}
+}
+
+// referenceSnapshotV2 is the snapshot writer as it was before the index
+// and the writer shared one run: the column sections come from g.All()
+// sorted three ways by a comparison sort. The files the shared-run
+// writer produces must match it byte for byte.
+func referenceSnapshotV2(t *testing.T, g *Graph) []byte {
+	t.Helper()
+	g.Ensure()
+	terms := make([]rdf.Term, g.Dict().Len())
+	for i := range terms {
+		terms[i] = g.Dict().Term(dict.ID(i + 1))
+	}
+	pages, dir, sorted := dict.EncodeFrontCoded(terms)
+	all := g.All()
+	col := func(o Order) []byte { return encodeCol(o, memCol(sortedBy(all, o.less))) }
+	counts := [4]uint64{uint64(len(terms)), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))}
+	ids := []byte{secDictPages, secDictDir, secDictSorted, secCompData, secCompTypes, secCompSchema, secColSPO, secColPOS, secColOSP, secVocab}
+	payloads := [][]byte{pages, dir, sorted,
+		encodeComp(g.Data), encodeComp(g.Types), encodeComp(g.Schema),
+		col(OrderSPO), col(OrderPOS), col(OrderOSP),
+		encodeVocabSec(g.Vocab())}
+	var buf bytes.Buffer
+	if err := writeContainer(&buf, fileKindSnapshot, counts, ids, payloads); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWriteSnapshotV2ByteIdentical: whatever run the writer is handed for
+// a graph — a fresh heap run, the mapped columns of a snapshot of the
+// same graph, the (heap or spilled) run of a folded index — the file is
+// the reference writer's, byte for byte.
+func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
+	write := func(g *Graph, cols RunCols) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteSnapshotV2(&buf, g, cols); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, n := range []int{0, 3, 50, radixCutoff * 3, 3000} {
+		g := v2RandomGraph(t, uint64(n)+1, n)
+		// Duplicate triples: the multiset, not the set, is stored.
+		dup := g.All()[0]
+		g.AddEncoded(dup.S, dup.P, dup.O)
+		want := referenceSnapshotV2(t, g)
+
+		if got := write(g, NewRunCols(g.All())); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: heap run: snapshot differs from the reference writer's", n)
+		}
+		path := filepath.Join(t.TempDir(), "g.rdfsum")
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sf, err := OpenSnapshotFile(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := write(g, sf.Runs()); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: mapped run: snapshot differs from the reference writer's", n)
+		}
+		sf.Close()
+
+		// A tiered index fed the same triples in slices, with a delete
+		// and re-add on the way, folds to the same run.
+		for _, spill := range []*SpillConfig{nil, {Dir: t.TempDir(), MinBytes: 1}} {
+			all := g.All()
+			ix := NewIndexFromBase(NewRunCols(nil), nil, IndexOptions{Fanout: 3, Spill: spill})
+			for lo := 0; lo < len(all); lo += 97 {
+				ix = ix.Merged(all[lo:min(lo+97, len(all))])
+			}
+			ix = ix.Applied(nil, []Triple{all[0]})
+			ix = ix.Merged(naiveMatch(all, all[0].S, all[0].P, all[0].O))
+			cols, ok := ix.Compacted().Cols()
+			if !ok {
+				t.Fatalf("n=%d: Compacted index exposes no single run", n)
+			}
+			if got := write(g, cols); !bytes.Equal(got, want) {
+				t.Fatalf("n=%d spill=%v: folded run: snapshot differs from the reference writer's", n, spill != nil)
+			}
+		}
+	}
+	g, _ := v2Sample(t)
+	if err := WriteSnapshotV2(io.Discard, g, NewRunCols(g.All()[1:])); err == nil {
+		t.Fatal("a run that does not hold the graph's triples was accepted")
 	}
 }

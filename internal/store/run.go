@@ -1,6 +1,8 @@
 package store
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"rdfsum/internal/dict"
@@ -65,6 +67,19 @@ func (o Order) less(a, b Triple) bool {
 		return a2 < b2
 	}
 	return a3 < b3
+}
+
+// compare is the three-way form of less, for slices.SortFunc.
+func (o Order) compare(a, b Triple) int {
+	a1, a2, a3 := o.key(a)
+	b1, b2, b3 := o.key(b)
+	if c := cmp.Compare(a1, b1); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a2, b2); c != 0 {
+		return c
+	}
+	return cmp.Compare(a3, b3)
 }
 
 // cmpPrefix compares the first n key components of t against bound,
@@ -156,16 +171,117 @@ type memCols struct {
 	spo, pos, osp []Triple
 }
 
+// NewRunCols sorts triples into a heap-resident run: the one place a
+// triple multiset is ordered three ways. NewIndexFromBase adopts the
+// result and WriteSnapshotV2 encodes its column sections from it, so a
+// boot sorts once. triples is adopted (sorted in place), not copied.
+func NewRunCols(triples []Triple) RunCols { return newMemCols(triples) }
+
 // newMemCols adopts adds (sorting it in place into SPO order) and builds
-// the other two orders.
+// the other two orders. One scratch buffer serves all three sorts.
 func newMemCols(adds []Triple) *memCols {
+	var scratch []Triple
+	if len(adds) >= radixCutoff {
+		scratch = make([]Triple, len(adds))
+	}
 	m := &memCols{spo: adds}
-	sort.Slice(m.spo, func(i, j int) bool { return OrderSPO.less(m.spo[i], m.spo[j]) })
-	m.pos = append([]Triple(nil), m.spo...)
-	sort.Slice(m.pos, func(i, j int) bool { return OrderPOS.less(m.pos[i], m.pos[j]) })
-	m.osp = append([]Triple(nil), m.spo...)
-	sort.Slice(m.osp, func(i, j int) bool { return OrderOSP.less(m.osp[i], m.osp[j]) })
+	sortTriples(OrderSPO, m.spo, scratch)
+	m.pos = slices.Clone(m.spo)
+	sortTriples(OrderPOS, m.pos, scratch)
+	m.osp = slices.Clone(m.spo)
+	sortTriples(OrderOSP, m.osp, scratch)
 	return m
+}
+
+// radixCutoff is the run size below which a comparison sort beats the
+// radix kernel's fixed cost (twelve 256-entry histograms). Measured with
+// BenchmarkRunSort on runs shaped like the deltas Index.Applied builds
+// every epoch (50–150 triples, IDs spread over a 60k-term dictionary):
+// the comparison sort wins at 64 triples and loses at 96.
+const radixCutoff = 96
+
+// sortTriples sorts ts in o's order: the radix kernel at or above
+// radixCutoff, a comparison sort below it (scratch is then unused and
+// may be nil).
+func sortTriples(o Order, ts, scratch []Triple) {
+	if len(ts) < radixCutoff {
+		slices.SortFunc(ts, o.compare)
+		return
+	}
+	radixSortTriples(o, ts, scratch)
+}
+
+// fields lists the Triple fields (0 = S, 1 = P, 2 = O) in o's key
+// order, most significant first.
+func (o Order) fields() [3]int {
+	switch o {
+	case OrderPOS:
+		return [3]int{1, 2, 0}
+	case OrderOSP:
+		return [3]int{2, 0, 1}
+	default:
+		return [3]int{0, 1, 2}
+	}
+}
+
+// radixSortTriples is an LSD radix sort over the twelve key bytes of o's
+// order — the low byte of the least significant key component first —
+// ping-ponging between ts and scratch (len(scratch) >= len(ts) > 0) and
+// leaving the result in ts. A pass whose byte is the same in every key
+// is skipped: with dense dictionary IDs that is the high bytes of every
+// component, so a 59k-term graph sorts in six passes, not twelve.
+func radixSortTriples(o Order, ts, scratch []Triple) {
+	// One read of the input builds every digit's histogram.
+	var hist [3][4][256]uint32
+	for _, t := range ts {
+		for f, k := range [3]dict.ID{t.S, t.P, t.O} {
+			hist[f][0][byte(k)]++
+			hist[f][1][byte(k>>8)]++
+			hist[f][2][byte(k>>16)]++
+			hist[f][3][byte(k>>24)]++
+		}
+	}
+	n := uint32(len(ts))
+	first := [3]dict.ID{ts[0].S, ts[0].P, ts[0].O}
+	fields := o.fields()
+	src, dst := ts, scratch[:len(ts)]
+	for c := 2; c >= 0; c-- {
+		f := fields[c]
+		for d := 0; d < 4; d++ {
+			h, shift := &hist[f][d], uint(d)*8
+			if h[byte(first[f]>>shift)] == n {
+				continue // every key shares this byte
+			}
+			var sum uint32
+			for b, cnt := range h {
+				h[b], sum = sum, sum+cnt
+			}
+			switch f {
+			case 0:
+				for _, t := range src {
+					b := byte(t.S >> shift)
+					dst[h[b]] = t
+					h[b]++
+				}
+			case 1:
+				for _, t := range src {
+					b := byte(t.P >> shift)
+					dst[h[b]] = t
+					h[b]++
+				}
+			default:
+				for _, t := range src {
+					b := byte(t.O >> shift)
+					dst[h[b]] = t
+					h[b]++
+				}
+			}
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &ts[0] {
+		copy(ts, src)
+	}
 }
 
 func (m *memCols) length() int { return len(m.spo) }

@@ -80,10 +80,8 @@ func writeRunFile(path string, mc *memCols) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	counts := [4]uint64{0, uint64(len(mc.spo)), 0, 0}
-	ids := []byte{secColSPO, secColPOS, secColOSP}
-	payloads := [][]byte{encodeCol(OrderSPO, mc.spo), encodeCol(OrderPOS, mc.pos), encodeCol(OrderOSP, mc.osp)}
-	if err := writeContainer(f, fileKindRun, counts, ids, payloads); err != nil {
+	counts := [4]uint64{0, uint64(mc.length()), 0, 0}
+	if err := writeContainer(f, fileKindRun, counts, colSectionIDs[:], encodeCols(mc)); err != nil {
 		f.Close() //nolint:errcheck // already failing
 		return 0, err
 	}

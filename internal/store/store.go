@@ -10,7 +10,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"rdfsum/internal/dict"
@@ -275,7 +275,7 @@ func (g *Graph) SortDedup() {
 }
 
 func sortDedup(ts []Triple) []Triple {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
+	slices.SortFunc(ts, OrderSPO.compare)
 	out := ts[:0]
 	for i, t := range ts {
 		if i == 0 || t != ts[i-1] {
@@ -327,7 +327,7 @@ func (g *Graph) CanonicalStrings() []string {
 	for _, t := range g.Decode() {
 		lines = append(lines, t.String())
 	}
-	sort.Strings(lines)
+	slices.Sort(lines)
 	out := lines[:0]
 	for i, l := range lines {
 		if i == 0 || l != lines[i-1] {
@@ -407,7 +407,7 @@ func sortedIDs(set map[dict.ID]bool) []dict.ID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
