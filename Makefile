@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-smoke bench-json snapshot-bench boot-profile test-nommap stress fuzz cover cover-check check clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-smoke bench-json snapshot-bench boot-profile test-nommap stress fuzz cover cover-check check clean
 
 all: build
 
@@ -61,6 +61,14 @@ est-check:
 	$(GO) test -count=1 \
 		-run 'TestPlannerOrderNonRegression|TestEstimationAccuracyMixes|TestEstimatorQErrorGolden|TestEstimatorExactSinglePattern' \
 		./internal/query/
+
+# The end-to-end harness under benchmark/ is its own module (it imports
+# this one through a replace directive), so `go build|vet|test ./...`
+# here never compile it. This does (mirrored as a CI step): an API change
+# that breaks the harness fails here, not at the next benchmark run.
+bench-unit:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
 
 # Full benchmark sweep (the 1M-triple load benchmark takes a while).
 bench:
@@ -177,7 +185,7 @@ cover-check:
 		fi; \
 	done; rm -f .cover.tmp; exit $$fail
 
-check: build vet fmt-check race obs-check est-check bench-smoke cover-check
+check: build vet fmt-check race obs-check est-check bench-unit bench-smoke cover-check
 
 clean:
 	$(GO) clean ./...

@@ -251,6 +251,7 @@ type Stats struct {
 	Deleted         uint64 `json:"deleted"`
 	IndexRuns       int    `json:"index_runs"`
 	IndexTombstones int    `json:"index_tombstones"`
+	DictTerms       int    `json:"dict_terms"`
 
 	// Ingest-queue occupancy (zero on servers without a queue, e.g.
 	// followers rejecting writes).

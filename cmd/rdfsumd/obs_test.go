@@ -102,6 +102,44 @@ func TestMetricsExpositionBootPhases(t *testing.T) {
 	}
 }
 
+// TestMetricsExpositionDictTerms: the dictionary's size is visible from
+// outside (/v1/stats dict_terms and the rdfsum_dict_terms gauge agree),
+// and serving a summary of every kind — the type-based one names every
+// untyped node — leaves it where it was: summaries are reads.
+func TestMetricsExpositionDictTerms(t *testing.T) {
+	ts, _ := liveTestServer(t, rdfsum.GenerateBSBM(20))
+	dictTerms := func() float64 {
+		t.Helper()
+		var stats map[string]any
+		getJSON(t, ts.URL+"/v1/stats", &stats)
+		n, _ := stats["dict_terms"].(float64)
+		if n <= 0 {
+			t.Fatalf("/v1/stats dict_terms = %v, want the dictionary's size", stats["dict_terms"])
+		}
+		body, _ := scrapeMetrics(t, ts)
+		if want := "rdfsum_dict_terms " + strconv.FormatFloat(n, 'f', -1, 64) + "\n"; !strings.Contains(body, want) {
+			t.Errorf("/v1/metrics lacks %q", want)
+		}
+		return n
+	}
+	before := dictTerms()
+	for _, kind := range rdfsum.Kinds {
+		var info map[string]any
+		if resp := getJSON(t, ts.URL+"/v1/summary?kind="+kind.String(), &info); resp.StatusCode != http.StatusOK {
+			t.Fatalf("summary %v: status %d", kind, resp.StatusCode)
+		}
+		resp, err := http.Get(ts.URL + "/v1/summary?format=ntriples&kind=" + kind.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining
+		resp.Body.Close()
+	}
+	if after := dictTerms(); after != before {
+		t.Errorf("dict_terms went from %v to %v across five summaries", before, after)
+	}
+}
+
 // TestLegacyMetricSeriesNamesPreserved pins the migration contract: every
 // series the hand-rolled /metrics handler used to emit is still present
 // under the identical name after the registry rewrite.

@@ -226,6 +226,7 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 	walBytes := r.Gauge("rdfsum_wal_bytes", "Bytes in the current WAL generation.")
 	indexRuns := r.Gauge("rdfsum_index_runs", "Runs in the tiered delta index.")
 	indexTombs := r.Gauge("rdfsum_index_tombstones", "Tombstones pending in the tiered delta index.")
+	dictTerms := r.Gauge("rdfsum_dict_terms", "Terms in the store's dictionary, which the next snapshot writes in full.")
 	// wal_records is only rendered where the legacy exposition rendered
 	// it: stores whose ReplState resolves, i.e. durable leaders.
 	var walRecords *obs.Gauge
@@ -276,6 +277,7 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 		walBytes.Set(float64(st.WALBytes))
 		indexRuns.Set(float64(st.IndexRuns))
 		indexTombs.Set(float64(st.IndexTombs))
+		dictTerms.Set(float64(st.DictTerms))
 		if walRecords != nil {
 			if rs, err := lv.ReplState(); err == nil {
 				walRecords.Set(float64(rs.WALRecords))
@@ -544,6 +546,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"deleted":          st.Deleted,
 		"index_runs":       st.IndexRuns,
 		"index_tombstones": st.IndexTombs,
+		"dict_terms":       st.DictTerms,
 	}
 	if s.queue != nil {
 		qs := s.queue.Stats()

@@ -114,7 +114,7 @@ func (d *weakDriver) snapshot() *Summary {
 		root := d.uf.Find(e)
 		inProps[root] = append(inProps[root], p)
 	}
-	rep := newRepresenter(g, Weak)
+	out, rep := startSummary(g, Weak, d.bs.names)
 	nameOf := make(map[int32]dict.ID)
 	name := func(root int32) dict.ID {
 		if id, ok := nameOf[root]; ok {
@@ -125,8 +125,6 @@ func (d *weakDriver) snapshot() *Summary {
 		return id
 	}
 
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 	props := make([]dict.ID, 0, len(d.srcElem))
 	for p := range d.srcElem {
 		props = append(props, p)

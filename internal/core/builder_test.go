@@ -123,9 +123,10 @@ func TestBuilderContinuesAfterSnapshot(t *testing.T) {
 // --- unified quotient engine (engine.go) ----------------------------------
 
 // renderNodeOf maps the paper's rd function to lexical forms, so quotient
-// maps are comparable across dictionaries.
+// maps are comparable across dictionaries. The summary's own dictionary
+// resolves both sides: it extends the input's with the node names.
 func renderNodeOf(s *Summary) map[string]string {
-	d := s.Input.Dict()
+	d := s.Graph.Dict()
 	out := make(map[string]string, len(s.NodeOf))
 	for n, rep := range s.NodeOf {
 		out[d.Term(n).String()] = d.Term(rep).String()

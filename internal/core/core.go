@@ -13,8 +13,10 @@
 //     take precedence, untyped nodes are summarized weakly.
 //   - TypedStrong (TS_G, Definition 17): untyped-strong summary of T_G.
 //
-// Every summary is itself an RDF graph (a *store.Graph sharing the input's
-// dictionary): the schema component is copied verbatim (rule SCH of
+// Every summary is itself an RDF graph (a *store.Graph over an overlay of
+// the input's dictionary, see dict.Overlay: input terms keep their IDs,
+// summary node URIs are interned beside them, and the input's dictionary
+// is never written): the schema component is copied verbatim (rule SCH of
 // Definition 9) and the data+type components are the quotient of
 // D_G ∪ T_G (rule TYP+DAT). Summary node URIs are produced by
 // content-addressed representation functions (see names.go), which makes
@@ -163,10 +165,15 @@ type Summary struct {
 	Kind Kind
 	// Input is the summarized graph (not modified, not owned).
 	Input *store.Graph
-	// Graph is the summary H_G, an RDF graph sharing Input's dictionary.
+	// Graph is the summary H_G, an RDF graph whose dictionary extends
+	// Input's: Graph.Dict() is an overlay (dict.Overlay) that resolves
+	// every ID of Input and, under IDs from 2^31 up, the summary node
+	// URIs. Those URIs exist in no other dictionary: render summary IDs
+	// through Graph.Dict(), never through Input.Dict().
 	Graph *store.Graph
 	// NodeOf maps every data node of the input to the summary node
-	// representing it (the paper's rd map).
+	// representing it (the paper's rd map): keys are Input IDs, values
+	// are IDs of Graph.Dict().
 	NodeOf map[dict.ID]dict.ID
 	// Stats holds input/output size measures.
 	Stats Stats

@@ -89,7 +89,7 @@ func (d *strongDriver) snapshot() *Summary {
 		d.rebuild()
 	}
 	g := d.bs.g
-	rep := newRepresenter(g, Strong)
+	out, rep := startSummary(g, Strong, d.bs.names)
 	srcM, tgtM := d.ct.memberLists()
 
 	names := make(map[[2]int32]dict.ID)
@@ -117,8 +117,6 @@ func (d *strongDriver) snapshot() *Summary {
 		return id
 	}
 
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 	// Stale keys of merged classes canonicalize to equal triples here and
 	// collapse in the finalizing SortDedup.
 	for k := range d.edges.counts {

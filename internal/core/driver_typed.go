@@ -80,7 +80,7 @@ func (d *typeBasedDriver) typeDeleted(ev typeEvent) {
 
 func (d *typeBasedDriver) snapshot() *Summary {
 	g := d.bs.g
-	rep := newRepresenter(g, TypeBased)
+	out, rep := startSummary(g, TypeBased, d.bs.names)
 	classes := d.bs.classes
 	name := func(r classRef) dict.ID {
 		if r.tag == refSet {
@@ -89,8 +89,6 @@ func (d *typeBasedDriver) snapshot() *Summary {
 		return rep.freshCopy(dict.ID(r.a))
 	}
 
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 	for k := range d.edges.counts {
 		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}
@@ -286,7 +284,7 @@ func (d *typedWeakDriver) snapshot() *Summary {
 		d.rebuild()
 	}
 	g := d.bs.g
-	rep := newRepresenter(g, TypedWeak)
+	out, rep := startSummary(g, TypedWeak, d.bs.names)
 	classes := d.bs.classes
 
 	inProps := make(map[int32][]dict.ID)
@@ -316,8 +314,6 @@ func (d *typedWeakDriver) snapshot() *Summary {
 		return weakName(r.a)
 	}
 
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 	for k := range d.edges.counts {
 		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}
@@ -460,7 +456,7 @@ func (d *typedStrongDriver) snapshot() *Summary {
 		d.rebuild()
 	}
 	g := d.bs.g
-	rep := newRepresenter(g, TypedStrong)
+	out, rep := startSummary(g, TypedStrong, d.bs.names)
 	classes := d.bs.classes
 	srcM, tgtM := d.ct.memberLists()
 
@@ -495,8 +491,6 @@ func (d *typedStrongDriver) snapshot() *Summary {
 		return cliqueName(r.a, r.b)
 	}
 
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 	for k := range d.edges.counts {
 		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}

@@ -176,7 +176,12 @@ func (st *inputStats) compute(in, out *store.Graph) Stats {
 // index and the input statistics are computed once and shared by every
 // driver, instead of re-derived per kind.
 type BuilderSet struct {
-	g       *store.Graph
+	g *store.Graph
+	// names is where every snapshot of every kind interns its node URIs:
+	// one overlay of g's dictionary for the set's lifetime, so a name is
+	// interned once however many snapshots carry it and g's dictionary
+	// holds input terms only.
+	names   *dict.Dict
 	adj     *adjacency       // nil unless a driver re-represents nodes
 	classes *classSetTracker // nil unless a typed kind is maintained
 	stats   *inputStats
@@ -190,7 +195,7 @@ type BuilderSet struct {
 // type component first, so pre-typed nodes never look late-typed — and
 // later Add calls append to it.
 func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
-	bs := &BuilderSet{g: g, stats: newInputStats()}
+	bs := &BuilderSet{g: g, names: dict.Overlay(g.Dict()), stats: newInputStats()}
 	for _, k := range kinds {
 		if int(k) < 0 || int(k) >= NumKinds {
 			return nil, fmt.Errorf("core: unknown summary kind %d", int(k))

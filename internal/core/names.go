@@ -2,9 +2,11 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
@@ -20,48 +22,77 @@ const nameNS = "rdfsum:"
 // of the representation function while keeping URIs short.
 const maxInlineName = 256
 
+// kindTag is each kind's namespace inside nameNS.
+var kindTag = [NumKinds]string{Weak: "w", Strong: "s", TypeBased: "tb", TypedWeak: "tw", TypedStrong: "ts"}
+
 // representer implements the paper's N function (§4.1): an injective
 // function from a (target-property set, source-property set) pair to a
 // URI. It is content-addressed — the URI is derived from the sorted
 // property IRIs — so equal clique contents yield equal URIs across graphs
 // and across runs. This is what turns the paper's completeness statements
 // into literal triple-set equalities.
+//
+// The URIs are interned in d, an overlay of the input's dictionary (see
+// startSummary): naming a node never writes to the input's dictionary.
 type representer struct {
 	d   *dict.Dict
-	tag string // per-kind namespace: "w", "s", "tw", "ts", "tb"
+	tag string // per-kind namespace, from kindTag
+
+	sets map[string]dict.ID // classSetNode's answers, by the set's IDs as bytes
+	key  []byte             // scratch: the class set being looked up in sets
+	term []byte             // scratch: one rendered term
+	name []byte             // scratch: the URI being built
 }
 
-func newRepresenter(g *store.Graph, kind Kind) *representer {
-	var tag string
-	switch kind {
-	case Weak:
-		tag = "w"
-	case Strong:
-		tag = "s"
-	case TypeBased:
-		tag = "tb"
-	case TypedWeak:
-		tag = "tw"
-	case TypedStrong:
-		tag = "ts"
-	}
-	return &representer{d: g.Dict(), tag: tag}
+// startSummary begins a summary of g for every construction, batch or
+// driver: the output graph — over names, rule SCH already applied — and
+// the representer that names its nodes there. names is an overlay of g's
+// dictionary, so the summary extends g's ID space and leaves g's
+// dictionary as it was: a batch construction passes a fresh overlay, a
+// BuilderSet the one it keeps for its lifetime.
+func startSummary(g *store.Graph, kind Kind, names *dict.Dict) (*store.Graph, *representer) {
+	out := store.NewGraphWithDict(names)
+	copySchema(g, out)
+	return out, &representer{d: names, tag: kindTag[kind], sets: make(map[string]dict.ID)}
+}
+
+// intern returns the ID of the IRI built in name, which started as
+// r.name[:0] and becomes the scratch buffer of the next call. The term
+// handed to the dictionary aliases it; the dictionary copies what it keeps.
+func (r *representer) intern(name []byte) dict.ID {
+	r.name = name
+	return r.d.Encode(rdf.NewIRI(unsafe.String(unsafe.SliceData(name), len(name))))
 }
 
 // node returns the ID of N(in, out): the summary node whose members have
 // target clique `in` and source clique `out` (either may be empty; both
 // empty yields the paper's Nτ node).
 func (r *representer) node(in, out []dict.ID) dict.ID {
-	name := nameNS + r.tag + "?in=" + r.renderSet(in) + "&out=" + r.renderSet(out)
-	return r.d.Encode(rdf.NewIRI(name))
+	name := append(r.name[:0], nameNS...)
+	name = append(name, r.tag...)
+	name = append(name, "?in="...)
+	name = r.appendSet(name, in)
+	name = append(name, "&out="...)
+	return r.intern(r.appendSet(name, out))
 }
 
 // classSetNode returns the ID of C(X) for a non-empty class set X
 // (Definition 12). The same class set always maps to the same URI, shared
-// by the type-based, typed-weak and typed-strong summaries.
+// by the type-based, typed-weak and typed-strong summaries. A summary
+// asks once per typed node; the URI is rendered once per distinct set.
 func (r *representer) classSetNode(classes []dict.ID) dict.ID {
-	name := nameNS + "cls?c=" + r.renderSet(classes)
-	return r.d.Encode(rdf.NewIRI(name))
+	r.key = r.key[:0]
+	for _, c := range classes {
+		r.key = binary.LittleEndian.AppendUint32(r.key, uint32(c))
+	}
+	if id, ok := r.sets[string(r.key)]; ok {
+		return id
+	}
+	name := append(r.name[:0], nameNS...)
+	name = append(name, "cls?c="...)
+	id := r.intern(r.appendSet(name, classes))
+	r.sets[string(r.key)] = id
+	return id
 }
 
 // freshCopy returns the ID of C(∅) for one untyped node of the type-based
@@ -69,54 +100,51 @@ func (r *representer) classSetNode(classes []dict.ID) dict.ID {
 // URIs, [C] returns a new URI on every call"). The URI is content-
 // addressed on the represented node's own lexical form, which keeps the
 // function injective over the input's untyped nodes while making the
-// construction independent of triple order.
+// construction independent of triple order. One call per untyped node of
+// the input: everything is rendered in the representer's scratch buffers.
 func (r *representer) freshCopy(original dict.ID) dict.ID {
-	rendered := r.d.Term(original).String()
-	if len(rendered) > maxInlineName {
-		sum := sha256.Sum256([]byte(rendered))
-		rendered = "sha256:" + hex.EncodeToString(sum[:16])
-	}
-	return r.d.Encode(rdf.NewIRI(nameNS + r.tag + "/u?n=" + url(rendered)))
+	r.term = r.d.Term(original).Append(r.term[:0])
+	name := append(r.name[:0], nameNS...)
+	name = append(name, r.tag...)
+	name = append(name, "/u?n="...)
+	return r.intern(appendInline(name, r.term))
 }
 
-// renderSet renders a set of term IDs as a sorted, comma-separated list of
+// appendSet appends a set of term IDs as a sorted, comma-separated list of
 // their lexical forms, or a digest when the list is long. Sorting is by
 // lexical form, not ID, so the rendering is dictionary-independent.
-func (r *representer) renderSet(ids []dict.ID) string {
+func (r *representer) appendSet(b []byte, ids []dict.ID) []byte {
 	if len(ids) == 0 {
-		return ""
+		return b
 	}
 	parts := make([]string, len(ids))
 	for i, id := range ids {
 		parts[i] = r.d.Term(id).String()
 	}
 	sort.Strings(parts)
-	joined := strings.Join(parts, ",")
-	if len(joined) <= maxInlineName {
-		return url(joined)
-	}
-	sum := sha256.Sum256([]byte(joined))
-	return "sha256:" + hex.EncodeToString(sum[:16])
+	return appendInline(b, strings.Join(parts, ","))
 }
 
-// url lightly escapes characters that would make the generated URI
-// ambiguous inside angle brackets or query strings.
-func url(s string) string {
-	if !strings.ContainsAny(s, " &?") {
-		return s
+// appendInline appends text with the characters escaped that would make
+// the generated URI ambiguous inside angle brackets or query strings, or
+// the digest of text when it is longer than maxInlineName.
+func appendInline[S string | []byte](b []byte, text S) []byte {
+	if len(text) > maxInlineName {
+		sum := sha256.Sum256([]byte(text))
+		b = append(b, "sha256:"...)
+		return hex.AppendEncode(b, sum[:16])
 	}
-	var b strings.Builder
-	for _, c := range []byte(s) {
-		switch c {
+	for i := 0; i < len(text); i++ {
+		switch c := text[i]; c {
 		case ' ':
-			b.WriteString("%20")
+			b = append(b, "%20"...)
 		case '&':
-			b.WriteString("%26")
+			b = append(b, "%26"...)
 		case '?':
-			b.WriteString("%3F")
+			b = append(b, "%3F"...)
 		default:
-			b.WriteByte(c)
+			b = append(b, c)
 		}
 	}
-	return b.String()
+	return b
 }

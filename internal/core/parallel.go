@@ -28,11 +28,14 @@ func weakParallel(g *store.Graph, workers int) *Summary {
 	if workers < 2 || len(g.Data) < 2*workers {
 		return weakIncremental(g)
 	}
-	maxID := int(g.Dict().MaxID()) // captured before fresh summary names
+	// Every ID in g is at most MaxID: the arrays below are indexed by the
+	// input's IDs only (summary names live in their own overlay).
+	maxID := int(g.Dict().MaxID())
 	if maxID >= (1<<31-1)/3 {
-		// The dense 3·ID element space would overflow int32; such
-		// dictionaries (>700M terms) exceed this implementation's design
-		// point — fall back to the map-based sequential algorithm.
+		// The dense 3·ID element space would overflow int32: a dictionary
+		// of over 700M terms, or an overlay with terms of its own (g is
+		// itself a summary), whose IDs start at 2^31 — fall back to the
+		// map-based sequential algorithm.
 		return weakIncremental(g)
 	}
 
@@ -95,7 +98,7 @@ func weakParallel(g *store.Graph, workers int) *Summary {
 		}
 	}
 
-	rep := newRepresenter(g, Weak)
+	out, rep := startSummary(g, Weak, dict.Overlay(g.Dict()))
 	nameOf := make(map[int32]dict.ID)
 	name := func(root int32) dict.ID {
 		if id, ok := nameOf[root]; ok {
@@ -106,8 +109,6 @@ func weakParallel(g *store.Graph, workers int) *Summary {
 		return id
 	}
 
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 	for _, p := range props {
 		out.Data = append(out.Data, store.Triple{
 			S: name(uf.Find(int32(3*int(p) + 1))),

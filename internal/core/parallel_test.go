@@ -21,7 +21,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(seq.Graph.CanonicalStrings(), par.Graph.CanonicalStrings()) {
 				t.Errorf("%s: parallel weak (workers=%d) differs from sequential", name, workers)
 			}
-			if !reflect.DeepEqual(seq.NodeOf, par.NodeOf) {
+			if !reflect.DeepEqual(renderNodeOf(seq), renderNodeOf(par)) {
 				t.Errorf("%s: parallel weak (workers=%d) NodeOf differs", name, workers)
 			}
 			if seq.Stats != par.Stats {

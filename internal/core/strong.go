@@ -20,7 +20,7 @@ func computeCliques(g *store.Graph) *cliques.Assignment {
 // of endpoint equivalence classes, §5.1).
 func strong(g *store.Graph) *Summary {
 	asg := computeCliques(g)
-	rep := newRepresenter(g, Strong)
+	out, rep := startSummary(g, Strong, dict.Overlay(g.Dict()))
 
 	// Summary node per observed (tc, sc) pair.
 	type pair struct{ tc, sc int }
@@ -46,9 +46,6 @@ func strong(g *store.Graph) *Summary {
 	for n, sc := range asg.NodeSrc {
 		nodeOf[n] = name(asg.NodeTgt[n], sc)
 	}
-
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 
 	dataEdges := make(map[store.Triple]bool, len(g.Data))
 	for _, t := range g.Data {

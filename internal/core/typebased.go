@@ -52,7 +52,7 @@ func emitClassSetTypes(g *store.Graph, out *store.Graph, rep *representer, sets 
 // the data triples).
 func typeBased(g *store.Graph) *Summary {
 	sets := classSetsOf(g)
-	rep := newRepresenter(g, TypeBased)
+	out, rep := startSummary(g, TypeBased, dict.Overlay(g.Dict()))
 
 	nodeOf := make(map[dict.ID]dict.ID, len(sets))
 	for n, set := range sets {
@@ -66,9 +66,6 @@ func typeBased(g *store.Graph) *Summary {
 		nodeOf[n] = id
 		return id
 	}
-
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 
 	edges := make(map[store.Triple]bool, len(g.Data))
 	for _, t := range g.Data {

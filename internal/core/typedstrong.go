@@ -19,7 +19,7 @@ func typedStrong(g *store.Graph) *Summary {
 		return typed
 	})
 
-	rep := newRepresenter(g, TypedStrong)
+	out, rep := startSummary(g, TypedStrong, dict.Overlay(g.Dict()))
 	type pair struct{ tc, sc int }
 	nameOf := make(map[pair]dict.ID)
 	name := func(tc, sc int) dict.ID {
@@ -46,9 +46,6 @@ func typedStrong(g *store.Graph) *Summary {
 	for n, sc := range asg.NodeSrc {
 		nodeOf[n] = name(asg.NodeTgt[n], sc)
 	}
-
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 
 	edges := make(map[store.Triple]bool, len(g.Data))
 	for _, t := range g.Data {

@@ -51,7 +51,7 @@ func typedWeak(g *store.Graph) *Summary {
 		inProps[root] = append(inProps[root], p)
 	}
 
-	rep := newRepresenter(g, TypedWeak)
+	out, rep := startSummary(g, TypedWeak, dict.Overlay(g.Dict()))
 	nameOf := make(map[int32]dict.ID)
 	nodeOf := make(map[dict.ID]dict.ID, len(sets)+len(elemOf))
 	for n, set := range sets {
@@ -66,9 +66,6 @@ func typedWeak(g *store.Graph) *Summary {
 		}
 		nodeOf[n] = id
 	}
-
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 
 	edges := make(map[store.Triple]bool, len(g.Data))
 	for _, t := range g.Data {

@@ -53,7 +53,7 @@ func weakIncremental(g *store.Graph) *Summary {
 		inProps[root] = append(inProps[root], p)
 	}
 
-	rep := newRepresenter(g, Weak)
+	out, rep := startSummary(g, Weak, dict.Overlay(g.Dict()))
 	nameOf := make(map[int32]dict.ID)
 	for _, e := range elemOf {
 		root := uf.Find(e)
@@ -61,9 +61,6 @@ func weakIncremental(g *store.Graph) *Summary {
 			nameOf[root] = rep.node(inProps[root], outProps[root])
 		}
 	}
-
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 
 	// One data edge per distinct property, emitted in sorted property
 	// order for determinism.
@@ -145,7 +142,7 @@ func weakGlobal(g *store.Graph) *Summary {
 		inProps[root] = append(inProps[root], members...)
 	}
 
-	rep := newRepresenter(g, Weak)
+	out, rep := startSummary(g, Weak, dict.Overlay(g.Dict()))
 	nameOf := make(map[int32]dict.ID)
 	name := func(root int32) dict.ID {
 		if id, ok := nameOf[root]; ok {
@@ -155,9 +152,6 @@ func weakGlobal(g *store.Graph) *Summary {
 		nameOf[root] = id
 		return id
 	}
-
-	out := store.NewGraphWithDict(g.Dict())
-	copySchema(g, out)
 
 	for _, p := range asg.Props {
 		src := name(uf.Find(int32(asg.SrcOf[p])))

@@ -5,6 +5,10 @@
 // and "subsequently works only with the integer representation of the input
 // RDF graph"; this package is the in-process equivalent. IDs start at 1 so
 // that the zero ID can mean "absent".
+//
+// An overlay (see Overlay) extends a dictionary without writing to it:
+// the terms it adds get IDs from a range the extended dictionary never
+// issues, so both share one ID space.
 package dict
 
 import (
@@ -32,8 +36,14 @@ const None ID = 0
 type Dict struct {
 	mu    *sync.RWMutex // nil until Share; guards terms and index when set
 	base  *Mapped       // optional read-only layer holding IDs 1..baseLen
-	terms []rdf.Term    // terms[i] is the term with ID baseLen+i+1
+	terms []rdf.Term    // terms[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
 	index map[rdf.Term]ID
+
+	// Overlays only (see overlay.go): the dictionary this one extends,
+	// its layer number (under's + 1) and the layer's ID prefix.
+	under  *Dict
+	layer  int
+	prefix ID
 }
 
 // New returns an empty dictionary.
@@ -91,6 +101,9 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	if id, ok := d.index[t]; ok {
 		return id
 	}
+	if d.under != nil {
+		return d.internOverlay(t)
+	}
 	t = own(t)
 	if d.base != nil {
 		if id, ok := d.base.Lookup(t); ok {
@@ -98,8 +111,11 @@ func (d *Dict) Encode(t rdf.Term) ID {
 			return id
 		}
 	}
+	id := ID(d.baseLen() + len(d.terms) + 1)
+	if id >= overlayBit {
+		panic("dict: dictionary is full (IDs from 2^31 up belong to overlays)")
+	}
 	d.terms = append(d.terms, t)
-	id := ID(d.baseLen() + len(d.terms))
 	d.index[t] = id
 	return id
 }
@@ -124,6 +140,9 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 	if id, ok := d.index[t]; ok {
 		return id, true
 	}
+	if d.under != nil {
+		return d.under.Lookup(t)
+	}
 	if d.base != nil {
 		// No memoization here: Lookup holds only the read lock.
 		return d.base.Lookup(t)
@@ -135,11 +154,25 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 func (d *Dict) LookupIRI(iri string) (ID, bool) { return d.Lookup(rdf.NewIRI(iri)) }
 
 // Term returns the term interned under id. It panics on an unknown or zero
-// id — callers only hold IDs this dictionary issued.
+// id — callers only hold IDs this dictionary (or, for an overlay, one of
+// the dictionaries under it) issued.
 func (d *Dict) Term(id ID) rdf.Term {
+	if l := layerOf(id); l != d.layer {
+		if l > d.layer {
+			panic(fmt.Sprintf("dict: id %#x was issued by an overlay (layer %d) but asked of %s", uint32(id), l, d.layerName()))
+		}
+		return d.under.Term(id)
+	}
 	if d.mu != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
+	}
+	if d.under != nil {
+		i := int(id &^ d.prefix)
+		if i >= len(d.terms) {
+			panic(fmt.Sprintf("dict: unknown id %#x (%s holds %d terms of its own)", uint32(id), d.layerName(), len(d.terms)))
+		}
+		return d.terms[i]
 	}
 	bl := d.baseLen()
 	if int(id) <= bl {
@@ -154,15 +187,33 @@ func (d *Dict) Term(id ID) rdf.Term {
 	return d.terms[int(id)-bl-1]
 }
 
-// Len reports the number of interned terms.
+// Len reports the number of terms the dictionary resolves: for an overlay,
+// its own plus those of the dictionary under it.
 func (d *Dict) Len() int {
+	under := 0
+	if d.under != nil {
+		under = d.under.Len()
+	}
 	if d.mu != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	return d.baseLen() + len(d.terms)
+	return under + d.baseLen() + len(d.terms)
 }
 
-// MaxID returns the highest assigned ID (equal to Len, since IDs are
-// dense starting at 1).
-func (d *Dict) MaxID() ID { return ID(d.Len()) }
+// MaxID returns the highest assigned ID. It equals Len for every
+// dictionary but an overlay, whose IDs are dense per layer only: with
+// terms of its own its MaxID is at least 2^31, whatever Len says.
+func (d *Dict) MaxID() ID {
+	if d.under == nil {
+		return ID(d.Len())
+	}
+	if d.mu != nil {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+	}
+	if n := len(d.terms); n > 0 {
+		return d.prefix | ID(n-1)
+	}
+	return d.under.MaxID()
+}

@@ -659,6 +659,7 @@ type Stats struct {
 	WALBytes   int64  // bytes in the active WAL (0 for memory-only)
 	IndexRuns  int    // runs in the published tiered index (read amplification)
 	IndexTombs int    // tombstones retained across those runs
+	DictTerms  int    // terms in the store's dictionary (what the next snapshot's dictionary holds)
 	Durable    bool
 }
 
@@ -673,6 +674,8 @@ func (l *Live) Stats() Stats {
 		Deleted: l.deleted,
 		Durable: l.dir != "",
 		Gen:     l.gen,
+
+		DictTerms: l.graph().Dict().Len(),
 	}
 	if snap := l.cur.Load(); snap != nil {
 		st.IndexRuns = snap.Index.Runs()

@@ -198,3 +198,69 @@ func TestLiveCompactAbandonedBeforeManifestSwap(t *testing.T) {
 		l2.Close()
 	}
 }
+
+// TestLiveSummariesLeaveStoreDictionaryAlone: serving summaries is a read.
+// A store asked for all five kinds — lazily built under the default
+// -maintain weak, from the builders when every kind is maintained, before
+// and after further ingest — keeps the dictionary size of a twin store
+// never asked for one, and the next Compact writes the twin's snapshot,
+// byte for byte. (The type-based kind alone names every untyped node.)
+func TestLiveSummariesLeaveStoreDictionaryAlone(t *testing.T) {
+	for name, maintain := range map[string][]core.Kind{"weak": nil, "all": core.Kinds} {
+		open := func() *Live {
+			l, err := Open(t.TempDir(), Options{Seed: samples.BookGraph(), Maintain: maintain})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			t.Cleanup(func() { l.Close() }) //nolint:errcheck
+			return l
+		}
+		asked, twin := open(), open()
+		summarizeAll := func() {
+			t.Helper()
+			before := asked.Snapshot().Graph.Dict().Len()
+			for _, kind := range core.Kinds {
+				s, _, err := asked.Summary(kind, 0)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", name, kind, err)
+				}
+				batch := core.MustSummarize(twin.Snapshot().Graph, kind, nil)
+				if !reflect.DeepEqual(s.Graph.CanonicalStrings(), batch.Graph.CanonicalStrings()) {
+					t.Errorf("%s/%v: served summary differs from the batch summary of the twin", name, kind)
+				}
+				if !s.Graph.Dict().IsOverlay() {
+					t.Errorf("%s/%v: summary graph is over the store's own dictionary", name, kind)
+				}
+			}
+			if after := asked.Snapshot().Graph.Dict().Len(); after != before {
+				t.Errorf("%s: five summaries grew the store's dictionary from %d to %d terms", name, before, after)
+			}
+		}
+		summarizeAll()
+		for _, l := range []*Live{asked, twin} {
+			if err := l.AddBatch(mkBatch(0, 60)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		summarizeAll()
+		for _, l := range []*Live{asked, twin} {
+			if err := l.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := asked.Stats().DictTerms, twin.Stats().DictTerms; got != want {
+			t.Errorf("%s: dictionary holds %d terms, the twin's %d", name, got, want)
+		}
+		got, err := os.ReadFile(asked.snapshotPath(asked.Stats().Gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(twin.snapshotPath(twin.Stats().Gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot after five summaries (%d bytes) differs from the twin's (%d bytes)", name, len(got), len(want))
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -87,77 +88,89 @@ func (t Term) IsZero() bool { return t.Kind == Invalid }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
-	var b strings.Builder
-	t.writeTo(&b)
-	return b.String()
+	var buf [128]byte // most terms fit: the only allocation is the result
+	return string(t.Append(buf[:0]))
 }
 
-func (t Term) writeTo(b *strings.Builder) {
+// Append appends the term in N-Triples syntax to b and returns the
+// extended slice — String for callers that render many terms into one
+// reused buffer.
+func (t Term) Append(b []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		b.WriteByte('<')
-		escapeIRI(b, t.Value)
-		b.WriteByte('>')
+		b = append(b, '<')
+		b = appendEscaped(b, t.Value, &iriEscapes)
+		b = append(b, '>')
 	case Blank:
-		b.WriteString("_:")
-		b.WriteString(t.Value)
+		b = append(b, "_:"...)
+		b = append(b, t.Value...)
 	case Literal:
-		b.WriteByte('"')
-		escapeLiteral(b, t.Value)
-		b.WriteByte('"')
+		b = append(b, '"')
+		b = appendEscaped(b, t.Value, &literalEscapes)
+		b = append(b, '"')
 		switch {
 		case t.Lang != "":
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			b = append(b, '@')
+			b = append(b, t.Lang...)
 		case t.Datatype != "":
-			b.WriteString("^^<")
-			escapeIRI(b, t.Datatype)
-			b.WriteByte('>')
+			b = append(b, "^^<"...)
+			b = appendEscaped(b, t.Datatype, &iriEscapes)
+			b = append(b, '>')
 		}
 	default:
-		b.WriteString("<invalid>")
+		b = append(b, "<invalid>"...)
 	}
+	return b
 }
 
-// escapeLiteral writes s escaping the characters N-Triples requires inside
+// escapes gives, per ASCII byte, what replaces it in a rendered term
+// ("" = the byte itself).
+type escapes [utf8.RuneSelf]string
+
+// literalEscapes are the characters N-Triples requires escaped inside
 // string literals.
-func escapeLiteral(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-}
+var literalEscapes = escapes{'\\': `\\`, '"': `\"`, '\n': `\n`, '\r': `\r`, '\t': `\t`}
 
-// escapeIRI writes an IRI, escaping the characters disallowed between
-// angle brackets: the punctuation below and everything up to the space
-// (an IRI can hold those only through a \u escape, and must be written
-// back the same way or it no longer parses). This runs once per rune of
-// every IRI cell of a query result, hence the plain switch.
-func escapeIRI(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '<', '>', '"', '{', '}', '|', '^', '`', '\\':
-			fmt.Fprintf(b, "\\u%04X", r)
-		default:
-			if r <= ' ' {
-				fmt.Fprintf(b, "\\u%04X", r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
+// iriEscapes are the characters disallowed between angle brackets: the
+// punctuation below and everything up to the space (an IRI can hold
+// those only through a \u escape, and must be written back the same way
+// or it no longer parses).
+var iriEscapes = func() (e escapes) {
+	for c := 0; c <= ' '; c++ {
+		e[c] = fmt.Sprintf("\\u%04X", c)
 	}
+	for _, c := range "<>\"{}|^`\\" {
+		e[c] = fmt.Sprintf("\\u%04X", c)
+	}
+	return e
+}()
+
+// appendEscaped appends s, applying esc to its ASCII bytes and replacing
+// every invalid UTF-8 byte by U+FFFD. Everything between two
+// replacements is copied in one piece: terms seldom hold anything to
+// escape, and this runs for every cell of a query result.
+func appendEscaped(b []byte, s string, esc *escapes) []byte {
+	from := 0 // s[from:i] is pending, to be copied verbatim
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, w := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && w == 1 {
+				b = append(b, s[from:i]...)
+				b = utf8.AppendRune(b, utf8.RuneError)
+				from = i + 1
+			}
+			i += w
+			continue
+		}
+		if e := esc[c]; e != "" {
+			b = append(b, s[from:i]...)
+			b = append(b, e...)
+			from = i + 1
+		}
+		i++
+	}
+	return append(b, s[from:]...)
 }
 
 // Compare orders terms: first by kind (IRI < Blank < Literal), then by
@@ -188,14 +201,14 @@ func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple as an N-Triples statement (without newline).
 func (t Triple) String() string {
-	var b strings.Builder
-	t.S.writeTo(&b)
-	b.WriteByte(' ')
-	t.P.writeTo(&b)
-	b.WriteByte(' ')
-	t.O.writeTo(&b)
-	b.WriteString(" .")
-	return b.String()
+	var buf [256]byte
+	b := t.S.Append(buf[:0])
+	b = append(b, ' ')
+	b = t.P.Append(b)
+	b = append(b, ' ')
+	b = t.O.Append(b)
+	b = append(b, " ."...)
+	return string(b)
 }
 
 // Compare orders triples lexicographically by subject, property, object.

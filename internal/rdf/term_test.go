@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -37,6 +38,9 @@ func TestTermString(t *testing.T) {
 		{NewTypedLiteral("3", XSDInteger), `"3"^^<http://www.w3.org/2001/XMLSchema#integer>`},
 		{NewLiteral("a\"b\\c\nd\te\rf"), `"a\"b\\c\nd\te\rf"`},
 		{NewIRI("http://x/<odd>"), `<http://x/\u003Codd\u003E>`},
+		{NewIRI("http://x/a b\x01|é"), `<http://x/a\u0020b\u0001\u007Cé>`},
+		{NewLiteral("é\xffz"), "\"é\uFFFDz\""}, // an invalid byte renders as U+FFFD
+		{NewIRI("http://x/" + strings.Repeat("long/", 60)), "<http://x/" + strings.Repeat("long/", 60) + ">"},
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {

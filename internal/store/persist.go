@@ -63,8 +63,10 @@ func truncatedOr(err error) error {
 
 // WriteSnapshot serializes the graph (dictionary included) to w in the
 // legacy v1 format. New snapshots are written by WriteSnapshotV2; this
-// stays for format round-trip tests and downgrade tooling.
+// stays for format round-trip tests and downgrade tooling. A graph over
+// an overlay dictionary is written in its Dense form.
 func WriteSnapshot(w io.Writer, g *Graph) error {
+	g = g.Dense()
 	g.Ensure()
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
@@ -255,8 +257,11 @@ func readSnapshotV1(r *bufio.Reader) (*Graph, error) {
 }
 
 // SaveFile writes a snapshot to path in the current (v2) format,
-// replacing any existing file.
+// replacing any existing file. A graph over an overlay dictionary (a
+// summary) is written in its Dense form: the file holds the terms the
+// graph references, not its input's dictionary.
 func SaveFile(path string, g *Graph) error {
+	g = g.Dense()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

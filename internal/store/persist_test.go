@@ -3,8 +3,13 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
 )
 
@@ -147,5 +152,59 @@ func TestIndexMerged(t *testing.T) {
 	// The base index must be untouched.
 	if base.Len() != 2 {
 		t.Fatalf("base index mutated by Merged: %d triples", base.Len())
+	}
+}
+
+// TestSnapshotOfOverlayGraphHoldsReferencedTerms: a graph over an overlay
+// dictionary (what a summary is) saves, in both formats, as the triples it
+// holds over a dictionary of exactly the terms they reference plus the
+// interpreted vocabulary — not the dictionary it extends.
+func TestSnapshotOfOverlayGraphHoldsReferencedTerms(t *testing.T) {
+	in, _ := persistSample(t)
+	for i := 0; i < 500; i++ { // terms the overlay graph never references
+		in.Dict().EncodeIRI(fmt.Sprintf("http://x/unreferenced%d", i))
+	}
+	names := dict.Overlay(in.Dict())
+	sum := NewGraphWithDict(names)
+	p, _ := in.Dict().LookupIRI("http://x/p")
+	c, _ := in.Dict().LookupIRI("http://x/C")
+	n := names.EncodeIRI("rdfsum:w?in=&out=<http://x/p>")
+	sum.AddEncoded(n, p, n)
+	sum.AddEncoded(n, in.Vocab().Type, c)
+	sum.Schema = append(sum.Schema, in.Schema...)
+	if before := in.Dict().Len(); sum.Dense().Dict().Len() != 5+4 || in.Dict().Len() != before {
+		t.Fatalf("Dense dictionary holds %d terms, want the vocabulary and n, p, C, D; input went %d -> %d",
+			sum.Dense().Dict().Len(), before, in.Dict().Len())
+	}
+	if in.Dense() != in {
+		t.Error("Dense must return a graph over a dense dictionary unchanged")
+	}
+
+	var v1 bytes.Buffer
+	if err := WriteSnapshot(&v1, sum); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sum.snap")
+	if err := SaveFile(path, sum); err != nil {
+		t.Fatal(err)
+	}
+	fromV1, err := ReadSnapshot(&v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromV2, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Graph{"v1": fromV1, "v2": fromV2} {
+		if !reflect.DeepEqual(got.CanonicalStrings(), sum.CanonicalStrings()) {
+			t.Errorf("%s round trip: got %v, want %v", name, got.CanonicalStrings(), sum.CanonicalStrings())
+		}
+		if got.Dict().Len() != 9 {
+			t.Errorf("%s: reloaded dictionary holds %d terms, want 9", name, got.Dict().Len())
+		}
+	}
+	if err := WriteSnapshotV2(io.Discard, sum, NewRunCols(sum.All())); err == nil {
+		t.Error("WriteSnapshotV2 must refuse a graph over an overlay dictionary: its run is in overlay IDs")
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -27,7 +28,12 @@ import (
 // must hold exactly g's triple multiset — the run an index over g
 // already serves (a fresh NewRunCols(g.All()), or Index.Cols after a
 // fold): the writer encodes its column sections from it and never sorts.
+// The dictionary section lists terms 1..Len, so g must not be over an
+// overlay dictionary — re-encode with Dense first (SaveFile does).
 func WriteSnapshotV2(w io.Writer, g *Graph, cols RunCols) error {
+	if g.Dict().IsOverlay() {
+		return errors.New("store: snapshot of a graph over an overlay dictionary (re-encode it with Dense)")
+	}
 	g.Ensure()
 	if cols.length() != g.NumEdges() {
 		return fmt.Errorf("store: snapshot run holds %d triples, graph %d", cols.length(), g.NumEdges())

@@ -59,7 +59,10 @@ type (
 	Graph = store.Graph
 	// Index provides triple-pattern access paths over a Graph.
 	Index = store.Index
-	// Summary is the result of summarizing a Graph.
+	// Summary is the result of summarizing a Graph. Its Graph's
+	// dictionary extends the input's (the input's terms under their IDs,
+	// the summary's node URIs beside them); the input's dictionary is
+	// never written, so render summary IDs through s.Graph.Dict().
 	Summary = core.Summary
 	// Stats carries the size measures of a summary and its input.
 	Stats = core.Stats
