@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-smoke bench-json snapshot-bench boot-profile test-nommap stress fuzz cover cover-check check clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke bench-json snapshot-bench boot-profile test-nommap stress fuzz cover cover-check check clean
 
 all: build
 
@@ -69,6 +69,15 @@ est-check:
 bench-unit:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test -short ./...
+
+# What building and maintaining a summary costs, per kind, on one CPU: a
+# from-scratch Summarize on BSBM and LUBM, and the engine's first write,
+# steady-state batch and snapshot over a seeded builder. Six runs each, so
+# two commits compare by spread and not by one number
+# (docs/benchmarks/pr17-runs.md has the procedure).
+bench-core:
+	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
+		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries' .
 
 # Full benchmark sweep (the 1M-triple load benchmark takes a while).
 bench:

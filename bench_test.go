@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artifacts (§7). Each
-// figure and table of the paper maps to one Benchmark* function below (see
-// DESIGN.md §3 for the index); EXPERIMENTS.md records paper-vs-measured.
+// figure and table of the paper maps to one Benchmark* function below;
+// docs/summarization.md describes the constructions they time.
 //
 // Sizes are BSBM product counts: 200 ≈ 12k triples, 1000 ≈ 58k, 5000 ≈
 // 290k. The paper sweeps 10M–100M on a Postgres-backed Java prototype;
@@ -19,7 +19,6 @@ import (
 
 	"rdfsum"
 	"rdfsum/internal/cliques"
-	"rdfsum/internal/core"
 	"rdfsum/internal/dict"
 	"rdfsum/internal/ntriples"
 	"rdfsum/internal/rdf"
@@ -98,7 +97,8 @@ func BenchmarkFig12Edges(b *testing.B) {
 
 // BenchmarkFig13SummarizationTime regenerates Figure 13: summarization
 // wall-clock time per kind and size (ns/op is the figure's series; the
-// paper reports seconds at 10–100M triples on Postgres).
+// paper reports seconds at 10–100M triples on Postgres). The "all" arm is
+// SummarizeAll: the five kinds from one seeded set.
 func BenchmarkFig13SummarizationTime(b *testing.B) {
 	for _, products := range benchSizes {
 		g := bsbmGraph(b, products)
@@ -112,6 +112,13 @@ func BenchmarkFig13SummarizationTime(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("all/products=%d", products), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rdfsum.SummarizeAll(g, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -133,32 +140,6 @@ func BenchmarkTable1Cliques(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(asg.SrcMembers)), "srccliques")
 			b.ReportMetric(float64(len(asg.TgtMembers)), "tgtcliques")
-		})
-	}
-}
-
-// BenchmarkAblationWeakIncrementalVsGlobal compares the paper's one-pass
-// weak algorithm (no clique materialization, §6) against the clique-based
-// construction — the design choice behind the paper's observation that
-// weak summaries build faster than strong ones.
-func BenchmarkAblationWeakIncrementalVsGlobal(b *testing.B) {
-	for _, products := range benchSizes {
-		g := bsbmGraph(b, products)
-		b.Run(fmt.Sprintf("incremental/products=%d", products), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak,
-					&rdfsum.Options{WeakAlgorithm: core.Incremental}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("global/products=%d", products), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak,
-					&rdfsum.Options{WeakAlgorithm: core.Global}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }
@@ -189,42 +170,22 @@ func BenchmarkAblationSaturationShortcut(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelWeak measures the shared-memory parallel weak
-// construction (the paper's future-work scalability direction) against
-// worker counts; workers=1 is the sequential baseline.
-func BenchmarkAblationParallelWeak(b *testing.B) {
-	g := bsbmGraph(b, 5000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak,
-					&rdfsum.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStreamingBuilder measures the amortized per-triple cost of the
-// incremental weak builder (maintenance mode) against batch rebuilds.
+// BenchmarkStreamingBuilder measures the amortized per-triple cost of
+// feeding a graph to an empty weak builder one triple at a time, snapshot
+// included (BenchmarkFig13SummarizationTime times the same builder
+// seeded with the whole graph).
 func BenchmarkStreamingBuilder(b *testing.B) {
-	g := bsbmGraph(b, 1000)
-	decoded := g.Decode()
+	decoded := bsbmGraph(b, 1000).Decode()
 	b.Run("stream-all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			builder := rdfsum.NewWeakBuilder()
+			builder, err := rdfsum.NewBuilder(rdfsum.Weak)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for _, t := range decoded {
 				builder.Add(t)
 			}
 			builder.Summary()
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rdfsum.Summarize(rdfsum.NewGraph(decoded), rdfsum.Weak); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }
@@ -251,6 +212,12 @@ func BenchmarkLUBMSummaries(b *testing.B) {
 }
 
 // --- substrate micro-benchmarks -------------------------------------------
+
+// ntOptions loads plain N-Triples with the given worker count, nothing
+// detected.
+func ntOptions(workers int) *rdfsum.LoadOptions {
+	return &rdfsum.LoadOptions{Workers: workers, Format: rdfsum.FormatNTriples, Compression: rdfsum.CompressionNone}
+}
 
 // BenchmarkParseNTriples streams BSBM N-Triples text (products=1000,
 // ≈ 58k triples) through the parser with every term interned, the way a
@@ -325,8 +292,7 @@ func BenchmarkLoadNTriples(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-					&rdfsum.LoadOptions{Workers: workers}); err != nil {
+				if _, err := rdfsum.Load(bytes.NewReader(data), ntOptions(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -346,8 +312,7 @@ func BenchmarkLoadNTriples1M(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-				&rdfsum.LoadOptions{Workers: 1}); err != nil {
+			if _, err := rdfsum.Load(bytes.NewReader(data), ntOptions(1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -356,8 +321,7 @@ func BenchmarkLoadNTriples1M(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-					&rdfsum.LoadOptions{Workers: workers}); err != nil {
+				if _, err := rdfsum.Load(bytes.NewReader(data), ntOptions(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -378,8 +342,7 @@ func BenchmarkLoadNTriplesLUBM(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-					&rdfsum.LoadOptions{Workers: workers}); err != nil {
+				if _, err := rdfsum.Load(bytes.NewReader(data), ntOptions(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -968,21 +931,41 @@ func incBatch(i, n int) []rdfsum.Triple {
 }
 
 // BenchmarkIncrementalSummaries measures the quotient engine per kind:
-// "add-batch" is the maintenance cost of absorbing one 512-triple batch
-// into a builder already holding a ~58k-triple BSBM graph (O(Δ) — the
-// base does not get re-scanned), and "snapshot" is the cost of
-// materializing the maintained summary from engine state (O(state), no
-// re-summarization). Contrast with BenchmarkFig13SummarizationTime, the
-// O(|G|) batch rebuild these paths replace in the live store.
+// "seed" builds a builder over a ~58k-triple BSBM graph and "seed+add"
+// also gives it its first write — the one that derives the adjacency
+// index and the per-triple edge keys seeding skipped, so the difference
+// is what that write costs, O(|G|) for every kind but weak; "add-batch"
+// is the maintenance cost of absorbing one 512-triple batch after that
+// (O(Δ) — the base does not get re-scanned), and "snapshot" is
+// the cost of materializing the maintained summary from engine state
+// (O(state), no re-summarization). Contrast with
+// BenchmarkFig13SummarizationTime, the O(|G|) seed-and-snapshot these
+// paths replace in the live store.
 func BenchmarkIncrementalSummaries(b *testing.B) {
 	const batchSize = 512
 	base := bsbmGraph(b, 1000).Decode()
 	for _, kind := range rdfsum.Kinds {
+		// seed and seed+add differ by the first write alone.
+		for _, writes := range []int{0, 1} {
+			b.Run(kind.String()+[]string{"/seed", "/seed+add"}[writes], func(b *testing.B) {
+				g := rdfsum.NewGraph(base)
+				for i := 0; i < b.N; i++ {
+					builder, err := rdfsum.NewBuilderWithGraph(kind, g.CloneStructure())
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, t := range incBatch(0, writes) {
+						builder.Add(t)
+					}
+				}
+			})
+		}
 		b.Run(kind.String()+"/add-batch", func(b *testing.B) {
 			builder, err := rdfsum.NewBuilderWithGraph(kind, rdfsum.NewGraph(base))
 			if err != nil {
 				b.Fatal(err)
 			}
+			builder.Add(incBatch(0, 1)[0]) // the first write, timed above
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, t := range incBatch(i, batchSize) {

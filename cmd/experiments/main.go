@@ -2,7 +2,7 @@
 // of BSBM dataset sizes it builds the four summaries and prints the series
 // behind Figure 11 (data nodes / all nodes), Figure 12 (data edges / all
 // edges) and Figure 13 (summarization time), plus the in-text compactness
-// and ratio metrics. See EXPERIMENTS.md for paper-vs-measured results.
+// and ratio metrics.
 //
 // Usage:
 //

@@ -174,7 +174,7 @@ func cmdSummarize(args []string) error {
 	if *saturateFirst {
 		g = rdfsum.Saturate(g)
 	}
-	summaries, err := summarizeKinds(g, kinds)
+	summaries, err := rdfsum.SummarizeAll(g, kinds)
 	if err != nil {
 		return err
 	}
@@ -201,20 +201,6 @@ func cmdSummarize(args []string) error {
 		}
 	}
 	return nil
-}
-
-// summarizeKinds builds the requested summaries: several kinds share one
-// engine pass (class-set and adjacency state computed once); a single
-// kind takes the leaner batch construction, which needs no engine state.
-func summarizeKinds(g *rdfsum.Graph, kinds []rdfsum.Kind) (map[rdfsum.Kind]*rdfsum.Summary, error) {
-	if len(kinds) == 1 {
-		s, err := rdfsum.Summarize(g, kinds[0])
-		if err != nil {
-			return nil, err
-		}
-		return map[rdfsum.Kind]*rdfsum.Summary{kinds[0]: s}, nil
-	}
-	return rdfsum.SummarizeAll(g, kinds)
 }
 
 // kindPath inserts the kind before the path's extension when emitting
@@ -272,7 +258,7 @@ func cmdStats(args []string) error {
 		}
 		kinds = append(kinds, kind)
 	}
-	summaries, err := summarizeKinds(g, kinds)
+	summaries, err := rdfsum.SummarizeAll(g, kinds)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := core.Summarize(g, kind, nil)
+	s, err := core.Summarize(g, kind)
 	if err != nil {
 		return err
 	}

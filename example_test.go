@@ -72,19 +72,22 @@ func ExampleEvalQuery() {
 	// "Foundations"
 }
 
-func ExampleNewWeakBuilder() {
+func ExampleNewBuilder() {
 	triples, err := rdfsum.ParseString(exampleDoc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	b := rdfsum.NewWeakBuilder()
+	b, err := rdfsum.NewBuilder(rdfsum.Weak)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, t := range triples {
 		b.Add(t)
 	}
 	s := b.Summary() // snapshot; the builder keeps accepting triples
-	fmt.Println("classes:", b.Classes())
+	fmt.Println("nodes:", s.Stats.DataNodes)
 	fmt.Println("edges:", s.Stats.DataEdges)
 	// Output:
-	// classes: 3
+	// nodes: 3
 	// edges: 2
 }

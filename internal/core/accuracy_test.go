@@ -17,7 +17,7 @@ import (
 func TestAccuracyEveryEdgeHasPreimage(t *testing.T) {
 	check := func(t *testing.T, g *store.Graph, kind Kind) {
 		t.Helper()
-		s := MustSummarize(g, kind, nil)
+		s := MustSummarize(g, kind)
 		type edge struct{ s, p, o dict.ID }
 		images := make(map[edge]bool, len(g.Data))
 		for _, tr := range g.Data {
@@ -65,7 +65,7 @@ func TestNodeOfCoversExactlyDataNodes(t *testing.T) {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
 		dataNodes := g.DataNodes()
 		for _, kind := range Kinds {
-			s := MustSummarize(g, kind, nil)
+			s := MustSummarize(g, kind)
 			if len(s.NodeOf) != len(dataNodes) {
 				t.Logf("seed %d kind %v: NodeOf has %d entries, want %d",
 					seed, kind, len(s.NodeOf), len(dataNodes))
@@ -88,7 +88,7 @@ func TestNodeOfCoversExactlyDataNodes(t *testing.T) {
 func TestMembersIsInverseOfNodeOf(t *testing.T) {
 	for name, g := range sampleGraphs() {
 		for _, kind := range Kinds {
-			s := MustSummarize(g, kind, nil)
+			s := MustSummarize(g, kind)
 			members := s.Members()
 			total := 0
 			for rep, ms := range members {
@@ -111,7 +111,7 @@ func TestMembersIsInverseOfNodeOf(t *testing.T) {
 func TestSummaryIsWellFormedRDF(t *testing.T) {
 	for name, g := range sampleGraphs() {
 		for _, kind := range Kinds {
-			s := MustSummarize(g, kind, nil)
+			s := MustSummarize(g, kind)
 			for _, tr := range s.Graph.Decode() {
 				if err := tr.Validate(); err != nil {
 					t.Errorf("%s/%v: summary triple invalid: %v", name, kind, err)

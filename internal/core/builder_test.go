@@ -13,13 +13,26 @@ import (
 	"rdfsum/internal/store"
 )
 
+// weakBuilder returns a weak builder over g (nil for empty).
+func weakBuilder(t *testing.T, g *store.Graph) Builder {
+	t.Helper()
+	if g == nil {
+		g = store.NewGraph()
+	}
+	b, err := NewBuilderWithGraph(Weak, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestBuilderMatchesBatch: streaming every triple through the builder
-// yields the exact summary of the batch construction, regardless of
-// insertion order.
+// yields the exact summary of a builder seeded with the whole graph,
+// regardless of insertion order.
 func TestBuilderMatchesBatch(t *testing.T) {
 	for name, g := range sampleGraphs() {
 		batch := summarize(t, g, Weak)
-		b := NewWeakBuilder()
+		b := weakBuilder(t, nil)
 		decoded := g.Decode()
 		// Insert in reverse to exercise order independence.
 		for i := len(decoded) - 1; i >= 0; i-- {
@@ -39,8 +52,11 @@ func TestBuilderMatchesBatch(t *testing.T) {
 func TestBuilderMatchesBatchRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		batch := MustSummarize(g, Weak, nil)
-		b := NewWeakBuilderWithGraph(g.CloneStructure())
+		batch := MustSummarize(g, Weak)
+		b := weakBuilder(t, nil)
+		for _, tr := range g.Decode() {
+			b.Add(tr)
+		}
 		inc := b.Summary()
 		return reflect.DeepEqual(batch.Graph.CanonicalStrings(), inc.Graph.CanonicalStrings())
 	}
@@ -53,7 +69,7 @@ func TestBuilderMatchesBatchRandom(t *testing.T) {
 // never split them — class counts are non-increasing once all nodes are
 // present, and every snapshot remains a valid fixpoint.
 func TestBuilderSnapshotsEvolve(t *testing.T) {
-	b := NewWeakBuilder()
+	b := weakBuilder(t, nil)
 	triples := samples.Fig2Triples()
 	var lastSummary *Summary
 	for _, tr := range triples {
@@ -61,9 +77,9 @@ func TestBuilderSnapshotsEvolve(t *testing.T) {
 		lastSummary = b.Summary()
 		// Each snapshot is a valid weak summary of the prefix: re-summarize
 		// its input and compare.
-		again := MustSummarize(b.Graph(), Weak, nil)
+		again := MustSummarize(b.Graph(), Weak)
 		if !reflect.DeepEqual(lastSummary.Graph.CanonicalStrings(), again.Graph.CanonicalStrings()) {
-			t.Fatalf("snapshot after %v is not the batch summary of the prefix", tr)
+			t.Fatalf("snapshot after %v is not the seeded summary of the prefix", tr)
 		}
 	}
 	if lastSummary.Stats.DataNodes != 6 {
@@ -71,26 +87,13 @@ func TestBuilderSnapshotsEvolve(t *testing.T) {
 	}
 }
 
-// TestBuilderClassesCheapCounter: the Classes counter matches the summary
-// node count over nodes with data properties.
-func TestBuilderClassesCheapCounter(t *testing.T) {
-	b := NewWeakBuilderWithGraph(samples.Fig2())
-	s := b.Summary()
-	// Classes counts weak classes of property-bearing nodes; Nτ (typed
-	// only) is excluded.
-	want := s.Stats.DataNodes - 1 // minus Nτ
-	if got := b.Classes(); got != want {
-		t.Errorf("Classes() = %d, want %d", got, want)
-	}
-}
-
 // TestBuilderAddEncoded: encoded and string-level insertion agree.
 func TestBuilderAddEncoded(t *testing.T) {
-	b1 := NewWeakBuilder()
+	b1 := weakBuilder(t, nil)
 	for _, tr := range samples.Fig2Triples() {
 		b1.Add(tr)
 	}
-	b2 := NewWeakBuilder()
+	b2 := weakBuilder(t, nil)
 	d := b2.Graph().Dict()
 	for _, tr := range samples.Fig2Triples() {
 		b2.AddEncoded(d.Encode(tr.S), d.Encode(tr.P), d.Encode(tr.O))
@@ -103,7 +106,7 @@ func TestBuilderAddEncoded(t *testing.T) {
 // TestBuilderContinuesAfterSnapshot: a snapshot must not freeze the
 // builder.
 func TestBuilderContinuesAfterSnapshot(t *testing.T) {
-	b := NewWeakBuilder()
+	b := weakBuilder(t, nil)
 	triples := samples.Fig2Triples()
 	half := len(triples) / 2
 	for _, tr := range triples[:half] {
@@ -114,7 +117,7 @@ func TestBuilderContinuesAfterSnapshot(t *testing.T) {
 		b.Add(tr)
 	}
 	final := b.Summary()
-	batch := MustSummarize(store.FromTriples(triples), Weak, nil)
+	batch := MustSummarize(store.FromTriples(triples), Weak)
 	if !reflect.DeepEqual(final.Graph.CanonicalStrings(), batch.Graph.CanonicalStrings()) {
 		t.Error("builder diverged after a mid-stream snapshot")
 	}
@@ -140,9 +143,9 @@ func sameSummary(a, b *Summary) bool {
 }
 
 // TestAllKindsBuilderMatchesBatch: for every summary kind, streaming every
-// triple through the incremental builder (in reverse, to exercise order
-// independence) yields the exact summary — graph and quotient map — of the
-// batch construction.
+// triple through an empty builder (in reverse, to exercise order
+// independence) yields the exact summary — graph and quotient map — of a
+// builder seeded with the whole graph, which is what Summarize is.
 func TestAllKindsBuilderMatchesBatch(t *testing.T) {
 	for name, g := range sampleGraphs() {
 		for _, kind := range Kinds {
@@ -157,10 +160,10 @@ func TestAllKindsBuilderMatchesBatch(t *testing.T) {
 			}
 			inc := b.Summary()
 			if !sameSummary(batch, inc) {
-				t.Errorf("%s/%v: incremental summary differs from batch", name, kind)
+				t.Errorf("%s/%v: streamed summary differs from seeded", name, kind)
 			}
 			if batch.Stats != inc.Stats {
-				t.Errorf("%s/%v: stats differ: batch %+v inc %+v", name, kind, batch.Stats, inc.Stats)
+				t.Errorf("%s/%v: stats differ: seeded %+v streamed %+v", name, kind, batch.Stats, inc.Stats)
 			}
 		}
 	}
@@ -171,7 +174,9 @@ func TestAllKindsBuilderMatchesBatch(t *testing.T) {
 // and type triples (so nodes get typed late, exercising migrations and
 // rebuilds), fed through one shared BuilderSet maintaining all five kinds,
 // and snapshotted at random points — every snapshot of every kind must be
-// bit-identical to the batch summary of the prefix.
+// bit-identical, Stats included, to a freshly seeded set's summary of the
+// prefix (internal/refimpl's oracle checks both against the definitions
+// and a scan).
 func TestAllKindsRandomInterleavingOracle(t *testing.T) {
 	f := func(seed uint64) bool {
 		triples := datagen.RandomGraph(datagen.FromQuickSeed(seed)).Decode()
@@ -197,13 +202,13 @@ func TestAllKindsRandomInterleavingOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batch := MustSummarize(prefix, kind, nil)
+				batch := MustSummarize(prefix, kind)
 				if !sameSummary(batch, inc) {
-					t.Logf("seed %d: %v snapshot after %d triples differs from batch", seed, kind, i+1)
+					t.Logf("seed %d: %v snapshot after %d triples differs from a fresh seed", seed, kind, i+1)
 					return false
 				}
 				if batch.Stats != inc.Stats {
-					t.Logf("seed %d: %v stats differ at %d: batch %+v inc %+v", seed, kind, i+1, batch.Stats, inc.Stats)
+					t.Logf("seed %d: %v stats differ at %d: seeded %+v inc %+v", seed, kind, i+1, batch.Stats, inc.Stats)
 					return false
 				}
 			}
@@ -217,8 +222,8 @@ func TestAllKindsRandomInterleavingOracle(t *testing.T) {
 
 // TestLateTypingTriggersRebuild: typing a node that already bridged two
 // property representatives cannot be undone in a union-find, so the
-// typed-weak and typed-strong drivers must rebuild — and still match the
-// batch summary exactly.
+// typed-weak and typed-strong drivers must rebuild — and still match a
+// freshly seeded set exactly.
 func TestLateTypingTriggersRebuild(t *testing.T) {
 	iri := func(s string) rdf.Term { return rdf.NewIRI("http://x/" + s) }
 	triples := []rdf.Triple{
@@ -240,9 +245,9 @@ func TestLateTypingTriggersRebuild(t *testing.T) {
 		if b.Rebuilds() == 0 {
 			t.Errorf("%v: late typing of a bridging node should force a rebuild", kind)
 		}
-		batch := MustSummarize(store.FromTriples(triples), kind, nil)
+		batch := MustSummarize(store.FromTriples(triples), kind)
 		if !sameSummary(batch, inc) {
-			t.Errorf("%v: post-rebuild summary differs from batch", kind)
+			t.Errorf("%v: post-rebuild summary differs from a fresh seed", kind)
 		}
 	}
 }
@@ -279,7 +284,7 @@ func TestBuilderSetSharesOnePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo := MustSummarize(g, kind, nil)
+		solo := MustSummarize(g, kind)
 		if !reflect.DeepEqual(shared.Graph.CanonicalStrings(), solo.Graph.CanonicalStrings()) {
 			t.Errorf("%v: shared-set summary differs from standalone", kind)
 		}

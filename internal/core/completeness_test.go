@@ -57,9 +57,9 @@ func TestCompletenessRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
 		for _, kind := range []Kind{Weak, Strong} {
-			direct := MustSummarize(saturate.Graph(g), kind, nil)
-			s := MustSummarize(g, kind, nil)
-			cheap := MustSummarize(saturate.Graph(s.Graph), kind, nil)
+			direct := MustSummarize(saturate.Graph(g), kind)
+			s := MustSummarize(g, kind)
+			cheap := MustSummarize(saturate.Graph(s.Graph), kind)
 			if !reflect.DeepEqual(direct.Graph.CanonicalStrings(), cheap.Graph.CanonicalStrings()) {
 				t.Logf("seed %d kind %v: completeness violated", seed, kind)
 				return false

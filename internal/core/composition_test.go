@@ -11,7 +11,8 @@ import (
 // Definitions 14 and 17 define the typed summaries *compositionally*:
 // TW_G = UW_{T_G} and TS_G = US_{T_G} — first the type-based summary, then
 // the untyped-weak/strong summary of the result. The direct constructions
-// in typedweak.go / typedstrong.go must agree with the composition.
+// (the typed-weak and typed-strong drivers) must agree with the
+// composition.
 //
 // On T_G, every typed node is a class-set node C(X) whose class set is
 // exactly X, so re-applying the typed constructions to T_G maps C(X) to
@@ -46,9 +47,9 @@ func TestTypedCompositionRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
 		for _, kind := range []Kind{TypedWeak, TypedStrong} {
-			direct := MustSummarize(g, kind, nil)
-			tb := MustSummarize(g, TypeBased, nil)
-			composed := MustSummarize(tb.Graph, kind, nil)
+			direct := MustSummarize(g, kind)
+			tb := MustSummarize(g, TypeBased)
+			composed := MustSummarize(tb.Graph, kind)
 			if !reflect.DeepEqual(direct.Graph.CanonicalStrings(), composed.Graph.CanonicalStrings()) {
 				t.Logf("seed %d kind %v: composition mismatch", seed, kind)
 				return false

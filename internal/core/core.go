@@ -131,34 +131,6 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("core: unknown summary kind %q (accepted: %s)", s, strings.Join(forms, ", "))
 }
 
-// WeakAlgorithm selects between the two weak-summary constructions, which
-// produce identical summaries (cross-checked by tests) at different costs.
-type WeakAlgorithm int
-
-const (
-	// Incremental is the paper's one-pass merge algorithm (Algorithms
-	// 1–3): data triples are read one by one and source/target
-	// representatives are unified on the fly. Cliques are never
-	// materialized ("for the weak ones, this is not needed", §7).
-	Incremental WeakAlgorithm = iota
-	// Global first computes the property cliques (Definition 5) and then
-	// derives the weak equivalence classes as connected components of
-	// cliques linked through shared nodes. Used as an independent oracle
-	// and an ablation point.
-	Global
-)
-
-// Options tune summarization. The zero value is ready to use.
-type Options struct {
-	// WeakAlgorithm applies to Weak summaries only.
-	WeakAlgorithm WeakAlgorithm
-	// Workers > 1 builds Weak summaries with the shared-memory parallel
-	// construction (see parallel.go); it takes precedence over
-	// WeakAlgorithm. Other kinds ignore it. The result is identical to
-	// the sequential algorithms.
-	Workers int
-}
-
 // Summary is the result of summarizing a graph.
 type Summary struct {
 	// Kind records the construction used.
@@ -179,45 +151,20 @@ type Summary struct {
 	Stats Stats
 }
 
-// Summarize builds the summary of g of the requested kind.
-func Summarize(g *store.Graph, kind Kind, opts *Options) (*Summary, error) {
-	g.Ensure() // summarization walks every component
-	var o Options
-	if opts != nil {
-		o = *opts
+// Summarize builds the summary of g of the requested kind: a BuilderSet
+// seeded with g, snapshotted once. A from-scratch build is maintenance
+// with an empty history, so there is no second construction.
+func Summarize(g *store.Graph, kind Kind) (*Summary, error) {
+	set, err := NewBuilderSet(g, []Kind{kind})
+	if err != nil {
+		return nil, err
 	}
-	var s *Summary
-	switch kind {
-	case Weak:
-		switch {
-		case o.Workers > 1:
-			s = weakParallel(g, o.Workers)
-		case o.WeakAlgorithm == Global:
-			s = weakGlobal(g)
-		default:
-			s = weakIncremental(g)
-		}
-	case Strong:
-		s = strong(g)
-	case TypeBased:
-		s = typeBased(g)
-	case TypedWeak:
-		s = typedWeak(g)
-	case TypedStrong:
-		s = typedStrong(g)
-	default:
-		return nil, fmt.Errorf("core: unknown summary kind %d", int(kind))
-	}
-	s.Kind = kind
-	s.Input = g
-	s.Graph.SortDedup()
-	s.Stats = computeStats(g, s.Graph)
-	return s, nil
+	return set.Summary(kind)
 }
 
 // MustSummarize is Summarize for known-valid kinds; it panics on error.
-func MustSummarize(g *store.Graph, kind Kind, opts *Options) *Summary {
-	s, err := Summarize(g, kind, opts)
+func MustSummarize(g *store.Graph, kind Kind) *Summary {
+	s, err := Summarize(g, kind)
 	if err != nil {
 		panic(err)
 	}

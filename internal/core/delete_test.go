@@ -29,7 +29,7 @@ func removeAllCopies(ts []rdf.Triple, dead rdf.Triple) []rdf.Triple {
 // triples, deletes of absent triples and re-adds is fed through one
 // BuilderSet maintaining all five kinds, snapshotting at random points —
 // every snapshot of every kind must be bit-identical (graph and quotient
-// map) to the batch summary of the surviving triples.
+// map, Stats) to a freshly seeded set's summary of the surviving triples.
 func TestAllKindsDeleteInterleavingOracle(t *testing.T) {
 	f := func(seed uint64) bool {
 		pool := datagen.RandomGraph(datagen.FromQuickSeed(seed)).Decode()
@@ -83,13 +83,13 @@ func TestAllKindsDeleteInterleavingOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batch := MustSummarize(batchGraph, kind, nil)
+				batch := MustSummarize(batchGraph, kind)
 				if !sameSummary(batch, inc) {
-					t.Logf("seed %d: %v snapshot after step %d differs from batch over survivors", seed, kind, i)
+					t.Logf("seed %d: %v snapshot after step %d differs from a fresh seed over survivors", seed, kind, i)
 					return false
 				}
 				if batch.Stats != inc.Stats {
-					t.Logf("seed %d: %v stats differ at step %d: batch %+v inc %+v", seed, kind, i, batch.Stats, inc.Stats)
+					t.Logf("seed %d: %v stats differ at step %d: seeded %+v inc %+v", seed, kind, i, batch.Stats, inc.Stats)
 					return false
 				}
 			}
@@ -148,8 +148,8 @@ func TestTypedDeletesAreExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameSummary(MustSummarize(batchGraph, kind, nil), inc) {
-			t.Errorf("%v: post-delete summary differs from batch over survivors", kind)
+		if !sameSummary(MustSummarize(batchGraph, kind), inc) {
+			t.Errorf("%v: post-delete summary differs from a fresh seed over survivors", kind)
 		}
 	}
 	for _, kind := range []Kind{TypeBased, TypedWeak, TypedStrong} {
@@ -196,17 +196,21 @@ func TestDeleteOfAbsentTripleIsNoOp(t *testing.T) {
 	}
 }
 
-// TestWeakBuilderDelete: the facade's Delete round-trips — summary and
-// cheap class counter match a batch build of the survivors.
+// TestWeakBuilderDelete: the single-kind Builder's Delete round-trips —
+// the summary matches a fresh seed over the survivors, at the price of one
+// counted rebuild.
 func TestWeakBuilderDelete(t *testing.T) {
-	b := NewWeakBuilderWithGraph(samples.Fig2())
+	b := weakBuilder(t, samples.Fig2())
 	dead := rdf.NewTriple(samples.IRI("a1"), samples.Reviewed, samples.IRI("r4"))
 	if n := b.Delete(dead); n != 1 {
 		t.Fatalf("Delete removed %d copies, want 1", n)
 	}
 	oracle := removeAllCopies(samples.Fig2Triples(), dead)
-	batch := MustSummarize(store.FromTriples(oracle), Weak, nil)
+	batch := MustSummarize(store.FromTriples(oracle), Weak)
 	if !sameSummary(batch, b.Summary()) {
-		t.Fatal("weak summary after Delete differs from batch over survivors")
+		t.Fatal("weak summary after Delete differs from a fresh seed over survivors")
+	}
+	if b.Rebuilds() != 1 {
+		t.Fatalf("weak builder paid %d rebuilds for one data deletion, want 1", b.Rebuilds())
 	}
 }

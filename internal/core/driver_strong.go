@@ -1,132 +1,178 @@
 package core
 
-// driver_strong.go maintains the strong summary S_G (Definition 15)
-// incrementally. A node's strong class is its (target clique, source
-// clique) pair; the cliqueTracker maintains the cliques as union-finds
-// (cliques only merge under insertion) and each node carries one
-// representative property per side. Clique merges reconcile lazily —
-// summary-edge keys store raw representative elements and are
-// canonicalized through Find at snapshot time — while the single
-// non-merge event, a node acquiring its first clique on a side, eagerly
-// re-keys that node's incident edges (O(degree)). No rebuild is ever
-// needed: typing does not affect strong equivalence.
+// driver_strong.go maintains the strong summary S_G (Definition 15) and
+// the typed strong summary TS_G (Definition 17), which is the same
+// construction over the untyped nodes only.
 
 import (
 	"rdfsum/internal/dict"
 	"rdfsum/internal/store"
 )
 
+// strongDriver maintains a strong-style quotient: a node's class is its
+// (target clique, source clique) pair, so each summary node is in
+// bijection with an observed pair and is named N(TC, SC), and a property
+// may label several summary edges (§5.1). The cliqueTracker maintains the
+// cliques as union-finds (cliques only merge under insertion) and each
+// node carries one representative property per side. Clique merges
+// reconcile lazily — edge keys store raw representative elements and are
+// canonicalized through Find at snapshot time — while the one non-merge
+// event under insertion, a node acquiring its first clique on a side,
+// eagerly re-keys that node's incident edges (O(degree)). A data deletion
+// that touches the cliques may split one and cannot be applied.
+//
+// For TS_G typed nodes group by class set and stay out of the cliques
+// ("for the typed strong summary cliques are computed only for untyped
+// data nodes", §6.1): classes is the set's tracker, and a first type
+// migrates the node out — exactly when it never related two properties on
+// a side. For S_G classes is nil: typing does not affect strong
+// equivalence.
 type strongDriver struct {
-	bs       *BuilderSet
-	ct       *cliqueTracker
-	edges    *edgeTracker
-	dirty    bool
-	nRebuild uint64
+	edgeTracker
+	k       Kind
+	classes *classSetTracker
+	ct      *cliqueTracker
 }
 
-func newStrongDriver(bs *BuilderSet) *strongDriver {
-	return &strongDriver{bs: bs, ct: newCliqueTracker(), edges: newEdgeTracker()}
-}
-
-func (d *strongDriver) kind() Kind            { return Strong }
-func (d *strongDriver) needsAdjacency() bool  { return true }
-func (d *strongDriver) needsClasses() bool    { return false }
-func (d *strongDriver) rebuilds() uint64      { return d.nRebuild }
-func (d *strongDriver) typeAdded(typeEvent)   {}
-func (d *strongDriver) typeDeleted(typeEvent) {}
-
-// dataDeleted: removing a data triple can split a clique (the union that
-// linked its properties is not invertible), so the driver defers a counted
-// rebuild to the next snapshot.
-func (d *strongDriver) dataDeleted(int32, store.Triple) { d.dirty = true }
-
-func (d *strongDriver) dataCompacted([]int32) {
-	if d.dirty {
-		d.edges.keys = d.edges.keys[:0] // the rebuild re-derives every key
+func newStrongDriver(bs *BuilderSet, k Kind) *strongDriver {
+	d := &strongDriver{k: k}
+	if k == TypedStrong {
+		d.classes = bs.classes
 	}
+	d.edgeTracker = edgeTracker{bs: bs, classOf: d.ref}
+	return d
 }
 
 func (d *strongDriver) ref(n dict.ID) classRef {
+	if sid, typed := d.classes.set(n); typed {
+		return classRef{tag: refSet, a: sid}
+	}
 	st := d.ct.nodes[n]
 	return classRef{tag: refClique, a: st.repIn, b: st.repOut}
 }
 
-func (d *strongDriver) key(t store.Triple) edgeKey {
-	return edgeKey{s: d.ref(t.S), p: t.P, o: d.ref(t.O)}
+// note records t in the cliques of its untyped ends, reporting which end
+// acquired its first clique on that side.
+func (d *strongDriver) note(t store.Triple) (firstOut, firstIn bool) {
+	if !d.classes.isTyped(t.S) {
+		firstOut = d.ct.noteSubject(t.S, t.P)
+	}
+	if !d.classes.isTyped(t.O) {
+		firstIn = d.ct.noteObject(t.O, t.P)
+	}
+	return firstOut, firstIn
 }
 
-func (d *strongDriver) feed(t store.Triple) {
-	firstOut := d.ct.noteSubject(t.S, t.P)
-	firstIn := d.ct.noteObject(t.O, t.P)
+// seed computes every clique before any edge key, so nothing re-keys.
+func (d *strongDriver) seed() {
+	d.ct = newCliqueTracker()
+	for _, t := range d.bs.g.Data {
+		d.note(t)
+	}
+	d.recount()
+}
+
+func (d *strongDriver) dataAdded(t store.Triple) {
+	firstOut, firstIn := d.note(t)
 	if firstOut {
-		rekeyIncident(d.bs, d.edges, t.S, d.key)
+		d.rekey(t.S)
 	}
 	if firstIn {
-		rekeyIncident(d.bs, d.edges, t.O, d.key)
+		d.rekey(t.O)
 	}
-	d.edges.append(d.key(t))
+	d.append(t)
 }
 
-func (d *strongDriver) dataAdded(_ int32, t store.Triple) {
-	if d.dirty {
+// dataDeleted is exact when both ends are typed — the edge's key is
+// refcounted and the cliques never saw it. Otherwise the union that
+// linked its properties cannot be undone.
+func (d *strongDriver) dataDeleted(i int32, t store.Triple) bool {
+	if d.classes.isTyped(t.S) && d.classes.isTyped(t.O) {
+		d.remove(i)
+		return true
+	}
+	return false
+}
+
+// typeAdded: a grown class set re-keys the node's incident edges; a first
+// type also takes the node out of the cliques, which is exact unless the
+// node linked two properties there.
+func (d *strongDriver) typeAdded(ev typeEvent) bool {
+	if d.classes == nil || !ev.changed {
+		return true
+	}
+	if ev.old < 0 && !d.ct.drop(ev.node) {
+		return false
+	}
+	d.rekey(ev.node)
+	return true
+}
+
+// typeDeleted: a node still typed after the shrink just re-keys; a node
+// losing its last class re-enters the cliques by replaying its surviving
+// incidences (cliques only merge, so insertion is exact).
+func (d *strongDriver) typeDeleted(ev typeEvent) {
+	if d.classes == nil || !ev.changed {
 		return
 	}
-	d.feed(t)
-}
-
-func (d *strongDriver) rebuild() {
-	d.nRebuild++
-	d.ct = newCliqueTracker()
-	d.edges.reset(len(d.bs.g.Data))
-	for _, t := range d.bs.g.Data {
-		d.feed(t)
+	n := ev.node
+	if !d.classes.isTyped(n) {
+		for _, i := range d.bs.adj.out[n] {
+			d.ct.noteSubject(n, d.bs.g.Data[i].P)
+		}
+		for _, i := range d.bs.adj.in[n] {
+			d.ct.noteObject(n, d.bs.g.Data[i].P)
+		}
 	}
-	d.dirty = false
+	d.rekey(n)
 }
 
 func (d *strongDriver) snapshot() *Summary {
-	if d.dirty {
-		d.rebuild()
-	}
 	g := d.bs.g
-	out, rep := startSummary(g, Strong, d.bs.names)
+	out, rep := startSummary(g, d.k, d.bs.names)
+	s := &Summary{Graph: out, NodeOf: make(map[dict.ID]dict.ID, len(d.ct.nodes))}
 	srcM, tgtM := d.ct.memberLists()
 
 	names := make(map[[2]int32]dict.ID)
-	name := func(r classRef) dict.ID {
-		tc, sc := int32(-1), int32(-1)
-		if r.a >= 0 {
-			tc = d.ct.tgtUF.Find(r.a)
-		}
-		if r.b >= 0 {
-			sc = d.ct.srcUF.Find(r.b)
-		}
-		key := [2]int32{tc, sc}
-		if id, ok := names[key]; ok {
-			return id
-		}
+	cliqueName := func(repIn, repOut int32) dict.ID {
+		key := [2]int32{-1, -1}
 		var in, out []dict.ID
-		if tc >= 0 {
-			in = tgtM[tc]
+		if repIn >= 0 {
+			key[0] = d.ct.tgtUF.Find(repIn)
+			in = tgtM[key[0]]
 		}
-		if sc >= 0 {
-			out = srcM[sc]
+		if repOut >= 0 {
+			key[1] = d.ct.srcUF.Find(repOut)
+			out = srcM[key[1]]
 		}
-		id := rep.node(in, out)
-		names[key] = id
+		id, ok := names[key]
+		if !ok {
+			id = rep.node(in, out)
+			names[key] = id
+		}
 		return id
+	}
+	var setNode []dict.ID
+	if d.classes != nil {
+		setNode = d.classes.summarize(s, rep)
+	}
+	name := func(r classRef) dict.ID {
+		if r.tag == refSet {
+			return setNode[r.a]
+		}
+		return cliqueName(r.a, r.b)
 	}
 
 	// Stale keys of merged classes canonicalize to equal triples here and
 	// collapse in the finalizing SortDedup.
-	for k := range d.edges.counts {
+	for k := range d.counts {
 		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}
-
-	nodeOf := make(map[dict.ID]dict.ID, len(d.ct.nodes))
 	for n, st := range d.ct.nodes {
-		nodeOf[n] = name(classRef{tag: refClique, a: st.repIn, b: st.repOut})
+		s.NodeOf[n] = cliqueName(st.repIn, st.repOut)
 	}
-	summarizeTypesWeak(g, out, rep, nodeOf)
-	return &Summary{Graph: out, NodeOf: nodeOf}
+	if d.classes == nil {
+		summarizeTypesWeak(g, out, rep, s.NodeOf)
+	}
+	return s
 }

@@ -20,7 +20,7 @@ func TestSelfLoops(t *testing.T) {
 		rdf.NewTriple(samples.IRI("n"), samples.IRI("loop"), samples.IRI("m")),
 	})
 	for _, kind := range []Kind{Weak, Strong, TypedWeak, TypedStrong} {
-		s := MustSummarize(g, kind, nil)
+		s := MustSummarize(g, kind)
 		n := lookup(t, g, "n")
 		m := lookup(t, g, "m")
 		// n is source and target of loop; m is target of loop: in every
@@ -40,7 +40,7 @@ func TestSelfLoops(t *testing.T) {
 			}
 		}
 		// Fixpoint survives self-loops.
-		ss := MustSummarize(s.Graph, kind, nil)
+		ss := MustSummarize(s.Graph, kind)
 		if !reflect.DeepEqual(s.Graph.CanonicalStrings(), ss.Graph.CanonicalStrings()) {
 			t.Errorf("%v: fixpoint violated on self-loop graph", kind)
 		}
@@ -57,7 +57,7 @@ func TestBlankNodeOnlyGraph(t *testing.T) {
 		rdf.NewTriple(b('2'), p, b('3')),
 		rdf.NewTriple(b('0'), rdf.Type(), samples.IRI("C")),
 	})
-	s := MustSummarize(g, Weak, nil)
+	s := MustSummarize(g, Weak)
 	if s.Stats.DataNodes != 2 { // all sources of p merge; all targets merge
 		t.Errorf("blank graph weak data nodes = %d, want 2", s.Stats.DataNodes)
 	}
@@ -75,9 +75,9 @@ func TestLUBMCompleteness(t *testing.T) {
 	cfg.DeptsPerUniversity = 2
 	g := lubm.GenerateGraph(cfg)
 	for _, kind := range []Kind{Weak, Strong} {
-		direct := MustSummarize(saturate.Graph(g), kind, nil)
-		s := MustSummarize(g, kind, nil)
-		cheap := MustSummarize(saturate.Graph(s.Graph), kind, nil)
+		direct := MustSummarize(saturate.Graph(g), kind)
+		s := MustSummarize(g, kind)
+		cheap := MustSummarize(saturate.Graph(s.Graph), kind)
 		if !reflect.DeepEqual(direct.Graph.CanonicalStrings(), cheap.Graph.CanonicalStrings()) {
 			t.Errorf("%v completeness violated on LUBM", kind)
 		}
@@ -86,9 +86,9 @@ func TestLUBMCompleteness(t *testing.T) {
 	// domains, so saturation types previously untyped publication
 	// authors' — the Fig. 8 mechanism on a realistic workload).
 	for _, kind := range []Kind{TypedWeak, TypedStrong} {
-		direct := MustSummarize(saturate.Graph(g), kind, nil)
-		s := MustSummarize(g, kind, nil)
-		cheap := MustSummarize(saturate.Graph(s.Graph), kind, nil)
+		direct := MustSummarize(saturate.Graph(g), kind)
+		s := MustSummarize(g, kind)
+		cheap := MustSummarize(saturate.Graph(s.Graph), kind)
 		if reflect.DeepEqual(direct.Graph.CanonicalStrings(), cheap.Graph.CanonicalStrings()) {
 			t.Logf("note: %v happened to commute with saturation on this LUBM instance", kind)
 		}
@@ -105,7 +105,7 @@ func TestMultiValuedAndSharedLiterals(t *testing.T) {
 		rdf.NewTriple(samples.IRI("b"), samples.IRI("q"), lit),
 		rdf.NewTriple(samples.IRI("c"), samples.IRI("q"), rdf.NewLiteral("other")),
 	})
-	s := MustSummarize(g, Weak, nil)
+	s := MustSummarize(g, Weak)
 	a := lookup(t, g, "a")
 	bID := lookup(t, g, "b")
 	c := lookup(t, g, "c")

@@ -1,9 +1,12 @@
 package core
 
-// engine.go is the unified incremental quotient engine: one Builder
-// interface over five per-kind drivers that maintain their summary under
-// triple insertions, sharing a single accumulated graph, one class-set
-// tracker and one adjacency index when several kinds are built together.
+// engine.go is the quotient engine: one Builder interface over per-kind
+// drivers that maintain their summary under triple insertions and
+// deletions, sharing a single accumulated graph, one class-set tracker
+// and one adjacency index when several kinds are built together. It is
+// also the only construction of each kind: Summarize seeds a set with the
+// graph and snapshots it, because a from-scratch build is maintenance
+// with an empty history.
 //
 // The design generalizes the paper's observation behind Algorithms 1–3
 // (the weak summary is maintainable one triple at a time) to every
@@ -16,22 +19,27 @@ package core
 //   - The only non-merge class changes are per-node MIGRATIONS: a node
 //     acquiring its first source/target clique (strong kinds), its first
 //     type (typed kinds take the node out of the untyped partition), or a
-//     grown class set. Migrations re-key exactly the node's incident
+//     changed class set. Migrations re-key exactly the node's incident
 //     edges, using the adjacency index — O(degree), never O(|G|).
-//   - A late-typed node that already related properties inside the
-//     untyped partition (typed-weak/typed-strong) cannot be removed from
-//     a union-find, so the affected driver marks itself dirty and
-//     reconstructs its state on the next snapshot — the one event class
-//     that costs O(|G|), counted and reported via Rebuilds. Streams that
-//     type nodes before giving them data edges never pay it.
+//   - What a union-find cannot undo — a deleted data edge that fed one, a
+//     late-typed node that already related properties inside the untyped
+//     partition — the driver refuses, and the set reseeds it before its
+//     next snapshot: the one event class that costs O(|G|), counted and
+//     reported via Rebuilds. Streams that type nodes before giving them
+//     data edges never pay it.
+//
+// Each driver has one from-scratch construction, seed, run when the set
+// is created over a graph and again for such a rebuild. Seeding fills
+// what a snapshot reads — union-finds, trackers, refcounted edge counts,
+// input stats — and nothing per triple: the adjacency index and the
+// per-triple edge keys only serve migrations, so the first mutation the
+// set sees derives them from the graph (index). A set that is seeded,
+// snapshotted and dropped never pays for them.
 //
 // Snapshots are cheap and non-destructive: Summary() materializes the
 // current summary in O(state) — equivalence structures are read through
 // Find, never recomputed — and the builder keeps absorbing triples, which
 // is what makes the engine epoch-friendly for the live subsystem.
-// Every snapshot is bit-identical to the batch construction of the same
-// triple set (builder_test.go's interleaving oracle), so the batch
-// summarizers double as independent oracles.
 
 import (
 	"fmt"
@@ -71,104 +79,40 @@ type Builder interface {
 	Rebuilds() uint64
 }
 
-// driver is the per-kind half of the engine: it reacts to appended and
-// deleted data and type triples and materializes summaries from its
-// incremental state.
+// driver is the per-kind half of the engine: it builds its state from
+// the set's graph, reacts to appended and deleted data and type triples,
+// and materializes summaries from that state. An event handler returning
+// false could not apply the event exactly; the set then stops feeding the
+// driver and reseeds it before its next snapshot.
 type driver interface {
-	kind() Kind
-	needsAdjacency() bool
-	needsClasses() bool
-	// dataAdded reacts to g.Data[i] == t, appended just now. The shared
-	// adjacency index does not yet contain t.
-	dataAdded(i int32, t store.Triple)
+	// seed builds the driver's state from scratch over the set's graph,
+	// whose class sets the shared tracker already holds — the kind's
+	// from-scratch construction, also its rebuild.
+	seed()
+	// tracker is the per-triple edge bookkeeping of a kind whose nodes
+	// change class other than by merging; nil for the weak kind.
+	tracker() *edgeTracker
+	// dataAdded reacts to t, just appended to the graph's data. The
+	// shared adjacency index does not yet contain it.
+	dataAdded(t store.Triple)
 	// typeAdded reacts to an appended type triple, after the shared
-	// class-set tracker (if any) absorbed it.
-	typeAdded(ev typeEvent)
-	// dataDeleted reacts to the pending removal of g.Data[i] == t: the
-	// driver either decrements its refcounted bookkeeping exactly or
-	// marks itself dirty. Positions are pre-compaction; the shared
-	// adjacency index still contains t.
-	dataDeleted(i int32, t store.Triple)
-	// dataCompacted runs after the data component dropped the deleted
-	// positions (remap[i] = new index or -1): per-position bookkeeping
-	// must renumber. The shared adjacency index is already remapped.
-	dataCompacted(remap []int32)
+	// class-set tracker absorbed it.
+	typeAdded(ev typeEvent) bool
+	// dataDeleted reacts to the pending removal of g.Data[i] == t.
+	// Positions are pre-compaction; the shared adjacency index still
+	// contains t.
+	dataDeleted(i int32, t store.Triple) bool
 	// typeDeleted reacts to a deleted type triple, after the shared
 	// class-set tracker shrank the node's set.
 	typeDeleted(ev typeEvent)
 	snapshot() *Summary
-	rebuilds() uint64
 }
 
-// inputStats maintains the input-side size measures incrementally, so a
-// snapshot never scans the accumulated graph just to fill Stats. The sets
-// are refcounted per triple incidence, which makes them exactly
-// decrementable under deletions.
-type inputStats struct {
-	dataNodes  map[dict.ID]int
-	classNodes map[dict.ID]int
-	dataProps  map[dict.ID]int
-}
-
-func newInputStats() *inputStats {
-	return &inputStats{
-		dataNodes:  make(map[dict.ID]int),
-		classNodes: make(map[dict.ID]int),
-		dataProps:  make(map[dict.ID]int),
-	}
-}
-
-func bump(m map[dict.ID]int, id dict.ID, by int) {
-	if c := m[id] + by; c > 0 {
-		m[id] = c
-	} else {
-		delete(m, id)
-	}
-}
-
-func (st *inputStats) data(t store.Triple) {
-	bump(st.dataNodes, t.S, 1)
-	bump(st.dataNodes, t.O, 1)
-	bump(st.dataProps, t.P, 1)
-}
-
-func (st *inputStats) dataRemoved(t store.Triple) {
-	bump(st.dataNodes, t.S, -1)
-	bump(st.dataNodes, t.O, -1)
-	bump(st.dataProps, t.P, -1)
-}
-
-func (st *inputStats) typ(t store.Triple) {
-	bump(st.dataNodes, t.S, 1)
-	bump(st.classNodes, t.O, 1)
-}
-
-func (st *inputStats) typRemoved(t store.Triple) {
-	bump(st.dataNodes, t.S, -1)
-	bump(st.classNodes, t.O, -1)
-}
-
-// compute fills Stats from the tracked input counters plus the (small)
-// summary graph; it matches computeStats on the same pair exactly.
-func (st *inputStats) compute(in, out *store.Graph) Stats {
-	return Stats{
-		InputTriples:       in.NumEdges(),
-		InputDataTriples:   len(in.Data),
-		InputTypeTriples:   len(in.Types),
-		InputSchemaTriples: len(in.Schema),
-		InputDataNodes:     len(st.dataNodes),
-		InputClassNodes:    len(st.classNodes),
-		InputDataProps:     len(st.dataProps),
-
-		DataNodes:     len(out.DataNodes()),
-		ClassNodes:    len(out.ClassNodes()),
-		AllNodes:      len(out.DataNodes()) + len(out.ClassNodes()),
-		PropertyNodes: len(out.PropertyNodes()),
-		DataEdges:     len(out.Data),
-		TypeEdges:     len(out.Types),
-		SchemaEdges:   len(out.Schema),
-		AllEdges:      out.NumEdges(),
-	}
+// maintained is one driver of a set with the set's bookkeeping about it.
+type maintained struct {
+	driver
+	stale    bool   // refused an event: reseed before the next snapshot
+	rebuilds uint64 // reseeds paid so far
 }
 
 // BuilderSet maintains several summary kinds over one shared graph with
@@ -182,17 +126,21 @@ type BuilderSet struct {
 	// interned once however many snapshots carry it and g's dictionary
 	// holds input terms only.
 	names   *dict.Dict
-	adj     *adjacency       // nil unless a driver re-represents nodes
 	classes *classSetTracker // nil unless a typed kind is maintained
 	stats   *inputStats
-	drivers []driver
-	byKind  [NumKinds]driver
+	drivers []*maintained
+	byKind  [NumKinds]*maintained
+	// adj and the drivers' per-triple edge keys only serve migrations, so
+	// they do not exist until the set's first mutation (see index);
+	// tracked reports whether any driver has such state at all.
+	adj     *adjacency
+	tracked bool
 }
 
 // NewBuilderSet returns a builder set over g maintaining the given kinds
 // (deduplicated; the empty set is allowed and maintains nothing). The
 // graph is adopted, not copied: its existing triples seed the drivers —
-// type component first, so pre-typed nodes never look late-typed — and
+// class sets before data, so pre-typed nodes never look late-typed — and
 // later Add calls append to it.
 func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
 	bs := &BuilderSet{g: g, names: dict.Overlay(g.Dict()), stats: newInputStats()}
@@ -203,44 +151,62 @@ func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
 		if bs.byKind[k] != nil {
 			continue
 		}
+		if k != Weak && k != Strong && bs.classes == nil {
+			bs.classes = newClassSetTracker()
+		}
 		var d driver
 		switch k {
 		case Weak:
-			d = newWeakDriver(bs)
-		case Strong:
-			d = newStrongDriver(bs)
+			d = &weakDriver{bs: bs}
+		case Strong, TypedStrong:
+			d = newStrongDriver(bs, k)
 		case TypeBased:
 			d = newTypeBasedDriver(bs)
 		case TypedWeak:
 			d = newTypedWeakDriver(bs)
-		case TypedStrong:
-			d = newTypedStrongDriver(bs)
 		}
-		bs.drivers = append(bs.drivers, d)
-		bs.byKind[k] = d
+		m := &maintained{driver: d}
+		bs.drivers = append(bs.drivers, m)
+		bs.byKind[k] = m
+		bs.tracked = bs.tracked || d.tracker() != nil
+	}
+	if len(bs.drivers) == 0 {
+		// Nothing to seed (stats are only consumed through maintained
+		// summaries): a snapshot-backed graph stays unmaterialized — the
+		// O(1) open path.
+		return bs, nil
+	}
+	g.Ensure() // seeding walks both components
+	for _, t := range g.Types {
+		bs.stats.typ(t)
+		if bs.classes != nil {
+			bs.classes.addType(t.S, t.O)
+		}
+	}
+	for _, t := range g.Data {
+		bs.stats.data(t)
 	}
 	for _, d := range bs.drivers {
-		if d.needsAdjacency() && bs.adj == nil {
-			bs.adj = newAdjacency()
-		}
-		if d.needsClasses() && bs.classes == nil {
-			bs.classes = newClassSetTracker()
-		}
-	}
-	if len(bs.drivers) > 0 {
-		// Seeding walks both components, so a snapshot-backed graph must
-		// materialize first. With no maintained kinds there is nothing to
-		// seed (stats are only consumed through maintained summaries) and
-		// the graph can stay unmaterialized — the O(1) open path.
-		g.Ensure()
-		for i := range g.Types {
-			bs.feedType(int32(i))
-		}
-		for i := range g.Data {
-			bs.feedData(int32(i))
-		}
+		d.seed()
 	}
 	return bs, nil
+}
+
+// index derives the per-triple state from the graph, once, before the
+// first mutation is applied: the adjacency index and every tracking
+// driver's edge keys. Between mutations a triple's key is a function of
+// the drivers' current classes, so what a seeded set derives here equals
+// what a set fed the same triples one by one has accumulated.
+func (bs *BuilderSet) index() {
+	if bs.adj != nil || !bs.tracked {
+		return
+	}
+	bs.adj = indexAdjacency(bs.g.Data)
+	for _, d := range bs.drivers {
+		if e := d.tracker(); e != nil {
+			e.index()
+		}
+	}
 }
 
 // Graph exposes the shared accumulated graph.
@@ -264,6 +230,7 @@ func (bs *BuilderSet) Maintains(kind Kind) bool {
 
 // Add routes one string-level triple into the graph and every driver.
 func (bs *BuilderSet) Add(t rdf.Triple) {
+	bs.index()
 	d, ty := len(bs.g.Data), len(bs.g.Types)
 	bs.g.Add(t)
 	bs.route(d, ty)
@@ -271,6 +238,7 @@ func (bs *BuilderSet) Add(t rdf.Triple) {
 
 // AddEncoded routes one encoded triple (IDs from Graph().Dict()).
 func (bs *BuilderSet) AddEncoded(s, p, o dict.ID) {
+	bs.index()
 	d, ty := len(bs.g.Data), len(bs.g.Types)
 	bs.g.AddEncoded(s, p, o)
 	bs.route(d, ty)
@@ -281,7 +249,7 @@ func (bs *BuilderSet) route(d, ty int) {
 	case len(bs.g.Data) > d:
 		bs.feedData(int32(d))
 	case len(bs.g.Types) > ty:
-		bs.feedType(int32(ty))
+		bs.feedType(bs.g.Types[ty])
 	default:
 		// Schema triples need no driver action: rule SCH copies the
 		// schema component verbatim at snapshot time.
@@ -292,22 +260,25 @@ func (bs *BuilderSet) feedData(i int32) {
 	t := bs.g.Data[i]
 	bs.stats.data(t)
 	for _, d := range bs.drivers {
-		d.dataAdded(i, t)
+		if !d.stale {
+			d.dataAdded(t)
+		}
 	}
 	if bs.adj != nil {
 		bs.adj.add(t, i)
 	}
 }
 
-func (bs *BuilderSet) feedType(i int32) {
-	t := bs.g.Types[i]
+func (bs *BuilderSet) feedType(t store.Triple) {
 	bs.stats.typ(t)
-	var ev typeEvent
-	if bs.classes != nil {
-		ev = bs.classes.addType(t.S, t.O)
+	if bs.classes == nil {
+		return // no maintained kind looks at types before its snapshot
 	}
+	ev := bs.classes.addType(t.S, t.O)
 	for _, d := range bs.drivers {
-		d.typeAdded(ev)
+		if !d.stale && !d.typeAdded(ev) {
+			d.stale = true
+		}
 	}
 }
 
@@ -328,11 +299,12 @@ func (bs *BuilderSet) Delete(t rdf.Triple) int {
 // unaffected), an O(component) scan. Driver state shrinks exactly where
 // the bookkeeping is refcounted — type-based always; class-set shrink for
 // every typed kind; typed-weak/typed-strong when only typed nodes are
-// involved — and otherwise the driver marks itself dirty and defers a
-// counted rebuild to its next snapshot, because quotient merges
+// involved — and otherwise the driver refuses the deletion and is reseeded
+// (a counted rebuild) before its next snapshot, because quotient merges
 // (union-finds) are not invertible.
 func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 	bs.g.Ensure() // the compaction scan below walks every component
+	bs.index()
 	d := bs.g.Dict()
 	v := bs.g.Vocab()
 	var delData, delTypes, delSchema map[store.Triple]bool
@@ -379,7 +351,9 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 				hit[t] = true
 				bs.stats.dataRemoved(t)
 				for _, dr := range bs.drivers {
-					dr.dataDeleted(int32(i), t)
+					if !dr.stale && !dr.dataDeleted(int32(i), t) {
+						dr.stale = true
+					}
 				}
 			} else {
 				remap[i] = int32(len(kept))
@@ -392,7 +366,10 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 				bs.adj.remap(remap)
 			}
 			for _, dr := range bs.drivers {
-				dr.dataCompacted(remap)
+				// A stale driver's keys die with its reseed.
+				if e := dr.tracker(); e != nil && !dr.stale {
+					e.compact(remap)
+				}
 			}
 			tombs = appendSortedTriples(tombs, hit)
 		}
@@ -425,7 +402,9 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 					ev = bs.classes.removeType(t.S, t.O)
 				}
 				for _, dr := range bs.drivers {
-					dr.typeDeleted(ev)
+					if !dr.stale {
+						dr.typeDeleted(ev)
+					}
 				}
 			}
 			tombs = appendSortedTriples(tombs, hit)
@@ -470,12 +449,30 @@ func (bs *BuilderSet) Summary(kind Kind) (*Summary, error) {
 	if !bs.Maintains(kind) {
 		return nil, fmt.Errorf("core: kind %v is not maintained by this builder set", kind)
 	}
-	s := bs.byKind[kind].snapshot()
+	d := bs.byKind[kind]
+	if d.stale {
+		bs.rebuild(d)
+	}
+	s := d.snapshot()
 	s.Kind = kind
 	s.Input = bs.g
 	s.Graph.SortDedup()
 	s.Stats = bs.stats.compute(bs.g, s.Graph)
 	return s, nil
+}
+
+// rebuild reseeds a driver that refused an event — the deferred cost of a
+// non-invertible deletion or late typing, paid at most once per snapshot
+// no matter how many such events batched up before it. Only a mutation
+// makes a driver stale, so the set is indexed and the driver's keys are
+// re-derived with it.
+func (bs *BuilderSet) rebuild(d *maintained) {
+	d.rebuilds++
+	d.seed()
+	if e := d.tracker(); e != nil {
+		e.index()
+	}
+	d.stale = false
 }
 
 // Summaries materializes every maintained kind.
@@ -492,25 +489,13 @@ func (bs *BuilderSet) Summaries() (map[Kind]*Summary, error) {
 }
 
 // Rebuilds counts the full state reconstructions kind has paid for
-// late-typing events (always 0 for weak, strong and type-based).
+// late-typing events and non-invertible deletions (always 0 for
+// type-based).
 func (bs *BuilderSet) Rebuilds(kind Kind) uint64 {
 	if !bs.Maintains(kind) {
 		return 0
 	}
-	return bs.byKind[kind].rebuilds()
-}
-
-// rekeyIncident re-keys every data triple incident to n using the
-// driver's key function — the migration primitive. Indexes beyond the
-// tracker's keys are triples not yet re-fed during a rebuild replay;
-// their keys are computed fresh when they are.
-func rekeyIncident(bs *BuilderSet, e *edgeTracker, n dict.ID, key func(store.Triple) edgeKey) {
-	bs.adj.each(n, func(i int32) {
-		if int(i) >= len(e.keys) {
-			return
-		}
-		e.rekey(i, key(bs.g.Data[i]))
-	})
+	return bs.byKind[kind].rebuilds
 }
 
 // singleBuilder adapts one kind of a BuilderSet to the Builder interface.

@@ -44,12 +44,11 @@ type representer struct {
 	name []byte             // scratch: the URI being built
 }
 
-// startSummary begins a summary of g for every construction, batch or
-// driver: the output graph — over names, rule SCH already applied — and
-// the representer that names its nodes there. names is an overlay of g's
-// dictionary, so the summary extends g's ID space and leaves g's
-// dictionary as it was: a batch construction passes a fresh overlay, a
-// BuilderSet the one it keeps for its lifetime.
+// startSummary begins a snapshot of g for every driver: the output graph
+// — over names, rule SCH already applied — and the representer that names
+// its nodes there. names is the overlay of g's dictionary the BuilderSet
+// keeps for its lifetime, so the summary extends g's ID space and leaves
+// g's dictionary as it was.
 func startSummary(g *store.Graph, kind Kind, names *dict.Dict) (*store.Graph, *representer) {
 	out := store.NewGraphWithDict(names)
 	copySchema(g, out)

@@ -29,9 +29,10 @@ func TestClassSetNodeRendersOncePerSet(t *testing.T) {
 }
 
 // TestTypedKindsNameOncePerClassSet bounds what a typed summary allocates
-// per typed node, batch and driver alike: 5000 typed nodes over four
-// class sets cost a handful of allocations per node for the quotient's
-// own maps, where rendering C(X) for every node cost fourteen.
+// per typed node, a from-scratch build and a snapshot alike: 5000 typed
+// nodes over four class sets cost a handful of allocations per node for
+// the quotient's own maps, where rendering C(X) for every node cost
+// fourteen.
 func TestTypedKindsNameOncePerClassSet(t *testing.T) {
 	const n = 5000
 	triples := make([]rdf.Triple, 0, 2*n)
@@ -47,15 +48,15 @@ func TestTypedKindsNameOncePerClassSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{TypeBased, TypedWeak, TypedStrong} {
-		batch := testing.AllocsPerRun(3, func() { MustSummarize(g, kind, nil) })
-		driver := testing.AllocsPerRun(3, func() {
+		build := testing.AllocsPerRun(3, func() { MustSummarize(g, kind) })
+		snapshot := testing.AllocsPerRun(3, func() {
 			if _, err := set.Summary(kind); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if batch > 3*n || driver > 3*n {
-			t.Errorf("%v: %.1f (batch) and %.1f (driver) allocations per typed node, want at most 3",
-				kind, batch/n, driver/n)
+		if build > 3*n || snapshot > 3*n {
+			t.Errorf("%v: %.1f (build) and %.1f (snapshot) allocations per typed node, want at most 3",
+				kind, build/n, snapshot/n)
 		}
 	}
 }

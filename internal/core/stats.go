@@ -1,6 +1,9 @@
 package core
 
-import "rdfsum/internal/store"
+import (
+	"rdfsum/internal/dict"
+	"rdfsum/internal/store"
+)
 
 // Stats collects the size measures the paper's evaluation reports
 // (Figures 11–13 plus the in-text compactness ratios). "All nodes" counts
@@ -46,19 +49,70 @@ func (s Stats) DataNodeReduction() float64 {
 	return float64(s.InputDataNodes) / float64(s.DataNodes)
 }
 
-func computeStats(in, out *store.Graph) Stats {
+// inputStats maintains the input-side size measures incrementally, so a
+// snapshot never scans the accumulated graph just to fill Stats. The sets
+// are refcounted per triple incidence, which makes them exactly
+// decrementable under deletions.
+type inputStats struct {
+	dataNodes  map[dict.ID]int
+	classNodes map[dict.ID]int
+	dataProps  map[dict.ID]int
+}
+
+func newInputStats() *inputStats {
+	return &inputStats{
+		dataNodes:  make(map[dict.ID]int),
+		classNodes: make(map[dict.ID]int),
+		dataProps:  make(map[dict.ID]int),
+	}
+}
+
+func unref(m map[dict.ID]int, id dict.ID) {
+	if c := m[id]; c > 1 {
+		m[id] = c - 1
+	} else {
+		delete(m, id)
+	}
+}
+
+func (st *inputStats) data(t store.Triple) {
+	st.dataNodes[t.S]++
+	st.dataNodes[t.O]++
+	st.dataProps[t.P]++
+}
+
+func (st *inputStats) dataRemoved(t store.Triple) {
+	unref(st.dataNodes, t.S)
+	unref(st.dataNodes, t.O)
+	unref(st.dataProps, t.P)
+}
+
+func (st *inputStats) typ(t store.Triple) {
+	st.dataNodes[t.S]++
+	st.classNodes[t.O]++
+}
+
+func (st *inputStats) typRemoved(t store.Triple) {
+	unref(st.dataNodes, t.S)
+	unref(st.classNodes, t.O)
+}
+
+// compute fills Stats from the tracked input counters plus the (small)
+// summary graph.
+func (st *inputStats) compute(in, out *store.Graph) Stats {
+	dataNodes, classNodes := len(out.DataNodes()), len(out.ClassNodes())
 	return Stats{
 		InputTriples:       in.NumEdges(),
 		InputDataTriples:   len(in.Data),
 		InputTypeTriples:   len(in.Types),
 		InputSchemaTriples: len(in.Schema),
-		InputDataNodes:     len(in.DataNodes()),
-		InputClassNodes:    len(in.ClassNodes()),
-		InputDataProps:     len(in.DistinctDataProperties()),
+		InputDataNodes:     len(st.dataNodes),
+		InputClassNodes:    len(st.classNodes),
+		InputDataProps:     len(st.dataProps),
 
-		DataNodes:     len(out.DataNodes()),
-		ClassNodes:    len(out.ClassNodes()),
-		AllNodes:      len(out.DataNodes()) + len(out.ClassNodes()),
+		DataNodes:     dataNodes,
+		ClassNodes:    classNodes,
+		AllNodes:      dataNodes + classNodes,
 		PropertyNodes: len(out.PropertyNodes()),
 		DataEdges:     len(out.Data),
 		TypeEdges:     len(out.Types),

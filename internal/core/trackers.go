@@ -8,6 +8,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"rdfsum/internal/dict"
@@ -20,21 +21,22 @@ import (
 // deliberately "raw" (union-find elements, not canonical roots): classes
 // that merge are reconciled lazily at snapshot time by canonicalizing the
 // refs, while the only non-merge class changes — a node migrating between
-// partitions — eagerly re-key that node's incident edges.
+// partitions — eagerly re-key that node's incident edges. Every field is
+// 32 bits wide, so edgeKey has no padding and hashes as one block of
+// memory instead of field by field.
 type classRef struct {
-	tag  int8
-	a, b int32
+	tag, a, b int32
 }
 
 const (
 	// refClique: an untyped node under a strong-style driver.
 	// a = representative in-property element (-1 for the empty target
 	// clique), b = representative out-property element (-1 for ∅).
-	refClique int8 = iota
+	refClique int32 = iota
 	// refSet: a typed node; a = interned class-set ID.
 	refSet
-	// refWeak: an untyped node under a weak-style driver; a = its
-	// union-find element.
+	// refWeak: an untyped node under a weak-style driver; a = the
+	// union-find element it first met (weakNode.rep).
 	refWeak
 	// refNode: an untyped node represented by a fresh copy of itself
 	// (type-based summary); a = the node's own dictionary ID.
@@ -48,41 +50,65 @@ type edgeKey struct {
 	o classRef
 }
 
-// edgeTracker maintains the multiset of summary data edges of one driver:
-// counts is the refcounted edge map and keys records, per input data triple
-// (parallel to Graph.Data), the exact key the triple currently contributes
-// to — so a re-representation can decrement precisely the entry it
-// incremented, regardless of merges that happened in between.
+// edgeTracker maintains the multiset of summary data edges of one driver,
+// which embeds it: counts is the refcounted edge map a snapshot reads, and
+// keys records, per input data triple (parallel to Graph.Data), the exact
+// key the triple currently contributes to — so a re-representation can
+// decrement precisely the entry it incremented, regardless of merges that
+// happened in between. Outside a migration keys[i] equals key(Data[i]),
+// which is why keys need not exist until something migrates: recount
+// leaves them nil and the set's first mutation derives them (index).
 type edgeTracker struct {
-	counts map[edgeKey]int
-	keys   []edgeKey
+	bs      *BuilderSet
+	classOf func(n dict.ID) classRef // n's current class in the embedding driver
+	counts  map[edgeKey]int
+	keys    []edgeKey
 }
 
-func newEdgeTracker() *edgeTracker {
-	return &edgeTracker{counts: make(map[edgeKey]int)}
+func (e *edgeTracker) tracker() *edgeTracker { return e }
+
+func (e *edgeTracker) key(t store.Triple) edgeKey {
+	return edgeKey{s: e.classOf(t.S), p: t.P, o: e.classOf(t.O)}
 }
 
-// reset clears the tracker for a driver rebuild over n data triples.
-func (e *edgeTracker) reset(n int) {
-	e.counts = make(map[edgeKey]int, n)
-	e.keys = make([]edgeKey, 0, n)
+// recount derives counts from scratch over the graph's data triples under
+// the driver's current classes — the last step of every tracking driver's
+// seed. The per-triple keys are dropped with the state they described.
+func (e *edgeTracker) recount() {
+	e.counts = make(map[edgeKey]int)
+	e.keys = nil
+	for _, t := range e.bs.g.Data {
+		e.counts[e.key(t)]++
+	}
 }
 
-// append records the key of the next data triple (index len(keys)).
-func (e *edgeTracker) append(k edgeKey) {
+// index derives the per-triple keys of an already counted graph.
+func (e *edgeTracker) index() {
+	data := e.bs.g.Data
+	e.keys = make([]edgeKey, len(data))
+	for i, t := range data {
+		e.keys[i] = e.key(t)
+	}
+}
+
+// append records the key of the data triple just appended to the graph.
+func (e *edgeTracker) append(t store.Triple) {
+	k := e.key(t)
 	e.keys = append(e.keys, k)
 	e.counts[k]++
 }
 
-// rekey moves data triple i from its stored key to k.
-func (e *edgeTracker) rekey(i int32, k edgeKey) {
-	old := e.keys[i]
-	if old == k {
-		return
-	}
-	e.decrement(old)
-	e.counts[k]++
-	e.keys[i] = k
+// rekey moves every data triple incident to n to its key under n's new
+// class — the migration primitive, O(degree of n).
+func (e *edgeTracker) rekey(n dict.ID) {
+	e.bs.adj.each(n, func(i int32) {
+		k := e.key(e.bs.g.Data[i])
+		if old := e.keys[i]; old != k {
+			e.decrement(old)
+			e.counts[k]++
+			e.keys[i] = k
+		}
+	})
 }
 
 // remove decrements the key data triple i contributes — the exact
@@ -112,14 +138,19 @@ func (e *edgeTracker) compact(remap []int32) {
 
 // adjacency indexes the accumulated data triples by endpoint, so drivers
 // can re-key a node's incident edges in O(degree) when it is
-// re-represented. Values are indexes into Graph.Data.
+// re-represented. Values are indexes into Graph.Data. A seeded set has
+// none: its first mutation builds it from the graph (BuilderSet.index).
 type adjacency struct {
 	out map[dict.ID][]int32
 	in  map[dict.ID][]int32
 }
 
-func newAdjacency() *adjacency {
-	return &adjacency{out: make(map[dict.ID][]int32), in: make(map[dict.ID][]int32)}
+func indexAdjacency(data []store.Triple) *adjacency {
+	a := &adjacency{out: make(map[dict.ID][]int32), in: make(map[dict.ID][]int32)}
+	for i, t := range data {
+		a.add(t, int32(i))
+	}
+	return a
 }
 
 func (a *adjacency) add(t store.Triple, i int32) {
@@ -178,15 +209,27 @@ type classSetTracker struct {
 	byKey   map[string]int32  // canonical byte key -> set ID
 	classes [][]dict.ID       // set ID -> sorted class IDs
 	members []int             // set ID -> nodes currently holding that set
+	set1    []dict.ID         // scratch: the candidate set of one update
+	key     []byte            // scratch: its byte key
 }
 
 func newClassSetTracker() *classSetTracker {
 	return &classSetTracker{setOf: make(map[dict.ID]int32), byKey: make(map[string]int32)}
 }
 
+// set returns n's interned class set. A nil tracker — the one an
+// untyped kind holds — types nothing.
+func (c *classSetTracker) set(n dict.ID) (sid int32, typed bool) {
+	if c == nil {
+		return 0, false
+	}
+	sid, typed = c.setOf[n]
+	return sid, typed
+}
+
 func (c *classSetTracker) isTyped(n dict.ID) bool {
-	_, ok := c.setOf[n]
-	return ok
+	_, typed := c.set(n)
+	return typed
 }
 
 // addType applies one type triple (n, τ, cls) and reports how n's set
@@ -194,26 +237,21 @@ func (c *classSetTracker) isTyped(n dict.ID) bool {
 // type" (old == -1) and "set grew".
 func (c *classSetTracker) addType(n, cls dict.ID) typeEvent {
 	ev := typeEvent{node: n, old: -1}
+	var set []dict.ID
 	old, typed := c.setOf[n]
 	if typed {
 		ev.old = old
-		set := c.classes[old]
-		i := sort.Search(len(set), func(i int) bool { return set[i] >= cls })
-		if i < len(set) && set[i] == cls {
-			return ev
-		}
-		grown := make([]dict.ID, 0, len(set)+1)
-		grown = append(grown, set[:i]...)
-		grown = append(grown, cls)
-		grown = append(grown, set[i:]...)
-		sid := c.intern(grown)
-		c.members[old]--
-		c.members[sid]++
-		c.setOf[n] = sid
-		ev.changed = true
+		set = c.classes[old]
+	}
+	i := sort.Search(len(set), func(i int) bool { return set[i] >= cls })
+	if i < len(set) && set[i] == cls {
 		return ev
 	}
-	sid := c.intern([]dict.ID{cls})
+	c.set1 = append(append(append(c.set1[:0], set[:i]...), cls), set[i:]...)
+	sid := c.intern(c.set1)
+	if typed {
+		c.members[old]--
+	}
 	c.members[sid]++
 	c.setOf[n] = sid
 	ev.changed = true
@@ -244,43 +282,142 @@ func (c *classSetTracker) removeType(n, cls dict.ID) typeEvent {
 		delete(c.setOf, n)
 		return ev
 	}
-	shrunk := make([]dict.ID, 0, len(set)-1)
-	shrunk = append(shrunk, set[:i]...)
-	shrunk = append(shrunk, set[i+1:]...)
-	sid := c.intern(shrunk)
+	c.set1 = append(append(c.set1[:0], set[:i]...), set[i+1:]...)
+	sid := c.intern(c.set1)
 	c.members[sid]++
 	c.setOf[n] = sid
 	return ev
 }
 
+// intern returns the ID of set, which it copies when it is new; callers
+// build candidate sets in the tracker's scratch buffers.
 func (c *classSetTracker) intern(set []dict.ID) int32 {
-	key := make([]byte, 4*len(set))
-	for i, id := range set {
-		binary.LittleEndian.PutUint32(key[4*i:], uint32(id))
+	c.key = c.key[:0]
+	for _, id := range set {
+		c.key = binary.LittleEndian.AppendUint32(c.key, uint32(id))
 	}
-	if sid, ok := c.byKey[string(key)]; ok {
+	if sid, ok := c.byKey[string(c.key)]; ok {
 		return sid
 	}
 	sid := int32(len(c.classes))
-	c.byKey[string(key)] = sid
-	c.classes = append(c.classes, set)
+	c.byKey[string(c.key)] = sid
+	c.classes = append(c.classes, slices.Clone(set))
 	c.members = append(c.members, 0)
 	return sid
 }
 
-// emitTypes adds, for every class set currently held by at least one node,
-// the triples C(X) τ c for each c ∈ X — the incremental counterpart of
-// emitClassSetTypes.
-func (c *classSetTracker) emitTypes(g, out *store.Graph, rep *representer) {
-	v := g.Vocab()
+// summarize fills in the typed half of a type-first summary — every typed
+// node maps to its set's node C(X), and each set X some node holds
+// contributes the triples C(X) τ c for c ∈ X (the dcls structure of §6.1)
+// — and returns the nodes by set ID, for the caller to name edge ends
+// through: C(X) is rendered once per held set per snapshot. (Sets nobody
+// holds any more keep the zero ID and are never looked up: an edge key or
+// a setOf entry always names a held set.)
+func (c *classSetTracker) summarize(s *Summary, rep *representer) []dict.ID {
+	typ := s.Graph.Vocab().Type
+	setNode := make([]dict.ID, len(c.classes))
 	for sid, count := range c.members {
 		if count <= 0 {
 			continue
 		}
-		node := rep.classSetNode(c.classes[sid])
+		setNode[sid] = rep.classSetNode(c.classes[sid])
 		for _, cls := range c.classes[sid] {
-			out.Types = append(out.Types, store.Triple{S: node, P: v.Type, O: cls})
+			s.Graph.Types = append(s.Graph.Types, store.Triple{S: setNode[sid], P: typ, O: cls})
 		}
+	}
+	for n, sid := range c.setOf {
+		s.NodeOf[n] = setNode[sid]
+	}
+	return setNode
+}
+
+// weakNode is one node's place in a weakTracker: the (property, side)
+// element it first met — its class is that element's class — and whether
+// it ever met a second one. A node that did not linked no two elements,
+// so it can leave the structure exactly (typed-weak's late typing).
+type weakNode struct {
+	rep   int32
+	multi bool
+}
+
+// weakTracker maintains weak equivalence (Definition 7) among the nodes
+// it is told about, as the paper's Algorithms 1–2 do: every data property
+// has one source and one target representative (dpSrc / dpTarg), here the
+// elements of a union-find, and a node with several of them merges them
+// (MERGEDATANODES). Nodes are not elements themselves — a node is in the
+// class of the first representative it met — so the forest has two
+// elements per property however large the graph, and classes only merge.
+type weakTracker struct {
+	uf      unionfind.UF
+	srcElem map[dict.ID]int32 // data property -> source element
+	tgtElem map[dict.ID]int32 // data property -> target element
+	nodes   map[dict.ID]weakNode
+}
+
+func newWeakTracker() *weakTracker {
+	return &weakTracker{
+		srcElem: make(map[dict.ID]int32),
+		tgtElem: make(map[dict.ID]int32),
+		nodes:   make(map[dict.ID]weakNode),
+	}
+}
+
+// noteSubject records that n is a subject of p; noteObject, an object.
+func (w *weakTracker) noteSubject(n, p dict.ID) { w.note(n, p, w.srcElem) }
+func (w *weakTracker) noteObject(n, p dict.ID)  { w.note(n, p, w.tgtElem) }
+
+func (w *weakTracker) note(n, p dict.ID, side map[dict.ID]int32) {
+	e, ok := side[p]
+	if !ok {
+		e = w.uf.Add()
+		side[p] = e
+	}
+	st, seen := w.nodes[n]
+	switch {
+	case !seen:
+		w.nodes[n] = weakNode{rep: e}
+	case st.rep != e:
+		w.uf.Union(st.rep, e)
+		if !st.multi {
+			st.multi = true
+			w.nodes[n] = st
+		}
+	}
+}
+
+// drop removes n if its departure cannot split a class; see
+// cliqueTracker.drop.
+func (w *weakTracker) drop(n dict.ID) bool {
+	if w.nodes[n].multi {
+		return false
+	}
+	delete(w.nodes, n)
+	return true
+}
+
+// names names the current classes on demand: the class of element e is
+// N(in, out) over the properties whose target resp. source representative
+// fell into it (§4.1's N(∪TC, ∪SC)).
+func (w *weakTracker) names(rep *representer) func(e int32) dict.ID {
+	inProps := make(map[int32][]dict.ID)
+	outProps := make(map[int32][]dict.ID)
+	for p, e := range w.srcElem {
+		root := w.uf.Find(e)
+		outProps[root] = append(outProps[root], p)
+	}
+	for p, e := range w.tgtElem {
+		root := w.uf.Find(e)
+		inProps[root] = append(inProps[root], p)
+	}
+	names := make(map[int32]dict.ID)
+	return func(e int32) dict.ID {
+		root := w.uf.Find(e)
+		id, ok := names[root]
+		if !ok {
+			id = rep.node(inProps[root], outProps[root])
+			names[root] = id
+		}
+		return id
 	}
 }
 
@@ -305,7 +442,7 @@ type cliqueTracker struct {
 	props   []dict.ID
 	srcUF   *unionfind.UF
 	tgtUF   *unionfind.UF
-	nodes   map[dict.ID]*cliqueNodeState
+	nodes   map[dict.ID]cliqueNodeState
 }
 
 func newCliqueTracker() *cliqueTracker {
@@ -313,7 +450,7 @@ func newCliqueTracker() *cliqueTracker {
 		propIdx: make(map[dict.ID]int32),
 		srcUF:   &unionfind.UF{},
 		tgtUF:   &unionfind.UF{},
-		nodes:   make(map[dict.ID]*cliqueNodeState),
+		nodes:   make(map[dict.ID]cliqueNodeState),
 	}
 }
 
@@ -329,45 +466,40 @@ func (c *cliqueTracker) prop(p dict.ID) int32 {
 	return i
 }
 
-func (c *cliqueTracker) state(n dict.ID) *cliqueNodeState {
-	st := c.nodes[n]
-	if st == nil {
-		st = &cliqueNodeState{repIn: -1, repOut: -1}
-		c.nodes[n] = st
-	}
-	return st
-}
+// noteSubject records that n is a subject of p; noteObject, an object.
+// The return value reports a non-merge class change (n just acquired its
+// clique on that side), which the caller must answer by re-keying n's
+// incident edges.
+func (c *cliqueTracker) noteSubject(n, p dict.ID) (first bool) { return c.note(n, p, false) }
+func (c *cliqueTracker) noteObject(n, p dict.ID) (first bool)  { return c.note(n, p, true) }
 
-// noteSubject records that n is a subject of p. The return value reports a
-// non-merge class change (n just acquired its source clique), which the
-// caller must answer by re-keying n's incident edges.
-func (c *cliqueTracker) noteSubject(n dict.ID, p dict.ID) (first bool) {
+// note works on a copy of n's state — the map holds values, a pointer per
+// data node was a heap object per data node — and stores it back only
+// when it changed.
+func (c *cliqueTracker) note(n, p dict.ID, object bool) (first bool) {
 	pi := c.prop(p)
-	st := c.state(n)
-	if st.repOut < 0 {
-		st.repOut = pi
-		return true
+	st, seen := c.nodes[n]
+	if !seen {
+		st = cliqueNodeState{repIn: -1, repOut: -1}
 	}
-	if st.repOut != pi {
-		st.multiOut = true
-		c.srcUF.Union(st.repOut, pi)
+	rep, multi, uf := &st.repOut, &st.multiOut, c.srcUF
+	if object {
+		rep, multi, uf = &st.repIn, &st.multiIn, c.tgtUF
 	}
-	return false
-}
-
-// noteObject records that n is an object of p; see noteSubject.
-func (c *cliqueTracker) noteObject(n dict.ID, p dict.ID) (first bool) {
-	pi := c.prop(p)
-	st := c.state(n)
-	if st.repIn < 0 {
-		st.repIn = pi
-		return true
+	switch {
+	case *rep == pi:
+		return false
+	case *rep < 0:
+		*rep, first = pi, true
+	default:
+		uf.Union(*rep, pi)
+		if *multi {
+			return false
+		}
+		*multi = true
 	}
-	if st.repIn != pi {
-		st.multiIn = true
-		c.tgtUF.Union(st.repIn, pi)
-	}
-	return false
+	c.nodes[n] = st
+	return first
 }
 
 // drop removes n from the tracker if its departure cannot split a clique:
@@ -376,11 +508,7 @@ func (c *cliqueTracker) noteObject(n dict.ID, p dict.ID) (first bool) {
 // exact. Returns false — leaving the tracker untouched — when n may be
 // load-bearing, in which case the caller must schedule a rebuild.
 func (c *cliqueTracker) drop(n dict.ID) bool {
-	st := c.nodes[n]
-	if st == nil {
-		return true
-	}
-	if st.multiIn || st.multiOut {
+	if st := c.nodes[n]; st.multiIn || st.multiOut {
 		return false
 	}
 	delete(c.nodes, n)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +37,7 @@ func TestProperty4UniqueDataProperties(t *testing.T) {
 func TestWeakSizeBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		s := MustSummarize(g, Weak, nil)
+		s := MustSummarize(g, Weak)
 		nProps := len(g.DistinctDataProperties())
 		if s.Stats.DataEdges != nProps {
 			t.Logf("seed %d: weak data edges %d != distinct props %d", seed, s.Stats.DataEdges, nProps)
@@ -61,7 +60,7 @@ func TestWeakSizeBounds(t *testing.T) {
 func TestStrongSizeBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		s := MustSummarize(g, Strong, nil)
+		s := MustSummarize(g, Strong)
 		if s.Stats.DataNodes > s.Stats.InputDataNodes {
 			return false
 		}
@@ -76,38 +75,13 @@ func TestStrongSizeBounds(t *testing.T) {
 	}
 }
 
-// TestWeakIncrementalMatchesGlobal: the paper's one-pass algorithm and the
-// clique-based construction must produce identical summaries.
-func TestWeakIncrementalMatchesGlobal(t *testing.T) {
-	for name, g := range sampleGraphs() {
-		inc := MustSummarize(g, Weak, &Options{WeakAlgorithm: Incremental})
-		glo := MustSummarize(g, Weak, &Options{WeakAlgorithm: Global})
-		if !reflect.DeepEqual(inc.Graph.CanonicalStrings(), glo.Graph.CanonicalStrings()) {
-			t.Errorf("%s: incremental and global weak summaries differ", name)
-		}
-		if !reflect.DeepEqual(renderNodeOf(inc), renderNodeOf(glo)) {
-			t.Errorf("%s: incremental and global weak NodeOf maps differ", name)
-		}
-	}
-	f := func(seed uint64) bool {
-		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		inc := MustSummarize(g, Weak, &Options{WeakAlgorithm: Incremental})
-		glo := MustSummarize(g, Weak, &Options{WeakAlgorithm: Global})
-		return reflect.DeepEqual(inc.Graph.CanonicalStrings(), glo.Graph.CanonicalStrings()) &&
-			reflect.DeepEqual(renderNodeOf(inc), renderNodeOf(glo))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestWeakEquivalenceIsCliqueConnectivity: sources of the same property
 // are always merged (§4.1: "the sources of edges labeled with a given
 // data property p are all weakly equivalent").
 func TestWeakEquivalenceIsCliqueConnectivity(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		s := MustSummarize(g, Weak, nil)
+		s := MustSummarize(g, Weak)
 		bySrcProp := map[dict.ID]dict.ID{}
 		byTgtProp := map[dict.ID]dict.ID{}
 		for _, tr := range g.Data {
@@ -138,8 +112,8 @@ func TestWeakEquivalenceIsCliqueConnectivity(t *testing.T) {
 func TestStrongRefinesWeak(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		w := MustSummarize(g, Weak, nil)
-		s := MustSummarize(g, Strong, nil)
+		w := MustSummarize(g, Weak)
+		s := MustSummarize(g, Strong)
 		// Map strong node -> weak node; it must be a function.
 		proj := map[dict.ID]dict.ID{}
 		for n, sn := range s.NodeOf {
@@ -160,8 +134,8 @@ func TestStrongRefinesWeak(t *testing.T) {
 func TestTypedStrongRefinesTypedWeak(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		tw := MustSummarize(g, TypedWeak, nil)
-		ts := MustSummarize(g, TypedStrong, nil)
+		tw := MustSummarize(g, TypedWeak)
+		ts := MustSummarize(g, TypedStrong)
 		proj := map[dict.ID]dict.ID{}
 		for n, sn := range ts.NodeOf {
 			wn := tw.NodeOf[n]
@@ -182,7 +156,7 @@ func TestTypedStrongRefinesTypedWeak(t *testing.T) {
 func TestEmptyAndDegenerateGraphs(t *testing.T) {
 	empty := store.NewGraph()
 	for _, kind := range Kinds {
-		s := MustSummarize(empty, kind, nil)
+		s := MustSummarize(empty, kind)
 		if s.Graph.NumEdges() != 0 {
 			t.Errorf("%v summary of empty graph has %d edges", kind, s.Graph.NumEdges())
 		}
@@ -192,7 +166,7 @@ func TestEmptyAndDegenerateGraphs(t *testing.T) {
 		rdf.NewTriple(samples.IRI("A"), rdf.SubClassOf(), samples.IRI("B")),
 	})
 	for _, kind := range Kinds {
-		s := MustSummarize(schemaOnly, kind, nil)
+		s := MustSummarize(schemaOnly, kind)
 		if len(s.Graph.Schema) != 1 {
 			t.Errorf("%v summary dropped the schema component", kind)
 		}
@@ -205,7 +179,7 @@ func TestEmptyAndDegenerateGraphs(t *testing.T) {
 	})
 	// Weak/strong: all typed-only resources collapse into Nτ.
 	for _, kind := range []Kind{Weak, Strong} {
-		s := MustSummarize(typesOnly, kind, nil)
+		s := MustSummarize(typesOnly, kind)
 		if s.Stats.DataNodes != 1 {
 			t.Errorf("%v summary of types-only graph has %d data nodes, want 1 (Nτ)", kind, s.Stats.DataNodes)
 		}
@@ -215,7 +189,7 @@ func TestEmptyAndDegenerateGraphs(t *testing.T) {
 	}
 	// Typed kinds: {x,y} share C({C}); z gets C({D}).
 	for _, kind := range []Kind{TypeBased, TypedWeak, TypedStrong} {
-		s := MustSummarize(typesOnly, kind, nil)
+		s := MustSummarize(typesOnly, kind)
 		if s.Stats.DataNodes != 2 {
 			t.Errorf("%v summary of types-only graph has %d data nodes, want 2", kind, s.Stats.DataNodes)
 		}

@@ -16,7 +16,7 @@ func TestWeightsPartitionInput(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
 		for _, kind := range Kinds {
-			s := MustSummarize(g, kind, nil)
+			s := MustSummarize(g, kind)
 			w := s.ComputeWeights()
 			nodeSum, edgeSum, typeSum := 0, 0, 0
 			for _, c := range w.NodeCard {

@@ -121,9 +121,10 @@ type Snapshot struct {
 
 // summaryCell caches the most recent build of one summary kind, tagged
 // with the epoch it reflects. The mutex singleflights rebuilds of that
-// kind without blocking other kinds. lazyBuilds counts the full batch
-// re-summarizations this cell has paid — 0 for a maintained kind under
-// normal operation, the observable "no full rebuild" guarantee.
+// kind without blocking other kinds. lazyBuilds counts the from-scratch
+// summarizations (a fresh seeded builder set over the epoch's view) this
+// cell has paid — 0 for a maintained kind under normal operation, the
+// observable "no full rebuild" guarantee.
 type summaryCell struct {
 	mu         sync.Mutex
 	epoch      uint64
@@ -549,8 +550,8 @@ func (l *Live) installLocked(view *store.Graph, ix *store.Index) {
 // current epoch, along with the epoch it was built at. Maintained kinds
 // come from the incremental builder set when it still matches the
 // published epoch (no full pass over the graph); every other kind — or a
-// maintained kind raced by concurrent ingest — is rebuilt from the
-// epoch's frozen view. maxStale permits serving a cached summary up to
+// maintained kind raced by concurrent ingest — is built by a fresh
+// builder set seeded with the epoch's frozen view (core.Summarize). maxStale permits serving a cached summary up to
 // that many epochs old (0 = always current), the staleness policy a
 // serving layer exposes to its clients.
 func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, error) {
@@ -570,7 +571,7 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 	}
 	if s == nil {
 		var err error
-		s, err = core.Summarize(snap.Graph, kind, nil)
+		s, err = core.Summarize(snap.Graph, kind)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -584,8 +585,8 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 // builder set, provided no ingest has happened since epoch was published
 // (the builders always reflect the writer's head, which may be ahead of
 // the epoch a reader is entitled to). Returns nil when raced; the caller
-// falls back to a batch build of the frozen view — bit-identical by the
-// engine's construction.
+// falls back to a fresh seeded set over the frozen view — bit-identical,
+// being the same construction.
 func (l *Live) fromBuilders(kind core.Kind, epoch uint64) *core.Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -614,12 +615,14 @@ type KindStatus struct {
 	// CachedEpoch is the epoch of the last materialized summary (0 when
 	// none was served yet).
 	CachedEpoch uint64
-	// LazyBuilds counts full batch re-summarizations served for this
-	// kind — the cost maintained kinds avoid (they stay at 0 barring a
-	// snapshot raced by concurrent ingest).
+	// LazyBuilds counts the summaries of this kind served by a fresh
+	// seeded set over an epoch's view, O(|G|) each — the cost maintained
+	// kinds avoid (they stay at 0 barring a snapshot raced by concurrent
+	// ingest).
 	LazyBuilds uint64
 	// Rebuilds counts the engine-internal state reconstructions forced
-	// by late-typing events (typed kinds only; see core.Builder).
+	// by late-typing events and non-invertible deletions (see
+	// core.Builder).
 	Rebuilds uint64
 }
 

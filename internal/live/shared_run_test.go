@@ -224,7 +224,7 @@ func TestLiveSummariesLeaveStoreDictionaryAlone(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v: %v", name, kind, err)
 				}
-				batch := core.MustSummarize(twin.Snapshot().Graph, kind, nil)
+				batch := core.MustSummarize(twin.Snapshot().Graph, kind)
 				if !reflect.DeepEqual(s.Graph.CanonicalStrings(), batch.Graph.CanonicalStrings()) {
 					t.Errorf("%s/%v: served summary differs from the batch summary of the twin", name, kind)
 				}

@@ -34,7 +34,6 @@ package load
 import (
 	"errors"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 
@@ -67,16 +66,6 @@ func (o Options) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
-}
-
-// NTriplesFile loads and encodes an N-Triples file with opts.
-func NTriplesFile(path string, opts Options) (*store.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return NTriples(f, opts)
 }
 
 // NTriples loads and encodes an N-Triples document with opts.

@@ -215,11 +215,11 @@ func TestNTriplesFile(t *testing.T) {
 	if err := os.WriteFile(path, render(t, src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NTriplesFile(path, Options{Workers: 1})
+	seq, err := File(path, Options{Workers: 1, Format: FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NTriplesFile(path, Options{Workers: 4, SlabBytes: 8 * 1024})
+	par, err := File(path, Options{Workers: 4, SlabBytes: 8 * 1024, Format: FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func sameRows(a, b []string) bool {
 // weightsOf derives planner statistics from the weak summary of g.
 func weightsOf(t testing.TB, g *store.Graph) query.PlanStats {
 	t.Helper()
-	return core.MustSummarize(g, core.Weak, nil).ComputeWeights()
+	return core.MustSummarize(g, core.Weak).ComputeWeights()
 }
 
 // TestPlanOracleRandom: on random graphs, extracted queries (full and

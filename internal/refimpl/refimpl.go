@@ -4,7 +4,8 @@
 //
 //   - property cliques by pairwise fixpoint (Definition 5, verbatim);
 //   - weak and strong node equivalence by closure over the definitions
-//     (Definitions 7 and 15);
+//     (Definitions 7 and 15), and the three type-first partitions
+//     (Definitions 12, 14 and 17) on top of them;
 //   - saturation by blind rule application to fixpoint (§2.1);
 //   - BGP evaluation by unindexed backtracking.
 //
@@ -13,6 +14,7 @@
 package refimpl
 
 import (
+	"fmt"
 	"sort"
 
 	"rdfsum/internal/dict"
@@ -99,11 +101,23 @@ func classesOf(set map[dict.ID]bool, eq func(a, b dict.ID) bool) [][]dict.ID {
 	return classes
 }
 
-// nodeCliques computes SC(r) and TC(r) for every data node, as indexes
-// into the returned clique lists (-1 = ∅).
-func nodeCliques(g *store.Graph) (src, tgt [][]dict.ID, nodeSrc, nodeTgt map[dict.ID]int) {
-	src = SourceCliques(g.Data)
-	tgt = TargetCliques(g.Data)
+// nodeCliques computes SC(r) and TC(r) for every data node skip does not
+// exclude (nil excludes none), as indexes into the returned clique lists
+// (-1 = ∅). An excluded node is absent from the maps and relates no
+// properties: the cliques are those of the remaining nodes alone.
+func nodeCliques(g *store.Graph, skip func(dict.ID) bool) (src, tgt [][]dict.ID, nodeSrc, nodeTgt map[dict.ID]int) {
+	keep := func(n dict.ID) bool { return skip == nil || !skip(n) }
+	var bySubject, byObject []store.Triple
+	for _, t := range g.Data {
+		if keep(t.S) {
+			bySubject = append(bySubject, t)
+		}
+		if keep(t.O) {
+			byObject = append(byObject, t)
+		}
+	}
+	src = SourceCliques(bySubject)
+	tgt = TargetCliques(byObject)
 	srcOf := map[dict.ID]int{}
 	for i, c := range src {
 		for _, p := range c {
@@ -119,11 +133,19 @@ func nodeCliques(g *store.Graph) (src, tgt [][]dict.ID, nodeSrc, nodeTgt map[dic
 	nodeSrc = map[dict.ID]int{}
 	nodeTgt = map[dict.ID]int{}
 	seen := map[dict.ID]bool{}
-	for _, t := range g.Data {
+	for _, t := range bySubject {
 		seen[t.S] = true
-		seen[t.O] = true
 		nodeSrc[t.S] = srcOf[t.P]
+	}
+	for _, t := range byObject {
+		seen[t.O] = true
 		nodeTgt[t.O] = tgtOf[t.P]
+	}
+	// Typed-only resources: no cliques at all.
+	for _, t := range g.Types {
+		if keep(t.S) {
+			seen[t.S] = true
+		}
 	}
 	for n := range seen {
 		if _, ok := nodeSrc[n]; !ok {
@@ -133,21 +155,14 @@ func nodeCliques(g *store.Graph) (src, tgt [][]dict.ID, nodeSrc, nodeTgt map[dic
 			nodeTgt[n] = -1
 		}
 	}
-	// Typed-only resources: no cliques at all.
-	for _, t := range g.Types {
-		if !seen[t.S] {
-			nodeSrc[t.S] = -1
-			nodeTgt[t.S] = -1
-		}
-	}
 	return src, tgt, nodeSrc, nodeTgt
 }
 
-// WeakClasses returns the partition of G's data nodes under weak
-// equivalence (Definition 7, closed transitively), with all clique-less
-// nodes lumped into one class (the paper's Nτ convention, §4.1).
-func WeakClasses(g *store.Graph) [][]dict.ID {
-	_, _, nodeSrc, nodeTgt := nodeCliques(g)
+// weakPartition closes "same source clique or same target clique"
+// transitively over the nodes of the two maps (Definition 7), with all
+// clique-less nodes lumped into one class (the paper's Nτ convention,
+// §4.1).
+func weakPartition(nodeSrc, nodeTgt map[dict.ID]int) [][]dict.ID {
 	nodes := map[dict.ID]bool{}
 	for n := range nodeSrc {
 		nodes[n] = true
@@ -184,10 +199,9 @@ func WeakClasses(g *store.Graph) [][]dict.ID {
 	return classesOf(nodes, eq)
 }
 
-// StrongClasses returns the partition under strong equivalence
-// (Definition 15): same source clique and same target clique.
-func StrongClasses(g *store.Graph) [][]dict.ID {
-	_, _, nodeSrc, nodeTgt := nodeCliques(g)
+// strongPartition groups the nodes of the two maps by (source clique,
+// target clique) pair (Definition 15).
+func strongPartition(nodeSrc, nodeTgt map[dict.ID]int) [][]dict.ID {
 	nodes := map[dict.ID]bool{}
 	for n := range nodeSrc {
 		nodes[n] = true
@@ -197,6 +211,79 @@ func StrongClasses(g *store.Graph) [][]dict.ID {
 	}
 	return classesOf(nodes, eq)
 }
+
+// WeakClasses returns the partition of G's data nodes under weak
+// equivalence.
+func WeakClasses(g *store.Graph) [][]dict.ID {
+	_, _, nodeSrc, nodeTgt := nodeCliques(g, nil)
+	return weakPartition(nodeSrc, nodeTgt)
+}
+
+// StrongClasses returns the partition under strong equivalence.
+func StrongClasses(g *store.Graph) [][]dict.ID {
+	_, _, nodeSrc, nodeTgt := nodeCliques(g, nil)
+	return strongPartition(nodeSrc, nodeTgt)
+}
+
+// classSets renders each typed resource's class set (the objects of its
+// type triples, as a set) into a comparable key.
+func classSets(g *store.Graph) map[dict.ID]string {
+	sets := map[dict.ID]map[dict.ID]bool{}
+	for _, t := range g.Types {
+		if sets[t.S] == nil {
+			sets[t.S] = map[dict.ID]bool{}
+		}
+		sets[t.S][t.O] = true
+	}
+	keys := map[dict.ID]string{}
+	for n, set := range sets {
+		var ids []dict.ID
+		for c := range set {
+			ids = append(ids, c)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		keys[n] = fmt.Sprint(ids)
+	}
+	return keys
+}
+
+// typedPartition groups the typed resources by class set (Definition 12)
+// and hands the untyped data nodes' cliques — computed over untyped nodes
+// only, "cliques are computed only for untyped data nodes" (§6.1) — to
+// untyped for the rest of the partition.
+func typedPartition(g *store.Graph, untyped func(nodeSrc, nodeTgt map[dict.ID]int) [][]dict.ID) [][]dict.ID {
+	sets := classSets(g)
+	typed := map[dict.ID]bool{}
+	for n := range sets {
+		typed[n] = true
+	}
+	_, _, nodeSrc, nodeTgt := nodeCliques(g, func(n dict.ID) bool { return typed[n] })
+	classes := classesOf(typed, func(a, b dict.ID) bool { return sets[a] == sets[b] })
+	return append(classes, untyped(nodeSrc, nodeTgt)...)
+}
+
+// TypeBasedClasses returns the partition under ≡T (Definition 12): typed
+// resources with the same class set are equivalent; an untyped node is
+// equivalent only to itself.
+func TypeBasedClasses(g *store.Graph) [][]dict.ID {
+	return typedPartition(g, func(nodeSrc, _ map[dict.ID]int) [][]dict.ID {
+		var singles [][]dict.ID
+		for n := range nodeSrc {
+			singles = append(singles, []dict.ID{n})
+		}
+		return singles
+	})
+}
+
+// TypedWeakClasses returns the partition of the typed weak summary
+// (Definition 14): class sets first, untyped nodes weakly among
+// themselves.
+func TypedWeakClasses(g *store.Graph) [][]dict.ID { return typedPartition(g, weakPartition) }
+
+// TypedStrongClasses returns the partition of the typed strong summary
+// (Definition 17): class sets first, untyped nodes strongly among
+// themselves.
+func TypedStrongClasses(g *store.Graph) [][]dict.ID { return typedPartition(g, strongPartition) }
 
 // Saturate computes G∞ by blind rule application to fixpoint (no schema
 // pre-closure, no pass ordering — the defining construction of §2.1).

@@ -46,7 +46,7 @@ func TestGoldenSummaries(t *testing.T) {
 			}
 			g := store.FromTriples(triples)
 			for _, kind := range core.Kinds {
-				s, err := core.Summarize(g, kind, nil)
+				s, err := core.Summarize(g, kind)
 				if err != nil {
 					t.Fatalf("%v: %v", kind, err)
 				}

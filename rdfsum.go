@@ -22,7 +22,7 @@
 //
 // Quickstart:
 //
-//	g, err := rdfsum.LoadNTriplesFile("data.nt")
+//	g, err := rdfsum.LoadFile("data.nt", nil)
 //	s, err := rdfsum.Summarize(g, rdfsum.Weak)
 //	fmt.Println(s.Stats.DataNodes, s.Stats.CompressionRatio())
 //	rdfsum.ExportDOT(os.Stdout, s.Graph, "weak summary")
@@ -30,7 +30,6 @@ package rdfsum
 
 import (
 	"io"
-	"os"
 
 	"rdfsum/internal/bsbm"
 	"rdfsum/internal/compress"
@@ -68,8 +67,6 @@ type (
 	Stats = core.Stats
 	// Kind selects a summary construction.
 	Kind = core.Kind
-	// Options tunes summarization.
-	Options = core.Options
 	// Query is a SPARQL basic-graph-pattern query.
 	Query = query.Query
 	// QueryResult is the answer table of a SELECT evaluation.
@@ -97,9 +94,6 @@ type (
 	// BuilderSet maintains several summary kinds over one shared graph
 	// with one pass per inserted triple.
 	BuilderSet = core.BuilderSet
-	// WeakBuilder maintains a weak summary incrementally under triple
-	// insertions (streaming construction; the weak kind of the engine).
-	WeakBuilder = core.WeakBuilder
 	// Weights are the cardinality statistics of a summary's quotient map,
 	// for query-optimizer use.
 	Weights = core.Weights
@@ -125,14 +119,6 @@ var Kinds = core.Kinds
 // PaperKinds lists the kinds the paper's evaluation reports (§7): every
 // kind except the helper TypeBased.
 var PaperKinds = core.PaperKinds
-
-// Weak-summary construction algorithms (Options.WeakAlgorithm).
-const (
-	// Incremental is the paper's one-pass merge algorithm (default).
-	Incremental = core.Incremental
-	// Global materializes the property cliques first; an oracle/ablation.
-	Global = core.Global
-)
 
 // Term constructors.
 var (
@@ -286,59 +272,12 @@ func NewCompressionReader(r io.Reader, c Compression) (io.ReadCloser, error) {
 	return compress.NewReader(r, c)
 }
 
-// LoadNTriplesFile reads and encodes an N-Triples file sequentially.
-//
-// Deprecated: use LoadFile, which detects format and compression and
-// loads in parallel; pass &LoadOptions{Workers: 1, Format: FormatNTriples}
-// for this exact behavior.
-func LoadNTriplesFile(path string) (*Graph, error) {
-	return load.NTriplesFile(path, load.Options{Workers: 1})
-}
-
-// LoadNTriplesFileParallel reads and encodes an N-Triples file on multiple
-// CPUs: the file is split into newline-aligned slabs parsed by concurrent
-// workers feeding a sharded dictionary, then renumbered so the resulting
-// Graph is bit-identical to LoadNTriplesFile's — same dictionary IDs, same
-// triple order — only faster. A nil opts uses all CPUs.
-//
-// Deprecated: use LoadFile, which adds format and compression detection
-// on the same pipeline.
-func LoadNTriplesFileParallel(path string, opts *LoadOptions) (*Graph, error) {
-	return load.NTriplesFile(path, opts.internal())
-}
-
-// LoadNTriplesParallel is LoadNTriplesFileParallel over an io.Reader.
-//
-// Deprecated: use Load, which adds format and compression detection on
-// the same pipeline.
-func LoadNTriplesParallel(r io.Reader, opts *LoadOptions) (*Graph, error) {
-	return load.NTriples(r, opts.internal())
-}
-
 // ParseTurtle reads a document in the supported Turtle subset (prefixes,
 // 'a', predicate/object lists, typed and numeric literals).
 func ParseTurtle(r io.Reader) ([]Triple, error) { return turtle.Parse(r) }
 
 // ParseTurtleString reads a Turtle document from a string.
 func ParseTurtleString(s string) ([]Triple, error) { return turtle.ParseString(s) }
-
-// LoadTurtleFile reads and encodes a Turtle file.
-//
-// Deprecated: use LoadFile, which detects format and compression and
-// parses Turtle in parallel at statement-boundary slabs, bit-identical
-// to this sequential path.
-func LoadTurtleFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	triples, err := turtle.Parse(f)
-	if err != nil {
-		return nil, err
-	}
-	return store.FromTriples(triples), nil
-}
 
 // WriteTurtle serializes triples as prefix-compacted Turtle (prefixes are
 // inferred from the data; rdf:type prints as 'a', subjects group with
@@ -374,14 +313,9 @@ func InspectSnapshot(path string) (*SnapshotInfo, error) { return store.InspectS
 // for complete answers.
 func Saturate(g *Graph) *Graph { return saturate.Graph(g) }
 
-// Summarize builds the summary of g of the given kind with default
-// options.
-func Summarize(g *Graph, kind Kind) (*Summary, error) { return core.Summarize(g, kind, nil) }
-
-// SummarizeWithOptions builds the summary of g with explicit options.
-func SummarizeWithOptions(g *Graph, kind Kind, opts *Options) (*Summary, error) {
-	return core.Summarize(g, kind, opts)
-}
+// Summarize builds the summary of g of the given kind: a builder seeded
+// with g, snapshotted once.
+func Summarize(g *Graph, kind Kind) (*Summary, error) { return core.Summarize(g, kind) }
 
 // SummarizeAll builds the summaries of every requested kind (all five
 // when kinds is nil) in one shared pass over g: the class-set and clique
@@ -499,8 +433,8 @@ func GenerateLUBM(universities int) *Graph {
 
 // NewBuilder returns an empty incremental builder for any summary kind:
 // feed it triples with Add/AddEncoded and snapshot anytime with Summary.
-// Snapshots are bit-identical to batch Summarize of the same triple set
-// and do not freeze the builder.
+// Snapshots are bit-identical to Summarize of the same triple set (which
+// is this builder seeded with it) and do not freeze the builder.
 func NewBuilder(kind Kind) (Builder, error) { return core.NewBuilder(kind) }
 
 // NewBuilderWithGraph seeds an incremental builder with an existing
@@ -514,16 +448,6 @@ func NewBuilderWithGraph(kind Kind, g *Graph) (Builder, error) {
 // per inserted triple.
 func NewBuilderSet(g *Graph, kinds []Kind) (*BuilderSet, error) {
 	return core.NewBuilderSet(g, kinds)
-}
-
-// NewWeakBuilder returns an empty streaming weak-summary builder; feed it
-// triples with Add/AddEncoded and snapshot anytime with Summary.
-func NewWeakBuilder() *WeakBuilder { return core.NewWeakBuilder() }
-
-// NewWeakBuilderWithGraph seeds a streaming builder with an existing
-// graph's triples (the graph is adopted, not copied).
-func NewWeakBuilderWithGraph(g *Graph) *WeakBuilder {
-	return core.NewWeakBuilderWithGraph(g)
 }
 
 // Live-update subsystem: a concurrent, durable, mutable graph. Writers

@@ -11,50 +11,28 @@ import (
 	"rdfsum/internal/dict"
 )
 
-// TestStreamingBuilderFacade: the streaming builder matches batch
-// summarization through the public API.
+// TestStreamingBuilderFacade: a builder fed one triple at a time matches
+// Summarize — the same builder seeded with the graph — through the public
+// API.
 func TestStreamingBuilderFacade(t *testing.T) {
 	g := rdfsum.GenerateBSBM(60)
 	batch, err := rdfsum.Summarize(g, rdfsum.Weak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := rdfsum.NewWeakBuilder()
+	b, err := rdfsum.NewBuilder(rdfsum.Weak)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tr := range g.Decode() {
 		b.Add(tr)
 	}
 	inc := b.Summary()
 	if !reflect.DeepEqual(batch.Graph.CanonicalStrings(), inc.Graph.CanonicalStrings()) {
-		t.Error("streaming builder differs from batch summarization")
+		t.Error("streaming builder differs from Summarize")
 	}
-	if b.Classes() == 0 {
-		t.Error("Classes() should be positive after streaming a dataset")
-	}
-}
-
-// TestParallelFacade: Options.Workers produces identical summaries.
-func TestParallelFacade(t *testing.T) {
-	g := rdfsum.GenerateBSBM(120)
-	seq, err := rdfsum.Summarize(g, rdfsum.Weak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak, &rdfsum.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.Graph.CanonicalStrings(), par.Graph.CanonicalStrings()) {
-			t.Errorf("workers=%d produced a different summary", workers)
-		}
-	}
-	// The Global algorithm is also reachable through the facade.
-	glo, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak, &rdfsum.Options{WeakAlgorithm: rdfsum.Global})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Graph.CanonicalStrings(), glo.Graph.CanonicalStrings()) {
-		t.Error("global algorithm produced a different summary")
+	if inc.Stats != batch.Stats {
+		t.Errorf("stats differ: streamed %+v, Summarize %+v", inc.Stats, batch.Stats)
 	}
 }
 
@@ -74,11 +52,11 @@ func TestParallelLoadFacade(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := rdfsum.LoadNTriplesFile(path)
+	seq, err := rdfsum.LoadFile(path, &rdfsum.LoadOptions{Workers: 1, Format: rdfsum.FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := rdfsum.LoadNTriplesFileParallel(path, &rdfsum.LoadOptions{Workers: 4, SlabBytes: 16 * 1024})
+	par, err := rdfsum.LoadFile(path, &rdfsum.LoadOptions{Workers: 4, SlabBytes: 16 * 1024, Format: rdfsum.FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +75,7 @@ func TestParallelLoadFacade(t *testing.T) {
 	}
 
 	// And through the reader-based entry point.
-	par2, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data), &rdfsum.LoadOptions{Workers: 2})
+	par2, err := rdfsum.Load(bytes.NewReader(data), &rdfsum.LoadOptions{Workers: 2, Format: rdfsum.FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
