@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke bench-json snapshot-bench boot-profile test-nommap stress fuzz cover cover-check check clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile test-nommap stress fuzz cover cover-check check clean
 
 all: build
 
@@ -79,7 +79,7 @@ bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
 		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries' .
 
-# Full benchmark sweep (the 1M-triple load benchmark takes a while).
+# Full benchmark sweep.
 bench:
 	$(GO) test -run 'XXX-none' -bench . ./...
 
@@ -87,29 +87,6 @@ bench:
 # smoke check that perf code at least runs.
 bench-smoke:
 	$(GO) test -run 'XXX-none' -bench . -benchtime 1x -short ./...
-
-# The CI bench job: smoke numbers with allocations, archived as JSON.
-# Redirect-then-cat (not a tee pipe) so a benchmark failure fails the
-# target instead of being masked by the pipe's exit status.
-bench-json:
-	@$(GO) test -run 'XXX-none' -bench . -benchtime 1x -benchmem -short ./... > bench.txt || (cat bench.txt; rm -f bench.txt; exit 1)
-	@cat bench.txt
-	$(GO) run ./cmd/benchjson -in bench.txt -out BENCH_ci.json
-	@rm -f bench.txt
-
-# Snapshot-format benchmarks at full scale (100k/1M/10M cold opens for
-# both formats plus the zero-copy mapped scan): the acceptance evidence
-# that v2 open cost stays flat while v1 grows with the snapshot. Merged
-# into BENCH_ci.json on top of whatever bench-json last archived.
-# Seeding the 10M-triple store dominates the runtime (several minutes);
-# SNAPBENCH_SHORT=1 keeps only the 100k size.
-snapshot-bench:
-	@$(GO) test -run 'XXX-none' -bench 'BenchmarkOpenLiveCold|BenchmarkSnapshotScanMmap|BenchmarkSnapshotPointLookupMmap' \
-		-benchtime 1x -benchmem -timeout 60m $(if $(SNAPBENCH_SHORT),-short) \
-		./internal/live/ ./internal/store/ > snapbench.txt || (cat snapbench.txt; rm -f snapbench.txt; exit 1)
-	@cat snapbench.txt
-	$(GO) run ./cmd/benchjson -in snapbench.txt -merge BENCH_ci.json -out BENCH_ci.json
-	@rm -f snapbench.txt
 
 # Where a cold boot's time goes: BenchmarkSeedBoot (load a 170k-triple
 # dump → open a fresh store seeded with it → warm the weak summary, its

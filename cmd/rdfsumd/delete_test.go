@@ -38,7 +38,7 @@ func deleteBody(t *testing.T, url, body string) (int, map[string]any) {
 func TestDeleteTriplesEndpoint(t *testing.T) {
 	ts, srv := liveTestServer(t, nil)
 
-	code, body := postBody(t, ts.URL+"/triples", ntBody(0, 25))
+	code, body := postBody(t, ts.URL+"/v1/triples", ntBody(0, 25))
 	if code != http.StatusOK {
 		t.Fatalf("ingest status = %d: %v", code, body)
 	}
@@ -48,7 +48,7 @@ func TestDeleteTriplesEndpoint(t *testing.T) {
 	for _, i := range []int{1, 6, 11, 16, 21} {
 		del.WriteString(ntLine(i))
 	}
-	code, body = deleteBody(t, ts.URL+"/triples", del.String())
+	code, body = deleteBody(t, ts.URL+"/v1/triples", del.String())
 	if code != http.StatusOK {
 		t.Fatalf("delete status = %d: %v", code, body)
 	}
@@ -57,7 +57,7 @@ func TestDeleteTriplesEndpoint(t *testing.T) {
 	}
 
 	// The deletion is queryable immediately.
-	code, qbody := postQuery(t, ts.URL+"/query?prune=off",
+	code, qbody := postQuery(t, ts.URL+"/v1/query?prune=off",
 		`SELECT ?s ?o WHERE { ?s <http://x/p1> ?o }`)
 	if code != http.StatusOK {
 		t.Fatalf("query status = %d", code)
@@ -67,18 +67,18 @@ func TestDeleteTriplesEndpoint(t *testing.T) {
 	}
 
 	// Deleting absent triples is a no-op that still publishes cleanly.
-	code, body = deleteBody(t, ts.URL+"/triples", del.String())
+	code, body = deleteBody(t, ts.URL+"/v1/triples", del.String())
 	if code != http.StatusOK || body["removed"].(float64) != 0 {
 		t.Fatalf("re-delete = %d %v, want removed 0", code, body)
 	}
 
 	// Malformed N-Triples is rejected without state change.
-	code, _ = deleteBody(t, ts.URL+"/triples", "nonsense\n")
+	code, _ = deleteBody(t, ts.URL+"/v1/triples", "nonsense\n")
 	if code != http.StatusBadRequest {
 		t.Fatalf("malformed delete status = %d, want 400", code)
 	}
 	var stats map[string]any
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats["triples"].(float64) != 20 {
 		t.Fatalf("stats triples = %v, want 20", stats["triples"])
 	}
@@ -87,11 +87,11 @@ func TestDeleteTriplesEndpoint(t *testing.T) {
 	}
 
 	// Compaction folds the tombstones away and the data stays gone.
-	code, body = postBody(t, ts.URL+"/compact", "")
+	code, body = postBody(t, ts.URL+"/v1/compact", "")
 	if code != http.StatusOK {
 		t.Fatalf("compact status = %d: %v", code, body)
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats["index_runs"].(float64) != 1 || stats["index_tombstones"].(float64) != 0 {
 		t.Fatalf("post-compact index stats = %v, want 1 run / 0 tombstones", stats)
 	}

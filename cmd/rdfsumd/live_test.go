@@ -57,7 +57,7 @@ func postBody(t *testing.T, url, body string) (int, map[string]any) {
 func TestTriplesEndpoint(t *testing.T) {
 	ts, _ := liveTestServer(t, nil)
 
-	code, body := postBody(t, ts.URL+"/triples", ntBody(0, 25))
+	code, body := postBody(t, ts.URL+"/v1/triples", ntBody(0, 25))
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %v", code, body)
 	}
@@ -70,7 +70,7 @@ func TestTriplesEndpoint(t *testing.T) {
 	epoch := body["epoch"].(float64)
 
 	// The batch is queryable immediately.
-	code, qbody := postQuery(t, ts.URL+"/query?prune=off",
+	code, qbody := postQuery(t, ts.URL+"/v1/query?prune=off",
 		`SELECT ?s ?o WHERE { ?s <http://x/p1> ?o }`)
 	if code != http.StatusOK {
 		t.Fatalf("query status = %d", code)
@@ -83,12 +83,12 @@ func TestTriplesEndpoint(t *testing.T) {
 	}
 
 	// Malformed N-Triples is rejected without state change.
-	code, _ = postBody(t, ts.URL+"/triples", "this is not ntriples\n")
+	code, _ = postBody(t, ts.URL+"/v1/triples", "this is not ntriples\n")
 	if code != http.StatusBadRequest {
 		t.Fatalf("malformed ingest status = %d, want 400", code)
 	}
 	var stats map[string]any
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats["triples"].(float64) != 25 {
 		t.Fatalf("stats triples = %v after rejected ingest, want 25", stats["triples"])
 	}
@@ -99,11 +99,11 @@ func TestTriplesEndpoint(t *testing.T) {
 
 func TestCompactEndpoint(t *testing.T) {
 	ts, srv := liveTestServer(t, nil)
-	if code, _ := postBody(t, ts.URL+"/triples", ntBody(0, 40)); code != http.StatusOK {
+	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(0, 40)); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
 	preWAL := srv.lv.Stats().WALBytes
-	code, body := postBody(t, ts.URL+"/compact", "")
+	code, body := postBody(t, ts.URL+"/v1/compact", "")
 	if code != http.StatusOK {
 		t.Fatalf("compact status = %d: %v", code, body)
 	}
@@ -117,7 +117,7 @@ func TestCompactEndpoint(t *testing.T) {
 
 func TestCompactEndpointMemoryOnly(t *testing.T) {
 	ts := testServer(t) // memory-only wrapper
-	resp, err := http.Post(ts.URL+"/compact", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/compact", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +149,13 @@ func TestLiveIngestDuringConcurrentQueries(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < batches; i++ {
-			code, body := postBody(t, ts.URL+"/triples", ntBody(100_000+i*batchSize, batchSize))
+			code, body := postBody(t, ts.URL+"/v1/triples", ntBody(100_000+i*batchSize, batchSize))
 			if code != http.StatusOK {
 				errc <- fmt.Errorf("ingest %d: status %d: %v", i, code, body)
 				return
 			}
 			if i == batches/2 {
-				if code, body := postBody(t, ts.URL+"/compact", ""); code != http.StatusOK {
+				if code, body := postBody(t, ts.URL+"/v1/compact", ""); code != http.StatusOK {
 					errc <- fmt.Errorf("compact: status %d: %v", code, body)
 					return
 				}
@@ -179,7 +179,7 @@ func TestLiveIngestDuringConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				code, body := postQuery(t, ts.URL+"/query", queries[i%len(queries)])
+				code, body := postQuery(t, ts.URL+"/v1/query", queries[i%len(queries)])
 				if code != http.StatusOK {
 					errc <- fmt.Errorf("reader %d: query status %d: %v", r, code, body)
 					return
@@ -192,12 +192,12 @@ func TestLiveIngestDuringConcurrentQueries(t *testing.T) {
 				}
 				if i%5 == 0 {
 					var sum map[string]any
-					if resp := getJSON(t, ts.URL+"/summary?kind=weak", &sum); resp.StatusCode != http.StatusOK {
+					if resp := getJSON(t, ts.URL+"/v1/summary?kind=weak", &sum); resp.StatusCode != http.StatusOK {
 						errc <- fmt.Errorf("reader %d: summary status %d", r, resp.StatusCode)
 						return
 					}
 					var stats map[string]any
-					getJSON(t, ts.URL+"/stats", &stats)
+					getJSON(t, ts.URL+"/v1/stats", &stats)
 				}
 			}
 		}(r)
@@ -247,12 +247,12 @@ func TestPruningSoundUnderStaleness(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 
-	if code, _ := postBody(t, ts.URL+"/triples", ntBody(0, 20)); code != http.StatusOK {
+	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(0, 20)); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
 	// Build the weak gate at the current epoch.
 	q := `SELECT ?s ?o WHERE { ?s <http://fresh/p> ?o }`
-	code, body := postQuery(t, ts.URL+"/query?prune=weak", q)
+	code, body := postQuery(t, ts.URL+"/v1/query?prune=weak", q)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -264,11 +264,11 @@ func TestPruningSoundUnderStaleness(t *testing.T) {
 	}
 
 	// Ingest a triple with a property the cached summary has never seen.
-	if code, _ := postBody(t, ts.URL+"/triples",
+	if code, _ := postBody(t, ts.URL+"/v1/triples",
 		"<http://fresh/a> <http://fresh/p> <http://fresh/b> .\n"); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
-	code, body = postQuery(t, ts.URL+"/query?prune=weak", q)
+	code, body = postQuery(t, ts.URL+"/v1/query?prune=weak", q)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -292,19 +292,19 @@ func TestSummaryStaleness(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 
-	if code, _ := postBody(t, ts.URL+"/triples", ntBody(0, 20)); code != http.StatusOK {
+	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(0, 20)); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
 	var first map[string]any
-	getJSON(t, ts.URL+"/summary?kind=weak", &first)
+	getJSON(t, ts.URL+"/v1/summary?kind=weak", &first)
 	if first["stale"].(float64) != 0 {
 		t.Fatalf("fresh summary stale = %v, want 0", first["stale"])
 	}
-	if code, _ := postBody(t, ts.URL+"/triples", ntBody(500, 20)); code != http.StatusOK {
+	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(500, 20)); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
 	var second map[string]any
-	getJSON(t, ts.URL+"/summary?kind=weak", &second)
+	getJSON(t, ts.URL+"/v1/summary?kind=weak", &second)
 	if second["epoch"] != first["epoch"] {
 		t.Fatalf("tolerant server rebuilt: epoch %v -> %v", first["epoch"], second["epoch"])
 	}
@@ -324,18 +324,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 
-	if code, _ := postBody(t, ts.URL+"/triples", ntBody(0, 25)); code != http.StatusOK {
+	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(0, 25)); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
 	// Materialize one maintained and one lazy kind so their epochs show.
 	for _, kind := range []string{"weak", "strong"} {
-		resp, err := http.Get(ts.URL + "/summary?kind=" + kind)
+		resp, err := http.Get(ts.URL + "/v1/summary?kind=" + kind)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			logger.Warn("WAL recovery dropped a torn tail (crash mid-append); acknowledged batches are intact")
 		}
 	} else {
-		lv = rdfsum.NewLiveWithOptions(seed, opts)
+		lv = rdfsum.NewLive(seed, opts)
 	}
 	s := &server{lv: lv, maxStale: cfg.maxStale, bootLoad: bootLoad}
 	s.queue = rdfsum.NewIngestQueue(lv, cfg.queueDepth, cfg.queueBytes)
@@ -194,7 +194,7 @@ func newServer(cfg serverConfig) (*server, error) {
 // newServerFromGraph wraps an in-memory graph; used by tests and
 // embedders.
 func newServerFromGraph(g *rdfsum.Graph) *server {
-	lv := rdfsum.NewLive(g)
+	lv := rdfsum.NewLive(g, nil)
 	s := &server{lv: lv, queue: rdfsum.NewIngestQueue(lv, 0, 0)}
 	s.initObs(nil, 0)
 	return s
@@ -373,23 +373,6 @@ func (s *server) close() error {
 	return s.lv.Close()
 }
 
-// route registers h under the versioned /v1 path and a legacy
-// unversioned alias. The alias answers identically but stamps the
-// RFC 8594-style deprecation headers pointing at its successor.
-func route(m *http.ServeMux, pattern string, h http.HandlerFunc) {
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("route pattern must be \"METHOD /path\": " + pattern)
-	}
-	m.HandleFunc(method+" /v1"+path, h)
-	successor := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path)
-	m.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", successor)
-		h(w, r)
-	})
-}
-
 // mutating gates a write handler: followers reject it with the
 // "read_only" error code instead of diverging from their leader.
 func (s *server) mutating(h http.HandlerFunc) http.HandlerFunc {
@@ -405,19 +388,18 @@ func (s *server) mutating(h http.HandlerFunc) http.HandlerFunc {
 
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
-	route(m, "GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+	m.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ok\n") //nolint:errcheck
 	})
-	route(m, "GET /metrics", s.handleMetrics)
-	route(m, "GET /stats", s.handleStats)
-	route(m, "GET /summary", s.handleSummary)
-	route(m, "GET /profile", s.handleProfile)
-	route(m, "POST /query", s.handleQuery)
-	route(m, "POST /triples", s.mutating(s.handleTriples))
-	route(m, "DELETE /triples", s.mutating(s.handleDeleteTriples))
-	route(m, "POST /compact", s.mutating(s.handleCompact))
-	// /v1-only surfaces (no legacy alias to deprecate).
+	m.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	m.HandleFunc("GET /v1/stats", s.handleStats)
+	m.HandleFunc("GET /v1/summary", s.handleSummary)
+	m.HandleFunc("GET /v1/profile", s.handleProfile)
+	m.HandleFunc("POST /v1/query", s.handleQuery)
+	m.HandleFunc("POST /v1/triples", s.mutating(s.handleTriples))
+	m.HandleFunc("DELETE /v1/triples", s.mutating(s.handleDeleteTriples))
+	m.HandleFunc("POST /v1/compact", s.mutating(s.handleCompact))
 	m.HandleFunc("GET /v1/replication", s.handleReplication)
 	if s.leader != nil {
 		s.leader.Mount(m, "/v1/repl")

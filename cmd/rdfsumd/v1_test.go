@@ -51,11 +51,12 @@ func doReq(t *testing.T, method, url, body string) (*http.Response, envelope) {
 	return resp, env
 }
 
-// TestV1RouteAliases checks every route answers both under /v1 and at its
-// legacy path, and that only the legacy alias carries the deprecation
-// headers.
-func TestV1RouteAliases(t *testing.T) {
-	ts := testServer(t)
+// TestUnversionedRoutesAreGone checks each of the nine formerly aliased
+// routes answers under /v1 only: the unversioned path, with the route's
+// own method, is a 404 with the not_found envelope and no deprecation
+// header.
+func TestUnversionedRoutesAreGone(t *testing.T) {
+	ts, _ := liveTestServer(t, nil) // durable, so /v1/compact answers 200
 	routes := []struct{ method, path, body string }{
 		{"GET", "/healthz", ""},
 		{"GET", "/metrics", ""},
@@ -65,17 +66,18 @@ func TestV1RouteAliases(t *testing.T) {
 		{"POST", "/query", "SELECT ?x WHERE { ?x ?p ?o . }"},
 		{"POST", "/triples", "<http://x/s> <http://x/p> <http://x/o> .\n"},
 		{"DELETE", "/triples", "<http://x/s> <http://x/p> <http://x/o> .\n"},
+		{"POST", "/compact", ""},
 	}
 	for _, rt := range routes {
-		legacy, _ := doReq(t, rt.method, ts.URL+rt.path, rt.body)
-		if legacy.StatusCode != http.StatusOK {
-			t.Errorf("%s %s (legacy) status = %d", rt.method, rt.path, legacy.StatusCode)
+		gone, env := doReq(t, rt.method, ts.URL+rt.path, rt.body)
+		if gone.StatusCode != http.StatusNotFound || env.Error.Code != httpapi.CodeNotFound {
+			t.Errorf("%s %s: status %d code %q, want 404 %s", rt.method, rt.path, gone.StatusCode, env.Error.Code, httpapi.CodeNotFound)
 		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s (legacy) missing Deprecation header", rt.method, rt.path)
+		if !strings.Contains(env.Error.Message, "/v1/") {
+			t.Errorf("%s %s: message %q does not point at /v1/", rt.method, rt.path, env.Error.Message)
 		}
-		if link := legacy.Header.Get("Link"); !strings.Contains(link, "/v1"+rt.path) || !strings.Contains(link, "successor-version") {
-			t.Errorf("%s %s (legacy) Link = %q", rt.method, rt.path, link)
+		if gone.Header.Get("Deprecation") != "" || gone.Header.Get("Link") != "" {
+			t.Errorf("%s %s: a removed route still carries deprecation headers", rt.method, rt.path)
 		}
 		v1, _ := doReq(t, rt.method, ts.URL+"/v1"+rt.path, rt.body)
 		if v1.StatusCode != http.StatusOK {
@@ -97,7 +99,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		code                     string
 	}{
 		{"unknown route", "GET", "/v1/nope", "", 404, httpapi.CodeNotFound},
-		{"unknown legacy route", "GET", "/nope", "", 404, httpapi.CodeNotFound},
+		{"route outside /v1", "GET", "/nope", "", 404, httpapi.CodeNotFound},
 		{"bad summary kind", "GET", "/v1/summary?kind=nope", "", 400, httpapi.CodeInvalidArgument},
 		{"bad summary format", "GET", "/v1/summary?format=xml", "", 400, httpapi.CodeInvalidArgument},
 		{"bad query text", "POST", "/v1/query", "NOT SPARQL", 400, httpapi.CodeParse},

@@ -49,7 +49,7 @@ func ExampleSaturate() {
 	// implicit triples: 1
 }
 
-func ExampleEvalQuery() {
+func ExampleEvalQueryWithOptions() {
 	triples, err := rdfsum.ParseString(exampleDoc)
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +61,7 @@ func ExampleEvalQuery() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := rdfsum.EvalQuery(g, q)
+	res, err := rdfsum.EvalQueryWithOptions(g, rdfsum.NewIndex(g), q, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

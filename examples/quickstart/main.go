@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := rdfsum.EvalQuery(inf, q)
+	res, err := rdfsum.EvalQueryWithOptions(inf, rdfsum.NewIndex(inf), q, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"sort"
 	"strings"
@@ -38,10 +37,8 @@ type representer struct {
 	d   *dict.Dict
 	tag string // per-kind namespace, from kindTag
 
-	sets map[string]dict.ID // classSetNode's answers, by the set's IDs as bytes
-	key  []byte             // scratch: the class set being looked up in sets
-	term []byte             // scratch: one rendered term
-	name []byte             // scratch: the URI being built
+	term []byte // scratch: one rendered term
+	name []byte // scratch: the URI being built
 }
 
 // startSummary begins a snapshot of g for every driver: the output graph
@@ -52,7 +49,7 @@ type representer struct {
 func startSummary(g *store.Graph, kind Kind, names *dict.Dict) (*store.Graph, *representer) {
 	out := store.NewGraphWithDict(names)
 	copySchema(g, out)
-	return out, &representer{d: names, tag: kindTag[kind], sets: make(map[string]dict.ID)}
+	return out, &representer{d: names, tag: kindTag[kind]}
 }
 
 // intern returns the ID of the IRI built in name, which started as
@@ -77,21 +74,12 @@ func (r *representer) node(in, out []dict.ID) dict.ID {
 
 // classSetNode returns the ID of C(X) for a non-empty class set X
 // (Definition 12). The same class set always maps to the same URI, shared
-// by the type-based, typed-weak and typed-strong summaries. A summary
-// asks once per typed node; the URI is rendered once per distinct set.
+// by the type-based, typed-weak and typed-strong summaries. A snapshot
+// asks once per held class set (classSetTracker.summarize).
 func (r *representer) classSetNode(classes []dict.ID) dict.ID {
-	r.key = r.key[:0]
-	for _, c := range classes {
-		r.key = binary.LittleEndian.AppendUint32(r.key, uint32(c))
-	}
-	if id, ok := r.sets[string(r.key)]; ok {
-		return id
-	}
 	name := append(r.name[:0], nameNS...)
 	name = append(name, "cls?c="...)
-	id := r.intern(r.appendSet(name, classes))
-	r.sets[string(r.key)] = id
-	return id
+	return r.intern(r.appendSet(name, classes))
 }
 
 // freshCopy returns the ID of C(∅) for one untyped node of the type-based

@@ -40,19 +40,16 @@ type EdgeStat struct {
 // ComputeWeights additionally records per-edge distinct-endpoint counts
 // (EdgeStat) and a copy of the quotient map, which together let the query
 // planner estimate whole conjunctive queries over the summary; a Weights
-// assembled by hand carries only the coarse maps and reports
-// HasEdgeStats() == false.
+// assembled by hand carries only the coarse maps, reports
+// HasEdgeStats() == false and is no statistic to the planner.
 type Weights struct {
 	NodeCard map[dict.ID]int
 	EdgeCard map[store.Triple]int
 	TypeCard map[store.Triple]int
 
-	// propCount / classCount cache the per-property and per-class sums of
-	// EdgeCard / TypeCard so the query planner's PlanStats calls are O(1)
-	// on the hot path. ComputeWeights fills them; the accessors fall back
-	// to scanning when a Weights was assembled by hand.
-	propCount  map[dict.ID]int
-	classCount map[dict.ID]int
+	// propCount holds the per-property sums of EdgeCard (PropertyCount);
+	// ComputeWeights fills it.
+	propCount map[dict.ID]int
 
 	// nodeOf is a copy of the summary's quotient map, taken at
 	// ComputeWeights time so the statistic stays immutable while an
@@ -154,16 +151,12 @@ func (s *Summary) ComputeWeights() *Weights {
 	for e, c := range w.EdgeCard {
 		w.propCount[e.P] += c
 	}
-	w.classCount = make(map[dict.ID]int)
-	for e, c := range w.TypeCard {
-		w.classCount[e.O] += c
-	}
 	return w
 }
 
 // HasEdgeStats reports whether the per-edge distinct-endpoint statistics
 // are present (true for ComputeWeights output, false for a Weights
-// assembled by hand, which supports only the coarse per-property counts).
+// assembled by hand).
 func (w *Weights) HasEdgeStats() bool { return w.dataEdges != nil }
 
 // Rep maps an input node to its summary representative. Nodes outside the
@@ -215,55 +208,4 @@ func (w *Weights) SchemaEdges(p dict.ID) []EdgeStat {
 
 // PropertyCount returns the number of input data triples with property p,
 // summed from the edge cardinalities (an exact statistic).
-func (w *Weights) PropertyCount(p dict.ID) int {
-	if w.propCount != nil {
-		return w.propCount[p]
-	}
-	n := 0
-	for e, c := range w.EdgeCard {
-		if e.P == p {
-			n += c
-		}
-	}
-	return n
-}
-
-// ClassCount returns the number of input τ triples whose class is c,
-// summed from the type-edge cardinalities (an exact statistic).
-func (w *Weights) ClassCount(c dict.ID) int {
-	if w.classCount != nil {
-		return w.classCount[c]
-	}
-	n := 0
-	for e, card := range w.TypeCard {
-		if e.O == c {
-			n += card
-		}
-	}
-	return n
-}
-
-// MaxMatches upper-bounds the number of embeddings of an RBGP-style
-// pattern list into the input graph using only summary-level statistics:
-// for each (property, class-constraint-free) pattern it takes the total
-// count of triples with that property, and multiplies across patterns —
-// the coarse "product of relation sizes" bound a planner starts from.
-// A zero bound proves the query empty on the input (the summary has no
-// edge for some property).
-func (w *Weights) MaxMatches(properties []dict.ID) int {
-	bound := 1
-	for _, p := range properties {
-		c := w.PropertyCount(p)
-		if c == 0 {
-			return 0
-		}
-		// Saturating multiply: cardinalities can overflow int on large
-		// pattern lists; saturate at the maximum int.
-		const maxInt = int(^uint(0) >> 1)
-		if bound > maxInt/c {
-			return maxInt
-		}
-		bound *= c
-	}
-	return bound
-}
+func (w *Weights) PropertyCount(p dict.ID) int { return w.propCount[p] }

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"rdfsum/internal/datagen"
-	"rdfsum/internal/dict"
 	"rdfsum/internal/samples"
 )
 
@@ -69,36 +68,9 @@ func TestWeightsFig2(t *testing.T) {
 	if got := w.PropertyCount(editorID); got != 3 {
 		t.Errorf("PropertyCount(editor) = %d, want 3", got)
 	}
-}
-
-// TestMaxMatchesBounds: the planner bound is an upper bound on the true
-// answer count and detects provably-empty property combinations.
-func TestMaxMatchesBounds(t *testing.T) {
-	g := samples.Fig2()
-	s := summarize(t, g, Weak)
-	w := s.ComputeWeights()
-	id := func(term string) dict.ID {
-		v, ok := g.Dict().LookupIRI(samples.NS + term)
-		if !ok {
-			t.Fatalf("unknown %s", term)
-		}
-		return v
-	}
-	// Single property: bound equals the property count.
-	if got := w.MaxMatches([]dict.ID{id("title")}); got != 4 {
-		t.Errorf("MaxMatches(title) = %d, want 4", got)
-	}
-	// Conjunction: product bound.
-	if got := w.MaxMatches([]dict.ID{id("title"), id("author")}); got != 8 {
-		t.Errorf("MaxMatches(title,author) = %d, want 8", got)
-	}
-	// Absent property: provably empty.
+	// A property the graph never uses counts zero.
 	absent := g.Dict().EncodeIRI(samples.NS + "no-such-property")
-	if got := w.MaxMatches([]dict.ID{id("title"), absent}); got != 0 {
-		t.Errorf("MaxMatches with absent property = %d, want 0", got)
-	}
-	// Empty pattern list: the neutral bound.
-	if got := w.MaxMatches(nil); got != 1 {
-		t.Errorf("MaxMatches(nil) = %d, want 1", got)
+	if got := w.PropertyCount(absent); got != 0 {
+		t.Errorf("PropertyCount(absent) = %d, want 0", got)
 	}
 }

@@ -31,62 +31,34 @@ func benchTriples(n int) []rdf.Triple {
 // benchDirs caches seeded store directories across the benchmark's
 // scaling rounds: building a 10M-triple snapshot once is expensive
 // enough without rebuilding it for every b.N estimate.
-var benchDirs = map[string]string{}
+var benchDirs = map[int]string{}
 
 // benchStoreDir seeds a durable store with n triples and closes it,
 // leaving a compacted base snapshot and an empty WAL — the cold-open
-// shape. version selects the snapshot format of the base (2 is what the
-// store writes; 1 rewrites it in the legacy eager format).
-func benchStoreDir(b *testing.B, n, version int) string {
+// shape.
+func benchStoreDir(b *testing.B, n int) string {
 	b.Helper()
-	key := fmt.Sprintf("%d-v%d", n, version)
-	if dir, ok := benchDirs[key]; ok {
+	if dir, ok := benchDirs[n]; ok {
 		return dir
 	}
 	dir, err := os.MkdirTemp("", "rdfsum-bench-")
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := Open(dir, Options{Seed: store.FromTriples(benchTriples(n)), Maintain: []core.Kind{}})
+	l, err := Open(dir, &Options{Seed: store.FromTriples(benchTriples(n)), Maintain: []core.Kind{}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		b.Fatal(err)
 	}
-	if version == 1 {
-		// The graph (dictionary included) is served from the mapping, so
-		// write the legacy file beside it and swap only once done.
-		snap := dir + "/snapshot-1.rdfsum"
-		g, sf, err := store.OpenGraphFile(snap, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := os.Create(snap + ".tmp")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := store.WriteSnapshot(f, g); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if sf != nil {
-			sf.Close()
-		}
-		if err := os.Rename(snap+".tmp", snap); err != nil {
-			b.Fatal(err)
-		}
-	}
-	benchDirs[key] = dir
+	benchDirs[n] = dir
 	return dir
 }
 
 // BenchmarkOpenLiveCold measures time-to-first-epoch for a durable store
-// whose base snapshot holds 100k/1M/10M triples, in both formats. The
-// acceptance shape: v1 grows linearly with the snapshot (full decode),
-// v2 stays flat (header + TOC + mmap, no triple or dictionary decode).
+// whose base snapshot holds 100k/1M/10M triples. The acceptance shape: it
+// stays flat (header + TOC + mmap, no triple or dictionary decode).
 // -short keeps only the smallest size.
 func BenchmarkOpenLiveCold(b *testing.B) {
 	sizes := []struct {
@@ -97,26 +69,24 @@ func BenchmarkOpenLiveCold(b *testing.B) {
 		sizes = sizes[:1]
 	}
 	for _, sz := range sizes {
-		for _, version := range []int{1, 2} {
-			b.Run(fmt.Sprintf("v%d-%s", version, sz.label), func(b *testing.B) {
-				dir := benchStoreDir(b, sz.n, version)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					l, err := Open(dir, Options{Maintain: []core.Kind{}})
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Publication is part of open; touch the epoch to keep
-					// the compiler honest.
-					if l.Snapshot().Epoch == 0 {
-						b.Fatal("no epoch published")
-					}
-					b.StopTimer()
-					l.Close()
-					b.StartTimer()
+		b.Run("v2-"+sz.label, func(b *testing.B) {
+			dir := benchStoreDir(b, sz.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l, err := Open(dir, &Options{Maintain: []core.Kind{}})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				// Publication is part of open; touch the epoch to keep
+				// the compiler honest.
+				if l.Snapshot().Epoch == 0 {
+					b.Fatal("no epoch published")
+				}
+				b.StopTimer()
+				l.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }

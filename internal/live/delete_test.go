@@ -54,7 +54,7 @@ func removeAll(ts []rdf.Triple, dead []rdf.Triple) []rdf.Triple {
 }
 
 func TestLiveDeleteBasics(t *testing.T) {
-	l := New(nil)
+	l := New(nil, nil)
 	defer l.Close()
 	batch := mkBatch(0, 40)
 	if err := l.AddBatch(batch); err != nil {
@@ -110,7 +110,7 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0x11fe))
 		dir := t.TempDir()
-		l, err := Open(dir, Options{NoSync: true, Maintain: core.Kinds, IndexFanout: 2 + int(seed%4)})
+		l, err := Open(dir, &Options{NoSync: true, Maintain: core.Kinds, IndexFanout: 2 + int(seed%4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(dir, Options{NoSync: true, Maintain: core.Kinds})
+		re, err := Open(dir, &Options{NoSync: true, Maintain: core.Kinds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestLiveWALv1BackwardCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, Options{NoSync: true})
+	re, err := Open(dir, &Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestLiveWALv1BackwardCompatible(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := Open(dir, Options{NoSync: true})
+	re2, err := Open(dir, &Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestLiveWALv1BackwardCompatible(t *testing.T) {
 // Run by `make stress`.
 func TestLiveSnapshotAcrossCompactStress(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true, IndexFanout: 2})
+	l, err := Open(dir, &Options{NoSync: true, IndexFanout: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,22 +189,15 @@ type BootTimings struct {
 func (l *Live) BootTimings() BootTimings { return l.boot }
 
 // New returns a memory-only live graph over g (nil for empty): the full
-// concurrency model without durability, maintaining the weak summary.
-// Compact returns an error; the WAL is absent. The graph is adopted, not
-// copied.
-func New(g *store.Graph) *Live { return NewMaintaining(g, nil) }
-
-// NewMaintaining is New with an explicit set of incrementally maintained
-// summary kinds (nil = weak only, empty = none). It panics on an invalid
-// kind — callers obtain kinds from core.ParseKind or the Kind constants.
-func NewMaintaining(g *store.Graph, kinds []core.Kind) *Live {
-	return NewWithOptions(g, Options{Maintain: kinds})
-}
-
-// NewWithOptions is the memory-only constructor honoring Maintain and
-// IndexFanout (NoSync and Seed are meaningless without a directory and
-// are ignored). It panics on an invalid kind.
-func NewWithOptions(g *store.Graph, opts Options) *Live {
+// concurrency model without durability. Compact returns an error; the WAL
+// is absent. The graph is adopted, not copied. Of opts (nil = defaults)
+// Maintain and IndexFanout apply; the rest is meaningless without a
+// directory and is ignored. It panics on an invalid kind — callers obtain
+// kinds from core.ParseKind or the Kind constants.
+func New(g *store.Graph, opts *Options) *Live {
+	if opts == nil {
+		opts = &Options{}
+	}
 	if g == nil {
 		g = store.NewGraph()
 	}
@@ -237,8 +230,11 @@ func (l *Live) initBuilders(g *store.Graph, kinds []core.Kind) error {
 // Open opens (or initializes) a durable live store in dir: it loads the
 // current generation's snapshot, replays the WAL over it — truncating a
 // torn tail, so exactly the acknowledged batches come back — and publishes
-// epoch 1.
-func Open(dir string, opts Options) (*Live, error) {
+// epoch 1. A nil opts selects the defaults.
+func Open(dir string, opts *Options) (*Live, error) {
+	if opts == nil {
+		opts = &Options{}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func flatten(batches [][]rdf.Triple) []rdf.Triple {
 func canonical(g *store.Graph) []string { return g.CanonicalStrings() }
 
 func TestLiveMemoryBasics(t *testing.T) {
-	l := New(nil)
+	l := New(nil, nil)
 	defer l.Close()
 	if l.Durable() {
 		t.Fatal("memory store claims durability")
@@ -72,7 +72,7 @@ func TestLiveMemoryBasics(t *testing.T) {
 // TestLiveSnapshotIsolation: a held snapshot must not change while later
 // batches land and later epochs publish.
 func TestLiveSnapshotIsolation(t *testing.T) {
-	l := New(nil)
+	l := New(nil, nil)
 	defer l.Close()
 	if err := l.AddBatch(mkBatch(0, 50)); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 func TestLiveOpenReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var batches [][]rdf.Triple
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestLiveOpenReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(dir, Options{})
+	l2, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLiveOpenReplayRoundTrip(t *testing.T) {
 // one.
 func TestLiveCrashRecoveryPrefix(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestLiveCrashRecoveryPrefix(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cutDir, "wal-1.log"), walBytes[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		lc, err := Open(cutDir, Options{})
+		lc, err := Open(cutDir, nil)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -218,14 +218,14 @@ func TestLiveCrashRecoveryPrefix(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(cutDir, "wal-1.log"), walBytes[:3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(cutDir, Options{}); err == nil {
+	if _, err := Open(cutDir, nil); err == nil {
 		t.Fatal("open succeeded on a WAL shorter than its header")
 	}
 }
 
 func TestLiveCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestLiveCompact(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{})
+	l2, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestLiveCompact(t *testing.T) {
 // manifest swap and file deletion are removed on the next open.
 func TestLiveStaleGenerationCleanup(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestLiveStaleGenerationCleanup(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{})
+	l2, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestLiveStaleGenerationCleanup(t *testing.T) {
 // summary after live ingest equals a batch Summarize of the same triples —
 // including after a fallback rebuild from a frozen view.
 func TestLiveWeakSummaryBitIdentical(t *testing.T) {
-	l := New(nil)
+	l := New(nil, nil)
 	defer l.Close()
 	var fed []rdf.Triple
 	for i := 0; i < 8; i++ {
@@ -353,7 +353,7 @@ func TestLiveWeakSummaryBitIdentical(t *testing.T) {
 // TestLiveOtherKindsLazyRebuild: non-weak kinds rebuild from the frozen
 // view and report their build epoch.
 func TestLiveOtherKindsLazyRebuild(t *testing.T) {
-	l := New(nil)
+	l := New(nil, nil)
 	defer l.Close()
 	if err := l.AddBatch(mkBatch(0, 60)); err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestLiveOtherKindsLazyRebuild(t *testing.T) {
 // graph/index agreement); the race detector checks the rest.
 func TestLiveStress(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestWALHeaderErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "CURRENT"), []byte("gen 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(dir, Options{})
+	_, err := Open(dir, nil)
 	if err == nil {
 		t.Fatal("open succeeded on a foreign WAL file")
 	}
@@ -508,7 +508,7 @@ func TestWALHeaderErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir2, "CURRENT"), []byte("gen 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir2, Options{}); err == nil {
+	if _, err := Open(dir2, nil); err == nil {
 		t.Fatal("open succeeded on an unsupported WAL version")
 	}
 }
@@ -520,17 +520,17 @@ func TestLiveDirectoryLock(t *testing.T) {
 		t.Skip("directory locking is advisory-flock based (unix only)")
 	}
 	dir := t.TempDir()
-	l1, err := Open(dir, Options{})
+	l1, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := Open(dir, nil); err == nil {
 		t.Fatal("second writer acquired a locked store")
 	}
 	if err := l1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{})
+	l2, err := Open(dir, nil)
 	if err != nil {
 		t.Fatalf("reopen after close: %v", err)
 	}
@@ -540,7 +540,7 @@ func TestLiveDirectoryLock(t *testing.T) {
 func TestLiveSeed(t *testing.T) {
 	dir := t.TempDir()
 	seed := store.FromTriples(mkBatch(0, 30))
-	l, err := Open(dir, Options{Seed: seed})
+	l, err := Open(dir, &Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestLiveSeed(t *testing.T) {
 	l.Close()
 
 	// Reopening ignores a new seed once state exists.
-	l2, err := Open(dir, Options{Seed: store.FromTriples(mkBatch(9000, 5))})
+	l2, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(9000, 5))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestLiveSeed(t *testing.T) {
 // with zero lazy (full) rebuilds — the quotient engine absorbs ingest at
 // O(Δ) and snapshots from its own state.
 func TestLiveMaintainedAllKinds(t *testing.T) {
-	l := NewMaintaining(nil, core.Kinds)
+	l := New(nil, &Options{Maintain: core.Kinds})
 	defer l.Close()
 	var fed []rdf.Triple
 	ingest := func(start int) {
@@ -617,7 +617,7 @@ func TestLiveMaintainedAllKinds(t *testing.T) {
 // TestLiveMaintainStatusCounters: the default store maintains weak only;
 // serving another kind is a counted lazy build.
 func TestLiveMaintainStatusCounters(t *testing.T) {
-	l := New(nil)
+	l := New(nil, nil)
 	defer l.Close()
 	if err := l.AddBatch(mkBatch(0, 50)); err != nil {
 		t.Fatal(err)
@@ -650,7 +650,7 @@ func TestLiveMaintainStatusCounters(t *testing.T) {
 func TestLiveMaintainedReplay(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Maintain: core.Kinds}
-	l, err := Open(dir, opts)
+	l, err := Open(dir, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestLiveMaintainedReplay(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, opts)
+	re, err := Open(dir, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +692,7 @@ func TestLiveMaintainedReplay(t *testing.T) {
 // back to a batch build (sound either way); the race detector checks the
 // shared engine state is never read outside the writer lock.
 func TestLiveMaintainedStress(t *testing.T) {
-	l := NewMaintaining(nil, core.Kinds)
+	l := New(nil, &Options{Maintain: core.Kinds})
 	defer l.Close()
 
 	const (

@@ -53,7 +53,7 @@ func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
 	}
 	for name, mk := range graphs {
 		for _, spill := range []int64{0, 1} {
-			l, err := Open(t.TempDir(), Options{Seed: mk(), IndexSpillBytes: spill})
+			l, err := Open(t.TempDir(), &Options{Seed: mk(), IndexSpillBytes: spill})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -88,7 +88,7 @@ func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 	for ci, opts := range configs {
 		rng := rand.New(rand.NewPCG(uint64(ci), 77))
 		dir := t.TempDir()
-		l, err := Open(dir, opts)
+		l, err := Open(dir, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 				if err := l.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if l, err = Open(dir, opts); err != nil {
+				if l, err = Open(dir, &opts); err != nil {
 					t.Fatalf("config %d step %d: reopen: %v", ci, step, err)
 				}
 			}
@@ -141,7 +141,7 @@ func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 func TestLiveCompactAbandonedBeforeManifestSwap(t *testing.T) {
 	for _, withWAL := range []bool{false, true} {
 		dir := t.TempDir()
-		l, err := Open(dir, Options{Seed: store.FromTriples(mkBatch(0, 50))})
+		l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 50))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestLiveCompactAbandonedBeforeManifestSwap(t *testing.T) {
 		l.mu.Unlock()
 		l.Close()
 
-		l2, err := Open(dir, Options{})
+		l2, err := Open(dir, nil)
 		if err != nil {
 			t.Fatalf("withWAL=%v: reopen after abandoned compaction: %v", withWAL, err)
 		}
@@ -208,7 +208,7 @@ func TestLiveCompactAbandonedBeforeManifestSwap(t *testing.T) {
 func TestLiveSummariesLeaveStoreDictionaryAlone(t *testing.T) {
 	for name, maintain := range map[string][]core.Kind{"weak": nil, "all": core.Kinds} {
 		open := func() *Live {
-			l, err := Open(t.TempDir(), Options{Seed: samples.BookGraph(), Maintain: maintain})
+			l, err := Open(t.TempDir(), &Options{Seed: samples.BookGraph(), Maintain: maintain})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -16,7 +16,7 @@ import (
 // verification — serves the identical graph.
 func TestLiveCompactWritesV2(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestLiveCompactWritesV2(t *testing.T) {
 
 	want := canonical(store.FromTriples(fed))
 	for _, verify := range []bool{false, true} {
-		l2, err := Open(dir, Options{VerifySnapshot: verify})
+		l2, err := Open(dir, &Options{VerifySnapshot: verify})
 		if err != nil {
 			t.Fatalf("reopen (verify=%v): %v", verify, err)
 		}
@@ -56,13 +56,65 @@ func TestLiveCompactWritesV2(t *testing.T) {
 	}
 }
 
+// TestLiveOpensV1SnapshotAndCompactsToV2: a generation whose base snapshot
+// is a legacy v1 file (the store package's committed fixture — nothing
+// writes v1 any more) still opens, eagerly decoded, and the next Compact
+// rewrites it as v2.
+func TestLiveOpensV1SnapshotAndCompactsToV2(t *testing.T) {
+	v1path := filepath.Join("..", "store", "testdata", "v1-sample.rdfsum")
+	want, err := store.LoadFile(v1path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	v1, err := os.ReadFile(v1path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot-1.rdfsum"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = Open(dir, nil)
+	if err != nil {
+		t.Fatalf("open over a v1 snapshot: %v", err)
+	}
+	if !reflect.DeepEqual(canonical(l.Snapshot().Graph), canonical(want)) {
+		t.Fatal("store opened over a v1 snapshot diverges from the file's graph")
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	info, err := store.InspectSnapshot(filepath.Join(dir, "snapshot-2.rdfsum"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != 2 {
+		t.Fatalf("Compact over a v1 base wrote snapshot v%d, want v2", info.Version)
+	}
+	l, err = Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if !reflect.DeepEqual(canonical(l.Snapshot().Graph), canonical(want)) {
+		t.Fatal("the upgraded store diverges from the v1 file's graph")
+	}
+}
+
 // TestLiveV2OpenLazy: with no maintained kinds, reopening a compacted
 // store leaves the snapshot unmaterialized — the published graph still
 // carries its mapped base — yet the index answers patterns exactly like a
 // fully decoded store.
 func TestLiveV2OpenLazy(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +132,7 @@ func TestLiveV2OpenLazy(t *testing.T) {
 	}
 	l.Close()
 
-	l2, err := Open(dir, Options{Maintain: []core.Kind{}})
+	l2, err := Open(dir, &Options{Maintain: []core.Kind{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +163,7 @@ func TestLiveV2OpenLazy(t *testing.T) {
 func TestLiveSpillOracle(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Live {
-		l, err := Open(dir, Options{IndexSpillBytes: 1})
+		l, err := Open(dir, &Options{IndexSpillBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +172,7 @@ func TestLiveSpillOracle(t *testing.T) {
 	l := open()
 	// The oracle is a memory-only live store fed the identical operation
 	// sequence: same encode order, same dictionary IDs, no spill.
-	mem := New(nil)
+	mem := New(nil, nil)
 	defer mem.Close()
 	var fed []rdf.Triple
 	for i := 0; i < 6; i++ {

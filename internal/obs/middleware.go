@@ -123,7 +123,7 @@ func routeLabel(r *http.Request) string {
 // metrics scrape) that should log at debug instead of info.
 func quietPath(p string) bool {
 	switch p {
-	case "/healthz", "/v1/healthz", "/metrics", "/v1/metrics":
+	case "/v1/healthz", "/v1/metrics":
 		return true
 	}
 	return false

@@ -48,9 +48,8 @@ type estimator struct {
 }
 
 // newEstimator builds the estimation state for a compiled pattern list, or
-// returns nil when stats carries no per-edge statistics (hand-assembled
-// Weights), in which case the planner falls back to the coarse
-// per-property counts.
+// returns nil — the estimator to which every estimate is unknown — when
+// stats is nil or carries no per-edge statistics (hand-assembled Weights).
 func newEstimator(g *store.Graph, pats []planPat, nslots int, stats *core.Weights) *estimator {
 	if stats == nil || !stats.HasEdgeStats() {
 		return nil
@@ -121,8 +120,11 @@ func (e *estimator) buildCandidates(i int, p planPat, typeID dict.ID) {
 
 // estimateSet returns the expected number of embeddings of the selected
 // patterns (by index into the plan's pattern list) into the graph, or -1
-// when the enumeration budget was exhausted.
+// ("unknown") when e is nil or the enumeration budget was exhausted.
 func (e *estimator) estimateSet(sel []int) float64 {
+	if e == nil {
+		return -1
+	}
 	if len(sel) == 0 {
 		return 1
 	}
@@ -223,8 +225,8 @@ func estRound(v float64) int64 {
 // at each step, among the patterns connected to the prefix (all of them
 // for the first pick, or when none connects), the one minimizing the
 // estimated cardinality of the prefix joined with it. Ties fall back to
-// the per-pattern estimate, then most-constants, then original position —
-// the same ranking staticOrder uses.
+// the per-pattern estimate, then most-constants, then original position,
+// which is the whole ranking when e is nil (every joined estimate unknown).
 func joinOrder(pats []planPat, est []int64, e *estimator) []int {
 	n := len(pats)
 	order := make([]int, 0, n)

@@ -25,7 +25,8 @@ type EvalOptions struct {
 	// Limit caps the number of rows (0 = unlimited).
 	Limit int
 	// Stats feeds summary cardinalities to the planner (see PlanStats);
-	// nil falls back to the stats-free heuristic order.
+	// with nil every estimate is unknown and the join order is
+	// connectivity, then bound positions, then source order.
 	Stats PlanStats
 	// Pruner, when non-nil, gates execution behind the saturated-summary
 	// emptiness check: RBGP queries provably empty on the summary return
@@ -50,18 +51,6 @@ func Eval(g *store.Graph, ix *store.Index, q *Query, opts *EvalOptions) (*Result
 		return nil, err
 	}
 	return pl.Eval(ix, opts)
-}
-
-// EvalWithSummary is Eval with the summary-pruning gate in front: when the
-// query is RBGP and empty on the pruner's saturated summary, it is
-// provably empty on G∞ (hence on g) and execution is skipped.
-func EvalWithSummary(g *store.Graph, ix *store.Index, q *Query, pr *Pruner, opts *EvalOptions) (*Result, error) {
-	var o EvalOptions
-	if opts != nil {
-		o = *opts
-	}
-	o.Pruner = pr
-	return Eval(g, ix, q, &o)
 }
 
 // Ask reports whether q has at least one answer on the indexed graph.

@@ -1,8 +1,8 @@
-// Planner non-regression: on the committed BSBM/LUBM query mixes
-// (mirrored from the root bench_test.go workloads), the join order chosen
-// by whole-query estimation never enumerates more triples than the old
-// per-pattern-count heuristic would have. White-box: the test replays one
-// compiled plan under both static orders.
+// Planner non-regression: on the committed BSBM/LUBM query mixes (the LUBM
+// joins are also benchmark/'s scan-lubm pool), the join order chosen
+// by whole-query estimation never enumerates more triples than the
+// stats-free order (every estimate unknown) would have. White-box: the test
+// replays one compiled plan under both static orders.
 //
 // The same fixtures gate estimation accuracy (`make est-check`): the
 // median q-error of the whole-query estimates over the mixes must stay
@@ -10,12 +10,14 @@
 package query
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"rdfsum/internal/bsbm"
 	"rdfsum/internal/core"
 	"rdfsum/internal/lubm"
+	"rdfsum/internal/samples"
 	"rdfsum/internal/store"
 )
 
@@ -98,22 +100,75 @@ func TestPlannerOrderNonRegression(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The previous heuristic: per-pattern counts, then the
-				// connectivity-chained static order.
-				legacyOrder := staticOrder(pl.pats, estimate(g, pl.pats, w))
-				newWork, newRows := runWithOrder(t, pl, ix, pl.order)
-				oldWork, oldRows := runWithOrder(t, pl, ix, legacyOrder)
-				if newRows != oldRows {
-					t.Fatalf("query %d: rows differ across orders: %d vs %d", qi, newRows, oldRows)
+				free, err := Compile(g, q, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if newWork > oldWork {
-					t.Errorf("query %d: estimated order enumerates %d triples, legacy order %d",
-						qi, newWork, oldWork)
+				estWork, estRows := runWithOrder(t, pl, ix, pl.order)
+				freeWork, freeRows := runWithOrder(t, pl, ix, free.order)
+				if estRows != freeRows {
+					t.Fatalf("query %d: rows differ across orders: %d vs %d", qi, estRows, freeRows)
 				}
-				t.Logf("query %d: new=%d legacy=%d triples enumerated (%d rows)",
-					qi, newWork, oldWork, newRows)
+				if estWork > freeWork {
+					t.Errorf("query %d: estimated order enumerates %d triples, stats-free order %d",
+						qi, estWork, freeWork)
+				}
+				t.Logf("query %d: estimated=%d stats-free=%d triples enumerated (%d rows)",
+					qi, estWork, freeWork, estRows)
 			}
 		})
+	}
+}
+
+// TestStatsFreeOrderPinned: Compile without usable statistics — nil, or a
+// hand-built Weights with no per-edge statistics — ranks by connectivity,
+// then bound positions, then source order, and a plan with an absent
+// constant ranks the same way over all-zero estimates. The expected orders
+// are the ones the separate stats-free ordering function gave before it was
+// folded into joinOrder.
+func TestStatsFreeOrderPinned(t *testing.T) {
+	g := samples.Fig2()
+	cases := []struct {
+		name, query string
+		empty       bool
+		want        []int
+	}{
+		{"variable property in a chain", `PREFIX ex: <http://example.org/>
+			SELECT ?x ?p ?y WHERE { ?x ?p ?y . ?y ex:reviewed ?r . ?r ex:title ?t . ex:r1 ex:author ?y }`,
+			false, []int{3, 1, 2, 0}},
+		{"disconnected pair", `PREFIX ex: <http://example.org/>
+			SELECT ?x ?z WHERE { ?x ex:title ?t . ?z ex:editor ex:e2 . ?x ex:author ?a }`,
+			false, []int{1, 0, 2}},
+		{"star with a var-class type pattern", `PREFIX ex: <http://example.org/>
+			SELECT ?x WHERE { ?x ex:title ?t . ?x a ?c . ?x ex:editor ex:e1 . ex:e1 ex:published ?w }`,
+			false, []int{2, 0, 1, 3}},
+		{"absent constant", `PREFIX ex: <http://example.org/>
+			SELECT ?x ?z WHERE { ?x ex:title ?t . ?z ex:nosuch ex:e2 . ?x ex:author ?a . ?z ?p ex:r4 }`,
+			true, []int{1, 3, 0, 2}},
+		// The one order that moved: the removed coarse per-property counts
+		// ranked a hand-built Weights' bound-property pattern (count 0)
+		// ahead of the variable-property one, giving [1 0].
+		{"two constants beat one", `PREFIX ex: <http://example.org/>
+			SELECT ?x WHERE { ex:r1 ?p ex:a1 . ?x ex:title ?t }`,
+			false, []int{0, 1}},
+	}
+	for _, tc := range cases {
+		q := MustParse(tc.query)
+		for name, stats := range map[string]PlanStats{"nil": nil, "hand-built": {}} {
+			pl, err := Compile(g, q, stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.empty != tc.empty || pl.usedStats {
+				t.Errorf("%s (%s stats): empty=%v usedStats=%v, want %v and false", tc.name, name, pl.empty, pl.usedStats, tc.empty)
+			}
+			if !slices.Equal(pl.order, tc.want) {
+				t.Errorf("%s (%s stats): order = %v, want %v", tc.name, name, pl.order, tc.want)
+			}
+			if !tc.empty && pl.queryEst != estUnknown {
+				t.Errorf("%s (%s stats): queryEst = %d, want unknown", tc.name, name, pl.queryEst)
+			}
+		}
 	}
 }
 

@@ -44,8 +44,8 @@ func (p planPat) resolve(regs []dict.ID) (s, pr, o dict.ID) {
 	return s, pr, o
 }
 
-// constants counts the bound positions of the pattern, the stats-free
-// selectivity heuristic.
+// constants counts the bound positions of the pattern, the ranking's
+// tie-break after the estimates.
 func (p planPat) constants() int {
 	n := 0
 	if p.vs < 0 {
@@ -84,19 +84,20 @@ type Plan struct {
 }
 
 // Compile validates q and compiles it against g's dictionary into a Plan.
-// When stats is non-nil (summary Weights), per-pattern and whole-query
-// cardinalities are estimated by matching the BGP against the summary
-// graph (see estimate.go), and the static join order greedily minimizes
-// the estimated cardinality of each joined prefix, preferring patterns
-// that share a variable with those before them (avoiding cartesian
-// products). Without stats, the order falls back to most-constants-first
-// with the same connectivity chaining.
+// When stats carries per-edge statistics (ComputeWeights output),
+// per-pattern and whole-query cardinalities are estimated by matching the
+// BGP against the summary graph (see estimate.go), and the static join
+// order greedily minimizes the estimated cardinality of each joined
+// prefix, preferring patterns that share a variable with those before them
+// (avoiding cartesian products). Without usable stats every estimate is
+// unknown and the same ranking degrades to connectivity, then bound
+// positions, then source order.
 func Compile(g *store.Graph, q *Query, stats PlanStats) (*Plan, error) {
 	defer compileSeconds.ObserveSince(time.Now())
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	pl := &Plan{query: q, graph: g, usedStats: stats != nil}
+	pl := &Plan{query: q, graph: g}
 
 	slotOf := make(map[string]int)
 	slot := func(name string) int {
@@ -137,127 +138,24 @@ func Compile(g *store.Graph, q *Query, stats PlanStats) (*Plan, error) {
 		pl.headSlots[i] = slot(v) // Validate guarantees v occurs in the body
 	}
 
-	pl.queryEst = estUnknown
-	switch {
-	case pl.empty:
+	pl.est = make([]int64, len(pl.pats))
+	var e *estimator
+	if pl.empty {
 		// A constant is absent from the dictionary: exactly zero answers,
 		// and no join order matters.
-		pl.est = make([]int64, len(pl.pats))
 		pl.queryEst = 0
-		pl.order = staticOrder(pl.pats, pl.est)
-	default:
-		e := newEstimator(g, pl.pats, pl.nslots, stats)
-		if e == nil {
-			// No per-edge statistics: the legacy per-property counts.
-			pl.est = estimate(g, pl.pats, stats)
-			pl.order = staticOrder(pl.pats, pl.est)
-			break
-		}
-		pl.est = make([]int64, len(pl.pats))
+	} else {
+		e = newEstimator(g, pl.pats, pl.nslots, stats)
+		all := make([]int, len(pl.pats))
 		for i := range pl.pats {
+			all[i] = i
 			pl.est[i] = estRound(e.estimateSet([]int{i}))
 		}
-		all := make([]int, len(pl.pats))
-		for i := range all {
-			all[i] = i
-		}
 		pl.queryEst = estRound(e.estimateSet(all))
-		pl.order = joinOrder(pl.pats, pl.est, e)
 	}
+	pl.usedStats = e != nil
+	pl.order = joinOrder(pl.pats, pl.est, e)
 	return pl, nil
-}
-
-// estimate derives a static cardinality estimate for each pattern from the
-// coarse summary statistics — the fallback when stats carries no per-edge
-// counts: ClassCount for τ patterns with a bound class, PropertyCount for
-// any other bound property, estUnknown otherwise.
-func estimate(g *store.Graph, pats []planPat, stats PlanStats) []int64 {
-	est := make([]int64, len(pats))
-	if stats == nil {
-		for i := range est {
-			est[i] = estUnknown
-		}
-		return est
-	}
-	typeID := g.Vocab().Type
-	for i, p := range pats {
-		switch {
-		case p.vp >= 0:
-			est[i] = estUnknown
-		case p.p == typeID:
-			if p.vo < 0 {
-				est[i] = int64(stats.ClassCount(p.o))
-			} else {
-				// τ triples are counted in TypeCard, not the per-property
-				// data-triple sums — PropertyCount(rdf:type) would be a
-				// falsely-cheap 0.
-				est[i] = estUnknown
-			}
-		default:
-			est[i] = int64(stats.PropertyCount(p.p))
-		}
-	}
-	return est
-}
-
-// staticOrder picks the up-front join order: the cheapest pattern first,
-// then repeatedly the cheapest pattern connected (sharing a slot) to those
-// already placed. Cost ranks by estimate when known, then by number of
-// constants, then by original position — so without statistics the order
-// degrades to the classical bound-positions heuristic.
-func staticOrder(pats []planPat, est []int64) []int {
-	n := len(pats)
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := make(map[int]bool)
-
-	connected := func(p planPat) bool {
-		return (p.vs >= 0 && bound[p.vs]) ||
-			(p.vp >= 0 && bound[p.vp]) ||
-			(p.vo >= 0 && bound[p.vo])
-	}
-	// betterThan reports whether pattern i beats pattern j for the next
-	// position, given their connectivity to the already-placed prefix.
-	betterThan := func(i int, iConn bool, j int, jConn bool) bool {
-		if iConn != jConn {
-			return iConn
-		}
-		ei, ej := est[i], est[j]
-		if ei != ej {
-			if ej == estUnknown {
-				return true
-			}
-			if ei == estUnknown {
-				return false
-			}
-			return ei < ej
-		}
-		if ci, cj := pats[i].constants(), pats[j].constants(); ci != cj {
-			return ci > cj
-		}
-		return i < j
-	}
-
-	for len(order) < n {
-		best, bestConn := -1, false
-		for i := range pats {
-			if used[i] {
-				continue
-			}
-			conn := len(order) == 0 || connected(pats[i])
-			if best == -1 || betterThan(i, conn, best, bestConn) {
-				best, bestConn = i, conn
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, s := range []int{pats[best].vs, pats[best].vp, pats[best].vo} {
-			if s >= 0 {
-				bound[s] = true
-			}
-		}
-	}
-	return order
 }
 
 // Explain reports how a query was (or would be) executed: the static join

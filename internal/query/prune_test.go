@@ -57,8 +57,9 @@ func TestPrunerSoundnessRandom(t *testing.T) {
 }
 
 // TestGatedEvalNeverDropsRows: for arbitrary queries — including ones the
-// gate prunes — EvalWithSummary returns exactly Eval's row set. Pruning
-// may only short-circuit evaluations that would have been empty anyway.
+// gate prunes — Eval with EvalOptions.Pruner set returns exactly the
+// ungated row set. Pruning may only short-circuit evaluations that would
+// have been empty anyway.
 func TestGatedEvalNeverDropsRows(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := smallGraph(seed)
@@ -93,7 +94,7 @@ func TestGatedEvalNeverDropsRows(t *testing.T) {
 					continue // corruption can make the query invalid; skip
 				}
 				for k, pr := range pruners {
-					got, err := query.EvalWithSummary(g, ix, v, pr, nil)
+					got, err := query.Eval(g, ix, v, &query.EvalOptions{Pruner: pr})
 					if err != nil {
 						t.Logf("seed %d: gated eval error: %v", seed, err)
 						return false
@@ -165,7 +166,7 @@ func TestPrunerPrunesDisjointJoin(t *testing.T) {
 		if pr.ProvablyEmpty(q) {
 			prunedBySome = true
 			// The gated evaluation must report the pruning in Explain.
-			res, err := query.EvalWithSummary(g, ix, q, pr, &query.EvalOptions{Explain: true})
+			res, err := query.Eval(g, ix, q, &query.EvalOptions{Pruner: pr, Explain: true})
 			if err != nil {
 				t.Fatal(err)
 			}

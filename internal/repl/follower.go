@@ -130,7 +130,7 @@ func NewFollower(leaderURL string, opts FollowerOptions) (*Follower, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		lv:     live.NewWithOptions(nil, live.Options{Maintain: opts.Maintain, IndexFanout: opts.IndexFanout}),
+		lv:     live.New(nil, &live.Options{Maintain: opts.Maintain, IndexFanout: opts.IndexFanout}),
 		st:     FollowerStatus{Leader: cl.BaseURL(), State: StateConnecting},
 	}, nil
 }
@@ -259,7 +259,7 @@ func (f *Follower) bootstrap(ctx context.Context) (*client.ReplManifest, error) 
 			return nil, fmt.Errorf("snapshot gen %d: %w", m.Generation, err)
 		}
 	}
-	lv := live.NewWithOptions(g, live.Options{Maintain: f.opts.Maintain, IndexFanout: f.opts.IndexFanout})
+	lv := live.New(g, &live.Options{Maintain: f.opts.Maintain, IndexFanout: f.opts.IndexFanout})
 
 	f.mu.Lock()
 	old := f.lv

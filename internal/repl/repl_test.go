@@ -48,7 +48,7 @@ func render(g *store.Graph) string {
 // endpoints the way rdfsumd mounts them.
 func startLeader(t *testing.T) (*live.Live, *httptest.Server) {
 	t.Helper()
-	lv, err := live.Open(t.TempDir(), live.Options{Maintain: []core.Kind{core.Weak}})
+	lv, err := live.Open(t.TempDir(), &live.Options{Maintain: []core.Kind{core.Weak}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestLeaderErrorContract(t *testing.T) {
 	}
 
 	// A memory-only store cannot lead: 409 memory_only.
-	mem := live.New(nil)
+	mem := live.New(nil, nil)
 	defer mem.Close()
 	mux := http.NewServeMux()
 	repl.NewLeader(mem).Mount(mux, "/v1/repl")

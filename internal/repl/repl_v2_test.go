@@ -22,7 +22,7 @@ import (
 // converges bit-identically — the e2e path for the current format.
 func TestFollowerBootstrapFromV2Snapshot(t *testing.T) {
 	dir := t.TempDir()
-	lv, err := live.Open(dir, live.Options{Maintain: []core.Kind{core.Weak}})
+	lv, err := live.Open(dir, &live.Options{Maintain: []core.Kind{core.Weak}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ import (
 // materialized at open), and folded runs spilled to on-disk column files
 // (SpillConfig) that bound resident memory under sustained ingest.
 //
-// An Index and its runs are immutable: Applied/Merged/Compacted return new
+// An Index and its runs are immutable: Applied/Compacted return new
 // Index values sharing unchanged runs, so snapshots held by old epochs
 // stay valid (and keep their exact contents) across later ingest, deletes
 // and compactions.
@@ -81,19 +81,14 @@ func newMemRun(adds, dels []Triple, level int) *run {
 
 // NewIndex builds a single-run index over the graph's current triples.
 // The index does not track later mutations of g.
-func NewIndex(g *Graph) *Index { return NewIndexFanout(g, 0) }
-
-// NewIndexFanout is NewIndex with an explicit tier fanout (0 or 1 selects
-// DefaultIndexFanout). Smaller fanouts fold delta runs sooner (fewer runs
-// for readers to merge, more write amplification); larger ones favor
-// ingest throughput.
-func NewIndexFanout(g *Graph, fanout int) *Index {
-	return NewIndexWithOptions(g, IndexOptions{Fanout: fanout})
-}
+func NewIndex(g *Graph) *Index { return NewIndexWithOptions(g, IndexOptions{}) }
 
 // IndexOptions configures index construction.
 type IndexOptions struct {
 	// Fanout is the tier width; 0 or 1 selects DefaultIndexFanout.
+	// Smaller fanouts fold delta runs sooner (fewer runs for readers to
+	// merge, more write amplification); larger ones favor ingest
+	// throughput.
 	Fanout int
 	// Spill, when non-nil, lets folded runs move to on-disk column files.
 	Spill *SpillConfig
@@ -139,11 +134,6 @@ func levelFor(n, fanout int) int {
 	}
 	return level
 }
-
-// Merged returns a new index over ix's triples plus delta, leaving ix
-// untouched — the incremental publish path for insert-only batches.
-// Equivalent to Applied(delta, nil).
-func (ix *Index) Merged(delta []Triple) *Index { return ix.Applied(delta, nil) }
 
 // Applied returns a new index with one epoch's changes applied: adds become
 // a fresh delta run and dels become tombstones suppressing every currently

@@ -14,7 +14,8 @@ import (
 	"rdfsum/internal/rdf"
 )
 
-// Binary snapshot format (replaces the paper's Postgres COPY path):
+// Legacy v1 snapshot format, decode-only (WriteSnapshotV2 is the one
+// encoder; see persist_v2.go):
 //
 //	magic   "RDFSUM" + format version byte
 //	uvarint number of dictionary terms, then for each term:
@@ -58,54 +59,6 @@ func truncatedOr(err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return ErrSnapshotTruncated
 	}
-	return err
-}
-
-// WriteSnapshot serializes the graph (dictionary included) to w in the
-// legacy v1 format. New snapshots are written by WriteSnapshotV2; this
-// stays for format round-trip tests and downgrade tooling. A graph over
-// an overlay dictionary is written in its Dense form.
-func WriteSnapshot(w io.Writer, g *Graph) error {
-	g = g.Dense()
-	g.Ensure()
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(snapshotVersion); err != nil {
-		return err
-	}
-
-	d := g.Dict()
-	writeUvarint(bw, uint64(d.Len()))
-	for id := dict.ID(1); id <= d.MaxID(); id++ {
-		t := d.Term(id)
-		if err := bw.WriteByte(byte(t.Kind)); err != nil {
-			return err
-		}
-		writeString(bw, t.Value)
-		if t.Kind == rdf.Literal {
-			writeString(bw, t.Datatype)
-			writeString(bw, t.Lang)
-		}
-	}
-	for _, comp := range [][]Triple{g.Data, g.Types, g.Schema} {
-		writeUvarint(bw, uint64(len(comp)))
-		for _, t := range comp {
-			writeUvarint(bw, uint64(t.S))
-			writeUvarint(bw, uint64(t.P))
-			writeUvarint(bw, uint64(t.O))
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// The checksum is written to w only (it covers all bytes before it).
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
 	return err
 }
 
@@ -281,17 +234,6 @@ func LoadFile(path string) (*Graph, error) {
 	}
 	defer f.Close()
 	return ReadSnapshot(f)
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // bufio defers errors to Flush
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s) //nolint:errcheck // bufio defers errors to Flush
 }
 
 func readString(br *crcReader) (string, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -13,21 +14,20 @@ import (
 	"rdfsum/internal/rdf"
 )
 
-// persistSample builds a small graph spanning all three components and
-// every term kind, then returns its serialized snapshot.
+const v1SamplePath = "testdata/v1-sample.rdfsum"
+
+// persistSample returns v2Sample's graph — all three components, every
+// term kind — with its legacy v1 serialization: testdata/v1-sample.rdfsum,
+// written once by the v1 encoder before that was removed (PR 18). The v1
+// decoder is read-only; this file is what its checks are exercised on.
 func persistSample(t *testing.T) (*Graph, []byte) {
 	t.Helper()
-	g := FromTriples([]rdf.Triple{
-		rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/b")),
-		rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI(rdf.RDFType), rdf.NewIRI("http://x/C")),
-		rdf.NewTriple(rdf.NewIRI("http://x/C"), rdf.NewIRI(rdf.RDFSSubClassOf), rdf.NewIRI("http://x/D")),
-		rdf.NewTriple(rdf.NewBlank("b0"), rdf.NewIRI("http://x/q"), rdf.NewLangLiteral("hi", "en")),
-	})
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	g, _ := v2Sample(t)
+	data, err := os.ReadFile(v1SamplePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return g, buf.Bytes()
+	return g, data
 }
 
 func TestReadSnapshotRoundTrip(t *testing.T) {
@@ -140,7 +140,7 @@ func TestIndexMerged(t *testing.T) {
 	g.Add(rdf.NewTriple(iri("a"), iri("q"), iri("c")))
 	g.Add(rdf.NewTriple(iri("c"), iri("p"), iri("a")))
 	delta := g.All()[2:]
-	merged := base.Merged(delta)
+	merged := base.Applied(delta, nil)
 	want := NewIndex(g)
 
 	if merged.Len() != want.Len() {
@@ -151,12 +151,12 @@ func TestIndexMerged(t *testing.T) {
 	}
 	// The base index must be untouched.
 	if base.Len() != 2 {
-		t.Fatalf("base index mutated by Merged: %d triples", base.Len())
+		t.Fatalf("base index mutated by Applied: %d triples", base.Len())
 	}
 }
 
 // TestSnapshotOfOverlayGraphHoldsReferencedTerms: a graph over an overlay
-// dictionary (what a summary is) saves, in both formats, as the triples it
+// dictionary (what a summary is) saves as the triples it
 // holds over a dictionary of exactly the terms they reference plus the
 // interpreted vocabulary — not the dictionary it extends.
 func TestSnapshotOfOverlayGraphHoldsReferencedTerms(t *testing.T) {
@@ -180,29 +180,19 @@ func TestSnapshotOfOverlayGraphHoldsReferencedTerms(t *testing.T) {
 		t.Error("Dense must return a graph over a dense dictionary unchanged")
 	}
 
-	var v1 bytes.Buffer
-	if err := WriteSnapshot(&v1, sum); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "sum.snap")
 	if err := SaveFile(path, sum); err != nil {
 		t.Fatal(err)
 	}
-	fromV1, err := ReadSnapshot(&v1)
+	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromV2, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.CanonicalStrings(), sum.CanonicalStrings()) {
+		t.Errorf("round trip: got %v, want %v", got.CanonicalStrings(), sum.CanonicalStrings())
 	}
-	for name, got := range map[string]*Graph{"v1": fromV1, "v2": fromV2} {
-		if !reflect.DeepEqual(got.CanonicalStrings(), sum.CanonicalStrings()) {
-			t.Errorf("%s round trip: got %v, want %v", name, got.CanonicalStrings(), sum.CanonicalStrings())
-		}
-		if got.Dict().Len() != 9 {
-			t.Errorf("%s: reloaded dictionary holds %d terms, want 9", name, got.Dict().Len())
-		}
+	if got.Dict().Len() != 9 {
+		t.Errorf("reloaded dictionary holds %d terms, want 9", got.Dict().Len())
 	}
 	if err := WriteSnapshotV2(io.Discard, sum, NewRunCols(sum.All())); err == nil {
 		t.Error("WriteSnapshotV2 must refuse a graph over an overlay dictionary: its run is in overlay IDs")

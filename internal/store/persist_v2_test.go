@@ -156,7 +156,7 @@ func TestSnapshotV2IndexFromBase(t *testing.T) {
 		got := NewIndexFromBase(sf.Runs(), tc.tail, IndexOptions{})
 		ref := want
 		if len(tc.tail) > 0 {
-			ref = want.Merged(tc.tail)
+			ref = want.Applied(tc.tail, nil)
 		}
 		if got.Len() != ref.Len() {
 			t.Fatalf("%s: index length %d, want %d", tc.name, got.Len(), ref.Len())
@@ -170,12 +170,9 @@ func TestSnapshotV2IndexFromBase(t *testing.T) {
 func TestSnapshotVersionNegotiation(t *testing.T) {
 	g, v2data := v2Sample(t)
 
-	// A v1 stream still round-trips through the same entry point.
-	var v1buf bytes.Buffer
-	if err := WriteSnapshot(&v1buf, g); err != nil {
-		t.Fatalf("WriteSnapshot(v1): %v", err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(v1buf.Bytes()))
+	// A v1 stream still reads through the same entry point.
+	_, v1data := persistSample(t)
+	got, err := ReadSnapshot(bytes.NewReader(v1data))
 	if err != nil {
 		t.Fatalf("ReadSnapshot(v1): %v", err)
 	}
@@ -195,13 +192,8 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 		t.Fatal("v2 stream carries the v1 version byte")
 	}
 
-	// Both container files open through OpenGraphFile.
-	dir := t.TempDir()
-	v1path := filepath.Join(dir, "v1.rdfsum")
-	if err := os.WriteFile(v1path, v1buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gotV1, sf, err := OpenGraphFile(v1path, false)
+	// Both container files open through OpenGraphFile and InspectSnapshot.
+	gotV1, sf, err := OpenGraphFile(v1SamplePath, false)
 	if err != nil {
 		t.Fatalf("OpenGraphFile(v1): %v", err)
 	}
@@ -209,28 +201,24 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 		t.Fatal("v1 open returned a mapped SnapshotFile")
 	}
 	identicalGraphs(t, g, gotV1)
+	info, err := InspectSnapshot(v1SamplePath)
+	if err != nil {
+		t.Fatalf("InspectSnapshot(v1): %v", err)
+	}
+	if info.Version != 1 || info.NData != uint64(len(g.Data)) || info.NTerms != uint64(g.Dict().Len()) {
+		t.Fatalf("InspectSnapshot(v1) = %+v, want version 1 over the sample's counts", info)
+	}
 }
 
 // TestSnapshotV2CompactUpgrades: a graph loaded from a v1 file and saved
 // again lands in v2 — the upgrade path Compact uses.
 func TestSnapshotV2CompactUpgrades(t *testing.T) {
 	g, _ := v2Sample(t)
-	dir := t.TempDir()
-	v1path := filepath.Join(dir, "v1.rdfsum")
-	f, err := os.Create(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(f, g); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	loaded, err := LoadFile(v1path)
+	loaded, err := LoadFile(v1SamplePath)
 	if err != nil {
 		t.Fatalf("LoadFile(v1): %v", err)
 	}
-	v2path := filepath.Join(dir, "v2.rdfsum")
+	v2path := filepath.Join(t.TempDir(), "v2.rdfsum")
 	if err := SaveFile(v2path, loaded); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
@@ -472,10 +460,10 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 			all := g.All()
 			ix := NewIndexFromBase(NewRunCols(nil), nil, IndexOptions{Fanout: 3, Spill: spill})
 			for lo := 0; lo < len(all); lo += 97 {
-				ix = ix.Merged(all[lo:min(lo+97, len(all))])
+				ix = ix.Applied(all[lo:min(lo+97, len(all))], nil)
 			}
 			ix = ix.Applied(nil, []Triple{all[0]})
-			ix = ix.Merged(naiveMatch(all, all[0].S, all[0].P, all[0].O))
+			ix = ix.Applied(naiveMatch(all, all[0].S, all[0].P, all[0].O), nil)
 			cols, ok := ix.Compacted().Cols()
 			if !ok {
 				t.Fatalf("n=%d: Compacted index exposes no single run", n)

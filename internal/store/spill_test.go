@@ -106,7 +106,7 @@ func TestIndexSpillOracle(t *testing.T) {
 		g.Data = append(g.Data, base...)
 		g.SortDedup()
 
-		mem := NewIndexFanout(g, 3)
+		mem := NewIndexWithOptions(g, IndexOptions{Fanout: 3})
 		disk := NewIndexWithOptions(g, IndexOptions{Fanout: 3, Spill: spill})
 
 		for round := 0; round < 6; round++ {
@@ -181,7 +181,7 @@ func TestSpillErrorFallsBack(t *testing.T) {
 	if ix.SpilledRuns() != 0 {
 		t.Fatal("spill unexpectedly succeeded into a missing directory")
 	}
-	want := NewIndexFanout(g, 2)
+	want := NewIndexWithOptions(g, IndexOptions{Fanout: 2})
 	if ix.Len() != want.Len() || !sameIterationOrder(ix, want) {
 		t.Fatal("fallback index diverges from memory index")
 	}

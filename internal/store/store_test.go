@@ -197,8 +197,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://x/p"), O: rdf.NewLangLiteral("é", "fr")},
 	})
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := WriteSnapshotV2(&buf, g, NewRunCols(g.All())); err != nil {
+		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	h, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -213,12 +213,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDetectsCorruption(t *testing.T) {
-	g := FromTriples([]rdf.Triple{tr("s", "p", "o"), typeTr("s", "C")})
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	raw := buf.Bytes()
+	_, raw := persistSample(t) // the committed v1 file
 	// Flip a payload byte (not in the magic, not in the checksum).
 	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)/2] ^= 0xFF

@@ -146,7 +146,7 @@ func TestTieredIndexOracle(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0x7ee5))
 		fanout := 2 + rng.IntN(4) // small fanouts fold constantly
-		ix := NewIndexFanout(NewGraph(), fanout)
+		ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: fanout})
 		var oracle []Triple
 
 		type held struct {
@@ -205,7 +205,7 @@ func TestTieredIndexOracle(t *testing.T) {
 // surviving multiset.
 func TestTieredIndexMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
-	ix := NewIndexFanout(NewGraph(), 3)
+	ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: 3})
 	var oracle []Triple
 	for i := 0; i < 200; i++ {
 		if rng.IntN(4) == 0 && len(oracle) > 0 {
@@ -232,7 +232,7 @@ func TestTieredIndexMatchesFromScratch(t *testing.T) {
 // logarithmic (bounded by fanout per level), not linear in the batch
 // count — the read-amplification guarantee behind the fold policy.
 func TestIndexRunsBounded(t *testing.T) {
-	ix := NewIndexFanout(NewGraph(), 4)
+	ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: 4})
 	rng := rand.New(rand.NewPCG(1, 2))
 	batches := 500
 	maxRuns := 0
@@ -259,7 +259,7 @@ func TestIndexRunsBounded(t *testing.T) {
 // under each bulk run where no trailing fold could ever reach them —
 // unbounded run growth. Delete-only (tombstone) batches join the mix.
 func TestIndexRunsBoundedMixedSizes(t *testing.T) {
-	ix := NewIndexFanout(NewGraph(), 4)
+	ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: 4})
 	rng := rand.New(rand.NewPCG(3, 4))
 	maxRuns := 0
 	var recent []Triple

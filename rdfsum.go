@@ -335,64 +335,36 @@ func CheckWellBehaved(triples []Triple) []rdf.WellBehavedViolation {
 }
 
 // NewIndex builds the SPO/POS/OSP access paths used by query evaluation.
-// The index is tiered (see NewIndexFanout); a batch build yields a single
-// run.
+// The index is tiered (live updates append delta runs; see
+// LiveOptions.IndexFanout); a batch build yields a single run.
 func NewIndex(g *Graph) *Index { return store.NewIndex(g) }
-
-// NewIndexFanout is NewIndex with an explicit tier fanout for the
-// LSM-style delta runs live updates append (0 = default 8).
-func NewIndexFanout(g *Graph, fanout int) *Index { return store.NewIndexFanout(g, fanout) }
 
 // ParseQuery parses a SPARQL-subset BGP query (PREFIX, SELECT, ASK).
 func ParseQuery(text string) (*Query, error) { return query.Parse(text) }
 
-// EvalQuery evaluates q against g (explicit triples only — pass
-// Saturate(g) for complete answers), building a transient index.
-// For repeated evaluation over one graph, build the index once with
-// NewIndex and use EvalQueryIndexed.
-func EvalQuery(g *Graph, q *Query) (*QueryResult, error) {
-	return query.Eval(g, store.NewIndex(g), q, nil)
-}
+// QueryOptions tune EvalQueryWithOptions: Limit caps the rows (0 =
+// unlimited; Result.Truncated reports whether more distinct answers
+// existed), Stats feeds a summary's Weights to the planner's cardinality
+// estimator and join ordering (with nil every estimate is unknown:
+// connectivity, then bound positions, then source order), Pruner
+// short-circuits provably-empty RBGP queries against a saturated summary
+// (see NewQueryPruner), Explain requests a join-order report in
+// Result.Explain.
+type QueryOptions = query.EvalOptions
 
-// EvalQueryIndexed evaluates q using a prebuilt index.
-func EvalQueryIndexed(g *Graph, ix *Index, q *Query) (*QueryResult, error) {
-	return query.Eval(g, ix, q, nil)
-}
-
-// QueryOptions tune EvalQueryWithOptions.
-type QueryOptions struct {
-	// Limit caps the number of rows (0 = unlimited); Result.Truncated
-	// reports whether more distinct answers existed.
-	Limit int
-	// Stats feeds summary statistics to the planner's cardinality
-	// estimator and join ordering; pass (*Summary).ComputeWeights().
-	// Nil falls back to the stats-free heuristic.
-	Stats PlanStats
-	// Pruner short-circuits provably-empty RBGP queries against a
-	// saturated summary (see NewQueryPruner). Nil disables pruning.
-	Pruner *QueryPruner
-	// Explain requests a join-order report in Result.Explain.
-	Explain bool
-}
-
-// EvalQueryWithOptions evaluates q with planner statistics, the
-// summary-pruning gate and row limits under the caller's control.
+// EvalQueryWithOptions evaluates q against g through an index over it
+// (NewIndex; build it once for repeated evaluation) with planner
+// statistics, the summary-pruning gate and row limits under the caller's
+// control; a nil opts sets none. Evaluation reads explicit triples only —
+// pass Saturate(g) and its index for complete answers.
 func EvalQueryWithOptions(g *Graph, ix *Index, q *Query, opts *QueryOptions) (*QueryResult, error) {
-	var eo *query.EvalOptions
-	if opts != nil {
-		eo = &query.EvalOptions{
-			Limit:   opts.Limit,
-			Stats:   opts.Stats,
-			Pruner:  opts.Pruner,
-			Explain: opts.Explain,
-		}
-	}
-	return query.Eval(g, ix, q, eo)
+	return query.Eval(g, ix, q, opts)
 }
 
-// CompileQuery compiles q against g into a reusable plan. stats may be nil
-// (heuristic join order) or a summary's Weights (cardinality-driven
-// order). Execute with (*QueryPlan).Eval against an index over g.
+// CompileQuery compiles q against g into a reusable plan. stats is a
+// summary's Weights (cardinality-driven join order) or nil (every estimate
+// unknown: connectivity, then bound positions, then source order).
+// Execute with (*QueryPlan).Eval against an index over g.
 func CompileQuery(g *Graph, q *Query, stats PlanStats) (*QueryPlan, error) {
 	return query.Compile(g, q, stats)
 }
@@ -489,77 +461,29 @@ func NewIngestQueue(lv *Live, depth int, maxBytes int64) *IngestQueue {
 	return live.NewIngestQueue(lv, depth, maxBytes)
 }
 
-// LiveOptions tunes OpenLive.
-type LiveOptions struct {
-	// NoSync disables the per-batch fsync: faster ingest, weaker
-	// durability (a crash may lose recently acknowledged batches, but the
-	// log stays consistent).
-	NoSync bool
-	// Seed is adopted as the initial graph when the directory holds no
-	// prior state (it is compacted into the first snapshot); ignored
-	// otherwise. The graph must not be used by the caller afterwards.
-	Seed *Graph
-	// Maintain lists the summary kinds the quotient engine keeps
-	// incrementally current during ingest: they serve with no staleness
-	// and no per-epoch rebuild. nil maintains Weak only; an explicit
-	// empty slice maintains nothing (every kind rebuilds lazily).
-	Maintain []Kind
-	// IndexFanout is the tiered index's fold width: once this many
-	// trailing delta runs share a level they merge into one run of the
-	// next level. 0 selects the default (8). Smaller values trade ingest
-	// throughput for fewer runs on the query path.
-	IndexFanout int
-	// IndexSpillBytes, when positive, lets the tiered index spill folded
-	// runs whose columnar encoding reaches this many bytes to on-disk
-	// run files under <dir>/spill, served zero-copy through the same
-	// mapped format as v2 snapshots. 0 keeps every run in memory.
-	// Ignored by memory-only stores.
-	IndexSpillBytes int64
-	// VerifySnapshot forces eager CRC verification of every section of a
-	// v2 snapshot at open, restoring v1's open-time integrity check at
-	// the cost of reading the whole file. By default sections are
-	// verified lazily on first touch.
-	VerifySnapshot bool
-}
+// LiveOptions tunes OpenLive and NewLive: NoSync drops the per-batch fsync
+// (faster ingest; a crash may lose recently acknowledged batches), Seed is
+// adopted as the initial graph of a directory holding no prior state,
+// Maintain lists the summary kinds kept incrementally current (nil = Weak
+// only, empty = none; the others rebuild lazily per epoch), IndexFanout
+// is the tiered index's fold width (0 = 8), IndexSpillBytes lets folded
+// runs of at least that size spill to <dir>/spill (0 = never), and
+// VerifySnapshot checks every snapshot section's CRC at open, not on first
+// touch.
+type LiveOptions = live.Options
 
 // OpenLive opens (or initializes) a durable live store in dir: the
 // current snapshot is loaded, the write-ahead log replayed over it (a
 // torn tail from a crash is truncated, so exactly the acknowledged
-// batches recover), and the first epoch published.
-func OpenLive(dir string, opts *LiveOptions) (*Live, error) {
-	return live.Open(dir, internalLiveOptions(opts))
-}
-
-func internalLiveOptions(opts *LiveOptions) live.Options {
-	if opts == nil {
-		return live.Options{}
-	}
-	return live.Options{
-		NoSync:          opts.NoSync,
-		Seed:            opts.Seed,
-		Maintain:        opts.Maintain,
-		IndexFanout:     opts.IndexFanout,
-		IndexSpillBytes: opts.IndexSpillBytes,
-		VerifySnapshot:  opts.VerifySnapshot,
-	}
-}
+// batches recover), and the first epoch published. A nil opts selects the
+// defaults.
+func OpenLive(dir string, opts *LiveOptions) (*Live, error) { return live.Open(dir, opts) }
 
 // NewLive wraps a graph (nil for empty) as a memory-only live store: the
-// same concurrency model — epoch snapshots, incremental weak summary —
-// without durability. The graph is adopted, not copied.
-func NewLive(g *Graph) *Live { return live.New(g) }
-
-// NewLiveMaintaining is NewLive with an explicit set of incrementally
-// maintained summary kinds (nil = weak only, empty = none).
-func NewLiveMaintaining(g *Graph, kinds []Kind) *Live {
-	return live.NewMaintaining(g, kinds)
-}
-
-// NewLiveWithOptions is the memory-only constructor honoring Maintain and
-// IndexFanout (NoSync and Seed are ignored without a directory).
-func NewLiveWithOptions(g *Graph, opts *LiveOptions) *Live {
-	return live.NewWithOptions(g, internalLiveOptions(opts))
-}
+// same concurrency model — epoch snapshots, incremental summaries —
+// without durability. The graph is adopted, not copied. Of opts (nil =
+// defaults) Maintain and IndexFanout apply; the rest needs a directory.
+func NewLive(g *Graph, opts *LiveOptions) *Live { return live.New(g, opts) }
 
 // LiveHasState reports whether dir already holds an initialized live
 // store, i.e. whether OpenLive would adopt or ignore a Seed.

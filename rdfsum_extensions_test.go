@@ -196,7 +196,7 @@ func TestQuotientEngineFacade(t *testing.T) {
 // TestLiveMaintainingFacade: a live store maintaining every kind serves
 // each one current with no lazy rebuilds.
 func TestLiveMaintainingFacade(t *testing.T) {
-	lv := rdfsum.NewLiveMaintaining(nil, rdfsum.Kinds)
+	lv := rdfsum.NewLive(nil, &rdfsum.LiveOptions{Maintain: rdfsum.Kinds})
 	defer lv.Close()
 	if err := lv.AddBatch(rdfsum.GenerateBSBM(20).Decode()); err != nil {
 		t.Fatal(err)

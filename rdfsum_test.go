@@ -40,12 +40,12 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseQuery: %v", err)
 	}
-	res, err := rdfsum.EvalQuery(g, q)
+	res, err := rdfsum.EvalQueryWithOptions(g, rdfsum.NewIndex(g), q, nil)
 	if err != nil || len(res.Rows) != 0 {
 		t.Fatalf("q(G) = %v (err %v), want empty", res, err)
 	}
 	inf := rdfsum.Saturate(g)
-	res, err = rdfsum.EvalQuery(inf, q)
+	res, err = rdfsum.EvalQueryWithOptions(inf, rdfsum.NewIndex(inf), q, nil)
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("q(G∞) = %v (err %v), want one row", res, err)
 	}
