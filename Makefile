@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile test-nommap stress fuzz cover cover-check check clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile heap-profile test-nommap stress fuzz cover cover-check check clean
 
 all: build
 
@@ -72,12 +72,13 @@ bench-unit:
 
 # What building and maintaining a summary costs, per kind, on one CPU: a
 # from-scratch Summarize on BSBM and LUBM, and the engine's first write,
-# steady-state batch and snapshot over a seeded builder. Six runs each, so
-# two commits compare by spread and not by one number
+# steady-state batch and snapshot over a seeded builder; and what one
+# compaction of a live store allocates (BenchmarkLiveCompact's B/op). Six
+# runs each, so two commits compare by spread and not by one number
 # (docs/benchmarks/pr17-runs.md has the procedure).
 bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
-		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries' .
+		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkLiveCompact' .
 
 # Full benchmark sweep.
 bench:
@@ -101,6 +102,20 @@ boot-profile:
 		-o "$$d/rdfsum.test" -cpuprofile "$$d/cpu.out" . && \
 	$(GO) tool pprof -top -cum -nodecount 20 -focus 'BenchmarkSeedBoot' -hide '^testing\.' "$$d/rdfsum.test" "$$d/cpu.out" && \
 	$(GO) tool pprof -peek 'store\.newMemCols$$' "$$d/rdfsum.test" "$$d/cpu.out" | sed -n '/flat%/,$$p'
+
+# Who holds the heap, and who churns it: BenchmarkLiveCycle (a store
+# seeded with a 170k-triple BSBM graph takes 50 batches, compacts and
+# serves a summary of every kind — three times over) under the heap
+# profiler, sampling every 4 KB. First what is still in use when the
+# process exits with the store open (the live-heap breakdown: dictionary,
+# components, index runs, builders, cached summaries and their name
+# overlays), then what the compactions allocated on the way.
+heap-profile:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -run 'XXX-none' -bench 'BenchmarkLiveCycle$$' -benchtime 3x -cpu 1 \
+		-o "$$d/rdfsum.test" -memprofile "$$d/mem.out" -memprofilerate 4096 . && \
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 "$$d/rdfsum.test" "$$d/mem.out" && \
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 -focus 'Compact|WriteSnapshotV2' "$$d/rdfsum.test" "$$d/mem.out"
 
 # The mmap-free portability build: every mapped path falls back to eager
 # reads (mirrored as a CI job).

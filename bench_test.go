@@ -344,6 +344,74 @@ func BenchmarkSeedBoot(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveCompact is one compaction of a ≈ 58k-triple BSBM store
+// that has taken a 512-triple batch since the last one: fold the index,
+// stream the snapshot, swap generations. B/op (-benchmem) is the figure:
+// what a compaction allocates beyond the folded run it publishes.
+func BenchmarkLiveCompact(b *testing.B) {
+	seed := rdfsum.NewGraph(bsbmGraph(b, 1000).Decode()) // the store adopts its seed
+	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lv.Close() //nolint:errcheck
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := lv.AddBatch(incBatch(i, 512)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := lv.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// liveCycleStore keeps BenchmarkLiveCycle's store reachable once the
+// benchmark has returned: a -memprofile is written as the test binary
+// exits, and its inuse_space is to show what a serving store holds.
+var liveCycleStore *rdfsum.Live
+
+// BenchmarkLiveCycle is one write-and-summarize cycle of benchmark/'s
+// scenario, in process: a store seeded with BSBM 3000 products ≈ 170k
+// triples (1000 under -short) takes 50 batches of ≈ 125 triples, compacts
+// and serves a summary of every kind. `make heap-profile` runs it under
+// the heap profiler.
+func BenchmarkLiveCycle(b *testing.B) {
+	products := 3000
+	if testing.Short() {
+		products = 1000
+	}
+	if liveCycleStore != nil {
+		liveCycleStore.Close() //nolint:errcheck
+	}
+	// Not bsbmGraph: a cached copy of the seed would sit in the profile.
+	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: rdfsum.GenerateBSBM(products)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	liveCycleStore = lv
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 50; j++ {
+			if err := lv.AddBatch(incBatch(i*50+j, 100)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := lv.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range rdfsum.Kinds {
+			if _, _, err := lv.Summary(kind, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // --- quotient engine benchmarks --------------------------------------------
 
 // incBatch builds one deterministic ingest batch of ~n triples over a

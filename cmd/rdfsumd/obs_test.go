@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"testing"
@@ -137,6 +139,97 @@ func TestMetricsExpositionDictTerms(t *testing.T) {
 	}
 	if after := dictTerms(); after != before {
 		t.Errorf("dict_terms went from %v to %v across five summaries", before, after)
+	}
+}
+
+// scrapeValues parses every sample of a scrape into series → value.
+func scrapeValues(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		series, val, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("unparsable sample %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestMetricsExpositionMemoryAccount: the scrape carries the process's
+// memory account, and the part of it the store computes from its own
+// structures is a fair one. On a BSBM-200 store that maintains no summary
+// and has served none, the dictionary, the graph components and the heap
+// index are all there is: their computed sizes add up to what the
+// collector finds live (beyond what the test process held before the
+// store existed) to within a quarter.
+func TestMetricsExpositionMemoryAccount(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "bsbm200.nt")
+	f, err := os.Create(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rdfsum.WriteNTriples(f, rdfsum.GenerateBSBM(200).Decode()); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	heapLive := func() float64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(sample)
+		return float64(sample[0].Value.Uint64())
+	}
+	before := heapLive()
+	srv, err := newServer(serverConfig{in: dump, workers: 1, maintain: []rdfsum.Kind{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close() //nolint:errcheck
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	runtime.GC() // heap_live is the last collection's finding: make it one that saw the finished store
+	body, _ := scrapeMetrics(t, ts)
+	if err := obs.LintExposition(strings.NewReader(body)); err != nil {
+		t.Errorf("exposition lint: %v", err)
+	}
+	v := scrapeValues(t, body)
+	for _, series := range []string{
+		"rdfsum_go_heap_live_bytes", "rdfsum_go_heap_goal_bytes", "rdfsum_go_heap_released_bytes",
+		`rdfsum_memory_bytes{component="dict"}`, `rdfsum_memory_bytes{component="graph_components"}`, `rdfsum_memory_bytes{component="index_heap"}`,
+	} {
+		if _, ok := v[series]; !ok {
+			t.Fatalf("scrape lacks %s", series)
+		}
+	}
+	if _, err := os.Stat("/proc/self/status"); err == nil {
+		rss, peak := v["rdfsum_process_resident_bytes"], v["rdfsum_process_resident_peak_bytes"]
+		if rss <= 0 || peak < rss {
+			t.Errorf("resident = %v bytes, peak = %v: want 0 < resident <= peak", rss, peak)
+		}
+	}
+	if live, goal := v["rdfsum_go_heap_live_bytes"], v["rdfsum_go_heap_goal_bytes"]; live <= 0 || goal < live {
+		t.Errorf("heap live = %v, goal = %v: want 0 < live <= goal", live, goal)
+	}
+
+	triples := v["rdfsum_triples"]
+	if got := v[`rdfsum_memory_bytes{component="graph_components"}`]; got != 12*triples {
+		t.Errorf("graph components = %v bytes for %v triples, want 12 B each", got, triples)
+	}
+	if got := v[`rdfsum_memory_bytes{component="index_heap"}`]; got != 36*triples {
+		t.Errorf("heap index = %v bytes for %v triples, want 36 B each", got, triples)
+	}
+	account := v[`rdfsum_memory_bytes{component="dict"}`] + 12*triples + 36*triples
+	store := v["rdfsum_go_heap_live_bytes"] - before
+	t.Logf("dict %.0f + components %.0f + index %.0f = %.0f bytes accounted; heap live grew %.0f → %.0f (+%.0f)",
+		v[`rdfsum_memory_bytes{component="dict"}`], 12*triples, 36*triples, account, before, v["rdfsum_go_heap_live_bytes"], store)
+	if account < 0.75*store || account > 1.25*store {
+		t.Errorf("the three components account for %.0f bytes; the live heap grew by %.0f with the store: not within 25 %%", account, store)
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"runtime/metrics"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -257,6 +260,8 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 	sumLazy := r.CounterVec("rdfsum_summary_lazy_builds_total", "Full summary rebuilds served lazily, per kind.", "kind", "mode")
 	sumRebuilds := r.CounterVec("rdfsum_summary_maintenance_rebuilds_total", "Incremental-maintenance rebuilds, per kind.", "kind", "mode")
 	bootSeconds := r.GaugeVec("rdfsum_boot_phase_seconds", "Seconds the serving store's boot spent in each phase (0 for a phase it did not go through).", "phase")
+	memBytes := r.GaugeVec("rdfsum_memory_bytes", "Heap bytes the store's largest structures hold, computed from their own lengths.", "component")
+	registerProcessMemory(r)
 
 	boolGauge := func(v bool) float64 {
 		if v {
@@ -278,6 +283,9 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 		indexRuns.Set(float64(st.IndexRuns))
 		indexTombs.Set(float64(st.IndexTombs))
 		dictTerms.Set(float64(st.DictTerms))
+		memBytes.With("dict").Set(float64(st.DictBytes))
+		memBytes.With("graph_components").Set(float64(st.GraphBytes))
+		memBytes.With("index_heap").Set(float64(st.IndexHeapBytes))
 		if walRecords != nil {
 			if rs, err := lv.ReplState(); err == nil {
 				walRecords.Set(float64(rs.WALRecords))
@@ -324,6 +332,70 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 			sumRebuilds.With(kind, mode).Set(float64(ks.Rebuilds))
 		}
 	})
+}
+
+// registerProcessMemory adds the process's own memory account, sampled at
+// scrape time: what the kernel counts resident now and at its peak
+// (/proc/self/status; the two series are absent where that file is not), and
+// the three numbers of the Go heap that say where resident memory beyond
+// the live heap comes from — what the last collection found live, the
+// size the collector lets the heap grow to before the next one, and what
+// it has handed back to the OS.
+func registerProcessMemory(r *obs.Registry) {
+	samples := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
+	heap := []*obs.Gauge{
+		r.Gauge("rdfsum_go_heap_live_bytes", "Heap bytes the last garbage collection found live."),
+		r.Gauge("rdfsum_go_heap_goal_bytes", "Heap size at which the next garbage collection starts."),
+		r.Gauge("rdfsum_go_heap_released_bytes", "Heap bytes returned to the operating system."),
+	}
+	var resident, residentPeak *obs.Gauge
+	if _, _, ok := residentBytes(); ok {
+		resident = r.Gauge("rdfsum_process_resident_bytes", "Resident set size of the process (VmRSS).")
+		residentPeak = r.Gauge("rdfsum_process_resident_peak_bytes", "Highest resident set size the process has had (VmHWM).")
+	}
+	r.OnScrape(func() {
+		metrics.Read(samples)
+		for i, g := range heap {
+			if samples[i].Value.Kind() == metrics.KindUint64 {
+				g.Set(float64(samples[i].Value.Uint64()))
+			}
+		}
+		if resident != nil {
+			if rss, hwm, ok := residentBytes(); ok {
+				resident.Set(float64(rss))
+				residentPeak.Set(float64(hwm))
+			}
+		}
+	})
+}
+
+// residentBytes reads VmRSS and VmHWM from /proc/self/status.
+func residentBytes() (rss, hwm int64, ok bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, 0, false
+	}
+	found := 0
+	for _, line := range strings.Split(string(status), "\n") {
+		f := strings.Fields(line) // "VmRSS:", "143212", "kB"
+		if len(f) != 3 || (f[0] != "VmRSS:" && f[0] != "VmHWM:") {
+			continue
+		}
+		kb, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			return 0, 0, false
+		}
+		if found++; f[0] == "VmRSS:" {
+			rss = kb << 10
+		} else {
+			hwm = kb << 10
+		}
+	}
+	return rss, hwm, found == 2
 }
 
 // bootPhase is one named slice of the boot's wall time.

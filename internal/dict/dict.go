@@ -6,6 +6,13 @@
 // RDF graph"; this package is the in-process equivalent. IDs start at 1 so
 // that the zero ID can mean "absent".
 //
+// A term is held once, as one key string (see key.go): the index maps
+// the key to the ID, a 24-byte record per term points back at it, and Term
+// rebuilds the rdf.Term as substrings of the key. That is half the heap a
+// map keyed by the three-string rdf.Term struct beside a slice of such
+// structs took (131 B a term against 260 on BSBM's terms), and a probe
+// hashes one string.
+//
 // An overlay (see Overlay) extends a dictionary without writing to it:
 // the terms it adds get IDs from a range the extended dictionary never
 // issues, so both share one ID space.
@@ -13,7 +20,6 @@ package dict
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"rdfsum/internal/rdf"
@@ -34,10 +40,10 @@ const None ID = 0
 // read-write lock; the live subsystem uses this so snapshot readers can
 // decode and look up terms while the single writer interns new ones.
 type Dict struct {
-	mu    *sync.RWMutex // nil until Share; guards terms and index when set
+	mu    *sync.RWMutex // nil until Share; guards recs and index when set
 	base  *Mapped       // optional read-only layer holding IDs 1..baseLen
-	terms []rdf.Term    // terms[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
-	index map[rdf.Term]ID
+	recs  []rec         // recs[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
+	index termIndex     // term → ID: every term of recs, and memoized base hits
 
 	// Overlays only (see overlay.go): the dictionary this one extends,
 	// its layer number (under's + 1) and the layer's ID prefix.
@@ -48,7 +54,7 @@ type Dict struct {
 
 // New returns an empty dictionary.
 func New() *Dict {
-	return &Dict{index: make(map[rdf.Term]ID)}
+	return &Dict{index: newTermIndex()}
 }
 
 // WithBase returns a dictionary layered over a mapped read-only base:
@@ -57,15 +63,12 @@ func New() *Dict {
 // hits found via Encode are memoized into the in-memory index so each
 // binary search over the mapped pages is paid at most once per term.
 func WithBase(m *Mapped) *Dict {
-	return &Dict{base: m, index: make(map[rdf.Term]ID)}
+	return &Dict{base: m, index: newTermIndex()}
 }
 
-// WithCapacity returns an empty dictionary pre-sized for n terms.
+// WithCapacity returns an empty dictionary with room for n terms' records.
 func WithCapacity(n int) *Dict {
-	return &Dict{
-		terms: make([]rdf.Term, 0, n),
-		index: make(map[rdf.Term]ID, n),
-	}
+	return &Dict{recs: make([]rec, 0, n), index: newTermIndex()}
 }
 
 // Share switches d into shared mode: from now on every method is safe for
@@ -78,45 +81,31 @@ func (d *Dict) Share() {
 	}
 }
 
-// own returns t with its strings copied out of whatever buffer they
-// alias. The parsers hand out terms that are substrings of an input line
-// or slab; a dictionary that stored such a term would pin the whole
-// buffer for its own lifetime (~150 bytes of line per 60-byte term).
-// Interning pays this once per distinct term, on the miss path only.
-func own(t rdf.Term) rdf.Term {
-	t.Value = strings.Clone(t.Value)
-	t.Datatype = strings.Clone(t.Datatype)
-	t.Lang = strings.Clone(t.Lang)
-	return t
-}
-
 // Encode interns t and returns its ID, assigning a fresh one on first
-// sight. The dictionary keeps its own copy of a new term's strings, so t
-// may alias a buffer the caller goes on to drop.
+// sight. The dictionary keeps its own copy of a new term's bytes (its
+// key), so t may alias a buffer the caller goes on to drop.
 func (d *Dict) Encode(t rdf.Term) ID {
 	if d.mu != nil {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 	}
-	if id, ok := d.index[t]; ok {
-		return id
+	if id, ok := d.index.get(t); ok {
+		return ID(id)
 	}
 	if d.under != nil {
 		return d.internOverlay(t)
 	}
-	t = own(t)
 	if d.base != nil {
 		if id, ok := d.base.Lookup(t); ok {
-			d.index[t] = id
+			d.index.put(t, uint32(id))
 			return id
 		}
 	}
-	id := ID(d.baseLen() + len(d.terms) + 1)
+	id := ID(d.baseLen() + len(d.recs) + 1)
 	if id >= overlayBit {
 		panic("dict: dictionary is full (IDs from 2^31 up belong to overlays)")
 	}
-	d.terms = append(d.terms, t)
-	d.index[t] = id
+	d.recs = append(d.recs, d.index.put(t, uint32(id)))
 	return id
 }
 
@@ -137,8 +126,8 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	if id, ok := d.index[t]; ok {
-		return id, true
+	if id, ok := d.index.get(t); ok {
+		return ID(id), true
 	}
 	if d.under != nil {
 		return d.under.Lookup(t)
@@ -169,10 +158,10 @@ func (d *Dict) Term(id ID) rdf.Term {
 	}
 	if d.under != nil {
 		i := int(id &^ d.prefix)
-		if i >= len(d.terms) {
-			panic(fmt.Sprintf("dict: unknown id %#x (%s holds %d terms of its own)", uint32(id), d.layerName(), len(d.terms)))
+		if i >= len(d.recs) {
+			panic(fmt.Sprintf("dict: unknown id %#x (%s holds %d terms of its own)", uint32(id), d.layerName(), len(d.recs)))
 		}
-		return d.terms[i]
+		return d.recs[i].term()
 	}
 	bl := d.baseLen()
 	if int(id) <= bl {
@@ -181,10 +170,10 @@ func (d *Dict) Term(id ID) rdf.Term {
 		}
 		return d.base.Term(id)
 	}
-	if id == None || int(id) > bl+len(d.terms) {
-		panic(fmt.Sprintf("dict: unknown id %d (dictionary holds %d terms)", id, bl+len(d.terms)))
+	if id == None || int(id) > bl+len(d.recs) {
+		panic(fmt.Sprintf("dict: unknown id %d (dictionary holds %d terms)", id, bl+len(d.recs)))
 	}
-	return d.terms[int(id)-bl-1]
+	return d.recs[int(id)-bl-1].term()
 }
 
 // Len reports the number of terms the dictionary resolves: for an overlay,
@@ -198,7 +187,19 @@ func (d *Dict) Len() int {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	return under + d.baseLen() + len(d.terms)
+	return under + d.baseLen() + len(d.recs)
+}
+
+// MemoryBytes is the heap the dictionary's own layer holds, computed from
+// its lengths: key bytes + 24-byte records + map slots (an estimate; see
+// slotBytes). A mapped base is file-backed and an overlay's base is
+// another dictionary's: neither is counted.
+func (d *Dict) MemoryBytes() int64 {
+	if d.mu != nil {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+	}
+	return d.index.memoryBytes(d.recs)
 }
 
 // MaxID returns the highest assigned ID. It equals Len for every
@@ -212,7 +213,7 @@ func (d *Dict) MaxID() ID {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	if n := len(d.terms); n > 0 {
+	if n := len(d.recs); n > 0 {
 		return d.prefix | ID(n-1)
 	}
 	return d.under.MaxID()

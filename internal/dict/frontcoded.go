@@ -3,6 +3,7 @@ package dict
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 
@@ -26,55 +27,78 @@ import (
 //	sorted := one u32 per term: IDs ordered by rdf.Term.Compare
 const BlockTerms = 16
 
-// EncodeFrontCoded serializes terms (terms[i] carries ID i+1, as in
-// Dict) into the three v2 dictionary sections.
-func EncodeFrontCoded(terms []rdf.Term) (pages, dir, sorted []byte) {
-	nBlocks := (len(terms) + BlockTerms - 1) / BlockTerms
-	dir = make([]byte, nBlocks*8)
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		pages = append(pages, tmp[:n]...)
+// WriteFrontCoded streams the pages section of d's terms, in ID order,
+// to pages, and returns how many terms that was with the other two
+// dictionary sections, the only per-term state the encoding keeps:
+// 8 bytes of directory per BlockTerms terms and 4 bytes of permutation
+// per term (twice, while it is serialized) — and, over a mapped base, the
+// base's decoded terms. d must not be an overlay (its IDs are not dense).
+//
+// In shared mode d is locked only to take a view of its term table — a
+// dictionary never rewrites a record, so the view stays valid while the
+// writer interns on — and the terms written are those present then.
+func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err error) {
+	if d.under != nil {
+		panic("dict: WriteFrontCoded of an overlay")
 	}
-	for b := 0; b < nBlocks; b++ {
-		binary.LittleEndian.PutUint64(dir[b*8:], uint64(len(pages)))
-		lo := b * BlockTerms
-		hi := lo + BlockTerms
-		if hi > len(terms) {
-			hi = len(terms)
-		}
-		prev := ""
-		for i := lo; i < hi; i++ {
-			t := terms[i]
-			pages = append(pages, byte(t.Kind))
-			if i == lo {
-				putUvarint(uint64(len(t.Value)))
-				pages = append(pages, t.Value...)
-			} else {
-				lcp := commonPrefix(prev, t.Value)
-				putUvarint(uint64(lcp))
-				putUvarint(uint64(len(t.Value) - lcp))
-				pages = append(pages, t.Value[lcp:]...)
-			}
-			if t.Kind == rdf.Literal {
-				putUvarint(uint64(len(t.Datatype)))
-				pages = append(pages, t.Datatype...)
-				putUvarint(uint64(len(t.Lang)))
-				pages = append(pages, t.Lang...)
-			}
-			prev = t.Value
-		}
+	if d.mu != nil {
+		d.mu.RLock()
 	}
-	perm := make([]ID, len(terms))
+	recs := d.recs[:len(d.recs):len(d.recs)]
+	if d.mu != nil {
+		d.mu.RUnlock()
+	}
+	if bl := d.baseLen(); bl > 0 {
+		// A mapped base decodes a term by walking its block: decode its
+		// terms once, here, not at every comparison of the sort below.
+		all := make([]rec, bl, bl+len(recs))
+		for i := range all {
+			all[i] = recOf(d.base.Term(ID(i + 1)))
+		}
+		recs = append(all, recs...)
+	}
+	n = len(recs) // recs[i] is the term with ID i+1
+
+	dir = make([]byte, 0, (n+BlockTerms-1)/BlockTerms*8)
+	var off uint64
+	var buf []byte // one term's encoding, reused
+	prev := ""
+	for i, r := range recs {
+		t := r.term()
+		buf = append(buf[:0], byte(t.Kind))
+		if i%BlockTerms == 0 {
+			dir = binary.LittleEndian.AppendUint64(dir, off)
+			buf = binary.AppendUvarint(buf, uint64(len(t.Value)))
+			buf = append(buf, t.Value...)
+		} else {
+			lcp := commonPrefix(prev, t.Value)
+			buf = binary.AppendUvarint(buf, uint64(lcp))
+			buf = binary.AppendUvarint(buf, uint64(len(t.Value)-lcp))
+			buf = append(buf, t.Value[lcp:]...)
+		}
+		if t.Kind == rdf.Literal {
+			buf = binary.AppendUvarint(buf, uint64(len(t.Datatype)))
+			buf = append(buf, t.Datatype...)
+			buf = binary.AppendUvarint(buf, uint64(len(t.Lang)))
+			buf = append(buf, t.Lang...)
+		}
+		if _, err := pages.Write(buf); err != nil {
+			return 0, nil, nil, err
+		}
+		off += uint64(len(buf))
+		prev = t.Value
+	}
+
+	perm := make([]ID, n)
 	for i := range perm {
 		perm[i] = ID(i + 1)
 	}
-	slices.SortFunc(perm, func(a, b ID) int { return terms[a-1].Compare(terms[b-1]) })
-	sorted = make([]byte, len(perm)*4)
-	for i, id := range perm {
-		binary.LittleEndian.PutUint32(sorted[i*4:], uint32(id))
+	slices.SortFunc(perm, func(a, b ID) int { return recs[a-1].compare(recs[b-1]) })
+	sorted = make([]byte, 0, n*4)
+	for _, id := range perm {
+		sorted = binary.LittleEndian.AppendUint32(sorted, uint32(id))
 	}
-	return pages, dir, sorted
+	return n, dir, sorted, nil
 }
 
 func commonPrefix(a, b string) int {

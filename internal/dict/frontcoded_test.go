@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -36,6 +37,22 @@ func randTerms(rng *rand.Rand, n int) []rdf.Term {
 	return out
 }
 
+// frontCoded interns terms (distinct, so terms[i] gets ID i+1) and
+// returns the three sections WriteFrontCoded produces for them.
+func frontCoded(t *testing.T, terms []rdf.Term) (pages, dir, sorted []byte) {
+	t.Helper()
+	d := New()
+	for _, tm := range terms {
+		d.Encode(tm)
+	}
+	var buf bytes.Buffer
+	n, dir, sorted, err := d.WriteFrontCoded(&buf)
+	if err != nil || n != len(terms) {
+		t.Fatalf("WriteFrontCoded = %d terms, %v; want %d", n, err, len(terms))
+	}
+	return buf.Bytes(), dir, sorted
+}
+
 // TestFrontCodedRoundTrip: Term(id) reproduces every term at its original
 // insertion-order ID, and Lookup inverts Term exactly, across block
 // boundaries (sizes chosen around multiples of BlockTerms).
@@ -43,7 +60,7 @@ func TestFrontCodedRoundTrip(t *testing.T) {
 	for _, n := range []int{1, BlockTerms - 1, BlockTerms, BlockTerms + 1, 5*BlockTerms + 3} {
 		rng := rand.New(rand.NewPCG(uint64(n), 2))
 		terms := randTerms(rng, n)
-		pages, dir, sorted := EncodeFrontCoded(terms)
+		pages, dir, sorted := frontCoded(t, terms)
 		m, err := NewMapped(pages, dir, sorted, n)
 		if err != nil {
 			t.Fatalf("n=%d: NewMapped: %v", n, err)
@@ -71,7 +88,7 @@ func TestFrontCodedRoundTrip(t *testing.T) {
 func TestFrontCodedTouchHook(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	terms := randTerms(rng, 40)
-	pages, dir, sorted := EncodeFrontCoded(terms)
+	pages, dir, sorted := frontCoded(t, terms)
 	m, err := NewMapped(pages, dir, sorted, len(terms))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +117,7 @@ func TestDictWithBase(t *testing.T) {
 		all := randTerms(rng, nBase+nNew)
 		baseTerms, newTerms := all[:nBase], all[nBase:]
 
-		pages, dir, sorted := EncodeFrontCoded(baseTerms)
+		pages, dir, sorted := frontCoded(t, baseTerms)
 		m, err := NewMapped(pages, dir, sorted, nBase)
 		if err != nil {
 			t.Fatalf("NewMapped: %v", err)

@@ -42,7 +42,7 @@ func Overlay(base *Dict) *Dict {
 		panic(fmt.Sprintf("dict: overlays nested more than %d deep", maxLayer))
 	}
 	o := &Dict{
-		index:  make(map[rdf.Term]ID),
+		index:  newTermIndex(),
 		under:  base,
 		layer:  layer,
 		prefix: ^ID(0) << (32 - layer),
@@ -63,14 +63,12 @@ func (d *Dict) internOverlay(t rdf.Term) ID {
 	if id, ok := d.under.Lookup(t); ok {
 		return id
 	}
-	n := len(d.terms)
+	n := len(d.recs)
 	if n >= 1<<(31-d.layer) {
 		panic(fmt.Sprintf("dict: %s is full (%d terms)", d.layerName(), n))
 	}
-	t = own(t)
-	d.terms = append(d.terms, t)
 	id := d.prefix | ID(n)
-	d.index[t] = id
+	d.recs = append(d.recs, d.index.put(t, uint32(id)))
 	return id
 }
 

@@ -36,9 +36,9 @@ const (
 
 type shard struct {
 	mu    sync.Mutex
-	index map[rdf.Term]uint32
-	terms []rdf.Term
-	first []uint64 // first[i] = min occurrence key of terms[i]
+	index termIndex // term → position in recs
+	recs  []rec
+	first []uint64 // first[i] = min occurrence key of recs[i]
 }
 
 // ProvID is a provisional identifier issued by Observe: the shard number
@@ -59,7 +59,7 @@ func (p ProvID) split() (shardIdx, local int) {
 func NewSharded() *Sharded {
 	s := &Sharded{seed: maphash.MakeSeed()}
 	for i := range s.shards {
-		s.shards[i].index = make(map[rdf.Term]uint32)
+		s.shards[i].index = newTermIndex()
 	}
 	return s
 }
@@ -78,29 +78,27 @@ func (s *Sharded) shardOf(t rdf.Term) int {
 
 // Observe interns t under a provisional ID and records key as an
 // occurrence position, keeping the minimum per term. A term seen for the
-// first time is copied (see own), so t may alias a parse buffer. Safe for
-// concurrent use.
+// first time is copied (see termIndex.put), so t may alias a parse buffer. Safe
+// for concurrent use.
 func (s *Sharded) Observe(t rdf.Term, key uint64) ProvID {
 	idx := s.shardOf(t)
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if local, ok := sh.index[t]; ok {
+	if local, ok := sh.index.get(t); ok {
 		if key < sh.first[local] {
 			sh.first[local] = key
 		}
 		return provOf(idx, int(local))
 	}
-	local := len(sh.terms)
+	local := len(sh.recs)
 	if local >= maxLocal {
 		// ~16M terms hashed into one of 256 shards means a dictionary in
 		// the billions — past the library's 700M-term design point.
 		panic(fmt.Sprintf("dict: shard %d overflow (%d terms)", idx, local))
 	}
-	t = own(t)
-	sh.terms = append(sh.terms, t)
+	sh.recs = append(sh.recs, sh.index.put(t, uint32(local)))
 	sh.first = append(sh.first, key)
-	sh.index[t] = uint32(local)
 	return provOf(idx, local)
 }
 
@@ -109,7 +107,7 @@ func (s *Sharded) Observe(t rdf.Term, key uint64) ProvID {
 func (s *Sharded) Len() int {
 	n := 0
 	for i := range s.shards {
-		n += len(s.shards[i].terms)
+		n += len(s.shards[i].recs)
 	}
 	return n
 }
@@ -130,13 +128,13 @@ func (s *Sharded) Finalize(base *Dict) [][]ID {
 	}
 	total := 0
 	for i := range s.shards {
-		total += len(s.shards[i].terms)
+		total += len(s.shards[i].recs)
 	}
 	entries := make([]entry, 0, total)
 	remap := make([][]ID, numShards)
 	for i := range s.shards {
 		sh := &s.shards[i]
-		remap[i] = make([]ID, len(sh.terms))
+		remap[i] = make([]ID, len(sh.recs))
 		for local, key := range sh.first {
 			entries = append(entries, entry{key: key, prov: provOf(i, local)})
 		}
@@ -144,7 +142,7 @@ func (s *Sharded) Finalize(base *Dict) [][]ID {
 	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	for _, e := range entries {
 		shardIdx, local := e.prov.split()
-		remap[shardIdx][local] = base.Encode(s.shards[shardIdx].terms[local])
+		remap[shardIdx][local] = base.Encode(s.shards[shardIdx].recs[local].term())
 	}
 	return remap
 }

@@ -561,6 +561,11 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 	if cell.sum != nil && cell.epoch+maxStale >= snap.Epoch {
 		return cell.sum, cell.epoch, nil
 	}
+	// The superseded summary can be served to nobody while this call
+	// holds the cell: drop it now, so the collector need not keep it (and
+	// its name overlay) alive beside the one being built. On a build
+	// error the cell then holds nothing, as the error tells the caller.
+	cell.sum = nil
 	var s *core.Summary
 	if l.maintained[kind] {
 		s = l.fromBuilders(kind, snap.Epoch)
@@ -660,25 +665,35 @@ type Stats struct {
 	IndexTombs int    // tombstones retained across those runs
 	DictTerms  int    // terms in the store's dictionary (what the next snapshot's dictionary holds)
 	Durable    bool
+
+	// What the store's three largest structures hold on the heap,
+	// computed from their own lengths (not measured).
+	DictBytes      int64 // the dictionary: key bytes, records, map slots
+	GraphBytes     int64 // the writer graph's component slices, 12 B a triple
+	IndexHeapBytes int64 // the published index's heap runs, 36 B a triple
 }
 
 // Stats returns current counters.
 func (l *Live) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	g := l.graph()
 	st := Stats{
 		Epoch:   l.published,
-		Triples: uint64(l.graph().NumEdges()),
+		Triples: uint64(g.NumEdges()),
 		Added:   l.applied,
 		Deleted: l.deleted,
 		Durable: l.dir != "",
 		Gen:     l.gen,
 
-		DictTerms: l.graph().Dict().Len(),
+		DictTerms:  g.Dict().Len(),
+		DictBytes:  g.Dict().MemoryBytes(),
+		GraphBytes: int64(len(g.Data)+len(g.Types)+len(g.Schema)) * store.TripleBytes,
 	}
 	if snap := l.cur.Load(); snap != nil {
 		st.IndexRuns = snap.Index.Runs()
 		st.IndexTombs = snap.Index.Tombstones()
+		st.IndexHeapBytes = snap.Index.HeapBytes()
 	}
 	if l.wal != nil {
 		st.WALBytes = l.wal.size
@@ -721,6 +736,14 @@ func (l *Live) compactLocked() error {
 	if l.dir == "" {
 		return errors.New("live: memory-only store cannot compact (no directory)")
 	}
+	// Writing the snapshot promotes a writer graph still backed by its
+	// mapped base (no maintained kinds): the base's triples are prepended
+	// to the component slices. Do it here and shift the publish bookmarks
+	// with it, so that a failure below leaves them counting what was
+	// published — not the tail alone, which would re-publish the whole
+	// base as the next epoch's delta.
+	dD, dT, dS := l.graph().EnsureCounts()
+	l.lastD, l.lastT, l.lastS = l.lastD+dD, l.lastT+dT, l.lastS+dS
 	// The folded index's visible multiset is the writer graph's: under
 	// l.mu the published epoch is the writer's head. On an error below
 	// the fold is simply dropped and the published epoch keeps serving
@@ -812,13 +835,25 @@ func (l *Live) snapshotPath(gen uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("snapshot-%d.rdfsum", gen))
 }
 
+// snapshotFile is what writeSnapshotFile needs of the file it creates.
+type snapshotFile interface {
+	store.File
+	Sync() error
+	Close() error
+}
+
+// createSnapshotFile is os.Create; a variable so that a test can hand
+// writeSnapshotFile a file whose writes fail.
+var createSnapshotFile = func(path string) (snapshotFile, error) { return os.Create(path) }
+
 // writeSnapshotFile durably writes gen's base snapshot via tmp + fsync +
-// rename, so a crash never leaves a half-written snapshot under the final
-// name.
+// rename. The writer streams and places the file's header last, so the
+// tmp file is a snapshot only once WriteSnapshotV2 has returned; neither
+// a crash nor a failed write leaves anything under the final name.
 func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph, cols store.RunCols) error {
 	path := l.snapshotPath(gen)
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := createSnapshotFile(tmp)
 	if err != nil {
 		return err
 	}

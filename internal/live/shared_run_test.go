@@ -16,19 +16,22 @@ import (
 )
 
 // wantSnapshotBytes is what the generation's snapshot must be: the file
-// the plain writer produces for the published graph from a fresh sort of
-// its triples (store's own tests pin that writer to a comparison-sort
-// reference). Live never sorts for the file — it hands the writer the
+// store.SaveFile produces for the published graph from a fresh sort of
+// its triples (store's own tests pin that writer's bytes to its
+// predecessor's). Live never sorts for the file — it hands the writer the
 // run its index serves — so equality here is what keeps
 // disk_bytes_per_triple where it was.
 func wantSnapshotBytes(t *testing.T, l *Live) []byte {
 	t.Helper()
-	g := l.Snapshot().Graph
-	var buf bytes.Buffer
-	if err := store.WriteSnapshotV2(&buf, g, store.NewRunCols(g.All())); err != nil {
+	path := filepath.Join(t.TempDir(), "want.rdfsum")
+	if err := store.SaveFile(path, l.Snapshot().Graph); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 func checkSnapshotBytes(t *testing.T, l *Live, what string) {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -240,5 +241,140 @@ func TestLiveSpillOracle(t *testing.T) {
 	want2 := scanIndex(mem.Snapshot().Index)
 	if got := scanIndex(l2.Snapshot().Index); !reflect.DeepEqual(got, want2) {
 		t.Fatal("spilling index diverges from memory oracle after post-reopen ingest")
+	}
+}
+
+// TestCompactFailureAfterPromotionKeepsBookmarks: with no maintained kind
+// a reopened store's writer graph stays backed by the mapped snapshot
+// until a compaction promotes it. A compaction that fails after that
+// promotion must leave the publish bookmarks counting the promoted base:
+// the next AddBatch publishes its own triples as the delta, not the
+// whole base over again.
+func TestCompactFailureAfterPromotionKeepsBookmarks(t *testing.T) {
+	dir := t.TempDir()
+	none := &Options{Maintain: []core.Kind{}}
+	l, err := Open(dir, none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := mkBatch(0, 200)
+	if err := l.AddBatch(fed); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	if l, err = Open(dir, none); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.graph().Base() == nil {
+		t.Fatal("the reopened writer graph is already materialized: the test would prove nothing")
+	}
+	add := func(b []rdf.Triple) {
+		t.Helper()
+		fed = append(fed, b...)
+		if err := l.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if snap := l.Snapshot(); snap.Index.Len() != snap.Graph.NumEdges() || snap.Index.Len() != len(fed) {
+			t.Fatalf("index serves %d triples, graph holds %d, fed %d", snap.Index.Len(), snap.Graph.NumEdges(), len(fed))
+		}
+	}
+	add(mkBatch(1000, 50))
+
+	// The snapshot gets written (promoting the graph); creating the next
+	// generation's WAL then fails, because its path is a directory.
+	nextWAL := l.walPath(l.Stats().Gen + 1)
+	if err := os.Mkdir(nextWAL, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(); err == nil {
+		t.Fatal("Compact succeeded with a directory in place of the next WAL")
+	}
+	if l.graph().Base() != nil {
+		t.Fatal("the failed compaction did not promote the graph: the test would prove nothing")
+	}
+	if err := os.Remove(nextWAL); err != nil {
+		t.Fatal(err)
+	}
+
+	add(mkBatch(2000, 50))
+	if err := l.Compact(); err != nil {
+		t.Fatalf("second Compact: %v", err)
+	}
+	add(mkBatch(3000, 10))
+	if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
+		t.Fatal("the store diverges from the triples fed")
+	}
+}
+
+// failingSnapshotFile is a snapshot file whose k-th Write/WriteAt fails.
+type failingSnapshotFile struct {
+	*os.File
+	ops, failAt *int
+}
+
+var errInjected = errors.New("injected write failure")
+
+func (f failingSnapshotFile) Write(p []byte) (int, error) {
+	if *f.ops++; *f.ops == *f.failAt {
+		return 0, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f failingSnapshotFile) WriteAt(p []byte, off int64) (int, error) {
+	if *f.ops++; *f.ops == *f.failAt {
+		return 0, errInjected
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestSectionWriterFailsCleanLive: whichever write of a compaction's
+// snapshot fails, Compact returns the error, the directory holds neither
+// the next generation's snapshot nor its .tmp, and the store serves on.
+func TestSectionWriterFailsCleanLive(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 30000))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	var ops, failAt int
+	defer func(orig func(string) (snapshotFile, error)) { createSnapshotFile = orig }(createSnapshotFile)
+	createSnapshotFile = func(path string) (snapshotFile, error) {
+		f, err := os.Create(path)
+		return failingSnapshotFile{File: f, ops: &ops, failAt: &failAt}, err
+	}
+
+	for failAt = 1; ; failAt++ {
+		ops = 0
+		err := l.Compact()
+		if ops < failAt {
+			// The write finished before reaching operation failAt.
+			if err != nil {
+				t.Fatalf("unfailed Compact: %v", err)
+			}
+			break
+		}
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("operation %d failed, Compact returned %v", failAt, err)
+		}
+		next := l.snapshotPath(l.Stats().Gen + 1)
+		for _, path := range []string{next, next + ".tmp"} {
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("operation %d failed: %s is left behind (stat: %v)", failAt, filepath.Base(path), err)
+			}
+		}
+		if err := l.AddBatch(mkBatch(10000+failAt*10, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if failAt < 5 {
+		t.Fatalf("the snapshot was written in %d operations: too few to exercise a mid-file failure", failAt-1)
 	}
 }

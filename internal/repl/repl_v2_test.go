@@ -1,10 +1,10 @@
 package repl_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,12 +65,14 @@ func TestFollowerBootstrapFromV2Snapshot(t *testing.T) {
 // versioned error in the follower's status — never a garbage graph.
 func TestFollowerRejectsUnknownSnapshotVersion(t *testing.T) {
 	// A structurally plausible stream with an unknown version byte.
-	g := store.FromTriples(mkBatch(0, 5))
-	var snap bytes.Buffer
-	if err := store.WriteSnapshotV2(&snap, g, store.NewRunCols(g.All())); err != nil {
+	path := filepath.Join(t.TempDir(), "snap.rdfsum")
+	if err := store.SaveFile(path, store.FromTriples(mkBatch(0, 5))); err != nil {
 		t.Fatal(err)
 	}
-	raw := snap.Bytes()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw[6] = 9 // future format version
 
 	mux := http.NewServeMux()

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"rdfsum/internal/dict"
@@ -51,37 +52,62 @@ func (o Order) unkey(k1, k2, k3 dict.ID) Triple {
 func zigzag(x int64) uint64   { return uint64((x << 1) ^ (x >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// encodeCol serializes col — sorted in ord — into the column payload
-// format. It reads through a Cursor, so heap, mapped and spilled columns
-// all encode (to the same bytes for the same triples).
-func encodeCol(ord Order, col Col) []byte {
+// uvarintLen is the number of bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// writeCol streams col — sorted in ord — as one column section. The
+// skip index precedes the blocks and holds their offsets, so the column
+// is read twice through a Cursor: once sizing the blocks to fill the
+// skip index, once encoding them. Heap, mapped and spilled columns all
+// encode, to the same bytes for the same triples.
+func writeCol(w *containerWriter, ord Order, col Col) {
 	n := col.Len()
 	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
-	skip := make([]byte, nBlocks*colSkipEntryBytes)
-	var blocks []byte
-	var tmp [3 * binary.MaxVarintLen64]byte
+	blockLen := func(b int) int { return min(colBlockTriples, n-b*colBlockTriples) }
+
+	head := make([]byte, 8, 8+nBlocks*colSkipEntryBytes)
+	binary.LittleEndian.PutUint32(head[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(head[4:8], uint32(nBlocks))
+	off := uint64(cap(head))
 	cur := col.Cursor(0, n)
 	for b := 0; b < nBlocks; b++ {
 		p1, p2, p3 := ord.key(cur.Next())
-		e := skip[b*colSkipEntryBytes:]
-		binary.LittleEndian.PutUint32(e[0:4], uint32(p1))
-		binary.LittleEndian.PutUint32(e[4:8], uint32(p2))
-		binary.LittleEndian.PutUint32(e[8:12], uint32(p3))
-		binary.LittleEndian.PutUint64(e[12:20], uint64(8+len(skip)+len(blocks)))
-		for i := min(colBlockTriples, n-b*colBlockTriples) - 1; i > 0; i-- {
+		head = binary.LittleEndian.AppendUint32(head, uint32(p1))
+		head = binary.LittleEndian.AppendUint32(head, uint32(p2))
+		head = binary.LittleEndian.AppendUint32(head, uint32(p3))
+		head = binary.LittleEndian.AppendUint64(head, off)
+		for i := blockLen(b) - 1; i > 0; i-- {
 			c1, c2, c3 := ord.key(cur.Next())
-			w := binary.PutUvarint(tmp[:], uint64(c1-p1))
-			w += binary.PutUvarint(tmp[w:], zigzag(int64(c2)-int64(p2)))
-			w += binary.PutUvarint(tmp[w:], zigzag(int64(c3)-int64(p3)))
-			blocks = append(blocks, tmp[:w]...)
+			off += uint64(uvarintLen(uint64(c1-p1)) +
+				uvarintLen(zigzag(int64(c2)-int64(p2))) +
+				uvarintLen(zigzag(int64(c3)-int64(p3))))
 			p1, p2, p3 = c1, c2, c3
 		}
 	}
-	out := make([]byte, 8, 8+len(skip)+len(blocks))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(out[4:8], uint32(nBlocks))
-	out = append(out, skip...)
-	return append(out, blocks...)
+	w.Write(head) //nolint:errcheck // sticky
+
+	var tmp [3 * binary.MaxVarintLen64]byte
+	cur = col.Cursor(0, n)
+	for b := 0; b < nBlocks; b++ {
+		p1, p2, p3 := ord.key(cur.Next()) // lives in the skip entry
+		for i := blockLen(b) - 1; i > 0; i-- {
+			c1, c2, c3 := ord.key(cur.Next())
+			k := binary.PutUvarint(tmp[:], uint64(c1-p1))
+			k += binary.PutUvarint(tmp[k:], zigzag(int64(c2)-int64(p2)))
+			k += binary.PutUvarint(tmp[k:], zigzag(int64(c3)-int64(p3)))
+			w.Write(tmp[:k]) //nolint:errcheck // sticky
+			p1, p2, p3 = c1, c2, c3
+		}
+	}
+}
+
+// writeCols streams a run's three columns as the three column sections.
+func writeCols(w *containerWriter, cols RunCols) {
+	for o, id := range colSectionIDs {
+		w.begin()
+		writeCol(w, Order(o), cols.col(Order(o)))
+		w.end(id)
+	}
 }
 
 // mappedCol serves one encoded column without materializing it: the

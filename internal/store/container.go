@@ -225,78 +225,136 @@ func parseContainer(data []byte, verify bool) (*container, error) {
 	return c, nil
 }
 
-// writeContainer streams a v2 container: header, page-aligned sections
-// in the given order, then the TOC. Section payloads must already be
-// fully built (the writer computes all offsets up front, so the output
-// needs no seeking and can go straight to a pipe or socket).
-func writeContainer(w io.Writer, kind byte, counts [4]uint64, ids []byte, payloads [][]byte) error {
-	align := func(off uint64) uint64 {
-		return (off + v2PageSize - 1) &^ uint64(v2PageSize-1)
-	}
-	// Lay out: header page, then each section at the next page boundary.
-	offs := make([]uint64, len(payloads))
-	off := uint64(v2HeaderSize)
-	for i, p := range payloads {
-		off = align(off)
-		offs[i] = off
-		off += uint64(len(p))
-	}
-	tocOff := align(off)
+// File is what a container is written to — *os.File, in effect: the
+// sections stream through Write, and WriteAt places the header once the
+// offsets and checksums it carries are known.
+type File interface {
+	io.Writer
+	io.WriterAt
+}
 
-	toc := make([]byte, 0, len(payloads)*v2TocEntrySize)
+// containerChunk is the size of the one buffer a container streams
+// through: large enough that a write is a few dozen pages, small next to
+// any section worth streaming.
+const containerChunk = 256 << 10
+
+// containerWriter streams a v2 container to a File positioned at offset
+// zero: each section begins at the next page boundary and passes through
+// one reused chunk buffer under a running CRC-32; finish writes the TOC
+// and then — last — the 64-byte header, which carries the TOC's offset
+// and checksum. Until then the file starts with zeros, which
+// parseContainer refuses (ErrSnapshotMagic), so a prefix of a container
+// never reads as one. The first error sticks: later calls do nothing and
+// finish returns it.
+type containerWriter struct {
+	f    File
+	kind byte
+	buf  []byte // bytes not yet handed to f
+	pos  uint64 // file offset of buf[0]
+	err  error
+
+	inSec   bool   // between begin and end
+	secOff  uint64 // file offset of the open section
+	crc     uint32 // checksum of the open section's flushed bytes
+	crcFrom int    // buf[crcFrom:] is the open section's unchecksummed part
+	toc     []byte
+}
+
+func newContainerWriter(f File, kind byte) *containerWriter {
+	w := &containerWriter{f: f, kind: kind, buf: make([]byte, 0, containerChunk)}
+	w.pad(v2HeaderSize) // the header's place
+	return w
+}
+
+// offset is the file offset the next byte lands at.
+func (w *containerWriter) offset() uint64 { return w.pos + uint64(len(w.buf)) }
+
+func (w *containerWriter) flush() {
+	if w.inSec {
+		w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[w.crcFrom:])
+		w.crcFrom = 0
+	}
+	if w.err == nil {
+		_, w.err = w.f.Write(w.buf)
+	}
+	w.pos += uint64(len(w.buf))
+	w.buf = w.buf[:0]
+}
+
+// Write appends p to the open section.
+func (w *containerWriter) Write(p []byte) (int, error) {
+	for rest := p; len(rest) > 0; {
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
+		n := copy(w.buf[len(w.buf):cap(w.buf)], rest)
+		w.buf = w.buf[:len(w.buf)+n]
+		rest = rest[n:]
+	}
+	return len(p), w.err
+}
+
+// pad appends zeros (outside any section) up to file offset to.
+func (w *containerWriter) pad(to uint64) {
+	var zeros [v2PageSize]byte
+	for w.offset() < to {
+		w.Write(zeros[:min(to-w.offset(), v2PageSize)]) //nolint:errcheck // sticky
+	}
+}
+
+// padToPage pads to the next page boundary.
+func (w *containerWriter) padToPage() {
+	w.pad((w.offset() + v2PageSize - 1) &^ uint64(v2PageSize-1))
+}
+
+// begin opens the next section at the next page boundary.
+func (w *containerWriter) begin() {
+	w.padToPage()
+	w.inSec, w.secOff, w.crc, w.crcFrom = true, w.offset(), 0, len(w.buf)
+}
+
+// end closes the open section into the TOC under id.
+func (w *containerWriter) end(id byte) {
+	crc := crc32.Update(w.crc, crc32.IEEETable, w.buf[w.crcFrom:])
+	w.inSec = false
 	var e [v2TocEntrySize]byte
-	for i, p := range payloads {
-		e[0] = ids[i]
-		binary.LittleEndian.PutUint64(e[1:9], offs[i])
-		binary.LittleEndian.PutUint64(e[9:17], uint64(len(p)))
-		binary.LittleEndian.PutUint32(e[17:21], crc32.ChecksumIEEE(p))
-		toc = append(toc, e[:]...)
-	}
+	e[0] = id
+	binary.LittleEndian.PutUint64(e[1:9], w.secOff)
+	binary.LittleEndian.PutUint64(e[9:17], w.offset()-w.secOff)
+	binary.LittleEndian.PutUint32(e[17:21], crc)
+	w.toc = append(w.toc, e[:]...)
+}
 
-	hdr := make([]byte, v2HeaderSize)
-	copy(hdr, snapshotMagic)
+// section writes a section whose payload is already in hand.
+func (w *containerWriter) section(id byte, payload []byte) {
+	w.begin()
+	w.Write(payload) //nolint:errcheck // sticky
+	w.end(id)
+}
+
+// finish writes the TOC at the next page boundary, then the header at
+// offset zero, and reports the first error of the whole container.
+func (w *containerWriter) finish(counts [4]uint64) error {
+	w.padToPage()
+	tocOff := w.offset()
+	w.Write(w.toc) //nolint:errcheck // sticky
+	w.flush()
+
+	var hdr [v2HeaderSize]byte
+	copy(hdr[:], snapshotMagic)
 	hdr[6] = snapshotVersion2
-	hdr[7] = kind
+	hdr[7] = w.kind
 	binary.LittleEndian.PutUint32(hdr[8:12], v2PageSize)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(payloads)))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(w.toc)/v2TocEntrySize))
 	binary.LittleEndian.PutUint64(hdr[16:24], counts[0])
 	binary.LittleEndian.PutUint64(hdr[24:32], counts[1])
 	binary.LittleEndian.PutUint64(hdr[32:40], counts[2])
 	binary.LittleEndian.PutUint64(hdr[40:48], counts[3])
 	binary.LittleEndian.PutUint64(hdr[48:56], tocOff)
-	binary.LittleEndian.PutUint32(hdr[56:60], crc32.ChecksumIEEE(toc))
+	binary.LittleEndian.PutUint32(hdr[56:60], crc32.ChecksumIEEE(w.toc))
 	binary.LittleEndian.PutUint32(hdr[60:64], crc32.ChecksumIEEE(hdr[:60]))
-
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	if w.err == nil {
+		_, w.err = w.f.WriteAt(hdr[:], 0)
 	}
-	pos := uint64(v2HeaderSize)
-	pad := make([]byte, v2PageSize)
-	writePad := func(to uint64) error {
-		for pos < to {
-			n := to - pos
-			if n > uint64(len(pad)) {
-				n = uint64(len(pad))
-			}
-			if _, err := w.Write(pad[:n]); err != nil {
-				return err
-			}
-			pos += n
-		}
-		return nil
-	}
-	for i, p := range payloads {
-		if err := writePad(offs[i]); err != nil {
-			return err
-		}
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-		pos += uint64(len(p))
-	}
-	if err := writePad(tocOff); err != nil {
-		return err
-	}
-	_, err := w.Write(toc)
-	return err
+	return w.err
 }

@@ -328,6 +328,19 @@ func (ix *Index) SpilledRuns() int {
 	return n
 }
 
+// HeapBytes is what the heap-resident runs hold: a triple is 12 bytes in
+// each of the three sort orders. Mapped and spilled runs are file-backed
+// and count nothing.
+func (ix *Index) HeapBytes() int64 {
+	n := 0
+	for _, r := range ix.runs {
+		if _, heap := r.cols.(*memCols); heap {
+			n += r.length()
+		}
+	}
+	return int64(n) * int64(NumOrders) * TripleBytes
+}
+
 // Tombstones reports the total tombstones retained across runs (0 after a
 // compaction).
 func (ix *Index) Tombstones() int { return ix.tombs }

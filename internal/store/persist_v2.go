@@ -9,13 +9,12 @@ import (
 	"sync"
 
 	"rdfsum/internal/dict"
-	"rdfsum/internal/rdf"
 )
 
 // Snapshot format v2 content, inside the container of container.go:
 //
 //   - secDictPages/DictDir/DictSorted: the front-coded dictionary
-//     (internal/dict, EncodeFrontCoded), terms in ID order so summaries
+//     (internal/dict, WriteFrontCoded), terms in ID order so summaries
 //     stay bit-identical to v1.
 //   - secCompData/Types/Schema: the three graph components in INSERTION
 //     order (summary node numbering depends on it), three uvarint IDs
@@ -24,13 +23,19 @@ import (
 //     duplicates preserved) sorted three ways as varint-delta columns
 //     (colenc.go) — the zero-copy base run of the tiered index.
 
-// WriteSnapshotV2 serializes the graph to w in snapshot format v2. cols
-// must hold exactly g's triple multiset — the run an index over g
+// WriteSnapshotV2 serializes the graph to f in snapshot format v2,
+// streaming: a section passes through the container writer's one chunk
+// buffer on its way to f, so writing holds O(terms) of its own (the
+// dictionary's directory and sorted permutation), not the file. The
+// header is placed last — what f holds before WriteSnapshotV2 returns nil
+// is not a snapshot, and callers publish it (rename) only then.
+//
+// cols must hold exactly g's triple multiset — the run an index over g
 // already serves (a fresh NewRunCols(g.All()), or Index.Cols after a
 // fold): the writer encodes its column sections from it and never sorts.
 // The dictionary section lists terms 1..Len, so g must not be over an
 // overlay dictionary — re-encode with Dense first (SaveFile does).
-func WriteSnapshotV2(w io.Writer, g *Graph, cols RunCols) error {
+func WriteSnapshotV2(f File, g *Graph, cols RunCols) error {
 	if g.Dict().IsOverlay() {
 		return errors.New("store: snapshot of a graph over an overlay dictionary (re-encode it with Dense)")
 	}
@@ -38,34 +43,30 @@ func WriteSnapshotV2(w io.Writer, g *Graph, cols RunCols) error {
 	if cols.length() != g.NumEdges() {
 		return fmt.Errorf("store: snapshot run holds %d triples, graph %d", cols.length(), g.NumEdges())
 	}
-	d := g.Dict()
-	terms := make([]rdf.Term, d.Len())
-	for i := range terms {
-		terms[i] = d.Term(dict.ID(i + 1))
+	w := newContainerWriter(f, fileKindSnapshot)
+	w.begin()
+	nTerms, dir, sorted, err := g.Dict().WriteFrontCoded(w)
+	if err != nil {
+		return err
 	}
-	pages, dir, sorted := dict.EncodeFrontCoded(terms)
-
-	counts := [4]uint64{uint64(len(terms)), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))}
-	ids := []byte{secDictPages, secDictDir, secDictSorted, secCompData, secCompTypes, secCompSchema, secColSPO, secColPOS, secColOSP, secVocab}
-	cp := encodeCols(cols)
-	payloads := [][]byte{pages, dir, sorted,
-		encodeComp(g.Data), encodeComp(g.Types), encodeComp(g.Schema),
-		cp[OrderSPO], cp[OrderPOS], cp[OrderOSP],
-		encodeVocabSec(g.Vocab())}
-	return writeContainer(w, fileKindSnapshot, counts, ids, payloads)
+	w.end(secDictPages)
+	w.section(secDictDir, dir)
+	w.section(secDictSorted, sorted)
+	for _, c := range []struct {
+		id byte
+		ts []Triple
+	}{{secCompData, g.Data}, {secCompTypes, g.Types}, {secCompSchema, g.Schema}} {
+		w.begin()
+		writeComp(w, c.ts)
+		w.end(c.id)
+	}
+	writeCols(w, cols)
+	w.section(secVocab, encodeVocabSec(g.Vocab()))
+	return w.finish([4]uint64{uint64(nTerms), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))})
 }
 
 // colSectionIDs maps each sort order to its column section.
 var colSectionIDs = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, OrderOSP: secColOSP}
-
-// encodeCols encodes a run's three columns, in colSectionIDs order.
-func encodeCols(cols RunCols) [][]byte {
-	out := make([][]byte, NumOrders)
-	for o := range out {
-		out[o] = encodeCol(Order(o), cols.col(Order(o)))
-	}
-	return out
-}
 
 // encodeVocabSec serializes the five interpreted-vocabulary IDs. The
 // vocabulary is interned into every dictionary at graph construction,
@@ -114,20 +115,16 @@ func (sf *SnapshotFile) Vocab() (Vocab, bool) {
 	return v, true
 }
 
-// encodeComp serializes triples as back-to-back uvarint ID triples; the
+// writeComp streams triples as back-to-back uvarint ID triples; the
 // count lives in the container header.
-func encodeComp(ts []Triple) []byte {
-	out := make([]byte, 0, len(ts)*3)
-	var tmp [binary.MaxVarintLen64]byte
+func writeComp(w *containerWriter, ts []Triple) {
+	var tmp [3 * binary.MaxVarintLen64]byte
 	for _, t := range ts {
 		n := binary.PutUvarint(tmp[:], uint64(t.S))
-		out = append(out, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(t.P))
-		out = append(out, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(t.O))
-		out = append(out, tmp[:n]...)
+		n += binary.PutUvarint(tmp[n:], uint64(t.P))
+		n += binary.PutUvarint(tmp[n:], uint64(t.O))
+		w.Write(tmp[:n]) //nolint:errcheck // sticky
 	}
-	return out
 }
 
 // decodeComp parses an insertion-order component section.

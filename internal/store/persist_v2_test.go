@@ -2,9 +2,9 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -25,11 +25,27 @@ func v2Sample(t *testing.T) (*Graph, []byte) {
 		rdf.NewTriple(rdf.NewBlank("b0"), rdf.NewIRI("http://x/q"), rdf.NewLangLiteral("hi", "en")),
 		rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/q"), rdf.NewTypedLiteral("3", "http://www.w3.org/2001/XMLSchema#int")),
 	})
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, g, NewRunCols(g.All())); err != nil {
+	var f memFile
+	if err := WriteSnapshotV2(&f, g, NewRunCols(g.All())); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
-	return g, buf.Bytes()
+	return g, f.b
+}
+
+// memFile is an in-memory File: what a test that wants the bytes hands
+// the snapshot writer in place of an *os.File.
+type memFile struct{ b []byte }
+
+func (m *memFile) Write(p []byte) (int, error) {
+	m.b = append(m.b, p...)
+	return len(p), nil
+}
+
+func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if grow := int(off) + len(p) - len(m.b); grow > 0 {
+		m.b = append(m.b, make([]byte, grow)...)
+	}
+	return copy(m.b[off:], p), nil
 }
 
 // v2RandomGraph builds a graph with duplicate-free but skewed random
@@ -391,67 +407,70 @@ func TestInspectSnapshotV2(t *testing.T) {
 	}
 }
 
-// referenceSnapshotV2 is the snapshot writer as it was before the index
-// and the writer shared one run: the column sections come from g.All()
-// sorted three ways by a comparison sort. The files the shared-run
-// writer produces must match it byte for byte.
-func referenceSnapshotV2(t *testing.T, g *Graph) []byte {
-	t.Helper()
-	g.Ensure()
-	terms := make([]rdf.Term, g.Dict().Len())
-	for i := range terms {
-		terms[i] = g.Dict().Term(dict.ID(i + 1))
-	}
-	pages, dir, sorted := dict.EncodeFrontCoded(terms)
-	all := g.All()
-	col := func(o Order) []byte { return encodeCol(o, memCol(sortedBy(all, o.less))) }
-	counts := [4]uint64{uint64(len(terms)), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))}
-	ids := []byte{secDictPages, secDictDir, secDictSorted, secCompData, secCompTypes, secCompSchema, secColSPO, secColPOS, secColOSP, secVocab}
-	payloads := [][]byte{pages, dir, sorted,
-		encodeComp(g.Data), encodeComp(g.Types), encodeComp(g.Schema),
-		col(OrderSPO), col(OrderPOS), col(OrderOSP),
-		encodeVocabSec(g.Vocab())}
-	var buf bytes.Buffer
-	if err := writeContainer(&buf, fileKindSnapshot, counts, ids, payloads); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// golden is the length and SHA-256 of a file the parent of the streaming
+// writer (commit 9f022f1: every section built whole in memory, then
+// writeContainer) produced — recorded from that code before it was
+// deleted, so byte identity is asserted against the parent itself.
+type golden struct {
+	n   int
+	sha string
 }
+
+func (want golden) check(t *testing.T, what string, got []byte) {
+	t.Helper()
+	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); len(got) != want.n || sum != want.sha {
+		t.Fatalf("%s: %d bytes, sha256 %s; the parent's writer produced %d bytes, sha256 %s",
+			what, len(got), sum, want.n, want.sha)
+	}
+}
+
+var (
+	goldenV2Sample = golden{45266, "45bc23ad5e66497e791e6a2a6a1ca067aa3c0d160082ca33db64e4db6f06901e"}
+	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
+	goldenRandom = map[int]golden{
+		0:               {37074, "dff00de9852f3eeff8bd595f194c70dd061b60716f377995c14d8425232c5e53"},
+		3:               {45266, "90f1f47884759791c3f1ecd8029fb6033a66afe2144a81e95e7346ed6bd6807e"},
+		50:              {45266, "061fde6e37bb433a6c128689bbd009e074df318c7955cc9e3b8bab405a6774ec"},
+		radixCutoff * 3: {45266, "cd34a80306b47906fdd869dffd41f9882455f1e4acf6353a1d029967ff05ad2b"},
+		3000:            {131282, "d16aac3b35c4de181794cae7706f7d578f78488c81ae29bf062bb7c0d619e1aa"},
+	}
+	// writeRunFile of the n = 3000 graph's run.
+	goldenRunFile3000 = golden{53311, "6703c16136eebe5d6907e95597ffb4faa897e349c25c7bfc422f869ffb363ac6"}
+)
 
 // TestWriteSnapshotV2ByteIdentical: whatever run the writer is handed for
 // a graph — a fresh heap run, the mapped columns of a snapshot of the
 // same graph, the (heap or spilled) run of a folded index — the file is
-// the reference writer's, byte for byte.
+// the parent writer's, byte for byte; and so is a spill file.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	write := func(g *Graph, cols RunCols) []byte {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := WriteSnapshotV2(&buf, g, cols); err != nil {
+		var f memFile
+		if err := WriteSnapshotV2(&f, g, cols); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return f.b
 	}
+	_, sample := v2Sample(t)
+	goldenV2Sample.check(t, "v2Sample", sample)
 	for _, n := range []int{0, 3, 50, radixCutoff * 3, 3000} {
 		g := v2RandomGraph(t, uint64(n)+1, n)
 		// Duplicate triples: the multiset, not the set, is stored.
 		dup := g.All()[0]
 		g.AddEncoded(dup.S, dup.P, dup.O)
-		want := referenceSnapshotV2(t, g)
+		want := goldenRandom[n]
 
-		if got := write(g, NewRunCols(g.All())); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: heap run: snapshot differs from the reference writer's", n)
-		}
+		file := write(g, NewRunCols(g.All()))
+		want.check(t, fmt.Sprintf("n=%d: heap run", n), file)
 		path := filepath.Join(t.TempDir(), "g.rdfsum")
-		if err := os.WriteFile(path, want, 0o644); err != nil {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		sf, err := OpenSnapshotFile(path, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := write(g, sf.Runs()); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: mapped run: snapshot differs from the reference writer's", n)
-		}
+		want.check(t, fmt.Sprintf("n=%d: mapped run", n), write(g, sf.Runs()))
 		sf.Close()
 
 		// A tiered index fed the same triples in slices, with a delete
@@ -468,13 +487,81 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 			if !ok {
 				t.Fatalf("n=%d: Compacted index exposes no single run", n)
 			}
-			if got := write(g, cols); !bytes.Equal(got, want) {
-				t.Fatalf("n=%d spill=%v: folded run: snapshot differs from the reference writer's", n, spill != nil)
+			want.check(t, fmt.Sprintf("n=%d spill=%v: folded run", n, spill != nil), write(g, cols))
+		}
+
+		if n == 3000 {
+			path := filepath.Join(t.TempDir(), "run.col")
+			if _, err := writeRunFile(path, newMemCols(g.All())); err != nil {
+				t.Fatal(err)
 			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goldenRunFile3000.check(t, "spill file", got)
 		}
 	}
 	g, _ := v2Sample(t)
-	if err := WriteSnapshotV2(io.Discard, g, NewRunCols(g.All()[1:])); err == nil {
+	if err := WriteSnapshotV2(&memFile{}, g, NewRunCols(g.All()[1:])); err == nil {
 		t.Fatal("a run that does not hold the graph's triples was accepted")
+	}
+}
+
+// failFile is a memFile whose k-th operation (Write and WriteAt counted
+// together) fails.
+type failFile struct {
+	memFile
+	ops, failAt int
+}
+
+var errInjected = errors.New("injected write failure")
+
+func (f *failFile) Write(p []byte) (int, error) {
+	if f.ops++; f.ops == f.failAt {
+		return 0, errInjected
+	}
+	return f.memFile.Write(p)
+}
+
+func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.ops++; f.ops == f.failAt {
+		return 0, errInjected
+	}
+	return f.memFile.WriteAt(p, off)
+}
+
+// TestSectionWriterFailsClean: whichever write of a snapshot fails — any
+// chunk, or the header placed at the end — WriteSnapshotV2 returns that
+// error, and what reached the file does not parse as a container: the
+// header is the last thing written, so a file without it starts with
+// zeros.
+func TestSectionWriterFailsClean(t *testing.T) {
+	g := v2RandomGraph(t, 5, 20000) // several chunks
+	cols := NewRunCols(g.All())
+	var whole failFile
+	if err := WriteSnapshotV2(&whole, g, cols); err != nil {
+		t.Fatal(err)
+	}
+	if whole.ops < 4 {
+		t.Fatalf("the sample writes in %d operations: too few to exercise a mid-file failure", whole.ops)
+	}
+	if _, err := parseContainer(whole.b, true); err != nil {
+		t.Fatalf("unfailed write: %v", err)
+	}
+	for k := 1; k <= whole.ops; k++ {
+		f := failFile{failAt: k}
+		if err := WriteSnapshotV2(&f, g, cols); !errors.Is(err, errInjected) {
+			t.Fatalf("operation %d of %d failed, WriteSnapshotV2 returned %v", k, whole.ops, err)
+		}
+		if f.ops != k {
+			t.Fatalf("operation %d failed, yet the writer went on to operation %d", k, f.ops)
+		}
+		if len(f.b) < v2HeaderSize {
+			continue
+		}
+		if _, err := parseContainer(f.b, false); !errors.Is(err, ErrSnapshotMagic) {
+			t.Fatalf("operation %d failed: the partial file parses with %v, want ErrSnapshotMagic", k, err)
+		}
 	}
 }

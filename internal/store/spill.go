@@ -73,15 +73,16 @@ func (r *run) unlinkSpill() {
 	}
 }
 
-// writeRunFile serializes an in-memory run's three columns as a v2 run
-// container and returns the file size.
+// writeRunFile creates path and streams an in-memory run's three columns
+// into it as a v2 run container, returning the file size.
 func writeRunFile(path string, mc *memCols) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	counts := [4]uint64{0, uint64(mc.length()), 0, 0}
-	if err := writeContainer(f, fileKindRun, counts, colSectionIDs[:], encodeCols(mc)); err != nil {
+	w := newContainerWriter(f, fileKindRun)
+	writeCols(w, mc)
+	if err := w.finish([4]uint64{0, uint64(mc.length()), 0, 0}); err != nil {
 		f.Close() //nolint:errcheck // already failing
 		return 0, err
 	}

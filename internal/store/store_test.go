@@ -196,11 +196,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{S: rdf.NewIRI("http://x/C"), P: rdf.SubClassOf(), O: rdf.NewIRI("http://x/D")},
 		{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://x/p"), O: rdf.NewLangLiteral("é", "fr")},
 	})
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, g, NewRunCols(g.All())); err != nil {
+	var f memFile
+	if err := WriteSnapshotV2(&f, g, NewRunCols(g.All())); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
-	h, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	h, err := ReadSnapshot(bytes.NewReader(f.b))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
