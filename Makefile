@@ -94,13 +94,16 @@ bench-smoke:
 # pruner and the planner weights — the sequence benchmark/ times as
 # setup_s) on one CPU under the CPU profiler: the top 20 functions by
 # cumulative time, then who calls the run sort (store.newMemCols) and for
-# how long — one caller means the boot sorts its triples once. The test
-# binary and profile live in a temp directory.
+# how long — one caller means the boot sorts its triples once. BOOT picks
+# the dump: bsbm-nt (BSBM as N-Triples, what probe-bsbm and mixed-bsbm
+# boot from) or lubm-ttl-gz (LUBM as gzipped Turtle, scan-lubm's). The
+# test binary and profile live in a temp directory.
+BOOT ?= bsbm-nt
 boot-profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) test -run 'XXX-none' -bench 'BenchmarkSeedBoot$$' -benchtime 10x -cpu 1 \
+	$(GO) test -run 'XXX-none' -bench 'BenchmarkSeedBoot$$/^$(BOOT)$$' -benchtime 10x -cpu 1 \
 		-o "$$d/rdfsum.test" -cpuprofile "$$d/cpu.out" . && \
-	$(GO) tool pprof -top -cum -nodecount 20 -focus 'BenchmarkSeedBoot' -hide '^testing\.' "$$d/rdfsum.test" "$$d/cpu.out" && \
+	$(GO) tool pprof -top -cum -nodecount 20 -focus 'rdfsum_test\.seedBoot' -hide '^testing\.' "$$d/rdfsum.test" "$$d/cpu.out" && \
 	$(GO) tool pprof -peek 'store\.newMemCols$$' "$$d/rdfsum.test" "$$d/cpu.out" | sed -n '/flat%/,$$p'
 
 # Who holds the heap, and who churns it: BenchmarkLiveCycle (a store
@@ -154,13 +157,16 @@ ingest-smoke:
 .PHONY: replication-smoke ingest-smoke
 
 # Fuzz smoke (mirrored as a CI job): the N-Triples parser, the Turtle
-# statement splitter's bit-identity property (split+parallel parse ==
-# sequential parse, byte for byte), and the WAL record decoder/replayer,
-# each seeded from the committed corpus under the package's testdata/fuzz/
-# directory.
+# statement splitter's bit-identity property (split + per-slab parse ==
+# sequential parse, triple for triple), the same property one level down
+# (the streamed sequential load and the parallel load == FromTriples of
+# the parsed triples, ID for ID; malformed input fails all three on the
+# same line), and the WAL record decoder/replayer, each seeded from the
+# committed corpus under the package's testdata/fuzz/ directory.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
 	$(GO) test -fuzz=FuzzTurtleSplit -fuzztime=$(FUZZTIME) -run='^$$' ./internal/turtle
+	$(GO) test -fuzz=FuzzTurtleLoad -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 

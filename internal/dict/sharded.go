@@ -14,8 +14,10 @@ import (
 //
 // Workers call Observe from many goroutines; terms are lock-striped over
 // shards keyed by a hash of the term, so contention stays low. Each
-// observation carries an occurrence key (the term's position in the input:
-// 4·line + role), and each shard keeps the minimum key seen per term.
+// observation carries an occurrence key (any number that grows with the
+// term's position in the input: 4·line + role for N-Triples, the slab
+// index over a count of the slab's observations for Turtle), and each
+// shard keeps the minimum key seen per term.
 // Finalize then renumbers every term into the dense 1..MaxID space in
 // ascending first-occurrence order — exactly the IDs a sequential
 // encode-in-file-order pass would have assigned — so all downstream code

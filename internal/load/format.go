@@ -4,7 +4,8 @@ package load
 // front door for bulk loading: they detect the stream compression (magic
 // bytes, or file extension as a hint), decode it as a streaming stage —
 // the compressed input never materializes — detect the RDF serialization,
-// and hand the plain text to the matching parallel pipeline. Stream and
+// and hand the plain text to the matching pipeline (N-Triples streams
+// through in slabs; Turtle text is buffered whole, see turtleReader). Stream and
 // StreamFile are the triple-at-a-time variants the live-ingest paths use.
 
 import (
@@ -125,9 +126,13 @@ func Reader(r io.Reader, opts Options) (*store.Graph, error) {
 }
 
 // Stream parses a document triple by triple without building a graph —
-// the live-ingest entry point. Decompression and format detection work
-// as in Reader; Turtle input is necessarily buffered in memory first
-// (its grammar is not line-delimited), N-Triples streams through.
+// the live-ingest entry point — stopping at the first syntax error or the
+// first error fn returns. Decompression and format detection work as in
+// Reader; Turtle text is necessarily buffered in memory first (its
+// grammar is not line-delimited) and fn is called as its statements
+// parse, N-Triples streams through. Either way a term without escapes is
+// a substring of the buffered input: a caller that retains terms retains
+// it (ntriples.ParseFunc's contract).
 func Stream(r io.Reader, opts Options, fn func(rdf.Triple) error) error {
 	dec, err := compress.NewReader(r, opts.Compression)
 	if err != nil {
@@ -142,20 +147,11 @@ func Stream(r io.Reader, opts Options, fn func(rdf.Triple) error) error {
 		plain = br
 	}
 	if format == FormatTurtle {
-		data, err := io.ReadAll(plain)
+		doc, err := turtle.ReadDocument(plain)
 		if err != nil {
 			return err
 		}
-		triples, err := turtle.ParseString(string(data))
-		if err != nil {
-			return err
-		}
-		for _, t := range triples {
-			if err := fn(t); err != nil {
-				return err
-			}
-		}
-		return nil
+		return turtle.Triples(turtle.Slab{Data: doc}, fn)
 	}
 	return ntriples.ParseFunc(plain, fn)
 }
@@ -199,53 +195,55 @@ func sniffFormat(br *bufio.Reader) Format {
 	return FormatNTriples
 }
 
-// turtleReader is the Turtle loading pipeline: the decoded document is
-// split at statement boundaries (internal/turtle.SplitStatements) into
-// slabs that parse concurrently under per-slab directive-environment
-// snapshots, feeding the same sharded dictionary and assembly phases as
-// the N-Triples pipeline. Occurrence keys are (slab, in-slab ordinal,
-// role), which orders observations exactly as a sequential scan would —
-// the resulting graph is bit-identical to turtle.Parse + FromTriples.
+// turtleReader is the Turtle loading pipeline. The decoded document is
+// buffered whole (turtle.ReadDocument) and every path runs the one
+// statement loop, turtle.Stream, which hands over terms once and triples
+// as handles: the sequential path interns straight into the graph's
+// dictionary and appends IDs — no rdf.Triple is built — and the parallel
+// path splits the document at statement boundaries
+// (turtle.SplitStatements) into slabs that parse concurrently under
+// per-slab directive-environment snapshots, feeding the same sharded
+// dictionary and assembly phases as the N-Triples pipeline. Either way
+// the graph is the one turtle.Parse + store.FromTriples would build, bit
+// for bit.
 func turtleReader(r io.Reader, opts Options) (*store.Graph, error) {
-	data, err := io.ReadAll(r)
+	doc, err := turtle.ReadDocument(r)
 	if err != nil {
 		return nil, err
 	}
-	doc := string(data)
-	if opts.workers() == 1 {
-		triples, err := turtle.ParseString(doc)
-		if err != nil {
-			return nil, err
-		}
-		return store.FromTriples(triples), nil
+	if opts.workers() > 1 {
+		return turtleParallel(doc, opts.workers(), opts.SlabBytes)
 	}
-	return turtleParallel(doc, opts.workers(), opts.SlabBytes)
-}
-
-// turtleKey orders term observations globally: slab index, then in-slab
-// statement ordinal, then role — matching sequential document order.
-// 38 bits of ordinal per slab and 24 bits of slab index comfortably
-// exceed any input the splitter can produce.
-func turtleKey(slabIndex, ordinal, role int) uint64 {
-	return uint64(slabIndex)<<40 | uint64(ordinal)<<2 | uint64(role)
+	g := store.NewGraph()
+	d := g.Dict()
+	err = turtle.Stream(turtle.Slab{Data: doc},
+		func(t rdf.Term) uint32 { return uint32(d.Encode(t)) },
+		func(s, p, o uint32) error {
+			g.AddEncoded(dict.ID(s), dict.ID(p), dict.ID(o))
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 func turtleParallel(doc string, workers, slabBytes int) (*store.Graph, error) {
-	slabs, err := turtle.SplitStatements(doc, slabBytes)
-	if err != nil {
-		return nil, err
-	}
-	st := &loadState{sd: dict.NewSharded()}
+	slabs, splitErr := turtle.SplitStatements(doc, slabBytes)
+	st := newLoadState()
 	parallelFor(len(slabs), workers, func(i int) {
-		if st.aborted() {
+		if st.skip(i) {
 			return
 		}
 		if res, err := parseTurtleSlab(st.sd, slabs[i]); err != nil {
-			st.fail(err)
+			st.fail(i, err)
 		} else {
 			st.put(res)
 		}
 	})
+	if splitErr != nil {
+		st.fail(noSlab, splitErr) // a malformed directive; an earlier slab's error wins
+	}
 	if st.err != nil {
 		return nil, st.err
 	}
@@ -255,28 +253,31 @@ func turtleParallel(doc string, workers, slabBytes int) (*store.Graph, error) {
 }
 
 // parseTurtleSlab parses one slab under its environment snapshot and
-// observes its terms; the slab-local cache mirrors parseSlab's.
+// observes its terms; the slab-local cache mirrors parseSlab's. An
+// occurrence key is the slab index over a count of the slab's intern
+// calls: Stream interns in document order, and keys need only be
+// monotone in that order within a slab (40 bits of count and 24 of slab
+// index exceed any input the splitter can produce).
 func parseTurtleSlab(sd *dict.Sharded, sl turtle.Slab) (slabTriples, error) {
-	ts, err := turtle.ParseSlab(sl)
+	cache := make(map[rdf.Term]dict.ProvID, 64)
+	key := uint64(sl.Index) << 40
+	var triples []provTriple
+	err := turtle.Stream(sl,
+		func(t rdf.Term) uint32 {
+			key++
+			if p, ok := cache[t]; ok {
+				return uint32(p)
+			}
+			p := sd.Observe(t, key)
+			cache[t] = p
+			return uint32(p)
+		},
+		func(s, p, o uint32) error {
+			triples = append(triples, provTriple{s: dict.ProvID(s), p: dict.ProvID(p), o: dict.ProvID(o)})
+			return nil
+		})
 	if err != nil {
 		return slabTriples{}, err
-	}
-	cache := make(map[rdf.Term]dict.ProvID, 64)
-	observe := func(t rdf.Term, k uint64) dict.ProvID {
-		if p, ok := cache[t]; ok {
-			return p
-		}
-		p := sd.Observe(t, k)
-		cache[t] = p
-		return p
-	}
-	triples := make([]provTriple, 0, len(ts))
-	for ord, t := range ts {
-		triples = append(triples, provTriple{
-			s: observe(t.S, turtleKey(sl.Index, ord, roleS)),
-			p: observe(t.P, turtleKey(sl.Index, ord, roleP)),
-			o: observe(t.O, turtleKey(sl.Index, ord, roleO)),
-		})
 	}
 	return slabTriples{index: sl.Index, triples: triples}, nil
 }

@@ -27,13 +27,14 @@
 // same triple slices, same component order — which load_test.go asserts
 // term-for-term. A malformed line is reported with its exact global
 // 1-based line number from whichever slab holds it; when several slabs
-// fail before the pipeline stops, the earliest detected line wins (with a
-// single bad line this is exactly the sequential error).
+// fail, every slab before a failed one is still parsed and the earliest
+// line wins — the error a sequential scan reports.
 package load
 
 import (
 	"errors"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 
@@ -107,18 +108,28 @@ var errAborted = errors.New("load: aborted")
 type loadState struct {
 	sd *dict.Sharded
 
-	mu      sync.Mutex
-	results []slabTriples // dense by slab index once all workers finish
-	err     error         // the error to report; parse errors keep the earliest line
+	mu         sync.Mutex
+	results    []slabTriples // dense by slab index once all workers finish
+	err        error         // the error to report; parse errors keep the earliest line
+	failedSlab int           // lowest index of a slab that failed to parse
 }
 
-// fail records err, keeping the existing one unless the new error points
-// at an earlier line — matching the "first error in file order" behavior
-// of the sequential scan. Non-parse errors (I/O) win over nothing but
-// never displace an earlier parse error.
-func (st *loadState) fail(err error) {
+func newLoadState() *loadState {
+	return &loadState{sd: dict.NewSharded(), failedSlab: noSlab}
+}
+
+// noSlab is the slab index of an error no slab's parse raised (I/O, the
+// splitter): past every slab.
+const noSlab = math.MaxInt
+
+// fail records the error of slab (or noSlab), keeping the existing one
+// unless the new error points at an earlier line — matching the "first
+// error in file order" behavior of the sequential scan. Non-parse errors
+// (I/O) win over nothing but never displace an earlier parse error.
+func (st *loadState) fail(slab int, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.failedSlab = min(st.failedSlab, slab)
 	if st.err == nil {
 		st.err = err
 		return
@@ -144,10 +155,13 @@ func parseErrLine(err error) (int, bool) {
 	return 0, false
 }
 
-func (st *loadState) aborted() bool {
+// skip reports whether slab need not be parsed, or read: one before it
+// has failed. A slab before the failed one is still parsed — it may hold
+// an earlier error, and the first in document order is the one to report.
+func (st *loadState) skip(slab int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.err != nil
+	return slab > st.failedSlab
 }
 
 func (st *loadState) put(r slabTriples) {
@@ -169,7 +183,7 @@ const (
 func key(lineNo, role int) uint64 { return uint64(lineNo)<<2 | uint64(role) }
 
 func parallel(r io.Reader, workers, slabBytes int) (*store.Graph, error) {
-	st := &loadState{sd: dict.NewSharded()}
+	st := newLoadState()
 	slabs := make(chan ntriples.Slab, workers)
 
 	var wg sync.WaitGroup
@@ -178,11 +192,11 @@ func parallel(r io.Reader, workers, slabBytes int) (*store.Graph, error) {
 		go func() {
 			defer wg.Done()
 			for slab := range slabs {
-				if st.aborted() {
+				if st.skip(slab.Index) {
 					continue // drain
 				}
 				if res, err := parseSlab(st.sd, slab); err != nil {
-					st.fail(err)
+					st.fail(slab.Index, err)
 				} else {
 					st.put(res)
 				}
@@ -191,8 +205,8 @@ func parallel(r io.Reader, workers, slabBytes int) (*store.Graph, error) {
 	}
 
 	splitErr := ntriples.SplitSlabs(r, slabBytes, func(s ntriples.Slab) error {
-		if st.aborted() {
-			return errAborted // stop reading; a worker already failed
+		if st.skip(s.Index) {
+			return errAborted // stop reading; an earlier slab already failed
 		}
 		slabs <- s
 		return nil
@@ -200,7 +214,7 @@ func parallel(r io.Reader, workers, slabBytes int) (*store.Graph, error) {
 	close(slabs)
 	wg.Wait()
 	if splitErr != nil && splitErr != errAborted {
-		st.fail(splitErr)
+		st.fail(noSlab, splitErr)
 	}
 	if st.err != nil {
 		return nil, st.err

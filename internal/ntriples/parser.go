@@ -151,27 +151,28 @@ func (p *lineParser) term() (rdf.Term, error) {
 	}
 }
 
-// byteSet marks the bytes that end a fast-path span.
-type byteSet [256]bool
+// ByteSet marks the bytes that end a span scanned without decoding.
+type ByteSet [256]bool
 
-func newByteSet(bytes string) *byteSet {
-	var set byteSet
-	for i := 0; i < len(bytes); i++ {
-		set[bytes[i]] = true
+// NewByteSet returns the set of the bytes of s.
+func NewByteSet(s string) *ByteSet {
+	var set ByteSet
+	for i := 0; i < len(s); i++ {
+		set[s[i]] = true
 	}
 	return &set
 }
 
 var (
-	iriStops     = newByteSet(">\\ \t") // close, escape, and the whitespace the builder path rejects
-	literalStops = newByteSet("\"\\")   // close, escape
+	iriStops     = NewByteSet(">\\ \t") // close, escape, and the whitespace the builder path rejects
+	literalStops = NewByteSet("\"\\")   // close, escape
 )
 
-// cleanSpan returns the length of the longest prefix of s free of stop
-// bytes, and whether that prefix is valid UTF-8 (the builder path
-// substitutes U+FFFD for invalid bytes, so only a valid span may be
-// returned as a substring).
-func cleanSpan(s string, stops *byteSet) (n int, valid bool) {
+// CleanSpan returns the length of the longest prefix of s free of stop
+// bytes, and whether that prefix is valid UTF-8 (the rune-by-rune paths
+// substitute U+FFFD for invalid bytes, so only a valid span may be
+// returned as a substring). The Turtle reader scans with it too.
+func CleanSpan(s string, stops *ByteSet) (n int, valid bool) {
 	ascii := true
 	for n < len(s) && !stops[s[n]] {
 		ascii = ascii && s[n] < utf8.RuneSelf
@@ -188,7 +189,7 @@ func (p *lineParser) iriRef() (rdf.Term, error) {
 	// same position, so both paths produce the same terms and messages.
 	if !p.builderOnly {
 		rest := p.in[p.pos:]
-		if n, valid := cleanSpan(rest, iriStops); n > 0 && n < len(rest) && rest[n] == '>' && valid {
+		if n, valid := CleanSpan(rest, iriStops); n > 0 && n < len(rest) && rest[n] == '>' && valid {
 			p.pos += n + 1
 			return rdf.NewIRI(rest[:n]), nil
 		}
@@ -297,7 +298,7 @@ func (p *lineParser) literal() (rdf.Term, error) {
 	// is a substring of the line.
 	if !p.builderOnly {
 		rest := p.in[p.pos:]
-		if n, valid := cleanSpan(rest, literalStops); n < len(rest) && rest[n] == '"' && valid {
+		if n, valid := CleanSpan(rest, literalStops); n < len(rest) && rest[n] == '"' && valid {
 			p.pos += n + 1
 			return p.literalSuffix(rest[:n])
 		}

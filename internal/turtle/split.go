@@ -26,7 +26,6 @@ package turtle
 // exactly as the sequential reader would, just without parallelism.
 
 import (
-	"errors"
 	"maps"
 	"strings"
 
@@ -59,7 +58,9 @@ const DefaultSlabBytes = 1 << 20
 // bytes, each beginning at a statement boundary and carrying its
 // directive environment. The only error it can return is a malformed
 // directive (directives are parsed during splitting; everything else is
-// deferred to ParseSlab).
+// deferred to the slabs' parse), and it returns the slabs cut before that
+// directive with it: a statement in one of them may be malformed too, and
+// the error a sequential reader would report is whichever comes first.
 func SplitStatements(doc string, target int) ([]Slab, error) {
 	if target <= 0 {
 		target = DefaultSlabBytes
@@ -84,6 +85,8 @@ func SplitStatements(doc string, target int) ([]Slab, error) {
 		})
 		slabStart = -1
 	}
+	// Directives are consumed with the real parser, over env's own table.
+	p := &parser{in: doc, firstLine: 1, prefixes: env.Prefixes}
 	for {
 		rawPos, rawLine := pos, line
 		pos, line = skipWSComments(doc, pos, line)
@@ -91,16 +94,16 @@ func SplitStatements(doc string, target int) ([]Slab, error) {
 			emit(len(doc))
 			return slabs, nil
 		}
-		p := &parser{in: doc, pos: pos, prefixes: env.Prefixes, base: env.Base}
+		p.pos = pos
 		if p.directive() {
 			// Close the open slab before the environment changes, then
 			// consume the directive with the real parser so splitter and
 			// sequential reader agree byte for byte (errors included).
 			emit(pos)
 			if err := p.directiveBody(); err != nil {
-				return nil, err
+				return slabs, err
 			}
-			env.Base = p.base // p.prefixes aliases env.Prefixes
+			env.Base = p.base
 			line += strings.Count(doc[pos:p.pos], "\n")
 			pos = p.pos
 			continue
@@ -247,22 +250,14 @@ func classifyDot(doc string, pos int) (boundary, hazard bool) {
 }
 
 // ParseSlab parses one slab under its environment snapshot, returning its
-// triples in document order. Errors carry document-level line numbers
-// (column numbers are slab-relative on a slab's first line). The full
-// document grammar runs here, so slabs containing directives — the jumbo
-// fallback — parse exactly as a sequential pass would.
+// triples in document order; see Stream for error positions.
 func ParseSlab(sl Slab) ([]rdf.Triple, error) {
-	prefixes := maps.Clone(sl.Env.Prefixes)
-	if prefixes == nil {
-		prefixes = map[string]string{}
-	}
-	p := &parser{in: sl.Data, prefixes: prefixes, base: sl.Env.Base}
 	var out []rdf.Triple
-	if err := p.document(func(t rdf.Triple) { out = append(out, t) }); err != nil {
-		var pe *ParseError
-		if errors.As(err, &pe) {
-			pe.Line += sl.StartLine - 1
-		}
+	err := Triples(sl, func(t rdf.Triple) error {
+		out = append(out, t)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

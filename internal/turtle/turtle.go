@@ -9,15 +9,32 @@
 // shorthand (42, -3.14, 1e6, true, false). Not supported (rejected with a
 // clear error): anonymous blank nodes '[...]', collections '(...)', and
 // single-quoted strings.
+//
+// There is one statement loop, Stream, and it hands its caller handles,
+// not rdf.Triples: every term is passed once to the caller's intern — a
+// subject once per statement, a predicate once per ';' list, a prefixed
+// name once per distinct spelling — and each triple is emitted as three
+// of the handles intern returned. A loader interns into its dictionary
+// and appends IDs; Triples, ParseSlab, ParseString and Parse intern into a
+// term table and rebuild rdf.Triples from it.
+//
+// Aliasing: an IRI, label or literal written without escapes is a
+// substring of the document, not a copy. The dictionaries clone what they
+// intern, so a load retains nothing; a caller that keeps the terms it is
+// handed keeps the document alive with them (ntriples.ParseFunc's
+// contract).
 package turtle
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
+	"rdfsum/internal/ntriples"
 	"rdfsum/internal/rdf"
 )
 
@@ -31,34 +48,100 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("turtle: line %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// ReadDocument reads r to its end into one buffer grown by doubling and
+// returns it viewed as a string, without the copy a conversion makes:
+// Turtle is not line-delimited, so a document is parsed whole. The buffer
+// is never written again.
+func ReadDocument(r io.Reader) (string, error) {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
+		return "", err
+	}
+	b := buf.Bytes()
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
+}
+
 // Parse reads every triple of a Turtle document.
 func Parse(r io.Reader) ([]rdf.Triple, error) {
-	data, err := io.ReadAll(r)
+	doc, err := ReadDocument(r)
 	if err != nil {
 		return nil, fmt.Errorf("turtle: read: %w", err)
 	}
-	return ParseString(string(data))
+	return ParseString(doc)
 }
 
 // ParseString parses a Turtle document held in a string.
-func ParseString(s string) ([]rdf.Triple, error) {
-	p := &parser{in: s, prefixes: map[string]string{}}
-	var out []rdf.Triple
-	if err := p.document(func(t rdf.Triple) { out = append(out, t) }); err != nil {
-		return nil, err
+func ParseString(s string) ([]rdf.Triple, error) { return ParseSlab(Slab{Data: s}) }
+
+// Triples parses sl and calls fn with each triple in document order,
+// stopping at the first syntax error or the first error fn returns (which
+// it returns unchanged). For the length of the parse it keeps one
+// rdf.Term (a third of an rdf.Triple) per term Stream hands it.
+func Triples(sl Slab, fn func(rdf.Triple) error) error {
+	var terms []rdf.Term
+	return Stream(sl,
+		func(t rdf.Term) uint32 {
+			terms = append(terms, t)
+			return uint32(len(terms) - 1)
+		},
+		func(s, p, o uint32) error {
+			return fn(rdf.Triple{S: terms[s], P: terms[p], O: terms[o]})
+		})
+}
+
+// Stream parses sl — a slab of SplitStatements, or a whole document as
+// Slab{Data: doc} — under its environment. Each term is passed to intern
+// as the statement loop meets it, in document order, and each triple to
+// emit as the handles intern returned for its subject, property and
+// object. A handle is reused only while the loop knows the term is the
+// same (see the package comment), so distinct terms reach intern for the
+// first time in the order a triple-by-triple reader would first meet
+// them: a dictionary filled by intern issues the IDs it would issue
+// fed subject, property, object of every triple. Stream stops at the
+// first syntax error (a *ParseError carrying the document's line; the
+// column is slab-relative on a slab's first line) or the first error emit
+// returns, which it returns unchanged. The full document grammar runs
+// here, so a slab holding directives — the splitter's jumbo fallback —
+// parses exactly as a sequential pass would.
+func Stream(sl Slab, intern func(rdf.Term) uint32, emit func(s, p, o uint32) error) error {
+	p := &parser{
+		in:        sl.Data,
+		firstLine: max(sl.StartLine, 1),
+		prefixes:  make(map[string]string, len(sl.Env.Prefixes)),
+		base:      sl.Env.Base,
+		intern:    intern,
+		emit:      emit,
+		// One distinct name per ≈ 100 bytes of generated LUBM and BSBM
+		// Turtle; capped, because a document of full <iri>s has no names
+		// at all and past the cap growth by doubling is cheap.
+		names: make(map[string]uint32, min(len(sl.Data)/96, 1<<16)),
 	}
-	return out, nil
+	for name, ns := range sl.Env.Prefixes {
+		p.prefixes[name] = ns
+	}
+	return p.document()
 }
 
 type parser struct {
-	in       string
-	pos      int
-	prefixes map[string]string
-	base     string
+	in        string
+	pos       int
+	firstLine int // document line of in's first byte
+	prefixes  map[string]string
+	base      string
+
+	intern func(rdf.Term) uint32
+	emit   func(s, p, o uint32) error
+
+	// names maps the raw "prefix:local" spelling of a name in term
+	// position — a substring of in, so a probe allocates nothing — to the
+	// handle of its expansion. It is dropped when a prefix is rebound.
+	names   map[string]uint32
+	rdfType uint32 // handle of rdf:type once 'a' has been seen
+	sawType bool
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	line, col := 1, 1
+	line, col := p.firstLine, 1
 	for _, r := range p.in[:p.pos] {
 		if r == '\n' {
 			line++
@@ -70,7 +153,7 @@ func (p *parser) errorf(format string, args ...any) error {
 	return &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) document(emit func(rdf.Triple)) error {
+func (p *parser) document() error {
 	for {
 		p.skip()
 		if p.eof() {
@@ -82,7 +165,7 @@ func (p *parser) document(emit func(rdf.Triple)) error {
 			}
 			continue
 		}
-		if err := p.triples(emit); err != nil {
+		if err := p.triples(); err != nil {
 			return err
 		}
 	}
@@ -92,14 +175,14 @@ func (p *parser) document(emit func(rdf.Triple)) error {
 // consuming it on false.
 func (p *parser) directive() bool {
 	rest := p.in[p.pos:]
-	for _, kw := range []string{"@prefix", "@base"} {
-		if strings.HasPrefix(rest, kw) {
-			return true
-		}
-	}
-	for _, kw := range []string{"PREFIX", "BASE", "prefix", "base"} {
-		if strings.HasPrefix(rest, kw) && len(rest) > len(kw) && isWS(rest[len(kw)]) {
-			return true
+	switch rest[0] {
+	case '@':
+		return strings.HasPrefix(rest, "@prefix") || strings.HasPrefix(rest, "@base")
+	case 'P', 'p', 'B', 'b':
+		for _, kw := range [...]string{"PREFIX", "BASE", "prefix", "base"} {
+			if strings.HasPrefix(rest, kw) && len(rest) > len(kw) && isWS(rest[len(kw)]) {
+				return true
+			}
 		}
 	}
 	return false
@@ -145,6 +228,13 @@ func (p *parser) directiveBody() error {
 		if err != nil {
 			return err
 		}
+		// Only rebinding a prefix changes what a spelling already seen
+		// expands to (one with an undeclared prefix never parsed). A fresh
+		// map rather than clear(): clearing costs the presized capacity
+		// each time, and a document may rebind once per statement.
+		if old, bound := p.prefixes[name]; bound && old != iri && len(p.names) > 0 {
+			p.names = map[string]uint32{}
+		}
 		p.prefixes[name] = iri
 	}
 	p.skip()
@@ -160,28 +250,30 @@ func (p *parser) directiveBody() error {
 }
 
 // triples parses: subject predicateObjectList '.'
-func (p *parser) triples(emit func(rdf.Triple)) error {
-	subj, err := p.subject()
+func (p *parser) triples() error {
+	subj, sk, err := p.subject()
 	if err != nil {
 		return err
 	}
 	for {
 		p.skip()
-		pred, err := p.predicate()
+		pred, pk, err := p.predicate()
 		if err != nil {
 			return err
 		}
 		for {
 			p.skip()
-			obj, err := p.object()
+			obj, ok, err := p.object()
 			if err != nil {
 				return err
 			}
-			t := rdf.Triple{S: subj, P: pred, O: obj}
-			if err := t.Validate(); err != nil {
+			// Triple.Validate reads the kinds only.
+			if err := (rdf.Triple{S: rdf.Term{Kind: sk}, P: rdf.Term{Kind: pk}, O: rdf.Term{Kind: ok}}).Validate(); err != nil {
 				return p.errorf("%v", err)
 			}
-			emit(t)
+			if err := p.emit(subj, pred, obj); err != nil {
+				return err
+			}
 			p.skip()
 			if !p.eof() && p.in[p.pos] == ',' {
 				p.pos++
@@ -211,79 +303,90 @@ func (p *parser) triples(emit func(rdf.Triple)) error {
 	}
 }
 
-func (p *parser) subject() (rdf.Term, error) {
+// subject, predicate and object parse one term and intern it: they
+// return its handle and its kind.
+
+func (p *parser) subject() (uint32, rdf.TermKind, error) {
 	p.skip()
 	if p.eof() {
-		return rdf.Term{}, p.errorf("expected a subject")
+		return 0, 0, p.errorf("expected a subject")
 	}
 	switch p.in[p.pos] {
 	case '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
+		return p.iriTerm()
 	case '_':
 		return p.blankNode()
 	case '[':
-		return rdf.Term{}, p.errorf("anonymous blank nodes '[...]' are not supported by this subset")
+		return 0, 0, p.errorf("anonymous blank nodes '[...]' are not supported by this subset")
 	case '(':
-		return rdf.Term{}, p.errorf("collections '(...)' are not supported by this subset")
+		return 0, 0, p.errorf("collections '(...)' are not supported by this subset")
 	default:
 		return p.prefixedName()
 	}
 }
 
-func (p *parser) predicate() (rdf.Term, error) {
+func (p *parser) predicate() (uint32, rdf.TermKind, error) {
 	if p.eof() {
-		return rdf.Term{}, p.errorf("expected a predicate")
+		return 0, 0, p.errorf("expected a predicate")
 	}
 	if p.in[p.pos] == 'a' && (p.pos+1 >= len(p.in) || isWS(p.in[p.pos+1]) || p.in[p.pos+1] == '<') {
 		p.pos++
-		return rdf.Type(), nil
+		if !p.sawType {
+			p.rdfType, p.sawType = p.intern(rdf.Type()), true
+		}
+		return p.rdfType, rdf.IRI, nil
 	}
 	if p.in[p.pos] == '<' {
-		iri, err := p.iriRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
+		return p.iriTerm()
 	}
 	return p.prefixedName()
 }
 
-func (p *parser) object() (rdf.Term, error) {
+func (p *parser) object() (uint32, rdf.TermKind, error) {
 	if p.eof() {
-		return rdf.Term{}, p.errorf("expected an object")
+		return 0, 0, p.errorf("expected an object")
 	}
 	switch c := p.in[p.pos]; {
 	case c == '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
+		return p.iriTerm()
 	case c == '_':
 		return p.blankNode()
 	case c == '"':
-		return p.literal()
+		return p.literalTerm(p.literal())
 	case c == '\'':
-		return rdf.Term{}, p.errorf("single-quoted strings are not supported by this subset")
+		return 0, 0, p.errorf("single-quoted strings are not supported by this subset")
 	case c == '[':
-		return rdf.Term{}, p.errorf("anonymous blank nodes '[...]' are not supported by this subset")
+		return 0, 0, p.errorf("anonymous blank nodes '[...]' are not supported by this subset")
 	case c == '(':
-		return rdf.Term{}, p.errorf("collections '(...)' are not supported by this subset")
+		return 0, 0, p.errorf("collections '(...)' are not supported by this subset")
 	case c == '+' || c == '-' || (c >= '0' && c <= '9'):
-		return p.numericLiteral()
+		return p.literalTerm(p.numericLiteral())
 	case strings.HasPrefix(p.in[p.pos:], "true") && p.boundary(p.pos+4):
 		p.pos += 4
-		return rdf.NewTypedLiteral("true", rdf.XSDBoolean), nil
+		return p.literalTerm(rdf.NewTypedLiteral("true", rdf.XSDBoolean), nil)
 	case strings.HasPrefix(p.in[p.pos:], "false") && p.boundary(p.pos+5):
 		p.pos += 5
-		return rdf.NewTypedLiteral("false", rdf.XSDBoolean), nil
+		return p.literalTerm(rdf.NewTypedLiteral("false", rdf.XSDBoolean), nil)
 	default:
 		return p.prefixedName()
 	}
+}
+
+// literalTerm interns a literal just parsed, passing its error through.
+func (p *parser) literalTerm(lit rdf.Term, err error) (uint32, rdf.TermKind, error) {
+	if err != nil {
+		return 0, 0, err
+	}
+	return p.intern(lit), lit.Kind, nil
+}
+
+// iriTerm parses '<IRI>' as a term.
+func (p *parser) iriTerm() (uint32, rdf.TermKind, error) {
+	iri, err := p.iriRef()
+	if err != nil {
+		return 0, 0, err
+	}
+	return p.intern(rdf.NewIRI(iri)), rdf.IRI, nil
 }
 
 func (p *parser) boundary(i int) bool {
@@ -340,9 +443,8 @@ done:
 }
 
 func (p *parser) literal() (rdf.Term, error) {
-	long := strings.HasPrefix(p.in[p.pos:], `"""`)
 	var lex string
-	if long {
+	if strings.HasPrefix(p.in[p.pos:], `"""`) {
 		p.pos += 3
 		end := strings.Index(p.in[p.pos:], `"""`)
 		if end < 0 {
@@ -357,33 +459,10 @@ func (p *parser) literal() (rdf.Term, error) {
 		lex = unescaped
 	} else {
 		p.pos++
-		var b strings.Builder
-		for {
-			if p.eof() || p.in[p.pos] == '\n' {
-				return rdf.Term{}, p.errorf("unterminated string")
-			}
-			c := p.in[p.pos]
-			if c == '"' {
-				p.pos++
-				break
-			}
-			if c == '\\' {
-				if p.pos+1 >= len(p.in) {
-					return rdf.Term{}, p.errorf("dangling backslash")
-				}
-				r, n, err := decodeEscape(p.in[p.pos:])
-				if err != nil {
-					return rdf.Term{}, p.errorf("%v", err)
-				}
-				b.WriteRune(r)
-				p.pos += n
-				continue
-			}
-			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-			b.WriteRune(r)
-			p.pos += size
+		var err error
+		if lex, err = p.shortString(); err != nil {
+			return rdf.Term{}, err
 		}
-		lex = b.String()
 	}
 
 	// Suffix: @lang or ^^datatype.
@@ -405,20 +484,65 @@ func (p *parser) literal() (rdf.Term, error) {
 	}
 	if strings.HasPrefix(p.in[p.pos:], "^^") {
 		p.pos += 2
+		var dt string
+		var err error
 		if !p.eof() && p.in[p.pos] == '<' {
-			dt, err := p.iriRef()
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			return rdf.NewTypedLiteral(lex, dt), nil
+			dt, err = p.iriRef()
+		} else {
+			dt, err = p.datatypeName()
 		}
-		t, err := p.prefixedName()
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		return rdf.NewTypedLiteral(lex, t.Value), nil
+		return rdf.NewTypedLiteral(lex, dt), nil
 	}
 	return rdf.NewLiteral(lex), nil
+}
+
+// What ends a span scanned without decoding (ntriples.CleanSpan).
+var (
+	stringStops = ntriples.NewByteSet("\"\\\n")        // close, escape, and the newline a short string may not hold
+	iriStops    = ntriples.NewByteSet(">\\ \t\n")      // close, escape, and the whitespace an IRI may not hold
+	prefixStops = ntriples.NewByteSet(": \t\n\r;,\"<") // what ends the prefix part of a name
+)
+
+// shortString parses the rest of a "…" string, p.pos being just past the
+// opening quote. Without a backslash the value is a substring of the
+// document; anything else — an escape, a newline, no closing quote — is
+// left to the rune-by-rune loop from the same position, which owns the
+// error messages and their positions.
+func (p *parser) shortString() (string, error) {
+	rest := p.in[p.pos:]
+	if n, valid := ntriples.CleanSpan(rest, stringStops); n < len(rest) && rest[n] == '"' && valid {
+		p.pos += n + 1
+		return rest[:n], nil
+	}
+	var b strings.Builder
+	for {
+		if p.eof() || p.in[p.pos] == '\n' {
+			return "", p.errorf("unterminated string")
+		}
+		c := p.in[p.pos]
+		if c == '"' {
+			p.pos++
+			return b.String(), nil
+		}
+		if c == '\\' {
+			if p.pos+1 >= len(p.in) {
+				return "", p.errorf("dangling backslash")
+			}
+			r, n, err := decodeEscape(p.in[p.pos:])
+			if err != nil {
+				return "", p.errorf("%v", err)
+			}
+			b.WriteRune(r)
+			p.pos += n
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+		b.WriteRune(r)
+		p.pos += size
+	}
 }
 
 // unescape processes backslash escapes in a long string body.
@@ -504,6 +628,14 @@ func (p *parser) iriRef() (string, error) {
 		return "", p.errorf("expected '<IRI>'")
 	}
 	p.pos++
+	// Without an escape the IRI is a substring of the document; escapes,
+	// whitespace and a missing '>' go to the loop below from the same
+	// position, as in shortString.
+	rest := p.in[p.pos:]
+	if n, valid := ntriples.CleanSpan(rest, iriStops); n < len(rest) && rest[n] == '>' && valid {
+		p.pos += n + 1
+		return p.resolve(rest[:n]), nil
+	}
 	var b strings.Builder
 	for {
 		if p.eof() {
@@ -540,64 +672,109 @@ func (p *parser) resolve(iri string) string {
 	return p.base + iri
 }
 
-func (p *parser) blankNode() (rdf.Term, error) {
+func (p *parser) blankNode() (uint32, rdf.TermKind, error) {
 	if p.pos+1 >= len(p.in) || p.in[p.pos+1] != ':' {
-		return rdf.Term{}, p.errorf("blank node must start with \"_:\"")
+		return 0, 0, p.errorf("blank node must start with \"_:\"")
 	}
 	p.pos += 2
 	start := p.pos
-	for !p.eof() {
-		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' {
-			p.pos += size
-			continue
-		}
-		break
-	}
+	p.nameRun()
 	if p.pos == start {
-		return rdf.Term{}, p.errorf("empty blank node label")
+		return 0, 0, p.errorf("empty blank node label")
 	}
-	return rdf.NewBlank(p.in[start:p.pos]), nil
+	return p.intern(rdf.NewBlank(p.in[start:p.pos])), rdf.Blank, nil
 }
 
-func (p *parser) prefixedName() (rdf.Term, error) {
-	start := p.pos
+// nameBytes are the ASCII letters, digits, '_' and '-'.
+var nameBytes = ntriples.NewByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+
+// nameRun advances over letters, digits, '_' and '-': the alphabet of
+// blank node labels and local names.
+func (p *parser) nameRun() {
 	for !p.eof() {
-		c := p.in[p.pos]
-		if c == ':' || isWS(c) || c == ';' || c == ',' || c == '"' || c == '<' {
-			break
+		if c := p.in[p.pos]; c < utf8.RuneSelf {
+			if !nameBytes[c] {
+				return
+			}
+			p.pos++
+			continue
 		}
+		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			return
+		}
+		p.pos += size
+	}
+}
+
+// scanName advances over a "prefix:local" name and returns the prefix
+// and the local part, substrings of the name p.in[start:p.pos].
+func (p *parser) scanName() (prefix, local string, err error) {
+	start := p.pos
+	for !p.eof() && !prefixStops[p.in[p.pos]] {
 		p.pos++
 	}
 	if p.eof() || p.in[p.pos] != ':' {
 		p.pos = start
-		return rdf.Term{}, p.errorf("expected a prefixed name")
+		return "", "", p.errorf("expected a prefixed name")
 	}
-	prefix := p.in[start:p.pos]
+	prefix = p.in[start:p.pos]
 	p.pos++
 	localStart := p.pos
-	for !p.eof() {
-		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' {
-			p.pos += size
-			continue
-		}
+	for {
+		p.nameRun()
 		// Inner dots are part of the local name when followed by a name
 		// character ("ex:a.b"); a trailing dot terminates the statement.
-		if r == '.' && p.pos+size < len(p.in) {
-			nr, _ := utf8.DecodeRuneInString(p.in[p.pos+size:])
-			if unicode.IsLetter(nr) || unicode.IsDigit(nr) || nr == '_' {
-				p.pos += size
+		if p.pos+1 < len(p.in) && p.in[p.pos] == '.' {
+			r, _ := utf8.DecodeRuneInString(p.in[p.pos+1:])
+			if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
+				p.pos++
 				continue
 			}
 		}
-		break
+		return prefix, p.in[localStart:p.pos], nil
 	}
+}
+
+// expand resolves a scanned name through the prefix table.
+func (p *parser) expand(prefix, local string) (string, error) {
 	ns, ok := p.prefixes[prefix]
 	if !ok {
-		return rdf.Term{}, p.errorf("undeclared prefix %q", prefix)
+		return "", p.errorf("undeclared prefix %q", prefix)
 	}
-	return rdf.NewIRI(ns + p.in[localStart:p.pos]), nil
+	return ns + local, nil
+}
+
+// prefixedName parses a name in term position. Its expansion is built
+// and interned at the first occurrence of each spelling; every later one
+// is a probe of p.names.
+func (p *parser) prefixedName() (uint32, rdf.TermKind, error) {
+	start := p.pos
+	prefix, local, err := p.scanName()
+	if err != nil {
+		return 0, 0, err
+	}
+	name := p.in[start:p.pos]
+	if h, ok := p.names[name]; ok {
+		return h, rdf.IRI, nil
+	}
+	iri, err := p.expand(prefix, local)
+	if err != nil {
+		return 0, 0, err
+	}
+	h := p.intern(rdf.NewIRI(iri))
+	p.names[name] = h
+	return h, rdf.IRI, nil
+}
+
+// datatypeName parses a name after '^^': the expansion is the literal's
+// datatype, not a term, so it is never interned (nor cached).
+func (p *parser) datatypeName() (string, error) {
+	prefix, local, err := p.scanName()
+	if err != nil {
+		return "", err
+	}
+	return p.expand(prefix, local)
 }
 
 // skip consumes whitespace and comments.

@@ -236,10 +236,12 @@ func LoadFile(path string, opts *LoadOptions) (*Graph, error) {
 }
 
 // Stream parses an RDF document triple by triple without building a
-// graph — the bulk entry point for live ingest. Compression and format
+// graph — the bulk entry point for live ingest — stopping at the first
+// syntax error or the first error fn returns. Compression and format
 // detection work as in Load; N-Triples streams through without
-// materializing, Turtle (not line-delimited) is buffered and parsed
-// whole.
+// materializing, Turtle text (not line-delimited) is buffered whole and
+// fn is called as its statements parse. The terms fn receives may alias
+// the buffered input: keeping them keeps it.
 func Stream(r io.Reader, opts *LoadOptions, fn func(Triple) error) error {
 	return load.Stream(r, opts.internal(), fn)
 }
