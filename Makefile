@@ -76,9 +76,11 @@ bench-unit:
 # compaction of a live store allocates (BenchmarkLiveCompact's B/op). Six
 # runs each, so two commits compare by spread and not by one number
 # (docs/benchmarks/pr17-runs.md has the procedure).
+# BenchmarkComputeWeights times the weak summary's planner weights on
+# BSBM and LUBM.
 bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
-		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkLiveCompact' .
+		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact' .
 
 # Full benchmark sweep.
 bench:
@@ -89,21 +91,23 @@ bench:
 bench-smoke:
 	$(GO) test -run 'XXX-none' -bench . -benchtime 1x -short ./...
 
-# Where a cold boot's time goes: BenchmarkSeedBoot (load a 170k-triple
-# dump → open a fresh store seeded with it → warm the weak summary, its
-# pruner and the planner weights — the sequence benchmark/ times as
-# setup_s) on one CPU under the CPU profiler: the top 20 functions by
-# cumulative time, then who calls the run sort (store.newMemCols) and for
-# how long — one caller means the boot sorts its triples once. BOOT picks
-# the dump: bsbm-nt (BSBM as N-Triples, what probe-bsbm and mixed-bsbm
-# boot from) or lubm-ttl-gz (LUBM as gzipped Turtle, scan-lubm's). The
-# test binary and profile live in a temp directory.
+# Where a boot's time goes: BenchmarkSeedBoot (load a 170k-triple dump →
+# open a fresh store seeded with it → warm the weak summary, its pruner
+# and the planner weights — the sequence benchmark/ times as setup_s) on
+# one CPU under the CPU profiler: the top 20 functions by cumulative time,
+# then who calls the run sort (store.newMemCols) and for how long — one
+# caller means the boot sorts its triples once. BOOT picks the arm:
+# bsbm-nt (BSBM as N-Triples, what probe-bsbm and mixed-bsbm boot from),
+# lubm-ttl-gz (LUBM as gzipped Turtle, scan-lubm's cold boot) or
+# lubm-reopen (scan-lubm's restart: reopen that store under -maintain weak
+# and warm the same three). The test binary and profile live in a temp
+# directory.
 BOOT ?= bsbm-nt
 boot-profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) test -run 'XXX-none' -bench 'BenchmarkSeedBoot$$/^$(BOOT)$$' -benchtime 10x -cpu 1 \
 		-o "$$d/rdfsum.test" -cpuprofile "$$d/cpu.out" . && \
-	$(GO) tool pprof -top -cum -nodecount 20 -focus 'rdfsum_test\.seedBoot' -hide '^testing\.' "$$d/rdfsum.test" "$$d/cpu.out" && \
+	$(GO) tool pprof -top -cum -nodecount 20 -focus 'rdfsum_test\.(seedBoot|reopenBoot)' -hide '^testing\.' "$$d/rdfsum.test" "$$d/cpu.out" && \
 	$(GO) tool pprof -peek 'store\.newMemCols$$' "$$d/rdfsum.test" "$$d/cpu.out" | sed -n '/flat%/,$$p'
 
 # Who holds the heap, and who churns it: BenchmarkLiveCycle (a store

@@ -299,8 +299,10 @@ func BenchmarkStreamingIngest(b *testing.B) {
 // the harness boots from: bsbm-nt is BSBM 3000 products as N-Triples
 // (≈ 170k triples; 1000 ≈ 58k under -short), lubm-ttl-gz is LUBM 52
 // universities as rdfsum.WriteTurtle writes it, behind gzip (≈ 177k
-// triples; 15 ≈ 51k under -short). `make boot-profile` runs either under
-// the CPU profiler (BOOT=bsbm-nt|lubm-ttl-gz).
+// triples; 15 ≈ 51k under -short). lubm-reopen is the restart scan-lubm
+// pays after that cold boot: reopen the store lubm-ttl-gz seeded, under
+// -maintain weak, and warm the same three. `make boot-profile` runs any
+// of them under the CPU profiler (BOOT=bsbm-nt|lubm-ttl-gz|lubm-reopen).
 func BenchmarkSeedBoot(b *testing.B) {
 	b.Run("bsbm-nt", func(b *testing.B) {
 		products := 3000
@@ -310,16 +312,57 @@ func BenchmarkSeedBoot(b *testing.B) {
 		seedBoot(b, "dump.nt", ntData(b, products), rdfsum.CompressionNone)
 	})
 	b.Run("lubm-ttl-gz", func(b *testing.B) {
-		universities := 52
-		if testing.Short() {
-			universities = 15
-		}
-		var plain bytes.Buffer
-		if err := rdfsum.WriteTurtle(&plain, rdfsum.GenerateLUBM(universities).Decode()); err != nil {
+		seedBoot(b, "dump.ttl.gz", lubmTurtle(b), rdfsum.CompressionGzip)
+	})
+	b.Run("lubm-reopen", func(b *testing.B) {
+		dump := filepath.Join(b.TempDir(), "dump.ttl")
+		writeCompressed(b, dump, lubmTurtle(b), rdfsum.CompressionNone)
+		g, err := rdfsum.LoadFile(dump, &rdfsum.LoadOptions{Workers: 1})
+		if err != nil {
 			b.Fatal(err)
 		}
-		seedBoot(b, "dump.ttl.gz", plain.Bytes(), rdfsum.CompressionGzip)
+		dir := filepath.Join(b.TempDir(), "store")
+		lv, err := rdfsum.OpenLive(dir, &rdfsum.LiveOptions{Seed: g})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lv.Close(); err != nil {
+			b.Fatal(err)
+		}
+		reopenBoot(b, dir)
 	})
+}
+
+// reopenBoot times restarts of the store in dir under -maintain weak, each
+// warmed like a cold boot.
+func reopenBoot(b *testing.B, dir string) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lv, err := rdfsum.OpenLive(dir, &rdfsum.LiveOptions{Maintain: []rdfsum.Kind{rdfsum.Weak}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		warmBoot(b, lv)
+	}
+}
+
+// lubmUniversities is the LUBM size the harness boots scan-lubm from: 52
+// universities, 15 under -short.
+func lubmUniversities() int {
+	if testing.Short() {
+		return 15
+	}
+	return 52
+}
+
+// lubmTurtle is scan-lubm's dump as rdfsum.WriteTurtle writes it.
+func lubmTurtle(b *testing.B) []byte {
+	var plain bytes.Buffer
+	if err := rdfsum.WriteTurtle(&plain, rdfsum.GenerateLUBM(lubmUniversities()).Decode()); err != nil {
+		b.Fatal(err)
+	}
+	return plain.Bytes()
 }
 
 // seedBoot writes plain to a dump file of the given name behind codec and
@@ -339,17 +382,58 @@ func seedBoot(b *testing.B, name string, plain []byte, codec rdfsum.Compression)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum, _, err := lv.Summary(rdfsum.Weak, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rdfsum.NewQueryPruner(sum)
-		sum.ComputeWeights()
-		if err := lv.Close(); err != nil {
-			b.Fatal(err)
-		}
+		warmBoot(b, lv)
 	}
 }
+
+// warmBoot builds what the first query of each template does — the weak
+// summary, its pruner and the planner weights — then closes the store.
+func warmBoot(b *testing.B, lv *rdfsum.Live) {
+	sum, _, err := lv.Summary(rdfsum.Weak, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rdfsum.NewQueryPruner(sum)
+	sum.ComputeWeights()
+	if err := lv.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkComputeWeights is the planner's statistics pass: the weak
+// summary's ComputeWeights over the two graphs the harness boots from,
+// BSBM 3000 products (≈ 170k triples) and LUBM 52 universities (≈ 177k;
+// 1000 and 15 under -short) — what rdfsumd's first query after a boot
+// pays, and a query again whenever the weights trail the store by more
+// than planStatsMaxStale epochs.
+func BenchmarkComputeWeights(b *testing.B) {
+	products := 3000
+	if testing.Short() {
+		products = 1000
+	}
+	for _, arm := range []struct {
+		name string
+		g    func() *rdfsum.Graph
+	}{
+		{"bsbm", func() *rdfsum.Graph { return bsbmGraph(b, products) }},
+		{"lubm", func() *rdfsum.Graph { return rdfsum.GenerateLUBM(lubmUniversities()) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			sum, err := rdfsum.Summarize(arm.g(), rdfsum.Weak)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				weightsSink = sum.ComputeWeights()
+			}
+		})
+	}
+}
+
+// weightsSink keeps BenchmarkComputeWeights' result live.
+var weightsSink *rdfsum.Weights
 
 // writeCompressed writes plain to path behind codec.
 func writeCompressed(b *testing.B, path string, plain []byte, codec rdfsum.Compression) {

@@ -402,10 +402,7 @@ func TestPlanStatsOutliveEpochs(t *testing.T) {
 			t.Fatalf("query %d ran without the weak pruning gate; the test needs it to refresh the summary cell", i)
 		}
 	}
-	srv.weightsMu.Lock()
-	builds := srv.weightsBuilds
-	srv.weightsMu.Unlock()
-	if builds != 2 {
+	if builds := srv.weightsSeconds.Count(); builds != 2 {
 		t.Fatalf("ComputeWeights ran %d times over 40 epochs, want 2 (planStatsMaxStale = %d)", builds, planStatsMaxStale)
 	}
 }

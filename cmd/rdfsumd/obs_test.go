@@ -142,6 +142,40 @@ func TestMetricsExpositionDictTerms(t *testing.T) {
 	}
 }
 
+// TestMetricsExpositionPlannerWeights: the planner's statistics pass — the
+// one O(|G|) step on the query path — is a histogram whose count is the
+// number of ComputeWeights calls: none before the first query, one after
+// it, still one after a second query of the same epoch. The scrape stays
+// lint-clean with the family.
+func TestMetricsExpositionPlannerWeights(t *testing.T) {
+	ts, _ := liveTestServer(t, rdfsum.GenerateBSBM(20))
+	builds := func() float64 {
+		t.Helper()
+		body, _ := scrapeMetrics(t, ts)
+		if err := obs.LintExposition(strings.NewReader(body)); err != nil {
+			t.Errorf("exposition lint: %v", err)
+		}
+		v := scrapeValues(t, body)
+		n, ok := v["rdfsum_planner_weights_seconds_count"]
+		if !ok {
+			t.Fatal("scrape lacks rdfsum_planner_weights_seconds")
+		}
+		if sum := v["rdfsum_planner_weights_seconds_sum"]; (n == 0) != (sum == 0) {
+			t.Errorf("%v weights builds took %v s in all", n, sum)
+		}
+		return n
+	}
+	if n := builds(); n != 0 {
+		t.Errorf("weights built %v times before any query", n)
+	}
+	for i := 1; i <= 2; i++ {
+		postQuery(t, ts.URL+"/v1/query", "SELECT ?s ?o WHERE { ?s ?p ?o . }")
+		if n := builds(); n != 1 {
+			t.Errorf("after %d queries of one epoch: weights built %v times, want 1", i, n)
+		}
+	}
+}
+
 // scrapeValues parses every sample of a scrape into series → value.
 func scrapeValues(t *testing.T, body string) map[string]float64 {
 	t.Helper()

@@ -72,11 +72,11 @@ type server struct {
 	satGraph *rdfsum.Graph
 	satIx    *store.Index
 
-	weightsMu     sync.Mutex
-	weightsInst   uint64
-	weightsEpoch  uint64
-	weights       *rdfsum.Weights
-	weightsBuilds uint64 // ComputeWeights calls so far
+	weightsMu      sync.Mutex
+	weightsInst    uint64
+	weightsEpoch   uint64
+	weights        *rdfsum.Weights
+	weightsSeconds *obs.Histogram // one observation per ComputeWeights call
 
 	// bootLoad is how long newServer spent loading the -in dump or
 	// snapshot; the store's own boot phases come from Live.BootTimings.
@@ -261,6 +261,7 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 	sumRebuilds := r.CounterVec("rdfsum_summary_maintenance_rebuilds_total", "Incremental-maintenance rebuilds, per kind.", "kind", "mode")
 	bootSeconds := r.GaugeVec("rdfsum_boot_phase_seconds", "Seconds the serving store's boot spent in each phase (0 for a phase it did not go through).", "phase")
 	memBytes := r.GaugeVec("rdfsum_memory_bytes", "Heap bytes the store's largest structures hold, computed from their own lengths.", "component")
+	s.weightsSeconds = r.Histogram("rdfsum_planner_weights_seconds", "Seconds each rebuild of the planner's weights (ComputeWeights over the weak summary) took; the count is the number of rebuilds.", obs.DefBuckets)
 	registerProcessMemory(r)
 
 	boolGauge := func(v bool) float64 {
@@ -560,10 +561,11 @@ func (s *server) planStats(lv *rdfsum.Live, inst uint64) *rdfsum.Weights {
 		return nil
 	}
 	if s.weights == nil || s.weightsInst != inst || s.weightsEpoch != epoch {
+		t0 := time.Now()
 		s.weights = sum.ComputeWeights()
+		s.weightsSeconds.ObserveSince(t0)
 		s.weightsInst = inst
 		s.weightsEpoch = epoch
-		s.weightsBuilds++
 	}
 	return s.weights
 }

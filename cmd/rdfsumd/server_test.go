@@ -317,3 +317,40 @@ func readAll(dst *strings.Builder, resp *http.Response) (int64, error) {
 	n, err := io.Copy(dst, resp.Body)
 	return n, err
 }
+
+// TestSummaryExportDeterministic: GET /v1/summary?format=ntriples|dot of
+// the same graph gives the same bytes from every server that builds the
+// summary, for every kind — the summary's node IDs, and so the exported
+// triple order, depend on the graph alone.
+func TestSummaryExportDeterministic(t *testing.T) {
+	triples := rdfsum.GenerateBSBM(10).Decode()
+	fetch := func(ts *httptest.Server, kind rdfsum.Kind, format string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/summary?format=" + format + "&kind=" + kind.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v %s: status %d, %v", kind, format, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	want := map[string]string{}
+	for i := 0; i < 5; i++ {
+		ts := httptest.NewServer(newServerFromGraph(rdfsum.NewGraph(triples)).handler())
+		for _, kind := range rdfsum.Kinds {
+			for _, format := range []string{"ntriples", "dot"} {
+				key := kind.String() + "/" + format
+				got := fetch(ts, kind, format)
+				if i == 0 {
+					want[key] = got
+				} else if got != want[key] {
+					t.Errorf("server %d: %s export differs from the first server's", i+1, key)
+				}
+			}
+		}
+		ts.Close()
+	}
+}

@@ -131,7 +131,11 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("core: unknown summary kind %q (accepted: %s)", s, strings.Join(forms, ", "))
 }
 
-// Summary is the result of summarizing a graph.
+// Summary is the result of summarizing a graph. A returned summary is
+// immutable: every snapshot builds its own Graph and NodeOf, and nothing
+// writes to them afterwards, so readers — ComputeWeights, which keeps
+// NodeOf rather than copying it, the pruner, the exporters — may share
+// them freely. Callers must not modify them either.
 type Summary struct {
 	// Kind records the construction used.
 	Kind Kind

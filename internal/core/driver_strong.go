@@ -47,7 +47,7 @@ func (d *strongDriver) ref(n dict.ID) classRef {
 	if sid, typed := d.classes.set(n); typed {
 		return classRef{tag: refSet, a: sid}
 	}
-	st := d.ct.nodes[n]
+	st := d.ct.nodes.Get(n)
 	return classRef{tag: refClique, a: st.repIn, b: st.repOut}
 }
 
@@ -65,7 +65,7 @@ func (d *strongDriver) note(t store.Triple) (firstOut, firstIn bool) {
 
 // seed computes every clique before any edge key, so nothing re-keys.
 func (d *strongDriver) seed() {
-	d.ct = newCliqueTracker()
+	d.ct = newCliqueTracker(d.bs.g.Dict().MaxID())
 	for _, t := range d.bs.g.Data {
 		d.note(t)
 	}
@@ -117,20 +117,22 @@ func (d *strongDriver) typeDeleted(ev typeEvent) {
 	}
 	n := ev.node
 	if !d.classes.isTyped(n) {
-		for _, i := range d.bs.adj.out[n] {
+		for _, i := range d.bs.adj.out.Get(n) {
 			d.ct.noteSubject(n, d.bs.g.Data[i].P)
 		}
-		for _, i := range d.bs.adj.in[n] {
+		for _, i := range d.bs.adj.in.Get(n) {
 			d.ct.noteObject(n, d.bs.g.Data[i].P)
 		}
 	}
 	d.rekey(n)
 }
 
+// snapshot names the class-set nodes by set ID, then the cliques by
+// ascending node ID: an order that depends on the input only. Every edge
+// key's class is some held node's or set's, so naming the edges interns
+// nothing new.
 func (d *strongDriver) snapshot() *Summary {
-	g := d.bs.g
-	out, rep := startSummary(g, d.k, d.bs.names)
-	s := &Summary{Graph: out, NodeOf: make(map[dict.ID]dict.ID, len(d.ct.nodes))}
+	s, rep := d.bs.startSummary(d.k)
 	srcM, tgtM := d.ct.memberLists()
 
 	names := make(map[[2]int32]dict.ID)
@@ -163,16 +165,18 @@ func (d *strongDriver) snapshot() *Summary {
 		return cliqueName(r.a, r.b)
 	}
 
+	for n, st := range d.ct.nodes.All() {
+		if st.seen {
+			s.NodeOf[n] = cliqueName(st.repIn, st.repOut)
+		}
+	}
 	// Stale keys of merged classes canonicalize to equal triples here and
 	// collapse in the finalizing SortDedup.
 	for k := range d.counts {
-		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
-	}
-	for n, st := range d.ct.nodes {
-		s.NodeOf[n] = cliqueName(st.repIn, st.repOut)
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}
 	if d.classes == nil {
-		summarizeTypesWeak(g, out, rep, s.NodeOf)
+		summarizeTypesWeak(d.bs.g, s, rep)
 	}
 	return s
 }

@@ -56,15 +56,16 @@ func (d *typeBasedDriver) typeDeleted(ev typeEvent) {
 	}
 }
 
+// snapshot names the class-set nodes by set ID, then the untyped nodes'
+// copies by ascending node ID: an order that depends on the input only.
 func (d *typeBasedDriver) snapshot() *Summary {
 	bs := d.bs
-	out, rep := startSummary(bs.g, TypeBased, bs.names)
-	s := &Summary{Graph: out, NodeOf: make(map[dict.ID]dict.ID, len(bs.stats.dataNodes))}
+	s, rep := bs.startSummary(TypeBased)
 	setNode := bs.classes.summarize(s, rep)
 	// The untyped data nodes are the data nodes nobody typed; each gets
 	// its copy once, and the edges are named through the finished map.
-	for n := range bs.stats.dataNodes {
-		if _, typed := s.NodeOf[n]; !typed {
+	for n, refs := range bs.stats.dataNodes.n.All() {
+		if *refs != 0 && !bs.classes.isTyped(n) {
 			s.NodeOf[n] = rep.freshCopy(n)
 		}
 	}
@@ -75,7 +76,7 @@ func (d *typeBasedDriver) snapshot() *Summary {
 		return s.NodeOf[dict.ID(r.a)]
 	}
 	for k := range d.counts {
-		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}
 	return s
 }
@@ -103,7 +104,7 @@ func (d *typedWeakDriver) ref(n dict.ID) classRef {
 	if sid, typed := d.bs.classes.set(n); typed {
 		return classRef{tag: refSet, a: sid}
 	}
-	return classRef{tag: refWeak, a: d.wt.nodes[n].rep}
+	return classRef{tag: refWeak, a: d.wt.nodes.Get(n).rep}
 }
 
 func (d *typedWeakDriver) note(t store.Triple) {
@@ -118,7 +119,7 @@ func (d *typedWeakDriver) note(t store.Triple) {
 // seed: an untyped node's representative never changes once assigned, so
 // the keys counted after the pass over the data are final.
 func (d *typedWeakDriver) seed() {
-	d.wt = newWeakTracker()
+	d.wt = newWeakTracker(d.bs.g.Dict().MaxID())
 	for _, t := range d.bs.g.Data {
 		d.note(t)
 	}
@@ -163,22 +164,30 @@ func (d *typedWeakDriver) typeDeleted(ev typeEvent) {
 	}
 	n := ev.node
 	if !d.bs.classes.isTyped(n) {
-		for _, i := range d.bs.adj.out[n] {
+		for _, i := range d.bs.adj.out.Get(n) {
 			d.wt.noteSubject(n, d.bs.g.Data[i].P)
 		}
-		for _, i := range d.bs.adj.in[n] {
+		for _, i := range d.bs.adj.in.Get(n) {
 			d.wt.noteObject(n, d.bs.g.Data[i].P)
 		}
 	}
 	d.rekey(n)
 }
 
+// snapshot names the class-set nodes by set ID, then the weak classes by
+// ascending node ID: an order that depends on the input only. Every edge
+// key's class is some held node's or set's, so naming the edges interns
+// nothing new.
 func (d *typedWeakDriver) snapshot() *Summary {
 	bs := d.bs
-	out, rep := startSummary(bs.g, TypedWeak, bs.names)
-	s := &Summary{Graph: out, NodeOf: make(map[dict.ID]dict.ID, len(bs.classes.setOf)+len(d.wt.nodes))}
+	s, rep := bs.startSummary(TypedWeak)
 	setNode := bs.classes.summarize(s, rep)
 	weakName := d.wt.names(rep)
+	for n, st := range d.wt.nodes.All() {
+		if st.seen {
+			s.NodeOf[n] = weakName(st.rep)
+		}
+	}
 	name := func(r classRef) dict.ID {
 		if r.tag == refSet {
 			return setNode[r.a]
@@ -186,10 +195,7 @@ func (d *typedWeakDriver) snapshot() *Summary {
 		return weakName(r.a)
 	}
 	for k := range d.counts {
-		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
-	}
-	for n, st := range d.wt.nodes {
-		s.NodeOf[n] = weakName(st.rep)
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}
 	return s
 }

@@ -30,7 +30,7 @@ func (d *weakDriver) dataDeleted(int32, store.Triple) bool { return false }
 
 // seed is Algorithm 1 over the whole data component.
 func (d *weakDriver) seed() {
-	d.wt = newWeakTracker()
+	d.wt = newWeakTracker(d.bs.g.Dict().MaxID())
 	for _, t := range d.bs.g.Data {
 		d.dataAdded(t)
 	}
@@ -41,44 +41,45 @@ func (d *weakDriver) dataAdded(t store.Triple) {
 	d.wt.noteObject(t.O, t.P)
 }
 
+// snapshot names the classes by ascending node ID: an order that depends
+// on the input only. Each property's source and target element is the
+// class of a node that met it, so naming the edges interns nothing new.
 func (d *weakDriver) snapshot() *Summary {
-	g := d.bs.g
-	out, rep := startSummary(g, Weak, d.bs.names)
+	s, rep := d.bs.startSummary(Weak)
 	name := d.wt.names(rep)
+	for n, st := range d.wt.nodes.All() {
+		if st.seen {
+			s.NodeOf[n] = name(st.rep)
+		}
+	}
 	for p, e := range d.wt.srcElem {
-		out.Data = append(out.Data, store.Triple{S: name(e), P: p, O: name(d.wt.tgtElem[p])})
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(e), P: p, O: name(d.wt.tgtElem[p])})
 	}
-	nodeOf := make(map[dict.ID]dict.ID, len(d.wt.nodes))
-	for n, st := range d.wt.nodes {
-		nodeOf[n] = name(st.rep)
-	}
-	summarizeTypesWeak(g, out, rep, nodeOf)
-	return &Summary{Graph: out, NodeOf: nodeOf}
+	summarizeTypesWeak(d.bs.g, s, rep)
+	return s
 }
 
 // summarizeTypesWeak is Algorithm 3, shared by the weak and strong
 // drivers: types of represented nodes attach to their representative;
 // typed-only resources (no data properties at all, hence TC = SC = ∅)
 // collapse into the single node Nτ = N(∅,∅) carrying all their classes.
-func summarizeTypesWeak(g *store.Graph, out *store.Graph, rep *representer, nodeOf map[dict.ID]dict.ID) {
-	v := g.Vocab()
-	typeEdges := make(map[store.Triple]bool)
-	var typedOnly []store.Triple
+// Nτ is named at the first typed-only resource.
+func summarizeTypesWeak(g *store.Graph, s *Summary, rep *representer) {
+	typ := g.Vocab().Type
+	ntau := dict.None
+	emitted := make(map[store.Triple]bool)
 	for _, t := range g.Types {
-		if d, ok := nodeOf[t.S]; ok {
-			typeEdges[store.Triple{S: d, P: v.Type, O: t.O}] = true
-			continue
+		r, ok := s.NodeOf[t.S]
+		if !ok {
+			if ntau == dict.None {
+				ntau = rep.node(nil, nil)
+			}
+			r = ntau
+			s.NodeOf[t.S] = r
 		}
-		typedOnly = append(typedOnly, t)
-	}
-	if len(typedOnly) > 0 {
-		ntau := rep.node(nil, nil)
-		for _, t := range typedOnly {
-			nodeOf[t.S] = ntau
-			typeEdges[store.Triple{S: ntau, P: v.Type, O: t.O}] = true
+		if e := (store.Triple{S: r, P: typ, O: t.O}); !emitted[e] {
+			emitted[e] = true
+			s.Graph.Types = append(s.Graph.Types, e)
 		}
-	}
-	for e := range typeEdges {
-		out.Types = append(out.Types, e)
 	}
 }

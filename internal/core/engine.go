@@ -143,7 +143,7 @@ type BuilderSet struct {
 // class sets before data, so pre-typed nodes never look late-typed — and
 // later Add calls append to it.
 func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
-	bs := &BuilderSet{g: g, names: dict.Overlay(g.Dict()), stats: newInputStats()}
+	bs := &BuilderSet{g: g, names: dict.Overlay(g.Dict()), stats: &inputStats{}}
 	for _, k := range kinds {
 		if int(k) < 0 || int(k) >= NumKinds {
 			return nil, fmt.Errorf("core: unknown summary kind %d", int(k))
@@ -177,6 +177,12 @@ func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
 		return bs, nil
 	}
 	g.Ensure() // seeding walks both components
+	// Per-node tables are sized for the dictionary once, not grown by the
+	// seeding writes.
+	bs.stats.dataNodes.n.Grow(g.Dict().MaxID())
+	if bs.classes != nil {
+		bs.classes.setOf.Grow(g.Dict().MaxID())
+	}
 	for _, t := range g.Types {
 		bs.stats.typ(t)
 		if bs.classes != nil {
@@ -201,7 +207,7 @@ func (bs *BuilderSet) index() {
 	if bs.adj != nil || !bs.tracked {
 		return
 	}
-	bs.adj = indexAdjacency(bs.g.Data)
+	bs.adj = indexAdjacency(bs.g)
 	for _, d := range bs.drivers {
 		if e := d.tracker(); e != nil {
 			e.index()

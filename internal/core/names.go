@@ -41,15 +41,18 @@ type representer struct {
 	name []byte // scratch: the URI being built
 }
 
-// startSummary begins a snapshot of g for every driver: the output graph
-// — over names, rule SCH already applied — and the representer that names
-// its nodes there. names is the overlay of g's dictionary the BuilderSet
-// keeps for its lifetime, so the summary extends g's ID space and leaves
-// g's dictionary as it was.
-func startSummary(g *store.Graph, kind Kind, names *dict.Dict) (*store.Graph, *representer) {
-	out := store.NewGraphWithDict(names)
-	copySchema(g, out)
-	return out, &representer{d: names, tag: kindTag[kind]}
+// startSummary begins a snapshot of the set's graph for every driver: the
+// summary — its output graph over bs.names with rule SCH already applied,
+// and a NodeOf map sized for every data node, the size it ends at for
+// every kind — and the representer that names its nodes. bs.names is the
+// overlay of the graph's dictionary the set keeps for its lifetime, so the
+// summary extends the input's ID space and leaves its dictionary as it
+// was.
+func (bs *BuilderSet) startSummary(kind Kind) (*Summary, *representer) {
+	out := store.NewGraphWithDict(bs.names)
+	copySchema(bs.g, out)
+	s := &Summary{Graph: out, NodeOf: make(map[dict.ID]dict.ID, bs.stats.dataNodes.len)}
+	return s, &representer{d: bs.names, tag: kindTag[kind]}
 }
 
 // intern returns the ID of the IRI built in name, which started as

@@ -15,7 +15,11 @@ import (
 func TestClassSetNodeRendersOncePerSet(t *testing.T) {
 	g := store.NewGraph()
 	set := []dict.ID{g.Dict().EncodeIRI("http://x/A"), g.Dict().EncodeIRI("http://x/B")}
-	_, rep := startSummary(g, TypedWeak, dict.Overlay(g.Dict()))
+	bs, err := NewBuilderSet(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep := bs.startSummary(TypedWeak)
 	first := rep.classSetNode(set)
 	if rep.classSetNode(set) != first {
 		t.Error("C(X) changed between calls")

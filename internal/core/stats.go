@@ -54,47 +54,56 @@ func (s Stats) DataNodeReduction() float64 {
 // are refcounted per triple incidence, which makes them exactly
 // decrementable under deletions.
 type inputStats struct {
-	dataNodes  map[dict.ID]int
-	classNodes map[dict.ID]int
-	dataProps  map[dict.ID]int
+	dataNodes  refcounts
+	classNodes refcounts
+	dataProps  refcounts
 }
 
-func newInputStats() *inputStats {
-	return &inputStats{
-		dataNodes:  make(map[dict.ID]int),
-		classNodes: make(map[dict.ID]int),
-		dataProps:  make(map[dict.ID]int),
+// refcounts is a set of IDs, each counted once per triple incidence, and
+// the number of IDs whose count is non-zero — the set's size.
+type refcounts struct {
+	n   dict.Table[int32]
+	len int
+}
+
+func (r *refcounts) ref(id dict.ID) {
+	c := r.n.Ptr(id)
+	if *c == 0 {
+		r.len++
 	}
+	*c++
 }
 
-func unref(m map[dict.ID]int, id dict.ID) {
-	if c := m[id]; c > 1 {
-		m[id] = c - 1
-	} else {
-		delete(m, id)
+// unref is the inverse of ref; an ID with no count is left alone.
+func (r *refcounts) unref(id dict.ID) {
+	if c := r.n.Ptr(id); *c > 0 {
+		*c--
+		if *c == 0 {
+			r.len--
+		}
 	}
 }
 
 func (st *inputStats) data(t store.Triple) {
-	st.dataNodes[t.S]++
-	st.dataNodes[t.O]++
-	st.dataProps[t.P]++
+	st.dataNodes.ref(t.S)
+	st.dataNodes.ref(t.O)
+	st.dataProps.ref(t.P)
 }
 
 func (st *inputStats) dataRemoved(t store.Triple) {
-	unref(st.dataNodes, t.S)
-	unref(st.dataNodes, t.O)
-	unref(st.dataProps, t.P)
+	st.dataNodes.unref(t.S)
+	st.dataNodes.unref(t.O)
+	st.dataProps.unref(t.P)
 }
 
 func (st *inputStats) typ(t store.Triple) {
-	st.dataNodes[t.S]++
-	st.classNodes[t.O]++
+	st.dataNodes.ref(t.S)
+	st.classNodes.ref(t.O)
 }
 
 func (st *inputStats) typRemoved(t store.Triple) {
-	unref(st.dataNodes, t.S)
-	unref(st.classNodes, t.O)
+	st.dataNodes.unref(t.S)
+	st.classNodes.unref(t.O)
 }
 
 // compute fills Stats from the tracked input counters plus the (small)
@@ -106,9 +115,9 @@ func (st *inputStats) compute(in, out *store.Graph) Stats {
 		InputDataTriples:   len(in.Data),
 		InputTypeTriples:   len(in.Types),
 		InputSchemaTriples: len(in.Schema),
-		InputDataNodes:     len(st.dataNodes),
-		InputClassNodes:    len(st.classNodes),
-		InputDataProps:     len(st.dataProps),
+		InputDataNodes:     st.dataNodes.len,
+		InputClassNodes:    st.classNodes.len,
+		InputDataProps:     st.dataProps.len,
 
 		DataNodes:     dataNodes,
 		ClassNodes:    classNodes,

@@ -141,52 +141,51 @@ func (e *edgeTracker) compact(remap []int32) {
 // re-represented. Values are indexes into Graph.Data. A seeded set has
 // none: its first mutation builds it from the graph (BuilderSet.index).
 type adjacency struct {
-	out map[dict.ID][]int32
-	in  map[dict.ID][]int32
+	out dict.Table[[]int32]
+	in  dict.Table[[]int32]
 }
 
-func indexAdjacency(data []store.Triple) *adjacency {
-	a := &adjacency{out: make(map[dict.ID][]int32), in: make(map[dict.ID][]int32)}
-	for i, t := range data {
+func indexAdjacency(g *store.Graph) *adjacency {
+	a := &adjacency{}
+	a.out.Grow(g.Dict().MaxID())
+	a.in.Grow(g.Dict().MaxID())
+	for i, t := range g.Data {
 		a.add(t, int32(i))
 	}
 	return a
 }
 
 func (a *adjacency) add(t store.Triple, i int32) {
-	a.out[t.S] = append(a.out[t.S], i)
-	a.in[t.O] = append(a.in[t.O], i)
+	out := a.out.Ptr(t.S)
+	*out = append(*out, i)
+	in := a.in.Ptr(t.O)
+	*in = append(*in, i)
 }
 
 // each visits the indexes of n's incident data triples (out-edges, then
 // in-edges; a self-loop is visited twice, which re-keying tolerates).
 func (a *adjacency) each(n dict.ID, fn func(i int32)) {
-	for _, i := range a.out[n] {
+	for _, i := range a.out.Get(n) {
 		fn(i)
 	}
-	for _, i := range a.in[n] {
+	for _, i := range a.in.Get(n) {
 		fn(i)
 	}
 }
 
 // remap rewrites every stored index through remap after the data component
-// compacted away deleted positions (-1 = deleted). Nodes whose last
-// incident edge died leave the maps entirely, so "appears in the
-// adjacency" keeps meaning "is an endpoint of a live data triple".
+// compacted away deleted positions (-1 = deleted). A node whose last
+// incident edge died is left an empty list.
 func (a *adjacency) remap(remap []int32) {
-	for _, m := range []map[dict.ID][]int32{a.out, a.in} {
-		for n, list := range m {
-			kept := list[:0]
-			for _, i := range list {
+	for _, t := range []*dict.Table[[]int32]{&a.out, &a.in} {
+		for _, list := range t.All() {
+			kept := (*list)[:0]
+			for _, i := range *list {
 				if ni := remap[i]; ni >= 0 {
 					kept = append(kept, ni)
 				}
 			}
-			if len(kept) == 0 {
-				delete(m, n)
-			} else {
-				m[n] = kept
-			}
+			*list = kept
 		}
 	}
 }
@@ -205,7 +204,7 @@ type typeEvent struct {
 // It is shared by the type-based, typed-weak and typed-strong drivers of a
 // BuilderSet: one update serves all three.
 type classSetTracker struct {
-	setOf   map[dict.ID]int32 // typed node -> interned set ID
+	setOf   dict.Table[int32] // node -> its interned set ID + 1; 0 = untyped
 	byKey   map[string]int32  // canonical byte key -> set ID
 	classes [][]dict.ID       // set ID -> sorted class IDs
 	members []int             // set ID -> nodes currently holding that set
@@ -214,7 +213,7 @@ type classSetTracker struct {
 }
 
 func newClassSetTracker() *classSetTracker {
-	return &classSetTracker{setOf: make(map[dict.ID]int32), byKey: make(map[string]int32)}
+	return &classSetTracker{byKey: make(map[string]int32)}
 }
 
 // set returns n's interned class set. A nil tracker — the one an
@@ -223,8 +222,8 @@ func (c *classSetTracker) set(n dict.ID) (sid int32, typed bool) {
 	if c == nil {
 		return 0, false
 	}
-	sid, typed = c.setOf[n]
-	return sid, typed
+	v := c.setOf.Get(n)
+	return v - 1, v != 0
 }
 
 func (c *classSetTracker) isTyped(n dict.ID) bool {
@@ -238,7 +237,7 @@ func (c *classSetTracker) isTyped(n dict.ID) bool {
 func (c *classSetTracker) addType(n, cls dict.ID) typeEvent {
 	ev := typeEvent{node: n, old: -1}
 	var set []dict.ID
-	old, typed := c.setOf[n]
+	old, typed := c.set(n)
 	if typed {
 		ev.old = old
 		set = c.classes[old]
@@ -253,7 +252,7 @@ func (c *classSetTracker) addType(n, cls dict.ID) typeEvent {
 		c.members[old]--
 	}
 	c.members[sid]++
-	c.setOf[n] = sid
+	c.setOf.Set(n, sid+1)
 	ev.changed = true
 	return ev
 }
@@ -266,7 +265,7 @@ func (c *classSetTracker) addType(n, cls dict.ID) typeEvent {
 // its last class it leaves the typed partition entirely (setOf drops it).
 func (c *classSetTracker) removeType(n, cls dict.ID) typeEvent {
 	ev := typeEvent{node: n, old: -1}
-	old, typed := c.setOf[n]
+	old, typed := c.set(n)
 	if !typed {
 		return ev
 	}
@@ -279,13 +278,13 @@ func (c *classSetTracker) removeType(n, cls dict.ID) typeEvent {
 	ev.changed = true
 	c.members[old]--
 	if len(set) == 1 {
-		delete(c.setOf, n)
+		c.setOf.Set(n, 0)
 		return ev
 	}
 	c.set1 = append(append(c.set1[:0], set[:i]...), set[i+1:]...)
 	sid := c.intern(c.set1)
 	c.members[sid]++
-	c.setOf[n] = sid
+	c.setOf.Set(n, sid+1)
 	return ev
 }
 
@@ -325,8 +324,10 @@ func (c *classSetTracker) summarize(s *Summary, rep *representer) []dict.ID {
 			s.Graph.Types = append(s.Graph.Types, store.Triple{S: setNode[sid], P: typ, O: cls})
 		}
 	}
-	for n, sid := range c.setOf {
-		s.NodeOf[n] = setNode[sid]
+	for n, v := range c.setOf.All() {
+		if *v != 0 {
+			s.NodeOf[n] = setNode[*v-1]
+		}
 	}
 	return setNode
 }
@@ -334,9 +335,11 @@ func (c *classSetTracker) summarize(s *Summary, rep *representer) []dict.ID {
 // weakNode is one node's place in a weakTracker: the (property, side)
 // element it first met — its class is that element's class — and whether
 // it ever met a second one. A node that did not linked no two elements,
-// so it can leave the structure exactly (typed-weak's late typing).
+// so it can leave the structure exactly (typed-weak's late typing). The
+// zero weakNode is a node the tracker does not hold.
 type weakNode struct {
 	rep   int32
+	seen  bool
 	multi bool
 }
 
@@ -351,15 +354,15 @@ type weakTracker struct {
 	uf      unionfind.UF
 	srcElem map[dict.ID]int32 // data property -> source element
 	tgtElem map[dict.ID]int32 // data property -> target element
-	nodes   map[dict.ID]weakNode
+	nodes   dict.Table[weakNode]
 }
 
-func newWeakTracker() *weakTracker {
-	return &weakTracker{
-		srcElem: make(map[dict.ID]int32),
-		tgtElem: make(map[dict.ID]int32),
-		nodes:   make(map[dict.ID]weakNode),
-	}
+// newWeakTracker returns an empty tracker with room for the nodes up to
+// max without growing.
+func newWeakTracker(max dict.ID) *weakTracker {
+	w := &weakTracker{srcElem: make(map[dict.ID]int32), tgtElem: make(map[dict.ID]int32)}
+	w.nodes.Grow(max)
+	return w
 }
 
 // noteSubject records that n is a subject of p; noteObject, an object.
@@ -372,35 +375,34 @@ func (w *weakTracker) note(n, p dict.ID, side map[dict.ID]int32) {
 		e = w.uf.Add()
 		side[p] = e
 	}
-	st, seen := w.nodes[n]
-	switch {
-	case !seen:
-		w.nodes[n] = weakNode{rep: e}
+	switch st := w.nodes.Ptr(n); {
+	case !st.seen:
+		*st = weakNode{rep: e, seen: true}
 	case st.rep != e:
 		w.uf.Union(st.rep, e)
-		if !st.multi {
-			st.multi = true
-			w.nodes[n] = st
-		}
+		st.multi = true
 	}
 }
 
 // drop removes n if its departure cannot split a class; see
 // cliqueTracker.drop.
 func (w *weakTracker) drop(n dict.ID) bool {
-	if w.nodes[n].multi {
+	switch st := w.nodes.Get(n); {
+	case st.multi:
 		return false
+	case st.seen:
+		w.nodes.Set(n, weakNode{})
 	}
-	delete(w.nodes, n)
 	return true
 }
 
 // names names the current classes on demand: the class of element e is
 // N(in, out) over the properties whose target resp. source representative
-// fell into it (§4.1's N(∪TC, ∪SC)).
+// fell into it (§4.1's N(∪TC, ∪SC)). Lists and names are indexed by
+// union-find root.
 func (w *weakTracker) names(rep *representer) func(e int32) dict.ID {
-	inProps := make(map[int32][]dict.ID)
-	outProps := make(map[int32][]dict.ID)
+	inProps := make([][]dict.ID, w.uf.Len())
+	outProps := make([][]dict.ID, w.uf.Len())
 	for p, e := range w.srcElem {
 		root := w.uf.Find(e)
 		outProps[root] = append(outProps[root], p)
@@ -409,15 +411,13 @@ func (w *weakTracker) names(rep *representer) func(e int32) dict.ID {
 		root := w.uf.Find(e)
 		inProps[root] = append(inProps[root], p)
 	}
-	names := make(map[int32]dict.ID)
+	names := make([]dict.ID, w.uf.Len())
 	return func(e int32) dict.ID {
 		root := w.uf.Find(e)
-		id, ok := names[root]
-		if !ok {
-			id = rep.node(inProps[root], outProps[root])
-			names[root] = id
+		if names[root] == dict.None {
+			names[root] = rep.node(inProps[root], outProps[root])
 		}
-		return id
+		return names[root]
 	}
 }
 
@@ -426,8 +426,10 @@ func (w *weakTracker) names(rep *representer) func(e int32) dict.ID {
 // clique), plus whether the node ever related two distinct properties on a
 // side — the information needed to decide if the node can be dropped from
 // the structure without a rebuild (typed-strong's late-typing migration).
+// The zero state is a node the tracker does not hold.
 type cliqueNodeState struct {
 	repIn, repOut     int32 // property element, -1 = no clique on that side
+	seen              bool
 	multiIn, multiOut bool
 }
 
@@ -442,16 +444,19 @@ type cliqueTracker struct {
 	props   []dict.ID
 	srcUF   *unionfind.UF
 	tgtUF   *unionfind.UF
-	nodes   map[dict.ID]cliqueNodeState
+	nodes   dict.Table[cliqueNodeState]
 }
 
-func newCliqueTracker() *cliqueTracker {
-	return &cliqueTracker{
+// newCliqueTracker returns an empty tracker with room for the nodes up to
+// max without growing.
+func newCliqueTracker(max dict.ID) *cliqueTracker {
+	c := &cliqueTracker{
 		propIdx: make(map[dict.ID]int32),
 		srcUF:   &unionfind.UF{},
 		tgtUF:   &unionfind.UF{},
-		nodes:   make(map[dict.ID]cliqueNodeState),
 	}
+	c.nodes.Grow(max)
+	return c
 }
 
 // prop interns p as a property element of both union-finds (same index).
@@ -473,14 +478,11 @@ func (c *cliqueTracker) prop(p dict.ID) int32 {
 func (c *cliqueTracker) noteSubject(n, p dict.ID) (first bool) { return c.note(n, p, false) }
 func (c *cliqueTracker) noteObject(n, p dict.ID) (first bool)  { return c.note(n, p, true) }
 
-// note works on a copy of n's state — the map holds values, a pointer per
-// data node was a heap object per data node — and stores it back only
-// when it changed.
 func (c *cliqueTracker) note(n, p dict.ID, object bool) (first bool) {
 	pi := c.prop(p)
-	st, seen := c.nodes[n]
-	if !seen {
-		st = cliqueNodeState{repIn: -1, repOut: -1}
+	st := c.nodes.Ptr(n)
+	if !st.seen {
+		*st = cliqueNodeState{repIn: -1, repOut: -1, seen: true}
 	}
 	rep, multi, uf := &st.repOut, &st.multiOut, c.srcUF
 	if object {
@@ -490,16 +492,13 @@ func (c *cliqueTracker) note(n, p dict.ID, object bool) (first bool) {
 	case *rep == pi:
 		return false
 	case *rep < 0:
-		*rep, first = pi, true
+		*rep = pi
+		return true
 	default:
 		uf.Union(*rep, pi)
-		if *multi {
-			return false
-		}
 		*multi = true
+		return false
 	}
-	c.nodes[n] = st
-	return first
 }
 
 // drop removes n from the tracker if its departure cannot split a clique:
@@ -508,10 +507,12 @@ func (c *cliqueTracker) note(n, p dict.ID, object bool) (first bool) {
 // exact. Returns false — leaving the tracker untouched — when n may be
 // load-bearing, in which case the caller must schedule a rebuild.
 func (c *cliqueTracker) drop(n dict.ID) bool {
-	if st := c.nodes[n]; st.multiIn || st.multiOut {
+	switch st := c.nodes.Get(n); {
+	case st.multiIn || st.multiOut:
 		return false
+	case st.seen:
+		c.nodes.Set(n, cliqueNodeState{})
 	}
-	delete(c.nodes, n)
 	return true
 }
 

@@ -38,7 +38,7 @@ type EdgeStat struct {
 // sums to |D_G| and per-property sums equal the property's frequency in G.
 //
 // ComputeWeights additionally records per-edge distinct-endpoint counts
-// (EdgeStat) and a copy of the quotient map, which together let the query
+// (EdgeStat) and the summary's quotient map, which together let the query
 // planner estimate whole conjunctive queries over the summary; a Weights
 // assembled by hand carries only the coarse maps, reports
 // HasEdgeStats() == false and is no statistic to the planner.
@@ -51,11 +51,10 @@ type Weights struct {
 	// ComputeWeights fills it.
 	propCount map[dict.ID]int
 
-	// nodeOf is a copy of the summary's quotient map, taken at
-	// ComputeWeights time so the statistic stays immutable while an
-	// incremental builder keeps mutating the summary's own map. Nodes
-	// absent from it (classes, properties, schema nodes) represent
-	// themselves — see Rep.
+	// nodeOf is the summary's quotient map, shared: a summary is immutable
+	// once returned (every snapshot builds a fresh map). Nodes absent from
+	// it (classes, properties, schema nodes) represent themselves — see
+	// Rep.
 	nodeOf map[dict.ID]dict.ID
 
 	// Per-edge statistics, grouped for the estimator's candidate lookups:
@@ -71,87 +70,166 @@ type Weights struct {
 	allSchema   []EdgeStat
 }
 
-// edgeAcc accumulates one summary edge's statistics during the input pass.
-type edgeAcc struct {
-	count int
-	subj  map[dict.ID]struct{}
-	obj   map[dict.ID]struct{}
-}
-
-func accumulate(m map[store.Triple]*edgeAcc, e store.Triple, s, o dict.ID) {
-	a := m[e]
-	if a == nil {
-		a = &edgeAcc{subj: make(map[dict.ID]struct{}), obj: make(map[dict.ID]struct{})}
-		m[e] = a
-	}
-	a.count++
-	a.subj[s] = struct{}{}
-	a.obj[o] = struct{}{}
-}
-
-// flatten turns the accumulator into sorted EdgeStats plus a per-key group
-// index (keyed by keyOf, e.g. the property or the class).
-func flatten(m map[store.Triple]*edgeAcc, keyOf func(store.Triple) dict.ID) ([]EdgeStat, map[dict.ID][]EdgeStat) {
-	all := make([]EdgeStat, 0, len(m))
-	for e, a := range m {
-		all = append(all, EdgeStat{Edge: e, Count: a.count, DistinctS: len(a.subj), DistinctO: len(a.obj)})
-	}
-	// Deterministic order: map iteration would otherwise reorder the
-	// estimator's float sums (and hence tie-breaking) run to run.
-	slices.SortFunc(all, func(x, y EdgeStat) int {
-		a, b := x.Edge, y.Edge
-		return cmp.Or(cmp.Compare(a.P, b.P), cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O))
-	})
-	byKey := make(map[dict.ID][]EdgeStat)
-	for _, st := range all {
-		k := keyOf(st.Edge)
-		byKey[k] = append(byKey[k], st)
-	}
-	return all, byKey
-}
-
 // ComputeWeights derives the cardinalities of s's quotient map by one pass
 // over the input graph, including the per-edge distinct-endpoint counts
 // the query planner's cardinality estimator consumes.
+//
+// Representatives resolve through a table built once from NodeOf, every
+// summary edge gets a small index at its first triple, and the distinct
+// endpoints of each edge are counted by stamping them in tables of the
+// endpoint IDs (edgeCounter) — no set per edge.
 func (s *Summary) ComputeWeights() *Weights {
-	w := &Weights{
-		NodeCard: make(map[dict.ID]int, len(s.NodeOf)),
-		EdgeCard: make(map[store.Triple]int, len(s.Graph.Data)),
-		TypeCard: make(map[store.Triple]int, len(s.Graph.Types)),
-		nodeOf:   make(map[dict.ID]dict.ID, len(s.NodeOf)),
+	in := s.Input
+	in.Ensure()
+	var rep dict.Table[dict.ID]  // input node -> representative
+	var extent dict.Table[int32] // representative -> input nodes it represents
+	max := in.Dict().MaxID()
+	rep.Grow(max)
+	extent.Grow(s.Graph.Dict().MaxID())
+	reps := 0
+	for n, r := range s.NodeOf {
+		rep.Set(n, r)
+		c := extent.Ptr(r)
+		if *c == 0 {
+			reps++
+		}
+		*c++
 	}
-	for n, rep := range s.NodeOf {
-		w.NodeCard[rep]++
-		w.nodeOf[n] = rep
+	w := &Weights{NodeCard: make(map[dict.ID]int, reps), nodeOf: s.NodeOf}
+	for r, c := range extent.All() {
+		if *c != 0 {
+			w.NodeCard[r] = int(*c)
+		}
 	}
-	s.Input.Ensure()
-	v := s.Input.Vocab()
-	dataAcc := make(map[store.Triple]*edgeAcc)
-	typeAcc := make(map[store.Triple]*edgeAcc)
-	schemaAcc := make(map[store.Triple]*edgeAcc)
-	for _, t := range s.Input.Data {
-		e := store.Triple{S: s.NodeOf[t.S], P: t.P, O: s.NodeOf[t.O]}
-		w.EdgeCard[e]++
-		accumulate(dataAcc, e, t.S, t.O)
-	}
-	for _, t := range s.Input.Types {
-		e := store.Triple{S: s.NodeOf[t.S], P: v.Type, O: t.O}
-		w.TypeCard[e]++
-		accumulate(typeAcc, e, t.S, t.O)
-	}
+
+	ec := &edgeCounter{}
+	ec.subj.Grow(max)
+	ec.obj.Grow(max)
+	byProperty := func(e store.Triple) dict.ID { return e.P }
+	byClass := func(e store.Triple) dict.ID { return e.O }
+	data := ec.stats(in.Data, func(t store.Triple) store.Triple {
+		return store.Triple{S: rep.Get(t.S), P: t.P, O: rep.Get(t.O)}
+	}, byProperty)
+	typ := in.Vocab().Type
+	types := ec.stats(in.Types, func(t store.Triple) store.Triple {
+		return store.Triple{S: rep.Get(t.S), P: typ, O: t.O}
+	}, byClass)
 	// Schema triples are copied verbatim into every summary kind, so each
 	// is an exact unit edge whose endpoints represent themselves.
-	for _, t := range s.Input.Schema {
-		accumulate(schemaAcc, t, t.S, t.O)
+	schema := ec.stats(in.Schema, func(t store.Triple) store.Triple { return t }, byProperty)
+
+	w.EdgeCard = make(map[store.Triple]int, len(data))
+	for _, st := range data {
+		w.EdgeCard[st.Edge] = st.Count
 	}
-	w.allData, w.dataEdges = flatten(dataAcc, func(e store.Triple) dict.ID { return e.P })
-	w.allTypes, w.typeEdges = flatten(typeAcc, func(e store.Triple) dict.ID { return e.O })
-	w.allSchema, w.schemaEdges = flatten(schemaAcc, func(e store.Triple) dict.ID { return e.P })
-	w.propCount = make(map[dict.ID]int)
-	for e, c := range w.EdgeCard {
-		w.propCount[e.P] += c
+	w.TypeCard = make(map[store.Triple]int, len(types))
+	for _, st := range types {
+		w.TypeCard[st.Edge] = st.Count
+	}
+	byPSO := func(x, y EdgeStat) int {
+		a, b := x.Edge, y.Edge
+		return cmp.Or(cmp.Compare(a.P, b.P), cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O))
+	}
+	// Deterministic order: the first-occurrence order of the input would
+	// reorder the estimator's float sums (and hence tie-breaking) whenever
+	// the input's order changes.
+	slices.SortFunc(data, byPSO)
+	slices.SortFunc(types, byPSO)
+	slices.SortFunc(schema, byPSO)
+	w.allData, w.dataEdges = data, groupEdges(data, byProperty)
+	w.allSchema, w.schemaEdges = schema, groupEdges(schema, byProperty)
+	// τ edges group by class: a copy ordered by class, then as allTypes.
+	classOrder := slices.Clone(types)
+	slices.SortStableFunc(classOrder, func(x, y EdgeStat) int { return cmp.Compare(x.Edge.O, y.Edge.O) })
+	w.allTypes, w.typeEdges = types, groupEdges(classOrder, byClass)
+	w.propCount = make(map[dict.ID]int, len(w.dataEdges))
+	for p, group := range w.dataEdges {
+		for _, st := range group {
+			w.propCount[p] += st.Count
+		}
 	}
 	return w
+}
+
+// edgeCounter computes the EdgeStats of one summary's input. Its tables
+// hold, per endpoint ID, the stamp of the last edge that counted it as a
+// subject resp. an object; every edge of every call gets its own stamp, so
+// one pair of tables serves the data, τ and schema edges.
+type edgeCounter struct {
+	subj, obj dict.Table[int32]
+	stamps    int32
+}
+
+// stats maps every triple of ts onto its summary edge, edgeOf(t), and
+// returns the edges' statistics in first-occurrence order. Each edge gets
+// a small index at its first triple; a triple whose edge is the last one
+// of its group key (keyOf: the property, or a τ edge's class — a weak
+// summary has one edge per property) finds it without hashing. Then the
+// triples are bucketed by edge index (a counting sort), and each bucket
+// stamps the endpoints it meets, counting those it had not stamped yet —
+// no set per edge.
+func (ec *edgeCounter) stats(ts []store.Triple, edgeOf func(store.Triple) store.Triple, keyOf func(store.Triple) dict.ID) []EdgeStat {
+	stats := []EdgeStat{}
+	index := make(map[store.Triple]int32)
+	of := make([]int32, len(ts))
+	var last dict.Table[int32] // group key -> 1 + the edge its last triple mapped onto
+	for i, t := range ts {
+		e := edgeOf(t)
+		c := last.Ptr(keyOf(e))
+		if *c == 0 || stats[*c-1].Edge != e {
+			k, ok := index[e]
+			if !ok {
+				k = int32(len(stats))
+				index[e] = k
+				stats = append(stats, EdgeStat{Edge: e})
+			}
+			*c = k + 1
+		}
+		k := *c - 1
+		stats[k].Count++
+		of[i] = k
+	}
+	next := make([]int32, len(stats)) // edge -> where its next triple goes in byEdge
+	pos := int32(0)
+	for k := range stats {
+		next[k] = pos
+		pos += int32(stats[k].Count)
+	}
+	byEdge := make([]int32, len(ts))
+	for i, k := range of {
+		byEdge[next[k]] = int32(i)
+		next[k]++
+	}
+	for _, i := range byEdge {
+		t, k := ts[i], of[i]
+		stamp := ec.stamps + k + 1
+		if c := ec.subj.Ptr(t.S); *c != stamp {
+			*c = stamp
+			stats[k].DistinctS++
+		}
+		if c := ec.obj.Ptr(t.O); *c != stamp {
+			*c = stamp
+			stats[k].DistinctO++
+		}
+	}
+	ec.stamps += int32(len(stats))
+	return stats
+}
+
+// groupEdges indexes stats — ordered so that equal keys are adjacent — by
+// key; each group is a subslice of stats, in stats' order.
+func groupEdges(stats []EdgeStat, keyOf func(store.Triple) dict.ID) map[dict.ID][]EdgeStat {
+	out := make(map[dict.ID][]EdgeStat)
+	for i := 0; i < len(stats); {
+		k := keyOf(stats[i].Edge)
+		j := i + 1
+		for j < len(stats) && keyOf(stats[j].Edge) == k {
+			j++
+		}
+		out[k] = stats[i:j:j]
+		i = j
+	}
+	return out
 }
 
 // HasEdgeStats reports whether the per-edge distinct-endpoint statistics

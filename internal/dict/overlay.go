@@ -45,7 +45,7 @@ func Overlay(base *Dict) *Dict {
 		index:  newTermIndex(),
 		under:  base,
 		layer:  layer,
-		prefix: ^ID(0) << (32 - layer),
+		prefix: layerPrefix(layer),
 	}
 	if base.mu != nil {
 		o.mu = new(sync.RWMutex)
