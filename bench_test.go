@@ -292,10 +292,10 @@ func BenchmarkStreamingIngest(b *testing.B) {
 }
 
 // BenchmarkSeedBoot is rdfsumd's cold boot as benchmark/ times it, in
-// process: load a dump (sequentially, as the pinned harness does), open a
-// fresh durable store seeded with it — builders, base run, snapshot-1,
-// epoch 1 — then warm what the first query of each template builds: the
-// weak summary, its pruner and the planner weights. Two dumps, the two
+// process: load a dump, open a fresh durable store seeded with it —
+// builders, base run, snapshot-1, epoch 1 — then warm what the first
+// query of each template builds: the weak summary, its pruner and the
+// planner weights. Two dumps, the two
 // the harness boots from: bsbm-nt is BSBM 3000 products as N-Triples
 // (≈ 170k triples; 1000 ≈ 58k under -short), lubm-ttl-gz is LUBM 52
 // universities as rdfsum.WriteTurtle writes it, behind gzip (≈ 177k
@@ -317,7 +317,7 @@ func BenchmarkSeedBoot(b *testing.B) {
 	b.Run("lubm-reopen", func(b *testing.B) {
 		dump := filepath.Join(b.TempDir(), "dump.ttl")
 		writeCompressed(b, dump, lubmTurtle(b), rdfsum.CompressionNone)
-		g, err := rdfsum.LoadFile(dump, &rdfsum.LoadOptions{Workers: 1})
+		g, err := rdfsum.LoadFile(dump, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func seedBoot(b *testing.B, name string, plain []byte, codec rdfsum.Compression)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := rdfsum.LoadFile(dump, &rdfsum.LoadOptions{Workers: 1})
+		g, err := rdfsum.LoadFile(dump, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

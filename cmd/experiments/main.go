@@ -44,7 +44,7 @@ type row struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to print: 11 | 12 | 13 | compact | ratios | pruning | load | all")
+	fig := flag.String("fig", "all", "figure to print: 11 | 12 | 13 | compact | ratios | pruning | all")
 	sizes := flag.String("sizes", "50000,100000,250000,500000,1000000,2000000",
 		"comma-separated target triple counts")
 	seed := flag.Uint64("seed", 42, "dataset seed")
@@ -65,10 +65,6 @@ func main() {
 
 	if *fig == "pruning" {
 		printPruning(targets, *dataset, *seed)
-		return
-	}
-	if *fig == "load" {
-		printIngest(targets, *dataset, *seed)
 		return
 	}
 

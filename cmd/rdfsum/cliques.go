@@ -22,7 +22,6 @@ func cmdCliques(args []string) error {
 	in := fs.String("in", "", "input graph (.nt or snapshot)")
 	untypedOnly := fs.Bool("untyped", false, "restrict cliques to untyped-node adjacencies (the TS variant)")
 	maxShown := fs.Int("max", 30, "maximum cliques to print per side")
-	loadFlags(fs)
 	fs.Parse(args) //nolint:errcheck
 
 	g, err := load(*in)

@@ -102,17 +102,6 @@ func kindList() string {
 	return strings.Join(names, "|")
 }
 
-// loadWorkers is the shared -workers setting: 0 loads N-Triples on all
-// CPUs through the parallel pipeline, 1 forces the sequential path.
-var loadWorkers int
-
-// loadFlags registers the loading flags shared by every subcommand that
-// reads a graph.
-func loadFlags(fs *flag.FlagSet) {
-	fs.IntVar(&loadWorkers, "workers", 0,
-		"N-Triples load workers (0 = all CPUs, 1 = sequential)")
-}
-
 // load reads a graph from an N-Triples or Turtle file — optionally
 // gzip/zstd-compressed, detected from the name (data.nt, dump.ttl.gz,
 // …) — or a snapshot (anything else).
@@ -121,7 +110,7 @@ func load(path string) (*rdfsum.Graph, error) {
 		return nil, fmt.Errorf("missing -in file")
 	}
 	if format, codec := rdfsum.DetectFile(path); format != rdfsum.FormatAuto || codec != rdfsum.CompressionNone {
-		return rdfsum.LoadFile(path, &rdfsum.LoadOptions{Workers: loadWorkers})
+		return rdfsum.LoadFile(path, nil)
 	}
 	return rdfsum.LoadSnapshot(path)
 }
@@ -156,7 +145,6 @@ func cmdSummarize(args []string) error {
 	out := fs.String("out", "", "write the summary graph (.nt or snapshot)")
 	dotOut := fs.String("dot", "", "write a Graphviz rendering of the summary")
 	saturateFirst := fs.Bool("saturate", false, "summarize the saturation G∞ instead of G")
-	loadFlags(fs)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	kinds := rdfsum.Kinds
@@ -218,7 +206,6 @@ func cmdSaturate(args []string) error {
 	fs := flag.NewFlagSet("saturate", flag.ExitOnError)
 	in := fs.String("in", "", "input graph")
 	out := fs.String("out", "", "output file (default: stdout as N-Triples)")
-	loadFlags(fs)
 	fs.Parse(args) //nolint:errcheck
 	g, err := load(*in)
 	if err != nil {
@@ -237,7 +224,6 @@ func cmdStats(args []string) error {
 	in := fs.String("in", "", "input graph")
 	server := fs.String("server", "", "rdfsumd base URL; inspect a running server instead of -in")
 	kindsFlag := fs.String("kinds", strings.ReplaceAll(kindList(), "|", ","), "summaries to measure")
-	loadFlags(fs)
 	fs.Parse(args) //nolint:errcheck
 	if *server != "" {
 		return remoteStats(*server, *kindsFlag)
@@ -290,7 +276,6 @@ func cmdQuery(args []string) error {
 	// amortizes that cost and defaults to weak instead.
 	pruneKind := fs.String("prune", "off",
 		"summary kind gating provably-empty queries and feeding planner stats (off = disable)")
-	loadFlags(fs)
 	fs.Parse(args) //nolint:errcheck
 	if *qtext == "" && *qfile != "" {
 		b, err := os.ReadFile(*qfile)
@@ -520,7 +505,6 @@ func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "input graph")
 	out := fs.String("out", "", "output file")
-	loadFlags(fs)
 	fs.Parse(args) //nolint:errcheck
 	if *out == "" {
 		return fmt.Errorf("missing -out file")

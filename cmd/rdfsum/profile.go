@@ -17,7 +17,6 @@ func cmdProfile(args []string) error {
 	in := fs.String("in", "", "input graph (.nt or snapshot)")
 	kindName := fs.String("kind", "typed-weak", "summary kind to profile through")
 	maxKinds := fs.Int("max", 40, "maximum entity kinds to print (0 = all)")
-	loadFlags(fs)
 	fs.Parse(args) //nolint:errcheck
 
 	kind, err := rdfsum.ParseKind(*kindName)

@@ -28,7 +28,7 @@ func TestE2EReplication(t *testing.T) {
 	bin := buildRdfsumd(t)
 	ctx := context.Background()
 
-	leaderURL, leaderLogs := startDaemon(t, bin, "-live", t.TempDir(), "-addr", "127.0.0.1:0")
+	leaderURL, leaderLogs, _ := startDaemon(t, bin, "-live", t.TempDir(), "-addr", "127.0.0.1:0")
 	lc, err := client.New(leaderURL)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestE2EReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	followerURL, followerLogs := startDaemon(t, bin, "-follow", leaderURL, "-addr", "127.0.0.1:0")
+	followerURL, followerLogs, _ := startDaemon(t, bin, "-follow", leaderURL, "-addr", "127.0.0.1:0")
 	fc, err := client.New(followerURL)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +143,9 @@ func buildRdfsumd(t *testing.T) string {
 
 // startDaemon launches an rdfsumd process and returns its base URL —
 // parsed from the "listening on" startup line, tolerating the slog text
-// handler's quoting — plus the accumulating capture of its stderr.
-func startDaemon(t *testing.T, bin string, args ...string) (string, *logBuffer) {
+// handler's quoting — plus the accumulating capture of its stderr and the
+// process, which the test's cleanup kills.
+func startDaemon(t *testing.T, bin string, args ...string) (string, *logBuffer, *exec.Cmd) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
@@ -175,10 +176,10 @@ func startDaemon(t *testing.T, bin string, args ...string) (string, *logBuffer) 
 	}()
 	select {
 	case addr := <-addrCh:
-		return "http://" + addr, logs
+		return "http://" + addr, logs, cmd
 	case <-time.After(30 * time.Second):
 		t.Fatalf("rdfsumd %v did not report its listen address", args)
-		return "", nil
+		return "", nil, nil
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // TestE2EStreamingIngest is the `make ingest-smoke` check: a cold
 // gzipped Turtle dump boots a real rdfsumd process straight into
 // serving summaries and queries — compressed input is decoded as a
-// streaming stage into the parallel loader, never materialized — then a
+// streaming stage into the loader, never materialized — then a
 // zstd-compressed streaming upload through the typed client lands more
 // triples on the running server.
 func TestE2EStreamingIngest(t *testing.T) {
@@ -44,7 +44,7 @@ func TestE2EStreamingIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	url, _ := startDaemon(t, bin, "-in", dump, "-addr", "127.0.0.1:0")
+	url, _, _ := startDaemon(t, bin, "-in", dump, "-addr", "127.0.0.1:0")
 	cl, err := client.New(url)
 	if err != nil {
 		t.Fatal(err)

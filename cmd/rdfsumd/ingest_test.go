@@ -163,7 +163,7 @@ func TestIngestCorruptCompressedBody(t *testing.T) {
 // ingests must shed load as 429 + Retry-After + "ingest_overloaded",
 // and the rejection shows up in /stats.
 func TestIngestBackpressure429(t *testing.T) {
-	srv, err := newServer(serverConfig{liveDir: t.TempDir(), workers: 1, queueDepth: 1, queueBytes: 1})
+	srv, err := newServer(serverConfig{liveDir: t.TempDir(), queueDepth: 1, queueBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // liveTestServer serves a durable live store rooted in a temp directory.
 func liveTestServer(t *testing.T, seed *rdfsum.Graph) (*httptest.Server, *server) {
 	t.Helper()
-	srv, err := newServer(serverConfig{liveDir: t.TempDir(), workers: 1})
+	srv, err := newServer(serverConfig{liveDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestLiveIngestDuringConcurrentQueries(t *testing.T) {
 // tolerance the cached weak summary (and its gate) trails the graph; the
 // server must skip the gate rather than return a wrong empty answer.
 func TestPruningSoundUnderStaleness(t *testing.T) {
-	srv, err := newServer(serverConfig{liveDir: t.TempDir(), workers: 1, maxStale: 1_000_000})
+	srv, err := newServer(serverConfig{liveDir: t.TempDir(), maxStale: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPruningSoundUnderStaleness(t *testing.T) {
 // serving with their build epoch advertised; with none, they track the
 // graph.
 func TestSummaryStaleness(t *testing.T) {
-	srv, err := newServer(serverConfig{liveDir: t.TempDir(), workers: 1, maxStale: 1000})
+	srv, err := newServer(serverConfig{liveDir: t.TempDir(), maxStale: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestSummaryStaleness(t *testing.T) {
 // TestMetricsEndpoint: /metrics exposes the store gauges and per-kind
 // maintenance mode in the Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, err := newServer(serverConfig{workers: 1, maintain: []rdfsum.Kind{rdfsum.Weak, rdfsum.TypedStrong}})
+	srv, err := newServer(serverConfig{maintain: []rdfsum.Kind{rdfsum.Weak, rdfsum.TypedStrong}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,13 +52,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"rdfsum"
@@ -70,7 +73,6 @@ func main() {
 	liveDir := flag.String("live", "", "durable live-store directory (WAL + snapshots); empty = memory-only")
 	follow := flag.String("follow", "", "leader base URL (e.g. http://leader:8176); serve as a read replica")
 	addr := flag.String("addr", ":8176", "listen address")
-	workers := flag.Int("workers", 0, "N-Triples load workers (0 = all CPUs, 1 = sequential)")
 	maxStale := flag.Uint64("max-stale", 0, "epochs a cached summary/pruner may trail the graph before rebuild")
 	noSync := flag.Bool("no-fsync", false, "skip the per-batch fsync (faster ingest, weaker durability)")
 	maintain := flag.String("maintain", "weak",
@@ -116,7 +118,6 @@ func main() {
 		in:          *in,
 		liveDir:     *liveDir,
 		follow:      *follow,
-		workers:     *workers,
 		maxStale:    *maxStale,
 		noSync:      *noSync,
 		maintain:    maintained,
@@ -137,6 +138,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rdfsumd:", err)
 		os.Exit(1)
 	}
+	var debug *http.Server
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
@@ -144,8 +146,11 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Info("debug server listening (pprof + /debug/vars)", "addr", dln.Addr().String())
+		debug = newHTTPServer(srv.debugHandler())
 		go func() {
-			logger.Error("debug server exited", "error", http.Serve(dln, srv.debugHandler()))
+			if err := debug.Serve(dln); err != http.ErrServerClosed {
+				logger.Error("debug server exited", "error", err)
+			}
 		}()
 	}
 	lv, _ := srv.state()
@@ -168,10 +173,55 @@ func main() {
 		bootAttrs = append(bootAttrs, ph.name+"_s", ph.d.Seconds())
 	}
 	logger.Info("boot phases", bootAttrs...)
-	if err := http.Serve(ln, srv.handler()); err != nil {
+
+	stopping, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	public := newHTTPServer(srv.handler())
+	served := make(chan error, 1)
+	go func() { served <- public.Serve(ln) }()
+	select {
+	case err := <-served:
 		logger.Error("server exited", "error", err)
 		os.Exit(1)
+	case <-stopping.Done():
 	}
+	stop() // a second signal terminates at once
+
+	// Stop accepting, let in-flight requests finish (a replication
+	// long-poll may not: past the deadline its connection is cut), then
+	// drain the ingest queue and close the store.
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := public.Shutdown(ctx); err != nil {
+		logger.Warn("requests still in flight at the shutdown deadline; closing their connections", "error", err)
+		public.Close() //nolint:errcheck // the listener is already closed
+	}
+	if debug != nil {
+		debug.Close() //nolint:errcheck // pprof and /debug/vars hold no state
+	}
+	if err := srv.close(); err != nil {
+		logger.Error("closing the store", "error", err)
+		os.Exit(1)
+	}
+	logger.Info("shutdown")
+}
+
+// Listener timeouts, the same on both listeners. A connection has
+// readHeaderTimeout to send its request line and headers, and an idle
+// keep-alive connection is closed after idleTimeout. There is no read or
+// write timeout: ingest bodies stream for as long as they take, and a
+// follower's /v1/repl/wal request long-polls for up to a minute.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// shutdownTimeout bounds how long SIGTERM waits for in-flight
+	// requests before the store is closed.
+	shutdownTimeout = 10 * time.Second
+)
+
+// newHTTPServer is the http.Server both listeners serve h with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // parseMaintain resolves the -maintain flag: "all" maintains every kind,

@@ -62,7 +62,7 @@ func TestMetricsExpositionBootPhases(t *testing.T) {
 	liveDir := t.TempDir()
 	boot := func(in string) map[string]float64 {
 		t.Helper()
-		srv, err := newServer(serverConfig{liveDir: liveDir, in: in, workers: 1})
+		srv, err := newServer(serverConfig{liveDir: liveDir, in: in})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestMetricsExpositionMemoryAccount(t *testing.T) {
 		return float64(sample[0].Value.Uint64())
 	}
 	before := heapLive()
-	srv, err := newServer(serverConfig{in: dump, workers: 1, maintain: []rdfsum.Kind{}})
+	srv, err := newServer(serverConfig{in: dump, maintain: []rdfsum.Kind{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,6 @@ func TestSlowQueryLogThresholdServer(t *testing.T) {
 		}
 		srv, err := newServer(serverConfig{
 			liveDir:   t.TempDir(),
-			workers:   1,
 			logger:    logger,
 			slowQuery: threshold,
 		})
@@ -431,7 +430,6 @@ func TestSlowQueryCaptureDoesNotLeakExplain(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv, err := newServer(serverConfig{
 		liveDir:   t.TempDir(),
-		workers:   1,
 		logger:    logger,
 		slowQuery: time.Nanosecond,
 	})

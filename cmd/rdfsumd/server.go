@@ -97,7 +97,6 @@ type serverConfig struct {
 	in          string // input graph (.nt/.ttl, optionally .gz/.zst, or snapshot); seeds -live
 	liveDir     string // durable store directory ("" = memory-only)
 	follow      string // leader base URL; makes this a read replica
-	workers     int    // bulk-load parse workers (0 = all CPUs)
 	maxStale    uint64
 	noSync      bool
 	maintain    []rdfsum.Kind
@@ -116,9 +115,7 @@ type serverConfig struct {
 // its WAL (see internal/repl). Otherwise, when cfg.liveDir is set the
 // store is durable (WAL + snapshots in that directory) and cfg.in — if
 // any — seeds a fresh store; without it cfg.in is loaded into a
-// memory-only live store. N-Triples inputs go through the parallel
-// pipeline with the given worker count (0 = all CPUs, 1 = sequential).
-// cfg.maintain lists the summary kinds the quotient engine keeps
+// memory-only live store. cfg.maintain lists the summary kinds the quotient engine keeps
 // incrementally current (nil = weak only); cfg.indexFanout tunes the
 // tiered index's fold width (0 = default).
 func newServer(cfg serverConfig) (*server, error) {
@@ -156,10 +153,10 @@ func newServer(cfg serverConfig) (*server, error) {
 		var err error
 		t0 := time.Now()
 		// Names declaring an RDF dump — .nt/.ttl, with or without a
-		// .gz/.zst layer — stream through the format-aware parallel
-		// loader; anything else is read as a binary snapshot.
+		// .gz/.zst layer — stream through the format-aware loader;
+		// anything else is read as a binary snapshot.
 		if format, codec := rdfsum.DetectFile(cfg.in); format != rdfsum.FormatAuto || codec != rdfsum.CompressionNone {
-			seed, err = rdfsum.LoadFile(cfg.in, &rdfsum.LoadOptions{Workers: cfg.workers})
+			seed, err = rdfsum.LoadFile(cfg.in, nil)
 		} else {
 			seed, err = rdfsum.LoadSnapshot(cfg.in)
 		}

@@ -126,7 +126,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 // replicating from it, both as in-process httptest servers.
 func leaderFollowerServers(t *testing.T) (leader, follower *httptest.Server, leaderSrv *server) {
 	t.Helper()
-	lsrv, err := newServer(serverConfig{liveDir: t.TempDir(), workers: 1})
+	lsrv, err := newServer(serverConfig{liveDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func equalStrings(a, b []string) bool {
 // TestClientRoundTrip drives the full /v1 surface through the typed
 // client against a durable in-process server.
 func TestClientRoundTrip(t *testing.T) {
-	srv, err := newServer(serverConfig{liveDir: t.TempDir(), workers: 1})
+	srv, err := newServer(serverConfig{liveDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,7 @@ import (
 )
 
 // The package's one term-keying scheme: a term is held as a single key
-// string, and every index (Dict, overlay, Sharded's shards) is a termIndex
-// over such keys.
+// string, and every index (Dict, overlay) is a termIndex over such keys.
 //
 // An IRI or a blank node with nothing but a value — every one a parser or
 // a constructor produces — is keyed by that value, IRIs and blanks in
@@ -126,8 +125,7 @@ func (r rec) term() rdf.Term {
 	return t
 }
 
-// termIndex maps terms to uint32 values (IDs in a Dict, local positions
-// in a shard) through their keys.
+// termIndex maps terms to uint32 values (their IDs) through their keys.
 type termIndex struct {
 	iris, blanks, framed map[string]uint32
 	keyBytes             int // total len of the keys held

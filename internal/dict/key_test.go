@@ -10,18 +10,12 @@ import (
 )
 
 // roundTrip interns terms into every kind of index the package has — a
-// plain dictionary, an overlay over an empty one, a Sharded finalized
-// into a dictionary — and requires Term(Encode(t)) == t, idempotent
-// Encode, Lookup agreeing with it, and distinct terms under distinct IDs.
+// plain dictionary and an overlay over an empty one — and requires
+// Term(Encode(t)) == t, idempotent Encode, Lookup agreeing with it, and
+// distinct terms under distinct IDs.
 func roundTrip(t *testing.T, terms []rdf.Term) {
 	t.Helper()
-	sharded := New()
-	sh := NewSharded()
-	for i, tm := range terms {
-		sh.Observe(tm, uint64(i))
-	}
-	sh.Finalize(sharded)
-	for name, d := range map[string]*Dict{"dict": New(), "overlay": Overlay(New()), "sharded": sharded} {
+	for name, d := range map[string]*Dict{"dict": New(), "overlay": Overlay(New())} {
 		byID := map[ID]rdf.Term{}
 		for _, tm := range terms {
 			id := d.Encode(tm)

@@ -4,19 +4,20 @@ package load
 // front door for bulk loading: they detect the stream compression (magic
 // bytes, or file extension as a hint), decode it as a streaming stage —
 // the compressed input never materializes — detect the RDF serialization,
-// and hand the plain text to the matching pipeline (N-Triples streams
-// through in slabs; Turtle text is buffered whole, see turtleReader). Stream and
-// StreamFile are the triple-at-a-time variants the live-ingest paths use.
+// and hand the plain text to the matching loader (N-Triples streams
+// through in slabs; Turtle text is buffered whole, see turtleGraph).
+// Stream and StreamFile are the triple-at-a-time variants the live-ingest
+// paths use.
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
 	"rdfsum/internal/compress"
-	"rdfsum/internal/dict"
 	"rdfsum/internal/ntriples"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/store"
@@ -29,8 +30,9 @@ type Format int
 const (
 	// FormatAuto detects the serialization from the file extension
 	// (".nt" / ".ttl", looking through ".gz" / ".zst") or, failing that,
-	// from the leading bytes: a document opening with a @prefix/@base or
-	// PREFIX/BASE directive is Turtle, anything else is read as
+	// from the content: a document whose first token, past any
+	// whitespace and comment lines, is a @prefix/@base or PREFIX/BASE
+	// directive is Turtle, anything else is read as
 	// N-Triples (the detector cannot see a directive-free Turtle
 	// document; pass FormatTurtle explicitly for those).
 	FormatAuto Format = iota
@@ -103,26 +105,19 @@ func applyPathHints(path string, opts *Options) {
 
 // Reader loads and encodes an RDF document from r with opts: a streaming
 // decompression stage (nothing is spilled or materialized compressed),
-// format detection on the decoded text, then the parallel pipeline for
-// the detected format. The result is bit-identical to a sequential load
-// of the equivalent uncompressed input.
+// format detection on the decoded text, then the loader for the detected
+// format.
 func Reader(r io.Reader, opts Options) (*store.Graph, error) {
-	dec, err := compress.NewReader(r, opts.Compression)
-	if err != nil {
-		return nil, err
-	}
-	defer dec.Close()
-	var plain io.Reader = dec
-	format := opts.Format
-	if format == FormatAuto {
-		br := bufio.NewReader(dec)
-		format = sniffFormat(br)
-		plain = br
-	}
-	if format == FormatTurtle {
-		return turtleReader(plain, opts)
-	}
-	return NTriples(plain, opts)
+	var g *store.Graph
+	err := decode(r, opts, func(plain io.Reader, format Format) (err error) {
+		if format == FormatTurtle {
+			g, err = turtleGraph(plain)
+		} else {
+			g, err = ntriplesGraph(plain)
+		}
+		return err
+	})
+	return g, err
 }
 
 // Stream parses a document triple by triple without building a graph —
@@ -134,26 +129,16 @@ func Reader(r io.Reader, opts Options) (*store.Graph, error) {
 // a substring of the buffered input: a caller that retains terms retains
 // it (ntriples.ParseFunc's contract).
 func Stream(r io.Reader, opts Options, fn func(rdf.Triple) error) error {
-	dec, err := compress.NewReader(r, opts.Compression)
-	if err != nil {
-		return err
-	}
-	defer dec.Close()
-	var plain io.Reader = dec
-	format := opts.Format
-	if format == FormatAuto {
-		br := bufio.NewReader(dec)
-		format = sniffFormat(br)
-		plain = br
-	}
-	if format == FormatTurtle {
+	return decode(r, opts, func(plain io.Reader, format Format) error {
+		if format != FormatTurtle {
+			return ntriples.ParseFunc(plain, fn)
+		}
 		doc, err := turtle.ReadDocument(plain)
 		if err != nil {
 			return err
 		}
-		return turtle.Triples(turtle.Slab{Data: doc}, fn)
-	}
-	return ntriples.ParseFunc(plain, fn)
+		return turtle.Triples(doc, fn)
+	})
 }
 
 // StreamFile is Stream over a file, with name-based Auto resolution.
@@ -167,117 +152,73 @@ func StreamFile(path string, opts Options, fn func(rdf.Triple) error) error {
 	return Stream(f, opts, fn)
 }
 
-// sniffFormat peeks at the decoded text and classifies it; see
-// FormatAuto for the (deliberately conservative) rule.
-func sniffFormat(br *bufio.Reader) Format {
-	prefix, _ := br.Peek(4096)
-	s := string(prefix)
-	for {
-		s = strings.TrimLeft(s, " \t\r\n")
-		if strings.HasPrefix(s, "#") {
-			nl := strings.IndexByte(s, '\n')
-			if nl < 0 {
-				return FormatNTriples
-			}
-			s = s[nl+1:]
-			continue
-		}
-		break
+// decode is what Reader and Stream do before parsing: it decodes r's
+// compression as a streaming stage, resolves an Auto format on the
+// decoded text, and hands fn that text and its format.
+func decode(r io.Reader, opts Options, fn func(plain io.Reader, format Format) error) error {
+	dec, err := compress.NewReader(r, opts.Compression)
+	if err != nil {
+		return err
 	}
-	if strings.HasPrefix(s, "@") {
+	defer dec.Close()
+	if opts.Format != FormatAuto {
+		return fn(dec, opts.Format)
+	}
+	format, plain, err := sniffFormat(dec)
+	if err != nil {
+		return err
+	}
+	return fn(plain, format)
+}
+
+// sniffFormat classifies decoded text by its first token (see FormatAuto
+// for the deliberately conservative rule). It reads past the leading run
+// of whitespace and '#' comment lines however long it is — a licence
+// header can run to many kilobytes — and returns a reader that yields
+// every byte of r, that run included, so line numbers stay the
+// document's.
+func sniffFormat(r io.Reader) (Format, io.Reader, error) {
+	br := bufio.NewReader(r)
+	var head []byte // the leading run, read to reach the first token
+	for {
+		c, err := br.ReadByte()
+		switch {
+		case err != nil:
+		case isSpace(c):
+			head = append(head, c)
+		case c == '#':
+			var comment []byte
+			comment, err = br.ReadBytes('\n')
+			head = append(append(head, c), comment...)
+		default:
+			br.UnreadByte() //nolint:errcheck // cannot fail straight after ReadByte
+			var token []byte
+			if token, err = br.Peek(len("PREFIX") + 1); err == nil || err == io.EOF {
+				return classify(token), io.MultiReader(bytes.NewReader(head), br), nil
+			}
+		}
+		if err == io.EOF { // nothing but whitespace and comments
+			return FormatNTriples, bytes.NewReader(head), nil
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("load: detect format: %w", err)
+		}
+	}
+}
+
+// classify names the format of a document whose first token starts s: a
+// @prefix/@base or PREFIX/BASE directive is Turtle, anything else is read
+// as N-Triples.
+func classify(s []byte) Format {
+	if len(s) > 0 && s[0] == '@' {
 		return FormatTurtle
 	}
 	for _, kw := range []string{"PREFIX", "BASE", "prefix", "base"} {
-		if strings.HasPrefix(s, kw) && len(s) > len(kw) && (s[len(kw)] == ' ' || s[len(kw)] == '\t' || s[len(kw)] == '\r' || s[len(kw)] == '\n') {
+		if len(s) > len(kw) && string(s[:len(kw)]) == kw && isSpace(s[len(kw)]) {
 			return FormatTurtle
 		}
 	}
 	return FormatNTriples
 }
 
-// turtleReader is the Turtle loading pipeline. The decoded document is
-// buffered whole (turtle.ReadDocument) and every path runs the one
-// statement loop, turtle.Stream, which hands over terms once and triples
-// as handles: the sequential path interns straight into the graph's
-// dictionary and appends IDs — no rdf.Triple is built — and the parallel
-// path splits the document at statement boundaries
-// (turtle.SplitStatements) into slabs that parse concurrently under
-// per-slab directive-environment snapshots, feeding the same sharded
-// dictionary and assembly phases as the N-Triples pipeline. Either way
-// the graph is the one turtle.Parse + store.FromTriples would build, bit
-// for bit.
-func turtleReader(r io.Reader, opts Options) (*store.Graph, error) {
-	doc, err := turtle.ReadDocument(r)
-	if err != nil {
-		return nil, err
-	}
-	if opts.workers() > 1 {
-		return turtleParallel(doc, opts.workers(), opts.SlabBytes)
-	}
-	g := store.NewGraph()
-	d := g.Dict()
-	err = turtle.Stream(turtle.Slab{Data: doc},
-		func(t rdf.Term) uint32 { return uint32(d.Encode(t)) },
-		func(s, p, o uint32) error {
-			g.AddEncoded(dict.ID(s), dict.ID(p), dict.ID(o))
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func turtleParallel(doc string, workers, slabBytes int) (*store.Graph, error) {
-	slabs, splitErr := turtle.SplitStatements(doc, slabBytes)
-	st := newLoadState()
-	parallelFor(len(slabs), workers, func(i int) {
-		if st.skip(i) {
-			return
-		}
-		if res, err := parseTurtleSlab(st.sd, slabs[i]); err != nil {
-			st.fail(i, err)
-		} else {
-			st.put(res)
-		}
-	})
-	if splitErr != nil {
-		st.fail(noSlab, splitErr) // a malformed directive; an earlier slab's error wins
-	}
-	if st.err != nil {
-		return nil, st.err
-	}
-	g := store.NewGraph()
-	remap := st.sd.Finalize(g.Dict())
-	return assemble(g, remap, st.results, workers), nil
-}
-
-// parseTurtleSlab parses one slab under its environment snapshot and
-// observes its terms; the slab-local cache mirrors parseSlab's. An
-// occurrence key is the slab index over a count of the slab's intern
-// calls: Stream interns in document order, and keys need only be
-// monotone in that order within a slab (40 bits of count and 24 of slab
-// index exceed any input the splitter can produce).
-func parseTurtleSlab(sd *dict.Sharded, sl turtle.Slab) (slabTriples, error) {
-	cache := make(map[rdf.Term]dict.ProvID, 64)
-	key := uint64(sl.Index) << 40
-	var triples []provTriple
-	err := turtle.Stream(sl,
-		func(t rdf.Term) uint32 {
-			key++
-			if p, ok := cache[t]; ok {
-				return uint32(p)
-			}
-			p := sd.Observe(t, key)
-			cache[t] = p
-			return uint32(p)
-		},
-		func(s, p, o uint32) error {
-			triples = append(triples, provTriple{s: dict.ProvID(s), p: dict.ProvID(p), o: dict.ProvID(o)})
-			return nil
-		})
-	if err != nil {
-		return slabTriples{}, err
-	}
-	return slabTriples{index: sl.Index, triples: triples}, nil
-}
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }

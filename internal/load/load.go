@@ -1,42 +1,22 @@
-// Package load implements the parallel N-Triples ingestion pipeline.
+// Package load reads RDF dumps into encoded graphs.
 //
 // The paper's implementation (§6) parses N-Triples, encodes every term
 // through a dictionary, and "subsequently works only with the integer
-// representation"; in this repository that load-and-encode path dominates
-// end-to-end time on large inputs. This package parallelizes it without
-// changing its observable result:
-//
-//  1. Split — the input is cut into ~1 MiB slabs at newline boundaries
-//     (ntriples.SplitSlabs), each tagged with its global starting line.
-//  2. Parse+observe — GOMAXPROCS workers parse slabs concurrently
-//     (ntriples.ParseSlab keeps exact per-line error positions) and
-//     intern terms into a sharded concurrent dictionary (dict.Sharded),
-//     recording each term's first occurrence position. Triples are held
-//     as provisional 12-byte records.
-//  3. Renumber — dict.Sharded.Finalize assigns dense 1..MaxID IDs in
-//     first-occurrence order, reproducing exactly the IDs a sequential
-//     load would have issued (the dense space downstream code depends on).
-//  4. Assemble — per-slab component counts are prefix-summed into
-//     disjoint offsets, the store.Graph is extended once to its final
-//     size, and workers write each slab's translated triples directly
-//     into the final Data/Types/Schema slices — no intermediate batch
-//     materialization, so peak triple memory is ~2× the final size
-//     rather than ~3×.
-//
-// The result is bit-identical to the sequential path — same dictionary,
-// same triple slices, same component order — which load_test.go asserts
-// term-for-term. A malformed line is reported with its exact global
-// 1-based line number from whichever slab holds it; when several slabs
-// fail, every slab before a failed one is still parsed and the earliest
-// line wins — the error a sequential scan reports.
+// representation". Here that is one sequential pass per document, for
+// both formats: N-Triples streams through ntriples.ParseFunc in 64 KB
+// slabs, each triple interned into the graph's dictionary and routed to
+// its component as it parses; Turtle is buffered whole (its grammar is
+// not line-delimited) and turtle.Stream hands each term to the
+// dictionary once and each triple over as three IDs. Either way terms
+// are numbered in first-occurrence order — subject, property, object of
+// each triple in document order — so a load is, ID for ID and component
+// for component, the graph store.FromTriples builds from the parsed
+// triples. A malformed document fails with the first error in document
+// order, at its 1-based line.
 package load
 
 import (
-	"errors"
 	"io"
-	"math"
-	"runtime"
-	"sync"
 
 	"rdfsum/internal/compress"
 	"rdfsum/internal/dict"
@@ -46,14 +26,8 @@ import (
 	"rdfsum/internal/turtle"
 )
 
-// Options tunes the parallel loader.
+// Options says what an input is; zero fields are detected.
 type Options struct {
-	// Workers is the number of parse workers. 0 means GOMAXPROCS;
-	// 1 selects the plain sequential path.
-	Workers int
-	// SlabBytes is the split granularity. 0 means
-	// ntriples.DefaultSlabBytes (1 MiB).
-	SlabBytes int
 	// Format is the RDF serialization of the input; FormatAuto (zero)
 	// detects it from the file extension or leading bytes.
 	Format Format
@@ -62,25 +36,8 @@ type Options struct {
 	Compression compress.Codec
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
-
-// NTriples loads and encodes an N-Triples document with opts.
-func NTriples(r io.Reader, opts Options) (*store.Graph, error) {
-	workers := opts.workers()
-	if workers == 1 {
-		return sequential(r)
-	}
-	return parallel(r, workers, opts.SlabBytes)
-}
-
-// sequential is the workers=1 path: ParseFunc into Graph.Add, exactly the
-// historical loader.
-func sequential(r io.Reader) (*store.Graph, error) {
+// ntriplesGraph loads an N-Triples document: ParseFunc into Graph.Add.
+func ntriplesGraph(r io.Reader) (*store.Graph, error) {
 	g := store.NewGraph()
 	if err := ntriples.ParseFunc(r, func(t rdf.Triple) error { g.Add(t); return nil }); err != nil {
 		return nil, err
@@ -88,260 +45,25 @@ func sequential(r io.Reader) (*store.Graph, error) {
 	return g, nil
 }
 
-// provTriple is a parsed triple whose terms are provisional dictionary IDs.
-type provTriple struct {
-	s, p, o dict.ProvID
-}
-
-// slabTriples is the parse output of one slab, collected for the assembly
-// phase.
-type slabTriples struct {
-	index   int
-	triples []provTriple
-}
-
-// errAborted stops the splitter once a worker has recorded a failure; it
-// never escapes this package.
-var errAborted = errors.New("load: aborted")
-
-// loadState is the shared state of one parallel load.
-type loadState struct {
-	sd *dict.Sharded
-
-	mu         sync.Mutex
-	results    []slabTriples // dense by slab index once all workers finish
-	err        error         // the error to report; parse errors keep the earliest line
-	failedSlab int           // lowest index of a slab that failed to parse
-}
-
-func newLoadState() *loadState {
-	return &loadState{sd: dict.NewSharded(), failedSlab: noSlab}
-}
-
-// noSlab is the slab index of an error no slab's parse raised (I/O, the
-// splitter): past every slab.
-const noSlab = math.MaxInt
-
-// fail records the error of slab (or noSlab), keeping the existing one
-// unless the new error points at an earlier line — matching the "first
-// error in file order" behavior of the sequential scan. Non-parse errors
-// (I/O) win over nothing but never displace an earlier parse error.
-func (st *loadState) fail(slab int, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.failedSlab = min(st.failedSlab, slab)
-	if st.err == nil {
-		st.err = err
-		return
-	}
-	curLine, curOK := parseErrLine(st.err)
-	inLine, inOK := parseErrLine(err)
-	if inOK && (!curOK || inLine < curLine) {
-		st.err = err
-	}
-}
-
-// parseErrLine extracts the 1-based document line of a parse error from
-// either front-end (N-Triples or Turtle).
-func parseErrLine(err error) (int, bool) {
-	var ne *ntriples.ParseError
-	if errors.As(err, &ne) {
-		return ne.Line, true
-	}
-	var te *turtle.ParseError
-	if errors.As(err, &te) {
-		return te.Line, true
-	}
-	return 0, false
-}
-
-// skip reports whether slab need not be parsed, or read: one before it
-// has failed. A slab before the failed one is still parsed — it may hold
-// an earlier error, and the first in document order is the one to report.
-func (st *loadState) skip(slab int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return slab > st.failedSlab
-}
-
-func (st *loadState) put(r slabTriples) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for len(st.results) <= r.index {
-		st.results = append(st.results, slabTriples{index: -1})
-	}
-	st.results[r.index] = r
-}
-
-// occurrence keys order terms by (line, role); see dict.Sharded.
-const (
-	roleS = 0
-	roleP = 1
-	roleO = 2
-)
-
-func key(lineNo, role int) uint64 { return uint64(lineNo)<<2 | uint64(role) }
-
-func parallel(r io.Reader, workers, slabBytes int) (*store.Graph, error) {
-	st := newLoadState()
-	slabs := make(chan ntriples.Slab, workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for slab := range slabs {
-				if st.skip(slab.Index) {
-					continue // drain
-				}
-				if res, err := parseSlab(st.sd, slab); err != nil {
-					st.fail(slab.Index, err)
-				} else {
-					st.put(res)
-				}
-			}
-		}()
-	}
-
-	splitErr := ntriples.SplitSlabs(r, slabBytes, func(s ntriples.Slab) error {
-		if st.skip(s.Index) {
-			return errAborted // stop reading; an earlier slab already failed
-		}
-		slabs <- s
-		return nil
-	})
-	close(slabs)
-	wg.Wait()
-	if splitErr != nil && splitErr != errAborted {
-		st.fail(noSlab, splitErr)
-	}
-	if st.err != nil {
-		return nil, st.err
-	}
-
-	// Renumber: dense IDs in global first-occurrence order, after the
-	// pre-interned vocabulary — identical to sequential encode order.
-	g := store.NewGraph()
-	remap := st.sd.Finalize(g.Dict())
-
-	return assemble(g, remap, st.results, workers), nil
-}
-
-// parseSlab parses one slab into provisional triples. The slab-local
-// cache keeps hot terms (properties, classes) off the shard locks; since
-// occurrence keys grow monotonically within a slab, the first observation
-// per slab carries the slab's minimum key, so the global minimum is still
-// found across slabs.
-func parseSlab(sd *dict.Sharded, slab ntriples.Slab) (slabTriples, error) {
-	cache := make(map[rdf.Term]dict.ProvID, 64)
-	observe := func(t rdf.Term, k uint64) dict.ProvID {
-		if p, ok := cache[t]; ok {
-			return p
-		}
-		p := sd.Observe(t, k)
-		cache[t] = p
-		return p
-	}
-	triples := make([]provTriple, 0, len(slab.Data)/64)
-	err := ntriples.ParseSlab(slab, func(lineNo int, t rdf.Triple) error {
-		triples = append(triples, provTriple{
-			s: observe(t.S, key(lineNo, roleS)),
-			p: observe(t.P, key(lineNo, roleP)),
-			o: observe(t.O, key(lineNo, roleO)),
-		})
-		return nil
-	})
+// turtleGraph loads a Turtle document: buffered whole
+// (turtle.ReadDocument), then interned straight into the graph's
+// dictionary by the one statement loop, with IDs appended — no
+// rdf.Triple is built.
+func turtleGraph(r io.Reader) (*store.Graph, error) {
+	doc, err := turtle.ReadDocument(r)
 	if err != nil {
-		return slabTriples{}, err
+		return nil, err
 	}
-	return slabTriples{index: slab.Index, triples: triples}, nil
-}
-
-// assemble translates provisional IDs through remap and writes each
-// slab's triples directly into the final component slices: a first
-// parallel pass counts each slab's data/type/schema populations (only the
-// predicate needs remapping to classify), a prefix sum turns the counts
-// into disjoint per-slab offsets, the graph is extended once to its final
-// size, and a second parallel pass translates and stores every triple at
-// its precomputed position. No intermediate batches are materialized —
-// peak triple memory drops from ~3× (provisional + batch + final) to ~2×
-// (provisional + final) — and the result still matches a sequential load
-// byte for byte: slab order with in-slab order is exactly file order.
-func assemble(g *store.Graph, remap [][]dict.ID, results []slabTriples, workers int) *store.Graph {
-	vocab := g.Vocab()
-
-	// Pass 1: per-slab component counts.
-	type counts struct{ data, types, schema int }
-	perSlab := make([]counts, len(results))
-	parallelFor(len(results), workers, func(i int) {
-		var c counts
-		for _, pt := range results[i].triples {
-			switch vocab.ComponentOf(dict.Remap(remap, pt.p)) {
-			case store.CompTypes:
-				c.types++
-			case store.CompSchema:
-				c.schema++
-			default:
-				c.data++
-			}
-		}
-		perSlab[i] = c
-	})
-
-	// Prefix-sum the counts into per-slab starting offsets.
-	offsets := make([]counts, len(results))
-	var total counts
-	for i, c := range perSlab {
-		offsets[i] = total
-		total.data += c.data
-		total.types += c.types
-		total.schema += c.schema
+	g := store.NewGraph()
+	d := g.Dict()
+	err = turtle.Stream(doc,
+		func(t rdf.Term) uint32 { return uint32(d.Encode(t)) },
+		func(s, p, o uint32) error {
+			g.AddEncoded(dict.ID(s), dict.ID(p), dict.ID(o))
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
-
-	// One extension to final size, then pass 2: translate and write into
-	// disjoint sub-ranges.
-	data, types, schema := g.Extend(total.data, total.types, total.schema)
-	parallelFor(len(results), workers, func(i int) {
-		off := offsets[i]
-		for _, pt := range results[i].triples {
-			t := store.Triple{
-				S: dict.Remap(remap, pt.s),
-				P: dict.Remap(remap, pt.p),
-				O: dict.Remap(remap, pt.o),
-			}
-			switch vocab.ComponentOf(t.P) {
-			case store.CompTypes:
-				types[off.types] = t
-				off.types++
-			case store.CompSchema:
-				schema[off.schema] = t
-				off.schema++
-			default:
-				data[off.data] = t
-				off.data++
-			}
-		}
-	})
-	return g
-}
-
-// parallelFor runs fn(0..n-1) across the given number of workers.
-func parallelFor(n, workers int, fn func(int)) {
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return g, nil
 }

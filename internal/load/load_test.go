@@ -26,6 +26,22 @@ func render(t *testing.T, g *store.Graph) []byte {
 	return buf.Bytes()
 }
 
+// reference is the graph a load of the N-Triples document doc must
+// equal: the parsed triples, encoded by store.FromTriples.
+func reference(t *testing.T, doc []byte) *store.Graph {
+	t.Helper()
+	ts, err := ntriples.Parse(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.FromTriples(ts)
+}
+
+// loadNTriples loads doc as N-Triples.
+func loadNTriples(doc string) (*store.Graph, error) {
+	return Reader(strings.NewReader(doc), Options{Format: FormatNTriples})
+}
+
 // assertIdentical checks that got is bit-identical to want: same
 // dictionary contents in the same ID order, and the same triple slices in
 // the same component order.
@@ -33,12 +49,12 @@ func assertIdentical(t *testing.T, want, got *store.Graph) {
 	t.Helper()
 	wd, gd := want.Dict(), got.Dict()
 	if wd.Len() != gd.Len() {
-		t.Fatalf("dictionary size: sequential %d terms, parallel %d", wd.Len(), gd.Len())
+		t.Fatalf("dictionary size: reference %d terms, load %d", wd.Len(), gd.Len())
 	}
 	for id := 1; id <= wd.Len(); id++ {
 		w, g := wd.Term(dict.ID(id)), gd.Term(dict.ID(id))
 		if w != g {
-			t.Fatalf("dictionary id %d: sequential %v, parallel %v", id, w, g)
+			t.Fatalf("dictionary id %d: reference %v, load %v", id, w, g)
 		}
 	}
 	assertSameTriples(t, "Data", want.Data, got.Data)
@@ -49,19 +65,18 @@ func assertIdentical(t *testing.T, want, got *store.Graph) {
 func assertSameTriples(t *testing.T, name string, want, got []store.Triple) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: sequential %d triples, parallel %d", name, len(want), len(got))
+		t.Fatalf("%s: reference %d triples, load %d", name, len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s[%d]: sequential %v, parallel %v", name, i, want[i], got[i])
+			t.Fatalf("%s[%d]: reference %v, load %v", name, i, want[i], got[i])
 		}
 	}
 }
 
-// TestParallelMatchesSequentialGenerated cross-checks the parallel loader
-// against the sequential one on the two benchmark generators, with small
-// slabs so the input spans many slabs per worker.
-func TestParallelMatchesSequentialGenerated(t *testing.T) {
+// TestLoadMatchesReferenceGenerated checks the loader against the
+// reference construction on the two benchmark generators.
+func TestLoadMatchesReferenceGenerated(t *testing.T) {
 	graphs := map[string]*store.Graph{
 		"bsbm": bsbm.GenerateGraph(bsbm.DefaultConfig(100)), // ≈6k triples
 		"lubm": lubm.GenerateGraph(lubm.DefaultConfig(2)),   // ≈7k triples
@@ -69,25 +84,19 @@ func TestParallelMatchesSequentialGenerated(t *testing.T) {
 	for name, src := range graphs {
 		t.Run(name, func(t *testing.T) {
 			data := render(t, src)
-			seq, err := NTriples(bytes.NewReader(data), Options{Workers: 1})
+			got, err := loadNTriples(string(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 8} {
-				par, err := NTriples(bytes.NewReader(data), Options{Workers: workers, SlabBytes: 4 * 1024})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertIdentical(t, seq, par)
-			}
+			assertIdentical(t, reference(t, data), got)
 		})
 	}
 }
 
-// TestParallelMatchesSequentialHandwritten exercises the syntax corners:
+// TestLoadMatchesReferenceHandwritten exercises the syntax corners:
 // comments, blank lines, CRLF endings, escapes, blank nodes, typed and
 // language-tagged literals, schema and type triples, no trailing newline.
-func TestParallelMatchesSequentialHandwritten(t *testing.T) {
+func TestLoadMatchesReferenceHandwritten(t *testing.T) {
 	doc := strings.Join([]string{
 		"# leading comment",
 		"",
@@ -101,27 +110,21 @@ func TestParallelMatchesSequentialHandwritten(t *testing.T) {
 		"<http://example.org/a> <http://example.org/q> \"chat\"@fr .",
 		"<http://example.org/z> <http://example.org/p> _:b1 .", // no trailing newline
 	}, "\n")
-	seq, err := NTriples(strings.NewReader(doc), Options{Workers: 1})
+	got, err := loadNTriples(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.NumEdges() != 8 {
-		t.Fatalf("expected 8 triples, got %d", seq.NumEdges())
+	if got.NumEdges() != 8 {
+		t.Fatalf("expected 8 triples, got %d", got.NumEdges())
 	}
-	// Slab sizes chosen to cut the document at many different boundaries.
-	for _, slab := range []int{1, 7, 64, 100, 1 << 20} {
-		par, err := NTriples(strings.NewReader(doc), Options{Workers: 4, SlabBytes: slab})
-		if err != nil {
-			t.Fatalf("slab=%d: %v", slab, err)
-		}
-		assertIdentical(t, seq, par)
-	}
+	assertIdentical(t, reference(t, []byte(doc)), got)
 }
 
-// TestParallelEmptyAndCommentOnly loads degenerate documents.
-func TestParallelEmptyAndCommentOnly(t *testing.T) {
+// TestEmptyAndCommentOnly loads degenerate documents, their format
+// detected.
+func TestEmptyAndCommentOnly(t *testing.T) {
 	for _, doc := range []string{"", "\n\n\n", "# only a comment\n", "# c1\n\n# c2"} {
-		g, err := NTriples(strings.NewReader(doc), Options{Workers: 4, SlabBytes: 2})
+		g, err := Reader(strings.NewReader(doc), Options{})
 		if err != nil {
 			t.Fatalf("%q: %v", doc, err)
 		}
@@ -131,10 +134,10 @@ func TestParallelEmptyAndCommentOnly(t *testing.T) {
 	}
 }
 
-// TestParallelErrorLineNumbers places a malformed line at a known global
-// position deep into the input and checks it is reported exactly, from
-// whatever slab it lands in.
-func TestParallelErrorLineNumbers(t *testing.T) {
+// TestErrorLineNumbers places a malformed line at a known position deep
+// into the input, past many of the reader's slabs, and checks it is
+// reported exactly.
+func TestErrorLineNumbers(t *testing.T) {
 	var b strings.Builder
 	const badLine = 917
 	for i := 1; i <= 1200; i++ {
@@ -144,33 +147,19 @@ func TestParallelErrorLineNumbers(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "<http://example.org/s%d> <http://example.org/p> <http://example.org/o%d> .\n", i, i)
 	}
-	doc := b.String()
-
-	// The sequential path reports line 917; every parallel configuration
-	// must agree.
-	for _, opts := range []Options{
-		{Workers: 1},
-		{Workers: 2, SlabBytes: 512},
-		{Workers: 4, SlabBytes: 1024},
-		{Workers: 8, SlabBytes: 128},
-	} {
-		_, err := NTriples(strings.NewReader(doc), opts)
-		var pe *ntriples.ParseError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: expected *ParseError, got %v", opts.Workers, err)
-		}
-		if pe.Line != badLine {
-			t.Fatalf("workers=%d slab=%d: expected error at line %d, got line %d (%s)",
-				opts.Workers, opts.SlabBytes, badLine, pe.Line, pe.Msg)
-		}
+	_, err := loadNTriples(b.String())
+	var pe *ntriples.ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("expected *ParseError, got %v", err)
+	}
+	if pe.Line != badLine {
+		t.Fatalf("expected error at line %d, got line %d (%s)", badLine, pe.Line, pe.Msg)
 	}
 }
 
-// TestParallelReportsEarliestDetectedError: with several bad lines in
-// different slabs, the reported error is the first in file order — the
-// sequential scan's — whichever slab a worker failed on first: a slab
-// before a failed one is still parsed.
-func TestParallelReportsEarliestDetectedError(t *testing.T) {
+// TestReportsFirstError: with several bad lines, the reported error is
+// the first in document order.
+func TestReportsFirstError(t *testing.T) {
 	var b strings.Builder
 	bad := map[int]bool{200: true, 350: true}
 	for i := 1; i <= 400; i++ {
@@ -180,63 +169,55 @@ func TestParallelReportsEarliestDetectedError(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "<http://example.org/s%d> <http://example.org/p> <http://example.org/o%d> .\n", i, i)
 	}
-	for run := 0; run < 20; run++ {
-		_, err := NTriples(strings.NewReader(b.String()), Options{Workers: 4, SlabBytes: 256})
-		var pe *ntriples.ParseError
-		if !errors.As(err, &pe) {
-			t.Fatalf("expected *ParseError, got %v", err)
-		}
-		if pe.Line != 200 {
-			t.Fatalf("reported line %d, want the first malformed line, 200", pe.Line)
-		}
+	_, err := loadNTriples(b.String())
+	var pe *ntriples.ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("expected *ParseError, got %v", err)
+	}
+	if pe.Line != 200 {
+		t.Fatalf("reported line %d, want the first malformed line, 200", pe.Line)
 	}
 }
 
-// TestParallelEarlierErrorBeatsOverlongFinalLine: when the final chunk
-// holds both a malformed triple and an overlong unterminated last line,
-// the malformed line is reported first — matching sequential order.
-func TestParallelEarlierErrorBeatsOverlongFinalLine(t *testing.T) {
+// TestEarlierErrorBeatsOverlongFinalLine: when the final chunk holds both
+// a malformed triple and an overlong unterminated last line, the
+// malformed line is reported — the first error in document order.
+func TestEarlierErrorBeatsOverlongFinalLine(t *testing.T) {
 	doc := "<http://e.org/a> <http://e.org/p> <http://e.org/b> .\n" +
 		"not a triple\n" +
 		strings.Repeat("y", ntriples.MaxLineBytes+2)
-	for _, workers := range []int{1, 4} {
-		_, err := NTriples(strings.NewReader(doc), Options{Workers: workers, SlabBytes: 64 * 1024})
-		var pe *ntriples.ParseError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: expected *ParseError, got %v", workers, err)
-		}
-		if pe.Line != 2 {
-			t.Fatalf("workers=%d: expected the malformed line 2, got line %d (%s)", workers, pe.Line, pe.Msg)
-		}
+	_, err := loadNTriples(doc)
+	var pe *ntriples.ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("expected *ParseError, got %v", err)
+	}
+	if pe.Line != 2 {
+		t.Fatalf("expected the malformed line 2, got line %d (%s)", pe.Line, pe.Msg)
 	}
 }
 
 // TestNTriplesFile exercises the file-based entry point end to end.
 func TestNTriplesFile(t *testing.T) {
 	src := bsbm.GenerateGraph(bsbm.DefaultConfig(20))
+	data := render(t, src)
 	path := filepath.Join(t.TempDir(), "data.nt")
-	if err := os.WriteFile(path, render(t, src), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := File(path, Options{Workers: 1, Format: FormatNTriples})
+	got, err := File(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := File(path, Options{Workers: 4, SlabBytes: 8 * 1024, Format: FormatNTriples})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, seq, par)
-	if seq.NumEdges() != src.NumEdges() {
-		t.Fatalf("loaded %d triples, generated %d", seq.NumEdges(), src.NumEdges())
+	assertIdentical(t, reference(t, data), got)
+	if got.NumEdges() != src.NumEdges() {
+		t.Fatalf("loaded %d triples, generated %d", got.NumEdges(), src.NumEdges())
 	}
 }
 
-// TestDefaultOptionsUseAllCPUs just checks the zero Options load a file
-// successfully through the parallel path.
+// TestDefaultOptions checks the zero Options load a document.
 func TestDefaultOptions(t *testing.T) {
 	doc := "<http://example.org/a> <http://example.org/p> <http://example.org/b> .\n"
-	g, err := NTriples(strings.NewReader(doc), Options{})
+	g, err := Reader(strings.NewReader(doc), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,31 +16,22 @@ import (
 	"rdfsum/internal/turtle"
 )
 
-// loadTurtle loads doc as plain Turtle with the given worker count; the
-// parallel runs cut it into many small slabs.
-func loadTurtle(doc string, workers int) (*store.Graph, error) {
-	return Reader(strings.NewReader(doc), Options{
-		Workers: workers, SlabBytes: 32, Format: FormatTurtle, Compression: compress.None,
-	})
+// loadTurtle loads doc as plain Turtle.
+func loadTurtle(doc string) (*store.Graph, error) {
+	return Reader(strings.NewReader(doc), Options{Format: FormatTurtle, Compression: compress.None})
 }
 
-// assertLoadsAsReference checks the loaders against the reference
+// assertLoadsAsReference checks the loader against the reference
 // construction — turtle.ParseString into store.FromTriples — dictionary
-// and components, sequentially and split, and returns the reference.
+// and components, and returns the reference.
 func assertLoadsAsReference(t *testing.T, doc string) *store.Graph {
 	t.Helper()
-	ts, err := turtle.ParseString(doc)
+	want := turtleReference(t, []byte(doc))
+	got, err := loadTurtle(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := store.FromTriples(ts)
-	for _, workers := range []int{1, 3} {
-		got, err := loadTurtle(doc, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertIdentical(t, want, got)
-	}
+	assertIdentical(t, want, got)
 	return want
 }
 
@@ -98,8 +89,8 @@ func TestStreamTurtleStopsAtFirstError(t *testing.T) {
 	}
 }
 
-// TestTurtleLoadAllocBound is the ceiling on what a sequential Turtle
-// load allocates, so the streaming property cannot rot: bytes within 12×
+// TestTurtleLoadAllocBound is the ceiling on what a Turtle load
+// allocates, so the streaming property cannot rot: bytes within 12×
 // the document (the document buffer's doubling is ≤ 4× of that; a load
 // through []rdf.Triple took 37×) and objects within 2 per distinct term
 // (its expansion or frame, and the dictionary's clone; 6 before). The
@@ -118,7 +109,7 @@ func TestTurtleLoadAllocBound(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			g, err := Reader(bytes.NewReader(doc), Options{Workers: 1, Format: FormatTurtle, Compression: compress.None})
+			g, err := Reader(bytes.NewReader(doc), Options{Format: FormatTurtle, Compression: compress.None})
 			runtime.ReadMemStats(&m1)
 			if err != nil {
 				t.Fatal(err)
@@ -137,11 +128,10 @@ func TestTurtleLoadAllocBound(t *testing.T) {
 	}
 }
 
-// FuzzTurtleLoad asserts at the dictionary level what FuzzTurtleSplit
-// (package turtle) asserts of the triples: the streamed sequential load
-// and the parallel load equal store.FromTriples(turtle.ParseString(doc))
-// term for term, ID for ID and component for component, and malformed
-// input fails all three with a *turtle.ParseError on the same line.
+// FuzzTurtleLoad asserts at the dictionary level that the streamed load
+// equals store.FromTriples(turtle.ParseString(doc)) term for term, ID for
+// ID and component for component, and that malformed input fails both
+// with a *turtle.ParseError on the same line.
 func FuzzTurtleLoad(f *testing.F) {
 	for _, s := range []string{
 		"@prefix ex: <http://ex.org/> .\nex:s ex:p ex:o , ex:s ; a ex:T .\nex:s2 a ex:T .\n",
@@ -154,26 +144,20 @@ func FuzzTurtleLoad(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		ts, refErr := turtle.ParseString(doc)
-		seq, seqErr := loadTurtle(doc, 1)
-		par, parErr := loadTurtle(doc, 3)
+		got, err := loadTurtle(doc)
 		if refErr != nil {
-			var want *turtle.ParseError
+			var want, loadErr *turtle.ParseError
 			if !errors.As(refErr, &want) {
 				t.Fatalf("ParseString failed with %T (%v), want *turtle.ParseError", refErr, refErr)
 			}
-			for name, err := range map[string]error{"sequential": seqErr, "parallel": parErr} {
-				var got *turtle.ParseError
-				if !errors.As(err, &got) || got.Line != want.Line {
-					t.Fatalf("ParseString failed with %q, the %s load with %v", want, name, err)
-				}
+			if !errors.As(err, &loadErr) || loadErr.Line != want.Line {
+				t.Fatalf("ParseString failed with %q, the load with %v", want, err)
 			}
 			return
 		}
-		if seqErr != nil || parErr != nil {
-			t.Fatalf("ParseString succeeded; sequential load: %v, parallel load: %v", seqErr, parErr)
+		if err != nil {
+			t.Fatalf("ParseString succeeded; the load failed: %v", err)
 		}
-		want := store.FromTriples(ts)
-		assertIdentical(t, want, seq)
-		assertIdentical(t, want, par)
+		assertIdentical(t, store.FromTriples(ts), got)
 	})
 }

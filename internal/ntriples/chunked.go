@@ -13,31 +13,25 @@ import (
 // and line-at-a-time paths reject exactly the same inputs.
 const MaxLineBytes = 16 * 1024 * 1024
 
-// DefaultSlabBytes is the slab granularity used when a caller passes a
-// non-positive size to SplitSlabs.
-const DefaultSlabBytes = 1 << 20
-
 // Slab is a contiguous run of whole input lines, cut from the document at
-// newline boundaries so that slabs can be parsed independently and in
-// parallel. StartLine is the 1-based line number of the first line in
-// Data, letting ParseSlab report exact positions from any slab.
+// newline boundaries so that each parses on its own. StartLine is the
+// 1-based line number of the first line in Data, letting ParseSlab report
+// exact positions from any slab.
 type Slab struct {
-	Index     int    // 0-based slab sequence number
 	StartLine int    // 1-based global line number of Data's first line
 	Data      []byte // whole lines; ends with '\n' except possibly the last slab
 }
 
 // SplitSlabs cuts the document in r into slabs of roughly slabBytes bytes
-// (non-positive means DefaultSlabBytes), each ending on a newline, and
-// passes them to emit in order. A line longer than MaxLineBytes yields a
-// ParseError pointing at it; an emit error stops the split and is
+// (non-positive means ParseFunc's granularity), each ending on a newline,
+// and passes them to emit in order. A line longer than MaxLineBytes yields
+// a ParseError pointing at it; an emit error stops the split and is
 // returned as-is.
 func SplitSlabs(r io.Reader, slabBytes int, emit func(Slab) error) error {
 	if slabBytes <= 0 {
-		slabBytes = DefaultSlabBytes
+		slabBytes = parseFuncSlabBytes
 	}
-	line := 1  // global line number of the first byte of carry/next slab
-	index := 0 // next slab index
+	line := 1 // global line number of the first byte of carry/next slab
 	var carry []byte
 	for {
 		// Grow geometrically while hunting a long line's newline, so the
@@ -64,7 +58,7 @@ func SplitSlabs(r io.Reader, slabBytes int, emit func(Slab) error) error {
 			// ParseSlab's per-line check, after any earlier lines of the
 			// chunk have been parsed — preserving sequential error order.
 			if len(chunk) > 0 {
-				if err := emit(Slab{Index: index, StartLine: line, Data: chunk}); err != nil {
+				if err := emit(Slab{StartLine: line, Data: chunk}); err != nil {
 					return err
 				}
 			}
@@ -79,10 +73,9 @@ func SplitSlabs(r io.Reader, slabBytes int, emit func(Slab) error) error {
 			carry = chunk
 			continue
 		}
-		if err := emit(Slab{Index: index, StartLine: line, Data: chunk[:cut+1]}); err != nil {
+		if err := emit(Slab{StartLine: line, Data: chunk[:cut+1]}); err != nil {
 			return err
 		}
-		index++
 		line += bytes.Count(chunk[:cut+1], []byte{'\n'})
 		carry = chunk[cut+1:]
 	}
@@ -92,15 +85,15 @@ func tooLongMsg() string {
 	return "line too long (limit 16 MiB)"
 }
 
-// ParseSlab parses every line of one slab, calling fn for each triple with
-// its global 1-based line number. Blank and comment lines are skipped,
-// exactly as in ParseFunc. Errors carry the global line number.
+// ParseSlab parses every line of one slab, calling fn for each triple.
+// Blank and comment lines are skipped, exactly as in ParseFunc. Errors
+// carry the global 1-based line number.
 //
 // Lines are parsed in place: a term without escapes is a substring of
 // s.Data, viewed as a string without copying. The caller must therefore
 // never modify s.Data again — not even after ParseSlab returns, for as
 // long as any term it produced is alive.
-func ParseSlab(s Slab, fn func(lineNo int, t rdf.Triple) error) error {
+func ParseSlab(s Slab, fn func(rdf.Triple) error) error {
 	data := s.Data
 	lineNo := s.StartLine
 	for len(data) > 0 {
@@ -121,7 +114,7 @@ func ParseSlab(s Slab, fn func(lineNo int, t rdf.Triple) error) error {
 			return err
 		}
 		if ok {
-			if err := fn(lineNo, t); err != nil {
+			if err := fn(t); err != nil {
 				return err
 			}
 		}

@@ -24,14 +24,9 @@ func TestSplitSlabsBoundaries(t *testing.T) {
 	for _, slabBytes := range []int{1, 2, 3, 7, 16, 64, 1 << 20} {
 		var got bytes.Buffer
 		wantLine := 1
-		lastIndex := -1
 		err := SplitSlabs(strings.NewReader(doc), slabBytes, func(s Slab) error {
-			if s.Index != lastIndex+1 {
-				t.Fatalf("slab=%d: index %d after %d", slabBytes, s.Index, lastIndex)
-			}
-			lastIndex = s.Index
 			if s.StartLine != wantLine {
-				t.Fatalf("slab=%d index=%d: start line %d, want %d", slabBytes, s.Index, s.StartLine, wantLine)
+				t.Fatalf("slab=%d: start line %d, want %d", slabBytes, s.StartLine, wantLine)
 			}
 			wantLine += bytes.Count(s.Data, []byte{'\n'})
 			got.Write(s.Data)
@@ -65,18 +60,17 @@ func TestSplitSlabsEmitError(t *testing.T) {
 }
 
 // TestParseSlabLineNumbers parses a slab that starts mid-document and
-// checks global line numbers in both triples and errors.
+// checks the global line number of its error.
 func TestParseSlabLineNumbers(t *testing.T) {
 	slab := Slab{
-		Index:     3,
 		StartLine: 101,
 		Data: []byte("<http://e.org/a> <http://e.org/p> <http://e.org/b> .\n" +
 			"# comment\n" +
 			"broken\n"),
 	}
-	var lines []int
-	err := ParseSlab(slab, func(lineNo int, _ rdf.Triple) error {
-		lines = append(lines, lineNo)
+	triples := 0
+	err := ParseSlab(slab, func(rdf.Triple) error {
+		triples++
 		return nil
 	})
 	var pe *ParseError
@@ -86,8 +80,8 @@ func TestParseSlabLineNumbers(t *testing.T) {
 	if pe.Line != 103 {
 		t.Fatalf("expected error at global line 103, got %d", pe.Line)
 	}
-	if len(lines) != 1 || lines[0] != 101 {
-		t.Fatalf("expected one triple at line 101, got %v", lines)
+	if triples != 1 {
+		t.Fatalf("expected one triple before the error, got %d", triples)
 	}
 }
 
@@ -135,8 +129,8 @@ func TestSplitSlabsLineTooLong(t *testing.T) {
 // is rejected at parse time with its global line number.
 func TestParseSlabLineTooLong(t *testing.T) {
 	data := append([]byte("ok line, never parsed as a triple... "), make([]byte, MaxLineBytes)...)
-	slab := Slab{Index: 0, StartLine: 41, Data: append(data, '\n')}
-	err := ParseSlab(slab, func(int, rdf.Triple) error { return nil })
+	slab := Slab{StartLine: 41, Data: append(data, '\n')}
+	err := ParseSlab(slab, func(rdf.Triple) error { return nil })
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("expected *ParseError, got %v", err)

@@ -118,41 +118,28 @@ func heapAfterGC() int64 {
 // TestInternedTermsDoNotPinTheInput: terms are substrings of the parsed
 // body, but a dictionary clones what it interns, so once the body is
 // dropped the heap holds the dictionary alone — not the megabyte its
-// terms were cut from. Both interners are checked.
+// terms were cut from.
 func TestInternedTermsDoNotPinTheInput(t *testing.T) {
-	interners := map[string]func() (intern func(rdf.Term), keep any){
-		"Dict": func() (func(rdf.Term), any) {
-			d := dict.New()
-			return func(t rdf.Term) { d.Encode(t) }, d
-		},
-		"Sharded": func() (func(rdf.Term), any) {
-			s := dict.NewSharded()
-			n := uint64(0)
-			return func(t rdf.Term) { n++; s.Observe(t, n) }, s
-		},
+	before := heapAfterGC()
+	body := aliasingBody()
+	d := dict.New()
+	err := ParseSlab(Slab{StartLine: 1, Data: body}, func(tr rdf.Triple) error {
+		d.Encode(tr.S)
+		d.Encode(tr.P)
+		d.Encode(tr.O)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mk := range interners {
-		before := heapAfterGC()
-		body := aliasingBody()
-		intern, keep := mk()
-		err := ParseSlab(Slab{StartLine: 1, Data: body}, func(_ int, tr rdf.Triple) error {
-			intern(tr.S)
-			intern(tr.P)
-			intern(tr.O)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		size := len(body)
-		body = nil
-		retained := heapAfterGC() - before
-		runtime.KeepAlive(keep)
-		// A few hundred ~60-byte terms plus map overhead is tens of KiB.
-		if retained > int64(size)/4 {
-			t.Errorf("%s: %d KiB still live after dropping the %d KiB body: interned terms pin their input",
-				name, retained>>10, size>>10)
-		}
+	size := len(body)
+	body = nil
+	retained := heapAfterGC() - before
+	runtime.KeepAlive(d)
+	// A few hundred ~60-byte terms plus map overhead is tens of KiB.
+	if retained > int64(size)/4 {
+		t.Errorf("%d KiB still live after dropping the %d KiB body: interned terms pin their input",
+			retained>>10, size>>10)
 	}
 }
 
@@ -165,7 +152,7 @@ func TestParseAllocationsPerTriple(t *testing.T) {
 	triples := bytes.Count(body, []byte{'\n'})
 	d := dict.New()
 	parse := func() {
-		err := ParseSlab(Slab{StartLine: 1, Data: body}, func(_ int, tr rdf.Triple) error {
+		err := ParseSlab(Slab{StartLine: 1, Data: body}, func(tr rdf.Triple) error {
 			d.Encode(tr.S)
 			d.Encode(tr.P)
 			d.Encode(tr.O)

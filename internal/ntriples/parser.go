@@ -56,7 +56,7 @@ func ParseString(s string) ([]rdf.Triple, error) {
 func ParseFunc(r io.Reader, fn func(rdf.Triple) error) error {
 	var parseErr error // the error ParseSlab stopped on, if any
 	err := SplitSlabs(r, parseFuncSlabBytes, func(s Slab) error {
-		parseErr = ParseSlab(s, func(_ int, t rdf.Triple) error { return fn(t) })
+		parseErr = ParseSlab(s, fn)
 		return parseErr
 	})
 	var pe *ParseError

@@ -200,7 +200,7 @@ const (
 // ComponentOf is the single source of truth for the partitioning
 // invariant: rdf:type triples belong to Types, the four RDFS constraint
 // properties to Schema, everything else to Data. AddEncoded and the
-// parallel loader's assembly both route through it.
+// quotient engine's DeleteBatch both route through it.
 func (v Vocab) ComponentOf(p dict.ID) Component {
 	switch p {
 	case v.Type:
@@ -222,19 +222,6 @@ func (g *Graph) AddEncoded(s, p, o dict.ID) {
 	default:
 		g.Data = append(g.Data, Triple{s, p, o})
 	}
-}
-
-// Extend lengthens the three components by the given counts and returns
-// the freshly added (zeroed) regions for the caller to fill. The parallel
-// loader sizes the final slices once via prefix-summed per-slab counts and
-// has its workers write translated triples directly into disjoint
-// sub-ranges of the returned regions.
-func (g *Graph) Extend(data, types, schema int) (d, t, s []Triple) {
-	g.Ensure()
-	g.Data = append(g.Data, make([]Triple, data)...)
-	g.Types = append(g.Types, make([]Triple, types)...)
-	g.Schema = append(g.Schema, make([]Triple, schema)...)
-	return g.Data[len(g.Data)-data:], g.Types[len(g.Types)-types:], g.Schema[len(g.Schema)-schema:]
 }
 
 // SnapshotView returns an immutable view of g at its current size: a graph

@@ -15,8 +15,8 @@
 // subject once per statement, a predicate once per ';' list, a prefixed
 // name once per distinct spelling — and each triple is emitted as three
 // of the handles intern returned. A loader interns into its dictionary
-// and appends IDs; Triples, ParseSlab, ParseString and Parse intern into a
-// term table and rebuild rdf.Triples from it.
+// and appends IDs; Triples, ParseString and Parse intern into a term
+// table and rebuild rdf.Triples from it.
 //
 // Aliasing: an IRI, label or literal written without escapes is a
 // substring of the document, not a copy. The dictionaries clone what they
@@ -71,15 +71,25 @@ func Parse(r io.Reader) ([]rdf.Triple, error) {
 }
 
 // ParseString parses a Turtle document held in a string.
-func ParseString(s string) ([]rdf.Triple, error) { return ParseSlab(Slab{Data: s}) }
+func ParseString(s string) ([]rdf.Triple, error) {
+	var out []rdf.Triple
+	err := Triples(s, func(t rdf.Triple) error {
+		out = append(out, t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-// Triples parses sl and calls fn with each triple in document order,
+// Triples parses doc and calls fn with each triple in document order,
 // stopping at the first syntax error or the first error fn returns (which
 // it returns unchanged). For the length of the parse it keeps one
 // rdf.Term (a third of an rdf.Triple) per term Stream hands it.
-func Triples(sl Slab, fn func(rdf.Triple) error) error {
+func Triples(doc string, fn func(rdf.Triple) error) error {
 	var terms []rdf.Term
-	return Stream(sl,
+	return Stream(doc,
 		func(t rdf.Term) uint32 {
 			terms = append(terms, t)
 			return uint32(len(terms) - 1)
@@ -89,8 +99,7 @@ func Triples(sl Slab, fn func(rdf.Triple) error) error {
 		})
 }
 
-// Stream parses sl — a slab of SplitStatements, or a whole document as
-// Slab{Data: doc} — under its environment. Each term is passed to intern
+// Stream parses the Turtle document doc. Each term is passed to intern
 // as the statement loop meets it, in document order, and each triple to
 // emit as the handles intern returned for its subject, property and
 // object. A handle is reused only while the loop knows the term is the
@@ -98,36 +107,27 @@ func Triples(sl Slab, fn func(rdf.Triple) error) error {
 // first time in the order a triple-by-triple reader would first meet
 // them: a dictionary filled by intern issues the IDs it would issue
 // fed subject, property, object of every triple. Stream stops at the
-// first syntax error (a *ParseError carrying the document's line; the
-// column is slab-relative on a slab's first line) or the first error emit
-// returns, which it returns unchanged. The full document grammar runs
-// here, so a slab holding directives — the splitter's jumbo fallback —
-// parses exactly as a sequential pass would.
-func Stream(sl Slab, intern func(rdf.Term) uint32, emit func(s, p, o uint32) error) error {
+// first syntax error (a *ParseError) or the first error emit returns,
+// which it returns unchanged.
+func Stream(doc string, intern func(rdf.Term) uint32, emit func(s, p, o uint32) error) error {
 	p := &parser{
-		in:        sl.Data,
-		firstLine: max(sl.StartLine, 1),
-		prefixes:  make(map[string]string, len(sl.Env.Prefixes)),
-		base:      sl.Env.Base,
-		intern:    intern,
-		emit:      emit,
+		in:       doc,
+		prefixes: map[string]string{},
+		intern:   intern,
+		emit:     emit,
 		// One distinct name per ≈ 100 bytes of generated LUBM and BSBM
 		// Turtle; capped, because a document of full <iri>s has no names
 		// at all and past the cap growth by doubling is cheap.
-		names: make(map[string]uint32, min(len(sl.Data)/96, 1<<16)),
-	}
-	for name, ns := range sl.Env.Prefixes {
-		p.prefixes[name] = ns
+		names: make(map[string]uint32, min(len(doc)/96, 1<<16)),
 	}
 	return p.document()
 }
 
 type parser struct {
-	in        string
-	pos       int
-	firstLine int // document line of in's first byte
-	prefixes  map[string]string
-	base      string
+	in       string
+	pos      int
+	prefixes map[string]string
+	base     string
 
 	intern func(rdf.Term) uint32
 	emit   func(s, p, o uint32) error
@@ -141,7 +141,7 @@ type parser struct {
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	line, col := p.firstLine, 1
+	line, col := 1, 1
 	for _, r := range p.in[:p.pos] {
 		if r == '\n' {
 			line++

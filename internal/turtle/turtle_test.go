@@ -266,7 +266,7 @@ ex:s ex:p "1"^^xsd:integer , "2"^^xsd:integer ; ex:q ex:s , <http://a/s> .
 `
 	var interned []rdf.Term
 	triples := 0
-	err := Stream(Slab{Data: doc},
+	err := Stream(doc,
 		func(t rdf.Term) uint32 {
 			interned = append(interned, t)
 			return uint32(len(interned) - 1)

@@ -157,9 +157,9 @@ func NewGraph(triples []Triple) *Graph { return store.FromTriples(triples) }
 func EmptyGraph() *Graph { return store.NewGraph() }
 
 // Format identifies the RDF serialization of an input; FormatAuto
-// detects it from the file extension or the leading bytes (a document
-// opening with a directive is Turtle; pass FormatTurtle explicitly for
-// directive-free Turtle).
+// detects it from the file extension or the content (a document whose
+// first token past any comment lines is a directive is Turtle; pass
+// FormatTurtle explicitly for directive-free Turtle).
 type Format = load.Format
 
 // Input formats accepted by Load and LoadFile.
@@ -196,14 +196,8 @@ var (
 	ErrUnsupportedStream = compress.ErrUnsupported
 )
 
-// LoadOptions tunes the loading pipeline.
+// LoadOptions says what a loaded input is; zero fields are detected.
 type LoadOptions struct {
-	// Workers is the number of parse workers; 0 uses all CPUs
-	// (GOMAXPROCS) and 1 selects the sequential path.
-	Workers int
-	// SlabBytes is the chunk granularity of the parallel reader;
-	// 0 uses the 1 MiB default.
-	SlabBytes int
 	// Format is the input's RDF serialization (default: detect).
 	Format Format
 	// Compression is the input's stream compression (default: detect).
@@ -214,17 +208,16 @@ func (o *LoadOptions) internal() load.Options {
 	if o == nil {
 		return load.Options{}
 	}
-	return load.Options{Workers: o.Workers, SlabBytes: o.SlabBytes,
-		Format: o.Format, Compression: o.Compression}
+	return load.Options{Format: o.Format, Compression: o.Compression}
 }
 
 // Load reads and encodes an RDF document of any supported format and
 // compression from r: the compression (gzip, zstd) is sniffed from the
 // magic bytes and decoded as a streaming stage — a compressed dump never
 // materializes — the serialization is detected on the decoded text, and
-// the result is built by the parallel pipeline, bit-identical to a
-// sequential load of the plain equivalent. A nil opts detects everything
-// and uses all CPUs.
+// the graph is built in one pass, each term interned as the parser meets
+// it, so dictionary IDs follow first occurrence in the document. A nil
+// opts detects everything.
 func Load(r io.Reader, opts *LoadOptions) (*Graph, error) {
 	return load.Reader(r, opts.internal())
 }

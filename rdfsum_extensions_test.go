@@ -36,59 +36,48 @@ func TestStreamingBuilderFacade(t *testing.T) {
 	}
 }
 
-// TestParallelLoadFacade: the parallel ingestion pipeline, reached
-// through the public API, yields a graph bit-identical to the sequential
-// loader — same dictionary, same component slices — and summaries built
-// from it match.
-func TestParallelLoadFacade(t *testing.T) {
+// TestLoadFacade: the loader, reached through the public API, yields the
+// graph NewGraph builds from the parsed triples — same dictionary, same
+// component slices — from a file and from a reader.
+func TestLoadFacade(t *testing.T) {
 	src := rdfsum.GenerateBSBM(60)
 	var buf bytes.Buffer
 	if err := rdfsum.WriteNTriples(&buf, src.Decode()); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
+	triples, err := rdfsum.Parse(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rdfsum.NewGraph(triples)
 
 	path := filepath.Join(t.TempDir(), "data.nt")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := rdfsum.LoadFile(path, &rdfsum.LoadOptions{Workers: 1, Format: rdfsum.FormatNTriples})
+	fromFile, err := rdfsum.LoadFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := rdfsum.LoadFile(path, &rdfsum.LoadOptions{Workers: 4, SlabBytes: 16 * 1024, Format: rdfsum.FormatNTriples})
+	fromReader, err := rdfsum.Load(bytes.NewReader(data), &rdfsum.LoadOptions{Format: rdfsum.FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Dict().Len() != par.Dict().Len() {
-		t.Fatalf("dictionaries differ: %d vs %d terms", seq.Dict().Len(), par.Dict().Len())
-	}
-	for i := 1; i <= seq.Dict().Len(); i++ {
-		if seq.Dict().Term(dict.ID(i)) != par.Dict().Term(dict.ID(i)) {
-			t.Fatalf("dictionary id %d differs", i)
+	for name, got := range map[string]*rdfsum.Graph{"LoadFile": fromFile, "Load": fromReader} {
+		if want.Dict().Len() != got.Dict().Len() {
+			t.Fatalf("%s: dictionaries differ: %d vs %d terms", name, want.Dict().Len(), got.Dict().Len())
 		}
-	}
-	if !reflect.DeepEqual(seq.Data, par.Data) ||
-		!reflect.DeepEqual(seq.Types, par.Types) ||
-		!reflect.DeepEqual(seq.Schema, par.Schema) {
-		t.Fatal("component slices differ between sequential and parallel load")
-	}
-
-	// And through the reader-based entry point.
-	par2, err := rdfsum.Load(bytes.NewReader(data), &rdfsum.LoadOptions{Workers: 2, Format: rdfsum.FormatNTriples})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := rdfsum.Summarize(seq, rdfsum.Weak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := rdfsum.Summarize(par2, rdfsum.Weak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1.Graph.CanonicalStrings(), s2.Graph.CanonicalStrings()) {
-		t.Error("summaries built from sequential and parallel loads differ")
+		for i := 1; i <= want.Dict().Len(); i++ {
+			if want.Dict().Term(dict.ID(i)) != got.Dict().Term(dict.ID(i)) {
+				t.Fatalf("%s: dictionary id %d differs", name, i)
+			}
+		}
+		if !reflect.DeepEqual(want.Data, got.Data) ||
+			!reflect.DeepEqual(want.Types, got.Types) ||
+			!reflect.DeepEqual(want.Schema, got.Schema) {
+			t.Fatalf("%s: component slices differ from NewGraph of the parsed triples", name)
+		}
 	}
 }
 

@@ -117,15 +117,15 @@ func TestLoadNTriplesFile(t *testing.T) {
 	if err := writeFile(path, f.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	sequential := &rdfsum.LoadOptions{Workers: 1, Format: rdfsum.FormatNTriples}
-	g, err := rdfsum.LoadFile(path, sequential)
+	opts := &rdfsum.LoadOptions{Format: rdfsum.FormatNTriples}
+	g, err := rdfsum.LoadFile(path, opts)
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
 	if g.NumEdges() != 9 {
 		t.Errorf("loaded %d edges, want 9", g.NumEdges())
 	}
-	if _, err := rdfsum.LoadFile(path+".missing", sequential); err == nil {
+	if _, err := rdfsum.LoadFile(path+".missing", opts); err == nil {
 		t.Error("missing file must error")
 	}
 }
