@@ -8,7 +8,7 @@ GO ?= go
 FUZZTIME ?= 30s
 
 # Coverage-gated packages and the minimum total coverage each must hold.
-COVER_PKGS = ./internal/store ./internal/live ./internal/core
+COVER_PKGS = ./internal/dict ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
 .PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile heap-profile test-nommap stress fuzz cover cover-check check loc clean
@@ -77,10 +77,11 @@ bench-unit:
 # runs each, so two commits compare by spread and not by one number
 # (docs/benchmarks/pr17-runs.md has the procedure).
 # BenchmarkComputeWeights times the weak summary's planner weights on
-# BSBM and LUBM.
+# BSBM and LUBM; BenchmarkMappedDict a reopened store's dictionary
+# (decode, lookup hit, lookup miss) on LUBM.
 bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
-		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact' .
+		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact|BenchmarkMappedDict' .
 
 # Full benchmark sweep.
 bench:
@@ -113,13 +114,17 @@ boot-profile:
 # Who holds the heap, and who churns it: BenchmarkLiveCycle (a store
 # seeded with a 170k-triple BSBM graph takes 50 batches, compacts and
 # serves a summary of every kind — three times over) under the heap
-# profiler, sampling every 4 KB. First what is still in use when the
-# process exits with the store open (the live-heap breakdown: dictionary,
-# components, index runs, builders, cached summaries and their name
-# overlays), then what the compactions allocated on the way.
+# profiler, sampling every 4 KB. CYCLE picks the arm: heap (the store
+# serves the seed it was opened with) or reopened (the store is closed and
+# serves from its mapped snapshot, as scan-lubm's restarted server does).
+# First what is still in use when the process exits with the store open
+# (the live-heap breakdown: dictionary, components, index runs, builders,
+# cached summaries and their name overlays), then what the compactions
+# allocated on the way.
+CYCLE ?= heap
 heap-profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) test -run 'XXX-none' -bench 'BenchmarkLiveCycle$$' -benchtime 3x -cpu 1 \
+	$(GO) test -run 'XXX-none' -bench 'BenchmarkLiveCycle$$/^$(CYCLE)$$' -benchtime 3x -cpu 1 \
 		-o "$$d/rdfsum.test" -memprofile "$$d/mem.out" -memprofilerate 4096 . && \
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 "$$d/rdfsum.test" "$$d/mem.out" && \
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 -focus 'Compact|WriteSnapshotV2' "$$d/rdfsum.test" "$$d/mem.out"

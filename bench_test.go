@@ -21,9 +21,11 @@ import (
 	"rdfsum"
 	"rdfsum/internal/cliques"
 	"rdfsum/internal/dict"
+	"rdfsum/internal/lubm"
 	"rdfsum/internal/ntriples"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
+	"rdfsum/internal/store"
 )
 
 var benchSizes = []int{200, 1000, 5000}
@@ -490,40 +492,106 @@ var liveCycleStore *rdfsum.Live
 // BenchmarkLiveCycle is one write-and-summarize cycle of benchmark/'s
 // scenario, in process: a store seeded with BSBM 3000 products ≈ 170k
 // triples (1000 under -short) takes 50 batches of ≈ 125 triples, compacts
-// and serves a summary of every kind. `make heap-profile` runs it under
-// the heap profiler.
+// and serves a summary of every kind. The heap arm serves the store it
+// seeded, its dictionary on the heap; the reopened arm closes it and
+// serves the store reopened onto its mapped snapshot under the default
+// maintenance, as scan-lubm's restarted server does. `make heap-profile`
+// runs one arm under the heap profiler (CYCLE=heap|reopened).
 func BenchmarkLiveCycle(b *testing.B) {
-	products := 3000
-	if testing.Short() {
-		products = 1000
+	for _, arm := range []string{"heap", "reopened"} {
+		b.Run(arm, func(b *testing.B) {
+			products := 3000
+			if testing.Short() {
+				products = 1000
+			}
+			if liveCycleStore != nil {
+				liveCycleStore.Close() //nolint:errcheck
+			}
+			// Not bsbmGraph: a cached copy of the seed would sit in the profile.
+			dir := filepath.Join(b.TempDir(), "store")
+			lv, err := rdfsum.OpenLive(dir, &rdfsum.LiveOptions{Seed: rdfsum.GenerateBSBM(products)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if arm == "reopened" {
+				if err := lv.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if lv, err = rdfsum.OpenLive(dir, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			liveCycleStore = lv
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 50; j++ {
+					if err := lv.AddBatch(incBatch(i*50+j, 100)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := lv.Compact(); err != nil {
+					b.Fatal(err)
+				}
+				for _, kind := range rdfsum.Kinds {
+					if _, _, err := lv.Summary(kind, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
-	if liveCycleStore != nil {
-		liveCycleStore.Close() //nolint:errcheck
+}
+
+// BenchmarkMappedDict is the dictionary of a reopened store: LUBM 52
+// universities (15 under -short) saved as a snapshot and opened onto its
+// mapped pages. term decodes a base term, lookup-hit finds one, and
+// lookup-miss probes for a term the snapshot does not hold — what every
+// name a summary mints costs. The first probe, which indexes the base,
+// runs before the timer.
+func BenchmarkMappedDict(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "lubm.rdfsum")
+	if err := store.SaveFile(path, lubm.GenerateGraph(lubm.DefaultConfig(lubmUniversities()))); err != nil {
+		b.Fatal(err)
 	}
-	// Not bsbmGraph: a cached copy of the seed would sit in the profile.
-	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: rdfsum.GenerateBSBM(products)})
+	g, sf, err := store.OpenGraphFile(path, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	liveCycleStore = lv
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 50; j++ {
-			if err := lv.AddBatch(incBatch(i*50+j, 100)); err != nil {
-				b.Fatal(err)
+	defer sf.Close() //nolint:errcheck
+	d := g.Dict()
+	n := d.Len()
+	terms := make([]rdf.Term, n)
+	misses := make([]rdf.Term, n)
+	for i := range terms {
+		terms[i] = d.Term(dict.ID(i + 1))
+		misses[i] = rdf.NewIRI(fmt.Sprintf("http://summary.example.org/node/%d", i))
+	}
+	d.Lookup(terms[0])
+	b.Run("term", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			termSink = d.Term(dict.ID(i%n + 1))
+		}
+	})
+	for _, arm := range []struct {
+		name  string
+		terms []rdf.Term
+	}{{"lookup-hit", terms}, {"lookup-miss", misses}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				idSink, _ = d.Lookup(arm.terms[i%n])
 			}
-		}
-		if err := lv.Compact(); err != nil {
-			b.Fatal(err)
-		}
-		for _, kind := range rdfsum.Kinds {
-			if _, _, err := lv.Summary(kind, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
+		})
 	}
 }
+
+// termSink and idSink keep BenchmarkMappedDict's results live.
+var (
+	termSink rdf.Term
+	idSink   dict.ID
+)
 
 // --- quotient engine benchmarks --------------------------------------------
 

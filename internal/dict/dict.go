@@ -6,12 +6,12 @@
 // RDF graph"; this package is the in-process equivalent. IDs start at 1 so
 // that the zero ID can mean "absent".
 //
-// A term is held once, as one key string (see key.go): the index maps
-// the key to the ID, a 24-byte record per term points back at it, and Term
-// rebuilds the rdf.Term as substrings of the key. That is half the heap a
-// map keyed by the three-string rdf.Term struct beside a slice of such
-// structs took (131 B a term against 260 on BSBM's terms), and a probe
-// hashes one string.
+// A term is held once, as one key string (see key.go): a 24-byte record
+// per term points at it, Term rebuilds the rdf.Term as substrings of the
+// key, and the term → ID direction is an open-addressed table of 8-byte
+// slots holding IDs, not keys. A dictionary layered over a mapped base
+// (WithBase) finds the base's terms through the same table, filled by one
+// sequential pass over the base's pages on the first probe.
 //
 // An overlay (see Overlay) extends a dictionary without writing to it:
 // the terms it adds get IDs from a range the extended dictionary never
@@ -21,6 +21,7 @@ package dict
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rdfsum/internal/rdf"
 )
@@ -40,10 +41,12 @@ const None ID = 0
 // read-write lock; the live subsystem uses this so snapshot readers can
 // decode and look up terms while the single writer interns new ones.
 type Dict struct {
-	mu    *sync.RWMutex // nil until Share; guards recs and index when set
-	base  *Mapped       // optional read-only layer holding IDs 1..baseLen
-	recs  []rec         // recs[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
-	index termIndex     // term → ID: every term of recs, and memoized base hits
+	mu          *sync.RWMutex // nil until Share; guards recs, index and keyBytes when set
+	base        *Mapped       // optional read-only layer holding IDs 1..baseLen
+	baseIndexed atomic.Bool   // the base's IDs are in index
+	recs        []rec         // recs[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
+	index       termIndex     // every ID of this layer: recs', and the base's once baseIndexed
+	keyBytes    int           // total len of the recs' keys
 
 	// Overlays only (see overlay.go): the dictionary this one extends,
 	// its layer number (under's + 1) and the layer's ID prefix.
@@ -53,22 +56,20 @@ type Dict struct {
 }
 
 // New returns an empty dictionary.
-func New() *Dict {
-	return &Dict{index: newTermIndex()}
-}
+func New() *Dict { return &Dict{} }
 
 // WithBase returns a dictionary layered over a mapped read-only base:
 // IDs 1..base.Len() resolve through the base (zero-copy, decoded on
-// demand), and newly interned terms get IDs from base.Len()+1 up. Base
-// hits found via Encode are memoized into the in-memory index so each
-// binary search over the mapped pages is paid at most once per term.
-func WithBase(m *Mapped) *Dict {
-	return &Dict{base: m, index: newTermIndex()}
-}
+// demand), and newly interned terms get IDs from base.Len()+1 up. The
+// first Encode or Lookup enters the base's IDs into the index, reading
+// the base's pages once; until then the base costs no heap.
+func WithBase(m *Mapped) *Dict { return &Dict{base: m} }
 
-// WithCapacity returns an empty dictionary with room for n terms' records.
+// WithCapacity returns an empty dictionary with room for n terms.
 func WithCapacity(n int) *Dict {
-	return &Dict{recs: make([]rec, 0, n), index: newTermIndex()}
+	d := &Dict{recs: make([]rec, 0, n)}
+	d.index.reserve(n)
+	return d
 }
 
 // Share switches d into shared mode: from now on every method is safe for
@@ -85,28 +86,82 @@ func (d *Dict) Share() {
 // sight. The dictionary keeps its own copy of a new term's bytes (its
 // key), so t may alias a buffer the caller goes on to drop.
 func (d *Dict) Encode(t rdf.Term) ID {
+	h := termHash(t)
 	if d.mu != nil {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 	}
-	if id, ok := d.index.get(t); ok {
-		return ID(id)
+	d.indexBase()
+	if id, ok := d.find(t, h); ok {
+		return id
 	}
+	var id ID
 	if d.under != nil {
-		return d.internOverlay(t)
-	}
-	if d.base != nil {
-		if id, ok := d.base.Lookup(t); ok {
-			d.index.put(t, uint32(id))
+		if id, ok := d.under.lookup(t, h); ok {
 			return id
 		}
+		id = d.nextOverlayID()
+	} else {
+		id = ID(d.baseLen() + len(d.recs) + 1)
+		if id >= overlayBit {
+			panic("dict: dictionary is full (IDs from 2^31 up belong to overlays)")
+		}
 	}
-	id := ID(d.baseLen() + len(d.recs) + 1)
-	if id >= overlayBit {
-		panic("dict: dictionary is full (IDs from 2^31 up belong to overlays)")
-	}
-	d.recs = append(d.recs, d.index.put(t, uint32(id)))
+	r := newRec(t)
+	d.recs = append(d.recs, r)
+	d.keyBytes += len(r.key)
+	d.index.insert(h, id)
 	return id
+}
+
+// indexBase enters the mapped base's IDs into the index if they are not
+// there yet: one sequential walk over the base's pages, hashing each term
+// as Encode would. The caller holds the write lock.
+func (d *Dict) indexBase() {
+	if d.base == nil || d.baseIndexed.Load() {
+		return
+	}
+	m := d.base
+	d.index.reserve(m.Len() + len(d.recs))
+	m.touch()
+	var value []byte
+	for c := m.cursorAt(0); c.i < m.n; {
+		value = c.next(value)
+		d.index.insert(termHash(c.term(value)), ID(c.i))
+	}
+	d.baseIndexed.Store(true)
+}
+
+// find returns the ID of t, whose key hashes to h, if d's own layer holds
+// it: the index's candidates with h's tag, each verified against its term.
+func (d *Dict) find(t rdf.Term, h uint64) (ID, bool) {
+	slots := d.index.slots
+	if len(slots) == 0 {
+		return None, false
+	}
+	mask := uint32(len(slots) - 1)
+	tag := uint32(h)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		s := slots[i]
+		if s == 0 {
+			return None, false
+		}
+		if uint32(s>>32) == tag && d.holds(ID(s), t) {
+			return ID(s), true
+		}
+	}
+}
+
+// holds reports whether id, an ID of d's own layer, names t.
+func (d *Dict) holds(id ID, t rdf.Term) bool {
+	if d.under != nil {
+		return d.recs[id&^d.prefix].term() == t
+	}
+	bl := d.baseLen()
+	if int(id) <= bl {
+		return d.base.holds(id, t)
+	}
+	return d.recs[int(id)-bl-1].term() == t
 }
 
 // baseLen returns the number of IDs owned by the mapped base layer.
@@ -121,22 +176,31 @@ func (d *Dict) baseLen() int {
 func (d *Dict) EncodeIRI(iri string) ID { return d.Encode(rdf.NewIRI(iri)) }
 
 // Lookup returns the ID of t without interning it.
-func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
+func (d *Dict) Lookup(t rdf.Term) (ID, bool) { return d.lookup(t, termHash(t)) }
+
+// lookup is Lookup of t, whose key hashes to h.
+func (d *Dict) lookup(t rdf.Term, h uint64) (ID, bool) {
+	if d.base != nil && !d.baseIndexed.Load() {
+		// Filling the index writes it: the first lookup takes the write lock.
+		if d.mu != nil {
+			d.mu.Lock()
+		}
+		d.indexBase()
+		if d.mu != nil {
+			d.mu.Unlock()
+		}
+	}
 	if d.mu != nil {
 		d.mu.RLock()
-		defer d.mu.RUnlock()
 	}
-	if id, ok := d.index.get(t); ok {
-		return ID(id), true
+	id, ok := d.find(t, h)
+	if d.mu != nil {
+		d.mu.RUnlock()
 	}
-	if d.under != nil {
-		return d.under.Lookup(t)
+	if !ok && d.under != nil {
+		return d.under.lookup(t, h)
 	}
-	if d.base != nil {
-		// No memoization here: Lookup holds only the read lock.
-		return d.base.Lookup(t)
-	}
-	return None, false
+	return id, ok
 }
 
 // LookupIRI returns the ID of an IRI without interning it.
@@ -152,6 +216,10 @@ func (d *Dict) Term(id ID) rdf.Term {
 		}
 		return d.under.Term(id)
 	}
+	bl := d.baseLen()
+	if id != None && int(id) <= bl {
+		return d.base.Term(id) // immutable: no lock
+	}
 	if d.mu != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
@@ -162,13 +230,6 @@ func (d *Dict) Term(id ID) rdf.Term {
 			panic(fmt.Sprintf("dict: unknown id %#x (%s holds %d terms of its own)", uint32(id), d.layerName(), len(d.recs)))
 		}
 		return d.recs[i].term()
-	}
-	bl := d.baseLen()
-	if int(id) <= bl {
-		if id == None {
-			panic("dict: unknown id 0")
-		}
-		return d.base.Term(id)
 	}
 	if id == None || int(id) > bl+len(d.recs) {
 		panic(fmt.Sprintf("dict: unknown id %d (dictionary holds %d terms)", id, bl+len(d.recs)))
@@ -191,15 +252,16 @@ func (d *Dict) Len() int {
 }
 
 // MemoryBytes is the heap the dictionary's own layer holds, computed from
-// its lengths: key bytes + 24-byte records + map slots (an estimate; see
-// slotBytes). A mapped base is file-backed and an overlay's base is
-// another dictionary's: neither is counted.
+// its lengths: key bytes + 24-byte records + the index's 8-byte slots,
+// which include a mapped base's IDs once a probe has entered them. The
+// base's pages are file-backed and an overlay's base is another
+// dictionary's: neither is counted.
 func (d *Dict) MemoryBytes() int64 {
 	if d.mu != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	return d.index.memoryBytes(d.recs)
+	return int64(d.keyBytes) + int64(cap(d.recs))*recBytes + d.index.bytes()
 }
 
 // MaxID returns the highest assigned ID. It equals Len for every

@@ -6,6 +6,8 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"rdfsum/internal/rdf"
 )
@@ -16,7 +18,8 @@ import (
 // every term keeps its ID — in blocks of BlockTerms, each term
 // prefix-compressed against its predecessor's Value. A sparse directory
 // (one offset per block) gives O(1) block location for Term, and a
-// term-sorted ID permutation gives O(log n) Lookup without an index map.
+// term-sorted ID permutation lets the next compaction merge the terms
+// interned since into the order instead of sorting every term again.
 //
 //	pages  := blocks, back to back
 //	block  := BlockTerms terms (the last block fewer):
@@ -31,8 +34,14 @@ const BlockTerms = 16
 // to pages, and returns how many terms that was with the other two
 // dictionary sections, the only per-term state the encoding keeps:
 // 8 bytes of directory per BlockTerms terms and 4 bytes of permutation
-// per term (twice, while it is serialized) — and, over a mapped base, the
-// base's decoded terms. d must not be an overlay (its IDs are not dense).
+// per term (4 more per term outside a mapped base, while those are
+// sorted). d must not be an overlay (its IDs are not dense).
+//
+// Over a mapped base, the base's complete blocks are copied byte for byte
+// — a block's encoding depends on its own terms only — and the
+// permutation is the base's merged with the newly interned terms', so no
+// base term is decoded beyond the base's last, partial block and the
+// terms the merge compares.
 //
 // In shared mode d is locked only to take a view of its term table — a
 // dictionary never rewrites a record, so the view stays valid while the
@@ -48,25 +57,17 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err 
 	if d.mu != nil {
 		d.mu.RUnlock()
 	}
-	if bl := d.baseLen(); bl > 0 {
-		// A mapped base decodes a term by walking its block: decode its
-		// terms once, here, not at every comparison of the sort below.
-		all := make([]rec, bl, bl+len(recs))
-		for i := range all {
-			all[i] = recOf(d.base.Term(ID(i + 1)))
-		}
-		recs = append(all, recs...)
-	}
-	n = len(recs) // recs[i] is the term with ID i+1
+	bl := d.baseLen()
+	n = bl + len(recs)
 
 	dir = make([]byte, 0, (n+BlockTerms-1)/BlockTerms*8)
 	var off uint64
-	var buf []byte // one term's encoding, reused
-	prev := ""
-	for i, r := range recs {
-		t := r.term()
+	next := 0       // 0-based index of the next term written
+	var buf []byte  // one term's encoding, reused
+	var prev []byte // the previous term's value
+	write := func(t rdf.Term) error {
 		buf = append(buf[:0], byte(t.Kind))
-		if i%BlockTerms == 0 {
+		if next%BlockTerms == 0 {
 			dir = binary.LittleEndian.AppendUint64(dir, off)
 			buf = binary.AppendUvarint(buf, uint64(len(t.Value)))
 			buf = append(buf, t.Value...)
@@ -83,29 +84,70 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err 
 			buf = append(buf, t.Lang...)
 		}
 		if _, err := pages.Write(buf); err != nil {
-			return 0, nil, nil, err
+			return err
 		}
 		off += uint64(len(buf))
-		prev = t.Value
+		prev = append(prev[:0], t.Value...)
+		next++
+		return nil
 	}
 
-	perm := make([]ID, n)
-	for i := range perm {
-		perm[i] = ID(i + 1)
+	if bl > 0 {
+		m := d.base
+		m.touch()
+		if m.TouchSorted != nil {
+			m.TouchSorted()
+		}
+		full := bl / BlockTerms
+		cut := len(m.pages)
+		if full*BlockTerms < bl {
+			cut = m.blockStart(full)
+		}
+		if _, err := pages.Write(m.pages[:cut]); err != nil {
+			return 0, nil, nil, err
+		}
+		dir = append(dir, m.dir[:full*8]...)
+		off = uint64(cut)
+		next = full * BlockTerms
+		var value []byte
+		for c := m.cursorAt(next); c.i < bl; {
+			value = c.next(value)
+			if err := write(c.term(value)); err != nil {
+				return 0, nil, nil, err
+			}
+		}
 	}
-	slices.SortFunc(perm, func(a, b ID) int { return recs[a-1].compare(recs[b-1]) })
+	for _, r := range recs {
+		if err := write(r.term()); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+
+	// recs' IDs, sorted; then merged into the base's own order.
+	perm := make([]ID, len(recs))
+	for i := range perm {
+		perm[i] = ID(bl + i + 1)
+	}
+	termOf := func(id ID) rec { return recs[int(id)-bl-1] }
+	slices.SortFunc(perm, func(a, b ID) int { return termOf(a).compare(termOf(b)) })
 	sorted = make([]byte, 0, n*4)
+	lo := 0 // the base's terms at sorted positions below lo are written
 	for _, id := range perm {
+		if bl > 0 {
+			hi := lo + d.base.sortedRank(lo, termOf(id).term())
+			sorted = append(sorted, d.base.sorted[lo*4:hi*4]...)
+			lo = hi
+		}
 		sorted = binary.LittleEndian.AppendUint32(sorted, uint32(id))
+	}
+	if bl > 0 {
+		sorted = append(sorted, d.base.sorted[lo*4:]...)
 	}
 	return n, dir, sorted, nil
 }
 
-func commonPrefix(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+func commonPrefix(a []byte, b string) int {
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
@@ -115,16 +157,20 @@ func commonPrefix(a, b string) int {
 
 // Mapped is a read-only dictionary served directly from the byte
 // sections of a v2 snapshot (typically mmap'd). Safe for concurrent use.
+// It decodes terms by ID; the term → ID direction is a Dict's index over
+// it (WithBase).
 type Mapped struct {
 	pages  []byte
 	dir    []byte
 	sorted []byte
 	n      int
 
-	// Touch, when set, runs before any access that reads the section
-	// bytes; the store layer hooks lazy per-section CRC verification
-	// here without this package knowing about snapshot containers.
-	Touch func()
+	// Touch, when set, runs before any access that reads the pages or the
+	// directory, and TouchSorted before one that reads the sorted
+	// permutation (only WriteFrontCoded's merge does); the store layer
+	// hooks lazy per-section CRC verification here without this package
+	// knowing about snapshot containers.
+	Touch, TouchSorted func()
 }
 
 // NewMapped wraps the three dictionary sections holding n terms. It
@@ -149,90 +195,152 @@ func (m *Mapped) touch() {
 	}
 }
 
-// Term decodes the term interned under id. It panics on an unknown or
-// zero id, matching Dict.Term.
+// Term decodes the term interned under id: one walk from its block's
+// head, and one allocation for the term's strings. It panics on an
+// unknown or zero id, matching Dict.Term.
 func (m *Mapped) Term(id ID) rdf.Term {
+	var scratch [256]byte
+	v := m.decode(id, scratch[:0])
+	var s strings.Builder
+	s.Grow(len(v.Value) + len(v.Datatype) + len(v.Lang))
+	s.WriteString(v.Value)
+	s.WriteString(v.Datatype)
+	s.WriteString(v.Lang)
+	all, a, b := s.String(), len(v.Value), len(v.Value)+len(v.Datatype)
+	return rdf.Term{Kind: v.Kind, Value: all[:a], Datatype: all[a:b], Lang: all[b:]}
+}
+
+// holds reports whether id names t, decoding nothing but id's block.
+func (m *Mapped) holds(id ID, t rdf.Term) bool {
+	var scratch [256]byte
+	return m.decode(id, scratch[:0]) == t
+}
+
+// decode returns a view of the term under id, its value built in buf: it
+// lives as long as buf and the pages do.
+func (m *Mapped) decode(id ID, buf []byte) rdf.Term {
 	if id == None || int(id) > m.n {
 		panic(fmt.Sprintf("dict: unknown id %d (mapped dictionary holds %d terms)", id, m.n))
 	}
 	m.touch()
-	b := int(id-1) / BlockTerms
-	t, _ := m.decodeUpTo(b, int(id-1)%BlockTerms)
-	return t
+	c := m.cursorAt(int(id - 1))
+	for c.i < int(id) {
+		buf = c.next(buf)
+	}
+	return c.term(buf)
 }
 
-// decodeUpTo decodes block b until in-block index want, returning that
-// term and the number of terms decoded. Malformed pages panic — the
-// bytes are CRC-verified before first decode, so this indicates memory
-// corruption or a store-layer bug, not a bad file.
-func (m *Mapped) decodeUpTo(b, want int) (rdf.Term, int) {
-	pos := int(binary.LittleEndian.Uint64(m.dir[b*8:]))
-	hi := b*BlockTerms + BlockTerms
-	if hi > m.n {
-		hi = m.n
+// sortedRank returns how many of the base's terms from sorted position
+// lo on sort before t, which the base does not hold. Each probe decodes a
+// block, and consecutive new terms usually land close together, so it
+// gallops — probes lo, lo+1, lo+3, lo+7, … — before it bisects: O(log
+// gap) probes, not O(log n). The caller has run Touch and TouchSorted.
+func (m *Mapped) sortedRank(lo int, t rdf.Term) int {
+	var scratch [256]byte
+	beyond := func(k int) bool { // the term at sorted position lo+k sorts after t
+		id := ID(binary.LittleEndian.Uint32(m.sorted[(lo+k)*4:]))
+		return after(m.decode(id, scratch[:0]), t)
 	}
-	count := hi - b*BlockTerms
-	readUvarint := func() int {
-		v, w := binary.Uvarint(m.pages[pos:])
-		if w <= 0 {
-			panic(fmt.Sprintf("dict: cut varint in block %d at offset %d", b, pos))
-		}
-		pos += w
-		return int(v)
+	n, bound := m.n-lo, 1
+	for bound <= n && !beyond(bound-1) {
+		bound *= 2
 	}
-	var t rdf.Term
-	value := ""
-	for i := 0; i < count; i++ {
-		kind := rdf.TermKind(m.pages[pos])
-		pos++
-		if i == 0 {
-			n := readUvarint()
-			value = string(m.pages[pos : pos+n])
-			pos += n
-		} else {
-			lcp := readUvarint()
-			n := readUvarint()
-			value = value[:lcp] + string(m.pages[pos:pos+n])
-			pos += n
-		}
-		t = rdf.Term{Kind: kind, Value: value}
-		if kind == rdf.Literal {
-			n := readUvarint()
-			t.Datatype = string(m.pages[pos : pos+n])
-			pos += n
-			n = readUvarint()
-			t.Lang = string(m.pages[pos : pos+n])
-			pos += n
-		}
-		if i == want {
-			return t, i + 1
-		}
-	}
-	return t, count
+	// The rank is in [bound/2, min(bound-1, n)].
+	from, to := bound/2, min(bound-1, n)
+	return from + sort.Search(to-from, func(k int) bool { return beyond(from + k) })
 }
 
-// sortedID returns the id at sorted-order position j.
-func (m *Mapped) sortedID(j int) ID {
-	return ID(binary.LittleEndian.Uint32(m.sorted[j*4:]))
+// after reports whether u sorts after t in rdf.Term.Compare's order. It
+// compares with operators, which — unlike Compare — let u be a view of a
+// stack buffer.
+func after(u, t rdf.Term) bool {
+	switch {
+	case u.Kind != t.Kind:
+		return u.Kind > t.Kind
+	case u.Value != t.Value:
+		return u.Value > t.Value
+	case u.Datatype != t.Datatype:
+		return u.Datatype > t.Datatype
+	}
+	return u.Lang > t.Lang
 }
 
-// Lookup returns the ID of t without interning it, by binary search over
-// the term-sorted permutation. Each probe decodes one dictionary block.
-func (m *Mapped) Lookup(t rdf.Term) (ID, bool) {
-	m.touch()
-	j := sort.Search(m.n, func(i int) bool {
-		id := m.sortedID(i)
-		b := int(id-1) / BlockTerms
-		u, _ := m.decodeUpTo(b, int(id-1)%BlockTerms)
-		return u.Compare(t) >= 0
-	})
-	if j == m.n {
-		return None, false
+// blockStart returns block b's offset into the pages.
+func (m *Mapped) blockStart(b int) int { return int(binary.LittleEndian.Uint64(m.dir[b*8:])) }
+
+// cursor walks a mapped dictionary's terms in ID order. Front coding
+// rebuilds a value from its predecessor's, so a walk starts at a block
+// head, and next builds each value over the last in a buffer the caller
+// passes through it — not one the cursor holds, so that a caller's stack
+// buffer stays on the stack.
+type cursor struct {
+	m        *Mapped
+	i        int          // 0-based index of the next term; the last one decoded is ID i
+	pos      int          // the next term's offset into the pages
+	kind     rdf.TermKind // the last term's kind
+	dt, lang string       // and its literal fields, as views of the pages
+}
+
+// cursorAt returns a cursor at the head of the block holding 0-based
+// index i. The caller has run Touch.
+func (m *Mapped) cursorAt(i int) cursor {
+	b := i / BlockTerms
+	c := cursor{m: m, i: b * BlockTerms}
+	if c.i < m.n {
+		c.pos = m.blockStart(b)
 	}
-	id := m.sortedID(j)
-	b := int(id-1) / BlockTerms
-	if u, _ := m.decodeUpTo(b, int(id-1)%BlockTerms); u.Compare(t) == 0 {
-		return id, true
+	return c
+}
+
+// next decodes the next term, building its value in buf, which holds the
+// previous term's (nothing, at a block head), and returns the value.
+// Malformed pages panic — the bytes are CRC-verified before first decode,
+// so this indicates memory corruption or a store-layer bug, not a bad
+// file.
+func (c *cursor) next(buf []byte) []byte {
+	p := c.m.pages
+	c.kind = rdf.TermKind(p[c.pos])
+	c.pos++
+	lcp := 0
+	if c.i%BlockTerms != 0 {
+		lcp = c.uvarint()
+		if lcp > len(buf) {
+			panic(fmt.Sprintf("dict: term %d shares %d bytes with a %d-byte predecessor", c.i+1, lcp, len(buf)))
+		}
 	}
-	return None, false
+	n := c.uvarint()
+	buf = append(buf[:lcp], p[c.pos:c.pos+n]...)
+	c.pos += n
+	c.dt, c.lang = "", ""
+	if c.kind == rdf.Literal {
+		c.dt = c.field()
+		c.lang = c.field()
+	}
+	c.i++
+	return buf
+}
+
+// term returns the last term decoded, whose value next returned, as a
+// view: its strings alias value and the pages.
+func (c *cursor) term(value []byte) rdf.Term {
+	return rdf.Term{Kind: c.kind, Value: unsafe.String(unsafe.SliceData(value), len(value)), Datatype: c.dt, Lang: c.lang}
+}
+
+// uvarint reads one uvarint at c.pos.
+func (c *cursor) uvarint() int {
+	v, w := binary.Uvarint(c.m.pages[c.pos:])
+	if w <= 0 {
+		panic(fmt.Sprintf("dict: cut varint at offset %d of the mapped pages", c.pos))
+	}
+	c.pos += w
+	return int(v)
+}
+
+// field reads one length-prefixed literal field at c.pos, as a view of
+// the pages.
+func (c *cursor) field() string {
+	n := c.uvarint()
+	f := c.m.pages[c.pos : c.pos+n]
+	c.pos += n
+	return unsafe.String(unsafe.SliceData(f), n)
 }

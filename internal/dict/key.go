@@ -3,25 +3,27 @@ package dict
 import (
 	"cmp"
 	"encoding/binary"
+	"hash/maphash"
 	"strings"
 
 	"rdfsum/internal/rdf"
 )
 
 // The package's one term-keying scheme: a term is held as a single key
-// string, and every index (Dict, overlay) is a termIndex over such keys.
+// string, and every dictionary layer (Dict, overlay) finds its terms
+// through a termIndex of their keys' hashes.
 //
 // An IRI or a blank node with nothing but a value — every one a parser or
-// a constructor produces — is keyed by that value, IRIs and blanks in
-// separate maps, so a probe builds nothing and a label cannot collide
-// across kinds. Every other term (literals; also the zero Term and any
+// a constructor produces — is keyed by that value, so a probe builds
+// nothing. Every other term (literals; also the zero Term and any
 // hand-built oddity such as an IRI carrying a datatype, which stay
 // internable) is keyed by its frame:
 //
 //	u8 kind, uvarint len(value), value, uvarint len(datatype), datatype, lang
 //
 // Lengths prefix the fields rather than a separator joining them: U+0000
-// is a legal literal character.
+// is a legal literal character. An IRI and a blank node of the same value
+// share a key hash; the index tells them apart when it verifies the term.
 
 // rec is what the dictionary keeps per interned term: the key (the one
 // copy of the term's bytes) and how to read it. Term rebuilds the
@@ -35,13 +37,8 @@ type rec struct {
 // recBytes is the size of a rec (16-byte string header + 2, padded).
 const recBytes = 24
 
-// slotBytes estimates what one entry costs in a Go map[string]uint32:
-// 24-byte slots and a control byte each, in tables that grow by doubling
-// and so sit near 2/3 full on average.
-const slotBytes = 38
-
-// frameBuf is the stack buffer a frame is probed through: a literal
-// whose frame fits is looked up without allocating.
+// frameBuf is the stack buffer a frame is hashed through: a literal
+// whose frame fits is probed without allocating.
 type frameBuf [192]byte
 
 // plain reports whether t is keyed by its bare value.
@@ -72,14 +69,28 @@ func uvarint(s string) (v uint64, n int) {
 	}
 }
 
-// recOf returns t's record. A frame is a fresh string; a plain key is
-// t.Value itself.
-func recOf(t rdf.Term) rec {
+// newRec returns t's record over a copy of t's bytes: t may be a
+// substring of a parse buffer, which a stored reference would pin for the
+// dictionary's lifetime.
+func newRec(t rdf.Term) rec {
 	if plain(t) {
-		return rec{key: t.Value, kind: t.Kind}
+		return rec{key: strings.Clone(t.Value), kind: t.Kind}
 	}
 	var buf frameBuf
 	return rec{key: string(appendFrame(buf[:0], t)), framed: true}
+}
+
+// hashSeed keys every term hash in the process, so that a hash computed
+// for one dictionary layer probes the layers under it too.
+var hashSeed = maphash.MakeSeed()
+
+// termHash hashes t's key: its value, or its frame built on the stack.
+func termHash(t rdf.Term) uint64 {
+	if plain(t) {
+		return maphash.String(hashSeed, t.Value)
+	}
+	var buf frameBuf
+	return maphash.Bytes(hashSeed, appendFrame(buf[:0], t))
 }
 
 // termKind and value read the two fields every comparison starts with
@@ -125,58 +136,56 @@ func (r rec) term() rdf.Term {
 	return t
 }
 
-// termIndex maps terms to uint32 values (their IDs) through their keys.
+// termIndex is an open-addressed hash table of IDs with linear probing.
+// A slot is 8 bytes: the ID in the low half (0 marks an empty slot — no
+// layer issues ID 0) and the low 32 bits of its term's key hash, the tag,
+// in the high half. The tag is also what places the slot, so the table
+// grows without hashing a term again, and a probe compares a term only
+// with the IDs whose tag equals its own. The terms live with the caller
+// (records, a mapped base), which verifies them; see Dict.find.
 type termIndex struct {
-	iris, blanks, framed map[string]uint32
-	keyBytes             int // total len of the keys held
+	slots []uint64
+	n     int // occupied slots
 }
 
-func newTermIndex() termIndex {
-	return termIndex{
-		iris:   make(map[string]uint32),
-		blanks: make(map[string]uint32),
-		framed: make(map[string]uint32),
+// bytes is the table's heap. It is at most 3/4 full and doubles, so an
+// entry costs 10.7–21.3 bytes.
+func (x *termIndex) bytes() int64 { return int64(len(x.slots)) * 8 }
+
+// reserve makes room for n entries without growing again.
+func (x *termIndex) reserve(n int) {
+	size := 8
+	for size*3 < n*4 {
+		size *= 2
 	}
-}
-
-// get returns the value t was put under.
-func (x *termIndex) get(t rdf.Term) (uint32, bool) {
-	if plain(t) {
-		m := x.iris
-		if t.Kind == rdf.Blank {
-			m = x.blanks
+	if size <= len(x.slots) {
+		return
+	}
+	old := x.slots
+	x.slots = make([]uint64, size)
+	for _, s := range old {
+		if s != 0 {
+			x.place(s)
 		}
-		v, ok := m[t.Value]
-		return v, ok
 	}
-	var buf frameBuf
-	v, ok := x.framed[string(appendFrame(buf[:0], t))]
-	return v, ok
 }
 
-// put records t (absent so far) under v and returns its rec, over a copy
-// of t's bytes: t may be a substring of a parse buffer, which a stored
-// reference would pin for the dictionary's lifetime.
-func (x *termIndex) put(t rdf.Term, v uint32) rec {
-	r := recOf(t)
-	if !r.framed {
-		r.key = strings.Clone(r.key)
+// place stores slot s in the first free slot from its tag's home on.
+func (x *termIndex) place(s uint64) {
+	mask := uint32(len(x.slots) - 1)
+	for i := uint32(s>>32) & mask; ; i = (i + 1) & mask {
+		if x.slots[i] == 0 {
+			x.slots[i] = s
+			return
+		}
 	}
-	switch {
-	case r.framed:
-		x.framed[r.key] = v
-	case r.kind == rdf.Blank:
-		x.blanks[r.key] = v
-	default:
-		x.iris[r.key] = v
-	}
-	x.keyBytes += len(r.key)
-	return r
 }
 
-// memoryBytes is what the index and n recs beside it hold on the heap,
-// computed from their own lengths: key bytes + records + map slots.
-func (x *termIndex) memoryBytes(recs []rec) int64 {
-	entries := len(x.iris) + len(x.blanks) + len(x.framed)
-	return int64(x.keyBytes) + int64(cap(recs))*recBytes + int64(entries)*slotBytes
+// insert records id, absent so far, under its term's key hash h.
+func (x *termIndex) insert(h uint64, id ID) {
+	if (x.n+1)*4 > len(x.slots)*3 {
+		x.reserve(x.n + 1)
+	}
+	x.place(uint64(uint32(h))<<32 | uint64(id))
+	x.n++
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-
-	"rdfsum/internal/rdf"
 )
 
 // overlayBit is the lowest ID an overlay issues. A dictionary that is not
@@ -42,7 +40,6 @@ func Overlay(base *Dict) *Dict {
 		panic(fmt.Sprintf("dict: overlays nested more than %d deep", maxLayer))
 	}
 	o := &Dict{
-		index:  newTermIndex(),
 		under:  base,
 		layer:  layer,
 		prefix: layerPrefix(layer),
@@ -57,19 +54,14 @@ func Overlay(base *Dict) *Dict {
 // are not dense: code that needs 1..Len must re-encode first.
 func (d *Dict) IsOverlay() bool { return d.under != nil }
 
-// internOverlay is Encode's miss path for an overlay; the caller holds
-// the overlay's write lock.
-func (d *Dict) internOverlay(t rdf.Term) ID {
-	if id, ok := d.under.Lookup(t); ok {
-		return id
-	}
+// nextOverlayID is the ID an overlay gives the next term it interns; the
+// caller holds the overlay's write lock.
+func (d *Dict) nextOverlayID() ID {
 	n := len(d.recs)
 	if n >= 1<<(31-d.layer) {
 		panic(fmt.Sprintf("dict: %s is full (%d terms)", d.layerName(), n))
 	}
-	id := d.prefix | ID(n)
-	d.recs = append(d.recs, d.index.put(t, uint32(id)))
-	return id
+	return d.prefix | ID(n)
 }
 
 // layerName describes d's layer for a panic message.

@@ -211,8 +211,8 @@ func newSnapshotFile(data []byte, verify bool) (*SnapshotFile, error) {
 	sf.md.Touch = func() {
 		pages.verifyLazy()
 		dirSec.verifyLazy()
-		sortedSec.verifyLazy()
 	}
+	sf.md.TouchSorted = sortedSec.verifyLazy
 	sf.runs, err = openContainerCols(c, int(c.nData+c.nTypes+c.nSchema))
 	if err != nil {
 		return nil, err

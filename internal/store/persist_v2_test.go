@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -355,15 +356,21 @@ func TestSnapshotV2BitFlipsLazy(t *testing.T) {
 	}
 }
 
-// touchEverything forces a read through every section: dictionary pages,
-// directory and sorted permutation, the three components, the three
-// sorted columns, and the vocab table.
+// touchEverything forces a read through every section: dictionary pages
+// and directory (every term decoded, then looked up through the index
+// over them), the sorted permutation (the merge of a compaction that
+// interned one term), the three components, the three sorted columns,
+// and the vocab table.
 func touchEverything(sf *SnapshotFile) {
 	sf.Vocab()
 	md := sf.MappedDict()
+	d := dict.WithBase(md)
 	for id := 1; id <= md.Len(); id++ {
-		term := md.Term(dict.ID(id))
-		md.Lookup(term)
+		d.Lookup(md.Term(dict.ID(id)))
+	}
+	d.EncodeIRI("http://x/a-term-no-snapshot-holds")
+	if _, _, _, err := d.WriteFrontCoded(io.Discard); err != nil {
+		panic(err)
 	}
 	sf.Components()
 	for ord := Order(0); ord < NumOrders; ord++ {
@@ -505,6 +512,73 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	g, _ := v2Sample(t)
 	if err := WriteSnapshotV2(&memFile{}, g, NewRunCols(g.All()[1:])); err == nil {
 		t.Fatal("a run that does not hold the graph's triples was accepted")
+	}
+}
+
+// TestWriteSnapshotV2OverMappedBase: compacting a graph reopened onto its
+// mapped snapshot writes, byte for byte, the snapshot of the same graph
+// held on the heap after the same writes — though the first streams the
+// base's dictionary blocks and merges its sorted permutation, and the
+// second encodes and sorts every term. The bases end inside a dictionary
+// block and on a block boundary (16 and 32 terms); the writes add no new
+// term, one, or dozens of every kind.
+func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
+	// chain holds 5 vocabulary terms + p + 2m: 16 terms for m = 5, 32 for m = 13.
+	chain := func(m int) *Graph {
+		g := NewGraph()
+		for i := 0; i < m; i++ {
+			g.Add(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)), rdf.NewIRI("http://x/p"), rdf.NewIRI(fmt.Sprintf("http://x/o%d", i))))
+		}
+		return g
+	}
+	writes := func(k int) []rdf.Triple {
+		var out []rdf.Triple
+		for i := 0; i < k; i++ {
+			s := rdf.NewIRI(fmt.Sprintf("http://x/new%d", i))
+			out = append(out,
+				rdf.NewTriple(s, rdf.NewIRI("http://x/p"), rdf.NewLangLiteral(fmt.Sprintf("v%d", i), "en")),
+				rdf.NewTriple(rdf.NewBlank(fmt.Sprintf("nb%d", i)), rdf.NewIRI("http://x/q"), rdf.NewTypedLiteral(fmt.Sprint(i), "http://www.w3.org/2001/XMLSchema#int")),
+				rdf.NewTriple(s, rdf.NewIRI(rdf.RDFType), rdf.NewIRI("http://x/C1")))
+		}
+		return append(out, rdf.NewTriple(rdf.NewIRI("http://x/s0"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/n1")))
+	}
+	bases := []struct {
+		name string
+		g    func() *Graph
+	}{
+		{"16 terms", func() *Graph { return chain(5) }},
+		{"32 terms", func() *Graph { return chain(13) }},
+		{"random 50", func() *Graph { return v2RandomGraph(t, 50, 50) }},
+		{"random 3000", func() *Graph { return v2RandomGraph(t, 3000, 3000) }},
+	}
+	for _, base := range bases {
+		for _, k := range []int{0, 1, 40} {
+			heap := base.g()
+			path := filepath.Join(t.TempDir(), "g.rdfsum")
+			if err := SaveFile(path, heap); err != nil {
+				t.Fatal(err)
+			}
+			reopened, sf, err := OpenGraphFile(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range writes(k) {
+				heap.Add(tr)
+				reopened.Add(tr)
+			}
+			var want, got memFile
+			if err := WriteSnapshotV2(&want, heap, NewRunCols(heap.All())); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteSnapshotV2(&got, reopened, NewRunCols(reopened.All())); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.b, want.b) {
+				t.Errorf("%s + %d writes: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
+					base.name, k, len(got.b), len(want.b))
+			}
+			sf.Close()
+		}
 	}
 }
 
