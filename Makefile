@@ -139,15 +139,17 @@ test-nommap:
 # readers query epoch snapshots while a writer ingests batches and
 # compacts; readers materialize every maintained summary kind during
 # ingest; snapshot iterators are held across concurrent Compact calls
-# while deletes land (tiered-index generation swaps); plus the WAL
-# crash-recovery property test and the replication suite (bootstrap,
+# while deletes land (tiered-index generation swaps); the ingest queue's
+# admission bound, applied on the writers' own goroutines, and its HTTP
+# 429 path; plus the WAL crash-recovery property test and the
+# replication suite (bootstrap,
 # tail, re-bootstrap across compaction). -count=2 reruns with fresh
 # schedules. replication-smoke then boots a real leader + follower pair
 # as separate processes and asserts catch-up, identical /v1/query
 # results and post-delete convergence.
 stress: replication-smoke
 	$(GO) test -race -count=2 \
-		-run 'TestLiveStress|TestLiveMaintainedStress|TestLiveIngestDuringConcurrentQueries|TestLiveCrashRecoveryPrefix|TestLiveSnapshotAcrossCompactStress|TestLiveIngestQueueBackpressureStress|TestFollower' \
+		-run 'TestLiveStress|TestLiveMaintainedStress|TestLiveIngestDuringConcurrentQueries|TestLiveCrashRecoveryPrefix|TestLiveSnapshotAcrossCompactStress|TestLiveIngestQueueBackpressureStress|TestIngestQueue|TestIngestBackpressure429|TestFollower' \
 		./internal/live ./cmd/rdfsumd ./internal/repl
 
 # Two-process replication smoke (mirrored as a CI step): leader ingests,

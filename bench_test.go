@@ -633,7 +633,7 @@ func BenchmarkIncrementalSummaries(b *testing.B) {
 			b.Run(kind.String()+[]string{"/seed", "/seed+add"}[writes], func(b *testing.B) {
 				g := rdfsum.NewGraph(base)
 				for i := 0; i < b.N; i++ {
-					builder, err := rdfsum.NewBuilderWithGraph(kind, g.CloneStructure())
+					builder, err := rdfsum.NewBuilderSet(g.CloneStructure(), []rdfsum.Kind{kind})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -644,7 +644,7 @@ func BenchmarkIncrementalSummaries(b *testing.B) {
 			})
 		}
 		b.Run(kind.String()+"/add-batch", func(b *testing.B) {
-			builder, err := rdfsum.NewBuilderWithGraph(kind, rdfsum.NewGraph(base))
+			builder, err := rdfsum.NewBuilderSet(rdfsum.NewGraph(base), []rdfsum.Kind{kind})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -658,7 +658,7 @@ func BenchmarkIncrementalSummaries(b *testing.B) {
 			b.ReportMetric(batchSize, "triples/batch")
 		})
 		b.Run(kind.String()+"/snapshot", func(b *testing.B) {
-			builder, err := rdfsum.NewBuilderWithGraph(kind, rdfsum.NewGraph(base))
+			builder, err := rdfsum.NewBuilderSet(rdfsum.NewGraph(base), []rdfsum.Kind{kind})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -667,9 +667,11 @@ func BenchmarkIncrementalSummaries(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				builder.Summary()
+				if _, err := builder.Summary(kind); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if builder.Rebuilds() != 0 {
+			if builder.Rebuilds(kind) != 0 {
 				b.Fatalf("%v: unexpected maintenance rebuilds", kind)
 			}
 		})

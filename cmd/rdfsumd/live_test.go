@@ -235,18 +235,11 @@ func TestLiveIngestDuringConcurrentQueries(t *testing.T) {
 }
 
 // TestPruningSoundUnderStaleness: a pruning gate built before an ingest
-// must never prune away the ingested triples. With a large staleness
-// tolerance the cached weak summary (and its gate) trails the graph; the
-// server must skip the gate rather than return a wrong empty answer.
+// never prunes away the ingested triples. The query after the ingest
+// rebuilds the gate at the new epoch, answers the fresh property's row,
+// and reports the gate applied at that epoch.
 func TestPruningSoundUnderStaleness(t *testing.T) {
-	srv, err := newServer(serverConfig{liveDir: t.TempDir(), maxStale: 1_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.close() }) //nolint:errcheck
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
-
+	ts, _ := liveTestServer(t, nil)
 	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(0, 20)); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
@@ -263,9 +256,9 @@ func TestPruningSoundUnderStaleness(t *testing.T) {
 		t.Fatal("gate at current epoch was not applied")
 	}
 
-	// Ingest a triple with a property the cached summary has never seen.
-	if code, _ := postBody(t, ts.URL+"/v1/triples",
-		"<http://fresh/a> <http://fresh/p> <http://fresh/b> .\n"); code != http.StatusOK {
+	// Ingest a triple with a property the cached gate has never seen.
+	code, ack := postBody(t, ts.URL+"/v1/triples", "<http://fresh/a> <http://fresh/p> <http://fresh/b> .\n")
+	if code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
 	code, body = postQuery(t, ts.URL+"/v1/query?prune=weak", q)
@@ -273,43 +266,48 @@ func TestPruningSoundUnderStaleness(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	if body["count"].(float64) != 1 {
-		t.Fatalf("stale gate pruned an acknowledged triple: count = %v, want 1", body["count"])
+		t.Fatalf("gate pruned an acknowledged triple: count = %v, want 1", body["count"])
 	}
-	if _, ok := body["prune_epoch"]; ok {
-		t.Fatal("stale gate reported as applied")
+	if body["epoch"] != ack["epoch"] || body["prune_epoch"] != ack["epoch"] {
+		t.Fatalf("query at epoch %v with gate at %v, want both at the ingest's epoch %v",
+			body["epoch"], body["prune_epoch"], ack["epoch"])
 	}
 }
 
-// TestSummaryStaleness: with a staleness tolerance, cached summaries keep
-// serving with their build epoch advertised; with none, they track the
-// graph.
-func TestSummaryStaleness(t *testing.T) {
-	srv, err := newServer(serverConfig{liveDir: t.TempDir(), maxStale: 1000})
+// TestPruneGateSkipsNewerSummary: a query pins epoch e and then fetches
+// its gate; a DELETE landing in between publishes e+1, whose summary
+// proves empty a pattern that has rows at e. The gate is applied only
+// when its summary is of the evaluated epoch, so it is skipped here.
+func TestPruneGateSkipsNewerSummary(t *testing.T) {
+	_, srv := liveTestServer(t, nil)
+	lv := srv.lv
+	doomed, err := rdfsum.ParseString(ntBody(0, 5) + "<http://x/a> <http://x/p> <http://x/b> .\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.close() }) //nolint:errcheck
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	if err := lv.AddBatch(doomed); err != nil {
+		t.Fatal(err)
+	}
+	q, err := rdfsum.ParseQuery(`SELECT ?s ?o WHERE { ?s <http://x/p> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := lv.Epoch()
+	if gate, err := srv.pruneGate(lv, 0, rdfsum.Weak, e); err != nil || gate == nil {
+		t.Fatalf("gate at the current epoch: %v, %v; want it applied", gate, err)
+	}
 
-	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(0, 20)); code != http.StatusOK {
-		t.Fatal("ingest failed")
+	if removed, err := lv.DeleteBatch(doomed[len(doomed)-1:]); err != nil || removed != 1 {
+		t.Fatalf("DeleteBatch removed %d, %v; want 1", removed, err)
 	}
-	var first map[string]any
-	getJSON(t, ts.URL+"/v1/summary?kind=weak", &first)
-	if first["stale"].(float64) != 0 {
-		t.Fatalf("fresh summary stale = %v, want 0", first["stale"])
+	if lv.Epoch() != e+1 {
+		t.Fatalf("delete published epoch %d, want %d", lv.Epoch(), e+1)
 	}
-	if code, _ := postBody(t, ts.URL+"/v1/triples", ntBody(500, 20)); code != http.StatusOK {
-		t.Fatal("ingest failed")
+	if newer, _, err := srv.pruner(lv, 0, rdfsum.Weak); err != nil || !newer.ProvablyEmpty(q) {
+		t.Fatal("the summary of the post-delete epoch should prove the pattern empty")
 	}
-	var second map[string]any
-	getJSON(t, ts.URL+"/v1/summary?kind=weak", &second)
-	if second["epoch"] != first["epoch"] {
-		t.Fatalf("tolerant server rebuilt: epoch %v -> %v", first["epoch"], second["epoch"])
-	}
-	if second["stale"].(float64) == 0 {
-		t.Fatal("stale summary advertised stale = 0")
+	if gate, err := srv.pruneGate(lv, 0, rdfsum.Weak, e); err != nil || gate != nil {
+		t.Fatalf("gate for a query evaluated at %d: %v, %v; want none (its summary is of %d)", e, gate, err, e+1)
 	}
 }
 

@@ -44,8 +44,9 @@
 //
 // Writes and reads are concurrent: queries run against immutable epoch
 // snapshots while ingest proceeds. Summary-derived artifacts are cached
-// per epoch; -max-stale N lets them serve up to N epochs behind (each
-// response reports the epoch it reflects). A follower rejects the
+// per epoch and rebuilt by the first request after a write (each response
+// reports the epoch it reflects); only the planner's join statistics may
+// serve up to 32 epochs behind. A follower rejects the
 // mutating routes with the "read_only" error code and converges on its
 // leader's state, re-bootstrapping automatically when the leader's
 // compaction prunes the generation it was tailing.
@@ -73,7 +74,6 @@ func main() {
 	liveDir := flag.String("live", "", "durable live-store directory (WAL + snapshots); empty = memory-only")
 	follow := flag.String("follow", "", "leader base URL (e.g. http://leader:8176); serve as a read replica")
 	addr := flag.String("addr", ":8176", "listen address")
-	maxStale := flag.Uint64("max-stale", 0, "epochs a cached summary/pruner may trail the graph before rebuild")
 	noSync := flag.Bool("no-fsync", false, "skip the per-batch fsync (faster ingest, weaker durability)")
 	maintain := flag.String("maintain", "weak",
 		"summary kinds kept incrementally current during ingest: a comma list of kinds, \"all\", or \"none\"")
@@ -118,7 +118,6 @@ func main() {
 		in:          *in,
 		liveDir:     *liveDir,
 		follow:      *follow,
-		maxStale:    *maxStale,
 		noSync:      *noSync,
 		maintain:    maintained,
 		indexFanout: *indexFanout,
@@ -189,7 +188,8 @@ func main() {
 
 	// Stop accepting, let in-flight requests finish (a replication
 	// long-poll may not: past the deadline its connection is cut), then
-	// drain the ingest queue and close the store.
+	// close the ingest queue, which waits for admitted batches, and the
+	// store.
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := public.Shutdown(ctx); err != nil {

@@ -46,7 +46,8 @@ type prunerCell struct {
 // published epoch snapshots, so they are consistent and wait-free under
 // concurrent ingest; derived artifacts (summaries, pruners, planner
 // weights, the saturated graph) are cached per epoch and rebuilt lazily
-// when stale beyond the configured tolerance.
+// once the store has moved past them — the planner weights alone after
+// planStatsMaxStale epochs.
 //
 // On a follower the store itself is replaced at each replication
 // bootstrap and its epoch counter restarts, so every epoch-keyed cache is
@@ -58,11 +59,6 @@ type server struct {
 	queue    *rdfsum.IngestQueue // bounded ingest admission; nil on followers
 	follower *repl.Follower      // non-nil on read replicas (-follow)
 	leader   *repl.Leader        // non-nil on durable stores (serves /v1/repl)
-
-	// maxStale is how many epochs behind a cached summary-derived
-	// artifact may serve before it is rebuilt (0 = always rebuild when
-	// stale). Staleness is reported to clients either way.
-	maxStale uint64
 
 	pruners [rdfsum.NumKinds]prunerCell // indexed by rdfsum.Kind
 
@@ -97,7 +93,6 @@ type serverConfig struct {
 	in          string // input graph (.nt/.ttl, optionally .gz/.zst, or snapshot); seeds -live
 	liveDir     string // durable store directory ("" = memory-only)
 	follow      string // leader base URL; makes this a read replica
-	maxStale    uint64
 	noSync      bool
 	maintain    []rdfsum.Kind
 	indexFanout int
@@ -136,7 +131,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			return nil, err
 		}
 		f.Start()
-		s := &server{follower: f, maxStale: cfg.maxStale}
+		s := &server{follower: f}
 		s.initObs(logger, cfg.slowQuery)
 		return s, nil
 	}
@@ -182,8 +177,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	} else {
 		lv = rdfsum.NewLive(seed, opts)
 	}
-	s := &server{lv: lv, maxStale: cfg.maxStale, bootLoad: bootLoad}
-	s.queue = rdfsum.NewIngestQueue(lv, cfg.queueDepth, cfg.queueBytes)
+	s := &server{lv: lv, queue: rdfsum.NewIngestQueue(lv, cfg.queueDepth, cfg.queueBytes), bootLoad: bootLoad}
 	if lv.Durable() {
 		s.leader = repl.NewLeader(lv)
 	}
@@ -316,11 +310,10 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 			}
 			kind := ks.Kind.String()
 			sumEpoch.With(kind, mode).Set(float64(ks.CachedEpoch))
-			// How far the last materialized summary trails the store.
-			// Under -max-stale > 0 even a maintained kind serves its
-			// cached build within the tolerance, so the gauge reports the
-			// cache's actual trail for every mode (0 until a kind is
-			// first materialized).
+			// How far the last materialized summary trails the store. A
+			// kind is materialized only when asked for, so even a
+			// maintained kind's last build trails until the next request
+			// (0 until a kind is first materialized).
 			staleness := uint64(0)
 			if ks.CachedEpoch > 0 && st.Epoch > ks.CachedEpoch {
 				staleness = st.Epoch - ks.CachedEpoch
@@ -431,15 +424,14 @@ func (s *server) state() (*rdfsum.Live, uint64) {
 // replica; writes go to its leader).
 func (s *server) readOnly() bool { return s.follower != nil }
 
-// close releases the serving state: the ingest queue drains its admitted
-// batches first, then the replication loop and store shut down.
+// close releases the serving state: a follower stops its replication
+// loop; otherwise the ingest queue waits for its admitted batches to
+// commit, then the store shuts down.
 func (s *server) close() error {
 	if s.follower != nil {
 		return s.follower.Close()
 	}
-	if s.queue != nil {
-		s.queue.Close()
-	}
+	s.queue.Close()
 	return s.lv.Close()
 }
 
@@ -503,18 +495,11 @@ func (s *server) debugHandler() http.Handler {
 	return m
 }
 
-// summary returns the (possibly cached) summary of one kind plus the
-// epoch it reflects; the live store rebuilds it lazily when it is staler
-// than the server's tolerance.
-func (s *server) summary(lv *rdfsum.Live, kind rdfsum.Kind) (*rdfsum.Summary, uint64, error) {
-	return lv.Summary(kind, s.maxStale)
-}
-
 // pruner returns the summary-pruning gate of one kind with the epoch of
 // the summary it reflects, rebuilding when that summary moved or the
 // serving instance was swapped by a replication bootstrap.
 func (s *server) pruner(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind) (*rdfsum.QueryPruner, uint64, error) {
-	sum, epoch, err := s.summary(lv, kind)
+	sum, epoch, err := lv.Summary(kind, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -529,30 +514,27 @@ func (s *server) pruner(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind) (*rdfsum
 	return cell.pruner, cell.epoch, nil
 }
 
-// planStatsMaxStale is the minimum staleness tolerance applied to the
-// planner's weights. Join-order statistics are pure heuristics — a stale
-// estimate reorders joins suboptimally, never wrongly — so they are not
-// worth an O(graph) ComputeWeights pass on the query path after every
-// ingest batch (which -max-stale 0, the soundness-oriented default,
-// would otherwise force).
+// planStatsMaxStale is how many epochs the planner's weights may trail
+// the store, the one derived artifact served stale. Join-order statistics
+// are pure heuristics — a stale estimate reorders joins suboptimally,
+// never wrongly — so they are not worth an O(graph) ComputeWeights pass
+// on the query path after every ingest batch.
 const planStatsMaxStale = 32
 
 // planStats returns the weak summary's quotient-map cardinalities, the
 // statistics behind the planner's join ordering, recomputed when they
-// trail the published epoch by more than the staleness tolerance. The
-// cached weights are judged against the store's epoch itself, not
-// against the weak-summary cell's: at -max-stale 0 the pruner refreshes
-// that cell on every query, so a cache keyed on it never held across an
-// ingest. Nil (with a logged warning) when the weak summary cannot be
-// built.
+// trail the published epoch by more than planStatsMaxStale. The cached
+// weights are judged against the store's epoch itself, not against the
+// weak-summary cell's: the pruner refreshes that cell on every query, so
+// a cache keyed on it never held across an ingest. Nil (with a logged
+// warning) when the weak summary cannot be built.
 func (s *server) planStats(lv *rdfsum.Live, inst uint64) *rdfsum.Weights {
-	stale := max(s.maxStale, planStatsMaxStale)
 	s.weightsMu.Lock()
 	defer s.weightsMu.Unlock()
-	if s.weights != nil && s.weightsInst == inst && s.weightsEpoch+stale >= lv.Epoch() {
+	if s.weights != nil && s.weightsInst == inst && s.weightsEpoch+planStatsMaxStale >= lv.Epoch() {
 		return s.weights
 	}
-	sum, epoch, err := lv.Summary(rdfsum.Weak, stale)
+	sum, epoch, err := lv.Summary(rdfsum.Weak, planStatsMaxStale)
 	if err != nil {
 		s.logger.Warn("planner stats unavailable", "error", err)
 		return nil
@@ -649,7 +631,7 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lv, _ := s.state()
-	sum, epoch, err := s.summary(lv, kind)
+	sum, epoch, err := lv.Summary(kind, 0)
 	if err != nil {
 		httpapi.WriteError(w, err)
 		return
@@ -684,7 +666,7 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleProfile(w http.ResponseWriter, _ *http.Request) {
 	lv, _ := s.state()
-	sum, epoch, err := s.summary(lv, rdfsum.TypedWeak)
+	sum, epoch, err := lv.Summary(rdfsum.TypedWeak, 0)
 	if err != nil {
 		httpapi.WriteError(w, err)
 		return
@@ -806,38 +788,27 @@ func writeOverloaded(w http.ResponseWriter, st rdfsum.IngestQueueStats) {
 // Retry-After rather than buffering without limit — then is WAL-logged
 // and fsynced (durable stores), applied to the graph and the incremental
 // weak summary, and published as a new epoch, all while concurrent
-// queries keep reading their snapshots.
+// queries keep reading their snapshots. Followers never get here:
+// mutating answers them first, so s.lv and s.queue are set.
 func (s *server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	triples, bytes, ok := parseTriplesBody(w, r)
 	if !ok {
 		return
 	}
-	lv, _ := s.state()
-	var (
-		epoch uint64
-		err   error
-	)
-	if s.queue != nil {
-		_, epoch, err = s.queue.Add(triples, bytes)
-		if errors.Is(err, rdfsum.ErrIngestQueueFull) {
-			writeOverloaded(w, s.queue.Stats())
-			return
-		}
-	} else {
-		if err = lv.AddBatch(triples); err == nil {
-			epoch = lv.Epoch()
-		}
+	_, epoch, err := s.queue.Add(triples, bytes)
+	if errors.Is(err, rdfsum.ErrIngestQueueFull) {
+		writeOverloaded(w, s.queue.Stats())
+		return
 	}
 	if err != nil {
 		httpapi.WriteError(w, err)
 		return
 	}
-	snap := lv.Snapshot()
 	httpapi.WriteJSON(w, map[string]any{
 		"added":   len(triples),
-		"triples": snap.Graph.NumEdges(),
+		"triples": s.lv.Snapshot().Graph.NumEdges(),
 		"epoch":   epoch,
-		"durable": lv.Durable(),
+		"durable": s.lv.Durable(),
 	})
 }
 
@@ -852,33 +823,20 @@ func (s *server) handleDeleteTriples(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	lv, _ := s.state()
-	var (
-		removed int
-		epoch   uint64
-		err     error
-	)
-	if s.queue != nil {
-		removed, epoch, err = s.queue.Delete(triples, bytes)
-		if errors.Is(err, rdfsum.ErrIngestQueueFull) {
-			writeOverloaded(w, s.queue.Stats())
-			return
-		}
-	} else {
-		if removed, err = lv.DeleteBatch(triples); err == nil {
-			epoch = lv.Epoch()
-		}
+	removed, epoch, err := s.queue.Delete(triples, bytes)
+	if errors.Is(err, rdfsum.ErrIngestQueueFull) {
+		writeOverloaded(w, s.queue.Stats())
+		return
 	}
 	if err != nil {
 		httpapi.WriteError(w, err)
 		return
 	}
-	snap := lv.Snapshot()
 	httpapi.WriteJSON(w, map[string]any{
 		"removed": removed,
-		"triples": snap.Graph.NumEdges(),
+		"triples": s.lv.Snapshot().Graph.NumEdges(),
 		"epoch":   epoch,
-		"durable": lv.Durable(),
+		"durable": s.lv.Durable(),
 	})
 }
 
@@ -910,10 +868,8 @@ func (s *server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 // report; ?prune selects the summary kind gating provably-empty queries
 // (default weak, "off" disables). The response reports the epoch of the
 // data the rows reflect, whether the row set was truncated, and — when
-// the pruning gate was actually applied — prune_epoch. A gate whose
-// summary trails the evaluated epoch is skipped rather than served:
-// pruning with a summary that has not seen the latest triples would be
-// unsound (it could prove a non-empty query "empty").
+// the pruning gate was actually applied — prune_epoch, which is then the
+// evaluated epoch (see pruneGate).
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -963,27 +919,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if saturated {
 		g, ix, evalEpoch = s.saturatedIndex(snap, inst)
 	}
-	var pruneEpoch uint64
 	if r.URL.Query().Get("prune") != "off" {
 		kind, err := kindParam(r, "prune", "weak")
 		if err != nil {
 			httpapi.WriteError(w, err)
 			return
 		}
-		pruner, epoch, err := s.pruner(lv, inst, kind)
-		if err != nil {
+		if opts.Pruner, err = s.pruneGate(lv, inst, kind, evalEpoch); err != nil {
 			httpapi.WriteError(w, err)
 			return
-		}
-		// Soundness (Prop. 1 + monotonicity): emptiness on the summary of
-		// a graph that CONTAINS the evaluated one proves emptiness below.
-		// Graphs only grow, so the gate is sound iff its summary epoch is
-		// at least the evaluated epoch; a gate that trails it (possible
-		// under -max-stale, or when an ingest raced this request) could
-		// wrongly prune triples it has never seen — skip pruning instead.
-		if epoch >= evalEpoch {
-			opts.Pruner = pruner
-			pruneEpoch = epoch
 		}
 	}
 	res, err := rdfsum.EvalQueryWithOptions(g, ix, q, opts)
@@ -1001,8 +945,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rows = append(rows, cells)
 	}
 	// "epoch" is the epoch of the data the rows were computed from: the
-	// snapshot's, or — under ?saturate with a staleness tolerance — the
-	// epoch of the cached saturated graph.
+	// snapshot's, or under ?saturate that of the cached saturated graph,
+	// which another request may have built at a later epoch.
 	payload := map[string]any{
 		"vars":      res.Vars,
 		"rows":      rows,
@@ -1014,7 +958,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		payload["saturate_epoch"] = evalEpoch
 	}
 	if opts.Pruner != nil {
-		payload["prune_epoch"] = pruneEpoch
+		payload["prune_epoch"] = evalEpoch
 	}
 	if res.Explain != nil && wantExplain {
 		payload["explain"] = res.Explain
@@ -1022,14 +966,27 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, payload)
 }
 
+// pruneGate returns the pruning gate of one kind for a query evaluated at
+// evalEpoch, or nil when the gate's summary is of another epoch. Prop. 1
+// proves a query empty on G from its emptiness on the summary of G itself:
+// an older epoch's summary has not seen the triples added since, and a
+// newer one's may lack triples deleted since, so either could prove empty
+// a query that has rows at evalEpoch. Such a gate is skipped, not served.
+func (s *server) pruneGate(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind, evalEpoch uint64) (*rdfsum.QueryPruner, error) {
+	pruner, epoch, err := s.pruner(lv, inst, kind)
+	if err != nil || epoch != evalEpoch {
+		return nil, err
+	}
+	return pruner, nil
+}
+
 // saturatedIndex returns G∞, its index and the epoch it reflects, cached
-// across requests and rebuilt when the epoch moves beyond the staleness
-// tolerance or the serving instance was swapped by a replication
-// bootstrap.
+// across requests and rebuilt when the store has moved past that epoch or
+// the serving instance was swapped by a replication bootstrap.
 func (s *server) saturatedIndex(snap *rdfsum.LiveSnapshot, inst uint64) (*rdfsum.Graph, *store.Index, uint64) {
 	s.satMu.Lock()
 	defer s.satMu.Unlock()
-	if s.satGraph == nil || s.satInst != inst || s.satEpoch+s.maxStale < snap.Epoch {
+	if s.satGraph == nil || s.satInst != inst || s.satEpoch < snap.Epoch {
 		s.satGraph = rdfsum.Saturate(snap.Graph)
 		s.satIx = rdfsum.NewIndex(s.satGraph)
 		s.satInst = inst

@@ -72,19 +72,22 @@ func ExampleEvalQueryWithOptions() {
 	// "Foundations"
 }
 
-func ExampleNewBuilder() {
+func ExampleNewBuilderSet() {
 	triples, err := rdfsum.ParseString(exampleDoc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := rdfsum.NewBuilder(rdfsum.Weak)
+	b, err := rdfsum.NewBuilderSet(rdfsum.EmptyGraph(), []rdfsum.Kind{rdfsum.Weak})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, t := range triples {
 		b.Add(t)
 	}
-	s := b.Summary() // snapshot; the builder keeps accepting triples
+	s, err := b.Summary(rdfsum.Weak) // snapshot; the builder keeps accepting triples
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("nodes:", s.Stats.DataNodes)
 	fmt.Println("edges:", s.Stats.DataEdges)
 	// Output:

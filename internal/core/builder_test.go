@@ -13,17 +13,35 @@ import (
 	"rdfsum/internal/store"
 )
 
-// weakBuilder returns a weak builder over g (nil for empty).
-func weakBuilder(t *testing.T, g *store.Graph) Builder {
+// weakBuilder returns a builder set maintaining the weak kind over g
+// (nil for empty).
+func weakBuilder(t *testing.T, g *store.Graph) *BuilderSet {
+	t.Helper()
+	return kindBuilder(t, Weak, g)
+}
+
+// kindBuilder returns a builder set maintaining one kind over g (nil for
+// empty).
+func kindBuilder(t *testing.T, kind Kind, g *store.Graph) *BuilderSet {
 	t.Helper()
 	if g == nil {
 		g = store.NewGraph()
 	}
-	b, err := NewBuilderWithGraph(Weak, g)
+	b, err := NewBuilderSet(g, []Kind{kind})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// snapshot materializes kind from b, failing the test on error.
+func snapshot(t *testing.T, b *BuilderSet, kind Kind) *Summary {
+	t.Helper()
+	s, err := b.Summary(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestBuilderMatchesBatch: streaming every triple through the builder
@@ -38,7 +56,7 @@ func TestBuilderMatchesBatch(t *testing.T) {
 		for i := len(decoded) - 1; i >= 0; i-- {
 			b.Add(decoded[i])
 		}
-		inc := b.Summary()
+		inc := snapshot(t, b, Weak)
 		if !reflect.DeepEqual(batch.Graph.CanonicalStrings(), inc.Graph.CanonicalStrings()) {
 			t.Errorf("%s: incremental summary differs from batch", name)
 		}
@@ -57,7 +75,7 @@ func TestBuilderMatchesBatchRandom(t *testing.T) {
 		for _, tr := range g.Decode() {
 			b.Add(tr)
 		}
-		inc := b.Summary()
+		inc := snapshot(t, b, Weak)
 		return reflect.DeepEqual(batch.Graph.CanonicalStrings(), inc.Graph.CanonicalStrings())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -74,7 +92,7 @@ func TestBuilderSnapshotsEvolve(t *testing.T) {
 	var lastSummary *Summary
 	for _, tr := range triples {
 		b.Add(tr)
-		lastSummary = b.Summary()
+		lastSummary = snapshot(t, b, Weak)
 		// Each snapshot is a valid weak summary of the prefix: re-summarize
 		// its input and compare.
 		again := MustSummarize(b.Graph(), Weak)
@@ -98,7 +116,7 @@ func TestBuilderAddEncoded(t *testing.T) {
 	for _, tr := range samples.Fig2Triples() {
 		b2.AddEncoded(d.Encode(tr.S), d.Encode(tr.P), d.Encode(tr.O))
 	}
-	if !reflect.DeepEqual(b1.Summary().Graph.CanonicalStrings(), b2.Summary().Graph.CanonicalStrings()) {
+	if !reflect.DeepEqual(snapshot(t, b1, Weak).Graph.CanonicalStrings(), snapshot(t, b2, Weak).Graph.CanonicalStrings()) {
 		t.Error("Add and AddEncoded disagree")
 	}
 }
@@ -112,11 +130,11 @@ func TestBuilderContinuesAfterSnapshot(t *testing.T) {
 	for _, tr := range triples[:half] {
 		b.Add(tr)
 	}
-	_ = b.Summary() // snapshot mid-stream
+	_ = snapshot(t, b, Weak) // snapshot mid-stream
 	for _, tr := range triples[half:] {
 		b.Add(tr)
 	}
-	final := b.Summary()
+	final := snapshot(t, b, Weak)
 	batch := MustSummarize(store.FromTriples(triples), Weak)
 	if !reflect.DeepEqual(final.Graph.CanonicalStrings(), batch.Graph.CanonicalStrings()) {
 		t.Error("builder diverged after a mid-stream snapshot")
@@ -150,15 +168,12 @@ func TestAllKindsBuilderMatchesBatch(t *testing.T) {
 	for name, g := range sampleGraphs() {
 		for _, kind := range Kinds {
 			batch := summarize(t, g, kind)
-			b, err := NewBuilder(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := kindBuilder(t, kind, nil)
 			decoded := g.Decode()
 			for i := len(decoded) - 1; i >= 0; i-- {
 				b.Add(decoded[i])
 			}
-			inc := b.Summary()
+			inc := snapshot(t, b, kind)
 			if !sameSummary(batch, inc) {
 				t.Errorf("%s/%v: streamed summary differs from seeded", name, kind)
 			}
@@ -234,15 +249,12 @@ func TestLateTypingTriggersRebuild(t *testing.T) {
 		rdf.NewTriple(iri("m"), iri("q"), iri("o4")),               // post-rebuild increment
 	}
 	for _, kind := range []Kind{TypedWeak, TypedStrong} {
-		b, err := NewBuilder(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := kindBuilder(t, kind, nil)
 		for _, tr := range triples {
 			b.Add(tr)
 		}
-		inc := b.Summary()
-		if b.Rebuilds() == 0 {
+		inc := snapshot(t, b, kind)
+		if b.Rebuilds(kind) == 0 {
 			t.Errorf("%v: late typing of a bridging node should force a rebuild", kind)
 		}
 		batch := MustSummarize(store.FromTriples(triples), kind)

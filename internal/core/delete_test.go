@@ -196,7 +196,7 @@ func TestDeleteOfAbsentTripleIsNoOp(t *testing.T) {
 	}
 }
 
-// TestWeakBuilderDelete: the single-kind Builder's Delete round-trips —
+// TestWeakBuilderDelete: a weak-only builder set's Delete round-trips —
 // the summary matches a fresh seed over the survivors, at the price of one
 // counted rebuild.
 func TestWeakBuilderDelete(t *testing.T) {
@@ -207,10 +207,10 @@ func TestWeakBuilderDelete(t *testing.T) {
 	}
 	oracle := removeAllCopies(samples.Fig2Triples(), dead)
 	batch := MustSummarize(store.FromTriples(oracle), Weak)
-	if !sameSummary(batch, b.Summary()) {
+	if !sameSummary(batch, snapshot(t, b, Weak)) {
 		t.Fatal("weak summary after Delete differs from a fresh seed over survivors")
 	}
-	if b.Rebuilds() != 1 {
-		t.Fatalf("weak builder paid %d rebuilds for one data deletion, want 1", b.Rebuilds())
+	if b.Rebuilds(Weak) != 1 {
+		t.Fatalf("weak builder paid %d rebuilds for one data deletion, want 1", b.Rebuilds(Weak))
 	}
 }

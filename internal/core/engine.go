@@ -1,9 +1,9 @@
 package core
 
-// engine.go is the quotient engine: one Builder interface over per-kind
-// drivers that maintain their summary under triple insertions and
-// deletions, sharing a single accumulated graph, one class-set tracker
-// and one adjacency index when several kinds are built together. It is
+// engine.go is the quotient engine: one BuilderSet over per-kind drivers
+// that maintain their summary under triple insertions and deletions,
+// sharing a single accumulated graph, one class-set tracker and one
+// adjacency index when several kinds are built together. It is
 // also the only construction of each kind: Summarize seeds a set with the
 // graph and snapshots it, because a from-scratch build is maintenance
 // with an empty history.
@@ -50,35 +50,6 @@ import (
 	"rdfsum/internal/store"
 )
 
-// Builder maintains one summary kind incrementally under triple
-// insertions and deletions. Snapshots (Summary) are independent of one
-// another and do not freeze the builder. Insertions cost O(α) amortized;
-// deletions are exact and O(degree) where the kind's bookkeeping is
-// refcounted (type-based always; typed kinds when only typed nodes are
-// involved) and otherwise mark the kind dirty for a counted rebuild that
-// is deferred to the next Summary call — quotient merges (union-finds)
-// are not invertible.
-type Builder interface {
-	// Kind reports the maintained summary kind.
-	Kind() Kind
-	// Add routes one string-level triple into the builder.
-	Add(t rdf.Triple)
-	// AddEncoded routes one encoded triple (IDs from Graph().Dict()).
-	AddEncoded(s, p, o dict.ID)
-	// Delete removes every stored copy of t, reporting how many copies
-	// existed. The summary state shrinks exactly or defers a rebuild to
-	// the next Summary call (see Rebuilds).
-	Delete(t rdf.Triple) int
-	// Graph exposes the accumulated input graph.
-	Graph() *store.Graph
-	// Summary materializes the current summary; the builder stays usable.
-	Summary() *Summary
-	// Rebuilds counts the internal full reconstructions forced by
-	// late-typing events or non-invertible deletions (0 for kinds that
-	// never need one).
-	Rebuilds() uint64
-}
-
 // driver is the per-kind half of the engine: it builds its state from
 // the set's graph, reacts to appended and deleted data and type triples,
 // and materializes summaries from that state. An event handler returning
@@ -118,7 +89,11 @@ type maintained struct {
 // BuilderSet maintains several summary kinds over one shared graph with
 // one pass per inserted triple: the class-set tracker, the adjacency
 // index and the input statistics are computed once and shared by every
-// driver, instead of re-derived per kind.
+// driver, instead of re-derived per kind. A set over one kind is the
+// single-kind incremental builder. Insertions cost O(α) amortized;
+// deletions are exact or defer a counted rebuild (see DeleteBatch).
+// Snapshots (Summary) are independent of one another and do not freeze
+// the set.
 type BuilderSet struct {
 	g *store.Graph
 	// names is where every snapshot of every kind interns its node URIs:
@@ -502,43 +477,6 @@ func (bs *BuilderSet) Rebuilds(kind Kind) uint64 {
 		return 0
 	}
 	return bs.byKind[kind].rebuilds
-}
-
-// singleBuilder adapts one kind of a BuilderSet to the Builder interface.
-type singleBuilder struct {
-	set *BuilderSet
-	k   Kind
-}
-
-// NewBuilder returns an empty incremental builder for kind, over a fresh
-// dictionary.
-func NewBuilder(kind Kind) (Builder, error) {
-	return NewBuilderWithGraph(kind, store.NewGraph())
-}
-
-// NewBuilderWithGraph returns an incremental builder for kind seeded with
-// g's triples. The graph is adopted, not copied: later Add calls append
-// to it.
-func NewBuilderWithGraph(kind Kind, g *store.Graph) (Builder, error) {
-	set, err := NewBuilderSet(g, []Kind{kind})
-	if err != nil {
-		return nil, err
-	}
-	return &singleBuilder{set: set, k: kind}, nil
-}
-
-func (b *singleBuilder) Kind() Kind                 { return b.k }
-func (b *singleBuilder) Add(t rdf.Triple)           { b.set.Add(t) }
-func (b *singleBuilder) AddEncoded(s, p, o dict.ID) { b.set.AddEncoded(s, p, o) }
-func (b *singleBuilder) Delete(t rdf.Triple) int    { return b.set.Delete(t) }
-func (b *singleBuilder) Graph() *store.Graph        { return b.set.Graph() }
-func (b *singleBuilder) Rebuilds() uint64           { return b.set.Rebuilds(b.k) }
-func (b *singleBuilder) Summary() *Summary {
-	s, err := b.set.Summary(b.k)
-	if err != nil {
-		panic(err) // unreachable: the set maintains b.k by construction
-	}
-	return s
 }
 
 // SummarizeAll builds the summaries of every requested kind (all five

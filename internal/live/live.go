@@ -623,7 +623,7 @@ type KindStatus struct {
 	LazyBuilds uint64
 	// Rebuilds counts the engine-internal state reconstructions forced
 	// by late-typing events and non-invertible deletions (see
-	// core.Builder).
+	// core.BuilderSet.Rebuilds).
 	Rebuilds uint64
 }
 

@@ -14,7 +14,7 @@ var (
 	epochPublishSeconds = obs.Default.Histogram("rdfsum_epoch_publish_seconds",
 		"Time to build and install one epoch snapshot (delta/tombstone/compacted publish).", obs.DefBuckets)
 	queueWaitSeconds = obs.Default.Histogram("rdfsum_ingest_queue_wait_seconds",
-		"Time an admitted ingest batch waited in the queue before the drain goroutine picked it up.", obs.DefBuckets)
+		"Time an admitted ingest batch waited for its turn to write.", obs.DefBuckets)
 	queueDrainSeconds = obs.Default.Histogram("rdfsum_ingest_queue_drain_seconds",
-		"Time the drain goroutine spent applying one ingest batch to the store.", obs.DefBuckets)
+		"Time spent applying one admitted ingest batch to the store.", obs.DefBuckets)
 )

@@ -1,19 +1,21 @@
 package live
 
-// IngestQueue is the server-side backpressure stage between HTTP ingest
-// handlers and the single-writer Live store. Handlers enqueue parsed
-// batches; one drain goroutine applies them in arrival order through
-// AddBatch/DeleteBatch (preserving the store's single-writer discipline
-// and WAL group commit), and each producer blocks only until its own
-// batch commits — so callers still get back the applied count and epoch.
+// IngestQueue is the server-side admission bound in front of the
+// single-writer Live store. An HTTP ingest handler admits its parsed batch
+// and then applies it on its own goroutine through AddBatch/DeleteBatch,
+// so it gets back the applied count and epoch directly. Admitted batches
+// take turns under one queue mutex; the store serializes its writers
+// anyway, and the mutex only gives the two queue histograms their
+// meanings: wait is admission to the writer's turn, drain is the apply
+// call.
 //
 // The queue is bounded twice over: by batch count (depth) and by total
-// buffered triple count standing in for bytes of parsed payload. When
-// either bound is exceeded Enqueue fails fast with ErrQueueFull instead
-// of buffering without limit — the HTTP layer turns that into 429 +
+// admitted triple payload in bytes. When either bound would be exceeded
+// Add and Delete fail fast with ErrQueueFull instead of letting writers
+// pile up without limit — the HTTP layer turns that into 429 +
 // Retry-After, keeping server memory bounded while reads stay responsive
 // on the published snapshot. One exception keeps the system live: a
-// batch larger than the whole byte budget is accepted when the queue is
+// batch larger than the whole byte budget is admitted when the queue is
 // empty, otherwise it could never be ingested at all.
 
 import (
@@ -24,8 +26,8 @@ import (
 	"rdfsum/internal/rdf"
 )
 
-// ErrQueueFull is returned by Enqueue when admitting the batch would
-// exceed the queue's depth or byte budget.
+// ErrQueueFull is returned by Add and Delete when admitting the batch
+// would exceed the queue's depth or byte budget.
 var ErrQueueFull = errors.New("live: ingest queue full")
 
 // errQueueClosed reports an enqueue after Close.
@@ -40,23 +42,8 @@ type QueueStats struct {
 	Rejected uint64 // enqueues refused with ErrQueueFull (monotonic)
 }
 
-// ingestJob is one queued batch with its completion signal.
-type ingestJob struct {
-	triples  []rdf.Triple
-	bytes    int64
-	delete   bool
-	enqueued time.Time
-	done     chan ingestResult
-}
-
-type ingestResult struct {
-	applied int
-	epoch   uint64
-	err     error
-}
-
-// IngestQueue serializes ingest batches into a Live store under fixed
-// memory bounds. Safe for concurrent use.
+// IngestQueue bounds the ingest batches admitted into a Live store and
+// applies them one at a time. Safe for concurrent use.
 type IngestQueue struct {
 	lv       *Live
 	maxDepth int
@@ -67,14 +54,13 @@ type IngestQueue struct {
 	bytes    int64
 	rejected uint64
 	closed   bool
+	inflight sync.WaitGroup // admitted batches not yet applied
 
-	jobs      chan *ingestJob
-	wg        sync.WaitGroup // the drain goroutine
-	producers sync.WaitGroup // admitted batches not yet handed to jobs
+	writer sync.Mutex // held across one batch's apply call
 }
 
-// NewIngestQueue starts a queue of at most depth batches and maxBytes
-// buffered payload bytes draining into lv. Non-positive bounds fall back
+// NewIngestQueue returns a queue of at most depth batches and maxBytes
+// admitted payload bytes applying into lv. Non-positive bounds fall back
 // to defaults (256 batches, 256 MiB).
 func NewIngestQueue(lv *Live, depth int, maxBytes int64) *IngestQueue {
 	if depth <= 0 {
@@ -83,41 +69,7 @@ func NewIngestQueue(lv *Live, depth int, maxBytes int64) *IngestQueue {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	q := &IngestQueue{
-		lv:       lv,
-		maxDepth: depth,
-		maxBytes: maxBytes,
-		jobs:     make(chan *ingestJob, depth),
-	}
-	q.wg.Add(1)
-	go q.drain()
-	return q
-}
-
-func (q *IngestQueue) drain() {
-	defer q.wg.Done()
-	for job := range q.jobs {
-		queueWaitSeconds.ObserveSince(job.enqueued)
-		tApply := time.Now()
-		var res ingestResult
-		if job.delete {
-			res.applied, res.err = q.lv.DeleteBatch(job.triples)
-		} else {
-			res.err = q.lv.AddBatch(job.triples)
-			if res.err == nil {
-				res.applied = len(job.triples)
-			}
-		}
-		if res.err == nil {
-			res.epoch = q.lv.Epoch()
-		}
-		queueDrainSeconds.ObserveSince(tApply)
-		q.mu.Lock()
-		q.depth--
-		q.bytes -= job.bytes
-		q.mu.Unlock()
-		job.done <- res
-	}
+	return &IngestQueue{lv: lv, maxDepth: depth, maxBytes: maxBytes}
 }
 
 // admit reserves queue capacity for a batch of the given size, or
@@ -138,28 +90,42 @@ func (q *IngestQueue) admit(bytes int64) error {
 	q.depth++
 	q.bytes += bytes
 	// Registered under mu so Close observes either the reservation or
-	// the closed flag — never a producer about to send on a closed
-	// channel.
-	q.producers.Add(1)
+	// the closed flag — never a batch it would not wait for.
+	q.inflight.Add(1)
 	return nil
 }
 
-// enqueue admits the batch and blocks until the drain goroutine commits
-// it, returning the applied count and resulting epoch.
-func (q *IngestQueue) enqueue(triples []rdf.Triple, bytes int64, del bool) (int, uint64, error) {
+// enqueue admits the batch, waits for the writer's turn and applies it,
+// returning the applied count and resulting epoch.
+func (q *IngestQueue) enqueue(triples []rdf.Triple, bytes int64, del bool) (applied int, epoch uint64, err error) {
 	if err := q.admit(bytes); err != nil {
 		return 0, 0, err
 	}
-	job := &ingestJob{triples: triples, bytes: bytes, delete: del, enqueued: time.Now(), done: make(chan ingestResult, 1)}
-	q.jobs <- job
-	q.producers.Done()
-	res := <-job.done
-	return res.applied, res.epoch, res.err
+	defer q.inflight.Done()
+	admitted := time.Now()
+	q.writer.Lock()
+	queueWaitSeconds.ObserveSince(admitted)
+	tApply := time.Now()
+	if del {
+		applied, err = q.lv.DeleteBatch(triples)
+	} else if err = q.lv.AddBatch(triples); err == nil {
+		applied = len(triples)
+	}
+	if err == nil {
+		epoch = q.lv.Epoch()
+	}
+	queueDrainSeconds.ObserveSince(tApply)
+	q.writer.Unlock()
+	q.mu.Lock()
+	q.depth--
+	q.bytes -= bytes
+	q.mu.Unlock()
+	return applied, epoch, err
 }
 
-// Add enqueues an addition batch of roughly bytes parsed payload and
-// waits for its commit. Returns ErrQueueFull without blocking when the
-// queue is saturated.
+// Add admits an addition batch of roughly bytes parsed payload and
+// applies it. Returns ErrQueueFull without blocking when the queue is
+// saturated.
 func (q *IngestQueue) Add(triples []rdf.Triple, bytes int64) (int, uint64, error) {
 	return q.enqueue(triples, bytes, false)
 }
@@ -187,13 +153,7 @@ func (q *IngestQueue) Stats() QueueStats {
 // admitted to commit, and returns. The Live store itself is not closed.
 func (q *IngestQueue) Close() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
 	q.closed = true
 	q.mu.Unlock()
-	q.producers.Wait()
-	close(q.jobs)
-	q.wg.Wait()
+	q.inflight.Wait()
 }

@@ -131,6 +131,56 @@ func TestIngestQueueCloseDrains(t *testing.T) {
 	q.Close() // idempotent
 }
 
+// TestIngestQueueHistogramsCountAdmittedBatches: every admitted Add or Delete
+// adds exactly one sample to the wait and the drain histogram; a batch
+// refused with ErrQueueFull adds none.
+func TestIngestQueueHistogramsCountAdmittedBatches(t *testing.T) {
+	l := New(store.NewGraph(), nil)
+	defer l.Close()
+	q := NewIngestQueue(l, 1, 1<<20) // depth 1: a second batch in flight is refused
+	defer q.Close()
+	counts := func() (uint64, uint64) { return queueWaitSeconds.Count(), queueDrainSeconds.Count() }
+	expect := func(what string, wait0, drain0, n uint64) {
+		t.Helper()
+		if wait, drain := counts(); wait != wait0+n || drain != drain0+n {
+			t.Fatalf("%s: wait +%d, drain +%d samples, want +%d each", what, wait-wait0, drain-drain0, n)
+		}
+	}
+
+	wait0, drain0 := counts()
+	if _, _, err := q.Add(queueBatch(0, 5), 100); err != nil {
+		t.Fatal(err)
+	}
+	expect("Add", wait0, drain0, 1)
+	if _, _, err := q.Delete(queueBatch(0, 2), 40); err != nil {
+		t.Fatal(err)
+	}
+	expect("Add then Delete", wait0, drain0, 2)
+
+	// Hold the writer lock so one admitted batch stays in flight, and
+	// refuse a second one behind it.
+	wait0, drain0 = counts()
+	l.mu.Lock()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, _, err := q.Add(queueBatch(10, 5), 100); err != nil {
+			t.Errorf("admitted batch: %v", err)
+		}
+	}()
+	for q.Stats().Depth == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	_, _, err := q.Add(queueBatch(20, 5), 100)
+	l.mu.Unlock()
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("second batch in flight returned %v, want ErrQueueFull", err)
+	}
+	wg.Wait()
+	expect("one admitted and one refused batch", wait0, drain0, 1)
+}
+
 // TestLiveIngestQueueBackpressureStress is the backpressure acceptance
 // check, wired into `make stress`: many writers push batches into a
 // deliberately small queue while readers hammer the published snapshot.

@@ -400,34 +400,18 @@ func replayWAL(path string, apply func(Op, []rdf.Triple) error) (good int64, ver
 	}
 
 	good = int64(walHeaderLen)
-	var frame [8]byte
+	rr := NewWALRecordReader(br, version) // reuses br: it is already 1 MiB
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			// Clean EOF: the log ends on a record boundary. Anything
-			// else mid-frame is a torn tail.
-			return good, version, !errors.Is(err, io.EOF), nil
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length > maxWALRecordBytes {
-			return good, version, true, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return good, version, true, nil
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return good, version, true, nil
-		}
-		op, triples, err := decodeBatch(payload, version)
+		op, triples, n, err := rr.Next()
 		if err != nil {
-			// The checksum matched but the payload is structurally
-			// invalid: treat like any other tail corruption.
-			return good, version, true, nil
+			// Clean EOF: the log ends on a record boundary. Anything else —
+			// a short frame or payload, an oversized length, a checksum
+			// mismatch, an undecodable payload — is a torn tail.
+			return good, version, !errors.Is(err, io.EOF), nil
 		}
 		if err := apply(op, triples); err != nil {
 			return good, version, false, err
 		}
-		good += int64(8 + length)
+		good += n
 	}
 }

@@ -88,11 +88,9 @@ type (
 	// against the summary graph and order joins by estimated joined
 	// cardinality.
 	PlanStats = query.PlanStats
-	// Builder maintains one summary kind incrementally under triple
-	// insertions (the unified quotient engine; see NewBuilder).
-	Builder = core.Builder
-	// BuilderSet maintains several summary kinds over one shared graph
-	// with one pass per inserted triple.
+	// BuilderSet maintains one or several summary kinds incrementally over
+	// one shared graph, with one pass per inserted triple (the unified
+	// quotient engine; see NewBuilderSet).
 	BuilderSet = core.BuilderSet
 	// Weights are the cardinality statistics of a summary's quotient map,
 	// for query-optimizer use.
@@ -398,21 +396,13 @@ func GenerateLUBM(universities int) *Graph {
 	return lubm.GenerateGraph(lubm.DefaultConfig(universities))
 }
 
-// NewBuilder returns an empty incremental builder for any summary kind:
-// feed it triples with Add/AddEncoded and snapshot anytime with Summary.
-// Snapshots are bit-identical to Summarize of the same triple set (which
-// is this builder seeded with it) and do not freeze the builder.
-func NewBuilder(kind Kind) (Builder, error) { return core.NewBuilder(kind) }
-
-// NewBuilderWithGraph seeds an incremental builder with an existing
-// graph's triples (the graph is adopted, not copied).
-func NewBuilderWithGraph(kind Kind, g *Graph) (Builder, error) {
-	return core.NewBuilderWithGraph(kind, g)
-}
-
-// NewBuilderSet returns an incremental builder maintaining several kinds
-// over one shared graph, computing the shared clique/class-set state once
-// per inserted triple.
+// NewBuilderSet returns an incremental builder maintaining the given
+// kinds over g, whose triples seed it (the graph is adopted, not copied;
+// EmptyGraph starts from nothing). Feed it triples with Add/AddEncoded
+// and snapshot any kind anytime with Summary: snapshots are bit-identical
+// to Summarize of the same triple set (which is this builder seeded with
+// it) and do not freeze the builder. The shared clique/class-set state is
+// computed once per inserted triple, however many kinds are maintained.
 func NewBuilderSet(g *Graph, kinds []Kind) (*BuilderSet, error) {
 	return core.NewBuilderSet(g, kinds)
 }
@@ -435,10 +425,11 @@ type (
 	// LiveKindStatus reports one summary kind's maintenance mode and
 	// rebuild counters on a live store.
 	LiveKindStatus = live.KindStatus
-	// IngestQueue is a bounded, byte-budgeted admission queue in front
-	// of a Live store's single writer: producers block only for their
-	// own batch's commit, and a saturated queue fails fast with
-	// ErrIngestQueueFull instead of buffering without limit.
+	// IngestQueue is a batch-count and byte-budget admission bound in front
+	// of a Live store's single writer: each admitted batch is applied on
+	// its caller's goroutine, one at a time, and a saturated queue fails
+	// fast with ErrIngestQueueFull instead of letting writers pile up
+	// without limit.
 	IngestQueue = live.IngestQueue
 	// IngestQueueStats is a point-in-time view of queue occupancy.
 	IngestQueueStats = live.QueueStats
@@ -448,8 +439,8 @@ type (
 // IngestQueue's depth or byte budget; retry after a backoff.
 var ErrIngestQueueFull = live.ErrQueueFull
 
-// NewIngestQueue starts an ingest queue of at most depth batches and
-// maxBytes of buffered payload draining into lv. Non-positive bounds
+// NewIngestQueue returns an ingest queue of at most depth batches and
+// maxBytes of admitted payload applying into lv. Non-positive bounds
 // select defaults (256 batches, 256 MiB). Close the queue before the
 // store.
 func NewIngestQueue(lv *Live, depth int, maxBytes int64) *IngestQueue {

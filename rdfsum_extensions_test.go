@@ -20,14 +20,17 @@ func TestStreamingBuilderFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rdfsum.NewBuilder(rdfsum.Weak)
+	b, err := rdfsum.NewBuilderSet(rdfsum.EmptyGraph(), []rdfsum.Kind{rdfsum.Weak})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range g.Decode() {
 		b.Add(tr)
 	}
-	inc := b.Summary()
+	inc, err := b.Summary(rdfsum.Weak)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(batch.Graph.CanonicalStrings(), inc.Graph.CanonicalStrings()) {
 		t.Error("streaming builder differs from Summarize")
 	}
@@ -168,14 +171,17 @@ func TestQuotientEngineFacade(t *testing.T) {
 		if !reflect.DeepEqual(batch.Graph.CanonicalStrings(), all[kind].Graph.CanonicalStrings()) {
 			t.Errorf("%v: SummarizeAll differs from Summarize", kind)
 		}
-		b, err := rdfsum.NewBuilder(kind)
+		b, err := rdfsum.NewBuilderSet(rdfsum.EmptyGraph(), []rdfsum.Kind{kind})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tr := range g.Decode() {
 			b.Add(tr)
 		}
-		inc := b.Summary()
+		inc, err := b.Summary(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(batch.Graph.CanonicalStrings(), inc.Graph.CanonicalStrings()) {
 			t.Errorf("%v: incremental builder differs from batch", kind)
 		}
