@@ -316,7 +316,8 @@ type QueryOptions struct {
 	// Limit caps the returned rows (0 = server default; the server also
 	// enforces a hard cap).
 	Limit int
-	// Explain adds the join-order report to the result.
+	// Explain adds the execution report (per-pattern estimated vs.
+	// actual cardinalities) to the result.
 	Explain bool
 	// Saturate evaluates against G∞.
 	Saturate bool

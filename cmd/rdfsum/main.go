@@ -270,7 +270,7 @@ func cmdQuery(args []string) error {
 	saturateFirst := fs.Bool("saturate", false, "evaluate against G∞ (complete answers)")
 	limit := fs.Int("limit", 0, "maximum rows (0 = all)")
 	explain := fs.Bool("explain", false,
-		"print the join order with estimated vs. actual cardinalities and per-pattern wall-clock time")
+		"print each pattern's estimated vs. actual cardinality and wall-clock time")
 	// Off by default: a one-shot CLI invocation would pay a full
 	// summarize+saturate before every query; the long-lived rdfsumd
 	// amortizes that cost and defaults to weak instead.

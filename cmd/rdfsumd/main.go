@@ -30,10 +30,12 @@
 //	                           batch (every stored copy; WAL-durable)
 //	POST /v1/compact           fold the WAL into a snapshot generation
 //	                           and the tiered index into a single run
-//	POST /v1/query             SPARQL BGP text in the body;
+//	POST /v1/query             SPARQL BGP text in the body (at most
+//	                           1 MiB, else 413 "payload_too_large");
 //	                           ?saturate=true evaluates against G∞,
 //	                           ?limit=N caps rows (default 10000),
-//	                           ?explain=true reports the join order,
+//	                           ?explain=true reports per-pattern
+//	                           estimated vs. actual cardinalities,
 //	                           ?prune=weak|strong|...|off selects the
 //	                           summary-pruning gate (default weak)
 //	GET  /v1/replication       replication role; on followers the catch-up

@@ -31,6 +31,9 @@ const (
 // maxIngestBody bounds a POST /v1/triples body.
 const maxIngestBody = 64 << 20
 
+// maxQueryBody bounds a POST /v1/query body, the query text.
+const maxQueryBody = 1 << 20
+
 // prunerCell caches the saturated-summary emptiness oracle of one kind,
 // tagged with the store instance and epoch of the summary it was built
 // from. The mutex singleflights rebuilds of that kind; other kinds
@@ -515,14 +518,14 @@ func (s *server) pruner(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind) (*rdfsum
 }
 
 // planStatsMaxStale is how many epochs the planner's weights may trail
-// the store, the one derived artifact served stale. Join-order statistics
-// are pure heuristics — a stale estimate reorders joins suboptimally,
-// never wrongly — so they are not worth an O(graph) ComputeWeights pass
-// on the query path after every ingest batch.
+// the store, the one derived artifact served stale. They only feed the
+// reported estimates (Explain, the slow-query log), never the join order
+// or the rows, so they are not worth an O(graph) ComputeWeights pass on
+// the query path after every ingest batch.
 const planStatsMaxStale = 32
 
 // planStats returns the weak summary's quotient-map cardinalities, the
-// statistics behind the planner's join ordering, recomputed when they
+// statistics behind the planner's estimates, recomputed when they
 // trail the published epoch by more than planStatsMaxStale. The cached
 // weights are judged against the store's epoch itself, not against the
 // weak-summary cell's: the pruner refreshes that cell on every query, so
@@ -864,16 +867,22 @@ func (s *server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 // current epoch snapshot.
 //
 // Parameters: ?saturate=true evaluates against G∞; ?limit=N caps the rows
-// (default 10000, capped at 100000); ?explain=true adds the join-order
+// (default 10000, capped at 100000); ?explain=true adds the execution
 // report; ?prune selects the summary kind gating provably-empty queries
 // (default weak, "off" disables). The response reports the epoch of the
 // data the rows reflect, whether the row set was truncated, and — when
 // the pruning gate was actually applied — prune_epoch, which is then the
 // evaluated epoch (see pruneGate).
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody+1))
 	if err != nil {
 		httpapi.WriteError(w, httpapi.Errorf(http.StatusBadRequest, httpapi.CodeInvalidArgument, "%v", err))
+		return
+	}
+	if len(body) > maxQueryBody {
+		// Refuse rather than parse a silently truncated prefix.
+		httpapi.WriteError(w, httpapi.Errorf(http.StatusRequestEntityTooLarge, httpapi.CodeTooLarge,
+			"query text exceeds %d bytes", maxQueryBody))
 		return
 	}
 	q, err := rdfsum.ParseQuery(string(body))
@@ -895,16 +904,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts := &rdfsum.QueryOptions{
 		Limit: limit,
 		// With the slow-query log armed, every query captures its plan so
-		// a slow one can be logged with the join order it actually ran;
-		// the response only includes it when the client asked.
+		// a slow one can be logged with what each pattern enumerated; the
+		// response only includes it when the client asked.
 		Explain: wantExplain || s.slow.Enabled(),
 	}
 	// Pin the serving store once: on a follower a re-bootstrap may swap it
 	// mid-request, and mixing instances would pair snapshots and caches
 	// whose epoch counters are unrelated.
 	lv, inst := s.state()
-	// Planner statistics are heuristics, so a stale epoch is fine here
-	// (and a nil *Weights simply falls back to the stats-free order).
+	// Planner statistics only feed the estimates, so a stale epoch is
+	// fine here (and a nil *Weights reports every estimate unknown).
 	opts.Stats = s.planStats(lv, inst)
 	// Pin the evaluated graph before fetching the pruning gate, so the
 	// soundness condition below can be checked against it.

@@ -174,6 +174,21 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryBodyTooLarge: a query whose text runs past maxQueryBody is
+// refused whole with 413, not parsed as its first maxQueryBody bytes.
+func TestQueryBodyTooLarge(t *testing.T) {
+	ts := testServer(t)
+	q := `PREFIX bsbm: <http://bsbm.example.org/vocabulary/>
+		SELECT ?o WHERE { ?o bsbm:price ?p ` + strings.Repeat(" ", maxQueryBody) + `}`
+	code, body := postQuery(t, ts.URL+"/v1/query", q)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", code)
+	}
+	if errBody, _ := body["error"].(map[string]any); errBody["code"] != "payload_too_large" {
+		t.Errorf("error = %v, want code payload_too_large", body["error"])
+	}
+}
+
 // postQuery posts q and decodes the JSON response.
 func postQuery(t *testing.T, url, q string) (int, map[string]any) {
 	t.Helper()

@@ -20,7 +20,7 @@ func main() {
 	fmt.Printf("dataset: %d triples\n", g.NumEdges())
 
 	// Build once, offline: the weak summary, its saturated pruning gate,
-	// and the quotient-map weights that drive the planner's join order.
+	// and the quotient-map weights behind the planner's estimates.
 	start := time.Now()
 	s, err := rdfsum.Summarize(g, rdfsum.Weak)
 	if err != nil {
@@ -61,8 +61,9 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// One call: the engine consults the gate first, then plans the
-		// join order from the summary weights if it must execute.
+		// One call: the engine consults the gate first, then, if it must
+		// execute, estimates each pattern from the summary weights and
+		// joins by live index counts.
 		t0 := time.Now()
 		res, err := rdfsum.EvalQueryWithOptions(inf, infIx, q, &rdfsum.QueryOptions{
 			Pruner:  pruner,

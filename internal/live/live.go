@@ -123,8 +123,8 @@ type Snapshot struct {
 // with the epoch it reflects. The mutex singleflights rebuilds of that
 // kind without blocking other kinds. lazyBuilds counts the from-scratch
 // summarizations (a fresh seeded builder set over the epoch's view) this
-// cell has paid — 0 for a maintained kind under normal operation, the
-// observable "no full rebuild" guarantee.
+// cell has paid — always 0 for a maintained kind, the observable "no full
+// rebuild" guarantee.
 type summaryCell struct {
 	mu         sync.Mutex
 	epoch      uint64
@@ -544,12 +544,12 @@ func (l *Live) installLocked(view *store.Graph, ix *store.Index) {
 
 // Summary returns the summary of the given kind for (at least) the
 // current epoch, along with the epoch it was built at. Maintained kinds
-// come from the incremental builder set when it still matches the
-// published epoch (no full pass over the graph); every other kind — or a
-// maintained kind raced by concurrent ingest — is built by a fresh
-// builder set seeded with the epoch's frozen view (core.Summarize). maxStale permits serving a cached summary up to
-// that many epochs old (0 = always current), the staleness policy a
-// serving layer exposes to its clients.
+// come from the incremental builder set at the published epoch (no full
+// pass over the graph), which may be newer than the epoch current when the
+// call began; every other kind is built by a fresh builder set seeded with
+// the current epoch's frozen view (core.Summarize). maxStale permits
+// serving a cached summary up to that many epochs old (0 = always
+// current), the staleness policy a serving layer exposes to its clients.
 func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, error) {
 	if int(kind) < 0 || int(kind) >= len(l.cells) {
 		return nil, 0, fmt.Errorf("core: unknown summary kind %d", int(kind))
@@ -566,45 +566,42 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 	// its name overlay) alive beside the one being built. On a build
 	// error the cell then holds nothing, as the error tells the caller.
 	cell.sum = nil
-	var s *core.Summary
+	var (
+		s     *core.Summary
+		epoch = snap.Epoch
+		err   error
+	)
 	if l.maintained[kind] {
-		s = l.fromBuilders(kind, snap.Epoch)
-	}
-	if s == nil {
-		var err error
+		s, epoch, err = l.fromBuilders(kind)
+	} else {
 		s, err = core.Summarize(snap.Graph, kind)
-		if err != nil {
-			return nil, 0, err
-		}
 		cell.lazyBuilds++
 	}
-	cell.sum, cell.epoch = s, snap.Epoch
-	return s, snap.Epoch, nil
+	if err != nil {
+		return nil, 0, err
+	}
+	cell.sum, cell.epoch = s, epoch
+	return s, epoch, nil
 }
 
 // fromBuilders materializes a maintained summary from the incremental
-// builder set, provided no ingest has happened since epoch was published
-// (the builders always reflect the writer's head, which may be ahead of
-// the epoch a reader is entitled to). Returns nil when raced; the caller
-// falls back to a fresh seeded set over the frozen view — bit-identical,
-// being the same construction.
-func (l *Live) fromBuilders(kind core.Kind, epoch uint64) *core.Summary {
+// builder set and returns the epoch it reflects: every writer applies a
+// batch to the builders and publishes its epoch under l.mu, so while this
+// holds l.mu the builders are exactly the published epoch's graph.
+func (l *Live) fromBuilders(kind core.Kind) (*core.Summary, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.published != epoch {
-		return nil
-	}
 	s, err := l.set.Summary(kind)
 	if err != nil {
-		return nil
+		return nil, 0, err
 	}
 	// The engine's summary aliases the writer's mutable graph as its
 	// Input. Freeze Input to the epoch's published view (identical
-	// content while we hold l.mu at the matching epoch) so consumers —
-	// ComputeWeights iterates Input's components — stay safe under
-	// concurrent ingest.
-	s.Input = l.cur.Load().Graph
-	return s
+	// content while we hold l.mu) so consumers — ComputeWeights iterates
+	// Input's components — stay safe under concurrent ingest.
+	cur := l.cur.Load()
+	s.Input = cur.Graph
+	return s, cur.Epoch, nil
 }
 
 // KindStatus reports one summary kind's maintenance state, the ground
@@ -618,8 +615,7 @@ type KindStatus struct {
 	CachedEpoch uint64
 	// LazyBuilds counts the summaries of this kind served by a fresh
 	// seeded set over an epoch's view, O(|G|) each — the cost maintained
-	// kinds avoid (they stay at 0 barring a snapshot raced by concurrent
-	// ingest).
+	// kinds avoid (they stay at 0).
 	LazyBuilds uint64
 	// Rebuilds counts the engine-internal state reconstructions forced
 	// by late-typing events and non-invertible deletions (see

@@ -687,10 +687,11 @@ func TestLiveMaintainedReplay(t *testing.T) {
 }
 
 // TestLiveMaintainedStress: -race stress over the maintenance path — one
-// writer ingesting batches while readers materialize every maintained
-// kind at full staleness intolerance. A raced materialization may fall
-// back to a batch build (sound either way); the race detector checks the
-// shared engine state is never read outside the writer lock.
+// writer ingesting batches while one reader per kind materializes it at
+// full staleness intolerance. Every summary comes from the builders, even
+// when ingest publishes between a reader's snapshot and its build (no lazy
+// build is ever counted); the race detector checks the shared engine state
+// is never read outside the writer lock.
 func TestLiveMaintainedStress(t *testing.T) {
 	l := New(nil, &Options{Maintain: core.Kinds})
 	defer l.Close()
@@ -698,8 +699,8 @@ func TestLiveMaintainedStress(t *testing.T) {
 	const (
 		batches   = 40
 		batchSize = 30
-		readers   = 3
 	)
+	readers := len(core.Kinds)
 	done := make(chan struct{})
 	errc := make(chan error, readers+1)
 	var wg sync.WaitGroup
@@ -752,6 +753,11 @@ func TestLiveMaintainedStress(t *testing.T) {
 		batch := core.MustSummarize(store.FromTriples(flattenBatches(batches, batchSize)), kind)
 		if !reflect.DeepEqual(canonical(s.Graph), canonical(batch.Graph)) {
 			t.Fatalf("%v: post-stress summary diverges from batch", kind)
+		}
+	}
+	for _, st := range l.Status() {
+		if st.LazyBuilds != 0 {
+			t.Errorf("%v: %d lazy builds, want 0 (maintained kinds come from the builders)", st.Kind, st.LazyBuilds)
 		}
 	}
 }

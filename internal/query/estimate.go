@@ -220,72 +220,3 @@ func estRound(v float64) int64 {
 	}
 	return int64(math.Ceil(v))
 }
-
-// joinOrder picks the static join order by estimated joined cardinality:
-// at each step, among the patterns connected to the prefix (all of them
-// for the first pick, or when none connects), the one minimizing the
-// estimated cardinality of the prefix joined with it. Ties fall back to
-// the per-pattern estimate, then most-constants, then original position,
-// which is the whole ranking when e is nil (every joined estimate unknown).
-func joinOrder(pats []planPat, est []int64, e *estimator) []int {
-	n := len(pats)
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := make(map[int]bool)
-
-	connected := func(p planPat) bool {
-		return (p.vs >= 0 && bound[p.vs]) ||
-			(p.vp >= 0 && bound[p.vp]) ||
-			(p.vo >= 0 && bound[p.vo])
-	}
-	betterThan := func(i int, iConn bool, iJoin float64, j int, jConn bool, jJoin float64) bool {
-		if iConn != jConn {
-			return iConn
-		}
-		if iJoin != jJoin {
-			// A known joined estimate beats an exhausted-budget one.
-			if jJoin < 0 {
-				return true
-			}
-			if iJoin < 0 {
-				return false
-			}
-			return iJoin < jJoin
-		}
-		if ei, ej := est[i], est[j]; ei != ej {
-			if ej == estUnknown {
-				return true
-			}
-			if ei == estUnknown {
-				return false
-			}
-			return ei < ej
-		}
-		if ci, cj := pats[i].constants(), pats[j].constants(); ci != cj {
-			return ci > cj
-		}
-		return i < j
-	}
-
-	for len(order) < n {
-		best, bestConn, bestJoin := -1, false, 0.0
-		for i := range pats {
-			if used[i] {
-				continue
-			}
-			conn := len(order) == 0 || connected(pats[i])
-			join := e.estimateSet(append(order, i))
-			if best == -1 || betterThan(i, conn, join, best, bestConn, bestJoin) {
-				best, bestConn, bestJoin = i, conn, join
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, s := range []int{pats[best].vs, pats[best].vp, pats[best].vo} {
-			if s >= 0 {
-				bound[s] = true
-			}
-		}
-	}
-	return order
-}

@@ -24,9 +24,9 @@ type Result struct {
 type EvalOptions struct {
 	// Limit caps the number of rows (0 = unlimited).
 	Limit int
-	// Stats feeds summary cardinalities to the planner (see PlanStats);
-	// with nil every estimate is unknown and the join order is
-	// connectivity, then bound positions, then source order.
+	// Stats feeds summary cardinalities to the estimates Explain reports
+	// (see PlanStats); with nil every estimate is unknown. The join order
+	// does not depend on it.
 	Stats PlanStats
 	// Pruner, when non-nil, gates execution behind the saturated-summary
 	// emptiness check: RBGP queries provably empty on the summary return
@@ -94,7 +94,6 @@ func (pl *Plan) Eval(ix *store.Index, opts *EvalOptions) (*Result, error) {
 		ix:        ix,
 		terms:     pl.graph.Dict(),
 		pats:      pl.pats,
-		order:     pl.order,
 		regs:      make([]dict.ID, pl.nslots),
 		done:      make([]bool, len(pl.pats)),
 		headSlots: pl.headSlots,
@@ -111,9 +110,9 @@ func (pl *Plan) Eval(ix *store.Index, opts *EvalOptions) (*Result, error) {
 	e.run(len(pl.pats))
 	if ex != nil {
 		e.flushPat()
-		for pos, i := range pl.order {
-			ex.Steps[pos].Actual = e.actual[i]
-			ex.Steps[pos].Nanos = e.patNanos[i]
+		for i := range ex.Steps {
+			ex.Steps[i].Actual = e.actual[i]
+			ex.Steps[i].Nanos = e.patNanos[i]
 		}
 	}
 	return res, nil
@@ -128,7 +127,6 @@ func (pl *Plan) Ask(ix *store.Index) (bool, error) {
 		ix:    ix,
 		terms: pl.graph.Dict(),
 		pats:  pl.pats,
-		order: pl.order,
 		regs:  make([]dict.ID, pl.nslots),
 		done:  make([]bool, len(pl.pats)),
 		ask:   true,
@@ -147,7 +145,6 @@ type executor struct {
 	ix    *store.Index
 	terms *dict.Dict
 	pats  []planPat
-	order []int
 
 	regs  []dict.ID // slot -> bound ID (dict.None = unbound)
 	done  []bool
@@ -193,22 +190,21 @@ func (e *executor) flushPat() {
 
 // run backtracks over the patterns. At each step it picks the remaining
 // pattern with the smallest live index range under the current registers
-// (the greedy selectivity rule), scanning candidates in the static plan
-// order so that ties — frequent when several patterns are still fully
-// unbound — resolve to the weight-chosen order. Returns false to stop the
+// (the greedy selectivity rule); a tie goes to the pattern with more bound
+// positions, then to the one written first. Returns false to stop the
 // enumeration.
 func (e *executor) run(remaining int) bool {
 	if remaining == 0 {
 		return e.emit()
 	}
 	best, bestCount := -1, 0
-	for _, i := range e.order {
+	for i, p := range e.pats {
 		if e.done[i] {
 			continue
 		}
-		s, p, o := e.pats[i].resolve(e.regs)
-		c := e.ix.Count(s, p, o)
-		if best == -1 || c < bestCount {
+		c := e.ix.Count(p.resolve(e.regs))
+		if best == -1 || c < bestCount ||
+			(c == bestCount && p.constants() > e.pats[best].constants()) {
 			best, bestCount = i, c
 			if c == 0 {
 				break // dead end: binding this pattern fails immediately

@@ -38,7 +38,10 @@ func ExtractRBGP(g *store.Graph, rng *rand.Rand, size int) (q *Query, ok bool) {
 		}
 	}
 
+	// The chosen triples in the order they were drawn: the patterns and
+	// their v0, v1, … names follow it, so a seed replays its query.
 	seed := instance[rng.IntN(len(instance))]
+	picked := []store.Triple{seed}
 	chosen := map[store.Triple]bool{seed: true}
 	frontier := []dict.ID{seed.S}
 	if seed.P != v.Type {
@@ -47,7 +50,7 @@ func ExtractRBGP(g *store.Graph, rng *rand.Rand, size int) (q *Query, ok bool) {
 	// Bounded growth: random expansion attempts may repeatedly hit already
 	// chosen triples, so cap the number of tries rather than loop until
 	// size is reached.
-	for tries := 0; len(chosen) < size && tries < 8*size; tries++ {
+	for tries := 0; len(picked) < size && tries < 8*size; tries++ {
 		n := frontier[rng.IntN(len(frontier))]
 		candidates := byNode[n]
 		if len(candidates) == 0 {
@@ -56,6 +59,7 @@ func ExtractRBGP(g *store.Graph, rng *rand.Rand, size int) (q *Query, ok bool) {
 		t := candidates[rng.IntN(len(candidates))]
 		if !chosen[t] {
 			chosen[t] = true
+			picked = append(picked, t)
 			frontier = append(frontier, t.S)
 			if t.P != v.Type {
 				frontier = append(frontier, t.O)
@@ -74,7 +78,7 @@ func ExtractRBGP(g *store.Graph, rng *rand.Rand, size int) (q *Query, ok bool) {
 		return Var(name)
 	}
 	q = &Query{}
-	for t := range chosen {
+	for _, t := range picked {
 		pat := Pattern{
 			S: varFor(t.S),
 			P: Const(g.Dict().Term(t.P)),

@@ -1,8 +1,9 @@
-// Planner non-regression: on the committed BSBM/LUBM query mixes (the LUBM
-// joins are also benchmark/'s scan-lubm pool), the join order chosen
-// by whole-query estimation never enumerates more triples than the
-// stats-free order (every estimate unknown) would have. White-box: the test
-// replays one compiled plan under both static orders.
+// Join-order tests: the executor picks every join step by live index count,
+// so on the committed BSBM/LUBM query mixes (the LUBM joins plus lubmScans
+// are benchmark/'s scan-lubm pool) the triples enumerated must not depend
+// on the order the patterns are written in, nor on the statistics the plan
+// was compiled with, and must stay at the work of the estimated static
+// join order the executor used to break its ties by.
 //
 // The same fixtures gate estimation accuracy (`make est-check`): the
 // median q-error of the whole-query estimates over the mixes must stay
@@ -72,104 +73,163 @@ var regressionMixes = []struct {
 	},
 }
 
-// runWithOrder evaluates a copy of pl under the given static order and
-// returns the total number of triples enumerated plus the row count.
-func runWithOrder(t *testing.T, pl *Plan, ix *store.Index, order []int) (work int64, rows int) {
+// lubmScans completes the lubm mix's joins to benchmark/'s scan-lubm pool.
+// They stay out of regressionMixes: exact single-pattern estimates would
+// dilute the q-error gate.
+var lubmScans = []string{
+	`PREFIX ub: <http://lubm.example.org/univ-bench.owl#> SELECT ?s ?c WHERE { ?s ub:takesCourse ?c }`,
+	`PREFIX ub: <http://lubm.example.org/univ-bench.owl#> SELECT ?s ?n WHERE { ?s ub:name ?n }`,
+}
+
+// joinOrderWork is the number of triples each query enumerated (unlimited)
+// when Compile still built an estimated static join order and the executor
+// broke live-count ties by it: one entry per query of the mix, followed
+// (lubm) by one per lubmScans query.
+var joinOrderWork = map[string][]int64{
+	"bsbm": {3368, 2100, 1200, 600},
+	"lubm": {24, 706, 726, 1788, 1151},
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			out = append(out, slices.Insert(slices.Clone(p), at, n-1))
+		}
+	}
+	return out
+}
+
+// permuted returns q with its patterns rewritten in the given order.
+func permuted(q *Query, perm []int) *Query {
+	cp := &Query{Distinguished: q.Distinguished, Patterns: make([]Pattern, len(perm))}
+	for i, j := range perm {
+		cp.Patterns[i] = q.Patterns[j]
+	}
+	return cp
+}
+
+// evalWork evaluates q and returns the triples enumerated, the sorted row
+// set and the plan.
+func evalWork(t *testing.T, g *store.Graph, ix *store.Index, q *Query, stats PlanStats) (work int64, rows []string, pl *Plan) {
 	t.Helper()
-	cp := *pl
-	cp.order = order
-	res, err := cp.Eval(ix, &EvalOptions{Explain: true})
+	pl, err := Compile(g, q, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Eval(ix, &EvalOptions{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range res.Explain.Steps {
 		work += st.Actual
 	}
-	return work, len(res.Rows)
+	for _, row := range res.Rows {
+		var s string
+		for _, term := range row {
+			s += term.String() + "\t"
+		}
+		rows = append(rows, s)
+	}
+	sort.Strings(rows)
+	return work, rows, pl
 }
 
-func TestPlannerOrderNonRegression(t *testing.T) {
+func TestJoinWorkPermutationInvariant(t *testing.T) {
 	for _, mix := range regressionMixes {
 		t.Run(mix.name, func(t *testing.T) {
 			g := mix.graph()
 			w := core.MustSummarize(g, mix.kind).ComputeWeights()
 			ix := store.NewIndex(g)
-			for qi, text := range mix.queries {
+			queries := mix.queries
+			if mix.name == "lubm" {
+				queries = append(slices.Clip(queries), lubmScans...)
+			}
+			if len(queries) != len(joinOrderWork[mix.name]) {
+				t.Fatalf("%d queries, %d recorded work figures", len(queries), len(joinOrderWork[mix.name]))
+			}
+			for qi, text := range queries {
 				q := MustParse(text)
-				pl, err := Compile(g, q, w)
-				if err != nil {
-					t.Fatal(err)
+				want := joinOrderWork[mix.name][qi]
+				baseWork, baseRows, _ := evalWork(t, g, ix, q, w)
+				if free, _, _ := evalWork(t, g, ix, q, nil); free != baseWork {
+					t.Errorf("query %d: %d triples with statistics, %d without", qi, baseWork, free)
 				}
-				free, err := Compile(g, q, nil)
-				if err != nil {
-					t.Fatal(err)
+				minWork, maxWork := baseWork, baseWork
+				for _, perm := range permutations(len(q.Patterns)) {
+					work, rows, _ := evalWork(t, g, ix, permuted(q, perm), w)
+					if !slices.Equal(rows, baseRows) {
+						t.Fatalf("query %d, order %v: %d rows differ from the source order's %d", qi, perm, len(rows), len(baseRows))
+					}
+					if work > want+want/100 {
+						t.Errorf("query %d, order %v: %d triples enumerated, static join order %d", qi, perm, work, want)
+					}
+					minWork, maxWork = min(minWork, work), max(maxWork, work)
 				}
-				estWork, estRows := runWithOrder(t, pl, ix, pl.order)
-				freeWork, freeRows := runWithOrder(t, pl, ix, free.order)
-				if estRows != freeRows {
-					t.Fatalf("query %d: rows differ across orders: %d vs %d", qi, estRows, freeRows)
-				}
-				if estWork > freeWork {
-					t.Errorf("query %d: estimated order enumerates %d triples, stats-free order %d",
-						qi, estWork, freeWork)
-				}
-				t.Logf("query %d: estimated=%d stats-free=%d triples enumerated (%d rows)",
-					qi, estWork, freeWork, estRows)
+				t.Logf("query %d: %d rows, %d–%d triples enumerated over the orders (static join order %d)",
+					qi, len(baseRows), minWork, maxWork, want)
 			}
 		})
 	}
-}
 
-// TestStatsFreeOrderPinned: Compile without usable statistics — nil, or a
-// hand-built Weights with no per-edge statistics — ranks by connectivity,
-// then bound positions, then source order, and a plan with an absent
-// constant ranks the same way over all-zero estimates. The expected orders
-// are the ones the separate stats-free ordering function gave before it was
-// folded into joinOrder.
-func TestStatsFreeOrderPinned(t *testing.T) {
-	g := samples.Fig2()
-	cases := []struct {
-		name, query string
-		empty       bool
-		want        []int
-	}{
-		{"variable property in a chain", `PREFIX ex: <http://example.org/>
-			SELECT ?x ?p ?y WHERE { ?x ?p ?y . ?y ex:reviewed ?r . ?r ex:title ?t . ex:r1 ex:author ?y }`,
-			false, []int{3, 1, 2, 0}},
-		{"disconnected pair", `PREFIX ex: <http://example.org/>
-			SELECT ?x ?z WHERE { ?x ex:title ?t . ?z ex:editor ex:e2 . ?x ex:author ?a }`,
-			false, []int{1, 0, 2}},
-		{"star with a var-class type pattern", `PREFIX ex: <http://example.org/>
-			SELECT ?x WHERE { ?x ex:title ?t . ?x a ?c . ?x ex:editor ex:e1 . ex:e1 ex:published ?w }`,
-			false, []int{2, 0, 1, 3}},
-		{"absent constant", `PREFIX ex: <http://example.org/>
-			SELECT ?x ?z WHERE { ?x ex:title ?t . ?z ex:nosuch ex:e2 . ?x ex:author ?a . ?z ?p ex:r4 }`,
-			true, []int{1, 3, 0, 2}},
-		// The one order that moved: the removed coarse per-property counts
-		// ranked a hand-built Weights' bound-property pattern (count 0)
-		// ahead of the variable-property one, giving [1 0].
-		{"two constants beat one", `PREFIX ex: <http://example.org/>
-			SELECT ?x WHERE { ex:r1 ?p ex:a1 . ?x ex:title ?t }`,
-			false, []int{0, 1}},
-	}
-	for _, tc := range cases {
-		q := MustParse(tc.query)
-		for name, stats := range map[string]PlanStats{"nil": nil, "hand-built": {}} {
-			pl, err := Compile(g, q, stats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pl.empty != tc.empty || pl.usedStats {
-				t.Errorf("%s (%s stats): empty=%v usedStats=%v, want %v and false", tc.name, name, pl.empty, pl.usedStats, tc.empty)
-			}
-			if !slices.Equal(pl.order, tc.want) {
-				t.Errorf("%s (%s stats): order = %v, want %v", tc.name, name, pl.order, tc.want)
-			}
-			if !tc.empty && pl.queryEst != estUnknown {
-				t.Errorf("%s (%s stats): queryEst = %d, want unknown", tc.name, name, pl.queryEst)
+	// Without usable statistics — nil, or a hand-built Weights with no
+	// per-edge statistics — every estimate is unknown and used_stats is
+	// false, except that an absent constant makes the plan empty with
+	// query_est 0; rows and work are those of the plan compiled with real
+	// statistics, in every order.
+	t.Run("stats-free", func(t *testing.T) {
+		g := samples.Fig2()
+		ix := store.NewIndex(g)
+		w := core.MustSummarize(g, core.Weak).ComputeWeights()
+		cases := []struct {
+			name, query string
+			empty       bool
+		}{
+			{"variable property in a chain", `PREFIX ex: <http://example.org/>
+				SELECT ?x ?p ?y WHERE { ?x ?p ?y . ?y ex:reviewed ?r . ?r ex:title ?t . ex:r1 ex:author ?y }`, false},
+			{"disconnected pair", `PREFIX ex: <http://example.org/>
+				SELECT ?x ?z WHERE { ?x ex:title ?t . ?z ex:editor ex:e2 . ?x ex:author ?a }`, false},
+			{"star with a var-class type pattern", `PREFIX ex: <http://example.org/>
+				SELECT ?x WHERE { ?x ex:title ?t . ?x a ?c . ?x ex:editor ex:e1 . ex:e1 ex:published ?w }`, false},
+			{"absent constant", `PREFIX ex: <http://example.org/>
+				SELECT ?x ?z WHERE { ?x ex:title ?t . ?z ex:nosuch ex:e2 . ?x ex:author ?a . ?z ?p ex:r4 }`, true},
+			{"two constants beat one", `PREFIX ex: <http://example.org/>
+				SELECT ?x WHERE { ex:r1 ?p ex:a1 . ?x ex:title ?t }`, false},
+		}
+		for _, tc := range cases {
+			q := MustParse(tc.query)
+			for _, perm := range permutations(len(q.Patterns)) {
+				pq := permuted(q, perm)
+				wantWork, wantRows, _ := evalWork(t, g, ix, pq, w)
+				for name, stats := range map[string]PlanStats{"nil": nil, "hand-built": {}} {
+					work, rows, pl := evalWork(t, g, ix, pq, stats)
+					if pl.empty != tc.empty || pl.usedStats {
+						t.Errorf("%s %v (%s stats): empty=%v usedStats=%v, want %v and false", tc.name, perm, name, pl.empty, pl.usedStats, tc.empty)
+					}
+					wantEst := estUnknown
+					if tc.empty {
+						wantEst = 0
+					}
+					if pl.queryEst != wantEst {
+						t.Errorf("%s %v (%s stats): queryEst = %d, want %d", tc.name, perm, name, pl.queryEst, wantEst)
+					}
+					for i, est := range pl.est {
+						if est != wantEst {
+							t.Errorf("%s %v (%s stats): pattern %d est = %d, want %d", tc.name, perm, name, i, est, wantEst)
+						}
+					}
+					if work != wantWork || !slices.Equal(rows, wantRows) {
+						t.Errorf("%s %v (%s stats): %d triples, %d rows; with statistics %d and %d",
+							tc.name, perm, name, work, len(rows), wantWork, len(wantRows))
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestEstimationAccuracyMixes is the est-check gate: the median q-error of

@@ -15,9 +15,9 @@ import (
 // paper's "support for query optimization" use case), produced by
 // (*core.Summary).ComputeWeights. With the per-edge statistics present the
 // planner estimates whole conjunctive queries over the summary (see
-// estimate.go); estimates drive the static join order, so they need not be
-// exact for the graph actually queried (e.g. its saturation), only
-// proportionate.
+// estimate.go). The estimates are reported (Explain, the slow-query log)
+// and never steer execution: the executor orders joins by live index
+// counts.
 type PlanStats = *core.Weights
 
 // planPat is a triple pattern compiled to integer form: constants are
@@ -44,8 +44,8 @@ func (p planPat) resolve(regs []dict.ID) (s, pr, o dict.ID) {
 	return s, pr, o
 }
 
-// constants counts the bound positions of the pattern, the ranking's
-// tie-break after the estimates.
+// constants counts the bound positions of the pattern, the executor's
+// tie-break between equal live counts.
 func (p planPat) constants() int {
 	n := 0
 	if p.vs < 0 {
@@ -74,9 +74,8 @@ type Plan struct {
 	headSlots []int    // register slot of each head variable
 	nslots    int
 
-	pats  []planPat // in the query's original pattern order
-	est   []int64   // static cardinality estimate per pattern (estUnknown = none)
-	order []int     // static join order: pattern indices, most selective first
+	pats []planPat // in the query's original pattern order
+	est  []int64   // cardinality estimate per pattern (estUnknown = none)
 
 	queryEst  int64 // whole-query cardinality estimate (estUnknown = none)
 	usedStats bool
@@ -86,12 +85,10 @@ type Plan struct {
 // Compile validates q and compiles it against g's dictionary into a Plan.
 // When stats carries per-edge statistics (ComputeWeights output),
 // per-pattern and whole-query cardinalities are estimated by matching the
-// BGP against the summary graph (see estimate.go), and the static join
-// order greedily minimizes the estimated cardinality of each joined
-// prefix, preferring patterns that share a variable with those before them
-// (avoiding cartesian products). Without usable stats every estimate is
-// unknown and the same ranking degrades to connectivity, then bound
-// positions, then source order.
+// BGP against the summary graph (see estimate.go); without usable stats
+// every estimate is unknown. Either way the plan executes the same: the
+// join order is picked step by step from live index counts (see
+// executor.run).
 func Compile(g *store.Graph, q *Query, stats PlanStats) (*Plan, error) {
 	defer compileSeconds.ObserveSince(time.Now())
 	if err := q.Validate(); err != nil {
@@ -141,8 +138,7 @@ func Compile(g *store.Graph, q *Query, stats PlanStats) (*Plan, error) {
 	pl.est = make([]int64, len(pl.pats))
 	var e *estimator
 	if pl.empty {
-		// A constant is absent from the dictionary: exactly zero answers,
-		// and no join order matters.
+		// A constant is absent from the dictionary: exactly zero answers.
 		pl.queryEst = 0
 	} else {
 		e = newEstimator(g, pl.pats, pl.nslots, stats)
@@ -154,16 +150,15 @@ func Compile(g *store.Graph, q *Query, stats PlanStats) (*Plan, error) {
 		pl.queryEst = estRound(e.estimateSet(all))
 	}
 	pl.usedStats = e != nil
-	pl.order = joinOrder(pl.pats, pl.est, e)
 	return pl, nil
 }
 
-// Explain reports how a query was (or would be) executed: the static join
-// order with per-pattern estimated cardinalities, the actual number of
-// triples enumerated per pattern during execution, and whether the
-// summary-pruning gate short-circuited the evaluation.
+// Explain reports how a query was (or would be) executed: the per-pattern
+// estimated cardinalities, the actual number of triples enumerated per
+// pattern during execution, and whether the summary-pruning gate
+// short-circuited the evaluation.
 type Explain struct {
-	// UsedStats is true when summary Weights informed the join order.
+	// UsedStats is true when the estimates came from summary statistics.
 	UsedStats bool `json:"used_stats"`
 	// Pruned is true when the saturated-summary gate proved the query
 	// empty and execution was skipped entirely.
@@ -173,7 +168,7 @@ type Explain struct {
 	// QueryEst is the whole-query cardinality estimate from matching the
 	// BGP against the summary graph (-1 when unknown, e.g. stats-free).
 	QueryEst int64 `json:"query_est"`
-	// Steps lists the patterns in the chosen static join order.
+	// Steps lists the patterns in query source order.
 	Steps []ExplainStep `json:"steps"`
 }
 
@@ -197,9 +192,9 @@ type ExplainStep struct {
 // newExplain renders the static half of the explanation; Actuals are
 // filled in by the executor.
 func (pl *Plan) newExplain() *Explain {
-	ex := &Explain{UsedStats: pl.usedStats, QueryEst: pl.queryEst, Steps: make([]ExplainStep, len(pl.order))}
-	for pos, i := range pl.order {
-		ex.Steps[pos] = ExplainStep{
+	ex := &Explain{UsedStats: pl.usedStats, QueryEst: pl.queryEst, Steps: make([]ExplainStep, len(pl.pats))}
+	for i := range pl.pats {
+		ex.Steps[i] = ExplainStep{
 			Pattern: pl.query.Patterns[i].String(),
 			Index:   i,
 			Est:     pl.est[i],
@@ -208,7 +203,7 @@ func (pl *Plan) newExplain() *Explain {
 	return ex
 }
 
-// String renders the plan order compactly, e.g. for CLI -explain output.
+// String renders the plan compactly, e.g. for CLI -explain output.
 func (ex *Explain) String() string {
 	if ex.Pruned {
 		return fmt.Sprintf("pruned by %s summary: provably empty\n", ex.PrunedBy)

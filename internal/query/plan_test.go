@@ -1,6 +1,6 @@
 // Planner oracle tests: the compiled slot engine must return exactly the
 // row set of the naive all-orders reference evaluator, with and without
-// weight-based join ordering, over hand-written and randomized queries.
+// summary statistics, over hand-written and randomized queries.
 package query_test
 
 import (
@@ -128,32 +128,32 @@ func TestPlanOracleHandQueries(t *testing.T) {
 	}
 }
 
-// TestStaticOrderFollowsWeights: with statistics, the plan starts from the
-// rarest pattern. Fig. 2 has two ex:author triples and four ex:title
-// triples, so the author pattern must lead the join order.
-func TestStaticOrderFollowsWeights(t *testing.T) {
+// TestExecutorEnumeratesRarePatternFirst: the executor starts from the
+// pattern with the smallest live count, whatever the statistics. Fig. 2
+// has two ex:author triples and four ex:title triples, so the author
+// pattern is enumerated in full (2 triples) and each of its two subjects
+// then looks up one title (2 triples, not the 4 of a title-first join).
+func TestExecutorEnumeratesRarePatternFirst(t *testing.T) {
 	g := samples.Fig2()
-	stats := weightsOf(t, g)
 	q := query.MustParse(`PREFIX ex: <http://example.org/>
 		SELECT ?x ?t WHERE { ?x ex:title ?t . ?x ex:author ?a }`)
-	res, err := query.Eval(g, store.NewIndex(g), q,
-		&query.EvalOptions{Stats: stats, Explain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := res.Explain
-	if ex == nil || !ex.UsedStats || len(ex.Steps) != 2 {
-		t.Fatalf("explain = %+v, want 2 stats-driven steps", ex)
-	}
-	if !strings.Contains(ex.Steps[0].Pattern, "author") {
-		t.Errorf("first step = %q, want the rare author pattern first", ex.Steps[0].Pattern)
-	}
-	if ex.Steps[0].Est <= 0 || ex.Steps[0].Est > ex.Steps[1].Est {
-		t.Errorf("estimates not ascending: %d then %d", ex.Steps[0].Est, ex.Steps[1].Est)
-	}
-	for _, st := range ex.Steps {
-		if st.Actual <= 0 {
-			t.Errorf("step %q: actual = %d, want > 0", st.Pattern, st.Actual)
+	for name, stats := range map[string]query.PlanStats{"weights": weightsOf(t, g), "nil": nil} {
+		res, err := query.Eval(g, store.NewIndex(g), q,
+			&query.EvalOptions{Stats: stats, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := res.Explain
+		if ex == nil || ex.UsedStats != (stats != nil) || len(ex.Steps) != 2 {
+			t.Fatalf("%s: explain = %+v, want 2 steps, used_stats %v", name, ex, stats != nil)
+		}
+		for i, st := range ex.Steps {
+			if st.Index != i {
+				t.Errorf("%s: step %d has index %d, want source order", name, i, st.Index)
+			}
+		}
+		if ti, a := ex.Steps[0].Actual, ex.Steps[1].Actual; a != 2 || ti != 2 {
+			t.Errorf("%s: actual author=%d title=%d, want 2 and 2 (author enumerated first)", name, a, ti)
 		}
 	}
 }
@@ -161,8 +161,9 @@ func TestStaticOrderFollowsWeights(t *testing.T) {
 // TestTypePatternVarClassEstimate: a τ pattern with an unbound class must
 // not get a falsely-cheap estimate (type triples are not in the
 // per-property data counts). The summary-based estimator counts them
-// exactly — the total number of τ triples — so the rarer author pattern
-// still leads.
+// exactly — the total number of τ triples. The executor enumerates the
+// rarer author pattern first (2 triples), so the τ pattern is looked up
+// per author subject (1 triple, not all 4).
 func TestTypePatternVarClassEstimate(t *testing.T) {
 	g := samples.Fig2()
 	stats := weightsOf(t, g)
@@ -173,14 +174,13 @@ func TestTypePatternVarClassEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := res.Explain.Steps
-	if !strings.Contains(steps[0].Pattern, "author") {
-		t.Errorf("first step = %q, want the author pattern before the var-class τ pattern", steps[0].Pattern)
-	}
-	for _, st := range steps {
+	for _, st := range res.Explain.Steps {
 		if strings.Contains(st.Pattern, "?c") && st.Est != int64(len(g.Types)) {
 			t.Errorf("var-class τ pattern est = %d, want the exact τ count %d", st.Est, len(g.Types))
 		}
+	}
+	if ty, a := res.Explain.Steps[0].Actual, res.Explain.Steps[1].Actual; a != 2 || ty != 1 {
+		t.Errorf("actual author=%d τ=%d, want 2 and 1 (author enumerated first)", a, ty)
 	}
 	if !sameRows(engineRows(t, g, q, &query.EvalOptions{Stats: stats}), refimpl.Eval(g, q)) {
 		t.Error("var-class τ query: planned mismatch vs reference")

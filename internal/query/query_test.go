@@ -3,6 +3,7 @@ package query
 import (
 	"testing"
 
+	"rdfsum/internal/lubm"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
 	"rdfsum/internal/saturate"
@@ -268,5 +269,29 @@ func TestExtractRBGPEmptyGraph(t *testing.T) {
 	g := store.NewGraph()
 	if _, ok := ExtractRBGP(g, NewRNG(1), 3); ok {
 		t.Error("extraction must fail on an empty graph")
+	}
+}
+
+// TestExtractRBGPDeterministic: a fixed seed replays the same queries, so a
+// failing seed of a property test can be rerun.
+func TestExtractRBGPDeterministic(t *testing.T) {
+	g := lubm.GenerateGraph(lubm.DefaultConfig(1))
+	extract := func() []string {
+		rng := NewRNG(7)
+		var out []string
+		for i := 0; i < 20; i++ {
+			q, ok := ExtractRBGP(g, rng, 5)
+			if !ok {
+				t.Fatal("extraction failed on a non-empty graph")
+			}
+			out = append(out, q.String())
+		}
+		return out
+	}
+	first, second := extract(), extract()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("query %d differs between runs of one seed:\n%s\n%s", i, first[i], second[i])
+		}
 	}
 }

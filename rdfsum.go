@@ -72,12 +72,11 @@ type (
 	// QueryResult is the answer table of a SELECT evaluation.
 	QueryResult = query.Result
 	// QueryPlan is a query compiled against one graph: an integer-slot
-	// program with a weight-chosen static join order, reusable across
-	// evaluations and safe for concurrent use.
+	// program whose join steps are picked by live index counts, reusable
+	// across evaluations and safe for concurrent use.
 	QueryPlan = query.Plan
-	// QueryExplain reports the chosen join order with the whole-query
-	// cardinality estimate and estimated vs. actual per-pattern
-	// cardinalities.
+	// QueryExplain reports the whole-query cardinality estimate and, per
+	// pattern in source order, estimated vs. actual cardinalities.
 	QueryExplain = query.Explain
 	// QueryPruner gates evaluation behind a saturated summary used as an
 	// emptiness oracle (Prop. 1).
@@ -338,11 +337,10 @@ func ParseQuery(text string) (*Query, error) { return query.Parse(text) }
 // QueryOptions tune EvalQueryWithOptions: Limit caps the rows (0 =
 // unlimited; Result.Truncated reports whether more distinct answers
 // existed), Stats feeds a summary's Weights to the planner's cardinality
-// estimator and join ordering (with nil every estimate is unknown:
-// connectivity, then bound positions, then source order), Pruner
-// short-circuits provably-empty RBGP queries against a saturated summary
-// (see NewQueryPruner), Explain requests a join-order report in
-// Result.Explain.
+// estimator (with nil every estimate is unknown; the join order is the
+// same either way), Pruner short-circuits provably-empty RBGP queries
+// against a saturated summary (see NewQueryPruner), Explain requests an
+// execution report in Result.Explain.
 type QueryOptions = query.EvalOptions
 
 // EvalQueryWithOptions evaluates q against g through an index over it
@@ -355,8 +353,8 @@ func EvalQueryWithOptions(g *Graph, ix *Index, q *Query, opts *QueryOptions) (*Q
 }
 
 // CompileQuery compiles q against g into a reusable plan. stats is a
-// summary's Weights (cardinality-driven join order) or nil (every estimate
-// unknown: connectivity, then bound positions, then source order).
+// summary's Weights (cardinality estimates for Explain) or nil (every
+// estimate unknown); it does not change how the plan executes.
 // Execute with (*QueryPlan).Eval against an index over g.
 func CompileQuery(g *Graph, q *Query, stats PlanStats) (*QueryPlan, error) {
 	return query.Compile(g, q, stats)
