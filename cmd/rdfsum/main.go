@@ -457,9 +457,9 @@ func describeStreamErr(path string, err error) error {
 }
 
 // cmdInspect prints a snapshot file's physical layout: format version,
-// header counts, and — for the v2 container — every section's offset,
-// size and CRC, the dictionary stats and the on-disk compression ratio.
-// v2 files are answered from the header and TOC alone (no triple decode).
+// header counts, every section's offset, size and CRC-32 (IEEE), and the
+// on-disk compression ratio — answered from the header and TOC alone (no
+// triple decode).
 func cmdInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -475,17 +475,13 @@ func cmdInspect(args []string) error {
 	nTriples := info.NData + info.NTypes + info.NSchema
 	fmt.Printf("  triples: %d (%d data, %d type, %d schema), dict terms: %d\n",
 		nTriples, info.NData, info.NTypes, info.NSchema, info.NTerms)
-	if info.Version < 2 {
-		fmt.Println("  v1 stream format: single CRC over the whole file, no section table")
-		return nil
-	}
 	serve := "eager read"
 	if info.Mmap {
 		serve = "mmap"
 	}
 	fmt.Printf("  page size: %d, serving mode in this build: %s\n", info.PageSize, serve)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "  section\toffset\tbytes\tcrc32c\t\n")
+	fmt.Fprintf(tw, "  section\toffset\tbytes\tcrc32-ieee\t\n")
 	var payload uint64
 	for _, s := range info.Sections {
 		fmt.Fprintf(tw, "  %s\t%d\t%d\t%08x\t\n", s.Name, s.Off, s.Len, s.CRC)

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rdfsum"
@@ -148,5 +153,69 @@ func TestCmdSummarizeSavesSummaryNotInput(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.CanonicalStrings(), sum.Graph.CanonicalStrings()) {
 		t.Error("saved summary reloads to a different triple set")
+	}
+}
+
+// TestCmdInspectSectionCRCs: every section CRC `rdfsum inspect` prints is
+// the CRC-32 (IEEE) of the file bytes at that section's offset and
+// length, and the column says so — an operator re-checking a section with
+// a CRC-32C tool would get a mismatch on every row.
+func TestCmdInspectSectionCRCs(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.snap")
+	if err := save(path, rdfsum.GenerateBSBM(20)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = cmdInspect([]string{path})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lines := strings.Split(string(printed), "\n")
+	head := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(strings.TrimSpace(l), "section") })
+	if head < 0 {
+		t.Fatalf("no section table in:\n%s", printed)
+	}
+	if cols := strings.Fields(lines[head]); len(cols) != 4 || cols[3] != "crc32-ieee" {
+		t.Fatalf("section table header %q: want a crc32-ieee column", lines[head])
+	}
+	rows := 0
+	for _, l := range lines[head+1:] {
+		f := strings.Fields(l)
+		if len(f) != 4 {
+			break
+		}
+		off, err1 := strconv.ParseUint(f[1], 10, 64)
+		n, err2 := strconv.ParseUint(f[2], 10, 64)
+		crc, err3 := strconv.ParseUint(f[3], 16, 32)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatalf("section row %q: %v", l, err)
+		}
+		if off+n > uint64(len(file)) {
+			t.Fatalf("section %s at %d (+%d) lies beyond the %d-byte file", f[0], off, n, len(file))
+		}
+		if got := crc32.ChecksumIEEE(file[off : off+n]); got != uint32(crc) {
+			t.Errorf("section %s: printed CRC %08x, CRC-32 (IEEE) of its bytes is %08x", f[0], crc, got)
+		}
+		rows++
+	}
+	if rows != 10 {
+		t.Fatalf("inspect printed %d section rows, want the snapshot's 10:\n%s", rows, printed)
 	}
 }

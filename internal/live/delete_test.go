@@ -2,11 +2,14 @@ package live
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -235,13 +238,13 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 }
 
 // writeV1WAL writes a WAL in the version-1 framing (no op byte: every
-// record an add batch) — the format PR 3 shipped — so the upgrade path
-// stays honest even though this build always writes v2.
+// record an add batch) — the format stores logged in before deletions
+// existed, which this build refuses.
 func writeV1WAL(t *testing.T, path string, batches [][]rdf.Triple) {
 	t.Helper()
 	var buf []byte
 	buf = append(buf, walMagic...)
-	buf = append(buf, walVersionV1)
+	buf = append(buf, 1)
 	for _, batch := range batches {
 		payload := binary.AppendUvarint(nil, uint64(len(batch)))
 		for _, tr := range batch {
@@ -258,48 +261,85 @@ func writeV1WAL(t *testing.T, path string, batches [][]rdf.Triple) {
 	}
 }
 
-// TestLiveWALv1BackwardCompatible: a generation logged in the v1 format
-// replays cleanly, is upgraded to a fresh v2 generation on open (so
-// deletions can be journaled), and the store then accepts deletes.
-func TestLiveWALv1BackwardCompatible(t *testing.T) {
-	dir := t.TempDir()
-	batches := [][]rdf.Triple{mkBatch(0, 20), mkBatch(100, 15)}
-	l := &Live{dir: dir}
-	writeV1WAL(t, l.walPath(1), batches)
-	if err := writeManifest(dir, 1); err != nil {
-		t.Fatal(err)
-	}
+// TestLiveRefusesV1Files: a store whose WAL is in the version-1 framing,
+// or whose snapshot is a version-1 file, does not open — with
+// ErrWALVersion or ErrSnapshotVersion naming the version and the last
+// build that reads it — and the refusal leaves CURRENT, the WAL and the
+// snapshot byte for byte as they were. Once the file is version 2 again,
+// the same directory opens: the failed Open released its lock.
+func TestLiveRefusesV1Files(t *testing.T) {
+	seed := mkBatch(0, 20)
+	for _, tc := range []struct {
+		name  string
+		v1    func(l *Live)
+		want  error
+		fixup func(l *Live)
+	}{
+		{"wal", func(l *Live) { writeV1WAL(t, l.walPath(1), [][]rdf.Triple{mkBatch(100, 15)}) }, ErrWALVersion,
+			func(l *Live) {
+				if err := os.WriteFile(l.walPath(1), []byte(walMagic+"\x02"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{"snapshot", func(l *Live) { setByte(t, l.snapshotPath(1), 6, 1) }, store.ErrSnapshotVersion,
+			func(l *Live) { setByte(t, l.snapshotPath(1), 6, 2) }},
+	} {
+		dir := t.TempDir()
+		l, err := Open(dir, &Options{NoSync: true, Seed: store.FromTriples(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tc.v1(l)
+		files := []string{filepath.Join(dir, manifestName), l.walPath(1), l.snapshotPath(1)}
+		before := readFiles(t, files)
 
-	re, err := Open(dir, &Options{NoSync: true})
+		_, err = Open(dir, &Options{NoSync: true})
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "version 1 (this build reads only version 2") ||
+			!strings.Contains(err.Error(), "8801477") {
+			t.Fatalf("%s: Open over a version 1 file: got %v, want %v naming the version and the cutoff build", tc.name, err, tc.want)
+		}
+		if after := readFiles(t, files); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: the refused Open changed the store's files", tc.name)
+		}
+
+		tc.fixup(l)
+		re, err := Open(dir, &Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("%s: Open after the fix-up: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(canonical(re.Snapshot().Graph), canonical(store.FromTriples(seed))) {
+			t.Fatalf("%s: the reopened store diverges from its seed", tc.name)
+		}
+		re.Close()
+	}
+}
+
+// setByte overwrites byte i of the file at path.
+func setByte(t *testing.T, path string, i int, b byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	want := canonical(store.FromTriples(flatten(batches)))
-	if !reflect.DeepEqual(canonical(re.Snapshot().Graph), want) {
-		t.Fatal("v1 WAL replay diverges from its batches")
-	}
-	st := re.Stats()
-	if st.Gen != 2 {
-		t.Fatalf("v1 generation was not upgraded: gen %d, want 2", st.Gen)
-	}
-	// The active WAL is v2 now: deletions are journaled and replayable.
-	dead := batches[0][:3]
-	if _, err := re.DeleteBatch(dead); err != nil {
+	raw[i] = b
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
+}
+
+func readFiles(t *testing.T, paths []string) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(paths))
+	for i, p := range paths {
+		var err error
+		if out[i], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	re2, err := Open(dir, &Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	surviving := removeAll(flatten(batches), dead)
-	if !reflect.DeepEqual(canonical(re2.Snapshot().Graph), canonical(store.FromTriples(surviving))) {
-		t.Fatal("deletion on an upgraded store did not survive replay")
-	}
+	return out
 }
 
 // TestLiveSnapshotAcrossCompactStress is the -race regression case for

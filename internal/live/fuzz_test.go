@@ -45,13 +45,13 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")
-		file := append([]byte(walMagic), walVersion)
+		file := append([]byte(walMagic), WALVersion)
 		file = append(file, body...)
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		applied := 0
-		good, version, _, err := replayWAL(path, func(op Op, triples []rdf.Triple) error {
+		good, _, err := replayWAL(path, func(op Op, triples []rdf.Triple) error {
 			if op != OpAdd && op != OpDelete {
 				t.Fatalf("replay surfaced invalid op %d", op)
 			}
@@ -60,9 +60,6 @@ func FuzzWALReplay(f *testing.F) {
 		})
 		if err != nil {
 			return // header-level rejection is fine
-		}
-		if version != walVersion {
-			t.Fatalf("replay reported version %d for a v%d file", version, walVersion)
 		}
 		if good < int64(walHeaderLen) || good > int64(len(file)) {
 			t.Fatalf("replay reported offset %d outside [header, %d]", good, len(file))
@@ -73,7 +70,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		applied2 := 0
-		good2, _, torn2, err := replayWAL(path, func(Op, []rdf.Triple) error {
+		good2, torn2, err := replayWAL(path, func(Op, []rdf.Triple) error {
 			applied2++
 			return nil
 		})
@@ -90,21 +87,17 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // FuzzWALRecordDecode targets the record decoder directly: arbitrary
-// payloads under both framing versions must be rejected or decoded, never
-// panic, and decoded triples must contain only valid term kinds.
+// payloads must be rejected or decoded, never panic, and decoded triples
+// must contain only valid term kinds.
 func FuzzWALRecordDecode(f *testing.F) {
-	f.Add(fuzzAddPayload(), true)
-	f.Add([]byte{byte(OpDelete), 0}, true)
-	f.Add([]byte{0}, false) // v1: zero-count record
-	f.Add([]byte{}, true)
-	f.Add([]byte{byte(OpAdd), 1, byte(rdf.Literal), 1, 'x', 0, 0}, true)
+	f.Add(fuzzAddPayload())
+	f.Add([]byte{byte(OpDelete), 0})
+	f.Add([]byte{byte(OpAdd)}) // op byte, no count
+	f.Add([]byte{})
+	f.Add([]byte{byte(OpAdd), 1, byte(rdf.Literal), 1, 'x', 0, 0})
 
-	f.Fuzz(func(t *testing.T, payload []byte, v2 bool) {
-		version := byte(walVersionV1)
-		if v2 {
-			version = walVersion
-		}
-		op, triples, err := decodeBatch(payload, version)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		op, triples, err := decodeBatch(payload)
 		if err != nil {
 			return
 		}

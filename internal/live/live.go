@@ -148,7 +148,6 @@ type Live struct {
 	deleted uint64 // triple copies removed (monotonic)
 	fanout  int    // tiered-index fold width (0 = store default)
 	spill   *store.SpillConfig
-	sf      *store.SnapshotFile // mapped v2 base snapshot (nil for v1/fresh)
 	closed  bool
 
 	maintained [core.NumKinds]bool
@@ -305,10 +304,9 @@ func Open(dir string, opts *Options) (*Live, error) {
 		snapPath := l.snapshotPath(gen)
 		switch _, statErr := os.Stat(snapPath); {
 		case statErr == nil:
-			// v2 snapshots map the file and defer materialization — with no
-			// maintained kinds this makes Open O(1) in snapshot size. v1
-			// snapshots still load eagerly (sf stays nil).
-			g, l.sf, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot)
+			// The snapshot is mapped and materialization deferred — with no
+			// maintained kinds this makes Open O(1) in snapshot size.
+			g, _, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot)
 			if err != nil {
 				return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, err)
 			}
@@ -328,7 +326,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 		l.gen = gen
 		records := int64(0)
 		t0 := time.Now()
-		good, version, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
+		good, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
 			records++
 			if op == OpDelete {
 				removed, _ := l.set.DeleteBatch(triples)
@@ -345,7 +343,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 		}
 		l.boot.WALReplay = time.Since(t0)
 		l.RecoveredTorn = torn
-		l.wal, err = openWALForAppend(l.walPath(gen), good, l.sync, version, records)
+		l.wal, err = openWALForAppend(l.walPath(gen), good, l.sync, records)
 		if err != nil {
 			return nil, err
 		}
@@ -355,15 +353,6 @@ func Open(dir string, opts *Options) (*Live, error) {
 	l.mu.Lock()
 	l.publishInitialLocked(seedRun)
 	l.mu.Unlock()
-	if l.wal != nil && l.wal.version < walVersion {
-		// Upgrade path: a generation logged in the v1 format cannot
-		// record deletions. Fold it into a fresh snapshot + v2 WAL now;
-		// Compact's manifest swap keeps the upgrade crash-safe.
-		if err := l.Compact(); err != nil {
-			l.Close()
-			return nil, fmt.Errorf("live: upgrading v1 WAL generation: %w", err)
-		}
-	}
 	l.removeStaleGenerations()
 	opened = true
 	return l, nil
@@ -768,29 +757,11 @@ func (l *Live) compactLocked() error {
 	l.wal, l.gen = newWAL, newGen
 	os.Remove(l.walPath(oldGen))
 	os.Remove(l.snapshotPath(oldGen))
-	l.publishFoldedLocked(cur.Graph, folded)
+	// Publish the fold over the unchanged graph view.
+	t0 := time.Now()
+	l.installLocked(cur.Graph, folded)
+	epochPublishSeconds.ObserveSince(t0)
 	return nil
-}
-
-// CompactIndex folds the published index into a single run, dropping all
-// tombstones, and publishes the result as a new epoch — the in-memory
-// half of Compact, available on memory-only stores.
-func (l *Live) CompactIndex() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("live: store is closed")
-	}
-	cur := l.cur.Load()
-	l.publishFoldedLocked(cur.Graph, cur.Index.Compacted())
-	return nil
-}
-
-// publishFoldedLocked installs an epoch over the unchanged graph view
-// whose index is the single-run fold of the published one.
-func (l *Live) publishFoldedLocked(view *store.Graph, folded *store.Index) {
-	defer epochPublishSeconds.ObserveSince(time.Now())
-	l.installLocked(view, folded)
 }
 
 // Close flushes and closes the WAL and releases the directory lock.

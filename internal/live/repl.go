@@ -53,7 +53,6 @@ type ReplState struct {
 	Epoch        uint64
 	WALSize      int64 // acknowledged WAL bytes (header included)
 	WALRecords   int64 // records framed into those bytes
-	WALVersion   byte  // record framing version (see wal.go)
 	HasSnapshot  bool
 	SnapshotSize int64 // bytes of the base snapshot file (0 when absent)
 }
@@ -71,7 +70,6 @@ func (l *Live) ReplState() (ReplState, error) {
 		Epoch:      l.published,
 		WALSize:    l.wal.size,
 		WALRecords: l.wal.records,
-		WALVersion: l.wal.version,
 	}
 	switch info, err := os.Stat(l.snapshotPath(l.gen)); {
 	case err == nil:
@@ -190,14 +188,12 @@ func (l *Live) Watch() <-chan struct{} {
 // complete records have been consumed, so after a disconnect mid-record
 // the follower re-requests from its last good offset and loses nothing.
 type WALRecordReader struct {
-	br      *bufio.Reader
-	version byte
+	br *bufio.Reader
 }
 
-// NewWALRecordReader wraps r, decoding records in the given WAL framing
-// version (from the leader's manifest).
-func NewWALRecordReader(r io.Reader, version byte) *WALRecordReader {
-	return &WALRecordReader{br: bufio.NewReaderSize(r, 1<<20), version: version}
+// NewWALRecordReader wraps r, decoding records in the WALVersion framing.
+func NewWALRecordReader(r io.Reader) *WALRecordReader {
+	return &WALRecordReader{br: bufio.NewReaderSize(r, 1<<20)}
 }
 
 // Next decodes one record, returning its operation, triples, and encoded
@@ -224,7 +220,7 @@ func (rr *WALRecordReader) Next() (Op, []rdf.Triple, int64, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return 0, nil, 0, errors.New("live: wal stream record checksum mismatch")
 	}
-	op, triples, err := decodeBatch(payload, rr.version)
+	op, triples, err := decodeBatch(payload)
 	if err != nil {
 		return 0, nil, 0, err
 	}

@@ -57,58 +57,6 @@ func TestLiveCompactWritesV2(t *testing.T) {
 	}
 }
 
-// TestLiveOpensV1SnapshotAndCompactsToV2: a generation whose base snapshot
-// is a legacy v1 file (the store package's committed fixture — nothing
-// writes v1 any more) still opens, eagerly decoded, and the next Compact
-// rewrites it as v2.
-func TestLiveOpensV1SnapshotAndCompactsToV2(t *testing.T) {
-	v1path := filepath.Join("..", "store", "testdata", "v1-sample.rdfsum")
-	want, err := store.LoadFile(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 3))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	v1, err := os.ReadFile(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot-1.rdfsum"), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l, err = Open(dir, nil)
-	if err != nil {
-		t.Fatalf("open over a v1 snapshot: %v", err)
-	}
-	if !reflect.DeepEqual(canonical(l.Snapshot().Graph), canonical(want)) {
-		t.Fatal("store opened over a v1 snapshot diverges from the file's graph")
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	info, err := store.InspectSnapshot(filepath.Join(dir, "snapshot-2.rdfsum"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 2 {
-		t.Fatalf("Compact over a v1 base wrote snapshot v%d, want v2", info.Version)
-	}
-	l, err = Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if !reflect.DeepEqual(canonical(l.Snapshot().Graph), canonical(want)) {
-		t.Fatal("the upgraded store diverges from the v1 file's graph")
-	}
-}
-
 // TestLiveV2OpenLazy: with no maintained kinds, reopening a compacted
 // store leaves the snapshot unmaterialized — the published graph still
 // carries its mapped base — yet the index answers patterns exactly like a

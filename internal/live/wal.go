@@ -14,7 +14,7 @@ import (
 )
 
 // Write-ahead log format. The framing follows the conventions of the
-// store snapshot format (internal/store/persist.go): a magic+version
+// store snapshot format (internal/store/container.go): a magic+version
 // header, length-prefixed payloads, and CRC-32 (IEEE) integrity — but
 // framed per record rather than per file, so a torn tail costs only the
 // final unacknowledged batch:
@@ -23,23 +23,19 @@ import (
 //	record  uint32 LE payload length
 //	        uint32 LE CRC-32 (IEEE) of the payload
 //	        payload
-//	payload (v2) op byte: 0 = add batch, 1 = delete batch
+//	payload op byte: 0 = add batch, 1 = delete batch
 //	        uvarint triple count, then per triple three terms:
 //	        kind byte, uvarint-length-prefixed value
 //	        [, datatype, lang for literals]
-//
-// Version 1 payloads lack the op byte (every record is an add batch);
-// replay still reads them, so stores written before deletions existed
-// open cleanly — Open then upgrades the generation via a compaction, and
-// new records are always written in the v2 framing.
 //
 // Records hold string-level triples (not dictionary IDs): the dictionary
 // is rebuilt deterministically on replay, so the log stays valid across
 // compactions and across processes with different ID assignments.
 const (
-	walMagic     = "RDFSUMWAL"
-	walVersion   = 2
-	walVersionV1 = 1
+	walMagic = "RDFSUMWAL"
+	// WALVersion is the one record framing this build reads and writes.
+	// Version 1 (no op byte) is refused; see replayWAL.
+	WALVersion = 2
 	// maxWALRecordBytes bounds a single record; larger length prefixes are
 	// treated as corruption rather than allocation requests.
 	maxWALRecordBytes = 1 << 30
@@ -78,7 +74,6 @@ type wal struct {
 	records int64 // records framed into those bytes (replayed prefix included)
 	sync    bool  // fsync after every append (group commit per batch)
 	broken  bool  // a failed append could not be rolled back; no more writes
-	version byte  // header format version; records are framed accordingly
 }
 
 // createWAL creates path with a fresh header, synced to disk.
@@ -91,7 +86,7 @@ func createWAL(path string, sync bool) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Write([]byte{walVersion}); err != nil {
+	if _, err := f.Write([]byte{WALVersion}); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -101,15 +96,15 @@ func createWAL(path string, sync bool) (*wal, error) {
 			return nil, err
 		}
 	}
-	return &wal{f: f, size: int64(walHeaderLen), sync: sync, version: walVersion}, nil
+	return &wal{f: f, size: int64(walHeaderLen), sync: sync}, nil
 }
 
 // openWALForAppend opens an existing WAL whose valid prefix ends at size
-// and holds records framed records (both as reported by replayWAL, which
-// also reports the header version) and positions the write cursor there.
+// and holds records framed records (both as reported by replayWAL) and
+// positions the write cursor there.
 // Any torn tail beyond size is truncated away first, so the next append
 // starts on a clean record boundary.
-func openWALForAppend(path string, size int64, sync bool, version byte, records int64) (*wal, error) {
+func openWALForAppend(path string, size int64, sync bool, records int64) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -135,7 +130,7 @@ func openWALForAppend(path string, size int64, sync bool, version byte, records 
 		f.Close()
 		return nil, err
 	}
-	return &wal{f: f, size: size, sync: sync, version: version, records: records}, nil
+	return &wal{f: f, size: size, sync: sync, records: records}, nil
 }
 
 // append frames and writes one add batch; see appendOp.
@@ -155,11 +150,6 @@ func (w *wal) appendOp(op Op, triples []rdf.Triple) error {
 		return errors.New("live: wal is broken after a failed append; reopen the store")
 	}
 	t0 := time.Now()
-	if w.version < walVersion && op != OpAdd {
-		// Unreachable in practice: Open upgrades v1 generations via a
-		// compaction before handing out the store.
-		return fmt.Errorf("live: wal format v%d cannot record deletions; compact the store first", w.version)
-	}
 	written := int64(0)
 	nrecs := int64(0)
 	var body []byte
@@ -168,12 +158,7 @@ func (w *wal) appendOp(op Op, triples []rdf.Triple) error {
 		if count == 0 {
 			return nil
 		}
-		var payload []byte
-		if w.version >= walVersion {
-			payload = binary.AppendUvarint([]byte{byte(op)}, uint64(count))
-		} else {
-			payload = binary.AppendUvarint(nil, uint64(count))
-		}
+		payload := binary.AppendUvarint([]byte{byte(op)}, uint64(count))
 		payload = append(payload, body...)
 		body, count = body[:0], 0
 		var frame [8]byte
@@ -267,22 +252,16 @@ func appendTerm(buf []byte, t rdf.Term) []byte {
 	return buf
 }
 
-// decodeBatch parses one record payload back into its op and triples,
-// according to the file's header version (v1 payloads carry no op byte
-// and are always adds).
-func decodeBatch(payload []byte, version byte) (Op, []rdf.Triple, error) {
-	r := payloadCursor{b: payload}
-	op := OpAdd
-	if version >= walVersion {
-		if len(r.b) == 0 {
-			return 0, nil, errShortRecord
-		}
-		op = Op(r.b[0])
-		r.b = r.b[1:]
-		if op != OpAdd && op != OpDelete {
-			return 0, nil, fmt.Errorf("live: wal record has invalid op %d", op)
-		}
+// decodeBatch parses one record payload back into its op and triples.
+func decodeBatch(payload []byte) (Op, []rdf.Triple, error) {
+	if len(payload) == 0 {
+		return 0, nil, errShortRecord
 	}
+	op := Op(payload[0])
+	if op != OpAdd && op != OpDelete {
+		return 0, nil, fmt.Errorf("live: wal record has invalid op %d", op)
+	}
+	r := payloadCursor{b: payload[1:]}
 	n, err := r.uvarint()
 	if err != nil {
 		return 0, nil, err
@@ -366,18 +345,20 @@ func (r *payloadCursor) term() (rdf.Term, error) {
 
 // replayWAL reads records from path, calling apply once per complete,
 // checksummed batch with its operation (add or delete). It returns the
-// byte offset just past the last good record, the file's header version
-// (v1 logs — written before deletions existed — replay fine), and whether
-// a torn or corrupt tail was dropped — the truncation-tolerant recovery
-// contract: a crash mid-append loses exactly the unacknowledged suffix,
-// never an acknowledged batch.
+// byte offset just past the last good record and whether a torn or
+// corrupt tail was dropped — the truncation-tolerant recovery contract: a
+// crash mid-append loses exactly the unacknowledged suffix, never an
+// acknowledged batch.
 //
-// A bad header (wrong magic or unknown version) is a hard error: it means
-// the file is not ours, which truncation must not "repair".
-func replayWAL(path string, apply func(Op, []rdf.Triple) error) (good int64, version byte, torn bool, err error) {
+// A bad header (wrong magic or any version but WALVersion) is a hard
+// error: the file is not one this build may append to, which truncation
+// must not "repair". A version 1 log (written before deletions existed)
+// is upgraded by opening the store once with the last build that reads
+// it, commit 8801477.
+func replayWAL(path string, apply func(Op, []rdf.Triple) error) (good int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, false, err
 	}
 	defer f.Close()
 
@@ -388,29 +369,29 @@ func replayWAL(path string, apply func(Op, []rdf.Triple) error) (good int64, ver
 		// creation before the manifest referenced it, or external
 		// truncation; surface it as a hard error (Open never hits this on
 		// files it created, because headers are synced before CURRENT).
-		return 0, 0, false, fmt.Errorf("live: wal header: %w", err)
+		return 0, false, fmt.Errorf("live: wal header: %w", err)
 	}
 	if string(header[:len(walMagic)]) != walMagic {
-		return 0, 0, false, ErrWALMagic
+		return 0, false, ErrWALMagic
 	}
-	version = header[len(walMagic)]
-	if version != walVersion && version != walVersionV1 {
-		return 0, 0, false, fmt.Errorf("%w %d (this build reads %d and %d)",
-			ErrWALVersion, version, walVersionV1, walVersion)
+	if v := header[len(walMagic)]; v != WALVersion {
+		return 0, false, fmt.Errorf("%w %d (this build reads only version %d; a version 1 "+
+			"log is carried forward by opening its store once with commit 8801477, the "+
+			"last build that reads version 1)", ErrWALVersion, v, WALVersion)
 	}
 
 	good = int64(walHeaderLen)
-	rr := NewWALRecordReader(br, version) // reuses br: it is already 1 MiB
+	rr := NewWALRecordReader(br) // reuses br: it is already 1 MiB
 	for {
 		op, triples, n, err := rr.Next()
 		if err != nil {
 			// Clean EOF: the log ends on a record boundary. Anything else —
 			// a short frame or payload, an oversized length, a checksum
 			// mismatch, an undecodable payload — is a torn tail.
-			return good, version, !errors.Is(err, io.EOF), nil
+			return good, !errors.Is(err, io.EOF), nil
 		}
 		if err := apply(op, triples); err != nil {
-			return good, version, false, err
+			return good, false, err
 		}
 		good += n
 	}

@@ -31,10 +31,11 @@ import (
 // on the first access that touches them (or eagerly with verify=true —
 // the -verify-snapshot paranoia mode).
 const (
-	snapshotVersion2 = 2
-	v2PageSize       = 4096
-	v2HeaderSize     = 64
-	v2TocEntrySize   = 21
+	snapshotMagic   = "RDFSUM"
+	snapshotVersion = 2
+	v2PageSize      = 4096
+	v2HeaderSize    = 64
+	v2TocEntrySize  = 21
 )
 
 // Container kinds.
@@ -156,16 +157,22 @@ func (c *container) section(id byte) (*section, error) {
 // parseContainer validates the header and TOC of a v2 file held in data
 // (mmap'd or heap) and indexes its sections. With verify set, every
 // section checksum is checked now; otherwise sections verify lazily on
-// first touch.
+// first touch. Its magic, version and header-CRC check is the one header
+// check behind every open: a file that does not begin with (a prefix of)
+// the magic is ErrSnapshotMagic, one cut inside the magic or the header
+// ErrSnapshotTruncated.
 func parseContainer(data []byte, verify bool) (*container, error) {
-	if len(data) < v2HeaderSize {
-		return nil, fmt.Errorf("snapshot v2 header: %w", ErrSnapshotTruncated)
-	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
+	if n := min(len(data), len(snapshotMagic)); string(data[:n]) != snapshotMagic[:n] {
 		return nil, ErrSnapshotMagic
 	}
-	if data[6] != snapshotVersion2 {
-		return nil, fmt.Errorf("%w %d (this build reads 1 and 2)", ErrSnapshotVersion, data[6])
+	if len(data) > len(snapshotMagic) && data[6] != snapshotVersion {
+		return nil, fmt.Errorf("%w %d (this build reads only version %d; a version 1 "+
+			"store is carried forward by opening it once with commit 8801477, the last "+
+			"build that reads version 1, and compacting it)",
+			ErrSnapshotVersion, data[6], snapshotVersion)
+	}
+	if len(data) < v2HeaderSize {
+		return nil, fmt.Errorf("snapshot header: %w", ErrSnapshotTruncated)
 	}
 	if got := crc32.ChecksumIEEE(data[:60]); got != binary.LittleEndian.Uint32(data[60:64]) {
 		return nil, fmt.Errorf("%w: header (computed %08x, file carries %08x)",
@@ -342,7 +349,7 @@ func (w *containerWriter) finish(counts [4]uint64) error {
 
 	var hdr [v2HeaderSize]byte
 	copy(hdr[:], snapshotMagic)
-	hdr[6] = snapshotVersion2
+	hdr[6] = snapshotVersion
 	hdr[7] = w.kind
 	binary.LittleEndian.PutUint32(hdr[8:12], v2PageSize)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(w.toc)/v2TocEntrySize))

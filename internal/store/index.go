@@ -345,9 +345,6 @@ func (ix *Index) HeapBytes() int64 {
 // compaction).
 func (ix *Index) Tombstones() int { return ix.tombs }
 
-// Fanout reports the configured tier fanout.
-func (ix *Index) Fanout() int { return ix.fanout }
-
 // suppressed reports whether a triple surfaced by run ri is deleted by a
 // tombstone in any newer run. Tombstones never apply to their own run:
 // within one epoch deletes are processed before adds, so that epoch's adds

@@ -4,66 +4,51 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
 )
 
-const v1SamplePath = "testdata/v1-sample.rdfsum"
-
-// persistSample returns v2Sample's graph — all three components, every
-// term kind — with its legacy v1 serialization: testdata/v1-sample.rdfsum,
-// written once by the v1 encoder before that was removed (PR 18). The v1
-// decoder is read-only; this file is what its checks are exercised on.
-func persistSample(t *testing.T) (*Graph, []byte) {
-	t.Helper()
-	g, _ := v2Sample(t)
-	data, err := os.ReadFile(v1SamplePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, data
-}
-
+// TestReadSnapshotRoundTrip: the streamed path reads a snapshot however
+// the stream delivers it — here one byte per Read, as a slow socket
+// might — and passes a read error that is not an early end through
+// unclassified.
 func TestReadSnapshotRoundTrip(t *testing.T) {
-	g, data := persistSample(t)
-	got, err := ReadSnapshot(bytes.NewReader(data))
+	g, data := v2Sample(t)
+	got, err := ReadSnapshot(iotest.OneByteReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	want := g.CanonicalStrings()
-	have := got.CanonicalStrings()
-	if len(want) != len(have) {
-		t.Fatalf("round trip changed triple count: %d -> %d", len(want), len(have))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("round trip changed triple %d: %q -> %q", i, want[i], have[i])
-		}
+	identicalGraphs(t, g, got)
+
+	errNet := errors.New("connection reset")
+	_, err = ReadSnapshot(io.MultiReader(bytes.NewReader(data[:100]), iotest.ErrReader(errNet)))
+	if !errors.Is(err, errNet) || errors.Is(err, ErrSnapshotTruncated) {
+		t.Fatalf("stream error: got %v, want the reader's own error", err)
 	}
 }
 
-// TestReadSnapshotTruncated cuts the snapshot at every prefix length and
-// requires a classified error — ErrSnapshotTruncated for a clean cut
-// (never a panic, never a silent partial graph). A cut can also surface as
-// a checksum or corruption error when the truncated tail happens to parse
-// as a shorter, self-consistent prefix; what it must never be is success.
+// TestReadSnapshotTruncated cuts the snapshot at every prefix length of
+// its header and TOC, and at a stride in between, and requires a
+// classified error — ErrSnapshotTruncated for a cut past the magic (never
+// a panic, never a silent partial graph).
 func TestReadSnapshotTruncated(t *testing.T) {
-	_, data := persistSample(t)
+	_, data := v2Sample(t)
 	for cut := 0; cut < len(data); cut++ {
+		if cut > 2*v2HeaderSize && cut < len(data)-512 && cut%61 != 0 {
+			continue
+		}
 		_, err := ReadSnapshot(bytes.NewReader(data[:cut]))
 		if err == nil {
 			t.Fatalf("cut at %d of %d bytes: truncated snapshot read succeeded", cut, len(data))
 		}
-		if !errors.Is(err, ErrSnapshotTruncated) &&
-			!errors.Is(err, ErrSnapshotChecksum) &&
-			!errors.Is(err, ErrSnapshotCorrupt) &&
-			!errors.Is(err, ErrSnapshotMagic) {
-			t.Fatalf("cut at %d: unclassified error %v", cut, err)
+		if !errors.Is(err, ErrSnapshotTruncated) {
+			t.Fatalf("cut at %d: got %v, want ErrSnapshotTruncated", cut, err)
 		}
 	}
 	// A cut inside the magic itself is a truncation, not a foreign file.
@@ -74,18 +59,22 @@ func TestReadSnapshotTruncated(t *testing.T) {
 }
 
 func TestReadSnapshotBadMagic(t *testing.T) {
-	_, data := persistSample(t)
+	_, data := v2Sample(t)
 	bad := append([]byte("NOTRDF"), data[6:]...)
 	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotMagic) {
 		t.Fatalf("bad magic: got %v, want ErrSnapshotMagic", err)
 	}
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("garbage-that-is-not-a-snapshot"))); !errors.Is(err, ErrSnapshotMagic) {
-		t.Fatalf("garbage: got %v, want ErrSnapshotMagic", err)
+	// Shorter than a header, or than the magic itself, and foreign from
+	// the first byte.
+	for _, short := range []string{"garbage-that-is-not-a-snapshot", "NOT", "RDx"} {
+		if _, err := ReadSnapshot(bytes.NewReader([]byte(short))); !errors.Is(err, ErrSnapshotMagic) {
+			t.Fatalf("%q: got %v, want ErrSnapshotMagic", short, err)
+		}
 	}
 }
 
 func TestReadSnapshotBadVersion(t *testing.T) {
-	_, data := persistSample(t)
+	_, data := v2Sample(t)
 	bad := append([]byte(nil), data...)
 	bad[len(snapshotMagic)] = snapshotVersion + 9
 	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotVersion) {
@@ -93,24 +82,47 @@ func TestReadSnapshotBadVersion(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotBitFlips flips each byte of the payload in turn; every
-// flip must be rejected with a classified error. Most flips survive
-// parsing and die at the checksum; some corrupt the structure first — both
-// classifications are correct, silence is not.
+// TestReadSnapshotBitFlips flips bytes across the whole file, padding
+// included. A flip in a byte some CRC covers must be refused with a
+// classified error (TestSnapshotV2BitFlipsEager flips every one of
+// those); a flip in the zero padding between sections changes nothing
+// the reader sees, so it must read back the identical graph.
 func TestReadSnapshotBitFlips(t *testing.T) {
-	_, data := persistSample(t)
-	for i := len(snapshotMagic) + 1; i < len(data); i++ {
+	g, data := v2Sample(t)
+	ranges := coveredRanges(t, data)
+	covered := func(i int) bool {
+		for _, r := range ranges {
+			if i >= r[0] && i < r[1] {
+				return true
+			}
+		}
+		return false
+	}
+	padding := 0
+	for i := len(snapshotMagic) + 1; i < len(data); i += 7 {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
-		_, err := ReadSnapshot(bytes.NewReader(bad))
+		got, err := ReadSnapshot(bytes.NewReader(bad))
+		if !covered(i) {
+			if err != nil {
+				t.Fatalf("flip in padding at byte %d: %v", i, err)
+			}
+			identicalGraphs(t, g, got)
+			padding++
+			continue
+		}
 		if err == nil {
 			t.Fatalf("flip at byte %d: corrupt snapshot read succeeded", i)
 		}
 		if !errors.Is(err, ErrSnapshotChecksum) &&
 			!errors.Is(err, ErrSnapshotCorrupt) &&
-			!errors.Is(err, ErrSnapshotTruncated) {
+			!errors.Is(err, ErrSnapshotTruncated) &&
+			!errors.Is(err, ErrSnapshotVersion) {
 			t.Fatalf("flip at byte %d: unclassified error %v", i, err)
 		}
+	}
+	if padding == 0 {
+		t.Fatal("no flip landed in padding: the sample exercises only covered bytes")
 	}
 }
 
@@ -159,7 +171,7 @@ func TestIndexMerged(t *testing.T) {
 // holds over a dictionary of exactly the terms they reference plus the
 // interpreted vocabulary — not the dictionary it extends.
 func TestSnapshotOfOverlayGraphHoldsReferencedTerms(t *testing.T) {
-	in, _ := persistSample(t)
+	in, _ := v2Sample(t)
 	for i := 0; i < 500; i++ { // terms the overlay graph never references
 		in.Dict().EncodeIRI(fmt.Sprintf("http://x/unreferenced%d", i))
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
@@ -14,8 +13,8 @@ import (
 // Snapshot format v2 content, inside the container of container.go:
 //
 //   - secDictPages/DictDir/DictSorted: the front-coded dictionary
-//     (internal/dict, WriteFrontCoded), terms in ID order so summaries
-//     stay bit-identical to v1.
+//     (internal/dict, WriteFrontCoded), terms in ID order, so every term
+//     keeps its ID across a reopen.
 //   - secCompData/Types/Schema: the three graph components in INSERTION
 //     order (summary node numbering depends on it), three uvarint IDs
 //     per triple, back to back; counts live in the header.
@@ -183,13 +182,20 @@ func OpenSnapshotFile(path string, verify bool) (*SnapshotFile, error) {
 	return sf, nil
 }
 
-func newSnapshotFile(data []byte, verify bool) (*SnapshotFile, error) {
+// parseSnapshot is parseContainer for a file that must be a snapshot:
+// an index run (a spill file) is refused.
+func parseSnapshot(data []byte, verify bool) (*container, error) {
 	c, err := parseContainer(data, verify)
+	if err == nil && c.kind != fileKindSnapshot {
+		return nil, fmt.Errorf("%w: file is an index run, not a snapshot", ErrSnapshotCorrupt)
+	}
+	return c, err
+}
+
+func newSnapshotFile(data []byte, verify bool) (*SnapshotFile, error) {
+	c, err := parseSnapshot(data, verify)
 	if err != nil {
 		return nil, err
-	}
-	if c.kind != fileKindSnapshot {
-		return nil, fmt.Errorf("%w: file is an index run, not a snapshot", ErrSnapshotCorrupt)
 	}
 	sf := &SnapshotFile{c: c}
 	pages, err := c.section(secDictPages)
@@ -286,47 +292,19 @@ func (sf *SnapshotFile) Close() error {
 	return sf.closeFn()
 }
 
-// OpenGraphFile opens a snapshot file of either format version.
-//
-// A v1 file is read eagerly (the only way its format allows) and returns
-// a nil SnapshotFile. A v2 file is mapped: the returned graph carries
-// the snapshot as an unmaterialized base — component slices and the
+// OpenGraphFile maps a snapshot file. The returned graph carries the
+// snapshot as an unmaterialized base — component slices and the
 // in-memory dictionary layer start empty and promote lazily via Ensure —
 // and the SnapshotFile handle exposes the zero-copy column runs for
-// index construction. With verify set, v2 section CRCs are all checked
-// now instead of lazily.
+// index construction. With verify set, section CRCs are all checked now
+// instead of lazily.
 func OpenGraphFile(path string, verify bool) (*Graph, *SnapshotFile, error) {
-	f, err := os.Open(path)
+	sf, err := OpenSnapshotFile(path, verify)
 	if err != nil {
 		return nil, nil, err
 	}
-	var hdr [len(snapshotMagic) + 1]byte
-	_, rerr := io.ReadFull(f, hdr[:])
-	f.Close() //nolint:errcheck // read-only
-	if rerr != nil {
-		return nil, nil, fmt.Errorf("snapshot header: %w", truncatedOr(rerr))
-	}
-	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, nil, ErrSnapshotMagic
-	}
-	switch hdr[len(snapshotMagic)] {
-	case snapshotVersion:
-		g, err := LoadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		snapshotOpensV1.Inc()
-		return g, nil, nil
-	case snapshotVersion2:
-		sf, err := OpenSnapshotFile(path, verify)
-		if err != nil {
-			return nil, nil, err
-		}
-		snapshotOpensV2.Inc()
-		return NewGraphFromSnapshot(sf), sf, nil
-	default:
-		return nil, nil, fmt.Errorf("%w %d (this build reads 1 and 2)", ErrSnapshotVersion, hdr[len(snapshotMagic)])
-	}
+	snapshotOpensV2.Inc()
+	return NewGraphFromSnapshot(sf), sf, nil
 }
 
 // graphFromContainer materializes an eager graph from a fully verified
@@ -391,64 +369,39 @@ type SnapshotInfo struct {
 	Mmap     bool // whether this build serves snapshots from mapped pages
 }
 
-// InspectSnapshot parses path's header and TOC (v2) or decodes the file
-// (v1, whose format forces a full read) and reports its layout.
+// InspectSnapshot parses path's header and TOC and reports its layout.
 func InspectSnapshot(path string) (*SnapshotInfo, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	info := &SnapshotInfo{FileSize: st.Size(), Mmap: usingMmap}
-	f, err := os.Open(path)
+	data, closeFn, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var hdr [len(snapshotMagic) + 1]byte
-	_, rerr := io.ReadFull(f, hdr[:])
-	f.Close() //nolint:errcheck // read-only
-	if rerr != nil {
-		return nil, fmt.Errorf("snapshot header: %w", truncatedOr(rerr))
+	defer closeFn() //nolint:errcheck // read-only mapping
+	c, err := parseContainer(data, false)
+	if err != nil {
+		return nil, err
 	}
-	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, ErrSnapshotMagic
+	info := &SnapshotInfo{
+		Version:  snapshotVersion,
+		Kind:     "snapshot",
+		FileSize: st.Size(),
+		PageSize: v2PageSize,
+		NTerms:   c.nTerms,
+		NData:    c.nData,
+		NTypes:   c.nTypes,
+		NSchema:  c.nSchema,
+		Mmap:     usingMmap,
 	}
-	switch hdr[len(snapshotMagic)] {
-	case snapshotVersion:
-		g, err := LoadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		info.Version = 1
-		info.Kind = "snapshot"
-		info.NTerms = uint64(g.Dict().Len())
-		info.NData = uint64(len(g.Data))
-		info.NTypes = uint64(len(g.Types))
-		info.NSchema = uint64(len(g.Schema))
-		return info, nil
-	case snapshotVersion2:
-		data, closeFn, err := mapFile(path)
-		if err != nil {
-			return nil, err
-		}
-		defer closeFn() //nolint:errcheck // read-only mapping
-		c, err := parseContainer(data, false)
-		if err != nil {
-			return nil, err
-		}
-		info.Version = 2
-		info.Kind = "snapshot"
-		if c.kind == fileKindRun {
-			info.Kind = "run"
-		}
-		info.PageSize = v2PageSize
-		info.NTerms, info.NData, info.NTypes, info.NSchema = c.nTerms, c.nData, c.nTypes, c.nSchema
-		for _, s := range c.secOrder {
-			info.Sections = append(info.Sections, SectionInfo{
-				Name: sectionName(s.id), Off: s.off, Len: s.n, CRC: s.crc,
-			})
-		}
-		return info, nil
-	default:
-		return nil, fmt.Errorf("%w %d (this build reads 1 and 2)", ErrSnapshotVersion, hdr[len(snapshotMagic)])
+	if c.kind == fileKindRun {
+		info.Kind = "run"
 	}
+	for _, s := range c.secOrder {
+		info.Sections = append(info.Sections, SectionInfo{
+			Name: sectionName(s.id), Off: s.off, Len: s.n, CRC: s.crc,
+		})
+	}
+	return info, nil
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rdfsum/internal/dict"
@@ -184,73 +185,38 @@ func TestSnapshotV2IndexFromBase(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionNegotiation: version 2 is the one format any open
+// reads. Version 1 and an unknown future version are refused by every
+// entry point with ErrSnapshotVersion, and the message names the version
+// and the last build that reads version 1.
 func TestSnapshotVersionNegotiation(t *testing.T) {
-	g, v2data := v2Sample(t)
-
-	// A v1 stream still reads through the same entry point.
-	_, v1data := persistSample(t)
-	got, err := ReadSnapshot(bytes.NewReader(v1data))
-	if err != nil {
-		t.Fatalf("ReadSnapshot(v1): %v", err)
+	_, v2data := v2Sample(t)
+	dir := t.TempDir()
+	for _, v := range []byte{1, 9} {
+		bad := append([]byte(nil), v2data...)
+		bad[len(snapshotMagic)] = v
+		path := filepath.Join(dir, fmt.Sprintf("v%d.rdfsum", v))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrSnapshotVersion) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("version %d (this build reads only version 2", v)) ||
+				!strings.Contains(err.Error(), "8801477") {
+				t.Fatalf("%s of a version %d file: got %v, want ErrSnapshotVersion naming the version and the cutoff build", what, v, err)
+			}
+		}
+		_, err := ReadSnapshot(bytes.NewReader(bad))
+		refused("ReadSnapshot", err)
+		g, sf, err := OpenGraphFile(path, false)
+		refused("OpenGraphFile", err)
+		if g != nil || sf != nil {
+			t.Fatalf("OpenGraphFile of a version %d file returned a graph", v)
+		}
+		_, err = InspectSnapshot(path)
+		refused("InspectSnapshot", err)
 	}
-	identicalGraphs(t, g, got)
-
-	// An unknown future version is refused with the versioned sentinel.
-	future := append([]byte(nil), v2data...)
-	future[len(snapshotMagic)] = 9
-	if _, err := ReadSnapshot(bytes.NewReader(future)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("future version: got %v, want ErrSnapshotVersion", err)
-	}
-
-	// A v1-era decoder handed v2 bytes (e.g. an old follower bootstrapping
-	// from an upgraded leader) must fail with a classified error, never
-	// yield a garbage graph: its version check fires before any parsing.
-	if v2data[len(snapshotMagic)] == snapshotVersion {
-		t.Fatal("v2 stream carries the v1 version byte")
-	}
-
-	// Both container files open through OpenGraphFile and InspectSnapshot.
-	gotV1, sf, err := OpenGraphFile(v1SamplePath, false)
-	if err != nil {
-		t.Fatalf("OpenGraphFile(v1): %v", err)
-	}
-	if sf != nil {
-		t.Fatal("v1 open returned a mapped SnapshotFile")
-	}
-	identicalGraphs(t, g, gotV1)
-	info, err := InspectSnapshot(v1SamplePath)
-	if err != nil {
-		t.Fatalf("InspectSnapshot(v1): %v", err)
-	}
-	if info.Version != 1 || info.NData != uint64(len(g.Data)) || info.NTerms != uint64(g.Dict().Len()) {
-		t.Fatalf("InspectSnapshot(v1) = %+v, want version 1 over the sample's counts", info)
-	}
-}
-
-// TestSnapshotV2CompactUpgrades: a graph loaded from a v1 file and saved
-// again lands in v2 — the upgrade path Compact uses.
-func TestSnapshotV2CompactUpgrades(t *testing.T) {
-	g, _ := v2Sample(t)
-	loaded, err := LoadFile(v1SamplePath)
-	if err != nil {
-		t.Fatalf("LoadFile(v1): %v", err)
-	}
-	v2path := filepath.Join(t.TempDir(), "v2.rdfsum")
-	if err := SaveFile(v2path, loaded); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	info, err := InspectSnapshot(v2path)
-	if err != nil {
-		t.Fatalf("InspectSnapshot: %v", err)
-	}
-	if info.Version != 2 {
-		t.Fatalf("rewritten snapshot is v%d, want v2", info.Version)
-	}
-	got, err := LoadFile(v2path)
-	if err != nil {
-		t.Fatalf("LoadFile(v2): %v", err)
-	}
-	identicalGraphs(t, g, got)
 }
 
 // coveredRanges returns the byte ranges of a v2 file that some CRC

@@ -74,9 +74,8 @@ type Graph struct {
 	// slices hold only triples added after the snapshot (the tail), and
 	// counting queries answer from the snapshot header. Ensure promotes
 	// the base into the slices on first whole-graph access.
-	baseMu              sync.Mutex
-	base                *SnapshotFile
-	tailD, tailT, tailS int // promotion offsets: where the tail begins in each slice
+	baseMu sync.Mutex
+	base   *SnapshotFile
 }
 
 // NewGraphFromSnapshot returns a graph backed by an open v2 snapshot
@@ -116,7 +115,6 @@ func (g *Graph) EnsureCounts() (dD, dT, dS int) {
 	g.Data = concatTriples(bd, g.Data)
 	g.Types = concatTriples(bt, g.Types)
 	g.Schema = concatTriples(bs, g.Schema)
-	g.tailD, g.tailT, g.tailS = len(bd), len(bt), len(bs)
 	g.base = nil
 	return len(bd), len(bt), len(bs)
 }
@@ -137,15 +135,6 @@ func (g *Graph) ComponentSizes() (data, types, schema int) {
 		return nd + len(g.Data), nt + len(g.Types), ns + len(g.Schema)
 	}
 	return len(g.Data), len(g.Types), len(g.Schema)
-}
-
-// TailStart returns, per component, the index where post-snapshot
-// triples begin: the promotion offsets for a promoted graph, zero
-// otherwise (an unpromoted graph holds only tail triples).
-func (g *Graph) TailStart() (d, t, s int) {
-	g.baseMu.Lock()
-	defer g.baseMu.Unlock()
-	return g.tailD, g.tailT, g.tailS
 }
 
 // Base returns the unpromoted snapshot backing this graph, or nil.
@@ -241,8 +230,7 @@ func (g *Graph) SnapshotView() *Graph {
 		Schema: g.Schema[:len(g.Schema):len(g.Schema)],
 		// The view shares the unpromoted base; its own Ensure promotes
 		// into the view's slices without disturbing this graph.
-		base:  g.base,
-		tailD: g.tailD, tailT: g.tailT, tailS: g.tailS,
+		base: g.base,
 	}
 }
 

@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rdfsum/internal/dict"
@@ -213,10 +217,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDetectsCorruption(t *testing.T) {
-	_, raw := persistSample(t) // the committed v1 file
-	// Flip a payload byte (not in the magic, not in the checksum).
+	_, raw := v2Sample(t)
+	// Flip a byte inside the first section's payload.
 	corrupt := append([]byte(nil), raw...)
-	corrupt[len(corrupt)/2] ^= 0xFF
+	corrupt[v2PageSize+1] ^= 0xFF
 	if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
 		t.Error("ReadSnapshot accepted a corrupted snapshot")
 	}
@@ -228,6 +232,19 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	bad := append([]byte("NOTRDF"), raw[6:]...)
 	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
 		t.Error("ReadSnapshot accepted a bad magic")
+	}
+	// A spill file is a valid container, but an index run, not a snapshot.
+	path := filepath.Join(t.TempDir(), "run.col")
+	if _, err := writeRunFile(path, newMemCols(FromTriples([]rdf.Triple{tr("s", "p", "o")}).All())); err != nil {
+		t.Fatal(err)
+	}
+	run, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(run)); !errors.Is(err, ErrSnapshotCorrupt) ||
+		!strings.Contains(err.Error(), "index run, not a snapshot") {
+		t.Errorf("ReadSnapshot of an index run: got %v, want ErrSnapshotCorrupt naming the run", err)
 	}
 }
 

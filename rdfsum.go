@@ -282,21 +282,18 @@ func WriteTurtle(w io.Writer, triples []Triple) error {
 // checksummed binary format.
 func SaveSnapshot(path string, g *Graph) error { return store.SaveFile(path, g) }
 
-// LoadSnapshot reads a graph saved with SaveSnapshot (either format
-// version).
+// LoadSnapshot reads a graph saved with SaveSnapshot.
 func LoadSnapshot(path string) (*Graph, error) { return store.LoadFile(path) }
 
 // SnapshotInfo is the parsed layout of a snapshot file: header counts
-// plus, for the v2 container format, the table of contents with each
-// section's offset, length and CRC.
+// plus the table of contents with each section's offset, length and CRC.
 type SnapshotInfo = store.SnapshotInfo
 
-// SnapshotSectionInfo is one v2 section in a SnapshotInfo.
+// SnapshotSectionInfo is one section in a SnapshotInfo.
 type SnapshotSectionInfo = store.SectionInfo
 
-// InspectSnapshot reports a snapshot file's layout without loading its
-// triples: v2 files are answered from the header and TOC alone; v1 files
-// must be decoded in full (their format has no TOC).
+// InspectSnapshot reports a snapshot file's layout from its header and
+// TOC alone, without loading its triples.
 func InspectSnapshot(path string) (*SnapshotInfo, error) { return store.InspectSnapshot(path) }
 
 // Saturate returns G∞, the closure of g under the RDFS entailment rules
