@@ -79,10 +79,12 @@ bench-unit:
 # (docs/benchmarks/pr17-runs.md has the procedure).
 # BenchmarkComputeWeights times the weak summary's planner weights on
 # BSBM and LUBM; BenchmarkMappedDict a reopened store's dictionary
-# (decode, lookup hit, lookup miss) on LUBM.
+# (decode, lookup hit, lookup miss) on LUBM; BenchmarkIndexJoins
+# scan-lubm's query pool over a heap base and over the mapped base a
+# durable store serves.
 bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
-		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact|BenchmarkMappedDict' .
+		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact|BenchmarkMappedDict|BenchmarkIndexJoins' .
 
 # Full benchmark sweep.
 bench:
@@ -97,8 +99,9 @@ bench-smoke:
 # open a fresh store seeded with it → warm the weak summary, its pruner
 # and the planner weights — the sequence benchmark/ times as setup_s) on
 # one CPU under the CPU profiler: the top 20 functions by cumulative time,
-# then who calls the run sort (store.newMemCols) and for how long — one
-# caller means the boot sorts its triples once. BOOT picks the arm:
+# then who calls the run sort (store.sortTriples) and for how long — one
+# caller, WriteSnapshotV2, means the boot sorts its triples only to write
+# snapshot-1, which it then serves; a reopen sorts nothing. BOOT picks the arm:
 # bsbm-nt (BSBM as N-Triples, what probe-bsbm and mixed-bsbm boot from),
 # lubm-ttl-gz (LUBM as gzipped Turtle, scan-lubm's cold boot) or
 # lubm-reopen (scan-lubm's restart: reopen that store under -maintain weak
@@ -110,7 +113,7 @@ boot-profile:
 	$(GO) test -run 'XXX-none' -bench 'BenchmarkSeedBoot$$/^$(BOOT)$$' -benchtime 10x -cpu 1 \
 		-o "$$d/rdfsum.test" -cpuprofile "$$d/cpu.out" . && \
 	$(GO) tool pprof -top -cum -nodecount 20 -focus 'rdfsum_test\.(seedBoot|reopenBoot)' -hide '^testing\.' "$$d/rdfsum.test" "$$d/cpu.out" && \
-	$(GO) tool pprof -peek 'store\.newMemCols$$' "$$d/rdfsum.test" "$$d/cpu.out" | sed -n '/flat%/,$$p'
+	$(GO) tool pprof -peek 'store\.sortTriples$$' "$$d/rdfsum.test" "$$d/cpu.out" | sed -n '/flat%/,$$p'
 
 # Who holds the heap, and who churns it: BenchmarkLiveCycle (a store
 # seeded with a 170k-triple BSBM graph takes 50 batches, compacts and

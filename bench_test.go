@@ -23,6 +23,7 @@ import (
 	"rdfsum/internal/dict"
 	"rdfsum/internal/lubm"
 	"rdfsum/internal/ntriples"
+	"rdfsum/internal/query"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
 	"rdfsum/internal/store"
@@ -460,9 +461,11 @@ func writeCompressed(b *testing.B, path string, plain []byte, codec rdfsum.Compr
 }
 
 // BenchmarkLiveCompact is one compaction of a ≈ 58k-triple BSBM store
-// that has taken a 512-triple batch since the last one: fold the index,
-// stream the snapshot, swap generations. B/op (-benchmem) is the figure:
-// what a compaction allocates beyond the folded run it publishes.
+// that has taken a 512-triple batch since the last one: gather the
+// graph's triples, sort and stream the snapshot one column at a time, map
+// it, swap generations. B/op (-benchmem) is the figure: the two 12 B a
+// triple sort buffers, and little else — the published index is the
+// mapped file.
 func BenchmarkLiveCompact(b *testing.B) {
 	seed := rdfsum.NewGraph(bsbmGraph(b, 1000).Decode()) // the store adopts its seed
 	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: seed})
@@ -592,6 +595,63 @@ var (
 	termSink rdf.Term
 	idSink   dict.ID
 )
+
+// scanLUBMPool is benchmark/'s scan-lubm query pool: the three LUBM joins
+// and the two property scans of internal/query's join-order tests.
+var scanLUBMPool = []string{
+	"PREFIX ub: <" + lubm.NS + "> SELECT ?x ?u WHERE { ?x ub:headOf ?d . ?d ub:subOrganizationOf ?u }",
+	"PREFIX ub: <" + lubm.NS + "> SELECT ?s WHERE { ?s ub:memberOf ?d . ?s ub:advisor ?p . ?p ub:worksFor ?d }",
+	"PREFIX ub: <" + lubm.NS + "> SELECT ?s ?c WHERE { ?x ub:worksFor ?d . ?x ub:teacherOf ?c . ?s ub:advisor ?x . ?s ub:takesCourse ?c }",
+	"PREFIX ub: <" + lubm.NS + "> SELECT ?s ?c WHERE { ?s ub:takesCourse ?c }",
+	"PREFIX ub: <" + lubm.NS + "> SELECT ?s ?n WHERE { ?s ub:name ?n }",
+}
+
+// BenchmarkIndexJoins evaluates scan-lubm's query pool, under its
+// 10 000-row limit, on LUBM 52 universities (15 under -short) over two
+// indexes of one graph: the heap base a memory-only store serves
+// (store.NewIndex), and the mapped base of the graph's snapshot that a
+// durable store serves. What a store pays to serve from the file instead
+// of a heap copy is the mapped arm's time over the heap arm's; the
+// mapped columns' fences are built before the timer.
+func BenchmarkIndexJoins(b *testing.B) {
+	g := lubm.GenerateGraph(lubm.DefaultConfig(lubmUniversities()))
+	path := filepath.Join(b.TempDir(), "lubm.rdfsum")
+	if err := store.SaveFile(path, g); err != nil {
+		b.Fatal(err)
+	}
+	sf, err := store.OpenSnapshotFile(path, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sf.Close() //nolint:errcheck
+	bases := []struct {
+		name string
+		ix   *store.Index
+	}{
+		{"heap", store.NewIndex(g)},
+		{"mapped", store.NewIndexFromBase(sf.Runs(), store.IndexOptions{})},
+	}
+	for _, base := range bases {
+		for qi, text := range scanLUBMPool {
+			pl, err := query.Compile(g, query.MustParse(text), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := &query.EvalOptions{Limit: 10000}
+			if _, err := pl.Eval(base.ix, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/q%d", base.name, qi), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := pl.Eval(base.ix, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
 
 // --- quotient engine benchmarks --------------------------------------------
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -264,6 +265,47 @@ func TestMetricsExpositionMemoryAccount(t *testing.T) {
 		v[`rdfsum_memory_bytes{component="dict"}`], 12*triples, 36*triples, account, before, v["rdfsum_go_heap_live_bytes"], store)
 	if account < 0.75*store || account > 1.25*store {
 		t.Errorf("the three components account for %.0f bytes; the live heap grew by %.0f with the store: not within 25 %%", account, store)
+	}
+	if got := v[`rdfsum_memory_bytes{component="index_mapped"}`]; got != 0 {
+		t.Errorf("a memory-only store maps %v index bytes, want none", got)
+	}
+
+	// A durable store serves its base from the snapshot file after a
+	// Compact: index_heap holds only the fences its range lookups built —
+	// 16 B per 8 triples of one column, for one query over one order —
+	// and its delta runs (36 B a triple); index_mapped holds the file's
+	// column sections.
+	dsrv, err := newServer(serverConfig{in: dump, liveDir: t.TempDir(), maintain: []rdfsum.Kind{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dsrv.close() //nolint:errcheck
+	dts := httptest.NewServer(dsrv.handler())
+	defer dts.Close()
+	if code, body := postBody(t, dts.URL+"/v1/triples", ntBody(0, 40)); code != http.StatusOK {
+		t.Fatalf("POST /v1/triples: %d %v", code, body)
+	}
+	if code, body := postBody(t, dts.URL+"/v1/compact", ""); code != http.StatusOK {
+		t.Fatalf("POST /v1/compact: %d %v", code, body)
+	}
+	base := float64(dsrv.lv.Stats().Triples)
+	if code, body := postQuery(t, dts.URL+"/v1/query",
+		"SELECT ?s WHERE { ?s a <http://bsbm.example.org/vocabulary/Product> }"); code != http.StatusOK {
+		t.Fatalf("query: %d %v", code, body)
+	}
+	const delta = 25
+	if code, body := postBody(t, dts.URL+"/v1/triples", ntBody(1000, delta)); code != http.StatusOK {
+		t.Fatalf("POST /v1/triples: %d %v", code, body)
+	}
+	body, _ = scrapeMetrics(t, dts)
+	v = scrapeValues(t, body)
+	fences := 16 * math.Ceil(base/8)
+	if got, want := v[`rdfsum_memory_bytes{component="index_heap"}`], fences+36*delta; got != want {
+		t.Errorf("durable store after Compact: index_heap = %v bytes, want one column's fences (%v) + %d delta triples × 36 B = %v",
+			got, fences, delta, want)
+	}
+	if got := v[`rdfsum_memory_bytes{component="index_mapped"}`]; got < 3*base || got > 36*base {
+		t.Errorf("durable store after Compact: index_mapped = %v bytes for %v triples, want the three encoded columns (1–12 B a triple each)", got, base)
 	}
 }
 

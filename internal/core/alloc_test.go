@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"rdfsum/internal/lubm"
+	"rdfsum/internal/rdf"
 )
 
 // TestSeedAndWeightsAllocBound pins what a boot pays for the weak summary
@@ -31,4 +33,35 @@ func TestSeedAndWeightsAllocBound(t *testing.T) {
 		t.Errorf("ComputeWeights made %.0f allocations on LUBM-52's weak summary, want at most 300", weights)
 	}
 	t.Logf("LUBM-52: seed %.0f allocations, weights %.0f", seed, weights)
+}
+
+// TestDeleteBatchWeakAllocBound: a data delete on a weak-only set, which
+// keeps neither an adjacency index nor edge keys, allocates the compacted
+// data component (12 B a triple) and O(batch) besides — not the 4 B a
+// triple position remap that only those two read.
+func TestDeleteBatchWeakAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own account")
+	}
+	bs, err := NewBuilderSet(lubm.GenerateGraph(lubm.DefaultConfig(10)), []Kind{Weak})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := bs.Graph()
+	for i := 0; i < 5; i++ {
+		e := g.Data[i*1000]
+		tr := rdf.Triple{S: g.Dict().Term(e.S), P: g.Dict().Term(e.P), O: g.Dict().Term(e.O)}
+		n := len(g.Data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		removed, _ := bs.DeleteBatch([]rdf.Triple{tr})
+		runtime.ReadMemStats(&after)
+		if removed == 0 {
+			t.Fatalf("delete %d removed nothing", i)
+		}
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(12*n+64<<10); got > bound {
+			t.Errorf("delete %d of a data triple allocated %d bytes over a %d-triple data component, want at most 12 B a triple + 64 KB = %d",
+				i, got, n, bound)
+		}
+	}
 }

@@ -322,12 +322,20 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 	// Data deletions first, so the adjacency index and per-position keys
 	// reflect the surviving data triples before type events re-key.
 	if len(delData) > 0 {
-		remap := make([]int32, len(bs.g.Data))
+		// remap (old position → new, -1 for deleted) is read by the
+		// adjacency index and the edge trackers only, which exist together
+		// or not at all (see index): a weak-only set skips it.
+		var remap []int32
+		if bs.adj != nil {
+			remap = make([]int32, len(bs.g.Data))
+		}
 		kept := make([]store.Triple, 0, len(bs.g.Data))
 		hit := make(map[store.Triple]bool, len(delData))
 		for i, t := range bs.g.Data {
 			if delData[t] {
-				remap[i] = -1
+				if remap != nil {
+					remap[i] = -1
+				}
 				removed++
 				hit[t] = true
 				bs.stats.dataRemoved(t)
@@ -337,13 +345,15 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 					}
 				}
 			} else {
-				remap[i] = int32(len(kept))
+				if remap != nil {
+					remap[i] = int32(len(kept))
+				}
 				kept = append(kept, t)
 			}
 		}
 		if len(hit) > 0 {
 			bs.g.Data = kept
-			if bs.adj != nil {
+			if remap != nil {
 				bs.adj.remap(remap)
 			}
 			for _, dr := range bs.drivers {

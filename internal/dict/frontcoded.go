@@ -171,6 +171,10 @@ type Mapped struct {
 	// hooks lazy per-section CRC verification here without this package
 	// knowing about snapshot containers.
 	Touch, TouchSorted func()
+	// Owner is kept reachable for as long as m is: the store layer hangs
+	// the mapping the sections live in here, so that they stay mapped
+	// while the dictionary can read them.
+	Owner any
 }
 
 // NewMapped wraps the three dictionary sections holding n terms. It

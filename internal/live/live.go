@@ -7,34 +7,38 @@
 //   - Writers append through Add/AddBatch. Each batch is framed into a
 //     CRC-checked write-ahead log record and fsynced (group commit) before
 //     it is applied in memory — an acknowledged batch survives a crash.
+//     The writer applies its own batch under the store's lock.
 //   - Readers call Snapshot and get an immutable epoch: a copy-on-write
-//     view of the graph, a merged triple index, and the epoch number,
+//     view of the graph, a tiered triple index, and the epoch number,
 //     published atomically and never mutated in place. Queries keep
 //     running at full speed against their epoch while ingest proceeds.
 //   - Summaries are maintained incrementally by the quotient engine
 //     (core.BuilderSet): every kind listed in Options.Maintain is kept
 //     current at O(α) amortized per triple, so serving it never pays a
-//     full O(|G|) re-summarization. Kinds not maintained are rebuilt
-//     lazily per epoch behind per-kind cells, with staleness reported to
-//     callers. The default maintains the weak summary only, the cheapest
-//     configuration; -maintain all trades write-side memory for
-//     staleness-free serving of every kind.
+//     full O(|G|) re-summarization. A kind not maintained is built on
+//     request by a fresh builder set seeded with the epoch's view
+//     (core.Summarize) and cached per kind; Summary's maxStale lets a
+//     caller accept a cached build that many epochs old. The default
+//     maintains the weak summary only; -maintain all trades write-side
+//     memory for serving every kind without a per-epoch build.
 //   - Deletions are first-class: Delete/DeleteBatch journal an OpDelete
 //     WAL record, remove every stored copy of the listed triples, and
 //     publish a tombstone run in the tiered index (the graph components
-//     compact copy-on-write, so held snapshots are unaffected). Summary
-//     maintenance shrinks exactly where the engine's bookkeeping is
-//     refcounted and otherwise defers one counted rebuild to the next
-//     Summary call — amortized across delete batches by the same maxStale
-//     staleness policy that paces lazy rebuilds.
-//   - The published index is tiered (see store.Index): each epoch appends
-//     one immutable delta run, so publishing costs O(batch), not
-//     O(graph); trailing same-level runs fold at Options.IndexFanout
-//     width to bound read amplification, and Compact folds everything
-//     back into a single run.
-//   - Compact folds the WAL into a store snapshot file and swaps
-//     generations through a CURRENT manifest, so recovery always sees a
-//     consistent (snapshot, log) pair.
+//     compact copy-on-write, so held snapshots are unaffected). A
+//     maintained summary shrinks exactly where the engine's bookkeeping
+//     is refcounted; otherwise its kind is reseeded — a counted rebuild —
+//     at its next Summary call.
+//   - The published index is tiered (see store.Index). A durable store's
+//     base run is its generation's snapshot file, served from the mapping
+//     after a seeded boot, a reopen and every Compact; a memory-only
+//     store's is a heap run. Each epoch appends one immutable delta or
+//     tombstone run, so publishing costs O(batch), not O(graph), and
+//     trailing same-level runs fold at Options.IndexFanout width to bound
+//     read amplification.
+//   - Compact writes the graph as the next generation's snapshot, maps
+//     it, swaps generations through a CURRENT manifest — so recovery
+//     always sees a consistent (snapshot, log) pair — and publishes the
+//     new file's runs as the whole index.
 //
 // On-disk layout of a live directory:
 //
@@ -178,9 +182,12 @@ type Live struct {
 // fresh store, WALReplay only by a reopened one.
 type BootTimings struct {
 	Builders  time.Duration // feeding the graph to the maintained summary builders
-	Snapshot  time.Duration // encoding and writing snapshot-1 from the seed's base run
-	WALReplay time.Duration // replaying the generation's WAL over its snapshot
-	Index     time.Duration // sorting (or adopting) the base run and publishing epoch 1
+	Snapshot  time.Duration // sorting the seed's triples and writing them as snapshot-1
+	WALReplay time.Duration // replaying the generation's WAL over its snapshot, index runs included
+	// Index is building epoch 1's base index — adopting the mapped
+	// snapshot's runs, or sorting a memory-only store's graph into a heap
+	// run — and publishing epoch 1.
+	Index time.Duration
 }
 
 // BootTimings reports the phase durations of the Open/New call that
@@ -207,7 +214,7 @@ func New(g *store.Graph, opts *Options) *Live {
 	}
 	l.applied = uint64(g.NumEdges())
 	l.mu.Lock()
-	l.publishInitialLocked(nil)
+	l.publishInitialLocked(l.bootIndex(nil))
 	l.mu.Unlock()
 	return l
 }
@@ -261,9 +268,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 		l.spill = &store.SpillConfig{Dir: spillDir, MinBytes: opts.IndexSpillBytes}
 	}
 
-	// seedRun is the seed's sorted base run: snapshot-1 is written from it
-	// and epoch 1 serves it, so the seed is sorted once.
-	var seedRun store.RunCols
+	var ix *store.Index // epoch 1's index
 	gen, err := readManifest(dir)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -277,18 +282,21 @@ func Open(dir string, opts *Options) (*Live, error) {
 			return nil, err
 		}
 		l.gen = 1
+		var sf *store.SnapshotFile
 		if opts.Seed != nil && g.NumEdges() > 0 {
 			// Persist the seed as the generation's base snapshot so the
 			// WAL starts empty and replay cost stays proportional to
-			// post-seed writes.
+			// post-seed writes; epoch 1 serves the file's runs.
 			t0 := time.Now()
-			seedRun = store.NewRunCols(g.All())
-			l.boot.Index = time.Since(t0)
-			if err := l.writeSnapshotFile(1, g, seedRun); err != nil {
+			if err := l.writeSnapshotFile(1, g); err != nil {
 				return nil, err
 			}
-			l.boot.Snapshot = time.Since(t0) - l.boot.Index
+			l.boot.Snapshot = time.Since(t0)
+			if sf, err = openSnapshotFile(l.snapshotPath(1)); err != nil {
+				return nil, fmt.Errorf("live: generation 1 snapshot: %w", err)
+			}
 		}
+		ix = l.bootIndex(sf)
 		l.wal, err = createWAL(l.walPath(1), l.sync)
 		if err != nil {
 			return nil, err
@@ -301,12 +309,13 @@ func Open(dir string, opts *Options) (*Live, error) {
 		return nil, err
 	default:
 		var g *store.Graph
+		var sf *store.SnapshotFile
 		snapPath := l.snapshotPath(gen)
 		switch _, statErr := os.Stat(snapPath); {
 		case statErr == nil:
 			// The snapshot is mapped and materialization deferred — with no
 			// maintained kinds this makes Open O(1) in snapshot size.
-			g, _, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot)
+			g, sf, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot)
 			if err != nil {
 				return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, err)
 			}
@@ -324,18 +333,25 @@ func Open(dir string, opts *Options) (*Live, error) {
 			return nil, err
 		}
 		l.gen = gen
+		ix = l.bootIndex(sf)
+		// Each replayed record becomes a delta or tombstone run over the
+		// base, as it did when it was first published.
+		l.lastD, l.lastT, l.lastS = len(g.Data), len(g.Types), len(g.Schema)
 		records := int64(0)
 		t0 := time.Now()
 		good, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
 			records++
 			if op == OpDelete {
-				removed, _ := l.set.DeleteBatch(triples)
+				removed, tombs := l.set.DeleteBatch(triples)
 				l.deleted += uint64(removed)
-				return nil
+				ix = ix.Applied(nil, tombs)
+			} else {
+				for _, t := range triples {
+					l.set.Add(t)
+				}
+				ix = ix.Applied(l.deltaLocked(), nil)
 			}
-			for _, t := range triples {
-				l.set.Add(t)
-			}
+			l.lastD, l.lastT, l.lastS = len(g.Data), len(g.Types), len(g.Schema)
 			return nil
 		})
 		if err != nil {
@@ -351,7 +367,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 
 	l.applied = uint64(l.graph().NumEdges()) + l.deleted
 	l.mu.Lock()
-	l.publishInitialLocked(seedRun)
+	l.publishInitialLocked(ix)
 	l.mu.Unlock()
 	l.removeStaleGenerations()
 	opened = true
@@ -471,30 +487,39 @@ func (l *Live) anyPresentLocked(triples []rdf.Triple) bool {
 	return false
 }
 
-// publishInitialLocked installs epoch 1 at Open/New. Caller holds l.mu.
-// The index's base run is, in order of preference: base, when Open just
-// sorted the seed to write its snapshot; the mapped snapshot's own
-// column sections, served zero-copy, while the graph is still
-// unmaterialized (the component slices then hold only the WAL-replayed
-// tail, and nothing O(|G|) happens here); else a fresh sort of the
-// graph.
-func (l *Live) publishInitialLocked(base store.RunCols) {
+// indexOptions configures every base index the store builds.
+func (l *Live) indexOptions() store.IndexOptions {
+	return store.IndexOptions{Fanout: l.fanout, Spill: l.spill}
+}
+
+// bootIndex returns the index over the base of the generation Open or New
+// starts from, and adds the time it took to the boot's Index phase. A
+// durable store serves the mapped runs of the generation's snapshot sf
+// (nothing is sorted or materialized); a memory-only store, or a durable
+// generation with an empty base and so no file, serves a heap run of the
+// writer graph.
+func (l *Live) bootIndex(sf *store.SnapshotFile) *store.Index {
+	defer func(t0 time.Time) { l.boot.Index += time.Since(t0) }(time.Now())
+	if sf != nil {
+		return store.NewIndexFromBase(sf.Runs(), l.indexOptions())
+	}
+	return store.NewIndexFromBase(store.NewRunCols(l.graph().All()), l.indexOptions())
+}
+
+// publishInitialLocked installs epoch 1 at Open/New over ix. Caller holds
+// l.mu.
+func (l *Live) publishInitialLocked(ix *store.Index) {
 	t0 := time.Now()
 	defer epochPublishSeconds.ObserveSince(t0)
-	g := l.graph()
-	view := g.SnapshotView()
-	var tail []store.Triple
-	switch snap := g.Base(); {
-	case base != nil:
-	case snap != nil:
-		base = snap.Runs()
-		tail = slices.Concat(g.Data, g.Types, g.Schema)
-	default:
-		base = store.NewRunCols(view.All())
-	}
-	ix := store.NewIndexFromBase(base, tail, store.IndexOptions{Fanout: l.fanout, Spill: l.spill})
-	l.installLocked(view, ix)
+	l.installLocked(l.graph().SnapshotView(), ix)
 	l.boot.Index += time.Since(t0)
+}
+
+// deltaLocked is what the writer graph gained since the last publication.
+// Caller holds l.mu, or owns l alone (Open's replay).
+func (l *Live) deltaLocked() []store.Triple {
+	g := l.graph()
+	return slices.Concat(g.Data[l.lastD:], g.Types[l.lastT:], g.Schema[l.lastS:])
 }
 
 // publishLocked builds and atomically installs the next epoch after an
@@ -504,9 +529,7 @@ func (l *Live) publishInitialLocked(base store.RunCols) {
 // publish cost is O(batch), independent of the graph size.
 func (l *Live) publishLocked() {
 	defer epochPublishSeconds.ObserveSince(time.Now())
-	g := l.graph()
-	delta := slices.Concat(g.Data[l.lastD:], g.Types[l.lastT:], g.Schema[l.lastS:])
-	l.installLocked(g.SnapshotView(), l.cur.Load().Index.Applied(delta, nil))
+	l.installLocked(l.graph().SnapshotView(), l.cur.Load().Index.Applied(l.deltaLocked(), nil))
 }
 
 // publishDeletesLocked installs the epoch after a delete batch: the
@@ -653,9 +676,17 @@ type Stats struct {
 
 	// What the store's three largest structures hold on the heap,
 	// computed from their own lengths (not measured).
-	DictBytes      int64 // the dictionary: key bytes, records, map slots
-	GraphBytes     int64 // the writer graph's component slices, 12 B a triple
-	IndexHeapBytes int64 // the published index's heap runs, 36 B a triple
+	DictBytes  int64 // the dictionary: key bytes, records, map slots
+	GraphBytes int64 // the writer graph's component slices, 12 B a triple
+	// IndexHeapBytes is what the published index holds on the heap: its
+	// heap runs at 36 B a triple (a memory-only store's base, and every
+	// store's delta runs) and the fences of its mapped runs, 2 B a triple
+	// per column once that column has served a range lookup.
+	IndexHeapBytes int64
+	// IndexMappedBytes is the column sections of the published index's
+	// mapped runs — a durable store's base snapshot and its spill files:
+	// file pages, resident as far as the page cache keeps them.
+	IndexMappedBytes int64
 }
 
 // Stats returns current counters.
@@ -679,6 +710,7 @@ func (l *Live) Stats() Stats {
 		st.IndexRuns = snap.Index.Runs()
 		st.IndexTombs = snap.Index.Tombstones()
 		st.IndexHeapBytes = snap.Index.HeapBytes()
+		st.IndexMappedBytes = snap.Index.MappedBytes()
 	}
 	if l.wal != nil {
 		st.WALBytes = l.wal.size
@@ -687,27 +719,27 @@ func (l *Live) Stats() Stats {
 }
 
 // Compact folds the WAL into a fresh store snapshot and starts an empty
-// log: it folds the published index into a single run with every
-// tombstone dropped, writes snapshot-<gen+1> from that run's columns
-// (the graph's triples are sorted once, by the fold), creates
-// wal-<gen+1>, atomically swaps CURRENT to the new generation, deletes
-// the old generation's files, and publishes the folded index as a new
-// epoch, resetting read amplification. A crash at any point leaves
-// either the old generation fully intact or the new one fully current —
-// never a half state. Readers are unaffected: their epochs reference
-// only in-memory state, and index runs are immutable — a snapshot held
-// across a Compact keeps its exact contents.
+// log: it writes snapshot-<gen+1> from the writer graph (whose triples
+// are the published epoch's), maps it, creates wal-<gen+1>, atomically
+// swaps CURRENT to the new generation, deletes the old generation's
+// files, and publishes an epoch whose index is the new file's mapped
+// runs, resetting read amplification. A crash at any point leaves either
+// the old generation fully intact or the new one fully current — never a
+// half state. Readers are unaffected: index runs are immutable and keep
+// the file they read mapped, so a snapshot held across a Compact keeps
+// its exact contents.
 func (l *Live) Compact() error {
 	l.mu.Lock()
 	err := l.compactLocked()
 	l.mu.Unlock()
 	if err == nil {
-		// A generation's worth of heap just died at once (old runs, fold
-		// scratch, snapshot encode buffers), and a GC cycle that marked
-		// while it was live has set the next heap goal tens of MB too
-		// high. Collecting now paces the next allocation burst — usually
-		// the summaries that follow a compaction — against the real live
-		// heap: peak RSS on probe-bsbm 230 → 216 MB for ≈ 50 ms.
+		// A generation's worth of heap just died at once (old delta runs,
+		// the snapshot's sort buffers), and a GC cycle that marked while
+		// it was live has set the next heap goal tens of MB too high.
+		// Collecting now paces the next allocation burst — usually the
+		// summaries that follow a compaction — against the real live
+		// heap: peak RSS on probe-bsbm 230 → 216 MB for ≈ 50 ms. It also
+		// unmaps the old generation's file once no epoch reads it.
 		runtime.GC()
 	}
 	return err
@@ -729,18 +761,18 @@ func (l *Live) compactLocked() error {
 	// base as the next epoch's delta.
 	dD, dT, dS := l.graph().EnsureCounts()
 	l.lastD, l.lastT, l.lastS = l.lastD+dD, l.lastT+dT, l.lastS+dS
-	// The folded index's visible multiset is the writer graph's: under
-	// l.mu the published epoch is the writer's head. On an error below
-	// the fold is simply dropped and the published epoch keeps serving
-	// (a fold that spilled leaves its file for the next Open's wipe).
-	cur := l.cur.Load()
-	folded := cur.Index.Compacted()
-	cols, ok := folded.Cols()
-	if !ok {
-		panic("live: compacted index is not a single tombstone-free run")
-	}
+	// Under l.mu the published epoch is the writer's head, so the writer
+	// graph's triples are exactly what it serves. The new file is mapped
+	// before anything points at it: if it cannot be opened, the
+	// compaction fails here and the published epoch keeps serving the
+	// old generation.
 	newGen := l.gen + 1
-	if err := l.writeSnapshotFile(newGen, l.graph(), cols); err != nil {
+	if err := l.writeSnapshotFile(newGen, l.graph()); err != nil {
+		return err
+	}
+	sf, err := openSnapshotFile(l.snapshotPath(newGen))
+	if err != nil {
+		os.Remove(l.snapshotPath(newGen))
 		return err
 	}
 	newWAL, err := createWAL(l.walPath(newGen), l.sync)
@@ -757,9 +789,11 @@ func (l *Live) compactLocked() error {
 	l.wal, l.gen = newWAL, newGen
 	os.Remove(l.walPath(oldGen))
 	os.Remove(l.snapshotPath(oldGen))
-	// Publish the fold over the unchanged graph view.
+	// Publish the new file's runs over the unchanged graph view.
 	t0 := time.Now()
-	l.installLocked(cur.Graph, folded)
+	cur := l.cur.Load()
+	l.installLocked(cur.Graph, store.NewIndexFromBase(sf.Runs(), l.indexOptions()))
+	cur.Index.UnlinkSpills()
 	epochPublishSeconds.ObserveSince(t0)
 	return nil
 }
@@ -813,18 +847,25 @@ type snapshotFile interface {
 // writeSnapshotFile a file whose writes fail.
 var createSnapshotFile = func(path string) (snapshotFile, error) { return os.Create(path) }
 
-// writeSnapshotFile durably writes gen's base snapshot via tmp + fsync +
-// rename. The writer streams and places the file's header last, so the
-// tmp file is a snapshot only once WriteSnapshotV2 has returned; neither
-// a crash nor a failed write leaves anything under the final name.
-func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph, cols store.RunCols) error {
+// openSnapshotFile maps a snapshot the store has just written; a variable
+// so that a test can make the open fail.
+var openSnapshotFile = func(path string) (*store.SnapshotFile, error) {
+	return store.OpenSnapshotFile(path, false)
+}
+
+// writeSnapshotFile durably writes g as gen's base snapshot via tmp +
+// fsync + rename. The writer streams and places the file's header last,
+// so the tmp file is a snapshot only once WriteSnapshotV2 has returned;
+// neither a crash nor a failed write leaves anything under the final
+// name. Its columns are sorted from one gathered copy of g's triples.
+func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph) error {
 	path := l.snapshotPath(gen)
 	tmp := path + ".tmp"
 	f, err := createSnapshotFile(tmp)
 	if err != nil {
 		return err
 	}
-	if err := store.WriteSnapshotV2(f, g, cols); err != nil {
+	if err := store.WriteSnapshotV2(f, g, g.All(), nil); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

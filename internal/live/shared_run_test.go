@@ -16,10 +16,8 @@ import (
 )
 
 // wantSnapshotBytes is what the generation's snapshot must be: the file
-// store.SaveFile produces for the published graph from a fresh sort of
-// its triples (store's own tests pin that writer's bytes to its
-// predecessor's). Live never sorts for the file — it hands the writer the
-// run its index serves — so equality here is what keeps
+// store.SaveFile produces for the published graph (store's own tests pin
+// that writer's bytes to its predecessor's). Equality here is what keeps
 // disk_bytes_per_triple where it was.
 func wantSnapshotBytes(t *testing.T, l *Live) []byte {
 	t.Helper()
@@ -45,9 +43,9 @@ func checkSnapshotBytes(t *testing.T, l *Live, what string) {
 	}
 }
 
-// TestLiveSeedSnapshotByteIdentical: the snapshot a seed boot writes from
-// the base run it then serves is the reference file, for every sample
-// graph, with and without spilling.
+// TestLiveSeedSnapshotByteIdentical: the snapshot a seed boot writes and
+// then serves is the reference file, for every sample graph, with and
+// without spilling.
 func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
 	graphs := map[string]func() *store.Graph{
 		"fig2": samples.Fig2, "fig5": samples.Fig5, "fig8": samples.Fig8,
@@ -64,7 +62,7 @@ func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
 			if got, want := scanIndex(l.Snapshot().Index), scanIndex(store.NewIndex(l.Snapshot().Graph)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s spill=%d: epoch 1 index diverges from a fresh index over the seed", name, spill)
 			}
-			// The shared run must survive being both written and served.
+			// The served file must survive a batch and a compaction.
 			if err := l.AddBatch(mkBatch(5000, 20)); err != nil {
 				t.Fatal(err)
 			}
@@ -80,8 +78,7 @@ func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
 // TestLiveCompactSnapshotByteIdentical: through a random interleaving of
 // adds, deletes (of present and absent triples), compactions and reopens
 // — maintained and unmaintained, heap and spilled runs — every snapshot
-// Compact writes from the folded index's run is the reference file for
-// the graph at that moment.
+// Compact writes is the reference file for the graph at that moment.
 func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 	configs := []Options{
 		{IndexFanout: 3},
@@ -162,11 +159,7 @@ func TestLiveCompactAbandonedBeforeManifestSwap(t *testing.T) {
 		acked = removeAll(acked, acked[60:65])
 		// The first steps of Compact, as it performs them, then the crash.
 		l.mu.Lock()
-		cols, ok := l.cur.Load().Index.Compacted().Cols()
-		if !ok {
-			t.Fatal("compacted index exposes no single run")
-		}
-		if err := l.writeSnapshotFile(l.gen+1, l.graph(), cols); err != nil {
+		if err := l.writeSnapshotFile(l.gen+1, l.graph()); err != nil {
 			t.Fatal(err)
 		}
 		if withWAL {

@@ -1,13 +1,19 @@
 package live
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"rdfsum/internal/core"
+	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/store"
 )
@@ -257,6 +263,213 @@ func TestCompactFailureAfterPromotionKeepsBookmarks(t *testing.T) {
 	if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
 		t.Fatal("the store diverges from the triples fed")
 	}
+}
+
+// TestCompactFailsCleanlyWhenSnapshotUnopenable: a compaction maps the
+// snapshot it wrote before anything points at it. When that open fails,
+// Compact fails with it and changes nothing: CURRENT, the WAL and the
+// served epoch are those of before, the new file is gone, and a later
+// Compact succeeds.
+func TestCompactFailsCleanlyWhenSnapshotUnopenable(t *testing.T) {
+	dir := t.TempDir()
+	fed := mkBatch(0, 200)
+	l, err := Open(dir, &Options{Seed: store.FromTriples(fed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	b := mkBatch(1000, 30)
+	fed = append(fed, b...)
+	if err := l.AddBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	read := func(name string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	manifest, wal, served := read(manifestName), read("wal-1.log"), l.Snapshot()
+
+	defer func(orig func(string) (*store.SnapshotFile, error)) { openSnapshotFile = orig }(openSnapshotFile)
+	openSnapshotFile = func(string) (*store.SnapshotFile, error) { return nil, errInjected }
+	if err := l.Compact(); !errors.Is(err, errInjected) {
+		t.Fatalf("Compact with an unopenable snapshot returned %v, want the open's error", err)
+	}
+	if !bytes.Equal(read(manifestName), manifest) || !bytes.Equal(read("wal-1.log"), wal) {
+		t.Fatal("the failed compaction changed CURRENT or the WAL")
+	}
+	if l.Snapshot() != served || l.Stats().Gen != 1 {
+		t.Fatalf("the failed compaction published epoch %d on generation %d", l.Epoch(), l.Stats().Gen)
+	}
+	for _, name := range []string{"snapshot-2.rdfsum", "wal-2.log"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("the failed compaction left %s behind (stat: %v)", name, err)
+		}
+	}
+
+	openSnapshotFile = func(path string) (*store.SnapshotFile, error) { return store.OpenSnapshotFile(path, false) }
+	b = mkBatch(2000, 30)
+	fed = append(fed, b...)
+	if err := l.AddBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatalf("Compact after the failed one: %v", err)
+	}
+	if l.Stats().Gen != 2 {
+		t.Fatalf("generation %d after the second Compact, want 2", l.Stats().Gen)
+	}
+	if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
+		t.Fatal("the store diverges from the triples fed")
+	}
+	if got, want := scanIndex(l.Snapshot().Index), scanIndex(store.NewIndex(l.Snapshot().Graph)); !reflect.DeepEqual(got, want) {
+		t.Fatal("the compacted index diverges from a fresh index over the graph")
+	}
+}
+
+// TestDurableIndexHoldsNoHeapBase: after a seeded Open, a reopen and every
+// Compact, a durable store's index serves its base from the generation's
+// snapshot file. Its heap holds its delta runs (36 B a triple) and the
+// fences its lookups have built (16 B per 8 triples of a column), nothing
+// more.
+func TestDurableIndexHoldsNoHeapBase(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 3000))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := 0
+	check := func(what string) {
+		t.Helper()
+		ix := l.Snapshot().Index
+		base := int64(ix.Len() - deltas)
+		lo := int64(deltas) * 36
+		hi := lo + 3*16*((base+7)/8)
+		if h := ix.HeapBytes(); h < lo || h > hi {
+			t.Fatalf("%s: index heap holds %d bytes; %d delta triples and the fences of %d base triples hold %d–%d",
+				what, h, deltas, base, lo, hi)
+		}
+		if ix.MappedBytes() == 0 {
+			t.Fatalf("%s: the index maps no base", what)
+		}
+	}
+	add := func(start int) {
+		t.Helper()
+		b := mkBatch(start, 40)
+		if err := l.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		deltas += len(b)
+	}
+	compact := func(what string) {
+		t.Helper()
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		deltas = 0
+		check(what)
+	}
+	check("seeded open")
+	add(5000)
+	check("seeded open + a batch")
+	l.Snapshot().Index.ForEach(1, dict.None, dict.None, func(store.Triple) bool { return true })
+	l.Snapshot().Index.Count(dict.None, 2, dict.None)
+	check("seeded open + a batch + lookups")
+	compact("first compaction")
+	add(6000)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	check("reopen with a WAL record")
+	compact("second compaction")
+	add(7000)
+	compact("third compaction")
+}
+
+// TestCompactionsUnmapSupersededSnapshots: a reopened store compacted five
+// times keeps mapped, once collected, at most the boot snapshot (its
+// dictionary's base), the current generation's, and the generation an
+// epoch still holds — not one unlinked file per compaction. Every base
+// term of the reopened dictionary still decodes.
+func TestCompactionsUnmapSupersededSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 500))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := store.InspectSnapshot(filepath.Join(dir, "snapshot-1.rdfsum")); err != nil || !info.Mmap {
+		t.Skipf("this build reads snapshots into the heap (inspect: %v)", err)
+	}
+	if l, err = Open(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	d := l.Snapshot().Graph.Dict()
+	base := make([]rdf.Term, d.Len()+1)
+	for id := 1; id < len(base); id++ {
+		base[id] = d.Term(dict.ID(id))
+	}
+	var held *Snapshot
+	for i := 1; i <= 5; i++ {
+		if err := l.AddBatch(mkBatch(1000*i, 30)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			held = l.Snapshot() // generation 4
+		}
+	}
+	allowed := map[string]bool{"snapshot-1.rdfsum": true, "snapshot-4.rdfsum": true, "snapshot-6.rdfsum": true}
+	var mapped, left []string
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		mapped, left = mapped[:0], left[:0]
+		raw, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Skipf("no /proc/self/maps: %v", err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if i := strings.Index(line, dir); i >= 0 {
+				name, _, _ := strings.Cut(filepath.Base(line[i:]), " ")
+				mapped = append(mapped, name)
+				if !allowed[name] {
+					left = append(left, name)
+				}
+			}
+		}
+		if len(left) == 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if len(left) > 0 {
+		t.Fatalf("after five compactions and a collection, superseded files are still mapped: %v", left)
+	}
+	if !slices.Contains(mapped, "snapshot-6.rdfsum") {
+		t.Fatalf("the current generation's snapshot is not mapped (mapped: %v)", mapped)
+	}
+	for id := 1; id < len(base); id++ {
+		if got := d.Term(dict.ID(id)); got != base[id] {
+			t.Fatalf("base term %d decodes to %v after the compactions, was %v", id, got, base[id])
+		}
+	}
+	if held.Index.Len() != held.Graph.NumEdges() {
+		t.Fatal("the held epoch's index no longer matches its graph")
+	}
+	runtime.KeepAlive(held)
 }
 
 // failingSnapshotFile is a snapshot file whose k-th Write/WriteAt fails.

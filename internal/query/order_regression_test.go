@@ -11,6 +11,7 @@
 package query
 
 import (
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
@@ -139,12 +140,43 @@ func evalWork(t *testing.T, g *store.Graph, ix *store.Index, q *Query, stats Pla
 	return work, rows, pl
 }
 
+// mappedIndex returns an index over g served the way a durable store
+// serves its base: from the mapped column sections of g's snapshot.
+func mappedIndex(t *testing.T, g *store.Graph) *store.Index {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.rdfsum")
+	if err := store.SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := store.OpenSnapshotFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sf.Close() }) //nolint:errcheck
+	return store.NewIndexFromBase(sf.Runs(), store.IndexOptions{})
+}
+
+// evalBoth is evalWork over the heap index ix and the mapped index of the
+// same graph, which must enumerate the same triples and rows.
+func evalBoth(t *testing.T, g *store.Graph, ix, mapped *store.Index, q *Query, stats PlanStats) (int64, []string, *Plan) {
+	t.Helper()
+	work, rows, pl := evalWork(t, g, ix, q, stats)
+	if mWork, mRows, _ := evalWork(t, g, mapped, q, stats); mWork != work || !slices.Equal(mRows, rows) {
+		t.Fatalf("%v: %d triples and %d rows over the mapped base, %d and %d over the heap base",
+			q.Patterns, mWork, len(mRows), work, len(rows))
+	}
+	return work, rows, pl
+}
+
+// TestJoinWorkPermutationInvariant evaluates every query of the mixes, in
+// every pattern order, over a heap index and over the mapped base of the
+// same graph's snapshot: both bases enumerate the same triples and rows.
 func TestJoinWorkPermutationInvariant(t *testing.T) {
 	for _, mix := range regressionMixes {
 		t.Run(mix.name, func(t *testing.T) {
 			g := mix.graph()
 			w := core.MustSummarize(g, mix.kind).ComputeWeights()
-			ix := store.NewIndex(g)
+			ix, mapped := store.NewIndex(g), mappedIndex(t, g)
 			queries := mix.queries
 			if mix.name == "lubm" {
 				queries = append(slices.Clip(queries), lubmScans...)
@@ -155,13 +187,13 @@ func TestJoinWorkPermutationInvariant(t *testing.T) {
 			for qi, text := range queries {
 				q := MustParse(text)
 				want := joinOrderWork[mix.name][qi]
-				baseWork, baseRows, _ := evalWork(t, g, ix, q, w)
-				if free, _, _ := evalWork(t, g, ix, q, nil); free != baseWork {
+				baseWork, baseRows, _ := evalBoth(t, g, ix, mapped, q, w)
+				if free, _, _ := evalBoth(t, g, ix, mapped, q, nil); free != baseWork {
 					t.Errorf("query %d: %d triples with statistics, %d without", qi, baseWork, free)
 				}
 				minWork, maxWork := baseWork, baseWork
 				for _, perm := range permutations(len(q.Patterns)) {
-					work, rows, _ := evalWork(t, g, ix, permuted(q, perm), w)
+					work, rows, _ := evalBoth(t, g, ix, mapped, permuted(q, perm), w)
 					if !slices.Equal(rows, baseRows) {
 						t.Fatalf("query %d, order %v: %d rows differ from the source order's %d", qi, perm, len(rows), len(baseRows))
 					}
@@ -183,7 +215,7 @@ func TestJoinWorkPermutationInvariant(t *testing.T) {
 	// statistics, in every order.
 	t.Run("stats-free", func(t *testing.T) {
 		g := samples.Fig2()
-		ix := store.NewIndex(g)
+		ix, mapped := store.NewIndex(g), mappedIndex(t, g)
 		w := core.MustSummarize(g, core.Weak).ComputeWeights()
 		cases := []struct {
 			name, query string
@@ -204,9 +236,9 @@ func TestJoinWorkPermutationInvariant(t *testing.T) {
 			q := MustParse(tc.query)
 			for _, perm := range permutations(len(q.Patterns)) {
 				pq := permuted(q, perm)
-				wantWork, wantRows, _ := evalWork(t, g, ix, pq, w)
+				wantWork, wantRows, _ := evalBoth(t, g, ix, mapped, pq, w)
 				for name, stats := range map[string]PlanStats{"nil": nil, "hand-built": {}} {
-					work, rows, pl := evalWork(t, g, ix, pq, stats)
+					work, rows, pl := evalBoth(t, g, ix, mapped, pq, stats)
 					if pl.empty != tc.empty || pl.usedStats {
 						t.Errorf("%s %v (%s stats): empty=%v usedStats=%v, want %v and false", tc.name, perm, name, pl.empty, pl.usedStats, tc.empty)
 					}

@@ -75,8 +75,9 @@ func BenchmarkSnapshotScanMmap(b *testing.B) {
 }
 
 // BenchmarkSnapshotPointLookupMmap: one bound-subject probe against the
-// mapped POS/SPO columns — skip-index binary search plus a single block
-// decode, no graph materialization.
+// mapped SPO column — a binary search over its fences plus a decode of at
+// most one fence window per bound, no graph materialization. The fences
+// are built before the timer.
 func BenchmarkSnapshotPointLookupMmap(b *testing.B) {
 	path := benchSnapshotPath(b, 100_000)
 	sf, err := OpenSnapshotFile(path, false)
@@ -84,7 +85,8 @@ func BenchmarkSnapshotPointLookupMmap(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sf.Close()
-	ix := NewIndexFromBase(sf.Runs(), nil, IndexOptions{})
+	ix := NewIndexFromBase(sf.Runs(), IndexOptions{})
+	ix.Count(1, dict.None, dict.None)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"rdfsum/internal/dict"
 )
@@ -26,16 +28,32 @@ import (
 // against its predecessor in key space: uvarint(Δk1) (non-negative in a
 // sorted column), then zigzag-svarint(Δk2) and zigzag-svarint(Δk3).
 //
-// Point and range lookups binary-search the skip index without touching
-// any block (20-byte fixed entries), then decode exactly one block; scans
-// decode blocks sequentially. Nothing is materialized at open time.
+// Scans decode blocks sequentially from the skip index's offsets. Range
+// lookups binary-search in-memory fences (one every fenceTriples triples,
+// derived by one pass over the column at its first lookup — they are not
+// on disk) and decode at most fenceTriples-1 triples past one. Nothing is
+// materialized at open time.
 
-// colBlockTriples is the number of triples per block: small enough that
-// a point lookup decodes little, large enough that the skip index stays
-// sparse (20 bytes per 512 triples ≈ 0.3% overhead).
+// colBlockTriples is the number of triples per block: large enough that
+// the skip index stays sparse (20 bytes per 512 triples ≈ 0.3% overhead).
+// A multiple of fenceTriples, so no fence window crosses a block.
 const colBlockTriples = 512
 
 const colSkipEntryBytes = 20
+
+// fenceTriples is the spacing of a mapped column's in-memory fences: 16
+// bytes every 8 triples, 2 B a triple. On the LUBM-52 joins a mapped base
+// with 8-triple fences matched the heap index; 16 took 1.7× its time and
+// 32 took 2.4×.
+const fenceTriples = 8
+
+// fence is the key of a column's triple i (i a multiple of fenceTriples)
+// and the offset, from the start of i's block, of the varints of triple
+// i+1.
+type fence struct {
+	key colKey
+	off uint32
+}
 
 // unkey reverses Order.key: rebuilds a Triple from its permuted sort key.
 func (o Order) unkey(k1, k2, k3 dict.ID) Triple {
@@ -55,29 +73,26 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // uvarintLen is the number of bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// writeCol streams col — sorted in ord — as one column section. The
-// skip index precedes the blocks and holds their offsets, so the column
-// is read twice through a Cursor: once sizing the blocks to fill the
-// skip index, once encoding them. Heap, mapped and spilled columns all
-// encode, to the same bytes for the same triples.
-func writeCol(w *containerWriter, ord Order, col Col) {
-	n := col.Len()
+// writeCol streams ts — sorted in ord — as one column section. The skip
+// index precedes the blocks and holds their offsets, so ts is read twice:
+// once sizing the blocks to fill the skip index, once encoding them.
+func writeCol(w *containerWriter, ord Order, ts []Triple) {
+	n := len(ts)
 	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
-	blockLen := func(b int) int { return min(colBlockTriples, n-b*colBlockTriples) }
 
 	head := make([]byte, 8, 8+nBlocks*colSkipEntryBytes)
 	binary.LittleEndian.PutUint32(head[0:4], uint32(n))
 	binary.LittleEndian.PutUint32(head[4:8], uint32(nBlocks))
 	off := uint64(cap(head))
-	cur := col.Cursor(0, n)
 	for b := 0; b < nBlocks; b++ {
-		p1, p2, p3 := ord.key(cur.Next())
+		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
+		p1, p2, p3 := ord.key(block[0])
 		head = binary.LittleEndian.AppendUint32(head, uint32(p1))
 		head = binary.LittleEndian.AppendUint32(head, uint32(p2))
 		head = binary.LittleEndian.AppendUint32(head, uint32(p3))
 		head = binary.LittleEndian.AppendUint64(head, off)
-		for i := blockLen(b) - 1; i > 0; i-- {
-			c1, c2, c3 := ord.key(cur.Next())
+		for _, t := range block[1:] {
+			c1, c2, c3 := ord.key(t)
 			off += uint64(uvarintLen(uint64(c1-p1)) +
 				uvarintLen(zigzag(int64(c2)-int64(p2))) +
 				uvarintLen(zigzag(int64(c3)-int64(p3))))
@@ -87,11 +102,11 @@ func writeCol(w *containerWriter, ord Order, col Col) {
 	w.Write(head) //nolint:errcheck // sticky
 
 	var tmp [3 * binary.MaxVarintLen64]byte
-	cur = col.Cursor(0, n)
 	for b := 0; b < nBlocks; b++ {
-		p1, p2, p3 := ord.key(cur.Next()) // lives in the skip entry
-		for i := blockLen(b) - 1; i > 0; i-- {
-			c1, c2, c3 := ord.key(cur.Next())
+		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
+		p1, p2, p3 := ord.key(block[0]) // lives in the skip entry
+		for _, t := range block[1:] {
+			c1, c2, c3 := ord.key(t)
 			k := binary.PutUvarint(tmp[:], uint64(c1-p1))
 			k += binary.PutUvarint(tmp[k:], zigzag(int64(c2)-int64(p2)))
 			k += binary.PutUvarint(tmp[k:], zigzag(int64(c3)-int64(p3)))
@@ -101,30 +116,24 @@ func writeCol(w *containerWriter, ord Order, col Col) {
 	}
 }
 
-// writeCols streams a run's three columns as the three column sections.
-func writeCols(w *containerWriter, cols RunCols) {
-	for o, id := range colSectionIDs {
-		w.begin()
-		writeCol(w, Order(o), cols.col(Order(o)))
-		w.end(id)
-	}
-}
-
 // mappedCol serves one encoded column without materializing it: the
-// payload bytes (typically an mmap'd file section) are decoded one block
-// at a time, on demand. Safe for concurrent readers — decoding writes
-// only to freshly allocated block buffers.
+// payload bytes (typically an mmap'd file section) are decoded on demand
+// into each cursor's own buffer. Safe for concurrent readers.
 type mappedCol struct {
 	ord     Order
 	n       int
 	nBlocks int
 	sec     *section // lazy per-section CRC verification on first touch
 	payload []byte
+	file    *mapping // keeps payload mapped while the column is reachable
+
+	fenceMu sync.Mutex
+	fences  atomic.Pointer[[]fence] // nil until the first range lookup
 }
 
 // openCol validates the payload framing and returns the column view.
 // wantLen < 0 skips the length cross-check.
-func openCol(ord Order, sec *section, wantLen int) (*mappedCol, error) {
+func openCol(ord Order, sec *section, wantLen int, file *mapping) (*mappedCol, error) {
 	payload := sec.raw
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("%w: column %v section only %d bytes", ErrSnapshotCorrupt, ord, len(payload))
@@ -139,91 +148,190 @@ func openCol(ord Order, sec *section, wantLen int) (*mappedCol, error) {
 		return nil, fmt.Errorf("%w: column %v skip index truncated (%d blocks for %d triples)",
 			ErrSnapshotCorrupt, ord, nBlocks, n)
 	}
-	return &mappedCol{ord: ord, n: n, nBlocks: nBlocks, sec: sec, payload: payload}, nil
+	return &mappedCol{ord: ord, n: n, nBlocks: nBlocks, sec: sec, payload: payload, file: file}, nil
 }
 
 func (m *mappedCol) Len() int { return m.n }
 
-// first returns block b's first triple, straight from the skip index.
-func (m *mappedCol) first(b int) Triple {
+// colKey is a mapped column's decoding state: the key, in the column's
+// order, of the triple last decoded.
+type colKey [3]dict.ID
+
+// first returns block b's first key, straight from the skip index.
+func (m *mappedCol) first(b int) colKey {
 	e := m.payload[8+b*colSkipEntryBytes:]
-	return m.ord.unkey(
+	return colKey{
 		dict.ID(binary.LittleEndian.Uint32(e[0:4])),
 		dict.ID(binary.LittleEndian.Uint32(e[4:8])),
-		dict.ID(binary.LittleEndian.Uint32(e[8:12])))
+		dict.ID(binary.LittleEndian.Uint32(e[8:12])),
+	}
 }
 
 func (m *mappedCol) blockOff(b int) int {
-	if b >= m.nBlocks {
-		return len(m.payload)
-	}
 	e := m.payload[8+b*colSkipEntryBytes:]
 	return int(binary.LittleEndian.Uint64(e[12:20]))
 }
 
-// decodeBlock materializes block b into a fresh slice.
-func (m *mappedCol) decodeBlock(b int) []Triple {
-	m.sec.verifyLazy()
-	lo := b * colBlockTriples
-	hi := lo + colBlockTriples
-	if hi > m.n {
-		hi = m.n
+// step decodes the key after k from the varints at payload[pos:] and
+// returns the position past them. A cut varint in a section whose CRC
+// passed is a writer bug or a memory fault, and panics like the lazy
+// checks do.
+func (m *mappedCol) step(k *colKey, pos int) int {
+	var d [3]uint64
+	for j := range d {
+		if pos < len(m.payload) && m.payload[pos] < 0x80 { // one-byte varint: most deltas
+			d[j], pos = uint64(m.payload[pos]), pos+1
+			continue
+		}
+		v, w := binary.Uvarint(m.payload[pos:])
+		if w <= 0 {
+			panic(corruptionPanic(fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, m.ord, pos)))
+		}
+		d[j], pos = v, pos+w
 	}
-	out := make([]Triple, 0, hi-lo)
-	t := m.first(b)
-	out = append(out, t)
-	k1, k2, k3 := m.ord.key(t)
-	data := m.payload[m.blockOff(b):m.blockOff(b+1)]
-	pos := 0
-	for i := lo + 1; i < hi; i++ {
-		d1, n1 := binary.Uvarint(data[pos:])
-		if n1 <= 0 {
-			panic(corruptionPanic(fmt.Errorf("%w: column %v block %d cut at triple %d", ErrSnapshotCorrupt, m.ord, b, i)))
-		}
-		pos += n1
-		d2, n2 := binary.Uvarint(data[pos:])
-		if n2 <= 0 {
-			panic(corruptionPanic(fmt.Errorf("%w: column %v block %d cut at triple %d", ErrSnapshotCorrupt, m.ord, b, i)))
-		}
-		pos += n2
-		d3, n3 := binary.Uvarint(data[pos:])
-		if n3 <= 0 {
-			panic(corruptionPanic(fmt.Errorf("%w: column %v block %d cut at triple %d", ErrSnapshotCorrupt, m.ord, b, i)))
-		}
-		pos += n3
-		k1 += dict.ID(d1)
-		k2 = dict.ID(int64(k2) + unzigzag(d2))
-		k3 = dict.ID(int64(k3) + unzigzag(d3))
-		out = append(out, m.ord.unkey(k1, k2, k3))
-	}
-	return out
+	k[0] += dict.ID(d[0])
+	k[1] = dict.ID(int64(k[1]) + unzigzag(d[1]))
+	k[2] = dict.ID(int64(k[2]) + unzigzag(d[2]))
+	return pos
 }
 
-func (m *mappedCol) Search(pred func(Triple) bool) int {
-	if m.n == 0 {
-		return 0
+func (k colKey) sortKey() sortKey { return packKey(k[0], k[1], k[2]) }
+
+// fenceTable returns the column's fences, deriving them on first use by
+// one pass over the verified section.
+func (m *mappedCol) fenceTable() []fence {
+	if fs := m.fences.Load(); fs != nil {
+		return *fs
 	}
-	// Locate the first block whose first triple satisfies pred: the
-	// boundary is inside (or at the end of) the block before it. Only
-	// that single block is decoded.
-	b := sort.Search(m.nBlocks, func(i int) bool { return pred(m.first(i)) })
-	if b == 0 {
-		return 0
+	m.fenceMu.Lock()
+	defer m.fenceMu.Unlock()
+	if fs := m.fences.Load(); fs != nil {
+		return *fs
 	}
-	dec := m.decodeBlock(b - 1)
-	i := sort.Search(len(dec), func(j int) bool { return pred(dec[j]) })
-	return (b-1)*colBlockTriples + i
+	m.sec.verifyLazy()
+	fs := make([]fence, 0, (m.n+fenceTriples-1)/fenceTriples)
+	for b := 0; b < m.nBlocks; b++ {
+		start := m.blockOff(b)
+		k, pos := m.first(b), start
+		for i := b * colBlockTriples; i < min(m.n, (b+1)*colBlockTriples); i++ {
+			if i > b*colBlockTriples {
+				pos = m.step(&k, pos)
+			}
+			if i%fenceTriples == 0 {
+				fs = append(fs, fence{key: k, off: uint32(pos - start)})
+			}
+		}
+	}
+	m.fences.Store(&fs)
+	return fs
+}
+
+// fenceBytes is what the column's fences hold, 0 before they are built.
+func (m *mappedCol) fenceBytes() int64 {
+	if fs := m.fences.Load(); fs != nil {
+		return int64(cap(*fs)) * int64(unsafe.Sizeof(fence{}))
+	}
+	return 0
+}
+
+// at returns the decoding state at fence f: the key of triple
+// f·fenceTriples and the position of the varints after it.
+func (m *mappedCol) at(fs []fence, f int) (colKey, int) {
+	return fs[f].key, m.blockOff(f*fenceTriples/colBlockTriples) + int(fs[f].off)
+}
+
+func (m *mappedCol) Range(bound Triple, n int) (lo, hi int) {
+	if n == 0 || m.n == 0 {
+		return 0, m.n
+	}
+	fs := m.fenceTable()
+	kl, kh := m.ord.prefixBounds(bound, n)
+	lo, key, pos := m.search(fs, 0, len(fs), kl, false)
+	// Most ranges are short: walk on from lo to the next fence first.
+	hi, end := lo, min(m.n, (lo/fenceTriples+1)*fenceTriples)
+	for hi < end && !key.sortKey().reaches(kh, true) {
+		if hi++; hi < end {
+			pos = m.step(&key, pos)
+		}
+	}
+	if hi < end || hi == m.n {
+		return lo, hi
+	}
+	// The range runs past fence hi/fenceTriples: gallop over the fences
+	// from there, then bisect.
+	short, f := hi/fenceTriples-1, hi/fenceTriples
+	for d := 1; f < len(fs) && !fs[f].key.sortKey().reaches(kh, true); d *= 2 {
+		short, f = f, f+d
+	}
+	hi, _, _ = m.search(fs, short+1, min(f, len(fs)), kh, true)
+	return lo, hi
+}
+
+// search returns the first index i whose key reaches k (Len if none
+// does), and, when i < Len, that key and the position of the varints
+// after it — given that the first fence to reach k is in [from, to]
+// (to = len(fs) standing for none). It bisects those fences, then decodes
+// the triples between the last fence short of k and the next.
+func (m *mappedCol) search(fs []fence, from, to int, k sortKey, strict bool) (int, colKey, int) {
+	lo, hi := from, to
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if fs[h].key.sortKey().reaches(k, strict) {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	if lo > 0 {
+		i := (lo - 1) * fenceTriples
+		end := min(m.n, i+fenceTriples)
+		key, pos := m.at(fs, lo-1)
+		for i++; i < end; i++ {
+			pos = m.step(&key, pos)
+			if key.sortKey().reaches(k, strict) {
+				return i, key, pos
+			}
+		}
+		if end == m.n {
+			return end, colKey{}, 0
+		}
+	}
+	key, pos := m.at(fs, lo)
+	return lo * fenceTriples, key, pos
 }
 
 func (m *mappedCol) Cursor(lo, hi int) Cursor {
-	return Cursor{
-		pos: lo, hi: hi,
-		bufLo: -1, // force a refill on first access
-		refill: func(i int) ([]Triple, int) {
-			b := i / colBlockTriples
-			return m.decodeBlock(b), b * colBlockTriples
-		},
+	return Cursor{pos: lo, hi: hi, col: m}
+}
+
+// window decodes triples i, i+1, … up to hi or the end of i's block,
+// whichever comes first, into buf (reusing its capacity). A window from a
+// block start reads the skip index; one from inside a block starts at the
+// fence before i.
+func (m *mappedCol) window(i, hi int, buf []Triple) []Triple {
+	if buf == nil {
+		buf = make([]Triple, 0, min(hi-i, colBlockTriples))
 	}
+	b := i / colBlockTriples
+	end := min(hi, (b+1)*colBlockTriples)
+	var k colKey
+	var pos int
+	at := i - i%fenceTriples
+	if i%colBlockTriples == 0 {
+		m.sec.verifyLazy()
+		k, pos = m.first(b), m.blockOff(b)
+	} else {
+		k, pos = m.at(m.fenceTable(), i/fenceTriples)
+	}
+	for ; at < i; at++ {
+		pos = m.step(&k, pos)
+	}
+	buf = append(buf[:0], m.ord.unkey(k[0], k[1], k[2]))
+	for at++; at < end; at++ {
+		pos = m.step(&k, pos)
+		buf = append(buf, m.ord.unkey(k[0], k[1], k[2]))
+	}
+	return buf
 }
 
 // mappedCols is the on-disk RunCols: three mappedCol views over the col
@@ -235,3 +343,21 @@ type mappedCols struct {
 
 func (m *mappedCols) length() int     { return m.n }
 func (m *mappedCols) col(o Order) Col { return m.cols[o] }
+
+// bytes is what the run's three column sections hold.
+func (m *mappedCols) bytes() int64 {
+	var n int64
+	for _, c := range m.cols {
+		n += int64(len(c.payload))
+	}
+	return n
+}
+
+// fenceBytes is what the run's built fences hold on the heap.
+func (m *mappedCols) fenceBytes() int64 {
+	var n int64
+	for _, c := range m.cols {
+		n += c.fenceBytes()
+	}
+	return n
+}

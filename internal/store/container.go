@@ -135,6 +135,7 @@ func (s *section) verify() error {
 // container is a parsed v2 file (snapshot or run).
 type container struct {
 	data     []byte
+	file     *mapping // owns data when it is a mapped file; nil for heap bytes
 	kind     byte
 	nTerms   uint64
 	nData    uint64

@@ -24,8 +24,8 @@ import (
 // bounded, whenever `fanout` consecutive trailing runs reach the same
 // level they are folded into one run of the next level — the classical
 // logarithmic-method amortization, O(log n / log fanout) merge work per
-// inserted triple. Compacted folds everything into a single run and drops
-// all tombstones.
+// inserted triple. A store compaction starts over from a single base run:
+// the snapshot it writes.
 //
 // A run stores its triples behind the Col abstraction (run.go), so the
 // same search and merge machinery serves in-memory slices, the column
@@ -33,10 +33,10 @@ import (
 // materialized at open), and folded runs spilled to on-disk column files
 // (SpillConfig) that bound resident memory under sustained ingest.
 //
-// An Index and its runs are immutable: Applied/Compacted return new
-// Index values sharing unchanged runs, so snapshots held by old epochs
-// stay valid (and keep their exact contents) across later ingest, deletes
-// and compactions.
+// An Index and its runs are immutable: Applied returns a new Index
+// sharing unchanged runs, so snapshots held by old epochs stay valid (and
+// keep their exact contents) across later ingest, deletes and
+// compactions.
 type Index struct {
 	runs   []*run // oldest → newest; immutable after construction
 	fanout int    // trailing same-level runs folded at this width
@@ -104,22 +104,17 @@ func (o IndexOptions) fanout() int {
 // NewIndexWithOptions builds a single-run index over the graph's current
 // triples with explicit options.
 func NewIndexWithOptions(g *Graph, opts IndexOptions) *Index {
-	return NewIndexFromBase(NewRunCols(g.All()), nil, opts)
+	return NewIndexFromBase(NewRunCols(g.All()), opts)
 }
 
 // NewIndexFromBase builds an index whose base run is an already-sorted
-// column run — SnapshotFile.Runs(), served zero-copy from the mapped
-// file, or the NewRunCols a snapshot was just written from — plus an
-// optional in-memory tail of later triples (adopted). Nothing from the
-// base is materialized or re-sorted: this is the O(1) open path. A heap
-// base large enough spills like any folded run.
-func NewIndexFromBase(base RunCols, tail []Triple, opts IndexOptions) *Index {
-	ix := &Index{fanout: opts.fanout(), live: base.length() + len(tail), spill: opts.Spill}
+// column run: SnapshotFile.Runs(), served zero-copy from the mapped file,
+// or a heap NewRunCols. Nothing from the base is materialized or
+// re-sorted: over a snapshot this is the O(1) open path. A heap base
+// large enough spills like any folded run.
+func NewIndexFromBase(base RunCols, opts IndexOptions) *Index {
+	ix := &Index{fanout: opts.fanout(), live: base.length(), spill: opts.Spill}
 	ix.runs = []*run{ix.maybeSpill(&run{cols: base, level: levelFor(base.length(), ix.fanout)})}
-	if len(tail) > 0 {
-		ix.runs = append(ix.runs, newMemRun(tail, nil, levelFor(len(tail), ix.fanout)))
-		ix.fold()
-	}
 	return ix
 }
 
@@ -241,30 +236,6 @@ func (ix *Index) foldTail(start, minLevel int) {
 	ix.runs = append(ix.runs[:start:start], merged)
 }
 
-// Compacted returns a single-run index over ix's visible triples with all
-// tombstones dropped — the full fold a store compaction performs. The
-// receiver is untouched.
-func (ix *Index) Compacted() *Index {
-	defer indexFoldSeconds.ObserveSince(time.Now())
-	out := &Index{fanout: ix.fanout, live: ix.live, spill: ix.spill}
-	out.runs = []*run{out.maybeSpill(mergeRuns(ix.runs, true, levelFor(ix.live, ix.fanout)))}
-	for _, r := range ix.runs {
-		r.unlinkSpill()
-	}
-	return out
-}
-
-// Cols returns the column run of a single-run, tombstone-free index —
-// what NewIndex, NewIndexFromBase without a tail and Compacted produce —
-// so a snapshot of the same triples can be written from it without
-// sorting them again. ok is false for any other index.
-func (ix *Index) Cols() (cols RunCols, ok bool) {
-	if len(ix.runs) != 1 || ix.tombs != 0 {
-		return nil, false
-	}
-	return ix.runs[0].cols, true
-}
-
 // mergeRuns folds a window of consecutive runs (oldest first) into one.
 // The surviving adds of every run are gathered — window-internal
 // tombstone suppression applied — and handed to the run-sort kernel:
@@ -328,17 +299,33 @@ func (ix *Index) SpilledRuns() int {
 	return n
 }
 
-// HeapBytes is what the heap-resident runs hold: a triple is 12 bytes in
-// each of the three sort orders. Mapped and spilled runs are file-backed
-// and count nothing.
+// HeapBytes is what the index holds on the heap: 12 bytes a triple in
+// each of the three sort orders of its heap runs, and the fences its
+// mapped and spilled runs have built (2 bytes a triple per column).
 func (ix *Index) HeapBytes() int64 {
-	n := 0
+	var n int64
 	for _, r := range ix.runs {
-		if _, heap := r.cols.(*memCols); heap {
-			n += r.length()
+		switch c := r.cols.(type) {
+		case *memCols:
+			n += int64(c.length()) * int64(NumOrders) * TripleBytes
+		case *mappedCols:
+			n += c.fenceBytes()
 		}
 	}
-	return int64(n) * int64(NumOrders) * TripleBytes
+	return n
+}
+
+// MappedBytes is what the column sections of the index's mapped and
+// spilled runs hold: file bytes, resident as far as the page cache keeps
+// them.
+func (ix *Index) MappedBytes() int64 {
+	var n int64
+	for _, r := range ix.runs {
+		if c, ok := r.cols.(*mappedCols); ok {
+			n += c.bytes()
+		}
+	}
+	return n
 }
 
 // Tombstones reports the total tombstones retained across runs (0 after a
@@ -488,10 +475,6 @@ func patternPlan(s, p, o dict.ID) (Order, Triple, int) {
 func (r *run) rangeFor(s, p, o dict.ID) (Col, int, int) {
 	ord, bound, n := patternPlan(s, p, o)
 	col := r.cols.col(ord)
-	if n == 0 {
-		return col, 0, col.Len()
-	}
-	lo := col.Search(func(t Triple) bool { return ord.cmpPrefix(t, bound, n) >= 0 })
-	hi := col.Search(func(t Triple) bool { return ord.cmpPrefix(t, bound, n) > 0 })
+	lo, hi := col.Range(bound, n)
 	return col, lo, hi
 }

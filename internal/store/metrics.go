@@ -2,12 +2,11 @@ package store
 
 import "rdfsum/internal/obs"
 
-// indexFoldSeconds times tiered-index run merges: trailing folds on
-// Applied and the single-run merge a Compacted performs. Process-wide
-// (obs.Default) — folds are per-instance but the latency distribution
-// is what a scrape wants.
+// indexFoldSeconds times tiered-index run merges: the trailing folds of
+// Applied. Process-wide (obs.Default) — folds are per-instance but the
+// latency distribution is what a scrape wants.
 var indexFoldSeconds = obs.Default.Histogram("rdfsum_index_fold_seconds",
-	"Time merging tiered-index runs (trailing folds and full compactions).", obs.DefBuckets)
+	"Time merging tiered-index runs (trailing folds).", obs.DefBuckets)
 
 // Snapshot v2 and index-spill observability. Process-wide (obs.Default):
 // rdfsumd merges this registry into /v1/metrics.

@@ -67,7 +67,7 @@ func SaveFile(path string, g *Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteSnapshotV2(f, g, NewRunCols(g.All())); err != nil {
+	if err := WriteSnapshotV2(f, g, g.All(), nil); err != nil {
 		f.Close()
 		return err
 	}

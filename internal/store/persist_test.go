@@ -205,7 +205,7 @@ func TestSnapshotOfOverlayGraphHoldsReferencedTerms(t *testing.T) {
 	if got.Dict().Len() != 9 {
 		t.Errorf("reloaded dictionary holds %d terms, want 9", got.Dict().Len())
 	}
-	if err := WriteSnapshotV2(&memFile{}, sum, NewRunCols(sum.All())); err == nil {
-		t.Error("WriteSnapshotV2 must refuse a graph over an overlay dictionary: its run is in overlay IDs")
+	if err := WriteSnapshotV2(&memFile{}, sum, sum.All(), nil); err == nil {
+		t.Error("WriteSnapshotV2 must refuse a graph over an overlay dictionary: its triples are in overlay IDs")
 	}
 }

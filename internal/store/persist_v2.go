@@ -29,18 +29,23 @@ import (
 // header is placed last — what f holds before WriteSnapshotV2 returns nil
 // is not a snapshot, and callers publish it (rename) only then.
 //
-// cols must hold exactly g's triple multiset — the run an index over g
-// already serves (a fresh NewRunCols(g.All()), or Index.Cols after a
-// fold): the writer encodes its column sections from it and never sorts.
-// The dictionary section lists terms 1..Len, so g must not be over an
-// overlay dictionary — re-encode with Dense first (SaveFile does).
-func WriteSnapshotV2(f File, g *Graph, cols RunCols) error {
+// buf must hold exactly g's triple multiset, in any order (g.All(), say).
+// The writer sorts it in place into SPO, POS and OSP order in turn,
+// encoding each column section before the next sort, so the columns cost
+// buf plus one scratch buffer: 24 B a triple. scratch may be nil, and is
+// then allocated when the sort needs it. The dictionary section lists
+// terms 1..Len, so g must not be over an overlay dictionary — re-encode
+// with Dense first (SaveFile does).
+func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	if g.Dict().IsOverlay() {
 		return errors.New("store: snapshot of a graph over an overlay dictionary (re-encode it with Dense)")
 	}
 	g.Ensure()
-	if cols.length() != g.NumEdges() {
-		return fmt.Errorf("store: snapshot run holds %d triples, graph %d", cols.length(), g.NumEdges())
+	if len(buf) != g.NumEdges() {
+		return fmt.Errorf("store: snapshot buffer holds %d triples, graph %d", len(buf), g.NumEdges())
+	}
+	if len(buf) >= radixCutoff && len(scratch) < len(buf) {
+		scratch = make([]Triple, len(buf))
 	}
 	w := newContainerWriter(f, fileKindSnapshot)
 	w.begin()
@@ -59,7 +64,12 @@ func WriteSnapshotV2(f File, g *Graph, cols RunCols) error {
 		writeComp(w, c.ts)
 		w.end(c.id)
 	}
-	writeCols(w, cols)
+	for o, id := range colSectionIDs {
+		sortTriples(Order(o), buf, scratch)
+		w.begin()
+		writeCol(w, Order(o), buf)
+		w.end(id)
+	}
 	w.section(secVocab, encodeVocabSec(g.Vocab()))
 	return w.finish([4]uint64{uint64(nTerms), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))})
 }
@@ -151,14 +161,14 @@ func decodeComp(raw []byte, n int, maxID uint64) ([]Triple, error) {
 // SnapshotFile is an open v2 snapshot: the mmap'd (or, under the nommap
 // build tag, eagerly read) container plus lazily constructed views over
 // it. Opening one is O(header + TOC); nothing else is read until
-// touched. Safe for concurrent readers. Close unmaps — only after every
-// Graph and Index serving from it is gone.
+// touched. Safe for concurrent readers. The file stays mapped while the
+// SnapshotFile, its runs or its dictionary are reachable, and is unmapped
+// once none is; Close unmaps at once.
 type SnapshotFile struct {
-	c       *container
-	path    string
-	closeFn func() error
-	md      *dict.Mapped
-	runs    RunCols
+	c    *container
+	path string
+	md   *dict.Mapped
+	runs RunCols
 
 	matOnce          sync.Once
 	matD, matT, matS []Triple
@@ -168,17 +178,16 @@ type SnapshotFile struct {
 // verify set, every section CRC is checked now; otherwise sections
 // verify lazily on first touch.
 func OpenSnapshotFile(path string, verify bool) (*SnapshotFile, error) {
-	data, closeFn, err := mapFile(path)
+	file, err := openMapping(path)
 	if err != nil {
 		return nil, err
 	}
-	sf, err := newSnapshotFile(data, verify)
+	sf, err := newSnapshotFile(file, verify)
 	if err != nil {
-		closeFn() //nolint:errcheck // already failing
+		file.close() //nolint:errcheck // already failing
 		return nil, err
 	}
 	sf.path = path
-	sf.closeFn = closeFn
 	return sf, nil
 }
 
@@ -192,11 +201,12 @@ func parseSnapshot(data []byte, verify bool) (*container, error) {
 	return c, err
 }
 
-func newSnapshotFile(data []byte, verify bool) (*SnapshotFile, error) {
-	c, err := parseSnapshot(data, verify)
+func newSnapshotFile(file *mapping, verify bool) (*SnapshotFile, error) {
+	c, err := parseSnapshot(file.data, verify)
 	if err != nil {
 		return nil, err
 	}
+	c.file = file
 	sf := &SnapshotFile{c: c}
 	pages, err := c.section(secDictPages)
 	if err != nil {
@@ -219,6 +229,7 @@ func newSnapshotFile(data []byte, verify bool) (*SnapshotFile, error) {
 		dirSec.verifyLazy()
 	}
 	sf.md.TouchSorted = sortedSec.verifyLazy
+	sf.md.Owner = file
 	sf.runs, err = openContainerCols(c, int(c.nData+c.nTypes+c.nSchema))
 	if err != nil {
 		return nil, err
@@ -228,14 +239,14 @@ func newSnapshotFile(data []byte, verify bool) (*SnapshotFile, error) {
 
 // openContainerCols builds the three mapped column views of a container
 // (snapshot or spill run).
-func openContainerCols(c *container, wantLen int) (RunCols, error) {
+func openContainerCols(c *container, wantLen int) (*mappedCols, error) {
 	m := &mappedCols{n: wantLen}
 	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
 		}
-		m.cols[o], err = openCol(Order(o), sec, wantLen)
+		m.cols[o], err = openCol(Order(o), sec, wantLen, c.file)
 		if err != nil {
 			return nil, err
 		}
@@ -283,14 +294,10 @@ func (sf *SnapshotFile) Components() (data, types, schema []Triple) {
 	return sf.matD, sf.matT, sf.matS
 }
 
-// Close releases the mapping. The caller must ensure no Graph, Index or
-// Dict view over this file is still in use.
-func (sf *SnapshotFile) Close() error {
-	if sf.closeFn == nil {
-		return nil
-	}
-	return sf.closeFn()
-}
+// Close releases the mapping now instead of when the last view over it is
+// collected. The caller must ensure no Graph, Index or Dict view over this
+// file is still in use.
+func (sf *SnapshotFile) Close() error { return sf.c.file.close() }
 
 // OpenGraphFile maps a snapshot file. The returned graph carries the
 // snapshot as an unmaterialized base — component slices and the

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func v2Sample(t *testing.T) (*Graph, []byte) {
 		rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/q"), rdf.NewTypedLiteral("3", "http://www.w3.org/2001/XMLSchema#int")),
 	})
 	var f memFile
-	if err := WriteSnapshotV2(&f, g, NewRunCols(g.All())); err != nil {
+	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	return g, f.b
@@ -171,11 +172,8 @@ func TestSnapshotV2IndexFromBase(t *testing.T) {
 		name string
 		tail []Triple
 	}{{"no-tail", nil}, {"tail", tail}} {
-		got := NewIndexFromBase(sf.Runs(), tc.tail, IndexOptions{})
-		ref := want
-		if len(tc.tail) > 0 {
-			ref = want.Applied(tc.tail, nil)
-		}
+		got := NewIndexFromBase(sf.Runs(), IndexOptions{}).Applied(tc.tail, nil)
+		ref := want.Applied(tc.tail, nil)
 		if got.Len() != ref.Len() {
 			t.Fatalf("%s: index length %d, want %d", tc.name, got.Len(), ref.Len())
 		}
@@ -411,15 +409,16 @@ var (
 	goldenRunFile3000 = golden{53311, "6703c16136eebe5d6907e95597ffb4faa897e349c25c7bfc422f869ffb363ac6"}
 )
 
-// TestWriteSnapshotV2ByteIdentical: whatever run the writer is handed for
-// a graph — a fresh heap run, the mapped columns of a snapshot of the
-// same graph, the (heap or spilled) run of a folded index — the file is
-// the parent writer's, byte for byte; and so is a spill file.
+// TestWriteSnapshotV2ByteIdentical: whatever order the writer is handed a
+// graph's triples in — the graph's own, reversed, the SPO scan of the
+// snapshot's mapped base, the scan of a tiered (heap or spilled) index fed
+// them in slices — the file is the parent writer's, byte for byte; and so
+// is a spill file.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
-	write := func(g *Graph, cols RunCols) []byte {
+	write := func(g *Graph, buf []Triple) []byte {
 		t.Helper()
 		var f memFile
-		if err := WriteSnapshotV2(&f, g, cols); err != nil {
+		if err := WriteSnapshotV2(&f, g, buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		return f.b
@@ -433,8 +432,11 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		g.AddEncoded(dup.S, dup.P, dup.O)
 		want := goldenRandom[n]
 
-		file := write(g, NewRunCols(g.All()))
-		want.check(t, fmt.Sprintf("n=%d: heap run", n), file)
+		file := write(g, g.All())
+		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
+		reversed := g.All()
+		slices.Reverse(reversed)
+		want.check(t, fmt.Sprintf("n=%d: reversed", n), write(g, reversed))
 		path := filepath.Join(t.TempDir(), "g.rdfsum")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
@@ -443,24 +445,20 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.check(t, fmt.Sprintf("n=%d: mapped run", n), write(g, sf.Runs()))
+		want.check(t, fmt.Sprintf("n=%d: mapped base scan", n), write(g, scanAll(NewIndexFromBase(sf.Runs(), IndexOptions{}))))
 		sf.Close()
 
 		// A tiered index fed the same triples in slices, with a delete
-		// and re-add on the way, folds to the same run.
+		// and re-add on the way, scans to the same multiset.
 		for _, spill := range []*SpillConfig{nil, {Dir: t.TempDir(), MinBytes: 1}} {
 			all := g.All()
-			ix := NewIndexFromBase(NewRunCols(nil), nil, IndexOptions{Fanout: 3, Spill: spill})
+			ix := NewIndexFromBase(NewRunCols(nil), IndexOptions{Fanout: 3, Spill: spill})
 			for lo := 0; lo < len(all); lo += 97 {
 				ix = ix.Applied(all[lo:min(lo+97, len(all))], nil)
 			}
 			ix = ix.Applied(nil, []Triple{all[0]})
 			ix = ix.Applied(naiveMatch(all, all[0].S, all[0].P, all[0].O), nil)
-			cols, ok := ix.Compacted().Cols()
-			if !ok {
-				t.Fatalf("n=%d: Compacted index exposes no single run", n)
-			}
-			want.check(t, fmt.Sprintf("n=%d spill=%v: folded run", n, spill != nil), write(g, cols))
+			want.check(t, fmt.Sprintf("n=%d spill=%v: tiered index scan", n, spill != nil), write(g, scanAll(ix)))
 		}
 
 		if n == 3000 {
@@ -476,8 +474,8 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		}
 	}
 	g, _ := v2Sample(t)
-	if err := WriteSnapshotV2(&memFile{}, g, NewRunCols(g.All()[1:])); err == nil {
-		t.Fatal("a run that does not hold the graph's triples was accepted")
+	if err := WriteSnapshotV2(&memFile{}, g, g.All()[1:], nil); err == nil {
+		t.Fatal("a buffer that does not hold the graph's triples was accepted")
 	}
 }
 
@@ -533,10 +531,10 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 				reopened.Add(tr)
 			}
 			var want, got memFile
-			if err := WriteSnapshotV2(&want, heap, NewRunCols(heap.All())); err != nil {
+			if err := WriteSnapshotV2(&want, heap, heap.All(), nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteSnapshotV2(&got, reopened, NewRunCols(reopened.All())); err != nil {
+			if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.b, want.b) {
@@ -578,9 +576,9 @@ func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
 // zeros.
 func TestSectionWriterFailsClean(t *testing.T) {
 	g := v2RandomGraph(t, 5, 20000) // several chunks
-	cols := NewRunCols(g.All())
+	buf := g.All()
 	var whole failFile
-	if err := WriteSnapshotV2(&whole, g, cols); err != nil {
+	if err := WriteSnapshotV2(&whole, g, buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if whole.ops < 4 {
@@ -591,7 +589,7 @@ func TestSectionWriterFailsClean(t *testing.T) {
 	}
 	for k := 1; k <= whole.ops; k++ {
 		f := failFile{failAt: k}
-		if err := WriteSnapshotV2(&f, g, cols); !errors.Is(err, errInjected) {
+		if err := WriteSnapshotV2(&f, g, buf, nil); !errors.Is(err, errInjected) {
 			t.Fatalf("operation %d of %d failed, WriteSnapshotV2 returned %v", k, whole.ops, err)
 		}
 		if f.ops != k {

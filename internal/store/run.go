@@ -2,8 +2,8 @@ package store
 
 import (
 	"cmp"
+	"math"
 	"slices"
-	"sort"
 
 	"rdfsum/internal/dict"
 )
@@ -82,34 +82,57 @@ func (o Order) compare(a, b Triple) int {
 	return cmp.Compare(a3, b3)
 }
 
-// cmpPrefix compares the first n key components of t against bound,
-// returning -1, 0 or +1. n=0 compares nothing (always 0): the full-scan
-// pattern.
-func (o Order) cmpPrefix(t, bound Triple, n int) int {
-	t1, t2, t3 := o.key(t)
-	b1, b2, b3 := o.key(bound)
-	ks := [3][2]dict.ID{{t1, b1}, {t2, b2}, {t3, b3}}
-	for i := 0; i < n; i++ {
-		if ks[i][0] < ks[i][1] {
-			return -1
-		}
-		if ks[i][0] > ks[i][1] {
-			return 1
-		}
+// sortKey is a triple's key in one order, packed for comparison: the
+// first two components in hi (the first in its upper half), the third in
+// lo.
+type sortKey struct {
+	hi uint64
+	lo uint32
+}
+
+func packKey(k1, k2, k3 dict.ID) sortKey {
+	return sortKey{hi: uint64(k1)<<32 | uint64(k2), lo: uint32(k3)}
+}
+
+func (o Order) sortKey(t Triple) sortKey { return packKey(o.key(t)) }
+
+// reaches reports whether k sorts after b or, unless strict, equals it.
+func (k sortKey) reaches(b sortKey, strict bool) bool {
+	if k.hi != b.hi {
+		return k.hi > b.hi
 	}
-	return 0
+	if strict {
+		return k.lo > b.lo
+	}
+	return k.lo >= b.lo
+}
+
+// prefixBounds returns the smallest and the largest key whose first n
+// components (1 ≤ n ≤ 3) are bound's: a column's range for the prefix
+// runs from the first key reaching lo to the first key strictly past hi.
+func (o Order) prefixBounds(bound Triple, n int) (lo, hi sortKey) {
+	k1, k2, k3 := o.key(bound)
+	const top dict.ID = math.MaxUint32
+	switch n {
+	case 1:
+		return packKey(k1, 0, 0), packKey(k1, top, top)
+	case 2:
+		return packKey(k1, k2, 0), packKey(k1, k2, top)
+	default:
+		return packKey(k1, k2, k3), packKey(k1, k2, k3)
+	}
 }
 
 // Col is one sort order of an immutable run: a sorted sequence of triples
-// supporting monotone-predicate search and windowed iteration. All
+// supporting prefix range search and windowed iteration. All
 // implementations are safe for concurrent readers.
 type Col interface {
 	// Len is the number of triples in the column.
 	Len() int
-	// Search returns the smallest index i with pred(col[i]) true, or
-	// Len() when pred is false everywhere. pred must be monotone in the
-	// column's sort order (false… then true…).
-	Search(pred func(Triple) bool) int
+	// Range returns the half-open range of triples whose first n key
+	// components in the column's order equal bound's; n = 0 is the whole
+	// column.
+	Range(bound Triple, n int) (lo, hi int)
 	// Cursor returns an iterator over the half-open range [lo, hi).
 	Cursor(lo, hi int) Cursor
 }
@@ -117,11 +140,11 @@ type Col interface {
 // Cursor iterates a Col range in order. Not safe for concurrent use;
 // create one per traversal.
 type Cursor struct {
-	buf    []Triple                    // decoded window; nil when exhausted
-	bufLo  int                         // global index of buf[0]
-	pos    int                         // global index of the next triple
-	hi     int                         // global end of the iteration range
-	refill func(i int) ([]Triple, int) // window containing global index i; nil for in-memory cols
+	buf   []Triple   // the window holding the next triple
+	bufLo int        // global index of buf[0]
+	pos   int        // global index of the next triple
+	hi    int        // global end of the iteration range
+	col   *mappedCol // decodes the next window into buf; nil for in-memory cols
 }
 
 // Valid reports whether Next has another triple to return.
@@ -129,8 +152,8 @@ func (c *Cursor) Valid() bool { return c.pos < c.hi }
 
 // Peek returns the next triple without advancing.
 func (c *Cursor) Peek() Triple {
-	if c.pos < c.bufLo || c.pos >= c.bufLo+len(c.buf) {
-		c.buf, c.bufLo = c.refill(c.pos)
+	if c.pos >= c.bufLo+len(c.buf) {
+		c.buf, c.bufLo = c.col.window(c.pos, c.hi, c.buf), c.pos
 	}
 	return c.buf[c.pos-c.bufLo]
 }
@@ -152,29 +175,56 @@ type RunCols interface {
 
 // --- in-memory implementation --------------------------------------------
 
-// memCol is the in-memory Col: a sorted slice.
-type memCol []Triple
-
-func (m memCol) Len() int { return len(m) }
-
-func (m memCol) Search(pred func(Triple) bool) int {
-	return sort.Search(len(m), func(i int) bool { return pred(m[i]) })
+// memCol is the in-memory Col: a slice sorted in ord.
+type memCol struct {
+	ord Order
+	ts  []Triple
 }
 
-func (m memCol) Cursor(lo, hi int) Cursor {
-	return Cursor{buf: m, bufLo: 0, pos: lo, hi: hi}
+func (m *memCol) Len() int { return len(m.ts) }
+
+func (m *memCol) Range(bound Triple, n int) (lo, hi int) {
+	if n == 0 {
+		return 0, len(m.ts)
+	}
+	kl, kh := m.ord.prefixBounds(bound, n)
+	lo = m.search(0, len(m.ts), kl, false)
+	// The end is near lo for most patterns: gallop from lo, then bisect.
+	short, i := lo-1, lo
+	for d := 1; i < len(m.ts) && !m.ord.sortKey(m.ts[i]).reaches(kh, true); d *= 2 {
+		short, i = i, i+d
+	}
+	return lo, m.search(short+1, min(i, len(m.ts)), kh, true)
+}
+
+// search returns the first index in [from, to) whose key reaches k, or
+// to.
+func (m *memCol) search(from, to int, k sortKey, strict bool) int {
+	lo, hi := from, to
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if m.ord.sortKey(m.ts[h]).reaches(k, strict) {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
+}
+
+func (m *memCol) Cursor(lo, hi int) Cursor {
+	return Cursor{buf: m.ts, pos: lo, hi: hi}
 }
 
 // memCols is the in-memory RunCols: the three sorted slices every
 // freshly built run starts with.
 type memCols struct {
-	spo, pos, osp []Triple
+	cols [NumOrders]memCol
 }
 
-// NewRunCols sorts triples into a heap-resident run: the one place a
-// triple multiset is ordered three ways. NewIndexFromBase adopts the
-// result and WriteSnapshotV2 encodes its column sections from it, so a
-// boot sorts once. triples is adopted (sorted in place), not copied.
+// NewRunCols sorts triples into a heap-resident run: the base of a
+// memory-only store's index. triples is adopted (sorted in place), not
+// copied.
 func NewRunCols(triples []Triple) RunCols { return newMemCols(triples) }
 
 // newMemCols adopts adds (sorting it in place into SPO order) and builds
@@ -184,12 +234,15 @@ func newMemCols(adds []Triple) *memCols {
 	if len(adds) >= radixCutoff {
 		scratch = make([]Triple, len(adds))
 	}
-	m := &memCols{spo: adds}
-	sortTriples(OrderSPO, m.spo, scratch)
-	m.pos = slices.Clone(m.spo)
-	sortTriples(OrderPOS, m.pos, scratch)
-	m.osp = slices.Clone(m.spo)
-	sortTriples(OrderOSP, m.osp, scratch)
+	m := &memCols{}
+	for o := range m.cols {
+		ts := adds
+		if o > 0 {
+			ts = slices.Clone(adds)
+		}
+		sortTriples(Order(o), ts, scratch)
+		m.cols[o] = memCol{ord: Order(o), ts: ts}
+	}
 	return m
 }
 
@@ -284,15 +337,6 @@ func radixSortTriples(o Order, ts, scratch []Triple) {
 	}
 }
 
-func (m *memCols) length() int { return len(m.spo) }
+func (m *memCols) length() int { return len(m.cols[OrderSPO].ts) }
 
-func (m *memCols) col(o Order) Col {
-	switch o {
-	case OrderPOS:
-		return memCol(m.pos)
-	case OrderOSP:
-		return memCol(m.osp)
-	default:
-		return memCol(m.spo)
-	}
-}
+func (m *memCols) col(o Order) Col { return &m.cols[o] }

@@ -85,10 +85,10 @@ func TestNewMemColsOrders(t *testing.T) {
 	for _, n := range []int{0, 5, radixCutoff, 5000} {
 		in := randTriplesBelow(rng, n, 50)
 		m := newMemCols(slices.Clone(in))
-		for o, col := range [NumOrders][]Triple{m.spo, m.pos, m.osp} {
+		for o, col := range m.cols {
 			want := slices.Clone(in)
 			slices.SortFunc(want, Order(o).compare)
-			if !slices.Equal(col, want) {
+			if col.ord != Order(o) || !slices.Equal(col.ts, want) {
 				t.Fatalf("n=%d: column %v is not the sorted input", n, Order(o))
 			}
 		}
@@ -140,17 +140,17 @@ func mergeWindow(sizes []int) []*run {
 	for i, n := range sizes {
 		var dels []Triple
 		if i > 0 && i%5 == 0 {
-			dels = slices.Clone(w[0].cols.(*memCols).spo[i*10 : i*10+20])
+			dels = slices.Clone(w[0].cols.(*memCols).cols[OrderSPO].ts[i*10 : i*10+20])
 		}
 		w = append(w, newMemRun(randTriplesBelow(rng, n, 60_000), dels, 0))
 	}
 	return w
 }
 
-// BenchmarkMergeRuns times the fold kernel on the two window shapes the
-// end-to-end benchmark produces: a level fold of eight equal runs, and
-// the ~25-run compaction of a 170k-triple base with three levels of
-// deltas and some tombstones above it.
+// BenchmarkMergeRuns times the fold kernel on two window shapes: a level
+// fold of eight equal runs, and a ~25-run fold from a 170k-triple base
+// with three levels of deltas and some tombstones above it (the shape a
+// compaction folded before it wrote its snapshot from the graph).
 func BenchmarkMergeRuns(b *testing.B) {
 	shapes := []struct {
 		name  string

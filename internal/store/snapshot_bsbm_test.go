@@ -12,9 +12,10 @@ import (
 	"rdfsum/internal/store"
 )
 
-// writeTemp writes g's snapshot to a fresh temp file and returns the
-// path and what the write allocated (runtime.MemStats.TotalAlloc).
-func writeTemp(t *testing.T, g *store.Graph, cols store.RunCols) (path string, allocated uint64) {
+// writeTemp writes g's snapshot to a fresh temp file from the caller's
+// triple and scratch buffers, and returns the path and what the write
+// allocated (runtime.MemStats.TotalAlloc).
+func writeTemp(t *testing.T, g *store.Graph, buf, scratch []store.Triple) (path string, allocated uint64) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "g.rdfsum")
 	f, err := os.Create(path)
@@ -24,7 +25,7 @@ func writeTemp(t *testing.T, g *store.Graph, cols store.RunCols) (path string, a
 	defer f.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := store.WriteSnapshotV2(f, g, cols); err != nil {
+	if err := store.WriteSnapshotV2(f, g, buf, scratch); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -40,7 +41,7 @@ func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 		wantSHA = "08dcdf58e3ca60dd201a478580b8077043c0914d9ef3b46482406f18b46c12c2"
 	)
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(300))
-	path, _ := writeTemp(t, g, store.NewRunCols(g.All()))
+	path, _ := writeTemp(t, g, g.All(), nil)
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -51,14 +52,15 @@ func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 	}
 }
 
-// TestSnapshotWriteAllocBound: writing a snapshot allocates one chunk
-// buffer and O(terms) — the dictionary's directory and sorted
-// permutation — whatever the file's size. The whole-buffer writer this
-// replaced allocated about five times the file.
+// TestSnapshotWriteAllocBound: handed its triple and scratch buffers,
+// writing a snapshot allocates one chunk buffer and O(terms) — the
+// dictionary's directory and sorted permutation — whatever the file's
+// size. The whole-buffer writer this replaced allocated about five times
+// the file.
 func TestSnapshotWriteAllocBound(t *testing.T) {
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(1000))
-	cols := store.NewRunCols(g.All())
-	path, allocated := writeTemp(t, g, cols)
+	buf := g.All()
+	path, allocated := writeTemp(t, g, buf, make([]store.Triple, len(buf)))
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

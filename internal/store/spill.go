@@ -17,7 +17,8 @@ import (
 // Spill files are rebuildable state (a crash recovers from snapshot +
 // WAL), so writes are not fsynced and the live subsystem wipes the spill
 // directory on open. A superseded file is unlinked as soon as a fold
-// replaces it; epochs still holding the old run keep reading the mapping.
+// replaces it; epochs still holding the old run keep reading the mapping,
+// which is unmapped once the last of them is collected (see mapping).
 
 // TripleBytes is the in-memory size of one encoded triple, used to
 // convert a byte threshold into a triple count.
@@ -45,7 +46,7 @@ func (ix *Index) maybeSpill(r *run) *run {
 		return r
 	}
 	mc, ok := r.cols.(*memCols)
-	if !ok || int64(len(mc.spo))*TripleBytes < cfg.MinBytes {
+	if !ok || int64(mc.length())*TripleBytes < cfg.MinBytes {
 		return r
 	}
 	path := filepath.Join(cfg.Dir, fmt.Sprintf("run-%08d.col", cfg.seq.Add(1)))
@@ -66,10 +67,20 @@ func (ix *Index) maybeSpill(r *run) *run {
 
 // unlinkSpill removes a superseded run's spill file from the directory.
 // The mapping (and thus any older epoch still reading the run) stays
-// valid; the space is reclaimed when the last mapping goes away.
+// valid; the space is reclaimed when the last epoch holding the run is
+// collected and the mapping with it.
 func (r *run) unlinkSpill() {
 	if r.file != "" {
 		os.Remove(r.file) //nolint:errcheck // best-effort; wiped at next open
+	}
+}
+
+// UnlinkSpills removes the spill files of ix's runs from the directory:
+// what a store compaction does to the index its snapshot replaces. Epochs
+// still holding ix keep reading the mappings.
+func (ix *Index) UnlinkSpills() {
+	for _, r := range ix.runs {
+		r.unlinkSpill()
 	}
 }
 
@@ -81,7 +92,11 @@ func writeRunFile(path string, mc *memCols) (int64, error) {
 		return 0, err
 	}
 	w := newContainerWriter(f, fileKindRun)
-	writeCols(w, mc)
+	for o, id := range colSectionIDs {
+		w.begin()
+		writeCol(w, Order(o), mc.cols[o].ts)
+		w.end(id)
+	}
 	if err := w.finish([4]uint64{0, uint64(mc.length()), 0, 0}); err != nil {
 		f.Close() //nolint:errcheck // already failing
 		return 0, err
@@ -94,25 +109,26 @@ func writeRunFile(path string, mc *memCols) (int64, error) {
 	return st.Size(), f.Close()
 }
 
-// openRunFile maps a spill file and returns its column views. Section
-// CRCs verify lazily on first touch, like snapshot sections.
-func openRunFile(path string) (RunCols, error) {
-	data, closeFn, err := mapFile(path)
+// openRunFile maps a spill file and returns its column views, which keep
+// it mapped while they are reachable. Section CRCs verify lazily on first
+// touch, like snapshot sections.
+func openRunFile(path string) (*mappedCols, error) {
+	file, err := openMapping(path)
 	if err != nil {
 		return nil, err
 	}
-	c, err := parseContainer(data, false)
+	c, err := parseContainer(file.data, false)
+	if err == nil && c.kind != fileKindRun {
+		err = fmt.Errorf("%w: %s is not an index run file", ErrSnapshotCorrupt, path)
+	}
 	if err != nil {
-		closeFn() //nolint:errcheck // already failing
+		file.close() //nolint:errcheck // already failing
 		return nil, err
 	}
-	if c.kind != fileKindRun {
-		closeFn() //nolint:errcheck // already failing
-		return nil, fmt.Errorf("%w: %s is not an index run file", ErrSnapshotCorrupt, path)
-	}
+	c.file = file
 	cols, err := openContainerCols(c, int(c.nData))
 	if err != nil {
-		closeFn() //nolint:errcheck // already failing
+		file.close() //nolint:errcheck // already failing
 		return nil, err
 	}
 	return cols, nil

@@ -1,11 +1,16 @@
 package store
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rdfsum/internal/dict"
 )
@@ -25,17 +30,21 @@ func randTriples(rng *rand.Rand, n int) []Triple {
 }
 
 // TestMappedColsMatchMemCols: a run written to a column file and mapped
-// back serves exactly the same Search results and cursor sequences as its
-// in-memory source, for every order.
+// back serves exactly the same Range results and cursor sequences as its
+// in-memory source, for every order: every prefix length (0 included),
+// bounds inside and outside the column's ID space (empty ranges), narrow
+// keys (IDs up to 40) and heavy ties (IDs up to 6), and cursors whose
+// ends sit on, next to and between fence, block and column boundaries.
 func TestMappedColsMatchMemCols(t *testing.T) {
 	dir := t.TempDir()
 	fileSeq := 0
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 3))
-		n := rng.IntN(3 * colBlockTriples)
-		mem := newMemCols(randTriples(rng, n))
+		n := rng.IntN(3*colBlockTriples + fenceTriples)
+		universe := []uint32{idUniverse, 40}[seed%2]
+		mem := newMemCols(randTriplesBelow(rng, n, universe))
 		fileSeq++
-		path := filepath.Join(dir, "run-"+string(rune('a'+fileSeq%26))+".col")
+		path := filepath.Join(dir, fmt.Sprintf("run-%d.col", fileSeq))
 		if _, err := writeRunFile(path, mem); err != nil {
 			t.Fatalf("writeRunFile: %v", err)
 		}
@@ -46,13 +55,7 @@ func TestMappedColsMatchMemCols(t *testing.T) {
 		if mapped.length() != mem.length() {
 			return false
 		}
-		for ord := Order(0); ord < NumOrders; ord++ {
-			mc, pc := mem.col(ord), mapped.col(ord)
-			if mc.Len() != pc.Len() {
-				return false
-			}
-			// Same full iteration.
-			a, b := mc.Cursor(0, mc.Len()), pc.Cursor(0, pc.Len())
+		same := func(a, b Cursor) bool {
 			for a.Valid() || b.Valid() {
 				if a.Valid() != b.Valid() || a.Peek() != b.Peek() {
 					return false
@@ -60,29 +63,58 @@ func TestMappedColsMatchMemCols(t *testing.T) {
 				a.Next()
 				b.Next()
 			}
-			// Same Search boundaries for random predicates.
-			for trial := 0; trial < 12; trial++ {
-				bound := Triple{
-					S: dict.ID(rng.IntN(int(idUniverse) + 2)),
-					P: dict.ID(rng.IntN(8)),
-					O: dict.ID(rng.IntN(int(idUniverse) + 2)),
-				}
-				pred := func(tr Triple) bool { return !ord.less(tr, bound) }
-				if mc.Search(pred) != pc.Search(pred) {
-					return false
+			return true
+		}
+		// Cursor ends: the column's ends, each fence and block boundary
+		// of the first two blocks and its neighbours, and random points.
+		var ends []int
+		for _, at := range []int{0, fenceTriples, 3 * fenceTriples, colBlockTriples, 2 * colBlockTriples, n} {
+			for _, e := range []int{at - 1, at, at + 1} {
+				if e >= 0 && e <= n {
+					ends = append(ends, e)
 				}
 			}
-			// Same sub-range cursors.
-			if n > 0 {
-				lo := rng.IntN(n)
-				hi := lo + rng.IntN(n-lo)
-				a, b := mc.Cursor(lo, hi), pc.Cursor(lo, hi)
-				for a.Valid() || b.Valid() {
-					if a.Valid() != b.Valid() || a.Peek() != b.Peek() {
+		}
+		for range 4 {
+			ends = append(ends, rng.IntN(n+1))
+		}
+		for ord := Order(0); ord < NumOrders; ord++ {
+			mc, pc := mem.col(ord), mapped.col(ord)
+			if mc.Len() != pc.Len() {
+				return false
+			}
+			for _, lo := range ends {
+				for _, hi := range ends {
+					if lo <= hi && !same(mc.Cursor(lo, hi), pc.Cursor(lo, hi)) {
+						t.Logf("seed %d %v: cursor [%d, %d) differs", seed, ord, lo, hi)
 						return false
 					}
-					a.Next()
-					b.Next()
+				}
+			}
+			// Range, for bounds taken from the column and drawn around it.
+			for trial := 0; trial < 24; trial++ {
+				bound := Triple{
+					S: dict.ID(rng.Uint32N(universe + 2)),
+					P: dict.ID(rng.Uint32N(universe + 2)),
+					O: dict.ID(rng.Uint32N(universe + 2)),
+				}
+				if trial%2 == 0 && n > 0 {
+					bound = mem.cols[ord].ts[rng.IntN(n)]
+				}
+				for k := 0; k <= 3; k++ {
+					ml, mh := mc.Range(bound, k)
+					pl, ph := pc.Range(bound, k)
+					want := 0
+					for _, tr := range mem.cols[ord].ts {
+						if prefixEqual(ord, tr, bound, k) {
+							want++
+						}
+					}
+					if ml != pl || mh != ph || mh-ml != want {
+						t.Logf("seed %d %v: Range(%v, %d) heap [%d, %d) mapped [%d, %d), %d matches",
+							seed, ord, bound, k, ml, mh, pl, ph, want)
+						return false
+					}
 				}
 			}
 		}
@@ -91,6 +123,15 @@ func TestMappedColsMatchMemCols(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// prefixEqual reports whether t and bound agree on their first n key
+// components in ord.
+func prefixEqual(ord Order, t, bound Triple, n int) bool {
+	t1, t2, t3 := ord.key(t)
+	b1, b2, b3 := ord.key(bound)
+	tk, bk := [3]dict.ID{t1, t2, t3}, [3]dict.ID{b1, b2, b3}
+	return slices.Equal(tk[:n], bk[:n])
 }
 
 // TestIndexSpillOracle: an index that spills every folded run to disk
@@ -130,42 +171,99 @@ func TestIndexSpillOracle(t *testing.T) {
 		if disk.SpilledRuns() == 0 {
 			t.Logf("seed %d: no runs spilled (len=%d)", seed, disk.Len())
 		}
-		compM, compD := mem.Compacted(), disk.Compacted()
-		return compM.Len() == compD.Len() && sameIterationOrder(compM, compD)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestIndexSpillUnlinksSuperseded: folding spilled runs into a bigger run
-// removes the source files; the directory never accumulates garbage.
-func TestIndexSpillUnlinksSuperseded(t *testing.T) {
+// spilledIndex builds an index that spills every folded run into dir and
+// folds a dozen times.
+func spilledIndex(dir string) *Index {
 	rng := rand.New(rand.NewPCG(5, 5))
-	dir := t.TempDir()
-	spill := &SpillConfig{Dir: dir, MinBytes: 1}
 	g := NewGraph()
 	g.Data = randTriples(rng, 300)
 	g.SortDedup()
-	ix := NewIndexWithOptions(g, IndexOptions{Fanout: 2, Spill: spill})
+	ix := NewIndexWithOptions(g, IndexOptions{Fanout: 2, Spill: &SpillConfig{Dir: dir, MinBytes: 1}})
 	for i := 0; i < 12; i++ {
-		adds := randTriples(rng, 30)
-		ix = ix.Applied(adds, nil)
+		ix = ix.Applied(randTriples(rng, 30), nil)
 	}
-	ix = ix.Compacted()
-	if got := ix.SpilledRuns(); got != 1 {
-		t.Fatalf("compacted index has %d spilled runs, want 1", got)
-	}
+	return ix
+}
+
+// TestIndexSpillUnlinksSuperseded: folding spilled runs into a bigger run
+// removes the source files; the directory holds exactly the files of the
+// runs the index serves.
+func TestIndexSpillUnlinksSuperseded(t *testing.T) {
+	dir := t.TempDir()
+	ix := spilledIndex(dir)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 1 {
+	if ix.SpilledRuns() == 0 || len(ents) != ix.SpilledRuns() {
 		names := make([]string, len(ents))
 		for i, e := range ents {
 			names[i] = e.Name()
 		}
-		t.Fatalf("spill dir holds %d files after compaction, want 1: %v", len(ents), names)
+		t.Fatalf("spill dir holds %d files for %d spilled runs: %v", len(ents), ix.SpilledRuns(), names)
+	}
+}
+
+// TestIndexSpillUnmapsSuperseded: a superseded spill file is unlinked at
+// its fold and unmapped once no index reads its run, so its disk blocks
+// are given back; no mapping of a deleted spill file outlives a
+// collection.
+func TestIndexSpillUnmapsSuperseded(t *testing.T) {
+	if !usingMmap {
+		t.Skip("this build reads spill files into the heap")
+	}
+	dir := t.TempDir()
+	ix := spilledIndex(dir)
+	deleted := func() []string {
+		return mappedFiles(t, func(line string) bool {
+			return strings.Contains(line, dir) && strings.HasSuffix(line, ".col (deleted)")
+		})
+	}
+	if len(mappedFiles(t, func(line string) bool { return strings.Contains(line, dir) })) == 0 {
+		t.Fatal("the index maps no spill file: the test would prove nothing")
+	}
+	if left := awaitCollection(deleted); len(left) > 0 {
+		t.Fatalf("%d unlinked spill files are still mapped after collection: %v", len(left), left)
+	}
+	runtime.KeepAlive(ix)
+}
+
+// mappedFiles returns the lines of /proc/self/maps that keep says to,
+// skipping the test where the file does not exist.
+func mappedFiles(t *testing.T, keep func(string) bool) []string {
+	t.Helper()
+	raw, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if keep(line) {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// awaitCollection runs collections until left reports nothing or two
+// seconds pass (cleanups run on their own goroutine after the cycle that
+// found their object unreachable), and returns left's last report.
+func awaitCollection(left func() []string) []string {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		l := left()
+		if len(l) == 0 || time.Now().After(deadline) {
+			return l
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -201,7 +201,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://x/p"), O: rdf.NewLangLiteral("é", "fr")},
 	})
 	var f memFile
-	if err := WriteSnapshotV2(&f, g, NewRunCols(g.All())); err != nil {
+	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	h, err := ReadSnapshot(bytes.NewReader(f.b))
