@@ -96,17 +96,17 @@ bench-smoke:
 	$(GO) test -run 'XXX-none' -bench . -benchtime 1x -short ./...
 
 # Where a boot's time goes: BenchmarkSeedBoot (load a 170k-triple dump →
-# open a fresh store seeded with it → warm the weak summary, its pruner
-# and the planner weights — the sequence benchmark/ times as setup_s) on
-# one CPU under the CPU profiler: the top 20 functions by cumulative time,
-# then who calls the run sort (store.sortTriples) and for how long — one
-# caller, WriteSnapshotV2, means the boot sorts its triples only to write
-# snapshot-1, which it then serves; a reopen sorts nothing. BOOT picks the arm:
-# bsbm-nt (BSBM as N-Triples, what probe-bsbm and mixed-bsbm boot from),
-# lubm-ttl-gz (LUBM as gzipped Turtle, scan-lubm's cold boot) or
-# lubm-reopen (scan-lubm's restart: reopen that store under -maintain weak
-# and warm the same three). The test binary and profile live in a temp
-# directory.
+# write it as a fresh store's snapshot-1 and open that generation → warm
+# the weak summary and its pruner — the sequence benchmark/ times as
+# setup_s) on one CPU under the CPU profiler: the top 20 functions by
+# cumulative time, then who calls the run sort (store.sortTriples) and for
+# how long — one caller, WriteSnapshotV2, means the boot sorts its triples
+# only to write snapshot-1, which it then serves; a reopen sorts nothing.
+# BOOT picks the arm: bsbm-nt (BSBM as N-Triples, what probe-bsbm and
+# mixed-bsbm boot from), lubm-ttl-gz (LUBM as gzipped Turtle, scan-lubm's
+# cold boot) or lubm-reopen (scan-lubm's restart: reopen that store under
+# -maintain weak and warm the same two). The test binary and profile live
+# in a temp directory.
 BOOT ?= bsbm-nt
 boot-profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
@@ -116,19 +116,16 @@ boot-profile:
 	$(GO) tool pprof -peek 'store\.sortTriples$$' "$$d/rdfsum.test" "$$d/cpu.out" | sed -n '/flat%/,$$p'
 
 # Who holds the heap, and who churns it: BenchmarkLiveCycle (a store
-# seeded with a 170k-triple BSBM graph takes 50 batches, compacts and
-# serves a summary of every kind — three times over) under the heap
-# profiler, sampling every 4 KB. CYCLE picks the arm: heap (the store
-# serves the seed it was opened with) or reopened (the store is closed and
-# serves from its mapped snapshot, as scan-lubm's restarted server does).
-# First what is still in use when the process exits with the store open
-# (the live-heap breakdown: dictionary, components, index runs, builders,
-# cached summaries and their name overlays), then what the compactions
-# allocated on the way.
-CYCLE ?= heap
+# seeded with a 170k-triple BSBM graph — served, like a reopened one,
+# from its mapped snapshot — takes 50 batches, compacts and serves a
+# summary of every kind, three times over) under the heap profiler,
+# sampling every 4 KB. First what is still in use when the process exits
+# with the store open (the live-heap breakdown: dictionary, components,
+# index runs, builders, cached summaries and their name overlays), then
+# what the compactions allocated on the way.
 heap-profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) test -run 'XXX-none' -bench 'BenchmarkLiveCycle$$/^$(CYCLE)$$' -benchtime 3x -cpu 1 \
+	$(GO) test -run 'XXX-none' -bench 'BenchmarkLiveCycle$$' -benchtime 3x -cpu 1 \
 		-o "$$d/rdfsum.test" -memprofile "$$d/mem.out" -memprofilerate 4096 . && \
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 "$$d/rdfsum.test" "$$d/mem.out" && \
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 -focus 'Compact|WriteSnapshotV2' "$$d/rdfsum.test" "$$d/mem.out"

@@ -295,16 +295,17 @@ func BenchmarkStreamingIngest(b *testing.B) {
 }
 
 // BenchmarkSeedBoot is rdfsumd's cold boot as benchmark/ times it, in
-// process: load a dump, open a fresh durable store seeded with it —
-// builders, base run, snapshot-1, epoch 1 — then warm what the first
-// query of each template builds: the weak summary, its pruner and the
-// planner weights. Two dumps, the two
+// process: load a dump, open a fresh durable store seeded with it — write
+// snapshot-1 and an empty wal-1, then open that generation as a reopen
+// does: builders, the file's runs, epoch 1 — then warm what the first
+// query of each template builds: the weak summary and its pruner (an
+// unexplained query computes no planner weights). Two dumps, the two
 // the harness boots from: bsbm-nt is BSBM 3000 products as N-Triples
 // (≈ 170k triples; 1000 ≈ 58k under -short), lubm-ttl-gz is LUBM 52
 // universities as rdfsum.WriteTurtle writes it, behind gzip (≈ 177k
 // triples; 15 ≈ 51k under -short). lubm-reopen is the restart scan-lubm
 // pays after that cold boot: reopen the store lubm-ttl-gz seeded, under
-// -maintain weak, and warm the same three. `make boot-profile` runs any
+// -maintain weak, and warm the same two. `make boot-profile` runs any
 // of them under the CPU profiler (BOOT=bsbm-nt|lubm-ttl-gz|lubm-reopen).
 func BenchmarkSeedBoot(b *testing.B) {
 	b.Run("bsbm-nt", func(b *testing.B) {
@@ -389,15 +390,14 @@ func seedBoot(b *testing.B, name string, plain []byte, codec rdfsum.Compression)
 	}
 }
 
-// warmBoot builds what the first query of each template does — the weak
-// summary, its pruner and the planner weights — then closes the store.
+// warmBoot builds what rdfsumd's first unexplained query of each template
+// does — the weak summary and its pruner — then closes the store.
 func warmBoot(b *testing.B, lv *rdfsum.Live) {
 	sum, _, err := lv.Summary(rdfsum.Weak, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rdfsum.NewQueryPruner(sum)
-	sum.ComputeWeights()
 	if err := lv.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -406,9 +406,10 @@ func warmBoot(b *testing.B, lv *rdfsum.Live) {
 // BenchmarkComputeWeights is the planner's statistics pass: the weak
 // summary's ComputeWeights over the two graphs the harness boots from,
 // BSBM 3000 products (≈ 170k triples) and LUBM 52 universities (≈ 177k;
-// 1000 and 15 under -short) — what rdfsumd's first query after a boot
-// pays, and a query again whenever the weights trail the store by more
-// than planStatsMaxStale epochs.
+// 1000 and 15 under -short) — what rdfsumd's first explained query after
+// a boot pays, and an explained query again whenever the weights trail
+// the store by more than planStatsMaxStale epochs. Unexplained queries
+// never pay it.
 func BenchmarkComputeWeights(b *testing.B) {
 	products := 3000
 	if testing.Short() {
@@ -467,8 +468,7 @@ func writeCompressed(b *testing.B, path string, plain []byte, codec rdfsum.Compr
 // triple sort buffers, and little else — the published index is the
 // mapped file.
 func BenchmarkLiveCompact(b *testing.B) {
-	seed := rdfsum.NewGraph(bsbmGraph(b, 1000).Decode()) // the store adopts its seed
-	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: seed})
+	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: bsbmGraph(b, 1000)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,54 +495,40 @@ var liveCycleStore *rdfsum.Live
 // BenchmarkLiveCycle is one write-and-summarize cycle of benchmark/'s
 // scenario, in process: a store seeded with BSBM 3000 products ≈ 170k
 // triples (1000 under -short) takes 50 batches of ≈ 125 triples, compacts
-// and serves a summary of every kind. The heap arm serves the store it
-// seeded, its dictionary on the heap; the reopened arm closes it and
-// serves the store reopened onto its mapped snapshot under the default
-// maintenance, as scan-lubm's restarted server does. `make heap-profile`
-// runs one arm under the heap profiler (CYCLE=heap|reopened).
+// and serves a summary of every kind. A seeded store serves its mapped
+// snapshot-1 as a reopened one does, so this is also what scan-lubm's
+// restarted server holds. `make heap-profile` runs it under the heap
+// profiler.
 func BenchmarkLiveCycle(b *testing.B) {
-	for _, arm := range []string{"heap", "reopened"} {
-		b.Run(arm, func(b *testing.B) {
-			products := 3000
-			if testing.Short() {
-				products = 1000
-			}
-			if liveCycleStore != nil {
-				liveCycleStore.Close() //nolint:errcheck
-			}
-			// Not bsbmGraph: a cached copy of the seed would sit in the profile.
-			dir := filepath.Join(b.TempDir(), "store")
-			lv, err := rdfsum.OpenLive(dir, &rdfsum.LiveOptions{Seed: rdfsum.GenerateBSBM(products)})
-			if err != nil {
+	products := 3000
+	if testing.Short() {
+		products = 1000
+	}
+	if liveCycleStore != nil {
+		liveCycleStore.Close() //nolint:errcheck
+	}
+	// Not bsbmGraph: a cached copy of the seed would sit in the profile.
+	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: rdfsum.GenerateBSBM(products)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	liveCycleStore = lv
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 50; j++ {
+			if err := lv.AddBatch(incBatch(i*50+j, 100)); err != nil {
 				b.Fatal(err)
 			}
-			if arm == "reopened" {
-				if err := lv.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if lv, err = rdfsum.OpenLive(dir, nil); err != nil {
-					b.Fatal(err)
-				}
+		}
+		if err := lv.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range rdfsum.Kinds {
+			if _, _, err := lv.Summary(kind, 0); err != nil {
+				b.Fatal(err)
 			}
-			liveCycleStore = lv
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 50; j++ {
-					if err := lv.AddBatch(incBatch(i*50+j, 100)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := lv.Compact(); err != nil {
-					b.Fatal(err)
-				}
-				for _, kind := range rdfsum.Kinds {
-					if _, _, err := lv.Summary(kind, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -293,7 +293,7 @@ func TestPruneGateSkipsNewerSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := lv.Epoch()
-	if gate, err := srv.pruneGate(lv, 0, rdfsum.Weak, e); err != nil || gate == nil {
+	if gate, err := srv.pruneGate(lv, rdfsum.Weak, e); err != nil || gate == nil {
 		t.Fatalf("gate at the current epoch: %v, %v; want it applied", gate, err)
 	}
 
@@ -303,10 +303,10 @@ func TestPruneGateSkipsNewerSummary(t *testing.T) {
 	if lv.Epoch() != e+1 {
 		t.Fatalf("delete published epoch %d, want %d", lv.Epoch(), e+1)
 	}
-	if newer, _, err := srv.pruner(lv, 0, rdfsum.Weak); err != nil || !newer.ProvablyEmpty(q) {
+	if newer, _, err := srv.pruner(lv, rdfsum.Weak); err != nil || !newer.ProvablyEmpty(q) {
 		t.Fatal("the summary of the post-delete epoch should prove the pattern empty")
 	}
-	if gate, err := srv.pruneGate(lv, 0, rdfsum.Weak, e); err != nil || gate != nil {
+	if gate, err := srv.pruneGate(lv, rdfsum.Weak, e); err != nil || gate != nil {
 		t.Fatalf("gate for a query evaluated at %d: %v, %v; want none (its summary is of %d)", e, gate, err, e+1)
 	}
 }
@@ -383,8 +383,8 @@ func TestParseMaintain(t *testing.T) {
 }
 
 // TestPlanStatsOutliveEpochs: planner weights tolerate planStatsMaxStale
-// epochs of ingest even at -max-stale 0, where every query's pruner
-// refreshes the weak-summary cell. Forty one-triple batches with a query
+// epochs of ingest although every query's pruner refreshes the
+// weak-summary cell. Forty one-triple batches with an explained query
 // after each cost two ComputeWeights passes (epochs 2 and 35), not forty.
 func TestPlanStatsOutliveEpochs(t *testing.T) {
 	ts, srv := liveTestServer(t, nil)
@@ -392,7 +392,7 @@ func TestPlanStatsOutliveEpochs(t *testing.T) {
 		if code, body := postBody(t, ts.URL+"/v1/triples", ntBody(i, 1)); code != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %v", i, code, body)
 		}
-		code, body := postQuery(t, ts.URL+"/v1/query", `SELECT ?s ?o WHERE { ?s <http://x/p1> ?o }`)
+		code, body := postQuery(t, ts.URL+"/v1/query?explain=1", `SELECT ?s ?o WHERE { ?s <http://x/p1> ?o }`)
 		if code != http.StatusOK {
 			t.Fatalf("query %d: status %d: %v", i, code, body)
 		}
@@ -402,5 +402,36 @@ func TestPlanStatsOutliveEpochs(t *testing.T) {
 	}
 	if builds := srv.weightsSeconds.Count(); builds != 2 {
 		t.Fatalf("ComputeWeights ran %d times over 40 epochs, want 2 (planStatsMaxStale = %d)", builds, planStatsMaxStale)
+	}
+}
+
+// TestUnexplainedQueriesComputeNoWeights: the planner's weights feed only
+// the estimates an explanation reports, so unexplained queries across more
+// than planStatsMaxStale epochs never compute them; the first explained
+// query does, once, and reports a whole-query estimate from them.
+func TestUnexplainedQueriesComputeNoWeights(t *testing.T) {
+	ts, srv := liveTestServer(t, nil)
+	const q = `SELECT ?s ?o WHERE { ?s <http://x/p1> ?o }`
+	for i := 0; i < planStatsMaxStale+8; i++ {
+		if code, body := postBody(t, ts.URL+"/v1/triples", ntBody(i, 1)); code != http.StatusOK {
+			t.Fatalf("ingest %d: status %d: %v", i, code, body)
+		}
+		if code, body := postQuery(t, ts.URL+"/v1/query", q); code != http.StatusOK {
+			t.Fatalf("query %d: status %d: %v", i, code, body)
+		}
+	}
+	if builds := srv.weightsSeconds.Count(); builds != 0 {
+		t.Fatalf("unexplained queries over %d epochs ran ComputeWeights %d times, want 0", planStatsMaxStale+8, builds)
+	}
+	code, body := postQuery(t, ts.URL+"/v1/query?explain=1", q)
+	if code != http.StatusOK {
+		t.Fatalf("explained query: status %d: %v", code, body)
+	}
+	if builds := srv.weightsSeconds.Count(); builds != 1 {
+		t.Fatalf("one explained query ran ComputeWeights %d times, want 1", builds)
+	}
+	explain, _ := body["explain"].(map[string]any)
+	if est, ok := explain["query_est"].(float64); !ok || est < 0 || explain["used_stats"] != true {
+		t.Fatalf("explained query reports %v, want query_est >= 0 from the weights", explain)
 	}
 }

@@ -47,8 +47,10 @@
 // Writes and reads are concurrent: queries run against immutable epoch
 // snapshots while ingest proceeds. Summary-derived artifacts are cached
 // per epoch and rebuilt by the first request after a write (each response
-// reports the epoch it reflects); only the planner's join statistics may
-// serve up to 32 epochs behind. A follower rejects the
+// reports the epoch it reflects). The planner's statistics (the weak
+// summary's weights) feed only the estimates an explanation reports, so
+// only an explained query (or any, with -slow-query-ms set) computes
+// them, and they may serve up to 32 epochs behind. A follower rejects the
 // mutating routes with the "read_only" error code and converges on its
 // leader's state, re-bootstrapping automatically when the leader's
 // compaction prunes the generation it was tailing.
@@ -154,7 +156,7 @@ func main() {
 			}
 		}()
 	}
-	lv, _ := srv.state()
+	lv := srv.state()
 	st := lv.Stats()
 	mode := "memory-only"
 	switch {

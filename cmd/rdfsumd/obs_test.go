@@ -52,9 +52,10 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 }
 
 // TestMetricsExpositionBootPhases: a seeded cold boot reports how long
-// its load, builders, snapshot and index phases took (and no WAL replay);
-// reopening the same store reports a replay and no snapshot write. The
-// scrape stays lint-clean with the new family.
+// its load, builders, snapshot, WAL replay and index phases took — it
+// writes generation 1 and then opens it as a reopen does, replaying the
+// empty log it created; reopening the same store reports a replay and no
+// load or snapshot write. The scrape stays lint-clean with the family.
 func TestMetricsExpositionBootPhases(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "seed.nt")
 	if err := os.WriteFile(dump, []byte(ntBody(0, 500)), 0o644); err != nil {
@@ -91,13 +92,10 @@ func TestMetricsExpositionBootPhases(t *testing.T) {
 		return phases
 	}
 	cold := boot(dump)
-	for _, ph := range []string{"load", "builders", "snapshot", "index"} {
+	for _, ph := range []string{"load", "builders", "snapshot", "wal_replay", "index"} {
 		if cold[ph] <= 0 {
 			t.Errorf("seeded cold boot: phase %s = %v s, want > 0", ph, cold[ph])
 		}
-	}
-	if cold["wal_replay"] != 0 {
-		t.Errorf("seeded cold boot replayed a WAL for %v s", cold["wal_replay"])
 	}
 	warm := boot("")
 	if warm["wal_replay"] <= 0 || warm["snapshot"] != 0 || warm["load"] != 0 {
@@ -143,10 +141,11 @@ func TestMetricsExpositionDictTerms(t *testing.T) {
 	}
 }
 
-// TestMetricsExpositionPlannerWeights: the planner's statistics pass — the
-// one O(|G|) step on the query path — is a histogram whose count is the
-// number of ComputeWeights calls: none before the first query, one after
-// it, still one after a second query of the same epoch. The scrape stays
+// TestMetricsExpositionPlannerWeights: the planner's statistics pass — an
+// O(|G|) step on the explained query path — is a histogram whose count is
+// the number of ComputeWeights calls: none before the first query, none
+// after an unexplained one, one after the first explained query, still
+// one after a second explained query of the same epoch. The scrape stays
 // lint-clean with the family.
 func TestMetricsExpositionPlannerWeights(t *testing.T) {
 	ts, _ := liveTestServer(t, rdfsum.GenerateBSBM(20))
@@ -169,10 +168,15 @@ func TestMetricsExpositionPlannerWeights(t *testing.T) {
 	if n := builds(); n != 0 {
 		t.Errorf("weights built %v times before any query", n)
 	}
+	const q = "SELECT ?s ?o WHERE { ?s ?p ?o . }"
+	postQuery(t, ts.URL+"/v1/query", q)
+	if n := builds(); n != 0 {
+		t.Errorf("after an unexplained query: weights built %v times, want 0", n)
+	}
 	for i := 1; i <= 2; i++ {
-		postQuery(t, ts.URL+"/v1/query", "SELECT ?s ?o WHERE { ?s ?p ?o . }")
+		postQuery(t, ts.URL+"/v1/query?explain=1", q)
 		if n := builds(); n != 1 {
-			t.Errorf("after %d queries of one epoch: weights built %v times, want 1", i, n)
+			t.Errorf("after %d explained queries of one epoch: weights built %v times, want 1", i, n)
 		}
 	}
 }

@@ -35,12 +35,12 @@ const maxIngestBody = 64 << 20
 const maxQueryBody = 1 << 20
 
 // prunerCell caches the saturated-summary emptiness oracle of one kind,
-// tagged with the store instance and epoch of the summary it was built
-// from. The mutex singleflights rebuilds of that kind; other kinds
-// proceed independently.
+// tagged with the store and epoch of the summary it was built from. The
+// mutex singleflights rebuilds of that kind; other kinds proceed
+// independently.
 type prunerCell struct {
 	mu     sync.Mutex
-	inst   uint64
+	lv     *rdfsum.Live
 	epoch  uint64
 	pruner *rdfsum.QueryPruner
 }
@@ -54,9 +54,9 @@ type prunerCell struct {
 //
 // On a follower the store itself is replaced at each replication
 // bootstrap and its epoch counter restarts, so every epoch-keyed cache is
-// additionally keyed by the bootstrap instance: an epoch comparison
-// across instances is meaningless, and acting on one (e.g. applying an
-// old instance's pruning gate) would be unsound.
+// also keyed on the store it was built from: an epoch comparison across
+// stores is meaningless, and acting on one (e.g. applying an old store's
+// pruning gate) would be unsound.
 type server struct {
 	lv       *rdfsum.Live        // fixed store; nil on followers
 	queue    *rdfsum.IngestQueue // bounded ingest admission; nil on followers
@@ -66,13 +66,13 @@ type server struct {
 	pruners [rdfsum.NumKinds]prunerCell // indexed by rdfsum.Kind
 
 	satMu    sync.Mutex
-	satInst  uint64
+	satLive  *rdfsum.Live
 	satEpoch uint64
 	satGraph *rdfsum.Graph
 	satIx    *store.Index
 
 	weightsMu      sync.Mutex
-	weightsInst    uint64
+	weightsLive    *rdfsum.Live
 	weightsEpoch   uint64
 	weights        *rdfsum.Weights
 	weightsSeconds *obs.Histogram // one observation per ComputeWeights call
@@ -265,7 +265,7 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 		return 0
 	}
 	r.OnScrape(func() {
-		lv, _ := s.state()
+		lv := s.state()
 		st := lv.Stats()
 		epoch.Set(float64(st.Epoch))
 		triples.Set(float64(st.Triples))
@@ -413,15 +413,14 @@ func (s *server) bootPhases(lv *rdfsum.Live) []bootPhase {
 	}
 }
 
-// state returns the live store to serve this request from and the
-// replication-bootstrap instance it belongs to (0 on non-followers).
-// Handlers call it once and thread the pair through, so one request
-// never mixes stores across a concurrent re-bootstrap.
-func (s *server) state() (*rdfsum.Live, uint64) {
+// state returns the live store to serve this request from. Handlers call
+// it once and thread the store through, so one request never mixes
+// stores across a concurrent re-bootstrap.
+func (s *server) state() *rdfsum.Live {
 	if s.follower != nil {
 		return s.follower.Live()
 	}
-	return s.lv, 0
+	return s.lv
 }
 
 // readOnly reports whether this server rejects mutations (it is a
@@ -501,8 +500,8 @@ func (s *server) debugHandler() http.Handler {
 
 // pruner returns the summary-pruning gate of one kind with the epoch of
 // the summary it reflects, rebuilding when that summary moved or the
-// serving instance was swapped by a replication bootstrap.
-func (s *server) pruner(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind) (*rdfsum.QueryPruner, uint64, error) {
+// cached gate is of another store (a follower's bootstrap swapped it).
+func (s *server) pruner(lv *rdfsum.Live, kind rdfsum.Kind) (*rdfsum.QueryPruner, uint64, error) {
 	sum, epoch, err := lv.Summary(kind, 0)
 	if err != nil {
 		return nil, 0, err
@@ -510,9 +509,9 @@ func (s *server) pruner(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind) (*rdfsum
 	cell := &s.pruners[kind]
 	cell.mu.Lock()
 	defer cell.mu.Unlock()
-	if cell.pruner == nil || cell.inst != inst || cell.epoch != epoch {
+	if cell.pruner == nil || cell.lv != lv || cell.epoch != epoch {
 		cell.pruner = rdfsum.NewQueryPruner(sum)
-		cell.inst = inst
+		cell.lv = lv
 		cell.epoch = epoch
 	}
 	return cell.pruner, cell.epoch, nil
@@ -521,21 +520,20 @@ func (s *server) pruner(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind) (*rdfsum
 // planStatsMaxStale is how many epochs the planner's weights may trail
 // the store, the one derived artifact served stale. They only feed the
 // reported estimates (Explain, the slow-query log), never the join order
-// or the rows, so they are not worth an O(graph) ComputeWeights pass on
-// the query path after every ingest batch.
+// or the rows, so they are not worth an O(graph) ComputeWeights pass
+// after every ingest batch.
 const planStatsMaxStale = 32
 
 // planStats returns the weak summary's quotient-map cardinalities, the
-// statistics behind the planner's estimates, recomputed when they
-// trail the published epoch by more than planStatsMaxStale. The cached
-// weights are judged against the store's epoch itself, not against the
-// weak-summary cell's: the pruner refreshes that cell on every query, so
-// a cache keyed on it never held across an ingest. Nil (with a logged
-// warning) when the weak summary cannot be built.
-func (s *server) planStats(lv *rdfsum.Live, inst uint64) *rdfsum.Weights {
+// statistics behind the planner's estimates, recomputed when they are of
+// another store or trail its epoch by more than planStatsMaxStale — its
+// epoch, not the weak-summary cell's, which every query's pruner
+// refreshes. Nil (with a logged warning) when the weak summary cannot be
+// built.
+func (s *server) planStats(lv *rdfsum.Live) *rdfsum.Weights {
 	s.weightsMu.Lock()
 	defer s.weightsMu.Unlock()
-	if s.weights != nil && s.weightsInst == inst && s.weightsEpoch+planStatsMaxStale >= lv.Epoch() {
+	if s.weights != nil && s.weightsLive == lv && s.weightsEpoch+planStatsMaxStale >= lv.Epoch() {
 		return s.weights
 	}
 	sum, epoch, err := lv.Summary(rdfsum.Weak, planStatsMaxStale)
@@ -543,11 +541,11 @@ func (s *server) planStats(lv *rdfsum.Live, inst uint64) *rdfsum.Weights {
 		s.logger.Warn("planner stats unavailable", "error", err)
 		return nil
 	}
-	if s.weights == nil || s.weightsInst != inst || s.weightsEpoch != epoch {
+	if s.weights == nil || s.weightsLive != lv || s.weightsEpoch != epoch {
 		t0 := time.Now()
 		s.weights = sum.ComputeWeights()
 		s.weightsSeconds.ObserveSince(t0)
-		s.weightsInst = inst
+		s.weightsLive = lv
 		s.weightsEpoch = epoch
 	}
 	return s.weights
@@ -564,7 +562,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	lv, _ := s.state()
+	lv := s.state()
 	snap := lv.Snapshot()
 	st := lv.Stats()
 	g := snap.Graph
@@ -610,7 +608,7 @@ func (s *server) handleReplication(w http.ResponseWriter, _ *http.Request) {
 		}{"follower", false, s.follower.Status()})
 		return
 	}
-	lv, _ := s.state()
+	lv := s.state()
 	resp := map[string]any{
 		"role":    "standalone",
 		"durable": lv.Durable(),
@@ -634,7 +632,7 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, err)
 		return
 	}
-	lv, _ := s.state()
+	lv := s.state()
 	sum, epoch, err := lv.Summary(kind, 0)
 	if err != nil {
 		httpapi.WriteError(w, err)
@@ -669,7 +667,7 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleProfile(w http.ResponseWriter, _ *http.Request) {
-	lv, _ := s.state()
+	lv := s.state()
 	sum, epoch, err := lv.Summary(rdfsum.TypedWeak, 0)
 	if err != nil {
 		httpapi.WriteError(w, err)
@@ -846,7 +844,7 @@ func (s *server) handleDeleteTriples(w http.ResponseWriter, r *http.Request) {
 
 // handleCompact folds the WAL into a fresh snapshot generation.
 func (s *server) handleCompact(w http.ResponseWriter, _ *http.Request) {
-	lv, _ := s.state()
+	lv := s.state()
 	if !lv.Durable() {
 		httpapi.WriteError(w, httpapi.Errorf(http.StatusConflict, httpapi.CodeMemoryOnly,
 			"store is memory-only (start rdfsumd with -live to enable compaction)"))
@@ -910,12 +908,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Explain: wantExplain || s.slow.Enabled(),
 	}
 	// Pin the serving store once: on a follower a re-bootstrap may swap it
-	// mid-request, and mixing instances would pair snapshots and caches
-	// whose epoch counters are unrelated.
-	lv, inst := s.state()
-	// Planner statistics only feed the estimates, so a stale epoch is
-	// fine here (and a nil *Weights reports every estimate unknown).
-	opts.Stats = s.planStats(lv, inst)
+	// mid-request, and mixing stores would pair snapshots and caches whose
+	// epoch counters are unrelated.
+	lv := s.state()
+	if opts.Explain {
+		// Planner statistics only feed the estimates an explanation
+		// reports (a nil *Weights reports every estimate unknown).
+		opts.Stats = s.planStats(lv)
+	}
 	// Pin the evaluated graph before fetching the pruning gate, so the
 	// soundness condition below can be checked against it.
 	snap := lv.Snapshot()
@@ -927,7 +927,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if saturated {
-		g, ix, evalEpoch = s.saturatedIndex(snap, inst)
+		g, ix, evalEpoch = s.saturatedIndex(lv, snap)
 	}
 	if r.URL.Query().Get("prune") != "off" {
 		kind, err := kindParam(r, "prune", "weak")
@@ -935,7 +935,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			httpapi.WriteError(w, err)
 			return
 		}
-		if opts.Pruner, err = s.pruneGate(lv, inst, kind, evalEpoch); err != nil {
+		if opts.Pruner, err = s.pruneGate(lv, kind, evalEpoch); err != nil {
 			httpapi.WriteError(w, err)
 			return
 		}
@@ -982,24 +982,24 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // an older epoch's summary has not seen the triples added since, and a
 // newer one's may lack triples deleted since, so either could prove empty
 // a query that has rows at evalEpoch. Such a gate is skipped, not served.
-func (s *server) pruneGate(lv *rdfsum.Live, inst uint64, kind rdfsum.Kind, evalEpoch uint64) (*rdfsum.QueryPruner, error) {
-	pruner, epoch, err := s.pruner(lv, inst, kind)
+func (s *server) pruneGate(lv *rdfsum.Live, kind rdfsum.Kind, evalEpoch uint64) (*rdfsum.QueryPruner, error) {
+	pruner, epoch, err := s.pruner(lv, kind)
 	if err != nil || epoch != evalEpoch {
 		return nil, err
 	}
 	return pruner, nil
 }
 
-// saturatedIndex returns G∞, its index and the epoch it reflects, cached
-// across requests and rebuilt when the store has moved past that epoch or
-// the serving instance was swapped by a replication bootstrap.
-func (s *server) saturatedIndex(snap *rdfsum.LiveSnapshot, inst uint64) (*rdfsum.Graph, *store.Index, uint64) {
+// saturatedIndex returns G∞ of lv's epoch snap, its index and the epoch it
+// reflects, cached across requests and rebuilt when the cache is of
+// another store or lv has moved past that epoch.
+func (s *server) saturatedIndex(lv *rdfsum.Live, snap *rdfsum.LiveSnapshot) (*rdfsum.Graph, *store.Index, uint64) {
 	s.satMu.Lock()
 	defer s.satMu.Unlock()
-	if s.satGraph == nil || s.satInst != inst || s.satEpoch < snap.Epoch {
+	if s.satGraph == nil || s.satLive != lv || s.satEpoch < snap.Epoch {
 		s.satGraph = rdfsum.Saturate(snap.Graph)
 		s.satIx = rdfsum.NewIndex(s.satGraph)
-		s.satInst = inst
+		s.satLive = lv
 		s.satEpoch = snap.Epoch
 	}
 	return s.satGraph, s.satIx, s.satEpoch

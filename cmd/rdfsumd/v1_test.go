@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -250,6 +251,91 @@ func TestFollowerServesReadsRejectsWrites(t *testing.T) {
 	if err != nil || !fst.ReadOnly {
 		t.Errorf("follower stats read_only = %+v (err %v)", fst, err)
 	}
+}
+
+// TestFollowerCachesFollowTheStore: a re-bootstrap swaps the follower's
+// store for one whose epochs restart at 1, so a cache built from the old
+// store can carry the very epoch the new one reaches. Here both reach
+// epoch 3, with different triples, and after the swap no pruning gate,
+// saturated graph or planner weights of the old store is served: a query
+// on a property only the new store holds finds its rows through the gate
+// and under saturation, and its explained estimate counts them.
+func TestFollowerCachesFollowTheStore(t *testing.T) {
+	lsrv, err := newServer(serverConfig{liveDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lsrv.close() })
+	lts := httptest.NewServer(lsrv.handler())
+	t.Cleanup(lts.Close)
+	fsrv, err := newServer(serverConfig{follow: lts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fsrv.close() })
+	fts := httptest.NewServer(fsrv.handler())
+	t.Cleanup(fts.Close)
+
+	// ingest lands two batches of n triples of property p on the leader,
+	// and waits until the follower's bootstraps-th store has applied them:
+	// its epoch 3.
+	const n = 6
+	ingest := func(p string, bootstraps uint64) *rdfsum.Live {
+		t.Helper()
+		for b := 0; b < 2; b++ {
+			var body strings.Builder
+			for i := 0; i < n/2; i++ {
+				fmt.Fprintf(&body, "<http://x/s%d> <%s> <http://x/o%d> .\n", b*n+i, p, i)
+			}
+			if code, ack := postBody(t, lts.URL+"/v1/triples", body.String()); code != http.StatusOK {
+				t.Fatalf("ingest: %d %v", code, ack)
+			}
+		}
+		rs, err := lsrv.lv.ReplState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for st := fsrv.follower.Status(); st.Bootstraps != bootstraps || st.Generation != rs.Gen || st.AppliedOffset != rs.WALSize; st = fsrv.follower.Status() {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower did not apply the batches: %+v, leader %+v", st, rs)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		lv := fsrv.state()
+		if lv.Epoch() != 3 {
+			t.Fatalf("follower store %d is at epoch %d; the test needs epoch 3", bootstraps, lv.Epoch())
+		}
+		return lv
+	}
+	// serve runs the three cached paths on property p and checks each
+	// finds n rows.
+	serve := func(p string) {
+		t.Helper()
+		q := fmt.Sprintf(`SELECT ?s ?o WHERE { ?s <%s> ?o }`, p)
+		for _, params := range []string{"?prune=weak", "?saturate=true&prune=off", "?explain=1&prune=off"} {
+			code, body := postQuery(t, fts.URL+"/v1/query"+params, q)
+			if code != http.StatusOK {
+				t.Fatalf("%s: %d %v", params, code, body)
+			}
+			if body["count"] != float64(n) {
+				t.Errorf("%s on %s: %v rows, want %d", params, p, body["count"], n)
+			}
+			if explain, ok := body["explain"].(map[string]any); ok && explain["query_est"] != float64(n) {
+				t.Errorf("%s on %s: query_est %v, want the %d triples of the store queried", params, p, explain["query_est"], n)
+			}
+		}
+	}
+
+	old := ingest("http://x/old", 1)
+	serve("http://x/old")
+	if err := lsrv.lv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if cur := ingest("http://x/new", 2); cur == old {
+		t.Fatal("the compaction did not swap the follower's store")
+	}
+	serve("http://x/new")
 }
 
 func equalStrings(a, b []string) bool {

@@ -65,13 +65,6 @@ func New() *Dict { return &Dict{} }
 // the base's pages once; until then the base costs no heap.
 func WithBase(m *Mapped) *Dict { return &Dict{base: m} }
 
-// WithCapacity returns an empty dictionary with room for n terms.
-func WithCapacity(n int) *Dict {
-	d := &Dict{recs: make([]rec, 0, n)}
-	d.index.reserve(n)
-	return d
-}
-
 // Share switches d into shared mode: from now on every method is safe for
 // concurrent use by multiple goroutines. The switch itself must happen
 // before the dictionary is shared (it is not itself synchronized), and
@@ -91,7 +84,7 @@ func (d *Dict) Encode(t rdf.Term) ID {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 	}
-	d.indexBase()
+	d.indexBase(false) //nolint:errcheck // fails only when asked to check
 	if id, ok := d.find(t, h); ok {
 		return id
 	}
@@ -116,10 +109,12 @@ func (d *Dict) Encode(t rdf.Term) ID {
 
 // indexBase enters the mapped base's IDs into the index if they are not
 // there yet: one sequential walk over the base's pages, hashing each term
-// as Encode would. The caller holds the write lock.
-func (d *Dict) indexBase() {
+// as Encode would. With unique set it also probes for each term before
+// entering it, and fails on one the base already holds under a lower ID.
+// The caller holds the write lock.
+func (d *Dict) indexBase(unique bool) error {
 	if d.base == nil || d.baseIndexed.Load() {
-		return
+		return nil
 	}
 	m := d.base
 	d.index.reserve(m.Len() + len(d.recs))
@@ -127,9 +122,28 @@ func (d *Dict) indexBase() {
 	var value []byte
 	for c := m.cursorAt(0); c.i < m.n; {
 		value = c.next(value)
-		d.index.insert(termHash(c.term(value)), ID(c.i))
+		t := c.term(value)
+		h := termHash(t)
+		if unique {
+			if id, dup := d.find(t, h); dup {
+				return fmt.Errorf("dict: terms %d and %d are both %v", id, c.i, t)
+			}
+		}
+		d.index.insert(h, ID(c.i))
 	}
 	d.baseIndexed.Store(true)
+	return nil
+}
+
+// IndexBase enters the mapped base's IDs into the index now, not at the
+// first probe, and fails if two of them name one term: the check a base
+// read off the network gets. After a failure d must not be used.
+func (d *Dict) IndexBase() error {
+	if d.mu != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+	}
+	return d.indexBase(true)
 }
 
 // find returns the ID of t, whose key hashes to h, if d's own layer holds
@@ -185,7 +199,7 @@ func (d *Dict) lookup(t rdf.Term, h uint64) (ID, bool) {
 		if d.mu != nil {
 			d.mu.Lock()
 		}
-		d.indexBase()
+		d.indexBase(false) //nolint:errcheck // fails only when asked to check
 		if d.mu != nil {
 			d.mu.Unlock()
 		}

@@ -24,7 +24,7 @@ func TestEncodeIsIdempotent(t *testing.T) {
 }
 
 func TestDistinctTermsDistinctIDs(t *testing.T) {
-	d := WithCapacity(8)
+	d := New()
 	terms := []rdf.Term{
 		rdf.NewIRI("http://x/a"),
 		rdf.NewBlank("a"),

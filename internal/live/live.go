@@ -31,10 +31,11 @@
 //   - The published index is tiered (see store.Index). A durable store's
 //     base run is its generation's snapshot file, served from the mapping
 //     after a seeded boot, a reopen and every Compact; a memory-only
-//     store's is a heap run. Each epoch appends one immutable delta or
-//     tombstone run, so publishing costs O(batch), not O(graph), and
-//     trailing same-level runs fold at Options.IndexFanout width to bound
-//     read amplification.
+//     store's is a heap run, or the column run of the snapshot its graph
+//     was read from (a follower's bootstrap). Each epoch appends one
+//     immutable delta or tombstone run, so publishing costs O(batch), not
+//     O(graph), and trailing same-level runs fold at Options.IndexFanout
+//     width to bound read amplification.
 //   - Compact writes the graph as the next generation's snapshot, maps
 //     it, swaps generations through a CURRENT manifest — so recovery
 //     always sees a consistent (snapshot, log) pair — and publishes the
@@ -56,7 +57,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,10 +74,11 @@ type Options struct {
 	// durability guarantee weakens from "acknowledged batches survive a
 	// crash" to "the WAL is consistent but may lose recent batches".
 	NoSync bool
-	// Seed is adopted as the initial graph when the directory holds no
-	// prior state; it is compacted into the first snapshot so the WAL
-	// starts empty. Ignored when the store already has state. The graph
-	// is adopted, not copied — the caller must not use it afterwards.
+	// Seed, when the directory holds no prior state, is written as
+	// generation 1's snapshot, which Open then opens like any other
+	// generation, so the WAL starts empty. Ignored when the store already
+	// has state. The graph is only read: the store serves the file, not
+	// the seed.
 	Seed *store.Graph
 	// Maintain lists the summary kinds kept incrementally current during
 	// ingest (served with no staleness and no per-epoch rebuild). nil
@@ -160,10 +161,6 @@ type Live struct {
 	published uint64
 	cur       atomic.Pointer[Snapshot]
 
-	// lastD/T/S are the component lengths at the last publication, for
-	// delta extraction when merging the index.
-	lastD, lastT, lastS int
-
 	// watch, when non-nil, is closed at the next epoch publication —
 	// the replication leader's long-poll wake-up (see Watch).
 	watch chan struct{}
@@ -179,7 +176,8 @@ type Live struct {
 
 // BootTimings is how long each phase of Open (or New) took. A phase the
 // boot did not go through stays zero: Snapshot is only paid by a seeded
-// fresh store, WALReplay only by a reopened one.
+// fresh store, WALReplay only by a durable one (a seeded store replays the
+// empty log it has just created).
 type BootTimings struct {
 	Builders  time.Duration // feeding the graph to the maintained summary builders
 	Snapshot  time.Duration // sorting the seed's triples and writing them as snapshot-1
@@ -196,10 +194,12 @@ func (l *Live) BootTimings() BootTimings { return l.boot }
 
 // New returns a memory-only live graph over g (nil for empty): the full
 // concurrency model without durability. Compact returns an error; the WAL
-// is absent. The graph is adopted, not copied. Of opts (nil = defaults)
-// Maintain and IndexFanout apply; the rest is meaningless without a
-// directory and is ignored. It panics on an invalid kind — callers obtain
-// kinds from core.ParseKind or the Kind constants.
+// is absent. The graph is adopted, not copied; when it still has a
+// snapshot base (store.ReadGraph's, say) the index serves that base's
+// column run, as a reopened durable store serves its file. Of opts (nil =
+// defaults) Maintain and IndexFanout apply; the rest is meaningless
+// without a directory and is ignored. It panics on an invalid kind —
+// callers obtain kinds from core.ParseKind or the Kind constants.
 func New(g *store.Graph, opts *Options) *Live {
 	if opts == nil {
 		opts = &Options{}
@@ -207,36 +207,44 @@ func New(g *store.Graph, opts *Options) *Live {
 	if g == nil {
 		g = store.NewGraph()
 	}
-	g.Dict().Share()
 	l := &Live{sync: false, fanout: opts.IndexFanout}
-	if err := l.initBuilders(g, opts.Maintain); err != nil {
+	ix, err := l.bootGraph(g, opts.Maintain)
+	if err != nil {
 		panic(err)
 	}
 	l.applied = uint64(g.NumEdges())
 	l.mu.Lock()
-	l.publishInitialLocked(l.bootIndex(nil))
+	l.publishInitialLocked(ix)
 	l.mu.Unlock()
 	return l
 }
 
-// initBuilders installs the maintained-kind builder set over g.
-func (l *Live) initBuilders(g *store.Graph, kinds []core.Kind) error {
-	defer func(t0 time.Time) { l.boot.Builders = time.Since(t0) }(time.Now())
+// bootGraph makes g the writer graph — shared dictionary, the maintained
+// kinds' builder set over it — and returns the index over its base: the
+// column run of g's snapshot base when it has one (taken before the
+// builders materialize it), else a heap run of its triples.
+func (l *Live) bootGraph(g *store.Graph, kinds []core.Kind) (*store.Index, error) {
+	sf := g.Base()
+	g.Dict().Share()
+	t0 := time.Now()
 	set, err := core.NewBuilderSet(g, maintainOrDefault(kinds))
 	if err != nil {
-		return err
+		return nil, err
 	}
+	l.boot.Builders = time.Since(t0)
 	l.set = set
 	for _, k := range set.Kinds() {
 		l.maintained[k] = true
 	}
-	return nil
+	return l.bootIndex(sf), nil
 }
 
 // Open opens (or initializes) a durable live store in dir: it loads the
 // current generation's snapshot, replays the WAL over it — truncating a
 // torn tail, so exactly the acknowledged batches come back — and publishes
-// epoch 1. A nil opts selects the defaults.
+// epoch 1. A fresh directory is first laid out as generation 1 from
+// opts.Seed, and then opened the same way. A nil opts selects the
+// defaults.
 func Open(dir string, opts *Options) (*Live, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -268,101 +276,58 @@ func Open(dir string, opts *Options) (*Live, error) {
 		l.spill = &store.SpillConfig{Dir: spillDir, MinBytes: opts.IndexSpillBytes}
 	}
 
-	var ix *store.Index // epoch 1's index
 	gen, err := readManifest(dir)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh directory: generation 1, optionally seeded.
-		g := opts.Seed
-		if g == nil {
-			g = store.NewGraph()
-		}
-		g.Dict().Share()
-		if err := l.initBuilders(g, opts.Maintain); err != nil {
-			return nil, err
-		}
-		l.gen = 1
-		var sf *store.SnapshotFile
-		if opts.Seed != nil && g.NumEdges() > 0 {
-			// Persist the seed as the generation's base snapshot so the
-			// WAL starts empty and replay cost stays proportional to
-			// post-seed writes; epoch 1 serves the file's runs.
-			t0 := time.Now()
-			if err := l.writeSnapshotFile(1, g); err != nil {
-				return nil, err
-			}
-			l.boot.Snapshot = time.Since(t0)
-			if sf, err = openSnapshotFile(l.snapshotPath(1)); err != nil {
-				return nil, fmt.Errorf("live: generation 1 snapshot: %w", err)
-			}
-		}
-		ix = l.bootIndex(sf)
-		l.wal, err = createWAL(l.walPath(1), l.sync)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeManifest(dir, 1); err != nil {
-			l.wal.close()
-			return nil, err
-		}
-	case err != nil:
+	if errors.Is(err, os.ErrNotExist) {
+		gen, err = 1, l.initGeneration(opts.Seed)
+	}
+	if err != nil {
 		return nil, err
+	}
+	var g *store.Graph
+	snapPath := l.snapshotPath(gen)
+	switch _, statErr := os.Stat(snapPath); {
+	case statErr == nil:
+		// The snapshot is mapped and materialization deferred — with no
+		// maintained kinds this makes Open O(1) in snapshot size.
+		if g, _, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot); err != nil {
+			return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, err)
+		}
+	case errors.Is(statErr, fs.ErrNotExist):
+		// A generation whose base graph was empty writes no snapshot.
+		g = store.NewGraph()
 	default:
-		var g *store.Graph
-		var sf *store.SnapshotFile
-		snapPath := l.snapshotPath(gen)
-		switch _, statErr := os.Stat(snapPath); {
-		case statErr == nil:
-			// The snapshot is mapped and materialization deferred — with no
-			// maintained kinds this makes Open O(1) in snapshot size.
-			g, sf, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot)
-			if err != nil {
-				return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, err)
-			}
-		case errors.Is(statErr, fs.ErrNotExist):
-			// A generation whose base graph was empty writes no snapshot.
-			g = store.NewGraph()
-		default:
-			// Any other failure (EACCES, EIO, …) must not be mistaken for
-			// "no snapshot": opening with an empty base and later
-			// compacting would silently discard the store's history.
-			return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, statErr)
+		// Any other failure (EACCES, EIO, …) must not be mistaken for
+		// "no snapshot": opening with an empty base and later
+		// compacting would silently discard the store's history.
+		return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, statErr)
+	}
+	ix, err := l.bootGraph(g, opts.Maintain) // epoch 1's index
+	if err != nil {
+		return nil, err
+	}
+	l.gen = gen
+	// Each replayed record becomes a delta or tombstone run over the base,
+	// as it did when it was first published.
+	records := int64(0)
+	t0 := time.Now()
+	good, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
+		records++
+		if op == OpDelete {
+			removed, tombs := l.set.DeleteBatch(triples)
+			l.deleted += uint64(removed)
+			ix = ix.Applied(nil, tombs)
+		} else {
+			ix = ix.Applied(l.applyLocked(triples), nil)
 		}
-		g.Dict().Share()
-		if err := l.initBuilders(g, opts.Maintain); err != nil {
-			return nil, err
-		}
-		l.gen = gen
-		ix = l.bootIndex(sf)
-		// Each replayed record becomes a delta or tombstone run over the
-		// base, as it did when it was first published.
-		l.lastD, l.lastT, l.lastS = len(g.Data), len(g.Types), len(g.Schema)
-		records := int64(0)
-		t0 := time.Now()
-		good, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
-			records++
-			if op == OpDelete {
-				removed, tombs := l.set.DeleteBatch(triples)
-				l.deleted += uint64(removed)
-				ix = ix.Applied(nil, tombs)
-			} else {
-				for _, t := range triples {
-					l.set.Add(t)
-				}
-				ix = ix.Applied(l.deltaLocked(), nil)
-			}
-			l.lastD, l.lastT, l.lastS = len(g.Data), len(g.Types), len(g.Schema)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		l.boot.WALReplay = time.Since(t0)
-		l.RecoveredTorn = torn
-		l.wal, err = openWALForAppend(l.walPath(gen), good, l.sync, records)
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.boot.WALReplay = time.Since(t0)
+	l.RecoveredTorn = torn
+	if l.wal, err = openWALForAppend(l.walPath(gen), good, l.sync, records); err != nil {
+		return nil, err
 	}
 
 	l.applied = uint64(l.graph().NumEdges()) + l.deleted
@@ -372,6 +337,28 @@ func Open(dir string, opts *Options) (*Live, error) {
 	l.removeStaleGenerations()
 	opened = true
 	return l, nil
+}
+
+// initGeneration lays generation 1 out in a fresh directory, in the order
+// recovery relies on — seed's snapshot (when it holds triples), an empty
+// WAL, then CURRENT — for Open to open like any other generation. The
+// seed is only read.
+func (l *Live) initGeneration(seed *store.Graph) error {
+	if seed != nil && seed.NumEdges() > 0 {
+		t0 := time.Now()
+		if err := l.writeSnapshotFile(1, seed); err != nil {
+			return err
+		}
+		l.boot.Snapshot = time.Since(t0)
+	}
+	w, err := createWAL(l.walPath(1), l.sync)
+	if err != nil {
+		return err
+	}
+	if err := w.close(); err != nil {
+		return err
+	}
+	return writeManifest(l.dir, 1)
 }
 
 // graph is the writer-side mutable graph (the builder set owns it).
@@ -422,12 +409,24 @@ func (l *Live) AddBatch(triples []rdf.Triple) error {
 			return err
 		}
 	}
-	for _, t := range triples {
-		l.set.Add(t)
-	}
+	batch := l.applyLocked(triples)
 	l.applied += uint64(len(triples))
-	l.publishLocked()
+	l.publishLocked(batch)
 	return nil
+}
+
+// applyLocked feeds triples to the graph and the builders and returns
+// them encoded: the batch the next epoch's delta run holds. Caller holds
+// l.mu, or owns l alone (Open's replay).
+func (l *Live) applyLocked(triples []rdf.Triple) []store.Triple {
+	d := l.graph().Dict()
+	batch := make([]store.Triple, len(triples))
+	for i, t := range triples {
+		e := store.Triple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
+		l.set.AddEncoded(e.S, e.P, e.O)
+		batch[i] = e
+	}
+	return batch
 }
 
 // Delete removes every stored copy of one triple; see DeleteBatch.
@@ -492,12 +491,12 @@ func (l *Live) indexOptions() store.IndexOptions {
 	return store.IndexOptions{Fanout: l.fanout, Spill: l.spill}
 }
 
-// bootIndex returns the index over the base of the generation Open or New
+// bootIndex returns the index over the base of the graph Open or New
 // starts from, and adds the time it took to the boot's Index phase. A
-// durable store serves the mapped runs of the generation's snapshot sf
-// (nothing is sorted or materialized); a memory-only store, or a durable
-// generation with an empty base and so no file, serves a heap run of the
-// writer graph.
+// graph with a snapshot base sf — a durable generation's mapped file, a
+// follower's bootstrap bytes — serves sf's column run (nothing is sorted
+// or materialized); any other graph, a generation with an empty base
+// included, serves a heap run of the writer graph.
 func (l *Live) bootIndex(sf *store.SnapshotFile) *store.Index {
 	defer func(t0 time.Time) { l.boot.Index += time.Since(t0) }(time.Now())
 	if sf != nil {
@@ -515,21 +514,14 @@ func (l *Live) publishInitialLocked(ix *store.Index) {
 	l.boot.Index += time.Since(t0)
 }
 
-// deltaLocked is what the writer graph gained since the last publication.
-// Caller holds l.mu, or owns l alone (Open's replay).
-func (l *Live) deltaLocked() []store.Triple {
-	g := l.graph()
-	return slices.Concat(g.Data[l.lastD:], g.Types[l.lastT:], g.Schema[l.lastS:])
-}
-
-// publishLocked builds and atomically installs the next epoch after an
-// append. Caller holds l.mu. The graph view shares storage with the
-// writer's graph (copy-on-write: appends land beyond the view's clipped
-// bounds); the index gains one delta run holding only the batch, so
-// publish cost is O(batch), independent of the graph size.
-func (l *Live) publishLocked() {
+// publishLocked builds and atomically installs the next epoch after the
+// append of batch. Caller holds l.mu. The graph view shares storage with
+// the writer's graph (copy-on-write: appends land beyond the view's
+// clipped bounds); the index gains one delta run holding only the batch,
+// so publish cost is O(batch), independent of the graph size.
+func (l *Live) publishLocked(batch []store.Triple) {
 	defer epochPublishSeconds.ObserveSince(time.Now())
-	l.installLocked(l.graph().SnapshotView(), l.cur.Load().Index.Applied(l.deltaLocked(), nil))
+	l.installLocked(l.graph().SnapshotView(), l.cur.Load().Index.Applied(batch, nil))
 }
 
 // publishDeletesLocked installs the epoch after a delete batch: the
@@ -544,8 +536,6 @@ func (l *Live) publishDeletesLocked(tombs []store.Triple) {
 }
 
 func (l *Live) installLocked(view *store.Graph, ix *store.Index) {
-	g := l.graph()
-	l.lastD, l.lastT, l.lastS = len(g.Data), len(g.Types), len(g.Schema)
 	l.published++
 	l.cur.Store(&Snapshot{Epoch: l.published, Graph: view, Index: ix})
 	if l.watch != nil {
@@ -753,14 +743,6 @@ func (l *Live) compactLocked() error {
 	if l.dir == "" {
 		return errors.New("live: memory-only store cannot compact (no directory)")
 	}
-	// Writing the snapshot promotes a writer graph still backed by its
-	// mapped base (no maintained kinds): the base's triples are prepended
-	// to the component slices. Do it here and shift the publish bookmarks
-	// with it, so that a failure below leaves them counting what was
-	// published — not the tail alone, which would re-publish the whole
-	// base as the next epoch's delta.
-	dD, dT, dS := l.graph().EnsureCounts()
-	l.lastD, l.lastT, l.lastS = l.lastD+dD, l.lastT+dT, l.lastS+dS
 	// Under l.mu the published epoch is the writer's head, so the writer
 	// graph's triples are exactly what it serves. The new file is mapped
 	// before anything points at it: if it cannot be opened, the
@@ -904,8 +886,8 @@ func (l *Live) syncDir() error {
 const manifestName = "CURRENT"
 
 // HasState reports whether dir already holds an initialized live store
-// (an existing CURRENT manifest). Callers use it to decide whether a
-// seed graph would be adopted or ignored by Open.
+// (an existing CURRENT manifest). Callers use it to decide whether Open
+// would write a seed graph or ignore it.
 func HasState(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestName))
 	return err == nil

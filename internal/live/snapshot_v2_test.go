@@ -198,13 +198,12 @@ func TestLiveSpillOracle(t *testing.T) {
 	}
 }
 
-// TestCompactFailureAfterPromotionKeepsBookmarks: with no maintained kind
-// a reopened store's writer graph stays backed by the mapped snapshot
-// until a compaction promotes it. A compaction that fails after that
-// promotion must leave the publish bookmarks counting the promoted base:
-// the next AddBatch publishes its own triples as the delta, not the
-// whole base over again.
-func TestCompactFailureAfterPromotionKeepsBookmarks(t *testing.T) {
+// TestCompactFailurePublishesNextAddAlone: with no maintained kind a
+// reopened store's writer graph stays backed by the mapped snapshot until
+// a compaction promotes it. After a compaction that fails past that
+// promotion, the next AddBatch publishes exactly its own triples as the
+// delta, not the whole base over again.
+func TestCompactFailurePublishesNextAddAlone(t *testing.T) {
 	dir := t.TempDir()
 	none := &Options{Maintain: []core.Kind{}}
 	l, err := Open(dir, none)

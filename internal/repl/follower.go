@@ -97,9 +97,8 @@ type FollowerStatus struct {
 // Follower is a read replica: it bootstraps a memory-only live store from
 // the leader's snapshot, tails the WAL, and re-bootstraps whenever the
 // leader compacts away the generation it was following. The current live
-// store is swapped atomically at each bootstrap; readers obtain it (with
-// an instance counter that invalidates cross-instance epoch comparisons)
-// from Live.
+// store is swapped atomically at each bootstrap; readers obtain it from
+// Live.
 type Follower struct {
 	cl   *client.Client
 	opts FollowerOptions
@@ -108,10 +107,9 @@ type Follower struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu   sync.Mutex
-	lv   *live.Live
-	inst uint64 // bumped at each bootstrap swap
-	st   FollowerStatus
+	mu sync.Mutex
+	lv *live.Live
+	st FollowerStatus
 }
 
 // NewFollower prepares a replica of the rdfsumd leader at leaderURL. The
@@ -148,14 +146,14 @@ func (f *Follower) Close() error {
 	return lv.Close()
 }
 
-// Live returns the replica's current live store and the bootstrap
-// instance it belongs to. Epoch-keyed caches must be invalidated when the
-// instance changes: epochs restart at 1 in a fresh instance, so an epoch
-// comparison across instances is meaningless.
-func (f *Follower) Live() (*live.Live, uint64) {
+// Live returns the replica's current live store. Each bootstrap swaps in
+// a new one whose epochs restart at 1, so an epoch-keyed cache must also
+// be keyed on the store it was built from: an epoch comparison across
+// stores is meaningless.
+func (f *Follower) Live() *live.Live {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.lv, f.inst
+	return f.lv
 }
 
 // Status reports replication progress with derived lag gauges.
@@ -247,13 +245,16 @@ func (f *Follower) bootstrap(ctx context.Context) (*client.ReplManifest, error) 
 		return nil, fmt.Errorf("manifest: %w: wal_version %d, wal_data_start %d (this build reads only version %d, records from offset %d)",
 			live.ErrWALVersion, m.WALVersion, m.WALDataStart, live.WALVersion, live.WALDataStart)
 	}
+	// The snapshot's bytes are served in place, as a reopened leader
+	// serves its file: the dictionary over their pages, the index over
+	// their column run.
 	g := store.NewGraph()
 	if m.HasSnapshot {
 		rc, err := f.cl.ReplSnapshot(ctx, m.Generation)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		g, err = store.ReadSnapshot(rc)
+		g, err = store.ReadGraph(rc)
 		rc.Close()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot gen %d: %w", m.Generation, err)
@@ -264,7 +265,6 @@ func (f *Follower) bootstrap(ctx context.Context) (*client.ReplManifest, error) 
 	f.mu.Lock()
 	old := f.lv
 	f.lv = lv
-	f.inst++
 	f.st.Generation = m.Generation
 	f.st.AppliedOffset = live.WALDataStart
 	f.st.AppliedRecords = 0
@@ -315,9 +315,7 @@ func (f *Follower) tailOnce(ctx context.Context, gen uint64, offset *int64) (pro
 			}
 			return false, fmt.Errorf("wal stream at offset %d: %w", *offset, rerr)
 		}
-		f.mu.Lock()
-		lv := f.lv
-		f.mu.Unlock()
+		lv := f.Live()
 		tApply := time.Now()
 		switch op {
 		case live.OpAdd:

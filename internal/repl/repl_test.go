@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rdfsum/internal/core"
+	"rdfsum/internal/dict"
 	"rdfsum/internal/live"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/repl"
@@ -107,7 +108,7 @@ func must[T any](v T, err error) T {
 // summary are bit-identical to the leader's.
 func assertIdentical(t *testing.T, lv *live.Live, f *repl.Follower) {
 	t.Helper()
-	flv, _ := f.Live()
+	flv := f.Live()
 	lg, fg := lv.Snapshot().Graph, flv.Snapshot().Graph
 	if lr, fr := render(lg), render(fg); lr != fr {
 		t.Fatalf("graphs diverged:\nleader  (%d edges)\nfollower(%d edges)", lg.NumEdges(), fg.NumEdges())
@@ -185,6 +186,45 @@ func TestFollowerSurvivesLeaderCompaction(t *testing.T) {
 	}
 	waitConverged(t, lv, f)
 	assertIdentical(t, lv, f)
+}
+
+// TestFollowerServesSnapshotInPlace: a bootstrap serves the leader's
+// snapshot bytes as a reopen serves its file. The fresh replica's index
+// base is the snapshot's column run — on the heap it holds only the
+// fences its lookups build, and its mapped account is the leader's file's
+// — and its dictionary is a layer over the snapshot's pages.
+func TestFollowerServesSnapshotInPlace(t *testing.T) {
+	lv, ts := startLeader(t)
+	if err := lv.AddBatch(mkBatch(0, 400)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	f := startFollower(t, ts.URL)
+	waitConverged(t, lv, f)
+	assertIdentical(t, lv, f)
+
+	flv := f.Live()
+	ix := flv.Snapshot().Index
+	ix.ForEach(dict.None, 1, dict.None, func(store.Triple) bool { return true })
+	n := int64(ix.Len())
+	st, lst := flv.Stats(), lv.Stats()
+	if fences := int64(store.NumOrders) * 16 * ((n + 7) / 8); st.IndexHeapBytes > fences {
+		t.Errorf("bootstrapped follower: index heap holds %d bytes; the fences of %d triples hold at most %d", st.IndexHeapBytes, n, fences)
+	}
+	if st.IndexMappedBytes == 0 || st.IndexMappedBytes != lst.IndexMappedBytes {
+		t.Errorf("bootstrapped follower serves %d bytes of snapshot columns, the leader %d", st.IndexMappedBytes, lst.IndexMappedBytes)
+	}
+	if st.DictTerms != lst.DictTerms {
+		t.Errorf("follower dictionary holds %d terms, the leader's %d", st.DictTerms, lst.DictTerms)
+	}
+	// Over the pages the dictionary's heap is its hash table alone, at most
+	// 3/4 full: under 22 B a term. A term of its own costs a record (24 B)
+	// and its key bytes besides.
+	if st.DictBytes > 22*int64(st.DictTerms) {
+		t.Errorf("follower dictionary holds %d bytes for %d terms: its terms are on the heap", st.DictBytes, st.DictTerms)
+	}
 }
 
 func TestFollowerLongPollLatency(t *testing.T) {

@@ -130,7 +130,7 @@ func TestFollowerRejectsUnknownSnapshotVersion(t *testing.T) {
 						t.Fatalf("follower claims %d successful bootstraps from an unreadable leader", st.Bootstraps)
 					}
 					// The replica never swaps in a bogus store.
-					if lv, _ := f.Live(); lv.Snapshot().Graph.NumEdges() != 0 {
+					if f.Live().Snapshot().Graph.NumEdges() != 0 {
 						t.Fatal("follower adopted triples from an unreadable leader")
 					}
 					return

@@ -43,5 +43,12 @@ func openMapping(path string) (*mapping, error) {
 	return m, nil
 }
 
+// heapMapping holds bytes read into memory — a streamed snapshot — as a
+// mapping with nothing to unmap: the collector frees them once no view
+// holds them.
+func heapMapping(data []byte) *mapping {
+	return &mapping{data: data, unmap: &unmapOnce{fn: func() error { return nil }}}
+}
+
 // close unmaps now. The caller must know that no view is still in use.
 func (m *mapping) close() error { return m.unmap.do() }

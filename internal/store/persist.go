@@ -40,21 +40,17 @@ func truncatedOr(err error) error {
 	return err
 }
 
-// ReadSnapshot reconstructs a graph from a snapshot stream, verifying
-// every checksum eagerly (this is the streamed path — replication
-// bootstrap and piped tooling — where the bytes are transient and a lazy
-// view has nothing durable to map). Errors wrap the ErrSnapshot*
-// sentinels.
+// ReadSnapshot reads a snapshot stream as ReadGraph does, every checksum
+// verified, and materializes the graph's components (Ensure); its
+// dictionary stays a layer over the read bytes. Errors wrap the
+// ErrSnapshot* sentinels.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, truncatedOr(err)
-	}
-	c, err := parseSnapshot(data, true)
+	g, err := ReadGraph(r)
 	if err != nil {
 		return nil, err
 	}
-	return graphFromContainer(c)
+	g.Ensure()
+	return g, nil
 }
 
 // SaveFile writes a snapshot to path in the current (v2) format,

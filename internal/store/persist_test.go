@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -55,6 +57,46 @@ func TestReadSnapshotTruncated(t *testing.T) {
 	_, err := ReadSnapshot(bytes.NewReader(data[:3]))
 	if !errors.Is(err, ErrSnapshotTruncated) {
 		t.Fatalf("cut inside magic: got %v, want ErrSnapshotTruncated", err)
+	}
+}
+
+// TestReadSnapshotRefusesDuplicateTerm: a stream is outside input, so the
+// streamed read checks what a file the store wrote is trusted with. A
+// dictionary that lists one term under two IDs — every checksum resealed
+// over it — is refused with ErrSnapshotCorrupt, by ReadGraph and by
+// ReadSnapshot.
+func TestReadSnapshotRefusesDuplicateTerm(t *testing.T) {
+	_, data := v2Sample(t)
+	bad := append([]byte(nil), data...)
+	c, err := parseContainer(bad, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Term 8, <http://x/b>, is front-coded against term 7, <http://x/p>:
+	// 9 shared bytes, then the 1-byte suffix "b". Make the suffix "p".
+	pages := c.secs[secDictPages]
+	at := bytes.Index(pages.raw, []byte{9, 1, 'b'})
+	if at < 0 || bytes.Count(pages.raw, []byte{9, 1, 'b'}) != 1 {
+		t.Fatal("the sample's dictionary pages no longer code <http://x/b> as expected")
+	}
+	pages.raw[at+2] = 'p'
+	// Reseal: the section's CRC in the TOC, the TOC's in the header, and
+	// the header's own.
+	tocOff := binary.LittleEndian.Uint64(bad[48:56])
+	toc := bad[tocOff : tocOff+uint64(len(c.secOrder))*v2TocEntrySize]
+	for i := 0; i < len(toc); i += v2TocEntrySize {
+		if toc[i] == secDictPages {
+			binary.LittleEndian.PutUint32(toc[i+17:], crc32.ChecksumIEEE(pages.raw))
+		}
+	}
+	binary.LittleEndian.PutUint32(bad[56:60], crc32.ChecksumIEEE(toc))
+	binary.LittleEndian.PutUint32(bad[60:64], crc32.ChecksumIEEE(bad[:60]))
+
+	if _, err := ReadGraph(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("ReadGraph of a dictionary listing <http://x/p> twice: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("ReadSnapshot of a dictionary listing <http://x/p> twice: got %v, want ErrSnapshotCorrupt", err)
 	}
 }
 

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -172,6 +174,7 @@ type SnapshotFile struct {
 
 	matOnce          sync.Once
 	matD, matT, matS []Triple
+	matErr           error
 }
 
 // OpenSnapshotFile maps path and validates its header and TOC. With
@@ -274,24 +277,31 @@ func (sf *SnapshotFile) Runs() RunCols { return sf.runs }
 // components. Structural errors after the CRC passed indicate a writer
 // bug or memory corruption and panic with a corruption error.
 func (sf *SnapshotFile) Components() (data, types, schema []Triple) {
+	if err := sf.decodeComponents(); err != nil {
+		panic(corruptionPanic(err))
+	}
+	return sf.matD, sf.matT, sf.matS
+}
+
+// decodeComponents decodes the three components once and reports the
+// first structural error.
+func (sf *SnapshotFile) decodeComponents() error {
 	sf.matOnce.Do(func() {
-		decode := func(id byte, n int) []Triple {
+		decode := func(id byte, n uint64) []Triple {
 			sec, err := sf.c.section(id)
-			if err != nil {
-				panic(corruptionPanic(err))
+			var ts []Triple
+			if err == nil {
+				sec.verifyLazy()
+				ts, err = decodeComp(sec.raw, int(n), sf.c.nTerms)
 			}
-			sec.verifyLazy()
-			ts, err := decodeComp(sec.raw, n, sf.c.nTerms)
-			if err != nil {
-				panic(corruptionPanic(err))
-			}
+			sf.matErr = cmp.Or(sf.matErr, err)
 			return ts
 		}
-		sf.matD = decode(secCompData, int(sf.c.nData))
-		sf.matT = decode(secCompTypes, int(sf.c.nTypes))
-		sf.matS = decode(secCompSchema, int(sf.c.nSchema))
+		sf.matD = decode(secCompData, sf.c.nData)
+		sf.matT = decode(secCompTypes, sf.c.nTypes)
+		sf.matS = decode(secCompSchema, sf.c.nSchema)
 	})
-	return sf.matD, sf.matT, sf.matS
+	return sf.matErr
 }
 
 // Close releases the mapping now instead of when the last view over it is
@@ -311,46 +321,37 @@ func OpenGraphFile(path string, verify bool) (*Graph, *SnapshotFile, error) {
 		return nil, nil, err
 	}
 	snapshotOpensV2.Inc()
-	return NewGraphFromSnapshot(sf), sf, nil
+	return graphOver(sf, dict.WithBase(sf.MappedDict())), sf, nil
 }
 
-// graphFromContainer materializes an eager graph from a fully verified
-// v2 container — the streamed-bootstrap path, where the bytes came off a
-// socket and a lazy base would pin the whole buffer anyway.
-func graphFromContainer(c *container) (*Graph, error) {
-	pages, dirSec, sortedSec := c.secs[secDictPages], c.secs[secDictDir], c.secs[secDictSorted]
-	if pages == nil || dirSec == nil || sortedSec == nil {
-		return nil, fmt.Errorf("%w: missing dictionary sections", ErrSnapshotCorrupt)
-	}
-	md, err := dict.NewMapped(pages.raw, dirSec.raw, sortedSec.raw, int(c.nTerms))
+// ReadGraph reads a snapshot stream into one buffer and serves it in
+// place, as OpenGraphFile serves a mapped file (the SnapshotFile is built
+// by the same constructor). The bytes come from outside, so it also
+// checks what the store trusts its own files with: every section
+// checksum, every vocabulary and component ID, and that no term is listed
+// twice. Errors wrap the ErrSnapshot* sentinels.
+func ReadGraph(r io.Reader) (*Graph, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, truncatedOr(err)
 	}
-	d := dict.WithCapacity(int(c.nTerms))
-	for i := 1; i <= md.Len(); i++ {
-		d.Encode(md.Term(dict.ID(i)))
+	sf, err := newSnapshotFile(heapMapping(data), true)
+	if err != nil {
+		return nil, err
 	}
-	if d.Len() != md.Len() {
-		return nil, fmt.Errorf("%w: dictionary holds duplicate terms", ErrSnapshotCorrupt)
-	}
-	g := NewGraphWithDict(d)
-	decode := func(id byte, n int) ([]Triple, error) {
-		sec, err := c.section(id)
-		if err != nil {
+	if sec, ok := sf.c.secs[secVocab]; ok {
+		if _, err := decodeVocabSec(sec.raw, sf.c.nTerms); err != nil {
 			return nil, err
 		}
-		return decodeComp(sec.raw, n, c.nTerms)
 	}
-	if g.Data, err = decode(secCompData, int(c.nData)); err != nil {
+	if err := sf.decodeComponents(); err != nil {
 		return nil, err
 	}
-	if g.Types, err = decode(secCompTypes, int(c.nTypes)); err != nil {
-		return nil, err
+	d := dict.WithBase(sf.MappedDict())
+	if err := d.IndexBase(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	if g.Schema, err = decode(secCompSchema, int(c.nSchema)); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return graphOver(sf, d), nil
 }
 
 // SectionInfo describes one TOC entry, for inspection tooling.

@@ -78,19 +78,19 @@ type Graph struct {
 	base   *SnapshotFile
 }
 
-// NewGraphFromSnapshot returns a graph backed by an open v2 snapshot
-// without materializing it: the dictionary is layered over the mapped
-// pages and the component slices start empty. O(1) in snapshot size.
-func NewGraphFromSnapshot(sf *SnapshotFile) *Graph {
+// graphOver returns a graph backed by an open v2 snapshot without
+// materializing it: its dictionary d is layered over sf's mapped
+// dictionary and the component slices start empty. O(1) in snapshot size.
+func graphOver(sf *SnapshotFile, d *dict.Dict) *Graph {
 	if v, ok := sf.Vocab(); ok {
 		// The ~10-byte vocab section resolves the interpreted vocabulary
 		// without touching (and therefore CRC-verifying) the dictionary
 		// sections — the difference between O(1) and O(dict) cold opens.
-		return &Graph{dict: dict.WithBase(sf.MappedDict()), vocab: v, base: sf}
+		return &Graph{dict: d, vocab: v, base: sf}
 	}
 	// The written graph had the vocabulary interned, so EncodeVocab
 	// resolves through the mapped base without assigning new IDs.
-	g := NewGraphWithDict(dict.WithBase(sf.MappedDict()))
+	g := NewGraphWithDict(d)
 	g.base = sf
 	return g
 }
@@ -99,24 +99,17 @@ func NewGraphFromSnapshot(sf *SnapshotFile) *Graph {
 // slices. Idempotent and safe for concurrent use; every whole-graph
 // operation calls it first. Decoding failures after the section CRC
 // passed indicate memory corruption or a writer bug and panic.
-func (g *Graph) Ensure() { g.EnsureCounts() }
-
-// EnsureCounts is Ensure reporting how many triples the promotion
-// prepended to each component (all zero when already promoted or not
-// snapshot-backed). The live subsystem uses the deltas to shift its
-// publish bookmarks.
-func (g *Graph) EnsureCounts() (dD, dT, dS int) {
+func (g *Graph) Ensure() {
 	g.baseMu.Lock()
 	defer g.baseMu.Unlock()
 	if g.base == nil {
-		return 0, 0, 0
+		return
 	}
 	bd, bt, bs := g.base.Components()
 	g.Data = concatTriples(bd, g.Data)
 	g.Types = concatTriples(bt, g.Types)
 	g.Schema = concatTriples(bs, g.Schema)
 	g.base = nil
-	return len(bd), len(bt), len(bs)
 }
 
 func concatTriples(base, tail []Triple) []Triple {

@@ -444,8 +444,9 @@ func NewIngestQueue(lv *Live, depth int, maxBytes int64) *IngestQueue {
 
 // LiveOptions tunes OpenLive and NewLive: NoSync drops the per-batch fsync
 // (faster ingest; a crash may lose recently acknowledged batches), Seed is
-// adopted as the initial graph of a directory holding no prior state,
-// Maintain lists the summary kinds kept incrementally current (nil = Weak
+// written as the first snapshot of a directory holding no prior state
+// (the store then serves that file; the seed is only read), Maintain
+// lists the summary kinds kept incrementally current (nil = Weak
 // only, empty = none; the others rebuild lazily per epoch), IndexFanout
 // is the tiered index's fold width (0 = 8), IndexSpillBytes lets folded
 // runs of at least that size spill to <dir>/spill (0 = never), and
@@ -467,5 +468,5 @@ func OpenLive(dir string, opts *LiveOptions) (*Live, error) { return live.Open(d
 func NewLive(g *Graph, opts *LiveOptions) *Live { return live.New(g, opts) }
 
 // LiveHasState reports whether dir already holds an initialized live
-// store, i.e. whether OpenLive would adopt or ignore a Seed.
+// store, i.e. whether OpenLive would ignore a Seed.
 func LiveHasState(dir string) bool { return live.HasState(dir) }
