@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/dict ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile heap-profile test-nommap stress fuzz cover cover-check check loc clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile heap-profile test-nommap stress replication-smoke ingest-smoke fuzz cover cover-check check loc clean
 
 all: build
 
@@ -166,8 +166,6 @@ replication-smoke:
 ingest-smoke:
 	$(GO) test -race -count=1 -run 'TestE2EStreamingIngest' ./cmd/rdfsumd
 
-.PHONY: replication-smoke ingest-smoke
-
 # Fuzz smoke (mirrored as a CI job): the N-Triples parser; the Turtle
 # load against its reference (the streamed load == FromTriples of the
 # parsed triples, term for term, ID for ID and component for component;
@@ -202,7 +200,7 @@ cover-check:
 		fi; \
 	done; rm -f .cover.tmp; exit $$fail
 
-check: build vet fmt-check race obs-check est-check bench-unit bench-smoke cover-check
+check: build vet fmt-check race obs-check est-check bench-unit stress ingest-smoke test-nommap bench-smoke cover-check
 
 # Lines of non-test Go outside benchmark/ (its own module) and hidden
 # directories: the size figure ROADMAP.md and CHANGES.md quote.

@@ -615,7 +615,7 @@ func BenchmarkIndexJoins(b *testing.B) {
 		ix   *store.Index
 	}{
 		{"heap", store.NewIndex(g)},
-		{"mapped", store.NewIndexFromBase(sf.Runs(), store.IndexOptions{})},
+		{"mapped", store.NewIndexFromBase(sf.Runs())},
 	}
 	for _, base := range bases {
 		for qi, text := range scanLUBMPool {

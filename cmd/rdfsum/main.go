@@ -9,7 +9,7 @@
 //	rdfsum query     -in data.nt -q 'SELECT ?x WHERE { ... }' [-saturate] [-explain] [-limit N] [-prune kind|off]
 //	rdfsum convert   -in data.nt -out data.snapshot
 //	rdfsum inspect   data.snapshot
-//	rdfsum ingest    -wal ./store -in data.nt [-batch N] [-delete] [-compact] [-nosync] [-index-fanout N]
+//	rdfsum ingest    -wal ./store -in data.nt [-batch N] [-delete] [-compact] [-nosync]
 //
 // The query, stats and ingest subcommands also run against a live
 // rdfsumd with -server URL (through the typed /v1 client) instead of a
@@ -370,7 +370,6 @@ func cmdIngest(args []string) error {
 	del := fs.Bool("delete", false, "remove the file's triples instead of adding them")
 	compact := fs.Bool("compact", false, "fold the WAL into a snapshot after ingest")
 	nosync := fs.Bool("nosync", false, "skip per-batch fsync (faster, weaker durability)")
-	fanout := fs.Int("index-fanout", 0, "tiered-index fold width (0 = default 8)")
 	fs.Parse(args) //nolint:errcheck
 	if *in == "" {
 		return fmt.Errorf("missing -in file")
@@ -384,7 +383,7 @@ func cmdIngest(args []string) error {
 	if *walDir == "" {
 		return fmt.Errorf("missing -wal directory")
 	}
-	lv, err := rdfsum.OpenLive(*walDir, &rdfsum.LiveOptions{NoSync: *nosync, IndexFanout: *fanout})
+	lv, err := rdfsum.OpenLive(*walDir, &rdfsum.LiveOptions{NoSync: *nosync})
 	if err != nil {
 		return err
 	}
@@ -471,7 +470,7 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s format v%d, %d bytes\n", path, info.Kind, info.Version, info.FileSize)
+	fmt.Printf("%s: snapshot format v%d, %d bytes\n", path, info.Version, info.FileSize)
 	nTriples := info.NData + info.NTypes + info.NSchema
 	fmt.Printf("  triples: %d (%d data, %d type, %d schema), dict terms: %d\n",
 		nTriples, info.NData, info.NTypes, info.NSchema, info.NTerms)

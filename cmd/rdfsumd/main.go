@@ -81,10 +81,6 @@ func main() {
 	noSync := flag.Bool("no-fsync", false, "skip the per-batch fsync (faster ingest, weaker durability)")
 	maintain := flag.String("maintain", "weak",
 		"summary kinds kept incrementally current during ingest: a comma list of kinds, \"all\", or \"none\"")
-	indexFanout := flag.Int("index-fanout", 0,
-		"tiered-index fold width: delta runs merge once this many share a level (0 = default 8)")
-	indexSpill := flag.Int64("index-spill-bytes", 0,
-		"spill folded index runs at least this many bytes to mapped files under <live>/spill (0 = all in memory)")
 	verifySnap := flag.Bool("verify-snapshot", false,
 		"eagerly CRC-check every snapshot section at open instead of lazily on first touch")
 	queueDepth := flag.Int("ingest-queue-depth", 0,
@@ -119,18 +115,16 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := newServer(serverConfig{
-		in:          *in,
-		liveDir:     *liveDir,
-		follow:      *follow,
-		noSync:      *noSync,
-		maintain:    maintained,
-		indexFanout: *indexFanout,
-		indexSpill:  *indexSpill,
-		verifySnap:  *verifySnap,
-		queueDepth:  *queueDepth,
-		queueBytes:  *queueBytes,
-		logger:      logger,
-		slowQuery:   time.Duration(*slowQueryMS) * time.Millisecond,
+		in:         *in,
+		liveDir:    *liveDir,
+		follow:     *follow,
+		noSync:     *noSync,
+		maintain:   maintained,
+		verifySnap: *verifySnap,
+		queueDepth: *queueDepth,
+		queueBytes: *queueBytes,
+		logger:     logger,
+		slowQuery:  time.Duration(*slowQueryMS) * time.Millisecond,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rdfsumd:", err)

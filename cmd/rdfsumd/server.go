@@ -93,16 +93,14 @@ type server struct {
 
 // serverConfig collects rdfsumd's startup knobs.
 type serverConfig struct {
-	in          string // input graph (.nt/.ttl, optionally .gz/.zst, or snapshot); seeds -live
-	liveDir     string // durable store directory ("" = memory-only)
-	follow      string // leader base URL; makes this a read replica
-	noSync      bool
-	maintain    []rdfsum.Kind
-	indexFanout int
-	indexSpill  int64 // index-run spill threshold in bytes (0 = memory only)
-	verifySnap  bool  // eager snapshot CRC verification at open
-	queueDepth  int   // ingest queue batch bound (0 = default)
-	queueBytes  int64 // ingest queue byte budget (0 = default)
+	in         string // input graph (.nt/.ttl, optionally .gz/.zst, or snapshot); seeds -live
+	liveDir    string // durable store directory ("" = memory-only)
+	follow     string // leader base URL; makes this a read replica
+	noSync     bool
+	maintain   []rdfsum.Kind
+	verifySnap bool  // eager snapshot CRC verification at open
+	queueDepth int   // ingest queue batch bound (0 = default)
+	queueBytes int64 // ingest queue byte budget (0 = default)
 
 	logger    *slog.Logger  // structured log sink (nil = slog.Default())
 	slowQuery time.Duration // slow-query log threshold (0 = disabled)
@@ -114,8 +112,7 @@ type serverConfig struct {
 // store is durable (WAL + snapshots in that directory) and cfg.in — if
 // any — seeds a fresh store; without it cfg.in is loaded into a
 // memory-only live store. cfg.maintain lists the summary kinds the quotient engine keeps
-// incrementally current (nil = weak only); cfg.indexFanout tunes the
-// tiered index's fold width (0 = default).
+// incrementally current (nil = weak only).
 func newServer(cfg serverConfig) (*server, error) {
 	logger := cfg.logger
 	if logger == nil {
@@ -126,9 +123,8 @@ func newServer(cfg serverConfig) (*server, error) {
 			return nil, fmt.Errorf("-follow is exclusive with -in and -live: a replica's only data source is its leader")
 		}
 		f, err := repl.NewFollower(cfg.follow, repl.FollowerOptions{
-			Maintain:    cfg.maintain,
-			IndexFanout: cfg.indexFanout,
-			Logger:      logger,
+			Maintain: cfg.maintain,
+			Logger:   logger,
 		})
 		if err != nil {
 			return nil, err
@@ -164,8 +160,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		bootLoad = time.Since(t0)
 	}
 	opts := &rdfsum.LiveOptions{
-		NoSync: cfg.noSync, Seed: seed, Maintain: cfg.maintain,
-		IndexFanout: cfg.indexFanout, IndexSpillBytes: cfg.indexSpill, VerifySnapshot: cfg.verifySnap,
+		NoSync: cfg.noSync, Seed: seed, Maintain: cfg.maintain, VerifySnapshot: cfg.verifySnap,
 	}
 	var lv *rdfsum.Live
 	if cfg.liveDir != "" {

@@ -30,6 +30,12 @@ func scanIndex(ix *store.Index) []store.Triple {
 	return out
 }
 
+// hasFolded reports whether a fold has merged runs of ix, given the
+// number of delta and tombstone runs published over its single-run base
+// (the last compaction, or the generation's boot before WAL replay): a
+// fold leaves fewer runs than the base plus those.
+func hasFolded(ix *store.Index, deltas int) bool { return ix.Runs() < 1+deltas }
+
 // freshIndexOver builds a from-scratch single-run index over exactly the
 // given string-level triples, encoded through the same dictionary as the
 // live store — so iteration sequences are comparable triple-for-triple.
@@ -108,12 +114,14 @@ func TestLiveDeleteBasics(t *testing.T) {
 // bit-identical — graph, index iteration, every summary — to a batch load
 // of the surviving triples; snapshots held mid-stream keep their exact
 // contents across later deletes and compactions; and a close/reopen (WAL
-// replay) reproduces the same state.
+// replay) reproduces the same state. Runs of a dozen publications
+// between compactions make the index fold on the way.
 func TestLiveDeleteInterleavingOracle(t *testing.T) {
+	folds := 0
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0x11fe))
 		dir := t.TempDir()
-		l, err := Open(dir, &Options{NoSync: true, Maintain: core.Kinds, IndexFanout: 2 + int(seed%4)})
+		l, err := Open(dir, &Options{NoSync: true, Maintain: core.Kinds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +138,11 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 		}
 		var holds []held
 
-		ops := 12 + rng.IntN(10)
+		ops := 24 + rng.IntN(12)
+		deltas, folded := 0, false
 		for i := 0; i < ops; i++ {
 			switch {
-			case rng.IntN(6) == 0:
+			case rng.IntN(12) == 0:
 				if err := l.Compact(); err != nil {
 					t.Fatal(err)
 				}
@@ -141,14 +150,17 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 					t.Logf("seed %d: compacted store has %d runs, %d tombstones", seed, st.IndexRuns, st.IndexTombs)
 					return false
 				}
+				deltas = 0
 			case rng.IntN(3) == 0 && len(oracle) > 0:
 				k := 1 + rng.IntN(4)
 				dead := make([]rdf.Triple, 0, k)
 				for j := 0; j < k; j++ {
 					dead = append(dead, pool[rng.IntN(next)])
 				}
-				if _, err := l.DeleteBatch(dead); err != nil {
+				if n, err := l.DeleteBatch(dead); err != nil {
 					t.Fatal(err)
+				} else if n > 0 {
+					deltas++
 				}
 				oracle = removeAll(oracle, dead)
 			default:
@@ -166,8 +178,12 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 				if err := l.AddBatch(batch); err != nil {
 					t.Fatal(err)
 				}
+				if len(batch) > 0 {
+					deltas++
+				}
 				oracle = append(oracle, batch...)
 			}
+			folded = folded || hasFolded(l.Snapshot().Index, deltas)
 
 			snap := l.Snapshot()
 			if !reflect.DeepEqual(canonical(snap.Graph), canonical(store.FromTriples(oracle))) {
@@ -207,6 +223,10 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 			}
 		}
 
+		if folded {
+			folds++
+		}
+
 		// WAL replay round-trips the deletions.
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -234,6 +254,9 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
+	}
+	if folds == 0 {
+		t.Error("no sequence folded a delta run")
 	}
 }
 
@@ -346,11 +369,12 @@ func readFiles(t *testing.T, paths []string) [][]byte {
 // snapshot validity across generations: readers hold epoch snapshots and
 // keep iterating them (full scans and pattern scans) while the writer
 // interleaves adds, deletes and Compact calls that swap index generations
-// under them. Each reader verifies its snapshot's contents never change.
-// Run by `make stress`.
+// under them, eight rounds apart, so folds land between them too. Each
+// reader verifies its snapshot's contents never change. Run by `make
+// stress`.
 func TestLiveSnapshotAcrossCompactStress(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, &Options{NoSync: true, IndexFanout: 2})
+	l, err := Open(dir, &Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,18 +419,24 @@ func TestLiveSnapshotAcrossCompactStress(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewPCG(42, 7))
+	deltas, folded := 1, false // the seed batch
 	for i := 0; i < rounds; i++ {
 		batch := mkBatch(1000+i*50, 30)
 		if err := l.AddBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.DeleteBatch(batch[:rng.IntN(10)]); err != nil {
+		deltas++
+		if n, err := l.DeleteBatch(batch[:rng.IntN(10)]); err != nil {
 			t.Fatal(err)
+		} else if n > 0 {
+			deltas++
 		}
-		if i%5 == 0 {
+		folded = folded || hasFolded(l.Snapshot().Index, deltas)
+		if i%8 == 0 {
 			if err := l.Compact(); err != nil {
 				t.Fatal(err)
 			}
+			deltas = 0
 		}
 	}
 	close(stop)
@@ -414,5 +444,8 @@ func TestLiveSnapshotAcrossCompactStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if !folded {
+		t.Error("the writer never folded a delta run")
 	}
 }

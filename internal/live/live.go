@@ -34,8 +34,9 @@
 //     store's is a heap run, or the column run of the snapshot its graph
 //     was read from (a follower's bootstrap). Each epoch appends one
 //     immutable delta or tombstone run, so publishing costs O(batch), not
-//     O(graph), and trailing same-level runs fold at Options.IndexFanout
-//     width to bound read amplification.
+//     O(graph), and trailing same-level runs fold eight at a time to
+//     bound read amplification. Compaction is the only way runs leave the
+//     heap: the next generation's mapped snapshot becomes the whole index.
 //   - Compact writes the graph as the next generation's snapshot, maps
 //     it, swaps generations through a CURRENT manifest — so recovery
 //     always sees a consistent (snapshot, log) pair — and publishes the
@@ -85,18 +86,6 @@ type Options struct {
 	// maintains the weak summary only — the PR-3 behavior; an explicit
 	// empty slice maintains nothing. Unmaintained kinds rebuild lazily.
 	Maintain []core.Kind
-	// IndexFanout is the tiered index's fold width: once this many
-	// trailing runs share a level they merge into one run of the next
-	// level. 0 selects store.DefaultIndexFanout (8). Smaller values trade
-	// ingest throughput for fewer runs on the query path.
-	IndexFanout int
-	// IndexSpillBytes, when positive, lets tiered-index folds spill runs
-	// of at least this many (in-memory) bytes to on-disk column files
-	// under <dir>/spill, served via mmap — bounding resident memory under
-	// sustained ingest. Spill files are rebuildable state: the directory
-	// is wiped on Open and never fsynced. Requires a durable store;
-	// ignored for memory-only ones.
-	IndexSpillBytes int64
 	// VerifySnapshot forces eager verification of every v2 snapshot
 	// section checksum at Open (paranoia mode). The default verifies the
 	// header and TOC at open and each section lazily on first touch.
@@ -151,8 +140,6 @@ type Live struct {
 	gen     uint64
 	applied uint64 // triples added to the in-memory graph (monotonic)
 	deleted uint64 // triple copies removed (monotonic)
-	fanout  int    // tiered-index fold width (0 = store default)
-	spill   *store.SpillConfig
 	closed  bool
 
 	maintained [core.NumKinds]bool
@@ -197,8 +184,8 @@ func (l *Live) BootTimings() BootTimings { return l.boot }
 // is absent. The graph is adopted, not copied; when it still has a
 // snapshot base (store.ReadGraph's, say) the index serves that base's
 // column run, as a reopened durable store serves its file. Of opts (nil =
-// defaults) Maintain and IndexFanout apply; the rest is meaningless
-// without a directory and is ignored. It panics on an invalid kind —
+// defaults) only Maintain applies; the rest is meaningless without a
+// directory and is ignored. It panics on an invalid kind —
 // callers obtain kinds from core.ParseKind or the Kind constants.
 func New(g *store.Graph, opts *Options) *Live {
 	if opts == nil {
@@ -207,7 +194,7 @@ func New(g *store.Graph, opts *Options) *Live {
 	if g == nil {
 		g = store.NewGraph()
 	}
-	l := &Live{sync: false, fanout: opts.IndexFanout}
+	l := &Live{sync: false}
 	ix, err := l.bootGraph(g, opts.Maintain)
 	if err != nil {
 		panic(err)
@@ -262,20 +249,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 			lock.Close()
 		}
 	}()
-	l := &Live{dir: dir, sync: !opts.NoSync, lock: lock, fanout: opts.IndexFanout}
-	if opts.IndexSpillBytes > 0 {
-		// Spill files are rebuildable (snapshot + WAL recover everything),
-		// so leftovers from a previous process are just wiped.
-		spillDir := filepath.Join(dir, "spill")
-		if err := os.RemoveAll(spillDir); err != nil {
-			return nil, err
-		}
-		if err := os.MkdirAll(spillDir, 0o755); err != nil {
-			return nil, err
-		}
-		l.spill = &store.SpillConfig{Dir: spillDir, MinBytes: opts.IndexSpillBytes}
-	}
-
+	l := &Live{dir: dir, sync: !opts.NoSync, lock: lock}
 	gen, err := readManifest(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		gen, err = 1, l.initGeneration(opts.Seed)
@@ -486,11 +460,6 @@ func (l *Live) anyPresentLocked(triples []rdf.Triple) bool {
 	return false
 }
 
-// indexOptions configures every base index the store builds.
-func (l *Live) indexOptions() store.IndexOptions {
-	return store.IndexOptions{Fanout: l.fanout, Spill: l.spill}
-}
-
 // bootIndex returns the index over the base of the graph Open or New
 // starts from, and adds the time it took to the boot's Index phase. A
 // graph with a snapshot base sf — a durable generation's mapped file, a
@@ -500,9 +469,9 @@ func (l *Live) indexOptions() store.IndexOptions {
 func (l *Live) bootIndex(sf *store.SnapshotFile) *store.Index {
 	defer func(t0 time.Time) { l.boot.Index += time.Since(t0) }(time.Now())
 	if sf != nil {
-		return store.NewIndexFromBase(sf.Runs(), l.indexOptions())
+		return store.NewIndexFromBase(sf.Runs())
 	}
-	return store.NewIndexFromBase(store.NewRunCols(l.graph().All()), l.indexOptions())
+	return store.NewIndexFromBase(store.NewRunCols(l.graph().All()))
 }
 
 // publishInitialLocked installs epoch 1 at Open/New over ix. Caller holds
@@ -673,9 +642,10 @@ type Stats struct {
 	// store's delta runs) and the fences of its mapped runs, 2 B a triple
 	// per column once that column has served a range lookup.
 	IndexHeapBytes int64
-	// IndexMappedBytes is the column sections of the published index's
-	// mapped runs — a durable store's base snapshot and its spill files:
-	// file pages, resident as far as the page cache keeps them.
+	// IndexMappedBytes is the column sections of the snapshot the
+	// published index serves as its base (a durable store's generation, a
+	// follower's bootstrap): file pages, resident as far as the page cache
+	// keeps them.
 	IndexMappedBytes int64
 }
 
@@ -773,9 +743,7 @@ func (l *Live) compactLocked() error {
 	os.Remove(l.snapshotPath(oldGen))
 	// Publish the new file's runs over the unchanged graph view.
 	t0 := time.Now()
-	cur := l.cur.Load()
-	l.installLocked(cur.Graph, store.NewIndexFromBase(sf.Runs(), l.indexOptions()))
-	cur.Index.UnlinkSpills()
+	l.installLocked(l.cur.Load().Graph, store.NewIndexFromBase(sf.Runs()))
 	epochPublishSeconds.ObserveSince(t0)
 	return nil
 }
@@ -952,7 +920,9 @@ func writeManifest(dir string, gen uint64) error {
 
 // removeStaleGenerations deletes snapshot/WAL files of generations other
 // than the current one — leftovers of a crash between manifest swap and
-// cleanup. Best-effort.
+// cleanup — and a spill/ directory, the index-run files that builds up
+// to commit be176dd wrote under -index-spill-bytes and nothing reads any
+// more. Best-effort.
 func (l *Live) removeStaleGenerations() {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -965,8 +935,11 @@ func (l *Live) removeStaleGenerations() {
 		if name == keepWAL || name == keepSnap {
 			continue
 		}
-		if strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snapshot-") {
+		switch {
+		case strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snapshot-"):
 			os.Remove(filepath.Join(l.dir, name))
+		case name == "spill":
+			os.RemoveAll(filepath.Join(l.dir, name))
 		}
 	}
 }

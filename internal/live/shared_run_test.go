@@ -44,8 +44,7 @@ func checkSnapshotBytes(t *testing.T, l *Live, what string) {
 }
 
 // TestLiveSeedSnapshotByteIdentical: the snapshot a seed boot writes and
-// then serves is the reference file, for every sample graph, with and
-// without spilling.
+// then serves is the reference file, for every sample graph.
 func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
 	graphs := map[string]func() *store.Graph{
 		"fig2": samples.Fig2, "fig5": samples.Fig5, "fig8": samples.Fig8,
@@ -53,37 +52,35 @@ func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
 		"bulk": func() *store.Graph { return store.FromTriples(flattenBatches(40, 25)) },
 	}
 	for name, mk := range graphs {
-		for _, spill := range []int64{0, 1} {
-			l, err := Open(t.TempDir(), &Options{Seed: mk(), IndexSpillBytes: spill})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			checkSnapshotBytes(t, l, fmt.Sprintf("%s spill=%d seed boot", name, spill))
-			if got, want := scanIndex(l.Snapshot().Index), scanIndex(store.NewIndex(l.Snapshot().Graph)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s spill=%d: epoch 1 index diverges from a fresh index over the seed", name, spill)
-			}
-			// The served file must survive a batch and a compaction.
-			if err := l.AddBatch(mkBatch(5000, 20)); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			checkSnapshotBytes(t, l, fmt.Sprintf("%s spill=%d compact", name, spill))
-			l.Close()
+		l, err := Open(t.TempDir(), &Options{Seed: mk()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		checkSnapshotBytes(t, l, name+" seed boot")
+		if got, want := scanIndex(l.Snapshot().Index), scanIndex(store.NewIndex(l.Snapshot().Graph)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: epoch 1 index diverges from a fresh index over the seed", name)
+		}
+		// The served file must survive a batch and a compaction.
+		if err := l.AddBatch(mkBatch(5000, 20)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		checkSnapshotBytes(t, l, name+" compact")
+		l.Close()
 	}
 }
 
 // TestLiveCompactSnapshotByteIdentical: through a random interleaving of
 // adds, deletes (of present and absent triples), compactions and reopens
-// — maintained and unmaintained, heap and spilled runs — every snapshot
-// Compact writes is the reference file for the graph at that moment.
+// — maintained and unmaintained, over delta runs folded on the way —
+// every snapshot Compact writes is the reference file for the graph at
+// that moment.
 func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 	configs := []Options{
-		{IndexFanout: 3},
-		{IndexFanout: 3, IndexSpillBytes: 1},
-		{IndexFanout: 2, IndexSpillBytes: 1, Maintain: []core.Kind{}}, // reopens stay unmaterialized
+		{},
+		{Maintain: []core.Kind{}}, // reopens stay unmaterialized
 	}
 	for ci, opts := range configs {
 		rng := rand.New(rand.NewPCG(uint64(ci), 77))
@@ -93,7 +90,7 @@ func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fed []rdf.Triple
-		compactions := 0
+		compactions, deltas, folded := 0, 0, false
 		for step := 0; step < 120; step++ {
 			switch op := rng.IntN(10); {
 			case op < 5:
@@ -102,17 +99,20 @@ func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 				if err := l.AddBatch(b); err != nil {
 					t.Fatal(err)
 				}
+				deltas++
 			case op < 7 && len(fed) > 0:
 				dead := []rdf.Triple{fed[rng.IntN(len(fed))], fed[rng.IntN(len(fed))], mkBatch(9000+step, 1)[0]}
-				if _, err := l.DeleteBatch(dead); err != nil {
+				if n, err := l.DeleteBatch(dead); err != nil {
 					t.Fatal(err)
+				} else if n > 0 {
+					deltas++
 				}
 				fed = removeAll(fed, dead)
 			case op < 9:
 				if err := l.Compact(); err != nil {
 					t.Fatal(err)
 				}
-				compactions++
+				compactions, deltas = compactions+1, 0
 				checkSnapshotBytes(t, l, fmt.Sprintf("config %d step %d", ci, step))
 			default:
 				if err := l.Close(); err != nil {
@@ -122,9 +122,13 @@ func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 					t.Fatalf("config %d step %d: reopen: %v", ci, step, err)
 				}
 			}
+			folded = folded || hasFolded(l.Snapshot().Index, deltas)
 		}
 		if compactions == 0 {
 			t.Fatalf("config %d: the sequence never compacted", ci)
+		}
+		if !folded {
+			t.Fatalf("config %d: the sequence never folded a delta run", ci)
 		}
 		if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("config %d: store diverges from the model after the sequence", ci)

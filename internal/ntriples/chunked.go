@@ -8,29 +8,25 @@ import (
 	"rdfsum/internal/rdf"
 )
 
-// MaxLineBytes is the longest input line the parsers accept. It matches
-// the historical bufio.Scanner buffer cap of ParseFunc, so the chunked
-// and line-at-a-time paths reject exactly the same inputs.
+// MaxLineBytes is the longest input line ParseFunc accepts — the
+// historical bufio.Scanner buffer cap. A longer line is a ParseError
+// naming it.
 const MaxLineBytes = 16 * 1024 * 1024
 
-// Slab is a contiguous run of whole input lines, cut from the document at
+// slab is a contiguous run of whole input lines, cut from the document at
 // newline boundaries so that each parses on its own. StartLine is the
-// 1-based line number of the first line in Data, letting ParseSlab report
+// 1-based line number of the first line in Data, letting parseSlab report
 // exact positions from any slab.
-type Slab struct {
+type slab struct {
 	StartLine int    // 1-based global line number of Data's first line
 	Data      []byte // whole lines; ends with '\n' except possibly the last slab
 }
 
-// SplitSlabs cuts the document in r into slabs of roughly slabBytes bytes
-// (non-positive means ParseFunc's granularity), each ending on a newline,
-// and passes them to emit in order. A line longer than MaxLineBytes yields
-// a ParseError pointing at it; an emit error stops the split and is
-// returned as-is.
-func SplitSlabs(r io.Reader, slabBytes int, emit func(Slab) error) error {
-	if slabBytes <= 0 {
-		slabBytes = parseFuncSlabBytes
-	}
+// splitSlabs cuts the document in r into slabs of roughly slabBytes
+// (> 0) bytes, each ending on a newline, and passes them to emit in
+// order. A line longer than MaxLineBytes yields a ParseError pointing at
+// it; an emit error stops the split and is returned as-is.
+func splitSlabs(r io.Reader, slabBytes int, emit func(slab) error) error {
 	line := 1 // global line number of the first byte of carry/next slab
 	var carry []byte
 	for {
@@ -55,10 +51,10 @@ func SplitSlabs(r io.Reader, slabBytes int, emit func(Slab) error) error {
 		}
 		if atEOF {
 			// Emit unconditionally: an overlong final line is caught by
-			// ParseSlab's per-line check, after any earlier lines of the
+			// parseSlab's per-line check, after any earlier lines of the
 			// chunk have been parsed — preserving sequential error order.
 			if len(chunk) > 0 {
-				if err := emit(Slab{StartLine: line, Data: chunk}); err != nil {
+				if err := emit(slab{StartLine: line, Data: chunk}); err != nil {
 					return err
 				}
 			}
@@ -73,7 +69,7 @@ func SplitSlabs(r io.Reader, slabBytes int, emit func(Slab) error) error {
 			carry = chunk
 			continue
 		}
-		if err := emit(Slab{StartLine: line, Data: chunk[:cut+1]}); err != nil {
+		if err := emit(slab{StartLine: line, Data: chunk[:cut+1]}); err != nil {
 			return err
 		}
 		line += bytes.Count(chunk[:cut+1], []byte{'\n'})
@@ -85,15 +81,15 @@ func tooLongMsg() string {
 	return "line too long (limit 16 MiB)"
 }
 
-// ParseSlab parses every line of one slab, calling fn for each triple.
+// parseSlab parses every line of one slab, calling fn for each triple.
 // Blank and comment lines are skipped, exactly as in ParseFunc. Errors
 // carry the global 1-based line number.
 //
 // Lines are parsed in place: a term without escapes is a substring of
 // s.Data, viewed as a string without copying. The caller must therefore
-// never modify s.Data again — not even after ParseSlab returns, for as
+// never modify s.Data again — not even after parseSlab returns, for as
 // long as any term it produced is alive.
-func ParseSlab(s Slab, fn func(rdf.Triple) error) error {
+func parseSlab(s slab, fn func(rdf.Triple) error) error {
 	data := s.Data
 	lineNo := s.StartLine
 	for len(data) > 0 {

@@ -24,7 +24,7 @@ func TestSplitSlabsBoundaries(t *testing.T) {
 	for _, slabBytes := range []int{1, 2, 3, 7, 16, 64, 1 << 20} {
 		var got bytes.Buffer
 		wantLine := 1
-		err := SplitSlabs(strings.NewReader(doc), slabBytes, func(s Slab) error {
+		err := splitSlabs(strings.NewReader(doc), slabBytes, func(s slab) error {
 			if s.StartLine != wantLine {
 				t.Fatalf("slab=%d: start line %d, want %d", slabBytes, s.StartLine, wantLine)
 			}
@@ -44,7 +44,7 @@ func TestSplitSlabsBoundaries(t *testing.T) {
 // TestSplitSlabsEmpty splits the empty document.
 func TestSplitSlabsEmpty(t *testing.T) {
 	calls := 0
-	err := SplitSlabs(strings.NewReader(""), 16, func(Slab) error { calls++; return nil })
+	err := splitSlabs(strings.NewReader(""), 16, func(slab) error { calls++; return nil })
 	if err != nil || calls != 0 {
 		t.Fatalf("expected no slabs and no error, got calls=%d err=%v", calls, err)
 	}
@@ -53,7 +53,7 @@ func TestSplitSlabsEmpty(t *testing.T) {
 // TestSplitSlabsEmitError propagates the emit callback's error.
 func TestSplitSlabsEmitError(t *testing.T) {
 	sentinel := errors.New("stop")
-	err := SplitSlabs(strings.NewReader("a\nb\n"), 1, func(Slab) error { return sentinel })
+	err := splitSlabs(strings.NewReader("a\nb\n"), 1, func(slab) error { return sentinel })
 	if err != sentinel {
 		t.Fatalf("expected sentinel error, got %v", err)
 	}
@@ -62,14 +62,14 @@ func TestSplitSlabsEmitError(t *testing.T) {
 // TestParseSlabLineNumbers parses a slab that starts mid-document and
 // checks the global line number of its error.
 func TestParseSlabLineNumbers(t *testing.T) {
-	slab := Slab{
+	s := slab{
 		StartLine: 101,
 		Data: []byte("<http://e.org/a> <http://e.org/p> <http://e.org/b> .\n" +
 			"# comment\n" +
 			"broken\n"),
 	}
 	triples := 0
-	err := ParseSlab(slab, func(rdf.Triple) error {
+	err := parseSlab(s, func(rdf.Triple) error {
 		triples++
 		return nil
 	})
@@ -108,10 +108,10 @@ func TestParseFuncLineTooLong(t *testing.T) {
 // line limit while hunting for a newline, reporting the offending line
 // instead of buffering without bound. (A marginally-overlong line that
 // reaches EOF before the growth check trips is emitted and rejected by
-// ParseSlab instead — see TestParseSlabLineTooLong.)
+// parseSlab instead — see TestParseSlabLineTooLong.)
 func TestSplitSlabsLineTooLong(t *testing.T) {
 	doc := "short line\n" + strings.Repeat("y", MaxLineBytes+1<<20)
-	err := SplitSlabs(strings.NewReader(doc), 64*1024, func(Slab) error { return nil })
+	err := splitSlabs(strings.NewReader(doc), 64*1024, func(slab) error { return nil })
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("expected *ParseError, got %v", err)
@@ -129,8 +129,8 @@ func TestSplitSlabsLineTooLong(t *testing.T) {
 // is rejected at parse time with its global line number.
 func TestParseSlabLineTooLong(t *testing.T) {
 	data := append([]byte("ok line, never parsed as a triple... "), make([]byte, MaxLineBytes)...)
-	slab := Slab{StartLine: 41, Data: append(data, '\n')}
-	err := ParseSlab(slab, func(rdf.Triple) error { return nil })
+	s := slab{StartLine: 41, Data: append(data, '\n')}
+	err := parseSlab(s, func(rdf.Triple) error { return nil })
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("expected *ParseError, got %v", err)

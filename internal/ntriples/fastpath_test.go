@@ -123,7 +123,7 @@ func TestInternedTermsDoNotPinTheInput(t *testing.T) {
 	before := heapAfterGC()
 	body := aliasingBody()
 	d := dict.New()
-	err := ParseSlab(Slab{StartLine: 1, Data: body}, func(tr rdf.Triple) error {
+	err := parseSlab(slab{StartLine: 1, Data: body}, func(tr rdf.Triple) error {
 		d.Encode(tr.S)
 		d.Encode(tr.P)
 		d.Encode(tr.O)
@@ -152,7 +152,7 @@ func TestParseAllocationsPerTriple(t *testing.T) {
 	triples := bytes.Count(body, []byte{'\n'})
 	d := dict.New()
 	parse := func() {
-		err := ParseSlab(Slab{StartLine: 1, Data: body}, func(tr rdf.Triple) error {
+		err := parseSlab(slab{StartLine: 1, Data: body}, func(tr rdf.Triple) error {
 			d.Encode(tr.S)
 			d.Encode(tr.P)
 			d.Encode(tr.O)

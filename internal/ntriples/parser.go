@@ -49,14 +49,14 @@ func ParseString(s string) ([]rdf.Triple, error) {
 // ParseFunc streams triples from r to fn, stopping at the first syntax
 // error or the first error returned by fn. This is the loading path used
 // for large files: no intermediate slice is built, and no line is copied
-// — the input is read in slabs (SplitSlabs) whose lines are parsed in
-// place (ParseSlab), so a term without escapes is a substring of its
+// — the input is read in slabs (splitSlabs) whose lines are parsed in
+// place (parseSlab), so a term without escapes is a substring of its
 // slab. A caller that retains terms retains their slabs; the
 // dictionaries clone what they intern, so loading does not.
 func ParseFunc(r io.Reader, fn func(rdf.Triple) error) error {
-	var parseErr error // the error ParseSlab stopped on, if any
-	err := SplitSlabs(r, parseFuncSlabBytes, func(s Slab) error {
-		parseErr = ParseSlab(s, fn)
+	var parseErr error // the error parseSlab stopped on, if any
+	err := splitSlabs(r, parseFuncSlabBytes, func(s slab) error {
+		parseErr = parseSlab(s, fn)
 		return parseErr
 	})
 	var pe *ParseError

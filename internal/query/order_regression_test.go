@@ -153,7 +153,7 @@ func mappedIndex(t *testing.T, g *store.Graph) *store.Index {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sf.Close() }) //nolint:errcheck
-	return store.NewIndexFromBase(sf.Runs(), store.IndexOptions{})
+	return store.NewIndexFromBase(sf.Runs())
 }
 
 // evalBoth is evalWork over the heap index ix and the mapped index of the

@@ -29,8 +29,6 @@ type FollowerOptions struct {
 	// Maintain selects the incrementally maintained summary kinds of the
 	// replica's live store (nil = weak only), exactly as on a leader.
 	Maintain []core.Kind
-	// IndexFanout is the tiered-index fold width (0 = store default).
-	IndexFanout int
 	// PollWait is the long-poll duration of caught-up WAL requests
 	// (default 10s).
 	PollWait time.Duration
@@ -128,7 +126,7 @@ func NewFollower(leaderURL string, opts FollowerOptions) (*Follower, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		lv:     live.New(nil, &live.Options{Maintain: opts.Maintain, IndexFanout: opts.IndexFanout}),
+		lv:     live.New(nil, &live.Options{Maintain: opts.Maintain}),
 		st:     FollowerStatus{Leader: cl.BaseURL(), State: StateConnecting},
 	}, nil
 }
@@ -260,7 +258,7 @@ func (f *Follower) bootstrap(ctx context.Context) (*client.ReplManifest, error) 
 			return nil, fmt.Errorf("snapshot gen %d: %w", m.Generation, err)
 		}
 	}
-	lv := live.New(g, &live.Options{Maintain: f.opts.Maintain, IndexFanout: f.opts.IndexFanout})
+	lv := live.New(g, &live.Options{Maintain: f.opts.Maintain})
 
 	f.mu.Lock()
 	old := f.lv

@@ -85,7 +85,7 @@ func BenchmarkSnapshotPointLookupMmap(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sf.Close()
-	ix := NewIndexFromBase(sf.Runs(), IndexOptions{})
+	ix := NewIndexFromBase(sf.Runs())
 	ix.Count(1, dict.None, dict.None)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -335,7 +335,7 @@ func (m *mappedCol) window(i, hi int, buf []Triple) []Triple {
 }
 
 // mappedCols is the on-disk RunCols: three mappedCol views over the col
-// sections of one container (snapshot or spill file).
+// sections of one snapshot.
 type mappedCols struct {
 	n    int
 	cols [NumOrders]*mappedCol

@@ -15,11 +15,11 @@ import (
 //	file :=
 //	  magic "RDFSUM"                       6 bytes
 //	  u8  version (2)
-//	  u8  kind: 1 = snapshot, 2 = index run (spill file)
+//	  u8  kind: 1 = snapshot (2, a retired index-run file, is refused)
 //	  u32 pageSize (4096)
 //	  u32 sectionCount
 //	  u64 nTerms
-//	  u64 nData | nTypes | nSchema         (kind run: nData = triple count)
+//	  u64 nData | nTypes | nSchema
 //	  u64 tocOff
 //	  u32 tocCRC                           CRC-32 (IEEE) of the TOC bytes
 //	  u32 headerCRC                        CRC-32 of bytes [0, 60)
@@ -36,12 +36,9 @@ const (
 	v2PageSize      = 4096
 	v2HeaderSize    = 64
 	v2TocEntrySize  = 21
-)
-
-// Container kinds.
-const (
+	// fileKindSnapshot is the one container kind. Kind 2 was an index run
+	// spilled out of the heap; no build reads it any more.
 	fileKindSnapshot = 1
-	fileKindRun      = 2
 )
 
 // Section identifiers.
@@ -132,11 +129,10 @@ func (s *section) verify() error {
 	return nil
 }
 
-// container is a parsed v2 file (snapshot or run).
+// container is a parsed v2 snapshot file.
 type container struct {
 	data     []byte
 	file     *mapping // owns data when it is a mapped file; nil for heap bytes
-	kind     byte
 	nTerms   uint64
 	nData    uint64
 	nTypes   uint64
@@ -181,15 +177,14 @@ func parseContainer(data []byte, verify bool) (*container, error) {
 	}
 	c := &container{
 		data:    data,
-		kind:    data[7],
 		nTerms:  binary.LittleEndian.Uint64(data[16:24]),
 		nData:   binary.LittleEndian.Uint64(data[24:32]),
 		nTypes:  binary.LittleEndian.Uint64(data[32:40]),
 		nSchema: binary.LittleEndian.Uint64(data[40:48]),
 		secs:    make(map[byte]*section),
 	}
-	if c.kind != fileKindSnapshot && c.kind != fileKindRun {
-		return nil, fmt.Errorf("%w: unknown file kind %d", ErrSnapshotCorrupt, c.kind)
+	if kind := data[7]; kind != fileKindSnapshot {
+		return nil, fmt.Errorf("%w: file kind %d, not a snapshot (kind %d)", ErrSnapshotCorrupt, kind, fileKindSnapshot)
 	}
 	if ps := binary.LittleEndian.Uint32(data[8:12]); ps != v2PageSize {
 		return nil, fmt.Errorf("%w: page size %d (this build writes %d)", ErrSnapshotCorrupt, ps, v2PageSize)
@@ -255,11 +250,10 @@ const containerChunk = 256 << 10
 // never reads as one. The first error sticks: later calls do nothing and
 // finish returns it.
 type containerWriter struct {
-	f    File
-	kind byte
-	buf  []byte // bytes not yet handed to f
-	pos  uint64 // file offset of buf[0]
-	err  error
+	f   File
+	buf []byte // bytes not yet handed to f
+	pos uint64 // file offset of buf[0]
+	err error
 
 	inSec   bool   // between begin and end
 	secOff  uint64 // file offset of the open section
@@ -268,8 +262,8 @@ type containerWriter struct {
 	toc     []byte
 }
 
-func newContainerWriter(f File, kind byte) *containerWriter {
-	w := &containerWriter{f: f, kind: kind, buf: make([]byte, 0, containerChunk)}
+func newContainerWriter(f File) *containerWriter {
+	w := &containerWriter{f: f, buf: make([]byte, 0, containerChunk)}
 	w.pad(v2HeaderSize) // the header's place
 	return w
 }
@@ -351,7 +345,7 @@ func (w *containerWriter) finish(counts [4]uint64) error {
 	var hdr [v2HeaderSize]byte
 	copy(hdr[:], snapshotMagic)
 	hdr[6] = snapshotVersion
-	hdr[7] = w.kind
+	hdr[7] = fileKindSnapshot
 	binary.LittleEndian.PutUint32(hdr[8:12], v2PageSize)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(w.toc)/v2TocEntrySize))
 	binary.LittleEndian.PutUint64(hdr[16:24], counts[0])

@@ -21,34 +21,32 @@ import (
 // equal triple in strictly older runs, so a later re-add of the same
 // triple is visible again. Readers iterate a k-way merge across the runs
 // with tombstone suppression; to keep the run count (read amplification)
-// bounded, whenever `fanout` consecutive trailing runs reach the same
-// level they are folded into one run of the next level — the classical
-// logarithmic-method amortization, O(log n / log fanout) merge work per
-// inserted triple. A store compaction starts over from a single base run:
+// bounded, whenever foldWidth (8) consecutive trailing runs reach the
+// same level they are folded into one run of the next level — the
+// classical logarithmic-method amortization, O(log n / log 8) merge work
+// per inserted triple. Folded runs stay on the heap: a store compaction
+// is the only way runs leave it, starting over from a single base run —
 // the snapshot it writes.
 //
 // A run stores its triples behind the Col abstraction (run.go), so the
-// same search and merge machinery serves in-memory slices, the column
+// same search and merge machinery serves in-memory slices and the column
 // sections of an mmap'd v2 snapshot (NewIndexFromBase — nothing is
-// materialized at open), and folded runs spilled to on-disk column files
-// (SpillConfig) that bound resident memory under sustained ingest.
+// materialized at open).
 //
 // An Index and its runs are immutable: Applied returns a new Index
 // sharing unchanged runs, so snapshots held by old epochs stay valid (and
 // keep their exact contents) across later ingest, deletes and
 // compactions.
 type Index struct {
-	runs   []*run // oldest → newest; immutable after construction
-	fanout int    // trailing same-level runs folded at this width
-	live   int    // triples visible to readers (with multiplicity)
-	tombs  int    // total tombstones across runs (0 ⇒ fast paths)
-	spill  *SpillConfig
+	runs  []*run // oldest → newest; immutable after construction
+	width int    // trailing same-level runs fold at this width: foldWidth (tests go narrower)
+	live  int    // triples visible to readers (with multiplicity)
+	tombs int    // total tombstones across runs (0 ⇒ fast paths)
 }
 
-// DefaultIndexFanout is the tier width used when no explicit fanout is
-// configured: merges trigger once 8 trailing runs share a level, bounding
-// read amplification at 8 runs per level.
-const DefaultIndexFanout = 8
+// foldWidth is the tier width: merges trigger once 8 trailing runs share
+// a level, bounding read amplification at 8 runs per level.
+const foldWidth = 8
 
 // run is one immutable sorted segment of the index: the adds of one epoch
 // (or of a fold of several epochs) in all three orders, plus the tombstones
@@ -59,8 +57,7 @@ type run struct {
 	dels   []Triple            // sorted SPO, deduplicated
 	delSet map[Triple]struct{} // same content, for O(1) suppression checks
 
-	level int    // fold generation; `fanout` trailing equal levels merge
-	file  string // on-disk spill file serving cols, "" when in memory
+	level int // fold generation; `width` trailing equal levels merge
 }
 
 func (r *run) length() int { return r.cols.length() }
@@ -81,50 +78,27 @@ func newMemRun(adds, dels []Triple, level int) *run {
 
 // NewIndex builds a single-run index over the graph's current triples.
 // The index does not track later mutations of g.
-func NewIndex(g *Graph) *Index { return NewIndexWithOptions(g, IndexOptions{}) }
-
-// IndexOptions configures index construction.
-type IndexOptions struct {
-	// Fanout is the tier width; 0 or 1 selects DefaultIndexFanout.
-	// Smaller fanouts fold delta runs sooner (fewer runs for readers to
-	// merge, more write amplification); larger ones favor ingest
-	// throughput.
-	Fanout int
-	// Spill, when non-nil, lets folded runs move to on-disk column files.
-	Spill *SpillConfig
-}
-
-func (o IndexOptions) fanout() int {
-	if o.Fanout <= 1 {
-		return DefaultIndexFanout
-	}
-	return o.Fanout
-}
-
-// NewIndexWithOptions builds a single-run index over the graph's current
-// triples with explicit options.
-func NewIndexWithOptions(g *Graph, opts IndexOptions) *Index {
-	return NewIndexFromBase(NewRunCols(g.All()), opts)
-}
+func NewIndex(g *Graph) *Index { return NewIndexFromBase(NewRunCols(g.All())) }
 
 // NewIndexFromBase builds an index whose base run is an already-sorted
 // column run: SnapshotFile.Runs(), served zero-copy from the mapped file,
 // or a heap NewRunCols. Nothing from the base is materialized or
-// re-sorted: over a snapshot this is the O(1) open path. A heap base
-// large enough spills like any folded run.
-func NewIndexFromBase(base RunCols, opts IndexOptions) *Index {
-	ix := &Index{fanout: opts.fanout(), live: base.length(), spill: opts.Spill}
-	ix.runs = []*run{ix.maybeSpill(&run{cols: base, level: levelFor(base.length(), ix.fanout)})}
-	return ix
+// re-sorted: over a snapshot this is the O(1) open path.
+func NewIndexFromBase(base RunCols) *Index {
+	return &Index{
+		runs:  []*run{{cols: base, level: levelFor(base.length(), foldWidth)}},
+		width: foldWidth,
+		live:  base.length(),
+	}
 }
 
 // levelFor places a freshly built run of n triples at the level a cascade
-// of fanout-width folds would have produced, so a large base run is not
+// of width-wide folds would have produced, so a large base run is not
 // swept into the first small delta fold.
-func levelFor(n, fanout int) int {
+func levelFor(n, width int) int {
 	level := 0
-	for n >= fanout {
-		n /= fanout
+	for n >= width {
+		n /= width
 		level++
 	}
 	return level
@@ -158,19 +132,18 @@ func (ix *Index) Applied(adds, dels []Triple) *Index {
 	}
 	if len(adds) == 0 && len(kept) == 0 {
 		// Nothing changes; share the run list wholesale.
-		return &Index{runs: ix.runs, fanout: ix.fanout, live: ix.live, tombs: ix.tombs, spill: ix.spill}
+		return &Index{runs: ix.runs, width: ix.width, live: ix.live, tombs: ix.tombs}
 	}
 	out := &Index{
-		runs:   append(append(make([]*run, 0, len(ix.runs)+1), ix.runs...), nil),
-		fanout: ix.fanout,
-		live:   ix.live + len(adds) - killed,
-		spill:  ix.spill,
+		runs:  append(append(make([]*run, 0, len(ix.runs)+1), ix.runs...), nil),
+		width: ix.width,
+		live:  ix.live + len(adds) - killed,
 	}
 	// Size-based level placement, like the base run's: a bulk batch lands
 	// at the level its size warrants, so it is not swept into the next
 	// small-delta fold (which would re-merge it O(size) almost
 	// immediately).
-	out.runs[len(out.runs)-1] = newMemRun(append([]Triple(nil), adds...), kept, levelFor(len(adds), ix.fanout))
+	out.runs[len(out.runs)-1] = newMemRun(append([]Triple(nil), adds...), kept, levelFor(len(adds), ix.width))
 	out.fold()
 	out.tombs = 0
 	for _, r := range out.runs {
@@ -180,13 +153,13 @@ func (ix *Index) Applied(adds, dels []Triple) *Index {
 }
 
 // fold restores the two invariants that bound read amplification at
-// O(fanout · log_fanout n), cascading until both hold:
+// O(width · log_width n), cascading until both hold:
 //
 //   - levels are non-increasing oldest → newest. A bulk batch lands at
 //     the level its size warrants (see Applied), which can exceed the
 //     levels of older trailing runs; those are swallowed into it, or
 //     they would be buried where no trailing fold can ever reach them.
-//   - at most fanout-1 trailing runs share a level: the fanout-th fold
+//   - at most width-1 trailing runs share a level: the width-th fold
 //     merges the block into one run of the next level (the classical
 //     logarithmic-method amortization).
 func (ix *Index) fold() {
@@ -208,7 +181,7 @@ func (ix *Index) fold() {
 		for start > 0 && ix.runs[start-1].level == last {
 			start--
 		}
-		if n-start < ix.fanout {
+		if n-start < ix.width {
 			return
 		}
 		// last+1 guarantees strict progress even for empty (dels-only)
@@ -217,21 +190,13 @@ func (ix *Index) fold() {
 	}
 }
 
-// foldTail merges runs[start:] into one run, placed at minLevel or the
-// level its merged size warrants, whichever is higher. The merged run
-// spills to disk when configured; source runs' spill files, now
-// superseded, are unlinked (epochs still holding them keep reading the
-// mapping — on unix an unlinked mapped file stays valid).
+// foldTail merges runs[start:] into one heap run, placed at minLevel or
+// the level its merged size warrants, whichever is higher.
 func (ix *Index) foldTail(start, minLevel int) {
 	defer indexFoldSeconds.ObserveSince(time.Now())
-	window := ix.runs[start:]
-	merged := mergeRuns(window, start == 0, minLevel)
-	if lf := levelFor(merged.length(), ix.fanout); lf > merged.level {
+	merged := mergeRuns(ix.runs[start:], start == 0, minLevel)
+	if lf := levelFor(merged.length(), ix.width); lf > merged.level {
 		merged.level = lf
-	}
-	merged = ix.maybeSpill(merged)
-	for _, r := range window {
-		r.unlinkSpill()
 	}
 	ix.runs = append(ix.runs[:start:start], merged)
 }
@@ -287,21 +252,12 @@ func (ix *Index) Len() int { return ix.live }
 // pattern scan pays. 1 after a batch load or a compaction.
 func (ix *Index) Runs() int { return len(ix.runs) }
 
-// SpilledRuns reports how many runs are currently served from on-disk
-// spill files (the snapshot base run, if any, is not counted).
-func (ix *Index) SpilledRuns() int {
-	n := 0
-	for _, r := range ix.runs {
-		if r.file != "" {
-			n++
-		}
-	}
-	return n
-}
+// TripleBytes is the in-memory size of one encoded triple.
+const TripleBytes = 12
 
 // HeapBytes is what the index holds on the heap: 12 bytes a triple in
 // each of the three sort orders of its heap runs, and the fences its
-// mapped and spilled runs have built (2 bytes a triple per column).
+// mapped base has built (2 bytes a triple per column).
 func (ix *Index) HeapBytes() int64 {
 	var n int64
 	for _, r := range ix.runs {
@@ -315,9 +271,8 @@ func (ix *Index) HeapBytes() int64 {
 	return n
 }
 
-// MappedBytes is what the column sections of the index's mapped and
-// spilled runs hold: file bytes, resident as far as the page cache keeps
-// them.
+// MappedBytes is what the column sections of the index's mapped base
+// hold: file bytes, resident as far as the page cache keeps them.
 func (ix *Index) MappedBytes() int64 {
 	var n int64
 	for _, r := range ix.runs {

@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// mapping owns the bytes of one mapped file: a snapshot or a spill run.
+// mapping owns the bytes of one mapped snapshot file.
 // Every view that reads them — a mapped column, a mapped dictionary, an
 // open SnapshotFile — holds the mapping, so the bytes stay mapped for as
 // long as any view is reachable, and a cleanup unmaps them once none is.
-// An unlinked file (a superseded spill run, a compacted-away snapshot)
-// therefore gives its disk blocks back when the last epoch reading it is
+// An unlinked file (a compacted-away snapshot) therefore gives its disk
+// blocks back when the last epoch reading it is
 // collected, not when the process exits.
 type mapping struct {
 	data  []byte

@@ -9,8 +9,8 @@ import (
 
 // mapFile maps path read-only. The returned view stays valid after the
 // file is unlinked (the kernel keeps the pages until unmap), which is
-// what lets superseded spill runs be removed from the directory while
-// older epochs still read them. close unmaps.
+// what lets a compaction remove the superseded generation's snapshot
+// while older epochs still read it. close unmaps.
 func mapFile(path string) (data []byte, close func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {

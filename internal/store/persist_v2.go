@@ -49,7 +49,7 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	if len(buf) >= radixCutoff && len(scratch) < len(buf) {
 		scratch = make([]Triple, len(buf))
 	}
-	w := newContainerWriter(f, fileKindSnapshot)
+	w := newContainerWriter(f)
 	w.begin()
 	nTerms, dir, sorted, err := g.Dict().WriteFrontCoded(w)
 	if err != nil {
@@ -194,18 +194,8 @@ func OpenSnapshotFile(path string, verify bool) (*SnapshotFile, error) {
 	return sf, nil
 }
 
-// parseSnapshot is parseContainer for a file that must be a snapshot:
-// an index run (a spill file) is refused.
-func parseSnapshot(data []byte, verify bool) (*container, error) {
-	c, err := parseContainer(data, verify)
-	if err == nil && c.kind != fileKindSnapshot {
-		return nil, fmt.Errorf("%w: file is an index run, not a snapshot", ErrSnapshotCorrupt)
-	}
-	return c, err
-}
-
 func newSnapshotFile(file *mapping, verify bool) (*SnapshotFile, error) {
-	c, err := parseSnapshot(file.data, verify)
+	c, err := parseContainer(file.data, verify)
 	if err != nil {
 		return nil, err
 	}
@@ -233,28 +223,18 @@ func newSnapshotFile(file *mapping, verify bool) (*SnapshotFile, error) {
 	}
 	sf.md.TouchSorted = sortedSec.verifyLazy
 	sf.md.Owner = file
-	sf.runs, err = openContainerCols(c, int(c.nData+c.nTypes+c.nSchema))
-	if err != nil {
-		return nil, err
-	}
-	return sf, nil
-}
-
-// openContainerCols builds the three mapped column views of a container
-// (snapshot or spill run).
-func openContainerCols(c *container, wantLen int) (*mappedCols, error) {
-	m := &mappedCols{n: wantLen}
+	runs := &mappedCols{n: int(c.nData + c.nTypes + c.nSchema)}
 	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
 		}
-		m.cols[o], err = openCol(Order(o), sec, wantLen, c.file)
-		if err != nil {
+		if runs.cols[o], err = openCol(Order(o), sec, runs.n, file); err != nil {
 			return nil, err
 		}
 	}
-	return m, nil
+	sf.runs = runs
+	return sf, nil
 }
 
 // Path returns the file the snapshot was opened from.
@@ -366,7 +346,6 @@ type SectionInfo struct {
 // `rdfsum inspect`.
 type SnapshotInfo struct {
 	Version  int
-	Kind     string
 	FileSize int64
 	PageSize int
 	NTerms   uint64
@@ -394,7 +373,6 @@ func InspectSnapshot(path string) (*SnapshotInfo, error) {
 	}
 	info := &SnapshotInfo{
 		Version:  snapshotVersion,
-		Kind:     "snapshot",
 		FileSize: st.Size(),
 		PageSize: v2PageSize,
 		NTerms:   c.nTerms,
@@ -402,9 +380,6 @@ func InspectSnapshot(path string) (*SnapshotInfo, error) {
 		NTypes:   c.nTypes,
 		NSchema:  c.nSchema,
 		Mmap:     usingMmap,
-	}
-	if c.kind == fileKindRun {
-		info.Kind = "run"
 	}
 	for _, s := range c.secOrder {
 		info.Sections = append(info.Sections, SectionInfo{

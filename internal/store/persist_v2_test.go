@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand/v2"
 	"os"
@@ -172,7 +174,7 @@ func TestSnapshotV2IndexFromBase(t *testing.T) {
 		name string
 		tail []Triple
 	}{{"no-tail", nil}, {"tail", tail}} {
-		got := NewIndexFromBase(sf.Runs(), IndexOptions{}).Applied(tc.tail, nil)
+		got := NewIndexFromBase(sf.Runs()).Applied(tc.tail, nil)
 		ref := want.Applied(tc.tail, nil)
 		if got.Len() != ref.Len() {
 			t.Fatalf("%s: index length %d, want %d", tc.name, got.Len(), ref.Len())
@@ -212,6 +214,36 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 		if g != nil || sf != nil {
 			t.Fatalf("OpenGraphFile of a version %d file returned a graph", v)
 		}
+		_, err = InspectSnapshot(path)
+		refused("InspectSnapshot", err)
+	}
+}
+
+// TestSnapshotRefusesOtherKinds: kind 1 is the one container kind. A file
+// whose kind byte is anything else — 2, the retired index-run file, among
+// them — is refused by every entry point with ErrSnapshotCorrupt naming
+// the kind, even with a valid header checksum.
+func TestSnapshotRefusesOtherKinds(t *testing.T) {
+	_, data := v2Sample(t)
+	dir := t.TempDir()
+	for _, kind := range []byte{0, 2, 3, 255} {
+		bad := append([]byte(nil), data...)
+		bad[7] = kind
+		binary.LittleEndian.PutUint32(bad[60:64], crc32.ChecksumIEEE(bad[:60]))
+		path := filepath.Join(dir, fmt.Sprintf("kind%d.rdfsum", kind))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("file kind %d,", kind)) {
+				t.Fatalf("%s of a kind %d file: got %v, want ErrSnapshotCorrupt naming the kind", what, kind, err)
+			}
+		}
+		_, err := ReadGraph(bytes.NewReader(bad))
+		refused("ReadGraph", err)
+		_, err = OpenSnapshotFile(path, false)
+		refused("OpenSnapshotFile", err)
 		_, err = InspectSnapshot(path)
 		refused("InspectSnapshot", err)
 	}
@@ -356,8 +388,8 @@ func TestInspectSnapshotV2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InspectSnapshot: %v", err)
 	}
-	if info.Version != 2 || info.Kind != "snapshot" {
-		t.Fatalf("got v%d %q, want v2 snapshot", info.Version, info.Kind)
+	if info.Version != 2 {
+		t.Fatalf("got v%d, want v2", info.Version)
 	}
 	if info.PageSize != v2PageSize {
 		t.Fatalf("page size %d, want %d", info.PageSize, v2PageSize)
@@ -405,15 +437,12 @@ var (
 		radixCutoff * 3: {45266, "cd34a80306b47906fdd869dffd41f9882455f1e4acf6353a1d029967ff05ad2b"},
 		3000:            {131282, "d16aac3b35c4de181794cae7706f7d578f78488c81ae29bf062bb7c0d619e1aa"},
 	}
-	// writeRunFile of the n = 3000 graph's run.
-	goldenRunFile3000 = golden{53311, "6703c16136eebe5d6907e95597ffb4faa897e349c25c7bfc422f869ffb363ac6"}
 )
 
 // TestWriteSnapshotV2ByteIdentical: whatever order the writer is handed a
 // graph's triples in — the graph's own, reversed, the SPO scan of the
-// snapshot's mapped base, the scan of a tiered (heap or spilled) index fed
-// them in slices — the file is the parent writer's, byte for byte; and so
-// is a spill file.
+// snapshot's mapped base, the scan of a tiered index fed them in slices —
+// the file is the parent writer's, byte for byte.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	write := func(g *Graph, buf []Triple) []byte {
 		t.Helper()
@@ -445,33 +474,19 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.check(t, fmt.Sprintf("n=%d: mapped base scan", n), write(g, scanAll(NewIndexFromBase(sf.Runs(), IndexOptions{}))))
+		want.check(t, fmt.Sprintf("n=%d: mapped base scan", n), write(g, scanAll(NewIndexFromBase(sf.Runs()))))
 		sf.Close()
 
 		// A tiered index fed the same triples in slices, with a delete
 		// and re-add on the way, scans to the same multiset.
-		for _, spill := range []*SpillConfig{nil, {Dir: t.TempDir(), MinBytes: 1}} {
-			all := g.All()
-			ix := NewIndexFromBase(NewRunCols(nil), IndexOptions{Fanout: 3, Spill: spill})
-			for lo := 0; lo < len(all); lo += 97 {
-				ix = ix.Applied(all[lo:min(lo+97, len(all))], nil)
-			}
-			ix = ix.Applied(nil, []Triple{all[0]})
-			ix = ix.Applied(naiveMatch(all, all[0].S, all[0].P, all[0].O), nil)
-			want.check(t, fmt.Sprintf("n=%d spill=%v: tiered index scan", n, spill != nil), write(g, scanAll(ix)))
+		all := g.All()
+		ix := newIndexWidth(NewRunCols(nil), 3)
+		for lo := 0; lo < len(all); lo += 97 {
+			ix = ix.Applied(all[lo:min(lo+97, len(all))], nil)
 		}
-
-		if n == 3000 {
-			path := filepath.Join(t.TempDir(), "run.col")
-			if _, err := writeRunFile(path, newMemCols(g.All())); err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenRunFile3000.check(t, "spill file", got)
-		}
+		ix = ix.Applied(nil, []Triple{all[0]})
+		ix = ix.Applied(naiveMatch(all, all[0].S, all[0].P, all[0].O), nil)
+		want.check(t, fmt.Sprintf("n=%d: tiered index scan", n), write(g, scanAll(ix)))
 	}
 	g, _ := v2Sample(t)
 	if err := WriteSnapshotV2(&memFile{}, g, g.All()[1:], nil); err == nil {

@@ -12,11 +12,10 @@ import (
 // its triples in three sort orders (SPO, POS, OSP); each order is a Col.
 // Two implementations exist: memCols (plain in-memory slices — every run
 // built by ingest starts this way) and mappedCols (varint-delta-encoded
-// blocks with a skip index, served zero-copy from an mmap'd snapshot or
-// spill file; see colenc.go). The index's search and merge machinery is
-// written against the interfaces, so spilling a folded run to disk — or
-// opening a prebuilt snapshot without materializing anything — is just a
-// different Col behind the same run.
+// blocks with a skip index, served zero-copy from an mmap'd snapshot;
+// see colenc.go). The index's search and merge machinery is written
+// against the interfaces, so opening a prebuilt snapshot without
+// materializing anything is just a different Col behind the same run.
 
 // Order selects one of the three maintained sort orders.
 type Order int

@@ -2,11 +2,7 @@ package store
 
 import (
 	"bytes"
-	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"rdfsum/internal/dict"
@@ -232,19 +228,6 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	bad := append([]byte("NOTRDF"), raw[6:]...)
 	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
 		t.Error("ReadSnapshot accepted a bad magic")
-	}
-	// A spill file is a valid container, but an index run, not a snapshot.
-	path := filepath.Join(t.TempDir(), "run.col")
-	if _, err := writeRunFile(path, newMemCols(FromTriples([]rdf.Triple{tr("s", "p", "o")}).All())); err != nil {
-		t.Fatal(err)
-	}
-	run, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(bytes.NewReader(run)); !errors.Is(err, ErrSnapshotCorrupt) ||
-		!strings.Contains(err.Error(), "index run, not a snapshot") {
-		t.Errorf("ReadSnapshot of an index run: got %v, want ErrSnapshotCorrupt naming the run", err)
 	}
 }
 

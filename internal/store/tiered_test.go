@@ -38,6 +38,16 @@ func deleteAll(ts []Triple, dead []Triple) []Triple {
 	return out
 }
 
+// newIndexWidth is NewIndexFromBase folding at width instead of
+// foldWidth: narrow widths fold constantly, so short op sequences reach
+// deep cascades.
+func newIndexWidth(base RunCols, width int) *Index {
+	ix := NewIndexFromBase(base)
+	ix.width = width
+	ix.runs[0].level = levelFor(base.length(), width)
+	return ix
+}
+
 // scanAll collects a full wildcard scan (SPO order).
 func scanAll(ix *Index) []Triple {
 	var out []Triple
@@ -145,8 +155,8 @@ func checkAgainstOracle(t *testing.T, ix *Index, surviving []Triple) bool {
 func TestTieredIndexOracle(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0x7ee5))
-		fanout := 2 + rng.IntN(4) // small fanouts fold constantly
-		ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: fanout})
+		width := 2 + rng.IntN(4) // narrow widths fold constantly
+		ix := newIndexWidth(NewRunCols(nil), width)
 		var oracle []Triple
 
 		type held struct {
@@ -159,7 +169,7 @@ func TestTieredIndexOracle(t *testing.T) {
 		for i := 0; i < ops; i++ {
 			switch rng.IntN(10) {
 			case 0: // compaction: a fresh base run over the survivors
-				ix = NewIndexFromBase(NewRunCols(scanAll(ix)), IndexOptions{Fanout: fanout})
+				ix = newIndexWidth(NewRunCols(scanAll(ix)), width)
 			case 1, 2, 3: // delete batch (often of absent triples)
 				dead := make([]Triple, 1+rng.IntN(4))
 				for j := range dead {
@@ -201,7 +211,7 @@ func TestTieredIndexOracle(t *testing.T) {
 // surviving multiset.
 func TestTieredIndexMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
-	ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: 3})
+	ix := newIndexWidth(NewRunCols(nil), 3)
 	var oracle []Triple
 	for i := 0; i < 200; i++ {
 		if rng.IntN(4) == 0 && len(oracle) > 0 {
@@ -214,7 +224,7 @@ func TestTieredIndexMatchesFromScratch(t *testing.T) {
 			oracle = append(oracle, adds...)
 		}
 	}
-	fresh := &Index{fanout: DefaultIndexFanout, live: len(oracle)}
+	fresh := &Index{width: foldWidth, live: len(oracle)}
 	fresh.runs = []*run{newMemRun(append([]Triple(nil), oracle...), nil, 0)}
 	if !sameIterationOrder(ix, fresh) {
 		t.Fatal("tiered index diverges from a from-scratch index over the survivors")
@@ -225,10 +235,10 @@ func TestTieredIndexMatchesFromScratch(t *testing.T) {
 }
 
 // TestIndexRunsBounded: sustained small batches keep the run count
-// logarithmic (bounded by fanout per level), not linear in the batch
+// logarithmic (bounded by the width per level), not linear in the batch
 // count — the read-amplification guarantee behind the fold policy.
 func TestIndexRunsBounded(t *testing.T) {
-	ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: 4})
+	ix := newIndexWidth(NewRunCols(nil), 4)
 	rng := rand.New(rand.NewPCG(1, 2))
 	batches := 500
 	maxRuns := 0
@@ -242,7 +252,7 @@ func TestIndexRunsBounded(t *testing.T) {
 			maxRuns = ix.Runs()
 		}
 	}
-	// 4 levels of fanout 4 cover 4^5 runs; anything near `batches` means
+	// 4 levels of width 4 cover 4^5 runs; anything near `batches` means
 	// the fold policy is broken.
 	if maxRuns > 24 {
 		t.Fatalf("run count reached %d over %d batches; folds are not happening", maxRuns, batches)
@@ -255,14 +265,14 @@ func TestIndexRunsBounded(t *testing.T) {
 // under each bulk run where no trailing fold could ever reach them —
 // unbounded run growth. Delete-only (tombstone) batches join the mix.
 func TestIndexRunsBoundedMixedSizes(t *testing.T) {
-	ix := NewIndexWithOptions(NewGraph(), IndexOptions{Fanout: 4})
+	ix := newIndexWidth(NewRunCols(nil), 4)
 	rng := rand.New(rand.NewPCG(3, 4))
 	maxRuns := 0
 	var recent []Triple
 	for i := 0; i < 300; i++ {
 		size := 1
 		if i%2 == 0 {
-			size = 64 // two levels above a 1-triple run at fanout 4
+			size = 64 // two levels above a 1-triple run at width 4
 		}
 		adds := make([]Triple, size)
 		for j := range adds {

@@ -324,8 +324,8 @@ func CheckWellBehaved(triples []Triple) []rdf.WellBehavedViolation {
 }
 
 // NewIndex builds the SPO/POS/OSP access paths used by query evaluation.
-// The index is tiered (live updates append delta runs; see
-// LiveOptions.IndexFanout); a batch build yields a single run.
+// The index is tiered (live updates append delta runs, folded eight at a
+// time); a batch build yields a single run.
 func NewIndex(g *Graph) *Index { return store.NewIndex(g) }
 
 // ParseQuery parses a SPARQL-subset BGP query (PREFIX, SELECT, ASK).
@@ -447,9 +447,7 @@ func NewIngestQueue(lv *Live, depth int, maxBytes int64) *IngestQueue {
 // written as the first snapshot of a directory holding no prior state
 // (the store then serves that file; the seed is only read), Maintain
 // lists the summary kinds kept incrementally current (nil = Weak
-// only, empty = none; the others rebuild lazily per epoch), IndexFanout
-// is the tiered index's fold width (0 = 8), IndexSpillBytes lets folded
-// runs of at least that size spill to <dir>/spill (0 = never), and
+// only, empty = none; the others rebuild lazily per epoch), and
 // VerifySnapshot checks every snapshot section's CRC at open, not on first
 // touch.
 type LiveOptions = live.Options
@@ -464,7 +462,7 @@ func OpenLive(dir string, opts *LiveOptions) (*Live, error) { return live.Open(d
 // NewLive wraps a graph (nil for empty) as a memory-only live store: the
 // same concurrency model — epoch snapshots, incremental summaries —
 // without durability. The graph is adopted, not copied. Of opts (nil =
-// defaults) Maintain and IndexFanout apply; the rest needs a directory.
+// defaults) only Maintain applies; the rest needs a directory.
 func NewLive(g *Graph, opts *LiveOptions) *Live { return live.New(g, opts) }
 
 // LiveHasState reports whether dir already holds an initialized live
