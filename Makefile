@@ -169,14 +169,16 @@ ingest-smoke:
 # Fuzz smoke (mirrored as a CI job): the N-Triples parser; the Turtle
 # load against its reference (the streamed load == FromTriples of the
 # parsed triples, term for term, ID for ID and component for component;
-# malformed input fails both on the same line); and the WAL record
-# decoder/replayer, each seeded from the committed corpus under the
-# package's testdata/fuzz/ directory.
+# malformed input fails both on the same line); the WAL record
+# decoder/replayer; and the snapshot graph decode (header counts and
+# component/vocabulary payloads, checksums resealed), each seeded from the
+# committed corpus under the package's testdata/fuzz/ directory.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
 	$(GO) test -fuzz=FuzzTurtleLoad -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
+	$(GO) test -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store
 
 # Per-package coverage table for the storage/live/engine core.
 cover:

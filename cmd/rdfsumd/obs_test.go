@@ -52,10 +52,11 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 }
 
 // TestMetricsExpositionBootPhases: a seeded cold boot reports how long
-// its load, builders, snapshot, WAL replay and index phases took — it
-// writes generation 1 and then opens it as a reopen does, replaying the
-// empty log it created; reopening the same store reports a replay and no
-// load or snapshot write. The scrape stays lint-clean with the family.
+// its load, decode, builders, snapshot, WAL replay and index phases took
+// — it writes generation 1 and then opens it as a reopen does, decoding
+// the snapshot and replaying the empty log it created; reopening the same
+// store reports a decode and a replay and no load or snapshot write. The
+// scrape stays lint-clean with the family.
 func TestMetricsExpositionBootPhases(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "seed.nt")
 	if err := os.WriteFile(dump, []byte(ntBody(0, 500)), 0o644); err != nil {
@@ -86,20 +87,20 @@ func TestMetricsExpositionBootPhases(t *testing.T) {
 				phases[name] = v
 			}
 		}
-		if len(phases) != 5 {
-			t.Fatalf("boot phases in the scrape = %v, want load, builders, snapshot, wal_replay, index", phases)
+		if len(phases) != 6 {
+			t.Fatalf("boot phases in the scrape = %v, want load, decode, builders, snapshot, wal_replay, index", phases)
 		}
 		return phases
 	}
 	cold := boot(dump)
-	for _, ph := range []string{"load", "builders", "snapshot", "wal_replay", "index"} {
+	for _, ph := range []string{"load", "decode", "builders", "snapshot", "wal_replay", "index"} {
 		if cold[ph] <= 0 {
 			t.Errorf("seeded cold boot: phase %s = %v s, want > 0", ph, cold[ph])
 		}
 	}
 	warm := boot("")
-	if warm["wal_replay"] <= 0 || warm["snapshot"] != 0 || warm["load"] != 0 {
-		t.Errorf("reopen: phases = %v, want a WAL replay and no load or snapshot write", warm)
+	if warm["decode"] <= 0 || warm["wal_replay"] <= 0 || warm["snapshot"] != 0 || warm["load"] != 0 {
+		t.Errorf("reopen: phases = %v, want a snapshot decode, a WAL replay and no load or snapshot write", warm)
 	}
 }
 

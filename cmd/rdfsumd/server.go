@@ -401,6 +401,7 @@ func (s *server) bootPhases(lv *rdfsum.Live) []bootPhase {
 	bt := lv.BootTimings()
 	return []bootPhase{
 		{"load", s.bootLoad},
+		{"decode", bt.Decode},
 		{"builders", bt.Builders},
 		{"snapshot", bt.Snapshot},
 		{"wal_replay", bt.WALReplay},
@@ -561,12 +562,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	snap := lv.Snapshot()
 	st := lv.Stats()
 	g := snap.Graph
-	nd, nt, ns := g.ComponentSizes()
 	resp := map[string]any{
 		"triples":          g.NumEdges(),
-		"data_triples":     nd,
-		"type_triples":     nt,
-		"schema_triples":   ns,
+		"data_triples":     len(g.Data),
+		"type_triples":     len(g.Types),
+		"schema_triples":   len(g.Schema),
 		"data_nodes":       len(g.DataNodes()),
 		"class_nodes":      len(g.ClassNodes()),
 		"properties":       len(g.DistinctDataProperties()),

@@ -146,12 +146,10 @@ func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
 		bs.tracked = bs.tracked || d.tracker() != nil
 	}
 	if len(bs.drivers) == 0 {
-		// Nothing to seed (stats are only consumed through maintained
-		// summaries): a snapshot-backed graph stays unmaterialized — the
-		// O(1) open path.
+		// Nothing to seed: stats are only consumed through maintained
+		// summaries.
 		return bs, nil
 	}
-	g.Ensure() // seeding walks both components
 	// Per-node tables are sized for the dictionary once, not grown by the
 	// seeding writes.
 	bs.stats.dataNodes.n.Grow(g.Dict().MaxID())
@@ -284,7 +282,6 @@ func (bs *BuilderSet) Delete(t rdf.Triple) int {
 // (a counted rebuild) before its next snapshot, because quotient merges
 // (union-finds) are not invertible.
 func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
-	bs.g.Ensure() // the compaction scan below walks every component
 	bs.index()
 	d := bs.g.Dict()
 	v := bs.g.Vocab()

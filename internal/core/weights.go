@@ -80,7 +80,6 @@ type Weights struct {
 // endpoint IDs (edgeCounter) — no set per edge.
 func (s *Summary) ComputeWeights() *Weights {
 	in := s.Input
-	in.Ensure()
 	var rep dict.Table[dict.ID]  // input node -> representative
 	var extent dict.Table[int32] // representative -> input nodes it represents
 	max := in.Dict().MaxID()

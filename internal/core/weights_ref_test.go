@@ -66,7 +66,6 @@ func refComputeWeights(s *Summary) *Weights {
 		w.NodeCard[rep]++
 		w.nodeOf[n] = rep
 	}
-	s.Input.Ensure()
 	v := s.Input.Vocab()
 	dataAcc := make(map[store.Triple]*edgeAcc)
 	typeAcc := make(map[store.Triple]*edgeAcc)

@@ -39,7 +39,6 @@ func Write(w io.Writer, g *store.Graph, opts *Options) error {
 		fmt.Fprintf(bw, "  label=%q;\n", o.Title)
 	}
 
-	g.Ensure()
 	classes := g.ClassNodes()
 	nodes := map[dict.ID]bool{}
 	for _, t := range g.Data {

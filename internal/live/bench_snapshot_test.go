@@ -57,9 +57,10 @@ func benchStoreDir(b *testing.B, n int) string {
 }
 
 // BenchmarkOpenLiveCold measures time-to-first-epoch for a durable store
-// whose base snapshot holds 100k/1M/10M triples. The acceptance shape: it
-// stays flat (header + TOC + mmap, no triple or dictionary decode).
-// -short keeps only the smallest size.
+// whose base snapshot holds 100k/1M/10M triples and that maintains no
+// kind: header + TOC + mmap, and the decode of the three component
+// sections into the heap (O(|G|), 12 B a triple); the dictionary and the
+// columns are not decoded. -short keeps only the smallest size.
 func BenchmarkOpenLiveCold(b *testing.B) {
 	sizes := []struct {
 		label string

@@ -63,7 +63,7 @@ func removeAll(ts []rdf.Triple, dead []rdf.Triple) []rdf.Triple {
 }
 
 func TestLiveDeleteBasics(t *testing.T) {
-	l := New(nil, nil)
+	l := New(nil, nil, nil)
 	defer l.Close()
 	batch := mkBatch(0, 40)
 	if err := l.AddBatch(batch); err != nil {

@@ -28,13 +28,17 @@
 //     maintained summary shrinks exactly where the engine's bookkeeping
 //     is refcounted; otherwise its kind is reseeded — a counted rebuild —
 //     at its next Summary call.
+//   - The graph is always decoded: a durable store reads its
+//     generation snapshot's vocabulary and components into the writer
+//     graph at Open, checking their checksums, while the dictionary and
+//     the column runs stay on the file's pages.
 //   - The published index is tiered (see store.Index). A durable store's
 //     base run is its generation's snapshot file, served from the mapping
 //     after a seeded boot, a reopen and every Compact; a memory-only
-//     store's is a heap run, or the column run of the snapshot its graph
-//     was read from (a follower's bootstrap). Each epoch appends one
-//     immutable delta or tombstone run, so publishing costs O(batch), not
-//     O(graph), and trailing same-level runs fold eight at a time to
+//     store's is a heap run, or the column run of the snapshot New is
+//     handed with its graph (a follower's bootstrap). Each epoch appends
+//     one immutable delta or tombstone run, so publishing costs O(batch),
+//     not O(graph), and trailing same-level runs fold eight at a time to
 //     bound read amplification. Compaction is the only way runs leave the
 //     heap: the next generation's mapped snapshot becomes the whole index.
 //   - Compact writes the graph as the next generation's snapshot, maps
@@ -88,7 +92,9 @@ type Options struct {
 	Maintain []core.Kind
 	// VerifySnapshot forces eager verification of every v2 snapshot
 	// section checksum at Open (paranoia mode). The default verifies the
-	// header and TOC at open and each section lazily on first touch.
+	// header, the TOC and the sections Open decodes (vocabulary and
+	// components) at open, and the dictionary and column sections lazily
+	// on first touch.
 	VerifySnapshot bool
 }
 
@@ -142,8 +148,6 @@ type Live struct {
 	deleted uint64 // triple copies removed (monotonic)
 	closed  bool
 
-	maintained [core.NumKinds]bool
-
 	// published is the epoch counter behind cur; mutated under mu only.
 	published uint64
 	cur       atomic.Pointer[Snapshot]
@@ -163,9 +167,10 @@ type Live struct {
 
 // BootTimings is how long each phase of Open (or New) took. A phase the
 // boot did not go through stays zero: Snapshot is only paid by a seeded
-// fresh store, WALReplay only by a durable one (a seeded store replays the
-// empty log it has just created).
+// fresh store, Decode and WALReplay only by a durable one (a seeded store
+// decodes the snapshot and replays the empty log it has just created).
 type BootTimings struct {
+	Decode    time.Duration // opening the generation's snapshot and decoding its graph
 	Builders  time.Duration // feeding the graph to the maintained summary builders
 	Snapshot  time.Duration // sorting the seed's triples and writing them as snapshot-1
 	WALReplay time.Duration // replaying the generation's WAL over its snapshot, index runs included
@@ -181,13 +186,13 @@ func (l *Live) BootTimings() BootTimings { return l.boot }
 
 // New returns a memory-only live graph over g (nil for empty): the full
 // concurrency model without durability. Compact returns an error; the WAL
-// is absent. The graph is adopted, not copied; when it still has a
-// snapshot base (store.ReadGraph's, say) the index serves that base's
-// column run, as a reopened durable store serves its file. Of opts (nil =
-// defaults) only Maintain applies; the rest is meaningless without a
-// directory and is ignored. It panics on an invalid kind —
-// callers obtain kinds from core.ParseKind or the Kind constants.
-func New(g *store.Graph, opts *Options) *Live {
+// is absent. The graph is adopted, not copied. base is the snapshot g was
+// read from (store.ReadGraph's), whose column run the index then serves
+// as a reopened durable store serves its file; nil sorts g into a heap
+// run. Of opts (nil = defaults) only Maintain applies; the rest is
+// meaningless without a directory and is ignored. It panics on an invalid
+// kind — callers obtain kinds from core.ParseKind or the Kind constants.
+func New(g *store.Graph, base *store.SnapshotFile, opts *Options) *Live {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -195,7 +200,7 @@ func New(g *store.Graph, opts *Options) *Live {
 		g = store.NewGraph()
 	}
 	l := &Live{sync: false}
-	ix, err := l.bootGraph(g, opts.Maintain)
+	ix, err := l.bootGraph(g, base, opts.Maintain)
 	if err != nil {
 		panic(err)
 	}
@@ -207,11 +212,9 @@ func New(g *store.Graph, opts *Options) *Live {
 }
 
 // bootGraph makes g the writer graph — shared dictionary, the maintained
-// kinds' builder set over it — and returns the index over its base: the
-// column run of g's snapshot base when it has one (taken before the
-// builders materialize it), else a heap run of its triples.
-func (l *Live) bootGraph(g *store.Graph, kinds []core.Kind) (*store.Index, error) {
-	sf := g.Base()
+// kinds' builder set over it — and returns the index over base, the
+// snapshot g was decoded from (see bootIndex).
+func (l *Live) bootGraph(g *store.Graph, base *store.SnapshotFile, kinds []core.Kind) (*store.Index, error) {
 	g.Dict().Share()
 	t0 := time.Now()
 	set, err := core.NewBuilderSet(g, maintainOrDefault(kinds))
@@ -220,18 +223,16 @@ func (l *Live) bootGraph(g *store.Graph, kinds []core.Kind) (*store.Index, error
 	}
 	l.boot.Builders = time.Since(t0)
 	l.set = set
-	for _, k := range set.Kinds() {
-		l.maintained[k] = true
-	}
-	return l.bootIndex(sf), nil
+	return l.bootIndex(base), nil
 }
 
-// Open opens (or initializes) a durable live store in dir: it loads the
-// current generation's snapshot, replays the WAL over it — truncating a
-// torn tail, so exactly the acknowledged batches come back — and publishes
-// epoch 1. A fresh directory is first laid out as generation 1 from
-// opts.Seed, and then opened the same way. A nil opts selects the
-// defaults.
+// Open opens (or initializes) a durable live store in dir: it maps the
+// current generation's snapshot and decodes its graph components into the
+// writer graph (a corrupt one fails the Open), serves the file's columns
+// as the index's base, replays the WAL over it — truncating a torn tail,
+// so exactly the acknowledged batches come back — and publishes epoch 1.
+// A fresh directory is first laid out as generation 1 from opts.Seed, and
+// then opened the same way. A nil opts selects the defaults.
 func Open(dir string, opts *Options) (*Live, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -257,15 +258,18 @@ func Open(dir string, opts *Options) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g *store.Graph
+	var (
+		g  *store.Graph
+		sf *store.SnapshotFile
+	)
 	snapPath := l.snapshotPath(gen)
 	switch _, statErr := os.Stat(snapPath); {
 	case statErr == nil:
-		// The snapshot is mapped and materialization deferred — with no
-		// maintained kinds this makes Open O(1) in snapshot size.
-		if g, _, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot); err != nil {
+		t0 := time.Now()
+		if g, sf, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot); err != nil {
 			return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, err)
 		}
+		l.boot.Decode = time.Since(t0)
 	case errors.Is(statErr, fs.ErrNotExist):
 		// A generation whose base graph was empty writes no snapshot.
 		g = store.NewGraph()
@@ -275,7 +279,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 		// compacting would silently discard the store's history.
 		return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, statErr)
 	}
-	ix, err := l.bootGraph(g, opts.Maintain) // epoch 1's index
+	ix, err := l.bootGraph(g, sf, opts.Maintain) // epoch 1's index
 	if err != nil {
 		return nil, err
 	}
@@ -340,9 +344,7 @@ func (l *Live) graph() *store.Graph { return l.set.Graph() }
 
 // Maintained reports whether kind is kept incrementally current by the
 // quotient engine (served with no staleness and no per-epoch rebuild).
-func (l *Live) Maintained(kind core.Kind) bool {
-	return int(kind) >= 0 && int(kind) < core.NumKinds && l.maintained[kind]
-}
+func (l *Live) Maintained(kind core.Kind) bool { return l.set.Maintains(kind) }
 
 // MaintainedKinds lists the incrementally maintained kinds.
 func (l *Live) MaintainedKinds() []core.Kind { return l.set.Kinds() }
@@ -462,10 +464,10 @@ func (l *Live) anyPresentLocked(triples []rdf.Triple) bool {
 
 // bootIndex returns the index over the base of the graph Open or New
 // starts from, and adds the time it took to the boot's Index phase. A
-// graph with a snapshot base sf — a durable generation's mapped file, a
-// follower's bootstrap bytes — serves sf's column run (nothing is sorted
-// or materialized); any other graph, a generation with an empty base
-// included, serves a heap run of the writer graph.
+// graph decoded from a snapshot sf — a durable generation's mapped file, a
+// follower's bootstrap bytes — serves sf's column run (nothing is
+// sorted); any other graph, a generation with an empty base included,
+// serves a heap run of the writer graph.
 func (l *Live) bootIndex(sf *store.SnapshotFile) *store.Index {
 	defer func(t0 time.Time) { l.boot.Index += time.Since(t0) }(time.Now())
 	if sf != nil {
@@ -542,7 +544,7 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 		epoch = snap.Epoch
 		err   error
 	)
-	if l.maintained[kind] {
+	if l.set.Maintains(kind) {
 		s, epoch, err = l.fromBuilders(kind)
 	} else {
 		s, err = core.Summarize(snap.Graph, kind)
@@ -609,7 +611,7 @@ func (l *Live) Status() []KindStatus {
 		cell.mu.Lock()
 		st := KindStatus{
 			Kind:        k,
-			Maintained:  l.maintained[k],
+			Maintained:  l.set.Maintains(k),
 			CachedEpoch: cell.epoch,
 			LazyBuilds:  cell.lazyBuilds,
 			Rebuilds:    rebuilds[k],

@@ -43,7 +43,7 @@ func flatten(batches [][]rdf.Triple) []rdf.Triple {
 func canonical(g *store.Graph) []string { return g.CanonicalStrings() }
 
 func TestLiveMemoryBasics(t *testing.T) {
-	l := New(nil, nil)
+	l := New(nil, nil, nil)
 	defer l.Close()
 	if l.Durable() {
 		t.Fatal("memory store claims durability")
@@ -72,7 +72,7 @@ func TestLiveMemoryBasics(t *testing.T) {
 // TestLiveSnapshotIsolation: a held snapshot must not change while later
 // batches land and later epochs publish.
 func TestLiveSnapshotIsolation(t *testing.T) {
-	l := New(nil, nil)
+	l := New(nil, nil, nil)
 	defer l.Close()
 	if err := l.AddBatch(mkBatch(0, 50)); err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestLiveStaleGenerationCleanup(t *testing.T) {
 // summary after live ingest equals a batch Summarize of the same triples —
 // including after a fallback rebuild from a frozen view.
 func TestLiveWeakSummaryBitIdentical(t *testing.T) {
-	l := New(nil, nil)
+	l := New(nil, nil, nil)
 	defer l.Close()
 	var fed []rdf.Triple
 	for i := 0; i < 8; i++ {
@@ -353,7 +353,7 @@ func TestLiveWeakSummaryBitIdentical(t *testing.T) {
 // TestLiveOtherKindsLazyRebuild: non-weak kinds rebuild from the frozen
 // view and report their build epoch.
 func TestLiveOtherKindsLazyRebuild(t *testing.T) {
-	l := New(nil, nil)
+	l := New(nil, nil, nil)
 	defer l.Close()
 	if err := l.AddBatch(mkBatch(0, 60)); err != nil {
 		t.Fatal(err)
@@ -569,7 +569,7 @@ func TestLiveSeed(t *testing.T) {
 // with zero lazy (full) rebuilds — the quotient engine absorbs ingest at
 // O(Δ) and snapshots from its own state.
 func TestLiveMaintainedAllKinds(t *testing.T) {
-	l := New(nil, &Options{Maintain: core.Kinds})
+	l := New(nil, nil, &Options{Maintain: core.Kinds})
 	defer l.Close()
 	var fed []rdf.Triple
 	ingest := func(start int) {
@@ -617,7 +617,7 @@ func TestLiveMaintainedAllKinds(t *testing.T) {
 // TestLiveMaintainStatusCounters: the default store maintains weak only;
 // serving another kind is a counted lazy build.
 func TestLiveMaintainStatusCounters(t *testing.T) {
-	l := New(nil, nil)
+	l := New(nil, nil, nil)
 	defer l.Close()
 	if err := l.AddBatch(mkBatch(0, 50)); err != nil {
 		t.Fatal(err)
@@ -693,7 +693,7 @@ func TestLiveMaintainedReplay(t *testing.T) {
 // build is ever counted); the race detector checks the shared engine state
 // is never read outside the writer lock.
 func TestLiveMaintainedStress(t *testing.T) {
-	l := New(nil, &Options{Maintain: core.Kinds})
+	l := New(nil, nil, &Options{Maintain: core.Kinds})
 	defer l.Close()
 
 	const (

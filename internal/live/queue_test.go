@@ -25,7 +25,7 @@ func queueBatch(base, n int) []rdf.Triple {
 }
 
 func TestIngestQueueAppliesInOrder(t *testing.T) {
-	l := New(store.NewGraph(), nil)
+	l := New(store.NewGraph(), nil, nil)
 	defer l.Close()
 	q := NewIngestQueue(l, 8, 1<<20)
 	defer q.Close()
@@ -61,7 +61,7 @@ func TestIngestQueueAppliesInOrder(t *testing.T) {
 }
 
 func TestIngestQueueRejectsWhenFull(t *testing.T) {
-	l := New(store.NewGraph(), nil)
+	l := New(store.NewGraph(), nil, nil)
 	defer l.Close()
 	// Byte budget of 150: the second 100-byte batch must be refused
 	// while the first is still in flight.
@@ -95,7 +95,7 @@ func TestIngestQueueRejectsWhenFull(t *testing.T) {
 }
 
 func TestIngestQueueOversizedBatchWhenEmpty(t *testing.T) {
-	l := New(store.NewGraph(), nil)
+	l := New(store.NewGraph(), nil, nil)
 	defer l.Close()
 	q := NewIngestQueue(l, 4, 10) // 10-byte budget
 	defer q.Close()
@@ -109,7 +109,7 @@ func TestIngestQueueOversizedBatchWhenEmpty(t *testing.T) {
 }
 
 func TestIngestQueueCloseDrains(t *testing.T) {
-	l := New(store.NewGraph(), nil)
+	l := New(store.NewGraph(), nil, nil)
 	defer l.Close()
 	q := NewIngestQueue(l, 32, 1<<20)
 	var wg sync.WaitGroup
@@ -135,7 +135,7 @@ func TestIngestQueueCloseDrains(t *testing.T) {
 // adds exactly one sample to the wait and the drain histogram; a batch
 // refused with ErrQueueFull adds none.
 func TestIngestQueueHistogramsCountAdmittedBatches(t *testing.T) {
-	l := New(store.NewGraph(), nil)
+	l := New(store.NewGraph(), nil, nil)
 	defer l.Close()
 	q := NewIngestQueue(l, 1, 1<<20) // depth 1: a second batch in flight is refused
 	defer q.Close()
@@ -188,7 +188,7 @@ func TestIngestQueueHistogramsCountAdmittedBatches(t *testing.T) {
 // writers see ErrQueueFull rather than unbounded buffering, every batch
 // that was accepted commits, and reads stay responsive throughout.
 func TestLiveIngestQueueBackpressureStress(t *testing.T) {
-	l := New(store.NewGraph(), nil)
+	l := New(store.NewGraph(), nil, nil)
 	defer l.Close()
 	const (
 		maxDepth = 4

@@ -80,7 +80,7 @@ func TestLiveSeedSnapshotByteIdentical(t *testing.T) {
 func TestLiveCompactSnapshotByteIdentical(t *testing.T) {
 	configs := []Options{
 		{},
-		{Maintain: []core.Kind{}}, // reopens stay unmaterialized
+		{Maintain: []core.Kind{}}, // maintaining nothing
 	}
 	for ci, opts := range configs {
 		rng := rand.New(rand.NewPCG(uint64(ci), 77))

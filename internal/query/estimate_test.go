@@ -37,7 +37,6 @@ func evalEst(t testing.TB, g *store.Graph, stats query.PlanStats, q *query.Query
 func TestEstimatorExactSinglePattern(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := smallGraph(seed)
-		g.Ensure()
 		stats := weightsOf(t, g)
 		terms := g.Dict()
 
@@ -93,7 +92,6 @@ func TestEstimatorExactSinglePattern(t *testing.T) {
 // distinct subjects) guarantees at least one strict case.
 func TestEstimatorBoundEndpointTightens(t *testing.T) {
 	g := samples.Fig2()
-	g.Ensure()
 	stats := weightsOf(t, g)
 	terms := g.Dict()
 	strict := false

@@ -19,7 +19,6 @@ import (
 // property tests (Prop. 1). Returns ok=false when g has no instance
 // triples to sample.
 func ExtractRBGP(g *store.Graph, rng *rand.Rand, size int) (q *Query, ok bool) {
-	g.Ensure()
 	instance := make([]store.Triple, 0, len(g.Data)+len(g.Types))
 	instance = append(instance, g.Data...)
 	instance = append(instance, g.Types...)

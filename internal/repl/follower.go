@@ -126,7 +126,7 @@ func NewFollower(leaderURL string, opts FollowerOptions) (*Follower, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		lv:     live.New(nil, &live.Options{Maintain: opts.Maintain}),
+		lv:     live.New(nil, nil, &live.Options{Maintain: opts.Maintain}),
 		st:     FollowerStatus{Leader: cl.BaseURL(), State: StateConnecting},
 	}, nil
 }
@@ -246,19 +246,22 @@ func (f *Follower) bootstrap(ctx context.Context) (*client.ReplManifest, error) 
 	// The snapshot's bytes are served in place, as a reopened leader
 	// serves its file: the dictionary over their pages, the index over
 	// their column run.
-	g := store.NewGraph()
+	var (
+		g  *store.Graph
+		sf *store.SnapshotFile
+	)
 	if m.HasSnapshot {
 		rc, err := f.cl.ReplSnapshot(ctx, m.Generation)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		g, err = store.ReadGraph(rc)
+		g, sf, err = store.ReadGraph(rc)
 		rc.Close()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot gen %d: %w", m.Generation, err)
 		}
 	}
-	lv := live.New(g, &live.Options{Maintain: f.opts.Maintain})
+	lv := live.New(g, sf, &live.Options{Maintain: f.opts.Maintain})
 
 	f.mu.Lock()
 	old := f.lv

@@ -295,7 +295,7 @@ func TestLeaderErrorContract(t *testing.T) {
 	}
 
 	// A memory-only store cannot lead: 409 memory_only.
-	mem := live.New(nil, nil)
+	mem := live.New(nil, nil, nil)
 	defer mem.Close()
 	mux := http.NewServeMux()
 	repl.NewLeader(mem).Mount(mux, "/v1/repl")

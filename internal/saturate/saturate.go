@@ -38,7 +38,6 @@ func Graph(g *store.Graph) *store.Graph {
 // withSchema saturates g's instance triples against an already-saturated
 // schema.
 func withSchema(g *store.Graph, sch *schema.Schema) *store.Graph {
-	g.Ensure()
 	v := g.Vocab()
 	out := store.NewGraphWithDict(g.Dict())
 

@@ -33,7 +33,6 @@ func New() *Schema {
 
 // FromGraph extracts the schema of g's S_G component.
 func FromGraph(g *store.Graph) *Schema {
-	g.Ensure()
 	s := New()
 	v := g.Vocab()
 	for _, t := range g.Schema {

@@ -9,8 +9,8 @@ import (
 // Snapshot read failures are classified into distinct sentinel errors so a
 // serving process can tell "wrong file" from "torn write" from "bit rot"
 // in its logs and pick the right reaction (reject the path vs. restore a
-// backup). Every error out of ReadSnapshot wraps exactly one of these;
-// match with errors.Is.
+// backup). Every error out of ReadGraph and OpenGraphFile that the
+// file's content causes wraps exactly one of these; match with errors.Is.
 var (
 	// ErrSnapshotMagic: the file does not start with the snapshot magic —
 	// not a snapshot at all.
@@ -40,19 +40,6 @@ func truncatedOr(err error) error {
 	return err
 }
 
-// ReadSnapshot reads a snapshot stream as ReadGraph does, every checksum
-// verified, and materializes the graph's components (Ensure); its
-// dictionary stays a layer over the read bytes. Errors wrap the
-// ErrSnapshot* sentinels.
-func ReadSnapshot(r io.Reader) (*Graph, error) {
-	g, err := ReadGraph(r)
-	if err != nil {
-		return nil, err
-	}
-	g.Ensure()
-	return g, nil
-}
-
 // SaveFile writes a snapshot to path in the current (v2) format,
 // replacing any existing file. A graph over an overlay dictionary (a
 // summary) is written in its Dense form: the file holds the terms the
@@ -70,12 +57,13 @@ func SaveFile(path string, g *Graph) error {
 	return f.Close()
 }
 
-// LoadFile reads a snapshot from path.
+// LoadFile reads a snapshot from path as ReadGraph reads a stream.
 func LoadFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadSnapshot(f)
+	g, _, err := ReadGraph(f)
+	return g, err
 }

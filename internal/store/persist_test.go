@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -22,14 +20,14 @@ import (
 // unclassified.
 func TestReadSnapshotRoundTrip(t *testing.T) {
 	g, data := v2Sample(t)
-	got, err := ReadSnapshot(iotest.OneByteReader(bytes.NewReader(data)))
+	got, _, err := ReadGraph(iotest.OneByteReader(bytes.NewReader(data)))
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("ReadGraph: %v", err)
 	}
 	identicalGraphs(t, g, got)
 
 	errNet := errors.New("connection reset")
-	_, err = ReadSnapshot(io.MultiReader(bytes.NewReader(data[:100]), iotest.ErrReader(errNet)))
+	_, _, err = ReadGraph(io.MultiReader(bytes.NewReader(data[:100]), iotest.ErrReader(errNet)))
 	if !errors.Is(err, errNet) || errors.Is(err, ErrSnapshotTruncated) {
 		t.Fatalf("stream error: got %v, want the reader's own error", err)
 	}
@@ -45,7 +43,7 @@ func TestReadSnapshotTruncated(t *testing.T) {
 		if cut > 2*v2HeaderSize && cut < len(data)-512 && cut%61 != 0 {
 			continue
 		}
-		_, err := ReadSnapshot(bytes.NewReader(data[:cut]))
+		_, _, err := ReadGraph(bytes.NewReader(data[:cut]))
 		if err == nil {
 			t.Fatalf("cut at %d of %d bytes: truncated snapshot read succeeded", cut, len(data))
 		}
@@ -54,7 +52,7 @@ func TestReadSnapshotTruncated(t *testing.T) {
 		}
 	}
 	// A cut inside the magic itself is a truncation, not a foreign file.
-	_, err := ReadSnapshot(bytes.NewReader(data[:3]))
+	_, _, err := ReadGraph(bytes.NewReader(data[:3]))
 	if !errors.Is(err, ErrSnapshotTruncated) {
 		t.Fatalf("cut inside magic: got %v, want ErrSnapshotTruncated", err)
 	}
@@ -63,8 +61,7 @@ func TestReadSnapshotTruncated(t *testing.T) {
 // TestReadSnapshotRefusesDuplicateTerm: a stream is outside input, so the
 // streamed read checks what a file the store wrote is trusted with. A
 // dictionary that lists one term under two IDs — every checksum resealed
-// over it — is refused with ErrSnapshotCorrupt, by ReadGraph and by
-// ReadSnapshot.
+// over it — is refused by ReadGraph with ErrSnapshotCorrupt.
 func TestReadSnapshotRefusesDuplicateTerm(t *testing.T) {
 	_, data := v2Sample(t)
 	bad := append([]byte(nil), data...)
@@ -80,36 +77,23 @@ func TestReadSnapshotRefusesDuplicateTerm(t *testing.T) {
 		t.Fatal("the sample's dictionary pages no longer code <http://x/b> as expected")
 	}
 	pages.raw[at+2] = 'p'
-	// Reseal: the section's CRC in the TOC, the TOC's in the header, and
-	// the header's own.
-	tocOff := binary.LittleEndian.Uint64(bad[48:56])
-	toc := bad[tocOff : tocOff+uint64(len(c.secOrder))*v2TocEntrySize]
-	for i := 0; i < len(toc); i += v2TocEntrySize {
-		if toc[i] == secDictPages {
-			binary.LittleEndian.PutUint32(toc[i+17:], crc32.ChecksumIEEE(pages.raw))
-		}
-	}
-	binary.LittleEndian.PutUint32(bad[56:60], crc32.ChecksumIEEE(toc))
-	binary.LittleEndian.PutUint32(bad[60:64], crc32.ChecksumIEEE(bad[:60]))
+	reseal(bad, len(c.secOrder))
 
-	if _, err := ReadGraph(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
+	if _, _, err := ReadGraph(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("ReadGraph of a dictionary listing <http://x/p> twice: got %v, want ErrSnapshotCorrupt", err)
-	}
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("ReadSnapshot of a dictionary listing <http://x/p> twice: got %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
 func TestReadSnapshotBadMagic(t *testing.T) {
 	_, data := v2Sample(t)
 	bad := append([]byte("NOTRDF"), data[6:]...)
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotMagic) {
+	if _, _, err := ReadGraph(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotMagic) {
 		t.Fatalf("bad magic: got %v, want ErrSnapshotMagic", err)
 	}
 	// Shorter than a header, or than the magic itself, and foreign from
 	// the first byte.
 	for _, short := range []string{"garbage-that-is-not-a-snapshot", "NOT", "RDx"} {
-		if _, err := ReadSnapshot(bytes.NewReader([]byte(short))); !errors.Is(err, ErrSnapshotMagic) {
+		if _, _, err := ReadGraph(bytes.NewReader([]byte(short))); !errors.Is(err, ErrSnapshotMagic) {
 			t.Fatalf("%q: got %v, want ErrSnapshotMagic", short, err)
 		}
 	}
@@ -119,7 +103,7 @@ func TestReadSnapshotBadVersion(t *testing.T) {
 	_, data := v2Sample(t)
 	bad := append([]byte(nil), data...)
 	bad[len(snapshotMagic)] = snapshotVersion + 9
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotVersion) {
+	if _, _, err := ReadGraph(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("bad version: got %v, want ErrSnapshotVersion", err)
 	}
 }
@@ -144,7 +128,7 @@ func TestReadSnapshotBitFlips(t *testing.T) {
 	for i := len(snapshotMagic) + 1; i < len(data); i += 7 {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
-		got, err := ReadSnapshot(bytes.NewReader(bad))
+		got, _, err := ReadGraph(bytes.NewReader(bad))
 		if !covered(i) {
 			if err != nil {
 				t.Fatalf("flip in padding at byte %d: %v", i, err)

@@ -1,13 +1,11 @@
 package store
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"rdfsum/internal/dict"
 )
@@ -42,7 +40,6 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	if g.Dict().IsOverlay() {
 		return errors.New("store: snapshot of a graph over an overlay dictionary (re-encode it with Dense)")
 	}
-	g.Ensure()
 	if len(buf) != g.NumEdges() {
 		return fmt.Errorf("store: snapshot buffer holds %d triples, graph %d", len(buf), g.NumEdges())
 	}
@@ -82,7 +79,7 @@ var colSectionIDs = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, Or
 // encodeVocabSec serializes the five interpreted-vocabulary IDs. The
 // vocabulary is interned into every dictionary at graph construction,
 // so resolving these at open time through the mapped dictionary would
-// force its full CRC — this ~10-byte section keeps cold open O(1).
+// force its full CRC — this ~10-byte section keeps it out of the open.
 func encodeVocabSec(v Vocab) []byte {
 	out := make([]byte, 0, 5*binary.MaxVarintLen64)
 	var tmp [binary.MaxVarintLen64]byte
@@ -111,21 +108,6 @@ func decodeVocabSec(raw []byte, maxID uint64) (Vocab, error) {
 	return Vocab{Type: ids[0], SubClass: ids[1], SubProp: ids[2], Domain: ids[3], Range: ids[4]}, nil
 }
 
-// Vocab returns the snapshot's interpreted-vocabulary IDs, when the file
-// carries the vocab section (all current writers do).
-func (sf *SnapshotFile) Vocab() (Vocab, bool) {
-	sec, ok := sf.c.secs[secVocab]
-	if !ok {
-		return Vocab{}, false
-	}
-	sec.verifyLazy()
-	v, err := decodeVocabSec(sec.raw, sf.c.nTerms)
-	if err != nil {
-		panic(corruptionPanic(err))
-	}
-	return v, true
-}
-
 // writeComp streams triples as back-to-back uvarint ID triples; the
 // count lives in the container header.
 func writeComp(w *containerWriter, ts []Triple) {
@@ -138,11 +120,17 @@ func writeComp(w *containerWriter, ts []Triple) {
 	}
 }
 
-// decodeComp parses an insertion-order component section.
-func decodeComp(raw []byte, n int, maxID uint64) ([]Triple, error) {
+// decodeComp parses an insertion-order component section of n triples.
+// A triple takes at least 3 bytes, so a count the section cannot hold is
+// refused before anything is allocated: the count comes from the header,
+// which a follower reads off the network.
+func decodeComp(raw []byte, n, maxID uint64) ([]Triple, error) {
+	if n > uint64(len(raw))/3 {
+		return nil, fmt.Errorf("%w: %d triples claimed by a %d-byte component section", ErrSnapshotCorrupt, n, len(raw))
+	}
 	out := make([]Triple, 0, n)
 	pos := 0
-	for i := 0; i < n; i++ {
+	for i := range n {
 		var ids [3]uint64
 		for j := range ids {
 			v, w := binary.Uvarint(raw[pos:])
@@ -157,24 +145,24 @@ func decodeComp(raw []byte, n int, maxID uint64) ([]Triple, error) {
 		}
 		out = append(out, Triple{dict.ID(ids[0]), dict.ID(ids[1]), dict.ID(ids[2])})
 	}
+	if pos != len(raw) {
+		return nil, fmt.Errorf("%w: %d bytes after the component's %d triples", ErrSnapshotCorrupt, len(raw)-pos, n)
+	}
 	return out, nil
 }
 
 // SnapshotFile is an open v2 snapshot: the mmap'd (or, under the nommap
 // build tag, eagerly read) container plus lazily constructed views over
-// it. Opening one is O(header + TOC); nothing else is read until
-// touched. Safe for concurrent readers. The file stays mapped while the
-// SnapshotFile, its runs or its dictionary are reachable, and is unmapped
-// once none is; Close unmaps at once.
+// it — the dictionary and the column runs. Opening one is O(header +
+// TOC); nothing else is read until touched. Safe for concurrent readers.
+// The file stays mapped while the SnapshotFile, its runs or its
+// dictionary are reachable, and is unmapped once none is; Close unmaps at
+// once.
 type SnapshotFile struct {
 	c    *container
 	path string
 	md   *dict.Mapped
 	runs RunCols
-
-	matOnce          sync.Once
-	matD, matT, matS []Triple
-	matErr           error
 }
 
 // OpenSnapshotFile maps path and validates its header and TOC. With
@@ -240,12 +228,6 @@ func newSnapshotFile(file *mapping, verify bool) (*SnapshotFile, error) {
 // Path returns the file the snapshot was opened from.
 func (sf *SnapshotFile) Path() string { return sf.path }
 
-// Counts returns the term and per-component triple counts from the
-// header — no section is touched.
-func (sf *SnapshotFile) Counts() (nTerms, nData, nTypes, nSchema int) {
-	return int(sf.c.nTerms), int(sf.c.nData), int(sf.c.nTypes), int(sf.c.nSchema)
-}
-
 // MappedDict returns the zero-copy dictionary view.
 func (sf *SnapshotFile) MappedDict() *dict.Mapped { return sf.md }
 
@@ -253,85 +235,90 @@ func (sf *SnapshotFile) MappedDict() *dict.Mapped { return sf.md }
 // index, served without materialization.
 func (sf *SnapshotFile) Runs() RunCols { return sf.runs }
 
-// Components decodes (once) and returns the three insertion-order
-// components. Structural errors after the CRC passed indicate a writer
-// bug or memory corruption and panic with a corruption error.
-func (sf *SnapshotFile) Components() (data, types, schema []Triple) {
-	if err := sf.decodeComponents(); err != nil {
-		panic(corruptionPanic(err))
-	}
-	return sf.matD, sf.matT, sf.matS
-}
-
-// decodeComponents decodes the three components once and reports the
-// first structural error.
-func (sf *SnapshotFile) decodeComponents() error {
-	sf.matOnce.Do(func() {
-		decode := func(id byte, n uint64) []Triple {
-			sec, err := sf.c.section(id)
-			var ts []Triple
-			if err == nil {
-				sec.verifyLazy()
-				ts, err = decodeComp(sec.raw, int(n), sf.c.nTerms)
-			}
-			sf.matErr = cmp.Or(sf.matErr, err)
-			return ts
-		}
-		sf.matD = decode(secCompData, sf.c.nData)
-		sf.matT = decode(secCompTypes, sf.c.nTypes)
-		sf.matS = decode(secCompSchema, sf.c.nSchema)
-	})
-	return sf.matErr
-}
-
 // Close releases the mapping now instead of when the last view over it is
 // collected. The caller must ensure no Graph, Index or Dict view over this
 // file is still in use.
 func (sf *SnapshotFile) Close() error { return sf.c.file.close() }
 
-// OpenGraphFile maps a snapshot file. The returned graph carries the
-// snapshot as an unmaterialized base — component slices and the
-// in-memory dictionary layer start empty and promote lazily via Ensure —
-// and the SnapshotFile handle exposes the zero-copy column runs for
-// index construction. With verify set, section CRCs are all checked now
-// instead of lazily.
+// graph decodes the snapshot's vocabulary and three component sections,
+// each checksummed first, into a graph whose dictionary is a layer over
+// the mapped one: O(|G|), 12 B a triple on the heap. A file without a
+// vocabulary section is corrupt — every version 2 writer wrote one.
+func (sf *SnapshotFile) graph() (*Graph, error) {
+	c := sf.c
+	payload := func(id byte) ([]byte, error) {
+		sec, err := c.section(id)
+		if err != nil {
+			return nil, err
+		}
+		return sec.raw, sec.verify()
+	}
+	raw, err := payload(secVocab)
+	if err != nil {
+		return nil, err
+	}
+	v, err := decodeVocabSec(raw, c.nTerms)
+	if err != nil {
+		return nil, err
+	}
+	g := &Graph{dict: dict.WithBase(sf.md), vocab: v}
+	for _, comp := range []struct {
+		id byte
+		n  uint64
+		ts *[]Triple
+	}{{secCompData, c.nData, &g.Data}, {secCompTypes, c.nTypes, &g.Types}, {secCompSchema, c.nSchema, &g.Schema}} {
+		if raw, err = payload(comp.id); err != nil {
+			return nil, err
+		}
+		if *comp.ts, err = decodeComp(raw, comp.n, c.nTerms); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// OpenGraphFile maps a snapshot file and decodes its graph (see graph):
+// the vocabulary and component sections are checked and read now, the
+// dictionary and the column runs — what the returned SnapshotFile serves
+// as an index's base — stay lazy. With verify set, every other section's
+// checksum is checked now too.
 func OpenGraphFile(path string, verify bool) (*Graph, *SnapshotFile, error) {
 	sf, err := OpenSnapshotFile(path, verify)
 	if err != nil {
 		return nil, nil, err
 	}
+	g, err := sf.graph()
+	if err != nil {
+		sf.Close() //nolint:errcheck // already failing
+		return nil, nil, err
+	}
 	snapshotOpensV2.Inc()
-	return graphOver(sf, dict.WithBase(sf.MappedDict())), sf, nil
+	return g, sf, nil
 }
 
 // ReadGraph reads a snapshot stream into one buffer and serves it in
-// place, as OpenGraphFile serves a mapped file (the SnapshotFile is built
-// by the same constructor). The bytes come from outside, so it also
-// checks what the store trusts its own files with: every section
-// checksum, every vocabulary and component ID, and that no term is listed
-// twice. Errors wrap the ErrSnapshot* sentinels.
-func ReadGraph(r io.Reader) (*Graph, error) {
+// place, as OpenGraphFile serves a mapped file: the graph's dictionary is
+// a layer over the buffer's, and the SnapshotFile's column runs can be an
+// index's base. The bytes come from outside, so it also checks what the
+// store trusts its own files with: every section checksum, and that no
+// term is listed twice. Errors wrap the ErrSnapshot* sentinels.
+func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, truncatedOr(err)
+		return nil, nil, truncatedOr(err)
 	}
 	sf, err := newSnapshotFile(heapMapping(data), true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if sec, ok := sf.c.secs[secVocab]; ok {
-		if _, err := decodeVocabSec(sec.raw, sf.c.nTerms); err != nil {
-			return nil, err
-		}
+	g, err := sf.graph()
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := sf.decodeComponents(); err != nil {
-		return nil, err
+	if err := g.dict.IndexBase(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	d := dict.WithBase(sf.MappedDict())
-	if err := d.IndexBase(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	return graphOver(sf, d), nil
+	return g, sf, nil
 }
 
 // SectionInfo describes one TOC entry, for inspection tooling.

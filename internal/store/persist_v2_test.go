@@ -21,7 +21,7 @@ import (
 
 // v2Sample builds a graph spanning all components and term kinds and
 // returns it with its v2 serialization.
-func v2Sample(t *testing.T) (*Graph, []byte) {
+func v2Sample(t testing.TB) (*Graph, []byte) {
 	t.Helper()
 	g := FromTriples([]rdf.Triple{
 		rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/b")),
@@ -84,8 +84,6 @@ func v2RandomGraph(t *testing.T, seed uint64, n int) *Graph {
 // to the same term) and same component slices in the same order.
 func identicalGraphs(t *testing.T, want, got *Graph) {
 	t.Helper()
-	want.Ensure()
-	got.Ensure()
 	if w, g := want.Dict().Len(), got.Dict().Len(); w != g {
 		t.Fatalf("dict size changed: %d -> %d", w, g)
 	}
@@ -111,9 +109,9 @@ func identicalGraphs(t *testing.T, want, got *Graph) {
 
 func TestSnapshotV2RoundTripStream(t *testing.T) {
 	g, data := v2Sample(t)
-	got, err := ReadSnapshot(bytes.NewReader(data))
+	got, _, err := ReadGraph(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("ReadSnapshot(v2): %v", err)
+		t.Fatalf("ReadGraph: %v", err)
 	}
 	identicalGraphs(t, g, got)
 }
@@ -133,18 +131,7 @@ func TestSnapshotV2RoundTripMapped(t *testing.T) {
 			if sf == nil {
 				t.Fatal("OpenGraphFile on v2 returned no SnapshotFile")
 			}
-			if got.Base() == nil {
-				t.Fatal("v2-opened graph should be lazily backed before Ensure")
-			}
-			nd, nt, ns := got.ComponentSizes()
-			if nd != len(g.Data) || nt != len(g.Types) || ns != len(g.Schema) {
-				t.Fatalf("header counts (%d,%d,%d) != (%d,%d,%d)",
-					nd, nt, ns, len(g.Data), len(g.Types), len(g.Schema))
-			}
 			identicalGraphs(t, g, got)
-			if got.Base() != nil {
-				t.Fatal("Ensure left the base attached")
-			}
 			if err := sf.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
@@ -167,7 +154,6 @@ func TestSnapshotV2IndexFromBase(t *testing.T) {
 	}
 	defer sf.Close()
 
-	g.Ensure()
 	want := NewIndex(g)
 	tail := []Triple{g.Data[0], g.Types[0], {S: 1, P: 2, O: 1}}
 	for _, tc := range []struct {
@@ -207,8 +193,8 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 				t.Fatalf("%s of a version %d file: got %v, want ErrSnapshotVersion naming the version and the cutoff build", what, v, err)
 			}
 		}
-		_, err := ReadSnapshot(bytes.NewReader(bad))
-		refused("ReadSnapshot", err)
+		_, _, err := ReadGraph(bytes.NewReader(bad))
+		refused("ReadGraph", err)
 		g, sf, err := OpenGraphFile(path, false)
 		refused("OpenGraphFile", err)
 		if g != nil || sf != nil {
@@ -240,7 +226,7 @@ func TestSnapshotRefusesOtherKinds(t *testing.T) {
 				t.Fatalf("%s of a kind %d file: got %v, want ErrSnapshotCorrupt naming the kind", what, kind, err)
 			}
 		}
-		_, err := ReadGraph(bytes.NewReader(bad))
+		_, _, err := ReadGraph(bytes.NewReader(bad))
 		refused("ReadGraph", err)
 		_, err = OpenSnapshotFile(path, false)
 		refused("OpenSnapshotFile", err)
@@ -285,7 +271,7 @@ func TestSnapshotV2BitFlipsEager(t *testing.T) {
 		for i := r[0]; i < r[1]; i++ {
 			bad := append([]byte(nil), data...)
 			bad[i] ^= 0x40
-			_, err := ReadSnapshot(bytes.NewReader(bad))
+			_, _, err := ReadGraph(bytes.NewReader(bad))
 			if err == nil {
 				t.Fatalf("flip at byte %d: corrupt v2 snapshot read succeeded", i)
 			}
@@ -300,17 +286,19 @@ func TestSnapshotV2BitFlipsEager(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2BitFlipsLazy corrupts one payload byte of each section,
-// opens without verification (which must succeed: nothing was read yet),
-// and requires the first touch of the damaged section to surface
-// ErrSnapshotChecksum.
+// TestSnapshotV2BitFlipsLazy corrupts one payload byte of each section.
+// A graph open decodes the vocabulary and the three components, so a flip
+// in one of those fails OpenGraphFile with ErrSnapshotChecksum. Any other
+// section is left for its first touch: the unverified open succeeds (as
+// does OpenGraphFile's), and reading through every section must panic
+// with the classified checksum error.
 func TestSnapshotV2BitFlipsLazy(t *testing.T) {
-	g, data := v2Sample(t)
-	_ = g
+	_, data := v2Sample(t)
 	c, err := parseContainer(data, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	decoded := map[byte]bool{secVocab: true, secCompData: true, secCompTypes: true, secCompSchema: true}
 	dir := t.TempDir()
 	for _, s := range c.secOrder {
 		id := s.id
@@ -329,8 +317,20 @@ func TestSnapshotV2BitFlipsLazy(t *testing.T) {
 			t.Fatalf("section %s: eager open got %v, want ErrSnapshotChecksum", sectionName(id), err)
 		}
 
-		// Lazy open succeeds; full materialization then touches every
-		// section and must panic with the classified checksum error.
+		g, gsf, err := OpenGraphFile(path, false)
+		if decoded[id] {
+			if !errors.Is(err, ErrSnapshotChecksum) || g != nil || gsf != nil {
+				t.Fatalf("section %s: OpenGraphFile got %v, want ErrSnapshotChecksum and no graph", sectionName(id), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("section %s: OpenGraphFile: %v", sectionName(id), err)
+		}
+		gsf.Close()
+
+		// Lazy open succeeds; reading through every section must then
+		// panic with the classified checksum error.
 		sf, err := OpenSnapshotFile(path, false)
 		if err != nil {
 			t.Fatalf("section %s: lazy open: %v", sectionName(id), err)
@@ -352,13 +352,11 @@ func TestSnapshotV2BitFlipsLazy(t *testing.T) {
 	}
 }
 
-// touchEverything forces a read through every section: dictionary pages
-// and directory (every term decoded, then looked up through the index
-// over them), the sorted permutation (the merge of a compaction that
-// interned one term), the three components, the three sorted columns,
-// and the vocab table.
+// touchEverything forces a read through every section an open leaves
+// lazy: dictionary pages and directory (every term decoded, then looked
+// up through the index over them), the sorted permutation (the merge of a
+// compaction that interned one term), and the three sorted columns.
 func touchEverything(sf *SnapshotFile) {
-	sf.Vocab()
 	md := sf.MappedDict()
 	d := dict.WithBase(md)
 	for id := 1; id <= md.Len(); id++ {
@@ -368,13 +366,92 @@ func touchEverything(sf *SnapshotFile) {
 	if _, _, _, err := d.WriteFrontCoded(io.Discard); err != nil {
 		panic(err)
 	}
-	sf.Components()
 	for ord := Order(0); ord < NumOrders; ord++ {
 		col := sf.Runs().col(ord)
 		cur := col.Cursor(0, col.Len())
 		for cur.Valid() {
 			cur.Next()
 		}
+	}
+}
+
+// reseal recomputes what a test's edit of a snapshot invalidated: the
+// checksum of every section in the TOC, the TOC's in the header, and the
+// header's own. count is the header's section count.
+func reseal(data []byte, count int) {
+	tocOff := binary.LittleEndian.Uint64(data[48:56])
+	toc := data[tocOff : tocOff+uint64(count)*v2TocEntrySize]
+	for e := toc; len(e) > 0; e = e[v2TocEntrySize:] {
+		off, n := binary.LittleEndian.Uint64(e[1:9]), binary.LittleEndian.Uint64(e[9:17])
+		binary.LittleEndian.PutUint32(e[17:21], crc32.ChecksumIEEE(data[off:off+n]))
+	}
+	binary.LittleEndian.PutUint32(data[12:16], uint32(count))
+	binary.LittleEndian.PutUint32(data[56:60], crc32.ChecksumIEEE(toc))
+	binary.LittleEndian.PutUint32(data[60:64], crc32.ChecksumIEEE(data[:60]))
+}
+
+// refusedBoth writes data to a file and requires OpenGraphFile and
+// ReadGraph to refuse it with want.
+func refusedBoth(t *testing.T, what string, data []byte, want error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad.rdfsum")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if g, sf, err := OpenGraphFile(path, false); !errors.Is(err, want) || g != nil || sf != nil {
+		t.Fatalf("%s: OpenGraphFile got %v, want %v and no graph", what, err, want)
+	}
+	if g, sf, err := ReadGraph(bytes.NewReader(data)); !errors.Is(err, want) || g != nil || sf != nil {
+		t.Fatalf("%s: ReadGraph got %v, want %v and no graph", what, err, want)
+	}
+}
+
+// TestSnapshotWithoutVocabRefused: every version 2 writer wrote the
+// vocabulary section, so a file whose TOC lacks it — every checksum
+// resealed — is corrupt, not a graph whose vocabulary is looked up in its
+// dictionary.
+func TestSnapshotWithoutVocabRefused(t *testing.T) {
+	_, data := v2Sample(t)
+	bad := append([]byte(nil), data...)
+	c, err := parseContainer(bad, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tocOff := binary.LittleEndian.Uint64(bad[48:56])
+	var toc []byte
+	for i, s := range c.secOrder {
+		if s.id != secVocab {
+			e := bad[tocOff+uint64(i)*v2TocEntrySize:]
+			toc = append(toc, e[:v2TocEntrySize]...)
+		}
+	}
+	copy(bad[tocOff:], toc)
+	reseal(bad, len(c.secOrder)-1)
+	if _, err := parseContainer(bad, true); err != nil {
+		t.Fatalf("the container without its vocab entry does not parse: %v", err)
+	}
+	refusedBoth(t, "no vocab section", bad, ErrSnapshotCorrupt)
+}
+
+// TestSnapshotComponentCountsChecked: a header whose component counts
+// wrap around to the column count keeps every checksum valid. The decode
+// must refuse a count its section cannot hold — before allocating for
+// it, since a follower reads the header off the network.
+func TestSnapshotComponentCountsChecked(t *testing.T) {
+	_, data := v2Sample(t)
+	c, err := parseContainer(data, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		delta uint64 // added to nData, taken from nTypes
+	}{{"wrapped", 1 << 62}, {"off by one", 1}, {"negative", ^uint64(0)}} {
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(bad[24:32], c.nData+tc.delta)
+		binary.LittleEndian.PutUint64(bad[32:40], c.nTypes-tc.delta)
+		reseal(bad, len(c.secOrder))
+		refusedBoth(t, tc.name, bad, ErrSnapshotCorrupt)
 	}
 }
 

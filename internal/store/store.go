@@ -11,7 +11,6 @@ package store
 
 import (
 	"slices"
-	"sync"
 
 	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
@@ -67,74 +66,6 @@ type Graph struct {
 	Data   []Triple
 	Types  []Triple
 	Schema []Triple
-
-	// base, when non-nil, is an open v2 snapshot whose triples logically
-	// precede the component slices but have not been materialized into
-	// them. A graph opened from a v2 snapshot starts this way: the
-	// slices hold only triples added after the snapshot (the tail), and
-	// counting queries answer from the snapshot header. Ensure promotes
-	// the base into the slices on first whole-graph access.
-	baseMu sync.Mutex
-	base   *SnapshotFile
-}
-
-// graphOver returns a graph backed by an open v2 snapshot without
-// materializing it: its dictionary d is layered over sf's mapped
-// dictionary and the component slices start empty. O(1) in snapshot size.
-func graphOver(sf *SnapshotFile, d *dict.Dict) *Graph {
-	if v, ok := sf.Vocab(); ok {
-		// The ~10-byte vocab section resolves the interpreted vocabulary
-		// without touching (and therefore CRC-verifying) the dictionary
-		// sections — the difference between O(1) and O(dict) cold opens.
-		return &Graph{dict: d, vocab: v, base: sf}
-	}
-	// The written graph had the vocabulary interned, so EncodeVocab
-	// resolves through the mapped base without assigning new IDs.
-	g := NewGraphWithDict(d)
-	g.base = sf
-	return g
-}
-
-// Ensure materializes the snapshot base, if any, into the component
-// slices. Idempotent and safe for concurrent use; every whole-graph
-// operation calls it first. Decoding failures after the section CRC
-// passed indicate memory corruption or a writer bug and panic.
-func (g *Graph) Ensure() {
-	g.baseMu.Lock()
-	defer g.baseMu.Unlock()
-	if g.base == nil {
-		return
-	}
-	bd, bt, bs := g.base.Components()
-	g.Data = concatTriples(bd, g.Data)
-	g.Types = concatTriples(bt, g.Types)
-	g.Schema = concatTriples(bs, g.Schema)
-	g.base = nil
-}
-
-func concatTriples(base, tail []Triple) []Triple {
-	out := make([]Triple, 0, len(base)+len(tail))
-	out = append(out, base...)
-	return append(out, tail...)
-}
-
-// ComponentSizes returns the logical length of each component, counting
-// an unpromoted base from its header without materializing anything.
-func (g *Graph) ComponentSizes() (data, types, schema int) {
-	g.baseMu.Lock()
-	defer g.baseMu.Unlock()
-	if g.base != nil {
-		_, nd, nt, ns := g.base.Counts()
-		return nd + len(g.Data), nt + len(g.Types), ns + len(g.Schema)
-	}
-	return len(g.Data), len(g.Types), len(g.Schema)
-}
-
-// Base returns the unpromoted snapshot backing this graph, or nil.
-func (g *Graph) Base() *SnapshotFile {
-	g.baseMu.Lock()
-	defer g.baseMu.Unlock()
-	return g.base
 }
 
 // NewGraph returns an empty graph with a fresh dictionary.
@@ -213,30 +144,20 @@ func (g *Graph) AddEncoded(s, p, o dict.ID) {
 // observe them — the copy-on-write trick behind the live subsystem's epoch
 // snapshots. The view must not be mutated.
 func (g *Graph) SnapshotView() *Graph {
-	g.baseMu.Lock()
-	defer g.baseMu.Unlock()
 	return &Graph{
 		dict:   g.dict,
 		vocab:  g.vocab,
 		Data:   g.Data[:len(g.Data):len(g.Data)],
 		Types:  g.Types[:len(g.Types):len(g.Types)],
 		Schema: g.Schema[:len(g.Schema):len(g.Schema)],
-		// The view shares the unpromoted base; its own Ensure promotes
-		// into the view's slices without disturbing this graph.
-		base: g.base,
 	}
 }
 
-// NumEdges is the total number of triples, |G|e. Snapshot-backed graphs
-// answer from the header without materializing.
-func (g *Graph) NumEdges() int {
-	d, t, s := g.ComponentSizes()
-	return d + t + s
-}
+// NumEdges is the total number of triples, |G|e.
+func (g *Graph) NumEdges() int { return len(g.Data) + len(g.Types) + len(g.Schema) }
 
 // SortDedup sorts each component and drops duplicate triples in place.
 func (g *Graph) SortDedup() {
-	g.Ensure()
 	g.Data = sortDedup(g.Data)
 	g.Types = sortDedup(g.Types)
 	g.Schema = sortDedup(g.Schema)
@@ -256,7 +177,6 @@ func sortDedup(ts []Triple) []Triple {
 // CloneStructure returns a graph sharing g's dictionary with copied triple
 // slices, so the copy can be mutated (e.g. saturated) independently.
 func (g *Graph) CloneStructure() *Graph {
-	g.Ensure()
 	h := &Graph{dict: g.dict, vocab: g.vocab}
 	h.Data = append([]Triple(nil), g.Data...)
 	h.Types = append([]Triple(nil), g.Types...)
@@ -274,7 +194,6 @@ func (g *Graph) Dense() *Graph {
 	if !g.dict.IsOverlay() {
 		return g
 	}
-	g.Ensure()
 	out := NewGraph()
 	ids := make(map[dict.ID]dict.ID)
 	dense := func(id dict.ID) dict.ID {
@@ -301,7 +220,6 @@ func (g *Graph) Dense() *Graph {
 // All returns the concatenation of the three components. The returned
 // slice is freshly allocated.
 func (g *Graph) All() []Triple {
-	g.Ensure()
 	out := make([]Triple, 0, g.NumEdges())
 	out = append(out, g.Data...)
 	out = append(out, g.Types...)
@@ -342,7 +260,6 @@ func (g *Graph) CanonicalStrings() []string {
 // DistinctDataProperties returns the distinct properties of D_G, sorted.
 // Its length is |D_G|⁰p, the bound in Proposition 4.
 func (g *Graph) DistinctDataProperties() []dict.ID {
-	g.Ensure()
 	seen := make(map[dict.ID]bool)
 	for _, t := range g.Data {
 		seen[t.P] = true
@@ -353,7 +270,6 @@ func (g *Graph) DistinctDataProperties() []dict.ID {
 // DataNodes returns the set of data nodes per §2.1: every subject or
 // object of D_G plus every subject of T_G.
 func (g *Graph) DataNodes() map[dict.ID]bool {
-	g.Ensure()
 	nodes := make(map[dict.ID]bool)
 	for _, t := range g.Data {
 		nodes[t.S] = true
@@ -368,7 +284,6 @@ func (g *Graph) DataNodes() map[dict.ID]bool {
 // ClassNodes returns the set of class nodes per §2.1: every URI in the
 // object position of a T_G triple.
 func (g *Graph) ClassNodes() map[dict.ID]bool {
-	g.Ensure()
 	nodes := make(map[dict.ID]bool)
 	for _, t := range g.Types {
 		nodes[t.O] = true
@@ -380,7 +295,6 @@ func (g *Graph) ClassNodes() map[dict.ID]bool {
 // subject or object position of ≺sp triples, or the subject position of
 // ←↩d / ↪→r triples.
 func (g *Graph) PropertyNodes() map[dict.ID]bool {
-	g.Ensure()
 	nodes := make(map[dict.ID]bool)
 	for _, t := range g.Schema {
 		switch t.P {
@@ -396,7 +310,6 @@ func (g *Graph) PropertyNodes() map[dict.ID]bool {
 
 // TypedNodes returns the set of subjects of T_G (the typed resources TR_G).
 func (g *Graph) TypedNodes() map[dict.ID]bool {
-	g.Ensure()
 	nodes := make(map[dict.ID]bool, len(g.Types))
 	for _, t := range g.Types {
 		nodes[t.S] = true

@@ -200,9 +200,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
-	h, err := ReadSnapshot(bytes.NewReader(f.b))
+	h, _, err := ReadGraph(bytes.NewReader(f.b))
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("ReadGraph: %v", err)
 	}
 	if !reflect.DeepEqual(g.CanonicalStrings(), h.CanonicalStrings()) {
 		t.Error("snapshot round trip changed the triple set")
@@ -217,17 +217,17 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	// Flip a byte inside the first section's payload.
 	corrupt := append([]byte(nil), raw...)
 	corrupt[v2PageSize+1] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
-		t.Error("ReadSnapshot accepted a corrupted snapshot")
+	if _, _, err := ReadGraph(bytes.NewReader(corrupt)); err == nil {
+		t.Error("ReadGraph accepted a corrupted snapshot")
 	}
 	// Truncated file.
-	if _, err := ReadSnapshot(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("ReadSnapshot accepted a truncated snapshot")
+	if _, _, err := ReadGraph(bytes.NewReader(raw[:len(raw)-3])); err == nil {
+		t.Error("ReadGraph accepted a truncated snapshot")
 	}
 	// Bad magic.
 	bad := append([]byte("NOTRDF"), raw[6:]...)
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
-		t.Error("ReadSnapshot accepted a bad magic")
+	if _, _, err := ReadGraph(bytes.NewReader(bad)); err == nil {
+		t.Error("ReadGraph accepted a bad magic")
 	}
 }
 

@@ -463,7 +463,7 @@ func OpenLive(dir string, opts *LiveOptions) (*Live, error) { return live.Open(d
 // same concurrency model — epoch snapshots, incremental summaries —
 // without durability. The graph is adopted, not copied. Of opts (nil =
 // defaults) only Maintain applies; the rest needs a directory.
-func NewLive(g *Graph, opts *LiveOptions) *Live { return live.New(g, opts) }
+func NewLive(g *Graph, opts *LiveOptions) *Live { return live.New(g, nil, opts) }
 
 // LiveHasState reports whether dir already holds an initialized live
 // store, i.e. whether OpenLive would ignore a Seed.
