@@ -1,5 +1,6 @@
-# The targets here are exactly what CI runs (.github/workflows/ci.yml),
-# so a green `make check` locally means a green build.
+# The targets here are exactly what CI runs (.github/workflows/ci.yml).
+# `make check` runs every CI job but one, the fuzz job (`make fuzz`), so a
+# green `make check` locally means a green build up to fuzzing.
 
 GO ?= go
 
@@ -153,7 +154,7 @@ stress: replication-smoke
 		-run 'TestLiveStress|TestLiveMaintainedStress|TestLiveIngestDuringConcurrentQueries|TestLiveCrashRecoveryPrefix|TestLiveSnapshotAcrossCompactStress|TestLiveIngestQueueBackpressureStress|TestIngestQueue|TestIngestBackpressure429|TestFollower' \
 		./internal/live ./cmd/rdfsumd ./internal/repl
 
-# Two-process replication smoke (mirrored as a CI step): leader ingests,
+# Two-process replication smoke (run by stress, so by CI): leader ingests,
 # follower bootstraps + tails to lag 0, query results match on both
 # sides, deletes and a compaction converge.
 replication-smoke:
@@ -171,7 +172,8 @@ ingest-smoke:
 # parsed triples, term for term, ID for ID and component for component;
 # malformed input fails both on the same line); the WAL record
 # decoder/replayer; and the snapshot graph decode (header counts and
-# component/vocabulary payloads, checksums resealed), each seeded from the
+# component, vocabulary, dictionary and column payloads, checksums
+# resealed; a graph it returns is served in full), each seeded from the
 # committed corpus under the package's testdata/fuzz/ directory.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
@@ -202,7 +204,7 @@ cover-check:
 		fi; \
 	done; rm -f .cover.tmp; exit $$fail
 
-check: build vet fmt-check race obs-check est-check bench-unit stress ingest-smoke test-nommap bench-smoke cover-check
+check: build lint fmt-check race obs-check est-check bench-unit stress ingest-smoke test-nommap bench-smoke cover-check
 
 # Lines of non-test Go outside benchmark/ (its own module) and hidden
 # directories: the size figure ROADMAP.md and CHANGES.md quote.

@@ -81,8 +81,6 @@ func main() {
 	noSync := flag.Bool("no-fsync", false, "skip the per-batch fsync (faster ingest, weaker durability)")
 	maintain := flag.String("maintain", "weak",
 		"summary kinds kept incrementally current during ingest: a comma list of kinds, \"all\", or \"none\"")
-	verifySnap := flag.Bool("verify-snapshot", false,
-		"eagerly CRC-check every snapshot section at open instead of lazily on first touch")
 	queueDepth := flag.Int("ingest-queue-depth", 0,
 		"max batches buffered in the ingest queue before 429 (0 = default 256)")
 	queueBytes := flag.Int64("ingest-queue-bytes", 0,
@@ -120,7 +118,6 @@ func main() {
 		follow:     *follow,
 		noSync:     *noSync,
 		maintain:   maintained,
-		verifySnap: *verifySnap,
 		queueDepth: *queueDepth,
 		queueBytes: *queueBytes,
 		logger:     logger,

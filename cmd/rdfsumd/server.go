@@ -98,7 +98,6 @@ type serverConfig struct {
 	follow     string // leader base URL; makes this a read replica
 	noSync     bool
 	maintain   []rdfsum.Kind
-	verifySnap bool  // eager snapshot CRC verification at open
 	queueDepth int   // ingest queue batch bound (0 = default)
 	queueBytes int64 // ingest queue byte budget (0 = default)
 
@@ -160,7 +159,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		bootLoad = time.Since(t0)
 	}
 	opts := &rdfsum.LiveOptions{
-		NoSync: cfg.noSync, Seed: seed, Maintain: cfg.maintain, VerifySnapshot: cfg.verifySnap,
+		NoSync: cfg.noSync, Seed: seed, Maintain: cfg.maintain,
 	}
 	var lv *rdfsum.Live
 	if cfg.liveDir != "" {

@@ -10,8 +10,8 @@
 // per term points at it, Term rebuilds the rdf.Term as substrings of the
 // key, and the term → ID direction is an open-addressed table of 8-byte
 // slots holding IDs, not keys. A dictionary layered over a mapped base
-// (WithBase) finds the base's terms through the same table, filled by one
-// sequential pass over the base's pages on the first probe.
+// (WithBase) finds the base's terms through the same table, filled when
+// it is built by one checked pass over the base's pages.
 //
 // An overlay (see Overlay) extends a dictionary without writing to it:
 // the terms it adds get IDs from a range the extended dictionary never
@@ -19,9 +19,9 @@
 package dict
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"rdfsum/internal/rdf"
 )
@@ -41,12 +41,11 @@ const None ID = 0
 // read-write lock; the live subsystem uses this so snapshot readers can
 // decode and look up terms while the single writer interns new ones.
 type Dict struct {
-	mu          *sync.RWMutex // nil until Share; guards recs, index and keyBytes when set
-	base        *Mapped       // optional read-only layer holding IDs 1..baseLen
-	baseIndexed atomic.Bool   // the base's IDs are in index
-	recs        []rec         // recs[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
-	index       termIndex     // every ID of this layer: recs', and the base's once baseIndexed
-	keyBytes    int           // total len of the recs' keys
+	mu       *sync.RWMutex // nil until Share; guards recs, index and keyBytes when set
+	base     *Mapped       // optional read-only layer holding IDs 1..baseLen
+	recs     []rec         // recs[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
+	index    termIndex     // every ID of this layer: the base's and recs'
+	keyBytes int           // total len of the recs' keys
 
 	// Overlays only (see overlay.go): the dictionary this one extends,
 	// its layer number (under's + 1) and the layer's ID prefix.
@@ -60,10 +59,39 @@ func New() *Dict { return &Dict{} }
 
 // WithBase returns a dictionary layered over a mapped read-only base:
 // IDs 1..base.Len() resolve through the base (zero-copy, decoded on
-// demand), and newly interned terms get IDs from base.Len()+1 up. The
-// first Encode or Lookup enters the base's IDs into the index, reading
-// the base's pages once; until then the base costs no heap.
-func WithBase(m *Mapped) *Dict { return &Dict{base: m} }
+// demand), and newly interned terms get IDs from base.Len()+1 up. It
+// enters the base's IDs into the index now, in one sequential walk over
+// the base's pages that hashes each term as Encode would, and fails on
+// pages the walk cannot decode, on a directory entry that is not where
+// its block begins, on a term the base holds twice, and on a sorted
+// permutation entry naming no term (a compaction's merge decodes them).
+func WithBase(m *Mapped) (*Dict, error) {
+	d := &Dict{base: m}
+	d.index.reserve(m.n)
+	var value []byte
+	c := cursor{m: m}
+	for c.i < m.n {
+		if b := c.i / BlockTerms; c.i%BlockTerms == 0 && m.blockStart(b) != c.pos {
+			return nil, fmt.Errorf("dict: directory places block %d at offset %d, its terms begin at %d", b, m.blockStart(b), c.pos)
+		}
+		if value = c.next(value); c.err != nil {
+			return nil, c.err
+		}
+		if id := binary.LittleEndian.Uint32(m.sorted[(c.i-1)*4:]); id == 0 || int(id) > m.n {
+			return nil, fmt.Errorf("dict: sorted position %d holds unknown id %d", c.i-1, id)
+		}
+		t := c.term(value)
+		h := termHash(t)
+		if id, dup := d.find(t, h); dup {
+			return nil, fmt.Errorf("dict: terms %d and %d are both %v", id, c.i, t)
+		}
+		d.index.insert(h, ID(c.i))
+	}
+	if c.pos != len(m.pages) {
+		return nil, fmt.Errorf("dict: %d bytes after the last term's", len(m.pages)-c.pos)
+	}
+	return d, nil
+}
 
 // Share switches d into shared mode: from now on every method is safe for
 // concurrent use by multiple goroutines. The switch itself must happen
@@ -84,7 +112,6 @@ func (d *Dict) Encode(t rdf.Term) ID {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 	}
-	d.indexBase(false) //nolint:errcheck // fails only when asked to check
 	if id, ok := d.find(t, h); ok {
 		return id
 	}
@@ -105,45 +132,6 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	d.keyBytes += len(r.key)
 	d.index.insert(h, id)
 	return id
-}
-
-// indexBase enters the mapped base's IDs into the index if they are not
-// there yet: one sequential walk over the base's pages, hashing each term
-// as Encode would. With unique set it also probes for each term before
-// entering it, and fails on one the base already holds under a lower ID.
-// The caller holds the write lock.
-func (d *Dict) indexBase(unique bool) error {
-	if d.base == nil || d.baseIndexed.Load() {
-		return nil
-	}
-	m := d.base
-	d.index.reserve(m.Len() + len(d.recs))
-	m.touch()
-	var value []byte
-	for c := m.cursorAt(0); c.i < m.n; {
-		value = c.next(value)
-		t := c.term(value)
-		h := termHash(t)
-		if unique {
-			if id, dup := d.find(t, h); dup {
-				return fmt.Errorf("dict: terms %d and %d are both %v", id, c.i, t)
-			}
-		}
-		d.index.insert(h, ID(c.i))
-	}
-	d.baseIndexed.Store(true)
-	return nil
-}
-
-// IndexBase enters the mapped base's IDs into the index now, not at the
-// first probe, and fails if two of them name one term: the check a base
-// read off the network gets. After a failure d must not be used.
-func (d *Dict) IndexBase() error {
-	if d.mu != nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-	}
-	return d.indexBase(true)
 }
 
 // find returns the ID of t, whose key hashes to h, if d's own layer holds
@@ -194,16 +182,6 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) { return d.lookup(t, termHash(t)) }
 
 // lookup is Lookup of t, whose key hashes to h.
 func (d *Dict) lookup(t rdf.Term, h uint64) (ID, bool) {
-	if d.base != nil && !d.baseIndexed.Load() {
-		// Filling the index writes it: the first lookup takes the write lock.
-		if d.mu != nil {
-			d.mu.Lock()
-		}
-		d.indexBase(false) //nolint:errcheck // fails only when asked to check
-		if d.mu != nil {
-			d.mu.Unlock()
-		}
-	}
 	if d.mu != nil {
 		d.mu.RLock()
 	}
@@ -267,9 +245,8 @@ func (d *Dict) Len() int {
 
 // MemoryBytes is the heap the dictionary's own layer holds, computed from
 // its lengths: key bytes + 24-byte records + the index's 8-byte slots,
-// which include a mapped base's IDs once a probe has entered them. The
-// base's pages are file-backed and an overlay's base is another
-// dictionary's: neither is counted.
+// which include a mapped base's IDs. The base's pages are file-backed
+// and an overlay's base is another dictionary's: neither is counted.
 func (d *Dict) MemoryBytes() int64 {
 	if d.mu != nil {
 		d.mu.RLock()

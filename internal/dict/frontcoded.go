@@ -94,10 +94,6 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err 
 
 	if bl > 0 {
 		m := d.base
-		m.touch()
-		if m.TouchSorted != nil {
-			m.TouchSorted()
-		}
 		full := bl / BlockTerms
 		cut := len(m.pages)
 		if full*BlockTerms < bl {
@@ -111,7 +107,9 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err 
 		next = full * BlockTerms
 		var value []byte
 		for c := m.cursorAt(next); c.i < bl; {
-			value = c.next(value)
+			if value = c.next(value); c.err != nil {
+				return 0, nil, nil, c.err
+			}
 			if err := write(c.term(value)); err != nil {
 				return 0, nil, nil, err
 			}
@@ -158,19 +156,13 @@ func commonPrefix(a []byte, b string) int {
 // Mapped is a read-only dictionary served directly from the byte
 // sections of a v2 snapshot (typically mmap'd). Safe for concurrent use.
 // It decodes terms by ID; the term → ID direction is a Dict's index over
-// it (WithBase).
+// it (WithBase), whose building walk checks the pages and the directory.
 type Mapped struct {
 	pages  []byte
 	dir    []byte
 	sorted []byte
 	n      int
 
-	// Touch, when set, runs before any access that reads the pages or the
-	// directory, and TouchSorted before one that reads the sorted
-	// permutation (only WriteFrontCoded's merge does); the store layer
-	// hooks lazy per-section CRC verification here without this package
-	// knowing about snapshot containers.
-	Touch, TouchSorted func()
 	// Owner is kept reachable for as long as m is: the store layer hangs
 	// the mapping the sections live in here, so that they stay mapped
 	// while the dictionary can read them.
@@ -178,7 +170,8 @@ type Mapped struct {
 }
 
 // NewMapped wraps the three dictionary sections holding n terms. It
-// validates section framing (not content — that is the CRC's job).
+// checks their lengths only, so it costs nothing per term; WithBase
+// walks the pages and checks the rest.
 func NewMapped(pages, dir, sorted []byte, n int) (*Mapped, error) {
 	nBlocks := (n + BlockTerms - 1) / BlockTerms
 	if len(dir) != nBlocks*8 {
@@ -192,12 +185,6 @@ func NewMapped(pages, dir, sorted []byte, n int) (*Mapped, error) {
 
 // Len reports the number of terms.
 func (m *Mapped) Len() int { return m.n }
-
-func (m *Mapped) touch() {
-	if m.Touch != nil {
-		m.Touch()
-	}
-}
 
 // Term decodes the term interned under id: one walk from its block's
 // head, and one allocation for the term's strings. It panics on an
@@ -226,10 +213,12 @@ func (m *Mapped) decode(id ID, buf []byte) rdf.Term {
 	if id == None || int(id) > m.n {
 		panic(fmt.Sprintf("dict: unknown id %d (mapped dictionary holds %d terms)", id, m.n))
 	}
-	m.touch()
 	c := m.cursorAt(int(id - 1))
-	for c.i < int(id) {
+	for c.i < int(id) && c.err == nil {
 		buf = c.next(buf)
+	}
+	if c.err != nil { // pages WithBase did not check: a store bug
+		panic(c.err)
 	}
 	return c.term(buf)
 }
@@ -238,7 +227,7 @@ func (m *Mapped) decode(id ID, buf []byte) rdf.Term {
 // lo on sort before t, which the base does not hold. Each probe decodes a
 // block, and consecutive new terms usually land close together, so it
 // gallops — probes lo, lo+1, lo+3, lo+7, … — before it bisects: O(log
-// gap) probes, not O(log n). The caller has run Touch and TouchSorted.
+// gap) probes, not O(log n).
 func (m *Mapped) sortedRank(lo int, t rdf.Term) int {
 	var scratch [256]byte
 	beyond := func(k int) bool { // the term at sorted position lo+k sorts after t
@@ -283,10 +272,11 @@ type cursor struct {
 	pos      int          // the next term's offset into the pages
 	kind     rdf.TermKind // the last term's kind
 	dt, lang string       // and its literal fields, as views of the pages
+	err      error        // set on a malformed term; what is decoded after it is garbage
 }
 
 // cursorAt returns a cursor at the head of the block holding 0-based
-// index i. The caller has run Touch.
+// index i.
 func (m *Mapped) cursorAt(i int) cursor {
 	b := i / BlockTerms
 	c := cursor{m: m, i: b * BlockTerms}
@@ -298,23 +288,24 @@ func (m *Mapped) cursorAt(i int) cursor {
 
 // next decodes the next term, building its value in buf, which holds the
 // previous term's (nothing, at a block head), and returns the value.
-// Malformed pages panic — the bytes are CRC-verified before first decode,
-// so this indicates memory corruption or a store-layer bug, not a bad
-// file.
+// Malformed pages — a term cut by their end, an unknown kind, a prefix
+// longer than the previous value — set c.err, which the caller checks.
 func (c *cursor) next(buf []byte) []byte {
 	p := c.m.pages
+	if c.pos >= len(p) || p[c.pos] == byte(rdf.Invalid) || p[c.pos] > byte(rdf.Literal) {
+		c.err = fmt.Errorf("dict: term %d has no kind byte at offset %d of the pages", c.i+1, c.pos)
+		return buf
+	}
 	c.kind = rdf.TermKind(p[c.pos])
 	c.pos++
 	lcp := 0
 	if c.i%BlockTerms != 0 {
-		lcp = c.uvarint()
-		if lcp > len(buf) {
-			panic(fmt.Sprintf("dict: term %d shares %d bytes with a %d-byte predecessor", c.i+1, lcp, len(buf)))
+		if lcp = c.uvarint(); lcp > len(buf) {
+			c.err = fmt.Errorf("dict: term %d shares %d bytes with a %d-byte predecessor", c.i+1, lcp, len(buf))
+			return buf
 		}
 	}
-	n := c.uvarint()
-	buf = append(buf[:lcp], p[c.pos:c.pos+n]...)
-	c.pos += n
+	buf = append(buf[:lcp], c.run()...)
 	c.dt, c.lang = "", ""
 	if c.kind == rdf.Literal {
 		c.dt = c.field()
@@ -330,21 +321,34 @@ func (c *cursor) term(value []byte) rdf.Term {
 	return rdf.Term{Kind: c.kind, Value: unsafe.String(unsafe.SliceData(value), len(value)), Datatype: c.dt, Lang: c.lang}
 }
 
-// uvarint reads one uvarint at c.pos.
+// uvarint reads one uvarint at c.pos; a cut one, or one past any length
+// the pages hold, reads as 0 and sets c.err.
 func (c *cursor) uvarint() int {
 	v, w := binary.Uvarint(c.m.pages[c.pos:])
-	if w <= 0 {
-		panic(fmt.Sprintf("dict: cut varint at offset %d of the mapped pages", c.pos))
+	if w <= 0 || v > uint64(len(c.m.pages)) {
+		c.err = fmt.Errorf("dict: term %d has a bad varint at offset %d of the pages", c.i+1, c.pos)
+		return 0
 	}
 	c.pos += w
 	return int(v)
 }
 
+// run reads a uvarint length and the bytes it counts, as a view of the
+// pages; a run the pages cut reads as empty and sets c.err.
+func (c *cursor) run() []byte {
+	n := c.uvarint()
+	if n > len(c.m.pages)-c.pos {
+		c.err = fmt.Errorf("dict: term %d runs past the pages' end", c.i+1)
+		return nil
+	}
+	r := c.m.pages[c.pos : c.pos+n]
+	c.pos += n
+	return r
+}
+
 // field reads one length-prefixed literal field at c.pos, as a view of
 // the pages.
 func (c *cursor) field() string {
-	n := c.uvarint()
-	f := c.m.pages[c.pos : c.pos+n]
-	c.pos += n
-	return unsafe.String(unsafe.SliceData(f), n)
+	f := c.run()
+	return unsafe.String(unsafe.SliceData(f), len(f))
 }

@@ -28,10 +28,10 @@
 //     maintained summary shrinks exactly where the engine's bookkeeping
 //     is refcounted; otherwise its kind is reseeded — a counted rebuild —
 //     at its next Summary call.
-//   - The graph is always decoded: a durable store reads its
-//     generation snapshot's vocabulary and components into the writer
-//     graph at Open, checking their checksums, while the dictionary and
-//     the column runs stay on the file's pages.
+//   - The graph is always decoded: a durable store checks every section
+//     checksum of its generation snapshot at Open and reads its
+//     vocabulary and components into the writer graph, while the
+//     dictionary and the column runs stay on the file's pages.
 //   - The published index is tiered (see store.Index). A durable store's
 //     base run is its generation's snapshot file, served from the mapping
 //     after a seeded boot, a reopen and every Compact; a memory-only
@@ -42,9 +42,9 @@
 //     bound read amplification. Compaction is the only way runs leave the
 //     heap: the next generation's mapped snapshot becomes the whole index.
 //   - Compact writes the graph as the next generation's snapshot, maps
-//     it, swaps generations through a CURRENT manifest — so recovery
-//     always sees a consistent (snapshot, log) pair — and publishes the
-//     new file's runs as the whole index.
+//     and checks it, swaps generations through a CURRENT manifest — so
+//     recovery always sees a consistent (snapshot, log) pair — and
+//     publishes the new file's runs as the whole index.
 //
 // On-disk layout of a live directory:
 //
@@ -90,12 +90,6 @@ type Options struct {
 	// maintains the weak summary only — the PR-3 behavior; an explicit
 	// empty slice maintains nothing. Unmaintained kinds rebuild lazily.
 	Maintain []core.Kind
-	// VerifySnapshot forces eager verification of every v2 snapshot
-	// section checksum at Open (paranoia mode). The default verifies the
-	// header, the TOC and the sections Open decodes (vocabulary and
-	// components) at open, and the dictionary and column sections lazily
-	// on first touch.
-	VerifySnapshot bool
 }
 
 // maintainOrDefault resolves the Maintain option: nil means weak-only.
@@ -226,11 +220,12 @@ func (l *Live) bootGraph(g *store.Graph, base *store.SnapshotFile, kinds []core.
 	return l.bootIndex(base), nil
 }
 
-// Open opens (or initializes) a durable live store in dir: it maps the
-// current generation's snapshot and decodes its graph components into the
-// writer graph (a corrupt one fails the Open), serves the file's columns
-// as the index's base, replays the WAL over it — truncating a torn tail,
-// so exactly the acknowledged batches come back — and publishes epoch 1.
+// Open opens (or initializes) a durable live store in dir: it maps and
+// checks the current generation's snapshot and decodes its graph
+// components into the writer graph (a corrupt one fails the Open), serves
+// the file's columns as the index's base, replays the WAL over it —
+// truncating a torn tail, so exactly the acknowledged batches come back —
+// and publishes epoch 1.
 // A fresh directory is first laid out as generation 1 from opts.Seed, and
 // then opened the same way. A nil opts selects the defaults.
 func Open(dir string, opts *Options) (*Live, error) {
@@ -266,7 +261,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 	switch _, statErr := os.Stat(snapPath); {
 	case statErr == nil:
 		t0 := time.Now()
-		if g, sf, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot); err != nil {
+		if g, sf, err = store.OpenGraphFile(snapPath); err != nil {
 			return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, err)
 		}
 		l.boot.Decode = time.Since(t0)
@@ -717,8 +712,8 @@ func (l *Live) compactLocked() error {
 	}
 	// Under l.mu the published epoch is the writer's head, so the writer
 	// graph's triples are exactly what it serves. The new file is mapped
-	// before anything points at it: if it cannot be opened, the
-	// compaction fails here and the published epoch keeps serving the
+	// and checked before anything points at it: if it cannot be opened,
+	// the compaction fails here and the published epoch keeps serving the
 	// old generation.
 	newGen := l.gen + 1
 	if err := l.writeSnapshotFile(newGen, l.graph()); err != nil {
@@ -799,10 +794,10 @@ type snapshotFile interface {
 // writeSnapshotFile a file whose writes fail.
 var createSnapshotFile = func(path string) (snapshotFile, error) { return os.Create(path) }
 
-// openSnapshotFile maps a snapshot the store has just written; a variable
-// so that a test can make the open fail.
+// openSnapshotFile maps and checks a snapshot the store has just
+// written; a variable so that a test can make the open fail.
 var openSnapshotFile = func(path string) (*store.SnapshotFile, error) {
-	return store.OpenSnapshotFile(path, false)
+	return store.OpenSnapshotFile(path, true)
 }
 
 // writeSnapshotFile durably writes g as gen's base snapshot via tmp +

@@ -19,8 +19,7 @@ import (
 )
 
 // TestLiveCompactWritesV2: Compact rewrites the base snapshot in the v2
-// container format, and a reopened store — with and without eager
-// verification — serves the identical graph.
+// container format, and a reopened store serves the identical graph.
 func TestLiveCompactWritesV2(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, nil)
@@ -50,16 +49,13 @@ func TestLiveCompactWritesV2(t *testing.T) {
 		t.Fatalf("Compact wrote snapshot v%d, want v2", info.Version)
 	}
 
-	want := canonical(store.FromTriples(fed))
-	for _, verify := range []bool{false, true} {
-		l2, err := Open(dir, &Options{VerifySnapshot: verify})
-		if err != nil {
-			t.Fatalf("reopen (verify=%v): %v", verify, err)
-		}
-		if !reflect.DeepEqual(canonical(l2.Snapshot().Graph), want) {
-			t.Fatalf("reopened store (verify=%v) diverges from the ingested triples", verify)
-		}
-		l2.Close()
+	l2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if !reflect.DeepEqual(canonical(l2.Snapshot().Graph), canonical(store.FromTriples(fed))) {
+		t.Fatal("reopened store diverges from the ingested triples")
 	}
 }
 
@@ -143,12 +139,15 @@ func TestReopenCountsGraphBytes(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesCorruptGraphSection: Open decodes the generation
-// snapshot's vocabulary and components, so a flipped byte in any of them
-// fails the Open with ErrSnapshotChecksum — whatever kinds it maintains —
-// rather than panicking on first use.
+// TestOpenRefusesCorruptGraphSection: Open checks every section of the
+// generation snapshot, so a flipped byte in any of the ten fails the Open
+// with ErrSnapshotChecksum — whatever kinds it maintains — rather than
+// panicking on first use.
 func TestOpenRefusesCorruptGraphSection(t *testing.T) {
-	for _, name := range []string{"comp-data", "comp-types", "comp-schema", "vocab"} {
+	for _, name := range []string{
+		"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types",
+		"comp-schema", "col-spo", "col-pos", "col-osp", "vocab",
+	} {
 		for _, maintain := range [][]core.Kind{nil, {}} {
 			dir := t.TempDir()
 			seed := store.FromTriples(append(mkBatch(0, 100), rdf.NewTriple(
@@ -186,6 +185,60 @@ func TestOpenRefusesCorruptGraphSection(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompactRefusesCorruptSnapshot: a compaction checks the snapshot it
+// wrote before anything points at it. A byte that reaches the file other
+// than as the writer checksummed it fails the Compact with
+// ErrSnapshotChecksum, and the store serves on from its old generation.
+func TestCompactRefusesCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	fed := mkBatch(0, 200)
+	l, err := Open(dir, &Options{Seed: store.FromTriples(fed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	orig := createSnapshotFile
+	defer func() { createSnapshotFile = orig }()
+	createSnapshotFile = func(path string) (snapshotFile, error) {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		return &flipFile{File: f}, nil
+	}
+	b := mkBatch(1000, 30)
+	fed = append(fed, b...)
+	if err := l.AddBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(); !errors.Is(err, store.ErrSnapshotChecksum) {
+		t.Fatalf("Compact over a corrupted write returned %v, want ErrSnapshotChecksum", err)
+	}
+	if l.Stats().Gen != 1 {
+		t.Fatalf("the refused compaction moved the store to generation %d", l.Stats().Gen)
+	}
+	if got := canonical(l.Snapshot().Graph); !reflect.DeepEqual(got, canonical(store.FromTriples(fed))) {
+		t.Fatal("the store serves other triples after the refused compaction")
+	}
+}
+
+// flipFile flips the first byte of a snapshot's first section — the page
+// after the header's — on its way to the file.
+type flipFile struct {
+	*os.File
+	off int64
+}
+
+func (f *flipFile) Write(p []byte) (int, error) {
+	if at := 4096 - f.off; at >= 0 && at < int64(len(p)) {
+		p = append([]byte(nil), p...)
+		p[at] ^= 0x40
+	}
+	n, err := f.File.Write(p)
+	f.off += int64(n)
+	return n, err
 }
 
 // TestOpenRemovesLeftoverSpill: a spill/ directory — the index-run files
@@ -307,7 +360,8 @@ func TestCompactFailsCleanlyWhenSnapshotUnopenable(t *testing.T) {
 	}
 	manifest, wal, served := read(manifestName), read("wal-1.log"), l.Snapshot()
 
-	defer func(orig func(string) (*store.SnapshotFile, error)) { openSnapshotFile = orig }(openSnapshotFile)
+	orig := openSnapshotFile
+	defer func() { openSnapshotFile = orig }()
 	openSnapshotFile = func(string) (*store.SnapshotFile, error) { return nil, errInjected }
 	if err := l.Compact(); !errors.Is(err, errInjected) {
 		t.Fatalf("Compact with an unopenable snapshot returned %v, want the open's error", err)
@@ -324,7 +378,7 @@ func TestCompactFailsCleanlyWhenSnapshotUnopenable(t *testing.T) {
 		}
 	}
 
-	openSnapshotFile = func(path string) (*store.SnapshotFile, error) { return store.OpenSnapshotFile(path, false) }
+	openSnapshotFile = orig
 	b = mkBatch(2000, 30)
 	fed = append(fed, b...)
 	if err := l.AddBatch(b); err != nil {

@@ -31,8 +31,8 @@ import (
 // Scans decode blocks sequentially from the skip index's offsets. Range
 // lookups binary-search in-memory fences (one every fenceTriples triples,
 // derived by one pass over the column at its first lookup — they are not
-// on disk) and decode at most fenceTriples-1 triples past one. Nothing is
-// materialized at open time.
+// on disk — or by ReadGraph's) and decode at most fenceTriples-1
+// triples past one. Nothing is materialized at open time.
 
 // colBlockTriples is the number of triples per block: large enough that
 // the skip index stays sparse (20 bytes per 512 triples ≈ 0.3% overhead).
@@ -123,7 +123,6 @@ type mappedCol struct {
 	ord     Order
 	n       int
 	nBlocks int
-	sec     *section // lazy per-section CRC verification on first touch
 	payload []byte
 	file    *mapping // keeps payload mapped while the column is reachable
 
@@ -132,15 +131,13 @@ type mappedCol struct {
 }
 
 // openCol validates the payload framing and returns the column view.
-// wantLen < 0 skips the length cross-check.
-func openCol(ord Order, sec *section, wantLen int, file *mapping) (*mappedCol, error) {
-	payload := sec.raw
+func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*mappedCol, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("%w: column %v section only %d bytes", ErrSnapshotCorrupt, ord, len(payload))
 	}
 	n := int(binary.LittleEndian.Uint32(payload[0:4]))
 	nBlocks := int(binary.LittleEndian.Uint32(payload[4:8]))
-	if wantLen >= 0 && n != wantLen {
+	if n != wantLen {
 		return nil, fmt.Errorf("%w: column %v holds %d triples, header says %d", ErrSnapshotCorrupt, ord, n, wantLen)
 	}
 	wantBlocks := (n + colBlockTriples - 1) / colBlockTriples
@@ -148,7 +145,7 @@ func openCol(ord Order, sec *section, wantLen int, file *mapping) (*mappedCol, e
 		return nil, fmt.Errorf("%w: column %v skip index truncated (%d blocks for %d triples)",
 			ErrSnapshotCorrupt, ord, nBlocks, n)
 	}
-	return &mappedCol{ord: ord, n: n, nBlocks: nBlocks, sec: sec, payload: payload, file: file}, nil
+	return &mappedCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}, nil
 }
 
 func (m *mappedCol) Len() int { return m.n }
@@ -173,10 +170,8 @@ func (m *mappedCol) blockOff(b int) int {
 }
 
 // step decodes the key after k from the varints at payload[pos:] and
-// returns the position past them. A cut varint in a section whose CRC
-// passed is a writer bug or a memory fault, and panics like the lazy
-// checks do.
-func (m *mappedCol) step(k *colKey, pos int) int {
+// returns the position past them, or an error if the payload cuts them.
+func (m *mappedCol) step(k *colKey, pos int) (int, error) {
 	var d [3]uint64
 	for j := range d {
 		if pos < len(m.payload) && m.payload[pos] < 0x80 { // one-byte varint: most deltas
@@ -185,20 +180,64 @@ func (m *mappedCol) step(k *colKey, pos int) int {
 		}
 		v, w := binary.Uvarint(m.payload[pos:])
 		if w <= 0 {
-			panic(corruptionPanic(fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, m.ord, pos)))
+			return pos, fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, m.ord, pos)
 		}
 		d[j], pos = v, pos+w
 	}
 	k[0] += dict.ID(d[0])
 	k[1] = dict.ID(int64(k[1]) + unzigzag(d[1]))
 	k[2] = dict.ID(int64(k[2]) + unzigzag(d[2]))
-	return pos
+	return pos, nil
+}
+
+// must returns v, or panics with err as a corruption for the column
+// readers, which have no error return.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(corruptionPanic(err))
+	}
+	return v
 }
 
 func (k colKey) sortKey() sortKey { return packKey(k[0], k[1], k[2]) }
 
+// walk decodes the whole column once, through step, and returns its
+// fences. It fails on a block that does not begin where the one before
+// it ends (the first just past the skip index, the last ending the
+// payload), on a cut varint, and on an ID outside 1..maxID.
+func (m *mappedCol) walk(maxID dict.ID) (fs []fence, err error) {
+	fs = make([]fence, 0, (m.n+fenceTriples-1)/fenceTriples)
+	pos := 8 + m.nBlocks*colSkipEntryBytes
+	for b := 0; b < m.nBlocks; b++ {
+		start := m.blockOff(b)
+		if start != pos {
+			return nil, fmt.Errorf("%w: column %v block %d at byte %d, not %d", ErrSnapshotCorrupt, m.ord, b, start, pos)
+		}
+		k := m.first(b)
+		for i := b * colBlockTriples; i < min(m.n, (b+1)*colBlockTriples); i++ {
+			if i > b*colBlockTriples {
+				if pos, err = m.step(&k, pos); err != nil {
+					return nil, err
+				}
+			}
+			for _, id := range k {
+				if id == 0 || id > maxID {
+					return nil, fmt.Errorf("%w: column %v triple %d references unknown term id %d", ErrSnapshotCorrupt, m.ord, i, id)
+				}
+			}
+			if i%fenceTriples == 0 {
+				fs = append(fs, fence{key: k, off: uint32(pos - start)})
+			}
+		}
+	}
+	if pos != len(m.payload) {
+		return nil, fmt.Errorf("%w: %d bytes after column %v's last triple", ErrSnapshotCorrupt, len(m.payload)-pos, m.ord)
+	}
+	return fs, nil
+}
+
 // fenceTable returns the column's fences, deriving them on first use by
-// one pass over the verified section.
+// one walk.
 func (m *mappedCol) fenceTable() []fence {
 	if fs := m.fences.Load(); fs != nil {
 		return *fs
@@ -208,20 +247,7 @@ func (m *mappedCol) fenceTable() []fence {
 	if fs := m.fences.Load(); fs != nil {
 		return *fs
 	}
-	m.sec.verifyLazy()
-	fs := make([]fence, 0, (m.n+fenceTriples-1)/fenceTriples)
-	for b := 0; b < m.nBlocks; b++ {
-		start := m.blockOff(b)
-		k, pos := m.first(b), start
-		for i := b * colBlockTriples; i < min(m.n, (b+1)*colBlockTriples); i++ {
-			if i > b*colBlockTriples {
-				pos = m.step(&k, pos)
-			}
-			if i%fenceTriples == 0 {
-				fs = append(fs, fence{key: k, off: uint32(pos - start)})
-			}
-		}
-	}
+	fs := must(m.walk(^dict.ID(0)))
 	m.fences.Store(&fs)
 	return fs
 }
@@ -251,7 +277,7 @@ func (m *mappedCol) Range(bound Triple, n int) (lo, hi int) {
 	hi, end := lo, min(m.n, (lo/fenceTriples+1)*fenceTriples)
 	for hi < end && !key.sortKey().reaches(kh, true) {
 		if hi++; hi < end {
-			pos = m.step(&key, pos)
+			pos = must(m.step(&key, pos))
 		}
 	}
 	if hi < end || hi == m.n {
@@ -287,7 +313,7 @@ func (m *mappedCol) search(fs []fence, from, to int, k sortKey, strict bool) (in
 		end := min(m.n, i+fenceTriples)
 		key, pos := m.at(fs, lo-1)
 		for i++; i < end; i++ {
-			pos = m.step(&key, pos)
+			pos = must(m.step(&key, pos))
 			if key.sortKey().reaches(k, strict) {
 				return i, key, pos
 			}
@@ -318,17 +344,16 @@ func (m *mappedCol) window(i, hi int, buf []Triple) []Triple {
 	var pos int
 	at := i - i%fenceTriples
 	if i%colBlockTriples == 0 {
-		m.sec.verifyLazy()
 		k, pos = m.first(b), m.blockOff(b)
 	} else {
 		k, pos = m.at(m.fenceTable(), i/fenceTriples)
 	}
 	for ; at < i; at++ {
-		pos = m.step(&k, pos)
+		pos = must(m.step(&k, pos))
 	}
 	buf = append(buf[:0], m.ord.unkey(k[0], k[1], k[2]))
 	for at++; at < end; at++ {
-		pos = m.step(&k, pos)
+		pos = must(m.step(&k, pos))
 		buf = append(buf, m.ord.unkey(k[0], k[1], k[2]))
 	}
 	return buf

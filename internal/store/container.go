@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync/atomic"
 )
 
 // Snapshot format v2: a page-aligned, sectioned container designed to be
@@ -26,10 +25,9 @@ import (
 //	  … page-aligned sections …
 //	  TOC at tocOff: sectionCount × { u8 id, u64 off, u64 len, u32 crc }
 //
-// Each section is independently CRC'd, so the open path verifies only
-// the 64-byte header and the TOC; section checksums are verified lazily,
-// on the first access that touches them (or eagerly with verify=true —
-// the -verify-snapshot paranoia mode).
+// Each section is independently CRC'd. Every open that serves a
+// snapshot checks the header, the TOC and then every section's checksum,
+// reading the sections through one small buffer (container.verify).
 const (
 	snapshotMagic   = "RDFSUM"
 	snapshotVersion = 2
@@ -82,20 +80,18 @@ func sectionName(id byte) string {
 	}
 }
 
-// section is one parsed TOC entry plus its raw bytes and lazy-verify
-// state.
+// section is one parsed TOC entry plus its raw bytes.
 type section struct {
-	id       byte
-	off, n   uint64
-	crc      uint32
-	raw      []byte
-	verified atomic.Bool
+	id     byte
+	off, n uint64
+	crc    uint32
+	raw    []byte
 }
 
-// corruption carries a detected-corruption error across a panic: lazy
-// CRC verification can fail deep inside zero-copy accessors that have no
-// error return (a design shared with mmap I/O itself, where a bad page
-// is a SIGBUS). The live layers treat it as fatal.
+// corruption carries an error across a panic out of a mapped column's
+// decoder, which has no error return: opens check what they serve, so
+// only a writer bug or a fault in mapped memory (a SIGBUS, for mmap I/O
+// itself) raises it. The live layers treat it as fatal.
 type corruption struct{ err error }
 
 func (c corruption) Error() string { return c.err.Error() }
@@ -103,36 +99,34 @@ func (c corruption) Unwrap() error { return c.err }
 
 func corruptionPanic(err error) error { return corruption{err: err} }
 
-// verifyLazy checks the section checksum on first touch. Subsequent calls
-// are a single atomic load. Panics with a corruption error on mismatch.
-func (s *section) verifyLazy() {
-	if s.verified.Load() {
-		return
+// verify checks every section's checksum in one pass over r, the
+// container's bytes, through one small buffer: reading the mapping would
+// fault into the resident set a file nothing else may read (a
+// compaction's new generation, whose dictionary the writer never reads).
+func (c *container) verify(r io.ReaderAt) error {
+	buf := make([]byte, containerChunk)
+	for _, s := range c.secOrder {
+		var crc uint32
+		for off := uint64(0); off < s.n; {
+			chunk := buf[:min(s.n-off, containerChunk)]
+			if _, err := r.ReadAt(chunk, int64(s.off+off)); err != nil {
+				return fmt.Errorf("section %s: %w", sectionName(s.id), truncatedOr(err))
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, chunk)
+			off += uint64(len(chunk))
+		}
+		if crc != s.crc {
+			return fmt.Errorf("%w: section %s (computed %08x, TOC carries %08x)",
+				ErrSnapshotChecksum, sectionName(s.id), crc, s.crc)
+		}
+		snapshotSectionsVerified.Inc()
 	}
-	if err := s.verify(); err != nil {
-		panic(corruptionPanic(err))
-	}
-}
-
-// verify checks the section checksum, records success, and returns a
-// sentinel-wrapped error on mismatch.
-func (s *section) verify() error {
-	if s.verified.Load() {
-		return nil
-	}
-	if got := crc32.ChecksumIEEE(s.raw); got != s.crc {
-		return fmt.Errorf("%w: section %s (computed %08x, TOC carries %08x)",
-			ErrSnapshotChecksum, sectionName(s.id), got, s.crc)
-	}
-	s.verified.Store(true)
-	snapshotSectionsVerified.Inc()
 	return nil
 }
 
 // container is a parsed v2 snapshot file.
 type container struct {
-	data     []byte
-	file     *mapping // owns data when it is a mapped file; nil for heap bytes
+	file     *mapping // owns the bytes
 	nTerms   uint64
 	nData    uint64
 	nTypes   uint64
@@ -152,13 +146,12 @@ func (c *container) section(id byte) (*section, error) {
 }
 
 // parseContainer validates the header and TOC of a v2 file held in data
-// (mmap'd or heap) and indexes its sections. With verify set, every
-// section checksum is checked now; otherwise sections verify lazily on
-// first touch. Its magic, version and header-CRC check is the one header
+// (mmap'd or heap) and indexes its sections; verify checks their
+// checksums. Its magic, version and header-CRC check is the one header
 // check behind every open: a file that does not begin with (a prefix of)
 // the magic is ErrSnapshotMagic, one cut inside the magic or the header
 // ErrSnapshotTruncated.
-func parseContainer(data []byte, verify bool) (*container, error) {
+func parseContainer(data []byte) (*container, error) {
 	if n := min(len(data), len(snapshotMagic)); string(data[:n]) != snapshotMagic[:n] {
 		return nil, ErrSnapshotMagic
 	}
@@ -176,7 +169,6 @@ func parseContainer(data []byte, verify bool) (*container, error) {
 			ErrSnapshotChecksum, got, binary.LittleEndian.Uint32(data[60:64]))
 	}
 	c := &container{
-		data:    data,
 		nTerms:  binary.LittleEndian.Uint64(data[16:24]),
 		nData:   binary.LittleEndian.Uint64(data[24:32]),
 		nTypes:  binary.LittleEndian.Uint64(data[32:40]),
@@ -219,11 +211,6 @@ func parseContainer(data []byte, verify bool) (*container, error) {
 		}
 		c.secs[s.id] = s
 		c.secOrder = append(c.secOrder, s)
-		if verify {
-			if err := s.verify(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return c, nil
 }

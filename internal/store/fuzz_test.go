@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"rdfsum/internal/dict"
+	"rdfsum/internal/rdf"
 )
 
 // FuzzReadGraph rebuilds a small snapshot with the fuzzer's component
-// counts and its own vocabulary and component payloads in place of the
-// graph's, seals every checksum over them, and requires ReadGraph to
-// return a graph holding the counted triples or an ErrSnapshot* error —
-// never to panic. The schema count is whatever makes the three sum to
-// the column count, wrapping around if it must, so every input passes the
-// column check and meets the decode.
+// counts and its own vocabulary, component, dictionary (pages, directory,
+// sorted permutation) and column payloads in place of the graph's, seals
+// every checksum over them, and requires ReadGraph to return a graph
+// holding the counted triples or an ErrSnapshot* error — never to panic —
+// and a graph it returns to serve without a panic (serveAll). The schema
+// count is whatever makes the three sum to the column count, wrapping
+// around if it must, so every input passes the column check and meets
+// the decode.
 //
 // The seed under testdata/fuzz/FuzzReadGraph is v2Sample unchanged; run
 // with `make fuzz` or:
@@ -20,13 +25,16 @@ import (
 //	go test -fuzz=FuzzReadGraph -fuzztime=30s -run='^$' ./internal/store
 func FuzzReadGraph(f *testing.F) {
 	_, sample := v2Sample(f)
-	c, err := parseContainer(sample, true)
+	c, err := parseVerified(sample)
 	if err != nil {
 		f.Fatal(err)
 	}
 	total := c.nData + c.nTypes + c.nSchema
-	f.Fuzz(func(t *testing.T, nData, nTypes uint64, data, types, schema, vocab []byte) {
-		fuzzed := map[byte][]byte{secCompData: data, secCompTypes: types, secCompSchema: schema, secVocab: vocab}
+	f.Fuzz(func(t *testing.T, nData, nTypes uint64, data, types, schema, vocab, pages, dir, sorted, spo, pos, osp []byte) {
+		fuzzed := map[byte][]byte{
+			secCompData: data, secCompTypes: types, secCompSchema: schema, secVocab: vocab,
+			secDictPages: pages, secDictDir: dir, secDictSorted: sorted, secColSPO: spo, secColPOS: pos, secColOSP: osp,
+		}
 		var file memFile
 		w := newContainerWriter(&file)
 		for _, s := range c.secOrder {
@@ -52,5 +60,36 @@ func FuzzReadGraph(f *testing.F) {
 		if sf == nil || uint64(len(g.Data)) != nData || uint64(len(g.Types)) != nTypes || uint64(len(g.Schema)) != nSchema {
 			t.Fatalf("graph of %d/%d/%d triples from counts %d/%d/%d", len(g.Data), len(g.Types), len(g.Schema), nData, nTypes, nSchema)
 		}
+		serveAll(g, sf)
 	})
+}
+
+// serveAll reads a graph ReadGraph returned the way a follower serves
+// it: every term decoded and looked up, every column scanned, and every
+// triple counted by each of its terms and found through an index over the
+// snapshot's columns; then it writes the graph with one new term, which
+// merges the new term into the snapshot's sorted permutation. It must not
+// panic.
+func serveAll(g *Graph, sf *SnapshotFile) {
+	d := g.Dict()
+	for id := 1; id <= d.Len(); id++ {
+		d.Lookup(d.Term(dict.ID(id)))
+	}
+	for o := Order(0); o < NumOrders; o++ {
+		col := sf.Runs().col(o)
+		for c := col.Cursor(0, col.Len()); c.Valid(); {
+			c.Next()
+		}
+	}
+	ix := NewIndexFromBase(sf.Runs())
+	for _, t := range scanAll(ix) {
+		ix.Count(t.S, dict.None, dict.None)
+		ix.Count(dict.None, t.P, dict.None)
+		ix.Count(dict.None, dict.None, t.O)
+		ix.Contains(t)
+	}
+	g.Add(rdf.NewTriple(rdf.NewIRI("http://x/new"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("new")))
+	if err := WriteSnapshotV2(&memFile{}, g, g.All(), nil); err != nil {
+		panic(err)
+	}
 }

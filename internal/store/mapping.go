@@ -1,6 +1,7 @@
 package store
 
 import (
+	"os"
 	"runtime"
 	"sync"
 )
@@ -31,9 +32,9 @@ func (u *unmapOnce) do() error {
 	return u.err
 }
 
-// openMapping maps path read-only.
-func openMapping(path string) (*mapping, error) {
-	data, unmap, err := mapFile(path)
+// openMapping maps f read-only.
+func openMapping(f *os.File) (*mapping, error) {
+	data, unmap, err := mapFile(f)
 	if err != nil {
 		return nil, err
 	}

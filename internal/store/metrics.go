@@ -12,7 +12,7 @@ var indexFoldSeconds = obs.Default.Histogram("rdfsum_index_fold_seconds",
 // rdfsumd merges this registry into /v1/metrics.
 var (
 	snapshotSectionsVerified = obs.Default.Counter("rdfsum_snapshot_sections_verified_total",
-		"Snapshot file sections whose CRC has been verified (lazily on first touch, or eagerly).")
+		"Snapshot file sections whose CRC has been verified (every section, at each open that serves a snapshot).")
 	snapshotOpensV2 = obs.Default.Counter("rdfsum_snapshot_opens_v2_total",
 		"Snapshot files opened in the v2 mapped format.")
 )

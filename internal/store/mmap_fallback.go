@@ -8,8 +8,8 @@ import "os"
 // eagerly into the heap. Semantics match the mmap build — the bytes stay
 // valid after unlink — at the cost of resident memory proportional to
 // file size.
-func mapFile(path string) (data []byte, close func() error, err error) {
-	data, err = os.ReadFile(path)
+func mapFile(f *os.File) (data []byte, close func() error, err error) {
+	data, err = os.ReadFile(f.Name())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,16 +7,11 @@ import (
 	"syscall"
 )
 
-// mapFile maps path read-only. The returned view stays valid after the
-// file is unlinked (the kernel keeps the pages until unmap), which is
-// what lets a compaction remove the superseded generation's snapshot
-// while older epochs still read it. close unmaps.
-func mapFile(path string) (data []byte, close func() error, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
+// mapFile maps f read-only. The returned view stays valid after the
+// file is closed and unlinked (the kernel keeps the pages until unmap),
+// which is what lets a compaction remove the superseded generation's
+// snapshot while older epochs still read it. close unmaps.
+func mapFile(f *os.File) (data []byte, close func() error, err error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, nil, err

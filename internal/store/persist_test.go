@@ -65,7 +65,7 @@ func TestReadSnapshotTruncated(t *testing.T) {
 func TestReadSnapshotRefusesDuplicateTerm(t *testing.T) {
 	_, data := v2Sample(t)
 	bad := append([]byte(nil), data...)
-	c, err := parseContainer(bad, true)
+	c, err := parseVerified(bad)
 	if err != nil {
 		t.Fatal(err)
 	}

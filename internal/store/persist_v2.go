@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,8 +17,8 @@ import (
 //     (internal/dict, WriteFrontCoded), terms in ID order, so every term
 //     keeps its ID across a reopen.
 //   - secCompData/Types/Schema: the three graph components in INSERTION
-//     order (summary node numbering depends on it), three uvarint IDs
-//     per triple, back to back; counts live in the header.
+//     order, so that a snapshot round-trips its graph exactly; three
+//     uvarint IDs per triple, back to back; counts live in the header.
 //   - secColSPO/POS/OSP: the full triple multiset (all components,
 //     duplicates preserved) sorted three ways as varint-delta columns
 //     (colenc.go) — the zero-copy base run of the tiered index.
@@ -77,9 +78,8 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 var colSectionIDs = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, OrderOSP: secColOSP}
 
 // encodeVocabSec serializes the five interpreted-vocabulary IDs. The
-// vocabulary is interned into every dictionary at graph construction,
-// so resolving these at open time through the mapped dictionary would
-// force its full CRC — this ~10-byte section keeps it out of the open.
+// vocabulary is interned into every dictionary at graph construction;
+// this ~10-byte section saves the open five lookups through it.
 func encodeVocabSec(v Vocab) []byte {
 	out := make([]byte, 0, 5*binary.MaxVarintLen64)
 	var tmp [binary.MaxVarintLen64]byte
@@ -152,84 +152,67 @@ func decodeComp(raw []byte, n, maxID uint64) ([]Triple, error) {
 }
 
 // SnapshotFile is an open v2 snapshot: the mmap'd (or, under the nommap
-// build tag, eagerly read) container plus lazily constructed views over
-// it — the dictionary and the column runs. Opening one is O(header +
-// TOC); nothing else is read until touched. Safe for concurrent readers.
-// The file stays mapped while the SnapshotFile, its runs or its
-// dictionary are reachable, and is unmapped once none is; Close unmaps at
-// once.
+// build tag, eagerly read) container plus its column runs, which decode
+// on demand. Safe for concurrent readers. The file stays mapped while the
+// SnapshotFile, its runs or a dictionary over it are reachable, and is
+// unmapped once none is; Close unmaps at once.
 type SnapshotFile struct {
 	c    *container
-	path string
-	md   *dict.Mapped
-	runs RunCols
+	runs *mappedCols
 }
 
 // OpenSnapshotFile maps path and validates its header and TOC. With
-// verify set, every section CRC is checked now; otherwise sections
-// verify lazily on first touch.
+// verify set, it checks every section's checksum too, reading the file
+// rather than the mapping (container.verify): a snapshot that is served
+// is opened so. Without it the open is O(1), for a caller that reads no
+// section.
 func OpenSnapshotFile(path string, verify bool) (*SnapshotFile, error) {
-	file, err := openMapping(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	sf, err := newSnapshotFile(file, verify)
+	defer f.Close()
+	file, err := openMapping(f)
+	if err != nil {
+		return nil, err
+	}
+	var check io.ReaderAt
+	if verify {
+		check = f
+	}
+	sf, err := newSnapshotFile(file, check)
 	if err != nil {
 		file.close() //nolint:errcheck // already failing
-		return nil, err
 	}
-	sf.path = path
-	return sf, nil
+	return sf, err
 }
 
-func newSnapshotFile(file *mapping, verify bool) (*SnapshotFile, error) {
-	c, err := parseContainer(file.data, verify)
+// newSnapshotFile parses the container in file and opens its column
+// runs; check, when not nil, holds the same bytes, and every section's
+// checksum is checked against it first.
+func newSnapshotFile(file *mapping, check io.ReaderAt) (*SnapshotFile, error) {
+	c, err := parseContainer(file.data)
 	if err != nil {
 		return nil, err
+	}
+	if check != nil {
+		if err := c.verify(check); err != nil {
+			return nil, err
+		}
 	}
 	c.file = file
-	sf := &SnapshotFile{c: c}
-	pages, err := c.section(secDictPages)
-	if err != nil {
-		return nil, err
-	}
-	dirSec, err := c.section(secDictDir)
-	if err != nil {
-		return nil, err
-	}
-	sortedSec, err := c.section(secDictSorted)
-	if err != nil {
-		return nil, err
-	}
-	sf.md, err = dict.NewMapped(pages.raw, dirSec.raw, sortedSec.raw, int(c.nTerms))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	sf.md.Touch = func() {
-		pages.verifyLazy()
-		dirSec.verifyLazy()
-	}
-	sf.md.TouchSorted = sortedSec.verifyLazy
-	sf.md.Owner = file
 	runs := &mappedCols{n: int(c.nData + c.nTypes + c.nSchema)}
 	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
 		}
-		if runs.cols[o], err = openCol(Order(o), sec, runs.n, file); err != nil {
+		if runs.cols[o], err = openCol(Order(o), sec.raw, runs.n, file); err != nil {
 			return nil, err
 		}
 	}
-	sf.runs = runs
-	return sf, nil
+	return &SnapshotFile{c: c, runs: runs}, nil
 }
-
-// Path returns the file the snapshot was opened from.
-func (sf *SnapshotFile) Path() string { return sf.path }
-
-// MappedDict returns the zero-copy dictionary view.
-func (sf *SnapshotFile) MappedDict() *dict.Mapped { return sf.md }
 
 // Runs returns the snapshot's column run — the base level of a tiered
 // index, served without materialization.
@@ -240,50 +223,51 @@ func (sf *SnapshotFile) Runs() RunCols { return sf.runs }
 // file is still in use.
 func (sf *SnapshotFile) Close() error { return sf.c.file.close() }
 
-// graph decodes the snapshot's vocabulary and three component sections,
-// each checksummed first, into a graph whose dictionary is a layer over
-// the mapped one: O(|G|), 12 B a triple on the heap. A file without a
-// vocabulary section is corrupt — every version 2 writer wrote one.
+// graph decodes the snapshot's vocabulary and three component sections
+// into a graph whose dictionary is a layer over the mapped one, indexed
+// and checked now (dict.WithBase): O(|G|), 12 B a triple and 8 B a term
+// on the heap. A file without a vocabulary section is corrupt — every
+// version 2 writer wrote one. The caller has checked the checksums.
 func (sf *SnapshotFile) graph() (*Graph, error) {
 	c := sf.c
-	payload := func(id byte) ([]byte, error) {
+	var raw [7][]byte
+	for i, id := range []byte{secVocab, secDictPages, secDictDir, secDictSorted, secCompData, secCompTypes, secCompSchema} {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
 		}
-		return sec.raw, sec.verify()
+		raw[i] = sec.raw
 	}
-	raw, err := payload(secVocab)
+	v, err := decodeVocabSec(raw[0], c.nTerms)
 	if err != nil {
 		return nil, err
 	}
-	v, err := decodeVocabSec(raw, c.nTerms)
+	md, err := dict.NewMapped(raw[1], raw[2], raw[3], int(c.nTerms))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	g := &Graph{dict: dict.WithBase(sf.md), vocab: v}
-	for _, comp := range []struct {
-		id byte
+	md.Owner = c.file
+	d, err := dict.WithBase(md)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	g := &Graph{dict: d, vocab: v}
+	for i, comp := range []struct {
 		n  uint64
 		ts *[]Triple
-	}{{secCompData, c.nData, &g.Data}, {secCompTypes, c.nTypes, &g.Types}, {secCompSchema, c.nSchema, &g.Schema}} {
-		if raw, err = payload(comp.id); err != nil {
-			return nil, err
-		}
-		if *comp.ts, err = decodeComp(raw, comp.n, c.nTerms); err != nil {
+	}{{c.nData, &g.Data}, {c.nTypes, &g.Types}, {c.nSchema, &g.Schema}} {
+		if *comp.ts, err = decodeComp(raw[4+i], comp.n, c.nTerms); err != nil {
 			return nil, err
 		}
 	}
 	return g, nil
 }
 
-// OpenGraphFile maps a snapshot file and decodes its graph (see graph):
-// the vocabulary and component sections are checked and read now, the
-// dictionary and the column runs — what the returned SnapshotFile serves
-// as an index's base — stay lazy. With verify set, every other section's
-// checksum is checked now too.
-func OpenGraphFile(path string, verify bool) (*Graph, *SnapshotFile, error) {
-	sf, err := OpenSnapshotFile(path, verify)
+// OpenGraphFile maps a snapshot file, checks every section's checksum,
+// and decodes its graph (see graph). The column runs — what the returned
+// SnapshotFile serves as an index's base — stay on the file's pages.
+func OpenGraphFile(path string) (*Graph, *SnapshotFile, error) {
+	sf, err := OpenSnapshotFile(path, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -300,14 +284,14 @@ func OpenGraphFile(path string, verify bool) (*Graph, *SnapshotFile, error) {
 // place, as OpenGraphFile serves a mapped file: the graph's dictionary is
 // a layer over the buffer's, and the SnapshotFile's column runs can be an
 // index's base. The bytes come from outside, so it also checks what the
-// store trusts its own files with: every section checksum, and that no
-// term is listed twice. Errors wrap the ErrSnapshot* sentinels.
+// store trusts its own files with: it walks every column once, keeping
+// the fences the walk derives. Errors wrap the ErrSnapshot* sentinels.
 func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, truncatedOr(err)
 	}
-	sf, err := newSnapshotFile(heapMapping(data), true)
+	sf, err := newSnapshotFile(heapMapping(data), bytes.NewReader(data))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,8 +299,12 @@ func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := g.dict.IndexBase(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	for _, col := range sf.runs.cols {
+		fs, err := col.walk(dict.ID(sf.c.nTerms))
+		if err != nil {
+			return nil, nil, err
+		}
+		col.fences.Store(&fs)
 	}
 	return g, sf, nil
 }
@@ -345,22 +333,23 @@ type SnapshotInfo struct {
 
 // InspectSnapshot parses path's header and TOC and reports its layout.
 func InspectSnapshot(path string) (*SnapshotInfo, error) {
-	st, err := os.Stat(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	data, closeFn, err := mapFile(path)
+	defer f.Close()
+	data, closeFn, err := mapFile(f)
 	if err != nil {
 		return nil, err
 	}
 	defer closeFn() //nolint:errcheck // read-only mapping
-	c, err := parseContainer(data, false)
+	c, err := parseContainer(data)
 	if err != nil {
 		return nil, err
 	}
 	info := &SnapshotInfo{
 		Version:  snapshotVersion,
-		FileSize: st.Size(),
+		FileSize: int64(len(data)),
 		PageSize: v2PageSize,
 		NTerms:   c.nTerms,
 		NData:    c.nData,

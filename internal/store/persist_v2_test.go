@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -123,18 +122,16 @@ func TestSnapshotV2RoundTripMapped(t *testing.T) {
 		if err := SaveFile(path, g); err != nil {
 			t.Fatalf("SaveFile: %v", err)
 		}
-		for _, verify := range []bool{false, true} {
-			got, sf, err := OpenGraphFile(path, verify)
-			if err != nil {
-				t.Fatalf("OpenGraphFile(verify=%v): %v", verify, err)
-			}
-			if sf == nil {
-				t.Fatal("OpenGraphFile on v2 returned no SnapshotFile")
-			}
-			identicalGraphs(t, g, got)
-			if err := sf.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
+		got, sf, err := OpenGraphFile(path)
+		if err != nil {
+			t.Fatalf("OpenGraphFile: %v", err)
+		}
+		if sf == nil {
+			t.Fatal("OpenGraphFile on v2 returned no SnapshotFile")
+		}
+		identicalGraphs(t, g, got)
+		if err := sf.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 	}
 }
@@ -195,7 +192,7 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 		}
 		_, _, err := ReadGraph(bytes.NewReader(bad))
 		refused("ReadGraph", err)
-		g, sf, err := OpenGraphFile(path, false)
+		g, sf, err := OpenGraphFile(path)
 		refused("OpenGraphFile", err)
 		if g != nil || sf != nil {
 			t.Fatalf("OpenGraphFile of a version %d file returned a graph", v)
@@ -235,12 +232,22 @@ func TestSnapshotRefusesOtherKinds(t *testing.T) {
 	}
 }
 
+// parseVerified parses data as a container and checks every section's
+// checksum, as a serving open does.
+func parseVerified(data []byte) (*container, error) {
+	c, err := parseContainer(data)
+	if err == nil {
+		err = c.verify(bytes.NewReader(data))
+	}
+	return c, err
+}
+
 // coveredRanges returns the byte ranges of a v2 file that some CRC
 // protects: header, TOC, and every section payload. Alignment padding is
 // dead bytes and deliberately unprotected.
 func coveredRanges(t *testing.T, data []byte) [][2]int {
 	t.Helper()
-	c, err := parseContainer(data, true)
+	c, err := parseVerified(data)
 	if err != nil {
 		t.Fatalf("parseContainer: %v", err)
 	}
@@ -286,91 +293,98 @@ func TestSnapshotV2BitFlipsEager(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2BitFlipsLazy corrupts one payload byte of each section.
-// A graph open decodes the vocabulary and the three components, so a flip
-// in one of those fails OpenGraphFile with ErrSnapshotChecksum. Any other
-// section is left for its first touch: the unverified open succeeds (as
-// does OpenGraphFile's), and reading through every section must panic
-// with the classified checksum error.
-func TestSnapshotV2BitFlipsLazy(t *testing.T) {
+// TestSnapshotV2BitFlips corrupts one payload byte of each section. An
+// open that serves a snapshot checks every section's checksum, so
+// OpenSnapshotFile(path, true) and OpenGraphFile refuse each flip with
+// ErrSnapshotChecksum.
+func TestSnapshotV2BitFlips(t *testing.T) {
 	_, data := v2Sample(t)
-	c, err := parseContainer(data, true)
+	c, err := parseVerified(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded := map[byte]bool{secVocab: true, secCompData: true, secCompTypes: true, secCompSchema: true}
 	dir := t.TempDir()
 	for _, s := range c.secOrder {
-		id := s.id
 		if len(s.raw) == 0 {
-			continue
+			t.Fatalf("the sample's %s section is empty", sectionName(s.id))
 		}
 		bad := append([]byte(nil), data...)
 		bad[int(s.off)+len(s.raw)/2] ^= 0x40
-		path := filepath.Join(dir, fmt.Sprintf("bad-%d.rdfsum", id))
+		path := filepath.Join(dir, fmt.Sprintf("bad-%d.rdfsum", s.id))
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-
-		// Eager open refuses outright.
-		if _, err := OpenSnapshotFile(path, true); !errors.Is(err, ErrSnapshotChecksum) {
-			t.Fatalf("section %s: eager open got %v, want ErrSnapshotChecksum", sectionName(id), err)
+		if sf, err := OpenSnapshotFile(path, true); !errors.Is(err, ErrSnapshotChecksum) || sf != nil {
+			t.Fatalf("section %s: OpenSnapshotFile got %v, want ErrSnapshotChecksum", sectionName(s.id), err)
 		}
-
-		g, gsf, err := OpenGraphFile(path, false)
-		if decoded[id] {
-			if !errors.Is(err, ErrSnapshotChecksum) || g != nil || gsf != nil {
-				t.Fatalf("section %s: OpenGraphFile got %v, want ErrSnapshotChecksum and no graph", sectionName(id), err)
-			}
-			continue
+		if g, sf, err := OpenGraphFile(path); !errors.Is(err, ErrSnapshotChecksum) || g != nil || sf != nil {
+			t.Fatalf("section %s: OpenGraphFile got %v, want ErrSnapshotChecksum and no graph", sectionName(s.id), err)
 		}
-		if err != nil {
-			t.Fatalf("section %s: OpenGraphFile: %v", sectionName(id), err)
-		}
-		gsf.Close()
-
-		// Lazy open succeeds; reading through every section must then
-		// panic with the classified checksum error.
-		sf, err := OpenSnapshotFile(path, false)
-		if err != nil {
-			t.Fatalf("section %s: lazy open: %v", sectionName(id), err)
-		}
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("section %s: corrupt section served without detection", sectionName(id))
-				}
-				err, ok := r.(error)
-				if !ok || !errors.Is(err, ErrSnapshotChecksum) {
-					t.Fatalf("section %s: panic %v, want ErrSnapshotChecksum", sectionName(id), r)
-				}
-			}()
-			touchEverything(sf)
-		}()
-		sf.Close()
 	}
 }
 
-// touchEverything forces a read through every section an open leaves
-// lazy: dictionary pages and directory (every term decoded, then looked
-// up through the index over them), the sorted permutation (the merge of a
-// compaction that interned one term), and the three sorted columns.
-func touchEverything(sf *SnapshotFile) {
-	md := sf.MappedDict()
-	d := dict.WithBase(md)
-	for id := 1; id <= md.Len(); id++ {
-		d.Lookup(md.Term(dict.ID(id)))
+// TestReadGraphRefusesMalformedSections: a follower serves the snapshot
+// bytes it bootstraps from in place, and a sender can reseal every
+// checksum, so ReadGraph checks what serving them relies on: the
+// dictionary's directory and page framing, and the columns' block
+// offsets, varints and IDs. Bytes of those sections and of the sorted
+// permutation changed one at a time, every checksum resealed, are refused
+// with ErrSnapshotCorrupt or served — every term decoded, every column
+// scanned, every triple counted, the graph written again — without a
+// panic. A directory entry that is not where its block begins, a sorted
+// entry, a block offset or an ID past the dictionary are refused.
+func TestReadGraphRefusesMalformedSections(t *testing.T) {
+	g := v2RandomGraph(t, 3, 600) // dozens of dictionary blocks, two column blocks
+	var f memFile
+	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
+		t.Fatal(err)
 	}
-	d.EncodeIRI("http://x/a-term-no-snapshot-holds")
-	if _, _, _, err := d.WriteFrontCoded(io.Discard); err != nil {
-		panic(err)
+	data := f.b
+	c, err := parseVerified(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for ord := Order(0); ord < NumOrders; ord++ {
-		col := sf.Runs().col(ord)
-		cur := col.Cursor(0, col.Len())
-		for cur.Valid() {
-			cur.Next()
+	read := func(id byte, at int, b []byte) (*Graph, *SnapshotFile, error) {
+		bad := append([]byte(nil), data...)
+		copy(bad[int(c.secs[id].off)+at:], b)
+		reseal(bad, len(c.secOrder))
+		return ReadGraph(bytes.NewReader(bad))
+	}
+	for _, id := range []byte{secDictPages, secDictDir, secDictSorted, secColSPO, secColPOS, secColOSP} {
+		n := len(c.secs[id].raw)
+		for _, at := range []int{0, 4, 8, 20, n / 3, 2 * n / 3, n - 1} {
+			for _, v := range []byte{0x00, 0x7f, 0x80, 0xff} {
+				g, sf, err := read(id, at, []byte{v})
+				if err != nil {
+					if !errors.Is(err, ErrSnapshotCorrupt) {
+						t.Fatalf("%s byte %d set to %#x: %v, want ErrSnapshotCorrupt", sectionName(id), at, v, err)
+					}
+					continue
+				}
+				serveAll(g, sf)
+			}
+		}
+	}
+	le32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	le64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	pages := uint64(len(c.secs[secDictPages].raw))
+	for _, tc := range []struct {
+		what string
+		id   byte
+		at   int
+		b    []byte
+	}{
+		{"a directory entry past the pages", secDictDir, 8, le64(pages + 1)},
+		{"a directory entry behind its predecessor", secDictDir, 8, le64(0)},
+		{"the last directory entry inside its block", secDictDir, len(c.secs[secDictDir].raw) - 8, le64(pages - 1)},
+		{"a sorted entry past the dictionary", secDictSorted, 4, le32(uint32(c.nTerms) + 1)},
+		{"a block offset past the column", secColSPO, 8 + 12, le64(1 << 40)},
+		{"a block offset inside the skip index", secColOSP, 8 + colSkipEntryBytes + 12, le64(8)},
+		{"an ID past the dictionary", secColPOS, 8, le32(uint32(c.nTerms) + 1)},
+		{"a zero ID", secColSPO, 8 + 4, le32(0)},
+	} {
+		if _, _, err := read(tc.id, tc.at, tc.b); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: ReadGraph got %v, want ErrSnapshotCorrupt", tc.what, err)
 		}
 	}
 }
@@ -398,7 +412,7 @@ func refusedBoth(t *testing.T, what string, data []byte, want error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if g, sf, err := OpenGraphFile(path, false); !errors.Is(err, want) || g != nil || sf != nil {
+	if g, sf, err := OpenGraphFile(path); !errors.Is(err, want) || g != nil || sf != nil {
 		t.Fatalf("%s: OpenGraphFile got %v, want %v and no graph", what, err, want)
 	}
 	if g, sf, err := ReadGraph(bytes.NewReader(data)); !errors.Is(err, want) || g != nil || sf != nil {
@@ -413,7 +427,7 @@ func refusedBoth(t *testing.T, what string, data []byte, want error) {
 func TestSnapshotWithoutVocabRefused(t *testing.T) {
 	_, data := v2Sample(t)
 	bad := append([]byte(nil), data...)
-	c, err := parseContainer(bad, true)
+	c, err := parseVerified(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +441,7 @@ func TestSnapshotWithoutVocabRefused(t *testing.T) {
 	}
 	copy(bad[tocOff:], toc)
 	reseal(bad, len(c.secOrder)-1)
-	if _, err := parseContainer(bad, true); err != nil {
+	if _, err := parseVerified(bad); err != nil {
 		t.Fatalf("the container without its vocab entry does not parse: %v", err)
 	}
 	refusedBoth(t, "no vocab section", bad, ErrSnapshotCorrupt)
@@ -439,7 +453,7 @@ func TestSnapshotWithoutVocabRefused(t *testing.T) {
 // it, since a follower reads the header off the network.
 func TestSnapshotComponentCountsChecked(t *testing.T) {
 	_, data := v2Sample(t)
-	c, err := parseContainer(data, true)
+	c, err := parseVerified(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +628,7 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 			if err := SaveFile(path, heap); err != nil {
 				t.Fatal(err)
 			}
-			reopened, sf, err := OpenGraphFile(path, false)
+			reopened, sf, err := OpenGraphFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -676,7 +690,7 @@ func TestSectionWriterFailsClean(t *testing.T) {
 	if whole.ops < 4 {
 		t.Fatalf("the sample writes in %d operations: too few to exercise a mid-file failure", whole.ops)
 	}
-	if _, err := parseContainer(whole.b, true); err != nil {
+	if _, err := parseVerified(whole.b); err != nil {
 		t.Fatalf("unfailed write: %v", err)
 	}
 	for k := 1; k <= whole.ops; k++ {
@@ -690,7 +704,7 @@ func TestSectionWriterFailsClean(t *testing.T) {
 		if len(f.b) < v2HeaderSize {
 			continue
 		}
-		if _, err := parseContainer(f.b, false); !errors.Is(err, ErrSnapshotMagic) {
+		if _, err := parseContainer(f.b); !errors.Is(err, ErrSnapshotMagic) {
 			t.Fatalf("operation %d failed: the partial file parses with %v, want ErrSnapshotMagic", k, err)
 		}
 	}

@@ -447,9 +447,8 @@ func NewIngestQueue(lv *Live, depth int, maxBytes int64) *IngestQueue {
 // written as the first snapshot of a directory holding no prior state
 // (the store then serves that file; the seed is only read), Maintain
 // lists the summary kinds kept incrementally current (nil = Weak
-// only, empty = none; the others rebuild lazily per epoch), and
-// VerifySnapshot checks every snapshot section's CRC at open, not on first
-// touch.
+// only, empty = none; the others rebuild lazily per epoch). Every open
+// checks the snapshot it serves in full.
 type LiveOptions = live.Options
 
 // OpenLive opens (or initializes) a durable live store in dir: the
