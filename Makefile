@@ -118,18 +118,22 @@ boot-profile:
 
 # Who holds the heap, and who churns it: BenchmarkLiveCycle (a store
 # seeded with a 170k-triple BSBM graph — served, like a reopened one,
-# from its mapped snapshot — takes 50 batches, compacts and serves a
-# summary of every kind, three times over) under the heap profiler,
-# sampling every 4 KB. First what is still in use when the process exits
-# with the store open (the live-heap breakdown: dictionary, components,
-# index runs, builders, cached summaries and their name overlays), then
-# what the compactions allocated on the way.
+# from its mapped snapshot — takes 50 batches, deletes 25 of them again
+# batch by batch, compacts and serves a summary of every kind, three
+# times over) under the heap profiler, sampling every 4 KB. First what
+# is still in use when the process exits with the store open (the
+# live-heap breakdown: dictionary, components, index runs, builders,
+# cached summaries and their name overlays), then what the compactions
+# allocated on the way, and what the delete stream allocated — where the
+# delta tail and DeleteBatch's component copies set the peak of
+# probe-bsbm and scan-lubm.
 heap-profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) test -run 'XXX-none' -bench 'BenchmarkLiveCycle$$' -benchtime 3x -cpu 1 \
 		-o "$$d/rdfsum.test" -memprofile "$$d/mem.out" -memprofilerate 4096 . && \
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 "$$d/rdfsum.test" "$$d/mem.out" && \
-	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 -focus 'Compact|WriteSnapshotV2' "$$d/rdfsum.test" "$$d/mem.out"
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 -focus 'Compact|WriteSnapshotV2' "$$d/rdfsum.test" "$$d/mem.out" && \
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 15 -focus 'DeleteBatch' "$$d/rdfsum.test" "$$d/mem.out"
 
 # The mmap-free portability build: every mapped path falls back to eager
 # reads (mirrored as a CI job).

@@ -494,7 +494,9 @@ var liveCycleStore *rdfsum.Live
 
 // BenchmarkLiveCycle is one write-and-summarize cycle of benchmark/'s
 // scenario, in process: a store seeded with BSBM 3000 products ≈ 170k
-// triples (1000 under -short) takes 50 batches of ≈ 125 triples, compacts
+// triples (1000 under -short) takes 50 batches of ≈ 125 triples, deletes
+// every other one of them again as its own batch (the delete stream,
+// where the delta tail and DeleteBatch's component copies peak), compacts
 // and serves a summary of every kind. A seeded store serves its mapped
 // snapshot-1 as a reopened one does, so this is also what scan-lubm's
 // restarted server holds. `make heap-profile` runs it under the heap
@@ -518,6 +520,11 @@ func BenchmarkLiveCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 50; j++ {
 			if err := lv.AddBatch(incBatch(i*50+j, 100)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for j := 0; j < 50; j += 2 {
+			if _, err := lv.DeleteBatch(incBatch(i*50+j, 100)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -592,12 +599,15 @@ var scanLUBMPool = []string{
 }
 
 // BenchmarkIndexJoins evaluates scan-lubm's query pool, under its
-// 10 000-row limit, on LUBM 52 universities (15 under -short) over two
+// 10 000-row limit, on LUBM 52 universities (15 under -short) over three
 // indexes of one graph: the heap base a memory-only store serves
-// (store.NewIndex), and the mapped base of the graph's snapshot that a
-// durable store serves. What a store pays to serve from the file instead
-// of a heap copy is the mapped arm's time over the heap arm's; the
-// mapped columns' fences are built before the timer.
+// (store.NewIndex), the mapped base of the graph's snapshot that a
+// durable store serves, and a heap base of half the graph under a delta
+// tail of the other half in 100-triple batches (its folds past the
+// encoding cutoff encoded). What a store pays to serve from the file
+// instead of a heap copy is the mapped arm's time over the heap arm's,
+// and what it pays for an uncompacted tail the tail arm's; the encoded
+// columns' fences are built before the timer.
 func BenchmarkIndexJoins(b *testing.B) {
 	g := lubm.GenerateGraph(lubm.DefaultConfig(lubmUniversities()))
 	path := filepath.Join(b.TempDir(), "lubm.rdfsum")
@@ -615,6 +625,7 @@ func BenchmarkIndexJoins(b *testing.B) {
 	}{
 		{"heap", store.NewIndex(g)},
 		{"mapped", store.NewIndexFromBase(sf.Runs())},
+		{"tail", tailIndex(g.All(), 100)},
 	}
 	for _, base := range bases {
 		for qi, text := range scanLUBMPool {
@@ -636,6 +647,54 @@ func BenchmarkIndexJoins(b *testing.B) {
 			})
 		}
 	}
+}
+
+// tailIndex is an index over all as a heap base of its first half and a
+// delta tail of the rest, applied batch triples at a time.
+func tailIndex(all []store.Triple, batch int) *store.Index {
+	half := len(all) / 2
+	ix := store.NewIndexFromBase(store.NewRunCols(append([]store.Triple(nil), all[:half]...)))
+	for j := half; j < len(all); j += batch {
+		ix = ix.Applied(all[j:min(j+batch, len(all))], nil)
+	}
+	return ix
+}
+
+// BenchmarkIndexDeltaTail is the index side of a write window, in
+// process: a heap base of the first half of an LUBM graph's triples (52
+// universities, 15 under -short), then the other half as 100-triple
+// delta batches through store.Index.Applied, each followed by a point
+// lookup and a (·, p, o) count of one triple it added, and every 15th
+// by a 10-triple delete batch. It reports the time a batch takes with
+// its folds and lookups, and what the delta tail holds on the heap at
+// the end per delta triple: the two sides of the index's encoding
+// cutoff.
+func BenchmarkIndexDeltaTail(b *testing.B) {
+	all := lubm.GenerateGraph(lubm.DefaultConfig(lubmUniversities())).All()
+	half := len(all) / 2
+	batches, tail := 0, int64(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix := store.NewIndexFromBase(store.NewRunCols(append([]store.Triple(nil), all[:half]...)))
+		base := ix.HeapBytes()
+		b.StartTimer()
+		batches = 0
+		for j := half; j < len(all); j += 100 {
+			batch := all[j:min(j+100, len(all))]
+			ix = ix.Applied(batch, nil)
+			t := batch[len(batch)/2]
+			if !ix.Contains(t) || ix.Count(dict.None, t.P, t.O) == 0 {
+				b.Fatalf("batch %d: %v not found", batches, t)
+			}
+			if batches++; batches%15 == 0 {
+				ix = ix.Applied(nil, all[j-1000:j-990])
+			}
+		}
+		tail = ix.HeapBytes() - base
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches), "ns/batch")
+	b.ReportMetric(float64(tail)/float64(len(all)-half), "heapB/triple")
 }
 
 // --- quotient engine benchmarks --------------------------------------------

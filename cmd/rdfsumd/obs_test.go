@@ -312,6 +312,31 @@ func TestMetricsExpositionMemoryAccount(t *testing.T) {
 	if got := v[`rdfsum_memory_bytes{component="index_mapped"}`]; got < 3*base || got > 36*base {
 		t.Errorf("durable store after Compact: index_mapped = %v bytes for %v triples, want the three encoded columns (1–12 B a triple each)", got, base)
 	}
+
+	// The 36 B a triple holds below the index's encoding cutoff only:
+	// eight 600-triple batches fold, with the delta above, into one run
+	// past it, held in the snapshot's column encoding on the heap. Once a
+	// query has range-searched it, index_heap is the base's fences and
+	// that run's payload and fences: at most 18 B a folded triple.
+	for i := range 8 {
+		if code, body := postBody(t, dts.URL+"/v1/triples", ntBody(2000+600*i, 600)); code != http.StatusOK {
+			t.Fatalf("POST /v1/triples: %d %v", code, body)
+		}
+	}
+	if code, body := postQuery(t, dts.URL+"/v1/query",
+		"SELECT ?s WHERE { ?s a <http://bsbm.example.org/vocabulary/Product> }"); code != http.StatusOK {
+		t.Fatalf("query: %d %v", code, body)
+	}
+	body, _ = scrapeMetrics(t, dts)
+	v = scrapeValues(t, body)
+	if runs := v["rdfsum_index_runs"]; runs != 2 {
+		t.Fatalf("durable store after eight batches: %v index runs, want the base and one folded run", runs)
+	}
+	folded := v["rdfsum_triples"] - base
+	if got := v[`rdfsum_memory_bytes{component="index_heap"}`] - fences; got <= 0 || got > 18*folded {
+		t.Errorf("durable store after a fold past the encoding cutoff: index_heap = base fences (%v) + %v bytes for %v folded triples, want at most 18 B each",
+			fences, got, folded)
+	}
 }
 
 // TestLegacyMetricSeriesNamesPreserved pins the migration contract: every

@@ -275,7 +275,8 @@ func (bs *BuilderSet) Delete(t rdf.Triple) int {
 //
 // The graph's affected components are compacted into fresh slices
 // (copy-on-write: live-store snapshot views of the old slices are
-// unaffected), an O(component) scan. Driver state shrinks exactly where
+// unaffected), an O(component) scan; a component none of whose triples
+// is removed is scanned but not copied. Driver state shrinks exactly where
 // the bookkeeping is refcounted — type-based always; class-set shrink for
 // every typed kind; typed-weak/typed-strong when only typed nodes are
 // involved — and otherwise the driver refuses the deletion and is reseeded
@@ -321,15 +322,23 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 	if len(delData) > 0 {
 		// remap (old position → new, -1 for deleted) is read by the
 		// adjacency index and the edge trackers only, which exist together
-		// or not at all (see index): a weak-only set skips it.
+		// or not at all (see index): a weak-only set skips it. It and kept
+		// are allocated at the first hit — a batch that removes no data
+		// triple copies nothing.
 		var remap []int32
-		if bs.adj != nil {
-			remap = make([]int32, len(bs.g.Data))
-		}
-		kept := make([]store.Triple, 0, len(bs.g.Data))
+		var kept []store.Triple
 		hit := make(map[store.Triple]bool, len(delData))
 		for i, t := range bs.g.Data {
 			if delData[t] {
+				if kept == nil {
+					kept = keptBefore(bs.g.Data, i)
+					if bs.adj != nil {
+						remap = make([]int32, len(bs.g.Data))
+						for j := range i {
+							remap[j] = int32(j)
+						}
+					}
+				}
 				if remap != nil {
 					remap[i] = -1
 				}
@@ -341,7 +350,7 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 						dr.stale = true
 					}
 				}
-			} else {
+			} else if kept != nil {
 				if remap != nil {
 					remap[i] = int32(len(kept))
 				}
@@ -366,14 +375,17 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 	// Type deletions: compact the component, then shrink the class sets
 	// pair by pair (deterministically ordered) and let drivers migrate.
 	if len(delTypes) > 0 {
-		kept := make([]store.Triple, 0, len(bs.g.Types))
+		var kept []store.Triple
 		hit := make(map[store.Triple]bool, len(delTypes))
-		for _, t := range bs.g.Types {
+		for i, t := range bs.g.Types {
 			if delTypes[t] {
+				if kept == nil {
+					kept = keptBefore(bs.g.Types, i)
+				}
 				removed++
 				hit[t] = true
 				bs.stats.typRemoved(t)
-			} else {
+			} else if kept != nil {
 				kept = append(kept, t)
 			}
 		}
@@ -402,13 +414,16 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 	// Schema deletions need no driver action: rule SCH copies the schema
 	// component verbatim at snapshot time, and it just shrank.
 	if len(delSchema) > 0 {
-		kept := make([]store.Triple, 0, len(bs.g.Schema))
+		var kept []store.Triple
 		hit := make(map[store.Triple]bool, len(delSchema))
-		for _, t := range bs.g.Schema {
+		for i, t := range bs.g.Schema {
 			if delSchema[t] {
+				if kept == nil {
+					kept = keptBefore(bs.g.Schema, i)
+				}
 				removed++
 				hit[t] = true
-			} else {
+			} else if kept != nil {
 				kept = append(kept, t)
 			}
 		}
@@ -418,6 +433,13 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 		}
 	}
 	return removed, tombs
+}
+
+// keptBefore starts a component's compacted copy at its first deleted
+// triple, position i: the triples before it, in a slice with room for
+// the rest.
+func keptBefore(comp []store.Triple, i int) []store.Triple {
+	return append(make([]store.Triple, 0, len(comp)), comp[:i]...)
 }
 
 // appendSortedTriples appends set's members to out in (S, P, O) order.

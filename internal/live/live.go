@@ -635,8 +635,10 @@ type Stats struct {
 	DictBytes  int64 // the dictionary: key bytes, records, map slots
 	GraphBytes int64 // the writer graph's component slices, 12 B a triple
 	// IndexHeapBytes is what the published index holds on the heap: its
-	// heap runs at 36 B a triple (a memory-only store's base, and every
-	// store's delta runs) and the fences of its mapped runs, 2 B a triple
+	// slice runs at 36 B a triple (a memory-only store's base, every
+	// epoch's delta run and the folds below the index's encoding cutoff),
+	// the encoded payloads of its larger folds (about 10–12 B a triple),
+	// and the fences of its encoded runs, mapped or heap, 2 B a triple
 	// per column once that column has served a range lookup.
 	IndexHeapBytes int64
 	// IndexMappedBytes is the column sections of the snapshot the

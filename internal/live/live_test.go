@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rdfsum/internal/core"
+	"rdfsum/internal/dict"
 	"rdfsum/internal/query"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/store"
@@ -66,6 +67,35 @@ func TestLiveMemoryBasics(t *testing.T) {
 	want := canonical(store.FromTriples(mkBatch(0, 100)))
 	if !reflect.DeepEqual(canonical(snap.Graph), want) {
 		t.Fatal("snapshot graph diverges from the ingested triples")
+	}
+}
+
+// TestStatsIndexHeapEncodedFold: a memory store's delta tail that folds
+// past the index's encoding cutoff is held in the snapshot's column
+// encoding on the heap: after eight 600-triple batches fold into one run
+// and lookups have range-searched all three of its orders,
+// Stats.IndexHeapBytes is at most 18 B a triple — not the 36 B of a slice
+// run.
+func TestStatsIndexHeapEncodedFold(t *testing.T) {
+	l := New(nil, nil, nil)
+	defer l.Close()
+	for i := range 8 {
+		if err := l.AddBatch(mkBatch(500*i, 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := l.Snapshot().Index
+	var first store.Triple
+	ix.ForEach(dict.None, dict.None, dict.None, func(t store.Triple) bool { first = t; return false })
+	ix.Count(first.S, dict.None, dict.None)
+	ix.Count(dict.None, first.P, dict.None)
+	ix.Count(dict.None, dict.None, first.O)
+	st := l.Stats()
+	if st.IndexRuns != 1 {
+		t.Fatalf("%d index runs after eight equal batches, want one folded run", st.IndexRuns)
+	}
+	if per := float64(st.IndexHeapBytes) / float64(st.Triples); per > 18 {
+		t.Errorf("IndexHeapBytes = %d for %d folded triples: %.1f B a triple, want at most 18", st.IndexHeapBytes, st.Triples, per)
 	}
 }
 

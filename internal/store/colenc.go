@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -11,9 +13,11 @@ import (
 	"rdfsum/internal/dict"
 )
 
-// On-disk column encoding: one sorted order of a run as a sequence of
+// Column encoding: one sorted order of a run as a sequence of
 // varint-delta blocks with a fixed-width skip index, designed to be
-// searched and scanned directly from an mmap'd file.
+// searched and scanned in place — from an mmap'd snapshot file, and from
+// the heap bytes of a large folded run (encodeCols), which use the same
+// encoding and the same reader.
 //
 //	payload :=
 //	  u32 nTriples
@@ -41,18 +45,26 @@ const colBlockTriples = 512
 
 const colSkipEntryBytes = 20
 
-// fenceTriples is the spacing of a mapped column's in-memory fences: 16
+// fenceTriples is the spacing of an encoded column's in-memory fences: 16
 // bytes every 8 triples, 2 B a triple. On the LUBM-52 joins a mapped base
 // with 8-triple fences matched the heap index; 16 took 1.7× its time and
 // 32 took 2.4×.
 const fenceTriples = 8
 
-// fence is the key of a column's triple i (i a multiple of fenceTriples)
-// and the offset, from the start of i's block, of the varints of triple
-// i+1.
+// fence is the key of a column's triple i (i a multiple of
+// fenceTriples), packed as its sortKey so that a search compares it as
+// it stands, and the offset, from the start of i's block, of the varints
+// of triple i+1.
 type fence struct {
-	key colKey
+	hi  uint64 // sortKey.hi
+	lo  uint32 // sortKey.lo
 	off uint32
+}
+
+func (f fence) sortKey() sortKey { return sortKey{hi: f.hi, lo: f.lo} }
+
+func (f fence) colKey() colKey {
+	return colKey{dict.ID(f.hi >> 32), dict.ID(uint32(f.hi)), dict.ID(f.lo)}
 }
 
 // unkey reverses Order.key: rebuilds a Triple from its permuted sort key.
@@ -73,10 +85,13 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // uvarintLen is the number of bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// writeCol streams ts — sorted in ord — as one column section. The skip
-// index precedes the blocks and holds their offsets, so ts is read twice:
-// once sizing the blocks to fill the skip index, once encoding them.
-func writeCol(w *containerWriter, ord Order, ts []Triple) {
+// writeCol streams ts — sorted in ord — as one column payload to w: a
+// snapshot's column section, or the heap bytes of a folded run
+// (encodeCols). The skip index precedes the blocks and holds their
+// offsets, so ts is read twice: once sizing the blocks to fill the skip
+// index, once encoding them. A w that can Grow (a bytes.Buffer) is grown
+// once, to the payload's size.
+func writeCol(w io.Writer, ord Order, ts []Triple) {
 	n := len(ts)
 	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
 
@@ -99,39 +114,69 @@ func writeCol(w *containerWriter, ord Order, ts []Triple) {
 			p1, p2, p3 = c1, c2, c3
 		}
 	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(int(off))
+	}
 	w.Write(head) //nolint:errcheck // sticky
 
-	var tmp [3 * binary.MaxVarintLen64]byte
+	// The varints pass through one chunk, handed to w whenever it might
+	// not hold another triple's.
+	chunk := make([]byte, 0, colChunkBytes)
 	for b := 0; b < nBlocks; b++ {
 		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
 		p1, p2, p3 := ord.key(block[0]) // lives in the skip entry
 		for _, t := range block[1:] {
+			if len(chunk) > colChunkBytes-3*binary.MaxVarintLen64 {
+				w.Write(chunk) //nolint:errcheck // sticky
+				chunk = chunk[:0]
+			}
 			c1, c2, c3 := ord.key(t)
-			k := binary.PutUvarint(tmp[:], uint64(c1-p1))
-			k += binary.PutUvarint(tmp[k:], zigzag(int64(c2)-int64(p2)))
-			k += binary.PutUvarint(tmp[k:], zigzag(int64(c3)-int64(p3)))
-			w.Write(tmp[:k]) //nolint:errcheck // sticky
+			chunk = appendUvarint(chunk, uint64(c1-p1))
+			chunk = appendUvarint(chunk, zigzag(int64(c2)-int64(p2)))
+			chunk = appendUvarint(chunk, zigzag(int64(c3)-int64(p3)))
 			p1, p2, p3 = c1, c2, c3
 		}
 	}
+	w.Write(chunk) //nolint:errcheck // sticky
 }
 
-// mappedCol serves one encoded column without materializing it: the
-// payload bytes (typically an mmap'd file section) are decoded on demand
-// into each cursor's own buffer. Safe for concurrent readers.
-type mappedCol struct {
+// colChunkBytes is the size of the chunk writeCol encodes through.
+const colChunkBytes = 4 << 10
+
+// appendUvarint is binary.AppendUvarint unrolled up to three bytes: the
+// deltas of a sorted column, between IDs of a dictionary below 2^20
+// terms.
+func appendUvarint(b []byte, v uint64) []byte {
+	switch {
+	case v < 1<<7:
+		return append(b, byte(v))
+	case v < 1<<14:
+		return append(b, byte(v)|0x80, byte(v>>7))
+	case v < 1<<21:
+		return append(b, byte(v)|0x80, byte(v>>7)|0x80, byte(v>>14))
+	}
+	return binary.AppendUvarint(b, v)
+}
+
+// encCol serves one encoded column without materializing it: the
+// payload bytes — a snapshot's column section, mapped (or read into
+// memory), or a folded run's heap bytes — are decoded on demand into each
+// cursor's own buffer. Safe for concurrent readers.
+type encCol struct {
 	ord     Order
 	n       int
 	nBlocks int
 	payload []byte
-	file    *mapping // keeps payload mapped while the column is reachable
+	file    *mapping // keeps payload mapped while the column is reachable; nil for heap bytes
+
+	lowest, highest sortKey // the column's first and last key, when n > 0
 
 	fenceMu sync.Mutex
 	fences  atomic.Pointer[[]fence] // nil until the first range lookup
 }
 
 // openCol validates the payload framing and returns the column view.
-func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*mappedCol, error) {
+func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("%w: column %v section only %d bytes", ErrSnapshotCorrupt, ord, len(payload))
 	}
@@ -145,17 +190,34 @@ func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*mappedCol,
 		return nil, fmt.Errorf("%w: column %v skip index truncated (%d blocks for %d triples)",
 			ErrSnapshotCorrupt, ord, nBlocks, n)
 	}
-	return &mappedCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}, nil
+	m := &encCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}
+	if n > 0 {
+		// The last key: decode the last block, which the skip index must
+		// place after itself and inside the payload.
+		b := nBlocks - 1
+		k, pos := m.first(b), m.blockOff(b)
+		if pos < 8+nBlocks*colSkipEntryBytes || pos > len(payload) {
+			return nil, fmt.Errorf("%w: column %v block %d at byte %d of %d", ErrSnapshotCorrupt, ord, b, pos, len(payload))
+		}
+		for i := b*colBlockTriples + 1; i < n; i++ {
+			var err error
+			if pos, err = m.step(&k, pos); err != nil {
+				return nil, err
+			}
+		}
+		m.lowest, m.highest = m.first(0).sortKey(), k.sortKey()
+	}
+	return m, nil
 }
 
-func (m *mappedCol) Len() int { return m.n }
+func (m *encCol) Len() int { return m.n }
 
-// colKey is a mapped column's decoding state: the key, in the column's
+// colKey is an encoded column's decoding state: the key, in the column's
 // order, of the triple last decoded.
 type colKey [3]dict.ID
 
 // first returns block b's first key, straight from the skip index.
-func (m *mappedCol) first(b int) colKey {
+func (m *encCol) first(b int) colKey {
 	e := m.payload[8+b*colSkipEntryBytes:]
 	return colKey{
 		dict.ID(binary.LittleEndian.Uint32(e[0:4])),
@@ -164,30 +226,55 @@ func (m *mappedCol) first(b int) colKey {
 	}
 }
 
-func (m *mappedCol) blockOff(b int) int {
+func (m *encCol) blockOff(b int) int {
 	e := m.payload[8+b*colSkipEntryBytes:]
 	return int(binary.LittleEndian.Uint64(e[12:20]))
 }
 
 // step decodes the key after k from the varints at payload[pos:] and
 // returns the position past them, or an error if the payload cuts them.
-func (m *mappedCol) step(k *colKey, pos int) (int, error) {
+func (m *encCol) step(k *colKey, pos int) (int, error) {
+	p := m.payload
+	if pos+3 <= len(p) && p[pos]|p[pos+1]|p[pos+2] < 0x80 { // three one-byte varints: most triples
+		k[0] += dict.ID(p[pos])
+		k[1] = dict.ID(int64(k[1]) + unzigzag(uint64(p[pos+1])))
+		k[2] = dict.ID(int64(k[2]) + unzigzag(uint64(p[pos+2])))
+		return pos + 3, nil
+	}
 	var d [3]uint64
 	for j := range d {
-		if pos < len(m.payload) && m.payload[pos] < 0x80 { // one-byte varint: most deltas
-			d[j], pos = uint64(m.payload[pos]), pos+1
-			continue
-		}
-		v, w := binary.Uvarint(m.payload[pos:])
-		if w <= 0 {
+		v, next := readUvarint(p, pos)
+		if next <= pos {
 			return pos, fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, m.ord, pos)
 		}
-		d[j], pos = v, pos+w
+		d[j], pos = v, next
 	}
 	k[0] += dict.ID(d[0])
 	k[1] = dict.ID(int64(k[1]) + unzigzag(d[1]))
 	k[2] = dict.ID(int64(k[2]) + unzigzag(d[2]))
 	return pos, nil
+}
+
+// readUvarint decodes the uvarint at p[pos:] and returns it with the
+// position past it, or pos itself if p cuts it: binary.Uvarint unrolled
+// to three bytes, appendUvarint's cases.
+func readUvarint(p []byte, pos int) (uint64, int) {
+	if pos+3 <= len(p) {
+		b0, b1, b2 := uint64(p[pos]), uint64(p[pos+1]), uint64(p[pos+2])
+		switch {
+		case b0 < 0x80:
+			return b0, pos + 1
+		case b1 < 0x80:
+			return b0&0x7f | b1<<7, pos + 2
+		case b2 < 0x80:
+			return b0&0x7f | (b1&0x7f)<<7 | b2<<14, pos + 3
+		}
+	}
+	v, w := binary.Uvarint(p[pos:])
+	if w <= 0 {
+		return 0, pos
+	}
+	return v, pos + w
 }
 
 // must returns v, or panics with err as a corruption for the column
@@ -205,7 +292,7 @@ func (k colKey) sortKey() sortKey { return packKey(k[0], k[1], k[2]) }
 // fences. It fails on a block that does not begin where the one before
 // it ends (the first just past the skip index, the last ending the
 // payload), on a cut varint, and on an ID outside 1..maxID.
-func (m *mappedCol) walk(maxID dict.ID) (fs []fence, err error) {
+func (m *encCol) walk(maxID dict.ID) (fs []fence, err error) {
 	fs = make([]fence, 0, (m.n+fenceTriples-1)/fenceTriples)
 	pos := 8 + m.nBlocks*colSkipEntryBytes
 	for b := 0; b < m.nBlocks; b++ {
@@ -226,7 +313,8 @@ func (m *mappedCol) walk(maxID dict.ID) (fs []fence, err error) {
 				}
 			}
 			if i%fenceTriples == 0 {
-				fs = append(fs, fence{key: k, off: uint32(pos - start)})
+				sk := k.sortKey()
+				fs = append(fs, fence{hi: sk.hi, lo: sk.lo, off: uint32(pos - start)})
 			}
 		}
 	}
@@ -238,7 +326,7 @@ func (m *mappedCol) walk(maxID dict.ID) (fs []fence, err error) {
 
 // fenceTable returns the column's fences, deriving them on first use by
 // one walk.
-func (m *mappedCol) fenceTable() []fence {
+func (m *encCol) fenceTable() []fence {
 	if fs := m.fences.Load(); fs != nil {
 		return *fs
 	}
@@ -253,7 +341,7 @@ func (m *mappedCol) fenceTable() []fence {
 }
 
 // fenceBytes is what the column's fences hold, 0 before they are built.
-func (m *mappedCol) fenceBytes() int64 {
+func (m *encCol) fenceBytes() int64 {
 	if fs := m.fences.Load(); fs != nil {
 		return int64(cap(*fs)) * int64(unsafe.Sizeof(fence{}))
 	}
@@ -262,16 +350,22 @@ func (m *mappedCol) fenceBytes() int64 {
 
 // at returns the decoding state at fence f: the key of triple
 // f·fenceTriples and the position of the varints after it.
-func (m *mappedCol) at(fs []fence, f int) (colKey, int) {
-	return fs[f].key, m.blockOff(f*fenceTriples/colBlockTriples) + int(fs[f].off)
+func (m *encCol) at(fs []fence, f int) (colKey, int) {
+	return fs[f].colKey(), m.blockOff(f*fenceTriples/colBlockTriples) + int(fs[f].off)
 }
 
-func (m *mappedCol) Range(bound Triple, n int) (lo, hi int) {
+func (m *encCol) Range(bound Triple, n int) (lo, hi int) {
 	if n == 0 || m.n == 0 {
 		return 0, m.n
 	}
-	fs := m.fenceTable()
 	kl, kh := m.ord.prefixBounds(bound, n)
+	switch {
+	case !m.highest.reaches(kl, false): // every key sorts before the range
+		return m.n, m.n
+	case m.lowest.reaches(kh, true): // every key sorts after it
+		return 0, 0
+	}
+	fs := m.fenceTable()
 	lo, key, pos := m.search(fs, 0, len(fs), kl, false)
 	// Most ranges are short: walk on from lo to the next fence first.
 	hi, end := lo, min(m.n, (lo/fenceTriples+1)*fenceTriples)
@@ -286,7 +380,7 @@ func (m *mappedCol) Range(bound Triple, n int) (lo, hi int) {
 	// The range runs past fence hi/fenceTriples: gallop over the fences
 	// from there, then bisect.
 	short, f := hi/fenceTriples-1, hi/fenceTriples
-	for d := 1; f < len(fs) && !fs[f].key.sortKey().reaches(kh, true); d *= 2 {
+	for d := 1; f < len(fs) && !fs[f].sortKey().reaches(kh, true); d *= 2 {
 		short, f = f, f+d
 	}
 	hi, _, _ = m.search(fs, short+1, min(f, len(fs)), kh, true)
@@ -298,11 +392,11 @@ func (m *mappedCol) Range(bound Triple, n int) (lo, hi int) {
 // after it — given that the first fence to reach k is in [from, to]
 // (to = len(fs) standing for none). It bisects those fences, then decodes
 // the triples between the last fence short of k and the next.
-func (m *mappedCol) search(fs []fence, from, to int, k sortKey, strict bool) (int, colKey, int) {
+func (m *encCol) search(fs []fence, from, to int, k sortKey, strict bool) (int, colKey, int) {
 	lo, hi := from, to
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
-		if fs[h].key.sortKey().reaches(k, strict) {
+		if fs[h].sortKey().reaches(k, strict) {
 			hi = h
 		} else {
 			lo = h + 1
@@ -326,7 +420,7 @@ func (m *mappedCol) search(fs []fence, from, to int, k sortKey, strict bool) (in
 	return lo * fenceTriples, key, pos
 }
 
-func (m *mappedCol) Cursor(lo, hi int) Cursor {
+func (m *encCol) Cursor(lo, hi int) Cursor {
 	return Cursor{pos: lo, hi: hi, col: m}
 }
 
@@ -334,7 +428,7 @@ func (m *mappedCol) Cursor(lo, hi int) Cursor {
 // whichever comes first, into buf (reusing its capacity). A window from a
 // block start reads the skip index; one from inside a block starts at the
 // fence before i.
-func (m *mappedCol) window(i, hi int, buf []Triple) []Triple {
+func (m *encCol) window(i, hi int, buf []Triple) []Triple {
 	if buf == nil {
 		buf = make([]Triple, 0, min(hi-i, colBlockTriples))
 	}
@@ -359,29 +453,57 @@ func (m *mappedCol) window(i, hi int, buf []Triple) []Triple {
 	return buf
 }
 
-// mappedCols is the on-disk RunCols: three mappedCol views over the col
-// sections of one snapshot.
-type mappedCols struct {
+// encCols is the encoded RunCols: three encCol views over the column
+// sections of one snapshot, or over the heap payloads encodeCols builds
+// for a large folded run.
+type encCols struct {
 	n    int
-	cols [NumOrders]*mappedCol
+	cols [NumOrders]*encCol
 }
 
-func (m *mappedCols) length() int     { return m.n }
-func (m *mappedCols) col(o Order) Col { return m.cols[o] }
+func (m *encCols) length() int     { return m.n }
+func (m *encCols) col(o Order) Col { return m.cols[o] }
 
-// bytes is what the run's three column sections hold.
-func (m *mappedCols) bytes() int64 {
+// encodeCols adopts ts and encodes it, sorted in place into each order in
+// turn, as three heap-resident columns: a run at 10–12 B a triple where
+// memCols holds 36, plus the fences of the columns that serve range
+// lookups. One scratch buffer serves all three sorts, and ts is garbage
+// once this returns.
+func encodeCols(ts []Triple) *encCols {
+	var scratch []Triple
+	if len(ts) >= radixCutoff {
+		scratch = make([]Triple, len(ts))
+	}
+	m := &encCols{n: len(ts)}
+	for o := range m.cols {
+		sortTriples(Order(o), ts, scratch)
+		var b bytes.Buffer
+		writeCol(&b, Order(o), ts)
+		m.cols[o] = must(openCol(Order(o), b.Bytes(), len(ts), nil))
+	}
+	return m
+}
+
+// fileBytes is what the run's column sections hold in its snapshot file:
+// 0 for heap columns.
+func (m *encCols) fileBytes() int64 {
 	var n int64
 	for _, c := range m.cols {
-		n += int64(len(c.payload))
+		if c.file != nil {
+			n += int64(len(c.payload))
+		}
 	}
 	return n
 }
 
-// fenceBytes is what the run's built fences hold on the heap.
-func (m *mappedCols) fenceBytes() int64 {
+// heapBytes is what the run holds on the heap: its heap payloads and the
+// fences its columns have built.
+func (m *encCols) heapBytes() int64 {
 	var n int64
 	for _, c := range m.cols {
+		if c.file == nil {
+			n += int64(len(c.payload))
+		}
 		n += c.fenceBytes()
 	}
 	return n

@@ -24,14 +24,15 @@ import (
 // bounded, whenever foldWidth (8) consecutive trailing runs reach the
 // same level they are folded into one run of the next level — the
 // classical logarithmic-method amortization, O(log n / log 8) merge work
-// per inserted triple. Folded runs stay on the heap: a store compaction
-// is the only way runs leave it, starting over from a single base run —
-// the snapshot it writes.
+// per inserted triple. Folded runs stay on the heap — a fold of at least
+// encodeCutoff triples in the snapshot's column encoding, 10–12 B a
+// triple, smaller ones as slices, 36 B a triple — until a store compaction
+// starts over from a single base run: the snapshot it writes.
 //
 // A run stores its triples behind the Col abstraction (run.go), so the
-// same search and merge machinery serves in-memory slices and the column
-// sections of an mmap'd v2 snapshot (NewIndexFromBase — nothing is
-// materialized at open).
+// same search and merge machinery serves in-memory slices, encoded heap
+// columns and the column sections of an mmap'd v2 snapshot
+// (NewIndexFromBase — nothing is materialized at open).
 //
 // An Index and its runs are immutable: Applied returns a new Index
 // sharing unchanged runs, so snapshots held by old epochs stay valid (and
@@ -62,11 +63,10 @@ type run struct {
 
 func (r *run) length() int { return r.cols.length() }
 
-// newMemRun sorts adds into the three orders and attaches the tombstone
-// set. adds and dels are adopted (not copied); dels must already be
-// sorted and deduplicated.
-func newMemRun(adds, dels []Triple, level int) *run {
-	r := &run{cols: newMemCols(adds), dels: dels, level: level}
+// newRun attaches the tombstone set to a run's columns. dels is adopted
+// (not copied) and must already be sorted and deduplicated.
+func newRun(cols RunCols, dels []Triple, level int) *run {
+	r := &run{cols: cols, dels: dels, level: level}
 	if len(dels) > 0 {
 		r.delSet = make(map[Triple]struct{}, len(dels))
 		for _, t := range dels {
@@ -143,7 +143,7 @@ func (ix *Index) Applied(adds, dels []Triple) *Index {
 	// at the level its size warrants, so it is not swept into the next
 	// small-delta fold (which would re-merge it O(size) almost
 	// immediately).
-	out.runs[len(out.runs)-1] = newMemRun(append([]Triple(nil), adds...), kept, levelFor(len(adds), ix.width))
+	out.runs[len(out.runs)-1] = newRun(newMemCols(append([]Triple(nil), adds...)), kept, levelFor(len(adds), ix.width))
 	out.fold()
 	out.tombs = 0
 	for _, r := range out.runs {
@@ -242,8 +242,30 @@ func mergeRuns(window []*run, oldest bool, level int) *run {
 	if oldest {
 		dead = nil
 	}
-	return newMemRun(adds, dead, level)
+	return newRun(foldCols(adds), dead, level)
 }
+
+// foldCols adopts a fold's surviving triples as the merged run's columns:
+// encoded (encodeCols) from encodeCutoff triples, three sorted slices
+// (newMemCols) below.
+func foldCols(adds []Triple) RunCols {
+	if len(adds) >= encodeCutoff {
+		return encodeCols(adds)
+	}
+	return newMemCols(adds)
+}
+
+// encodeCutoff is the fold size from which the merged run is encoded
+// rather than kept as three sorted slices: eight column blocks. Measured
+// with BenchmarkIndexDeltaTail (LUBM-52, 100-triple batches, whose folds
+// come in ≈ 800, ≈ 6 400 and ≈ 51 200 triples), median of six runs per
+// cutoff on one core: encoding from 512 holds the tail at 13.7 B a
+// triple for 123 µs a batch, from 4096 at 15.0 B for 118 µs, from 8192 at
+// 23.1 B for 99 µs, and never encoding at 35.8 B for 105 µs. Encoding
+// the ≈ 800-triple folds saves little and costs a fold's encode every
+// eighth batch; leaving the ≈ 6 400-triple ones as slices gives back
+// half the saving.
+const encodeCutoff = 4096
 
 // Len reports the number of triples visible to readers.
 func (ix *Index) Len() int { return ix.live }
@@ -256,16 +278,17 @@ func (ix *Index) Runs() int { return len(ix.runs) }
 const TripleBytes = 12
 
 // HeapBytes is what the index holds on the heap: 12 bytes a triple in
-// each of the three sort orders of its heap runs, and the fences its
-// mapped base has built (2 bytes a triple per column).
+// each of the three sort orders of its slice runs, the payloads of its
+// encoded heap runs, and the fences its encoded runs — heap or mapped —
+// have built (2 bytes a triple per column).
 func (ix *Index) HeapBytes() int64 {
 	var n int64
 	for _, r := range ix.runs {
 		switch c := r.cols.(type) {
 		case *memCols:
 			n += int64(c.length()) * int64(NumOrders) * TripleBytes
-		case *mappedCols:
-			n += c.fenceBytes()
+		case *encCols:
+			n += c.heapBytes()
 		}
 	}
 	return n
@@ -276,8 +299,8 @@ func (ix *Index) HeapBytes() int64 {
 func (ix *Index) MappedBytes() int64 {
 	var n int64
 	for _, r := range ix.runs {
-		if c, ok := r.cols.(*mappedCols); ok {
-			n += c.bytes()
+		if c, ok := r.cols.(*encCols); ok {
+			n += c.fileBytes()
 		}
 	}
 	return n
@@ -392,11 +415,21 @@ func (ix *Index) Count(s, p, o dict.ID) int {
 	return n
 }
 
-// Contains reports whether the exact triple is visible.
+// Contains reports whether the exact triple is visible: some run holds it
+// and no newer run tombstones it. Runs are probed newest first, so the
+// first that holds or tombstones t decides (a run's tombstones never
+// apply to its own triples), with no cursor over any of them.
 func (ix *Index) Contains(t Triple) bool {
-	found := false
-	ix.ForEach(t.S, t.P, t.O, func(Triple) bool { found = true; return false })
-	return found
+	for ri := len(ix.runs) - 1; ri >= 0; ri-- {
+		r := ix.runs[ri]
+		if lo, hi := r.cols.col(OrderSPO).Range(t, 3); lo < hi {
+			return true
+		}
+		if _, dead := r.delSet[t]; dead {
+			return false
+		}
+	}
+	return false
 }
 
 // patternPlan selects the access path for the bound positions: the sort

@@ -15,7 +15,7 @@ import (
 // mappedRun writes ts as the data component of a snapshot at path and
 // returns the snapshot's column run, mapped. The dictionary holds maxID
 // terms, so every ID of ts names one.
-func mappedRun(t *testing.T, path string, ts []Triple, maxID uint32) *mappedCols {
+func mappedRun(t *testing.T, path string, ts []Triple, maxID uint32) *encCols {
 	t.Helper()
 	g := NewGraph()
 	for i := g.Dict().Len(); i < int(maxID); i++ {
@@ -36,97 +36,131 @@ func mappedRun(t *testing.T, path string, ts []Triple, maxID uint32) *mappedCols
 	if err != nil {
 		t.Fatalf("OpenSnapshotFile: %v", err)
 	}
-	return sf.Runs().(*mappedCols)
+	return sf.Runs().(*encCols)
 }
 
 // TestMappedColsMatchMemCols: a run written as a snapshot's column
-// sections and mapped back serves exactly the same Range results and cursor sequences as its
-// in-memory source, for every order: every prefix length (0 included),
-// bounds inside and outside the column's ID space (empty ranges), narrow
-// keys (IDs up to 40) and heavy ties (IDs up to 6), and cursors whose
-// ends sit on, next to and between fence, block and column boundaries.
+// sections and mapped back, and a fold output above encodeCutoff, encoded
+// on the heap, serve exactly the same Range results and cursor sequences
+// as the same triples in memCols, for every order: every prefix length
+// (0 included), bounds inside and outside the column's ID space (empty
+// ranges), narrow keys (IDs up to 40) and heavy ties (IDs up to 6), and
+// cursors whose ends sit on, next to and between fence, block and column
+// boundaries.
 func TestMappedColsMatchMemCols(t *testing.T) {
 	dir := t.TempDir()
 	fileSeq := 0
-	f := func(seed uint64) bool {
+	mapped := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		n := rng.IntN(3*colBlockTriples + fenceTriples)
 		universe := []uint32{idUniverse, 40}[seed%2]
 		ts := randTriplesBelow(rng, n, universe)
 		mem := newMemCols(slices.Clone(ts))
 		fileSeq++
-		mapped := mappedRun(t, filepath.Join(dir, fmt.Sprintf("run-%d.rdfsum", fileSeq)), ts, universe)
-		if mapped.length() != mem.length() {
+		enc := mappedRun(t, filepath.Join(dir, fmt.Sprintf("run-%d.rdfsum", fileSeq)), ts, universe)
+		return colsMatch(t, seed, rng, mem, enc, universe)
+	}
+	if err := quick.Check(mapped, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	// The heap arm: eight runs folded into one past the cutoff.
+	heap := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 4))
+		n := encodeCutoff + rng.IntN(3*colBlockTriples+fenceTriples)
+		universe := []uint32{idUniverse, 40, 60_000}[seed%3]
+		ts := randTriplesBelow(rng, n, universe)
+		var window []*run
+		for i := range foldWidth {
+			window = append(window, newRun(newMemCols(slices.Clone(ts[i*n/foldWidth:(i+1)*n/foldWidth])), nil, 0))
+		}
+		enc, ok := mergeRuns(window, true, 1).cols.(*encCols)
+		if !ok || enc.fileBytes() != 0 {
+			t.Logf("seed %d: a %d-triple fold is not encoded on the heap", seed, n)
 			return false
 		}
-		same := func(a, b Cursor) bool {
-			for a.Valid() || b.Valid() {
-				if a.Valid() != b.Valid() || a.Peek() != b.Peek() {
-					return false
-				}
-				a.Next()
-				b.Next()
-			}
-			return true
-		}
-		// Cursor ends: the column's ends, each fence and block boundary
-		// of the first two blocks and its neighbours, and random points.
-		var ends []int
-		for _, at := range []int{0, fenceTriples, 3 * fenceTriples, colBlockTriples, 2 * colBlockTriples, n} {
-			for _, e := range []int{at - 1, at, at + 1} {
-				if e >= 0 && e <= n {
-					ends = append(ends, e)
-				}
-			}
-		}
-		for range 4 {
-			ends = append(ends, rng.IntN(n+1))
-		}
-		for ord := Order(0); ord < NumOrders; ord++ {
-			mc, pc := mem.col(ord), mapped.col(ord)
-			if mc.Len() != pc.Len() {
+		return colsMatch(t, seed, rng, newMemCols(ts), enc, universe)
+	}
+	if err := quick.Check(heap, &quick.Config{MaxCount: 8}); err != nil {
+		t.Error(err)
+	}
+}
+
+// colsMatch compares an encoded run with the same triples in memCols:
+// cursors between every pair of interesting ends, and Range for bounds
+// taken from the column and drawn around its ID space (IDs below
+// universe).
+func colsMatch(t *testing.T, seed uint64, rng *rand.Rand, mem *memCols, enc *encCols, universe uint32) bool {
+	t.Helper()
+	n := mem.length()
+	if enc.length() != n {
+		return false
+	}
+	same := func(a, b Cursor) bool {
+		for a.Valid() || b.Valid() {
+			if a.Valid() != b.Valid() || a.Peek() != b.Peek() {
 				return false
 			}
-			for _, lo := range ends {
-				for _, hi := range ends {
-					if lo <= hi && !same(mc.Cursor(lo, hi), pc.Cursor(lo, hi)) {
-						t.Logf("seed %d %v: cursor [%d, %d) differs", seed, ord, lo, hi)
-						return false
-					}
-				}
-			}
-			// Range, for bounds taken from the column and drawn around it.
-			for trial := 0; trial < 24; trial++ {
-				bound := Triple{
-					S: dict.ID(rng.Uint32N(universe + 2)),
-					P: dict.ID(rng.Uint32N(universe + 2)),
-					O: dict.ID(rng.Uint32N(universe + 2)),
-				}
-				if trial%2 == 0 && n > 0 {
-					bound = mem.cols[ord].ts[rng.IntN(n)]
-				}
-				for k := 0; k <= 3; k++ {
-					ml, mh := mc.Range(bound, k)
-					pl, ph := pc.Range(bound, k)
-					want := 0
-					for _, tr := range mem.cols[ord].ts {
-						if prefixEqual(ord, tr, bound, k) {
-							want++
-						}
-					}
-					if ml != pl || mh != ph || mh-ml != want {
-						t.Logf("seed %d %v: Range(%v, %d) heap [%d, %d) mapped [%d, %d), %d matches",
-							seed, ord, bound, k, ml, mh, pl, ph, want)
-						return false
-					}
-				}
-			}
+			a.Next()
+			b.Next()
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	// Cursor ends: the column's ends, each fence and block boundary of
+	// the first two blocks and of the last, their neighbours, and random
+	// points.
+	var ends []int
+	last := n - n%colBlockTriples
+	for _, at := range []int{0, fenceTriples, 3 * fenceTriples, colBlockTriples, 2 * colBlockTriples, last - fenceTriples, last, last + fenceTriples, n - fenceTriples, n} {
+		for _, e := range []int{at - 1, at, at + 1} {
+			if e >= 0 && e <= n && !slices.Contains(ends, e) {
+				ends = append(ends, e)
+			}
+		}
 	}
+	for range 4 {
+		ends = append(ends, rng.IntN(n+1))
+	}
+	for ord := Order(0); ord < NumOrders; ord++ {
+		mc, pc := mem.col(ord), enc.col(ord)
+		if mc.Len() != pc.Len() {
+			return false
+		}
+		for _, lo := range ends {
+			for _, hi := range ends {
+				if lo <= hi && !same(mc.Cursor(lo, hi), pc.Cursor(lo, hi)) {
+					t.Logf("seed %d %v: cursor [%d, %d) differs", seed, ord, lo, hi)
+					return false
+				}
+			}
+		}
+		// Range, for bounds taken from the column and drawn around it.
+		for trial := 0; trial < 24; trial++ {
+			bound := Triple{
+				S: dict.ID(rng.Uint32N(universe + 2)),
+				P: dict.ID(rng.Uint32N(universe + 2)),
+				O: dict.ID(rng.Uint32N(universe + 2)),
+			}
+			if trial%2 == 0 && n > 0 {
+				bound = mem.cols[ord].ts[rng.IntN(n)]
+			}
+			for k := 0; k <= 3; k++ {
+				ml, mh := mc.Range(bound, k)
+				pl, ph := pc.Range(bound, k)
+				want := 0
+				for _, tr := range mem.cols[ord].ts {
+					if prefixEqual(ord, tr, bound, k) {
+						want++
+					}
+				}
+				if ml != pl || mh != ph || mh-ml != want {
+					t.Logf("seed %d %v: Range(%v, %d) heap [%d, %d) encoded [%d, %d), %d matches",
+						seed, ord, bound, k, ml, mh, pl, ph, want)
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // prefixEqual reports whether t and bound agree on their first n key

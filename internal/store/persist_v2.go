@@ -158,7 +158,7 @@ func decodeComp(raw []byte, n, maxID uint64) ([]Triple, error) {
 // unmapped once none is; Close unmaps at once.
 type SnapshotFile struct {
 	c    *container
-	runs *mappedCols
+	runs *encCols
 }
 
 // OpenSnapshotFile maps path and validates its header and TOC. With
@@ -201,7 +201,7 @@ func newSnapshotFile(file *mapping, check io.ReaderAt) (*SnapshotFile, error) {
 		}
 	}
 	c.file = file
-	runs := &mappedCols{n: int(c.nData + c.nTypes + c.nSchema)}
+	runs := &encCols{n: int(c.nData + c.nTypes + c.nSchema)}
 	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {

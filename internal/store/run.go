@@ -10,12 +10,13 @@ import (
 
 // The immutable-run storage abstraction. A run of the tiered index keeps
 // its triples in three sort orders (SPO, POS, OSP); each order is a Col.
-// Two implementations exist: memCols (plain in-memory slices — every run
-// built by ingest starts this way) and mappedCols (varint-delta-encoded
-// blocks with a skip index, served zero-copy from an mmap'd snapshot;
-// see colenc.go). The index's search and merge machinery is written
-// against the interfaces, so opening a prebuilt snapshot without
-// materializing anything is just a different Col behind the same run.
+// Two implementations exist: memCols (plain in-memory slices — each
+// epoch's delta run, small folds, a memory-only store's base) and encCols
+// (varint-delta-encoded blocks with a skip index, served zero-copy from
+// an mmap'd snapshot or from the heap bytes of a large fold; see
+// colenc.go). The index's search and merge machinery is written against
+// the interfaces, so opening a prebuilt snapshot without materializing
+// anything is just a different Col behind the same run.
 
 // Order selects one of the three maintained sort orders.
 type Order int
@@ -139,11 +140,11 @@ type Col interface {
 // Cursor iterates a Col range in order. Not safe for concurrent use;
 // create one per traversal.
 type Cursor struct {
-	buf   []Triple   // the window holding the next triple
-	bufLo int        // global index of buf[0]
-	pos   int        // global index of the next triple
-	hi    int        // global end of the iteration range
-	col   *mappedCol // decodes the next window into buf; nil for in-memory cols
+	buf   []Triple // the window holding the next triple
+	bufLo int      // global index of buf[0]
+	pos   int      // global index of the next triple
+	hi    int      // global end of the iteration range
+	col   *encCol  // decodes the next window into buf; nil for slice cols
 }
 
 // Valid reports whether Next has another triple to return.
@@ -183,10 +184,16 @@ type memCol struct {
 func (m *memCol) Len() int { return len(m.ts) }
 
 func (m *memCol) Range(bound Triple, n int) (lo, hi int) {
-	if n == 0 {
+	if n == 0 || len(m.ts) == 0 {
 		return 0, len(m.ts)
 	}
 	kl, kh := m.ord.prefixBounds(bound, n)
+	switch {
+	case !m.ord.sortKey(m.ts[len(m.ts)-1]).reaches(kl, false): // every key sorts before the range
+		return len(m.ts), len(m.ts)
+	case m.ord.sortKey(m.ts[0]).reaches(kh, true): // every key sorts after it
+		return 0, 0
+	}
 	lo = m.search(0, len(m.ts), kl, false)
 	// The end is near lo for most patterns: gallop from lo, then bisect.
 	short, i := lo-1, lo
@@ -215,8 +222,8 @@ func (m *memCol) Cursor(lo, hi int) Cursor {
 	return Cursor{buf: m.ts, pos: lo, hi: hi}
 }
 
-// memCols is the in-memory RunCols: the three sorted slices every
-// freshly built run starts with.
+// memCols is the slice RunCols: three sorted slices, 36 B a triple —
+// each epoch's delta run and every fold below encodeCutoff.
 type memCols struct {
 	cols [NumOrders]memCol
 }

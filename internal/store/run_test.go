@@ -132,30 +132,43 @@ func BenchmarkRunSort(b *testing.B) {
 }
 
 // mergeWindow builds a window of runs with the given sizes (oldest
-// first) over a 60k-term ID space; every fifth run also tombstones 20
-// triples of the oldest.
+// first) over a 60k-term ID space, each stored as a fold of its size
+// would be (foldCols); every fifth run also tombstones 20 triples of the
+// oldest.
 func mergeWindow(sizes []int) []*run {
 	rng := rand.New(rand.NewPCG(5, 5))
 	var w []*run
 	for i, n := range sizes {
 		var dels []Triple
 		if i > 0 && i%5 == 0 {
-			dels = slices.Clone(w[0].cols.(*memCols).cols[OrderSPO].ts[i*10 : i*10+20])
+			dels = colTriples(w[0].cols.col(OrderSPO))[i*10 : i*10+20]
 		}
-		w = append(w, newMemRun(randTriplesBelow(rng, n, 60_000), dels, 0))
+		w = append(w, newRun(foldCols(randTriplesBelow(rng, n, 60_000)), dels, 0))
 	}
 	return w
 }
 
-// BenchmarkMergeRuns times the fold kernel on two window shapes: a level
-// fold of eight equal runs, and a ~25-run fold from a 170k-triple base
-// with three levels of deltas and some tombstones above it (the shape a
+// colTriples reads a whole column through its cursor.
+func colTriples(c Col) []Triple {
+	out := make([]Triple, 0, c.Len())
+	for cur := c.Cursor(0, c.Len()); cur.Valid(); {
+		out = append(out, cur.Next())
+	}
+	return out
+}
+
+// BenchmarkMergeRuns times the fold kernel on three window shapes: level
+// folds of eight equal runs, into a run just past encodeCutoff (eight
+// slice runs in, an encoded run out) and into one of 51 200 triples
+// (encoded in and out), and a ~25-run fold from a 170k-triple base with
+// three levels of deltas and some tombstones above it (the shape a
 // compaction folded before it wrote its snapshot from the graph).
 func BenchmarkMergeRuns(b *testing.B) {
 	shapes := []struct {
 		name  string
 		sizes []int
 	}{
+		{"fold8x800", slices.Repeat([]int{800}, 8)},
 		{"fold8x6400", slices.Repeat([]int{6400}, 8)},
 		{"compact25", slices.Concat([]int{170_000}, slices.Repeat([]int{6400}, 7), slices.Repeat([]int{800}, 7), slices.Repeat([]int{100}, 10))},
 	}

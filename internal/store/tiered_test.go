@@ -106,12 +106,26 @@ func sameIterationOrder(a, b *Index) bool {
 // checkAgainstOracle verifies every read path of ix against the surviving
 // multiset: Len, full-order iteration for all three orders, Count and
 // ForEach for every bound-position combination over the universe, and
-// Contains.
+// Contains for every triple of the universe.
 func checkAgainstOracle(t *testing.T, ix *Index, surviving []Triple) bool {
 	t.Helper()
 	if ix.Len() != len(surviving) {
 		t.Logf("Len = %d, want %d", ix.Len(), len(surviving))
 		return false
+	}
+	held := make(map[Triple]bool, len(surviving))
+	for _, tr := range surviving {
+		held[tr] = true
+	}
+	for s := dict.ID(1); s <= idUniverse; s++ {
+		for p := dict.ID(1); p <= idUniverse; p++ {
+			for o := dict.ID(1); o <= idUniverse; o++ {
+				if tr := (Triple{S: s, P: p, O: o}); ix.Contains(tr) != held[tr] {
+					t.Logf("Contains(%v) = %v, want %v", tr, !held[tr], held[tr])
+					return false
+				}
+			}
+		}
 	}
 	if got, want := scanAll(ix), sortedBy(surviving, OrderSPO.less); !reflect.DeepEqual(got, want) {
 		t.Logf("full scan = %v, want %v", got, want)
@@ -206,6 +220,69 @@ func TestTieredIndexOracle(t *testing.T) {
 	}
 }
 
+// TestTieredIndexEncodedFolds: at the production width, add batches of
+// 300–900 triples fold eight at a time into runs past encodeCutoff,
+// encoded on the heap, and those folds fold again; with duplicates by the
+// dozen (six IDs a position), tombstones of triples held in both slice and
+// encoded runs, and snapshots held across later folds, every read path
+// matches the surviving multiset (checkAgainstOracle: ForEach and Count
+// on every pattern, Contains, iteration order).
+func TestTieredIndexEncodedFolds(t *testing.T) {
+	encoded := 0
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 0xe1c))
+		ix := NewIndexFromBase(NewRunCols(nil))
+		var oracle []Triple
+		type held struct {
+			ix        *Index
+			surviving []Triple
+		}
+		var snapshots []held
+		for i := 0; i < 40; i++ {
+			if rng.IntN(4) == 0 {
+				dead := make([]Triple, 1+rng.IntN(3))
+				for j := range dead {
+					dead[j] = randTriple(rng)
+				}
+				ix = ix.Applied(nil, dead)
+				oracle = deleteAll(oracle, dead)
+			} else {
+				adds := make([]Triple, 300+rng.IntN(600))
+				for j := range adds {
+					adds[j] = randTriple(rng)
+				}
+				ix = ix.Applied(adds, nil)
+				oracle = append(oracle, adds...)
+			}
+			for _, r := range ix.runs {
+				if c, ok := r.cols.(*encCols); ok && c.fileBytes() == 0 {
+					encoded++
+				}
+			}
+			if i%4 == 3 && !checkAgainstOracle(t, ix, oracle) {
+				t.Logf("seed %d: divergence after op %d", seed, i)
+				return false
+			}
+			if rng.IntN(8) == 0 {
+				snapshots = append(snapshots, held{ix: ix, surviving: append([]Triple(nil), oracle...)})
+			}
+		}
+		for si, h := range snapshots {
+			if !checkAgainstOracle(t, h.ix, h.surviving) {
+				t.Logf("seed %d: held snapshot %d was disturbed by later operations", seed, si)
+				return false
+			}
+		}
+		return checkAgainstOracle(t, ix, oracle)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3}); err != nil {
+		t.Error(err)
+	}
+	if encoded == 0 {
+		t.Error("no fold produced an encoded heap run")
+	}
+}
+
 // TestTieredIndexMatchesFromScratch: after an op sequence, the index must
 // iterate identically to NewIndex over a graph holding exactly the
 // surviving multiset.
@@ -225,7 +302,7 @@ func TestTieredIndexMatchesFromScratch(t *testing.T) {
 		}
 	}
 	fresh := &Index{width: foldWidth, live: len(oracle)}
-	fresh.runs = []*run{newMemRun(append([]Triple(nil), oracle...), nil, 0)}
+	fresh.runs = []*run{newRun(newMemCols(append([]Triple(nil), oracle...)), nil, 0)}
 	if !sameIterationOrder(ix, fresh) {
 		t.Fatal("tiered index diverges from a from-scratch index over the survivors")
 	}
@@ -297,4 +374,62 @@ func TestIndexRunsBoundedMixedSizes(t *testing.T) {
 				i, ix.runs[i].level, ix.runs[i-1].level)
 		}
 	}
+}
+
+// TestIndexHeapBytesCountsEncodedRuns: after folds past encodeCutoff,
+// HeapBytes is exactly what the runs hold on the heap — 36 B a triple of
+// every slice run, and the payloads and built fences of every encoded
+// heap run — and MappedBytes counts none of it.
+func TestIndexHeapBytesCountsEncodedRuns(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	ix := NewIndexFromBase(NewRunCols(nil))
+	var last Triple
+	for range 40 {
+		adds := randTriplesBelow(rng, 600, 40)
+		ix = ix.Applied(adds, nil)
+		last = adds[0]
+	}
+	account := func() (want, folded int64) {
+		for _, r := range ix.runs {
+			switch c := r.cols.(type) {
+			case *memCols:
+				want += 36 * int64(c.length())
+			case *encCols:
+				folded += int64(c.length())
+				for _, col := range c.cols {
+					want += int64(len(col.payload)) + col.fenceBytes()
+				}
+			default:
+				t.Fatalf("run of %T", c)
+			}
+		}
+		return want, folded
+	}
+	check := func(what string, fenced bool) {
+		t.Helper()
+		want, folded := account()
+		if folded == 0 {
+			t.Fatalf("%s: no run is encoded after %d triples", what, ix.Len())
+		}
+		if got := ix.HeapBytes(); got != want {
+			t.Errorf("%s: HeapBytes = %d, want slice runs at 36 B a triple + encoded payloads and fences = %d", what, got, want)
+		}
+		if got := ix.MappedBytes(); got != 0 {
+			t.Errorf("%s: MappedBytes = %d over heap runs, want 0", what, got)
+		}
+		for _, r := range ix.runs {
+			if c, ok := r.cols.(*encCols); ok {
+				for _, col := range c.cols {
+					if built := col.fenceBytes() > 0; built != fenced {
+						t.Errorf("%s: %v fences built = %v, want %v", what, col.ord, built, fenced)
+					}
+				}
+			}
+		}
+	}
+	check("after folds", false)
+	ix.Count(last.S, dict.None, dict.None)
+	ix.Count(dict.None, last.P, dict.None)
+	ix.Count(dict.None, dict.None, last.O)
+	check("after a range lookup in every order", true)
 }
