@@ -139,7 +139,7 @@ func TestCmdSummarizeSavesSummaryNotInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ten 4 KiB-aligned sections bound the file from below.
+	// Nine 4 KiB-aligned sections bound the file from below.
 	if st.Size() > 128<<10 {
 		t.Errorf("saved weak summary is %d bytes; it carries its input's dictionary", st.Size())
 	}
@@ -215,7 +215,7 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 		}
 		rows++
 	}
-	if rows != 10 {
-		t.Fatalf("inspect printed %d section rows, want the snapshot's 10:\n%s", rows, printed)
+	if rows != 9 {
+		t.Fatalf("inspect printed %d section rows, want the snapshot's 9:\n%s", rows, printed)
 	}
 }

@@ -19,7 +19,6 @@
 package dict
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -63,8 +62,7 @@ func New() *Dict { return &Dict{} }
 // enters the base's IDs into the index now, in one sequential walk over
 // the base's pages that hashes each term as Encode would, and fails on
 // pages the walk cannot decode, on a directory entry that is not where
-// its block begins, on a term the base holds twice, and on a sorted
-// permutation entry naming no term (a compaction's merge decodes them).
+// its block begins, and on a term the base holds twice.
 func WithBase(m *Mapped) (*Dict, error) {
 	d := &Dict{base: m}
 	d.index.reserve(m.n)
@@ -76,9 +74,6 @@ func WithBase(m *Mapped) (*Dict, error) {
 		}
 		if value = c.next(value); c.err != nil {
 			return nil, c.err
-		}
-		if id := binary.LittleEndian.Uint32(m.sorted[(c.i-1)*4:]); id == 0 || int(id) > m.n {
-			return nil, fmt.Errorf("dict: sorted position %d holds unknown id %d", c.i-1, id)
 		}
 		t := c.term(value)
 		h := termHash(t)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 	"strings"
 	"unsafe"
 
@@ -17,9 +15,9 @@ import (
 // assigned in insertion order, and summaries are bit-identical only if
 // every term keeps its ID — in blocks of BlockTerms, each term
 // prefix-compressed against its predecessor's Value. A sparse directory
-// (one offset per block) gives O(1) block location for Term, and a
-// term-sorted ID permutation lets the next compaction merge the terms
-// interned since into the order instead of sorting every term again.
+// (one offset per block) gives O(1) block location for Term. Nothing
+// reads the terms in lexical order: the term → ID direction is a Dict's
+// hash index over the pages (WithBase).
 //
 //	pages  := blocks, back to back
 //	block  := BlockTerms terms (the last block fewer):
@@ -27,26 +25,21 @@ import (
 //	  term i>0: u8 kind, uvarint lcp(value, prev value), uvarint len(suffix), suffix
 //	  literals append: uvarint len(datatype), datatype, uvarint len(lang), lang
 //	dir    := one u64 per block: block start offset into pages
-//	sorted := one u32 per term: IDs ordered by rdf.Term.Compare
 const BlockTerms = 16
 
 // WriteFrontCoded streams the pages section of d's terms, in ID order,
-// to pages, and returns how many terms that was with the other two
-// dictionary sections, the only per-term state the encoding keeps:
-// 8 bytes of directory per BlockTerms terms and 4 bytes of permutation
-// per term (4 more per term outside a mapped base, while those are
-// sorted). d must not be an overlay (its IDs are not dense).
+// to pages, and returns how many terms that was with the directory
+// section, the only per-term state the encoding keeps: 8 bytes per
+// BlockTerms terms. d must not be an overlay (its IDs are not dense).
 //
 // Over a mapped base, the base's complete blocks are copied byte for byte
-// — a block's encoding depends on its own terms only — and the
-// permutation is the base's merged with the newly interned terms', so no
-// base term is decoded beyond the base's last, partial block and the
-// terms the merge compares.
+// — a block's encoding depends on its own terms only — so only the base's
+// last, partial block is decoded and re-encoded: the work is O(new terms).
 //
 // In shared mode d is locked only to take a view of its term table — a
 // dictionary never rewrites a record, so the view stays valid while the
 // writer interns on — and the terms written are those present then.
-func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err error) {
+func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir []byte, err error) {
 	if d.under != nil {
 		panic("dict: WriteFrontCoded of an overlay")
 	}
@@ -100,7 +93,7 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err 
 			cut = m.blockStart(full)
 		}
 		if _, err := pages.Write(m.pages[:cut]); err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
 		dir = append(dir, m.dir[:full*8]...)
 		off = uint64(cut)
@@ -108,40 +101,19 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, sorted []byte, err 
 		var value []byte
 		for c := m.cursorAt(next); c.i < bl; {
 			if value = c.next(value); c.err != nil {
-				return 0, nil, nil, c.err
+				return 0, nil, c.err
 			}
 			if err := write(c.term(value)); err != nil {
-				return 0, nil, nil, err
+				return 0, nil, err
 			}
 		}
 	}
 	for _, r := range recs {
 		if err := write(r.term()); err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
 	}
-
-	// recs' IDs, sorted; then merged into the base's own order.
-	perm := make([]ID, len(recs))
-	for i := range perm {
-		perm[i] = ID(bl + i + 1)
-	}
-	termOf := func(id ID) rec { return recs[int(id)-bl-1] }
-	slices.SortFunc(perm, func(a, b ID) int { return termOf(a).compare(termOf(b)) })
-	sorted = make([]byte, 0, n*4)
-	lo := 0 // the base's terms at sorted positions below lo are written
-	for _, id := range perm {
-		if bl > 0 {
-			hi := lo + d.base.sortedRank(lo, termOf(id).term())
-			sorted = append(sorted, d.base.sorted[lo*4:hi*4]...)
-			lo = hi
-		}
-		sorted = binary.LittleEndian.AppendUint32(sorted, uint32(id))
-	}
-	if bl > 0 {
-		sorted = append(sorted, d.base.sorted[lo*4:]...)
-	}
-	return n, dir, sorted, nil
+	return n, dir, nil
 }
 
 func commonPrefix(a []byte, b string) int {
@@ -158,10 +130,9 @@ func commonPrefix(a []byte, b string) int {
 // It decodes terms by ID; the term → ID direction is a Dict's index over
 // it (WithBase), whose building walk checks the pages and the directory.
 type Mapped struct {
-	pages  []byte
-	dir    []byte
-	sorted []byte
-	n      int
+	pages []byte
+	dir   []byte
+	n     int
 
 	// Owner is kept reachable for as long as m is: the store layer hangs
 	// the mapping the sections live in here, so that they stay mapped
@@ -169,18 +140,15 @@ type Mapped struct {
 	Owner any
 }
 
-// NewMapped wraps the three dictionary sections holding n terms. It
-// checks their lengths only, so it costs nothing per term; WithBase
+// NewMapped wraps the two dictionary sections holding n terms. It checks
+// the directory's length only, so it costs nothing per term; WithBase
 // walks the pages and checks the rest.
-func NewMapped(pages, dir, sorted []byte, n int) (*Mapped, error) {
+func NewMapped(pages, dir []byte, n int) (*Mapped, error) {
 	nBlocks := (n + BlockTerms - 1) / BlockTerms
 	if len(dir) != nBlocks*8 {
 		return nil, fmt.Errorf("dict: directory holds %d bytes, want %d for %d terms", len(dir), nBlocks*8, n)
 	}
-	if len(sorted) != n*4 {
-		return nil, fmt.Errorf("dict: sorted permutation holds %d bytes, want %d for %d terms", len(sorted), n*4, n)
-	}
-	return &Mapped{pages: pages, dir: dir, sorted: sorted, n: n}, nil
+	return &Mapped{pages: pages, dir: dir, n: n}, nil
 }
 
 // Len reports the number of terms.
@@ -221,41 +189,6 @@ func (m *Mapped) decode(id ID, buf []byte) rdf.Term {
 		panic(c.err)
 	}
 	return c.term(buf)
-}
-
-// sortedRank returns how many of the base's terms from sorted position
-// lo on sort before t, which the base does not hold. Each probe decodes a
-// block, and consecutive new terms usually land close together, so it
-// gallops — probes lo, lo+1, lo+3, lo+7, … — before it bisects: O(log
-// gap) probes, not O(log n).
-func (m *Mapped) sortedRank(lo int, t rdf.Term) int {
-	var scratch [256]byte
-	beyond := func(k int) bool { // the term at sorted position lo+k sorts after t
-		id := ID(binary.LittleEndian.Uint32(m.sorted[(lo+k)*4:]))
-		return after(m.decode(id, scratch[:0]), t)
-	}
-	n, bound := m.n-lo, 1
-	for bound <= n && !beyond(bound-1) {
-		bound *= 2
-	}
-	// The rank is in [bound/2, min(bound-1, n)].
-	from, to := bound/2, min(bound-1, n)
-	return from + sort.Search(to-from, func(k int) bool { return beyond(from + k) })
-}
-
-// after reports whether u sorts after t in rdf.Term.Compare's order. It
-// compares with operators, which — unlike Compare — let u be a view of a
-// stack buffer.
-func after(u, t rdf.Term) bool {
-	switch {
-	case u.Kind != t.Kind:
-		return u.Kind > t.Kind
-	case u.Value != t.Value:
-		return u.Value > t.Value
-	case u.Datatype != t.Datatype:
-		return u.Datatype > t.Datatype
-	}
-	return u.Lang > t.Lang
 }
 
 // blockStart returns block b's offset into the pages.

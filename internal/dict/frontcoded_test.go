@@ -40,19 +40,19 @@ func randTerms(rng *rand.Rand, n int) []rdf.Term {
 }
 
 // frontCoded interns terms (distinct, so terms[i] gets ID i+1) and
-// returns the three sections WriteFrontCoded produces for them.
-func frontCoded(t *testing.T, terms []rdf.Term) (pages, dir, sorted []byte) {
+// returns the two sections WriteFrontCoded produces for them.
+func frontCoded(t *testing.T, terms []rdf.Term) (pages, dir []byte) {
 	t.Helper()
 	d := New()
 	for _, tm := range terms {
 		d.Encode(tm)
 	}
 	var buf bytes.Buffer
-	n, dir, sorted, err := d.WriteFrontCoded(&buf)
+	n, dir, err := d.WriteFrontCoded(&buf)
 	if err != nil || n != len(terms) {
 		t.Fatalf("WriteFrontCoded = %d terms, %v; want %d", n, err, len(terms))
 	}
-	return buf.Bytes(), dir, sorted
+	return buf.Bytes(), dir
 }
 
 // TestFrontCodedRoundTrip: Term(id) reproduces every term at its original
@@ -63,8 +63,8 @@ func TestFrontCodedRoundTrip(t *testing.T) {
 	for _, n := range []int{1, BlockTerms - 1, BlockTerms, BlockTerms + 1, 5*BlockTerms + 3} {
 		rng := rand.New(rand.NewPCG(uint64(n), 2))
 		terms := randTerms(rng, n)
-		pages, dir, sorted := frontCoded(t, terms)
-		m, err := NewMapped(pages, dir, sorted, n)
+		pages, dir := frontCoded(t, terms)
+		m, err := NewMapped(pages, dir, n)
 		if err != nil {
 			t.Fatalf("n=%d: NewMapped: %v", n, err)
 		}
@@ -111,8 +111,8 @@ func TestDictWithBase(t *testing.T) {
 		all = all[:nBase+nNew]
 		baseTerms, newTerms := all[:nBase], all[nBase:]
 
-		pages, dir, sorted := frontCoded(t, baseTerms)
-		m, err := NewMapped(pages, dir, sorted, nBase)
+		pages, dir := frontCoded(t, baseTerms)
+		m, err := NewMapped(pages, dir, nBase)
 		if err != nil {
 			t.Fatalf("NewMapped: %v", err)
 		}
@@ -166,15 +166,15 @@ func TestDictWithBase(t *testing.T) {
 		}
 
 		var lp, fp bytes.Buffer
-		ln, ld, ls, err := layered.WriteFrontCoded(&lp)
+		ln, ld, err := layered.WriteFrontCoded(&lp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, fd, fs, err := flat.WriteFrontCoded(&fp)
+		fn, fd, err := flat.WriteFrontCoded(&fp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ln != fn || !bytes.Equal(lp.Bytes(), fp.Bytes()) || !bytes.Equal(ld, fd) || !bytes.Equal(ls, fs) {
+		if ln != fn || !bytes.Equal(lp.Bytes(), fp.Bytes()) || !bytes.Equal(ld, fd) {
 			t.Logf("seed %d: %d base terms + %d: the sections written over the base differ from the flat dictionary's", seed, nBase, nNew)
 			return false
 		}
@@ -193,9 +193,9 @@ func TestDictWithBaseSharedFill(t *testing.T) {
 	nBase := 20*BlockTerms + 7
 	terms := randTerms(rng, nBase+200)
 	base, fresh := terms[:nBase], terms[nBase:]
-	pages, dir, sorted := frontCoded(t, base)
+	pages, dir := frontCoded(t, base)
 	for round := 0; round < 20; round++ {
-		m, err := NewMapped(pages, dir, sorted, nBase)
+		m, err := NewMapped(pages, dir, nBase)
 		if err != nil {
 			t.Fatal(err)
 		}

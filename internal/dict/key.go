@@ -1,7 +1,6 @@
 package dict
 
 import (
-	"cmp"
 	"encoding/binary"
 	"hash/maphash"
 	"strings"
@@ -91,35 +90,6 @@ func termHash(t rdf.Term) uint64 {
 	}
 	var buf frameBuf
 	return maphash.Bytes(hashSeed, appendFrame(buf[:0], t))
-}
-
-// termKind and value read the two fields every comparison starts with
-// without rebuilding the term.
-func (r rec) termKind() rdf.TermKind {
-	if r.framed {
-		return rdf.TermKind(r.key[0])
-	}
-	return r.kind
-}
-
-func (r rec) value() string {
-	if !r.framed {
-		return r.key
-	}
-	n, w := uvarint(r.key[1:])
-	return r.key[1+w : 1+w+int(n)]
-}
-
-// compare orders interned terms as rdf.Term.Compare orders them. Kind and
-// value decide all but literals that differ in datatype or language only.
-func (r rec) compare(o rec) int {
-	if c := cmp.Compare(r.termKind(), o.termKind()); c != 0 {
-		return c
-	}
-	if c := strings.Compare(r.value(), o.value()); c != 0 || !(r.framed || o.framed) {
-		return c
-	}
-	return r.term().Compare(o.term())
 }
 
 // term rebuilds the interned term; its strings alias r.key.

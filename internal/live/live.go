@@ -331,7 +331,8 @@ func (l *Live) initGeneration(seed *store.Graph) error {
 	if err := w.close(); err != nil {
 		return err
 	}
-	return writeManifest(l.dir, 1)
+	_, err = writeManifest(l.dir, 1)
+	return err
 }
 
 // graph is the writer-side mutable graph (the builder set owns it).
@@ -716,22 +717,33 @@ func (l *Live) compactLocked() error {
 	// graph's triples are exactly what it serves. The new file is mapped
 	// and checked before anything points at it: if it cannot be opened,
 	// the compaction fails here and the published epoch keeps serving the
-	// old generation.
+	// old generation. Until CURRENT is replaced, a failure removes what
+	// the compaction created: the old generation's files are all the
+	// directory holds.
 	newGen := l.gen + 1
+	snapPath, walPath := l.snapshotPath(newGen), l.walPath(newGen)
 	if err := l.writeSnapshotFile(newGen, l.graph()); err != nil {
+		os.Remove(snapPath) // renamed into place, if only the directory sync failed
 		return err
 	}
-	sf, err := openSnapshotFile(l.snapshotPath(newGen))
+	sf, err := openSnapshotFile(snapPath)
 	if err != nil {
-		os.Remove(l.snapshotPath(newGen))
+		os.Remove(snapPath)
 		return err
 	}
-	newWAL, err := createWAL(l.walPath(newGen), l.sync)
+	newWAL, err := createWAL(walPath, l.sync)
 	if err != nil {
+		sf.Close()
+		os.Remove(snapPath)
 		return err
 	}
-	if err := writeManifest(l.dir, newGen); err != nil {
+	if renamed, err := writeManifest(l.dir, newGen); err != nil {
 		newWAL.close()
+		if !renamed {
+			sf.Close()
+			os.Remove(snapPath)
+			os.Remove(walPath)
+		}
 		return err
 	}
 	// The new generation is current; retire the old one.
@@ -880,41 +892,43 @@ func readManifest(dir string) (uint64, error) {
 }
 
 // writeManifest atomically points CURRENT at gen (tmp + fsync + rename +
-// dir sync). The referenced WAL and snapshot must already be durable.
-// The tmp file's *data* is fsynced before the rename: without it a crash
-// could durably install a CURRENT entry whose blocks never hit the disk,
-// leaving an unopenable store after the old generation is deleted.
-func writeManifest(dir string, gen uint64) error {
+// dir sync), and reports whether it got as far as the rename: an error
+// with renamed false left CURRENT as it was. The referenced WAL and
+// snapshot must already be durable. The tmp file's *data* is fsynced
+// before the rename: without it a crash could durably install a CURRENT
+// entry whose blocks never hit the disk, leaving an unopenable store
+// after the old generation is deleted.
+func writeManifest(dir string, gen uint64) (renamed bool, err error) {
 	path := filepath.Join(dir, manifestName)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if _, err := fmt.Fprintf(f, "gen %d\n", gen); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return false, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return false, err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return err
+		return false, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return err
+		return false, err
 	}
 	d, err := os.Open(dir)
 	if err != nil {
-		return err
+		return true, err
 	}
 	defer d.Close()
-	return d.Sync()
+	return true, d.Sync()
 }
 
 // removeStaleGenerations deletes snapshot/WAL files of generations other

@@ -140,12 +140,12 @@ func TestReopenCountsGraphBytes(t *testing.T) {
 }
 
 // TestOpenRefusesCorruptGraphSection: Open checks every section of the
-// generation snapshot, so a flipped byte in any of the ten fails the Open
+// generation snapshot, so a flipped byte in any of the nine fails the Open
 // with ErrSnapshotChecksum — whatever kinds it maintains — rather than
 // panicking on first use.
 func TestOpenRefusesCorruptGraphSection(t *testing.T) {
 	for _, name := range []string{
-		"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types",
+		"dict-pages", "dict-dir", "comp-data", "comp-types",
 		"comp-schema", "col-spo", "col-pos", "col-osp", "vocab",
 	} {
 		for _, maintain := range [][]core.Kind{nil, {}} {
@@ -395,6 +395,81 @@ func TestCompactFailsCleanlyWhenSnapshotUnopenable(t *testing.T) {
 	}
 	if got, want := scanIndex(l.Snapshot().Index), scanIndex(store.NewIndex(l.Snapshot().Graph)); !reflect.DeepEqual(got, want) {
 		t.Fatal("the compacted index diverges from a fresh index over the graph")
+	}
+}
+
+// TestCompactFailureRemovesNewGeneration: a compaction that fails before
+// CURRENT is replaced — here at creating the new WAL, and at creating
+// CURRENT's tmp file, each blocked by a directory of that name — removes
+// the new generation's snapshot and WAL. The store stays on its
+// generation and serves the same triples, and once the obstacle is gone
+// the next Compact succeeds.
+func TestCompactFailureRemovesNewGeneration(t *testing.T) {
+	files := func(dir string) []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			if e.Name() != "LOCK" { // not written off unix
+				names = append(names, e.Name())
+			}
+		}
+		return names
+	}
+	for _, obstacle := range []string{"wal-2.log", manifestName + ".tmp"} {
+		dir := t.TempDir()
+		fed := mkBatch(0, 200)
+		l, err := Open(dir, &Options{Seed: store.FromTriples(fed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := mkBatch(1000, 30)
+		fed = append(fed, b...)
+		if err := l.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		served := l.Snapshot()
+		if err := os.Mkdir(filepath.Join(dir, obstacle), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact(); err == nil {
+			t.Fatalf("%s is a directory, yet Compact succeeded", obstacle)
+		}
+		if l.Stats().Gen != 1 || l.Snapshot() != served {
+			t.Fatalf("%s blocked: the failed compaction moved the store to generation %d, epoch %d", obstacle, l.Stats().Gen, l.Epoch())
+		}
+		want := []string{manifestName, obstacle, "snapshot-1.rdfsum", "wal-1.log"}
+		slices.Sort(want)
+		if got := files(dir); !slices.Equal(got, want) {
+			t.Fatalf("%s blocked: the directory holds %v after the failed compaction, want %v", obstacle, got, want)
+		}
+		if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s blocked: the store diverges from the triples fed", obstacle)
+		}
+
+		if err := os.Remove(filepath.Join(dir, obstacle)); err != nil {
+			t.Fatal(err)
+		}
+		b = mkBatch(2000, 30)
+		fed = append(fed, b...)
+		if err := l.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact(); err != nil {
+			t.Fatalf("Compact once %s is gone: %v", obstacle, err)
+		}
+		if got, want := files(dir), []string{manifestName, "snapshot-2.rdfsum", "wal-2.log"}; l.Stats().Gen != 2 || !slices.Equal(got, want) {
+			t.Fatalf("after the second Compact: generation %d, files %v; want 2, %v", l.Stats().Gen, got, want)
+		}
+		if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
+			t.Fatal("the store diverges from the triples fed")
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -76,25 +76,24 @@ type wal struct {
 	broken  bool  // a failed append could not be rolled back; no more writes
 }
 
-// createWAL creates path with a fresh header, synced to disk.
+// createWAL creates path with a fresh header, synced to disk. A failure
+// after the file is created removes it.
 func createWAL(path string, sync bool) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteString(walMagic); err != nil {
-		f.Close()
-		return nil, err
+	_, err = f.WriteString(walMagic)
+	if err == nil {
+		_, err = f.Write([]byte{WALVersion})
 	}
-	if _, err := f.Write([]byte{WALVersion}); err != nil {
-		f.Close()
-		return nil, err
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
 	}
 	return &wal{f: f, size: int64(walHeaderLen), sync: sync}, nil
 }

@@ -43,7 +43,7 @@ const (
 const (
 	secDictPages  = 1 // front-coded term blocks
 	secDictDir    = 2 // block offset directory into secDictPages
-	secDictSorted = 3 // term-sorted ID permutation (term → ID lookups)
+	secDictSorted = 3 // retired: a term-sorted ID permutation, checked and skipped
 	secCompData   = 4 // data component, insertion order, uvarint triples
 	secCompTypes  = 5 // type component
 	secCompSchema = 6 // schema component

@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzReadGraph rebuilds a small snapshot with the fuzzer's component
-// counts and its own vocabulary, component, dictionary (pages, directory,
-// sorted permutation) and column payloads in place of the graph's, seals
+// counts and its own vocabulary, component, dictionary (pages, directory)
+// and column payloads in place of the graph's, seals
 // every checksum over them, and requires ReadGraph to return a graph
 // holding the counted triples or an ErrSnapshot* error — never to panic —
 // and a graph it returns to serve without a panic (serveAll). The schema
@@ -30,10 +30,10 @@ func FuzzReadGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	total := c.nData + c.nTypes + c.nSchema
-	f.Fuzz(func(t *testing.T, nData, nTypes uint64, data, types, schema, vocab, pages, dir, sorted, spo, pos, osp []byte) {
+	f.Fuzz(func(t *testing.T, nData, nTypes uint64, data, types, schema, vocab, pages, dir, spo, pos, osp []byte) {
 		fuzzed := map[byte][]byte{
 			secCompData: data, secCompTypes: types, secCompSchema: schema, secVocab: vocab,
-			secDictPages: pages, secDictDir: dir, secDictSorted: sorted, secColSPO: spo, secColPOS: pos, secColOSP: osp,
+			secDictPages: pages, secDictDir: dir, secColSPO: spo, secColPOS: pos, secColOSP: osp,
 		}
 		var file memFile
 		w := newContainerWriter(&file)
@@ -68,8 +68,8 @@ func FuzzReadGraph(f *testing.F) {
 // it: every term decoded and looked up, every column scanned, and every
 // triple counted by each of its terms and found through an index over the
 // snapshot's columns; then it writes the graph with one new term, which
-// merges the new term into the snapshot's sorted permutation. It must not
-// panic.
+// copies the snapshot's complete dictionary blocks and re-encodes the
+// rest. It must not panic.
 func serveAll(g *Graph, sf *SnapshotFile) {
 	d := g.Dict()
 	for id := 1; id <= d.Len(); id++ {

@@ -13,9 +13,10 @@ import (
 
 // Snapshot format v2 content, inside the container of container.go:
 //
-//   - secDictPages/DictDir/DictSorted: the front-coded dictionary
-//     (internal/dict, WriteFrontCoded), terms in ID order, so every term
-//     keeps its ID across a reopen.
+//   - secDictPages/DictDir: the front-coded dictionary (internal/dict,
+//     WriteFrontCoded), terms in ID order, so every term keeps its ID
+//     across a reopen. secDictSorted is retired: no file this build
+//     writes holds it, and an open checks its checksum and skips it.
 //   - secCompData/Types/Schema: the three graph components in INSERTION
 //     order, so that a snapshot round-trips its graph exactly; three
 //     uvarint IDs per triple, back to back; counts live in the header.
@@ -26,7 +27,7 @@ import (
 // WriteSnapshotV2 serializes the graph to f in snapshot format v2,
 // streaming: a section passes through the container writer's one chunk
 // buffer on its way to f, so writing holds O(terms) of its own (the
-// dictionary's directory and sorted permutation), not the file. The
+// dictionary's directory, 8 B per 16 terms), not the file. The
 // header is placed last — what f holds before WriteSnapshotV2 returns nil
 // is not a snapshot, and callers publish it (rename) only then.
 //
@@ -49,13 +50,12 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	}
 	w := newContainerWriter(f)
 	w.begin()
-	nTerms, dir, sorted, err := g.Dict().WriteFrontCoded(w)
+	nTerms, dir, err := g.Dict().WriteFrontCoded(w)
 	if err != nil {
 		return err
 	}
 	w.end(secDictPages)
 	w.section(secDictDir, dir)
-	w.section(secDictSorted, sorted)
 	for _, c := range []struct {
 		id byte
 		ts []Triple
@@ -230,8 +230,8 @@ func (sf *SnapshotFile) Close() error { return sf.c.file.close() }
 // version 2 writer wrote one. The caller has checked the checksums.
 func (sf *SnapshotFile) graph() (*Graph, error) {
 	c := sf.c
-	var raw [7][]byte
-	for i, id := range []byte{secVocab, secDictPages, secDictDir, secDictSorted, secCompData, secCompTypes, secCompSchema} {
+	var raw [6][]byte
+	for i, id := range []byte{secVocab, secDictPages, secDictDir, secCompData, secCompTypes, secCompSchema} {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
@@ -242,7 +242,7 @@ func (sf *SnapshotFile) graph() (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	md, err := dict.NewMapped(raw[1], raw[2], raw[3], int(c.nTerms))
+	md, err := dict.NewMapped(raw[1], raw[2], int(c.nTerms))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
@@ -256,7 +256,7 @@ func (sf *SnapshotFile) graph() (*Graph, error) {
 		n  uint64
 		ts *[]Triple
 	}{{c.nData, &g.Data}, {c.nTypes, &g.Types}, {c.nSchema, &g.Schema}} {
-		if *comp.ts, err = decodeComp(raw[4+i], comp.n, c.nTerms); err != nil {
+		if *comp.ts, err = decodeComp(raw[3+i], comp.n, c.nTerms); err != nil {
 			return nil, err
 		}
 	}

@@ -327,12 +327,12 @@ func TestSnapshotV2BitFlips(t *testing.T) {
 // bytes it bootstraps from in place, and a sender can reseal every
 // checksum, so ReadGraph checks what serving them relies on: the
 // dictionary's directory and page framing, and the columns' block
-// offsets, varints and IDs. Bytes of those sections and of the sorted
-// permutation changed one at a time, every checksum resealed, are refused
-// with ErrSnapshotCorrupt or served — every term decoded, every column
-// scanned, every triple counted, the graph written again — without a
-// panic. A directory entry that is not where its block begins, a sorted
-// entry, a block offset or an ID past the dictionary are refused.
+// offsets, varints and IDs. Bytes of those sections changed one at a
+// time, every checksum resealed, are refused with ErrSnapshotCorrupt or
+// served — every term decoded, every column scanned, every triple
+// counted, the graph written again — without a panic. A directory entry
+// that is not where its block begins, a block offset or an ID past the
+// dictionary are refused.
 func TestReadGraphRefusesMalformedSections(t *testing.T) {
 	g := v2RandomGraph(t, 3, 600) // dozens of dictionary blocks, two column blocks
 	var f memFile
@@ -350,7 +350,7 @@ func TestReadGraphRefusesMalformedSections(t *testing.T) {
 		reseal(bad, len(c.secOrder))
 		return ReadGraph(bytes.NewReader(bad))
 	}
-	for _, id := range []byte{secDictPages, secDictDir, secDictSorted, secColSPO, secColPOS, secColOSP} {
+	for _, id := range []byte{secDictPages, secDictDir, secColSPO, secColPOS, secColOSP} {
 		n := len(c.secs[id].raw)
 		for _, at := range []int{0, 4, 8, 20, n / 3, 2 * n / 3, n - 1} {
 			for _, v := range []byte{0x00, 0x7f, 0x80, 0xff} {
@@ -377,7 +377,6 @@ func TestReadGraphRefusesMalformedSections(t *testing.T) {
 		{"a directory entry past the pages", secDictDir, 8, le64(pages + 1)},
 		{"a directory entry behind its predecessor", secDictDir, 8, le64(0)},
 		{"the last directory entry inside its block", secDictDir, len(c.secs[secDictDir].raw) - 8, le64(pages - 1)},
-		{"a sorted entry past the dictionary", secDictSorted, 4, le32(uint32(c.nTerms) + 1)},
 		{"a block offset past the column", secColSPO, 8 + 12, le64(1 << 40)},
 		{"a block offset inside the skip index", secColOSP, 8 + colSkipEntryBytes + 12, le64(8)},
 		{"an ID past the dictionary", secColPOS, 8, le32(uint32(c.nTerms) + 1)},
@@ -485,8 +484,11 @@ func TestInspectSnapshotV2(t *testing.T) {
 	if info.PageSize != v2PageSize {
 		t.Fatalf("page size %d, want %d", info.PageSize, v2PageSize)
 	}
-	if len(info.Sections) != 10 {
-		t.Fatalf("%d sections, want 10", len(info.Sections))
+	if len(info.Sections) != 9 {
+		t.Fatalf("%d sections, want 9", len(info.Sections))
+	}
+	if slices.ContainsFunc(info.Sections, func(s SectionInfo) bool { return s.Name == "dict-sorted" }) {
+		t.Fatal("the file holds the retired dict-sorted section")
 	}
 	if info.NTerms != uint64(g.Dict().Len()) ||
 		info.NData != uint64(len(g.Data)) ||
@@ -501,10 +503,7 @@ func TestInspectSnapshotV2(t *testing.T) {
 	}
 }
 
-// golden is the length and SHA-256 of a file the parent of the streaming
-// writer (commit 9f022f1: every section built whole in memory, then
-// writeContainer) produced — recorded from that code before it was
-// deleted, so byte identity is asserted against the parent itself.
+// golden is the length and SHA-256 of a snapshot file.
 type golden struct {
 	n   int
 	sha string
@@ -513,15 +512,33 @@ type golden struct {
 func (want golden) check(t *testing.T, what string, got []byte) {
 	t.Helper()
 	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); len(got) != want.n || sum != want.sha {
-		t.Fatalf("%s: %d bytes, sha256 %s; the parent's writer produced %d bytes, sha256 %s",
+		t.Fatalf("%s: %d bytes, sha256 %s; want %d bytes, sha256 %s",
 			what, len(got), sum, want.n, want.sha)
 	}
 }
 
+// The files this writer produces.
 var (
-	goldenV2Sample = golden{45266, "45bc23ad5e66497e791e6a2a6a1ca067aa3c0d160082ca33db64e4db6f06901e"}
+	goldenV2Sample = golden{41149, "2fe880af82e7bd225fffee18fe0181b173c452a372430f8a6f9125d10d337155"}
 	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
 	goldenRandom = map[int]golden{
+		0:               {32957, "090bbe1c77198441df3937c3c0c877608efe4b278a078f1b81d1adaefe6bc2c0"},
+		3:               {41149, "9c0879e52a121d6be385c7e2975469ca084c7a34c53e110dcd3d2c25f75c2190"},
+		50:              {41149, "5ada1cead3bd80e5332b3acd432c0a89e94ef7d12f6497a594afe6b6c5892d48"},
+		radixCutoff * 3: {41149, "e159c018b0e9a4c9c139e069f9f0c965ff42dfc3d76de43c42843d7e16ef9c54"},
+		3000:            {118973, "612d3d39a0c008df3c63d3dec3c8993c8c346ffa26d122fa494c7c3864b5f514"},
+	}
+)
+
+// The same graphs' files as every writer wrote them while snapshots
+// carried the dict-sorted section: recorded from the whole-buffer writer
+// of commit 9f022f1 (every section built whole in memory, then
+// writeContainer) before it was deleted. withSortedSection rebuilds them
+// from this writer's files, which proves those are these bytes with
+// section 3 left out.
+var (
+	goldenSortedV2Sample = golden{45266, "45bc23ad5e66497e791e6a2a6a1ca067aa3c0d160082ca33db64e4db6f06901e"}
+	goldenSortedRandom   = map[int]golden{
 		0:               {37074, "dff00de9852f3eeff8bd595f194c70dd061b60716f377995c14d8425232c5e53"},
 		3:               {45266, "90f1f47884759791c3f1ecd8029fb6033a66afe2144a81e95e7346ed6bd6807e"},
 		50:              {45266, "061fde6e37bb433a6c128689bbd009e074df318c7955cc9e3b8bab405a6774ec"},
@@ -530,10 +547,54 @@ var (
 	}
 )
 
+// withSortedSection rebuilds the file a build that wrote the retired
+// dict-sorted section made of the same graph: data's sections in their
+// order, with, right after dict-dir, a section 3 holding the IDs of
+// data's dictionary sorted by rdf.Term.Compare (one little-endian u32
+// each), resealed through containerWriter.
+func withSortedSection(t testing.TB, data []byte) []byte {
+	t.Helper()
+	c, err := parseVerified(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := ReadGraph(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := make([]rdf.Term, c.nTerms+1)
+	ids := make([]dict.ID, c.nTerms)
+	for i := range ids {
+		ids[i] = dict.ID(i + 1)
+		terms[i+1] = g.Dict().Term(ids[i])
+	}
+	slices.SortFunc(ids, func(a, b dict.ID) int { return terms[a].Compare(terms[b]) })
+	sorted := make([]byte, 0, 4*len(ids))
+	for _, id := range ids {
+		sorted = binary.LittleEndian.AppendUint32(sorted, uint32(id))
+	}
+	var f memFile
+	w := newContainerWriter(&f)
+	for _, s := range c.secOrder {
+		if s.id == secDictSorted {
+			t.Fatal("the file already holds a dict-sorted section")
+		}
+		w.section(s.id, s.raw)
+		if s.id == secDictDir {
+			w.section(secDictSorted, sorted)
+		}
+	}
+	if err := w.finish([4]uint64{c.nTerms, c.nData, c.nTypes, c.nSchema}); err != nil {
+		t.Fatal(err)
+	}
+	return f.b
+}
+
 // TestWriteSnapshotV2ByteIdentical: whatever order the writer is handed a
 // graph's triples in — the graph's own, reversed, the SPO scan of the
 // snapshot's mapped base, the scan of a tiered index fed them in slices —
-// the file is the parent writer's, byte for byte.
+// the file is the same, byte for byte; and it is the file of the writer
+// that still wrote dict-sorted, with that section left out.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	write := func(g *Graph, buf []Triple) []byte {
 		t.Helper()
@@ -545,6 +606,7 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	}
 	_, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
+	goldenSortedV2Sample.check(t, "v2Sample with dict-sorted", withSortedSection(t, sample))
 	for _, n := range []int{0, 3, 50, radixCutoff * 3, 3000} {
 		g := v2RandomGraph(t, uint64(n)+1, n)
 		// Duplicate triples: the multiset, not the set, is stored.
@@ -554,6 +616,7 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
+		goldenSortedRandom[n].check(t, fmt.Sprintf("n=%d: with dict-sorted", n), withSortedSection(t, file))
 		reversed := g.All()
 		slices.Reverse(reversed)
 		want.check(t, fmt.Sprintf("n=%d: reversed", n), write(g, reversed))
@@ -585,11 +648,68 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithSortedSectionServed: a file that holds the retired
+// dict-sorted section — what every build before its retirement wrote —
+// opens through OpenGraphFile and ReadGraph to the graph of the same file
+// without it, and inspect still names the section. Its checksum is
+// checked with every other section's: a flipped byte in it fails the
+// open with ErrSnapshotChecksum. Written again, the graph's file no longer
+// holds it.
+func TestSnapshotWithSortedSectionServed(t *testing.T) {
+	sample, _ := v2Sample(t)
+	for _, g := range []*Graph{sample, v2RandomGraph(t, 3001, 3000)} {
+		var f memFile
+		if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ReadGraph(bytes.NewReader(f.b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := withSortedSection(t, f.b)
+		path := filepath.Join(t.TempDir(), "old.rdfsum")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, sf, err := OpenGraphFile(path)
+		if err != nil {
+			t.Fatalf("OpenGraphFile of a file with dict-sorted: %v", err)
+		}
+		identicalGraphs(t, want, got)
+		if !sameIterationOrder(NewIndexFromBase(sf.Runs()), NewIndex(want)) {
+			t.Fatal("the file's columns serve another index")
+		}
+		var again memFile
+		if err := WriteSnapshotV2(&again, got, got.All(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.b, f.b) {
+			t.Fatal("the graph of a file with dict-sorted writes another file than the same graph without it")
+		}
+		sf.Close()
+		if got, _, err = ReadGraph(bytes.NewReader(old)); err != nil {
+			t.Fatalf("ReadGraph of a file with dict-sorted: %v", err)
+		}
+		identicalGraphs(t, want, got)
+		info, err := InspectSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Sections) != 10 || info.Sections[2].Name != "dict-sorted" {
+			t.Fatalf("inspect lists %+v, want dict-sorted third of ten", info.Sections)
+		}
+
+		sec := info.Sections[2]
+		old[sec.Off+sec.Len/2] ^= 0x40
+		refusedBoth(t, "a flipped byte in dict-sorted", old, ErrSnapshotChecksum)
+	}
+}
+
 // TestWriteSnapshotV2OverMappedBase: compacting a graph reopened onto its
 // mapped snapshot writes, byte for byte, the snapshot of the same graph
-// held on the heap after the same writes — though the first streams the
-// base's dictionary blocks and merges its sorted permutation, and the
-// second encodes and sorts every term. The bases end inside a dictionary
+// held on the heap after the same writes — though the first copies the
+// base's complete dictionary blocks, and the second encodes every term.
+// The bases end inside a dictionary
 // block and on a block boundary (16 and 32 terms); the writes add no new
 // term, one, or dozens of every kind.
 func TestWriteSnapshotV2OverMappedBase(t *testing.T) {

@@ -32,31 +32,39 @@ func writeTemp(t *testing.T, g *store.Graph, buf, scratch []store.Triple) (path 
 	return path, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestWriteSnapshotV2ByteIdenticalBSBM: the BSBM-300 snapshot is the file
-// the whole-buffer writer of commit 9f022f1 produced (length and SHA-256
-// recorded from that code; see TestWriteSnapshotV2ByteIdentical).
+// TestWriteSnapshotV2ByteIdenticalBSBM: the BSBM-300 snapshot is a fixed
+// file, and it is the file the whole-buffer writer of commit 9f022f1
+// produced (length and SHA-256 recorded from that code) with its
+// dict-sorted section left out: put back, the recorded bytes return (see
+// TestWriteSnapshotV2ByteIdentical).
 func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
-	const (
-		wantLen = 696530
-		wantSHA = "08dcdf58e3ca60dd201a478580b8077043c0914d9ef3b46482406f18b46c12c2"
-	)
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(300))
 	path, _ := writeTemp(t, g, g.All(), nil)
-	got, err := os.ReadFile(path)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); len(got) != wantLen || sum != wantSHA {
-		t.Fatalf("BSBM-300 snapshot: %d bytes, sha256 %s; the parent's writer produced %d bytes, sha256 %s",
-			len(got), sum, wantLen, wantSHA)
+	for _, c := range []struct {
+		what, wantSHA string
+		wantLen       int
+		got           []byte
+	}{
+		{"BSBM-300 snapshot", "fd4bf165740be4be75e76f48b0a6c1b5a818c336bfde6c3e1b42266ec02e80c4", 667837, file},
+		{"BSBM-300 snapshot with dict-sorted", "08dcdf58e3ca60dd201a478580b8077043c0914d9ef3b46482406f18b46c12c2", 696530,
+			store.WithSortedSection(t, file)},
+	} {
+		if sum := fmt.Sprintf("%x", sha256.Sum256(c.got)); len(c.got) != c.wantLen || sum != c.wantSHA {
+			t.Fatalf("%s: %d bytes, sha256 %s; want %d bytes, sha256 %s", c.what, len(c.got), sum, c.wantLen, c.wantSHA)
+		}
 	}
 }
 
 // TestSnapshotWriteAllocBound: handed its triple and scratch buffers,
 // writing a snapshot allocates one chunk buffer and O(terms) — the
-// dictionary's directory and sorted permutation — whatever the file's
-// size. The whole-buffer writer this replaced allocated about five times
-// the file.
+// dictionary's directory, 8 B per 16 terms — whatever the file's size:
+// at most 256 KB + 64 KB + 2 B × terms. The whole-buffer writer this
+// replaced allocated about five times the file; the writer that still
+// wrote the sorted permutation, 482 KB on this graph.
 func TestSnapshotWriteAllocBound(t *testing.T) {
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(1000))
 	buf := g.All()
@@ -65,11 +73,11 @@ func TestSnapshotWriteAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := uint64(1<<20 + 96*g.Dict().Len())
+	bound := uint64(256<<10 + 64<<10 + 2*g.Dict().Len())
 	t.Logf("%d triples, %d terms: file %d bytes, allocated %d (bound %d)",
 		g.NumEdges(), g.Dict().Len(), st.Size(), allocated, bound)
 	if allocated > bound {
-		t.Fatalf("WriteSnapshotV2 allocated %d bytes for a %d-byte file, more than 1 MB + 96 B × %d terms = %d",
+		t.Fatalf("WriteSnapshotV2 allocated %d bytes for a %d-byte file, more than 256 KB + 64 KB + 2 B × %d terms = %d",
 			allocated, st.Size(), g.Dict().Len(), bound)
 	}
 }
