@@ -456,9 +456,10 @@ func describeStreamErr(path string, err error) error {
 }
 
 // cmdInspect prints a snapshot file's physical layout: format version,
-// header counts, every section's offset, size and CRC-32 (IEEE), and the
-// on-disk compression ratio — answered from the header and TOC alone (no
-// triple decode).
+// header counts, every section's offset, size, bytes per triple and
+// CRC-32 (IEEE), with a retired section marked so, and the on-disk
+// compression ratio — answered from the header and TOC alone (no triple
+// decode).
 func cmdInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -480,10 +481,18 @@ func cmdInspect(args []string) error {
 	}
 	fmt.Printf("  page size: %d, serving mode in this build: %s\n", info.PageSize, serve)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "  section\toffset\tbytes\tcrc32-ieee\t\n")
+	fmt.Fprintf(tw, "  section\toffset\tbytes\tB/triple\tcrc32-ieee\t\n")
 	var payload uint64
 	for _, s := range info.Sections {
-		fmt.Fprintf(tw, "  %s\t%d\t%d\t%08x\t\n", s.Name, s.Off, s.Len, s.CRC)
+		perTriple := "-"
+		if nTriples > 0 {
+			perTriple = fmt.Sprintf("%.3f", float64(s.Len)/float64(nTriples))
+		}
+		retired := ""
+		if s.Retired {
+			retired = "retired"
+		}
+		fmt.Fprintf(tw, "  %s\t%d\t%d\t%s\t%08x\t%s\n", s.Name, s.Off, s.Len, perTriple, s.CRC, retired)
 		payload += s.Len
 	}
 	tw.Flush() //nolint:errcheck
@@ -496,6 +505,11 @@ func cmdInspect(args []string) error {
 	return nil
 }
 
+// cmdConvert writes -in to -out, each in the format its name says. A
+// snapshot's graph lists its data and schema triples in SPO order (the
+// open derives them from the SPO column) and its type triples in the
+// order they were added, so N-Triples converted from a snapshot come in
+// that order.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "input graph")

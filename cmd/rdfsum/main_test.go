@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -139,7 +140,7 @@ func TestCmdSummarizeSavesSummaryNotInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nine 4 KiB-aligned sections bound the file from below.
+	// Seven 4 KiB-aligned sections bound the file from below.
 	if st.Size() > 128<<10 {
 		t.Errorf("saved weak summary is %d bytes; it carries its input's dictionary", st.Size())
 	}
@@ -159,11 +160,14 @@ func TestCmdSummarizeSavesSummaryNotInput(t *testing.T) {
 // TestCmdInspectSectionCRCs: every section CRC `rdfsum inspect` prints is
 // the CRC-32 (IEEE) of the file bytes at that section's offset and
 // length, and the column says so — an operator re-checking a section with
-// a CRC-32C tool would get a mismatch on every row.
+// a CRC-32C tool would get a mismatch on every row. Each row's bytes per
+// triple is its length over the header's triple count, and no section of
+// a file this build writes is marked retired.
 func TestCmdInspectSectionCRCs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.snap")
-	if err := save(path, rdfsum.GenerateBSBM(20)); err != nil {
+	g := rdfsum.GenerateBSBM(20)
+	if err := save(path, g); err != nil {
 		t.Fatal(err)
 	}
 	out, err := os.Create(filepath.Join(dir, "stdout"))
@@ -192,19 +196,21 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 	if head < 0 {
 		t.Fatalf("no section table in:\n%s", printed)
 	}
-	if cols := strings.Fields(lines[head]); len(cols) != 4 || cols[3] != "crc32-ieee" {
-		t.Fatalf("section table header %q: want a crc32-ieee column", lines[head])
+	if cols := strings.Fields(lines[head]); len(cols) != 5 || cols[3] != "B/triple" || cols[4] != "crc32-ieee" {
+		t.Fatalf("section table header %q: want B/triple and crc32-ieee columns", lines[head])
 	}
+	triples := float64(g.NumEdges())
 	rows := 0
 	for _, l := range lines[head+1:] {
 		f := strings.Fields(l)
-		if len(f) != 4 {
+		if len(f) != 5 {
 			break
 		}
 		off, err1 := strconv.ParseUint(f[1], 10, 64)
 		n, err2 := strconv.ParseUint(f[2], 10, 64)
-		crc, err3 := strconv.ParseUint(f[3], 16, 32)
-		if err := errors.Join(err1, err2, err3); err != nil {
+		perTriple, err3 := strconv.ParseFloat(f[3], 64)
+		crc, err4 := strconv.ParseUint(f[4], 16, 32)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
 			t.Fatalf("section row %q: %v", l, err)
 		}
 		if off+n > uint64(len(file)) {
@@ -213,9 +219,12 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 		if got := crc32.ChecksumIEEE(file[off : off+n]); got != uint32(crc) {
 			t.Errorf("section %s: printed CRC %08x, CRC-32 (IEEE) of its bytes is %08x", f[0], crc, got)
 		}
+		if want := float64(n) / triples; math.Abs(perTriple-want) > 0.0005 {
+			t.Errorf("section %s: printed %.3f B/triple, its %d bytes over %v triples are %.4f", f[0], perTriple, n, triples, want)
+		}
 		rows++
 	}
-	if rows != 9 {
-		t.Fatalf("inspect printed %d section rows, want the snapshot's 9:\n%s", rows, printed)
+	if rows != 7 {
+		t.Fatalf("inspect printed %d section rows, want the snapshot's 7:\n%s", rows, printed)
 	}
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -434,5 +437,46 @@ func TestClientRoundTrip(t *testing.T) {
 	_, err = c.Summary(ctx, "bogus")
 	if !client.IsCode(err, httpapi.CodeInvalidArgument) {
 		t.Errorf("summary kind error = %v", err)
+	}
+}
+
+// TestQueryResponseCompact: a JSON answer is compact — one line and its
+// newline, however many rows and however deep the explain plan — and
+// the client decodes it to the rows the body holds.
+func TestQueryResponseCompact(t *testing.T) {
+	ts, _ := liveTestServer(t, nil)
+	if code, body := postBody(t, ts.URL+"/v1/triples", ntBody(0, 25)); code != http.StatusOK {
+		t.Fatalf("ingest: %d %v", code, body)
+	}
+	const q = "SELECT ?s ?o WHERE { ?s <http://x/p1> ?o . }"
+	resp, err := http.Post(ts.URL+"/v1/query?explain=1", "application/sparql-query", strings.NewReader(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %v", resp.StatusCode, err)
+	}
+	if n := bytes.Count(raw, []byte("\n")); n != 1 || raw[len(raw)-1] != '\n' || !json.Valid(raw) {
+		t.Fatalf("the body is not one JSON line and its newline (%d newlines):\n%s", n, raw)
+	}
+	var want client.QueryResult
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if want.Count != 5 || len(want.Rows) != 5 || len(want.Explain) == 0 {
+		t.Fatalf("the body holds %d rows (count %d) and a %d-byte plan, want 5 rows and a plan", len(want.Rows), want.Count, len(want.Explain))
+	}
+	cl, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.Query(context.Background(), q, &client.QueryOptions{Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Rows, want.Rows) || got.Count != want.Count {
+		t.Fatalf("the client decoded %v %v, the body holds %v %v", got.Vars, got.Rows, want.Vars, want.Rows)
 	}
 }

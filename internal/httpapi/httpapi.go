@@ -74,14 +74,12 @@ type envelope struct {
 	Error *Error `json:"error"`
 }
 
-// WriteJSON writes v as an indented JSON 200 response. Headers are already
-// sent by the time an encode error can occur, so it is logged rather than
-// silently dropped.
+// WriteJSON writes v as a compact JSON 200 response: one line and its
+// newline. Headers are already sent by the time an encode error can
+// occur, so it is logged rather than silently dropped.
 func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("httpapi: response encode: %v", err)
 	}
 }

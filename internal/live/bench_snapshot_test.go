@@ -58,9 +58,11 @@ func benchStoreDir(b *testing.B, n int) string {
 
 // BenchmarkOpenLiveCold measures time-to-first-epoch for a durable store
 // whose base snapshot holds 100k/1M/10M triples and that maintains no
-// kind: header + TOC + mmap, and the decode of the three component
-// sections into the heap (O(|G|), 12 B a triple); the dictionary and the
-// columns are not decoded. -short keeps only the smallest size.
+// kind: header + TOC + mmap, every section's checksum, the dictionary's
+// term index, the decode of the type section and one walk of the SPO
+// column that derives the data and schema components (O(|G|), 12 B a
+// triple on the heap, plus the column's fences at 2 B a triple); the POS
+// and OSP columns are not decoded. -short keeps only the smallest size.
 func BenchmarkOpenLiveCold(b *testing.B) {
 	sizes := []struct {
 		label string

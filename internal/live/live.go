@@ -698,8 +698,10 @@ func (l *Live) Compact() error {
 		// it was live has set the next heap goal tens of MB too high.
 		// Collecting now paces the next allocation burst — usually the
 		// summaries that follow a compaction — against the real live
-		// heap: peak RSS on probe-bsbm 230 → 216 MB for ≈ 50 ms. It also
-		// unmaps the old generation's file once no epoch reads it.
+		// heap, for ≈ 50 ms (when added, it cut probe-bsbm's peak RSS
+		// from 230 to 216 MB; that peak has since moved to the delete
+		// stream). It also unmaps the old generation's file once no
+		// epoch reads it.
 		runtime.GC()
 	}
 	return err

@@ -190,6 +190,11 @@ func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, er
 		return nil, fmt.Errorf("%w: column %v skip index truncated (%d blocks for %d triples)",
 			ErrSnapshotCorrupt, ord, nBlocks, n)
 	}
+	// Each triple but a block's first takes three varints: a count the
+	// payload cannot hold is refused before an open allocates for it.
+	if len(payload) < 8+nBlocks*colSkipEntryBytes+3*(n-nBlocks) {
+		return nil, fmt.Errorf("%w: column %v of %d triples in %d bytes", ErrSnapshotCorrupt, ord, n, len(payload))
+	}
 	m := &encCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}
 	if n > 0 {
 		// The last key: decode the last block, which the skip index must
@@ -288,11 +293,12 @@ func must[T any](v T, err error) T {
 
 func (k colKey) sortKey() sortKey { return packKey(k[0], k[1], k[2]) }
 
-// walk decodes the whole column once, through step, and returns its
-// fences. It fails on a block that does not begin where the one before
-// it ends (the first just past the skip index, the last ending the
-// payload), on a cut varint, and on an ID outside 1..maxID.
-func (m *encCol) walk(maxID dict.ID) (fs []fence, err error) {
+// walk decodes the whole column once, through step, hands each triple
+// to each (when not nil) in the column's order, and returns its fences.
+// It fails on a block that does not begin where the one before it ends
+// (the first just past the skip index, the last ending the payload), on
+// a cut varint, and on an ID outside 1..maxID.
+func (m *encCol) walk(maxID dict.ID, each func(Triple)) (fs []fence, err error) {
 	fs = make([]fence, 0, (m.n+fenceTriples-1)/fenceTriples)
 	pos := 8 + m.nBlocks*colSkipEntryBytes
 	for b := 0; b < m.nBlocks; b++ {
@@ -307,10 +313,13 @@ func (m *encCol) walk(maxID dict.ID) (fs []fence, err error) {
 					return nil, err
 				}
 			}
-			for _, id := range k {
-				if id == 0 || id > maxID {
-					return nil, fmt.Errorf("%w: column %v triple %d references unknown term id %d", ErrSnapshotCorrupt, m.ord, i, id)
-				}
+			// An ID of 0 wraps around to the top, so one compare a term
+			// checks both ends of 1..maxID.
+			if k[0]-1 >= maxID || k[1]-1 >= maxID || k[2]-1 >= maxID {
+				return nil, fmt.Errorf("%w: column %v triple %d references an unknown term id in %v", ErrSnapshotCorrupt, m.ord, i, k)
+			}
+			if each != nil {
+				each(m.ord.unkey(k[0], k[1], k[2]))
 			}
 			if i%fenceTriples == 0 {
 				sk := k.sortKey()
@@ -335,7 +344,7 @@ func (m *encCol) fenceTable() []fence {
 	if fs := m.fences.Load(); fs != nil {
 		return *fs
 	}
-	fs := must(m.walk(^dict.ID(0)))
+	fs := must(m.walk(^dict.ID(0), nil))
 	m.fences.Store(&fs)
 	return fs
 }

@@ -44,9 +44,9 @@ const (
 	secDictPages  = 1 // front-coded term blocks
 	secDictDir    = 2 // block offset directory into secDictPages
 	secDictSorted = 3 // retired: a term-sorted ID permutation, checked and skipped
-	secCompData   = 4 // data component, insertion order, uvarint triples
-	secCompTypes  = 5 // type component
-	secCompSchema = 6 // schema component
+	secCompData   = 4 // retired: the data component, checked and skipped
+	secCompTypes  = 5 // type component, insertion order, uvarint triples
+	secCompSchema = 6 // retired: the schema component, checked and skipped
 	secColSPO     = 7 // sorted all-triples column, SPO order
 	secColPOS     = 8
 	secColOSP     = 9
@@ -78,6 +78,13 @@ func sectionName(id byte) string {
 	default:
 		return fmt.Sprintf("unknown-%d", id)
 	}
+}
+
+// retiredSection reports whether id names a section no file this build
+// writes holds: an open checks its checksum with every other section's,
+// then skips it.
+func retiredSection(id byte) bool {
+	return id == secDictSorted || id == secCompData || id == secCompSchema
 }
 
 // section is one parsed TOC entry plus its raw bytes.

@@ -2,6 +2,10 @@ package store
 
 // Test helpers for the external tests.
 var (
-	WithSortedSection = withSortedSection
-	IdenticalGraphs   = identicalGraphs
+	WithSortedSection     = withSortedSection
+	WithComponentSections = withComponentSections
+	IdenticalGraphs       = identicalGraphs
+	AsOpened              = asOpened
+	SPOCheckCases         = spoCheckCases
+	WithFreshSubjects     = withFreshSubjects
 )

@@ -10,14 +10,14 @@ import (
 )
 
 // FuzzReadGraph rebuilds a small snapshot with the fuzzer's component
-// counts and its own vocabulary, component, dictionary (pages, directory)
-// and column payloads in place of the graph's, seals
-// every checksum over them, and requires ReadGraph to return a graph
-// holding the counted triples or an ErrSnapshot* error — never to panic —
-// and a graph it returns to serve without a panic (serveAll). The schema
-// count is whatever makes the three sum to the column count, wrapping
-// around if it must, so every input passes the column check and meets
-// the decode.
+// counts and its own vocabulary, type component, dictionary (pages,
+// directory) and column payloads in place of the graph's, seals every
+// checksum over them, and requires ReadGraph to return a graph holding
+// the counted triples or an ErrSnapshot* error — never to panic — and a
+// graph it returns to serve without a panic (serveAll). The schema count
+// is whatever makes the three sum to the column count, wrapping around
+// if it must, so every input passes the column check and meets the
+// decode and the walk that derives the data and schema components.
 //
 // The seed under testdata/fuzz/FuzzReadGraph is v2Sample unchanged; run
 // with `make fuzz` or:
@@ -30,9 +30,9 @@ func FuzzReadGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	total := c.nData + c.nTypes + c.nSchema
-	f.Fuzz(func(t *testing.T, nData, nTypes uint64, data, types, schema, vocab, pages, dir, spo, pos, osp []byte) {
+	f.Fuzz(func(t *testing.T, nData, nTypes uint64, types, vocab, pages, dir, spo, pos, osp []byte) {
 		fuzzed := map[byte][]byte{
-			secCompData: data, secCompTypes: types, secCompSchema: schema, secVocab: vocab,
+			secCompTypes: types, secVocab: vocab,
 			secDictPages: pages, secDictDir: dir, secColSPO: spo, secColPOS: pos, secColOSP: osp,
 		}
 		var file memFile

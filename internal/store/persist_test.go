@@ -24,7 +24,7 @@ func TestReadSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadGraph: %v", err)
 	}
-	identicalGraphs(t, g, got)
+	identicalGraphs(t, asOpened(g), got)
 
 	errNet := errors.New("connection reset")
 	_, _, err = ReadGraph(io.MultiReader(bytes.NewReader(data[:100]), iotest.ErrReader(errNet)))
@@ -133,7 +133,7 @@ func TestReadSnapshotBitFlips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("flip in padding at byte %d: %v", i, err)
 			}
-			identicalGraphs(t, g, got)
+			identicalGraphs(t, asOpened(g), got)
 			padding++
 			continue
 		}

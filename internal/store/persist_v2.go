@@ -15,14 +15,20 @@ import (
 //
 //   - secDictPages/DictDir: the front-coded dictionary (internal/dict,
 //     WriteFrontCoded), terms in ID order, so every term keeps its ID
-//     across a reopen. secDictSorted is retired: no file this build
-//     writes holds it, and an open checks its checksum and skips it.
-//   - secCompData/Types/Schema: the three graph components in INSERTION
-//     order, so that a snapshot round-trips its graph exactly; three
-//     uvarint IDs per triple, back to back; counts live in the header.
+//     across a reopen.
+//   - secCompTypes: the type component in INSERTION order, which numbers
+//     a typed summary's class-set nodes; three uvarint IDs per triple,
+//     back to back; its count lives in the header.
 //   - secColSPO/POS/OSP: the full triple multiset (all components,
 //     duplicates preserved) sorted three ways as varint-delta columns
-//     (colenc.go) — the zero-copy base run of the tiered index.
+//     (colenc.go) — the zero-copy base run of the tiered index. The data
+//     and schema components are not stored apart: an open derives them
+//     from the SPO column, in SPO order (graph).
+//   - secVocab: the interpreted vocabulary's five IDs.
+//
+// secDictSorted, secCompData and secCompSchema are retired: no file this
+// build writes holds them, and an open checks their checksums and skips
+// them.
 
 // WriteSnapshotV2 serializes the graph to f in snapshot format v2,
 // streaming: a section passes through the container writer's one chunk
@@ -56,14 +62,9 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	}
 	w.end(secDictPages)
 	w.section(secDictDir, dir)
-	for _, c := range []struct {
-		id byte
-		ts []Triple
-	}{{secCompData, g.Data}, {secCompTypes, g.Types}, {secCompSchema, g.Schema}} {
-		w.begin()
-		writeComp(w, c.ts)
-		w.end(c.id)
-	}
+	w.begin()
+	writeComp(w, g.Types)
+	w.end(secCompTypes)
 	for o, id := range colSectionIDs {
 		sortTriples(Order(o), buf, scratch)
 		w.begin()
@@ -110,7 +111,7 @@ func decodeVocabSec(raw []byte, maxID uint64) (Vocab, error) {
 
 // writeComp streams triples as back-to-back uvarint ID triples; the
 // count lives in the container header.
-func writeComp(w *containerWriter, ts []Triple) {
+func writeComp(w io.Writer, ts []Triple) {
 	var tmp [3 * binary.MaxVarintLen64]byte
 	for _, t := range ts {
 		n := binary.PutUvarint(tmp[:], uint64(t.S))
@@ -120,7 +121,7 @@ func writeComp(w *containerWriter, ts []Triple) {
 	}
 }
 
-// decodeComp parses an insertion-order component section of n triples.
+// decodeComp parses the insertion-order type section of n triples.
 // A triple takes at least 3 bytes, so a count the section cannot hold is
 // refused before anything is allocated: the count comes from the header,
 // which a follower reads off the network.
@@ -223,15 +224,17 @@ func (sf *SnapshotFile) Runs() RunCols { return sf.runs }
 // file is still in use.
 func (sf *SnapshotFile) Close() error { return sf.c.file.close() }
 
-// graph decodes the snapshot's vocabulary and three component sections
-// into a graph whose dictionary is a layer over the mapped one, indexed
-// and checked now (dict.WithBase): O(|G|), 12 B a triple and 8 B a term
-// on the heap. A file without a vocabulary section is corrupt — every
-// version 2 writer wrote one. The caller has checked the checksums.
+// graph decodes the snapshot's vocabulary and type component and derives
+// its data and schema components from one checked walk of the SPO column
+// (splitSPO), into a graph whose dictionary is a layer over the mapped
+// one, indexed and checked now (dict.WithBase): O(|G|), 12 B a triple
+// and 8 B a term on the heap, plus the SPO column's fences. A file
+// without a vocabulary section is corrupt — every version 2 writer wrote
+// one. The caller has checked the checksums.
 func (sf *SnapshotFile) graph() (*Graph, error) {
 	c := sf.c
-	var raw [6][]byte
-	for i, id := range []byte{secVocab, secDictPages, secDictDir, secCompData, secCompTypes, secCompSchema} {
+	var raw [4][]byte
+	for i, id := range []byte{secVocab, secDictPages, secDictDir, secCompTypes} {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
@@ -252,15 +255,69 @@ func (sf *SnapshotFile) graph() (*Graph, error) {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	g := &Graph{dict: d, vocab: v}
-	for i, comp := range []struct {
-		n  uint64
-		ts *[]Triple
-	}{{c.nData, &g.Data}, {c.nTypes, &g.Types}, {c.nSchema, &g.Schema}} {
-		if *comp.ts, err = decodeComp(raw[3+i], comp.n, c.nTerms); err != nil {
-			return nil, err
-		}
+	if g.Types, err = decodeComp(raw[3], c.nTypes, c.nTerms); err != nil {
+		return nil, err
+	}
+	if err := sf.splitSPO(g); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// splitSPO fills g.Data and g.Schema, in SPO order, from one walk of the
+// SPO column that routes each triple by Vocab.ComponentOf, checking the
+// column's framing, varints and IDs on the way, and keeps the fences the
+// walk derives for the column's range lookups. The walk must find the
+// header's count of each component, and the type triples of g.Types —
+// the same multiset, compared by an order-free sum of a per-triple hash.
+func (sf *SnapshotFile) splitSPO(g *Graph) error {
+	c, col := sf.c, sf.runs.cols[OrderSPO]
+	// The three counts sum to the column's length (newSnapshotFile) and
+	// the type count is bounded by its section (decodeComp), so with
+	// neither other count above the length the sum cannot wrap around,
+	// and the presizes below are bounded by the column's bytes (openCol).
+	if n := uint64(col.n); c.nData > n || c.nSchema > n {
+		return fmt.Errorf("%w: %d data and %d schema triples claimed by a column of %d", ErrSnapshotCorrupt, c.nData, c.nSchema, n)
+	}
+	g.Data = make([]Triple, 0, c.nData)
+	g.Schema = make([]Triple, 0, c.nSchema)
+	var nTypes, typeSum uint64
+	fs, err := col.walk(dict.ID(c.nTerms), func(t Triple) {
+		switch g.vocab.ComponentOf(t.P) {
+		case CompTypes:
+			nTypes++
+			typeSum += mixTriple(t)
+		case CompSchema:
+			g.Schema = append(g.Schema, t)
+		default:
+			g.Data = append(g.Data, t)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if uint64(len(g.Data)) != c.nData || nTypes != c.nTypes || uint64(len(g.Schema)) != c.nSchema {
+		return fmt.Errorf("%w: column %v holds %d data, %d type and %d schema triples, header says %d, %d and %d",
+			ErrSnapshotCorrupt, OrderSPO, len(g.Data), nTypes, len(g.Schema), c.nData, c.nTypes, c.nSchema)
+	}
+	for _, t := range g.Types {
+		typeSum -= mixTriple(t)
+	}
+	if typeSum != 0 {
+		return fmt.Errorf("%w: column %v's type triples differ from section %s", ErrSnapshotCorrupt, OrderSPO, sectionName(secCompTypes))
+	}
+	col.fences.Store(&fs)
+	return nil
+}
+
+// mixTriple hashes a triple to 64 bits (the splitmix64 finalizer over its
+// packed IDs), so that a sum over a multiset of triples tells two
+// multisets apart whatever their order.
+func mixTriple(t Triple) uint64 {
+	x := (uint64(t.S)<<32 | uint64(t.O)) ^ uint64(t.P)*0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // OpenGraphFile maps a snapshot file, checks every section's checksum,
@@ -284,8 +341,9 @@ func OpenGraphFile(path string) (*Graph, *SnapshotFile, error) {
 // place, as OpenGraphFile serves a mapped file: the graph's dictionary is
 // a layer over the buffer's, and the SnapshotFile's column runs can be an
 // index's base. The bytes come from outside, so it also checks what the
-// store trusts its own files with: it walks every column once, keeping
-// the fences the walk derives. Errors wrap the ErrSnapshot* sentinels.
+// store trusts its own files with: it walks the POS and OSP columns once
+// too (the graph's decode walked the SPO column), keeping the fences the
+// walks derive. Errors wrap the ErrSnapshot* sentinels.
 func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -299,8 +357,8 @@ func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, col := range sf.runs.cols {
-		fs, err := col.walk(dict.ID(sf.c.nTerms))
+	for _, col := range sf.runs.cols[OrderSPO+1:] {
+		fs, err := col.walk(dict.ID(sf.c.nTerms), nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -311,10 +369,11 @@ func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 
 // SectionInfo describes one TOC entry, for inspection tooling.
 type SectionInfo struct {
-	Name string
-	Off  uint64
-	Len  uint64
-	CRC  uint32
+	Name    string
+	Off     uint64
+	Len     uint64
+	CRC     uint32
+	Retired bool // a section this build no longer writes: checked at open, then skipped
 }
 
 // SnapshotInfo is the parsed header/TOC of a snapshot file, as shown by
@@ -359,7 +418,7 @@ func InspectSnapshot(path string) (*SnapshotInfo, error) {
 	}
 	for _, s := range c.secOrder {
 		info.Sections = append(info.Sections, SectionInfo{
-			Name: sectionName(s.id), Off: s.off, Len: s.n, CRC: s.crc,
+			Name: sectionName(s.id), Off: s.off, Len: s.n, CRC: s.crc, Retired: retiredSection(s.id),
 		})
 	}
 	return info, nil

@@ -106,13 +106,24 @@ func identicalGraphs(t *testing.T, want, got *Graph) {
 	}
 }
 
+// asOpened returns the graph an open of g's snapshot decodes: g's
+// dictionary and type component as they are, its data and schema
+// components in SPO order, the order the open derives them in from the
+// SPO column.
+func asOpened(g *Graph) *Graph {
+	h := g.CloneStructure()
+	slices.SortFunc(h.Data, OrderSPO.compare)
+	slices.SortFunc(h.Schema, OrderSPO.compare)
+	return h
+}
+
 func TestSnapshotV2RoundTripStream(t *testing.T) {
 	g, data := v2Sample(t)
 	got, _, err := ReadGraph(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("ReadGraph: %v", err)
 	}
-	identicalGraphs(t, g, got)
+	identicalGraphs(t, asOpened(g), got)
 }
 
 func TestSnapshotV2RoundTripMapped(t *testing.T) {
@@ -129,7 +140,12 @@ func TestSnapshotV2RoundTripMapped(t *testing.T) {
 		if sf == nil {
 			t.Fatal("OpenGraphFile on v2 returned no SnapshotFile")
 		}
-		identicalGraphs(t, g, got)
+		identicalGraphs(t, asOpened(g), got)
+		// The open walked the SPO column to derive the components, and
+		// kept the fences the walk derived.
+		if sf.runs.cols[OrderSPO].fences.Load() == nil {
+			t.Fatal("OpenGraphFile did not keep the SPO column's fences")
+		}
 		if err := sf.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -419,6 +435,110 @@ func refusedBoth(t *testing.T, what string, data []byte, want error) {
 	}
 }
 
+// spoCase is a snapshot with one fault, named.
+type spoCase struct {
+	What string
+	Data []byte
+}
+
+// withFreshSubjects adds n data triples about subjects no other triple
+// names, so that the last blocks of g's SPO column — the highest subject
+// IDs — hold data triples only.
+func withFreshSubjects(g *Graph, n int) *Graph {
+	for i := 0; i < n; i++ {
+		g.Add(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/fresh%d", i)), rdf.NewIRI("http://x/p"), rdf.NewLiteral(fmt.Sprint(i))))
+	}
+	return g
+}
+
+// spoCheckCases returns data — a snapshot whose SPO column spans at least
+// two blocks, the last of them holding no type triple (withFreshSubjects)
+// — resealed with one fault each that, of everything an open checks,
+// only the walk of the SPO column it derives the data and schema
+// components by finds: a varint cut by its block's end; IDs past the
+// dictionary, in the last block, which moves no triple between
+// components; the header counting a data triple as schema; one type
+// triple fewer in comp-types (the header's counts moved to match); and
+// another type triple in its place.
+func spoCheckCases(t testing.TB, data []byte) []spoCase {
+	t.Helper()
+	c, err := parseVerified(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spo := c.secs[secColSPO]
+	col, err := openCol(OrderSPO, spo.raw, int(c.nData+c.nTypes+c.nSchema), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := decodeVocabSec(c.secs[secVocab].raw, c.nTerms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types, err := decodeComp(c.secs[secCompTypes].raw, c.nTypes, c.nTerms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := col.nBlocks - 1
+	if last < 1 || len(types) < 2 || slices.ContainsFunc(col.window(last*colBlockTriples, col.n, nil),
+		func(t Triple) bool { return v.ComponentOf(t.P) == CompTypes }) {
+		t.Fatalf("the snapshot's SPO column has %d blocks and %d type triples, or type triples in its last block", col.nBlocks, len(types))
+	}
+	edited := func(at int, b []byte) []byte {
+		bad := append([]byte(nil), data...)
+		copy(bad[int(spo.off)+at:], b)
+		reseal(bad, len(c.secOrder))
+		return bad
+	}
+	counted := func(bad []byte, nData, nTypes, nSchema uint64) []byte {
+		binary.LittleEndian.PutUint64(bad[24:32], nData)
+		binary.LittleEndian.PutUint64(bad[32:40], nTypes)
+		binary.LittleEndian.PutUint64(bad[40:48], nSchema)
+		reseal(bad, len(c.secOrder))
+		return bad
+	}
+	withTypes := func(ts []Triple) []byte {
+		bad := rebuilt(t, data, func(w *containerWriter, s *section) {
+			if s.id == secCompTypes {
+				w.begin()
+				writeComp(w, ts)
+				w.end(s.id)
+				return
+			}
+			w.section(s.id, s.raw)
+		})
+		moved := c.nTypes - uint64(len(ts))
+		return counted(bad, c.nData+moved, c.nTypes-moved, c.nSchema)
+	}
+	other := slices.Clone(types)
+	other[0].O = other[0].O%dict.ID(c.nTerms) + 1
+	return []spoCase{
+		{"a varint cut by its block's end", edited(col.blockOff(1)-1, []byte{spo.raw[col.blockOff(1)-1] | 0x80})},
+		{"IDs past the dictionary", edited(8+last*colSkipEntryBytes, binary.LittleEndian.AppendUint32(nil, uint32(c.nTerms)+1))},
+		{"a data triple counted as schema", counted(append([]byte(nil), data...), c.nData-1, c.nTypes, c.nSchema+1)},
+		{"one type triple fewer in comp-types", withTypes(types[1:])},
+		{"another type triple in comp-types", withTypes(other)},
+	}
+}
+
+// TestOpenChecksSPOColumn: an open derives the data and schema components
+// from one walk of the SPO column, so every open — of the store's own
+// file too — checks that column's framing, varints and IDs, its count of
+// each component, and that its type triples are comp-types': each fault
+// of spoCheckCases is refused by OpenGraphFile and ReadGraph with
+// ErrSnapshotCorrupt, without a panic. An OpenGraphFile that did not walk
+// the column served the IDs past the dictionary.
+func TestOpenChecksSPOColumn(t *testing.T) {
+	g := withFreshSubjects(v2RandomGraph(t, 3, 600), 600)
+	var f memFile
+	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range spoCheckCases(t, f.b) {
+		refusedBoth(t, tc.What, tc.Data, ErrSnapshotCorrupt)
+	}
+}
+
 // TestSnapshotWithoutVocabRefused: every version 2 writer wrote the
 // vocabulary section, so a file whose TOC lacks it — every checksum
 // resealed — is corrupt, not a graph whose vocabulary is looked up in its
@@ -484,11 +604,15 @@ func TestInspectSnapshotV2(t *testing.T) {
 	if info.PageSize != v2PageSize {
 		t.Fatalf("page size %d, want %d", info.PageSize, v2PageSize)
 	}
-	if len(info.Sections) != 9 {
-		t.Fatalf("%d sections, want 9", len(info.Sections))
+	var names []string
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+		if s.Retired {
+			t.Errorf("section %s is marked retired", s.Name)
+		}
 	}
-	if slices.ContainsFunc(info.Sections, func(s SectionInfo) bool { return s.Name == "dict-sorted" }) {
-		t.Fatal("the file holds the retired dict-sorted section")
+	if want := []string{"dict-pages", "dict-dir", "comp-types", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
+		t.Fatalf("sections %v, want %v", names, want)
 	}
 	if info.NTerms != uint64(g.Dict().Len()) ||
 		info.NData != uint64(len(g.Data)) ||
@@ -519,9 +643,25 @@ func (want golden) check(t *testing.T, what string, got []byte) {
 
 // The files this writer produces.
 var (
-	goldenV2Sample = golden{41149, "2fe880af82e7bd225fffee18fe0181b173c452a372430f8a6f9125d10d337155"}
+	goldenV2Sample = golden{32915, "cdf70f67c402dba7c9be1a688284360a0f3d53565c10a8ca89d228b24ecf2aed"}
 	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
 	goldenRandom = map[int]golden{
+		0:               {28819, "0b6d15b54ccd4f8d6dbb507e8541377219b2babdc23697a95d2addd7f4b620e3"},
+		3:               {32915, "e60c48ef5ed3abc3ee633f77981aeec5dd8fa740e249d3e13ab6a2c6bcb4ee18"},
+		50:              {32915, "4b06505168581b10a6da327c913a7fa4e271c3c09549de4a7a95564fd021bb3a"},
+		radixCutoff * 3: {32915, "ec06fef5872171147e6cf4edd3cf94c346f22acb444fb015e9378f0a147895ce"},
+		3000:            {98451, "7785928edadee933d4fb011c54f1684816967abd0b05e89909f9c1e6b256ed2f"},
+	}
+)
+
+// The same graphs' files as every writer wrote them while snapshots
+// carried the comp-data and comp-schema sections: recorded from the
+// writer of commit 8484cf6. withComponentSections rebuilds them from this
+// writer's files and the graphs' components, which proves those are
+// these bytes with sections 4 and 6 left out.
+var (
+	goldenCompV2Sample = golden{41149, "2fe880af82e7bd225fffee18fe0181b173c452a372430f8a6f9125d10d337155"}
+	goldenCompRandom   = map[int]golden{
 		0:               {32957, "090bbe1c77198441df3937c3c0c877608efe4b278a078f1b81d1adaefe6bc2c0"},
 		3:               {41149, "9c0879e52a121d6be385c7e2975469ca084c7a34c53e110dcd3d2c25f75c2190"},
 		50:              {41149, "5ada1cead3bd80e5332b3acd432c0a89e94ef7d12f6497a594afe6b6c5892d48"},
@@ -531,11 +671,10 @@ var (
 )
 
 // The same graphs' files as every writer wrote them while snapshots
-// carried the dict-sorted section: recorded from the whole-buffer writer
-// of commit 9f022f1 (every section built whole in memory, then
-// writeContainer) before it was deleted. withSortedSection rebuilds them
-// from this writer's files, which proves those are these bytes with
-// section 3 left out.
+// carried the dict-sorted section too: recorded from the whole-buffer
+// writer of commit 9f022f1 (every section built whole in memory, then
+// writeContainer) before it was deleted. withSortedSection puts section 3
+// back into the files withComponentSections rebuilds.
 var (
 	goldenSortedV2Sample = golden{45266, "45bc23ad5e66497e791e6a2a6a1ca067aa3c0d160082ca33db64e4db6f06901e"}
 	goldenSortedRandom   = map[int]golden{
@@ -573,9 +712,7 @@ func withSortedSection(t testing.TB, data []byte) []byte {
 	for _, id := range ids {
 		sorted = binary.LittleEndian.AppendUint32(sorted, uint32(id))
 	}
-	var f memFile
-	w := newContainerWriter(&f)
-	for _, s := range c.secOrder {
+	return rebuilt(t, data, func(w *containerWriter, s *section) {
 		if s.id == secDictSorted {
 			t.Fatal("the file already holds a dict-sorted section")
 		}
@@ -583,6 +720,48 @@ func withSortedSection(t testing.TB, data []byte) []byte {
 		if s.id == secDictDir {
 			w.section(secDictSorted, sorted)
 		}
+	})
+}
+
+// withComponentSections rebuilds the file a build that wrote the retired
+// comp-data and comp-schema sections made of g, whose snapshot data is:
+// data's sections in their order, with g's data component (in g's order,
+// as writeComp encodes the type component) right before comp-types and
+// its schema component right after it, resealed through containerWriter.
+func withComponentSections(t testing.TB, data []byte, g *Graph) []byte {
+	t.Helper()
+	comp := func(w *containerWriter, id byte, ts []Triple) {
+		w.begin()
+		writeComp(w, ts)
+		w.end(id)
+	}
+	return rebuilt(t, data, func(w *containerWriter, s *section) {
+		if s.id == secCompData || s.id == secCompSchema {
+			t.Fatalf("the file already holds a %s section", sectionName(s.id))
+		}
+		if s.id == secCompTypes {
+			comp(w, secCompData, g.Data)
+		}
+		w.section(s.id, s.raw)
+		if s.id == secCompTypes {
+			comp(w, secCompSchema, g.Schema)
+		}
+	})
+}
+
+// rebuilt writes data's container again through containerWriter, with
+// its header's counts: each section, in file order, goes through put,
+// which writes it — and whatever else it likes — to w.
+func rebuilt(t testing.TB, data []byte, put func(w *containerWriter, s *section)) []byte {
+	t.Helper()
+	c, err := parseVerified(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f memFile
+	w := newContainerWriter(&f)
+	for _, s := range c.secOrder {
+		put(w, s)
 	}
 	if err := w.finish([4]uint64{c.nTerms, c.nData, c.nTypes, c.nSchema}); err != nil {
 		t.Fatal(err)
@@ -594,7 +773,9 @@ func withSortedSection(t testing.TB, data []byte) []byte {
 // graph's triples in — the graph's own, reversed, the SPO scan of the
 // snapshot's mapped base, the scan of a tiered index fed them in slices —
 // the file is the same, byte for byte; and it is the file of the writer
-// that still wrote dict-sorted, with that section left out.
+// that still wrote comp-data and comp-schema, with those sections left
+// out, and of the writer that wrote dict-sorted besides, with that left
+// out too.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	write := func(g *Graph, buf []Triple) []byte {
 		t.Helper()
@@ -604,9 +785,11 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		}
 		return f.b
 	}
-	_, sample := v2Sample(t)
+	g, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
-	goldenSortedV2Sample.check(t, "v2Sample with dict-sorted", withSortedSection(t, sample))
+	goldenCompV2Sample.check(t, "v2Sample with comp-data and comp-schema", withComponentSections(t, sample, g))
+	goldenSortedV2Sample.check(t, "v2Sample with dict-sorted, comp-data and comp-schema",
+		withSortedSection(t, withComponentSections(t, sample, g)))
 	for _, n := range []int{0, 3, 50, radixCutoff * 3, 3000} {
 		g := v2RandomGraph(t, uint64(n)+1, n)
 		// Duplicate triples: the multiset, not the set, is stored.
@@ -616,7 +799,9 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
-		goldenSortedRandom[n].check(t, fmt.Sprintf("n=%d: with dict-sorted", n), withSortedSection(t, file))
+		old := withComponentSections(t, file, g)
+		goldenCompRandom[n].check(t, fmt.Sprintf("n=%d: with comp-data and comp-schema", n), old)
+		goldenSortedRandom[n].check(t, fmt.Sprintf("n=%d: with dict-sorted besides", n), withSortedSection(t, old))
 		reversed := g.All()
 		slices.Reverse(reversed)
 		want.check(t, fmt.Sprintf("n=%d: reversed", n), write(g, reversed))
@@ -642,21 +827,32 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		ix = ix.Applied(naiveMatch(all, all[0].S, all[0].P, all[0].O), nil)
 		want.check(t, fmt.Sprintf("n=%d: tiered index scan", n), write(g, scanAll(ix)))
 	}
-	g, _ := v2Sample(t)
+	g, _ = v2Sample(t)
 	if err := WriteSnapshotV2(&memFile{}, g, g.All()[1:], nil); err == nil {
 		t.Fatal("a buffer that does not hold the graph's triples was accepted")
 	}
 }
 
-// TestSnapshotWithSortedSectionServed: a file that holds the retired
-// dict-sorted section — what every build before its retirement wrote —
-// opens through OpenGraphFile and ReadGraph to the graph of the same file
-// without it, and inspect still names the section. Its checksum is
-// checked with every other section's: a flipped byte in it fails the
-// open with ErrSnapshotChecksum. Written again, the graph's file no longer
-// holds it.
+// TestSnapshotWithSortedSectionServed: a file that holds retired
+// sections — comp-data and comp-schema, which every build before their
+// retirement wrote, and dict-sorted with them, which the builds before
+// that wrote — opens through OpenGraphFile and ReadGraph to the graph of
+// the same file without them, and inspect still names them, marked
+// retired. Their checksums are checked with every other section's: a
+// flipped byte in one fails the open with ErrSnapshotChecksum. Written
+// again, the graph's file holds none of them.
 func TestSnapshotWithSortedSectionServed(t *testing.T) {
 	sample, _ := v2Sample(t)
+	olds := []struct {
+		name     string
+		build    func(file []byte, g *Graph) []byte
+		sections []string
+	}{
+		{"comp-data and comp-schema", func(file []byte, g *Graph) []byte { return withComponentSections(t, file, g) },
+			[]string{"dict-pages", "dict-dir", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
+		{"dict-sorted too", func(file []byte, g *Graph) []byte { return withSortedSection(t, withComponentSections(t, file, g)) },
+			[]string{"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
+	}
 	for _, g := range []*Graph{sample, v2RandomGraph(t, 3001, 3000)} {
 		var f memFile
 		if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
@@ -666,42 +862,54 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := withSortedSection(t, f.b)
-		path := filepath.Join(t.TempDir(), "old.rdfsum")
-		if err := os.WriteFile(path, old, 0o644); err != nil {
-			t.Fatal(err)
+		for _, o := range olds {
+			old := o.build(f.b, g)
+			path := filepath.Join(t.TempDir(), "old.rdfsum")
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, sf, err := OpenGraphFile(path)
+			if err != nil {
+				t.Fatalf("OpenGraphFile of a file with %s: %v", o.name, err)
+			}
+			identicalGraphs(t, want, got)
+			if !sameIterationOrder(NewIndexFromBase(sf.Runs()), NewIndex(want)) {
+				t.Fatalf("%s: the file's columns serve another index", o.name)
+			}
+			var again memFile
+			if err := WriteSnapshotV2(&again, got, got.All(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.b, f.b) {
+				t.Fatalf("the graph of a file with %s writes another file than the same graph without them", o.name)
+			}
+			sf.Close()
+			if got, _, err = ReadGraph(bytes.NewReader(old)); err != nil {
+				t.Fatalf("ReadGraph of a file with %s: %v", o.name, err)
+			}
+			identicalGraphs(t, want, got)
+			info, err := InspectSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, s := range info.Sections {
+				names = append(names, s.Name)
+				if retired := s.Name == "dict-sorted" || s.Name == "comp-data" || s.Name == "comp-schema"; s.Retired != retired {
+					t.Errorf("%s: inspect marks section %s retired: %v", o.name, s.Name, s.Retired)
+				}
+			}
+			if !slices.Equal(names, o.sections) {
+				t.Fatalf("%s: inspect lists %v, want %v", o.name, names, o.sections)
+			}
+			for _, sec := range info.Sections {
+				if sec.Retired {
+					bad := append([]byte(nil), old...)
+					bad[sec.Off+sec.Len/2] ^= 0x40
+					refusedBoth(t, fmt.Sprintf("%s: a flipped byte in %s", o.name, sec.Name), bad, ErrSnapshotChecksum)
+				}
+			}
 		}
-		got, sf, err := OpenGraphFile(path)
-		if err != nil {
-			t.Fatalf("OpenGraphFile of a file with dict-sorted: %v", err)
-		}
-		identicalGraphs(t, want, got)
-		if !sameIterationOrder(NewIndexFromBase(sf.Runs()), NewIndex(want)) {
-			t.Fatal("the file's columns serve another index")
-		}
-		var again memFile
-		if err := WriteSnapshotV2(&again, got, got.All(), nil); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.b, f.b) {
-			t.Fatal("the graph of a file with dict-sorted writes another file than the same graph without it")
-		}
-		sf.Close()
-		if got, _, err = ReadGraph(bytes.NewReader(old)); err != nil {
-			t.Fatalf("ReadGraph of a file with dict-sorted: %v", err)
-		}
-		identicalGraphs(t, want, got)
-		info, err := InspectSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(info.Sections) != 10 || info.Sections[2].Name != "dict-sorted" {
-			t.Fatalf("inspect lists %+v, want dict-sorted third of ten", info.Sections)
-		}
-
-		sec := info.Sections[2]
-		old[sec.Off+sec.Len/2] ^= 0x40
-		refusedBoth(t, "a flipped byte in dict-sorted", old, ErrSnapshotChecksum)
 	}
 }
 

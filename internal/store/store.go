@@ -59,7 +59,9 @@ func EncodeVocab(d *dict.Dict) Vocab {
 //
 // Invariants: every Types triple has P == Vocab().Type; every Schema
 // triple has P ∈ {SubClass, SubProp, Domain, Range}; Data holds everything
-// else.
+// else. A graph built by Add lists each component in insertion order; one
+// opened from a snapshot lists Data and Schema in SPO order and Types in
+// insertion order, the one order a summary depends on.
 type Graph struct {
 	dict   *dict.Dict
 	vocab  Vocab
