@@ -166,7 +166,7 @@ replication-smoke:
 
 # Streaming-ingest smoke (mirrored as a CI step): a real rdfsumd boots
 # from a cold gzipped Turtle dump straight into serving summaries and
-# queries, then a zstd-compressed streaming upload lands through the
+# queries, then a gzip-compressed streaming upload lands through the
 # typed client.
 ingest-smoke:
 	$(GO) test -race -count=1 -run 'TestE2EStreamingIngest' ./cmd/rdfsumd

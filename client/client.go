@@ -393,9 +393,9 @@ type IngestOptions struct {
 	// FormatTurtle.
 	Format rdfsum.Format
 	// Compression compresses the upload on the fly as it streams —
-	// CompressionGzip or CompressionZstd — declared via Content-Encoding
-	// so the server decodes it as a streaming stage. CompressionNone
-	// (and CompressionAuto) send the body as-is.
+	// CompressionGzip, declared via Content-Encoding so the server
+	// decodes it as a streaming stage. CompressionNone (and
+	// CompressionAuto) send the body as-is.
 	Compression rdfsum.Compression
 }
 
@@ -431,12 +431,10 @@ func (c *Client) upload(ctx context.Context, method string, body io.Reader, opts
 	case rdfsum.CompressionNone, rdfsum.CompressionAuto:
 	case rdfsum.CompressionGzip:
 		hdr.Set("Content-Encoding", "gzip")
-	case rdfsum.CompressionZstd:
-		hdr.Set("Content-Encoding", "zstd")
 	default:
 		return fmt.Errorf("client: unsupported upload compression %v", comp)
 	}
-	if comp == rdfsum.CompressionGzip || comp == rdfsum.CompressionZstd {
+	if comp == rdfsum.CompressionGzip {
 		pr, pw := io.Pipe()
 		src := body // the goroutine must read the caller's reader, not the pipe
 		go func() {

@@ -103,7 +103,7 @@ func kindList() string {
 }
 
 // load reads a graph from an N-Triples or Turtle file — optionally
-// gzip/zstd-compressed, detected from the name (data.nt, dump.ttl.gz,
+// gzip-compressed, detected from the name (data.nt, dump.ttl.gz,
 // …) — or a snapshot (anything else).
 func load(path string) (*rdfsum.Graph, error) {
 	if path == "" {
@@ -365,7 +365,7 @@ func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	walDir := fs.String("wal", "", "live store directory (created if absent)")
 	server := fs.String("server", "", "rdfsumd base URL; ingest through a running server instead of -wal")
-	in := fs.String("in", "", "triples file to append (or remove, with -delete): .nt or .ttl, optionally .gz/.zst")
+	in := fs.String("in", "", "triples file to append (or remove, with -delete): .nt or .ttl, optionally .gz")
 	batch := fs.Int("batch", 8192, "triples per WAL record / fsync")
 	del := fs.Bool("delete", false, "remove the file's triples instead of adding them")
 	compact := fs.Bool("compact", false, "fold the WAL into a snapshot after ingest")

@@ -99,7 +99,7 @@ func remoteStats(server, kindsFlag string) error {
 }
 
 // remoteIngest streams a triples file (N-Triples or Turtle, optionally
-// gzip/zstd-compressed — detected from the name) to the server in
+// gzip-compressed — detected from the name) to the server in
 // acknowledged batches (one /v1/triples request per batch); with del the
 // triples are removed instead. A server shedding load (429
 // "ingest_overloaded") is retried after its Retry-After hint — the

@@ -46,7 +46,7 @@ func TestE2EReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitLag0(t, fc)
+	waitReplicated(t, lc, fc)
 	assertSameResults(t, lc, fc)
 
 	// Live tail: more adds and a delete.
@@ -56,7 +56,7 @@ func TestE2EReplication(t *testing.T) {
 	if _, err := lc.Delete(ctx, triples[50:120]); err != nil {
 		t.Fatal(err)
 	}
-	awaitLag0(t, fc)
+	waitReplicated(t, lc, fc)
 	assertSameResults(t, lc, fc)
 
 	// Leader compaction prunes the tailed generation: the follower must
@@ -67,7 +67,7 @@ func TestE2EReplication(t *testing.T) {
 	if _, err := lc.Ingest(ctx, triples[50:120]); err != nil {
 		t.Fatal(err)
 	}
-	awaitLag0(t, fc)
+	waitReplicated(t, lc, fc)
 	assertSameResults(t, lc, fc)
 
 	rs, err := fc.ReplicationStatus(ctx)
@@ -181,22 +181,6 @@ func startDaemon(t *testing.T, bin string, args ...string) (string, *logBuffer, 
 		t.Fatalf("rdfsumd %v did not report its listen address", args)
 		return "", nil, nil
 	}
-}
-
-// awaitLag0 polls the follower until it reports a fully caught-up tail.
-func awaitLag0(t *testing.T, fc *client.Client) {
-	t.Helper()
-	ctx := context.Background()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		rs, err := fc.ReplicationStatus(ctx)
-		if err == nil && rs.State == "tailing" && rs.LagBytes == 0 && rs.LagEpochs == 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	rs, err := fc.ReplicationStatus(ctx)
-	t.Fatalf("follower never reached lag 0: %+v (err %v)", rs, err)
 }
 
 // assertSameResults compares query rows, triple counts and weak-summary

@@ -15,7 +15,7 @@ import (
 // gzipped Turtle dump boots a real rdfsumd process straight into
 // serving summaries and queries — compressed input is decoded as a
 // streaming stage into the loader, never materialized — then a
-// zstd-compressed streaming upload through the typed client lands more
+// gzip-compressed streaming upload through the typed client lands more
 // triples on the running server.
 func TestE2EStreamingIngest(t *testing.T) {
 	if testing.Short() {
@@ -71,7 +71,7 @@ func TestE2EStreamingIngest(t *testing.T) {
 	// Compressed streaming upload against the running server.
 	const extra = 120
 	res, err := cl.IngestStream(ctx, strings.NewReader(ntBody(1_000_000, extra)),
-		&client.IngestOptions{Compression: rdfsum.CompressionZstd})
+		&client.IngestOptions{Compression: rdfsum.CompressionGzip})
 	if err != nil {
 		t.Fatal(err)
 	}

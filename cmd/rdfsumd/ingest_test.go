@@ -78,7 +78,9 @@ func errCode(body map[string]any) string {
 }
 
 // TestIngestContentNegotiation: POST /triples accepts every supported
-// (serialization × encoding) combination and lands the same triples.
+// (serialization × encoding) combination and lands the same triples. A
+// zstd body is refused by its Content-Encoding alone, with 415 and a
+// message naming gzip, and lands nothing.
 func TestIngestContentNegotiation(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -86,13 +88,14 @@ func TestIngestContentNegotiation(t *testing.T) {
 		encoding    string
 		body        func(start, n int) string
 		codec       rdfsum.Compression
+		refused     bool
 	}{
-		{"nt-plain", "application/n-triples", "", ntBody, rdfsum.CompressionNone},
-		{"nt-gzip", "application/n-triples", "gzip", ntBody, rdfsum.CompressionGzip},
-		{"nt-zstd", "application/n-triples", "zstd", ntBody, rdfsum.CompressionZstd},
-		{"turtle-plain", "text/turtle", "", ttlBody, rdfsum.CompressionNone},
-		{"turtle-gzip", "text/turtle; charset=utf-8", "gzip", ttlBody, rdfsum.CompressionGzip},
-		{"turtle-zstd", "text/turtle", "zstd", ttlBody, rdfsum.CompressionZstd},
+		{"nt-plain", "application/n-triples", "", ntBody, rdfsum.CompressionNone, false},
+		{"nt-gzip", "application/n-triples", "gzip", ntBody, rdfsum.CompressionGzip, false},
+		{"nt-zstd", "application/n-triples", "zstd", ntBody, rdfsum.CompressionNone, true},
+		{"turtle-plain", "text/turtle", "", ttlBody, rdfsum.CompressionNone, false},
+		{"turtle-gzip", "text/turtle; charset=utf-8", "gzip", ttlBody, rdfsum.CompressionGzip, false},
+		{"turtle-zstd", "text/turtle", "zstd", ttlBody, rdfsum.CompressionNone, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,6 +106,18 @@ func TestIngestContentNegotiation(t *testing.T) {
 				payload = compressed(t, doc, tc.codec)
 			}
 			resp, body := postRaw(t, ts.URL, tc.contentType, tc.encoding, payload)
+			if tc.refused {
+				env, _ := body["error"].(map[string]any)
+				msg, _ := env["message"].(string)
+				if resp.StatusCode != http.StatusUnsupportedMediaType || errCode(body) != "unsupported_encoding" ||
+					!strings.Contains(msg, "gzip") {
+					t.Fatalf("status = %d, body %v; want 415 unsupported_encoding naming gzip", resp.StatusCode, body)
+				}
+				if got := srv.lv.Stats().Triples; got != 0 {
+					t.Fatalf("refused upload published %d triples", got)
+				}
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status = %d: %v", resp.StatusCode, body)
 			}

@@ -23,7 +23,7 @@
 //	GET  /v1/profile           entity-kind profile (typed-weak based)
 //	POST /v1/triples           triples body appended as one acknowledged
 //	                           batch (WAL-durable with -live); N-Triples or
-//	                           text/turtle, Content-Encoding gzip|zstd
+//	                           text/turtle, Content-Encoding gzip
 //	                           accepted; a full ingest queue answers 429 +
 //	                           Retry-After with code "ingest_overloaded"
 //	DELETE /v1/triples         triples body removed as one acknowledged

@@ -93,7 +93,7 @@ type server struct {
 
 // serverConfig collects rdfsumd's startup knobs.
 type serverConfig struct {
-	in         string // input graph (.nt/.ttl, optionally .gz/.zst, or snapshot); seeds -live
+	in         string // input graph (.nt/.ttl, optionally .gz, or snapshot); seeds -live
 	liveDir    string // durable store directory ("" = memory-only)
 	follow     string // leader base URL; makes this a read replica
 	noSync     bool
@@ -146,7 +146,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		var err error
 		t0 := time.Now()
 		// Names declaring an RDF dump — .nt/.ttl, with or without a
-		// .gz/.zst layer — stream through the format-aware loader;
+		// .gz layer — stream through the format-aware loader;
 		// anything else is read as a binary snapshot.
 		if format, codec := rdfsum.DetectFile(cfg.in); format != rdfsum.FormatAuto || codec != rdfsum.CompressionNone {
 			seed, err = rdfsum.LoadFile(cfg.in, nil)
@@ -694,11 +694,9 @@ func ingestCodec(r *http.Request) (rdfsum.Compression, error) {
 		return rdfsum.CompressionNone, nil
 	case "gzip":
 		return rdfsum.CompressionGzip, nil
-	case "zstd":
-		return rdfsum.CompressionZstd, nil
 	default:
 		return rdfsum.CompressionNone, httpapi.Errorf(http.StatusUnsupportedMediaType, httpapi.CodeUnsupportedEncoding,
-			"Content-Encoding %q is not supported (use identity, gzip or zstd)", enc)
+			"Content-Encoding %q is not supported (use identity or gzip)", enc)
 	}
 }
 
@@ -720,7 +718,7 @@ func ingestFormat(r *http.Request) (rdfsum.Format, error) {
 }
 
 // parseTriplesBody parses a triples request body straight off the wire —
-// no body buffering — honoring Content-Encoding (identity, gzip, zstd;
+// no body buffering — honoring Content-Encoding (identity, gzip;
 // decoded as a streaming stage) and Content-Type (N-Triples, Turtle),
 // with the ingest cap enforced on the DECODED bytes so a small
 // compressed bomb cannot expand past the budget. Nothing is applied
@@ -779,7 +777,7 @@ func writeOverloaded(w http.ResponseWriter, st rdfsum.IngestQueueStats) {
 }
 
 // handleTriples ingests a triples body (N-Triples or Turtle, optionally
-// gzip/zstd-compressed) as one acknowledged batch: the parsed batch goes
+// gzip-compressed) as one acknowledged batch: the parsed batch goes
 // through the bounded ingest queue — a saturated queue answers 429 with
 // Retry-After rather than buffering without limit — then is WAL-logged
 // and fsynced (durable stores), applied to the graph and the incremental

@@ -148,21 +148,30 @@ func leaderFollowerServers(t *testing.T) (leader, follower *httptest.Server, lea
 	return lts, fts, lsrv
 }
 
-// waitReplicated polls the follower's /v1/replication until it reports
-// zero lag against a tailing state.
-func waitReplicated(t *testing.T, fc *client.Client) {
+// waitReplicated polls the follower's /v1/replication until it has
+// applied everything the leader acknowledged so far: a tailing state with
+// zero lag, measured against a leader epoch no older than the one the
+// leader reports now. The follower's lag alone is not enough: it is
+// measured against the leader state of the follower's last WAL response,
+// so right after a write it can read 0 before the follower has seen it.
+func waitReplicated(t *testing.T, lc, fc *client.Client) {
 	t.Helper()
 	ctx := context.Background()
-	deadline := time.Now().Add(10 * time.Second)
+	ls, err := lc.ReplicationStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		rs, err := fc.ReplicationStatus(ctx)
-		if err == nil && rs.State == "tailing" && rs.LagBytes == 0 && rs.LagEpochs == 0 && rs.Bootstraps > 0 {
+		if err == nil && rs.State == "tailing" && rs.LagBytes == 0 && rs.LagEpochs == 0 && rs.Bootstraps > 0 &&
+			rs.LeaderEpoch >= ls.Epoch {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	rs, err := fc.ReplicationStatus(ctx)
-	t.Fatalf("follower did not catch up: %+v (err %v)", rs, err)
+	t.Fatalf("follower did not catch up with leader epoch %d: %+v (err %v)", ls.Epoch, rs, err)
 }
 
 // queryRows fetches one query's rows through the typed client, sorted
@@ -200,7 +209,7 @@ func TestFollowerServesReadsRejectsWrites(t *testing.T) {
 	if _, err := lc.Ingest(ctx, triples); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicated(t, fc)
+	waitReplicated(t, lc, fc)
 
 	// Identical query results on both sides.
 	const q = "SELECT ?s ?o WHERE { ?s ?p ?o . }"
@@ -234,7 +243,7 @@ func TestFollowerServesReadsRejectsWrites(t *testing.T) {
 	if _, err := lc.Delete(ctx, triples[:20]); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicated(t, fc)
+	waitReplicated(t, lc, fc)
 	if lrows, frows := queryRows(t, lc, q), queryRows(t, fc, q); !equalStrings(lrows, frows) {
 		t.Fatalf("post-delete divergence: leader %d rows, follower %d rows", len(lrows), len(frows))
 	}

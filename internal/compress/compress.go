@@ -1,23 +1,17 @@
 // Package compress is the streaming-decode stage of the ingest pipeline:
-// it recognizes compressed RDF dumps by magic bytes (or file extension),
-// and wraps them in decoding readers so the loader downstream only ever
-// sees plain text — a gzipped Wikidata dump streams through a few KB of
-// decoder state instead of materializing on disk or in memory.
+// it recognizes gzip-compressed RDF dumps by magic bytes (or file
+// extension), and wraps them in decoding readers so the loader downstream
+// only ever sees plain text — a gzipped Wikidata dump streams through a
+// few KB of decoder state instead of materializing on disk or in memory.
 //
-// Two codecs are supported end to end:
-//
-//   - gzip, via the standard library;
-//   - zstd, via a built-in implementation of the RFC 8878 frame format
-//     restricted to Raw and RLE blocks (see zstd.go). The repository
-//     vendors no third-party code, so full entropy-coded zstd is out of
-//     reach; the subset still round-trips with this package's own writer
-//     and interoperates with external zstd tools in both directions for
-//     store-mode frames.
+// gzip, via the standard library, is the one codec. The sniff also
+// recognizes a zstd frame, only to refuse it with ErrUnsupported before
+// any parser sees the binary.
 //
 // Failures are classified by wrapped sentinels so callers can branch
 // without string matching: ErrTruncated (the stream ended mid-frame —
 // retry/resume territory), ErrCorrupt (checksum or framing damage), and
-// ErrUnsupported (a valid stream using features outside the subset).
+// ErrUnsupported (a compression format this build does not decode).
 package compress
 
 import (
@@ -41,8 +35,6 @@ const (
 	None
 	// Gzip is RFC 1952 gzip.
 	Gzip
-	// Zstd is RFC 8878 Zstandard (Raw/RLE-block subset; see package doc).
-	Zstd
 )
 
 // String names the codec for error messages and logs.
@@ -54,8 +46,6 @@ func (c Codec) String() string {
 		return "none"
 	case Gzip:
 		return "gzip"
-	case Zstd:
-		return "zstd"
 	}
 	return fmt.Sprintf("Codec(%d)", int(c))
 }
@@ -69,8 +59,8 @@ var (
 	// ErrCorrupt: framing or checksum damage — the bytes are not a valid
 	// stream of the detected codec.
 	ErrCorrupt = errors.New("compress: corrupt stream")
-	// ErrUnsupported: the stream is valid but uses a feature outside this
-	// build's subset (e.g. entropy-coded zstd blocks).
+	// ErrUnsupported: the stream is in a compression format this build
+	// does not decode (a zstd frame).
 	ErrUnsupported = errors.New("compress: unsupported feature")
 )
 
@@ -84,21 +74,23 @@ var (
 // sniffLen is how many leading bytes Sniff needs to classify a stream.
 const sniffLen = 4
 
+// errZstd refuses a zstd stream: the sniff names it so that no parser is
+// handed the binary.
+var errZstd = fmt.Errorf("%w: zstd stream: this build decodes gzip only; recompress the input with gzip", ErrUnsupported)
+
 // sniff classifies a magic-byte prefix. Short or unrecognized prefixes
-// are None: plain text never starts with either magic.
-func sniff(prefix []byte) Codec {
+// are None: plain text never starts with either magic. A zstd frame or
+// skippable frame is refused with errZstd.
+func sniff(prefix []byte) (Codec, error) {
 	if bytes.HasPrefix(prefix, magicGzip) {
-		return Gzip
-	}
-	if bytes.HasPrefix(prefix, magicZstd) {
-		return Zstd
+		return Gzip, nil
 	}
 	// Skippable zstd frames: 0x184D2A50..0x184D2A5F, low byte varies.
-	if len(prefix) >= 4 && prefix[0]&0xf0 == magicZstdSkip[0] &&
-		prefix[1] == magicZstdSkip[1] && prefix[2] == magicZstdSkip[2] && prefix[3] == magicZstdSkip[3] {
-		return Zstd
+	if bytes.HasPrefix(prefix, magicZstd) || len(prefix) >= 4 &&
+		prefix[0]&0xf0 == magicZstdSkip[0] && bytes.Equal(prefix[1:4], magicZstdSkip[1:]) {
+		return None, errZstd
 	}
-	return None
+	return None, nil
 }
 
 // ByExtension maps a file name to the codec its extension declares,
@@ -106,14 +98,8 @@ func sniff(prefix []byte) Codec {
 // stripped (so format detection can look at the inner extension:
 // "dump.ttl.gz" -> Gzip, "dump.ttl"). Unrecognized names are (None, path).
 func ByExtension(path string) (Codec, string) {
-	lower := strings.ToLower(path)
-	switch {
-	case strings.HasSuffix(lower, ".gz"):
+	if strings.HasSuffix(strings.ToLower(path), ".gz") {
 		return Gzip, path[:len(path)-len(".gz")]
-	case strings.HasSuffix(lower, ".zst"):
-		return Zstd, path[:len(path)-len(".zst")]
-	case strings.HasSuffix(lower, ".zstd"):
-		return Zstd, path[:len(path)-len(".zstd")]
 	}
 	return None, path
 }
@@ -129,7 +115,9 @@ func NewReader(r io.Reader, codec Codec) (io.ReadCloser, error) {
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return nil, err
 		}
-		codec = sniff(prefix)
+		if codec, err = sniff(prefix); err != nil {
+			return nil, err
+		}
 		r = br
 	}
 	switch codec {
@@ -144,8 +132,6 @@ func NewReader(r io.Reader, codec Codec) (io.ReadCloser, error) {
 		// concatenated members are one logical stream (gzip -c a b).
 		zr.Multistream(true)
 		return &gzipReader{zr: zr}, nil
-	case Zstd:
-		return newZstdReader(r), nil
 	}
 	return nil, fmt.Errorf("compress: unknown codec %v", codec)
 }
@@ -188,8 +174,6 @@ func NewWriter(w io.Writer, codec Codec) (io.WriteCloser, error) {
 		return nopWriteCloser{w}, nil
 	case Gzip:
 		return gzip.NewWriter(w), nil
-	case Zstd:
-		return newZstdWriter(w), nil
 	}
 	return nil, fmt.Errorf("compress: cannot encode codec %v", codec)
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"os/exec"
 	"strings"
 	"testing"
 )
@@ -15,19 +14,6 @@ func gzipBytes(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func zstdBytes(t *testing.T, data []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	zw := newZstdWriter(&buf)
 	if _, err := zw.Write(data); err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +47,9 @@ func payload(n int) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, size := range []int{0, 1, 31, 32, 1000, zstdWriterBlock, zstdWriterBlock + 1, 3*zstdWriterBlock + 17} {
+	for _, size := range []int{0, 1, 31, 32, 1000, 128 << 10, 128<<10 + 1, 3*(128<<10) + 17} {
 		data := payload(size)
-		for _, codec := range []Codec{None, Gzip, Zstd} {
+		for _, codec := range []Codec{None, Gzip} {
 			var buf bytes.Buffer
 			w, err := NewWriter(&buf, codec)
 			if err != nil {
@@ -91,21 +77,28 @@ func TestRoundTrip(t *testing.T) {
 
 func TestSniff(t *testing.T) {
 	cases := []struct {
-		prefix []byte
-		want   Codec
+		prefix  []byte
+		want    Codec
+		refused bool
 	}{
-		{[]byte{0x1f, 0x8b, 0x08, 0x00}, Gzip},
-		{[]byte{0x28, 0xb5, 0x2f, 0xfd}, Zstd},
-		{[]byte{0x50, 0x2a, 0x4d, 0x18}, Zstd}, // skippable frame
-		{[]byte{0x5f, 0x2a, 0x4d, 0x18}, Zstd}, // last skippable magic
-		{[]byte("<htt"), None},
-		{[]byte("@pre"), None},
-		{[]byte{}, None},
-		{[]byte{0x1f}, None},
+		{[]byte{0x1f, 0x8b, 0x08, 0x00}, Gzip, false},
+		{[]byte{0x28, 0xb5, 0x2f, 0xfd}, None, true}, // zstd frame
+		{[]byte{0x50, 0x2a, 0x4d, 0x18}, None, true}, // skippable frame
+		{[]byte{0x5f, 0x2a, 0x4d, 0x18}, None, true}, // last skippable magic
+		{[]byte{0x60, 0x2a, 0x4d, 0x18}, None, false},
+		{[]byte("<htt"), None, false},
+		{[]byte("@pre"), None, false},
+		{[]byte{}, None, false},
+		{[]byte{0x1f}, None, false},
+		{[]byte{0x28, 0xb5, 0x2f}, None, false},
 	}
 	for _, c := range cases {
-		if got := sniff(c.prefix); got != c.want {
-			t.Errorf("sniff(%x) = %v, want %v", c.prefix, got, c.want)
+		got, err := sniff(c.prefix)
+		if got != c.want || (err != nil) != c.refused {
+			t.Errorf("sniff(%x) = %v, %v; want %v, refused %v", c.prefix, got, err, c.want, c.refused)
+		}
+		if err != nil && (!errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "gzip")) {
+			t.Errorf("sniff(%x) refusal %v does not wrap ErrUnsupported and name gzip", c.prefix, err)
 		}
 	}
 }
@@ -116,8 +109,6 @@ func TestByExtension(t *testing.T) {
 		want       Codec
 	}{
 		{"dump.nt.gz", "dump.nt", Gzip},
-		{"dump.ttl.zst", "dump.ttl", Zstd},
-		{"dump.ttl.zstd", "dump.ttl", Zstd},
 		{"DUMP.NT.GZ", "DUMP.NT", Gzip},
 		{"dump.nt", "dump.nt", None},
 		{"dump", "dump", None},
@@ -130,91 +121,47 @@ func TestByExtension(t *testing.T) {
 	}
 }
 
-// TestTruncatedStreams cuts valid streams at every framing region and
+// TestTruncatedStreams cuts a valid stream at every framing region and
 // asserts the mid-stream failure is a wrapped ErrTruncated — never a
 // silent short read.
 func TestTruncatedStreams(t *testing.T) {
 	data := payload(4096)
-	for _, codec := range []Codec{Gzip, Zstd} {
-		var full []byte
-		if codec == Gzip {
-			full = gzipBytes(t, data)
-		} else {
-			full = zstdBytes(t, data)
+	full := gzipBytes(t, data)
+	for _, cut := range []int{1, 3, 5, len(full) / 2, len(full) - 3, len(full) - 1} {
+		got, err := decodeAll(t, full[:cut], Gzip)
+		if err == nil {
+			t.Fatalf("truncated at %d/%d: decoded %d bytes with no error", cut, len(full), len(got))
 		}
-		for _, cut := range []int{1, 3, 5, len(full) / 2, len(full) - 3, len(full) - 1} {
-			got, err := decodeAll(t, full[:cut], codec)
-			if err == nil {
-				t.Fatalf("%v truncated at %d/%d: decoded %d bytes with no error", codec, cut, len(full), len(got))
-			}
-			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%v truncated at %d: error %v does not wrap ErrTruncated/ErrCorrupt", codec, cut, err)
-			}
-			if len(got) > len(data) {
-				t.Fatalf("%v truncated at %d: decoded more than the input", codec, cut)
-			}
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncated at %d: error %v does not wrap ErrTruncated/ErrCorrupt", cut, err)
+		}
+		if len(got) > len(data) {
+			t.Fatalf("truncated at %d: decoded more than the input", cut)
 		}
 	}
 }
 
-// TestCorruptStreams flips bytes in valid streams and asserts decode
+// TestCorruptStreams flips bytes in a valid stream and asserts decode
 // reports wrapped corruption (or truncation, when damage shortens
 // framing) instead of returning wrong bytes silently.
 func TestCorruptStreams(t *testing.T) {
 	data := payload(2048)
-	for _, codec := range []Codec{Gzip, Zstd} {
-		var full []byte
-		if codec == Gzip {
-			full = gzipBytes(t, data)
-		} else {
-			full = zstdBytes(t, data)
-		}
-		// Corrupt the trailer checksum: content damage must be caught.
-		bad := bytes.Clone(full)
-		bad[len(bad)-2] ^= 0xff
-		got, err := decodeAll(t, bad, codec)
-		if err == nil && bytes.Equal(got, data) {
-			t.Fatalf("%v: checksum corruption went unnoticed", codec)
-		}
-		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
-			t.Fatalf("%v: corruption error %v wraps neither sentinel", codec, err)
-		}
-		// Corrupt the magic: must be ErrCorrupt immediately.
-		bad = bytes.Clone(full)
-		bad[0] ^= 0x40
-		if _, err := decodeAll(t, bad, codec); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%v: bad magic error %v does not wrap ErrCorrupt", codec, err)
-		}
+	full := gzipBytes(t, data)
+	// Corrupt the trailer checksum: content damage must be caught.
+	bad := bytes.Clone(full)
+	bad[len(bad)-2] ^= 0xff
+	got, err := decodeAll(t, bad, Gzip)
+	if err == nil && bytes.Equal(got, data) {
+		t.Fatal("checksum corruption went unnoticed")
 	}
-}
-
-func TestZstdRLEAndSkippableFrames(t *testing.T) {
-	// Hand-built frame: skippable frame, then a frame with an RLE block.
-	var buf bytes.Buffer
-	buf.Write([]byte{0x50, 0x2a, 0x4d, 0x18, 3, 0, 0, 0, 0xaa, 0xbb, 0xcc}) // skippable, 3 payload bytes
-	buf.Write([]byte{0x28, 0xb5, 0x2f, 0xfd})                               // magic
-	buf.Write([]byte{0x00, 0x00})                                           // descriptor (no checksum), window
-	// RLE block, last, regenerated size 5, byte 'x'.
-	header := uint32(5)<<3 | uint32(1)<<1 | 1
-	buf.Write([]byte{byte(header), byte(header >> 8), byte(header >> 16), 'x'})
-	got, err := decodeAll(t, buf.Bytes(), Zstd)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+		t.Fatalf("corruption error %v wraps neither sentinel", err)
 	}
-	if string(got) != "xxxxx" {
-		t.Fatalf("RLE decode = %q, want %q", got, "xxxxx")
-	}
-}
-
-func TestZstdConcatenatedFrames(t *testing.T) {
-	a, b := payload(100), payload(300)[100:]
-	stream := append(zstdBytes(t, a), zstdBytes(t, b)...)
-	got, err := decodeAll(t, stream, Zstd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, append(bytes.Clone(a), b...)) {
-		t.Fatal("concatenated frames did not decode to concatenated content")
+	// Corrupt the magic: must be ErrCorrupt immediately.
+	bad = bytes.Clone(full)
+	bad[0] ^= 0x40
+	if _, err := decodeAll(t, bad, Gzip); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bad magic error %v does not wrap ErrCorrupt", err)
 	}
 }
 
@@ -227,95 +174,5 @@ func TestGzipConcatenatedMembers(t *testing.T) {
 	}
 	if !bytes.Equal(got, append(bytes.Clone(a), b...)) {
 		t.Fatal("concatenated members did not decode to concatenated content")
-	}
-}
-
-// TestZstdEntropyBlocksRejected asserts the subset boundary is an
-// explicit wrapped ErrUnsupported, not a misdecode.
-func TestZstdEntropyBlocksRejected(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0x28, 0xb5, 0x2f, 0xfd, 0x00, 0x00})
-	header := uint32(10)<<3 | uint32(2)<<1 | 1 // Compressed block
-	buf.Write([]byte{byte(header), byte(header >> 8), byte(header >> 16)})
-	buf.Write(make([]byte, 10))
-	_, err := decodeAll(t, buf.Bytes(), Zstd)
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("entropy-coded block: error %v does not wrap ErrUnsupported", err)
-	}
-}
-
-// TestZstdInterop round-trips through the system zstd binary when one is
-// installed: our frames must decode there, and its store-mode output
-// must decode here.
-func TestZstdInterop(t *testing.T) {
-	zstdBin, err := exec.LookPath("zstd")
-	if err != nil {
-		t.Skip("no zstd binary on PATH")
-	}
-	data := payload(10_000)
-
-	// Ours -> theirs.
-	cmd := exec.Command(zstdBin, "-d", "-c")
-	cmd.Stdin = bytes.NewReader(zstdBytes(t, data))
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("system zstd rejected our frame: %v", err)
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatal("system zstd decoded our frame to different bytes")
-	}
-
-	// Theirs (store mode: level 1 on incompressible data emits raw
-	// blocks; force surer ground with --no-check off and random bytes).
-	rng := rand.New(rand.NewSource(42))
-	noise := make([]byte, 10_000)
-	rng.Read(noise) //nolint:errcheck
-	cmd = exec.Command(zstdBin, "-1", "-c")
-	cmd.Stdin = bytes.NewReader(noise)
-	enc, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("system zstd encode: %v", err)
-	}
-	got, err := decodeAll(t, enc, Zstd)
-	if err != nil {
-		if errors.Is(err, ErrUnsupported) {
-			t.Skipf("system zstd chose entropy blocks even for noise: %v", err)
-		}
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, noise) {
-		t.Fatal("decoded system-zstd frame differs from input")
-	}
-}
-
-// TestXXH64Vectors pins the hash against the reference test vectors.
-func TestXXH64Vectors(t *testing.T) {
-	cases := []struct {
-		in   string
-		want uint64
-	}{
-		{"", 0xef46db3751d8e999},
-		{"a", 0xd24ec4f1a98c6e5b},
-		{"abc", 0x44bc2cf5ad770999},
-		{"message digest", 0x066ed728fceeb3be},
-		{"abcdefghijklmnopqrstuvwxyz", 0xcfe1f278fa89835c},
-		{"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789", 0xaaa46907d3047814},
-		{"12345678901234567890123456789012345678901234567890123456789012345678901234567890", 0xe04a477f19ee145d},
-	}
-	for _, c := range cases {
-		h := newXXH64()
-		io.WriteString(h, c.in) //nolint:errcheck
-		if got := h.Sum64(); got != c.want {
-			t.Errorf("xxh64(%q) = %#016x, want %#016x", c.in, got, c.want)
-		}
-		// Split writes must agree with one-shot.
-		h = newXXH64()
-		for i := 0; i < len(c.in); i += 7 {
-			end := min(i+7, len(c.in))
-			io.WriteString(h, c.in[i:end]) //nolint:errcheck
-		}
-		if got := h.Sum64(); got != c.want {
-			t.Errorf("xxh64 split(%q) = %#016x, want %#016x", c.in, got, c.want)
-		}
 	}
 }

@@ -42,7 +42,7 @@ const (
 	// retry after the Retry-After header's delay.
 	CodeIngestOverloaded = "ingest_overloaded"
 	// CodeUnsupportedEncoding: the request's Content-Encoding is not one
-	// the server can decode (identity, gzip, zstd).
+	// the server can decode (identity, gzip).
 	CodeUnsupportedEncoding = "unsupported_encoding"
 	// CodeUnsupportedMediaType: the request's Content-Type is not an RDF
 	// serialization the server reads (application/n-triples, text/turtle).

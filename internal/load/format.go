@@ -12,6 +12,7 @@ package load
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -29,7 +30,7 @@ type Format int
 
 const (
 	// FormatAuto detects the serialization from the file extension
-	// (".nt" / ".ttl", looking through ".gz" / ".zst") or, failing that,
+	// (".nt" / ".ttl", looking through ".gz") or, failing that,
 	// from the content: a document whose first token, past any
 	// whitespace and comment lines, is a @prefix/@base or PREFIX/BASE
 	// directive is Turtle, anything else is read as
@@ -150,6 +151,23 @@ func StreamFile(path string, opts Options, fn func(rdf.Triple) error) error {
 	defer f.Close()
 	applyPathHints(path, &opts)
 	return Stream(f, opts, fn)
+}
+
+// Snapshot reads a snapshot file. A file that is no snapshot but a
+// stream the compression sniff refuses (zstd) fails with that refusal,
+// compress.ErrUnsupported, as File fails on it: the refusal does not
+// depend on the name the stream was given.
+func Snapshot(path string) (*store.Graph, error) {
+	g, err := store.LoadFile(path)
+	if errors.Is(err, store.ErrSnapshotMagic) {
+		if f, ferr := os.Open(path); ferr == nil {
+			defer f.Close()
+			if _, serr := compress.NewReader(f, compress.Auto); errors.Is(serr, compress.ErrUnsupported) {
+				return nil, serr
+			}
+		}
+	}
+	return g, err
 }
 
 // decode is what Reader and Stream do before parsing: it decodes r's

@@ -137,12 +137,6 @@ func Parse(r io.Reader) ([]Triple, error) { return ntriples.Parse(r) }
 // ParseString reads an N-Triples document from a string.
 func ParseString(s string) ([]Triple, error) { return ntriples.ParseString(s) }
 
-// ParseStream streams triples from an N-Triples document to fn without
-// materializing them.
-func ParseStream(r io.Reader, fn func(Triple) error) error {
-	return ntriples.ParseFunc(r, fn)
-}
-
 // WriteNTriples serializes triples in N-Triples format.
 func WriteNTriples(w io.Writer, triples []Triple) error { return ntriples.Write(w, triples) }
 
@@ -167,18 +161,17 @@ const (
 )
 
 // Compression identifies a stream compression scheme; CompressionAuto
-// sniffs the magic bytes (and LoadFile additionally honors .gz/.zst
-// extensions).
+// sniffs the magic bytes (and LoadFile additionally honors the .gz
+// extension).
 type Compression = compress.Codec
 
-// Stream compressions accepted by Load and LoadFile. Zstd is a built-in
-// Raw/RLE-block (store-mode) subset of RFC 8878 — entropy-coded frames
-// are rejected with ErrUnsupportedStream.
+// Stream compressions accepted by Load and LoadFile. gzip is the one
+// codec: a zstd stream is refused by its magic bytes with
+// ErrUnsupportedStream.
 const (
 	CompressionAuto = compress.Auto
 	CompressionNone = compress.None
 	CompressionGzip = compress.Gzip
-	CompressionZstd = compress.Zstd
 )
 
 // Sentinel errors classifying compressed-input failures; match with
@@ -188,8 +181,8 @@ var (
 	ErrTruncatedStream = compress.ErrTruncated
 	// ErrCorruptStream: framing or checksum damage in the compressed input.
 	ErrCorruptStream = compress.ErrCorrupt
-	// ErrUnsupportedStream: a valid stream using a compression feature
-	// outside the built-in subset (e.g. entropy-coded zstd blocks).
+	// ErrUnsupportedStream: the input is in a compression format this
+	// build does not decode (a zstd frame; recompress it with gzip).
 	ErrUnsupportedStream = compress.ErrUnsupported
 )
 
@@ -209,7 +202,7 @@ func (o *LoadOptions) internal() load.Options {
 }
 
 // Load reads and encodes an RDF document of any supported format and
-// compression from r: the compression (gzip, zstd) is sniffed from the
+// compression from r: the compression (gzip) is sniffed from the
 // magic bytes and decoded as a streaming stage — a compressed dump never
 // materializes — the serialization is detected on the decoded text, and
 // the graph is built in one pass, each term interned as the parser meets
@@ -220,7 +213,8 @@ func Load(r io.Reader, opts *LoadOptions) (*Graph, error) {
 }
 
 // LoadFile is Load over a file; the name's extensions
-// (.nt/.ttl × .gz/.zst) pre-seed the format and compression detection.
+// (.nt/.ttl, optionally .gz) pre-seed the format and compression
+// detection.
 func LoadFile(path string, opts *LoadOptions) (*Graph, error) {
 	return load.File(path, opts.internal())
 }
@@ -259,7 +253,8 @@ func NewCompressionWriter(w io.Writer, c Compression) (io.WriteCloser, error) {
 // NewCompressionReader wraps r in a streaming decoder for the given
 // codec; CompressionAuto sniffs the magic bytes, CompressionNone passes
 // through. Failures mid-stream surface ErrTruncatedStream or
-// ErrCorruptStream (via errors.Is), never silently short data.
+// ErrCorruptStream (via errors.Is), never silently short data; a zstd
+// stream is refused up front with ErrUnsupportedStream.
 func NewCompressionReader(r io.Reader, c Compression) (io.ReadCloser, error) {
 	return compress.NewReader(r, c)
 }
@@ -267,9 +262,6 @@ func NewCompressionReader(r io.Reader, c Compression) (io.ReadCloser, error) {
 // ParseTurtle reads a document in the supported Turtle subset (prefixes,
 // 'a', predicate/object lists, typed and numeric literals).
 func ParseTurtle(r io.Reader) ([]Triple, error) { return turtle.Parse(r) }
-
-// ParseTurtleString reads a Turtle document from a string.
-func ParseTurtleString(s string) ([]Triple, error) { return turtle.ParseString(s) }
 
 // WriteTurtle serializes triples as prefix-compacted Turtle (prefixes are
 // inferred from the data; rdf:type prints as 'a', subjects group with
@@ -282,8 +274,9 @@ func WriteTurtle(w io.Writer, triples []Triple) error {
 // checksummed binary format.
 func SaveSnapshot(path string, g *Graph) error { return store.SaveFile(path, g) }
 
-// LoadSnapshot reads a graph saved with SaveSnapshot.
-func LoadSnapshot(path string) (*Graph, error) { return store.LoadFile(path) }
+// LoadSnapshot reads a graph saved with SaveSnapshot. A zstd stream is
+// refused with ErrUnsupportedStream, whatever its name.
+func LoadSnapshot(path string) (*Graph, error) { return load.Snapshot(path) }
 
 // SnapshotInfo is the parsed layout of a snapshot file: header counts
 // plus the table of contents with each section's offset, length and CRC.
@@ -363,11 +356,6 @@ func CompileQuery(g *Graph, q *Query, stats PlanStats) (*QueryPlan, error) {
 // (Prop. 1) — and on G — so evaluation can skip the data entirely.
 func NewQueryPruner(s *Summary) *QueryPruner {
 	return query.NewPruner(s.Kind.String(), saturate.Graph(s.Graph))
-}
-
-// AskQuery reports whether q has at least one answer on g.
-func AskQuery(g *Graph, q *Query) (bool, error) {
-	return query.Ask(g, store.NewIndex(g), q)
 }
 
 // ExportDOT renders a graph (or a summary's Graph) as a Graphviz DOT
