@@ -174,13 +174,16 @@ ingest-smoke:
 # Fuzz smoke (mirrored as a CI job): the N-Triples parser; the Turtle
 # load against its reference (the streamed load == FromTriples of the
 # parsed triples, term for term, ID for ID and component for component;
-# malformed input fails both on the same line); the WAL record
+# malformed input fails both on the same line); the dictionary's term
+# keys (every term round-trips through its key); the WAL record
 # decoder/replayer; and the snapshot graph decode (header counts and
-# component, vocabulary, dictionary and column payloads, checksums
-# resealed; a graph it returns is served in full), each seeded from the
-# committed corpus under the package's testdata/fuzz/ directory.
+# vocabulary, dictionary, column and retired comp-types payloads,
+# checksums resealed; a graph it returns is served in full), each seeded
+# from its f.Add calls and the committed corpus under the package's
+# testdata/fuzz/ directory.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
+	$(GO) test -fuzz=FuzzDictKeyRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
 	$(GO) test -fuzz=FuzzTurtleLoad -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live

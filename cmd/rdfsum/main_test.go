@@ -224,7 +224,7 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 		}
 		rows++
 	}
-	if rows != 7 {
-		t.Fatalf("inspect printed %d section rows, want the snapshot's 7:\n%s", rows, printed)
+	if rows != 6 {
+		t.Fatalf("inspect printed %d section rows, want the snapshot's 6:\n%s", rows, printed)
 	}
 }

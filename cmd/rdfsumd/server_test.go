@@ -328,6 +328,22 @@ func TestSummarySingleflight(t *testing.T) {
 	}
 }
 
+// fetchSummary is the body of GET /v1/summary?format=…&kind=… on the
+// server at base.
+func fetchSummary(t *testing.T, base string, kind rdfsum.Kind, format string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/summary?format=" + format + "&kind=" + kind.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%v %s: status %d, %v", kind, format, resp.StatusCode, err)
+	}
+	return string(body)
+}
+
 func readAll(dst *strings.Builder, resp *http.Response) (int64, error) {
 	n, err := io.Copy(dst, resp.Body)
 	return n, err
@@ -340,17 +356,7 @@ func readAll(dst *strings.Builder, resp *http.Response) (int64, error) {
 func TestSummaryExportDeterministic(t *testing.T) {
 	triples := rdfsum.GenerateBSBM(10).Decode()
 	fetch := func(ts *httptest.Server, kind rdfsum.Kind, format string) string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/summary?format=" + format + "&kind=" + kind.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%v %s: status %d, %v", kind, format, resp.StatusCode, err)
-		}
-		return string(body)
+		return fetchSummary(t, ts.URL, kind, format)
 	}
 	want := map[string]string{}
 	for i := 0; i < 5; i++ {

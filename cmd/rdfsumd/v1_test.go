@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -263,6 +264,77 @@ func TestFollowerServesReadsRejectsWrites(t *testing.T) {
 	if err != nil || !fst.ReadOnly {
 		t.Errorf("follower stats read_only = %+v (err %v)", fst, err)
 	}
+}
+
+// TestFollowerSummaryBytesMatchLeader: a summary's bytes depend on its
+// graph alone, not on the order a store lists the graph's triples in nor
+// on the history of the builders that maintain it. A leader and a
+// follower both maintaining every kind serve the same N-Triples and DOT
+// of every kind once the follower has caught up — though the leader's
+// builders saw types arrive late and deletes, and the follower
+// bootstrapped from a snapshot that lists every component in SPO order —
+// before the leader compacts and after, when the follower bootstraps
+// again.
+func TestFollowerSummaryBytesMatchLeader(t *testing.T) {
+	lsrv, err := newServer(serverConfig{liveDir: t.TempDir(), maintain: rdfsum.Kinds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lsrv.close() })
+	lts := httptest.NewServer(lsrv.handler())
+	t.Cleanup(lts.Close)
+	fsrv, err := newServer(serverConfig{follow: lts.URL, maintain: rdfsum.Kinds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fsrv.close() })
+	fts := httptest.NewServer(fsrv.handler())
+	t.Cleanup(fts.Close)
+	lc, err := client.New(lts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := client.New(fts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	same := func(when string) {
+		t.Helper()
+		waitReplicated(t, lc, fc)
+		for _, kind := range rdfsum.Kinds {
+			for _, format := range []string{"ntriples", "dot"} {
+				if fetchSummary(t, fts.URL, kind, format) != fetchSummary(t, lts.URL, kind, format) {
+					t.Errorf("%s: the follower's %v %s differs from the leader's", when, kind, format)
+				}
+			}
+		}
+	}
+
+	// Reversed, BSBM's triples type most nodes after their data edges.
+	triples := rdfsum.GenerateBSBM(10).Decode()
+	slices.Reverse(triples)
+	half := len(triples) / 2
+	for _, batch := range [][]rdfsum.Triple{triples[:half/2], triples[half/2 : half]} {
+		if _, err := lc.Ingest(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dels []rdfsum.Triple
+	for i := 3; i < half; i += 7 {
+		dels = append(dels, triples[i])
+	}
+	if _, err := lc.Delete(ctx, dels); err != nil {
+		t.Fatal(err)
+	}
+	same("after ingest and delete")
+	if _, err := lc.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.Ingest(ctx, triples[half:]); err != nil {
+		t.Fatal(err)
+	}
+	same("after compaction and more ingest")
 }
 
 // TestFollowerCachesFollowTheStore: a re-bootstrap swaps the follower's

@@ -127,10 +127,10 @@ func (d *strongDriver) typeDeleted(ev typeEvent) {
 	d.rekey(n)
 }
 
-// snapshot names the class-set nodes by set ID, then the cliques by
-// ascending node ID: an order that depends on the input only. Every edge
-// key's class is some held node's or set's, so naming the edges interns
-// nothing new.
+// snapshot names the class-set nodes by their sorted class lists, then
+// the cliques by ascending node ID: an order that depends on the graph's
+// content only. Every edge key's class is some held node's or set's, so
+// naming the edges interns nothing new.
 func (d *strongDriver) snapshot() *Summary {
 	s, rep := d.bs.startSummary(d.k)
 	srcM, tgtM := d.ct.memberLists()

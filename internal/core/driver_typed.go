@@ -56,8 +56,9 @@ func (d *typeBasedDriver) typeDeleted(ev typeEvent) {
 	}
 }
 
-// snapshot names the class-set nodes by set ID, then the untyped nodes'
-// copies by ascending node ID: an order that depends on the input only.
+// snapshot names the class-set nodes by their sorted class lists, then
+// the untyped nodes' copies by ascending node ID: an order that depends
+// on the graph's content only.
 func (d *typeBasedDriver) snapshot() *Summary {
 	bs := d.bs
 	s, rep := bs.startSummary(TypeBased)
@@ -174,10 +175,10 @@ func (d *typedWeakDriver) typeDeleted(ev typeEvent) {
 	d.rekey(n)
 }
 
-// snapshot names the class-set nodes by set ID, then the weak classes by
-// ascending node ID: an order that depends on the input only. Every edge
-// key's class is some held node's or set's, so naming the edges interns
-// nothing new.
+// snapshot names the class-set nodes by their sorted class lists, then
+// the weak classes by ascending node ID: an order that depends on the
+// graph's content only. Every edge key's class is some held node's or
+// set's, so naming the edges interns nothing new.
 func (d *typedWeakDriver) snapshot() *Summary {
 	bs := d.bs
 	s, rep := bs.startSummary(TypedWeak)

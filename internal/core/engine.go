@@ -95,12 +95,7 @@ type maintained struct {
 // Snapshots (Summary) are independent of one another and do not freeze
 // the set.
 type BuilderSet struct {
-	g *store.Graph
-	// names is where every snapshot of every kind interns its node URIs:
-	// one overlay of g's dictionary for the set's lifetime, so a name is
-	// interned once however many snapshots carry it and g's dictionary
-	// holds input terms only.
-	names   *dict.Dict
+	g       *store.Graph
 	classes *classSetTracker // nil unless a typed kind is maintained
 	stats   *inputStats
 	drivers []*maintained
@@ -118,7 +113,7 @@ type BuilderSet struct {
 // class sets before data, so pre-typed nodes never look late-typed — and
 // later Add calls append to it.
 func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
-	bs := &BuilderSet{g: g, names: dict.Overlay(g.Dict()), stats: &inputStats{}}
+	bs := &BuilderSet{g: g, stats: &inputStats{}}
 	for _, k := range kinds {
 		if int(k) < 0 || int(k) >= NumKinds {
 			return nil, fmt.Errorf("core: unknown summary kind %d", int(k))

@@ -42,17 +42,19 @@ type representer struct {
 }
 
 // startSummary begins a snapshot of the set's graph for every driver: the
-// summary — its output graph over bs.names with rule SCH already applied,
-// and a NodeOf map sized for every data node, the size it ends at for
-// every kind — and the representer that names its nodes. bs.names is the
-// overlay of the graph's dictionary the set keeps for its lifetime, so the
-// summary extends the input's ID space and leaves its dictionary as it
-// was.
+// summary — its output graph over a fresh overlay of the graph's
+// dictionary with rule SCH already applied, and a NodeOf map sized for
+// every data node, the size it ends at for every kind — and the
+// representer that names its nodes. The summary extends the input's ID
+// space and leaves its dictionary as it was; its own names are numbered
+// by this snapshot alone, so the summary's bytes are a function of the
+// graph, not of the set's history.
 func (bs *BuilderSet) startSummary(kind Kind) (*Summary, *representer) {
-	out := store.NewGraphWithDict(bs.names)
+	names := dict.Overlay(bs.g.Dict())
+	out := store.NewGraphWithDict(names)
 	copySchema(bs.g, out)
 	s := &Summary{Graph: out, NodeOf: make(map[dict.ID]dict.ID, bs.stats.dataNodes.len)}
-	return s, &representer{d: bs.names, tag: kindTag[kind]}
+	return s, &representer{d: names, tag: kindTag[kind]}
 }
 
 // intern returns the ID of the IRI built in name, which started as

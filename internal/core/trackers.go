@@ -309,16 +309,22 @@ func (c *classSetTracker) intern(set []dict.ID) int32 {
 // node maps to its set's node C(X), and each set X some node holds
 // contributes the triples C(X) τ c for c ∈ X (the dcls structure of §6.1)
 // — and returns the nodes by set ID, for the caller to name edge ends
-// through: C(X) is rendered once per held set per snapshot. (Sets nobody
-// holds any more keep the zero ID and are never looked up: an edge key or
-// a setOf entry always names a held set.)
+// through: C(X) is rendered once per held set per snapshot. The held sets
+// are named in the order of their (sorted) class-ID lists, not by set ID,
+// which records the order the sets were first met in. (Sets nobody holds
+// any more keep the zero ID and are never looked up: an edge key or a
+// setOf entry always names a held set.)
 func (c *classSetTracker) summarize(s *Summary, rep *representer) []dict.ID {
 	typ := s.Graph.Vocab().Type
-	setNode := make([]dict.ID, len(c.classes))
+	var held []int32
 	for sid, count := range c.members {
-		if count <= 0 {
-			continue
+		if count > 0 {
+			held = append(held, int32(sid))
 		}
+	}
+	slices.SortFunc(held, func(a, b int32) int { return slices.Compare(c.classes[a], c.classes[b]) })
+	setNode := make([]dict.ID, len(c.classes))
+	for _, sid := range held {
 		setNode[sid] = rep.classSetNode(c.classes[sid])
 		for _, cls := range c.classes[sid] {
 			s.Graph.Types = append(s.Graph.Types, store.Triple{S: setNode[sid], P: typ, O: cls})

@@ -57,6 +57,10 @@ func TestDictKeyRoundTrip(t *testing.T) {
 	})
 }
 
+// FuzzDictKeyRoundTrip: any two terms, of any kind and any bytes, pass
+// roundTrip; run with `make fuzz` or:
+//
+//	go test -fuzz=FuzzDictKeyRoundTrip -fuzztime=30s -run='^$' ./internal/dict
 func FuzzDictKeyRoundTrip(f *testing.F) {
 	f.Add(uint8(3), "a", "", "en", uint8(3), "a", "en", "")
 	f.Add(uint8(1), "x", "", "", uint8(2), "x", "", "")

@@ -59,8 +59,8 @@ func benchStoreDir(b *testing.B, n int) string {
 // BenchmarkOpenLiveCold measures time-to-first-epoch for a durable store
 // whose base snapshot holds 100k/1M/10M triples and that maintains no
 // kind: header + TOC + mmap, every section's checksum, the dictionary's
-// term index, the decode of the type section and one walk of the SPO
-// column that derives the data and schema components (O(|G|), 12 B a
+// term index and one walk of the SPO column that derives the three
+// components (O(|G|), 12 B a
 // triple on the heap, plus the column's fences at 2 B a triple); the POS
 // and OSP columns are not decoded. -short keeps only the smallest size.
 func BenchmarkOpenLiveCold(b *testing.B) {

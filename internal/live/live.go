@@ -741,11 +741,18 @@ func (l *Live) compactLocked() error {
 	}
 	if renamed, err := writeManifest(l.dir, newGen); err != nil {
 		newWAL.close()
+		sf.Close()
 		if !renamed {
-			sf.Close()
 			os.Remove(snapPath)
 			os.Remove(walPath)
+			return err
 		}
+		// Only the directory sync failed: CURRENT may name either
+		// generation, and a reopen that finds the new one deletes the old
+		// WAL. A write acknowledged into it now could be lost, so the
+		// store takes none until it is reopened; both generations' files
+		// stay for that reopen.
+		l.wal.broken = true
 		return err
 	}
 	// The new generation is current; retire the old one.
@@ -856,7 +863,12 @@ func (l *Live) syncDir() error {
 	if !l.sync {
 		return nil
 	}
-	d, err := os.Open(l.dir)
+	return syncDir(l.dir)
+}
+
+// syncDir fsyncs dir; a variable so that a test can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -925,12 +937,7 @@ func writeManifest(dir string, gen uint64) (renamed bool, err error) {
 		os.Remove(tmp)
 		return false, err
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return true, err
-	}
-	defer d.Close()
-	return true, d.Sync()
+	return true, syncDir(dir)
 }
 
 // removeStaleGenerations deletes snapshot/WAL files of generations other

@@ -140,12 +140,12 @@ func TestReopenCountsGraphBytes(t *testing.T) {
 }
 
 // TestOpenRefusesCorruptGraphSection: Open checks every section of the
-// generation snapshot, so a flipped byte in any of the seven fails the
+// generation snapshot, so a flipped byte in any of the six fails the
 // Open with ErrSnapshotChecksum — whatever kinds it maintains — rather
 // than panicking on first use.
 func TestOpenRefusesCorruptGraphSection(t *testing.T) {
 	for _, name := range []string{
-		"dict-pages", "dict-dir", "comp-types", "col-spo", "col-pos", "col-osp", "vocab",
+		"dict-pages", "dict-dir", "col-spo", "col-pos", "col-osp", "vocab",
 	} {
 		for _, maintain := range [][]core.Kind{nil, {}} {
 			dir := t.TempDir()
@@ -394,6 +394,59 @@ func TestCompactFailsCleanlyWhenSnapshotUnopenable(t *testing.T) {
 	}
 	if got, want := scanIndex(l.Snapshot().Index), scanIndex(store.NewIndex(l.Snapshot().Graph)); !reflect.DeepEqual(got, want) {
 		t.Fatal("the compacted index diverges from a fresh index over the graph")
+	}
+}
+
+// TestCompactDirSyncFailureTakesNoWrites: when the directory sync after
+// CURRENT's rename fails, Compact returns the error and the store
+// acknowledges no write, add or delete, until it is reopened — a reopen
+// may find either generation current, and one that finds the new one
+// deletes the old WAL. Every write acknowledged before the failure
+// survives Close and Open, which serve the new generation.
+func TestCompactDirSyncFailureTakesNoWrites(t *testing.T) {
+	dir := t.TempDir()
+	fed := mkBatch(0, 200)
+	l, err := Open(dir, &Options{Seed: store.FromTriples(fed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mkBatch(1000, 30)
+	fed = append(fed, b...)
+	if err := l.AddBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	syncDir = func(d string) error {
+		if raw, _ := os.ReadFile(filepath.Join(d, manifestName)); string(raw) == "gen 2\n" {
+			return errInjected
+		}
+		return orig(d)
+	}
+	if err := l.Compact(); !errors.Is(err, errInjected) {
+		t.Fatalf("Compact with a failing directory sync returned %v, want the sync's error", err)
+	}
+	syncDir = orig
+	if late := mkBatch(2000, 30); l.AddBatch(late) == nil {
+		fed = append(fed, late...)
+		t.Error("an add was acknowledged after the failed compaction")
+	}
+	if n, err := l.DeleteBatch(fed[:1]); err == nil && n > 0 {
+		fed = fed[1:]
+		t.Error("a delete was acknowledged after the failed compaction")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Stats().Gen != 2 {
+		t.Fatalf("the reopened store is on generation %d, want 2", l.Stats().Gen)
+	}
+	if got, want := canonical(l.Snapshot().Graph), canonical(store.FromTriples(fed)); !reflect.DeepEqual(got, want) {
+		t.Fatal("the reopened store lost acknowledged writes")
 	}
 }
 

@@ -73,7 +73,7 @@ type wal struct {
 	size    int64 // bytes written and (if sync) durable
 	records int64 // records framed into those bytes (replayed prefix included)
 	sync    bool  // fsync after every append (group commit per batch)
-	broken  bool  // a failed append could not be rolled back; no more writes
+	broken  bool  // a failed append, fsync or compaction left durability unknown; no more writes
 }
 
 // createWAL creates path with a fresh header, synced to disk. A failure
@@ -146,7 +146,7 @@ func (w *wal) append(triples []rdf.Triple) error { return w.appendOp(OpAdd, trip
 // never lose an acknowledged one.
 func (w *wal) appendOp(op Op, triples []rdf.Triple) error {
 	if w.broken {
-		return errors.New("live: wal is broken after a failed append; reopen the store")
+		return errors.New("live: wal is broken after a failed append or compaction; reopen the store")
 	}
 	t0 := time.Now()
 	written := int64(0)

@@ -45,7 +45,7 @@ const (
 	secDictDir    = 2 // block offset directory into secDictPages
 	secDictSorted = 3 // retired: a term-sorted ID permutation, checked and skipped
 	secCompData   = 4 // retired: the data component, checked and skipped
-	secCompTypes  = 5 // type component, insertion order, uvarint triples
+	secCompTypes  = 5 // retired: the type component, checked and skipped
 	secCompSchema = 6 // retired: the schema component, checked and skipped
 	secColSPO     = 7 // sorted all-triples column, SPO order
 	secColPOS     = 8
@@ -84,7 +84,7 @@ func sectionName(id byte) string {
 // writes holds: an open checks its checksum with every other section's,
 // then skips it.
 func retiredSection(id byte) bool {
-	return id == secDictSorted || id == secCompData || id == secCompSchema
+	return id == secDictSorted || id == secCompData || id == secCompTypes || id == secCompSchema
 }
 
 // section is one parsed TOC entry plus its raw bytes.

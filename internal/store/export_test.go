@@ -4,6 +4,7 @@ package store
 var (
 	WithSortedSection     = withSortedSection
 	WithComponentSections = withComponentSections
+	WithTypeSection       = withTypeSection
 	IdenticalGraphs       = identicalGraphs
 	AsOpened              = asOpened
 	SPOCheckCases         = spoCheckCases

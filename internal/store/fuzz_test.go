@@ -10,17 +10,20 @@ import (
 )
 
 // FuzzReadGraph rebuilds a small snapshot with the fuzzer's component
-// counts and its own vocabulary, type component, dictionary (pages,
-// directory) and column payloads in place of the graph's, seals every
-// checksum over them, and requires ReadGraph to return a graph holding
-// the counted triples or an ErrSnapshot* error — never to panic — and a
-// graph it returns to serve without a panic (serveAll). The schema count
-// is whatever makes the three sum to the column count, wrapping around
-// if it must, so every input passes the column check and meets the
-// decode and the walk that derives the data and schema components.
+// counts and its own vocabulary, dictionary (pages, directory) and column
+// payloads in place of the graph's — and, when retired is not empty, a
+// comp-types section holding it where the builds before that section's
+// retirement wrote one — seals every checksum over them, and requires
+// ReadGraph to return a graph holding the counted triples or an
+// ErrSnapshot* error — never to panic — and a graph it returns to serve
+// without a panic (serveAll). The schema count is whatever makes the
+// three sum to the column count, wrapping around if it must, so every
+// input passes the column check and meets the decode and the walk that
+// derives the components.
 //
-// The seed under testdata/fuzz/FuzzReadGraph is v2Sample unchanged; run
-// with `make fuzz` or:
+// The seeds under testdata/fuzz/FuzzReadGraph are v2Sample unchanged
+// (seed-sample) and v2Sample as those builds wrote it, its type component
+// in comp-types (seed-comp-types); run with `make fuzz` or:
 //
 //	go test -fuzz=FuzzReadGraph -fuzztime=30s -run='^$' ./internal/store
 func FuzzReadGraph(f *testing.F) {
@@ -30,10 +33,9 @@ func FuzzReadGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	total := c.nData + c.nTypes + c.nSchema
-	f.Fuzz(func(t *testing.T, nData, nTypes uint64, types, vocab, pages, dir, spo, pos, osp []byte) {
+	f.Fuzz(func(t *testing.T, nData, nTypes uint64, vocab, pages, dir, spo, pos, osp, retired []byte) {
 		fuzzed := map[byte][]byte{
-			secCompTypes: types, secVocab: vocab,
-			secDictPages: pages, secDictDir: dir, secColSPO: spo, secColPOS: pos, secColOSP: osp,
+			secVocab: vocab, secDictPages: pages, secDictDir: dir, secColSPO: spo, secColPOS: pos, secColOSP: osp,
 		}
 		var file memFile
 		w := newContainerWriter(&file)
@@ -43,6 +45,9 @@ func FuzzReadGraph(f *testing.F) {
 				payload = s.raw
 			}
 			w.section(s.id, payload)
+			if s.id == secDictDir && len(retired) > 0 {
+				w.section(secCompTypes, retired)
+			}
 		}
 		nSchema := total - nData - nTypes
 		if err := w.finish([4]uint64{c.nTerms, nData, nTypes, nSchema}); err != nil {

@@ -16,19 +16,16 @@ import (
 //   - secDictPages/DictDir: the front-coded dictionary (internal/dict,
 //     WriteFrontCoded), terms in ID order, so every term keeps its ID
 //     across a reopen.
-//   - secCompTypes: the type component in INSERTION order, which numbers
-//     a typed summary's class-set nodes; three uvarint IDs per triple,
-//     back to back; its count lives in the header.
 //   - secColSPO/POS/OSP: the full triple multiset (all components,
 //     duplicates preserved) sorted three ways as varint-delta columns
-//     (colenc.go) — the zero-copy base run of the tiered index. The data
-//     and schema components are not stored apart: an open derives them
-//     from the SPO column, in SPO order (graph).
+//     (colenc.go) — the zero-copy base run of the tiered index. The
+//     components are not stored apart: an open derives all three from the
+//     SPO column, in SPO order (graph); their counts live in the header.
 //   - secVocab: the interpreted vocabulary's five IDs.
 //
-// secDictSorted, secCompData and secCompSchema are retired: no file this
-// build writes holds them, and an open checks their checksums and skips
-// them.
+// secDictSorted and the three component sections secCompData,
+// secCompTypes and secCompSchema are retired: no file this build writes
+// holds them, and an open checks their checksums and skips them.
 
 // WriteSnapshotV2 serializes the graph to f in snapshot format v2,
 // streaming: a section passes through the container writer's one chunk
@@ -62,9 +59,6 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	}
 	w.end(secDictPages)
 	w.section(secDictDir, dir)
-	w.begin()
-	writeComp(w, g.Types)
-	w.end(secCompTypes)
 	for o, id := range colSectionIDs {
 		sortTriples(Order(o), buf, scratch)
 		w.begin()
@@ -107,49 +101,6 @@ func decodeVocabSec(raw []byte, maxID uint64) (Vocab, error) {
 		pos += w
 	}
 	return Vocab{Type: ids[0], SubClass: ids[1], SubProp: ids[2], Domain: ids[3], Range: ids[4]}, nil
-}
-
-// writeComp streams triples as back-to-back uvarint ID triples; the
-// count lives in the container header.
-func writeComp(w io.Writer, ts []Triple) {
-	var tmp [3 * binary.MaxVarintLen64]byte
-	for _, t := range ts {
-		n := binary.PutUvarint(tmp[:], uint64(t.S))
-		n += binary.PutUvarint(tmp[n:], uint64(t.P))
-		n += binary.PutUvarint(tmp[n:], uint64(t.O))
-		w.Write(tmp[:n]) //nolint:errcheck // sticky
-	}
-}
-
-// decodeComp parses the insertion-order type section of n triples.
-// A triple takes at least 3 bytes, so a count the section cannot hold is
-// refused before anything is allocated: the count comes from the header,
-// which a follower reads off the network.
-func decodeComp(raw []byte, n, maxID uint64) ([]Triple, error) {
-	if n > uint64(len(raw))/3 {
-		return nil, fmt.Errorf("%w: %d triples claimed by a %d-byte component section", ErrSnapshotCorrupt, n, len(raw))
-	}
-	out := make([]Triple, 0, n)
-	pos := 0
-	for i := range n {
-		var ids [3]uint64
-		for j := range ids {
-			v, w := binary.Uvarint(raw[pos:])
-			if w <= 0 {
-				return nil, fmt.Errorf("component triple %d: %w", i, ErrSnapshotTruncated)
-			}
-			if v == 0 || v > maxID {
-				return nil, fmt.Errorf("%w: triple references unknown term id %d", ErrSnapshotCorrupt, v)
-			}
-			ids[j] = v
-			pos += w
-		}
-		out = append(out, Triple{dict.ID(ids[0]), dict.ID(ids[1]), dict.ID(ids[2])})
-	}
-	if pos != len(raw) {
-		return nil, fmt.Errorf("%w: %d bytes after the component's %d triples", ErrSnapshotCorrupt, len(raw)-pos, n)
-	}
-	return out, nil
 }
 
 // SnapshotFile is an open v2 snapshot: the mmap'd (or, under the nommap
@@ -224,17 +175,17 @@ func (sf *SnapshotFile) Runs() RunCols { return sf.runs }
 // file is still in use.
 func (sf *SnapshotFile) Close() error { return sf.c.file.close() }
 
-// graph decodes the snapshot's vocabulary and type component and derives
-// its data and schema components from one checked walk of the SPO column
-// (splitSPO), into a graph whose dictionary is a layer over the mapped
-// one, indexed and checked now (dict.WithBase): O(|G|), 12 B a triple
-// and 8 B a term on the heap, plus the SPO column's fences. A file
-// without a vocabulary section is corrupt — every version 2 writer wrote
-// one. The caller has checked the checksums.
+// graph decodes the snapshot's vocabulary and derives its three
+// components from one checked walk of the SPO column (splitSPO), into a
+// graph whose dictionary is a layer over the mapped one, indexed and
+// checked now (dict.WithBase): O(|G|), 12 B a triple and 8 B a term on
+// the heap, plus the SPO column's fences. A file without a vocabulary
+// section is corrupt — every version 2 writer wrote one. The caller has
+// checked the checksums.
 func (sf *SnapshotFile) graph() (*Graph, error) {
 	c := sf.c
-	var raw [4][]byte
-	for i, id := range []byte{secVocab, secDictPages, secDictDir, secCompTypes} {
+	var raw [3][]byte
+	for i, id := range []byte{secVocab, secDictPages, secDictDir} {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
@@ -255,38 +206,33 @@ func (sf *SnapshotFile) graph() (*Graph, error) {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	g := &Graph{dict: d, vocab: v}
-	if g.Types, err = decodeComp(raw[3], c.nTypes, c.nTerms); err != nil {
-		return nil, err
-	}
 	if err := sf.splitSPO(g); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// splitSPO fills g.Data and g.Schema, in SPO order, from one walk of the
-// SPO column that routes each triple by Vocab.ComponentOf, checking the
-// column's framing, varints and IDs on the way, and keeps the fences the
-// walk derives for the column's range lookups. The walk must find the
-// header's count of each component, and the type triples of g.Types —
-// the same multiset, compared by an order-free sum of a per-triple hash.
+// splitSPO fills g's three components, each in SPO order, from one walk
+// of the SPO column that routes each triple by Vocab.ComponentOf,
+// checking the column's framing, varints and IDs on the way, and keeps
+// the fences the walk derives for the column's range lookups. The walk
+// must find the header's count of each component.
 func (sf *SnapshotFile) splitSPO(g *Graph) error {
 	c, col := sf.c, sf.runs.cols[OrderSPO]
-	// The three counts sum to the column's length (newSnapshotFile) and
-	// the type count is bounded by its section (decodeComp), so with
-	// neither other count above the length the sum cannot wrap around,
-	// and the presizes below are bounded by the column's bytes (openCol).
-	if n := uint64(col.n); c.nData > n || c.nSchema > n {
-		return fmt.Errorf("%w: %d data and %d schema triples claimed by a column of %d", ErrSnapshotCorrupt, c.nData, c.nSchema, n)
+	// The three counts sum to the column's length (newSnapshotFile), so
+	// with none of them above the length the sum cannot wrap around, and
+	// the presizes below are bounded by the column's bytes (openCol).
+	if n := uint64(col.n); c.nData > n || c.nTypes > n || c.nSchema > n {
+		return fmt.Errorf("%w: %d data, %d type and %d schema triples claimed by a column of %d",
+			ErrSnapshotCorrupt, c.nData, c.nTypes, c.nSchema, n)
 	}
 	g.Data = make([]Triple, 0, c.nData)
+	g.Types = make([]Triple, 0, c.nTypes)
 	g.Schema = make([]Triple, 0, c.nSchema)
-	var nTypes, typeSum uint64
 	fs, err := col.walk(dict.ID(c.nTerms), func(t Triple) {
 		switch g.vocab.ComponentOf(t.P) {
 		case CompTypes:
-			nTypes++
-			typeSum += mixTriple(t)
+			g.Types = append(g.Types, t)
 		case CompSchema:
 			g.Schema = append(g.Schema, t)
 		default:
@@ -296,28 +242,12 @@ func (sf *SnapshotFile) splitSPO(g *Graph) error {
 	if err != nil {
 		return err
 	}
-	if uint64(len(g.Data)) != c.nData || nTypes != c.nTypes || uint64(len(g.Schema)) != c.nSchema {
+	if uint64(len(g.Data)) != c.nData || uint64(len(g.Types)) != c.nTypes || uint64(len(g.Schema)) != c.nSchema {
 		return fmt.Errorf("%w: column %v holds %d data, %d type and %d schema triples, header says %d, %d and %d",
-			ErrSnapshotCorrupt, OrderSPO, len(g.Data), nTypes, len(g.Schema), c.nData, c.nTypes, c.nSchema)
-	}
-	for _, t := range g.Types {
-		typeSum -= mixTriple(t)
-	}
-	if typeSum != 0 {
-		return fmt.Errorf("%w: column %v's type triples differ from section %s", ErrSnapshotCorrupt, OrderSPO, sectionName(secCompTypes))
+			ErrSnapshotCorrupt, OrderSPO, len(g.Data), len(g.Types), len(g.Schema), c.nData, c.nTypes, c.nSchema)
 	}
 	col.fences.Store(&fs)
 	return nil
-}
-
-// mixTriple hashes a triple to 64 bits (the splitmix64 finalizer over its
-// packed IDs), so that a sum over a multiset of triples tells two
-// multisets apart whatever their order.
-func mixTriple(t Triple) uint64 {
-	x := (uint64(t.S)<<32 | uint64(t.O)) ^ uint64(t.P)*0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // OpenGraphFile maps a snapshot file, checks every section's checksum,

@@ -107,12 +107,12 @@ func identicalGraphs(t *testing.T, want, got *Graph) {
 }
 
 // asOpened returns the graph an open of g's snapshot decodes: g's
-// dictionary and type component as they are, its data and schema
-// components in SPO order, the order the open derives them in from the
-// SPO column.
+// dictionary as it is, its three components in SPO order, the order the
+// open derives them in from the SPO column.
 func asOpened(g *Graph) *Graph {
 	h := g.CloneStructure()
 	slices.SortFunc(h.Data, OrderSPO.compare)
+	slices.SortFunc(h.Types, OrderSPO.compare)
 	slices.SortFunc(h.Schema, OrderSPO.compare)
 	return h
 }
@@ -454,12 +454,10 @@ func withFreshSubjects(g *Graph, n int) *Graph {
 // spoCheckCases returns data — a snapshot whose SPO column spans at least
 // two blocks, the last of them holding no type triple (withFreshSubjects)
 // — resealed with one fault each that, of everything an open checks,
-// only the walk of the SPO column it derives the data and schema
-// components by finds: a varint cut by its block's end; IDs past the
-// dictionary, in the last block, which moves no triple between
-// components; the header counting a data triple as schema; one type
-// triple fewer in comp-types (the header's counts moved to match); and
-// another type triple in its place.
+// only the walk of the SPO column it derives the components by finds: a
+// varint cut by its block's end; IDs past the dictionary, in the last
+// block, which moves no triple between components; and the header
+// counting a data triple as schema, and a type triple as data.
 func spoCheckCases(t testing.TB, data []byte) []spoCase {
 	t.Helper()
 	c, err := parseVerified(data)
@@ -475,14 +473,10 @@ func spoCheckCases(t testing.TB, data []byte) []spoCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	types, err := decodeComp(c.secs[secCompTypes].raw, c.nTypes, c.nTerms)
-	if err != nil {
-		t.Fatal(err)
-	}
 	last := col.nBlocks - 1
-	if last < 1 || len(types) < 2 || slices.ContainsFunc(col.window(last*colBlockTriples, col.n, nil),
+	if last < 1 || c.nTypes < 1 || slices.ContainsFunc(col.window(last*colBlockTriples, col.n, nil),
 		func(t Triple) bool { return v.ComponentOf(t.P) == CompTypes }) {
-		t.Fatalf("the snapshot's SPO column has %d blocks and %d type triples, or type triples in its last block", col.nBlocks, len(types))
+		t.Fatalf("the snapshot's SPO column has %d blocks and %d type triples, or type triples in its last block", col.nBlocks, c.nTypes)
 	}
 	edited := func(at int, b []byte) []byte {
 		bad := append([]byte(nil), data...)
@@ -497,37 +491,20 @@ func spoCheckCases(t testing.TB, data []byte) []spoCase {
 		reseal(bad, len(c.secOrder))
 		return bad
 	}
-	withTypes := func(ts []Triple) []byte {
-		bad := rebuilt(t, data, func(w *containerWriter, s *section) {
-			if s.id == secCompTypes {
-				w.begin()
-				writeComp(w, ts)
-				w.end(s.id)
-				return
-			}
-			w.section(s.id, s.raw)
-		})
-		moved := c.nTypes - uint64(len(ts))
-		return counted(bad, c.nData+moved, c.nTypes-moved, c.nSchema)
-	}
-	other := slices.Clone(types)
-	other[0].O = other[0].O%dict.ID(c.nTerms) + 1
 	return []spoCase{
 		{"a varint cut by its block's end", edited(col.blockOff(1)-1, []byte{spo.raw[col.blockOff(1)-1] | 0x80})},
 		{"IDs past the dictionary", edited(8+last*colSkipEntryBytes, binary.LittleEndian.AppendUint32(nil, uint32(c.nTerms)+1))},
 		{"a data triple counted as schema", counted(append([]byte(nil), data...), c.nData-1, c.nTypes, c.nSchema+1)},
-		{"one type triple fewer in comp-types", withTypes(types[1:])},
-		{"another type triple in comp-types", withTypes(other)},
+		{"a type triple counted as data", counted(append([]byte(nil), data...), c.nData+1, c.nTypes-1, c.nSchema)},
 	}
 }
 
-// TestOpenChecksSPOColumn: an open derives the data and schema components
-// from one walk of the SPO column, so every open — of the store's own
-// file too — checks that column's framing, varints and IDs, its count of
-// each component, and that its type triples are comp-types': each fault
-// of spoCheckCases is refused by OpenGraphFile and ReadGraph with
-// ErrSnapshotCorrupt, without a panic. An OpenGraphFile that did not walk
-// the column served the IDs past the dictionary.
+// TestOpenChecksSPOColumn: an open derives the three components from one
+// walk of the SPO column, so every open — of the store's own file too —
+// checks that column's framing, varints and IDs and its count of each
+// component: each fault of spoCheckCases is refused by OpenGraphFile and
+// ReadGraph with ErrSnapshotCorrupt, without a panic. An OpenGraphFile
+// that did not walk the column served the IDs past the dictionary.
 func TestOpenChecksSPOColumn(t *testing.T) {
 	g := withFreshSubjects(v2RandomGraph(t, 3, 600), 600)
 	var f memFile
@@ -568,8 +545,8 @@ func TestSnapshotWithoutVocabRefused(t *testing.T) {
 
 // TestSnapshotComponentCountsChecked: a header whose component counts
 // wrap around to the column count keeps every checksum valid. The decode
-// must refuse a count its section cannot hold — before allocating for
-// it, since a follower reads the header off the network.
+// must refuse a count the column cannot hold — before allocating for it,
+// since a follower reads the header off the network.
 func TestSnapshotComponentCountsChecked(t *testing.T) {
 	_, data := v2Sample(t)
 	c, err := parseVerified(data)
@@ -611,7 +588,7 @@ func TestInspectSnapshotV2(t *testing.T) {
 			t.Errorf("section %s is marked retired", s.Name)
 		}
 	}
-	if want := []string{"dict-pages", "dict-dir", "comp-types", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
+	if want := []string{"dict-pages", "dict-dir", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
 		t.Fatalf("sections %v, want %v", names, want)
 	}
 	if info.NTerms != uint64(g.Dict().Len()) ||
@@ -643,9 +620,25 @@ func (want golden) check(t *testing.T, what string, got []byte) {
 
 // The files this writer produces.
 var (
-	goldenV2Sample = golden{32915, "cdf70f67c402dba7c9be1a688284360a0f3d53565c10a8ca89d228b24ecf2aed"}
+	goldenV2Sample = golden{28798, "5ba11f4d5aae0b0ca2cead356c505c6254bd615fcf0e3fb3f0f374956b5ea21d"}
 	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
 	goldenRandom = map[int]golden{
+		0:               {28798, "8ce684e91d3930dfd5d3ac463782f01cf0a253a9e6b3418751c3d5c631a94f46"},
+		3:               {28798, "ee332a02a762f440f48bed1e50f721ebfc837c39fffb215b1005b161d2af332e"},
+		50:              {28798, "5f6eb51ac70f4a43068e973fd81464f13d0fb82102dab79f6301bf3796880716"},
+		radixCutoff * 3: {28798, "fc95fd80234c60be603ab86b87b905b0da3e16f5e39938040ebdf84fdd7ab7b5"},
+		3000:            {94334, "abd2194e5658aa1fedbbda8122d78d5260e34a98f088c782ce3d9c81981b0da7"},
+	}
+)
+
+// The same graphs' files as every writer wrote them while snapshots
+// carried the comp-types section: recorded from the writer of commit
+// 82e8d0d. withTypeSection rebuilds them from this writer's files and the
+// graphs' type components, which proves those are these bytes with
+// section 5 left out.
+var (
+	goldenTypesV2Sample = golden{32915, "cdf70f67c402dba7c9be1a688284360a0f3d53565c10a8ca89d228b24ecf2aed"}
+	goldenTypesRandom   = map[int]golden{
 		0:               {28819, "0b6d15b54ccd4f8d6dbb507e8541377219b2babdc23697a95d2addd7f4b620e3"},
 		3:               {32915, "e60c48ef5ed3abc3ee633f77981aeec5dd8fa740e249d3e13ab6a2c6bcb4ee18"},
 		50:              {32915, "4b06505168581b10a6da327c913a7fa4e271c3c09549de4a7a95564fd021bb3a"},
@@ -655,10 +648,9 @@ var (
 )
 
 // The same graphs' files as every writer wrote them while snapshots
-// carried the comp-data and comp-schema sections: recorded from the
-// writer of commit 8484cf6. withComponentSections rebuilds them from this
-// writer's files and the graphs' components, which proves those are
-// these bytes with sections 4 and 6 left out.
+// carried the comp-data and comp-schema sections too: recorded from the
+// writer of commit 8484cf6. withComponentSections puts sections 4 and 6
+// back into the files withTypeSection rebuilds.
 var (
 	goldenCompV2Sample = golden{41149, "2fe880af82e7bd225fffee18fe0181b173c452a372430f8a6f9125d10d337155"}
 	goldenCompRandom   = map[int]golden{
@@ -723,28 +715,53 @@ func withSortedSection(t testing.TB, data []byte) []byte {
 	})
 }
 
+// encodeComp is a retired component section's payload: ts in their
+// order, three uvarint IDs each, back to back.
+func encodeComp(ts []Triple) []byte {
+	var out []byte
+	for _, t := range ts {
+		out = binary.AppendUvarint(out, uint64(t.S))
+		out = binary.AppendUvarint(out, uint64(t.P))
+		out = binary.AppendUvarint(out, uint64(t.O))
+	}
+	return out
+}
+
+// withTypeSection rebuilds the file a build that wrote the retired
+// comp-types section made of g, whose snapshot data is: data's sections
+// in their order, with g's type component, in g's order, right after
+// dict-dir, resealed through containerWriter.
+func withTypeSection(t testing.TB, data []byte, g *Graph) []byte {
+	t.Helper()
+	return rebuilt(t, data, func(w *containerWriter, s *section) {
+		if s.id == secCompTypes {
+			t.Fatal("the file already holds a comp-types section")
+		}
+		w.section(s.id, s.raw)
+		if s.id == secDictDir {
+			w.section(secCompTypes, encodeComp(g.Types))
+		}
+	})
+}
+
 // withComponentSections rebuilds the file a build that wrote the retired
-// comp-data and comp-schema sections made of g, whose snapshot data is:
-// data's sections in their order, with g's data component (in g's order,
-// as writeComp encodes the type component) right before comp-types and
-// its schema component right after it, resealed through containerWriter.
+// comp-data and comp-schema sections made of g, whose snapshot data (with
+// comp-types, see withTypeSection) is: data's sections in their order,
+// with g's data component (in g's order, encoded as the type component
+// is) right before comp-types and its schema component right after it,
+// resealed through containerWriter.
 func withComponentSections(t testing.TB, data []byte, g *Graph) []byte {
 	t.Helper()
-	comp := func(w *containerWriter, id byte, ts []Triple) {
-		w.begin()
-		writeComp(w, ts)
-		w.end(id)
-	}
 	return rebuilt(t, data, func(w *containerWriter, s *section) {
 		if s.id == secCompData || s.id == secCompSchema {
 			t.Fatalf("the file already holds a %s section", sectionName(s.id))
 		}
 		if s.id == secCompTypes {
-			comp(w, secCompData, g.Data)
+			w.section(secCompData, encodeComp(g.Data))
 		}
 		w.section(s.id, s.raw)
 		if s.id == secCompTypes {
-			comp(w, secCompSchema, g.Schema)
+			w.section(secCompSchema, encodeComp(g.Schema))
 		}
 	})
 }
@@ -773,9 +790,9 @@ func rebuilt(t testing.TB, data []byte, put func(w *containerWriter, s *section)
 // graph's triples in — the graph's own, reversed, the SPO scan of the
 // snapshot's mapped base, the scan of a tiered index fed them in slices —
 // the file is the same, byte for byte; and it is the file of the writer
-// that still wrote comp-data and comp-schema, with those sections left
-// out, and of the writer that wrote dict-sorted besides, with that left
-// out too.
+// that still wrote comp-types, with that section left out, of the writer
+// that wrote comp-data and comp-schema besides, with those left out too,
+// and of the writer that wrote dict-sorted as well.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	write := func(g *Graph, buf []Triple) []byte {
 		t.Helper()
@@ -787,9 +804,11 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	}
 	g, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
-	goldenCompV2Sample.check(t, "v2Sample with comp-data and comp-schema", withComponentSections(t, sample, g))
-	goldenSortedV2Sample.check(t, "v2Sample with dict-sorted, comp-data and comp-schema",
-		withSortedSection(t, withComponentSections(t, sample, g)))
+	typed := withTypeSection(t, sample, g)
+	goldenTypesV2Sample.check(t, "v2Sample with comp-types", typed)
+	goldenCompV2Sample.check(t, "v2Sample with comp-data, comp-types and comp-schema", withComponentSections(t, typed, g))
+	goldenSortedV2Sample.check(t, "v2Sample with dict-sorted, comp-data, comp-types and comp-schema",
+		withSortedSection(t, withComponentSections(t, typed, g)))
 	for _, n := range []int{0, 3, 50, radixCutoff * 3, 3000} {
 		g := v2RandomGraph(t, uint64(n)+1, n)
 		// Duplicate triples: the multiset, not the set, is stored.
@@ -799,8 +818,10 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
-		old := withComponentSections(t, file, g)
-		goldenCompRandom[n].check(t, fmt.Sprintf("n=%d: with comp-data and comp-schema", n), old)
+		typed := withTypeSection(t, file, g)
+		goldenTypesRandom[n].check(t, fmt.Sprintf("n=%d: with comp-types", n), typed)
+		old := withComponentSections(t, typed, g)
+		goldenCompRandom[n].check(t, fmt.Sprintf("n=%d: with comp-data and comp-schema besides", n), old)
 		goldenSortedRandom[n].check(t, fmt.Sprintf("n=%d: with dict-sorted besides", n), withSortedSection(t, old))
 		reversed := g.All()
 		slices.Reverse(reversed)
@@ -834,10 +855,12 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 }
 
 // TestSnapshotWithSortedSectionServed: a file that holds retired
-// sections — comp-data and comp-schema, which every build before their
-// retirement wrote, and dict-sorted with them, which the builds before
-// that wrote — opens through OpenGraphFile and ReadGraph to the graph of
-// the same file without them, and inspect still names them, marked
+// sections — comp-types, which every build before its retirement wrote,
+// comp-data and comp-schema with it, which the builds before that wrote,
+// and dict-sorted with those, which the builds before that wrote — opens
+// through OpenGraphFile and ReadGraph to the graph of the same file
+// without them (types in SPO order, whatever order comp-types lists them
+// in) and serves the same index, and inspect still names them, marked
 // retired. Their checksums are checked with every other section's: a
 // flipped byte in one fails the open with ErrSnapshotChecksum. Written
 // again, the graph's file holds none of them.
@@ -848,10 +871,14 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 		build    func(file []byte, g *Graph) []byte
 		sections []string
 	}{
-		{"comp-data and comp-schema", func(file []byte, g *Graph) []byte { return withComponentSections(t, file, g) },
-			[]string{"dict-pages", "dict-dir", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
-		{"dict-sorted too", func(file []byte, g *Graph) []byte { return withSortedSection(t, withComponentSections(t, file, g)) },
-			[]string{"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
+		{"comp-types", func(file []byte, g *Graph) []byte { return withTypeSection(t, file, g) },
+			[]string{"dict-pages", "dict-dir", "comp-types", "col-spo", "col-pos", "col-osp", "vocab"}},
+		{"comp-data and comp-schema too", func(file []byte, g *Graph) []byte {
+			return withComponentSections(t, withTypeSection(t, file, g), g)
+		}, []string{"dict-pages", "dict-dir", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
+		{"dict-sorted too", func(file []byte, g *Graph) []byte {
+			return withSortedSection(t, withComponentSections(t, withTypeSection(t, file, g), g))
+		}, []string{"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
 	}
 	for _, g := range []*Graph{sample, v2RandomGraph(t, 3001, 3000)} {
 		var f memFile
@@ -862,6 +889,7 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		identicalGraphs(t, asOpened(g), want)
 		for _, o := range olds {
 			old := o.build(f.b, g)
 			path := filepath.Join(t.TempDir(), "old.rdfsum")
@@ -895,7 +923,7 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 			var names []string
 			for _, s := range info.Sections {
 				names = append(names, s.Name)
-				if retired := s.Name == "dict-sorted" || s.Name == "comp-data" || s.Name == "comp-schema"; s.Retired != retired {
+				if retired := s.Name == "dict-sorted" || strings.HasPrefix(s.Name, "comp-"); s.Retired != retired {
 					t.Errorf("%s: inspect marks section %s retired: %v", o.name, s.Name, s.Retired)
 				}
 			}

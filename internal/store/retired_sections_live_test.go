@@ -34,8 +34,8 @@ func seededGeneration(t *testing.T, seed *store.Graph) (dir, gen1 string, raw []
 }
 
 // TestLiveServesSortedSectionGeneration: a store whose generation
-// snapshot holds the retired sections — dict-sorted, comp-data and
-// comp-schema, what every build before their retirement wrote — opens
+// snapshot holds the retired sections — dict-sorted, comp-data, comp-types
+// and comp-schema, what every build before their retirement wrote — opens
 // and serves the graph of the same file without them, and its first
 // Compact writes a generation without them, which reopens to the same
 // graph.
@@ -46,7 +46,7 @@ func TestLiveServesSortedSectionGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := store.WithSortedSection(t, store.WithComponentSections(t, raw, seed))
+	old := store.WithSortedSection(t, store.WithComponentSections(t, store.WithTypeSection(t, raw, seed), seed))
 	if err := os.WriteFile(gen1, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func TestLiveServesSortedSectionGeneration(t *testing.T) {
 			t.Fatalf("the compacted generation holds the retired section %s", s.Name)
 		}
 	}
-	if len(info.Sections) != 7 {
-		t.Fatalf("the compacted generation holds sections %+v, want seven", info.Sections)
+	if len(info.Sections) != 6 {
+		t.Fatalf("the compacted generation holds sections %+v, want six", info.Sections)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -33,11 +33,12 @@ func writeTemp(t *testing.T, g *store.Graph, buf, scratch []store.Triple) (path 
 }
 
 // TestWriteSnapshotV2ByteIdenticalBSBM: the BSBM-300 snapshot is a fixed
-// file. With the comp-data and comp-schema sections put back, it is the
-// file the writer of commit 8484cf6 produced; with dict-sorted put back
-// too, the file the whole-buffer writer of commit 9f022f1 produced
-// (lengths and SHA-256 recorded from that code; see
-// TestWriteSnapshotV2ByteIdentical).
+// file. With the comp-types section put back, it is the file the writer
+// of commit 82e8d0d produced; with the comp-data and comp-schema sections
+// put back too, the file the writer of commit 8484cf6 produced; with
+// dict-sorted put back as well, the file the whole-buffer writer of
+// commit 9f022f1 produced (lengths and SHA-256 recorded from that code;
+// see TestWriteSnapshotV2ByteIdentical).
 func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(300))
 	path, _ := writeTemp(t, g, g.All(), nil)
@@ -45,14 +46,16 @@ func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := store.WithComponentSections(t, file, g)
+	typed := store.WithTypeSection(t, file, g)
+	old := store.WithComponentSections(t, typed, g)
 	for _, c := range []struct {
 		what, wantSHA string
 		wantLen       int
 		got           []byte
 	}{
-		{"BSBM-300 snapshot", "87424ed7f346ec746f1f2013994d3a73cd06ef7df4259279877881f0230cb868", 581779, file},
-		{"BSBM-300 snapshot with comp-data and comp-schema", "fd4bf165740be4be75e76f48b0a6c1b5a818c336bfde6c3e1b42266ec02e80c4", 667837, old},
+		{"BSBM-300 snapshot", "5203ed38ccc0d4ed312bca02286bb3fffefd965e17346442eda0dfbeb1487fd9", 569470, file},
+		{"BSBM-300 snapshot with comp-types", "87424ed7f346ec746f1f2013994d3a73cd06ef7df4259279877881f0230cb868", 581779, typed},
+		{"BSBM-300 snapshot with comp-data and comp-schema besides", "fd4bf165740be4be75e76f48b0a6c1b5a818c336bfde6c3e1b42266ec02e80c4", 667837, old},
 		{"BSBM-300 snapshot with dict-sorted besides", "08dcdf58e3ca60dd201a478580b8077043c0914d9ef3b46482406f18b46c12c2", 696530,
 			store.WithSortedSection(t, old)},
 	} {

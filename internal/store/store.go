@@ -60,8 +60,8 @@ func EncodeVocab(d *dict.Dict) Vocab {
 // Invariants: every Types triple has P == Vocab().Type; every Schema
 // triple has P ∈ {SubClass, SubProp, Domain, Range}; Data holds everything
 // else. A graph built by Add lists each component in insertion order; one
-// opened from a snapshot lists Data and Schema in SPO order and Types in
-// insertion order, the one order a summary depends on.
+// opened from a snapshot lists all three in SPO order. No summary depends
+// on either order.
 type Graph struct {
 	dict   *dict.Dict
 	vocab  Vocab
