@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 
 # Coverage-gated packages and the minimum total coverage each must hold.
-COVER_PKGS = ./internal/dict ./internal/store ./internal/live ./internal/core
+COVER_PKGS = ./internal/dict ./internal/store ./internal/live ./internal/core ./internal/query
 COVER_MIN  = 70
 
 .PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile heap-profile test-nommap stress replication-smoke ingest-smoke fuzz cover cover-check check loc clean
@@ -189,7 +189,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store
 
-# Per-package coverage table for the storage/live/engine core.
+# Per-package coverage table for the gated packages (COVER_PKGS).
 cover:
 	@for p in $(COVER_PKGS); do \
 		$(GO) test -count=1 -coverprofile=.cover.tmp $$p > /dev/null || exit 1; \

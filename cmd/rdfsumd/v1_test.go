@@ -299,15 +299,29 @@ func TestFollowerSummaryBytesMatchLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	dictTerms := func(c *client.Client) int {
+		t.Helper()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.DictTerms
+	}
 	same := func(when string) {
 		t.Helper()
 		waitReplicated(t, lc, fc)
+		leaderTerms, followerTerms := dictTerms(lc), dictTerms(fc)
 		for _, kind := range rdfsum.Kinds {
 			for _, format := range []string{"ntriples", "dot"} {
 				if fetchSummary(t, fts.URL, kind, format) != fetchSummary(t, lts.URL, kind, format) {
 					t.Errorf("%s: the follower's %v %s differs from the leader's", when, kind, format)
 				}
 			}
+		}
+		// Serving summaries is a read on either side.
+		if l, f := dictTerms(lc), dictTerms(fc); l != leaderTerms || f != followerTerms {
+			t.Errorf("%s: summaries took the dictionaries from %d (leader) and %d (follower) terms to %d and %d",
+				when, leaderTerms, followerTerms, l, f)
 		}
 	}
 

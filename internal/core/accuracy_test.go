@@ -21,7 +21,7 @@ func TestAccuracyEveryEdgeHasPreimage(t *testing.T) {
 		type edge struct{ s, p, o dict.ID }
 		images := make(map[edge]bool, len(g.Data))
 		for _, tr := range g.Data {
-			images[edge{s.NodeOf[tr.S], tr.P, s.NodeOf[tr.O]}] = true
+			images[edge{s.NodeOf.Get(tr.S), termOf(s, tr.P), s.NodeOf.Get(tr.O)}] = true
 		}
 		for _, e := range s.Graph.Data {
 			if !images[edge{e.S, e.P, e.O}] {
@@ -30,7 +30,7 @@ func TestAccuracyEveryEdgeHasPreimage(t *testing.T) {
 		}
 		typeImages := make(map[edge]bool, len(g.Types))
 		for _, tr := range g.Types {
-			typeImages[edge{s.NodeOf[tr.S], tr.P, tr.O}] = true
+			typeImages[edge{s.NodeOf.Get(tr.S), s.Graph.Vocab().Type, termOf(s, tr.O)}] = true
 		}
 		for _, e := range s.Graph.Types {
 			if !typeImages[edge{e.S, e.P, e.O}] {
@@ -65,13 +65,13 @@ func TestNodeOfCoversExactlyDataNodes(t *testing.T) {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
 		dataNodes := g.DataNodes()
 		for _, kind := range Kinds {
-			s := MustSummarize(g, kind)
-			if len(s.NodeOf) != len(dataNodes) {
+			nodeOf := nodeOfMap(MustSummarize(g, kind))
+			if len(nodeOf) != len(dataNodes) {
 				t.Logf("seed %d kind %v: NodeOf has %d entries, want %d",
-					seed, kind, len(s.NodeOf), len(dataNodes))
+					seed, kind, len(nodeOf), len(dataNodes))
 				return false
 			}
-			for n := range s.NodeOf {
+			for n := range nodeOf {
 				if !dataNodes[n] {
 					return false
 				}
@@ -94,13 +94,13 @@ func TestMembersIsInverseOfNodeOf(t *testing.T) {
 			for rep, ms := range members {
 				total += len(ms)
 				for _, m := range ms {
-					if s.NodeOf[m] != rep {
+					if s.NodeOf.Get(m) != rep {
 						t.Errorf("%s/%v: Members and NodeOf disagree on %d", name, kind, m)
 					}
 				}
 			}
-			if total != len(s.NodeOf) {
-				t.Errorf("%s/%v: Members covers %d nodes, NodeOf %d", name, kind, total, len(s.NodeOf))
+			if n := len(nodeOfMap(s)); total != n {
+				t.Errorf("%s/%v: Members covers %d nodes, NodeOf %d", name, kind, total, n)
 			}
 		}
 	}

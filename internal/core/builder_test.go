@@ -144,13 +144,12 @@ func TestBuilderContinuesAfterSnapshot(t *testing.T) {
 // --- unified quotient engine (engine.go) ----------------------------------
 
 // renderNodeOf maps the paper's rd function to lexical forms, so quotient
-// maps are comparable across dictionaries. The summary's own dictionary
-// resolves both sides: it extends the input's with the node names.
+// maps are comparable across dictionaries: input nodes through the
+// input's dictionary, their representatives through the summary's.
 func renderNodeOf(s *Summary) map[string]string {
-	d := s.Graph.Dict()
-	out := make(map[string]string, len(s.NodeOf))
-	for n, rep := range s.NodeOf {
-		out[d.Term(n).String()] = d.Term(rep).String()
+	out := make(map[string]string)
+	for n, rep := range nodeOfMap(s) {
+		out[s.Input.Dict().Term(n).String()] = s.Graph.Dict().Term(rep).String()
 	}
 	return out
 }

@@ -88,13 +88,13 @@ func TestProposition7TypedWeakNonCompleteness(t *testing.T) {
 	// represented by different nodes.
 	r1 := lookup(t, direct.Input, "r1")
 	r2 := lookup(t, direct.Input, "r2")
-	if direct.NodeOf[r1] == direct.NodeOf[r2] {
+	if direct.NodeOf.Get(r1) == direct.NodeOf.Get(r2) {
 		t.Error("TW_{G∞} must separate the typed r1 from the untyped r2")
 	}
 
 	// Before saturation, TW_G merges r1 and r2 (both untyped sources of b).
 	plain := summarize(t, g, TypedWeak)
-	if plain.NodeOf[r1] != plain.NodeOf[r2] {
+	if plain.NodeOf.Get(r1) != plain.NodeOf.Get(r2) {
 		t.Error("TW_G must merge the untyped weak-equivalent r1 and r2")
 	}
 }
@@ -120,7 +120,7 @@ func TestFig5WeakCompletenessShape(t *testing.T) {
 	// b2 are not source-related in G.
 	r1 := lookup(t, g, "r1")
 	r2 := lookup(t, g, "r2")
-	if plain.NodeOf[r1] == plain.NodeOf[r2] {
+	if plain.NodeOf.Get(r1) == plain.NodeOf.Get(r2) {
 		t.Error("W_G must keep r1 and r2 apart (no shared clique before saturation)")
 	}
 	// In W_{G∞}, b1, b2 ≺sp b makes every b-source share a source clique.
@@ -128,11 +128,11 @@ func TestFig5WeakCompletenessShape(t *testing.T) {
 	inf := direct.Input
 	ir1, _ := inf.Dict().LookupIRI(samples.NS + "r1")
 	ir2, _ := inf.Dict().LookupIRI(samples.NS + "r2")
-	if direct.NodeOf[ir1] != direct.NodeOf[ir2] {
+	if direct.NodeOf.Get(ir1) != direct.NodeOf.Get(ir2) {
 		t.Error("W_{G∞} must merge r1 and r2 (both have the generalized property b)")
 	}
 	// Property 4 still holds on the saturated summary: b appears once.
-	b, _ := inf.Dict().LookupIRI(samples.NS + "b")
+	b, _ := direct.Graph.Dict().LookupIRI(samples.NS + "b")
 	count := 0
 	for _, e := range direct.Graph.Data {
 		if e.P == b {
@@ -154,7 +154,7 @@ func TestFig10StrongCompletenessShape(t *testing.T) {
 	// (a2 shares no resource with b, c, or a1).
 	r3 := lookup(t, g, "r3")
 	r1 := lookup(t, g, "r1")
-	if plain.NodeOf[r1] == plain.NodeOf[r3] {
+	if plain.NodeOf.Get(r1) == plain.NodeOf.Get(r3) {
 		t.Error("S_G must keep r1 and r3 apart")
 	}
 	direct := summarizeSaturated(t, g, Strong)
@@ -165,10 +165,10 @@ func TestFig10StrongCompletenessShape(t *testing.T) {
 	// After saturation all three share the source clique {a,a1,a2,b,c}:
 	// r1 and r2 have the same (∅, clique) pair; r3 too (its target clique
 	// is also empty).
-	if direct.NodeOf[ir1] != direct.NodeOf[ir2] {
+	if direct.NodeOf.Get(ir1) != direct.NodeOf.Get(ir2) {
 		t.Error("S_{G∞} must merge r1 and r2")
 	}
-	if direct.NodeOf[ir1] != direct.NodeOf[ir3] {
+	if direct.NodeOf.Get(ir1) != direct.NodeOf.Get(ir3) {
 		t.Error("S_{G∞} must merge r3 with r1/r2 (all: empty TC, fused SC)")
 	}
 }

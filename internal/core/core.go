@@ -13,10 +13,10 @@
 //     take precedence, untyped nodes are summarized weakly.
 //   - TypedStrong (TS_G, Definition 17): untyped-strong summary of T_G.
 //
-// Every summary is itself an RDF graph (a *store.Graph over an overlay of
-// the input's dictionary, see dict.Overlay: input terms keep their IDs,
-// summary node URIs are interned beside them, and the input's dictionary
-// is never written): the schema component is copied verbatim (rule SCH of
+// Every summary is itself an RDF graph (a *store.Graph over a dictionary
+// of its own, holding the interpreted vocabulary, the input terms its
+// triples keep and its node URIs; the input's dictionary is never
+// written): the schema component is copied verbatim (rule SCH of
 // Definition 9) and the data+type components are the quotient of
 // D_G ∪ T_G (rule TYP+DAT). Summary node URIs are produced by
 // content-addressed representation functions (see names.go), which makes
@@ -132,27 +132,32 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Summary is the result of summarizing a graph. A returned summary is
-// immutable: every snapshot builds its own Graph and NodeOf, and nothing
-// writes to them afterwards, so readers — ComputeWeights, which keeps
-// NodeOf rather than copying it, the pruner, the exporters — may share
-// them freely. Callers must not modify them either.
+// immutable: every snapshot builds its own Graph, dictionary and NodeOf,
+// and nothing writes to them afterwards, so readers — ComputeWeights,
+// which keeps NodeOf rather than copying it, the pruner, the exporters —
+// may share them freely. Callers must not modify them either.
 type Summary struct {
 	// Kind records the construction used.
 	Kind Kind
 	// Input is the summarized graph (not modified, not owned).
 	Input *store.Graph
-	// Graph is the summary H_G, an RDF graph whose dictionary extends
-	// Input's: Graph.Dict() is an overlay (dict.Overlay) that resolves
-	// every ID of Input and, under IDs from 2^31 up, the summary node
-	// URIs. Those URIs exist in no other dictionary: render summary IDs
-	// through Graph.Dict(), never through Input.Dict().
+	// Graph is the summary H_G, an RDF graph over a dictionary of its
+	// own: the interpreted vocabulary, then the input terms its triples
+	// keep (data properties, classes and schema terms, in ascending input
+	// ID), then its node URIs. Render its IDs through Graph.Dict() and
+	// Input's through Input.Dict(): the two ID spaces are unrelated.
 	Graph *store.Graph
 	// NodeOf maps every data node of the input to the summary node
-	// representing it (the paper's rd map): keys are Input IDs, values
-	// are IDs of Graph.Dict().
-	NodeOf map[dict.ID]dict.ID
+	// representing it (the paper's rd map): it is indexed by Input IDs
+	// and holds IDs of Graph.Dict(), dict.None for an ID that is no data
+	// node.
+	NodeOf dict.Table[dict.ID]
 	// Stats holds input/output size measures.
 	Stats Stats
+
+	// terms maps every input term the summary keeps to its ID in
+	// Graph.Dict(), and every other input ID to dict.None.
+	terms dict.Table[dict.ID]
 }
 
 // Summarize builds the summary of g of the requested kind: a BuilderSet
@@ -179,23 +184,18 @@ func MustSummarize(g *store.Graph, kind Kind) *Summary {
 // input data nodes it represents (the paper's dr multi-map).
 func (s *Summary) Members() map[dict.ID][]dict.ID {
 	out := make(map[dict.ID][]dict.ID)
-	for n, rep := range s.NodeOf {
-		out[rep] = append(out[rep], n)
-	}
-	for rep := range out {
-		ids := out[rep]
-		sortIDs(ids)
-		out[rep] = ids
+	for n, rep := range s.NodeOf.All() {
+		if *rep != dict.None {
+			out[*rep] = append(out[*rep], n) // ascending: All visits IDs in order
+		}
 	}
 	return out
 }
 
 // copySchema applies rule SCH of Definition 9: the summary keeps the
-// schema triples of the input unchanged.
-func copySchema(in, out *store.Graph) {
-	out.Schema = append(out.Schema, in.Schema...)
-}
-
-func sortIDs(ids []dict.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// schema triples of the input unchanged, in its own IDs.
+func copySchema(in *store.Graph, s *Summary) {
+	for _, t := range in.Schema {
+		s.Graph.Schema = append(s.Graph.Schema, store.Triple{S: s.terms.Get(t.S), P: s.terms.Get(t.P), O: s.terms.Get(t.O)})
+	}
 }

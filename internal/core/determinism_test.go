@@ -50,7 +50,8 @@ func TestSummaryBytesDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// A summary of a summary names its nodes in a second overlay layer.
+	// A summary of a summary is summarized over the first summary's own
+	// dictionary.
 	g := MustSummarize(graphs["random"], Weak).Graph
 	first := render(MustSummarize(g, TypeBased))
 	for i := 1; i < 20; i++ {

@@ -65,7 +65,7 @@ func (d *strongDriver) note(t store.Triple) (firstOut, firstIn bool) {
 
 // seed computes every clique before any edge key, so nothing re-keys.
 func (d *strongDriver) seed() {
-	d.ct = newCliqueTracker(d.bs.g.Dict().MaxID())
+	d.ct = newCliqueTracker(dict.ID(d.bs.g.Dict().Len()))
 	for _, t := range d.bs.g.Data {
 		d.note(t)
 	}
@@ -167,13 +167,13 @@ func (d *strongDriver) snapshot() *Summary {
 
 	for n, st := range d.ct.nodes.All() {
 		if st.seen {
-			s.NodeOf[n] = cliqueName(st.repIn, st.repOut)
+			s.NodeOf.Set(n, cliqueName(st.repIn, st.repOut))
 		}
 	}
 	// Stale keys of merged classes canonicalize to equal triples here and
 	// collapse in the finalizing SortDedup.
 	for k := range d.counts {
-		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: s.terms.Get(k.p), O: name(k.o)})
 	}
 	if d.classes == nil {
 		summarizeTypesWeak(d.bs.g, s, rep)

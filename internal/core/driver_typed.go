@@ -67,17 +67,17 @@ func (d *typeBasedDriver) snapshot() *Summary {
 	// its copy once, and the edges are named through the finished map.
 	for n, refs := range bs.stats.dataNodes.n.All() {
 		if *refs != 0 && !bs.classes.isTyped(n) {
-			s.NodeOf[n] = rep.freshCopy(n)
+			s.NodeOf.Set(n, rep.freshCopy(n))
 		}
 	}
 	name := func(r classRef) dict.ID {
 		if r.tag == refSet {
 			return setNode[r.a]
 		}
-		return s.NodeOf[dict.ID(r.a)]
+		return s.NodeOf.Get(dict.ID(r.a))
 	}
 	for k := range d.counts {
-		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: s.terms.Get(k.p), O: name(k.o)})
 	}
 	return s
 }
@@ -120,7 +120,7 @@ func (d *typedWeakDriver) note(t store.Triple) {
 // seed: an untyped node's representative never changes once assigned, so
 // the keys counted after the pass over the data are final.
 func (d *typedWeakDriver) seed() {
-	d.wt = newWeakTracker(d.bs.g.Dict().MaxID())
+	d.wt = newWeakTracker(dict.ID(d.bs.g.Dict().Len()))
 	for _, t := range d.bs.g.Data {
 		d.note(t)
 	}
@@ -186,7 +186,7 @@ func (d *typedWeakDriver) snapshot() *Summary {
 	weakName := d.wt.names(rep)
 	for n, st := range d.wt.nodes.All() {
 		if st.seen {
-			s.NodeOf[n] = weakName(st.rep)
+			s.NodeOf.Set(n, weakName(st.rep))
 		}
 	}
 	name := func(r classRef) dict.ID {
@@ -196,7 +196,7 @@ func (d *typedWeakDriver) snapshot() *Summary {
 		return weakName(r.a)
 	}
 	for k := range d.counts {
-		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(k.s), P: s.terms.Get(k.p), O: name(k.o)})
 	}
 	return s
 }

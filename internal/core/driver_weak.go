@@ -30,7 +30,7 @@ func (d *weakDriver) dataDeleted(int32, store.Triple) bool { return false }
 
 // seed is Algorithm 1 over the whole data component.
 func (d *weakDriver) seed() {
-	d.wt = newWeakTracker(d.bs.g.Dict().MaxID())
+	d.wt = newWeakTracker(dict.ID(d.bs.g.Dict().Len()))
 	for _, t := range d.bs.g.Data {
 		d.dataAdded(t)
 	}
@@ -49,11 +49,11 @@ func (d *weakDriver) snapshot() *Summary {
 	name := d.wt.names(rep)
 	for n, st := range d.wt.nodes.All() {
 		if st.seen {
-			s.NodeOf[n] = name(st.rep)
+			s.NodeOf.Set(n, name(st.rep))
 		}
 	}
 	for p, e := range d.wt.srcElem {
-		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(e), P: p, O: name(d.wt.tgtElem[p])})
+		s.Graph.Data = append(s.Graph.Data, store.Triple{S: name(e), P: s.terms.Get(p), O: name(d.wt.tgtElem[p])})
 	}
 	summarizeTypesWeak(d.bs.g, s, rep)
 	return s
@@ -65,19 +65,19 @@ func (d *weakDriver) snapshot() *Summary {
 // collapse into the single node Nτ = N(∅,∅) carrying all their classes.
 // Nτ is named at the first typed-only resource.
 func summarizeTypesWeak(g *store.Graph, s *Summary, rep *representer) {
-	typ := g.Vocab().Type
+	typ := s.Graph.Vocab().Type
 	ntau := dict.None
 	emitted := make(map[store.Triple]bool)
 	for _, t := range g.Types {
-		r, ok := s.NodeOf[t.S]
-		if !ok {
+		r := s.NodeOf.Get(t.S)
+		if r == dict.None {
 			if ntau == dict.None {
 				ntau = rep.node(nil, nil)
 			}
 			r = ntau
-			s.NodeOf[t.S] = r
+			s.NodeOf.Set(t.S, r)
 		}
-		if e := (store.Triple{S: r, P: typ, O: t.O}); !emitted[e] {
+		if e := (store.Triple{S: r, P: typ, O: s.terms.Get(t.O)}); !emitted[e] {
 			emitted[e] = true
 			s.Graph.Types = append(s.Graph.Types, e)
 		}

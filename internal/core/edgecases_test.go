@@ -27,15 +27,15 @@ func TestSelfLoops(t *testing.T) {
 		// kind their representatives join through the target side of
 		// "loop" (weak family) or split by clique pairs (strong family).
 		if kind == Weak || kind == TypedWeak {
-			if s.NodeOf[n] != s.NodeOf[m] {
+			if s.NodeOf.Get(n) != s.NodeOf.Get(m) {
 				t.Errorf("%v: n and m share the target of 'loop', must merge", kind)
 			}
-			if !hasDataEdge(s, s.NodeOf[n], lookup(t, g, "loop"), s.NodeOf[n]) {
+			if !hasDataEdge(s, s.NodeOf.Get(n), lookup(t, g, "loop"), s.NodeOf.Get(n)) {
 				t.Errorf("%v: missing self-loop edge", kind)
 			}
 		} else {
 			// strong: n has (tc={loop}, sc={loop}), m has (tc={loop}, ∅).
-			if s.NodeOf[n] == s.NodeOf[m] {
+			if s.NodeOf.Get(n) == s.NodeOf.Get(m) {
 				t.Errorf("%v: n and m have different clique pairs, must split", kind)
 			}
 		}
@@ -111,25 +111,25 @@ func TestMultiValuedAndSharedLiterals(t *testing.T) {
 	c := lookup(t, g, "c")
 	// Sources of p and of q live in different source cliques and share no
 	// target clique: they stay apart.
-	if s.NodeOf[a] == s.NodeOf[bID] {
+	if s.NodeOf.Get(a) == s.NodeOf.Get(bID) {
 		t.Error("a and b have unrelated source cliques, must stay apart")
 	}
 	// All sources of q merge.
-	if s.NodeOf[bID] != s.NodeOf[c] {
+	if s.NodeOf.Get(bID) != s.NodeOf.Get(c) {
 		t.Error("b and c are both sources of q, must merge")
 	}
 	// The shared literal links the target cliques of p and q: all their
 	// values form one node.
 	litID, _ := g.Dict().Lookup(lit)
 	otherID, _ := g.Dict().Lookup(rdf.NewLiteral("other"))
-	if s.NodeOf[litID] != s.NodeOf[otherID] {
+	if s.NodeOf.Get(litID) != s.NodeOf.Get(otherID) {
 		t.Error("values of target-related p and q must share a node")
 	}
 	// Both property edges point at that shared target node.
 	p := lookup(t, g, "p")
 	q := lookup(t, g, "q")
-	if !hasDataEdge(s, s.NodeOf[a], p, s.NodeOf[litID]) ||
-		!hasDataEdge(s, s.NodeOf[bID], q, s.NodeOf[litID]) {
+	if !hasDataEdge(s, s.NodeOf.Get(a), p, s.NodeOf.Get(litID)) ||
+		!hasDataEdge(s, s.NodeOf.Get(bID), q, s.NodeOf.Get(litID)) {
 		t.Error("p and q edges must converge on the shared target node")
 	}
 	// The oracle agrees (refimpl covers this via random graphs; here we

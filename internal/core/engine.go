@@ -147,9 +147,9 @@ func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
 	}
 	// Per-node tables are sized for the dictionary once, not grown by the
 	// seeding writes.
-	bs.stats.dataNodes.n.Grow(g.Dict().MaxID())
+	bs.stats.dataNodes.n.Grow(dict.ID(g.Dict().Len()))
 	if bs.classes != nil {
-		bs.classes.setOf.Grow(g.Dict().MaxID())
+		bs.classes.setOf.Grow(dict.ID(g.Dict().Len()))
 	}
 	for _, t := range g.Types {
 		bs.stats.typ(t)
@@ -266,7 +266,7 @@ func (bs *BuilderSet) Delete(t rdf.Triple) int {
 // DeleteBatch removes every stored copy of each listed triple from the
 // graph and every driver's state. It returns the number of triple copies
 // removed and the distinct encoded triples that were actually present —
-// the tombstone set an index overlay needs.
+// the tombstones the triple index applies.
 //
 // The graph's affected components are compacted into fresh slices
 // (copy-on-write: live-store snapshot views of the old slices are

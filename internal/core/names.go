@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -31,9 +32,11 @@ var kindTag = [NumKinds]string{Weak: "w", Strong: "s", TypeBased: "tb", TypedWea
 // and across runs. This is what turns the paper's completeness statements
 // into literal triple-set equalities.
 //
-// The URIs are interned in d, an overlay of the input's dictionary (see
-// startSummary): naming a node never writes to the input's dictionary.
+// The URIs are interned in d, the summary's own dictionary (see
+// startSummary); the IDs a name lists are rendered through in, the
+// input's. Naming a node never writes to the input's dictionary.
 type representer struct {
+	in  *dict.Dict
 	d   *dict.Dict
 	tag string // per-kind namespace, from kindTag
 
@@ -42,19 +45,49 @@ type representer struct {
 }
 
 // startSummary begins a snapshot of the set's graph for every driver: the
-// summary — its output graph over a fresh overlay of the graph's
-// dictionary with rule SCH already applied, and a NodeOf map sized for
-// every data node, the size it ends at for every kind — and the
-// representer that names its nodes. The summary extends the input's ID
-// space and leaves its dictionary as it was; its own names are numbered
-// by this snapshot alone, so the summary's bytes are a function of the
-// graph, not of the set's history.
+// summary — its output graph over a fresh dictionary with rule SCH
+// already applied, and a NodeOf table sized for the input's dictionary —
+// and the representer that names its nodes. The fresh dictionary holds
+// the interpreted vocabulary, then the input terms the summary keeps
+// (keptTerms) in ascending input ID, entered in s.terms, through which
+// the drivers emit every property, class and schema ID; the drivers then
+// intern the node names. The input's dictionary is left as it was, and
+// the summary's IDs are a function of the graph, not of the set's
+// history.
 func (bs *BuilderSet) startSummary(kind Kind) (*Summary, *representer) {
-	names := dict.Overlay(bs.g.Dict())
-	out := store.NewGraphWithDict(names)
-	copySchema(bs.g, out)
-	s := &Summary{Graph: out, NodeOf: make(map[dict.ID]dict.ID, bs.stats.dataNodes.len)}
-	return s, &representer{d: names, tag: kindTag[kind]}
+	in := bs.g.Dict()
+	out := store.NewGraph()
+	s := &Summary{Graph: out}
+	s.NodeOf.Grow(dict.ID(in.Len()))
+	kept := bs.keptTerms()
+	if n := len(kept); n > 0 {
+		s.terms.Grow(kept[n-1])
+	}
+	for _, id := range kept {
+		s.terms.Set(id, out.Dict().Encode(in.Term(id)))
+	}
+	copySchema(bs.g, s)
+	return s, &representer{in: in, d: out.Dict(), tag: kindTag[kind]}
+}
+
+// keptTerms lists, in ascending ID order, the input terms every summary
+// of the set's graph keeps: its data properties and classes, which label
+// the summary's data and τ edges, and the terms of its schema triples,
+// which rule SCH copies.
+func (bs *BuilderSet) keptTerms() []dict.ID {
+	var ids []dict.ID
+	for _, r := range []*refcounts{&bs.stats.dataProps, &bs.stats.classNodes} {
+		for id, c := range r.n.All() {
+			if *c > 0 {
+				ids = append(ids, id)
+			}
+		}
+	}
+	for _, t := range bs.g.Schema {
+		ids = append(ids, t.S, t.P, t.O)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // intern returns the ID of the IRI built in name, which started as
@@ -95,7 +128,7 @@ func (r *representer) classSetNode(classes []dict.ID) dict.ID {
 // construction independent of triple order. One call per untyped node of
 // the input: everything is rendered in the representer's scratch buffers.
 func (r *representer) freshCopy(original dict.ID) dict.ID {
-	r.term = r.d.Term(original).Append(r.term[:0])
+	r.term = r.in.Term(original).Append(r.term[:0])
 	name := append(r.name[:0], nameNS...)
 	name = append(name, r.tag...)
 	name = append(name, "/u?n="...)
@@ -111,7 +144,7 @@ func (r *representer) appendSet(b []byte, ids []dict.ID) []byte {
 	}
 	parts := make([]string, len(ids))
 	for i, id := range ids {
-		parts[i] = r.d.Term(id).String()
+		parts[i] = r.in.Term(id).String()
 	}
 	sort.Strings(parts)
 	return appendInline(b, strings.Join(parts, ","))

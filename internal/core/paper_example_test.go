@@ -31,27 +31,48 @@ func lookup(t *testing.T, g *store.Graph, local string) dict.ID {
 // repOf returns the summary node representing the sample resource.
 func repOf(t *testing.T, s *Summary, local string) dict.ID {
 	t.Helper()
-	id := lookup(t, s.Input, local)
-	rep, ok := s.NodeOf[id]
-	if !ok {
+	rep := s.NodeOf.Get(lookup(t, s.Input, local))
+	if rep == dict.None {
 		t.Fatalf("resource %q has no representative in the %v summary", local, s.Kind)
 	}
 	return rep
 }
 
-// hasDataEdge reports whether the summary has edge src --p--> tgt.
+// termOf returns the summary's ID of the input term id, found by its
+// lexical form in the summary's dictionary (dict.None when it holds none).
+func termOf(s *Summary, id dict.ID) dict.ID {
+	out, _ := s.Graph.Dict().Lookup(s.Input.Dict().Term(id))
+	return out
+}
+
+// nodeOfMap returns the summary's quotient map as a map, one entry per
+// represented input node.
+func nodeOfMap(s *Summary) map[dict.ID]dict.ID {
+	m := make(map[dict.ID]dict.ID)
+	for n, rep := range s.NodeOf.All() {
+		if *rep != dict.None {
+			m[n] = *rep
+		}
+	}
+	return m
+}
+
+// hasDataEdge reports whether the summary has edge src --p--> tgt, for
+// summary nodes src and tgt and the input property p.
 func hasDataEdge(s *Summary, src, p, tgt dict.ID) bool {
 	for _, e := range s.Graph.Data {
-		if e == (store.Triple{S: src, P: p, O: tgt}) {
+		if e == (store.Triple{S: src, P: termOf(s, p), O: tgt}) {
 			return true
 		}
 	}
 	return false
 }
 
+// hasTypeEdge reports whether the summary has edge src --τ--> class, for
+// the summary node src and the input class.
 func hasTypeEdge(s *Summary, src, class dict.ID) bool {
 	for _, e := range s.Graph.Types {
-		if e.S == src && e.O == class {
+		if e.S == src && e.O == termOf(s, class) {
 			return true
 		}
 	}

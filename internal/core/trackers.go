@@ -147,8 +147,8 @@ type adjacency struct {
 
 func indexAdjacency(g *store.Graph) *adjacency {
 	a := &adjacency{}
-	a.out.Grow(g.Dict().MaxID())
-	a.in.Grow(g.Dict().MaxID())
+	a.out.Grow(dict.ID(g.Dict().Len()))
+	a.in.Grow(dict.ID(g.Dict().Len()))
 	for i, t := range g.Data {
 		a.add(t, int32(i))
 	}
@@ -327,12 +327,12 @@ func (c *classSetTracker) summarize(s *Summary, rep *representer) []dict.ID {
 	for _, sid := range held {
 		setNode[sid] = rep.classSetNode(c.classes[sid])
 		for _, cls := range c.classes[sid] {
-			s.Graph.Types = append(s.Graph.Types, store.Triple{S: setNode[sid], P: typ, O: cls})
+			s.Graph.Types = append(s.Graph.Types, store.Triple{S: setNode[sid], P: typ, O: s.terms.Get(cls)})
 		}
 	}
 	for n, v := range c.setOf.All() {
 		if *v != 0 {
-			s.NodeOf[n] = setNode[*v-1]
+			s.NodeOf.Set(n, setNode[*v-1])
 		}
 	}
 	return setNode

@@ -86,18 +86,18 @@ func TestWeakEquivalenceIsCliqueConnectivity(t *testing.T) {
 		byTgtProp := map[dict.ID]dict.ID{}
 		for _, tr := range g.Data {
 			if rep, ok := bySrcProp[tr.P]; ok {
-				if s.NodeOf[tr.S] != rep {
+				if s.NodeOf.Get(tr.S) != rep {
 					return false
 				}
 			} else {
-				bySrcProp[tr.P] = s.NodeOf[tr.S]
+				bySrcProp[tr.P] = s.NodeOf.Get(tr.S)
 			}
 			if rep, ok := byTgtProp[tr.P]; ok {
-				if s.NodeOf[tr.O] != rep {
+				if s.NodeOf.Get(tr.O) != rep {
 					return false
 				}
 			} else {
-				byTgtProp[tr.P] = s.NodeOf[tr.O]
+				byTgtProp[tr.P] = s.NodeOf.Get(tr.O)
 			}
 		}
 		return true
@@ -116,8 +116,8 @@ func TestStrongRefinesWeak(t *testing.T) {
 		s := MustSummarize(g, Strong)
 		// Map strong node -> weak node; it must be a function.
 		proj := map[dict.ID]dict.ID{}
-		for n, sn := range s.NodeOf {
-			wn := w.NodeOf[n]
+		for n, sn := range nodeOfMap(s) {
+			wn := w.NodeOf.Get(n)
 			if prev, ok := proj[sn]; ok && prev != wn {
 				return false
 			}
@@ -137,8 +137,8 @@ func TestTypedStrongRefinesTypedWeak(t *testing.T) {
 		tw := MustSummarize(g, TypedWeak)
 		ts := MustSummarize(g, TypedStrong)
 		proj := map[dict.ID]dict.ID{}
-		for n, sn := range ts.NodeOf {
-			wn := tw.NodeOf[n]
+		for n, sn := range nodeOfMap(ts) {
+			wn := tw.NodeOf.Get(n)
 			if prev, ok := proj[sn]; ok && prev != wn {
 				return false
 			}

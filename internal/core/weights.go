@@ -13,9 +13,9 @@ import (
 // needs (Stefanoni/Motik/Kostylev's possible-worlds model works from
 // exactly these three numbers per summary edge).
 type EdgeStat struct {
-	// Edge is the summary-level triple: subject/object are summary-node
-	// representatives (or the concrete class for a τ edge, or the verbatim
-	// schema nodes for a schema edge).
+	// Edge is the summary-level triple, a triple of the summary's Graph:
+	// subject/object are summary nodes (or the class for a τ edge, or the
+	// schema terms for a schema edge), all in the summary's own IDs.
 	Edge store.Triple
 	// Count is the number of input triples mapped onto this edge.
 	Count int
@@ -36,6 +36,9 @@ type EdgeStat struct {
 //
 // Every input data triple maps onto exactly one summary edge, so EdgeCard
 // sums to |D_G| and per-property sums equal the property's frequency in G.
+// Summary nodes and edges are in the summary's own IDs; the lookups below
+// (DataEdges, TypeEdges, SchemaEdges, Node, Term, PropertyCount) take IDs
+// of the summarized graph and translate them.
 //
 // ComputeWeights additionally records per-edge distinct-endpoint counts
 // (EdgeStat) and the summary's quotient map, which together let the query
@@ -43,7 +46,9 @@ type EdgeStat struct {
 // assembled by hand carries only the coarse maps, reports
 // HasEdgeStats() == false and is no statistic to the planner.
 type Weights struct {
-	NodeCard map[dict.ID]int
+	// NodeCard is indexed by summary node ID; it is 0 for an ID that
+	// represents no input node.
+	NodeCard []int
 	EdgeCard map[store.Triple]int
 	TypeCard map[store.Triple]int
 
@@ -51,11 +56,11 @@ type Weights struct {
 	// ComputeWeights fills it.
 	propCount map[dict.ID]int
 
-	// nodeOf is the summary's quotient map, shared: a summary is immutable
-	// once returned (every snapshot builds a fresh map). Nodes absent from
-	// it (classes, properties, schema nodes) represent themselves — see
-	// Rep.
-	nodeOf map[dict.ID]dict.ID
+	// nodeOf and terms are the summary's, shared: a summary is immutable
+	// once returned. They translate a data node resp. a property, class
+	// or schema term of the input into the summary's IDs.
+	nodeOf dict.Table[dict.ID]
+	terms  dict.Table[dict.ID]
 
 	// Per-edge statistics, grouped for the estimator's candidate lookups:
 	// data edges by property, τ edges by class, schema triples (copied
@@ -72,51 +77,40 @@ type Weights struct {
 
 // ComputeWeights derives the cardinalities of s's quotient map by one pass
 // over the input graph, including the per-edge distinct-endpoint counts
-// the query planner's cardinality estimator consumes.
+// the query planner's cardinality estimator consumes. Every EdgeStat's
+// Edge is a triple of s.Graph.
 //
-// Representatives resolve through a table built once from NodeOf, every
-// summary edge gets a small index at its first triple, and the distinct
-// endpoints of each edge are counted by stamping them in tables of the
-// endpoint IDs (edgeCounter) — no set per edge.
+// Representatives and kept terms resolve through the summary's tables,
+// every summary edge gets a small index at its first triple, and the
+// distinct endpoints of each edge are counted by stamping them in tables
+// of the endpoint IDs (edgeCounter) — no set per edge.
 func (s *Summary) ComputeWeights() *Weights {
 	in := s.Input
-	var rep dict.Table[dict.ID]  // input node -> representative
-	var extent dict.Table[int32] // representative -> input nodes it represents
-	max := in.Dict().MaxID()
-	rep.Grow(max)
-	extent.Grow(s.Graph.Dict().MaxID())
-	reps := 0
-	for n, r := range s.NodeOf {
-		rep.Set(n, r)
-		c := extent.Ptr(r)
-		if *c == 0 {
-			reps++
-		}
-		*c++
-	}
-	w := &Weights{NodeCard: make(map[dict.ID]int, reps), nodeOf: s.NodeOf}
-	for r, c := range extent.All() {
-		if *c != 0 {
-			w.NodeCard[r] = int(*c)
+	w := &Weights{NodeCard: make([]int, s.Graph.Dict().Len()+1), nodeOf: s.NodeOf, terms: s.terms}
+	for _, r := range s.NodeOf.All() {
+		if *r != dict.None {
+			w.NodeCard[*r]++
 		}
 	}
 
 	ec := &edgeCounter{}
+	max := dict.ID(in.Dict().Len())
 	ec.subj.Grow(max)
 	ec.obj.Grow(max)
 	byProperty := func(e store.Triple) dict.ID { return e.P }
 	byClass := func(e store.Triple) dict.ID { return e.O }
 	data := ec.stats(in.Data, func(t store.Triple) store.Triple {
-		return store.Triple{S: rep.Get(t.S), P: t.P, O: rep.Get(t.O)}
+		return store.Triple{S: s.NodeOf.Get(t.S), P: s.terms.Get(t.P), O: s.NodeOf.Get(t.O)}
 	}, byProperty)
-	typ := in.Vocab().Type
+	typ := s.Graph.Vocab().Type
 	types := ec.stats(in.Types, func(t store.Triple) store.Triple {
-		return store.Triple{S: rep.Get(t.S), P: typ, O: t.O}
+		return store.Triple{S: s.NodeOf.Get(t.S), P: typ, O: s.terms.Get(t.O)}
 	}, byClass)
 	// Schema triples are copied verbatim into every summary kind, so each
 	// is an exact unit edge whose endpoints represent themselves.
-	schema := ec.stats(in.Schema, func(t store.Triple) store.Triple { return t }, byProperty)
-
+	schema := ec.stats(in.Schema, func(t store.Triple) store.Triple {
+		return store.Triple{S: s.terms.Get(t.S), P: s.terms.Get(t.P), O: s.terms.Get(t.O)}
+	}, byProperty)
 	w.EdgeCard = make(map[store.Triple]int, len(data))
 	for _, st := range data {
 		w.EdgeCard[st.Edge] = st.Count
@@ -236,53 +230,61 @@ func groupEdges(stats []EdgeStat, keyOf func(store.Triple) dict.ID) map[dict.ID]
 // assembled by hand).
 func (w *Weights) HasEdgeStats() bool { return w.dataEdges != nil }
 
-// Rep maps an input node to its summary representative. Nodes outside the
-// quotient map — classes, properties and other schema-level nodes, which
-// every summary kind carries through verbatim — represent themselves.
-func (w *Weights) Rep(n dict.ID) dict.ID {
-	if rep, ok := w.nodeOf[n]; ok {
-		return rep
-	}
-	return n
+// Node returns the summary node that represents n, a data node of the
+// summarized graph; false when n is none — a term newer than the
+// summary, say.
+func (w *Weights) Node(n dict.ID) (dict.ID, bool) {
+	r := w.nodeOf.Get(n)
+	return r, r != dict.None
+}
+
+// Term returns the summary's ID of t, a property, class or schema term of
+// the summarized graph; false when the summary keeps no such term.
+func (w *Weights) Term(t dict.ID) (dict.ID, bool) {
+	r := w.terms.Get(t)
+	return r, r != dict.None
 }
 
 // ExtentSize returns the number of input nodes a summary node represents
 // (≥ 1; self-representing nodes have extent 1).
 func (w *Weights) ExtentSize(rep dict.ID) int {
-	if c, ok := w.NodeCard[rep]; ok && c > 0 {
-		return c
+	if int(rep) < len(w.NodeCard) && w.NodeCard[rep] > 0 {
+		return w.NodeCard[rep]
 	}
 	return 1
 }
 
+// edges returns the group of stats under the summary's ID of t, an ID of
+// the summarized graph, or every stat when t is dict.None. A term the
+// summary does not keep has no edges.
+func (w *Weights) edges(t dict.ID, all []EdgeStat, groups map[dict.ID][]EdgeStat) []EdgeStat {
+	if t == dict.None {
+		return all
+	}
+	if r, ok := w.Term(t); ok {
+		return groups[r]
+	}
+	return nil
+}
+
 // DataEdges returns the statistics of the summary's data edges with
 // property p, or every data edge when p is dict.None.
-func (w *Weights) DataEdges(p dict.ID) []EdgeStat {
-	if p == dict.None {
-		return w.allData
-	}
-	return w.dataEdges[p]
-}
+func (w *Weights) DataEdges(p dict.ID) []EdgeStat { return w.edges(p, w.allData, w.dataEdges) }
 
 // TypeEdges returns the statistics of the summary's τ edges with class c,
 // or every τ edge when c is dict.None.
-func (w *Weights) TypeEdges(c dict.ID) []EdgeStat {
-	if c == dict.None {
-		return w.allTypes
-	}
-	return w.typeEdges[c]
-}
+func (w *Weights) TypeEdges(c dict.ID) []EdgeStat { return w.edges(c, w.allTypes, w.typeEdges) }
 
 // SchemaEdges returns the statistics of the schema triples with property
 // p (subClassOf, subPropertyOf, domain, range — exact unit edges), or all
 // of them when p is dict.None.
-func (w *Weights) SchemaEdges(p dict.ID) []EdgeStat {
-	if p == dict.None {
-		return w.allSchema
-	}
-	return w.schemaEdges[p]
-}
+func (w *Weights) SchemaEdges(p dict.ID) []EdgeStat { return w.edges(p, w.allSchema, w.schemaEdges) }
 
 // PropertyCount returns the number of input data triples with property p,
 // summed from the edge cardinalities (an exact statistic).
-func (w *Weights) PropertyCount(p dict.ID) int { return w.propCount[p] }
+func (w *Weights) PropertyCount(p dict.ID) int {
+	if r, ok := w.Term(p); ok {
+		return w.propCount[r]
+	}
+	return 0
+}

@@ -57,31 +57,37 @@ func refComputeWeights(s *Summary) *Weights {
 	}
 
 	w := &Weights{
-		NodeCard: make(map[dict.ID]int, len(s.NodeOf)),
+		NodeCard: make([]int, s.Graph.Dict().Len()+1),
 		EdgeCard: make(map[store.Triple]int, len(s.Graph.Data)),
 		TypeCard: make(map[store.Triple]int, len(s.Graph.Types)),
-		nodeOf:   make(map[dict.ID]dict.ID, len(s.NodeOf)),
+		nodeOf:   s.NodeOf,
 	}
-	for n, rep := range s.NodeOf {
+	for _, rep := range nodeOfMap(s) {
 		w.NodeCard[rep]++
-		w.nodeOf[n] = rep
 	}
-	v := s.Input.Vocab()
+	// Input terms translate by their lexical form, not through the
+	// summary's own table.
+	term := func(id dict.ID) dict.ID {
+		r := termOf(s, id)
+		w.terms.Set(id, r)
+		return r
+	}
+	typ := s.Graph.Vocab().Type
 	dataAcc := make(map[store.Triple]*edgeAcc)
 	typeAcc := make(map[store.Triple]*edgeAcc)
 	schemaAcc := make(map[store.Triple]*edgeAcc)
 	for _, t := range s.Input.Data {
-		e := store.Triple{S: s.NodeOf[t.S], P: t.P, O: s.NodeOf[t.O]}
+		e := store.Triple{S: s.NodeOf.Get(t.S), P: term(t.P), O: s.NodeOf.Get(t.O)}
 		w.EdgeCard[e]++
 		accumulate(dataAcc, e, t.S, t.O)
 	}
 	for _, t := range s.Input.Types {
-		e := store.Triple{S: s.NodeOf[t.S], P: v.Type, O: t.O}
+		e := store.Triple{S: s.NodeOf.Get(t.S), P: typ, O: term(t.O)}
 		w.TypeCard[e]++
 		accumulate(typeAcc, e, t.S, t.O)
 	}
 	for _, t := range s.Input.Schema {
-		accumulate(schemaAcc, t, t.S, t.O)
+		accumulate(schemaAcc, store.Triple{S: term(t.S), P: term(t.P), O: term(t.O)}, t.S, t.O)
 	}
 	w.allData, w.dataEdges = flatten(dataAcc, func(e store.Triple) dict.ID { return e.P })
 	w.allTypes, w.typeEdges = flatten(typeAcc, func(e store.Triple) dict.ID { return e.O })
@@ -129,8 +135,8 @@ func corpusGraphs(t *testing.T) map[string]*store.Graph {
 // TestComputeWeightsMatchesReference holds ComputeWeights to the map-based
 // reference, reflect.DeepEqual on the whole Weights, for every kind over
 // random graphs, the samples corpus, BSBM and LUBM, sets built by
-// interleaved adds and deletes, and summaries of summaries (whose nodes are
-// overlay IDs).
+// interleaved adds and deletes, and summaries of summaries (whose input is
+// itself a summary, over a dictionary of its own).
 func TestComputeWeightsMatchesReference(t *testing.T) {
 	graphs := corpusGraphs(t)
 	graphs["bsbm"] = bsbm.GenerateGraph(bsbm.DefaultConfig(60))

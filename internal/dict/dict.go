@@ -12,10 +12,6 @@
 // slots holding IDs, not keys. A dictionary layered over a mapped base
 // (WithBase) finds the base's terms through the same table, filled when
 // it is built by one checked pass over the base's pages.
-//
-// An overlay (see Overlay) extends a dictionary without writing to it:
-// the terms it adds get IDs from a range the extended dictionary never
-// issues, so both share one ID space.
 package dict
 
 import (
@@ -42,15 +38,9 @@ const None ID = 0
 type Dict struct {
 	mu       *sync.RWMutex // nil until Share; guards recs, index and keyBytes when set
 	base     *Mapped       // optional read-only layer holding IDs 1..baseLen
-	recs     []rec         // recs[i] is the term with ID baseLen+i+1 (overlay: prefix|i)
-	index    termIndex     // every ID of this layer: the base's and recs'
+	recs     []rec         // recs[i] is the term with ID baseLen+i+1
+	index    termIndex     // every ID: the base's and recs'
 	keyBytes int           // total len of the recs' keys
-
-	// Overlays only (see overlay.go): the dictionary this one extends,
-	// its layer number (under's + 1) and the layer's ID prefix.
-	under  *Dict
-	layer  int
-	prefix ID
 }
 
 // New returns an empty dictionary.
@@ -110,17 +100,9 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	if id, ok := d.find(t, h); ok {
 		return id
 	}
-	var id ID
-	if d.under != nil {
-		if id, ok := d.under.lookup(t, h); ok {
-			return id
-		}
-		id = d.nextOverlayID()
-	} else {
-		id = ID(d.baseLen() + len(d.recs) + 1)
-		if id >= overlayBit {
-			panic("dict: dictionary is full (IDs from 2^31 up belong to overlays)")
-		}
+	id := ID(d.baseLen() + len(d.recs) + 1)
+	if id == None {
+		panic("dict: dictionary is full (2^32-1 terms)")
 	}
 	r := newRec(t)
 	d.recs = append(d.recs, r)
@@ -129,8 +111,8 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	return id
 }
 
-// find returns the ID of t, whose key hashes to h, if d's own layer holds
-// it: the index's candidates with h's tag, each verified against its term.
+// find returns the ID of t, whose key hashes to h, if d holds it: the
+// index's candidates with h's tag, each verified against its term.
 func (d *Dict) find(t rdf.Term, h uint64) (ID, bool) {
 	slots := d.index.slots
 	if len(slots) == 0 {
@@ -149,11 +131,8 @@ func (d *Dict) find(t rdf.Term, h uint64) (ID, bool) {
 	}
 }
 
-// holds reports whether id, an ID of d's own layer, names t.
+// holds reports whether id, an ID d issued, names t.
 func (d *Dict) holds(id ID, t rdf.Term) bool {
-	if d.under != nil {
-		return d.recs[id&^d.prefix].term() == t
-	}
 	bl := d.baseLen()
 	if int(id) <= bl {
 		return d.base.holds(id, t)
@@ -184,9 +163,6 @@ func (d *Dict) lookup(t rdf.Term, h uint64) (ID, bool) {
 	if d.mu != nil {
 		d.mu.RUnlock()
 	}
-	if !ok && d.under != nil {
-		return d.under.lookup(t, h)
-	}
 	return id, ok
 }
 
@@ -194,15 +170,8 @@ func (d *Dict) lookup(t rdf.Term, h uint64) (ID, bool) {
 func (d *Dict) LookupIRI(iri string) (ID, bool) { return d.Lookup(rdf.NewIRI(iri)) }
 
 // Term returns the term interned under id. It panics on an unknown or zero
-// id — callers only hold IDs this dictionary (or, for an overlay, one of
-// the dictionaries under it) issued.
+// id — callers only hold IDs this dictionary issued.
 func (d *Dict) Term(id ID) rdf.Term {
-	if l := layerOf(id); l != d.layer {
-		if l > d.layer {
-			panic(fmt.Sprintf("dict: id %#x was issued by an overlay (layer %d) but asked of %s", uint32(id), l, d.layerName()))
-		}
-		return d.under.Term(id)
-	}
 	bl := d.baseLen()
 	if id != None && int(id) <= bl {
 		return d.base.Term(id) // immutable: no lock
@@ -211,58 +180,30 @@ func (d *Dict) Term(id ID) rdf.Term {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	if d.under != nil {
-		i := int(id &^ d.prefix)
-		if i >= len(d.recs) {
-			panic(fmt.Sprintf("dict: unknown id %#x (%s holds %d terms of its own)", uint32(id), d.layerName(), len(d.recs)))
-		}
-		return d.recs[i].term()
-	}
 	if id == None || int(id) > bl+len(d.recs) {
 		panic(fmt.Sprintf("dict: unknown id %d (dictionary holds %d terms)", id, bl+len(d.recs)))
 	}
 	return d.recs[int(id)-bl-1].term()
 }
 
-// Len reports the number of terms the dictionary resolves: for an overlay,
-// its own plus those of the dictionary under it.
+// Len reports the number of terms the dictionary holds; its IDs are
+// 1..Len.
 func (d *Dict) Len() int {
-	under := 0
-	if d.under != nil {
-		under = d.under.Len()
-	}
 	if d.mu != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	return under + d.baseLen() + len(d.recs)
+	return d.baseLen() + len(d.recs)
 }
 
-// MemoryBytes is the heap the dictionary's own layer holds, computed from
-// its lengths: key bytes + 24-byte records + the index's 8-byte slots,
-// which include a mapped base's IDs. The base's pages are file-backed
-// and an overlay's base is another dictionary's: neither is counted.
+// MemoryBytes is the heap the dictionary holds, computed from its
+// lengths: key bytes + 24-byte records + the index's 8-byte slots, which
+// include a mapped base's IDs. The base's pages are file-backed and not
+// counted.
 func (d *Dict) MemoryBytes() int64 {
 	if d.mu != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
 	return int64(d.keyBytes) + int64(cap(d.recs))*recBytes + d.index.bytes()
-}
-
-// MaxID returns the highest assigned ID. It equals Len for every
-// dictionary but an overlay, whose IDs are dense per layer only: with
-// terms of its own its MaxID is at least 2^31, whatever Len says.
-func (d *Dict) MaxID() ID {
-	if d.under == nil {
-		return ID(d.Len())
-	}
-	if d.mu != nil {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-	}
-	if n := len(d.recs); n > 0 {
-		return d.prefix | ID(n-1)
-	}
-	return d.under.MaxID()
 }

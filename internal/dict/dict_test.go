@@ -62,9 +62,6 @@ func TestLookupAndTerm(t *testing.T) {
 	if id2, ok := d.LookupIRI("http://x/a"); !ok || id2 != id {
 		t.Errorf("LookupIRI = (%d,%v), want (%d,true)", id2, ok, id)
 	}
-	if d.MaxID() != ID(d.Len()) {
-		t.Errorf("MaxID %d != Len %d", d.MaxID(), d.Len())
-	}
 }
 
 func TestTermPanicsOnBadID(t *testing.T) {

@@ -30,7 +30,7 @@ const BlockTerms = 16
 // WriteFrontCoded streams the pages section of d's terms, in ID order,
 // to pages, and returns how many terms that was with the directory
 // section, the only per-term state the encoding keeps: 8 bytes per
-// BlockTerms terms. d must not be an overlay (its IDs are not dense).
+// BlockTerms terms.
 //
 // Over a mapped base, the base's complete blocks are copied byte for byte
 // — a block's encoding depends on its own terms only — so only the base's
@@ -40,9 +40,6 @@ const BlockTerms = 16
 // dictionary never rewrites a record, so the view stays valid while the
 // writer interns on — and the terms written are those present then.
 func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir []byte, err error) {
-	if d.under != nil {
-		panic("dict: WriteFrontCoded of an overlay")
-	}
 	if d.mu != nil {
 		d.mu.RLock()
 	}

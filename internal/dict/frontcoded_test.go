@@ -94,8 +94,8 @@ func TestFrontCodedRoundTrip(t *testing.T) {
 // base IDs, extends with fresh IDs, and answers Encode/Lookup/Term across
 // the seam exactly like a flat dict holding the same terms — plain keys
 // (IRIs, blank nodes) and framed ones (literals plain, typed and tagged,
-// and one longer than every stack buffer), present and absent, directly
-// and through an overlay stacked on each — and writes the same
+// and one longer than every stack buffer), present and absent — and
+// writes the same
 // front-coded sections: a compaction of a reopened store streams the
 // base, a compaction of a heap store encodes every term, and the files
 // must not differ.
@@ -124,10 +124,7 @@ func TestDictWithBase(t *testing.T) {
 		for _, bt := range baseTerms {
 			flat.Encode(bt)
 		}
-		lo, fo := Overlay(layered), Overlay(flat)
-		// Interleave re-encodes of base terms with new terms; the overlays
-		// encode a base term, a term the dictionary under them interned
-		// and one of their own.
+		// Interleave re-encodes of base terms with new terms.
 		for i, nt := range newTerms {
 			if got, want := layered.Encode(nt), flat.Encode(nt); got != want {
 				t.Fatalf("Encode(new %v) = %d, want %d", nt, got, want)
@@ -136,13 +133,8 @@ func TestDictWithBase(t *testing.T) {
 			if got, want := layered.Encode(bt), flat.Encode(bt); got != want {
 				t.Fatalf("Encode(base %v) = %d, want %d", bt, got, want)
 			}
-			for _, term := range []rdf.Term{bt, nt, absent[i%len(absent)]} {
-				if got, want := lo.Encode(term), fo.Encode(term); got != want {
-					t.Fatalf("overlay Encode(%v) = %#x, want %#x", term, got, want)
-				}
-			}
 		}
-		if layered.Len() != flat.Len() || lo.Len() != fo.Len() {
+		if layered.Len() != flat.Len() {
 			return false
 		}
 		for id := ID(1); id <= ID(flat.Len()); id++ {
@@ -155,12 +147,6 @@ func TestDictWithBase(t *testing.T) {
 			fi, fok := flat.Lookup(term)
 			if li != fi || lok != fok {
 				t.Logf("Lookup(%v) = %d, %v over the base, %d, %v flat", term, li, lok, fi, fok)
-				return false
-			}
-			li, lok = lo.Lookup(term)
-			fi, fok = fo.Lookup(term)
-			if li != fi || lok != fok || (lok && lo.Term(li) != term) {
-				t.Logf("overlay Lookup(%v) = %#x, %v over the base, %#x, %v flat", term, li, lok, fi, fok)
 				return false
 			}
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // The package's one term-keying scheme: a term is held as a single key
-// string, and every dictionary layer (Dict, overlay) finds its terms
+// string, and a Dict finds its terms — its own and a mapped base's —
 // through a termIndex of their keys' hashes.
 //
 // An IRI or a blank node with nothing but a value — every one a parser or
@@ -79,8 +79,7 @@ func newRec(t rdf.Term) rec {
 	return rec{key: string(appendFrame(buf[:0], t)), framed: true}
 }
 
-// hashSeed keys every term hash in the process, so that a hash computed
-// for one dictionary layer probes the layers under it too.
+// hashSeed keys every term hash in the process.
 var hashSeed = maphash.MakeSeed()
 
 // termHash hashes t's key: its value, or its frame built on the stack.
@@ -108,7 +107,7 @@ func (r rec) term() rdf.Term {
 
 // termIndex is an open-addressed hash table of IDs with linear probing.
 // A slot is 8 bytes: the ID in the low half (0 marks an empty slot — no
-// layer issues ID 0) and the low 32 bits of its term's key hash, the tag,
+// dictionary issues ID 0) and the low 32 bits of its term's key hash, the tag,
 // in the high half. The tag is also what places the slot, so the table
 // grows without hashing a term again, and a probe compares a term only
 // with the IDs whose tag equals its own. The terms live with the caller

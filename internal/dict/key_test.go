@@ -9,30 +9,28 @@ import (
 	"rdfsum/internal/rdf"
 )
 
-// roundTrip interns terms into every kind of index the package has — a
-// plain dictionary and an overlay over an empty one — and requires
+// roundTrip interns terms into a dictionary and requires
 // Term(Encode(t)) == t, idempotent Encode, Lookup agreeing with it, and
 // distinct terms under distinct IDs.
 func roundTrip(t *testing.T, terms []rdf.Term) {
 	t.Helper()
-	for name, d := range map[string]*Dict{"dict": New(), "overlay": Overlay(New())} {
-		byID := map[ID]rdf.Term{}
-		for _, tm := range terms {
-			id := d.Encode(tm)
-			if got := d.Term(id); got != tm {
-				t.Fatalf("%s: Term(Encode(%#v)) = %#v", name, tm, got)
-			}
-			if again := d.Encode(tm); again != id {
-				t.Fatalf("%s: Encode(%#v) = %d, then %d", name, tm, id, again)
-			}
-			if got, ok := d.Lookup(tm); !ok || got != id {
-				t.Fatalf("%s: Lookup(%#v) = %d, %v; Encode gave %d", name, tm, got, ok, id)
-			}
-			if prev, seen := byID[id]; seen && prev != tm {
-				t.Fatalf("%s: %#v and %#v share id %d", name, prev, tm, id)
-			}
-			byID[id] = tm
+	d := New()
+	byID := map[ID]rdf.Term{}
+	for _, tm := range terms {
+		id := d.Encode(tm)
+		if got := d.Term(id); got != tm {
+			t.Fatalf("Term(Encode(%#v)) = %#v", tm, got)
 		}
+		if again := d.Encode(tm); again != id {
+			t.Fatalf("Encode(%#v) = %d, then %d", tm, id, again)
+		}
+		if got, ok := d.Lookup(tm); !ok || got != id {
+			t.Fatalf("Lookup(%#v) = %d, %v; Encode gave %d", tm, got, ok, id)
+		}
+		if prev, seen := byID[id]; seen && prev != tm {
+			t.Fatalf("%#v and %#v share id %d", prev, tm, id)
+		}
+		byID[id] = tm
 	}
 }
 

@@ -532,7 +532,7 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 	}
 	// The superseded summary can be served to nobody while this call
 	// holds the cell: drop it now, so the collector need not keep it (and
-	// its name overlay) alive beside the one being built. On a build
+	// its dictionary) alive beside the one being built. On a build
 	// error the cell then holds nothing, as the error tells the caller.
 	cell.sum = nil
 	var (

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rdfsum/internal/core"
+	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
 	"rdfsum/internal/store"
@@ -228,8 +229,11 @@ func TestLiveSummariesLeaveStoreDictionaryAlone(t *testing.T) {
 				if !reflect.DeepEqual(s.Graph.CanonicalStrings(), batch.Graph.CanonicalStrings()) {
 					t.Errorf("%s/%v: served summary differs from the batch summary of the twin", name, kind)
 				}
-				if !s.Graph.Dict().IsOverlay() {
+				if s.Graph.Dict() == asked.Snapshot().Graph.Dict() {
 					t.Errorf("%s/%v: summary graph is over the store's own dictionary", name, kind)
+				}
+				if got, want := s.Graph.Dict().Len(), len(referencedTerms(s.Graph)); got != want {
+					t.Errorf("%s/%v: summary dictionary holds %d terms, its vocabulary and triples reference %d", name, kind, got, want)
 				}
 			}
 			if after := asked.Snapshot().Graph.Dict().Len(); after != before {
@@ -263,4 +267,15 @@ func TestLiveSummariesLeaveStoreDictionaryAlone(t *testing.T) {
 			t.Errorf("%s: snapshot after five summaries (%d bytes) differs from the twin's (%d bytes)", name, len(got), len(want))
 		}
 	}
+}
+
+// referencedTerms returns the IDs of g's interpreted vocabulary and of
+// every term its triples reference.
+func referencedTerms(g *store.Graph) map[dict.ID]bool {
+	v := g.Vocab()
+	ids := map[dict.ID]bool{v.Type: true, v.SubClass: true, v.SubProp: true, v.Domain: true, v.Range: true}
+	for _, t := range g.All() {
+		ids[t.S], ids[t.P], ids[t.O] = true, true, true
+	}
+	return ids
 }

@@ -66,55 +66,68 @@ func newEstimator(g *store.Graph, pats []planPat, nslots int, stats *core.Weight
 
 // buildCandidates selects the summary edges pattern p can map onto and
 // precomputes each one's contribution with the bound-endpoint scaling
-// folded in.
+// folded in. The pattern's constants are IDs of the queried graph; each
+// component of the summary reads a constant subject or object its own
+// way — a data edge's ends as data nodes (through the quotient map), a τ
+// edge's class and a schema edge's ends as terms the summary keeps — and
+// a constant the component does not hold matches none of its edges.
 func (e *estimator) buildCandidates(i int, p planPat, typeID dict.ID) {
-	var edges []core.EdgeStat
+	type part struct {
+		edges        []core.EdgeStat
+		sNode, oNode bool // the component's subjects/objects are data nodes
+	}
+	data := func(p dict.ID) part { return part{e.w.DataEdges(p), true, true} }
+	types := func(c dict.ID) part { return part{e.w.TypeEdges(c), true, false} }
+	schema := func(p dict.ID) part { return part{e.w.SchemaEdges(p), false, false} }
+	var parts []part
 	switch {
 	case p.vp >= 0:
 		// Variable property: any edge of any component qualifies (the
 		// triple index enumerates data, τ and schema triples alike).
-		edges = make([]core.EdgeStat, 0,
-			len(e.w.DataEdges(dict.None))+len(e.w.TypeEdges(dict.None))+len(e.w.SchemaEdges(dict.None)))
-		edges = append(edges, e.w.DataEdges(dict.None)...)
-		edges = append(edges, e.w.TypeEdges(dict.None)...)
-		edges = append(edges, e.w.SchemaEdges(dict.None)...)
+		parts = []part{data(dict.None), types(dict.None), schema(dict.None)}
 	case p.p == typeID:
-		if p.vo < 0 {
-			edges = e.w.TypeEdges(p.o)
-		} else {
-			edges = e.w.TypeEdges(dict.None)
-		}
+		parts = []part{types(p.o)} // dict.None, every τ edge, for a variable class
 	default:
-		d, s := e.w.DataEdges(p.p), e.w.SchemaEdges(p.p)
-		if len(s) == 0 {
-			edges = d
-		} else {
-			edges = append(append(make([]core.EdgeStat, 0, len(d)+len(s)), d...), s...)
-		}
+		parts = []part{data(p.p), schema(p.p)}
 	}
-	sRep, oRep := dict.None, dict.None
-	if p.vs < 0 {
-		sRep = e.w.Rep(p.s)
-	}
-	if p.vo < 0 {
-		oRep = e.w.Rep(p.o)
-	}
-	for _, ed := range edges {
-		if sRep != dict.None && ed.Edge.S != sRep {
+	for _, pt := range parts {
+		sRep, okS := e.end(p.s, p.vs, pt.sNode)
+		oRep, okO := e.end(p.o, p.vo, pt.oNode)
+		if !okS || !okO {
 			continue
 		}
-		if oRep != dict.None && ed.Edge.O != oRep {
-			continue
+		for _, ed := range pt.edges {
+			if sRep != dict.None && ed.Edge.S != sRep {
+				continue
+			}
+			if oRep != dict.None && ed.Edge.O != oRep {
+				continue
+			}
+			c := float64(ed.Count)
+			if sRep != dict.None && ed.DistinctS > 1 {
+				c /= float64(ed.DistinctS)
+			}
+			if oRep != dict.None && ed.DistinctO > 1 {
+				c /= float64(ed.DistinctO)
+			}
+			e.cand[i] = append(e.cand[i], ed)
+			e.contrib[i] = append(e.contrib[i], c)
 		}
-		c := float64(ed.Count)
-		if sRep != dict.None && ed.DistinctS > 1 {
-			c /= float64(ed.DistinctS)
-		}
-		if oRep != dict.None && ed.DistinctO > 1 {
-			c /= float64(ed.DistinctO)
-		}
-		e.cand[i] = append(e.cand[i], ed)
-		e.contrib[i] = append(e.contrib[i], c)
+	}
+}
+
+// end translates a pattern's subject or object — constant c, or the
+// variable in slot v — into the summary's IDs, reading the constant as a
+// data node or as a kept term: dict.None for a variable, false for a
+// constant the summary does not hold in that reading.
+func (e *estimator) end(c dict.ID, v int, node bool) (dict.ID, bool) {
+	switch {
+	case v >= 0:
+		return dict.None, true
+	case node:
+		return e.w.Node(c)
+	default:
+		return e.w.Term(c)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"rdfsum/internal/dict"
 	"rdfsum/internal/ntriples"
 	"rdfsum/internal/query"
+	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
 	"rdfsum/internal/store"
 )
@@ -241,5 +242,72 @@ func TestExplainQueryEstRendered(t *testing.T) {
 	}
 	if out := bare.Explain.String(); strings.Contains(out, "query est=") {
 		t.Errorf("stats-free explain renders an estimate:\n%s", out)
+	}
+}
+
+// TestEstimatorClassThatIsAlsoADataNode: a class that is also a data node
+// keeps its class reading in τ and schema patterns. In the five-triple
+// graph a p C, b τ C, d τ C, e τ D, C ⊑sc D, the class C is the object
+// of a data triple, so every summary represents it by some data node too;
+// the estimator must still match ?x τ C against the τ edges to class C
+// and C ⊑sc ?y against the schema triple, for every kind, exactly.
+func TestEstimatorClassThatIsAlsoADataNode(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://example.org/" + s) }
+	typ, sc := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(rdf.RDFSSubClassOf)
+	g := store.FromTriples([]rdf.Triple{
+		{S: iri("a"), P: iri("p"), O: iri("C")},
+		{S: iri("b"), P: typ, O: iri("C")},
+		{S: iri("d"), P: typ, O: iri("C")},
+		{S: iri("e"), P: typ, O: iri("D")},
+		{S: iri("C"), P: sc, O: iri("D")},
+	})
+	cases := []struct {
+		name string
+		pat  query.Pattern
+		want int
+	}{
+		{"?x τ C", query.Pattern{S: query.Var("x"), P: query.Const(typ), O: query.Const(iri("C"))}, 2},
+		{"C ⊑sc ?y", query.Pattern{S: query.Const(iri("C")), P: query.Const(sc), O: query.Var("y")}, 1},
+	}
+	for _, kind := range core.Kinds {
+		stats := core.MustSummarize(g, kind).ComputeWeights()
+		for _, c := range cases {
+			q := &query.Query{Patterns: []query.Pattern{c.pat}}
+			qe, fe, rows := evalEst(t, g, stats, q)
+			if rows != c.want || qe != int64(c.want) || fe != int64(c.want) {
+				t.Errorf("%v: %s: est=(%d,%d) rows=%d, want %d", kind, c.name, qe, fe, rows, c.want)
+			}
+		}
+	}
+}
+
+// TestEstimatorTermNewerThanSummary: statistics trail the graph they
+// estimate for (a live store's planner weights may be epochs old), so a
+// query constant can be a term the summary has never seen. It matches no
+// summary edge in any position; it must not be read as a wildcard.
+func TestEstimatorTermNewerThanSummary(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://example.org/" + s) }
+	typ := rdf.NewIRI(rdf.RDFType)
+	g := store.FromTriples([]rdf.Triple{
+		{S: iri("a"), P: iri("p"), O: iri("b")},
+		{S: iri("b"), P: typ, O: iri("C")},
+	})
+	for _, kind := range core.Kinds {
+		stats := core.MustSummarize(g, kind).ComputeWeights()
+		later := g.CloneStructure()
+		later.Add(rdf.Triple{S: iri("new"), P: iri("newp"), O: iri("b")})
+		later.Add(rdf.Triple{S: iri("a"), P: iri("p"), O: iri("new")})
+		later.Add(rdf.Triple{S: iri("new"), P: typ, O: iri("NewC")})
+		for _, pat := range []query.Pattern{
+			{S: query.Var("x"), P: query.Const(iri("p")), O: query.Const(iri("new"))},
+			{S: query.Const(iri("new")), P: query.Var("p"), O: query.Var("y")},
+			{S: query.Var("x"), P: query.Const(iri("newp")), O: query.Var("y")},
+			{S: query.Var("x"), P: query.Const(typ), O: query.Const(iri("NewC"))},
+		} {
+			q := &query.Query{Patterns: []query.Pattern{pat}}
+			if qe, fe, _ := evalEst(t, later, stats, q); qe != 0 || fe != 0 {
+				t.Errorf("%v: %v: est=(%d,%d), want 0 for a term the summary never saw", kind, pat, qe, fe)
+			}
+		}
 	}
 }

@@ -73,11 +73,23 @@ func TestCliqueOracle(t *testing.T) {
 	}
 }
 
+// quotientMap returns a summary's NodeOf as a map, one entry per
+// represented input node.
+func quotientMap(s *core.Summary) map[dict.ID]dict.ID {
+	m := map[dict.ID]dict.ID{}
+	for n, rep := range s.NodeOf.All() {
+		if *rep != dict.None {
+			m[n] = *rep
+		}
+	}
+	return m
+}
+
 // partitionFromSummary recovers the node partition of a summary from its
-// NodeOf map.
+// NodeOf table.
 func partitionFromSummary(s *core.Summary) []string {
 	byRep := map[dict.ID][]dict.ID{}
-	for n, rep := range s.NodeOf {
+	for n, rep := range quotientMap(s) {
 		byRep[rep] = append(byRep[rep], n)
 	}
 	var classes [][]dict.ID
@@ -192,11 +204,13 @@ func sortedSet(ts []store.Triple) []store.Triple {
 // NodeOf partition is the kind's partition by definition, the data and
 // type components are the quotient {(NodeOf[s], p, NodeOf[o])} and
 // {(NodeOf[s], τ, c)} of the input's, the schema is copied, and Stats
-// equal a scan. It returns what differs, "" when nothing does.
+// equal a scan. Input terms are carried into the summary's own IDs by
+// their lexical form. It returns what differs, "" when nothing does.
 func checkSummary(s *core.Summary) string {
 	in := s.Input
+	nodeOf := quotientMap(s)
 	byRep := map[dict.ID][]dict.ID{}
-	for n, rep := range s.NodeOf {
+	for n, rep := range nodeOf {
 		byRep[rep] = append(byRep[rep], n)
 	}
 	var classes [][]dict.ID
@@ -206,17 +220,24 @@ func checkSummary(s *core.Summary) string {
 	if got, want := exactPartition(classes), exactPartition(partitionByDefinition[s.Kind](in)); !reflect.DeepEqual(got, want) {
 		return fmt.Sprintf("partition %v, by definition %v", got, want)
 	}
-	var data, types []store.Triple
+	term := func(id dict.ID) dict.ID {
+		out, _ := s.Graph.Dict().Lookup(in.Dict().Term(id))
+		return out
+	}
+	var data, types, schema []store.Triple
 	for _, t := range in.Data {
-		data = append(data, store.Triple{S: s.NodeOf[t.S], P: t.P, O: s.NodeOf[t.O]})
+		data = append(data, store.Triple{S: nodeOf[t.S], P: term(t.P), O: nodeOf[t.O]})
 	}
 	for _, t := range in.Types {
-		types = append(types, store.Triple{S: s.NodeOf[t.S], P: t.P, O: t.O})
+		types = append(types, store.Triple{S: nodeOf[t.S], P: s.Graph.Vocab().Type, O: term(t.O)})
+	}
+	for _, t := range in.Schema {
+		schema = append(schema, store.Triple{S: term(t.S), P: term(t.P), O: term(t.O)})
 	}
 	for name, c := range map[string][2][]store.Triple{
 		"data":   {s.Graph.Data, sortedSet(data)},
 		"type":   {s.Graph.Types, sortedSet(types)},
-		"schema": {s.Graph.Schema, sortedSet(in.Schema)},
+		"schema": {s.Graph.Schema, sortedSet(schema)},
 	} {
 		if len(c[0])+len(c[1]) > 0 && !reflect.DeepEqual(c[0], c[1]) {
 			return fmt.Sprintf("%s edges %v, quotient of the input %v", name, c[0], c[1])

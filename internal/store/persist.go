@@ -41,11 +41,8 @@ func truncatedOr(err error) error {
 }
 
 // SaveFile writes a snapshot to path in the current (v2) format,
-// replacing any existing file. A graph over an overlay dictionary (a
-// summary) is written in its Dense form: the file holds the terms the
-// graph references, not its input's dictionary.
+// replacing any existing file.
 func SaveFile(path string, g *Graph) error {
-	g = g.Dense()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

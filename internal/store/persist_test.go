@@ -3,14 +3,10 @@ package store
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
-	"path/filepath"
-	"reflect"
 	"testing"
 	"testing/iotest"
 
-	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
 )
 
@@ -189,49 +185,5 @@ func TestIndexMerged(t *testing.T) {
 	// The base index must be untouched.
 	if base.Len() != 2 {
 		t.Fatalf("base index mutated by Applied: %d triples", base.Len())
-	}
-}
-
-// TestSnapshotOfOverlayGraphHoldsReferencedTerms: a graph over an overlay
-// dictionary (what a summary is) saves as the triples it
-// holds over a dictionary of exactly the terms they reference plus the
-// interpreted vocabulary — not the dictionary it extends.
-func TestSnapshotOfOverlayGraphHoldsReferencedTerms(t *testing.T) {
-	in, _ := v2Sample(t)
-	for i := 0; i < 500; i++ { // terms the overlay graph never references
-		in.Dict().EncodeIRI(fmt.Sprintf("http://x/unreferenced%d", i))
-	}
-	names := dict.Overlay(in.Dict())
-	sum := NewGraphWithDict(names)
-	p, _ := in.Dict().LookupIRI("http://x/p")
-	c, _ := in.Dict().LookupIRI("http://x/C")
-	n := names.EncodeIRI("rdfsum:w?in=&out=<http://x/p>")
-	sum.AddEncoded(n, p, n)
-	sum.AddEncoded(n, in.Vocab().Type, c)
-	sum.Schema = append(sum.Schema, in.Schema...)
-	if before := in.Dict().Len(); sum.Dense().Dict().Len() != 5+4 || in.Dict().Len() != before {
-		t.Fatalf("Dense dictionary holds %d terms, want the vocabulary and n, p, C, D; input went %d -> %d",
-			sum.Dense().Dict().Len(), before, in.Dict().Len())
-	}
-	if in.Dense() != in {
-		t.Error("Dense must return a graph over a dense dictionary unchanged")
-	}
-
-	path := filepath.Join(t.TempDir(), "sum.snap")
-	if err := SaveFile(path, sum); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.CanonicalStrings(), sum.CanonicalStrings()) {
-		t.Errorf("round trip: got %v, want %v", got.CanonicalStrings(), sum.CanonicalStrings())
-	}
-	if got.Dict().Len() != 9 {
-		t.Errorf("reloaded dictionary holds %d terms, want 9", got.Dict().Len())
-	}
-	if err := WriteSnapshotV2(&memFile{}, sum, sum.All(), nil); err == nil {
-		t.Error("WriteSnapshotV2 must refuse a graph over an overlay dictionary: its triples are in overlay IDs")
 	}
 }

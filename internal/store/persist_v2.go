@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -39,12 +38,8 @@ import (
 // encoding each column section before the next sort, so the columns cost
 // buf plus one scratch buffer: 24 B a triple. scratch may be nil, and is
 // then allocated when the sort needs it. The dictionary section lists
-// terms 1..Len, so g must not be over an overlay dictionary — re-encode
-// with Dense first (SaveFile does).
+// terms 1..Len.
 func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
-	if g.Dict().IsOverlay() {
-		return errors.New("store: snapshot of a graph over an overlay dictionary (re-encode it with Dense)")
-	}
 	if len(buf) != g.NumEdges() {
 		return fmt.Errorf("store: snapshot buffer holds %d triples, graph %d", len(buf), g.NumEdges())
 	}

@@ -186,39 +186,6 @@ func (g *Graph) CloneStructure() *Graph {
 	return h
 }
 
-// Dense returns g itself when its dictionary numbers its terms 1..Len, and
-// otherwise — g is over an overlay, as every summary graph is — a copy
-// re-encoded over a fresh dictionary holding the interpreted vocabulary
-// and exactly the terms g's triples reference, numbered in order of first
-// reference. The snapshot formats store a dense dictionary in full, so
-// this is what keeps a saved summary from carrying its input's terms.
-func (g *Graph) Dense() *Graph {
-	if !g.dict.IsOverlay() {
-		return g
-	}
-	out := NewGraph()
-	ids := make(map[dict.ID]dict.ID)
-	dense := func(id dict.ID) dict.ID {
-		if n, ok := ids[id]; ok {
-			return n
-		}
-		n := out.dict.Encode(g.dict.Term(id))
-		ids[id] = n
-		return n
-	}
-	reencode := func(ts []Triple) []Triple {
-		res := make([]Triple, len(ts))
-		for i, t := range ts {
-			res[i] = Triple{dense(t.S), dense(t.P), dense(t.O)}
-		}
-		return res
-	}
-	// The vocabulary maps onto out's own, so each triple stays in its
-	// component.
-	out.Data, out.Types, out.Schema = reencode(g.Data), reencode(g.Types), reencode(g.Schema)
-	return out
-}
-
 // All returns the concatenation of the three components. The returned
 // slice is freshly allocated.
 func (g *Graph) All() []Triple {

@@ -58,10 +58,11 @@ type (
 	Graph = store.Graph
 	// Index provides triple-pattern access paths over a Graph.
 	Index = store.Index
-	// Summary is the result of summarizing a Graph. Its Graph's
-	// dictionary extends the input's (the input's terms under their IDs,
-	// the summary's node URIs beside them); the input's dictionary is
-	// never written, so render summary IDs through s.Graph.Dict().
+	// Summary is the result of summarizing a Graph. Its Graph is an
+	// ordinary graph over a dictionary of its own (the vocabulary, the
+	// input terms it keeps, its node URIs); the input's dictionary is
+	// never written. Render summary IDs through s.Graph.Dict() and input
+	// IDs through s.Input.Dict().
 	Summary = core.Summary
 	// Stats carries the size measures of a summary and its input.
 	Stats = core.Stats
