@@ -80,7 +80,7 @@ bench-unit:
 # (docs/benchmarks/pr17-runs.md has the procedure).
 # BenchmarkComputeWeights times the weak summary's planner weights on
 # BSBM and LUBM; BenchmarkMappedDict a reopened store's dictionary
-# (decode, lookup hit, lookup miss) on LUBM; BenchmarkIndexJoins
+# (decode, lookup hit, lookup miss) on LUBM and BSBM; BenchmarkIndexJoins
 # scan-lubm's query pool over a heap base and over the mapped base a
 # durable store serves.
 bench-core:
@@ -175,7 +175,9 @@ ingest-smoke:
 # load against its reference (the streamed load == FromTriples of the
 # parsed triples, term for term, ID for ID and component for component;
 # malformed input fails both on the same line); the dictionary's term
-# keys (every term round-trips through its key); the WAL record
+# keys (every term round-trips through its key); the dictionary's pages
+# (any pages and directory either fail to open or decode every term and
+# write sections that open to the same terms); the WAL record
 # decoder/replayer; and the snapshot graph decode (header counts and
 # vocabulary, dictionary, column and retired comp-types payloads,
 # checksums resealed; a graph it returns is served in full), each seeded
@@ -184,6 +186,7 @@ ingest-smoke:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
 	$(GO) test -fuzz=FuzzDictKeyRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
+	$(GO) test -fuzz=FuzzDictPages -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
 	$(GO) test -fuzz=FuzzTurtleLoad -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live

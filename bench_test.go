@@ -12,6 +12,7 @@ package rdfsum_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,6 +20,7 @@ import (
 	"testing"
 
 	"rdfsum"
+	"rdfsum/internal/bsbm"
 	"rdfsum/internal/cliques"
 	"rdfsum/internal/dict"
 	"rdfsum/internal/lubm"
@@ -539,15 +541,34 @@ func BenchmarkLiveCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkMappedDict is the dictionary of a reopened store: LUBM 52
-// universities (15 under -short) saved as a snapshot and opened onto its
-// mapped pages. term decodes a base term, lookup-hit finds one, and
-// lookup-miss probes for a term the snapshot does not hold — what every
+// BenchmarkMappedDict is the dictionary of a reopened store, on the two
+// graphs the harness boots from: LUBM 52 universities and BSBM 3000
+// products, whose long and typed literals make longer chains (15 and 1000
+// under -short), each saved as a snapshot and opened onto its mapped
+// pages. term decodes a base term, lookup-hit finds one — each in one
+// fixed random order of the IDs, as a query's rows ask for them — and
+// lookup-miss probes for a term the snapshot does not hold, what every
 // name a summary mints costs. The open, which indexes the base, runs
 // before the timer.
 func BenchmarkMappedDict(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "lubm.rdfsum")
-	if err := store.SaveFile(path, lubm.GenerateGraph(lubm.DefaultConfig(lubmUniversities()))); err != nil {
+	products := 3000
+	if testing.Short() {
+		products = 1000
+	}
+	for _, g := range []struct {
+		name  string
+		graph func() *store.Graph
+	}{
+		{"lubm", func() *store.Graph { return lubm.GenerateGraph(lubm.DefaultConfig(lubmUniversities())) }},
+		{"bsbm", func() *store.Graph { return bsbm.GenerateGraph(bsbm.DefaultConfig(products)) }},
+	} {
+		b.Run(g.name, func(b *testing.B) { benchMappedDict(b, g.graph()) })
+	}
+}
+
+func benchMappedDict(b *testing.B, heap *store.Graph) {
+	path := filepath.Join(b.TempDir(), "g.rdfsum")
+	if err := store.SaveFile(path, heap); err != nil {
 		b.Fatal(err)
 	}
 	g, sf, err := store.OpenGraphFile(path)
@@ -557,16 +578,21 @@ func BenchmarkMappedDict(b *testing.B) {
 	defer sf.Close() //nolint:errcheck
 	d := g.Dict()
 	n := d.Len()
+	ids := make([]dict.ID, n)
+	for i := range ids {
+		ids[i] = dict.ID(i + 1)
+	}
+	rand.New(rand.NewPCG(1, 2)).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	terms := make([]rdf.Term, n)
 	misses := make([]rdf.Term, n)
-	for i := range terms {
-		terms[i] = d.Term(dict.ID(i + 1))
+	for i, id := range ids {
+		terms[i] = d.Term(id)
 		misses[i] = rdf.NewIRI(fmt.Sprintf("http://summary.example.org/node/%d", i))
 	}
 	b.Run("term", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			termSink = d.Term(dict.ID(i%n + 1))
+			termSink = d.Term(ids[i%n])
 		}
 	})
 	for _, arm := range []struct {

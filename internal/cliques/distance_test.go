@@ -20,6 +20,8 @@ const (
 // has (resp. is the value of) both, and otherwise the smallest n such that
 // a chain of n+1 resources with pairwise-overlapping property sets links
 // them. It returns -1 when p and p' are not in the same clique.
+// TestPropertyDistances checks §3.1's worked distances with it;
+// summarization needs the cliques only, never the distances.
 //
 // The computation is a BFS over the property co-occurrence graph, where an
 // edge joins two properties co-occurring on one resource; Definition 6's

@@ -10,6 +10,7 @@ import (
 	"rdfsum/internal/saturate"
 	"rdfsum/internal/schema"
 	"rdfsum/internal/store"
+	"rdfsum/internal/unionfind"
 )
 
 // TestLemma1PredictsSaturatedCliques checks item 3 of Lemma 1 on the
@@ -112,4 +113,60 @@ func renderClique(g *store.Graph, set []dict.ID) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// SaturatedPartition applies Lemma 1, the prediction
+// TestLemma1PredictsSaturatedCliques checks against the cliques of G∞:
+// given the cliques of G and a saturated schema, it predicts which
+// cliques of G fuse into a single clique of G∞. Two G-cliques C1, C2 end up in the same G∞ clique iff
+// their saturated cliques C⁺ (members plus all their superproperties)
+// intersect, transitively (item 3 of the lemma).
+//
+// The return value maps each G-clique index to a dense group index; two
+// cliques share a group iff their properties are in the same G∞ clique.
+// members[i] lists, sorted, the G data properties of group i (note: G∞
+// may add generalized properties on top of these; the lemma speaks of the
+// partition of G's properties).
+func SaturatedPartition(cliqueMembers [][]dict.ID, sch *schema.Schema) (groupOf []int, members [][]dict.ID) {
+	n := len(cliqueMembers)
+	uf := unionfind.New(n)
+
+	// claimed maps every property in some clique's C⁺ to the first clique
+	// that claimed it; a second claim fuses the cliques.
+	claimed := make(map[dict.ID]int32)
+	for i, ps := range cliqueMembers {
+		for _, p := range ps {
+			claim(uf, claimed, int32(i), p)
+			for _, sup := range sch.SuperProperties(p) {
+				claim(uf, claimed, int32(i), sup)
+			}
+		}
+	}
+
+	// Normalize to dense group indexes ordered by smallest clique index.
+	rootToGroup := make(map[int32]int)
+	groupOf = make([]int, n)
+	for i := 0; i < n; i++ {
+		root := uf.Find(int32(i))
+		g, ok := rootToGroup[root]
+		if !ok {
+			g = len(rootToGroup)
+			rootToGroup[root] = g
+			members = append(members, nil)
+		}
+		groupOf[i] = g
+		members[g] = append(members[g], cliqueMembers[i]...)
+	}
+	for i := range members {
+		sort.Slice(members[i], func(a, b int) bool { return members[i][a] < members[i][b] })
+	}
+	return groupOf, members
+}
+
+func claim(uf *unionfind.UF, claimed map[dict.ID]int32, clique int32, p dict.ID) {
+	if prev, ok := claimed[p]; ok {
+		uf.Union(prev, clique)
+		return
+	}
+	claimed[p] = clique
 }

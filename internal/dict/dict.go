@@ -56,16 +56,15 @@ func New() *Dict { return &Dict{} }
 func WithBase(m *Mapped) (*Dict, error) {
 	d := &Dict{base: m}
 	d.index.reserve(m.n)
-	var value []byte
-	c := cursor{m: m}
+	c := cursor{walker: walker{m: m}} // at offset 0, not where the directory says: the walk checks it
 	for c.i < m.n {
 		if b := c.i / BlockTerms; c.i%BlockTerms == 0 && m.blockStart(b) != c.pos {
 			return nil, fmt.Errorf("dict: directory places block %d at offset %d, its terms begin at %d", b, m.blockStart(b), c.pos)
 		}
-		if value = c.next(value); c.err != nil {
+		t := c.next()
+		if c.err != nil {
 			return nil, c.err
 		}
-		t := c.term(value)
 		h := termHash(t)
 		if id, dup := d.find(t, h); dup {
 			return nil, fmt.Errorf("dict: terms %d and %d are both %v", id, c.i, t)

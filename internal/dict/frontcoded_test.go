@@ -2,6 +2,7 @@ package dict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -41,7 +42,7 @@ func randTerms(rng *rand.Rand, n int) []rdf.Term {
 
 // frontCoded interns terms (distinct, so terms[i] gets ID i+1) and
 // returns the two sections WriteFrontCoded produces for them.
-func frontCoded(t *testing.T, terms []rdf.Term) (pages, dir []byte) {
+func frontCoded(t testing.TB, terms []rdf.Term) (pages, dir []byte) {
 	t.Helper()
 	d := New()
 	for _, tm := range terms {
@@ -223,4 +224,278 @@ func TestDictWithBaseSharedFill(t *testing.T) {
 		close(start)
 		wg.Wait()
 	}
+}
+
+// oldCoded returns the two sections every build before the kind byte's
+// flags wrote of terms (IDs 1, 2, …): each term front-coded against the
+// immediately previous term of its block, whatever their kinds, and every
+// literal with its datatype and language in full.
+func oldCoded(terms []rdf.Term) (pages, dir []byte) {
+	var prev string
+	for i, t := range terms {
+		lcp := 0
+		if i%BlockTerms == 0 {
+			dir = binary.LittleEndian.AppendUint64(dir, uint64(len(pages)))
+			pages = append(pages, byte(t.Kind))
+		} else {
+			lcp = commonPrefix([]byte(prev), t.Value)
+			pages = append(pages, byte(t.Kind))
+			pages = binary.AppendUvarint(pages, uint64(lcp))
+		}
+		pages = binary.AppendUvarint(pages, uint64(len(t.Value)-lcp))
+		pages = append(pages, t.Value[lcp:]...)
+		if t.Kind == rdf.Literal {
+			pages = binary.AppendUvarint(pages, uint64(len(t.Datatype)))
+			pages = append(pages, t.Datatype...)
+			pages = binary.AppendUvarint(pages, uint64(len(t.Lang)))
+			pages = append(pages, t.Lang...)
+		}
+		prev = t.Value
+	}
+	return pages, dir
+}
+
+// TestFrontCodedOldCoding: pages in the coding of the builds before the
+// kind byte's flags decode to the same terms under the same IDs, and a
+// dictionary over them writes their complete blocks as they are and codes
+// the rest anew: the sections it writes decode to the same terms again,
+// and are the flat dictionary's from the first block they re-code on.
+func TestFrontCodedOldCoding(t *testing.T) {
+	for _, n := range []int{1, BlockTerms - 1, BlockTerms, BlockTerms + 1, 5*BlockTerms + 3} {
+		rng := rand.New(rand.NewPCG(uint64(n), 4))
+		terms := randTerms(rng, n+20)
+		base, fresh := terms[:n], terms[n:]
+		pages, dir := oldCoded(base)
+		m, err := NewMapped(pages, dir, n)
+		if err != nil {
+			t.Fatalf("n=%d: NewMapped: %v", n, err)
+		}
+		d, err := WithBase(m)
+		if err != nil {
+			t.Fatalf("n=%d: WithBase of old-coded pages: %v", n, err)
+		}
+		for i, want := range base {
+			if got := d.Term(ID(i + 1)); got != want {
+				t.Fatalf("n=%d: Term(%d) = %v, want %v", n, i+1, got, want)
+			}
+			if id, ok := d.Lookup(want); !ok || id != ID(i+1) {
+				t.Fatalf("n=%d: Lookup(%v) = (%d,%v), want (%d,true)", n, want, id, ok, i+1)
+			}
+		}
+		for _, tm := range fresh {
+			d.Encode(tm)
+		}
+		var out bytes.Buffer
+		got, outDir, err := d.WriteFrontCoded(&out)
+		if err != nil || got != len(terms) {
+			t.Fatalf("n=%d: WriteFrontCoded = %d terms, %v", n, got, err)
+		}
+		full := n / BlockTerms
+		cut := len(pages)
+		if full*BlockTerms < n {
+			cut = int(binary.LittleEndian.Uint64(dir[full*8:]))
+		}
+		if !bytes.Equal(out.Bytes()[:cut], pages[:cut]) || !bytes.Equal(outDir[:full*8], dir[:full*8]) {
+			t.Fatalf("n=%d: the old-coded complete blocks were not copied as they are", n)
+		}
+		flatPages, flatDir := frontCoded(t, terms)
+		flatCut := len(flatPages)
+		if full*8 < len(flatDir) {
+			flatCut = int(binary.LittleEndian.Uint64(flatDir[full*8:]))
+		}
+		if !bytes.Equal(out.Bytes()[cut:], flatPages[flatCut:]) {
+			t.Fatalf("n=%d: the blocks after the copied ones are not coded as a flat dictionary codes them", n)
+		}
+		again, err := NewMapped(out.Bytes(), outDir, len(terms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WithBase(again); err != nil {
+			t.Fatalf("n=%d: WithBase of the written sections: %v", n, err)
+		}
+		for i, want := range terms {
+			if got := again.Term(ID(i + 1)); got != want {
+				t.Fatalf("n=%d: written: Term(%d) = %v, want %v", n, i+1, got, want)
+			}
+		}
+	}
+}
+
+// TestFrontCodedFlags: the writer sets each flag wherever it applies —
+// sameKind on every term with an earlier term of its kind in its block,
+// sameTags on every literal whose datatype and language are those of the
+// block's previous literal — and nowhere else.
+func TestFrontCodedFlags(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	terms := randTerms(rng, 7*BlockTerms+5)
+	pages, dir := frontCoded(t, terms)
+	m, err := NewMapped(pages, dir, len(terms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := [2]int{}
+	w := walker{m: m}
+	for i, tm := range terms {
+		if i%BlockTerms == 0 {
+			w.have = 0
+		}
+		b := pages[w.pos]
+		kindSeen := w.have&(1<<tm.Kind) != 0
+		tagsSeen := tm.Kind == rdf.Literal && w.have&(1<<rdf.Literal) != 0 && w.dt == tm.Datatype && w.lang == tm.Lang
+		if got := b&sameKind != 0; got != kindSeen {
+			t.Fatalf("term %d (%v): sameKind %v, want %v", i+1, tm, got, kindSeen)
+		}
+		if got := b&sameTags != 0; got != tagsSeen {
+			t.Fatalf("term %d (%v): sameTags %v, want %v", i+1, tm, got, tagsSeen)
+		}
+		if kindSeen {
+			flagged[0]++
+		}
+		if tagsSeen {
+			flagged[1]++
+		}
+		var l link
+		if w.step(&l); w.err != nil {
+			t.Fatal(w.err)
+		}
+	}
+	if flagged[0] == 0 || flagged[1] == 0 {
+		t.Fatalf("the sample flags %d terms sameKind and %d sameTags: it exercises neither", flagged[0], flagged[1])
+	}
+	if old, _ := oldCoded(terms); len(pages) >= len(old) {
+		t.Fatalf("the pages take %d bytes, the old coding %d", len(pages), len(old))
+	}
+}
+
+// TestWithBaseRefusesBadFlags: a flag the pages cannot honour — sameKind
+// on a block's first term or with no earlier term of its kind in the
+// block, sameTags on a term that is not a literal or with no earlier
+// literal in the block, any other high bit, a kind out of range — fails
+// WithBase with an error, never a panic; and flags that name a term of
+// the block decode against it.
+func TestWithBaseRefusesBadFlags(t *testing.T) {
+	// block lays out terms, each given as its bytes, as a one-block
+	// dictionary and returns it with its directory.
+	block := func(terms ...[]byte) ([]byte, []byte, int) {
+		var pages []byte
+		dir := []byte{}
+		for i, tm := range terms {
+			if i%BlockTerms == 0 {
+				dir = binary.LittleEndian.AppendUint64(dir, uint64(len(pages)))
+			}
+			pages = append(pages, tm...)
+		}
+		return pages, dir, len(terms)
+	}
+	iri := func(v string) []byte { return append([]byte{byte(rdf.IRI), byte(len(v))}, v...) }
+	// coded is a term after a block's head: kind byte, lcp, suffix.
+	coded := func(kind byte, lcp int, suffix string, fields ...string) []byte {
+		b := append([]byte{kind, byte(lcp), byte(len(suffix))}, suffix...)
+		for _, f := range fields {
+			b = append(append(b, byte(len(f))), f...)
+		}
+		return b
+	}
+	lit := byte(rdf.Literal)
+	sixteen := [][]byte{iri("a00")}
+	for i := 1; i < BlockTerms; i++ {
+		sixteen = append(sixteen, coded(byte(rdf.IRI), 0, fmt.Sprintf("a%02d", i)))
+	}
+	for _, c := range []struct {
+		name  string
+		terms [][]byte
+		want  string
+	}{
+		{"sameKind on the first term", [][]byte{{byte(rdf.IRI) | sameKind, 1, 'a'}}, "term 1 extends an earlier iri"},
+		{"sameKind on a later block's first term", append(sixteen[:BlockTerms:BlockTerms], []byte{byte(rdf.IRI) | sameKind, 1, 'b'}), "term 17 extends an earlier iri"},
+		{"sameKind with no earlier term of the kind", [][]byte{iri("a"), coded(byte(rdf.Blank)|sameKind, 0, "b")}, "term 2 extends an earlier blank"},
+		{"sameTags on an IRI", [][]byte{iri("a"), coded(byte(rdf.IRI)|sameTags, 0, "b")}, "term 2, a iri, takes the datatype"},
+		{"sameTags with no earlier literal", [][]byte{iri("a"), coded(lit|sameTags, 0, "x")}, "term 2, a literal, takes the datatype"},
+		{"sameTags on a later block's first literal", append(sixteen[:BlockTerms-1:BlockTerms-1], coded(lit, 0, "x", "", "en"), []byte{lit | sameTags, 1, 'y'}), "term 17, a literal, takes the datatype"},
+		{"bit 0x40", [][]byte{iri("a"), coded(byte(rdf.IRI)|0x40, 0, "b")}, "term 2 has unknown flags 0x40"},
+		{"bit 0x80", [][]byte{iri("a"), coded(byte(rdf.IRI)|sameKind|0x80, 0, "b")}, "term 2 has unknown flags 0x90"},
+		{"kind 4", [][]byte{iri("a"), coded(4, 0, "b")}, "term 2 has no kind byte"},
+		{"kind 0 with a flag", [][]byte{iri("a"), coded(sameKind, 0, "b")}, "term 2 has no kind byte"},
+		{"sameKind prefix longer than the term of the kind", [][]byte{iri("a"), {byte(rdf.Blank), 0, 3, 'x', 'y', 'z'}, coded(byte(rdf.IRI)|sameKind, 3, "b")}, "term 3 shares 3 bytes with a 1-byte predecessor"},
+	} {
+		pages, dir, n := block(c.terms...)
+		m, err := NewMapped(pages, dir, n)
+		if err != nil {
+			t.Fatalf("%s: NewMapped: %v", c.name, err)
+		}
+		if _, err := WithBase(m); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: WithBase = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+
+	// Well-formed flags: term 3 extends term 1, the last IRI, not term 2;
+	// literal 5 takes literal 4's datatype and language.
+	pages, dir, n := block(iri("http://x/a"), []byte{byte(rdf.Blank), 0, 2, 'b', '0'},
+		coded(byte(rdf.IRI)|sameKind, 9, "b"),
+		coded(lit, 0, "1", "http://x/int", ""), coded(lit|sameKind|sameTags, 0, "2"))
+	m, err := NewMapped(pages, dir, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := WithBase(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range []rdf.Term{rdf.NewIRI("http://x/a"), rdf.NewBlank("b0"), rdf.NewIRI("http://x/b"),
+		rdf.NewTypedLiteral("1", "http://x/int"), rdf.NewTypedLiteral("2", "http://x/int")} {
+		if got := d.Term(ID(id + 1)); got != want {
+			t.Errorf("Term(%d) = %v, want %v", id+1, got, want)
+		}
+	}
+}
+
+// FuzzDictPages: on any pages and directory, WithBase either fails or
+// yields a dictionary that decodes every term and finds each under its
+// ID, and whose written sections open again to the same terms. Seeded
+// with both codings: the writer's, and that of the builds before the kind
+// byte's flags.
+//
+//	go test -fuzz=FuzzDictPages -fuzztime=30s -run='^$' ./internal/dict
+func FuzzDictPages(f *testing.F) {
+	for _, n := range []int{1, 3, BlockTerms + 2, 3 * BlockTerms} {
+		terms := randTerms(rand.New(rand.NewPCG(uint64(n), 5)), n)
+		pages, dir := frontCoded(f, terms)
+		f.Add(pages, dir, uint16(n))
+		pages, dir = oldCoded(terms)
+		f.Add(pages, dir, uint16(n))
+	}
+	f.Fuzz(func(t *testing.T, pages, dir []byte, n uint16) {
+		m, err := NewMapped(pages, dir, int(n))
+		if err != nil {
+			return
+		}
+		d, err := WithBase(m)
+		if err != nil {
+			return
+		}
+		terms := make([]rdf.Term, n)
+		for i := range terms {
+			terms[i] = d.Term(ID(i + 1))
+			if id, ok := d.Lookup(terms[i]); !ok || id != ID(i+1) {
+				t.Fatalf("Lookup(Term(%d) = %v) = %d, %v", i+1, terms[i], id, ok)
+			}
+		}
+		var out bytes.Buffer
+		written, outDir, err := d.WriteFrontCoded(&out)
+		if err != nil || written != int(n) {
+			t.Fatalf("WriteFrontCoded = %d terms, %v; want %d", written, err, n)
+		}
+		again, err := NewMapped(out.Bytes(), outDir, written)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WithBase(again); err != nil {
+			t.Fatalf("the written sections do not open: %v", err)
+		}
+		for i, want := range terms {
+			if got := again.Term(ID(i + 1)); got != want {
+				t.Fatalf("written: Term(%d) = %v, want %v", i+1, got, want)
+			}
+		}
+	})
 }

@@ -55,28 +55,33 @@ func Write(w io.Writer, g *store.Graph, opts *Options) error {
 		fmt.Fprintf(bw, "  // %d of %d nodes shown\n", o.MaxNodes, len(ordered))
 		ordered = ordered[:o.MaxNodes]
 	}
-	shown := map[dict.ID]bool{}
-	for _, n := range ordered {
-		shown[n] = true
+	// A node is named n<k> by its place k in the rendered list, so the
+	// bytes do not depend on the IDs the graph's dictionary gave it.
+	shown := map[dict.ID]int{}
+	for k, n := range ordered {
+		shown[n] = k
 		if classes[n] {
 			fmt.Fprintf(bw, "  n%d [shape=box, style=filled, fillcolor=\"#b39ddb\", label=%q];\n",
-				n, label(g, n))
+				k, label(g, n))
 		} else {
-			fmt.Fprintf(bw, "  n%d [shape=ellipse, label=%q];\n", n, label(g, n))
+			fmt.Fprintf(bw, "  n%d [shape=ellipse, label=%q];\n", k, label(g, n))
 		}
 	}
 	for _, t := range g.Data {
-		if !shown[t.S] || !shown[t.O] {
+		s, sok := shown[t.S]
+		o, ook := shown[t.O]
+		if !sok || !ook {
 			continue
 		}
-		fmt.Fprintf(bw, "  n%d -> n%d [label=%q];\n", t.S, t.O, label(g, t.P))
+		fmt.Fprintf(bw, "  n%d -> n%d [label=%q];\n", s, o, label(g, t.P))
 	}
 	for _, t := range g.Types {
-		if !shown[t.S] || !shown[t.O] {
+		s, sok := shown[t.S]
+		o, ook := shown[t.O]
+		if !sok || !ook {
 			continue
 		}
-		fmt.Fprintf(bw, "  n%d -> n%d [label=\"τ\", color=\"#7e57c2\", fontcolor=\"#7e57c2\"];\n",
-			t.S, t.O)
+		fmt.Fprintf(bw, "  n%d -> n%d [label=\"τ\", color=\"#7e57c2\", fontcolor=\"#7e57c2\"];\n", s, o)
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()

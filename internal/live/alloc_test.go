@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rdfsum/internal/bsbm"
 	"rdfsum/internal/core"
 	"rdfsum/internal/dict"
 	"rdfsum/internal/lubm"
@@ -25,7 +26,8 @@ func allocated(f func()) (bytes, allocs uint64) {
 // graph costs on the heap: LUBM-52, seeded, closed and reopened under the
 // default maintenance (weak). Once the first probe has indexed the mapped
 // dictionary, a lookup or an encode of a base term allocates nothing and
-// decoding a base IRI allocates its one string; a type-based summary (one
+// decoding a base IRI allocates its one string, as does decoding a long
+// base literal of a reopened BSBM store; a type-based summary (one
 // minted name per untyped node, each a miss) allocates at most twice what
 // it does on the seeded heap store; and a compaction does not decode the
 // base term by term.
@@ -88,6 +90,7 @@ func TestReopenedStoreAllocBound(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { d.Term(iriID) }); allocs != 1 {
 		t.Errorf("Term of a base IRI: %v allocs/op, want 1", allocs)
 	}
+	reopenedBSBMLiteralAllocs(t)
 
 	mappedBytes := summarize(l)
 	if mappedBytes > 2*heapBytes {
@@ -107,4 +110,38 @@ func TestReopenedStoreAllocBound(t *testing.T) {
 	}
 	t.Logf("type-based summary: %d B reopened, %d B on the heap (%.2f×); compaction: %d allocations",
 		mappedBytes, heapBytes, float64(mappedBytes)/float64(heapBytes), compactAllocs)
+}
+
+// reopenedBSBMLiteralAllocs: on a BSBM store reopened onto its mapped
+// snapshot, decoding a long base literal that is not its block's head —
+// a product description, whose value is rebuilt along a chain of earlier
+// terms — allocates its one string.
+func reopenedBSBMLiteralAllocs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bsbm")
+	l, err := Open(dir, &Options{NoSync: true, Seed: bsbm.GenerateGraph(bsbm.DefaultConfig(300))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir, &Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	d := l.Snapshot().Graph.Dict()
+	var lit rdf.Term
+	var litID dict.ID
+	for id := dict.ID(2); int(id) <= d.Len(); id++ {
+		if lit = d.Term(id); (id-1)%dict.BlockTerms != 0 && lit.Kind == rdf.Literal && len(lit.Value) >= 100 {
+			litID = id
+			break
+		}
+	}
+	if litID == 0 {
+		t.Fatal("no literal of 100 bytes or more inside a dictionary block")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.Term(litID) }); allocs != 1 {
+		t.Errorf("Term of a %d-byte base literal: %v allocs/op, want 1", len(lit.Value), allocs)
+	}
 }

@@ -74,6 +74,7 @@ func TestParseErrors(t *testing.T) {
 		`<http://x/s> <http://x/p> "v"^^x .`,            // bad datatype
 		`<> <http://x/p> <http://x/o> .`,                // empty IRI
 		`_: <http://x/p> <http://x/o> .`,                // empty blank label
+		`_:0 <http://x/p> _:0..`,                        // blank label ending in '.'
 		`<http://x/s> <http://x/p> "bad\qescape" .`,     // invalid escape
 		`<http://x/s> <http://x/p> "trunc\u00" .`,       // truncated escape
 	}

@@ -289,6 +289,9 @@ func (p *lineParser) blankNode() (rdf.Term, error) {
 	if p.pos == start {
 		return rdf.Term{}, p.errorf("empty blank node label")
 	}
+	if p.in[p.pos-1] == '.' { // the grammar forbids it, and no writer could write it back
+		return rdf.Term{}, p.errorf("blank node label ends with '.'")
+	}
 	return rdf.NewBlank(p.in[start:p.pos]), nil
 }
 

@@ -8,7 +8,6 @@ package rdf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -238,22 +237,4 @@ func (t Triple) Validate() error {
 		return fmt.Errorf("rdf: triple object is invalid")
 	}
 	return nil
-}
-
-// SortTriples sorts a slice of triples in place in S,P,O order.
-func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-}
-
-// DedupTriples sorts ts and removes duplicates, returning the shortened
-// slice. The input slice is modified.
-func DedupTriples(ts []Triple) []Triple {
-	SortTriples(ts)
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || t.Compare(ts[i-1]) != 0 {
-			out = append(out, t)
-		}
-	}
-	return out
 }

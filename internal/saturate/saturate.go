@@ -80,16 +80,3 @@ func withSchema(g *store.Graph, sch *schema.Schema) *store.Graph {
 	out.SortDedup()
 	return out
 }
-
-// IsSaturated reports whether applying the entailment rules to g yields no
-// new triple. Used by tests as the defining property of G∞.
-func IsSaturated(g *store.Graph) bool {
-	h := Graph(g)
-	return h.NumEdges() == dedupCount(g)
-}
-
-func dedupCount(g *store.Graph) int {
-	c := g.CloneStructure()
-	c.SortDedup()
-	return c.NumEdges()
-}

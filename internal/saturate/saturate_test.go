@@ -152,3 +152,16 @@ func TestMultiStepEntailmentChain(t *testing.T) {
 		t.Errorf("G∞ has %d data, %d type triples; want 3, 3", len(inf.Data), len(inf.Types))
 	}
 }
+
+// IsSaturated reports whether applying the entailment rules to g yields no
+// new triple: the defining property of G∞.
+func IsSaturated(g *store.Graph) bool {
+	h := Graph(g)
+	return h.NumEdges() == dedupCount(g)
+}
+
+func dedupCount(g *store.Graph) int {
+	c := g.CloneStructure()
+	c.SortDedup()
+	return c.NumEdges()
+}

@@ -5,6 +5,7 @@ var (
 	WithSortedSection     = withSortedSection
 	WithComponentSections = withComponentSections
 	WithTypeSection       = withTypeSection
+	WithOldCoding         = withOldCoding
 	IdenticalGraphs       = identicalGraphs
 	AsOpened              = asOpened
 	SPOCheckCases         = spoCheckCases

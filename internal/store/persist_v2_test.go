@@ -620,9 +620,24 @@ func (want golden) check(t *testing.T, what string, got []byte) {
 
 // The files this writer produces.
 var (
-	goldenV2Sample = golden{28798, "5ba11f4d5aae0b0ca2cead356c505c6254bd615fcf0e3fb3f0f374956b5ea21d"}
+	goldenV2Sample = golden{28798, "cc08817c170518edd2577a84cccf806970300e936b457d9d03179b3f716f6d5d"}
 	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
 	goldenRandom = map[int]golden{
+		0:               {28798, "d0410cc967a6c59445e95c4bbafbca299870040f86664ff956970a62e7dbcf57"},
+		3:               {28798, "7bcad9485000a722963b1ca058882e71813c63031bfe80e9e2d4561541724a12"},
+		50:              {28798, "d7172469debb7e6ed1febcefa34e38049774fe2cf17d843e4716dda965a77740"},
+		radixCutoff * 3: {28798, "635016f46d4c39871ccbe4c820f268a9955b62fba4b2f260f77966533eb46cda"},
+		3000:            {86142, "100816ab961c65c535e626e38ef991dc866e40022f621b801cc9c133fc5fbe2a"},
+	}
+)
+
+// The same graphs' files as every writer wrote them before the
+// dictionary's kind byte carried flags: recorded from the writer of
+// commit 9327bce. withOldCoding rebuilds them from this writer's files,
+// which proves those are these bytes with the dictionary coded anew.
+var (
+	goldenOldCodingV2Sample = golden{28798, "5ba11f4d5aae0b0ca2cead356c505c6254bd615fcf0e3fb3f0f374956b5ea21d"}
+	goldenOldCodingRandom   = map[int]golden{
 		0:               {28798, "8ce684e91d3930dfd5d3ac463782f01cf0a253a9e6b3418751c3d5c631a94f46"},
 		3:               {28798, "ee332a02a762f440f48bed1e50f721ebfc837c39fffb215b1005b161d2af332e"},
 		50:              {28798, "5f6eb51ac70f4a43068e973fd81464f13d0fb82102dab79f6301bf3796880716"},
@@ -633,9 +648,9 @@ var (
 
 // The same graphs' files as every writer wrote them while snapshots
 // carried the comp-types section: recorded from the writer of commit
-// 82e8d0d. withTypeSection rebuilds them from this writer's files and the
-// graphs' type components, which proves those are these bytes with
-// section 5 left out.
+// 82e8d0d. withTypeSection rebuilds them from the files withOldCoding
+// rebuilds and the graphs' type components, which proves those are
+// these bytes with section 5 left out.
 var (
 	goldenTypesV2Sample = golden{32915, "cdf70f67c402dba7c9be1a688284360a0f3d53565c10a8ca89d228b24ecf2aed"}
 	goldenTypesRandom   = map[int]golden{
@@ -677,6 +692,64 @@ var (
 		3000:            {131282, "d16aac3b35c4de181794cae7706f7d578f78488c81ae29bf062bb7c0d619e1aa"},
 	}
 )
+
+// withOldCoding rebuilds the file a build before the dictionary's kind
+// flags (commit 9327bce and earlier) made of the same graph: data's
+// sections in their order, with dict-pages and dict-dir holding data's
+// terms as oldCodedDict codes them, resealed through containerWriter.
+func withOldCoding(t testing.TB, data []byte) []byte {
+	t.Helper()
+	g, _, err := ReadGraph(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := make([]rdf.Term, g.Dict().Len())
+	for i := range terms {
+		terms[i] = g.Dict().Term(dict.ID(i + 1))
+	}
+	pages, dir := oldCodedDict(terms)
+	return rebuilt(t, data, func(w *containerWriter, s *section) {
+		switch s.id {
+		case secDictPages:
+			w.section(s.id, pages)
+		case secDictDir:
+			w.section(s.id, dir)
+		default:
+			w.section(s.id, s.raw)
+		}
+	})
+}
+
+// oldCodedDict returns the dictionary sections every build before the
+// kind byte's flags wrote of terms (IDs 1, 2, …): each term front-coded
+// against the immediately previous term of its block, whatever their
+// kinds, and every literal with its datatype and language in full.
+func oldCodedDict(terms []rdf.Term) (pages, dir []byte) {
+	var prev string
+	for i, t := range terms {
+		lcp := 0
+		if i%dict.BlockTerms == 0 {
+			dir = binary.LittleEndian.AppendUint64(dir, uint64(len(pages)))
+			pages = append(pages, byte(t.Kind))
+		} else {
+			for lcp < len(prev) && lcp < len(t.Value) && prev[lcp] == t.Value[lcp] {
+				lcp++
+			}
+			pages = append(pages, byte(t.Kind))
+			pages = binary.AppendUvarint(pages, uint64(lcp))
+		}
+		pages = binary.AppendUvarint(pages, uint64(len(t.Value)-lcp))
+		pages = append(pages, t.Value[lcp:]...)
+		if t.Kind == rdf.Literal {
+			pages = binary.AppendUvarint(pages, uint64(len(t.Datatype)))
+			pages = append(pages, t.Datatype...)
+			pages = binary.AppendUvarint(pages, uint64(len(t.Lang)))
+			pages = append(pages, t.Lang...)
+		}
+		prev = t.Value
+	}
+	return pages, dir
+}
 
 // withSortedSection rebuilds the file a build that wrote the retired
 // dict-sorted section made of the same graph: data's sections in their
@@ -804,6 +877,8 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	}
 	g, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
+	sample = withOldCoding(t, sample)
+	goldenOldCodingV2Sample.check(t, "v2Sample in the old coding", sample)
 	typed := withTypeSection(t, sample, g)
 	goldenTypesV2Sample.check(t, "v2Sample with comp-types", typed)
 	goldenCompV2Sample.check(t, "v2Sample with comp-data, comp-types and comp-schema", withComponentSections(t, typed, g))
@@ -818,7 +893,9 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
-		typed := withTypeSection(t, file, g)
+		oldCoded := withOldCoding(t, file)
+		goldenOldCodingRandom[n].check(t, fmt.Sprintf("n=%d: in the old coding", n), oldCoded)
+		typed := withTypeSection(t, oldCoded, g)
 		goldenTypesRandom[n].check(t, fmt.Sprintf("n=%d: with comp-types", n), typed)
 		old := withComponentSections(t, typed, g)
 		goldenCompRandom[n].check(t, fmt.Sprintf("n=%d: with comp-data and comp-schema besides", n), old)
@@ -947,7 +1024,11 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 // base's complete dictionary blocks, and the second encodes every term.
 // The bases end inside a dictionary
 // block and on a block boundary (16 and 32 terms); the writes add no new
-// term, one, or dozens of every kind.
+// term, one, or dozens of every kind. A base a build before the kind
+// byte's flags wrote (withOldCoding) has its complete blocks copied as
+// they are, so the file differs from the heap graph's in those; coded
+// the old way throughout, the two files are the same, so the new one
+// holds the same terms under the same IDs and the same triples.
 func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 	// chain holds 5 vocabulary terms + p + 2m: 16 terms for m = 5, 32 for m = 13.
 	chain := func(m int) *Graph {
@@ -977,33 +1058,81 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 		{"random 50", func() *Graph { return v2RandomGraph(t, 50, 50) }},
 		{"random 3000", func() *Graph { return v2RandomGraph(t, 3000, 3000) }},
 	}
+	// dictSections returns a file's dict-pages and dict-dir sections.
+	dictSections := func(file []byte) (pages, dir []byte) {
+		t.Helper()
+		c, err := parseVerified(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range c.secOrder {
+			switch s.id {
+			case secDictPages:
+				pages = s.raw
+			case secDictDir:
+				dir = s.raw
+			}
+		}
+		return pages, dir
+	}
 	for _, base := range bases {
 		for _, k := range []int{0, 1, 40} {
-			heap := base.g()
-			path := filepath.Join(t.TempDir(), "g.rdfsum")
-			if err := SaveFile(path, heap); err != nil {
-				t.Fatal(err)
+			for _, oldCoded := range []bool{false, true} {
+				heap := base.g()
+				path := filepath.Join(t.TempDir(), "g.rdfsum")
+				if err := SaveFile(path, heap); err != nil {
+					t.Fatal(err)
+				}
+				var basePages, baseDir []byte
+				if oldCoded {
+					file, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					file = withOldCoding(t, file)
+					if err := os.WriteFile(path, file, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					basePages, baseDir = dictSections(file)
+				}
+				reopened, sf, err := OpenGraphFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				baseLen := reopened.Dict().Len()
+				for _, tr := range writes(k) {
+					heap.Add(tr)
+					reopened.Add(tr)
+				}
+				var want, got memFile
+				if err := WriteSnapshotV2(&want, heap, heap.All(), nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
+					t.Fatal(err)
+				}
+				sf.Close()
+				if !oldCoded {
+					if !bytes.Equal(got.b, want.b) {
+						t.Errorf("%s + %d writes: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
+							base.name, k, len(got.b), len(want.b))
+					}
+					continue
+				}
+				// The base's complete blocks, as the old build wrote them.
+				full := baseLen / dict.BlockTerms * dict.BlockTerms
+				cut := len(basePages)
+				if full < baseLen {
+					cut = int(binary.LittleEndian.Uint64(baseDir[full/dict.BlockTerms*8:]))
+				}
+				if pages, _ := dictSections(got.b); len(pages) < cut || !bytes.Equal(pages[:cut], basePages[:cut]) {
+					t.Errorf("%s + %d writes over an old-coded base: the base's %d complete blocks (%d bytes) are not copied as they are",
+						base.name, k, full/dict.BlockTerms, cut)
+				}
+				if !bytes.Equal(withOldCoding(t, got.b), withOldCoding(t, want.b)) {
+					t.Errorf("%s + %d writes over an old-coded base: the file, coded the old way, differs from the heap graph's", base.name, k)
+				}
 			}
-			reopened, sf, err := OpenGraphFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tr := range writes(k) {
-				heap.Add(tr)
-				reopened.Add(tr)
-			}
-			var want, got memFile
-			if err := WriteSnapshotV2(&want, heap, heap.All(), nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.b, want.b) {
-				t.Errorf("%s + %d writes: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
-					base.name, k, len(got.b), len(want.b))
-			}
-			sf.Close()
 		}
 	}
 }
@@ -1037,7 +1166,7 @@ func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
 // header is the last thing written, so a file without it starts with
 // zeros.
 func TestSectionWriterFailsClean(t *testing.T) {
-	g := v2RandomGraph(t, 5, 20000) // several chunks
+	g := v2RandomGraph(t, 5, 30000) // several chunks
 	buf := g.All()
 	var whole failFile
 	if err := WriteSnapshotV2(&whole, g, buf, nil); err != nil {
