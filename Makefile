@@ -178,11 +178,12 @@ ingest-smoke:
 # keys (every term round-trips through its key); the dictionary's pages
 # (any pages and directory either fail to open or decode every term and
 # write sections that open to the same terms); the WAL record
-# decoder/replayer; and the snapshot graph decode (header counts and
-# vocabulary, dictionary, column and retired comp-types payloads,
-# checksums resealed; a graph it returns is served in full), each seeded
-# from its f.Add calls and the committed corpus under the package's
-# testdata/fuzz/ directory.
+# decoder/replayer; the snapshot graph decode (header counts and
+# vocabulary, dictionary, column — tagged or untagged — and retired
+# comp-types payloads, checksums resealed; a graph it returns is served
+# in full); and one column payload in either coding (an error or in-range
+# IDs, never a panic), each seeded from its f.Add calls and the committed
+# corpus under the package's testdata/fuzz/ directory.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
 	$(GO) test -fuzz=FuzzDictKeyRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
@@ -191,6 +192,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store
+	$(GO) test -fuzz=FuzzColumn -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store
 
 # Per-package coverage table for the gated packages (COVER_PKGS).
 cover:

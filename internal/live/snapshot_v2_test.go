@@ -694,7 +694,7 @@ func (f failingSnapshotFile) WriteAt(p []byte, off int64) (int, error) {
 // the next generation's snapshot nor its .tmp, and the store serves on.
 func TestSectionWriterFailsCleanLive(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 30000))})
+	l, err := Open(dir, &Options{Seed: store.FromTriples(mkBatch(0, 60000))})
 	if err != nil {
 		t.Fatal(err)
 	}

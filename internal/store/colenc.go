@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -28,9 +29,19 @@ import (
 //	  blocks
 //
 // A block covers colBlockTriples triples (the last one fewer). Its first
-// triple lives in the skip entry; each following triple is three varints
-// against its predecessor in key space: uvarint(Δk1) (non-negative in a
-// sorted column), then zigzag-svarint(Δk2) and zigzag-svarint(Δk3).
+// triple lives in the skip entry; each following triple is a step from
+// its predecessor in key space, whose first varint v is tagged by the
+// first key that moved (appendStep):
+//
+//	v&1 == 1: Δk1 = v>>1 (> 0), then zigzag-svarint Δk2, zigzag-svarint Δk3
+//	v&3 == 2: k1 unchanged, Δk2 = v>>2 (> 0), then zigzag-svarint Δk3
+//	v&3 == 0: k1 and k2 unchanged, Δk3 = v>>2 (0 for a duplicate triple)
+//
+// so a triple whose leading keys repeat its predecessor's costs one byte
+// when its last key moved by less than 32 (RDF-3X's leaves leave out the
+// unchanged leading values the same way). Builds before the tagged steps
+// wrote three varints a step in sections 7–9; an open converts those
+// (untaggedCol).
 //
 // Scans decode blocks sequentially from the skip index's offsets. Range
 // lookups binary-search in-memory fences (one every fenceTriples triples,
@@ -85,63 +96,122 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // uvarintLen is the number of bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// writeCol streams ts — sorted in ord — as one column payload to w: a
-// snapshot's column section, or the heap bytes of a folded run
-// (encodeCols). The skip index precedes the blocks and holds their
-// offsets, so ts is read twice: once sizing the blocks to fill the skip
-// index, once encoding them. A w that can Grow (a bytes.Buffer) is grown
-// once, to the payload's size.
+// writeCol streams ts — sorted in ord — as one column payload to w, a
+// snapshot's column section. The skip index precedes the blocks and
+// holds their offsets, so ts is read twice: once sizing the blocks to
+// fill the skip index (stepLen), once encoding them, a block at a time
+// (appendBlock). It allocates the skip index and one block's buffer.
 func writeCol(w io.Writer, ord Order, ts []Triple) {
-	n := len(ts)
-	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
-
-	head := make([]byte, 8, 8+nBlocks*colSkipEntryBytes)
-	binary.LittleEndian.PutUint32(head[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(head[4:8], uint32(nBlocks))
-	off := uint64(cap(head))
+	nBlocks := (len(ts) + colBlockTriples - 1) / colBlockTriples
+	head := appendColHead(nil, len(ts), nBlocks)
+	off := len(head)
 	for b := 0; b < nBlocks; b++ {
-		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
+		block := colBlock(ts, b)
+		putSkipEntry(head, ord, b, block[0], off)
 		p1, p2, p3 := ord.key(block[0])
-		head = binary.LittleEndian.AppendUint32(head, uint32(p1))
-		head = binary.LittleEndian.AppendUint32(head, uint32(p2))
-		head = binary.LittleEndian.AppendUint32(head, uint32(p3))
-		head = binary.LittleEndian.AppendUint64(head, off)
 		for _, t := range block[1:] {
 			c1, c2, c3 := ord.key(t)
-			off += uint64(uvarintLen(uint64(c1-p1)) +
-				uvarintLen(zigzag(int64(c2)-int64(p2))) +
-				uvarintLen(zigzag(int64(c3)-int64(p3))))
+			off += stepLen(p1, p2, p3, c1, c2, c3)
 			p1, p2, p3 = c1, c2, c3
 		}
-	}
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(int(off))
 	}
 	w.Write(head) //nolint:errcheck // sticky
-
-	// The varints pass through one chunk, handed to w whenever it might
-	// not hold another triple's.
-	chunk := make([]byte, 0, colChunkBytes)
+	buf := make([]byte, 0, (colBlockTriples-1)*maxStepBytes)
 	for b := 0; b < nBlocks; b++ {
-		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
-		p1, p2, p3 := ord.key(block[0]) // lives in the skip entry
-		for _, t := range block[1:] {
-			if len(chunk) > colChunkBytes-3*binary.MaxVarintLen64 {
-				w.Write(chunk) //nolint:errcheck // sticky
-				chunk = chunk[:0]
-			}
-			c1, c2, c3 := ord.key(t)
-			chunk = appendUvarint(chunk, uint64(c1-p1))
-			chunk = appendUvarint(chunk, zigzag(int64(c2)-int64(p2)))
-			chunk = appendUvarint(chunk, zigzag(int64(c3)-int64(p3)))
-			p1, p2, p3 = c1, c2, c3
-		}
+		buf = appendBlock(buf[:0], ord, colBlock(ts, b))
+		w.Write(buf) //nolint:errcheck // sticky
 	}
-	w.Write(chunk) //nolint:errcheck // sticky
 }
 
-// colChunkBytes is the size of the chunk writeCol encodes through.
-const colChunkBytes = 4 << 10
+// encodeCol encodes ts, sorted in ord, as a heap column in one pass: the
+// skip index's size depends on len(ts) alone, so each entry is filled as
+// its block begins. buf is scratch for the payload, grown as needed
+// (first to 4 B a triple, more than most columns take) and returned for
+// the next column; the column holds a copy of exactly its payload's
+// size.
+func encodeCol(ord Order, ts []Triple, buf []byte) (*encCol, []byte) {
+	nBlocks := (len(ts) + colBlockTriples - 1) / colBlockTriples
+	buf = appendColHead(slices.Grow(buf[:0], 8+nBlocks*colSkipEntryBytes+4*len(ts)), len(ts), nBlocks)
+	for b := 0; b < nBlocks; b++ {
+		block := colBlock(ts, b)
+		putSkipEntry(buf, ord, b, block[0], len(buf))
+		buf = appendBlock(buf, ord, block)
+	}
+	return must(openCol(ord, bytes.Clone(buf), len(ts), nil)), buf
+}
+
+// appendColHead appends a column payload's header to b: its counts, and
+// its skip index zeroed for putSkipEntry.
+func appendColHead(b []byte, n, nBlocks int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, uint32(nBlocks))
+	return append(b, make([]byte, nBlocks*colSkipEntryBytes)...)
+}
+
+// colBlock returns the triples of ts that block b covers.
+func colBlock(ts []Triple, b int) []Triple {
+	return ts[b*colBlockTriples : min(len(ts), (b+1)*colBlockTriples)]
+}
+
+// putSkipEntry fills block b's skip entry in payload: the key of its
+// first triple, first, and its offset.
+func putSkipEntry(payload []byte, ord Order, b int, first Triple, off int) {
+	e := payload[8+b*colSkipEntryBytes : 8+(b+1)*colSkipEntryBytes]
+	k1, k2, k3 := ord.key(first)
+	binary.LittleEndian.PutUint32(e[0:4], uint32(k1))
+	binary.LittleEndian.PutUint32(e[4:8], uint32(k2))
+	binary.LittleEndian.PutUint32(e[8:12], uint32(k3))
+	binary.LittleEndian.PutUint64(e[12:20], uint64(off))
+}
+
+// appendBlock appends the steps of block — every triple after its first,
+// which the block's skip entry holds — to b.
+func appendBlock(b []byte, ord Order, block []Triple) []byte {
+	p1, p2, p3 := ord.key(block[0])
+	for _, t := range block[1:] {
+		c1, c2, c3 := ord.key(t)
+		b = appendStep(b, p1, p2, p3, c1, c2, c3)
+		p1, p2, p3 = c1, c2, c3
+	}
+	return b
+}
+
+// maxStepBytes bounds a step's bytes: three varints of at most 33 bits.
+const maxStepBytes = 15
+
+// appendStep appends to b the step from key p to the key c after it in
+// its column: the tagged varint of the first key that moved, then the
+// zigzag deltas of the keys after that one (see the format above).
+// Deltas are taken modulo 2^32, as step adds them back, so any two keys
+// round-trip; a sorted column's leading deltas are positive.
+func appendStep(b []byte, p1, p2, p3, c1, c2, c3 dict.ID) []byte {
+	switch {
+	case c1 != p1:
+		b = appendUvarint(b, uint64(c1-p1)<<1|1)
+		b = appendUvarint(b, zigzag(int64(c2)-int64(p2)))
+	case c2 != p2:
+		b = appendUvarint(b, uint64(c2-p2)<<2|2)
+	default:
+		return appendUvarint(b, uint64(c3-p3)<<2)
+	}
+	return appendUvarint(b, zigzag(int64(c3)-int64(p3)))
+}
+
+// stepLen is the number of bytes appendStep appends for the step from p
+// to c, without appending them. The tag is picked by selects rather than
+// branches: which key moved is what a column's steps vary in most.
+func stepLen(p1, p2, p3, c1, c2, c3 dict.ID) int {
+	l2 := uvarintLen(zigzag(int64(c2) - int64(p2)))
+	l3 := uvarintLen(zigzag(int64(c3) - int64(p3)))
+	v, n := uint64(c3-p3)<<2, 0
+	if c2 != p2 {
+		v, n = uint64(c2-p2)<<2|2, l3
+	}
+	if c1 != p1 {
+		v, n = uint64(c1-p1)<<1|1, l2+l3
+	}
+	return uvarintLen(v) + n
+}
 
 // appendUvarint is binary.AppendUvarint unrolled up to three bytes: the
 // deltas of a sorted column, between IDs of a dictionary below 2^20
@@ -177,6 +247,30 @@ type encCol struct {
 
 // openCol validates the payload framing and returns the column view.
 func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, error) {
+	m, err := colFrame(ord, payload, wantLen, file)
+	if err != nil || m.n == 0 {
+		return m, err
+	}
+	// The last key: decode the last block, which the skip index must place
+	// after itself and inside the payload.
+	b := m.nBlocks - 1
+	k, pos := m.first(b), m.blockOff(b)
+	if pos < 8+m.nBlocks*colSkipEntryBytes || pos > len(payload) {
+		return nil, fmt.Errorf("%w: column %v block %d at byte %d of %d", ErrSnapshotCorrupt, ord, b, pos, len(payload))
+	}
+	for i := b*colBlockTriples + 1; i < m.n; i++ {
+		if pos, err = m.step(&k, pos); err != nil {
+			return nil, err
+		}
+	}
+	m.lowest, m.highest = m.first(0).sortKey(), k.sortKey()
+	return m, nil
+}
+
+// colFrame checks a column payload's header and skip index against the
+// wantLen triples it must hold, and that its bytes can hold that many
+// steps, and returns the column view without decoding a step.
+func colFrame(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("%w: column %v section only %d bytes", ErrSnapshotCorrupt, ord, len(payload))
 	}
@@ -190,29 +284,12 @@ func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, er
 		return nil, fmt.Errorf("%w: column %v skip index truncated (%d blocks for %d triples)",
 			ErrSnapshotCorrupt, ord, nBlocks, n)
 	}
-	// Each triple but a block's first takes three varints: a count the
+	// Each triple but a block's first takes at least one byte: a count the
 	// payload cannot hold is refused before an open allocates for it.
-	if len(payload) < 8+nBlocks*colSkipEntryBytes+3*(n-nBlocks) {
+	if len(payload) < 8+nBlocks*colSkipEntryBytes+(n-nBlocks) {
 		return nil, fmt.Errorf("%w: column %v of %d triples in %d bytes", ErrSnapshotCorrupt, ord, n, len(payload))
 	}
-	m := &encCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}
-	if n > 0 {
-		// The last key: decode the last block, which the skip index must
-		// place after itself and inside the payload.
-		b := nBlocks - 1
-		k, pos := m.first(b), m.blockOff(b)
-		if pos < 8+nBlocks*colSkipEntryBytes || pos > len(payload) {
-			return nil, fmt.Errorf("%w: column %v block %d at byte %d of %d", ErrSnapshotCorrupt, ord, b, pos, len(payload))
-		}
-		for i := b*colBlockTriples + 1; i < n; i++ {
-			var err error
-			if pos, err = m.step(&k, pos); err != nil {
-				return nil, err
-			}
-		}
-		m.lowest, m.highest = m.first(0).sortKey(), k.sortKey()
-	}
-	return m, nil
+	return &encCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}, nil
 }
 
 func (m *encCol) Len() int { return m.n }
@@ -236,28 +313,50 @@ func (m *encCol) blockOff(b int) int {
 	return int(binary.LittleEndian.Uint64(e[12:20]))
 }
 
-// step decodes the key after k from the varints at payload[pos:] and
-// returns the position past them, or an error if the payload cuts them.
+// step decodes the key after k from the step at payload[pos:] and
+// returns the position past it, or an error if the payload cuts it.
 func (m *encCol) step(k *colKey, pos int) (int, error) {
 	p := m.payload
-	if pos+3 <= len(p) && p[pos]|p[pos+1]|p[pos+2] < 0x80 { // three one-byte varints: most triples
-		k[0] += dict.ID(p[pos])
-		k[1] = dict.ID(int64(k[1]) + unzigzag(uint64(p[pos+1])))
-		k[2] = dict.ID(int64(k[2]) + unzigzag(uint64(p[pos+2])))
-		return pos + 3, nil
+	if pos+3 <= len(p) { // steps of one-byte varints: most triples
+		switch b0 := p[pos]; {
+		case b0&0x83 == 0: // only k3 moved, by less than 32
+			k[2] += dict.ID(b0 >> 2)
+			return pos + 1, nil
+		case b0&0x83 == 2 && p[pos+1] < 0x80:
+			k[1] += dict.ID(b0 >> 2)
+			k[2] = dict.ID(int64(k[2]) + unzigzag(uint64(p[pos+1])))
+			return pos + 2, nil
+		case b0&0x81 == 1 && p[pos+1]|p[pos+2] < 0x80:
+			k[0] += dict.ID(b0 >> 1)
+			k[1] = dict.ID(int64(k[1]) + unzigzag(uint64(p[pos+1])))
+			k[2] = dict.ID(int64(k[2]) + unzigzag(uint64(p[pos+2])))
+			return pos + 3, nil
+		}
 	}
-	var d [3]uint64
-	for j := range d {
-		v, next := readUvarint(p, pos)
-		if next <= pos {
+	v, next := readUvarint(p, pos)
+	if next <= pos {
+		return pos, fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, m.ord, pos)
+	}
+	var from int // the first key a zigzag delta follows for
+	switch {
+	case v&1 != 0:
+		k[0] += dict.ID(v >> 1)
+		from = 1
+	case v&2 != 0:
+		k[1] += dict.ID(v >> 2)
+		from = 2
+	default:
+		k[2] += dict.ID(v >> 2)
+		return next, nil
+	}
+	for j := from; j < 3; j++ {
+		pos = next
+		if v, next = readUvarint(p, pos); next <= pos {
 			return pos, fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, m.ord, pos)
 		}
-		d[j], pos = v, next
+		k[j] = dict.ID(int64(k[j]) + unzigzag(v))
 	}
-	k[0] += dict.ID(d[0])
-	k[1] = dict.ID(int64(k[1]) + unzigzag(d[1]))
-	k[2] = dict.ID(int64(k[2]) + unzigzag(d[2]))
-	return pos, nil
+	return next, nil
 }
 
 // readUvarint decodes the uvarint at p[pos:] and returns it with the
@@ -474,21 +573,20 @@ func (m *encCols) length() int     { return m.n }
 func (m *encCols) col(o Order) Col { return m.cols[o] }
 
 // encodeCols adopts ts and encodes it, sorted in place into each order in
-// turn, as three heap-resident columns: a run at 10–12 B a triple where
-// memCols holds 36, plus the fences of the columns that serve range
-// lookups. One scratch buffer serves all three sorts, and ts is garbage
-// once this returns.
+// turn, as three heap-resident columns (encodeCol): a run at about 7 B a
+// triple on LUBM where memCols holds 36, plus the fences of the columns
+// that serve range lookups. One scratch buffer serves all three sorts
+// and one all three encodings, and ts is garbage once this returns.
 func encodeCols(ts []Triple) *encCols {
 	var scratch []Triple
 	if len(ts) >= radixCutoff {
 		scratch = make([]Triple, len(ts))
 	}
 	m := &encCols{n: len(ts)}
+	var buf []byte
 	for o := range m.cols {
 		sortTriples(Order(o), ts, scratch)
-		var b bytes.Buffer
-		writeCol(&b, Order(o), ts)
-		m.cols[o] = must(openCol(Order(o), b.Bytes(), len(ts), nil))
+		m.cols[o], buf = encodeCol(Order(o), ts, buf)
 	}
 	return m
 }
@@ -516,4 +614,44 @@ func (m *encCols) heapBytes() int64 {
 		n += c.fenceBytes()
 	}
 	return n
+}
+
+// untaggedCol decodes a column payload in the coding every build before
+// the tagged steps wrote, in sections 7–9: the same framing, each step
+// three varints — uvarint Δk1, zigzag-svarint Δk2, zigzag-svarint Δk3.
+// It checks the framing as walk does and returns the n triples in the
+// column's order, for encodeCol to code anew; the new column's walk
+// checks their IDs.
+func untaggedCol(ord Order, payload []byte, n int) ([]Triple, error) {
+	m, err := colFrame(ord, payload, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	ts := make([]Triple, 0, n)
+	pos := 8 + m.nBlocks*colSkipEntryBytes
+	for b := 0; b < m.nBlocks; b++ {
+		if start := m.blockOff(b); start != pos {
+			return nil, fmt.Errorf("%w: column %v block %d at byte %d, not %d", ErrSnapshotCorrupt, ord, b, start, pos)
+		}
+		k := m.first(b)
+		ts = append(ts, ord.unkey(k[0], k[1], k[2]))
+		for i := b*colBlockTriples + 1; i < min(n, (b+1)*colBlockTriples); i++ {
+			var d [3]uint64
+			for j := range d {
+				v, next := readUvarint(payload, pos)
+				if next <= pos {
+					return nil, fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, ord, pos)
+				}
+				d[j], pos = v, next
+			}
+			k[0] += dict.ID(d[0])
+			k[1] = dict.ID(int64(k[1]) + unzigzag(d[1]))
+			k[2] = dict.ID(int64(k[2]) + unzigzag(d[2]))
+			ts = append(ts, ord.unkey(k[0], k[1], k[2]))
+		}
+	}
+	if pos != len(payload) {
+		return nil, fmt.Errorf("%w: %d bytes after column %v's last triple", ErrSnapshotCorrupt, len(payload)-pos, ord)
+	}
+	return ts, nil
 }

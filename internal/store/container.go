@@ -41,16 +41,19 @@ const (
 
 // Section identifiers.
 const (
-	secDictPages  = 1 // front-coded term blocks
-	secDictDir    = 2 // block offset directory into secDictPages
-	secDictSorted = 3 // retired: a term-sorted ID permutation, checked and skipped
-	secCompData   = 4 // retired: the data component, checked and skipped
-	secCompTypes  = 5 // retired: the type component, checked and skipped
-	secCompSchema = 6 // retired: the schema component, checked and skipped
-	secColSPO     = 7 // sorted all-triples column, SPO order
-	secColPOS     = 8
-	secColOSP     = 9
+	secDictPages  = 1  // front-coded term blocks
+	secDictDir    = 2  // block offset directory into secDictPages
+	secDictSorted = 3  // retired: a term-sorted ID permutation, checked and skipped
+	secCompData   = 4  // retired: the data component, checked and skipped
+	secCompTypes  = 5  // retired: the type component, checked and skipped
+	secCompSchema = 6  // retired: the schema component, checked and skipped
+	secUntagSPO   = 7  // retired: the SPO column in three-varint steps, converted at open
+	secUntagPOS   = 8  // retired: the POS column so
+	secUntagOSP   = 9  // retired: the OSP column so
 	secVocab      = 10 // five uvarint IDs of the interpreted vocabulary
+	secColSPO     = 11 // sorted all-triples column, SPO order, in tagged steps
+	secColPOS     = 12
+	secColOSP     = 13
 )
 
 func sectionName(id byte) string {
@@ -67,6 +70,12 @@ func sectionName(id byte) string {
 		return "comp-types"
 	case secCompSchema:
 		return "comp-schema"
+	case secUntagSPO:
+		return "col-spo-untagged"
+	case secUntagPOS:
+		return "col-pos-untagged"
+	case secUntagOSP:
+		return "col-osp-untagged"
 	case secColSPO:
 		return "col-spo"
 	case secColPOS:
@@ -82,9 +91,11 @@ func sectionName(id byte) string {
 
 // retiredSection reports whether id names a section no file this build
 // writes holds: an open checks its checksum with every other section's,
-// then skips it.
+// then skips it — or, for the untagged columns of a file without tagged
+// ones, converts them (newSnapshotFile).
 func retiredSection(id byte) bool {
-	return id == secDictSorted || id == secCompData || id == secCompTypes || id == secCompSchema
+	return id == secDictSorted || id == secCompData || id == secCompTypes || id == secCompSchema ||
+		id == secUntagSPO || id == secUntagPOS || id == secUntagOSP
 }
 
 // section is one parsed TOC entry plus its raw bytes.

@@ -6,6 +6,7 @@ var (
 	WithComponentSections = withComponentSections
 	WithTypeSection       = withTypeSection
 	WithOldCoding         = withOldCoding
+	WithOldColumns        = withOldColumns
 	IdenticalGraphs       = identicalGraphs
 	AsOpened              = asOpened
 	SPOCheckCases         = spoCheckCases

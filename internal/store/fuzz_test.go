@@ -11,19 +11,23 @@ import (
 
 // FuzzReadGraph rebuilds a small snapshot with the fuzzer's component
 // counts and its own vocabulary, dictionary (pages, directory) and column
-// payloads in place of the graph's — and, when retired is not empty, a
-// comp-types section holding it where the builds before that section's
-// retirement wrote one — seals every checksum over them, and requires
-// ReadGraph to return a graph holding the counted triples or an
-// ErrSnapshot* error — never to panic — and a graph it returns to serve
-// without a panic (serveAll). The schema count is whatever makes the
-// three sum to the column count, wrapping around if it must, so every
-// input passes the column check and meets the decode and the walk that
-// derives the components.
+// payloads in place of the graph's — under the untagged column sections
+// a build before the tagged steps wrote (7–9) when untagged is set, which
+// an open converts — and, when retired is not empty, a comp-types
+// section holding it where the builds before that section's retirement
+// wrote one — seals every checksum over them, and requires ReadGraph to
+// return a graph holding the counted triples or an ErrSnapshot* error —
+// never to panic — and a graph it returns to serve without a panic
+// (serveAll). The schema count is whatever makes the three sum to the
+// column count, wrapping around if it must, so every input passes the
+// column check and meets the decode and the walk that derives the
+// components.
 //
-// The seeds under testdata/fuzz/FuzzReadGraph are v2Sample unchanged
-// (seed-sample) and v2Sample as those builds wrote it, its type component
-// in comp-types (seed-comp-types); run with `make fuzz` or:
+// The seeds are v2Sample with its columns in both codings (f.Add) and,
+// under testdata/fuzz/FuzzReadGraph, v2Sample as the build before the
+// tagged steps wrote it (seed-sample) and as the builds before that
+// wrote it, its type component in comp-types (seed-comp-types); run with
+// `make fuzz` or:
 //
 //	go test -fuzz=FuzzReadGraph -fuzztime=30s -run='^$' ./internal/store
 func FuzzReadGraph(f *testing.F) {
@@ -33,7 +37,23 @@ func FuzzReadGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	total := c.nData + c.nTypes + c.nSchema
-	f.Fuzz(func(t *testing.T, nData, nTypes uint64, vocab, pages, dir, spo, pos, osp, retired []byte) {
+	old, err := parseVerified(withOldColumns(f, sample))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct {
+		c      *container
+		colIDs [NumOrders]byte
+	}{{c, colSectionIDs}, {old, untaggedSectionIDs}} {
+		raw := func(id byte) []byte { return seed.c.secs[id].raw }
+		f.Add(c.nData, c.nTypes, raw(secVocab), raw(secDictPages), raw(secDictDir),
+			raw(seed.colIDs[OrderSPO]), raw(seed.colIDs[OrderPOS]), raw(seed.colIDs[OrderOSP]), []byte(nil), seed.c == old)
+	}
+	f.Fuzz(func(t *testing.T, nData, nTypes uint64, vocab, pages, dir, spo, pos, osp, retired []byte, untagged bool) {
+		colIDs := colSectionIDs
+		if untagged {
+			colIDs = untaggedSectionIDs
+		}
 		fuzzed := map[byte][]byte{
 			secVocab: vocab, secDictPages: pages, secDictDir: dir, secColSPO: spo, secColPOS: pos, secColOSP: osp,
 		}
@@ -44,7 +64,13 @@ func FuzzReadGraph(f *testing.F) {
 			if !ok {
 				payload = s.raw
 			}
-			w.section(s.id, payload)
+			id := s.id
+			for o := range colSectionIDs {
+				if id == colSectionIDs[o] {
+					id = colIDs[o]
+				}
+			}
+			w.section(id, payload)
 			if s.id == secDictDir && len(retired) > 0 {
 				w.section(secCompTypes, retired)
 			}

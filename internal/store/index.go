@@ -25,9 +25,9 @@ import (
 // same level they are folded into one run of the next level — the
 // classical logarithmic-method amortization, O(log n / log 8) merge work
 // per inserted triple. Folded runs stay on the heap — a fold of at least
-// encodeCutoff triples in the snapshot's column encoding, 10–12 B a
-// triple, smaller ones as slices, 36 B a triple — until a store compaction
-// starts over from a single base run: the snapshot it writes.
+// encodeCutoff triples in the snapshot's column encoding, about 7 B a
+// triple on LUBM, smaller ones as slices, 36 B a triple — until a store
+// compaction starts over from a single base run: the snapshot it writes.
 //
 // A run stores its triples behind the Col abstraction (run.go), so the
 // same search and merge machinery serves in-memory slices, encoded heap

@@ -16,15 +16,20 @@ import (
 //     WriteFrontCoded), terms in ID order, so every term keeps its ID
 //     across a reopen.
 //   - secColSPO/POS/OSP: the full triple multiset (all components,
-//     duplicates preserved) sorted three ways as varint-delta columns
-//     (colenc.go) — the zero-copy base run of the tiered index. The
-//     components are not stored apart: an open derives all three from the
-//     SPO column, in SPO order (graph); their counts live in the header.
+//     duplicates preserved) sorted three ways as varint-delta columns in
+//     tagged steps (colenc.go) — the zero-copy base run of the tiered
+//     index. The components are not stored apart: an open derives all
+//     three from the SPO column, in SPO order (graph); their counts live
+//     in the header.
 //   - secVocab: the interpreted vocabulary's five IDs.
 //
 // secDictSorted and the three component sections secCompData,
 // secCompTypes and secCompSchema are retired: no file this build writes
-// holds them, and an open checks their checksums and skips them.
+// holds them, and an open checks their checksums and skips them. So are
+// secUntagSPO/POS/OSP, the columns in three-varint steps: a file that
+// holds them instead of the tagged columns has them decoded and coded
+// anew into heap columns at open (untaggedCols), and its next compaction
+// writes the tagged ones.
 
 // WriteSnapshotV2 serializes the graph to f in snapshot format v2,
 // streaming: a section passes through the container writer's one chunk
@@ -64,8 +69,34 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	return w.finish([4]uint64{uint64(nTerms), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))})
 }
 
-// colSectionIDs maps each sort order to its column section.
-var colSectionIDs = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, OrderOSP: secColOSP}
+// colSectionIDs maps each sort order to its column section, and
+// untaggedSectionIDs to the retired section its column had before the
+// tagged steps.
+var (
+	colSectionIDs      = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, OrderOSP: secColOSP}
+	untaggedSectionIDs = [NumOrders]byte{OrderSPO: secUntagSPO, OrderPOS: secUntagPOS, OrderOSP: secUntagOSP}
+)
+
+// untaggedCols fills runs with heap columns coded anew from the untagged
+// column sections of c (untaggedCol), one order at a time: a file a
+// build before the tagged steps wrote is served as this build's columns,
+// at 12 B a triple of transient heap besides the columns, and the file's
+// own column pages are not read again.
+func untaggedCols(c *container, runs *encCols) error {
+	var buf []byte
+	for o, id := range untaggedSectionIDs {
+		sec, err := c.section(id)
+		if err != nil {
+			return err
+		}
+		ts, err := untaggedCol(Order(o), sec.raw, runs.n)
+		if err != nil {
+			return err
+		}
+		runs.cols[o], buf = encodeCol(Order(o), ts, buf)
+	}
+	return nil
+}
 
 // encodeVocabSec serializes the five interpreted-vocabulary IDs. The
 // vocabulary is interned into every dictionary at graph construction;
@@ -149,6 +180,12 @@ func newSnapshotFile(file *mapping, check io.ReaderAt) (*SnapshotFile, error) {
 	}
 	c.file = file
 	runs := &encCols{n: int(c.nData + c.nTypes + c.nSchema)}
+	if _, tagged := c.secs[secColSPO]; !tagged && c.secs[secUntagSPO] != nil {
+		if err := untaggedCols(c, runs); err != nil {
+			return nil, err
+		}
+		return &SnapshotFile{c: c, runs: runs}, nil
+	}
 	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
@@ -298,7 +335,7 @@ type SectionInfo struct {
 	Off     uint64
 	Len     uint64
 	CRC     uint32
-	Retired bool // a section this build no longer writes: checked at open, then skipped
+	Retired bool // a section this build no longer writes: checked at open, then skipped or converted
 }
 
 // SnapshotInfo is the parsed header/TOC of a snapshot file, as shown by

@@ -620,9 +620,24 @@ func (want golden) check(t *testing.T, what string, got []byte) {
 
 // The files this writer produces.
 var (
-	goldenV2Sample = golden{28798, "cc08817c170518edd2577a84cccf806970300e936b457d9d03179b3f716f6d5d"}
+	goldenV2Sample = golden{28798, "c442c6265e742e4f4b02cb14b4fd272e45cdafab98c9de0c459edad8dff46a9a"}
 	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
 	goldenRandom = map[int]golden{
+		0:               {28798, "f6e09a80308cbb49f60f74395bdf60e48ea30df3d2a7771a18d734898b829393"},
+		3:               {28798, "bb48ccc56a0e4ff6e50f138bee051b75846f25e84e133a8c2fb305d385780e01"},
+		50:              {28798, "9baa9fc222ac0df3f36ba027e4a27721ccd5247132ad67468e918a1f3d0bf64d"},
+		radixCutoff * 3: {28798, "177309a2727d7db4293f72ffa0a270a1f455b04f95e1dd66ddc31b1dce141a47"},
+		3000:            {73854, "e4b10dfead51b705f734d6f430d4f5b9a4a4044fd991b00f17b052efc0eda464"},
+	}
+)
+
+// The same graphs' files as every writer wrote them before the column
+// steps were tagged: recorded from the writer of commit 736fe37.
+// withOldColumns rebuilds them from this writer's files, which proves
+// those are these bytes with the columns coded anew.
+var (
+	goldenUntaggedV2Sample = golden{28798, "cc08817c170518edd2577a84cccf806970300e936b457d9d03179b3f716f6d5d"}
+	goldenUntaggedRandom   = map[int]golden{
 		0:               {28798, "d0410cc967a6c59445e95c4bbafbca299870040f86664ff956970a62e7dbcf57"},
 		3:               {28798, "7bcad9485000a722963b1ca058882e71813c63031bfe80e9e2d4561541724a12"},
 		50:              {28798, "d7172469debb7e6ed1febcefa34e38049774fe2cf17d843e4716dda965a77740"},
@@ -633,8 +648,9 @@ var (
 
 // The same graphs' files as every writer wrote them before the
 // dictionary's kind byte carried flags: recorded from the writer of
-// commit 9327bce. withOldCoding rebuilds them from this writer's files,
-// which proves those are these bytes with the dictionary coded anew.
+// commit 9327bce. withOldCoding rebuilds them from the files
+// withOldColumns rebuilds, which proves those are these bytes with the
+// dictionary coded anew.
 var (
 	goldenOldCodingV2Sample = golden{28798, "5ba11f4d5aae0b0ca2cead356c505c6254bd615fcf0e3fb3f0f374956b5ea21d"}
 	goldenOldCodingRandom   = map[int]golden{
@@ -863,9 +879,12 @@ func rebuilt(t testing.TB, data []byte, put func(w *containerWriter, s *section)
 // graph's triples in — the graph's own, reversed, the SPO scan of the
 // snapshot's mapped base, the scan of a tiered index fed them in slices —
 // the file is the same, byte for byte; and it is the file of the writer
-// that still wrote comp-types, with that section left out, of the writer
-// that wrote comp-data and comp-schema besides, with those left out too,
-// and of the writer that wrote dict-sorted as well.
+// that wrote untagged column steps, with the columns coded so; of the
+// writer before the dictionary's kind flags, with the dictionary coded
+// so too; of the writer that still wrote comp-types, with that section
+// left out; of the writer that wrote comp-data and comp-schema besides,
+// with those left out too; and of the writer that wrote dict-sorted as
+// well.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	write := func(g *Graph, buf []Triple) []byte {
 		t.Helper()
@@ -877,6 +896,8 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	}
 	g, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
+	sample = withOldColumns(t, sample)
+	goldenUntaggedV2Sample.check(t, "v2Sample with untagged columns", sample)
 	sample = withOldCoding(t, sample)
 	goldenOldCodingV2Sample.check(t, "v2Sample in the old coding", sample)
 	typed := withTypeSection(t, sample, g)
@@ -893,7 +914,9 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
-		oldCoded := withOldCoding(t, file)
+		untagged := withOldColumns(t, file)
+		goldenUntaggedRandom[n].check(t, fmt.Sprintf("n=%d: with untagged columns", n), untagged)
+		oldCoded := withOldCoding(t, untagged)
 		goldenOldCodingRandom[n].check(t, fmt.Sprintf("n=%d: in the old coding", n), oldCoded)
 		typed := withTypeSection(t, oldCoded, g)
 		goldenTypesRandom[n].check(t, fmt.Sprintf("n=%d: with comp-types", n), typed)

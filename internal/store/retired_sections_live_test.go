@@ -5,9 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"rdfsum/internal/bsbm"
+	"rdfsum/internal/core"
+	"rdfsum/internal/dict"
 	"rdfsum/internal/live"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/store"
@@ -106,4 +110,140 @@ func TestLiveOpenChecksSPOColumn(t *testing.T) {
 			t.Errorf("%s: live.Open got %v, want ErrSnapshotCorrupt", tc.What, err)
 		}
 	}
+}
+
+// sameAnswers requires the index over got's base run to answer every
+// pattern want's does: for every seventh triple of g, each of the eight
+// patterns binding some of its positions, the same count and the same
+// triples in the same order.
+func sameAnswers(t *testing.T, what string, want, got *store.SnapshotFile, g *store.Graph) {
+	t.Helper()
+	wix, gix := store.NewIndexFromBase(want.Runs()), store.NewIndexFromBase(got.Runs())
+	collect := func(ix *store.Index, s, p, o dict.ID) []store.Triple {
+		var out []store.Triple
+		ix.ForEach(s, p, o, func(tr store.Triple) bool { out = append(out, tr); return true })
+		return out
+	}
+	all := g.All()
+	for i := 0; i < len(all); i += 7 {
+		tr := all[i]
+		for mask := 0; mask < 8; mask++ {
+			s, p, o := dict.None, dict.None, dict.None
+			if mask&1 != 0 {
+				s = tr.S
+			}
+			if mask&2 != 0 {
+				p = tr.P
+			}
+			if mask&4 != 0 {
+				o = tr.O
+			}
+			if wc, gc := wix.Count(s, p, o), gix.Count(s, p, o); wc != gc ||
+				!slices.Equal(collect(wix, s, p, o), collect(gix, s, p, o)) {
+				t.Fatalf("%s: pattern (%d %d %d) answers %d triples, the tagged columns %d", what, s, p, o, gc, wc)
+			}
+		}
+	}
+}
+
+// TestUntaggedColumnsServed: a snapshot whose columns a build before the
+// tagged steps wrote (sections 7–9, what withOldColumns rebuilds) opens
+// through OpenGraphFile and ReadGraph to the graph of the same file with
+// tagged columns, and answers every pattern and renders every summary
+// kind as that graph does; inspect names the untagged sections, marked
+// retired. A live store over it opens to the same graph and summaries,
+// and its first Compact writes the tagged sections 11–13 in their place,
+// which reopen to the same graph.
+func TestUntaggedColumnsServed(t *testing.T) {
+	seed := bsbm.GenerateGraph(bsbm.DefaultConfig(20))
+	dir, gen1, raw := seededGeneration(t, seed)
+	want, wantSF, err := store.ReadGraph(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	summaries := map[core.Kind][]byte{}
+	for _, kind := range core.Kinds {
+		summaries[kind] = render(t, core.MustSummarize(want, kind))
+	}
+	old := store.WithOldColumns(t, raw)
+	if err := os.WriteFile(gen1, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := store.InspectSnapshot(gen1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+		if strings.HasSuffix(s.Name, "-untagged") != s.Retired {
+			t.Errorf("inspect marks %s retired = %v", s.Name, s.Retired)
+		}
+	}
+	if want := []string{"dict-pages", "dict-dir", "col-spo-untagged", "col-pos-untagged", "col-osp-untagged", "vocab"}; !slices.Equal(names, want) {
+		t.Fatalf("the rebuilt file holds sections %v, want %v", names, want)
+	}
+
+	mapped, mappedSF, err := store.OpenGraphFile(gen1)
+	if err != nil {
+		t.Fatalf("OpenGraphFile of untagged columns: %v", err)
+	}
+	defer mappedSF.Close()
+	streamed, streamedSF, err := store.ReadGraph(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("ReadGraph of untagged columns: %v", err)
+	}
+	for what, opened := range map[string]struct {
+		g  *store.Graph
+		sf *store.SnapshotFile
+	}{"OpenGraphFile": {mapped, mappedSF}, "ReadGraph": {streamed, streamedSF}} {
+		store.IdenticalGraphs(t, want, opened.g)
+		sameAnswers(t, what, wantSF, opened.sf, want)
+		for _, kind := range core.Kinds {
+			if got := render(t, core.MustSummarize(opened.g, kind)); !bytes.Equal(got, summaries[kind]) {
+				t.Errorf("%s, %v: the graph over untagged columns renders another summary", what, kind)
+			}
+		}
+	}
+
+	l, err := live.Open(dir, &live.Options{Maintain: core.Kinds})
+	if err != nil {
+		t.Fatalf("Open of a generation with untagged columns: %v", err)
+	}
+	store.IdenticalGraphs(t, want, l.Snapshot().Graph)
+	for _, kind := range core.Kinds {
+		s, _, err := l.Summary(kind, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(render(t, s), summaries[kind]) {
+			t.Errorf("%v: the store over untagged columns serves another summary", kind)
+		}
+	}
+	added := rdf.NewTriple(rdf.NewIRI("http://x/new"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("new"))
+	if err := l.Add(added); err != nil {
+		t.Fatal(err)
+	}
+	want.Add(added)
+	if err := l.Compact(); err != nil {
+		t.Fatalf("Compact of a generation with untagged columns: %v", err)
+	}
+	if info, err = store.InspectSnapshot(filepath.Join(dir, "snapshot-2.rdfsum")); err != nil {
+		t.Fatal(err)
+	}
+	names = names[:0]
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+	}
+	if want := []string{"dict-pages", "dict-dir", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
+		t.Fatalf("the compacted generation holds sections %v, want %v", names, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = live.Open(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	store.IdenticalGraphs(t, store.AsOpened(want), l.Snapshot().Graph)
 }
