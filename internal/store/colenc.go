@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -96,85 +95,59 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // uvarintLen is the number of bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// writeCol streams ts — sorted in ord — as one column payload to w, a
-// snapshot's column section. The skip index precedes the blocks and
-// holds their offsets, so ts is read twice: once sizing the blocks to
-// fill the skip index (stepLen), once encoding them, a block at a time
-// (appendBlock). It allocates the skip index and one block's buffer.
+// writeCol streams ts — sorted in ord — as one column payload to w: a
+// snapshot's column section, or the heap bytes of a folded run
+// (encodeCols). The skip index precedes the blocks and holds their
+// offsets, so ts is read twice: once sizing the steps to fill the skip
+// index (stepLen), once encoding them (appendStep). A w that can Grow (a
+// bytes.Buffer) is grown once, to the payload's size.
 func writeCol(w io.Writer, ord Order, ts []Triple) {
-	nBlocks := (len(ts) + colBlockTriples - 1) / colBlockTriples
-	head := appendColHead(nil, len(ts), nBlocks)
-	off := len(head)
+	n := len(ts)
+	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
+
+	head := make([]byte, 8, 8+nBlocks*colSkipEntryBytes)
+	binary.LittleEndian.PutUint32(head[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(head[4:8], uint32(nBlocks))
+	off := uint64(cap(head))
 	for b := 0; b < nBlocks; b++ {
-		block := colBlock(ts, b)
-		putSkipEntry(head, ord, b, block[0], off)
+		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
 		p1, p2, p3 := ord.key(block[0])
+		head = binary.LittleEndian.AppendUint32(head, uint32(p1))
+		head = binary.LittleEndian.AppendUint32(head, uint32(p2))
+		head = binary.LittleEndian.AppendUint32(head, uint32(p3))
+		head = binary.LittleEndian.AppendUint64(head, off)
 		for _, t := range block[1:] {
 			c1, c2, c3 := ord.key(t)
-			off += stepLen(p1, p2, p3, c1, c2, c3)
+			off += uint64(stepLen(p1, p2, p3, c1, c2, c3))
 			p1, p2, p3 = c1, c2, c3
 		}
 	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(int(off))
+	}
 	w.Write(head) //nolint:errcheck // sticky
-	buf := make([]byte, 0, (colBlockTriples-1)*maxStepBytes)
+
+	// The steps pass through one chunk, handed to w whenever it might not
+	// hold another.
+	chunk := make([]byte, 0, colChunkBytes)
 	for b := 0; b < nBlocks; b++ {
-		buf = appendBlock(buf[:0], ord, colBlock(ts, b))
-		w.Write(buf) //nolint:errcheck // sticky
+		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
+		p1, p2, p3 := ord.key(block[0]) // lives in the skip entry
+		for _, t := range block[1:] {
+			if len(chunk) > colChunkBytes-maxStepBytes {
+				w.Write(chunk) //nolint:errcheck // sticky
+				chunk = chunk[:0]
+			}
+			c1, c2, c3 := ord.key(t)
+			chunk = appendStep(chunk, p1, p2, p3, c1, c2, c3)
+			p1, p2, p3 = c1, c2, c3
+		}
 	}
+	w.Write(chunk) //nolint:errcheck // sticky
 }
 
-// encodeCol encodes ts, sorted in ord, as a heap column in one pass: the
-// skip index's size depends on len(ts) alone, so each entry is filled as
-// its block begins. buf is scratch for the payload, grown as needed
-// (first to 4 B a triple, more than most columns take) and returned for
-// the next column; the column holds a copy of exactly its payload's
-// size.
-func encodeCol(ord Order, ts []Triple, buf []byte) (*encCol, []byte) {
-	nBlocks := (len(ts) + colBlockTriples - 1) / colBlockTriples
-	buf = appendColHead(slices.Grow(buf[:0], 8+nBlocks*colSkipEntryBytes+4*len(ts)), len(ts), nBlocks)
-	for b := 0; b < nBlocks; b++ {
-		block := colBlock(ts, b)
-		putSkipEntry(buf, ord, b, block[0], len(buf))
-		buf = appendBlock(buf, ord, block)
-	}
-	return must(openCol(ord, bytes.Clone(buf), len(ts), nil)), buf
-}
-
-// appendColHead appends a column payload's header to b: its counts, and
-// its skip index zeroed for putSkipEntry.
-func appendColHead(b []byte, n, nBlocks int) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	b = binary.LittleEndian.AppendUint32(b, uint32(nBlocks))
-	return append(b, make([]byte, nBlocks*colSkipEntryBytes)...)
-}
-
-// colBlock returns the triples of ts that block b covers.
-func colBlock(ts []Triple, b int) []Triple {
-	return ts[b*colBlockTriples : min(len(ts), (b+1)*colBlockTriples)]
-}
-
-// putSkipEntry fills block b's skip entry in payload: the key of its
-// first triple, first, and its offset.
-func putSkipEntry(payload []byte, ord Order, b int, first Triple, off int) {
-	e := payload[8+b*colSkipEntryBytes : 8+(b+1)*colSkipEntryBytes]
-	k1, k2, k3 := ord.key(first)
-	binary.LittleEndian.PutUint32(e[0:4], uint32(k1))
-	binary.LittleEndian.PutUint32(e[4:8], uint32(k2))
-	binary.LittleEndian.PutUint32(e[8:12], uint32(k3))
-	binary.LittleEndian.PutUint64(e[12:20], uint64(off))
-}
-
-// appendBlock appends the steps of block — every triple after its first,
-// which the block's skip entry holds — to b.
-func appendBlock(b []byte, ord Order, block []Triple) []byte {
-	p1, p2, p3 := ord.key(block[0])
-	for _, t := range block[1:] {
-		c1, c2, c3 := ord.key(t)
-		b = appendStep(b, p1, p2, p3, c1, c2, c3)
-		p1, p2, p3 = c1, c2, c3
-	}
-	return b
-}
+// colChunkBytes is the size of the chunk writeCol encodes through.
+const colChunkBytes = 4 << 10
 
 // maxStepBytes bounds a step's bytes: three varints of at most 33 bits.
 const maxStepBytes = 15
@@ -573,22 +546,28 @@ func (m *encCols) length() int     { return m.n }
 func (m *encCols) col(o Order) Col { return m.cols[o] }
 
 // encodeCols adopts ts and encodes it, sorted in place into each order in
-// turn, as three heap-resident columns (encodeCol): a run at about 7 B a
+// turn, as three heap-resident columns (writeCol): a run at about 7 B a
 // triple on LUBM where memCols holds 36, plus the fences of the columns
-// that serve range lookups. One scratch buffer serves all three sorts
-// and one all three encodings, and ts is garbage once this returns.
+// that serve range lookups. One scratch buffer serves all three sorts,
+// and ts is garbage once this returns.
 func encodeCols(ts []Triple) *encCols {
 	var scratch []Triple
 	if len(ts) >= radixCutoff {
 		scratch = make([]Triple, len(ts))
 	}
 	m := &encCols{n: len(ts)}
-	var buf []byte
 	for o := range m.cols {
 		sortTriples(Order(o), ts, scratch)
-		m.cols[o], buf = encodeCol(Order(o), ts, buf)
+		m.cols[o] = heapCol(Order(o), ts)
 	}
 	return m
+}
+
+// heapCol encodes ts, sorted in ord, as a heap-resident column.
+func heapCol(ord Order, ts []Triple) *encCol {
+	var b bytes.Buffer
+	writeCol(&b, ord, ts)
+	return must(openCol(ord, b.Bytes(), len(ts), nil))
 }
 
 // fileBytes is what the run's column sections hold in its snapshot file:
@@ -620,12 +599,17 @@ func (m *encCols) heapBytes() int64 {
 // the tagged steps wrote, in sections 7–9: the same framing, each step
 // three varints — uvarint Δk1, zigzag-svarint Δk2, zigzag-svarint Δk3.
 // It checks the framing as walk does and returns the n triples in the
-// column's order, for encodeCol to code anew; the new column's walk
+// column's order, for writeCol to code anew; the new column's walk
 // checks their IDs.
 func untaggedCol(ord Order, payload []byte, n int) ([]Triple, error) {
 	m, err := colFrame(ord, payload, n, nil)
 	if err != nil {
 		return nil, err
+	}
+	// Each triple but a block's first takes three varints here: a count
+	// the payload cannot hold is refused before the triples are allocated.
+	if len(payload) < 8+m.nBlocks*colSkipEntryBytes+3*(n-m.nBlocks) {
+		return nil, fmt.Errorf("%w: column %v of %d triples in %d bytes", ErrSnapshotCorrupt, ord, n, len(payload))
 	}
 	ts := make([]Triple, 0, n)
 	pos := 8 + m.nBlocks*colSkipEntryBytes

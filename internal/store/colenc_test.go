@@ -108,10 +108,9 @@ func columnCases(rng *rand.Rand) []columnCase {
 }
 
 // TestColumnRoundTrip: every multiset of columnCases, coded in each
-// order by encodeCol, walks back to itself in that order, and its
+// order by encodeCols, walks back to itself in that order, and its
 // cursors and Range lookups (window, search, over the walk's fences)
-// serve what the same triples in memCols serve. The streaming writer,
-// writeCol, writes the same bytes.
+// serve what the same triples in memCols serve.
 func TestColumnRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 1))
 	for i, tc := range columnCases(rng) {
@@ -125,10 +124,6 @@ func TestColumnRoundTrip(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s %v: the column walks back to other triples", tc.name, Order(o))
-			}
-			var streamed bytes.Buffer
-			if writeCol(&streamed, Order(o), want); !bytes.Equal(streamed.Bytes(), col.payload) {
-				t.Fatalf("%s %v: the streaming writer wrote other bytes", tc.name, Order(o))
 			}
 		}
 		if len(tc.ts) > 0 && !colsMatch(t, uint64(i), rng, mem, enc, tc.universe) {
@@ -198,7 +193,9 @@ func TestColumnTags(t *testing.T) {
 // triples than its bytes can hold, at one byte a step, is refused by
 // openCol's framing check, allocating nothing for the triples it claims
 // (96 KB as triples, 16 KB as fences: under 1 KB a call is the error
-// alone); one byte more passes that check and fails on its steps.
+// alone); one byte more passes that check and fails on its steps. In the
+// untagged coding, three bytes a step, untaggedCol refuses a payload one
+// byte short of those as cheaply.
 func TestOpenColRefusesShortPayload(t *testing.T) {
 	const n, nBlocks = 16 * colBlockTriples, 16
 	frame := func(steps int) []byte {
@@ -210,20 +207,24 @@ func TestOpenColRefusesShortPayload(t *testing.T) {
 		}
 		return append(p, bytes.Repeat([]byte{0x80}, steps)...)
 	}
-	short := frame(n - nBlocks - 1)
-	_, err := openCol(OrderSPO, short, n, nil)
-	if !errors.Is(err, ErrSnapshotCorrupt) || !bytes.Contains([]byte(err.Error()), []byte(fmt.Sprintf("of %d triples in %d bytes", n, len(short)))) {
-		t.Fatalf("a payload a byte short of %d steps: %v", n-nBlocks, err)
+	refused := func(name string, open func([]byte) error, short []byte) {
+		t.Helper()
+		err := open(short)
+		if !errors.Is(err, ErrSnapshotCorrupt) || !bytes.Contains([]byte(err.Error()), []byte(fmt.Sprintf("of %d triples in %d bytes", n, len(short)))) {
+			t.Fatalf("%s: a payload a byte short of its steps: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 100 {
+			open(short)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1<<10 {
+			t.Errorf("%s: refusing a short payload allocated %d bytes a call, want the error's few", name, per)
+		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range 100 {
-		openCol(OrderSPO, short, n, nil)
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1<<10 {
-		t.Errorf("refusing a short payload allocated %d bytes a call, want the error's few", per)
-	}
+	refused("openCol", func(p []byte) error { _, err := openCol(OrderSPO, p, n, nil); return err }, frame(n-nBlocks-1))
+	refused("untaggedCol", func(p []byte) error { _, err := untaggedCol(OrderSPO, p, n); return err }, frame(3*(n-nBlocks)-1))
 	if _, err := openCol(OrderSPO, frame(n-nBlocks), n, nil); !errors.Is(err, ErrSnapshotCorrupt) ||
 		bytes.Contains([]byte(err.Error()), []byte("triples in")) {
 		t.Fatalf("a payload of %d cut steps passed the framing check: %v", n-nBlocks, err)
@@ -264,7 +265,7 @@ func FuzzColumn(f *testing.F) {
 				if len(ts) != n {
 					t.Fatalf("untaggedCol returned %d triples of %d", len(ts), n)
 				}
-				col, _ = encodeCol(OrderPOS, ts, nil)
+				col = heapCol(OrderPOS, ts)
 			}
 		} else {
 			col, err = openCol(OrderPOS, payload, n, nil)

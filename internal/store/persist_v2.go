@@ -78,12 +78,11 @@ var (
 )
 
 // untaggedCols fills runs with heap columns coded anew from the untagged
-// column sections of c (untaggedCol), one order at a time: a file a
-// build before the tagged steps wrote is served as this build's columns,
-// at 12 B a triple of transient heap besides the columns, and the file's
-// own column pages are not read again.
+// column sections of c (untaggedCol, then heapCol), one order at a time:
+// a file a build before the tagged steps wrote is served as this build's
+// columns, at 12 B a triple of transient heap besides the columns, and
+// the file's own column pages are not read again.
 func untaggedCols(c *container, runs *encCols) error {
-	var buf []byte
 	for o, id := range untaggedSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
@@ -93,7 +92,7 @@ func untaggedCols(c *container, runs *encCols) error {
 		if err != nil {
 			return err
 		}
-		runs.cols[o], buf = encodeCol(Order(o), ts, buf)
+		runs.cols[o] = heapCol(Order(o), ts)
 	}
 	return nil
 }
