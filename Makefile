@@ -144,7 +144,9 @@ test-nommap:
 # Live-subsystem stress under the race detector (mirrored as a CI step):
 # readers query epoch snapshots while a writer ingests batches and
 # compacts; readers materialize every maintained summary kind during
-# ingest; snapshot iterators are held across concurrent Compact calls
+# ingest; readers take the pruning gate of their epoch, its G∞ and the
+# planner weights while adds, deletes and compactions publish epochs;
+# snapshot iterators are held across concurrent Compact calls
 # while deletes land (tiered-index generation swaps); the ingest queue's
 # admission bound, applied on the writers' own goroutines, and its HTTP
 # 429 path; plus the WAL crash-recovery property test and the
@@ -155,7 +157,7 @@ test-nommap:
 # results and post-delete convergence.
 stress: replication-smoke
 	$(GO) test -race -count=2 \
-		-run 'TestLiveStress|TestLiveMaintainedStress|TestLiveIngestDuringConcurrentQueries|TestLiveCrashRecoveryPrefix|TestLiveSnapshotAcrossCompactStress|TestLiveIngestQueueBackpressureStress|TestIngestQueue|TestIngestBackpressure429|TestFollower' \
+		-run 'TestLiveStress|TestLiveMaintainedStress|TestLiveDerivedCachesStress|TestLiveIngestDuringConcurrentQueries|TestLiveCrashRecoveryPrefix|TestLiveSnapshotAcrossCompactStress|TestLiveIngestQueueBackpressureStress|TestIngestQueue|TestIngestBackpressure429|TestFollower' \
 		./internal/live ./cmd/rdfsumd ./internal/repl
 
 # Two-process replication smoke (run by stress, so by CI): leader ingests,

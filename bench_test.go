@@ -410,8 +410,8 @@ func warmBoot(b *testing.B, lv *rdfsum.Live) {
 // BSBM 3000 products (≈ 170k triples) and LUBM 52 universities (≈ 177k;
 // 1000 and 15 under -short) — what rdfsumd's first explained query after
 // a boot pays, and an explained query again whenever the weights trail
-// the store by more than planStatsMaxStale epochs. Unexplained queries
-// never pay it.
+// the store by more than internal/live's planStatsMaxStale epochs.
+// Unexplained queries never pay it.
 func BenchmarkComputeWeights(b *testing.B) {
 	products := 3000
 	if testing.Short() {

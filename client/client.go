@@ -513,10 +513,10 @@ func (c *Client) Compact(ctx context.Context) (*CompactResult, error) {
 	return &out, nil
 }
 
-// ReplicationStatus mirrors GET /v1/replication for both roles; follower
+// ReplicationStatus mirrors GET /v1/replication for every role; follower
 // fields are zero on leaders and vice versa.
 type ReplicationStatus struct {
-	Role    string `json:"role"` // "leader" or "follower"
+	Role    string `json:"role"` // "leader", "follower" or "standalone"
 	Durable bool   `json:"durable"`
 	Epoch   uint64 `json:"epoch"`
 

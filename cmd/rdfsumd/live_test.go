@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rdfsum"
+	"rdfsum/internal/obs"
 )
 
 // liveTestServer serves a durable live store rooted in a temp directory.
@@ -293,7 +294,7 @@ func TestPruneGateSkipsNewerSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := lv.Epoch()
-	if gate, err := srv.pruneGate(lv, rdfsum.Weak, e); err != nil || gate == nil {
+	if gate, err := lv.PruneGate(rdfsum.Weak, e); err != nil || gate == nil {
 		t.Fatalf("gate at the current epoch: %v, %v; want it applied", gate, err)
 	}
 
@@ -303,10 +304,10 @@ func TestPruneGateSkipsNewerSummary(t *testing.T) {
 	if lv.Epoch() != e+1 {
 		t.Fatalf("delete published epoch %d, want %d", lv.Epoch(), e+1)
 	}
-	if newer, _, err := srv.pruner(lv, rdfsum.Weak); err != nil || !newer.ProvablyEmpty(q) {
+	if newer, err := lv.PruneGate(rdfsum.Weak, e+1); err != nil || !newer.ProvablyEmpty(q) {
 		t.Fatal("the summary of the post-delete epoch should prove the pattern empty")
 	}
-	if gate, err := srv.pruneGate(lv, rdfsum.Weak, e); err != nil || gate != nil {
+	if gate, err := lv.PruneGate(rdfsum.Weak, e); err != nil || gate != nil {
 		t.Fatalf("gate for a query evaluated at %d: %v, %v; want none (its summary is of %d)", e, gate, err, e+1)
 	}
 }
@@ -382,12 +383,32 @@ func TestParseMaintain(t *testing.T) {
 	}
 }
 
-// TestPlanStatsOutliveEpochs: planner weights tolerate planStatsMaxStale
-// epochs of ingest although every query's pruner refreshes the
-// weak-summary cell. Forty one-triple batches with an explained query
-// after each cost two ComputeWeights passes (epochs 2 and 35), not forty.
+// weightsBuilds reads the process-wide count of planner-weights builds,
+// rdfsum_planner_weights_seconds_count on obs.Default; tests compare two
+// reads, as every store in the process adds to it.
+func weightsBuilds(t *testing.T) float64 {
+	t.Helper()
+	var b strings.Builder
+	obs.DumpJSON(&b, obs.Default)
+	var v map[string]float64
+	if err := json.Unmarshal([]byte(b.String()), &v); err != nil {
+		t.Fatal(err)
+	}
+	n, ok := v["rdfsum_planner_weights_seconds_count"]
+	if !ok {
+		t.Fatal("obs.Default lacks rdfsum_planner_weights_seconds")
+	}
+	return n
+}
+
+// TestPlanStatsOutliveEpochs: planner weights tolerate 32 epochs of
+// ingest (the store's planStatsMaxStale) although every query's pruning
+// gate refreshes the weak-summary cell. Forty one-triple batches with an
+// explained query after each cost two ComputeWeights passes (epochs 2 and
+// 35), not forty.
 func TestPlanStatsOutliveEpochs(t *testing.T) {
-	ts, srv := liveTestServer(t, nil)
+	before := weightsBuilds(t)
+	ts, _ := liveTestServer(t, nil)
 	for i := 0; i < 40; i++ {
 		if code, body := postBody(t, ts.URL+"/v1/triples", ntBody(i, 1)); code != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %v", i, code, body)
@@ -400,19 +421,22 @@ func TestPlanStatsOutliveEpochs(t *testing.T) {
 			t.Fatalf("query %d ran without the weak pruning gate; the test needs it to refresh the summary cell", i)
 		}
 	}
-	if builds := srv.weightsSeconds.Count(); builds != 2 {
-		t.Fatalf("ComputeWeights ran %d times over 40 epochs, want 2 (planStatsMaxStale = %d)", builds, planStatsMaxStale)
+	if builds := weightsBuilds(t) - before; builds != 2 {
+		t.Fatalf("ComputeWeights ran %v times over 40 epochs, want 2 (weights may trail by 32)", builds)
 	}
 }
 
 // TestUnexplainedQueriesComputeNoWeights: the planner's weights feed only
-// the estimates an explanation reports, so unexplained queries across more
-// than planStatsMaxStale epochs never compute them; the first explained
-// query does, once, and reports a whole-query estimate from them.
+// the estimates an explanation reports, so unexplained queries across 40
+// epochs, more than the 32 the weights may trail by, never compute them;
+// the first explained query does, once, and reports a whole-query
+// estimate from them.
 func TestUnexplainedQueriesComputeNoWeights(t *testing.T) {
-	ts, srv := liveTestServer(t, nil)
+	before := weightsBuilds(t)
+	ts, _ := liveTestServer(t, nil)
 	const q = `SELECT ?s ?o WHERE { ?s <http://x/p1> ?o }`
-	for i := 0; i < planStatsMaxStale+8; i++ {
+	const epochs = 40
+	for i := 0; i < epochs; i++ {
 		if code, body := postBody(t, ts.URL+"/v1/triples", ntBody(i, 1)); code != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %v", i, code, body)
 		}
@@ -420,15 +444,15 @@ func TestUnexplainedQueriesComputeNoWeights(t *testing.T) {
 			t.Fatalf("query %d: status %d: %v", i, code, body)
 		}
 	}
-	if builds := srv.weightsSeconds.Count(); builds != 0 {
-		t.Fatalf("unexplained queries over %d epochs ran ComputeWeights %d times, want 0", planStatsMaxStale+8, builds)
+	if builds := weightsBuilds(t) - before; builds != 0 {
+		t.Fatalf("unexplained queries over %d epochs ran ComputeWeights %v times, want 0", epochs, builds)
 	}
 	code, body := postQuery(t, ts.URL+"/v1/query?explain=1", q)
 	if code != http.StatusOK {
 		t.Fatalf("explained query: status %d: %v", code, body)
 	}
-	if builds := srv.weightsSeconds.Count(); builds != 1 {
-		t.Fatalf("one explained query ran ComputeWeights %d times, want 1", builds)
+	if builds := weightsBuilds(t) - before; builds != 1 {
+		t.Fatalf("one explained query ran ComputeWeights %v times, want 1", builds)
 	}
 	explain, _ := body["explain"].(map[string]any)
 	if est, ok := explain["query_est"].(float64); !ok || est < 0 || explain["used_stats"] != true {

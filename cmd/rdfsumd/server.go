@@ -10,7 +10,6 @@ import (
 	"runtime/metrics"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"rdfsum"
@@ -18,7 +17,6 @@ import (
 	"rdfsum/internal/obs"
 	"rdfsum/internal/profile"
 	"rdfsum/internal/repl"
-	"rdfsum/internal/store"
 )
 
 // Query row limits: the default when the client sends none, and the hard
@@ -34,48 +32,16 @@ const maxIngestBody = 64 << 20
 // maxQueryBody bounds a POST /v1/query body, the query text.
 const maxQueryBody = 1 << 20
 
-// prunerCell caches the saturated-summary emptiness oracle of one kind,
-// tagged with the store and epoch of the summary it was built from. The
-// mutex singleflights rebuilds of that kind; other kinds proceed
-// independently.
-type prunerCell struct {
-	mu     sync.Mutex
-	lv     *rdfsum.Live
-	epoch  uint64
-	pruner *rdfsum.QueryPruner
-}
-
 // server fronts a live graph store. All reads go through the store's
 // published epoch snapshots, so they are consistent and wait-free under
-// concurrent ingest; derived artifacts (summaries, pruners, planner
-// weights, the saturated graph) are cached per epoch and rebuilt lazily
-// once the store has moved past them — the planner weights alone after
-// planStatsMaxStale epochs.
-//
-// On a follower the store itself is replaced at each replication
-// bootstrap and its epoch counter restarts, so every epoch-keyed cache is
-// also keyed on the store it was built from: an epoch comparison across
-// stores is meaningless, and acting on one (e.g. applying an old store's
-// pruning gate) would be unsound.
+// concurrent ingest. What is derived from an epoch — summaries, pruning
+// gates, G∞, planner weights — the store caches itself, so the server
+// keeps no per-epoch state.
 type server struct {
 	lv       *rdfsum.Live        // fixed store; nil on followers
 	queue    *rdfsum.IngestQueue // bounded ingest admission; nil on followers
 	follower *repl.Follower      // non-nil on read replicas (-follow)
 	leader   *repl.Leader        // non-nil on durable stores (serves /v1/repl)
-
-	pruners [rdfsum.NumKinds]prunerCell // indexed by rdfsum.Kind
-
-	satMu    sync.Mutex
-	satLive  *rdfsum.Live
-	satEpoch uint64
-	satGraph *rdfsum.Graph
-	satIx    *store.Index
-
-	weightsMu      sync.Mutex
-	weightsLive    *rdfsum.Live
-	weightsEpoch   uint64
-	weights        *rdfsum.Weights
-	weightsSeconds *obs.Histogram // one observation per ComputeWeights call
 
 	// bootLoad is how long newServer spent loading the -in dump or
 	// snapshot; the store's own boot phases come from Live.BootTimings.
@@ -182,15 +148,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	return s, nil
 }
 
-// newServerFromGraph wraps an in-memory graph; used by tests and
-// embedders.
-func newServerFromGraph(g *rdfsum.Graph) *server {
-	lv := rdfsum.NewLive(g, nil)
-	s := &server{lv: lv, queue: rdfsum.NewIngestQueue(lv, 0, 0)}
-	s.initObs(nil, 0)
-	return s
-}
-
 // initObs wires the server's observability: its per-instance metric
 // registry (merged with the process-wide obs.Default at scrape time),
 // the HTTP middleware instrumentation, the structured logger, and the
@@ -249,7 +206,6 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 	sumRebuilds := r.CounterVec("rdfsum_summary_maintenance_rebuilds_total", "Incremental-maintenance rebuilds, per kind.", "kind", "mode")
 	bootSeconds := r.GaugeVec("rdfsum_boot_phase_seconds", "Seconds the serving store's boot spent in each phase (0 for a phase it did not go through).", "phase")
 	memBytes := r.GaugeVec("rdfsum_memory_bytes", "Bytes the store's largest structures hold, computed from their own lengths: heap bytes (index_heap: slice runs at 36 B a triple, encoded folds' payloads, fences), but for index_mapped's mapped file bytes.", "component")
-	s.weightsSeconds = r.Histogram("rdfsum_planner_weights_seconds", "Seconds each rebuild of the planner's weights (ComputeWeights over the weak summary) took; the count is the number of rebuilds.", obs.DefBuckets)
 	registerProcessMemory(r)
 
 	boolGauge := func(v bool) float64 {
@@ -491,59 +447,6 @@ func (s *server) debugHandler() http.Handler {
 		obs.DumpJSON(w, s.reg, obs.Default)
 	})
 	return m
-}
-
-// pruner returns the summary-pruning gate of one kind with the epoch of
-// the summary it reflects, rebuilding when that summary moved or the
-// cached gate is of another store (a follower's bootstrap swapped it).
-func (s *server) pruner(lv *rdfsum.Live, kind rdfsum.Kind) (*rdfsum.QueryPruner, uint64, error) {
-	sum, epoch, err := lv.Summary(kind, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	cell := &s.pruners[kind]
-	cell.mu.Lock()
-	defer cell.mu.Unlock()
-	if cell.pruner == nil || cell.lv != lv || cell.epoch != epoch {
-		cell.pruner = rdfsum.NewQueryPruner(sum)
-		cell.lv = lv
-		cell.epoch = epoch
-	}
-	return cell.pruner, cell.epoch, nil
-}
-
-// planStatsMaxStale is how many epochs the planner's weights may trail
-// the store, the one derived artifact served stale. They only feed the
-// reported estimates (Explain, the slow-query log), never the join order
-// or the rows, so they are not worth an O(graph) ComputeWeights pass
-// after every ingest batch.
-const planStatsMaxStale = 32
-
-// planStats returns the weak summary's quotient-map cardinalities, the
-// statistics behind the planner's estimates, recomputed when they are of
-// another store or trail its epoch by more than planStatsMaxStale — its
-// epoch, not the weak-summary cell's, which every query's pruner
-// refreshes. Nil (with a logged warning) when the weak summary cannot be
-// built.
-func (s *server) planStats(lv *rdfsum.Live) *rdfsum.Weights {
-	s.weightsMu.Lock()
-	defer s.weightsMu.Unlock()
-	if s.weights != nil && s.weightsLive == lv && s.weightsEpoch+planStatsMaxStale >= lv.Epoch() {
-		return s.weights
-	}
-	sum, epoch, err := lv.Summary(rdfsum.Weak, planStatsMaxStale)
-	if err != nil {
-		s.logger.Warn("planner stats unavailable", "error", err)
-		return nil
-	}
-	if s.weights == nil || s.weightsLive != lv || s.weightsEpoch != epoch {
-		t0 := time.Now()
-		s.weights = sum.ComputeWeights()
-		s.weightsSeconds.ObserveSince(t0)
-		s.weightsLive = lv
-		s.weightsEpoch = epoch
-	}
-	return s.weights
 }
 
 // handleMetrics exposes the serving metrics in the Prometheus text
@@ -863,7 +766,7 @@ func (s *server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 // (default weak, "off" disables). The response reports the epoch of the
 // data the rows reflect, whether the row set was truncated, and — when
 // the pruning gate was actually applied — prune_epoch, which is then the
-// evaluated epoch (see pruneGate).
+// evaluated epoch (see Live.PruneGate).
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody+1))
 	if err != nil {
@@ -899,27 +802,27 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// response only includes it when the client asked.
 		Explain: wantExplain || s.slow.Enabled(),
 	}
-	// Pin the serving store once: on a follower a re-bootstrap may swap it
-	// mid-request, and mixing stores would pair snapshots and caches whose
-	// epoch counters are unrelated.
+	// Pin the serving store and its epoch once: on a follower a
+	// re-bootstrap may swap the store mid-request.
 	lv := s.state()
 	if opts.Explain {
 		// Planner statistics only feed the estimates an explanation
-		// reports (a nil *Weights reports every estimate unknown).
-		opts.Stats = s.planStats(lv)
+		// reports (without them every estimate is unknown).
+		if stats, err := lv.PlanStats(); err != nil {
+			s.logger.Warn("planner stats unavailable", "error", err)
+		} else {
+			opts.Stats = stats
+		}
 	}
-	// Pin the evaluated graph before fetching the pruning gate, so the
-	// soundness condition below can be checked against it.
 	snap := lv.Snapshot()
 	g, ix := snap.Graph, snap.Index
-	evalEpoch := snap.Epoch
 	saturated, err := boolParam(r, "saturate")
 	if err != nil {
 		httpapi.WriteError(w, err)
 		return
 	}
 	if saturated {
-		g, ix, evalEpoch = s.saturatedIndex(lv, snap)
+		g, ix = snap.Saturated()
 	}
 	if r.URL.Query().Get("prune") != "off" {
 		kind, err := kindParam(r, "prune", "weak")
@@ -927,7 +830,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			httpapi.WriteError(w, err)
 			return
 		}
-		if opts.Pruner, err = s.pruneGate(lv, kind, evalEpoch); err != nil {
+		if opts.Pruner, err = lv.PruneGate(kind, snap.Epoch); err != nil {
 			httpapi.WriteError(w, err)
 			return
 		}
@@ -937,7 +840,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, httpapi.Errorf(http.StatusBadRequest, httpapi.CodeInvalidArgument, "%v", err))
 		return
 	}
-	s.slow.Record(r.Context(), string(body), time.Since(t0), len(res.Rows), evalEpoch, res.Explain)
+	s.slow.Record(r.Context(), string(body), time.Since(t0), len(res.Rows), snap.Epoch, res.Explain)
 	rows := make([][]string, 0, len(res.Rows))
 	for _, row := range res.Rows {
 		cells := make([]string, len(row))
@@ -946,53 +849,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, cells)
 	}
-	// "epoch" is the epoch of the data the rows were computed from: the
-	// snapshot's, or under ?saturate that of the cached saturated graph,
-	// which another request may have built at a later epoch.
+	// "epoch" is the epoch of the data the rows were computed from, G∞
+	// under ?saturate included.
 	payload := map[string]any{
 		"vars":      res.Vars,
 		"rows":      rows,
 		"count":     len(rows),
 		"truncated": res.Truncated,
-		"epoch":     evalEpoch,
-	}
-	if saturated {
-		payload["saturate_epoch"] = evalEpoch
+		"epoch":     snap.Epoch,
 	}
 	if opts.Pruner != nil {
-		payload["prune_epoch"] = evalEpoch
+		payload["prune_epoch"] = snap.Epoch
 	}
 	if res.Explain != nil && wantExplain {
 		payload["explain"] = res.Explain
 	}
 	httpapi.WriteJSON(w, payload)
-}
-
-// pruneGate returns the pruning gate of one kind for a query evaluated at
-// evalEpoch, or nil when the gate's summary is of another epoch. Prop. 1
-// proves a query empty on G from its emptiness on the summary of G itself:
-// an older epoch's summary has not seen the triples added since, and a
-// newer one's may lack triples deleted since, so either could prove empty
-// a query that has rows at evalEpoch. Such a gate is skipped, not served.
-func (s *server) pruneGate(lv *rdfsum.Live, kind rdfsum.Kind, evalEpoch uint64) (*rdfsum.QueryPruner, error) {
-	pruner, epoch, err := s.pruner(lv, kind)
-	if err != nil || epoch != evalEpoch {
-		return nil, err
-	}
-	return pruner, nil
-}
-
-// saturatedIndex returns G∞ of lv's epoch snap, its index and the epoch it
-// reflects, cached across requests and rebuilt when the cache is of
-// another store or lv has moved past that epoch.
-func (s *server) saturatedIndex(lv *rdfsum.Live, snap *rdfsum.LiveSnapshot) (*rdfsum.Graph, *store.Index, uint64) {
-	s.satMu.Lock()
-	defer s.satMu.Unlock()
-	if s.satGraph == nil || s.satLive != lv || s.satEpoch < snap.Epoch {
-		s.satGraph = rdfsum.Saturate(snap.Graph)
-		s.satIx = rdfsum.NewIndex(s.satGraph)
-		s.satLive = lv
-		s.satEpoch = snap.Epoch
-	}
-	return s.satGraph, s.satIx, s.satEpoch
 }

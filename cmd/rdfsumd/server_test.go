@@ -12,6 +12,14 @@ import (
 	"rdfsum"
 )
 
+// newServerFromGraph serves a memory-only store over g.
+func newServerFromGraph(g *rdfsum.Graph) *server {
+	lv := rdfsum.NewLive(g, nil)
+	s := &server{lv: lv, queue: rdfsum.NewIngestQueue(lv, 0, 0)}
+	s.initObs(nil, 0)
+	return s
+}
+
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv := newServerFromGraph(rdfsum.GenerateBSBM(40))

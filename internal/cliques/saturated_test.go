@@ -137,7 +137,7 @@ func SaturatedPartition(cliqueMembers [][]dict.ID, sch *schema.Schema) (groupOf 
 	for i, ps := range cliqueMembers {
 		for _, p := range ps {
 			claim(uf, claimed, int32(i), p)
-			for _, sup := range sch.SuperProperties(p) {
+			for _, sup := range sch.SubProp[p] {
 				claim(uf, claimed, int32(i), sup)
 			}
 		}

@@ -30,8 +30,17 @@ func benchTriples(n int) []rdf.Triple {
 
 // benchDirs caches seeded store directories across the benchmark's
 // scaling rounds: building a 10M-triple snapshot once is expensive
-// enough without rebuilding it for every b.N estimate.
+// enough without rebuilding it for every b.N estimate. TestMain removes
+// them once every test and benchmark has run.
 var benchDirs = map[int]string{}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, dir := range benchDirs {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
+}
 
 // benchStoreDir seeds a durable store with n triples and closes it,
 // leaving a compacted base snapshot and an empty WAL — the cold-open

@@ -20,7 +20,11 @@
 //     (core.Summarize) and cached per kind; Summary's maxStale lets a
 //     caller accept a cached build that many epochs old. The default
 //     maintains the weak summary only; -maintain all trades write-side
-//     memory for serving every kind without a per-epoch build.
+//     memory for serving every kind without a per-epoch build. What a
+//     query derives from an epoch is cached beside what it derives from:
+//     the pruning gate in its kind's summary cell (PruneGate), G∞ in the
+//     snapshot (Snapshot.Saturated), the planner's weights in the store
+//     (PlanStats).
 //   - Deletions are first-class: Delete/DeleteBatch journal an OpDelete
 //     WAL record, remove every stored copy of the listed triples, and
 //     publish a tombstone run in the tiered index (the graph components
@@ -69,7 +73,9 @@ import (
 	"time"
 
 	"rdfsum/internal/core"
+	"rdfsum/internal/query"
 	"rdfsum/internal/rdf"
+	"rdfsum/internal/saturate"
 	"rdfsum/internal/store"
 )
 
@@ -111,19 +117,54 @@ type Snapshot struct {
 	Graph *store.Graph
 	// Index is the triple-pattern index over Graph.
 	Index *store.Index
+
+	saturated struct {
+		once  sync.Once
+		graph *store.Graph
+		index *store.Index
+	}
+}
+
+// Saturated returns G∞ of this epoch's graph — its closure under the RDFS
+// rules (§2.1) — and an index over it, built by the first call and kept
+// with the snapshot: they are freed once the epoch is superseded and no
+// reader holds it.
+func (s *Snapshot) Saturated() (*store.Graph, *store.Index) {
+	s.saturated.once.Do(func() {
+		s.saturated.graph = saturate.Graph(s.Graph)
+		s.saturated.index = store.NewIndex(s.saturated.graph)
+	})
+	return s.saturated.graph, s.saturated.index
 }
 
 // summaryCell caches the most recent build of one summary kind, tagged
-// with the epoch it reflects. The mutex singleflights rebuilds of that
-// kind without blocking other kinds. lazyBuilds counts the from-scratch
-// summarizations (a fresh seeded builder set over the epoch's view) this
-// cell has paid — always 0 for a maintained kind, the observable "no full
-// rebuild" guarantee.
+// with the epoch it reflects, and the pruning gate built from it (nil
+// until PruneGate asks; dropped whenever sum is replaced). The mutex
+// singleflights rebuilds of that kind without blocking other kinds.
+// lazyBuilds counts the from-scratch summarizations (a fresh seeded
+// builder set over the epoch's view) this cell has paid — always 0 for a
+// maintained kind, the observable "no full rebuild" guarantee.
 type summaryCell struct {
 	mu         sync.Mutex
 	epoch      uint64
 	sum        *core.Summary
+	gate       *query.Pruner
 	lazyBuilds uint64
+}
+
+// planStatsMaxStale is how many epochs the planner's weights may trail
+// the store, the one derived artifact served stale. They only feed the
+// reported estimates (Explain, a slow-query log), never the join order
+// or the rows, so they are not worth an O(graph) ComputeWeights pass
+// after every ingest batch.
+const planStatsMaxStale = 32
+
+// weightsCell caches the weak summary's Weights, tagged with the epoch of
+// the summary they were computed from.
+type weightsCell struct {
+	mu      sync.Mutex
+	epoch   uint64
+	weights *core.Weights
 }
 
 // Live is a mutable graph service. The zero value is not usable; call
@@ -150,7 +191,8 @@ type Live struct {
 	// the replication leader's long-poll wake-up (see Watch).
 	watch chan struct{}
 
-	cells [core.NumKinds]summaryCell // indexed by core.Kind
+	cells   [core.NumKinds]summaryCell // indexed by core.Kind
+	weights weightsCell
 
 	// RecoveredTorn reports whether Open dropped a torn tail from the WAL
 	// (the crash-recovery path was exercised).
@@ -520,21 +562,90 @@ func (l *Live) installLocked(view *store.Graph, ix *store.Index) {
 // serving a cached summary up to that many epochs old (0 = always
 // current), the staleness policy a serving layer exposes to its clients.
 func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, error) {
-	if int(kind) < 0 || int(kind) >= len(l.cells) {
-		return nil, 0, fmt.Errorf("core: unknown summary kind %d", int(kind))
+	cell, err := l.cell(kind)
+	if err != nil {
+		return nil, 0, err
 	}
-	snap := l.Snapshot()
-	cell := &l.cells[kind]
 	cell.mu.Lock()
 	defer cell.mu.Unlock()
+	if err := l.refreshLocked(kind, cell, maxStale); err != nil {
+		return nil, 0, err
+	}
+	return cell.sum, cell.epoch, nil
+}
+
+// PruneGate returns the pruning gate of kind — its summary saturated and
+// indexed as an emptiness oracle (query.NewPruner) — for a query evaluated
+// at epoch. A cached summary of another epoch is first refreshed to the
+// current one; if that is not epoch either, the result is nil. Prop. 1
+// proves a query empty on G from its emptiness on the summary of G
+// itself: an older epoch's summary has not seen the triples added since,
+// and a newer one's may lack triples deleted since, so either could prove
+// empty a query that has rows at epoch. The gate is built at most once
+// per summary.
+func (l *Live) PruneGate(kind core.Kind, epoch uint64) (*query.Pruner, error) {
+	cell, err := l.cell(kind)
+	if err != nil {
+		return nil, err
+	}
+	cell.mu.Lock()
+	defer cell.mu.Unlock()
+	if cell.sum == nil || cell.epoch != epoch {
+		if err := l.refreshLocked(kind, cell, 0); err != nil || cell.epoch != epoch {
+			return nil, err
+		}
+	}
+	if cell.gate == nil {
+		cell.gate = query.NewPruner(cell.sum)
+	}
+	return cell.gate, nil
+}
+
+// PlanStats returns the weak summary's Weights, the quotient-map
+// cardinalities behind the planner's estimates, recomputed when they
+// trail the store by more than planStatsMaxStale epochs — their own
+// epoch, not the weak cell's, which every query's pruning gate refreshes.
+func (l *Live) PlanStats() (*core.Weights, error) {
+	wc := &l.weights
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if wc.weights != nil && wc.epoch+planStatsMaxStale >= l.Epoch() {
+		return wc.weights, nil
+	}
+	sum, epoch, err := l.Summary(core.Weak, planStatsMaxStale)
+	if err != nil {
+		return nil, err
+	}
+	if wc.weights == nil || wc.epoch != epoch {
+		t0 := time.Now()
+		wc.weights = sum.ComputeWeights()
+		plannerWeightsSeconds.ObserveSince(t0)
+		wc.epoch = epoch
+	}
+	return wc.weights, nil
+}
+
+// cell returns kind's summary cell.
+func (l *Live) cell(kind core.Kind) (*summaryCell, error) {
+	if int(kind) < 0 || int(kind) >= len(l.cells) {
+		return nil, fmt.Errorf("core: unknown summary kind %d", int(kind))
+	}
+	return &l.cells[kind], nil
+}
+
+// refreshLocked rebuilds kind's cached summary unless it trails the
+// current epoch by at most maxStale. Caller holds cell.mu.
+func (l *Live) refreshLocked(kind core.Kind, cell *summaryCell, maxStale uint64) error {
+	snap := l.Snapshot()
 	if cell.sum != nil && cell.epoch+maxStale >= snap.Epoch {
-		return cell.sum, cell.epoch, nil
+		return nil
 	}
 	// The superseded summary can be served to nobody while this call
-	// holds the cell: drop it now, so the collector need not keep it (and
-	// its dictionary) alive beside the one being built. On a build
-	// error the cell then holds nothing, as the error tells the caller.
-	cell.sum = nil
+	// holds the cell: drop it and its gate now, so the collector need not
+	// keep them (and the summary's dictionary) alive beside the one being
+	// built. On a build error the cell then holds nothing, as the error
+	// tells the caller.
+	cell.sum, cell.gate = nil, nil
 	var (
 		s     *core.Summary
 		epoch = snap.Epoch
@@ -547,10 +658,10 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 		cell.lazyBuilds++
 	}
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	cell.sum, cell.epoch = s, epoch
-	return s, epoch, nil
+	return nil
 }
 
 // fromBuilders materializes a maintained summary from the incremental

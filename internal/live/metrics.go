@@ -17,4 +17,6 @@ var (
 		"Time an admitted ingest batch waited for its turn to write.", obs.DefBuckets)
 	queueDrainSeconds = obs.Default.Histogram("rdfsum_ingest_queue_drain_seconds",
 		"Time spent applying one admitted ingest batch to the store.", obs.DefBuckets)
+	plannerWeightsSeconds = obs.Default.Histogram("rdfsum_planner_weights_seconds",
+		"Seconds each rebuild of the planner's weights (ComputeWeights over the weak summary) took; the count is the number of rebuilds.", obs.DefBuckets)
 )

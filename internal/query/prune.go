@@ -1,6 +1,8 @@
 package query
 
 import (
+	"rdfsum/internal/core"
+	"rdfsum/internal/saturate"
 	"rdfsum/internal/store"
 )
 
@@ -22,10 +24,12 @@ type Pruner struct {
 	ix   *store.Index
 }
 
-// NewPruner wraps an already-saturated summary graph (H_G)∞. kind labels
-// the summary (e.g. "weak") in explanations.
-func NewPruner(kind string, saturatedSummary *store.Graph) *Pruner {
-	return &Pruner{kind: kind, g: saturatedSummary, ix: store.NewIndex(saturatedSummary)}
+// NewPruner builds the gate of summary s: it saturates the summary graph
+// into (H_G)∞ and indexes it. The summary's kind labels the gate (e.g.
+// "weak") in explanations.
+func NewPruner(s *core.Summary) *Pruner {
+	g := saturate.Graph(s.Graph)
+	return &Pruner{kind: s.Kind.String(), g: g, ix: store.NewIndex(g)}
 }
 
 // Kind returns the label of the underlying summary.

@@ -145,9 +145,10 @@ func (f *Follower) Close() error {
 }
 
 // Live returns the replica's current live store. Each bootstrap swaps in
-// a new one whose epochs restart at 1, so an epoch-keyed cache must also
-// be keyed on the store it was built from: an epoch comparison across
-// stores is meaningless.
+// a new one whose epochs restart at 1, so a caller pins the store once
+// per request and reads every epoch and every derived artifact (summary,
+// pruning gate, G∞, planner weights) from that store alone: each store
+// caches its own, and an epoch comparison across stores is meaningless.
 func (f *Follower) Live() *live.Live {
 	f.mu.Lock()
 	defer f.mu.Unlock()

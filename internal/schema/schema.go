@@ -51,11 +51,6 @@ func FromGraph(g *store.Graph) *Schema {
 	return s
 }
 
-// IsEmpty reports whether the schema holds no constraints.
-func (s *Schema) IsEmpty() bool {
-	return len(s.SubClass) == 0 && len(s.SubProp) == 0 && len(s.Domain) == 0 && len(s.Range) == 0
-}
-
 // normalize sorts and dedups every adjacency list.
 func (s *Schema) normalize() {
 	for _, m := range []map[dict.ID][]dict.ID{s.SubClass, s.SubProp, s.Domain, s.Range} {
@@ -151,14 +146,6 @@ func transitiveClosure(adj map[dict.ID][]dict.ID) map[dict.ID][]dict.ID {
 	}
 	return out
 }
-
-// SuperProperties returns all strict superproperties of p (empty before
-// saturation implies none declared; on a saturated schema this is the full
-// set).
-func (s *Schema) SuperProperties(p dict.ID) []dict.ID { return s.SubProp[p] }
-
-// SuperClasses returns all strict superclasses of c.
-func (s *Schema) SuperClasses(c dict.ID) []dict.ID { return s.SubClass[c] }
 
 // Triples re-serializes the schema into encoded schema triples, sorted.
 func (s *Schema) Triples(v store.Vocab) []store.Triple {

@@ -38,10 +38,10 @@ func TestFromGraphExtractsConstraints(t *testing.T) {
 	if got := s.Range[id("p")]; !reflect.DeepEqual(got, []dict.ID{id("A")}) {
 		t.Errorf("Range[p] = %v, want [A]", got)
 	}
-	if s.IsEmpty() {
+	if len(s.SubClass)+len(s.SubProp)+len(s.Domain)+len(s.Range) == 0 {
 		t.Error("schema with constraints reported empty")
 	}
-	if !FromGraph(buildGraph(rdf.NewTriple(iri("s"), iri("p"), iri("o")))).IsEmpty() {
+	if e := FromGraph(buildGraph(rdf.NewTriple(iri("s"), iri("p"), iri("o")))); len(e.SubClass)+len(e.SubProp)+len(e.Domain)+len(e.Range) != 0 {
 		t.Error("schema of schemaless graph should be empty")
 	}
 }
@@ -65,8 +65,8 @@ func TestSaturateTransitivity(t *testing.T) {
 	if got := s.SubProp[id("p1")]; len(got) != 2 {
 		t.Errorf("SubProp+[p1] = %v, want 2 superproperties", got)
 	}
-	if got := s.SuperClasses(id("C4")); len(got) != 0 {
-		t.Errorf("SuperClasses(C4) = %v, want none", got)
+	if got := s.SubClass[id("C4")]; len(got) != 0 {
+		t.Errorf("SubClass+[C4] = %v, want none", got)
 	}
 }
 

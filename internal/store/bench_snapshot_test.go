@@ -11,8 +11,17 @@ import (
 )
 
 // benchSnapshotFile writes an n-triple v2 snapshot once per size and
-// caches the path across scaling rounds.
+// caches the path across scaling rounds; TestMain removes the files'
+// directories once every test and benchmark has run.
 var benchSnapshots = map[int]string{}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, path := range benchSnapshots {
+		os.RemoveAll(filepath.Dir(path))
+	}
+	os.Exit(code)
+}
 
 func benchSnapshotPath(b *testing.B, n int) string {
 	b.Helper()

@@ -69,6 +69,3 @@ func (u *UF) Union(a, b int32) int32 {
 	u.sets--
 	return ra
 }
-
-// Same reports whether a and b are in the same set.
-func (u *UF) Same(a, b int32) bool { return u.Find(a) == u.Find(b) }

@@ -25,11 +25,11 @@ func TestUnionFind(t *testing.T) {
 	if u.Sets() != 4 {
 		t.Errorf("Sets = %d, want 4", u.Sets())
 	}
-	if !u.Same(0, 1) || !u.Same(2, 3) || u.Same(0, 2) {
-		t.Error("Same gives wrong connectivity after two unions")
+	if u.Find(0) != u.Find(1) || u.Find(2) != u.Find(3) || u.Find(0) == u.Find(2) {
+		t.Error("Find gives wrong connectivity after two unions")
 	}
 	u.Union(1, 3)
-	if !u.Same(0, 2) || u.Sets() != 3 {
+	if u.Find(0) != u.Find(2) || u.Sets() != 3 {
 		t.Error("union of sets did not connect all members")
 	}
 	// Union within a set is a no-op.
@@ -103,7 +103,7 @@ func TestConnectivityMatchesNaive(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if u.Same(int32(i), int32(j)) != (comp[i] == comp[j]) {
+				if (u.Find(int32(i)) == u.Find(int32(j))) != (comp[i] == comp[j]) {
 					return false
 				}
 			}

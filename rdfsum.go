@@ -356,7 +356,7 @@ func CompileQuery(g *Graph, q *Query, stats PlanStats) (*QueryPlan, error) {
 // oracle. RBGP queries with no answers on it are provably empty on G∞
 // (Prop. 1) — and on G — so evaluation can skip the data entirely.
 func NewQueryPruner(s *Summary) *QueryPruner {
-	return query.NewPruner(s.Kind.String(), saturate.Graph(s.Graph))
+	return query.NewPruner(s)
 }
 
 // ExportDOT renders a graph (or a summary's Graph) as a Graphviz DOT
