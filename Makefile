@@ -178,8 +178,10 @@ ingest-smoke:
 # parsed triples, term for term, ID for ID and component for component;
 # malformed input fails both on the same line); the dictionary's term
 # keys (every term round-trips through its key); the dictionary's pages
-# (any pages and directory either fail to open or decode every term and
-# write sections that open to the same terms); the WAL record
+# (any pages, directory and symbol table either fail to open or decode
+# every term and write sections that open to the same terms); the symbol
+# table (any table and codes either fail or decode to at most eight bytes
+# a code, the same by every decode path); the WAL record
 # decoder/replayer; the snapshot graph decode (header counts and
 # vocabulary, dictionary, column — tagged or untagged — and retired
 # comp-types payloads, checksums resealed; a graph it returns is served
@@ -190,6 +192,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
 	$(GO) test -fuzz=FuzzDictKeyRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
 	$(GO) test -fuzz=FuzzDictPages -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
+	$(GO) test -fuzz=FuzzSymbolTable -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
 	$(GO) test -fuzz=FuzzTurtleLoad -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live

@@ -12,6 +12,7 @@ package rdfsum_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -549,7 +550,9 @@ func BenchmarkLiveCycle(b *testing.B) {
 // fixed random order of the IDs, as a query's rows ask for them — and
 // lookup-miss probes for a term the snapshot does not hold, what every
 // name a summary mints costs. The open, which indexes the base, runs
-// before the timer.
+// before the timer. write is the writer: the heap dictionary's pages,
+// directory and symbol table, trained anew each time, streamed to
+// io.Discard.
 func BenchmarkMappedDict(b *testing.B) {
 	products := 3000
 	if testing.Short() {
@@ -583,6 +586,14 @@ func benchMappedDict(b *testing.B, heap *store.Graph) {
 		ids[i] = dict.ID(i + 1)
 	}
 	rand.New(rand.NewPCG(1, 2)).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := heap.Dict().WriteFrontCoded(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	terms := make([]rdf.Term, n)
 	misses := make([]rdf.Term, n)
 	for i, id := range ids {

@@ -457,9 +457,10 @@ func describeStreamErr(path string, err error) error {
 
 // cmdInspect prints a snapshot file's physical layout: format version,
 // header counts, every section's offset, size, bytes per triple and
-// CRC-32 (IEEE), with a retired section marked so, and the on-disk
-// compression ratio — answered from the header and TOC alone (no triple
-// decode).
+// CRC-32 (IEEE), with a retired section marked so, the dictionary's
+// symbol table and how many terms it packs, and the on-disk compression
+// ratio — answered from the header, the TOC and one walk of the
+// dictionary's pages (no term or triple decode).
 func cmdInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -496,6 +497,17 @@ func cmdInspect(args []string) error {
 		payload += s.Len
 	}
 	tw.Flush() //nolint:errcheck
+	if info.DictSymbols < 0 {
+		fmt.Printf("  dict symbols: none (a file of a build before the table), packed terms: 0 of %d\n", info.NTerms)
+	} else {
+		var tableBytes uint64
+		for _, s := range info.Sections {
+			if s.Name == "dict-symbols" {
+				tableBytes = s.Len
+			}
+		}
+		fmt.Printf("  dict symbols: %d (%d bytes), packed terms: %d of %d\n", info.DictSymbols, tableBytes, info.DictPacked, info.NTerms)
+	}
 	if nTriples > 0 {
 		raw := nTriples * 3 * 8 // three u64 ids per triple, uncompressed baseline
 		fmt.Printf("  payload: %d bytes (%.1f%% padding); columns+dict vs raw 24 B/triple: %.2fx\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -162,7 +163,9 @@ func TestCmdSummarizeSavesSummaryNotInput(t *testing.T) {
 // length, and the column says so — an operator re-checking a section with
 // a CRC-32C tool would get a mismatch on every row. Each row's bytes per
 // triple is its length over the header's triple count, and no section of
-// a file this build writes is marked retired.
+// a file this build writes is marked retired. The symbol table's line
+// gives the dict-symbols row's bytes and counts packed terms out of the
+// header's.
 func TestCmdInspectSectionCRCs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.snap")
@@ -201,6 +204,7 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 	}
 	triples := float64(g.NumEdges())
 	rows := 0
+	sizes := map[string]uint64{}
 	for _, l := range lines[head+1:] {
 		f := strings.Fields(l)
 		if len(f) != 5 {
@@ -222,9 +226,22 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 		if want := float64(n) / triples; math.Abs(perTriple-want) > 0.0005 {
 			t.Errorf("section %s: printed %.3f B/triple, its %d bytes over %v triples are %.4f", f[0], perTriple, n, triples, want)
 		}
+		sizes[f[0]] = n
 		rows++
 	}
-	if rows != 6 {
-		t.Fatalf("inspect printed %d section rows, want the snapshot's 6:\n%s", rows, printed)
+	if rows != 7 {
+		t.Fatalf("inspect printed %d section rows, want the snapshot's 7:\n%s", rows, printed)
+	}
+	var symbols, tableBytes, packed, terms int
+	at := strings.Index(string(printed), "dict symbols:")
+	if at < 0 {
+		t.Fatalf("no symbol table line in:\n%s", printed)
+	}
+	if _, err := fmt.Sscanf(string(printed[at:]), "dict symbols: %d (%d bytes), packed terms: %d of %d", &symbols, &tableBytes, &packed, &terms); err != nil {
+		t.Fatalf("symbol table line: %v in:\n%s", err, printed)
+	}
+	if symbols == 0 || uint64(tableBytes) != sizes["dict-symbols"] || packed == 0 || packed > terms || terms != g.Dict().Len() {
+		t.Fatalf("symbol table line says %d symbols in %d bytes, %d of %d terms packed; dict-symbols holds %d bytes, the dictionary %d terms",
+			symbols, tableBytes, packed, terms, sizes["dict-symbols"], g.Dict().Len())
 	}
 }

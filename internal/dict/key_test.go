@@ -130,12 +130,12 @@ func TestSharedDictReadersDuringEncode(t *testing.T) {
 		defer wg.Done()
 		for k := 0; k < 20; k++ {
 			var pages strings.Builder
-			nTerms, dir, err := d.WriteFrontCoded(&pages)
+			nTerms, dir, syms, err := d.WriteFrontCoded(&pages)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			m, err := NewMapped([]byte(pages.String()), dir, nTerms)
+			m, err := NewMapped([]byte(pages.String()), dir, syms, nTerms)
 			if err != nil {
 				t.Error(err)
 				return

@@ -54,6 +54,7 @@ const (
 	secColSPO     = 11 // sorted all-triples column, SPO order, in tagged steps
 	secColPOS     = 12
 	secColOSP     = 13
+	secDictSyms   = 14 // the symbol table packed dictionary suffixes are coded with
 )
 
 func sectionName(id byte) string {
@@ -64,6 +65,8 @@ func sectionName(id byte) string {
 		return "dict-dir"
 	case secDictSorted:
 		return "dict-sorted"
+	case secDictSyms:
+		return "dict-symbols"
 	case secCompData:
 		return "comp-data"
 	case secCompTypes:

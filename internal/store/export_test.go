@@ -6,6 +6,7 @@ var (
 	WithComponentSections = withComponentSections
 	WithTypeSection       = withTypeSection
 	WithOldCoding         = withOldCoding
+	WithUnpackedDict      = withUnpackedDict
 	WithOldColumns        = withOldColumns
 	IdenticalGraphs       = identicalGraphs
 	AsOpened              = asOpened

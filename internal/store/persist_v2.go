@@ -12,9 +12,11 @@ import (
 
 // Snapshot format v2 content, inside the container of container.go:
 //
-//   - secDictPages/DictDir: the front-coded dictionary (internal/dict,
-//     WriteFrontCoded), terms in ID order, so every term keeps its ID
-//     across a reopen.
+//   - secDictPages/DictDir/DictSyms: the front-coded dictionary
+//     (internal/dict, WriteFrontCoded), terms in ID order, so every term
+//     keeps its ID across a reopen, and the symbol table its packed
+//     suffixes are coded with. A file without the table, which the
+//     builds before it wrote, holds no packed term.
 //   - secColSPO/POS/OSP: the full triple multiset (all components,
 //     duplicates preserved) sorted three ways as varint-delta columns in
 //     tagged steps (colenc.go) — the zero-copy base run of the tiered
@@ -53,12 +55,13 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	}
 	w := newContainerWriter(f)
 	w.begin()
-	nTerms, dir, err := g.Dict().WriteFrontCoded(w)
+	nTerms, dir, symbols, err := g.Dict().WriteFrontCoded(w)
 	if err != nil {
 		return err
 	}
 	w.end(secDictPages)
 	w.section(secDictDir, dir)
+	w.section(secDictSyms, symbols)
 	for o, id := range colSectionIDs {
 		sortTriples(Order(o), buf, scratch)
 		w.begin()
@@ -215,21 +218,17 @@ func (sf *SnapshotFile) Close() error { return sf.c.file.close() }
 // checked the checksums.
 func (sf *SnapshotFile) graph() (*Graph, error) {
 	c := sf.c
-	var raw [3][]byte
-	for i, id := range []byte{secVocab, secDictPages, secDictDir} {
-		sec, err := c.section(id)
-		if err != nil {
-			return nil, err
-		}
-		raw[i] = sec.raw
-	}
-	v, err := decodeVocabSec(raw[0], c.nTerms)
+	sec, err := c.section(secVocab)
 	if err != nil {
 		return nil, err
 	}
-	md, err := dict.NewMapped(raw[1], raw[2], int(c.nTerms))
+	v, err := decodeVocabSec(sec.raw, c.nTerms)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, err
+	}
+	md, err := mappedDict(c)
+	if err != nil {
+		return nil, err
 	}
 	md.Owner = c.file
 	d, err := dict.WithBase(md)
@@ -241,6 +240,29 @@ func (sf *SnapshotFile) graph() (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// mappedDict wraps c's dictionary sections, the symbol table's only if
+// the file holds one: a build before it wrote no table, and no packed
+// term.
+func mappedDict(c *container) (*dict.Mapped, error) {
+	var raw [2][]byte
+	for i, id := range []byte{secDictPages, secDictDir} {
+		sec, err := c.section(id)
+		if err != nil {
+			return nil, err
+		}
+		raw[i] = sec.raw
+	}
+	var symbols []byte
+	if sec := c.secs[secDictSyms]; sec != nil {
+		symbols = sec.raw
+	}
+	md, err := dict.NewMapped(raw[0], raw[1], symbols, int(c.nTerms))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	return md, nil
 }
 
 // splitSPO fills g's three components, each in SPO order, from one walk
@@ -349,9 +371,14 @@ type SnapshotInfo struct {
 	NSchema  uint64
 	Sections []SectionInfo
 	Mmap     bool // whether this build serves snapshots from mapped pages
+	// The dictionary's symbol table: how many symbols it holds, -1 for a
+	// file without one; and how many of the NTerms terms are packed.
+	DictSymbols int
+	DictPacked  uint64
 }
 
-// InspectSnapshot parses path's header and TOC and reports its layout.
+// InspectSnapshot parses path's header and TOC and reports its layout,
+// and walks the dictionary's pages to count the packed terms.
 func InspectSnapshot(path string) (*SnapshotInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -382,5 +409,14 @@ func InspectSnapshot(path string) (*SnapshotInfo, error) {
 			Name: sectionName(s.id), Off: s.off, Len: s.n, CRC: s.crc, Retired: retiredSection(s.id),
 		})
 	}
+	md, err := mappedDict(c)
+	if err != nil {
+		return nil, err
+	}
+	packed, err := md.Packed()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	info.DictSymbols, info.DictPacked = md.Symbols(), uint64(packed)
 	return info, nil
 }

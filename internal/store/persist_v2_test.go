@@ -588,8 +588,25 @@ func TestInspectSnapshotV2(t *testing.T) {
 			t.Errorf("section %s is marked retired", s.Name)
 		}
 	}
-	if want := []string{"dict-pages", "dict-dir", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
+	if want := []string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
 		t.Fatalf("sections %v, want %v", names, want)
+	}
+	if info.DictSymbols <= 0 || info.DictPacked == 0 || info.DictPacked > info.NTerms {
+		t.Fatalf("a table of %d symbols packs %d of %d terms", info.DictSymbols, info.DictPacked, info.NTerms)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, withUnpackedDict(t, file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := InspectSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.DictSymbols != -1 || old.DictPacked != 0 {
+		t.Fatalf("a file without a table: %d symbols, %d terms packed; want -1 and 0", old.DictSymbols, old.DictPacked)
 	}
 	if info.NTerms != uint64(g.Dict().Len()) ||
 		info.NData != uint64(len(g.Data)) ||
@@ -620,9 +637,24 @@ func (want golden) check(t *testing.T, what string, got []byte) {
 
 // The files this writer produces.
 var (
-	goldenV2Sample = golden{28798, "c442c6265e742e4f4b02cb14b4fd272e45cdafab98c9de0c459edad8dff46a9a"}
+	goldenV2Sample = golden{32915, "d38e94a03a15072aaddbc7a20ebe1a0f2bb2ecd93d7d0af07db02d81156bab79"}
 	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
 	goldenRandom = map[int]golden{
+		0:               {32915, "f5359f35e44d356fb3cfe868f76522691895a36ab2c73666531454f874bc34b3"},
+		3:               {32915, "36629a0986d7b23dff75a89418a9d26406a7497eaad58b2a3eb1abdf6ab3017b"},
+		50:              {32915, "bef874e390aa611a59bd536e9bed95370d41e656aa12b779ceaa92dc7f85df74"},
+		radixCutoff * 3: {32915, "e7cfccac316ca1ead0ef0a06a642c25aed3e7be701848588d7647f32d3b318e6"},
+		3000:            {73875, "ef480187f1be47a1605d525940e5e593f076f083e1d54c5b843961fe9270eb9e"},
+	}
+)
+
+// The same graphs' files as every writer wrote them before the
+// dictionary's symbol table: recorded from the writer of commit 30dc72e.
+// withUnpackedDict rebuilds them from this writer's files, which proves
+// those are these bytes with no suffix packed.
+var (
+	goldenUnpackedV2Sample = golden{28798, "c442c6265e742e4f4b02cb14b4fd272e45cdafab98c9de0c459edad8dff46a9a"}
+	goldenUnpackedRandom   = map[int]golden{
 		0:               {28798, "f6e09a80308cbb49f60f74395bdf60e48ea30df3d2a7771a18d734898b829393"},
 		3:               {28798, "bb48ccc56a0e4ff6e50f138bee051b75846f25e84e133a8c2fb305d385780e01"},
 		50:              {28798, "9baa9fc222ac0df3f36ba027e4a27721ccd5247132ad67468e918a1f3d0bf64d"},
@@ -709,6 +741,84 @@ var (
 	}
 )
 
+// withUnpackedDict rebuilds the file a build before the dictionary's
+// symbol table (commit 30dc72e and earlier) made of the same graph:
+// data's sections in their order, with dict-pages and dict-dir holding
+// data's terms as unpackedDict codes them and no dict-symbols, resealed
+// through containerWriter.
+func withUnpackedDict(t testing.TB, data []byte) []byte {
+	t.Helper()
+	g, _, err := ReadGraph(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := make([]rdf.Term, g.Dict().Len())
+	for i := range terms {
+		terms[i] = g.Dict().Term(dict.ID(i + 1))
+	}
+	pages, dir := unpackedDict(terms)
+	return rebuilt(t, data, func(w *containerWriter, s *section) {
+		switch s.id {
+		case secDictPages:
+			w.section(s.id, pages)
+		case secDictDir:
+			w.section(s.id, dir)
+		case secDictSyms:
+		default:
+			w.section(s.id, s.raw)
+		}
+	})
+}
+
+// unpackedDict returns the dictionary sections the builds between the
+// kind byte's flags and the symbol table wrote of terms (IDs 1, 2, …):
+// each term front-coded against the block's previous term of its own
+// kind (sameKind) or else the previous term, a literal with the
+// datatype and language of the block's previous literal flagged so
+// (sameTags), and no suffix packed.
+func unpackedDict(terms []rdf.Term) (pages, dir []byte) {
+	const sameKind, sameTags = 0x10, 0x20
+	var last [rdf.Literal + 1]string
+	var have uint8
+	var prev rdf.TermKind
+	var dt, lang string
+	for i, t := range terms {
+		k, head := t.Kind, i%dict.BlockTerms == 0
+		if head {
+			dir = binary.LittleEndian.AppendUint64(dir, uint64(len(pages)))
+			have = 0
+		}
+		kind, ref := byte(k), prev
+		if have&(1<<k) != 0 {
+			kind, ref = kind|sameKind, k
+		}
+		tags := k == rdf.Literal && have&(1<<rdf.Literal) != 0 && dt == t.Datatype && lang == t.Lang
+		if tags {
+			kind |= sameTags
+		}
+		pages = append(pages, kind)
+		lcp := 0
+		if !head {
+			for lcp < len(last[ref]) && lcp < len(t.Value) && last[ref][lcp] == t.Value[lcp] {
+				lcp++
+			}
+			pages = binary.AppendUvarint(pages, uint64(lcp))
+		}
+		pages = binary.AppendUvarint(pages, uint64(len(t.Value)-lcp))
+		pages = append(pages, t.Value[lcp:]...)
+		if k == rdf.Literal && !tags {
+			pages = binary.AppendUvarint(pages, uint64(len(t.Datatype)))
+			pages = append(pages, t.Datatype...)
+			pages = binary.AppendUvarint(pages, uint64(len(t.Lang)))
+			pages = append(pages, t.Lang...)
+			dt, lang = t.Datatype, t.Lang
+		}
+		last[k], prev = t.Value, k
+		have |= 1 << k
+	}
+	return pages, dir
+}
+
 // withOldCoding rebuilds the file a build before the dictionary's kind
 // flags (commit 9327bce and earlier) made of the same graph: data's
 // sections in their order, with dict-pages and dict-dir holding data's
@@ -730,6 +840,7 @@ func withOldCoding(t testing.TB, data []byte) []byte {
 			w.section(s.id, pages)
 		case secDictDir:
 			w.section(s.id, dir)
+		case secDictSyms: // no build before the flags wrote a table
 		default:
 			w.section(s.id, s.raw)
 		}
@@ -878,8 +989,10 @@ func rebuilt(t testing.TB, data []byte, put func(w *containerWriter, s *section)
 // TestWriteSnapshotV2ByteIdentical: whatever order the writer is handed a
 // graph's triples in — the graph's own, reversed, the SPO scan of the
 // snapshot's mapped base, the scan of a tiered index fed them in slices —
-// the file is the same, byte for byte; and it is the file of the writer
-// that wrote untagged column steps, with the columns coded so; of the
+// the file is the same, byte for byte, and a second write of the same
+// graph writes it again; and it is the file of the writer before the
+// symbol table, with no suffix packed; of the writer
+// that wrote untagged column steps, with the columns coded so too; of the
 // writer before the dictionary's kind flags, with the dictionary coded
 // so too; of the writer that still wrote comp-types, with that section
 // left out; of the writer that wrote comp-data and comp-schema besides,
@@ -896,6 +1009,8 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	}
 	g, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
+	sample = withUnpackedDict(t, sample)
+	goldenUnpackedV2Sample.check(t, "v2Sample with no suffix packed", sample)
 	sample = withOldColumns(t, sample)
 	goldenUntaggedV2Sample.check(t, "v2Sample with untagged columns", sample)
 	sample = withOldCoding(t, sample)
@@ -914,7 +1029,10 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
-		untagged := withOldColumns(t, file)
+		want.check(t, fmt.Sprintf("n=%d: written again", n), write(g, g.All()))
+		unpacked := withUnpackedDict(t, file)
+		goldenUnpackedRandom[n].check(t, fmt.Sprintf("n=%d: with no suffix packed", n), unpacked)
+		untagged := withOldColumns(t, unpacked)
 		goldenUntaggedRandom[n].check(t, fmt.Sprintf("n=%d: with untagged columns", n), untagged)
 		oldCoded := withOldCoding(t, untagged)
 		goldenOldCodingRandom[n].check(t, fmt.Sprintf("n=%d: in the old coding", n), oldCoded)
@@ -972,13 +1090,13 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 		sections []string
 	}{
 		{"comp-types", func(file []byte, g *Graph) []byte { return withTypeSection(t, file, g) },
-			[]string{"dict-pages", "dict-dir", "comp-types", "col-spo", "col-pos", "col-osp", "vocab"}},
+			[]string{"dict-pages", "dict-dir", "comp-types", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
 		{"comp-data and comp-schema too", func(file []byte, g *Graph) []byte {
 			return withComponentSections(t, withTypeSection(t, file, g), g)
-		}, []string{"dict-pages", "dict-dir", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
+		}, []string{"dict-pages", "dict-dir", "comp-data", "comp-types", "comp-schema", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
 		{"dict-sorted too", func(file []byte, g *Graph) []byte {
 			return withSortedSection(t, withComponentSections(t, withTypeSection(t, file, g), g))
-		}, []string{"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types", "comp-schema", "col-spo", "col-pos", "col-osp", "vocab"}},
+		}, []string{"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types", "comp-schema", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
 	}
 	for _, g := range []*Graph{sample, v2RandomGraph(t, 3001, 3000)} {
 		var f memFile
@@ -1042,16 +1160,25 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 }
 
 // TestWriteSnapshotV2OverMappedBase: compacting a graph reopened onto its
-// mapped snapshot writes, byte for byte, the snapshot of the same graph
-// held on the heap after the same writes — though the first copies the
-// base's complete dictionary blocks, and the second encodes every term.
-// The bases end inside a dictionary
-// block and on a block boundary (16 and 32 terms); the writes add no new
-// term, one, or dozens of every kind. A base a build before the kind
-// byte's flags wrote (withOldCoding) has its complete blocks copied as
-// they are, so the file differs from the heap graph's in those; coded
-// the old way throughout, the two files are the same, so the new one
-// holds the same terms under the same IDs and the same triples.
+// mapped snapshot writes a file of the same graph as the snapshot of the
+// same graph held on the heap after the same writes: with no suffix
+// packed (withUnpackedDict), the two files are the same, byte for byte,
+// so the new one holds the same terms under the same IDs and the same
+// triples. How its dictionary is written depends on the base's:
+//
+//   - this build's, of more than sampleBlocks blocks (random 3000): the
+//     base's complete blocks are copied byte for byte, and its symbol
+//     table codes the new terms, which pack;
+//   - this build's, smaller: the table saw every term the base had, so it
+//     is trained anew and every block re-coded — the file is the heap
+//     graph's, byte for byte;
+//   - of a build before the table, 30dc72e (withUnpackedDict) or before
+//     the kind byte's flags too (withOldCoding): the base's complete
+//     blocks are copied as they are, and the rest is coded as the heap
+//     graph codes it, with the table the heap graph's training gives.
+//
+// The bases end inside a dictionary block and on a block boundary (16
+// and 32 terms); the writes add no new term, one, or dozens of every kind.
 func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 	// chain holds 5 vocabulary terms + p + 2m: 16 terms for m = 5, 32 for m = 13.
 	chain := func(m int) *Graph {
@@ -1073,16 +1200,26 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 		return append(out, rdf.NewTriple(rdf.NewIRI("http://x/s0"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/n1")))
 	}
 	bases := []struct {
-		name string
-		g    func() *Graph
+		name  string
+		g     func() *Graph
+		reuse bool // this build's file of it keeps its table
 	}{
-		{"16 terms", func() *Graph { return chain(5) }},
-		{"32 terms", func() *Graph { return chain(13) }},
-		{"random 50", func() *Graph { return v2RandomGraph(t, 50, 50) }},
-		{"random 3000", func() *Graph { return v2RandomGraph(t, 3000, 3000) }},
+		{"16 terms", func() *Graph { return chain(5) }, false},
+		{"32 terms", func() *Graph { return chain(13) }, false},
+		{"random 50", func() *Graph { return v2RandomGraph(t, 50, 50) }, false},
+		{"random 3000", func() *Graph { return v2RandomGraph(t, 3000, 3000) }, true},
 	}
-	// dictSections returns a file's dict-pages and dict-dir sections.
-	dictSections := func(file []byte) (pages, dir []byte) {
+	codings := []struct {
+		name string
+		file func([]byte) []byte // the base's file as that build wrote it
+	}{
+		{"this build", func(b []byte) []byte { return b }},
+		{"30dc72e", func(b []byte) []byte { return withUnpackedDict(t, b) }},
+		{"9327bce", func(b []byte) []byte { return withOldCoding(t, b) }},
+	}
+	// dictSections returns a file's dict-pages, dict-dir and dict-symbols
+	// (nil without one) sections.
+	dictSections := func(file []byte) (pages, dir, syms []byte) {
 		t.Helper()
 		c, err := parseVerified(file)
 		if err != nil {
@@ -1094,30 +1231,40 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 				pages = s.raw
 			case secDictDir:
 				dir = s.raw
+			case secDictSyms:
+				syms = s.raw
 			}
 		}
-		return pages, dir
+		return pages, dir, syms
+	}
+	// packed counts the packed terms of the file at path.
+	packed := func(path string) uint64 {
+		t.Helper()
+		info, err := InspectSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.DictPacked
 	}
 	for _, base := range bases {
 		for _, k := range []int{0, 1, 40} {
-			for _, oldCoded := range []bool{false, true} {
+			for _, coding := range codings {
+				what := fmt.Sprintf("%s + %d writes over a base of %s", base.name, k, coding.name)
 				heap := base.g()
 				path := filepath.Join(t.TempDir(), "g.rdfsum")
 				if err := SaveFile(path, heap); err != nil {
 					t.Fatal(err)
 				}
-				var basePages, baseDir []byte
-				if oldCoded {
-					file, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					file = withOldCoding(t, file)
-					if err := os.WriteFile(path, file, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					basePages, baseDir = dictSections(file)
+				file, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
 				}
+				file = coding.file(file)
+				if err := os.WriteFile(path, file, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				basePages, baseDir, baseSyms := dictSections(file)
+				basePacked := packed(path)
 				reopened, sf, err := OpenGraphFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -1135,25 +1282,47 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 					t.Fatal(err)
 				}
 				sf.Close()
-				if !oldCoded {
+				if !bytes.Equal(withUnpackedDict(t, got.b), withUnpackedDict(t, want.b)) {
+					t.Errorf("%s: the file, with no suffix packed, differs from the heap graph's", what)
+				}
+				fresh := coding.name != "this build"
+				if !fresh && !base.reuse {
 					if !bytes.Equal(got.b, want.b) {
-						t.Errorf("%s + %d writes: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
-							base.name, k, len(got.b), len(want.b))
+						t.Errorf("%s: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
+							what, len(got.b), len(want.b))
 					}
 					continue
 				}
-				// The base's complete blocks, as the old build wrote them.
-				full := baseLen / dict.BlockTerms * dict.BlockTerms
+				// The base's complete blocks, as its build wrote them.
+				full := baseLen / dict.BlockTerms
 				cut := len(basePages)
-				if full < baseLen {
-					cut = int(binary.LittleEndian.Uint64(baseDir[full/dict.BlockTerms*8:]))
+				if full*dict.BlockTerms < baseLen {
+					cut = int(binary.LittleEndian.Uint64(baseDir[full*8:]))
 				}
-				if pages, _ := dictSections(got.b); len(pages) < cut || !bytes.Equal(pages[:cut], basePages[:cut]) {
-					t.Errorf("%s + %d writes over an old-coded base: the base's %d complete blocks (%d bytes) are not copied as they are",
-						base.name, k, full/dict.BlockTerms, cut)
+				pages, dir, syms := dictSections(got.b)
+				if len(pages) < cut || !bytes.Equal(pages[:cut], basePages[:cut]) || !bytes.Equal(dir[:full*8], baseDir[:full*8]) {
+					t.Errorf("%s: the base's %d complete blocks (%d bytes) are not copied as they are", what, full, cut)
 				}
-				if !bytes.Equal(withOldCoding(t, got.b), withOldCoding(t, want.b)) {
-					t.Errorf("%s + %d writes over an old-coded base: the file, coded the old way, differs from the heap graph's", base.name, k)
+				wantPages, wantDir, wantSyms := dictSections(want.b)
+				if !fresh {
+					if !bytes.Equal(syms, baseSyms) {
+						t.Errorf("%s: the base's symbol table is not kept", what)
+					}
+					gotPath := filepath.Join(t.TempDir(), "got.rdfsum")
+					if err := os.WriteFile(gotPath, got.b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if n := packed(gotPath); k > 1 && n <= basePacked {
+						t.Errorf("%s: %d terms packed, the base packed %d: the new terms do not pack", what, n, basePacked)
+					}
+					continue
+				}
+				wantCut := len(wantPages)
+				if full*8 < len(wantDir) {
+					wantCut = int(binary.LittleEndian.Uint64(wantDir[full*8:]))
+				}
+				if baseSyms != nil || basePacked != 0 || !bytes.Equal(syms, wantSyms) || !bytes.Equal(pages[cut:], wantPages[wantCut:]) {
+					t.Errorf("%s: the blocks after the copied ones are not coded as the heap graph codes them, with its table", what)
 				}
 			}
 		}

@@ -50,7 +50,8 @@ func TestLiveServesSortedSectionGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := store.WithSortedSection(t, store.WithComponentSections(t, store.WithTypeSection(t, raw, seed), seed))
+	unpacked := store.WithUnpackedDict(t, raw)
+	old := store.WithSortedSection(t, store.WithComponentSections(t, store.WithTypeSection(t, unpacked, seed), seed))
 	if err := os.WriteFile(gen1, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +78,8 @@ func TestLiveServesSortedSectionGeneration(t *testing.T) {
 			t.Fatalf("the compacted generation holds the retired section %s", s.Name)
 		}
 	}
-	if len(info.Sections) != 6 {
-		t.Fatalf("the compacted generation holds sections %+v, want six", info.Sections)
+	if len(info.Sections) != 7 {
+		t.Fatalf("the compacted generation holds sections %+v, want seven", info.Sections)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -165,7 +166,7 @@ func TestUntaggedColumnsServed(t *testing.T) {
 	for _, kind := range core.Kinds {
 		summaries[kind] = render(t, core.MustSummarize(want, kind))
 	}
-	old := store.WithOldColumns(t, raw)
+	old := store.WithOldColumns(t, store.WithUnpackedDict(t, raw))
 	if err := os.WriteFile(gen1, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestUntaggedColumnsServed(t *testing.T) {
 	for _, s := range info.Sections {
 		names = append(names, s.Name)
 	}
-	if want := []string{"dict-pages", "dict-dir", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
+	if want := []string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
 		t.Fatalf("the compacted generation holds sections %v, want %v", names, want)
 	}
 	if err := l.Close(); err != nil {

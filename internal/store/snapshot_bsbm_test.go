@@ -33,8 +33,9 @@ func writeTemp(t *testing.T, g *store.Graph, buf, scratch []store.Triple) (path 
 }
 
 // TestWriteSnapshotV2ByteIdenticalBSBM: the BSBM-300 snapshot is a fixed
-// file. With its columns in untagged steps, it is the file the writer of
-// commit 736fe37 produced; with its dictionary coded as before the kind
+// file. With no dictionary suffix packed, it is the file the writer of
+// commit 30dc72e produced; with its columns in untagged steps too, the
+// file the writer of commit 736fe37 produced; with its dictionary coded as before the kind
 // byte's flags too, the file the writer of commit 9327bce produced; with the comp-types
 // section put back too, the file the writer of commit 82e8d0d produced; with the comp-data and comp-schema sections
 // put back too, the file the writer of commit 8484cf6 produced; with
@@ -48,7 +49,8 @@ func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	untagged := store.WithOldColumns(t, file)
+	unpacked := store.WithUnpackedDict(t, file)
+	untagged := store.WithOldColumns(t, unpacked)
 	oldCoded := store.WithOldCoding(t, untagged)
 	typed := store.WithTypeSection(t, oldCoded, g)
 	old := store.WithComponentSections(t, typed, g)
@@ -57,7 +59,8 @@ func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 		wantLen       int
 		got           []byte
 	}{
-		{"BSBM-300 snapshot", "a50e33a61b2323c5d1e779cd734dc7a9545eeaffb868c33be25f6cf33558ede8", 401534, file},
+		{"BSBM-300 snapshot", "00d94c906a3f91da14fcc6e30e532fb70ea3fc4a2bc684607f8e1763044dd3df", 262291, file},
+		{"BSBM-300 snapshot with no suffix packed", "a50e33a61b2323c5d1e779cd734dc7a9545eeaffb868c33be25f6cf33558ede8", 401534, unpacked},
 		{"BSBM-300 snapshot with untagged columns", "803d927f46a9985d8b1818df6be664688ae1da18d2637c0fe3da5b6b7638a48e", 454782, untagged},
 		{"BSBM-300 snapshot in the old coding", "5203ed38ccc0d4ed312bca02286bb3fffefd965e17346442eda0dfbeb1487fd9", 569470, oldCoded},
 		{"BSBM-300 snapshot with comp-types", "87424ed7f346ec746f1f2013994d3a73cd06ef7df4259279877881f0230cb868", 581779, typed},

@@ -280,14 +280,16 @@ func SaveSnapshot(path string, g *Graph) error { return store.SaveFile(path, g) 
 func LoadSnapshot(path string) (*Graph, error) { return load.Snapshot(path) }
 
 // SnapshotInfo is the parsed layout of a snapshot file: header counts
-// plus the table of contents with each section's offset, length and CRC.
+// plus the table of contents with each section's offset, length and CRC,
+// and the dictionary's symbol table size and count of packed terms.
 type SnapshotInfo = store.SnapshotInfo
 
 // SnapshotSectionInfo is one section in a SnapshotInfo.
 type SnapshotSectionInfo = store.SectionInfo
 
-// InspectSnapshot reports a snapshot file's layout from its header and
-// TOC alone, without loading its triples.
+// InspectSnapshot reports a snapshot file's layout from its header, its
+// TOC and one walk of its dictionary's pages, without loading its
+// triples or decoding a term.
 func InspectSnapshot(path string) (*SnapshotInfo, error) { return store.InspectSnapshot(path) }
 
 // Saturate returns G∞, the closure of g under the RDFS entailment rules
