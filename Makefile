@@ -82,10 +82,11 @@ bench-unit:
 # BSBM and LUBM; BenchmarkMappedDict a reopened store's dictionary
 # (decode, lookup hit, lookup miss) on LUBM and BSBM; BenchmarkIndexJoins
 # scan-lubm's query pool over a heap base and over the mapped base a
-# durable store serves.
+# durable store serves; BenchmarkIndexPattern the skip scan over POS that
+# serves ?s ?p <o> and <s> ?p <o> on the mapped LUBM and BSBM bases.
 bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
-		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact|BenchmarkMappedDict|BenchmarkIndexJoins' .
+		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact|BenchmarkMappedDict|BenchmarkIndexJoins|BenchmarkIndexPattern' .
 
 # Full benchmark sweep.
 bench:

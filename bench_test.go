@@ -686,6 +686,82 @@ func BenchmarkIndexJoins(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexPattern is what a pattern with the property free and the
+// object bound costs — ?s ?p <o> (o) and <s> ?p <o> (so), by Count and
+// by ForEach — over the mapped base of a durable store, on LUBM 52
+// universities and BSBM 3000 products (15 and 1000 under -short): no
+// maintained order leads with the object, so each is a skip scan over
+// POS, one seek a property. One op is one call, over the subjects and
+// objects of 2000 triples drawn at random; the fences are built before
+// the timer.
+func BenchmarkIndexPattern(b *testing.B) {
+	products := 3000
+	if testing.Short() {
+		products = 1000
+	}
+	for _, g := range []struct {
+		name  string
+		graph func() *store.Graph
+	}{
+		{"lubm", func() *store.Graph { return lubm.GenerateGraph(lubm.DefaultConfig(lubmUniversities())) }},
+		{"bsbm", func() *store.Graph { return bsbm.GenerateGraph(bsbm.DefaultConfig(products)) }},
+	} {
+		b.Run(g.name, func(b *testing.B) { benchIndexPattern(b, g.graph()) })
+	}
+}
+
+func benchIndexPattern(b *testing.B, g *store.Graph) {
+	path := filepath.Join(b.TempDir(), "g.rdfsum")
+	if err := store.SaveFile(path, g); err != nil {
+		b.Fatal(err)
+	}
+	sf, err := store.OpenSnapshotFile(path, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sf.Close() //nolint:errcheck
+	ix := store.NewIndexFromBase(sf.Runs())
+	all := g.All()
+	rng := rand.New(rand.NewPCG(3, 4))
+	picks := make([]store.Triple, 2000)
+	for i := range picks {
+		picks[i] = all[rng.IntN(len(all))]
+	}
+	for _, tr := range picks {
+		ix.Count(tr.S, dict.None, tr.O)
+		ix.Count(dict.None, dict.None, tr.O)
+	}
+	for _, arm := range []struct {
+		name  string
+		bindS bool
+	}{{"o", false}, {"so", true}} {
+		pattern := func(i int) (dict.ID, dict.ID) {
+			tr := picks[i%len(picks)]
+			if arm.bindS {
+				return tr.S, tr.O
+			}
+			return dict.None, tr.O
+		}
+		b.Run(arm.name+"/count", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, o := pattern(i)
+				countSink = ix.Count(s, dict.None, o)
+			}
+		})
+		b.Run(arm.name+"/foreach", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, o := pattern(i)
+				ix.ForEach(s, dict.None, o, func(store.Triple) bool { countSink++; return true })
+			}
+		})
+	}
+}
+
+// countSink keeps BenchmarkIndexPattern's results live.
+var countSink int
+
 // tailIndex is an index over all as a heap base of its first half and a
 // delta tail of the rest, applied batch triples at a time.
 func tailIndex(all []store.Triple, batch int) *store.Index {

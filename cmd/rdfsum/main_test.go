@@ -229,8 +229,8 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 		sizes[f[0]] = n
 		rows++
 	}
-	if rows != 7 {
-		t.Fatalf("inspect printed %d section rows, want the snapshot's 7:\n%s", rows, printed)
+	if rows != 6 {
+		t.Fatalf("inspect printed %d section rows, want the snapshot's 6:\n%s", rows, printed)
 	}
 	var symbols, tableBytes, packed, terms int
 	at := strings.Index(string(printed), "dict symbols:")

@@ -262,13 +262,13 @@ func TestMetricsExpositionMemoryAccount(t *testing.T) {
 	if got := v[`rdfsum_memory_bytes{component="graph_components"}`]; got != 12*triples {
 		t.Errorf("graph components = %v bytes for %v triples, want 12 B each", got, triples)
 	}
-	if got := v[`rdfsum_memory_bytes{component="index_heap"}`]; got != 36*triples {
-		t.Errorf("heap index = %v bytes for %v triples, want 36 B each", got, triples)
+	if got := v[`rdfsum_memory_bytes{component="index_heap"}`]; got != 24*triples {
+		t.Errorf("heap index = %v bytes for %v triples, want 24 B each", got, triples)
 	}
-	account := v[`rdfsum_memory_bytes{component="dict"}`] + 12*triples + 36*triples
+	account := v[`rdfsum_memory_bytes{component="dict"}`] + 12*triples + 24*triples
 	store := v["rdfsum_go_heap_live_bytes"] - before
 	t.Logf("dict %.0f + components %.0f + index %.0f = %.0f bytes accounted; heap live grew %.0f → %.0f (+%.0f)",
-		v[`rdfsum_memory_bytes{component="dict"}`], 12*triples, 36*triples, account, before, v["rdfsum_go_heap_live_bytes"], store)
+		v[`rdfsum_memory_bytes{component="dict"}`], 12*triples, 24*triples, account, before, v["rdfsum_go_heap_live_bytes"], store)
 	if account < 0.75*store || account > 1.25*store {
 		t.Errorf("the three components account for %.0f bytes; the live heap grew by %.0f with the store: not within 25 %%", account, store)
 	}
@@ -279,7 +279,7 @@ func TestMetricsExpositionMemoryAccount(t *testing.T) {
 	// A durable store serves its base from the snapshot file after a
 	// Compact: index_heap holds only the fences its range lookups built —
 	// 16 B per 8 triples of one column, for one query over one order —
-	// and its delta runs (36 B a triple); index_mapped holds the file's
+	// and its delta runs (24 B a triple); index_mapped holds the file's
 	// column sections.
 	dsrv, err := newServer(serverConfig{in: dump, liveDir: t.TempDir(), maintain: []rdfsum.Kind{}})
 	if err != nil {
@@ -306,15 +306,15 @@ func TestMetricsExpositionMemoryAccount(t *testing.T) {
 	body, _ = scrapeMetrics(t, dts)
 	v = scrapeValues(t, body)
 	fences := 16 * math.Ceil(base/8)
-	if got, want := v[`rdfsum_memory_bytes{component="index_heap"}`], fences+36*delta; got != want {
-		t.Errorf("durable store after Compact: index_heap = %v bytes, want one column's fences (%v) + %d delta triples × 36 B = %v",
+	if got, want := v[`rdfsum_memory_bytes{component="index_heap"}`], fences+24*delta; got != want {
+		t.Errorf("durable store after Compact: index_heap = %v bytes, want one column's fences (%v) + %d delta triples × 24 B = %v",
 			got, fences, delta, want)
 	}
-	if got := v[`rdfsum_memory_bytes{component="index_mapped"}`]; got < 3*base || got > 36*base {
-		t.Errorf("durable store after Compact: index_mapped = %v bytes for %v triples, want the three encoded columns (1–12 B a triple each)", got, base)
+	if got := v[`rdfsum_memory_bytes{component="index_mapped"}`]; got < 2*base || got > 24*base {
+		t.Errorf("durable store after Compact: index_mapped = %v bytes for %v triples, want the two encoded columns (1–12 B a triple each)", got, base)
 	}
 
-	// The 36 B a triple holds below the index's encoding cutoff only:
+	// The 24 B a triple holds below the index's encoding cutoff only:
 	// eight 600-triple batches fold, with the delta above, into one run
 	// past it, held in the snapshot's column encoding on the heap. Once a
 	// query has range-searched it, index_heap is the base's fences and

@@ -205,7 +205,7 @@ func (s *server) initObs(logger *slog.Logger, slowQuery time.Duration) {
 	sumLazy := r.CounterVec("rdfsum_summary_lazy_builds_total", "Full summary rebuilds served lazily, per kind.", "kind", "mode")
 	sumRebuilds := r.CounterVec("rdfsum_summary_maintenance_rebuilds_total", "Incremental-maintenance rebuilds, per kind.", "kind", "mode")
 	bootSeconds := r.GaugeVec("rdfsum_boot_phase_seconds", "Seconds the serving store's boot spent in each phase (0 for a phase it did not go through).", "phase")
-	memBytes := r.GaugeVec("rdfsum_memory_bytes", "Bytes the store's largest structures hold, computed from their own lengths: heap bytes (index_heap: slice runs at 36 B a triple, encoded folds' payloads, fences), but for index_mapped's mapped file bytes.", "component")
+	memBytes := r.GaugeVec("rdfsum_memory_bytes", "Bytes the store's largest structures hold, computed from their own lengths: heap bytes (index_heap: slice runs at 24 B a triple, encoded folds' payloads, fences), but for index_mapped's mapped file bytes.", "component")
 	registerProcessMemory(r)
 
 	boolGauge := func(v bool) float64 {

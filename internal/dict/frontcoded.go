@@ -70,11 +70,11 @@ const (
 // new terms, and the base's complete blocks are copied byte for byte: a
 // block's encoding depends on its own terms and the table only, so only
 // the base's last, partial block is decoded and re-encoded, and the work
-// is O(new terms). A base of a build before the table has its complete
-// blocks copied too — they hold no packed term, and a block without
-// flags decodes as one with them — and a table is trained for the rest.
-// A smaller base's table saw every term it had: it is trained anew, on
-// every term, and every block is re-encoded.
+// is O(new terms). A smaller base's table saw every term it had: it is
+// trained anew, on every term, and every block is re-encoded. So is a
+// base of a build before the table, whatever its size, which packs no
+// term: the file written holds a table, which a write over that file
+// keeps.
 //
 // In shared mode d is locked only to take a view of its term table — a
 // dictionary never rewrites a record, so the view stays valid while the
@@ -92,13 +92,8 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, symbols []byte, err
 
 	full := 0 // the base's blocks copied as they are
 	var enc encoder
-	if m := d.base; bl > 0 {
-		switch {
-		case m.tab == nil: // a build before the table: nothing is packed
-			full = bl / BlockTerms
-		case blocks(bl) > sampleBlocks: // a table trained on a sample
-			full, enc.tab = bl/BlockTerms, m.tab
-		}
+	if bl > 0 && d.base.tab != nil && blocks(bl) > sampleBlocks { // a table trained on a sample
+		full, enc.tab = bl/BlockTerms, d.base.tab
 	}
 	if enc.tab == nil {
 		if enc.tab, err = d.train(recs, n); err != nil {

@@ -271,11 +271,11 @@ func oldCoded(terms []rdf.Term) (pages, dir []byte) {
 
 // TestFrontCodedOldCoding: pages in the coding of the builds before the
 // kind byte's flags decode to the same terms under the same IDs, and a
-// dictionary over them writes their complete blocks as they are and codes
-// the rest anew: the sections it writes decode to the same terms again,
-// and are the flat dictionary's from the first block they re-code on.
+// dictionary over them — they hold no symbol table — codes every block
+// anew, whatever the base's size: the sections it writes are the flat
+// dictionary's, and decode to the same terms again.
 func TestFrontCodedOldCoding(t *testing.T) {
-	for _, n := range []int{1, BlockTerms - 1, BlockTerms, BlockTerms + 1, 5*BlockTerms + 3} {
+	for _, n := range []int{1, BlockTerms - 1, BlockTerms, BlockTerms + 1, 5*BlockTerms + 3, (sampleBlocks+1)*BlockTerms + 3} {
 		rng := rand.New(rand.NewPCG(uint64(n), 4))
 		terms := randTerms(rng, n+20)
 		base, fresh := terms[:n], terms[n:]
@@ -304,21 +304,9 @@ func TestFrontCodedOldCoding(t *testing.T) {
 		if err != nil || got != len(terms) {
 			t.Fatalf("n=%d: WriteFrontCoded = %d terms, %v", n, got, err)
 		}
-		full := n / BlockTerms
-		cut := len(pages)
-		if full*BlockTerms < n {
-			cut = int(binary.LittleEndian.Uint64(dir[full*8:]))
-		}
-		if !bytes.Equal(out.Bytes()[:cut], pages[:cut]) || !bytes.Equal(outDir[:full*8], dir[:full*8]) {
-			t.Fatalf("n=%d: the old-coded complete blocks were not copied as they are", n)
-		}
 		flatPages, flatDir, flatSyms := frontCoded(t, terms)
-		flatCut := len(flatPages)
-		if full*8 < len(flatDir) {
-			flatCut = int(binary.LittleEndian.Uint64(flatDir[full*8:]))
-		}
-		if !bytes.Equal(out.Bytes()[cut:], flatPages[flatCut:]) || !bytes.Equal(outSyms, flatSyms) {
-			t.Fatalf("n=%d: the blocks after the copied ones are not coded as a flat dictionary codes them", n)
+		if !bytes.Equal(out.Bytes(), flatPages) || !bytes.Equal(outDir, flatDir) || !bytes.Equal(outSyms, flatSyms) {
+			t.Fatalf("n=%d: the sections differ from the flat dictionary's", n)
 		}
 		again, err := NewMapped(out.Bytes(), outDir, outSyms, len(terms))
 		if err != nil {

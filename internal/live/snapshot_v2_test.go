@@ -140,12 +140,12 @@ func TestReopenCountsGraphBytes(t *testing.T) {
 }
 
 // TestOpenRefusesCorruptGraphSection: Open checks every section of the
-// generation snapshot, so a flipped byte in any of the seven fails the
+// generation snapshot, so a flipped byte in any of the six fails the
 // Open with ErrSnapshotChecksum — whatever kinds it maintains — rather
 // than panicking on first use.
 func TestOpenRefusesCorruptGraphSection(t *testing.T) {
 	for _, name := range []string{
-		"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab",
+		"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "vocab",
 	} {
 		for _, maintain := range [][]core.Kind{nil, {}} {
 			dir := t.TempDir()

@@ -82,8 +82,6 @@ func (o Order) unkey(k1, k2, k3 dict.ID) Triple {
 	switch o {
 	case OrderPOS:
 		return Triple{S: k3, P: k1, O: k2}
-	case OrderOSP:
-		return Triple{S: k2, P: k3, O: k1}
 	default:
 		return Triple{S: k1, P: k2, O: k3}
 	}
@@ -468,6 +466,19 @@ func (m *encCol) Range(bound Triple, n int) (lo, hi int) {
 	return lo, hi
 }
 
+func (m *encCol) Lead(k1 dict.ID) (dict.ID, bool) {
+	k := packKey(k1, 0, 0)
+	switch {
+	case m.n == 0 || !m.highest.reaches(k, false):
+		return 0, false
+	case m.lowest.reaches(k, false):
+		return dict.ID(m.lowest.hi >> 32), true
+	}
+	fs := m.fenceTable()
+	_, key, _ := m.search(fs, 0, len(fs), k, false)
+	return key[0], true
+}
+
 // search returns the first index i whose key reaches k (Len if none
 // does), and, when i < Len, that key and the position of the varints
 // after it — given that the first fence to reach k is in [from, to]
@@ -534,7 +545,7 @@ func (m *encCol) window(i, hi int, buf []Triple) []Triple {
 	return buf
 }
 
-// encCols is the encoded RunCols: three encCol views over the column
+// encCols is the encoded RunCols: two encCol views over the column
 // sections of one snapshot, or over the heap payloads encodeCols builds
 // for a large folded run.
 type encCols struct {
@@ -546,10 +557,10 @@ func (m *encCols) length() int     { return m.n }
 func (m *encCols) col(o Order) Col { return m.cols[o] }
 
 // encodeCols adopts ts and encodes it, sorted in place into each order in
-// turn, as three heap-resident columns (writeCol): a run at about 7 B a
-// triple on LUBM where memCols holds 36, plus the fences of the columns
-// that serve range lookups. One scratch buffer serves all three sorts,
-// and ts is garbage once this returns.
+// turn, as two heap-resident columns (writeCol): a run at about 4.5 B a
+// triple on LUBM where memCols holds 24, plus the fences of the columns
+// that serve range lookups. One scratch buffer serves both sorts, and ts
+// is garbage once this returns.
 func encodeCols(ts []Triple) *encCols {
 	var scratch []Triple
 	if len(ts) >= radixCutoff {

@@ -42,35 +42,80 @@ func untaggedColumn(ord Order, ts []Triple) []byte {
 	return append(out, body...)
 }
 
+// withOSPColumn rebuilds the file a build that kept the OSP order
+// (commit 23921e9 and earlier) made of the same graph: data's sections in
+// their order, with, right after col-pos, a col-osp section holding
+// data's triples in OSP order — each permuted to (O, S, P), sorted, and
+// coded as an SPO column, whose keys are then the OSP order's — resealed
+// through containerWriter.
+func withOSPColumn(t testing.TB, data []byte) []byte {
+	t.Helper()
+	c, err := parseVerified(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := sectionTriples(t, c, c.secs[secColSPO], OrderSPO)
+	for i, tr := range ts {
+		ts[i] = Triple{S: tr.O, P: tr.S, O: tr.P}
+	}
+	slices.SortFunc(ts, OrderSPO.compare)
+	var osp bytes.Buffer
+	writeCol(&osp, OrderSPO, ts)
+	return rebuilt(t, data, func(w *containerWriter, s *section) {
+		if s.id == secColOSP {
+			t.Fatal("the file already holds a col-osp section")
+		}
+		w.section(s.id, s.raw)
+		if s.id == secColPOS {
+			w.section(secColOSP, osp.Bytes())
+		}
+	})
+}
+
+// sectionTriples walks the tagged column section s of c as a column of
+// ord and returns its triples in that order.
+func sectionTriples(t testing.TB, c *container, s *section, ord Order) []Triple {
+	t.Helper()
+	n := int(c.nData + c.nTypes + c.nSchema)
+	col, err := openCol(ord, s.raw, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]Triple, 0, n)
+	if _, err := col.walk(dict.ID(c.nTerms), func(tr Triple) { ts = append(ts, tr) }); err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
 // withOldColumns rebuilds the file a build before the tagged column
 // steps (commit 736fe37 and earlier) made of the same graph: data's
 // sections in their order, with each tagged column section replaced, in
 // its place, by its triples as untaggedColumn codes them under that
-// build's section ID (7–9), resealed through containerWriter.
+// build's section ID (7–9), resealed through containerWriter. A col-osp
+// section (withOSPColumn) is coded as the SPO column of its permuted
+// triples, so it is walked and recoded as one.
 func withOldColumns(t testing.TB, data []byte) []byte {
 	t.Helper()
 	c, err := parseVerified(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int(c.nData + c.nTypes + c.nSchema)
 	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		for o, id := range colSectionIDs {
-			if s.id != id {
-				continue
-			}
-			col, err := openCol(Order(o), s.raw, n, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := make([]Triple, 0, n)
-			if _, err := col.walk(dict.ID(c.nTerms), func(tr Triple) { ts = append(ts, tr) }); err != nil {
-				t.Fatal(err)
-			}
-			w.section(untaggedSectionIDs[o], untaggedColumn(Order(o), ts))
+		var ord Order
+		var untagged byte
+		switch s.id {
+		case secColSPO:
+			ord, untagged = OrderSPO, secUntagSPO
+		case secColPOS:
+			ord, untagged = OrderPOS, secUntagPOS
+		case secColOSP:
+			ord, untagged = OrderSPO, secUntagOSP
+		default:
+			w.section(s.id, s.raw)
 			return
 		}
-		w.section(s.id, s.raw)
+		w.section(untagged, untaggedColumn(ord, sectionTriples(t, c, s, ord)))
 	})
 }
 

@@ -49,11 +49,11 @@ const (
 	secCompSchema = 6  // retired: the schema component, checked and skipped
 	secUntagSPO   = 7  // retired: the SPO column in three-varint steps, converted at open
 	secUntagPOS   = 8  // retired: the POS column so
-	secUntagOSP   = 9  // retired: the OSP column so
+	secUntagOSP   = 9  // retired: the OSP column so, checked and skipped
 	secVocab      = 10 // five uvarint IDs of the interpreted vocabulary
 	secColSPO     = 11 // sorted all-triples column, SPO order, in tagged steps
 	secColPOS     = 12
-	secColOSP     = 13
+	secColOSP     = 13 // retired: the OSP column in tagged steps, checked and skipped
 	secDictSyms   = 14 // the symbol table packed dictionary suffixes are coded with
 )
 
@@ -94,11 +94,11 @@ func sectionName(id byte) string {
 
 // retiredSection reports whether id names a section no file this build
 // writes holds: an open checks its checksum with every other section's,
-// then skips it — or, for the untagged columns of a file without tagged
-// ones, converts them (newSnapshotFile).
+// then skips it — or, for the untagged SPO and POS columns of a file
+// without tagged ones, converts them (newSnapshotFile).
 func retiredSection(id byte) bool {
 	return id == secDictSorted || id == secCompData || id == secCompTypes || id == secCompSchema ||
-		id == secUntagSPO || id == secUntagPOS || id == secUntagOSP
+		id == secUntagSPO || id == secUntagPOS || id == secUntagOSP || id == secColOSP
 }
 
 // section is one parsed TOC entry plus its raw bytes.

@@ -8,6 +8,7 @@ var (
 	WithOldCoding         = withOldCoding
 	WithUnpackedDict      = withUnpackedDict
 	WithOldColumns        = withOldColumns
+	WithOSPColumn         = withOSPColumn
 	IdenticalGraphs       = identicalGraphs
 	AsOpened              = asOpened
 	SPOCheckCases         = spoCheckCases

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"iter"
+	"math"
 	"slices"
 	"time"
 
@@ -9,13 +11,16 @@ import (
 
 // Index provides ordered access paths over all three components of a
 // graph, supporting triple-pattern matching with any combination of bound
-// positions. It materializes three sort orders — SPO, POS and OSP — the
-// classical access-path set for triple stores.
+// positions. It materializes two sort orders, SPO and POS: with the
+// property bound — every pattern of an RBGP query — one of them has a
+// prefix covering the bound positions. A pattern with the property free
+// and the object bound (?s ?p o, s ?p o) is a skip scan over POS: one
+// prefix range per property, walked in ascending property ID (props).
 //
 // Internally the index is tiered, LSM-style: the triples live in a
 // sequence of immutable sorted runs (oldest first). A batch load produces
 // a single base run; each live-ingest epoch appends one small delta run
-// holding only that batch (sorted in the three orders), so publishing an
+// holding only that batch (sorted in both orders), so publishing an
 // epoch costs O(Δ log Δ) instead of re-merging the whole index. Deletions
 // append a run carrying only a tombstone set: a tombstone suppresses every
 // equal triple in strictly older runs, so a later re-add of the same
@@ -25,8 +30,8 @@ import (
 // same level they are folded into one run of the next level — the
 // classical logarithmic-method amortization, O(log n / log 8) merge work
 // per inserted triple. Folded runs stay on the heap — a fold of at least
-// encodeCutoff triples in the snapshot's column encoding, about 7 B a
-// triple on LUBM, smaller ones as slices, 36 B a triple — until a store
+// encodeCutoff triples in the snapshot's column encoding, about 4.5 B a
+// triple on LUBM, smaller ones as slices, 24 B a triple — until a store
 // compaction starts over from a single base run: the snapshot it writes.
 //
 // A run stores its triples behind the Col abstraction (run.go), so the
@@ -50,7 +55,7 @@ type Index struct {
 const foldWidth = 8
 
 // run is one immutable sorted segment of the index: the adds of one epoch
-// (or of a fold of several epochs) in all three orders, plus the tombstones
+// (or of a fold of several epochs) in both orders, plus the tombstones
 // that suppress equal triples in strictly older runs.
 type run struct {
 	cols RunCols
@@ -246,7 +251,7 @@ func mergeRuns(window []*run, oldest bool, level int) *run {
 }
 
 // foldCols adopts a fold's surviving triples as the merged run's columns:
-// encoded (encodeCols) from encodeCutoff triples, three sorted slices
+// encoded (encodeCols) from encodeCutoff triples, two sorted slices
 // (newMemCols) below.
 func foldCols(adds []Triple) RunCols {
 	if len(adds) >= encodeCutoff {
@@ -256,10 +261,11 @@ func foldCols(adds []Triple) RunCols {
 }
 
 // encodeCutoff is the fold size from which the merged run is encoded
-// rather than kept as three sorted slices: eight column blocks. Measured
-// with BenchmarkIndexDeltaTail (LUBM-52, 100-triple batches, whose folds
-// come in ≈ 800, ≈ 6 400 and ≈ 51 200 triples), median of six runs per
-// cutoff on one core: encoding from 512 holds the tail at 13.7 B a
+// rather than kept as sorted slices: eight column blocks. Measured, when
+// a run held three orders, with BenchmarkIndexDeltaTail (LUBM-52,
+// 100-triple batches, whose folds come in ≈ 800, ≈ 6 400 and ≈ 51 200
+// triples), median of six runs per cutoff on one core: encoding from
+// 512 holds the tail at 13.7 B a
 // triple for 123 µs a batch, from 4096 at 15.0 B for 118 µs, from 8192 at
 // 23.1 B for 99 µs, and never encoding at 35.8 B for 105 µs. Encoding
 // the ≈ 800-triple folds saves little and costs a fold's encode every
@@ -278,7 +284,7 @@ func (ix *Index) Runs() int { return len(ix.runs) }
 const TripleBytes = 12
 
 // HeapBytes is what the index holds on the heap: 12 bytes a triple in
-// each of the three sort orders of its slice runs, the payloads of its
+// each of the two sort orders of its slice runs, the payloads of its
 // encoded heap runs, and the fences its encoded runs — heap or mapped —
 // have built (2 bytes a triple per column).
 func (ix *Index) HeapBytes() int64 {
@@ -324,25 +330,39 @@ func (ix *Index) suppressed(t Triple, ri int) bool {
 }
 
 // ForEach calls fn for every visible triple matching the pattern, where
-// dict.None in a position acts as a wildcard, in the sort order serving
-// the pattern (equal triples surface oldest run first). Iteration stops
-// early when fn returns false.
+// dict.None in a position acts as a wildcard, in the order serving the
+// pattern (servingOrder; equal triples surface oldest run first).
+// Iteration stops early when fn returns false.
 func (ix *Index) ForEach(s, p, o dict.ID, fn func(Triple) bool) {
+	if !skipScan(p, o) {
+		ix.forEach(s, p, o, fn)
+		return
+	}
+	for p := range ix.props() {
+		if !ix.forEach(s, p, o, fn) {
+			return
+		}
+	}
+}
+
+// forEach is ForEach over one exact prefix range per run; it reports
+// false once fn has.
+func (ix *Index) forEach(s, p, o dict.ID, fn func(Triple) bool) bool {
 	if len(ix.runs) == 1 && ix.tombs == 0 {
 		col, lo, hi := ix.runs[0].rangeFor(s, p, o)
 		c := col.Cursor(lo, hi)
 		for c.Valid() {
 			if !fn(c.Next()) {
-				return
+				return false
 			}
 		}
-		return
+		return true
 	}
-	ix.merge(s, p, o, fn)
+	return ix.merge(s, p, o, fn)
 }
 
 // merge is the k-way tombstone-suppressing iterator across runs.
-func (ix *Index) merge(s, p, o dict.ID, fn func(Triple) bool) {
+func (ix *Index) merge(s, p, o dict.ID, fn func(Triple) bool) bool {
 	type cursor struct {
 		ri int
 		c  Cursor
@@ -367,32 +387,58 @@ func (ix *Index) merge(s, p, o dict.ID, fn func(Triple) bool) {
 			}
 		}
 		if best < 0 {
-			return
+			return true
 		}
 		t := cursors[best].c.Next()
 		if ix.tombs > 0 && ix.suppressed(t, cursors[best].ri) {
 			continue
 		}
 		if !fn(t) {
-			return
+			return false
 		}
 	}
 }
 
-// Count returns the number of visible triples matching the pattern. Every
-// bound combination is a prefix of one of the three maintained orders, so
-// the gross count is a sum of exact range widths (O(runs · log n)).
-// Outstanding tombstones are subtracted exactly without enumerating the
-// range: a stored copy of t is dead iff some newer run tombstones t, so
-// the dead copies of t are precisely its copies in runs older than its
-// newest tombstone — O(tombstones · runs · log n), independent of the
-// match size (the query executor probes Count at every backtracking
-// step, so a broad pattern must not cost O(matches) after a delete).
+// props yields every property some run holds a triple of — tombstoned
+// copies included — in ascending ID order: the next property from x on
+// is the least, over the runs, of the first POS key reaching (x, 0, 0),
+// one seek a run (Col.Lead).
+func (ix *Index) props() iter.Seq[dict.ID] {
+	return func(yield func(dict.ID) bool) {
+		for x := dict.ID(1); ; x++ {
+			next, found := dict.ID(0), false
+			for _, r := range ix.runs {
+				if p, ok := r.cols.col(OrderPOS).Lead(x); ok && (!found || p < next) {
+					next, found = p, true
+				}
+			}
+			if !found || !yield(next) || next == math.MaxUint32 {
+				return
+			}
+			x = next
+		}
+	}
+}
+
+// Count returns the number of visible triples matching the pattern. Each
+// bound combination is a prefix of one of the two maintained orders, or
+// (skipScan) one such prefix a property, so the gross count is a sum of
+// exact range widths (O(runs · log n), times the properties for a skip
+// scan). Outstanding tombstones are subtracted exactly without
+// enumerating the range: a stored copy of t is dead iff some newer run
+// tombstones t, so the dead copies of t are precisely its copies in runs
+// older than its newest tombstone — O(tombstones · runs · log n),
+// independent of the match size (the query executor probes Count at
+// every backtracking step, so a broad pattern must not cost O(matches)
+// after a delete).
 func (ix *Index) Count(s, p, o dict.ID) int {
 	n := 0
-	for _, r := range ix.runs {
-		_, lo, hi := r.rangeFor(s, p, o)
-		n += hi - lo
+	if skipScan(p, o) {
+		for p := range ix.props() {
+			n += ix.gross(s, p, o)
+		}
+	} else {
+		n = ix.gross(s, p, o)
 	}
 	if ix.tombs == 0 || n == 0 {
 		return n
@@ -415,6 +461,17 @@ func (ix *Index) Count(s, p, o dict.ID) int {
 	return n
 }
 
+// gross is the number of stored triples, tombstoned or not, in the
+// runs' prefix ranges for a pattern patternPlan covers.
+func (ix *Index) gross(s, p, o dict.ID) int {
+	n := 0
+	for _, r := range ix.runs {
+		_, lo, hi := r.rangeFor(s, p, o)
+		n += hi - lo
+	}
+	return n
+}
+
 // Contains reports whether the exact triple is visible: some run holds it
 // and no newer run tombstones it. Runs are probed newest first, so the
 // first that holds or tombstones t decides (a run's tombstones never
@@ -432,26 +489,39 @@ func (ix *Index) Contains(t Triple) bool {
 	return false
 }
 
-// patternPlan selects the access path for the bound positions: the sort
-// order whose prefix covers them, the prefix bound, and the number of
-// key components bound (0 = full scan). The k-way merge preserves the
-// returned order.
+// skipScan reports whether a pattern has the property free and the
+// object bound: no maintained order has a prefix covering it, so
+// ForEach and Count serve it one property at a time (props), each
+// through patternPlan's property-bound cases — in POS order.
+func skipScan(p, o dict.ID) bool { return p == dict.None && o != dict.None }
+
+// servingOrder is the order ForEach yields a pattern's triples in.
+func servingOrder(s, p, o dict.ID) Order {
+	if skipScan(p, o) {
+		return OrderPOS
+	}
+	ord, _, _ := patternPlan(s, p, o)
+	return ord
+}
+
+// patternPlan selects the access path for the bound positions of a
+// pattern skipScan does not cover: the sort order whose prefix covers
+// them, the prefix bound, and the number of key components bound (0 =
+// full scan). The k-way merge preserves the returned order.
 func patternPlan(s, p, o dict.ID) (Order, Triple, int) {
 	switch {
+	case skipScan(p, o):
+		panic("store: a pattern with the property free and the object bound has no covering prefix")
 	case s != dict.None && p != dict.None && o != dict.None:
 		return OrderSPO, Triple{S: s, P: p, O: o}, 3
 	case s != dict.None && p != dict.None:
 		return OrderSPO, Triple{S: s, P: p}, 2
-	case s != dict.None && o != dict.None:
-		return OrderOSP, Triple{S: s, O: o}, 2
 	case p != dict.None && o != dict.None:
 		return OrderPOS, Triple{P: p, O: o}, 2
 	case s != dict.None:
 		return OrderSPO, Triple{S: s}, 1
 	case p != dict.None:
 		return OrderPOS, Triple{P: p}, 1
-	case o != dict.None:
-		return OrderOSP, Triple{O: o}, 1
 	default:
 		return OrderSPO, Triple{}, 0
 	}

@@ -86,8 +86,8 @@ func TestMappedColsMatchMemCols(t *testing.T) {
 }
 
 // colsMatch compares an encoded run with the same triples in memCols:
-// cursors between every pair of interesting ends, and Range for bounds
-// taken from the column and drawn around its ID space (IDs below
+// cursors between every pair of interesting ends, and Range and Lead for
+// bounds taken from the column and drawn around its ID space (IDs below
 // universe).
 func colsMatch(t *testing.T, seed uint64, rng *rand.Rand, mem *memCols, enc *encCols, universe uint32) bool {
 	t.Helper()
@@ -155,6 +155,25 @@ func colsMatch(t *testing.T, seed uint64, rng *rand.Rand, mem *memCols, enc *enc
 				if ml != pl || mh != ph || mh-ml != want {
 					t.Logf("seed %d %v: Range(%v, %d) heap [%d, %d) encoded [%d, %d), %d matches",
 						seed, ord, bound, k, ml, mh, pl, ph, want)
+					return false
+				}
+			}
+			// Lead: the first leading key at or past bound's, and past
+			// it by one (the skip scan's next seek).
+			b1, _, _ := ord.key(bound)
+			for _, k1 := range []dict.ID{b1, b1 + 1} {
+				want, wantOK := dict.ID(0), false
+				for _, tr := range mem.cols[ord].ts {
+					if lead, _, _ := ord.key(tr); lead >= k1 {
+						want, wantOK = lead, true
+						break
+					}
+				}
+				ml, mok := mc.Lead(k1)
+				pl, pok := pc.Lead(k1)
+				if ml != want || mok != wantOK || pl != want || pok != wantOK {
+					t.Logf("seed %d %v: Lead(%d) heap (%d, %v) encoded (%d, %v), want (%d, %v)",
+						seed, ord, k1, ml, mok, pl, pok, want, wantOK)
 					return false
 				}
 			}

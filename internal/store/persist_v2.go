@@ -17,21 +17,22 @@ import (
 //     keeps its ID across a reopen, and the symbol table its packed
 //     suffixes are coded with. A file without the table, which the
 //     builds before it wrote, holds no packed term.
-//   - secColSPO/POS/OSP: the full triple multiset (all components,
-//     duplicates preserved) sorted three ways as varint-delta columns in
+//   - secColSPO/POS: the full triple multiset (all components,
+//     duplicates preserved) sorted two ways as varint-delta columns in
 //     tagged steps (colenc.go) — the zero-copy base run of the tiered
 //     index. The components are not stored apart: an open derives all
 //     three from the SPO column, in SPO order (graph); their counts live
 //     in the header.
 //   - secVocab: the interpreted vocabulary's five IDs.
 //
-// secDictSorted and the three component sections secCompData,
-// secCompTypes and secCompSchema are retired: no file this build writes
-// holds them, and an open checks their checksums and skips them. So are
-// secUntagSPO/POS/OSP, the columns in three-varint steps: a file that
-// holds them instead of the tagged columns has them decoded and coded
-// anew into heap columns at open (untaggedCols), and its next compaction
-// writes the tagged ones.
+// secDictSorted, the three component sections secCompData, secCompTypes
+// and secCompSchema, and secColOSP, the OSP column, are retired: no file
+// this build writes holds them, and an open checks their checksums and
+// skips them. So are secUntagSPO/POS/OSP, the columns in three-varint
+// steps: a file that holds them instead of the tagged columns has its
+// SPO and POS ones decoded and coded anew into heap columns at open
+// (untaggedCols), its OSP one skipped, and its next compaction writes
+// the tagged ones.
 
 // WriteSnapshotV2 serializes the graph to f in snapshot format v2,
 // streaming: a section passes through the container writer's one chunk
@@ -41,11 +42,11 @@ import (
 // is not a snapshot, and callers publish it (rename) only then.
 //
 // buf must hold exactly g's triple multiset, in any order (g.All(), say).
-// The writer sorts it in place into SPO, POS and OSP order in turn,
-// encoding each column section before the next sort, so the columns cost
-// buf plus one scratch buffer: 24 B a triple. scratch may be nil, and is
-// then allocated when the sort needs it. The dictionary section lists
-// terms 1..Len.
+// The writer sorts it in place into SPO and then POS order, encoding each
+// column section before the next sort, so the columns cost buf plus one
+// scratch buffer: 24 B a triple. scratch may be nil, and is then
+// allocated when the sort needs it. The dictionary section lists terms
+// 1..Len.
 func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	if len(buf) != g.NumEdges() {
 		return fmt.Errorf("store: snapshot buffer holds %d triples, graph %d", len(buf), g.NumEdges())
@@ -76,15 +77,16 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 // untaggedSectionIDs to the retired section its column had before the
 // tagged steps.
 var (
-	colSectionIDs      = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS, OrderOSP: secColOSP}
-	untaggedSectionIDs = [NumOrders]byte{OrderSPO: secUntagSPO, OrderPOS: secUntagPOS, OrderOSP: secUntagOSP}
+	colSectionIDs      = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS}
+	untaggedSectionIDs = [NumOrders]byte{OrderSPO: secUntagSPO, OrderPOS: secUntagPOS}
 )
 
 // untaggedCols fills runs with heap columns coded anew from the untagged
-// column sections of c (untaggedCol, then heapCol), one order at a time:
-// a file a build before the tagged steps wrote is served as this build's
-// columns, at 12 B a triple of transient heap besides the columns, and
-// the file's own column pages are not read again.
+// SPO and POS column sections of c (untaggedCol, then heapCol), one order
+// at a time: a file a build before the tagged steps wrote is served as
+// this build's columns, at 12 B a triple of transient heap besides the
+// columns, and the file's own column pages are not read again. Its
+// untagged OSP column is skipped.
 func untaggedCols(c *container, runs *encCols) error {
 	for o, id := range untaggedSectionIDs {
 		sec, err := c.section(id)
@@ -324,9 +326,9 @@ func OpenGraphFile(path string) (*Graph, *SnapshotFile, error) {
 // place, as OpenGraphFile serves a mapped file: the graph's dictionary is
 // a layer over the buffer's, and the SnapshotFile's column runs can be an
 // index's base. The bytes come from outside, so it also checks what the
-// store trusts its own files with: it walks the POS and OSP columns once
-// too (the graph's decode walked the SPO column), keeping the fences the
-// walks derive. Errors wrap the ErrSnapshot* sentinels.
+// store trusts its own files with: it walks the POS column once too (the
+// graph's decode walked the SPO column), keeping the fences the walk
+// derives. Errors wrap the ErrSnapshot* sentinels.
 func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -366,7 +366,7 @@ func TestReadGraphRefusesMalformedSections(t *testing.T) {
 		reseal(bad, len(c.secOrder))
 		return ReadGraph(bytes.NewReader(bad))
 	}
-	for _, id := range []byte{secDictPages, secDictDir, secColSPO, secColPOS, secColOSP} {
+	for _, id := range []byte{secDictPages, secDictDir, secColSPO, secColPOS} {
 		n := len(c.secs[id].raw)
 		for _, at := range []int{0, 4, 8, 20, n / 3, 2 * n / 3, n - 1} {
 			for _, v := range []byte{0x00, 0x7f, 0x80, 0xff} {
@@ -394,7 +394,7 @@ func TestReadGraphRefusesMalformedSections(t *testing.T) {
 		{"a directory entry behind its predecessor", secDictDir, 8, le64(0)},
 		{"the last directory entry inside its block", secDictDir, len(c.secs[secDictDir].raw) - 8, le64(pages - 1)},
 		{"a block offset past the column", secColSPO, 8 + 12, le64(1 << 40)},
-		{"a block offset inside the skip index", secColOSP, 8 + colSkipEntryBytes + 12, le64(8)},
+		{"a block offset inside the skip index", secColPOS, 8 + colSkipEntryBytes + 12, le64(8)},
 		{"an ID past the dictionary", secColPOS, 8, le32(uint32(c.nTerms) + 1)},
 		{"a zero ID", secColSPO, 8 + 4, le32(0)},
 	} {
@@ -402,6 +402,24 @@ func TestReadGraphRefusesMalformedSections(t *testing.T) {
 			t.Errorf("%s: ReadGraph got %v, want ErrSnapshotCorrupt", tc.what, err)
 		}
 	}
+	// A retired col-osp section is checksummed, not read: whatever it
+	// holds, resealed, the file serves the graph.
+	old := withOSPColumn(t, data)
+	oc, err := parseVerified(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	osp := oc.secs[secColOSP]
+	for i := range osp.n {
+		old[osp.off+i] = 0xff
+	}
+	reseal(old, len(oc.secOrder))
+	got, sf, err := ReadGraph(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("a file whose col-osp section is garbage: %v", err)
+	}
+	identicalGraphs(t, asOpened(g), got)
+	serveAll(got, sf)
 }
 
 // reseal recomputes what a test's edit of a snapshot invalidated: the
@@ -588,7 +606,7 @@ func TestInspectSnapshotV2(t *testing.T) {
 			t.Errorf("section %s is marked retired", s.Name)
 		}
 	}
-	if want := []string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
+	if want := []string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "vocab"}; !slices.Equal(names, want) {
 		t.Fatalf("sections %v, want %v", names, want)
 	}
 	if info.DictSymbols <= 0 || info.DictPacked == 0 || info.DictPacked > info.NTerms {
@@ -637,9 +655,24 @@ func (want golden) check(t *testing.T, what string, got []byte) {
 
 // The files this writer produces.
 var (
-	goldenV2Sample = golden{32915, "d38e94a03a15072aaddbc7a20ebe1a0f2bb2ecd93d7d0af07db02d81156bab79"}
+	goldenV2Sample = golden{28798, "4a8438054ac8a174e5ede8f872af22990d465a8ed5af165d6f22ee85ea413df4"}
 	// v2RandomGraph(seed n+1, n) plus a duplicate of its first triple.
 	goldenRandom = map[int]golden{
+		0:               {28798, "c837d2e72b9488e89f820fa5fae48edbfd05edbf3be7c8b0c1ffe06ac0e39911"},
+		3:               {28798, "a0efb6f6e13d351a673a723139382b4ff1869c86dfadab19c9fb84ed33d9ae46"},
+		50:              {28798, "7831b2988a30ba6c98e0e58b1f0527d783a36967180874a1fae8798730c269fa"},
+		radixCutoff * 3: {28798, "a40e66c7e85f3cefb4d24f5cbb44ec3fcdb53a2c4408bcaa045011a56ec04727"},
+		3000:            {61566, "ca7bc23c3f4391be738a34c8ed0fe95c6870d04a198d3bd89637e6a7dee4008d"},
+	}
+)
+
+// The same graphs' files as every writer wrote them before the OSP
+// column's retirement: recorded from the writer of commit 23921e9.
+// withOSPColumn rebuilds them from this writer's files, which proves
+// those are these bytes with col-osp left out.
+var (
+	goldenOSPV2Sample = golden{32915, "d38e94a03a15072aaddbc7a20ebe1a0f2bb2ecd93d7d0af07db02d81156bab79"}
+	goldenOSPRandom   = map[int]golden{
 		0:               {32915, "f5359f35e44d356fb3cfe868f76522691895a36ab2c73666531454f874bc34b3"},
 		3:               {32915, "36629a0986d7b23dff75a89418a9d26406a7497eaad58b2a3eb1abdf6ab3017b"},
 		50:              {32915, "bef874e390aa611a59bd536e9bed95370d41e656aa12b779ceaa92dc7f85df74"},
@@ -990,8 +1023,9 @@ func rebuilt(t testing.TB, data []byte, put func(w *containerWriter, s *section)
 // graph's triples in — the graph's own, reversed, the SPO scan of the
 // snapshot's mapped base, the scan of a tiered index fed them in slices —
 // the file is the same, byte for byte, and a second write of the same
-// graph writes it again; and it is the file of the writer before the
-// symbol table, with no suffix packed; of the writer
+// graph writes it again; and it is the file of the writer before the OSP
+// column's retirement, with that column put back; of the writer before
+// the symbol table, with no suffix packed too; of the writer
 // that wrote untagged column steps, with the columns coded so too; of the
 // writer before the dictionary's kind flags, with the dictionary coded
 // so too; of the writer that still wrote comp-types, with that section
@@ -1009,6 +1043,8 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	}
 	g, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
+	sample = withOSPColumn(t, sample)
+	goldenOSPV2Sample.check(t, "v2Sample with col-osp", sample)
 	sample = withUnpackedDict(t, sample)
 	goldenUnpackedV2Sample.check(t, "v2Sample with no suffix packed", sample)
 	sample = withOldColumns(t, sample)
@@ -1030,7 +1066,9 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
 		want.check(t, fmt.Sprintf("n=%d: written again", n), write(g, g.All()))
-		unpacked := withUnpackedDict(t, file)
+		withOSP := withOSPColumn(t, file)
+		goldenOSPRandom[n].check(t, fmt.Sprintf("n=%d: with col-osp", n), withOSP)
+		unpacked := withUnpackedDict(t, withOSP)
 		goldenUnpackedRandom[n].check(t, fmt.Sprintf("n=%d: with no suffix packed", n), unpacked)
 		untagged := withOldColumns(t, unpacked)
 		goldenUntaggedRandom[n].check(t, fmt.Sprintf("n=%d: with untagged columns", n), untagged)
@@ -1073,9 +1111,10 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 }
 
 // TestSnapshotWithSortedSectionServed: a file that holds retired
-// sections — comp-types, which every build before its retirement wrote,
-// comp-data and comp-schema with it, which the builds before that wrote,
-// and dict-sorted with those, which the builds before that wrote — opens
+// sections — col-osp, which every build before its retirement wrote,
+// comp-types with it, which the builds before that wrote, comp-data and
+// comp-schema with those, which the builds before that wrote, and
+// dict-sorted with those, which the builds before that wrote — opens
 // through OpenGraphFile and ReadGraph to the graph of the same file
 // without them (types in SPO order, whatever order comp-types lists them
 // in) and serves the same index, and inspect still names them, marked
@@ -1089,6 +1128,8 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 		build    func(file []byte, g *Graph) []byte
 		sections []string
 	}{
+		{"col-osp", func(file []byte, g *Graph) []byte { return file },
+			[]string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
 		{"comp-types", func(file []byte, g *Graph) []byte { return withTypeSection(t, file, g) },
 			[]string{"dict-pages", "dict-dir", "comp-types", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
 		{"comp-data and comp-schema too", func(file []byte, g *Graph) []byte {
@@ -1109,7 +1150,7 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 		}
 		identicalGraphs(t, asOpened(g), want)
 		for _, o := range olds {
-			old := o.build(f.b, g)
+			old := o.build(withOSPColumn(t, f.b), g)
 			path := filepath.Join(t.TempDir(), "old.rdfsum")
 			if err := os.WriteFile(path, old, 0o644); err != nil {
 				t.Fatal(err)
@@ -1141,7 +1182,7 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 			var names []string
 			for _, s := range info.Sections {
 				names = append(names, s.Name)
-				if retired := s.Name == "dict-sorted" || strings.HasPrefix(s.Name, "comp-"); s.Retired != retired {
+				if retired := s.Name == "dict-sorted" || s.Name == "col-osp" || strings.HasPrefix(s.Name, "comp-"); s.Retired != retired {
 					t.Errorf("%s: inspect marks section %s retired: %v", o.name, s.Name, s.Retired)
 				}
 			}
@@ -1173,9 +1214,11 @@ func TestSnapshotWithSortedSectionServed(t *testing.T) {
 //     is trained anew and every block re-coded — the file is the heap
 //     graph's, byte for byte;
 //   - of a build before the table, 30dc72e (withUnpackedDict) or before
-//     the kind byte's flags too (withOldCoding): the base's complete
-//     blocks are copied as they are, and the rest is coded as the heap
-//     graph codes it, with the table the heap graph's training gives.
+//     the kind byte's flags too (withOldCoding): it packs no term, so
+//     whatever its size the table is trained anew and every block
+//     re-coded — the file is the heap graph's, byte for byte, and packs
+//     terms; a second compaction of a base of more than sampleBlocks
+//     blocks keeps the table and the complete blocks that one wrote.
 //
 // The bases end inside a dictionary block and on a block boundary (16
 // and 32 terms); the writes add no new term, one, or dozens of every kind.
@@ -1237,9 +1280,13 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 		}
 		return pages, dir, syms
 	}
-	// packed counts the packed terms of the file at path.
-	packed := func(path string) uint64 {
+	// packedOf counts the packed terms of a file.
+	packedOf := func(file []byte) uint64 {
 		t.Helper()
+		path := filepath.Join(t.TempDir(), "packed.rdfsum")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		info, err := InspectSnapshot(path)
 		if err != nil {
 			t.Fatal(err)
@@ -1263,8 +1310,6 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 				if err := os.WriteFile(path, file, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				basePages, baseDir, baseSyms := dictSections(file)
-				basePacked := packed(path)
 				reopened, sf, err := OpenGraphFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -1285,15 +1330,38 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 				if !bytes.Equal(withUnpackedDict(t, got.b), withUnpackedDict(t, want.b)) {
 					t.Errorf("%s: the file, with no suffix packed, differs from the heap graph's", what)
 				}
-				fresh := coding.name != "this build"
-				if !fresh && !base.reuse {
+				if coding.name != "this build" || !base.reuse {
 					if !bytes.Equal(got.b, want.b) {
 						t.Errorf("%s: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
 							what, len(got.b), len(want.b))
 					}
-					continue
+					if coding.name == "this build" || !base.reuse {
+						continue
+					}
+					// The base was coded anew, once: the next compaction
+					// keeps what this one wrote.
+					if n := packedOf(got.b); n == 0 {
+						t.Errorf("%s: no term packed after a compaction", what)
+					}
+					path = filepath.Join(t.TempDir(), "once.rdfsum")
+					if err := os.WriteFile(path, got.b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if reopened, sf, err = OpenGraphFile(path); err != nil {
+						t.Fatal(err)
+					}
+					baseLen = reopened.Dict().Len()
+					reopened.Add(rdf.NewTriple(rdf.NewIRI("http://x/again"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("again")))
+					file, got = got.b, memFile{}
+					if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
+						t.Fatal(err)
+					}
+					sf.Close()
+					what += ", compacted again"
 				}
-				// The base's complete blocks, as its build wrote them.
+				// The base's complete blocks and its table, as its build
+				// wrote them, are kept, and the new terms pack.
+				basePages, baseDir, baseSyms := dictSections(file)
 				full := baseLen / dict.BlockTerms
 				cut := len(basePages)
 				if full*dict.BlockTerms < baseLen {
@@ -1303,26 +1371,11 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 				if len(pages) < cut || !bytes.Equal(pages[:cut], basePages[:cut]) || !bytes.Equal(dir[:full*8], baseDir[:full*8]) {
 					t.Errorf("%s: the base's %d complete blocks (%d bytes) are not copied as they are", what, full, cut)
 				}
-				wantPages, wantDir, wantSyms := dictSections(want.b)
-				if !fresh {
-					if !bytes.Equal(syms, baseSyms) {
-						t.Errorf("%s: the base's symbol table is not kept", what)
-					}
-					gotPath := filepath.Join(t.TempDir(), "got.rdfsum")
-					if err := os.WriteFile(gotPath, got.b, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					if n := packed(gotPath); k > 1 && n <= basePacked {
-						t.Errorf("%s: %d terms packed, the base packed %d: the new terms do not pack", what, n, basePacked)
-					}
-					continue
+				if !bytes.Equal(syms, baseSyms) {
+					t.Errorf("%s: the base's symbol table is not kept", what)
 				}
-				wantCut := len(wantPages)
-				if full*8 < len(wantDir) {
-					wantCut = int(binary.LittleEndian.Uint64(wantDir[full*8:]))
-				}
-				if baseSyms != nil || basePacked != 0 || !bytes.Equal(syms, wantSyms) || !bytes.Equal(pages[cut:], wantPages[wantCut:]) {
-					t.Errorf("%s: the blocks after the copied ones are not coded as the heap graph codes them, with its table", what)
+				if n, baseN := packedOf(got.b), packedOf(file); k > 1 && coding.name == "this build" && n <= baseN {
+					t.Errorf("%s: %d terms packed, the base packed %d: the new terms do not pack", what, n, baseN)
 				}
 			}
 		}
@@ -1358,7 +1411,7 @@ func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
 // header is the last thing written, so a file without it starts with
 // zeros.
 func TestSectionWriterFailsClean(t *testing.T) {
-	g := v2RandomGraph(t, 5, 30000) // several chunks
+	g := v2RandomGraph(t, 5, 60000) // several chunks
 	buf := g.All()
 	var whole failFile
 	if err := WriteSnapshotV2(&whole, g, buf, nil); err != nil {

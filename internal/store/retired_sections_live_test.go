@@ -38,57 +38,68 @@ func seededGeneration(t *testing.T, seed *store.Graph) (dir, gen1 string, raw []
 }
 
 // TestLiveServesSortedSectionGeneration: a store whose generation
-// snapshot holds the retired sections — dict-sorted, comp-data, comp-types
-// and comp-schema, what every build before their retirement wrote — opens
-// and serves the graph of the same file without them, and its first
-// Compact writes a generation without them, which reopens to the same
-// graph.
+// snapshot holds retired sections — col-osp, what every build before its
+// retirement wrote, or that and dict-sorted, comp-data, comp-types and
+// comp-schema, what every build before theirs wrote — opens and serves
+// the graph of the same file without them, and its first Compact writes
+// a generation without them, which reopens to the same graph.
 func TestLiveServesSortedSectionGeneration(t *testing.T) {
 	seed := bsbm.GenerateGraph(bsbm.DefaultConfig(20))
-	dir, gen1, raw := seededGeneration(t, seed)
-	want, _, err := store.ReadGraph(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	unpacked := store.WithUnpackedDict(t, raw)
-	old := store.WithSortedSection(t, store.WithComponentSections(t, store.WithTypeSection(t, unpacked, seed), seed))
-	if err := os.WriteFile(gen1, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		old  func(raw []byte) []byte
+	}{
+		{"col-osp", func(raw []byte) []byte { return store.WithOSPColumn(t, raw) }},
+		{"every retired section", func(raw []byte) []byte {
+			unpacked := store.WithUnpackedDict(t, store.WithOSPColumn(t, raw))
+			return store.WithSortedSection(t, store.WithComponentSections(t, store.WithTypeSection(t, unpacked, seed), seed))
+		}},
+	} {
+		dir, gen1, raw := seededGeneration(t, seed)
+		want, _, err := store.ReadGraph(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(gen1, tc.old(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	l, err := live.Open(dir, nil)
-	if err != nil {
-		t.Fatalf("Open of a generation with retired sections: %v", err)
-	}
-	store.IdenticalGraphs(t, want, l.Snapshot().Graph)
-	added := rdf.NewTriple(rdf.NewIRI("http://x/new"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("new"))
-	if err := l.Add(added); err != nil {
-		t.Fatal(err)
-	}
-	want.Add(added)
-	if err := l.Compact(); err != nil {
-		t.Fatalf("Compact of a generation with retired sections: %v", err)
-	}
-	info, err := store.InspectSnapshot(filepath.Join(dir, "snapshot-2.rdfsum"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range info.Sections {
-		if s.Retired {
-			t.Fatalf("the compacted generation holds the retired section %s", s.Name)
+		l, err := live.Open(dir, nil)
+		if err != nil {
+			t.Fatalf("%s: Open of a generation with retired sections: %v", tc.name, err)
+		}
+		store.IdenticalGraphs(t, want, l.Snapshot().Graph)
+		added := rdf.NewTriple(rdf.NewIRI("http://x/new"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("new"))
+		if err := l.Add(added); err != nil {
+			t.Fatal(err)
+		}
+		want.Add(added)
+		if err := l.Compact(); err != nil {
+			t.Fatalf("%s: Compact of a generation with retired sections: %v", tc.name, err)
+		}
+		info, err := store.InspectSnapshot(filepath.Join(dir, "snapshot-2.rdfsum"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range info.Sections {
+			if s.Retired {
+				t.Fatalf("%s: the compacted generation holds the retired section %s", tc.name, s.Name)
+			}
+		}
+		if len(info.Sections) != 6 {
+			t.Fatalf("%s: the compacted generation holds sections %+v, want six", tc.name, info.Sections)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if l, err = live.Open(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		store.IdenticalGraphs(t, store.AsOpened(want), l.Snapshot().Graph)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(info.Sections) != 7 {
-		t.Fatalf("the compacted generation holds sections %+v, want seven", info.Sections)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if l, err = live.Open(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	store.IdenticalGraphs(t, store.AsOpened(want), l.Snapshot().Graph)
 }
 
 // TestLiveOpenChecksSPOColumn: a store's open of its own generation
@@ -148,13 +159,14 @@ func sameAnswers(t *testing.T, what string, want, got *store.SnapshotFile, g *st
 }
 
 // TestUntaggedColumnsServed: a snapshot whose columns a build before the
-// tagged steps wrote (sections 7–9, what withOldColumns rebuilds) opens
+// tagged steps wrote (sections 7–9, what withOldColumns rebuilds of
+// withOSPColumn's file) opens
 // through OpenGraphFile and ReadGraph to the graph of the same file with
 // tagged columns, and answers every pattern and renders every summary
 // kind as that graph does; inspect names the untagged sections, marked
 // retired. A live store over it opens to the same graph and summaries,
-// and its first Compact writes the tagged sections 11–13 in their place,
-// which reopen to the same graph.
+// and its first Compact writes the tagged sections 11 and 12 in their
+// place, which reopen to the same graph.
 func TestUntaggedColumnsServed(t *testing.T) {
 	seed := bsbm.GenerateGraph(bsbm.DefaultConfig(20))
 	dir, gen1, raw := seededGeneration(t, seed)
@@ -166,7 +178,7 @@ func TestUntaggedColumnsServed(t *testing.T) {
 	for _, kind := range core.Kinds {
 		summaries[kind] = render(t, core.MustSummarize(want, kind))
 	}
-	old := store.WithOldColumns(t, store.WithUnpackedDict(t, raw))
+	old := store.WithOldColumns(t, store.WithUnpackedDict(t, store.WithOSPColumn(t, raw)))
 	if err := os.WriteFile(gen1, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +248,7 @@ func TestUntaggedColumnsServed(t *testing.T) {
 	for _, s := range info.Sections {
 		names = append(names, s.Name)
 	}
-	if want := []string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}; !slices.Equal(names, want) {
+	if want := []string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "vocab"}; !slices.Equal(names, want) {
 		t.Fatalf("the compacted generation holds sections %v, want %v", names, want)
 	}
 	if err := l.Close(); err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // The immutable-run storage abstraction. A run of the tiered index keeps
-// its triples in three sort orders (SPO, POS, OSP); each order is a Col.
+// its triples in two sort orders (SPO, POS); each order is a Col.
 // Two implementations exist: memCols (plain in-memory slices — each
 // epoch's delta run, small folds, a memory-only store's base) and encCols
 // (varint-delta-encoded blocks with a skip index, served zero-copy from
@@ -18,14 +18,15 @@ import (
 // the interfaces, so opening a prebuilt snapshot without materializing
 // anything is just a different Col behind the same run.
 
-// Order selects one of the three maintained sort orders.
+// Order selects one of the two maintained sort orders.
 type Order int
 
-// The three maintained sort orders of a run.
+// The two maintained sort orders of a run. With the property bound they
+// cover every pattern; a pattern with the property free and the object
+// bound is served from POS one property at a time (Index.ForEach).
 const (
 	OrderSPO Order = iota
 	OrderPOS
-	OrderOSP
 	// NumOrders is the number of maintained sort orders.
 	NumOrders
 )
@@ -37,8 +38,6 @@ func (o Order) String() string {
 		return "spo"
 	case OrderPOS:
 		return "pos"
-	case OrderOSP:
-		return "osp"
 	default:
 		return "invalid"
 	}
@@ -49,8 +48,6 @@ func (o Order) key(t Triple) (k1, k2, k3 dict.ID) {
 	switch o {
 	case OrderPOS:
 		return t.P, t.O, t.S
-	case OrderOSP:
-		return t.O, t.S, t.P
 	default:
 		return t.S, t.P, t.O
 	}
@@ -133,6 +130,9 @@ type Col interface {
 	// components in the column's order equal bound's; n = 0 is the whole
 	// column.
 	Range(bound Triple, n int) (lo, hi int)
+	// Lead returns the first key component of the first triple whose
+	// first key component is at least k1, and false if there is none.
+	Lead(k1 dict.ID) (dict.ID, bool)
 	// Cursor returns an iterator over the half-open range [lo, hi).
 	Cursor(lo, hi int) Cursor
 }
@@ -165,7 +165,7 @@ func (c *Cursor) Next() Triple {
 	return t
 }
 
-// RunCols bundles the three sort orders of one immutable run. Only this
+// RunCols bundles the two sort orders of one immutable run. Only this
 // package implements it; other packages treat it as an opaque handle
 // (obtained from SnapshotFile.Runs, passed to NewIndexFromBase).
 type RunCols interface {
@@ -218,11 +218,20 @@ func (m *memCol) search(from, to int, k sortKey, strict bool) int {
 	return lo
 }
 
+func (m *memCol) Lead(k1 dict.ID) (dict.ID, bool) {
+	i := m.search(0, len(m.ts), packKey(k1, 0, 0), false)
+	if i == len(m.ts) {
+		return 0, false
+	}
+	lead, _, _ := m.ord.key(m.ts[i])
+	return lead, true
+}
+
 func (m *memCol) Cursor(lo, hi int) Cursor {
 	return Cursor{buf: m.ts, pos: lo, hi: hi}
 }
 
-// memCols is the slice RunCols: three sorted slices, 36 B a triple —
+// memCols is the slice RunCols: two sorted slices, 24 B a triple —
 // each epoch's delta run and every fold below encodeCutoff.
 type memCols struct {
 	cols [NumOrders]memCol
@@ -234,7 +243,7 @@ type memCols struct {
 func NewRunCols(triples []Triple) RunCols { return newMemCols(triples) }
 
 // newMemCols adopts adds (sorting it in place into SPO order) and builds
-// the other two orders. One scratch buffer serves all three sorts.
+// the POS order from a copy. One scratch buffer serves both sorts.
 func newMemCols(adds []Triple) *memCols {
 	var scratch []Triple
 	if len(adds) >= radixCutoff {
@@ -276,8 +285,6 @@ func (o Order) fields() [3]int {
 	switch o {
 	case OrderPOS:
 		return [3]int{1, 2, 0}
-	case OrderOSP:
-		return [3]int{2, 0, 1}
 	default:
 		return [3]int{0, 1, 2}
 	}

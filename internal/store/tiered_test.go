@@ -2,12 +2,15 @@ package store
 
 import (
 	"math/rand/v2"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"rdfsum/internal/dict"
+	"rdfsum/internal/rdf"
 )
 
 // idUniverse is the small ID pool the tiered-index property tests draw
@@ -104,7 +107,7 @@ func sameIterationOrder(a, b *Index) bool {
 }
 
 // checkAgainstOracle verifies every read path of ix against the surviving
-// multiset: Len, full-order iteration for all three orders, Count and
+// multiset: Len, full-order iteration, Count and
 // ForEach for every bound-position combination over the universe, and
 // Contains for every triple of the universe.
 func checkAgainstOracle(t *testing.T, ix *Index, surviving []Triple) bool {
@@ -145,9 +148,9 @@ func checkAgainstOracle(t *testing.T, ix *Index, surviving []Triple) bool {
 					t.Logf("ForEach(%d,%d,%d) = %v, want %v", s, p, o, got, want)
 					return false
 				}
-				// The yielded sequence must follow the serving order.
-				servingOrd, _, _ := patternPlan(s, p, o)
-				less := servingOrd.less
+				// The yielded sequence must follow the serving order: POS
+				// for a skip scan (property free, object bound).
+				less := servingOrder(s, p, o).less
 				for i := 1; i < len(got); i++ {
 					if less(got[i], got[i-1]) {
 						t.Logf("ForEach(%d,%d,%d) out of order at %d: %v", s, p, o, i, got)
@@ -377,7 +380,7 @@ func TestIndexRunsBoundedMixedSizes(t *testing.T) {
 }
 
 // TestIndexHeapBytesCountsEncodedRuns: after folds past encodeCutoff,
-// HeapBytes is exactly what the runs hold on the heap — 36 B a triple of
+// HeapBytes is exactly what the runs hold on the heap — 24 B a triple of
 // every slice run, and the payloads and built fences of every encoded
 // heap run — and MappedBytes counts none of it.
 func TestIndexHeapBytesCountsEncodedRuns(t *testing.T) {
@@ -393,7 +396,7 @@ func TestIndexHeapBytesCountsEncodedRuns(t *testing.T) {
 		for _, r := range ix.runs {
 			switch c := r.cols.(type) {
 			case *memCols:
-				want += 36 * int64(c.length())
+				want += 24 * int64(c.length())
 			case *encCols:
 				folded += int64(c.length())
 				for _, col := range c.cols {
@@ -412,7 +415,7 @@ func TestIndexHeapBytesCountsEncodedRuns(t *testing.T) {
 			t.Fatalf("%s: no run is encoded after %d triples", what, ix.Len())
 		}
 		if got := ix.HeapBytes(); got != want {
-			t.Errorf("%s: HeapBytes = %d, want slice runs at 36 B a triple + encoded payloads and fences = %d", what, got, want)
+			t.Errorf("%s: HeapBytes = %d, want slice runs at 24 B a triple + encoded payloads and fences = %d", what, got, want)
 		}
 		if got := ix.MappedBytes(); got != 0 {
 			t.Errorf("%s: MappedBytes = %d over heap runs, want 0", what, got)
@@ -432,4 +435,86 @@ func TestIndexHeapBytesCountsEncodedRuns(t *testing.T) {
 	ix.Count(dict.None, last.P, dict.None)
 	ix.Count(dict.None, dict.None, last.O)
 	check("after a range lookup in every order", true)
+}
+
+// TestSkipScanOverMappedBase: a pattern with the property free and the
+// object bound is a skip scan over POS, one seek a property a run; over a
+// mapped snapshot base under Applied delta runs it must read as the
+// surviving multiset does (checkAgainstOracle), in POS order — with a
+// property held only in a delta run, a property whose every triple is
+// tombstoned, and object IDs that are property IDs too — and so must
+// every index a random interleaving of adds and deletes publishes on top.
+func TestSkipScanOverMappedBase(t *testing.T) {
+	g := NewGraph()
+	g.Dict().Encode(rdf.NewIRI("http://x/6")) // IDs 1–5 are the vocabulary
+	var base []Triple
+	for s := dict.ID(1); s <= idUniverse; s++ {
+		for _, p := range []dict.ID{2, 3, 4} {
+			o := (s+p)%idUniverse + 1 // every ID is an object, 2–4 properties too
+			g.AddEncoded(s, p, o)
+			base = append(base, Triple{S: s, P: p, O: o})
+		}
+	}
+	path := filepath.Join(t.TempDir(), "g.rdfsum")
+	if err := SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := OpenSnapshotFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	ix := NewIndexFromBase(sf.Runs())
+	if !checkAgainstOracle(t, ix, base) {
+		t.Fatal("the mapped base alone")
+	}
+	oracle := slices.Clone(base)
+
+	// Property 6 is held only in a delta run.
+	only := []Triple{{S: 1, P: 6, O: 2}, {S: 5, P: 6, O: 6}, {S: 5, P: 6, O: 6}}
+	ix = ix.Applied(only, nil)
+	oracle = append(oracle, only...)
+	if !checkAgainstOracle(t, ix, oracle) {
+		t.Fatal("a property held only in a delta run")
+	}
+	// Every triple of property 4 is tombstoned, yet the skip scan still
+	// seeks it in the base.
+	dead := naiveMatch(oracle, dict.None, 4, dict.None)
+	ix = ix.Applied(nil, dead)
+	oracle = deleteAll(oracle, dead)
+	if !checkAgainstOracle(t, ix, oracle) {
+		t.Fatal("a property whose every triple is tombstoned")
+	}
+	if n := ix.Count(dict.None, 4, dict.None); n != 0 {
+		t.Fatalf("Count(?, 4, ?) = %d after deleting every triple of 4", n)
+	}
+	if got := slices.Collect(ix.props()); !slices.Equal(got, []dict.ID{2, 3, 4, 6}) {
+		t.Fatalf("props = %v, want 2, 3, 4 (tombstoned) and 6", got)
+	}
+
+	rng := rand.New(rand.NewPCG(50, 1))
+	held, heldOracle := ix, slices.Clone(oracle)
+	for i := range 40 {
+		if rng.IntN(3) == 0 {
+			dead := []Triple{randTriple(rng), randTriple(rng)}
+			ix = ix.Applied(nil, dead)
+			oracle = deleteAll(oracle, dead)
+		} else {
+			adds := make([]Triple, 1+rng.IntN(5))
+			for j := range adds {
+				adds[j] = randTriple(rng)
+			}
+			ix = ix.Applied(adds, nil)
+			oracle = append(oracle, adds...)
+		}
+		if !checkAgainstOracle(t, ix, oracle) {
+			t.Fatalf("divergence after op %d", i)
+		}
+	}
+	if ix.runs[0].cols != sf.Runs() {
+		t.Fatal("the mapped base was folded away: the test no longer reads it under delta runs")
+	}
+	if !checkAgainstOracle(t, held, heldOracle) {
+		t.Fatal("a held index was disturbed by later operations")
+	}
 }

@@ -319,7 +319,7 @@ func CheckWellBehaved(triples []Triple) []rdf.WellBehavedViolation {
 	return rdf.CheckWellBehaved(triples)
 }
 
-// NewIndex builds the SPO/POS/OSP access paths used by query evaluation.
+// NewIndex builds the SPO and POS access paths used by query evaluation.
 // The index is tiered (live updates append delta runs, folded eight at a
 // time); a batch build yields a single run.
 func NewIndex(g *Graph) *Index { return store.NewIndex(g) }
