@@ -183,12 +183,12 @@ ingest-smoke:
 # every term and write sections that open to the same terms); the symbol
 # table (any table and codes either fail or decode to at most eight bytes
 # a code, the same by every decode path); the WAL record
-# decoder/replayer; the snapshot graph decode (header counts and
-# vocabulary, dictionary, column — tagged or untagged — and retired
-# comp-types payloads, checksums resealed; a graph it returns is served
-# in full); and one column payload in either coding (an error or in-range
-# IDs, never a panic), each seeded from its f.Add calls and the committed
-# corpus under the package's testdata/fuzz/ directory.
+# decoder/replayer; the snapshot graph decode (header counts and the
+# payloads of all six sections — vocabulary, dictionary pages, directory
+# and symbol table, and both columns — checksums resealed; a graph it
+# returns is served in full); and one column payload (an error or
+# in-range IDs, never a panic), each seeded from its f.Add calls and the
+# committed corpus under the package's testdata/fuzz/ directory.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ntriples
 	$(GO) test -fuzz=FuzzDictKeyRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict

@@ -457,8 +457,7 @@ func describeStreamErr(path string, err error) error {
 
 // cmdInspect prints a snapshot file's physical layout: format version,
 // header counts, every section's offset, size, bytes per triple and
-// CRC-32 (IEEE), with a retired section marked so, the dictionary's
-// symbol table and how many terms it packs, and the on-disk compression
+// CRC-32 (IEEE), the dictionary's symbol table and how many terms it packs, and the on-disk compression
 // ratio — answered from the header, the TOC and one walk of the
 // dictionary's pages (no term or triple decode).
 func cmdInspect(args []string) error {
@@ -482,32 +481,21 @@ func cmdInspect(args []string) error {
 	}
 	fmt.Printf("  page size: %d, serving mode in this build: %s\n", info.PageSize, serve)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "  section\toffset\tbytes\tB/triple\tcrc32-ieee\t\n")
-	var payload uint64
+	fmt.Fprintf(tw, "  section\toffset\tbytes\tB/triple\tcrc32-ieee\n")
+	var payload, tableBytes uint64
 	for _, s := range info.Sections {
 		perTriple := "-"
 		if nTriples > 0 {
 			perTriple = fmt.Sprintf("%.3f", float64(s.Len)/float64(nTriples))
 		}
-		retired := ""
-		if s.Retired {
-			retired = "retired"
-		}
-		fmt.Fprintf(tw, "  %s\t%d\t%d\t%s\t%08x\t%s\n", s.Name, s.Off, s.Len, perTriple, s.CRC, retired)
+		fmt.Fprintf(tw, "  %s\t%d\t%d\t%s\t%08x\n", s.Name, s.Off, s.Len, perTriple, s.CRC)
 		payload += s.Len
+		if s.Name == "dict-symbols" {
+			tableBytes = s.Len
+		}
 	}
 	tw.Flush() //nolint:errcheck
-	if info.DictSymbols < 0 {
-		fmt.Printf("  dict symbols: none (a file of a build before the table), packed terms: 0 of %d\n", info.NTerms)
-	} else {
-		var tableBytes uint64
-		for _, s := range info.Sections {
-			if s.Name == "dict-symbols" {
-				tableBytes = s.Len
-			}
-		}
-		fmt.Printf("  dict symbols: %d (%d bytes), packed terms: %d of %d\n", info.DictSymbols, tableBytes, info.DictPacked, info.NTerms)
-	}
+	fmt.Printf("  dict symbols: %d (%d bytes), packed terms: %d of %d\n", info.DictSymbols, tableBytes, info.DictPacked, info.NTerms)
 	if nTriples > 0 {
 		raw := nTriples * 3 * 8 // three u64 ids per triple, uncompressed baseline
 		fmt.Printf("  payload: %d bytes (%.1f%% padding); columns+dict vs raw 24 B/triple: %.2fx\n",

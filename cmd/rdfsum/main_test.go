@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -243,5 +244,40 @@ func TestCmdInspectSectionCRCs(t *testing.T) {
 	if symbols == 0 || uint64(tableBytes) != sizes["dict-symbols"] || packed == 0 || packed > terms || terms != g.Dict().Len() {
 		t.Fatalf("symbol table line says %d symbols in %d bytes, %d of %d terms packed; dict-symbols holds %d bytes, the dictionary %d terms",
 			symbols, tableBytes, packed, terms, sizes["dict-symbols"], g.Dict().Len())
+	}
+}
+
+// TestCmdInspectRefusesRetiredLayout: `rdfsum inspect` of a file whose
+// TOC names section 13 — a retired layout's — where dict-symbols was, so
+// that it holds a retired section and no symbol table, fails with the
+// store's error: the unsupported version, commit 26fbe2b as the last
+// build that reads it, and the migration.
+func TestCmdInspectRefusesRetiredLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := save(path, rdfsum.GenerateBSBM(5)); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := binary.LittleEndian.Uint32(file[12:16])
+	tocOff := binary.LittleEndian.Uint64(file[48:56])
+	toc := file[tocOff : tocOff+uint64(count)*21]
+	for e := toc; len(e) > 0; e = e[21:] {
+		if e[0] == 14 {
+			e[0] = 13
+		}
+	}
+	binary.LittleEndian.PutUint32(file[56:60], crc32.ChecksumIEEE(toc))
+	binary.LittleEndian.PutUint32(file[60:64], crc32.ChecksumIEEE(file[:60]))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdInspect([]string{path})
+	for _, want := range []string{"unsupported snapshot version", "section 13", "26fbe2b", "POST /v1/compact", "rdfsum convert"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("inspect of a file with section 13: got %v, want an error naming %q", err, want)
+		}
 	}
 }

@@ -37,9 +37,7 @@ import (
 // The writer sets each flag wherever it applies: insertion order
 // interleaves kinds (a subject IRI, its name literal, the next IRI), a
 // term shares its prefix with the last term of its own kind, not with its
-// neighbour, and packs its suffix wherever the codes are shorter. A kind
-// byte with no flag decodes as every term did before the flags existed,
-// so those pages read unchanged.
+// neighbour, and packs its suffix wherever the codes are shorter.
 const BlockTerms = 16
 
 // The kind byte: the term's rdf.TermKind in the low bits, and three flags.
@@ -71,10 +69,7 @@ const (
 // block's encoding depends on its own terms and the table only, so only
 // the base's last, partial block is decoded and re-encoded, and the work
 // is O(new terms). A smaller base's table saw every term it had: it is
-// trained anew, on every term, and every block is re-encoded. So is a
-// base of a build before the table, whatever its size, which packs no
-// term: the file written holds a table, which a write over that file
-// keeps.
+// trained anew, on every term, and every block is re-encoded.
 //
 // In shared mode d is locked only to take a view of its term table — a
 // dictionary never rewrites a record, so the view stays valid while the
@@ -92,13 +87,10 @@ func (d *Dict) WriteFrontCoded(pages io.Writer) (n int, dir, symbols []byte, err
 
 	full := 0 // the base's blocks copied as they are
 	var enc encoder
-	if bl > 0 && d.base.tab != nil && blocks(bl) > sampleBlocks { // a table trained on a sample
+	if blocks(bl) > sampleBlocks { // a table trained on a sample
 		full, enc.tab = bl/BlockTerms, d.base.tab
-	}
-	if enc.tab == nil {
-		if enc.tab, err = d.train(recs, n); err != nil {
-			return 0, nil, nil, err
-		}
+	} else if enc.tab, err = d.train(recs, n); err != nil {
+		return 0, nil, nil, err
 	}
 
 	dir = make([]byte, 0, blocks(n)*8)
@@ -294,7 +286,7 @@ func commonPrefix(a []byte, b string) int {
 type Mapped struct {
 	pages []byte
 	dir   []byte
-	tab   *symtab // nil for a file of a build before the table: no term is packed
+	tab   *symtab
 	n     int
 
 	// Owner is kept reachable for as long as m is: the store layer hangs
@@ -304,33 +296,24 @@ type Mapped struct {
 }
 
 // NewMapped wraps the dictionary sections holding n terms: the pages,
-// the directory and the symbol table, which is nil when the file has
-// none. It checks the directory's length and parses the table only, so
-// it costs nothing per term; WithBase walks the pages and checks the
-// rest.
+// the directory and the symbol table, which every file holds (an empty
+// or missing one fails). It checks the directory's length and parses the
+// table only, so it costs nothing per term; WithBase walks the pages and
+// checks the rest.
 func NewMapped(pages, dir, symbols []byte, n int) (*Mapped, error) {
 	nBlocks := blocks(n)
 	if len(dir) != nBlocks*8 {
 		return nil, fmt.Errorf("dict: directory holds %d bytes, want %d for %d terms", len(dir), nBlocks*8, n)
 	}
-	m := &Mapped{pages: pages, dir: dir, n: n}
-	if symbols != nil {
-		var err error
-		if m.tab, err = parseSymbols(symbols); err != nil {
-			return nil, err
-		}
+	tab, err := parseSymbols(symbols)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &Mapped{pages: pages, dir: dir, tab: tab, n: n}, nil
 }
 
-// Symbols reports how many symbols m's table holds, -1 when the file
-// has no table.
-func (m *Mapped) Symbols() int {
-	if m.tab == nil {
-		return -1
-	}
-	return m.tab.n
-}
+// Symbols reports how many symbols m's table holds.
+func (m *Mapped) Symbols() int { return m.tab.n }
 
 // Packed walks m's pages and counts the terms whose suffix is packed. It
 // fails on pages the walk cannot decode.
@@ -426,7 +409,7 @@ func (m *Mapped) walkerAt(i int) walker {
 // the term it extends in w.kind and w.ref. Malformed pages — a term cut
 // by their end, an unknown kind or flag, a flag naming a term the block
 // does not hold, a prefix longer than the value it is taken from, a
-// packed suffix with no table or with codes the table does not decode —
+// packed suffix with codes the table does not decode —
 // set w.err, which the caller checks.
 func (w *walker) step(l *link) {
 	p := w.m.pages
@@ -476,10 +459,6 @@ func (w *walker) step(l *link) {
 	l.off = w.pos
 	w.pos += l.n
 	if b&packed != 0 && l.n > 0 {
-		if w.m.tab == nil {
-			w.fail(fmt.Errorf("dict: term %d is packed, and the dictionary has no symbol table", w.i+1))
-			return
-		}
 		l.n, l.codes = 0, l.n
 		if !w.trust {
 			var err error

@@ -56,9 +56,13 @@ func frontCoded(t testing.TB, terms []rdf.Term) (pages, dir, syms []byte) {
 	return buf.Bytes(), dir, syms
 }
 
-// flaggedCoded returns the pages and directory the builds between the
-// kind byte's flags and the symbol table wrote of terms (IDs 1, 2, …):
-// this writer's coding, with no suffix packed.
+// noSymbols is a symbol table section holding no symbol: every code an
+// escape.
+var noSymbols = []byte{0}
+
+// flaggedCoded returns the pages and directory of terms (IDs 1, 2, …) in
+// this writer's coding with no suffix packed, which the builds between
+// the kind byte's flags and the symbol table wrote.
 func flaggedCoded(terms []rdf.Term) (pages, dir []byte) {
 	e := encoder{tab: newSymtab()} // every code an escape: nothing packs
 	for i, t := range terms {
@@ -240,10 +244,11 @@ func TestDictWithBaseSharedFill(t *testing.T) {
 	}
 }
 
-// oldCoded returns the two sections every build before the kind byte's
-// flags wrote of terms (IDs 1, 2, …): each term front-coded against the
-// immediately previous term of its block, whatever their kinds, and every
-// literal with its datatype and language in full.
+// oldCoded returns the pages and directory of terms (IDs 1, 2, …) with no
+// flag set, as every build before the kind byte's flags wrote them: each
+// term front-coded against the immediately previous term of its block,
+// whatever their kinds, and every literal with its datatype and language
+// in full.
 func oldCoded(terms []rdf.Term) (pages, dir []byte) {
 	var prev string
 	for i, t := range terms {
@@ -267,60 +272,6 @@ func oldCoded(terms []rdf.Term) (pages, dir []byte) {
 		prev = t.Value
 	}
 	return pages, dir
-}
-
-// TestFrontCodedOldCoding: pages in the coding of the builds before the
-// kind byte's flags decode to the same terms under the same IDs, and a
-// dictionary over them — they hold no symbol table — codes every block
-// anew, whatever the base's size: the sections it writes are the flat
-// dictionary's, and decode to the same terms again.
-func TestFrontCodedOldCoding(t *testing.T) {
-	for _, n := range []int{1, BlockTerms - 1, BlockTerms, BlockTerms + 1, 5*BlockTerms + 3, (sampleBlocks+1)*BlockTerms + 3} {
-		rng := rand.New(rand.NewPCG(uint64(n), 4))
-		terms := randTerms(rng, n+20)
-		base, fresh := terms[:n], terms[n:]
-		pages, dir := oldCoded(base)
-		m, err := NewMapped(pages, dir, nil, n)
-		if err != nil {
-			t.Fatalf("n=%d: NewMapped: %v", n, err)
-		}
-		d, err := WithBase(m)
-		if err != nil {
-			t.Fatalf("n=%d: WithBase of old-coded pages: %v", n, err)
-		}
-		for i, want := range base {
-			if got := d.Term(ID(i + 1)); got != want {
-				t.Fatalf("n=%d: Term(%d) = %v, want %v", n, i+1, got, want)
-			}
-			if id, ok := d.Lookup(want); !ok || id != ID(i+1) {
-				t.Fatalf("n=%d: Lookup(%v) = (%d,%v), want (%d,true)", n, want, id, ok, i+1)
-			}
-		}
-		for _, tm := range fresh {
-			d.Encode(tm)
-		}
-		var out bytes.Buffer
-		got, outDir, outSyms, err := d.WriteFrontCoded(&out)
-		if err != nil || got != len(terms) {
-			t.Fatalf("n=%d: WriteFrontCoded = %d terms, %v", n, got, err)
-		}
-		flatPages, flatDir, flatSyms := frontCoded(t, terms)
-		if !bytes.Equal(out.Bytes(), flatPages) || !bytes.Equal(outDir, flatDir) || !bytes.Equal(outSyms, flatSyms) {
-			t.Fatalf("n=%d: the sections differ from the flat dictionary's", n)
-		}
-		again, err := NewMapped(out.Bytes(), outDir, outSyms, len(terms))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := WithBase(again); err != nil {
-			t.Fatalf("n=%d: WithBase of the written sections: %v", n, err)
-		}
-		for i, want := range terms {
-			if got := again.Term(ID(i + 1)); got != want {
-				t.Fatalf("n=%d: written: Term(%d) = %v, want %v", n, i+1, got, want)
-			}
-		}
-	}
 }
 
 // TestFrontCodedFlags: the writer sets each flag wherever it applies —
@@ -521,14 +472,14 @@ func TestWithBaseRefusesBadFlags(t *testing.T) {
 		{"sameTags on an IRI", [][]byte{iri("a"), coded(byte(rdf.IRI)|sameTags, 0, "b")}, "term 2, a iri, takes the datatype"},
 		{"sameTags with no earlier literal", [][]byte{iri("a"), coded(lit|sameTags, 0, "x")}, "term 2, a literal, takes the datatype"},
 		{"sameTags on a later block's first literal", append(sixteen[:BlockTerms-1:BlockTerms-1], coded(lit, 0, "x", "", "en"), []byte{lit | sameTags, 1, 'y'}), "term 17, a literal, takes the datatype"},
-		{"packed with no symbol table", [][]byte{iri("a"), coded(byte(rdf.IRI)|packed, 0, "b")}, "term 2 is packed, and the dictionary has no symbol table"},
+		{"packed with a table of no symbols", [][]byte{iri("a"), coded(byte(rdf.IRI)|packed, 0, "b")}, "term 2: code 98 is past the table's 0 symbols"},
 		{"bit 0x80", [][]byte{iri("a"), coded(byte(rdf.IRI)|sameKind|0x80, 0, "b")}, "term 2 has unknown flags 0x90"},
 		{"kind 4", [][]byte{iri("a"), coded(4, 0, "b")}, "term 2 has no kind byte"},
 		{"kind 0 with a flag", [][]byte{iri("a"), coded(sameKind, 0, "b")}, "term 2 has no kind byte"},
 		{"sameKind prefix longer than the term of the kind", [][]byte{iri("a"), {byte(rdf.Blank), 0, 3, 'x', 'y', 'z'}, coded(byte(rdf.IRI)|sameKind, 3, "b")}, "term 3 shares 3 bytes with a 1-byte predecessor"},
 	} {
 		pages, dir, n := block(c.terms...)
-		m, err := NewMapped(pages, dir, nil, n)
+		m, err := NewMapped(pages, dir, noSymbols, n)
 		if err != nil {
 			t.Fatalf("%s: NewMapped: %v", c.name, err)
 		}
@@ -542,7 +493,7 @@ func TestWithBaseRefusesBadFlags(t *testing.T) {
 	pages, dir, n := block(iri("http://x/a"), []byte{byte(rdf.Blank), 0, 2, 'b', '0'},
 		coded(byte(rdf.IRI)|sameKind, 9, "b"),
 		coded(lit, 0, "1", "http://x/int", ""), coded(lit|sameKind|sameTags, 0, "2"))
-	m, err := NewMapped(pages, dir, nil, n)
+	m, err := NewMapped(pages, dir, noSymbols, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,8 +510,8 @@ func TestWithBaseRefusesBadFlags(t *testing.T) {
 }
 
 // TestWithBaseRefusesBadSymbols: a packed term the table cannot decode
-// — a code past the table's end, an escape as its last byte, no table at
-// all — a table that does not parse — a symbol of length 0 or more than
+// — a code past the table's end, an escape as its last byte — a missing
+// table, a table that does not parse — a symbol of length 0 or more than
 // 8, cut short or followed by stray bytes, or an empty section — and a
 // packed value shorter than a later term's shared prefix fail NewMapped
 // or WithBase with an error, never a panic; and codes the table holds
@@ -592,8 +543,7 @@ func TestWithBaseRefusesBadSymbols(t *testing.T) {
 		{"a code past the table's end", syms, [][]byte{head(0, 2)}, "term 1: code 2 is past the table's 2 symbols"},
 		{"code 254 of a two-symbol table", syms, [][]byte{head(254)}, "term 1: code 254 is past the table's 2 symbols"},
 		{"an escape as the last byte", syms, [][]byte{head(1, escape)}, "term 1: an escape is its last code byte"},
-		{"a packed term with no table", nil, [][]byte{head(escape, 'a')}, "term 1 is packed, and the dictionary has no symbol table"},
-		{"a packed term after a plain one with no table", nil, [][]byte{{iri, 1, 'a'}, {iri | packed, 0, 1, 0}}, "term 2 is packed, and the dictionary has no symbol table"},
+		{"no table, and no packed term", nil, [][]byte{{iri, 1, 'a'}}, "the symbol table is empty"},
 		{"a symbol of length 0", []byte{2, 0, 3, 'x', 'y', 'z'}, [][]byte{head(1)}, "symbol 0 has length 0"},
 		{"a symbol of length 9", []byte{1, 9, '1', '2', '3', '4', '5', '6', '7', '8', '9'}, [][]byte{head(0)}, "symbol 0 has length 9"},
 		{"an empty table section", []byte{}, [][]byte{head(0)}, "the symbol table is empty"},
@@ -686,10 +636,10 @@ func FuzzSymbolTable(f *testing.F) {
 // FuzzDictPages: on any pages, directory and symbol table, WithBase
 // either fails or yields a dictionary that decodes every term and finds
 // each under its ID, and whose written sections open again to the same
-// terms. Seeded with the three codings: the writer's, that of the builds
-// between the kind byte's flags and the table (no term packed, no table),
-// and that of the builds before the flags. An empty table stands for a
-// file without one.
+// terms. Seeded with the writer's sections, and with the same terms and
+// table in the pages of two other codings the reader accepts: no suffix
+// packed, and no flag at all (every term front-coded against the previous
+// one, every literal's datatype and language in full).
 //
 //	go test -fuzz=FuzzDictPages -fuzztime=30s -run='^$' ./internal/dict
 func FuzzDictPages(f *testing.F) {
@@ -698,14 +648,11 @@ func FuzzDictPages(f *testing.F) {
 		pages, dir, syms := frontCoded(f, terms)
 		f.Add(pages, dir, syms, uint16(n))
 		pages, dir = flaggedCoded(terms)
-		f.Add(pages, dir, []byte{}, uint16(n))
+		f.Add(pages, dir, syms, uint16(n))
 		pages, dir = oldCoded(terms)
-		f.Add(pages, dir, []byte{}, uint16(n))
+		f.Add(pages, dir, syms, uint16(n))
 	}
 	f.Fuzz(func(t *testing.T, pages, dir, syms []byte, n uint16) {
-		if len(syms) == 0 {
-			syms = nil
-		}
 		m, err := NewMapped(pages, dir, syms, int(n))
 		if err != nil {
 			return

@@ -38,9 +38,7 @@ import (
 //
 // so a triple whose leading keys repeat its predecessor's costs one byte
 // when its last key moved by less than 32 (RDF-3X's leaves leave out the
-// unchanged leading values the same way). Builds before the tagged steps
-// wrote three varints a step in sections 7–9; an open converts those
-// (untaggedCol).
+// unchanged leading values the same way).
 //
 // Scans decode blocks sequentially from the skip index's offsets. Range
 // lookups binary-search in-memory fences (one every fenceTriples triples,
@@ -216,32 +214,10 @@ type encCol struct {
 	fences  atomic.Pointer[[]fence] // nil until the first range lookup
 }
 
-// openCol validates the payload framing and returns the column view.
-func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, error) {
-	m, err := colFrame(ord, payload, wantLen, file)
-	if err != nil || m.n == 0 {
-		return m, err
-	}
-	// The last key: decode the last block, which the skip index must place
-	// after itself and inside the payload.
-	b := m.nBlocks - 1
-	k, pos := m.first(b), m.blockOff(b)
-	if pos < 8+m.nBlocks*colSkipEntryBytes || pos > len(payload) {
-		return nil, fmt.Errorf("%w: column %v block %d at byte %d of %d", ErrSnapshotCorrupt, ord, b, pos, len(payload))
-	}
-	for i := b*colBlockTriples + 1; i < m.n; i++ {
-		if pos, err = m.step(&k, pos); err != nil {
-			return nil, err
-		}
-	}
-	m.lowest, m.highest = m.first(0).sortKey(), k.sortKey()
-	return m, nil
-}
-
-// colFrame checks a column payload's header and skip index against the
+// openCol checks a column payload's header and skip index against the
 // wantLen triples it must hold, and that its bytes can hold that many
-// steps, and returns the column view without decoding a step.
-func colFrame(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, error) {
+// steps, decodes its last block, and returns the column view.
+func openCol(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("%w: column %v section only %d bytes", ErrSnapshotCorrupt, ord, len(payload))
 	}
@@ -260,7 +236,25 @@ func colFrame(ord Order, payload []byte, wantLen int, file *mapping) (*encCol, e
 	if len(payload) < 8+nBlocks*colSkipEntryBytes+(n-nBlocks) {
 		return nil, fmt.Errorf("%w: column %v of %d triples in %d bytes", ErrSnapshotCorrupt, ord, n, len(payload))
 	}
-	return &encCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}, nil
+	m := &encCol{ord: ord, n: n, nBlocks: nBlocks, payload: payload, file: file}
+	if n == 0 {
+		return m, nil
+	}
+	// The last key: decode the last block, which the skip index must place
+	// after itself and inside the payload.
+	b := m.nBlocks - 1
+	k, pos := m.first(b), m.blockOff(b)
+	if pos < 8+m.nBlocks*colSkipEntryBytes || pos > len(payload) {
+		return nil, fmt.Errorf("%w: column %v block %d at byte %d of %d", ErrSnapshotCorrupt, ord, b, pos, len(payload))
+	}
+	for i := b*colBlockTriples + 1; i < m.n; i++ {
+		var err error
+		if pos, err = m.step(&k, pos); err != nil {
+			return nil, err
+		}
+	}
+	m.lowest, m.highest = m.first(0).sortKey(), k.sortKey()
+	return m, nil
 }
 
 func (m *encCol) Len() int { return m.n }
@@ -604,49 +598,4 @@ func (m *encCols) heapBytes() int64 {
 		n += c.fenceBytes()
 	}
 	return n
-}
-
-// untaggedCol decodes a column payload in the coding every build before
-// the tagged steps wrote, in sections 7–9: the same framing, each step
-// three varints — uvarint Δk1, zigzag-svarint Δk2, zigzag-svarint Δk3.
-// It checks the framing as walk does and returns the n triples in the
-// column's order, for writeCol to code anew; the new column's walk
-// checks their IDs.
-func untaggedCol(ord Order, payload []byte, n int) ([]Triple, error) {
-	m, err := colFrame(ord, payload, n, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Each triple but a block's first takes three varints here: a count
-	// the payload cannot hold is refused before the triples are allocated.
-	if len(payload) < 8+m.nBlocks*colSkipEntryBytes+3*(n-m.nBlocks) {
-		return nil, fmt.Errorf("%w: column %v of %d triples in %d bytes", ErrSnapshotCorrupt, ord, n, len(payload))
-	}
-	ts := make([]Triple, 0, n)
-	pos := 8 + m.nBlocks*colSkipEntryBytes
-	for b := 0; b < m.nBlocks; b++ {
-		if start := m.blockOff(b); start != pos {
-			return nil, fmt.Errorf("%w: column %v block %d at byte %d, not %d", ErrSnapshotCorrupt, ord, b, start, pos)
-		}
-		k := m.first(b)
-		ts = append(ts, ord.unkey(k[0], k[1], k[2]))
-		for i := b*colBlockTriples + 1; i < min(n, (b+1)*colBlockTriples); i++ {
-			var d [3]uint64
-			for j := range d {
-				v, next := readUvarint(payload, pos)
-				if next <= pos {
-					return nil, fmt.Errorf("%w: column %v cut at byte %d", ErrSnapshotCorrupt, ord, pos)
-				}
-				d[j], pos = v, next
-			}
-			k[0] += dict.ID(d[0])
-			k[1] = dict.ID(int64(k[1]) + unzigzag(d[1]))
-			k[2] = dict.ID(int64(k[2]) + unzigzag(d[2]))
-			ts = append(ts, ord.unkey(k[0], k[1], k[2]))
-		}
-	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d bytes after column %v's last triple", ErrSnapshotCorrupt, len(payload)-pos, ord)
-	}
-	return ts, nil
 }

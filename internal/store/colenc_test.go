@@ -14,111 +14,6 @@ import (
 	"rdfsum/internal/dict"
 )
 
-// untaggedColumn is the column payload every build before the tagged
-// steps wrote of ts, sorted in ord: writeCol's framing, each step three
-// varints — uvarint Δk1, zigzag-svarint Δk2, zigzag-svarint Δk3.
-func untaggedColumn(ord Order, ts []Triple) []byte {
-	n := len(ts)
-	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
-	out := binary.LittleEndian.AppendUint32(nil, uint32(n))
-	out = binary.LittleEndian.AppendUint32(out, uint32(nBlocks))
-	var body []byte
-	base := 8 + nBlocks*colSkipEntryBytes
-	for b := 0; b < nBlocks; b++ {
-		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
-		p1, p2, p3 := ord.key(block[0])
-		out = binary.LittleEndian.AppendUint32(out, uint32(p1))
-		out = binary.LittleEndian.AppendUint32(out, uint32(p2))
-		out = binary.LittleEndian.AppendUint32(out, uint32(p3))
-		out = binary.LittleEndian.AppendUint64(out, uint64(base+len(body)))
-		for _, t := range block[1:] {
-			c1, c2, c3 := ord.key(t)
-			body = binary.AppendUvarint(body, uint64(c1-p1))
-			body = binary.AppendUvarint(body, zigzag(int64(c2)-int64(p2)))
-			body = binary.AppendUvarint(body, zigzag(int64(c3)-int64(p3)))
-			p1, p2, p3 = c1, c2, c3
-		}
-	}
-	return append(out, body...)
-}
-
-// withOSPColumn rebuilds the file a build that kept the OSP order
-// (commit 23921e9 and earlier) made of the same graph: data's sections in
-// their order, with, right after col-pos, a col-osp section holding
-// data's triples in OSP order — each permuted to (O, S, P), sorted, and
-// coded as an SPO column, whose keys are then the OSP order's — resealed
-// through containerWriter.
-func withOSPColumn(t testing.TB, data []byte) []byte {
-	t.Helper()
-	c, err := parseVerified(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := sectionTriples(t, c, c.secs[secColSPO], OrderSPO)
-	for i, tr := range ts {
-		ts[i] = Triple{S: tr.O, P: tr.S, O: tr.P}
-	}
-	slices.SortFunc(ts, OrderSPO.compare)
-	var osp bytes.Buffer
-	writeCol(&osp, OrderSPO, ts)
-	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		if s.id == secColOSP {
-			t.Fatal("the file already holds a col-osp section")
-		}
-		w.section(s.id, s.raw)
-		if s.id == secColPOS {
-			w.section(secColOSP, osp.Bytes())
-		}
-	})
-}
-
-// sectionTriples walks the tagged column section s of c as a column of
-// ord and returns its triples in that order.
-func sectionTriples(t testing.TB, c *container, s *section, ord Order) []Triple {
-	t.Helper()
-	n := int(c.nData + c.nTypes + c.nSchema)
-	col, err := openCol(ord, s.raw, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := make([]Triple, 0, n)
-	if _, err := col.walk(dict.ID(c.nTerms), func(tr Triple) { ts = append(ts, tr) }); err != nil {
-		t.Fatal(err)
-	}
-	return ts
-}
-
-// withOldColumns rebuilds the file a build before the tagged column
-// steps (commit 736fe37 and earlier) made of the same graph: data's
-// sections in their order, with each tagged column section replaced, in
-// its place, by its triples as untaggedColumn codes them under that
-// build's section ID (7–9), resealed through containerWriter. A col-osp
-// section (withOSPColumn) is coded as the SPO column of its permuted
-// triples, so it is walked and recoded as one.
-func withOldColumns(t testing.TB, data []byte) []byte {
-	t.Helper()
-	c, err := parseVerified(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		var ord Order
-		var untagged byte
-		switch s.id {
-		case secColSPO:
-			ord, untagged = OrderSPO, secUntagSPO
-		case secColPOS:
-			ord, untagged = OrderPOS, secUntagPOS
-		case secColOSP:
-			ord, untagged = OrderSPO, secUntagOSP
-		default:
-			w.section(s.id, s.raw)
-			return
-		}
-		w.section(untagged, untaggedColumn(ord, sectionTriples(t, c, s, ord)))
-	})
-}
-
 // columnCase is a named multiset of triples and the ID bound its Range
 // bounds are drawn below.
 type columnCase struct {
@@ -238,9 +133,7 @@ func TestColumnTags(t *testing.T) {
 // triples than its bytes can hold, at one byte a step, is refused by
 // openCol's framing check, allocating nothing for the triples it claims
 // (96 KB as triples, 16 KB as fences: under 1 KB a call is the error
-// alone); one byte more passes that check and fails on its steps. In the
-// untagged coding, three bytes a step, untaggedCol refuses a payload one
-// byte short of those as cheaply.
+// alone); one byte more passes that check and fails on its steps.
 func TestOpenColRefusesShortPayload(t *testing.T) {
 	const n, nBlocks = 16 * colBlockTriples, 16
 	frame := func(steps int) []byte {
@@ -252,39 +145,33 @@ func TestOpenColRefusesShortPayload(t *testing.T) {
 		}
 		return append(p, bytes.Repeat([]byte{0x80}, steps)...)
 	}
-	refused := func(name string, open func([]byte) error, short []byte) {
-		t.Helper()
-		err := open(short)
-		if !errors.Is(err, ErrSnapshotCorrupt) || !bytes.Contains([]byte(err.Error()), []byte(fmt.Sprintf("of %d triples in %d bytes", n, len(short)))) {
-			t.Fatalf("%s: a payload a byte short of its steps: %v", name, err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range 100 {
-			open(short)
-		}
-		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1<<10 {
-			t.Errorf("%s: refusing a short payload allocated %d bytes a call, want the error's few", name, per)
-		}
+	short := frame(n - nBlocks - 1)
+	open := func() error { _, err := openCol(OrderSPO, short, n, nil); return err }
+	if err := open(); !errors.Is(err, ErrSnapshotCorrupt) || !bytes.Contains([]byte(err.Error()), []byte(fmt.Sprintf("of %d triples in %d bytes", n, len(short)))) {
+		t.Fatalf("a payload a byte short of its steps: %v", err)
 	}
-	refused("openCol", func(p []byte) error { _, err := openCol(OrderSPO, p, n, nil); return err }, frame(n-nBlocks-1))
-	refused("untaggedCol", func(p []byte) error { _, err := untaggedCol(OrderSPO, p, n); return err }, frame(3*(n-nBlocks)-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 100 {
+		open()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1<<10 {
+		t.Errorf("refusing a short payload allocated %d bytes a call, want the error's few", per)
+	}
 	if _, err := openCol(OrderSPO, frame(n-nBlocks), n, nil); !errors.Is(err, ErrSnapshotCorrupt) ||
 		bytes.Contains([]byte(err.Error()), []byte("triples in")) {
 		t.Fatalf("a payload of %d cut steps passed the framing check: %v", n-nBlocks, err)
 	}
 }
 
-// FuzzColumn hands openCol and walk — and, with untagged set,
-// untaggedCol, which converts a column in the coding before the tagged
-// steps — an arbitrary column payload claiming the triples its header
-// claims. Each returns an ErrSnapshotCorrupt error or the claimed number
-// of triples, every ID in 1..fuzzMaxID, never a panic; a column the walk
-// accepts is then served — scanned by its cursor and searched by Range —
-// without one. Seeded with a column of a few fences in both codings —
-// small, so that the fuzzer's minimization of an input stays short; run
-// with `make fuzz` or:
+// FuzzColumn hands openCol and walk an arbitrary column payload claiming
+// the triples its header claims. Each returns an ErrSnapshotCorrupt error
+// or the claimed number of triples, every ID in 1..fuzzMaxID, never a
+// panic; a column the walk accepts is then served — scanned by its cursor
+// and searched by Range — without one. Seeded with a column of a few
+// fences — small, so that the fuzzer's minimization of an input stays
+// short; run with `make fuzz` or:
 //
 //	go test -fuzz=FuzzColumn -fuzztime=30s -run='^$' ./internal/store
 func FuzzColumn(f *testing.F) {
@@ -295,26 +182,13 @@ func FuzzColumn(f *testing.F) {
 	slices.SortFunc(ts, OrderPOS.compare)
 	var tagged bytes.Buffer
 	writeCol(&tagged, OrderPOS, ts)
-	f.Add(tagged.Bytes(), false)
-	f.Add(untaggedColumn(OrderPOS, ts), true)
-	f.Fuzz(func(t *testing.T, payload []byte, untagged bool) {
+	f.Add(tagged.Bytes())
+	f.Fuzz(func(t *testing.T, payload []byte) {
 		var n int
 		if len(payload) >= 4 {
 			n = int(binary.LittleEndian.Uint32(payload))
 		}
-		var col *encCol
-		var err error
-		if untagged {
-			var ts []Triple
-			if ts, err = untaggedCol(OrderPOS, payload, n); err == nil {
-				if len(ts) != n {
-					t.Fatalf("untaggedCol returned %d triples of %d", len(ts), n)
-				}
-				col = heapCol(OrderPOS, ts)
-			}
-		} else {
-			col, err = openCol(OrderPOS, payload, n, nil)
-		}
+		col, err := openCol(OrderPOS, payload, n, nil)
 		if err != nil {
 			if !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("unclassified error: %v", err)

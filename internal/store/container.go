@@ -28,6 +28,12 @@ import (
 // Each section is independently CRC'd. Every open that serves a
 // snapshot checks the header, the TOC and then every section's checksum,
 // reading the sections through one small buffer (container.verify).
+//
+// The TOC lists the six sections persist_v2.go writes, and nothing else:
+// a file holding a section of a retired layout (IDs 3–9 and 13), or no
+// dict-symbols section, is ErrSnapshotVersion, with a message naming
+// commit 26fbe2b, the last build that reads it, and how to carry it
+// forward; any other ID is ErrSnapshotCorrupt.
 const (
 	snapshotMagic   = "RDFSUM"
 	snapshotVersion = 2
@@ -39,23 +45,22 @@ const (
 	fileKindSnapshot = 1
 )
 
-// Section identifiers.
+// Section identifiers: the six sections a snapshot holds. IDs 3–9 and
+// 13 named sections of retired layouts and must never be reused.
 const (
-	secDictPages  = 1  // front-coded term blocks
-	secDictDir    = 2  // block offset directory into secDictPages
-	secDictSorted = 3  // retired: a term-sorted ID permutation, checked and skipped
-	secCompData   = 4  // retired: the data component, checked and skipped
-	secCompTypes  = 5  // retired: the type component, checked and skipped
-	secCompSchema = 6  // retired: the schema component, checked and skipped
-	secUntagSPO   = 7  // retired: the SPO column in three-varint steps, converted at open
-	secUntagPOS   = 8  // retired: the POS column so
-	secUntagOSP   = 9  // retired: the OSP column so, checked and skipped
-	secVocab      = 10 // five uvarint IDs of the interpreted vocabulary
-	secColSPO     = 11 // sorted all-triples column, SPO order, in tagged steps
-	secColPOS     = 12
-	secColOSP     = 13 // retired: the OSP column in tagged steps, checked and skipped
-	secDictSyms   = 14 // the symbol table packed dictionary suffixes are coded with
+	secDictPages = 1  // front-coded term blocks
+	secDictDir   = 2  // block offset directory into secDictPages
+	secVocab     = 10 // five uvarint IDs of the interpreted vocabulary
+	secColSPO    = 11 // sorted all-triples column, SPO order, in tagged steps
+	secColPOS    = 12
+	secDictSyms  = 14 // the symbol table packed dictionary suffixes are coded with
 )
+
+// lastRetiredReader names the last build that reads a snapshot holding a
+// retired section or lacking dict-symbols, and how such a file is carried
+// forward.
+const lastRetiredReader = "commit 26fbe2b is the last build that reads it: open the store once " +
+	"with that build and POST /v1/compact, or run `rdfsum convert` with that build on a standalone file"
 
 func sectionName(id byte) string {
 	switch id {
@@ -63,42 +68,17 @@ func sectionName(id byte) string {
 		return "dict-pages"
 	case secDictDir:
 		return "dict-dir"
-	case secDictSorted:
-		return "dict-sorted"
 	case secDictSyms:
 		return "dict-symbols"
-	case secCompData:
-		return "comp-data"
-	case secCompTypes:
-		return "comp-types"
-	case secCompSchema:
-		return "comp-schema"
-	case secUntagSPO:
-		return "col-spo-untagged"
-	case secUntagPOS:
-		return "col-pos-untagged"
-	case secUntagOSP:
-		return "col-osp-untagged"
 	case secColSPO:
 		return "col-spo"
 	case secColPOS:
 		return "col-pos"
-	case secColOSP:
-		return "col-osp"
 	case secVocab:
 		return "vocab"
 	default:
 		return fmt.Sprintf("unknown-%d", id)
 	}
-}
-
-// retiredSection reports whether id names a section no file this build
-// writes holds: an open checks its checksum with every other section's,
-// then skips it — or, for the untagged SPO and POS columns of a file
-// without tagged ones, converts them (newSnapshotFile).
-func retiredSection(id byte) bool {
-	return id == secDictSorted || id == secCompData || id == secCompTypes || id == secCompSchema ||
-		id == secUntagSPO || id == secUntagPOS || id == secUntagOSP || id == secColOSP
 }
 
 // section is one parsed TOC entry plus its raw bytes.
@@ -227,11 +207,23 @@ func parseContainer(data []byte) (*container, error) {
 				sectionName(s.id), s.off, s.n, len(data), ErrSnapshotTruncated)
 		}
 		s.raw = data[s.off : s.off+s.n]
+		switch s.id {
+		case secDictPages, secDictDir, secVocab, secColSPO, secColPOS, secDictSyms:
+		case 3, 4, 5, 6, 7, 8, 9, 13:
+			return nil, fmt.Errorf("%w: the file holds section %d, of a retired layout; %s",
+				ErrSnapshotVersion, s.id, lastRetiredReader)
+		default:
+			return nil, fmt.Errorf("%w: unknown section %d", ErrSnapshotCorrupt, s.id)
+		}
 		if _, dup := c.secs[s.id]; dup {
 			return nil, fmt.Errorf("%w: duplicate section %s", ErrSnapshotCorrupt, sectionName(s.id))
 		}
 		c.secs[s.id] = s
 		c.secOrder = append(c.secOrder, s)
+	}
+	if c.secs[secDictSyms] == nil {
+		return nil, fmt.Errorf("%w: the file holds no dict-symbols section, of a layout before the symbol table; %s",
+			ErrSnapshotVersion, lastRetiredReader)
 	}
 	return c, nil
 }

@@ -10,28 +10,19 @@ import (
 )
 
 // FuzzReadGraph rebuilds a small snapshot with the fuzzer's component
-// counts and its own vocabulary, dictionary (pages, directory) and column
-// payloads in place of the graph's — under the untagged column sections
-// a build before the tagged steps wrote (7–9) when untagged is set, which
-// an open converts — and, when osp is not empty, a retired OSP column
-// holding it right after the POS one, where the builds before its
-// retirement wrote one (section 13, or 9 when untagged), and, when
-// retired is not empty, a comp-types section holding it where the builds
-// before that section's retirement wrote one — seals every checksum over
-// them, and requires ReadGraph to return a graph holding the counted
-// triples or an ErrSnapshot* error — never to panic — and a graph it
-// returns to serve without a panic (serveAll). The schema count is
-// whatever makes the three sum to the column count, wrapping around if it
-// must, so every input passes the column check and meets the decode and
-// the walk that derives the components.
+// counts and its own vocabulary, dictionary (pages, directory, symbol
+// table) and column payloads in place of the graph's, seals every
+// checksum over them, and requires ReadGraph to return a graph holding
+// the counted triples or an ErrSnapshot* error — never to panic — and a
+// graph it returns to serve without a panic (serveAll). The schema count
+// is whatever makes the three sum to the column count, wrapping around if
+// it must, so every input passes the column check and meets the decode
+// and the walk that derives the components.
 //
-// The seeds are v2Sample as this build writes it, as the build before the
-// OSP column's retirement wrote it (withOSPColumn) and as the builds
-// before the tagged steps wrote it (f.Add), and, under
-// testdata/fuzz/FuzzReadGraph, v2Sample as the build before the tagged
-// steps wrote it (seed-sample) and as the builds before that wrote it,
-// its type component in comp-types (seed-comp-types); run with `make
-// fuzz` or:
+// The seeds are v2Sample as this build writes it (f.Add) and, under
+// testdata/fuzz/FuzzReadGraph, the file this build writes of a graph
+// whose dictionary spans four blocks (seed-blocks); run with `make fuzz`
+// or:
 //
 //	go test -fuzz=FuzzReadGraph -fuzztime=30s -run='^$' ./internal/store
 func FuzzReadGraph(f *testing.F) {
@@ -41,56 +32,16 @@ func FuzzReadGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	total := c.nData + c.nTypes + c.nSchema
-	withOSP := withOSPColumn(f, sample)
-	for _, seed := range []struct {
-		file     []byte
-		untagged bool
-	}{{sample, false}, {withOSP, false}, {withOldColumns(f, withOSP), true}} {
-		sc, err := parseVerified(seed.file)
-		if err != nil {
-			f.Fatal(err)
-		}
-		ids, ospID := colSectionIDs, byte(secColOSP)
-		if seed.untagged {
-			ids, ospID = untaggedSectionIDs, secUntagOSP
-		}
-		raw := func(id byte) []byte {
-			if s := sc.secs[id]; s != nil {
-				return s.raw
-			}
-			return nil // no OSP column in this build's file
-		}
-		f.Add(c.nData, c.nTypes, raw(secVocab), raw(secDictPages), raw(secDictDir),
-			raw(ids[OrderSPO]), raw(ids[OrderPOS]), raw(ospID), []byte(nil), seed.untagged)
-	}
-	f.Fuzz(func(t *testing.T, nData, nTypes uint64, vocab, pages, dir, spo, pos, osp, retired []byte, untagged bool) {
-		colIDs, ospID := colSectionIDs, byte(secColOSP)
-		if untagged {
-			colIDs, ospID = untaggedSectionIDs, secUntagOSP
-		}
+	raw := func(id byte) []byte { return c.secs[id].raw }
+	f.Add(c.nData, c.nTypes, raw(secVocab), raw(secDictPages), raw(secDictDir), raw(secDictSyms), raw(secColSPO), raw(secColPOS))
+	f.Fuzz(func(t *testing.T, nData, nTypes uint64, vocab, pages, dir, symbols, spo, pos []byte) {
 		fuzzed := map[byte][]byte{
-			secVocab: vocab, secDictPages: pages, secDictDir: dir, secColSPO: spo, secColPOS: pos,
+			secVocab: vocab, secDictPages: pages, secDictDir: dir, secDictSyms: symbols, secColSPO: spo, secColPOS: pos,
 		}
 		var file memFile
 		w := newContainerWriter(&file)
 		for _, s := range c.secOrder {
-			payload, ok := fuzzed[s.id]
-			if !ok {
-				payload = s.raw
-			}
-			id := s.id
-			for o := range colSectionIDs {
-				if id == colSectionIDs[o] {
-					id = colIDs[o]
-				}
-			}
-			w.section(id, payload)
-			if s.id == secDictDir && len(retired) > 0 {
-				w.section(secCompTypes, retired)
-			}
-			if s.id == secColPOS && len(osp) > 0 {
-				w.section(ospID, osp)
-			}
+			w.section(s.id, fuzzed[s.id])
 		}
 		nSchema := total - nData - nTypes
 		if err := w.finish([4]uint64{c.nTerms, nData, nTypes, nSchema}); err != nil {

@@ -15,8 +15,11 @@ var (
 	// ErrSnapshotMagic: the file does not start with the snapshot magic —
 	// not a snapshot at all.
 	ErrSnapshotMagic = errors.New("store: not a snapshot file (bad magic)")
-	// ErrSnapshotVersion: a snapshot, but a format version this build does
-	// not read: any but 2 (the message names the last build that reads 1).
+	// ErrSnapshotVersion: a snapshot, but a format this build does not
+	// read: a version other than 2 (the message names the last build that
+	// reads 1), or a version 2 file of a retired layout — holding a
+	// section with ID 3–9 or 13, or no dict-symbols — whose message names
+	// commit 26fbe2b, the last build that reads it, and the migration.
 	ErrSnapshotVersion = errors.New("store: unsupported snapshot version")
 	// ErrSnapshotTruncated: the file ended before the format said it
 	// should — typically a torn or incomplete write.

@@ -15,8 +15,7 @@ import (
 //   - secDictPages/DictDir/DictSyms: the front-coded dictionary
 //     (internal/dict, WriteFrontCoded), terms in ID order, so every term
 //     keeps its ID across a reopen, and the symbol table its packed
-//     suffixes are coded with. A file without the table, which the
-//     builds before it wrote, holds no packed term.
+//     suffixes are coded with.
 //   - secColSPO/POS: the full triple multiset (all components,
 //     duplicates preserved) sorted two ways as varint-delta columns in
 //     tagged steps (colenc.go) — the zero-copy base run of the tiered
@@ -25,14 +24,9 @@ import (
 //     in the header.
 //   - secVocab: the interpreted vocabulary's five IDs.
 //
-// secDictSorted, the three component sections secCompData, secCompTypes
-// and secCompSchema, and secColOSP, the OSP column, are retired: no file
-// this build writes holds them, and an open checks their checksums and
-// skips them. So are secUntagSPO/POS/OSP, the columns in three-varint
-// steps: a file that holds them instead of the tagged columns has its
-// SPO and POS ones decoded and coded anew into heap columns at open
-// (untaggedCols), its OSP one skipped, and its next compaction writes
-// the tagged ones.
+// These six are every section a file holds: one written before this
+// layout (a retired section, or no symbol table) is refused at open
+// (parseContainer).
 
 // WriteSnapshotV2 serializes the graph to f in snapshot format v2,
 // streaming: a section passes through the container writer's one chunk
@@ -73,34 +67,8 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	return w.finish([4]uint64{uint64(nTerms), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))})
 }
 
-// colSectionIDs maps each sort order to its column section, and
-// untaggedSectionIDs to the retired section its column had before the
-// tagged steps.
-var (
-	colSectionIDs      = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS}
-	untaggedSectionIDs = [NumOrders]byte{OrderSPO: secUntagSPO, OrderPOS: secUntagPOS}
-)
-
-// untaggedCols fills runs with heap columns coded anew from the untagged
-// SPO and POS column sections of c (untaggedCol, then heapCol), one order
-// at a time: a file a build before the tagged steps wrote is served as
-// this build's columns, at 12 B a triple of transient heap besides the
-// columns, and the file's own column pages are not read again. Its
-// untagged OSP column is skipped.
-func untaggedCols(c *container, runs *encCols) error {
-	for o, id := range untaggedSectionIDs {
-		sec, err := c.section(id)
-		if err != nil {
-			return err
-		}
-		ts, err := untaggedCol(Order(o), sec.raw, runs.n)
-		if err != nil {
-			return err
-		}
-		runs.cols[o] = heapCol(Order(o), ts)
-	}
-	return nil
-}
+// colSectionIDs maps each sort order to its column section.
+var colSectionIDs = [NumOrders]byte{OrderSPO: secColSPO, OrderPOS: secColPOS}
 
 // encodeVocabSec serializes the five interpreted-vocabulary IDs. The
 // vocabulary is interned into every dictionary at graph construction;
@@ -184,12 +152,6 @@ func newSnapshotFile(file *mapping, check io.ReaderAt) (*SnapshotFile, error) {
 	}
 	c.file = file
 	runs := &encCols{n: int(c.nData + c.nTypes + c.nSchema)}
-	if _, tagged := c.secs[secColSPO]; !tagged && c.secs[secUntagSPO] != nil {
-		if err := untaggedCols(c, runs); err != nil {
-			return nil, err
-		}
-		return &SnapshotFile{c: c, runs: runs}, nil
-	}
 	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
@@ -244,23 +206,17 @@ func (sf *SnapshotFile) graph() (*Graph, error) {
 	return g, nil
 }
 
-// mappedDict wraps c's dictionary sections, the symbol table's only if
-// the file holds one: a build before it wrote no table, and no packed
-// term.
+// mappedDict wraps c's three dictionary sections.
 func mappedDict(c *container) (*dict.Mapped, error) {
-	var raw [2][]byte
-	for i, id := range []byte{secDictPages, secDictDir} {
+	var raw [3][]byte
+	for i, id := range []byte{secDictPages, secDictDir, secDictSyms} {
 		sec, err := c.section(id)
 		if err != nil {
 			return nil, err
 		}
 		raw[i] = sec.raw
 	}
-	var symbols []byte
-	if sec := c.secs[secDictSyms]; sec != nil {
-		symbols = sec.raw
-	}
-	md, err := dict.NewMapped(raw[0], raw[1], symbols, int(c.nTerms))
+	md, err := dict.NewMapped(raw[0], raw[1], raw[2], int(c.nTerms))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
@@ -354,11 +310,10 @@ func ReadGraph(r io.Reader) (*Graph, *SnapshotFile, error) {
 
 // SectionInfo describes one TOC entry, for inspection tooling.
 type SectionInfo struct {
-	Name    string
-	Off     uint64
-	Len     uint64
-	CRC     uint32
-	Retired bool // a section this build no longer writes: checked at open, then skipped or converted
+	Name string
+	Off  uint64
+	Len  uint64
+	CRC  uint32
 }
 
 // SnapshotInfo is the parsed header/TOC of a snapshot file, as shown by
@@ -373,8 +328,8 @@ type SnapshotInfo struct {
 	NSchema  uint64
 	Sections []SectionInfo
 	Mmap     bool // whether this build serves snapshots from mapped pages
-	// The dictionary's symbol table: how many symbols it holds, -1 for a
-	// file without one; and how many of the NTerms terms are packed.
+	// The dictionary's symbol table: how many symbols it holds, and how
+	// many of the NTerms terms are packed.
 	DictSymbols int
 	DictPacked  uint64
 }
@@ -408,7 +363,7 @@ func InspectSnapshot(path string) (*SnapshotInfo, error) {
 	}
 	for _, s := range c.secOrder {
 		info.Sections = append(info.Sections, SectionInfo{
-			Name: sectionName(s.id), Off: s.off, Len: s.n, CRC: s.crc, Retired: retiredSection(s.id),
+			Name: sectionName(s.id), Off: s.off, Len: s.n, CRC: s.crc,
 		})
 	}
 	md, err := mappedDict(c)

@@ -248,6 +248,80 @@ func TestSnapshotRefusesOtherKinds(t *testing.T) {
 	}
 }
 
+// cutoffCases returns data, a file this build wrote, rebuilt as a file of
+// each layout that commit 26fbe2b is the last build to read: with each
+// retired section ID in turn added as a small section after col-pos, and
+// with dict-symbols left out.
+func cutoffCases(t testing.TB, data []byte) []spoCase {
+	t.Helper()
+	var out []spoCase
+	for _, id := range []byte{3, 4, 5, 6, 7, 8, 9, 13} {
+		out = append(out, spoCase{fmt.Sprintf("section %d", id), rebuilt(t, data, func(w *containerWriter, s *section) {
+			w.section(s.id, s.raw)
+			if s.id == secColPOS {
+				w.section(id, []byte{1, 2, 3})
+			}
+		})})
+	}
+	return append(out, spoCase{"no dict-symbols", rebuilt(t, data, func(w *containerWriter, s *section) {
+		if s.id != secDictSyms {
+			w.section(s.id, s.raw)
+		}
+	})})
+}
+
+// TestRetiredLayoutsRefused: commit 26fbe2b is the last build that reads
+// a file holding a section of a retired layout (IDs 3–9 and 13) or no
+// dict-symbols. Each such file (cutoffCases) is refused by ReadGraph,
+// OpenGraphFile and InspectSnapshot with ErrSnapshotVersion, the message
+// naming that build and the migration, without a panic. Any other
+// section ID this build does not write is ErrSnapshotCorrupt.
+func TestRetiredLayoutsRefused(t *testing.T) {
+	_, data := v2Sample(t)
+	check := func(what string, file []byte, want error, says ...string) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "old.rdfsum")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused := func(entry string, err error) {
+			t.Helper()
+			if !errors.Is(err, want) {
+				t.Fatalf("%s: %s got %v, want %v", what, entry, err, want)
+			}
+			for _, s := range says {
+				if !strings.Contains(err.Error(), s) {
+					t.Fatalf("%s: %s got %q, which does not name %q", what, entry, err, s)
+				}
+			}
+		}
+		g, sf, err := ReadGraph(bytes.NewReader(file))
+		refused("ReadGraph", err)
+		if g != nil || sf != nil {
+			t.Fatalf("%s: ReadGraph returned a graph", what)
+		}
+		g, sf, err = OpenGraphFile(path)
+		refused("OpenGraphFile", err)
+		if g != nil || sf != nil {
+			t.Fatalf("%s: OpenGraphFile returned a graph", what)
+		}
+		_, err = InspectSnapshot(path)
+		refused("InspectSnapshot", err)
+	}
+	for _, tc := range cutoffCases(t, data) {
+		check(tc.What, tc.Data, ErrSnapshotVersion, "26fbe2b", "/v1/compact", "rdfsum convert")
+	}
+	for _, id := range []byte{0, 15, 255} {
+		unknown := rebuilt(t, data, func(w *containerWriter, s *section) {
+			w.section(s.id, s.raw)
+			if s.id == secVocab {
+				w.section(id, []byte{1})
+			}
+		})
+		check(fmt.Sprintf("section %d", id), unknown, ErrSnapshotCorrupt, fmt.Sprintf("unknown section %d", id))
+	}
+}
+
 // parseVerified parses data as a container and checks every section's
 // checksum, as a serving open does.
 func parseVerified(data []byte) (*container, error) {
@@ -342,7 +416,7 @@ func TestSnapshotV2BitFlips(t *testing.T) {
 // TestReadGraphRefusesMalformedSections: a follower serves the snapshot
 // bytes it bootstraps from in place, and a sender can reseal every
 // checksum, so ReadGraph checks what serving them relies on: the
-// dictionary's directory and page framing, and the columns' block
+// dictionary's directory, page framing and symbol table, and the columns' block
 // offsets, varints and IDs. Bytes of those sections changed one at a
 // time, every checksum resealed, are refused with ErrSnapshotCorrupt or
 // served — every term decoded, every column scanned, every triple
@@ -366,7 +440,7 @@ func TestReadGraphRefusesMalformedSections(t *testing.T) {
 		reseal(bad, len(c.secOrder))
 		return ReadGraph(bytes.NewReader(bad))
 	}
-	for _, id := range []byte{secDictPages, secDictDir, secColSPO, secColPOS} {
+	for _, id := range []byte{secDictPages, secDictDir, secDictSyms, secColSPO, secColPOS} {
 		n := len(c.secs[id].raw)
 		for _, at := range []int{0, 4, 8, 20, n / 3, 2 * n / 3, n - 1} {
 			for _, v := range []byte{0x00, 0x7f, 0x80, 0xff} {
@@ -402,24 +476,6 @@ func TestReadGraphRefusesMalformedSections(t *testing.T) {
 			t.Errorf("%s: ReadGraph got %v, want ErrSnapshotCorrupt", tc.what, err)
 		}
 	}
-	// A retired col-osp section is checksummed, not read: whatever it
-	// holds, resealed, the file serves the graph.
-	old := withOSPColumn(t, data)
-	oc, err := parseVerified(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	osp := oc.secs[secColOSP]
-	for i := range osp.n {
-		old[osp.off+i] = 0xff
-	}
-	reseal(old, len(oc.secOrder))
-	got, sf, err := ReadGraph(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("a file whose col-osp section is garbage: %v", err)
-	}
-	identicalGraphs(t, asOpened(g), got)
-	serveAll(got, sf)
 }
 
 // reseal recomputes what a test's edit of a snapshot invalidated: the
@@ -602,29 +658,12 @@ func TestInspectSnapshotV2(t *testing.T) {
 	var names []string
 	for _, s := range info.Sections {
 		names = append(names, s.Name)
-		if s.Retired {
-			t.Errorf("section %s is marked retired", s.Name)
-		}
 	}
 	if want := []string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "vocab"}; !slices.Equal(names, want) {
 		t.Fatalf("sections %v, want %v", names, want)
 	}
 	if info.DictSymbols <= 0 || info.DictPacked == 0 || info.DictPacked > info.NTerms {
 		t.Fatalf("a table of %d symbols packs %d of %d terms", info.DictSymbols, info.DictPacked, info.NTerms)
-	}
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, withUnpackedDict(t, file), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := InspectSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.DictSymbols != -1 || old.DictPacked != 0 {
-		t.Fatalf("a file without a table: %d symbols, %d terms packed; want -1 and 0", old.DictSymbols, old.DictPacked)
 	}
 	if info.NTerms != uint64(g.Dict().Len()) ||
 		info.NData != uint64(len(g.Data)) ||
@@ -666,339 +705,6 @@ var (
 	}
 )
 
-// The same graphs' files as every writer wrote them before the OSP
-// column's retirement: recorded from the writer of commit 23921e9.
-// withOSPColumn rebuilds them from this writer's files, which proves
-// those are these bytes with col-osp left out.
-var (
-	goldenOSPV2Sample = golden{32915, "d38e94a03a15072aaddbc7a20ebe1a0f2bb2ecd93d7d0af07db02d81156bab79"}
-	goldenOSPRandom   = map[int]golden{
-		0:               {32915, "f5359f35e44d356fb3cfe868f76522691895a36ab2c73666531454f874bc34b3"},
-		3:               {32915, "36629a0986d7b23dff75a89418a9d26406a7497eaad58b2a3eb1abdf6ab3017b"},
-		50:              {32915, "bef874e390aa611a59bd536e9bed95370d41e656aa12b779ceaa92dc7f85df74"},
-		radixCutoff * 3: {32915, "e7cfccac316ca1ead0ef0a06a642c25aed3e7be701848588d7647f32d3b318e6"},
-		3000:            {73875, "ef480187f1be47a1605d525940e5e593f076f083e1d54c5b843961fe9270eb9e"},
-	}
-)
-
-// The same graphs' files as every writer wrote them before the
-// dictionary's symbol table: recorded from the writer of commit 30dc72e.
-// withUnpackedDict rebuilds them from this writer's files, which proves
-// those are these bytes with no suffix packed.
-var (
-	goldenUnpackedV2Sample = golden{28798, "c442c6265e742e4f4b02cb14b4fd272e45cdafab98c9de0c459edad8dff46a9a"}
-	goldenUnpackedRandom   = map[int]golden{
-		0:               {28798, "f6e09a80308cbb49f60f74395bdf60e48ea30df3d2a7771a18d734898b829393"},
-		3:               {28798, "bb48ccc56a0e4ff6e50f138bee051b75846f25e84e133a8c2fb305d385780e01"},
-		50:              {28798, "9baa9fc222ac0df3f36ba027e4a27721ccd5247132ad67468e918a1f3d0bf64d"},
-		radixCutoff * 3: {28798, "177309a2727d7db4293f72ffa0a270a1f455b04f95e1dd66ddc31b1dce141a47"},
-		3000:            {73854, "e4b10dfead51b705f734d6f430d4f5b9a4a4044fd991b00f17b052efc0eda464"},
-	}
-)
-
-// The same graphs' files as every writer wrote them before the column
-// steps were tagged: recorded from the writer of commit 736fe37.
-// withOldColumns rebuilds them from this writer's files, which proves
-// those are these bytes with the columns coded anew.
-var (
-	goldenUntaggedV2Sample = golden{28798, "cc08817c170518edd2577a84cccf806970300e936b457d9d03179b3f716f6d5d"}
-	goldenUntaggedRandom   = map[int]golden{
-		0:               {28798, "d0410cc967a6c59445e95c4bbafbca299870040f86664ff956970a62e7dbcf57"},
-		3:               {28798, "7bcad9485000a722963b1ca058882e71813c63031bfe80e9e2d4561541724a12"},
-		50:              {28798, "d7172469debb7e6ed1febcefa34e38049774fe2cf17d843e4716dda965a77740"},
-		radixCutoff * 3: {28798, "635016f46d4c39871ccbe4c820f268a9955b62fba4b2f260f77966533eb46cda"},
-		3000:            {86142, "100816ab961c65c535e626e38ef991dc866e40022f621b801cc9c133fc5fbe2a"},
-	}
-)
-
-// The same graphs' files as every writer wrote them before the
-// dictionary's kind byte carried flags: recorded from the writer of
-// commit 9327bce. withOldCoding rebuilds them from the files
-// withOldColumns rebuilds, which proves those are these bytes with the
-// dictionary coded anew.
-var (
-	goldenOldCodingV2Sample = golden{28798, "5ba11f4d5aae0b0ca2cead356c505c6254bd615fcf0e3fb3f0f374956b5ea21d"}
-	goldenOldCodingRandom   = map[int]golden{
-		0:               {28798, "8ce684e91d3930dfd5d3ac463782f01cf0a253a9e6b3418751c3d5c631a94f46"},
-		3:               {28798, "ee332a02a762f440f48bed1e50f721ebfc837c39fffb215b1005b161d2af332e"},
-		50:              {28798, "5f6eb51ac70f4a43068e973fd81464f13d0fb82102dab79f6301bf3796880716"},
-		radixCutoff * 3: {28798, "fc95fd80234c60be603ab86b87b905b0da3e16f5e39938040ebdf84fdd7ab7b5"},
-		3000:            {94334, "abd2194e5658aa1fedbbda8122d78d5260e34a98f088c782ce3d9c81981b0da7"},
-	}
-)
-
-// The same graphs' files as every writer wrote them while snapshots
-// carried the comp-types section: recorded from the writer of commit
-// 82e8d0d. withTypeSection rebuilds them from the files withOldCoding
-// rebuilds and the graphs' type components, which proves those are
-// these bytes with section 5 left out.
-var (
-	goldenTypesV2Sample = golden{32915, "cdf70f67c402dba7c9be1a688284360a0f3d53565c10a8ca89d228b24ecf2aed"}
-	goldenTypesRandom   = map[int]golden{
-		0:               {28819, "0b6d15b54ccd4f8d6dbb507e8541377219b2babdc23697a95d2addd7f4b620e3"},
-		3:               {32915, "e60c48ef5ed3abc3ee633f77981aeec5dd8fa740e249d3e13ab6a2c6bcb4ee18"},
-		50:              {32915, "4b06505168581b10a6da327c913a7fa4e271c3c09549de4a7a95564fd021bb3a"},
-		radixCutoff * 3: {32915, "ec06fef5872171147e6cf4edd3cf94c346f22acb444fb015e9378f0a147895ce"},
-		3000:            {98451, "7785928edadee933d4fb011c54f1684816967abd0b05e89909f9c1e6b256ed2f"},
-	}
-)
-
-// The same graphs' files as every writer wrote them while snapshots
-// carried the comp-data and comp-schema sections too: recorded from the
-// writer of commit 8484cf6. withComponentSections puts sections 4 and 6
-// back into the files withTypeSection rebuilds.
-var (
-	goldenCompV2Sample = golden{41149, "2fe880af82e7bd225fffee18fe0181b173c452a372430f8a6f9125d10d337155"}
-	goldenCompRandom   = map[int]golden{
-		0:               {32957, "090bbe1c77198441df3937c3c0c877608efe4b278a078f1b81d1adaefe6bc2c0"},
-		3:               {41149, "9c0879e52a121d6be385c7e2975469ca084c7a34c53e110dcd3d2c25f75c2190"},
-		50:              {41149, "5ada1cead3bd80e5332b3acd432c0a89e94ef7d12f6497a594afe6b6c5892d48"},
-		radixCutoff * 3: {41149, "e159c018b0e9a4c9c139e069f9f0c965ff42dfc3d76de43c42843d7e16ef9c54"},
-		3000:            {118973, "612d3d39a0c008df3c63d3dec3c8993c8c346ffa26d122fa494c7c3864b5f514"},
-	}
-)
-
-// The same graphs' files as every writer wrote them while snapshots
-// carried the dict-sorted section too: recorded from the whole-buffer
-// writer of commit 9f022f1 (every section built whole in memory, then
-// writeContainer) before it was deleted. withSortedSection puts section 3
-// back into the files withComponentSections rebuilds.
-var (
-	goldenSortedV2Sample = golden{45266, "45bc23ad5e66497e791e6a2a6a1ca067aa3c0d160082ca33db64e4db6f06901e"}
-	goldenSortedRandom   = map[int]golden{
-		0:               {37074, "dff00de9852f3eeff8bd595f194c70dd061b60716f377995c14d8425232c5e53"},
-		3:               {45266, "90f1f47884759791c3f1ecd8029fb6033a66afe2144a81e95e7346ed6bd6807e"},
-		50:              {45266, "061fde6e37bb433a6c128689bbd009e074df318c7955cc9e3b8bab405a6774ec"},
-		radixCutoff * 3: {45266, "cd34a80306b47906fdd869dffd41f9882455f1e4acf6353a1d029967ff05ad2b"},
-		3000:            {131282, "d16aac3b35c4de181794cae7706f7d578f78488c81ae29bf062bb7c0d619e1aa"},
-	}
-)
-
-// withUnpackedDict rebuilds the file a build before the dictionary's
-// symbol table (commit 30dc72e and earlier) made of the same graph:
-// data's sections in their order, with dict-pages and dict-dir holding
-// data's terms as unpackedDict codes them and no dict-symbols, resealed
-// through containerWriter.
-func withUnpackedDict(t testing.TB, data []byte) []byte {
-	t.Helper()
-	g, _, err := ReadGraph(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := make([]rdf.Term, g.Dict().Len())
-	for i := range terms {
-		terms[i] = g.Dict().Term(dict.ID(i + 1))
-	}
-	pages, dir := unpackedDict(terms)
-	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		switch s.id {
-		case secDictPages:
-			w.section(s.id, pages)
-		case secDictDir:
-			w.section(s.id, dir)
-		case secDictSyms:
-		default:
-			w.section(s.id, s.raw)
-		}
-	})
-}
-
-// unpackedDict returns the dictionary sections the builds between the
-// kind byte's flags and the symbol table wrote of terms (IDs 1, 2, …):
-// each term front-coded against the block's previous term of its own
-// kind (sameKind) or else the previous term, a literal with the
-// datatype and language of the block's previous literal flagged so
-// (sameTags), and no suffix packed.
-func unpackedDict(terms []rdf.Term) (pages, dir []byte) {
-	const sameKind, sameTags = 0x10, 0x20
-	var last [rdf.Literal + 1]string
-	var have uint8
-	var prev rdf.TermKind
-	var dt, lang string
-	for i, t := range terms {
-		k, head := t.Kind, i%dict.BlockTerms == 0
-		if head {
-			dir = binary.LittleEndian.AppendUint64(dir, uint64(len(pages)))
-			have = 0
-		}
-		kind, ref := byte(k), prev
-		if have&(1<<k) != 0 {
-			kind, ref = kind|sameKind, k
-		}
-		tags := k == rdf.Literal && have&(1<<rdf.Literal) != 0 && dt == t.Datatype && lang == t.Lang
-		if tags {
-			kind |= sameTags
-		}
-		pages = append(pages, kind)
-		lcp := 0
-		if !head {
-			for lcp < len(last[ref]) && lcp < len(t.Value) && last[ref][lcp] == t.Value[lcp] {
-				lcp++
-			}
-			pages = binary.AppendUvarint(pages, uint64(lcp))
-		}
-		pages = binary.AppendUvarint(pages, uint64(len(t.Value)-lcp))
-		pages = append(pages, t.Value[lcp:]...)
-		if k == rdf.Literal && !tags {
-			pages = binary.AppendUvarint(pages, uint64(len(t.Datatype)))
-			pages = append(pages, t.Datatype...)
-			pages = binary.AppendUvarint(pages, uint64(len(t.Lang)))
-			pages = append(pages, t.Lang...)
-			dt, lang = t.Datatype, t.Lang
-		}
-		last[k], prev = t.Value, k
-		have |= 1 << k
-	}
-	return pages, dir
-}
-
-// withOldCoding rebuilds the file a build before the dictionary's kind
-// flags (commit 9327bce and earlier) made of the same graph: data's
-// sections in their order, with dict-pages and dict-dir holding data's
-// terms as oldCodedDict codes them, resealed through containerWriter.
-func withOldCoding(t testing.TB, data []byte) []byte {
-	t.Helper()
-	g, _, err := ReadGraph(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := make([]rdf.Term, g.Dict().Len())
-	for i := range terms {
-		terms[i] = g.Dict().Term(dict.ID(i + 1))
-	}
-	pages, dir := oldCodedDict(terms)
-	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		switch s.id {
-		case secDictPages:
-			w.section(s.id, pages)
-		case secDictDir:
-			w.section(s.id, dir)
-		case secDictSyms: // no build before the flags wrote a table
-		default:
-			w.section(s.id, s.raw)
-		}
-	})
-}
-
-// oldCodedDict returns the dictionary sections every build before the
-// kind byte's flags wrote of terms (IDs 1, 2, …): each term front-coded
-// against the immediately previous term of its block, whatever their
-// kinds, and every literal with its datatype and language in full.
-func oldCodedDict(terms []rdf.Term) (pages, dir []byte) {
-	var prev string
-	for i, t := range terms {
-		lcp := 0
-		if i%dict.BlockTerms == 0 {
-			dir = binary.LittleEndian.AppendUint64(dir, uint64(len(pages)))
-			pages = append(pages, byte(t.Kind))
-		} else {
-			for lcp < len(prev) && lcp < len(t.Value) && prev[lcp] == t.Value[lcp] {
-				lcp++
-			}
-			pages = append(pages, byte(t.Kind))
-			pages = binary.AppendUvarint(pages, uint64(lcp))
-		}
-		pages = binary.AppendUvarint(pages, uint64(len(t.Value)-lcp))
-		pages = append(pages, t.Value[lcp:]...)
-		if t.Kind == rdf.Literal {
-			pages = binary.AppendUvarint(pages, uint64(len(t.Datatype)))
-			pages = append(pages, t.Datatype...)
-			pages = binary.AppendUvarint(pages, uint64(len(t.Lang)))
-			pages = append(pages, t.Lang...)
-		}
-		prev = t.Value
-	}
-	return pages, dir
-}
-
-// withSortedSection rebuilds the file a build that wrote the retired
-// dict-sorted section made of the same graph: data's sections in their
-// order, with, right after dict-dir, a section 3 holding the IDs of
-// data's dictionary sorted by rdf.Term.Compare (one little-endian u32
-// each), resealed through containerWriter.
-func withSortedSection(t testing.TB, data []byte) []byte {
-	t.Helper()
-	c, err := parseVerified(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _, err := ReadGraph(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := make([]rdf.Term, c.nTerms+1)
-	ids := make([]dict.ID, c.nTerms)
-	for i := range ids {
-		ids[i] = dict.ID(i + 1)
-		terms[i+1] = g.Dict().Term(ids[i])
-	}
-	slices.SortFunc(ids, func(a, b dict.ID) int { return terms[a].Compare(terms[b]) })
-	sorted := make([]byte, 0, 4*len(ids))
-	for _, id := range ids {
-		sorted = binary.LittleEndian.AppendUint32(sorted, uint32(id))
-	}
-	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		if s.id == secDictSorted {
-			t.Fatal("the file already holds a dict-sorted section")
-		}
-		w.section(s.id, s.raw)
-		if s.id == secDictDir {
-			w.section(secDictSorted, sorted)
-		}
-	})
-}
-
-// encodeComp is a retired component section's payload: ts in their
-// order, three uvarint IDs each, back to back.
-func encodeComp(ts []Triple) []byte {
-	var out []byte
-	for _, t := range ts {
-		out = binary.AppendUvarint(out, uint64(t.S))
-		out = binary.AppendUvarint(out, uint64(t.P))
-		out = binary.AppendUvarint(out, uint64(t.O))
-	}
-	return out
-}
-
-// withTypeSection rebuilds the file a build that wrote the retired
-// comp-types section made of g, whose snapshot data is: data's sections
-// in their order, with g's type component, in g's order, right after
-// dict-dir, resealed through containerWriter.
-func withTypeSection(t testing.TB, data []byte, g *Graph) []byte {
-	t.Helper()
-	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		if s.id == secCompTypes {
-			t.Fatal("the file already holds a comp-types section")
-		}
-		w.section(s.id, s.raw)
-		if s.id == secDictDir {
-			w.section(secCompTypes, encodeComp(g.Types))
-		}
-	})
-}
-
-// withComponentSections rebuilds the file a build that wrote the retired
-// comp-data and comp-schema sections made of g, whose snapshot data (with
-// comp-types, see withTypeSection) is: data's sections in their order,
-// with g's data component (in g's order, encoded as the type component
-// is) right before comp-types and its schema component right after it,
-// resealed through containerWriter.
-func withComponentSections(t testing.TB, data []byte, g *Graph) []byte {
-	t.Helper()
-	return rebuilt(t, data, func(w *containerWriter, s *section) {
-		if s.id == secCompData || s.id == secCompSchema {
-			t.Fatalf("the file already holds a %s section", sectionName(s.id))
-		}
-		if s.id == secCompTypes {
-			w.section(secCompData, encodeComp(g.Data))
-		}
-		w.section(s.id, s.raw)
-		if s.id == secCompTypes {
-			w.section(secCompSchema, encodeComp(g.Schema))
-		}
-	})
-}
-
 // rebuilt writes data's container again through containerWriter, with
 // its header's counts: each section, in file order, goes through put,
 // which writes it — and whatever else it likes — to w.
@@ -1023,15 +729,7 @@ func rebuilt(t testing.TB, data []byte, put func(w *containerWriter, s *section)
 // graph's triples in — the graph's own, reversed, the SPO scan of the
 // snapshot's mapped base, the scan of a tiered index fed them in slices —
 // the file is the same, byte for byte, and a second write of the same
-// graph writes it again; and it is the file of the writer before the OSP
-// column's retirement, with that column put back; of the writer before
-// the symbol table, with no suffix packed too; of the writer
-// that wrote untagged column steps, with the columns coded so too; of the
-// writer before the dictionary's kind flags, with the dictionary coded
-// so too; of the writer that still wrote comp-types, with that section
-// left out; of the writer that wrote comp-data and comp-schema besides,
-// with those left out too; and of the writer that wrote dict-sorted as
-// well.
+// graph writes it again.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 	write := func(g *Graph, buf []Triple) []byte {
 		t.Helper()
@@ -1041,21 +739,8 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		}
 		return f.b
 	}
-	g, sample := v2Sample(t)
+	_, sample := v2Sample(t)
 	goldenV2Sample.check(t, "v2Sample", sample)
-	sample = withOSPColumn(t, sample)
-	goldenOSPV2Sample.check(t, "v2Sample with col-osp", sample)
-	sample = withUnpackedDict(t, sample)
-	goldenUnpackedV2Sample.check(t, "v2Sample with no suffix packed", sample)
-	sample = withOldColumns(t, sample)
-	goldenUntaggedV2Sample.check(t, "v2Sample with untagged columns", sample)
-	sample = withOldCoding(t, sample)
-	goldenOldCodingV2Sample.check(t, "v2Sample in the old coding", sample)
-	typed := withTypeSection(t, sample, g)
-	goldenTypesV2Sample.check(t, "v2Sample with comp-types", typed)
-	goldenCompV2Sample.check(t, "v2Sample with comp-data, comp-types and comp-schema", withComponentSections(t, typed, g))
-	goldenSortedV2Sample.check(t, "v2Sample with dict-sorted, comp-data, comp-types and comp-schema",
-		withSortedSection(t, withComponentSections(t, typed, g)))
 	for _, n := range []int{0, 3, 50, radixCutoff * 3, 3000} {
 		g := v2RandomGraph(t, uint64(n)+1, n)
 		// Duplicate triples: the multiset, not the set, is stored.
@@ -1066,19 +751,6 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		file := write(g, g.All())
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
 		want.check(t, fmt.Sprintf("n=%d: written again", n), write(g, g.All()))
-		withOSP := withOSPColumn(t, file)
-		goldenOSPRandom[n].check(t, fmt.Sprintf("n=%d: with col-osp", n), withOSP)
-		unpacked := withUnpackedDict(t, withOSP)
-		goldenUnpackedRandom[n].check(t, fmt.Sprintf("n=%d: with no suffix packed", n), unpacked)
-		untagged := withOldColumns(t, unpacked)
-		goldenUntaggedRandom[n].check(t, fmt.Sprintf("n=%d: with untagged columns", n), untagged)
-		oldCoded := withOldCoding(t, untagged)
-		goldenOldCodingRandom[n].check(t, fmt.Sprintf("n=%d: in the old coding", n), oldCoded)
-		typed := withTypeSection(t, oldCoded, g)
-		goldenTypesRandom[n].check(t, fmt.Sprintf("n=%d: with comp-types", n), typed)
-		old := withComponentSections(t, typed, g)
-		goldenCompRandom[n].check(t, fmt.Sprintf("n=%d: with comp-data and comp-schema besides", n), old)
-		goldenSortedRandom[n].check(t, fmt.Sprintf("n=%d: with dict-sorted besides", n), withSortedSection(t, old))
 		reversed := g.All()
 		slices.Reverse(reversed)
 		want.check(t, fmt.Sprintf("n=%d: reversed", n), write(g, reversed))
@@ -1104,121 +776,24 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		ix = ix.Applied(naiveMatch(all, all[0].S, all[0].P, all[0].O), nil)
 		want.check(t, fmt.Sprintf("n=%d: tiered index scan", n), write(g, scanAll(ix)))
 	}
-	g, _ = v2Sample(t)
+	g, _ := v2Sample(t)
 	if err := WriteSnapshotV2(&memFile{}, g, g.All()[1:], nil); err == nil {
 		t.Fatal("a buffer that does not hold the graph's triples was accepted")
 	}
 }
 
-// TestSnapshotWithSortedSectionServed: a file that holds retired
-// sections — col-osp, which every build before its retirement wrote,
-// comp-types with it, which the builds before that wrote, comp-data and
-// comp-schema with those, which the builds before that wrote, and
-// dict-sorted with those, which the builds before that wrote — opens
-// through OpenGraphFile and ReadGraph to the graph of the same file
-// without them (types in SPO order, whatever order comp-types lists them
-// in) and serves the same index, and inspect still names them, marked
-// retired. Their checksums are checked with every other section's: a
-// flipped byte in one fails the open with ErrSnapshotChecksum. Written
-// again, the graph's file holds none of them.
-func TestSnapshotWithSortedSectionServed(t *testing.T) {
-	sample, _ := v2Sample(t)
-	olds := []struct {
-		name     string
-		build    func(file []byte, g *Graph) []byte
-		sections []string
-	}{
-		{"col-osp", func(file []byte, g *Graph) []byte { return file },
-			[]string{"dict-pages", "dict-dir", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
-		{"comp-types", func(file []byte, g *Graph) []byte { return withTypeSection(t, file, g) },
-			[]string{"dict-pages", "dict-dir", "comp-types", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
-		{"comp-data and comp-schema too", func(file []byte, g *Graph) []byte {
-			return withComponentSections(t, withTypeSection(t, file, g), g)
-		}, []string{"dict-pages", "dict-dir", "comp-data", "comp-types", "comp-schema", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
-		{"dict-sorted too", func(file []byte, g *Graph) []byte {
-			return withSortedSection(t, withComponentSections(t, withTypeSection(t, file, g), g))
-		}, []string{"dict-pages", "dict-dir", "dict-sorted", "comp-data", "comp-types", "comp-schema", "dict-symbols", "col-spo", "col-pos", "col-osp", "vocab"}},
-	}
-	for _, g := range []*Graph{sample, v2RandomGraph(t, 3001, 3000)} {
-		var f memFile
-		if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := ReadGraph(bytes.NewReader(f.b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalGraphs(t, asOpened(g), want)
-		for _, o := range olds {
-			old := o.build(withOSPColumn(t, f.b), g)
-			path := filepath.Join(t.TempDir(), "old.rdfsum")
-			if err := os.WriteFile(path, old, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			got, sf, err := OpenGraphFile(path)
-			if err != nil {
-				t.Fatalf("OpenGraphFile of a file with %s: %v", o.name, err)
-			}
-			identicalGraphs(t, want, got)
-			if !sameIterationOrder(NewIndexFromBase(sf.Runs()), NewIndex(want)) {
-				t.Fatalf("%s: the file's columns serve another index", o.name)
-			}
-			var again memFile
-			if err := WriteSnapshotV2(&again, got, got.All(), nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again.b, f.b) {
-				t.Fatalf("the graph of a file with %s writes another file than the same graph without them", o.name)
-			}
-			sf.Close()
-			if got, _, err = ReadGraph(bytes.NewReader(old)); err != nil {
-				t.Fatalf("ReadGraph of a file with %s: %v", o.name, err)
-			}
-			identicalGraphs(t, want, got)
-			info, err := InspectSnapshot(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var names []string
-			for _, s := range info.Sections {
-				names = append(names, s.Name)
-				if retired := s.Name == "dict-sorted" || s.Name == "col-osp" || strings.HasPrefix(s.Name, "comp-"); s.Retired != retired {
-					t.Errorf("%s: inspect marks section %s retired: %v", o.name, s.Name, s.Retired)
-				}
-			}
-			if !slices.Equal(names, o.sections) {
-				t.Fatalf("%s: inspect lists %v, want %v", o.name, names, o.sections)
-			}
-			for _, sec := range info.Sections {
-				if sec.Retired {
-					bad := append([]byte(nil), old...)
-					bad[sec.Off+sec.Len/2] ^= 0x40
-					refusedBoth(t, fmt.Sprintf("%s: a flipped byte in %s", o.name, sec.Name), bad, ErrSnapshotChecksum)
-				}
-			}
-		}
-	}
-}
-
 // TestWriteSnapshotV2OverMappedBase: compacting a graph reopened onto its
 // mapped snapshot writes a file of the same graph as the snapshot of the
-// same graph held on the heap after the same writes: with no suffix
-// packed (withUnpackedDict), the two files are the same, byte for byte,
-// so the new one holds the same terms under the same IDs and the same
-// triples. How its dictionary is written depends on the base's:
+// same graph held on the heap after the same writes: the same terms under
+// the same IDs and the same triples. How its dictionary is written
+// depends on the base's size:
 //
-//   - this build's, of more than sampleBlocks blocks (random 3000): the
-//     base's complete blocks are copied byte for byte, and its symbol
-//     table codes the new terms, which pack;
-//   - this build's, smaller: the table saw every term the base had, so it
-//     is trained anew and every block re-coded — the file is the heap
-//     graph's, byte for byte;
-//   - of a build before the table, 30dc72e (withUnpackedDict) or before
-//     the kind byte's flags too (withOldCoding): it packs no term, so
-//     whatever its size the table is trained anew and every block
-//     re-coded — the file is the heap graph's, byte for byte, and packs
-//     terms; a second compaction of a base of more than sampleBlocks
-//     blocks keeps the table and the complete blocks that one wrote.
+//   - more than sampleBlocks blocks (random 3000): the base's complete
+//     blocks are copied byte for byte, and its symbol table codes the new
+//     terms, which pack;
+//   - smaller: the table saw every term the base had, so it is trained
+//     anew and every block re-coded — the file is the heap graph's, byte
+//     for byte.
 //
 // The bases end inside a dictionary block and on a block boundary (16
 // and 32 terms); the writes add no new term, one, or dozens of every kind.
@@ -1245,40 +820,12 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 	bases := []struct {
 		name  string
 		g     func() *Graph
-		reuse bool // this build's file of it keeps its table
+		reuse bool // its file keeps its table
 	}{
 		{"16 terms", func() *Graph { return chain(5) }, false},
 		{"32 terms", func() *Graph { return chain(13) }, false},
 		{"random 50", func() *Graph { return v2RandomGraph(t, 50, 50) }, false},
 		{"random 3000", func() *Graph { return v2RandomGraph(t, 3000, 3000) }, true},
-	}
-	codings := []struct {
-		name string
-		file func([]byte) []byte // the base's file as that build wrote it
-	}{
-		{"this build", func(b []byte) []byte { return b }},
-		{"30dc72e", func(b []byte) []byte { return withUnpackedDict(t, b) }},
-		{"9327bce", func(b []byte) []byte { return withOldCoding(t, b) }},
-	}
-	// dictSections returns a file's dict-pages, dict-dir and dict-symbols
-	// (nil without one) sections.
-	dictSections := func(file []byte) (pages, dir, syms []byte) {
-		t.Helper()
-		c, err := parseVerified(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range c.secOrder {
-			switch s.id {
-			case secDictPages:
-				pages = s.raw
-			case secDictDir:
-				dir = s.raw
-			case secDictSyms:
-				syms = s.raw
-			}
-		}
-		return pages, dir, syms
 	}
 	// packedOf counts the packed terms of a file.
 	packedOf := func(file []byte) uint64 {
@@ -1295,88 +842,74 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 	}
 	for _, base := range bases {
 		for _, k := range []int{0, 1, 40} {
-			for _, coding := range codings {
-				what := fmt.Sprintf("%s + %d writes over a base of %s", base.name, k, coding.name)
-				heap := base.g()
-				path := filepath.Join(t.TempDir(), "g.rdfsum")
-				if err := SaveFile(path, heap); err != nil {
-					t.Fatal(err)
+			what := fmt.Sprintf("%s + %d writes", base.name, k)
+			heap := base.g()
+			path := filepath.Join(t.TempDir(), "g.rdfsum")
+			if err := SaveFile(path, heap); err != nil {
+				t.Fatal(err)
+			}
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopened, sf, err := OpenGraphFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseLen := reopened.Dict().Len()
+			for _, tr := range writes(k) {
+				heap.Add(tr)
+				reopened.Add(tr)
+			}
+			var want, got memFile
+			if err := WriteSnapshotV2(&want, heap, heap.All(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
+				t.Fatal(err)
+			}
+			sf.Close()
+			wantG, _, err := ReadGraph(bytes.NewReader(want.b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotG, _, err := ReadGraph(bytes.NewReader(got.b))
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			identicalGraphs(t, wantG, gotG)
+			if !base.reuse {
+				if !bytes.Equal(got.b, want.b) {
+					t.Errorf("%s: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
+						what, len(got.b), len(want.b))
 				}
-				file, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				file = coding.file(file)
-				if err := os.WriteFile(path, file, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				reopened, sf, err := OpenGraphFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				baseLen := reopened.Dict().Len()
-				for _, tr := range writes(k) {
-					heap.Add(tr)
-					reopened.Add(tr)
-				}
-				var want, got memFile
-				if err := WriteSnapshotV2(&want, heap, heap.All(), nil); err != nil {
-					t.Fatal(err)
-				}
-				if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
-					t.Fatal(err)
-				}
-				sf.Close()
-				if !bytes.Equal(withUnpackedDict(t, got.b), withUnpackedDict(t, want.b)) {
-					t.Errorf("%s: the file, with no suffix packed, differs from the heap graph's", what)
-				}
-				if coding.name != "this build" || !base.reuse {
-					if !bytes.Equal(got.b, want.b) {
-						t.Errorf("%s: the snapshot over the mapped base (%d bytes) differs from the heap graph's (%d bytes)",
-							what, len(got.b), len(want.b))
-					}
-					if coding.name == "this build" || !base.reuse {
-						continue
-					}
-					// The base was coded anew, once: the next compaction
-					// keeps what this one wrote.
-					if n := packedOf(got.b); n == 0 {
-						t.Errorf("%s: no term packed after a compaction", what)
-					}
-					path = filepath.Join(t.TempDir(), "once.rdfsum")
-					if err := os.WriteFile(path, got.b, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					if reopened, sf, err = OpenGraphFile(path); err != nil {
-						t.Fatal(err)
-					}
-					baseLen = reopened.Dict().Len()
-					reopened.Add(rdf.NewTriple(rdf.NewIRI("http://x/again"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("again")))
-					file, got = got.b, memFile{}
-					if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
-						t.Fatal(err)
-					}
-					sf.Close()
-					what += ", compacted again"
-				}
-				// The base's complete blocks and its table, as its build
-				// wrote them, are kept, and the new terms pack.
-				basePages, baseDir, baseSyms := dictSections(file)
-				full := baseLen / dict.BlockTerms
-				cut := len(basePages)
-				if full*dict.BlockTerms < baseLen {
-					cut = int(binary.LittleEndian.Uint64(baseDir[full*8:]))
-				}
-				pages, dir, syms := dictSections(got.b)
-				if len(pages) < cut || !bytes.Equal(pages[:cut], basePages[:cut]) || !bytes.Equal(dir[:full*8], baseDir[:full*8]) {
-					t.Errorf("%s: the base's %d complete blocks (%d bytes) are not copied as they are", what, full, cut)
-				}
-				if !bytes.Equal(syms, baseSyms) {
-					t.Errorf("%s: the base's symbol table is not kept", what)
-				}
-				if n, baseN := packedOf(got.b), packedOf(file); k > 1 && coding.name == "this build" && n <= baseN {
-					t.Errorf("%s: %d terms packed, the base packed %d: the new terms do not pack", what, n, baseN)
-				}
+				continue
+			}
+			// The base's complete blocks and its table are kept, and the
+			// new terms pack.
+			bc, err := parseVerified(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gc, err := parseVerified(got.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			basePages, baseDir := bc.secs[secDictPages].raw, bc.secs[secDictDir].raw
+			full := baseLen / dict.BlockTerms
+			cut := len(basePages)
+			if full*dict.BlockTerms < baseLen {
+				cut = int(binary.LittleEndian.Uint64(baseDir[full*8:]))
+			}
+			pages, dir := gc.secs[secDictPages].raw, gc.secs[secDictDir].raw
+			if len(pages) < cut || !bytes.Equal(pages[:cut], basePages[:cut]) || !bytes.Equal(dir[:full*8], baseDir[:full*8]) {
+				t.Errorf("%s: the base's %d complete blocks (%d bytes) are not copied as they are", what, full, cut)
+			}
+			if !bytes.Equal(gc.secs[secDictSyms].raw, bc.secs[secDictSyms].raw) {
+				t.Errorf("%s: the base's symbol table is not kept", what)
+			}
+			if n, baseN := packedOf(got.b), packedOf(file); k > 1 && n <= baseN {
+				t.Errorf("%s: %d terms packed, the base packed %d: the new terms do not pack", what, n, baseN)
 			}
 		}
 	}
