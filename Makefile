@@ -12,7 +12,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/dict ./internal/store ./internal/live ./internal/core ./internal/query
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-smoke boot-profile heap-profile test-nommap stress replication-smoke ingest-smoke fuzz cover cover-check check loc clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-unit bench-core bench-load bench-smoke boot-profile heap-profile test-nommap stress replication-smoke ingest-smoke fuzz cover cover-check check loc clean
 
 all: build
 
@@ -87,6 +87,15 @@ bench-unit:
 bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
 		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact|BenchmarkMappedDict|BenchmarkIndexJoins|BenchmarkIndexPattern' .
+
+# What loading a dump costs, on one CPU: the N-Triples reader with three
+# dictionary Encodes a triple (BenchmarkParseNTriples), a streamed load
+# of gzipped N-Triples and Turtle (BenchmarkStreamingIngest) and a whole
+# cold boot (BenchmarkSeedBoot). Six runs each, as bench-core: compare two
+# commits by building `go test -c` binaries and alternating them.
+bench-load:
+	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
+		-bench 'BenchmarkParseNTriples|BenchmarkStreamingIngest|BenchmarkSeedBoot' .
 
 # Full benchmark sweep.
 bench:
@@ -177,7 +186,9 @@ ingest-smoke:
 # Fuzz smoke (mirrored as a CI job): the N-Triples parser; the Turtle
 # load against its reference (the streamed load == FromTriples of the
 # parsed triples, term for term, ID for ID and component for component;
-# malformed input fails both on the same line); the dictionary's term
+# malformed input fails both on the same line); the two readers against
+# each other (whatever the N-Triples reader accepts, the Turtle reader
+# reads to identical triples); the dictionary's term
 # keys (every term round-trips through its key); the dictionary's pages
 # (any pages, directory and symbol table either fail to open or decode
 # every term and write sections that open to the same terms); the symbol
@@ -195,6 +206,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDictPages -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
 	$(GO) test -fuzz=FuzzSymbolTable -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
 	$(GO) test -fuzz=FuzzTurtleLoad -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
+	$(GO) test -fuzz=FuzzNTriplesIsTurtle -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store

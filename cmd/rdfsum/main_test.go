@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"rdfsum"
+	"rdfsum/internal/ntriples"
 )
 
 func TestLoadSaveRoundTrips(t *testing.T) {
@@ -279,5 +280,49 @@ func TestCmdInspectRefusesRetiredLayout(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("inspect of a file with section 13: got %v, want an error naming %q", err, want)
 		}
+	}
+}
+
+// TestCmdConvertRoundTripsThroughTurtle: `convert` of an N-Triples file to
+// Turtle and back yields the input's triples — among them a blank node
+// label with an inner dot, which the Turtle writer writes as it is, and
+// IRIs that hold \u escapes.
+func TestCmdConvertRoundTripsThroughTurtle(t *testing.T) {
+	dir := t.TempDir()
+	in, ttl, back := filepath.Join(dir, "g.nt"), filepath.Join(dir, "g.ttl"), filepath.Join(dir, "back.nt")
+	doc := `_:a.b <http://ex.org/p> <http://ex.org/o> .
+<http://ex.org/\u00e9t\u00e9> <http://ex.org/p> _:a.b .
+<http://ex.org/s> <http://ex.org/p> "x"^^<http://ex.org/t\u0020y> .
+<http://ex.org/s> <http://ex.org/q> <http://ex.org/a\U0000003Eb> .
+`
+	if err := os.WriteFile(in, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdConvert([]string{"-in", in, "-out", ttl}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdConvert([]string{"-in", ttl, "-out", back}); err != nil {
+		t.Fatal(err)
+	}
+	triples := func(path string) []string {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ts, err := ntriples.Parse(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, tr := range ts {
+			out = append(out, tr.String())
+		}
+		slices.Sort(out)
+		return out
+	}
+	if got, want := triples(back), triples(in); !reflect.DeepEqual(got, want) {
+		t.Errorf("N-Triples → Turtle → N-Triples changed the triples:\ngot  %q\nwant %q", got, want)
 	}
 }

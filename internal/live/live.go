@@ -747,11 +747,13 @@ type Stats struct {
 	DictBytes  int64 // the dictionary: key bytes, records, map slots
 	GraphBytes int64 // the writer graph's component slices, 12 B a triple
 	// IndexHeapBytes is what the published index holds on the heap: its
-	// slice runs at 36 B a triple (a memory-only store's base, every
-	// epoch's delta run and the folds below the index's encoding cutoff),
-	// the encoded payloads of its larger folds (about 10–12 B a triple),
-	// and the fences of its encoded runs, mapped or heap, 2 B a triple
-	// per column once that column has served a range lookup.
+	// slice runs at 24 B a triple, two orders of 12 (a memory-only
+	// store's base, every epoch's delta run and the folds below the
+	// index's encoding cutoff), the encoded payloads of its larger folds
+	// (about 4.4 B a triple on LUBM), and the fences of its encoded runs,
+	// mapped or heap, 2 B a triple per column once that column has served
+	// a range lookup. A LUBM delta tail of 100-triple batches holds 9.1 B
+	// a triple of all three (BenchmarkIndexDeltaTail).
 	IndexHeapBytes int64
 	// IndexMappedBytes is the column sections of the snapshot the
 	// published index serves as its base (a durable store's generation, a

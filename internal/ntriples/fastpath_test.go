@@ -18,10 +18,13 @@ import (
 // triple or the same error (text, line and column) from both.
 func checkFastPath(t *testing.T, doc string) {
 	t.Helper()
+	defer func() { builderOnly = false }()
 	for i, line := range strings.Split(doc, "\n") {
 		line = strings.TrimSuffix(line, "\r")
-		fast, fastOK, fastErr := parseLineWith(lineParser{in: line, line: i + 1})
-		slow, slowOK, slowErr := parseLineWith(lineParser{in: line, line: i + 1, builderOnly: true})
+		builderOnly = false
+		fast, fastOK, fastErr := parseLine(line, i+1)
+		builderOnly = true
+		slow, slowOK, slowErr := parseLine(line, i+1)
 		if fast != slow || fastOK != slowOK || fmt.Sprint(fastErr) != fmt.Sprint(slowErr) {
 			t.Fatalf("line %q: fast path gave (%v, %v, %v), builder path (%v, %v, %v)",
 				line, fast, fastOK, fastErr, slow, slowOK, slowErr)

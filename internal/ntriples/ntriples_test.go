@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"rdfsum/internal/rdf"
 )
@@ -144,15 +145,20 @@ func TestWriteParseRoundTrip(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(s, p, o, lang8 string, kind uint8) bool {
 		subj := rdf.NewIRI("http://x/s" + sanitizeIRI(s))
+		if kind&8 != 0 {
+			subj = rdf.NewBlank(dottedLabel(s))
+		}
 		prop := rdf.NewIRI("http://x/p" + sanitizeIRI(p))
 		var obj rdf.Term
-		switch kind % 3 {
+		switch kind % 4 {
 		case 0:
 			obj = rdf.NewIRI("http://x/o" + sanitizeIRI(o))
 		case 1:
 			obj = rdf.NewLiteral(o)
-		default:
+		case 2:
 			obj = rdf.NewTypedLiteral(o, rdf.XSDString)
+		default:
+			obj = rdf.NewBlank(dottedLabel(o))
 		}
 		in := []rdf.Triple{{S: subj, P: prop, O: obj}}
 		var buf bytes.Buffer
@@ -183,4 +189,16 @@ func sanitizeIRI(s string) string {
 		}
 		return r
 	}, s)
+}
+
+// dottedLabel turns s into a blank node label: each ASCII letter, digit,
+// '_' and '-' kept, every other rune a dot — so most labels hold inner
+// dots, runs of them included — between a first and a last letter.
+func dottedLabel(s string) string {
+	return "b" + strings.Map(func(r rune) rune {
+		if r < utf8.RuneSelf && nameBytes[r] {
+			return r
+		}
+		return '.'
+	}, s) + "z"
 }

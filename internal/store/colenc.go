@@ -551,7 +551,7 @@ func (m *encCols) length() int     { return m.n }
 func (m *encCols) col(o Order) Col { return m.cols[o] }
 
 // encodeCols adopts ts and encodes it, sorted in place into each order in
-// turn, as two heap-resident columns (writeCol): a run at about 4.5 B a
+// turn, as two heap-resident columns (writeCol): a run at about 4.4 B a
 // triple on LUBM where memCols holds 24, plus the fences of the columns
 // that serve range lookups. One scratch buffer serves both sorts, and ts
 // is garbage once this returns.

@@ -30,9 +30,11 @@ import (
 // same level they are folded into one run of the next level — the
 // classical logarithmic-method amortization, O(log n / log 8) merge work
 // per inserted triple. Folded runs stay on the heap — a fold of at least
-// encodeCutoff triples in the snapshot's column encoding, about 4.5 B a
-// triple on LUBM, smaller ones as slices, 24 B a triple — until a store
-// compaction starts over from a single base run: the snapshot it writes.
+// encodeCutoff triples in the snapshot's column encoding, about 4.4 B a
+// triple on LUBM, smaller ones as slices, 24 B a triple; a LUBM delta tail
+// of 100-triple batches holds 9.1 B a triple, fences included
+// (BenchmarkIndexDeltaTail) — until a store compaction starts over from a
+// single base run: the snapshot it writes.
 //
 // A run stores its triples behind the Col abstraction (run.go), so the
 // same search and merge machinery serves in-memory slices, encoded heap
@@ -335,22 +337,38 @@ func (ix *Index) suppressed(t Triple, ri int) bool {
 // Iteration stops early when fn returns false.
 func (ix *Index) ForEach(s, p, o dict.ID, fn func(Triple) bool) {
 	if !skipScan(p, o) {
-		ix.forEach(s, p, o, fn)
+		ix.forEach(s, p, o, nil, fn)
 		return
 	}
+	bufs := make([][]Triple, len(ix.runs))
 	for p := range ix.props() {
-		if !ix.forEach(s, p, o, fn) {
+		if !ix.forEach(s, p, o, bufs, fn) {
 			return
 		}
 	}
 }
 
-// forEach is ForEach over one exact prefix range per run; it reports
-// false once fn has.
-func (ix *Index) forEach(s, p, o dict.ID, fn func(Triple) bool) bool {
+// openCursor is col.Cursor(lo, hi) over run ri. Given bufs (a skip
+// scan's: one slot a run), an encoded column's cursor decodes into the
+// run's buffer, which holds a whole block, so the cursors of every
+// property share one buffer a run and no window allocates.
+func openCursor(col Col, lo, hi int, bufs [][]Triple, ri int) Cursor {
+	c := col.Cursor(lo, hi)
+	if bufs != nil && c.col != nil {
+		if bufs[ri] == nil {
+			bufs[ri] = make([]Triple, 0, colBlockTriples)
+		}
+		c.buf = bufs[ri]
+	}
+	return c
+}
+
+// forEach is ForEach over one exact prefix range per run, its cursors
+// opened over bufs (openCursor); it reports false once fn has.
+func (ix *Index) forEach(s, p, o dict.ID, bufs [][]Triple, fn func(Triple) bool) bool {
 	if len(ix.runs) == 1 && ix.tombs == 0 {
 		col, lo, hi := ix.runs[0].rangeFor(s, p, o)
-		c := col.Cursor(lo, hi)
+		c := openCursor(col, lo, hi, bufs, 0)
 		for c.Valid() {
 			if !fn(c.Next()) {
 				return false
@@ -358,11 +376,11 @@ func (ix *Index) forEach(s, p, o dict.ID, fn func(Triple) bool) bool {
 		}
 		return true
 	}
-	return ix.merge(s, p, o, fn)
+	return ix.merge(s, p, o, bufs, fn)
 }
 
 // merge is the k-way tombstone-suppressing iterator across runs.
-func (ix *Index) merge(s, p, o dict.ID, fn func(Triple) bool) bool {
+func (ix *Index) merge(s, p, o dict.ID, bufs [][]Triple, fn func(Triple) bool) bool {
 	type cursor struct {
 		ri int
 		c  Cursor
@@ -372,7 +390,7 @@ func (ix *Index) merge(s, p, o dict.ID, fn func(Triple) bool) bool {
 	for ri, r := range ix.runs {
 		col, lo, hi := r.rangeFor(s, p, o)
 		if lo < hi {
-			cursors = append(cursors, cursor{ri: ri, c: col.Cursor(lo, hi)})
+			cursors = append(cursors, cursor{ri: ri, c: openCursor(col, lo, hi, bufs, ri)})
 		}
 	}
 	for {

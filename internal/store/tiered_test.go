@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
@@ -516,5 +517,47 @@ func TestSkipScanOverMappedBase(t *testing.T) {
 	}
 	if !checkAgainstOracle(t, held, heldOracle) {
 		t.Fatal("a held index was disturbed by later operations")
+	}
+}
+
+// TestSkipScanAllocsDoNotGrowWithProperties: a skip scan over a mapped
+// base decodes the range of every property through one window buffer, so
+// ForEach(?, ?, o) allocates as much when 2 properties hold o as when 60
+// do, and as a single property's range (?, p, o) does, plus the buffers.
+func TestSkipScanAllocsDoNotGrowWithProperties(t *testing.T) {
+	allocs := func(props int) (skip, one float64) {
+		var ts []rdf.Triple
+		o := rdf.NewIRI("http://x/o")
+		for p := range props {
+			for s := range 3 {
+				ts = append(ts, rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", s)), P: rdf.NewIRI(fmt.Sprintf("http://x/p%d", p)), O: o})
+			}
+		}
+		path := filepath.Join(t.TempDir(), "g.rdfsum")
+		g := FromTriples(ts)
+		if err := SaveFile(path, g); err != nil {
+			t.Fatal(err)
+		}
+		sf, err := OpenSnapshotFile(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sf.Close()
+		ix := NewIndexFromBase(sf.Runs())
+		oid, _ := g.Dict().Lookup(o)
+		pid, _ := g.Dict().Lookup(ts[0].P)
+		n := 0
+		count := func(Triple) bool { n++; return true }
+		skip = testing.AllocsPerRun(20, func() { ix.ForEach(dict.None, dict.None, oid, count) })
+		one = testing.AllocsPerRun(20, func() { ix.ForEach(dict.None, pid, oid, count) })
+		if n != 21*(3*props+3) { // AllocsPerRun runs each once more to warm up
+			t.Fatalf("%d properties: visited %d triples", props, n)
+		}
+		return skip, one
+	}
+	few, one := allocs(2)
+	many, _ := allocs(60)
+	if many != few || few > one+2 {
+		t.Errorf("ForEach(?, ?, o) allocates %.0f times over 2 properties and %.0f over 60; (?, p, o) %.0f", few, many, one)
 	}
 }

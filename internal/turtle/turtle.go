@@ -1,6 +1,11 @@
 // Package turtle implements a reader for a practical subset of the W3C
-// Turtle format, complementing internal/ntriples (the paper's loader only
-// accepted N-Triples; real-world RDF is very often shipped as Turtle).
+// Turtle format (the paper's loader only accepted N-Triples; real-world
+// RDF is very often shipped as Turtle). N-Triples is a subset of Turtle,
+// and the two readers share its terminals: IRIs, quoted strings with
+// their escapes, language tags, blank node labels and the local part of a
+// prefixed name are read by ntriples.Lexer, so a term either reader
+// accepts means the same in both. This package adds the rest: directives,
+// prefixed names, 'a', the numeric and boolean shorthand and long strings.
 //
 // Supported: @prefix / PREFIX and @base / BASE declarations, prefixed
 // names, 'a' for rdf:type, predicate-object lists (';'), object lists
@@ -30,8 +35,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 	"unsafe"
 
 	"rdfsum/internal/ntriples"
@@ -111,7 +114,7 @@ func Triples(doc string, fn func(rdf.Triple) error) error {
 // which it returns unchanged.
 func Stream(doc string, intern func(rdf.Term) uint32, emit func(s, p, o uint32) error) error {
 	p := &parser{
-		in:       doc,
+		Lexer:    ntriples.Lexer{In: doc},
 		prefixes: map[string]string{},
 		intern:   intern,
 		emit:     emit,
@@ -120,12 +123,16 @@ func Stream(doc string, intern func(rdf.Term) uint32, emit func(s, p, o uint32) 
 		// at all and past the cap growth by doubling is cheap.
 		names: make(map[string]uint32, min(len(doc)/96, 1<<16)),
 	}
-	return p.document()
+	err := p.document()
+	if se, ok := err.(*ntriples.SyntaxError); ok {
+		p.Pos = se.Off
+		return p.errorf("%s", se.Msg)
+	}
+	return err
 }
 
 type parser struct {
-	in       string
-	pos      int
+	ntriples.Lexer
 	prefixes map[string]string
 	base     string
 
@@ -142,7 +149,7 @@ type parser struct {
 
 func (p *parser) errorf(format string, args ...any) error {
 	line, col := 1, 1
-	for _, r := range p.in[:p.pos] {
+	for _, r := range p.In[:p.Pos] {
 		if r == '\n' {
 			line++
 			col = 1
@@ -174,7 +181,7 @@ func (p *parser) document() error {
 // directive reports whether a prefix/base directive starts here, without
 // consuming it on false.
 func (p *parser) directive() bool {
-	rest := p.in[p.pos:]
+	rest := p.In[p.Pos:]
 	switch rest[0] {
 	case '@':
 		return strings.HasPrefix(rest, "@prefix") || strings.HasPrefix(rest, "@base")
@@ -189,21 +196,21 @@ func (p *parser) directive() bool {
 }
 
 func (p *parser) directiveBody() error {
-	atForm := p.in[p.pos] == '@'
+	atForm := p.In[p.Pos] == '@'
 	isBase := false
 	switch {
-	case strings.HasPrefix(p.in[p.pos:], "@prefix"):
-		p.pos += len("@prefix")
-	case strings.HasPrefix(p.in[p.pos:], "@base"):
-		p.pos += len("@base")
+	case strings.HasPrefix(p.In[p.Pos:], "@prefix"):
+		p.Pos += len("@prefix")
+	case strings.HasPrefix(p.In[p.Pos:], "@base"):
+		p.Pos += len("@base")
 		isBase = true
 	default:
-		kw := p.in[p.pos : p.pos+4]
+		kw := p.In[p.Pos : p.Pos+4]
 		if strings.EqualFold(kw, "BASE") {
-			p.pos += 4
+			p.Pos += 4
 			isBase = true
 		} else {
-			p.pos += len("PREFIX")
+			p.Pos += len("PREFIX")
 		}
 	}
 	p.skip()
@@ -214,15 +221,15 @@ func (p *parser) directiveBody() error {
 		}
 		p.base = iri
 	} else {
-		start := p.pos
-		for !p.eof() && p.in[p.pos] != ':' {
-			p.pos++
+		start := p.Pos
+		for !p.eof() && p.In[p.Pos] != ':' {
+			p.Pos++
 		}
 		if p.eof() {
 			return p.errorf("prefix declaration: expected ':'")
 		}
-		name := strings.TrimSpace(p.in[start:p.pos])
-		p.pos++
+		name := strings.TrimSpace(p.In[start:p.Pos])
+		p.Pos++
 		p.skip()
 		iri, err := p.iriRef()
 		if err != nil {
@@ -239,12 +246,12 @@ func (p *parser) directiveBody() error {
 	}
 	p.skip()
 	if atForm {
-		if p.eof() || p.in[p.pos] != '.' {
+		if p.eof() || p.In[p.Pos] != '.' {
 			return p.errorf("@-directive must end with '.'")
 		}
-		p.pos++
-	} else if !p.eof() && p.in[p.pos] == '.' {
-		p.pos++ // tolerated
+		p.Pos++
+	} else if !p.eof() && p.In[p.Pos] == '.' {
+		p.Pos++ // tolerated
 	}
 	return nil
 }
@@ -275,8 +282,8 @@ func (p *parser) triples() error {
 				return err
 			}
 			p.skip()
-			if !p.eof() && p.in[p.pos] == ',' {
-				p.pos++
+			if !p.eof() && p.In[p.Pos] == ',' {
+				p.Pos++
 				continue
 			}
 			break
@@ -284,21 +291,21 @@ func (p *parser) triples() error {
 		if p.eof() {
 			return p.errorf("expected ';' or '.' after objects")
 		}
-		switch p.in[p.pos] {
+		switch p.In[p.Pos] {
 		case ';':
-			p.pos++
+			p.Pos++
 			p.skip()
 			// A dangling ';' before '.' is legal Turtle.
-			if !p.eof() && p.in[p.pos] == '.' {
-				p.pos++
+			if !p.eof() && p.In[p.Pos] == '.' {
+				p.Pos++
 				return nil
 			}
 			continue
 		case '.':
-			p.pos++
+			p.Pos++
 			return nil
 		default:
-			return p.errorf("expected ';' or '.', got %q", p.in[p.pos])
+			return p.errorf("expected ';' or '.', got %q", p.In[p.Pos])
 		}
 	}
 }
@@ -311,7 +318,7 @@ func (p *parser) subject() (uint32, rdf.TermKind, error) {
 	if p.eof() {
 		return 0, 0, p.errorf("expected a subject")
 	}
-	switch p.in[p.pos] {
+	switch p.In[p.Pos] {
 	case '<':
 		return p.iriTerm()
 	case '_':
@@ -329,14 +336,14 @@ func (p *parser) predicate() (uint32, rdf.TermKind, error) {
 	if p.eof() {
 		return 0, 0, p.errorf("expected a predicate")
 	}
-	if p.in[p.pos] == 'a' && (p.pos+1 >= len(p.in) || isWS(p.in[p.pos+1]) || p.in[p.pos+1] == '<') {
-		p.pos++
+	if p.In[p.Pos] == 'a' && (p.Pos+1 >= len(p.In) || isWS(p.In[p.Pos+1]) || p.In[p.Pos+1] == '<') {
+		p.Pos++
 		if !p.sawType {
 			p.rdfType, p.sawType = p.intern(rdf.Type()), true
 		}
 		return p.rdfType, rdf.IRI, nil
 	}
-	if p.in[p.pos] == '<' {
+	if p.In[p.Pos] == '<' {
 		return p.iriTerm()
 	}
 	return p.prefixedName()
@@ -346,7 +353,7 @@ func (p *parser) object() (uint32, rdf.TermKind, error) {
 	if p.eof() {
 		return 0, 0, p.errorf("expected an object")
 	}
-	switch c := p.in[p.pos]; {
+	switch c := p.In[p.Pos]; {
 	case c == '<':
 		return p.iriTerm()
 	case c == '_':
@@ -361,11 +368,11 @@ func (p *parser) object() (uint32, rdf.TermKind, error) {
 		return 0, 0, p.errorf("collections '(...)' are not supported by this subset")
 	case c == '+' || c == '-' || (c >= '0' && c <= '9'):
 		return p.literalTerm(p.numericLiteral())
-	case strings.HasPrefix(p.in[p.pos:], "true") && p.boundary(p.pos+4):
-		p.pos += 4
+	case strings.HasPrefix(p.In[p.Pos:], "true") && p.boundary(p.Pos+4):
+		p.Pos += 4
 		return p.literalTerm(rdf.NewTypedLiteral("true", rdf.XSDBoolean), nil)
-	case strings.HasPrefix(p.in[p.pos:], "false") && p.boundary(p.pos+5):
-		p.pos += 5
+	case strings.HasPrefix(p.In[p.Pos:], "false") && p.boundary(p.Pos+5):
+		p.Pos += 5
 		return p.literalTerm(rdf.NewTypedLiteral("false", rdf.XSDBoolean), nil)
 	default:
 		return p.prefixedName()
@@ -390,45 +397,45 @@ func (p *parser) iriTerm() (uint32, rdf.TermKind, error) {
 }
 
 func (p *parser) boundary(i int) bool {
-	if i >= len(p.in) {
+	if i >= len(p.In) {
 		return true
 	}
-	c := p.in[i]
+	c := p.In[i]
 	return isWS(c) || c == '.' || c == ';' || c == ','
 }
 
 func (p *parser) numericLiteral() (rdf.Term, error) {
-	start := p.pos
-	if p.in[p.pos] == '+' || p.in[p.pos] == '-' {
-		p.pos++
+	start := p.Pos
+	if p.In[p.Pos] == '+' || p.In[p.Pos] == '-' {
+		p.Pos++
 	}
 	digits, dot, exp := 0, false, false
 	for !p.eof() {
-		c := p.in[p.pos]
+		c := p.In[p.Pos]
 		switch {
 		case c >= '0' && c <= '9':
 			digits++
-			p.pos++
+			p.Pos++
 		case c == '.' && !dot && !exp:
 			// A '.' followed by a non-digit terminates the statement
 			// instead of extending the number.
-			if p.pos+1 >= len(p.in) || p.in[p.pos+1] < '0' || p.in[p.pos+1] > '9' {
+			if p.Pos+1 >= len(p.In) || p.In[p.Pos+1] < '0' || p.In[p.Pos+1] > '9' {
 				goto done
 			}
 			dot = true
-			p.pos++
+			p.Pos++
 		case (c == 'e' || c == 'E') && !exp && digits > 0:
 			exp = true
-			p.pos++
-			if !p.eof() && (p.in[p.pos] == '+' || p.in[p.pos] == '-') {
-				p.pos++
+			p.Pos++
+			if !p.eof() && (p.In[p.Pos] == '+' || p.In[p.Pos] == '-') {
+				p.Pos++
 			}
 		default:
 			goto done
 		}
 	}
 done:
-	lex := p.in[start:p.pos]
+	lex := p.In[start:p.Pos]
 	if digits == 0 {
 		return rdf.Term{}, p.errorf("malformed numeric literal %q", lex)
 	}
@@ -444,223 +451,46 @@ done:
 
 func (p *parser) literal() (rdf.Term, error) {
 	var lex string
-	if strings.HasPrefix(p.in[p.pos:], `"""`) {
-		p.pos += 3
-		end := strings.Index(p.in[p.pos:], `"""`)
+	var err error
+	if strings.HasPrefix(p.In[p.Pos:], `"""`) {
+		p.Pos += 3
+		end := strings.Index(p.In[p.Pos:], `"""`)
 		if end < 0 {
 			return rdf.Term{}, p.errorf("unterminated long string")
 		}
-		raw := p.in[p.pos : p.pos+end]
-		p.pos += end + 3
-		unescaped, err := p.unescape(raw)
-		if err != nil {
-			return rdf.Term{}, err
+		raw := p.In[p.Pos : p.Pos+end]
+		p.Pos += end + 3
+		if lex, err = ntriples.Unescape(raw); err != nil {
+			return rdf.Term{}, p.errorf("%v", err)
 		}
-		lex = unescaped
-	} else {
-		p.pos++
-		var err error
-		if lex, err = p.shortString(); err != nil {
-			return rdf.Term{}, err
-		}
+	} else if lex, err = p.StringLiteral(); err != nil {
+		return rdf.Term{}, err
 	}
 
 	// Suffix: @lang or ^^datatype.
-	if !p.eof() && p.in[p.pos] == '@' {
-		p.pos++
-		start := p.pos
-		for !p.eof() {
-			c := p.in[p.pos]
-			if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '-' {
-				p.pos++
-				continue
-			}
-			break
-		}
-		if p.pos == start {
-			return rdf.Term{}, p.errorf("empty language tag")
-		}
-		return rdf.NewLangLiteral(lex, p.in[start:p.pos]), nil
+	if !p.eof() && p.In[p.Pos] == '@' {
+		lang, err := p.LangTag()
+		return rdf.NewLangLiteral(lex, lang), err
 	}
-	if strings.HasPrefix(p.in[p.pos:], "^^") {
-		p.pos += 2
+	if strings.HasPrefix(p.In[p.Pos:], "^^") {
+		p.Pos += 2
 		var dt string
-		var err error
-		if !p.eof() && p.in[p.pos] == '<' {
+		if !p.eof() && p.In[p.Pos] == '<' {
 			dt, err = p.iriRef()
 		} else {
 			dt, err = p.datatypeName()
 		}
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewTypedLiteral(lex, dt), nil
+		return rdf.NewTypedLiteral(lex, dt), err
 	}
 	return rdf.NewLiteral(lex), nil
 }
 
-// What ends a span scanned without decoding (ntriples.CleanSpan).
-var (
-	stringStops = ntriples.NewByteSet("\"\\\n")        // close, escape, and the newline a short string may not hold
-	iriStops    = ntriples.NewByteSet(">\\ \t\n")      // close, escape, and the whitespace an IRI may not hold
-	prefixStops = ntriples.NewByteSet(": \t\n\r;,\"<") // what ends the prefix part of a name
-)
-
-// shortString parses the rest of a "…" string, p.pos being just past the
-// opening quote. Without a backslash the value is a substring of the
-// document; anything else — an escape, a newline, no closing quote — is
-// left to the rune-by-rune loop from the same position, which owns the
-// error messages and their positions.
-func (p *parser) shortString() (string, error) {
-	rest := p.in[p.pos:]
-	if n, valid := ntriples.CleanSpan(rest, stringStops); n < len(rest) && rest[n] == '"' && valid {
-		p.pos += n + 1
-		return rest[:n], nil
-	}
-	var b strings.Builder
-	for {
-		if p.eof() || p.in[p.pos] == '\n' {
-			return "", p.errorf("unterminated string")
-		}
-		c := p.in[p.pos]
-		if c == '"' {
-			p.pos++
-			return b.String(), nil
-		}
-		if c == '\\' {
-			if p.pos+1 >= len(p.in) {
-				return "", p.errorf("dangling backslash")
-			}
-			r, n, err := decodeEscape(p.in[p.pos:])
-			if err != nil {
-				return "", p.errorf("%v", err)
-			}
-			b.WriteRune(r)
-			p.pos += n
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-		b.WriteRune(r)
-		p.pos += size
-	}
-}
-
-// unescape processes backslash escapes in a long string body.
-func (p *parser) unescape(s string) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] == '\\' {
-			r, n, err := decodeEscape(s[i:])
-			if err != nil {
-				return "", p.errorf("%v", err)
-			}
-			b.WriteRune(r)
-			i += n
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		b.WriteRune(r)
-		i += size
-	}
-	return b.String(), nil
-}
-
-// decodeEscape decodes one backslash escape at the start of s, returning
-// the rune and the number of input bytes consumed.
-func decodeEscape(s string) (rune, int, error) {
-	if len(s) < 2 {
-		return 0, 0, fmt.Errorf("dangling backslash")
-	}
-	switch s[1] {
-	case 't':
-		return '\t', 2, nil
-	case 'b':
-		return '\b', 2, nil
-	case 'n':
-		return '\n', 2, nil
-	case 'r':
-		return '\r', 2, nil
-	case 'f':
-		return '\f', 2, nil
-	case '"':
-		return '"', 2, nil
-	case '\'':
-		return '\'', 2, nil
-	case '\\':
-		return '\\', 2, nil
-	case 'u', 'U':
-		digits := 4
-		if s[1] == 'U' {
-			digits = 8
-		}
-		if len(s) < 2+digits {
-			return 0, 0, fmt.Errorf("truncated unicode escape")
-		}
-		var v rune
-		for i := 0; i < digits; i++ {
-			c := s[2+i]
-			v <<= 4
-			switch {
-			case c >= '0' && c <= '9':
-				v |= rune(c - '0')
-			case c >= 'a' && c <= 'f':
-				v |= rune(c-'a') + 10
-			case c >= 'A' && c <= 'F':
-				v |= rune(c-'A') + 10
-			default:
-				return 0, 0, fmt.Errorf("invalid hex digit %q", c)
-			}
-		}
-		if !utf8.ValidRune(v) {
-			return 0, 0, fmt.Errorf("escape U+%X is not a valid rune", v)
-		}
-		return v, 2 + digits, nil
-	default:
-		return 0, 0, fmt.Errorf("invalid escape \\%c", s[1])
-	}
-}
-
 func (p *parser) iriRef() (string, error) {
-	if p.eof() || p.in[p.pos] != '<' {
+	if p.eof() || p.In[p.Pos] != '<' {
 		return "", p.errorf("expected '<IRI>'")
 	}
-	p.pos++
-	// Without an escape the IRI is a substring of the document; escapes,
-	// whitespace and a missing '>' go to the loop below from the same
-	// position, as in shortString.
-	rest := p.in[p.pos:]
-	if n, valid := ntriples.CleanSpan(rest, iriStops); n < len(rest) && rest[n] == '>' && valid {
-		p.pos += n + 1
-		return p.resolve(rest[:n]), nil
-	}
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", p.errorf("unterminated IRI")
-		}
-		c := p.in[p.pos]
-		switch c {
-		case '>':
-			p.pos++
-			return p.resolve(b.String()), nil
-		case '\\':
-			r, n, err := decodeEscape(p.in[p.pos:])
-			if err != nil {
-				return "", p.errorf("%v", err)
-			}
-			b.WriteRune(r)
-			p.pos += n
-		case ' ', '\t', '\n':
-			return "", p.errorf("whitespace inside IRI")
-		default:
-			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-			b.WriteRune(r)
-			p.pos += size
-		}
-	}
+	iri, err := p.IRIRef()
+	return p.resolve(iri), err
 }
 
 // resolve applies the @base to relative IRIs (simple concatenation for
@@ -673,67 +503,32 @@ func (p *parser) resolve(iri string) string {
 }
 
 func (p *parser) blankNode() (uint32, rdf.TermKind, error) {
-	if p.pos+1 >= len(p.in) || p.in[p.pos+1] != ':' {
-		return 0, 0, p.errorf("blank node must start with \"_:\"")
+	label, err := p.BlankLabel()
+	if err != nil {
+		return 0, 0, err
 	}
-	p.pos += 2
-	start := p.pos
-	p.nameRun()
-	if p.pos == start {
-		return 0, 0, p.errorf("empty blank node label")
-	}
-	return p.intern(rdf.NewBlank(p.in[start:p.pos])), rdf.Blank, nil
+	return p.intern(rdf.NewBlank(label)), rdf.Blank, nil
 }
 
-// nameBytes are the ASCII letters, digits, '_' and '-'.
-var nameBytes = ntriples.NewByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
-
-// nameRun advances over letters, digits, '_' and '-': the alphabet of
-// blank node labels and local names.
-func (p *parser) nameRun() {
-	for !p.eof() {
-		if c := p.in[p.pos]; c < utf8.RuneSelf {
-			if !nameBytes[c] {
-				return
-			}
-			p.pos++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-			return
-		}
-		p.pos += size
-	}
-}
+// prefixStops end the prefix part of a name.
+var prefixStops = ntriples.NewByteSet(": \t\n\r;,\"<")
 
 // scanName advances over a "prefix:local" name and returns the prefix
-// and the local part, substrings of the name p.in[start:p.pos].
+// and the local part, substrings of the name p.In[start:p.Pos].
 func (p *parser) scanName() (prefix, local string, err error) {
-	start := p.pos
-	for !p.eof() && !prefixStops[p.in[p.pos]] {
-		p.pos++
+	start := p.Pos
+	for !p.eof() && !prefixStops[p.In[p.Pos]] {
+		p.Pos++
 	}
-	if p.eof() || p.in[p.pos] != ':' {
-		p.pos = start
+	if p.eof() || p.In[p.Pos] != ':' {
+		p.Pos = start
 		return "", "", p.errorf("expected a prefixed name")
 	}
-	prefix = p.in[start:p.pos]
-	p.pos++
-	localStart := p.pos
-	for {
-		p.nameRun()
-		// Inner dots are part of the local name when followed by a name
-		// character ("ex:a.b"); a trailing dot terminates the statement.
-		if p.pos+1 < len(p.in) && p.in[p.pos] == '.' {
-			r, _ := utf8.DecodeRuneInString(p.in[p.pos+1:])
-			if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-				p.pos++
-				continue
-			}
-		}
-		return prefix, p.in[localStart:p.pos], nil
-	}
+	prefix = p.In[start:p.Pos]
+	p.Pos++
+	localStart := p.Pos
+	p.Name() // the local part may be empty ("ex:")
+	return prefix, p.In[localStart:p.Pos], nil
 }
 
 // expand resolves a scanned name through the prefix table.
@@ -749,12 +544,12 @@ func (p *parser) expand(prefix, local string) (string, error) {
 // and interned at the first occurrence of each spelling; every later one
 // is a probe of p.names.
 func (p *parser) prefixedName() (uint32, rdf.TermKind, error) {
-	start := p.pos
+	start := p.Pos
 	prefix, local, err := p.scanName()
 	if err != nil {
 		return 0, 0, err
 	}
-	name := p.in[start:p.pos]
+	name := p.In[start:p.Pos]
 	if h, ok := p.names[name]; ok {
 		return h, rdf.IRI, nil
 	}
@@ -780,14 +575,14 @@ func (p *parser) datatypeName() (string, error) {
 // skip consumes whitespace and comments.
 func (p *parser) skip() {
 	for !p.eof() {
-		c := p.in[p.pos]
+		c := p.In[p.Pos]
 		if isWS(c) {
-			p.pos++
+			p.Pos++
 			continue
 		}
 		if c == '#' {
-			for !p.eof() && p.in[p.pos] != '\n' {
-				p.pos++
+			for !p.eof() && p.In[p.Pos] != '\n' {
+				p.Pos++
 			}
 			continue
 		}
@@ -795,6 +590,6 @@ func (p *parser) skip() {
 	}
 }
 
-func (p *parser) eof() bool { return p.pos >= len(p.in) }
+func (p *parser) eof() bool { return p.Pos >= len(p.In) }
 
 func isWS(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

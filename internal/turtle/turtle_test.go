@@ -112,10 +112,15 @@ PREFIX ex: <http://ex.org/>
 	}
 }
 
+// TestDottedLocalNames: inner dots, runs of them and a dot before '-'
+// included, are part of a local name, as the writer's validLocal allows;
+// a final dot ends the statement.
 func TestDottedLocalNames(t *testing.T) {
-	ts := mustParse(t, "@prefix ex: <http://ex.org/> .\nex:a.b ex:p ex:c .")
-	if ts[0].S != rdf.NewIRI("http://ex.org/a.b") {
-		t.Errorf("inner dot mishandled: %v", ts[0].S)
+	for _, local := range []string{"a.b", "a..b", "a.-b"} {
+		ts := mustParse(t, "@prefix ex: <http://ex.org/> .\nex:"+local+" ex:p ex:"+local+".")
+		if want := rdf.NewIRI("http://ex.org/" + local); ts[0].S != want || ts[0].O != want {
+			t.Errorf("ex:%s read as %v and %v", local, ts[0].S, ts[0].O)
+		}
 	}
 }
 
@@ -290,12 +295,13 @@ ex:s ex:p "1"^^xsd:integer , "2"^^xsd:integer ; ex:q ex:s , <http://a/s> .
 }
 
 // TestAgreesWithNTriples: any N-Triples document is also valid Turtle with
-// identical meaning (N-Triples ⊂ Turtle), modulo our subset's blank-label
-// alphabet.
+// identical meaning (N-Triples ⊂ Turtle). FuzzNTriplesIsTurtle
+// (internal/load) checks it on arbitrary documents.
 func TestAgreesWithNTriples(t *testing.T) {
 	doc := `<http://x/s> <http://x/p> <http://x/o> .
 <http://x/s> <http://x/q> "lit"@en .
 _:b0 <http://x/p> "3"^^<http://www.w3.org/2001/XMLSchema#integer> .
+_:a.b <http://x/p> _:c.d.
 `
 	nt, err := ntriples.ParseString(doc)
 	if err != nil {

@@ -98,10 +98,15 @@ func TestWriteParseRoundTripProperty(t *testing.T) {
 		var in []rdf.Triple
 		for i := 0; i < n; i++ {
 			s := rdf.NewIRI("http://x/s" + string(rune('a'+subjects[i]%5)))
+			if subjects[i]%3 == 0 { // a blank node whose label holds inner dots
+				s = rdf.NewBlank("b" + strings.Repeat(".", int(1+subjects[i]%4)) + string(rune('a'+subjects[i]%5)))
+			}
 			p := rdf.NewIRI("http://x/p" + string(rune('a'+props[i]%4)))
 			var o rdf.Term
 			if i < len(lits) && len(lits[i]) > 0 && i%2 == 0 {
 				o = rdf.NewLiteral(lits[i])
+			} else if objects[i]%4 == 0 {
+				o = rdf.NewBlank("b" + strings.Repeat(".", int(1+objects[i]%3)) + "o-" + string(rune('a'+objects[i]%5)))
 			} else {
 				o = rdf.NewIRI("http://x/o" + string(rune('a'+objects[i]%5)))
 			}
