@@ -88,14 +88,16 @@ bench-core:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
 		-bench 'BenchmarkFig13SummarizationTime|BenchmarkLUBMSummaries|BenchmarkIncrementalSummaries|BenchmarkComputeWeights|BenchmarkLiveCompact|BenchmarkMappedDict|BenchmarkIndexJoins|BenchmarkIndexPattern' .
 
-# What loading a dump costs, on one CPU: the N-Triples reader with three
+# What reading RDF text costs, on one CPU: the N-Triples reader with three
 # dictionary Encodes a triple (BenchmarkParseNTriples), a streamed load
-# of gzipped N-Triples and Turtle (BenchmarkStreamingIngest) and a whole
-# cold boot (BenchmarkSeedBoot). Six runs each, as bench-core: compare two
-# commits by building `go test -c` binaries and alternating them.
+# of gzipped N-Triples and Turtle (BenchmarkStreamingIngest), a whole
+# cold boot (BenchmarkSeedBoot) and the query parser over the committed
+# BSBM/LUBM mixes (BenchmarkParse, internal/query), which every query
+# request pays for. Six runs each, as bench-core: compare two commits by
+# building `go test -c` binaries and alternating them.
 bench-load:
 	$(GO) test -run 'XXX-none' -benchmem -count 6 -cpu 1 \
-		-bench 'BenchmarkParseNTriples|BenchmarkStreamingIngest|BenchmarkSeedBoot' .
+		-bench 'BenchmarkParseNTriples|BenchmarkStreamingIngest|BenchmarkSeedBoot|BenchmarkParse$$' . ./internal/query
 
 # Full benchmark sweep.
 bench:
@@ -188,7 +190,10 @@ ingest-smoke:
 # parsed triples, term for term, ID for ID and component for component;
 # malformed input fails both on the same line); the two readers against
 # each other (whatever the N-Triples reader accepts, the Turtle reader
-# reads to identical triples); the dictionary's term
+# reads to identical triples); the query parser against the Turtle reader
+# (ASK { s p o } written from the terms of any one-triple document Turtle
+# accepts parses to those terms and is true over that triple's graph);
+# the dictionary's term
 # keys (every term round-trips through its key); the dictionary's pages
 # (any pages, directory and symbol table either fail to open or decode
 # every term and write sections that open to the same terms); the symbol
@@ -207,6 +212,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSymbolTable -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dict
 	$(GO) test -fuzz=FuzzTurtleLoad -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzNTriplesIsTurtle -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
+	$(GO) test -fuzz=FuzzQueryNamesReaderTerms -fuzztime=$(FUZZTIME) -run='^$$' ./internal/load
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzWALRecordDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/live
 	$(GO) test -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store

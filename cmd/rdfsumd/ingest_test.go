@@ -256,3 +256,37 @@ func TestStatsAndMetricsReportQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryCellNamesItsTerm: a query names the terms an ingest stores.
+// The IRI http://a/b c is ingested and returned as <http://a/b\u0020c>;
+// that cell, pasted into a second query, finds its row, and a \u escape
+// names the same IRI as the character it stands for.
+func TestQueryCellNamesItsTerm(t *testing.T) {
+	ts, _ := liveTestServer(t, nil)
+	doc := "<http://a/s> <http://a/p> <http://a/b\\u0020c> .\n<http://a/t> <http://a/p> <http://a/A> .\n"
+	if code, body := postBody(t, ts.URL+"/v1/triples", doc); code != http.StatusOK {
+		t.Fatalf("ingest: %d %v", code, body)
+	}
+	cells := func(q string) []string {
+		t.Helper()
+		code, body := postQuery(t, ts.URL+"/v1/query", q)
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %v", q, code, body)
+		}
+		var out []string
+		for _, row := range body["rows"].([]any) {
+			out = append(out, row.([]any)[0].(string))
+		}
+		return out
+	}
+	got := cells(`SELECT ?o WHERE { <http://a/s> <http://a/p> ?o }`)
+	if len(got) != 1 || got[0] != `<http://a/b\u0020c>` {
+		t.Fatalf("object cells %q, want [<http://a/b\\u0020c>]", got)
+	}
+	if subj := cells("SELECT ?s WHERE { ?s <http://a/p> " + got[0] + " }"); len(subj) != 1 || subj[0] != "<http://a/s>" {
+		t.Fatalf("the pasted cell %s found %q, want [<http://a/s>]", got[0], subj)
+	}
+	if subj := cells(`SELECT ?s WHERE { ?s <http://a/p> <http://a/\u0041> }`); len(subj) != 1 || subj[0] != "<http://a/t>" {
+		t.Fatalf(`<http://a/\u0041> found %q, want [<http://a/t>]`, subj)
+	}
+}

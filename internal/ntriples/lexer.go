@@ -7,12 +7,14 @@ import (
 	"unicode/utf8"
 )
 
-// Lexer reads the RDF terminals N-Triples and Turtle share — N-Triples'
-// grammar is a subset of Turtle's, and both take these productions from
-// one source: IRIREF, STRING_LITERAL_QUOTE with its ECHAR and UCHAR
-// escapes, LANGTAG and BLANK_NODE_LABEL. The N-Triples reader runs it
-// over one line, the Turtle reader over its whole document; each keeps
-// its own statement loop around it.
+// Lexer reads the RDF terminals N-Triples, Turtle and SPARQL share —
+// N-Triples' grammar is a subset of Turtle's, and SPARQL 1.1 (§19.8)
+// takes its terminals from Turtle: IRIREF, the four STRING_LITERAL forms
+// with their ECHAR and UCHAR escapes, LANGTAG, BLANK_NODE_LABEL, the
+// prefixed name PNAME_NS PN_LOCAL, and the whitespace and '#' comments
+// between tokens. The N-Triples reader runs it over one line, the Turtle
+// reader over its whole document and the query parser over a query; each
+// keeps its own statement loop around it.
 //
 // Every method starts at the production's first byte and leaves Pos just
 // past it. A term written without escapes is a substring of In, not a
@@ -45,13 +47,13 @@ func (l *Lexer) fail(format string, args ...any) error {
 
 func (l *Lexer) eof() bool { return l.Pos >= len(l.In) }
 
-// ByteSet is a set of bytes: those that end a span scanned without
+// byteSet is a set of bytes: those that end a span scanned without
 // decoding, or those a run of name or tag characters may hold.
-type ByteSet [256]bool
+type byteSet [256]bool
 
-// NewByteSet returns the set of the bytes of s.
-func NewByteSet(s string) *ByteSet {
-	var set ByteSet
+// newByteSet returns the set of the bytes of s.
+func newByteSet(s string) *byteSet {
+	var set byteSet
 	for i := 0; i < len(s); i++ {
 		set[s[i]] = true
 	}
@@ -59,17 +61,18 @@ func NewByteSet(s string) *ByteSet {
 }
 
 var (
-	iriStops    = NewByteSet(">\\ \t\n") // close, escape, and the whitespace an IRI may not hold
-	stringStops = NewByteSet("\"\\\n")   // close, escape, and the newline a string may not hold
-	langBytes   = NewByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-")
-	nameBytes   = NewByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+	iriStops     = newByteSet(">\\ \t\n") // close, escape, and the whitespace an IRI may not hold
+	stringStops  = newByteSet("\"\\\n")   // close, escape, and the newline a string may not hold
+	sstringStops = newByteSet("'\\\n")    // the same for a '-quoted string
+	langBytes    = newByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-")
+	nameBytes    = newByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 )
 
 // cleanSpan returns the length of the longest prefix of s free of stop
 // bytes, and whether that prefix is valid UTF-8 (the builders substitute
 // U+FFFD for invalid bytes, so only a valid span may be returned as a
 // substring).
-func cleanSpan(s string, stops *ByteSet) (n int, valid bool) {
+func cleanSpan(s string, stops *byteSet) (n int, valid bool) {
 	ascii := true
 	for n < len(s) && !stops[s[n]] {
 		ascii = ascii && s[n] < utf8.RuneSelf
@@ -110,12 +113,28 @@ func (l *Lexer) IRIRef() (string, error) {
 	}
 }
 
-// StringLiteral reads a '"'-quoted string on one line and returns its value.
+// StringLiteral reads a string in any of the four forms Turtle and SPARQL
+// write — "…" and '…' on one line, or either between three of its quotes
+// on any number of lines — and returns its value. The byte at Pos is its
+// first quote.
 func (l *Lexer) StringLiteral() (string, error) {
-	l.Pos++ // '"'
+	q := l.In[l.Pos]
+	if rest := l.In[l.Pos:]; len(rest) >= 3 && rest[1] == q && rest[2] == q {
+		return l.longString(rest[:3])
+	}
+	if q == '"' {
+		return l.shortString(q, stringStops)
+	}
+	return l.shortString(q, sstringStops)
+}
+
+// shortString reads a string quoted by q on one line; stops are q, the
+// backslash and the newline.
+func (l *Lexer) shortString(q byte, stops *byteSet) (string, error) {
+	l.Pos++ // the quote
 	if !builderOnly {
 		rest := l.In[l.Pos:]
-		if n, valid := cleanSpan(rest, stringStops); n < len(rest) && rest[n] == '"' && valid {
+		if n, valid := cleanSpan(rest, stops); n < len(rest) && rest[n] == q && valid {
 			l.Pos += n + 1
 			return rest[:n], nil
 		}
@@ -126,7 +145,7 @@ func (l *Lexer) StringLiteral() (string, error) {
 			return "", l.fail("unterminated string")
 		}
 		switch l.In[l.Pos] {
-		case '"':
+		case q:
 			l.Pos++
 			return b.String(), nil
 		case '\\':
@@ -139,13 +158,34 @@ func (l *Lexer) StringLiteral() (string, error) {
 	}
 }
 
-// Unescape decodes the escapes of s, a string body whose end the caller
-// found (a Turtle long string). An error's offset is into s.
-func Unescape(s string) (string, error) {
-	if !builderOnly && !strings.Contains(s, `\`) {
-		return s, nil
+// longString reads a string between the triple quotes delim, which may
+// span lines. It ends at the first delim that is not part of an escape
+// ("""a\"""" is `a"`); the escapes of its body are decoded once the end is
+// known, and an error in them is reported just past the close.
+func (l *Lexer) longString(delim string) (string, error) {
+	l.Pos += len(delim)
+	for i := l.Pos; i < len(l.In); i++ {
+		switch {
+		case l.In[i] == '\\':
+			i++ // the escaped byte cannot close the string
+		case strings.HasPrefix(l.In[i:], delim):
+			body := Lexer{In: l.In[l.Pos:i]}
+			l.Pos = i + len(delim)
+			s, err := body.unescape()
+			if err != nil {
+				return "", l.fail("%v", err)
+			}
+			return s, nil
+		}
 	}
-	l := Lexer{In: s}
+	return "", l.fail("unterminated long string")
+}
+
+// unescape decodes the escapes of all of In, a long string's body.
+func (l *Lexer) unescape() (string, error) {
+	if !builderOnly && !strings.Contains(l.In, `\`) && utf8.ValidString(l.In) {
+		return l.In, nil
+	}
 	var b strings.Builder
 	for !l.eof() {
 		if l.In[l.Pos] != '\\' {
@@ -239,10 +279,37 @@ func (l *Lexer) BlankLabel() (string, error) {
 	return l.In[start:l.Pos], nil
 }
 
-// Name advances over a name — the label of a blank node, the local part
-// of a Turtle prefixed name — and reports whether there was one: runs of
-// name characters (letters, digits, '_' and '-') joined by dots. A dot
-// not followed by a name character is not part of it: it ends the
+// PName reads a prefixed name, PNAME_NS and a local part that may be
+// empty ("ex:"), and returns the prefix and the local part, substrings of
+// In. On anything else it leaves Pos where it was.
+func (l *Lexer) PName() (prefix, local string, err error) {
+	prefix, ok := l.PNameNS()
+	if !ok {
+		return "", "", l.fail("expected a prefixed name")
+	}
+	start := l.Pos
+	l.Name()
+	return prefix, l.In[start:l.Pos], nil
+}
+
+// PNameNS reads "prefix:", where the prefix is a Name or, for the default
+// prefix, nothing, and returns the prefix. It reports false, and leaves
+// Pos where it was, on anything else.
+func (l *Lexer) PNameNS() (string, bool) {
+	start := l.Pos
+	l.Name()
+	if l.eof() || l.In[l.Pos] != ':' {
+		l.Pos = start
+		return "", false
+	}
+	l.Pos++
+	return l.In[start : l.Pos-1], true
+}
+
+// Name advances over a name — the label of a blank node, the prefix or
+// the local part of a prefixed name — and reports whether there was one:
+// runs of name characters (letters, digits, '_' and '-') joined by dots.
+// A dot not followed by a name character is not part of it: it ends the
 // statement.
 func (l *Lexer) Name() bool {
 	if !l.nameRun() {
@@ -278,4 +345,24 @@ func (l *Lexer) nameRun() bool {
 		l.Pos += size
 	}
 	return l.Pos > start
+}
+
+// IsSpace reports whether c is whitespace between two tokens.
+func IsSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// Skip advances over whitespace and '#' comments, each of which runs to
+// the end of its line: what Turtle and SPARQL allow between two tokens.
+func (l *Lexer) Skip() {
+	for !l.eof() {
+		switch c := l.In[l.Pos]; {
+		case IsSpace(c):
+			l.Pos++
+		case c == '#':
+			for !l.eof() && l.In[l.Pos] != '\n' {
+				l.Pos++
+			}
+		default:
+			return
+		}
+	}
 }

@@ -150,7 +150,7 @@ func (p *lineParser) iri() (string, error) {
 
 // literal reads a string and its optional @lang or ^^<datatype>.
 func (p *lineParser) literal() (rdf.Term, error) {
-	lex, err := p.StringLiteral()
+	lex, err := p.shortString('"', stringStops) // N-Triples' only string form
 	if err != nil || p.eof() {
 		return rdf.NewLiteral(lex), err
 	}

@@ -15,7 +15,7 @@ import (
 // of the Lexer: a Turtle document reads to the same triples, or fails
 // with the same error at the same line:col, with the substring fast paths
 // on and off. The cases add what a line of N-Triples cannot hold — strings
-// and IRIs that meet a newline, long strings — and then every committed
+// and IRIs that meet a newline, long and single-quoted strings — and then every committed
 // fuzz input of both readers is replayed as Turtle.
 func TestTurtleFastPathMatchesBuilder(t *testing.T) {
 	docs := []string{
@@ -28,6 +28,9 @@ func TestTurtleFastPathMatchesBuilder(t *testing.T) {
 		"@base <http://b/> .\n<r\\u0065l> <p> \"1\"^^<int> , \"x\\u00e9\"^^<http://a/\\u0069nt> .",
 		"@prefix ex: <http://x/> .\n_:a.b ex:p _:c..d , _:é.- , _:e. ",
 		"@prefix ex: <http://x/> .\nex:s ex:p \"\xff\" , <http://a/\xfe> , \"\"\"\xff\\n\"\"\" .",
+		"@prefix ex: <http://x/> .\nex:s ex:p \"\"\"\xff\"\"\" .",
+		"@prefix ex: <http://x/> .\nex:s ex:p '\xff' , '''\xfe\n''' .",
+		"@prefix ex: <http://x/> .\nex:s ex:p 'single \\' \"' , '''long ' '' \\'''' , \"\"\"a\\\"\"\"\" .",
 	}
 	for _, dir := range []string{"testdata/fuzz/FuzzParse", "../load/testdata/fuzz/FuzzTurtleLoad"} {
 		corpus, err := filepath.Glob(filepath.Join(dir, "*"))

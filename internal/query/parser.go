@@ -6,6 +6,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"rdfsum/internal/ntriples"
 	"rdfsum/internal/rdf"
 )
 
@@ -16,11 +17,22 @@ import (
 //	ASK { ?x ex:p ?y }
 //
 // Supported: PREFIX declarations, SELECT with a variable list or *, ASK,
-// 'a' as rdf:type, IRI refs, prefixed names, variables, and literals with
-// optional language tag or datatype. WHERE is optional before the group.
+// 'a' as rdf:type, IRI refs, prefixed names, blank node labels, variables,
+// and literals with optional language tag or datatype. WHERE is optional
+// before the group. Its terms follow SPARQL 1.1's terminals (§19.8), which
+// are Turtle's: IRIs, strings in all four quotings with their escapes,
+// language tags, blank node labels, prefixed names, whitespace and '#'
+// comments are read by ntriples.Lexer, as the N-Triples and Turtle readers
+// read them, so a constant in a query names the term a load of the same
+// text stores. The numeric and boolean shorthand, BASE and LIMIT are not
+// supported.
 func Parse(input string) (*Query, error) {
-	p := &qparser{in: input}
+	p := &qparser{Lexer: ntriples.Lexer{In: input}, prefixes: map[string]string{}}
 	q, err := p.parse()
+	if se, ok := err.(*ntriples.SyntaxError); ok {
+		p.Pos = se.Off
+		err = p.errorf("%s", se.Msg)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -40,15 +52,13 @@ func MustParse(input string) *Query {
 }
 
 type qparser struct {
-	in       string
-	pos      int
+	ntriples.Lexer
 	prefixes map[string]string
 }
 
 func (p *qparser) parse() (*Query, error) {
-	p.prefixes = map[string]string{}
 	for {
-		p.skipSpace()
+		p.Skip()
 		if !p.keyword("PREFIX") {
 			break
 		}
@@ -56,13 +66,13 @@ func (p *qparser) parse() (*Query, error) {
 			return nil, err
 		}
 	}
-	p.skipSpace()
+	p.Skip()
 	q := &Query{}
 	selectStar := false
 	switch {
 	case p.keyword("SELECT"):
 		for {
-			p.skipSpace()
+			p.Skip()
 			if p.peekByte() == '?' || p.peekByte() == '$' {
 				v, err := p.variable()
 				if err != nil {
@@ -72,7 +82,7 @@ func (p *qparser) parse() (*Query, error) {
 				continue
 			}
 			if p.peekByte() == '*' {
-				p.pos++
+				p.Pos++
 				selectStar = true
 			}
 			break
@@ -85,17 +95,17 @@ func (p *qparser) parse() (*Query, error) {
 	default:
 		return nil, p.errorf("expected SELECT or ASK")
 	}
-	p.skipSpace()
+	p.Skip()
 	p.keyword("WHERE") // optional
-	p.skipSpace()
+	p.Skip()
 	if p.peekByte() != '{' {
 		return nil, p.errorf("expected '{' starting the graph pattern")
 	}
-	p.pos++
+	p.Pos++
 	for {
-		p.skipSpace()
+		p.Skip()
 		if p.peekByte() == '}' {
-			p.pos++
+			p.Pos++
 			break
 		}
 		if p.eof() {
@@ -106,14 +116,14 @@ func (p *qparser) parse() (*Query, error) {
 			return nil, err
 		}
 		q.Patterns = append(q.Patterns, pat)
-		p.skipSpace()
+		p.Skip()
 		if p.peekByte() == '.' {
-			p.pos++
+			p.Pos++
 		}
 	}
-	p.skipSpace()
+	p.Skip()
 	if !p.eof() {
-		return nil, p.errorf("unexpected trailing content %q", p.in[p.pos:])
+		return nil, p.errorf("unexpected trailing content %q", p.In[p.Pos:])
 	}
 	if selectStar {
 		q.Distinguished = q.Vars()
@@ -122,17 +132,12 @@ func (p *qparser) parse() (*Query, error) {
 }
 
 func (p *qparser) prefixDecl() error {
-	p.skipSpace()
-	start := p.pos
-	for !p.eof() && p.peekByte() != ':' {
-		p.pos++
+	p.Skip()
+	name, ok := p.PNameNS()
+	if !ok {
+		return p.errorf("PREFIX: expected a prefix name and ':'")
 	}
-	if p.eof() {
-		return p.errorf("PREFIX: expected ':'")
-	}
-	name := strings.TrimSpace(p.in[start:p.pos])
-	p.pos++ // ':'
-	p.skipSpace()
+	p.Skip()
 	if p.peekByte() != '<' {
 		return p.errorf("PREFIX: expected <IRI>")
 	}
@@ -149,12 +154,12 @@ func (p *qparser) triplePattern() (Pattern, error) {
 	if err != nil {
 		return Pattern{}, err
 	}
-	p.skipSpace()
+	p.Skip()
 	pr, err := p.term(true)
 	if err != nil {
 		return Pattern{}, err
 	}
-	p.skipSpace()
+	p.Skip()
 	o, err := p.term(false)
 	if err != nil {
 		return Pattern{}, err
@@ -165,7 +170,7 @@ func (p *qparser) triplePattern() (Pattern, error) {
 // term parses one pattern position. In the property position, the bare
 // keyword 'a' abbreviates rdf:type.
 func (p *qparser) term(propertyPos bool) (Term, error) {
-	p.skipSpace()
+	p.Skip()
 	if p.eof() {
 		return Term{}, p.errorf("expected a term")
 	}
@@ -178,207 +183,118 @@ func (p *qparser) term(propertyPos bool) (Term, error) {
 		return Var(v), nil
 	case c == '<':
 		iri, err := p.iriRef()
-		if err != nil {
-			return Term{}, err
-		}
-		return IRI(iri), nil
-	case c == '"':
+		return IRI(iri), err
+	case c == '"' || c == '\'':
 		return p.literal()
 	case c == '_':
-		if p.pos+1 < len(p.in) && p.in[p.pos+1] == ':' {
-			p.pos += 2
-			label := p.name()
-			if label == "" {
-				return Term{}, p.errorf("empty blank node label")
-			}
-			return Const(rdf.NewBlank(label)), nil
-		}
-		return Term{}, p.errorf("expected \"_:\" blank node")
-	case propertyPos && c == 'a' && p.isKeywordBoundary(p.pos+1):
-		p.pos++
+		label, err := p.BlankLabel()
+		return Const(rdf.NewBlank(label)), err
+	case propertyPos && c == 'a' && p.isKeywordBoundary(p.Pos+1):
+		p.Pos++
 		return IRI(rdf.RDFType), nil
 	default:
-		return p.prefixedName()
+		iri, err := p.prefixedName()
+		return IRI(iri), err
 	}
 }
 
-func (p *qparser) prefixedName() (Term, error) {
-	start := p.pos
-	for !p.eof() && p.peekByte() != ':' && !isSpaceByte(p.peekByte()) &&
-		p.peekByte() != '{' && p.peekByte() != '}' && p.peekByte() != '.' {
-		p.pos++
+// prefixedName reads a prefixed name and returns its expansion.
+func (p *qparser) prefixedName() (string, error) {
+	prefix, local, err := p.PName()
+	if err != nil {
+		return "", err
 	}
-	if p.eof() || p.peekByte() != ':' {
-		return Term{}, p.errorf("expected a prefixed name near %q", p.in[start:p.pos])
-	}
-	prefix := p.in[start:p.pos]
-	p.pos++
-	local := p.name()
 	ns, ok := p.prefixes[prefix]
 	if !ok {
-		return Term{}, p.errorf("undeclared prefix %q", prefix)
+		return "", p.errorf("undeclared prefix %q", prefix)
 	}
-	return IRI(ns + local), nil
+	return ns + local, nil
 }
 
+// variable reads '?' or '$' and a name of letters, digits, '_' and '-'.
 func (p *qparser) variable() (string, error) {
-	p.pos++ // '?' or '$'
-	v := p.name()
-	if v == "" {
-		return "", p.errorf("empty variable name")
-	}
-	return v, nil
-}
-
-func (p *qparser) iriRef() (string, error) {
-	p.pos++ // '<'
-	start := p.pos
-	for !p.eof() && p.peekByte() != '>' {
-		p.pos++
-	}
-	if p.eof() {
-		return "", p.errorf("unterminated IRI")
-	}
-	iri := p.in[start:p.pos]
-	p.pos++
-	if iri == "" {
-		return "", p.errorf("empty IRI")
-	}
-	return iri, nil
-}
-
-func (p *qparser) literal() (Term, error) {
-	p.pos++ // '"'
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return Term{}, p.errorf("unterminated literal")
-		}
-		c := p.peekByte()
-		if c == '"' {
-			p.pos++
+	p.Pos++ // '?' or '$'
+	start := p.Pos
+	for !p.eof() {
+		r, size := utf8.DecodeRuneInString(p.In[p.Pos:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' && r != '-' {
 			break
 		}
-		if c == '\\' && p.pos+1 < len(p.in) {
-			p.pos++
-			switch p.peekByte() {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				return Term{}, p.errorf("invalid escape \\%c", p.peekByte())
-			}
-			p.pos++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-		b.WriteRune(r)
-		p.pos += size
+		p.Pos += size
 	}
-	lex := b.String()
-	if !p.eof() && p.peekByte() == '@' {
-		p.pos++
-		lang := p.name()
-		if lang == "" {
-			return Term{}, p.errorf("empty language tag")
-		}
-		return Const(rdf.NewLangLiteral(lex, lang)), nil
+	if p.Pos == start {
+		return "", p.errorf("empty variable name")
 	}
-	if p.pos+1 < len(p.in) && p.in[p.pos] == '^' && p.in[p.pos+1] == '^' {
-		p.pos += 2
-		p.skipSpace()
-		if p.peekByte() == '<' {
-			dt, err := p.iriRef()
-			if err != nil {
-				return Term{}, err
-			}
-			return Const(rdf.NewTypedLiteral(lex, dt)), nil
-		}
-		t, err := p.prefixedName()
-		if err != nil {
-			return Term{}, err
-		}
-		return Const(rdf.NewTypedLiteral(lex, t.Value.Value)), nil
-	}
-	return Const(rdf.NewLiteral(lex)), nil
+	return p.In[start:p.Pos], nil
 }
 
-// name consumes a run of name characters (letters, digits, _, -).
-func (p *qparser) name() string {
-	start := p.pos
-	for !p.eof() {
-		r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' {
-			p.pos += size
-			continue
-		}
-		break
+// iriRef reads an IRIREF, which may not be empty.
+func (p *qparser) iriRef() (string, error) {
+	iri, err := p.IRIRef()
+	if err == nil && iri == "" {
+		err = p.errorf("empty IRI")
 	}
-	return p.in[start:p.pos]
+	return iri, err
+}
+
+// literal reads a string and its optional @lang or ^^datatype.
+func (p *qparser) literal() (Term, error) {
+	lex, err := p.StringLiteral()
+	if err != nil {
+		return Term{}, err
+	}
+	switch {
+	case p.peekByte() == '@':
+		lang, err := p.LangTag()
+		return Const(rdf.NewLangLiteral(lex, lang)), err
+	case strings.HasPrefix(p.In[p.Pos:], "^^"):
+		p.Pos += 2
+		p.Skip()
+		var dt string
+		if p.peekByte() == '<' {
+			dt, err = p.iriRef()
+		} else {
+			dt, err = p.prefixedName()
+		}
+		return Const(rdf.NewTypedLiteral(lex, dt)), err
+	}
+	return Const(rdf.NewLiteral(lex)), nil
 }
 
 // keyword consumes kw case-insensitively when it appears at the cursor as
 // a whole word.
 func (p *qparser) keyword(kw string) bool {
-	if len(p.in)-p.pos < len(kw) {
+	if len(p.In)-p.Pos < len(kw) {
 		return false
 	}
-	if !strings.EqualFold(p.in[p.pos:p.pos+len(kw)], kw) {
+	if !strings.EqualFold(p.In[p.Pos:p.Pos+len(kw)], kw) {
 		return false
 	}
-	if !p.isKeywordBoundary(p.pos + len(kw)) {
+	if !p.isKeywordBoundary(p.Pos + len(kw)) {
 		return false
 	}
-	p.pos += len(kw)
+	p.Pos += len(kw)
 	return true
 }
 
 // isKeywordBoundary reports whether position i ends a word.
 func (p *qparser) isKeywordBoundary(i int) bool {
-	if i >= len(p.in) {
+	if i >= len(p.In) {
 		return true
 	}
-	c := p.in[i]
-	return isSpaceByte(c) || c == '{' || c == '}' || c == '?' || c == '$' || c == '<' || c == '*'
+	c := p.In[i]
+	return ntriples.IsSpace(c) || c == '{' || c == '}' || c == '?' || c == '$' || c == '<' || c == '*'
 }
 
-func (p *qparser) skipSpace() {
-	for !p.eof() {
-		c := p.peekByte()
-		if isSpaceByte(c) {
-			p.pos++
-			continue
-		}
-		if c == '#' {
-			for !p.eof() && p.peekByte() != '\n' {
-				p.pos++
-			}
-			continue
-		}
-		break
-	}
-}
-
-func (p *qparser) eof() bool { return p.pos >= len(p.in) }
+func (p *qparser) eof() bool { return p.Pos >= len(p.In) }
 
 func (p *qparser) peekByte() byte {
 	if p.eof() {
 		return 0
 	}
-	return p.in[p.pos]
+	return p.In[p.Pos]
 }
 
 func (p *qparser) errorf(format string, args ...any) error {
-	return fmt.Errorf("query: at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-func isSpaceByte(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
+	return fmt.Errorf("query: at offset %d: %s", p.Pos, fmt.Sprintf(format, args...))
 }

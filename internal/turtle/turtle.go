@@ -1,19 +1,21 @@
 // Package turtle implements a reader for a practical subset of the W3C
 // Turtle format (the paper's loader only accepted N-Triples; real-world
 // RDF is very often shipped as Turtle). N-Triples is a subset of Turtle,
-// and the two readers share its terminals: IRIs, quoted strings with
-// their escapes, language tags, blank node labels and the local part of a
-// prefixed name are read by ntriples.Lexer, so a term either reader
-// accepts means the same in both. This package adds the rest: directives,
-// prefixed names, 'a', the numeric and boolean shorthand and long strings.
+// and the readers share its terminals: IRIs, strings in all four quotings
+// with their escapes, language tags, blank node labels, prefixed names
+// and the whitespace and comments between tokens are read by
+// ntriples.Lexer — as are the terms of a query (package query) — so a
+// term means the same wherever it is written. This package adds the
+// rest: directives, prefix expansion, 'a' and the numeric and boolean
+// shorthand.
 //
 // Supported: @prefix / PREFIX and @base / BASE declarations, prefixed
 // names, 'a' for rdf:type, predicate-object lists (';'), object lists
 // (','), blank node labels, string literals with language tags or
-// datatypes (quoted with " or """ long strings), and the numeric/boolean
-// shorthand (42, -3.14, 1e6, true, false). Not supported (rejected with a
-// clear error): anonymous blank nodes '[...]', collections '(...)', and
-// single-quoted strings.
+// datatypes (quoted with " or ', one or three of them), and the
+// numeric/boolean shorthand (42, -3.14, 1e6, true, false). Not supported
+// (rejected with a clear error): anonymous blank nodes '[...]' and
+// collections '(...)'.
 //
 // There is one statement loop, Stream, and it hands its caller handles,
 // not rdf.Triples: every term is passed once to the caller's intern — a
@@ -162,7 +164,7 @@ func (p *parser) errorf(format string, args ...any) error {
 
 func (p *parser) document() error {
 	for {
-		p.skip()
+		p.Skip()
 		if p.eof() {
 			return nil
 		}
@@ -187,7 +189,7 @@ func (p *parser) directive() bool {
 		return strings.HasPrefix(rest, "@prefix") || strings.HasPrefix(rest, "@base")
 	case 'P', 'p', 'B', 'b':
 		for _, kw := range [...]string{"PREFIX", "BASE", "prefix", "base"} {
-			if strings.HasPrefix(rest, kw) && len(rest) > len(kw) && isWS(rest[len(kw)]) {
+			if strings.HasPrefix(rest, kw) && len(rest) > len(kw) && ntriples.IsSpace(rest[len(kw)]) {
 				return true
 			}
 		}
@@ -213,7 +215,7 @@ func (p *parser) directiveBody() error {
 			p.Pos += len("PREFIX")
 		}
 	}
-	p.skip()
+	p.Skip()
 	if isBase {
 		iri, err := p.iriRef()
 		if err != nil {
@@ -221,16 +223,11 @@ func (p *parser) directiveBody() error {
 		}
 		p.base = iri
 	} else {
-		start := p.Pos
-		for !p.eof() && p.In[p.Pos] != ':' {
-			p.Pos++
+		name, ok := p.PNameNS()
+		if !ok {
+			return p.errorf("prefix declaration: expected a prefix name and ':'")
 		}
-		if p.eof() {
-			return p.errorf("prefix declaration: expected ':'")
-		}
-		name := strings.TrimSpace(p.In[start:p.Pos])
-		p.Pos++
-		p.skip()
+		p.Skip()
 		iri, err := p.iriRef()
 		if err != nil {
 			return err
@@ -244,7 +241,7 @@ func (p *parser) directiveBody() error {
 		}
 		p.prefixes[name] = iri
 	}
-	p.skip()
+	p.Skip()
 	if atForm {
 		if p.eof() || p.In[p.Pos] != '.' {
 			return p.errorf("@-directive must end with '.'")
@@ -263,13 +260,13 @@ func (p *parser) triples() error {
 		return err
 	}
 	for {
-		p.skip()
+		p.Skip()
 		pred, pk, err := p.predicate()
 		if err != nil {
 			return err
 		}
 		for {
-			p.skip()
+			p.Skip()
 			obj, ok, err := p.object()
 			if err != nil {
 				return err
@@ -281,7 +278,7 @@ func (p *parser) triples() error {
 			if err := p.emit(subj, pred, obj); err != nil {
 				return err
 			}
-			p.skip()
+			p.Skip()
 			if !p.eof() && p.In[p.Pos] == ',' {
 				p.Pos++
 				continue
@@ -294,7 +291,7 @@ func (p *parser) triples() error {
 		switch p.In[p.Pos] {
 		case ';':
 			p.Pos++
-			p.skip()
+			p.Skip()
 			// A dangling ';' before '.' is legal Turtle.
 			if !p.eof() && p.In[p.Pos] == '.' {
 				p.Pos++
@@ -314,7 +311,7 @@ func (p *parser) triples() error {
 // return its handle and its kind.
 
 func (p *parser) subject() (uint32, rdf.TermKind, error) {
-	p.skip()
+	p.Skip()
 	if p.eof() {
 		return 0, 0, p.errorf("expected a subject")
 	}
@@ -336,7 +333,7 @@ func (p *parser) predicate() (uint32, rdf.TermKind, error) {
 	if p.eof() {
 		return 0, 0, p.errorf("expected a predicate")
 	}
-	if p.In[p.Pos] == 'a' && (p.Pos+1 >= len(p.In) || isWS(p.In[p.Pos+1]) || p.In[p.Pos+1] == '<') {
+	if p.In[p.Pos] == 'a' && (p.Pos+1 >= len(p.In) || ntriples.IsSpace(p.In[p.Pos+1]) || p.In[p.Pos+1] == '<') {
 		p.Pos++
 		if !p.sawType {
 			p.rdfType, p.sawType = p.intern(rdf.Type()), true
@@ -358,10 +355,8 @@ func (p *parser) object() (uint32, rdf.TermKind, error) {
 		return p.iriTerm()
 	case c == '_':
 		return p.blankNode()
-	case c == '"':
+	case c == '"' || c == '\'':
 		return p.literalTerm(p.literal())
-	case c == '\'':
-		return 0, 0, p.errorf("single-quoted strings are not supported by this subset")
 	case c == '[':
 		return 0, 0, p.errorf("anonymous blank nodes '[...]' are not supported by this subset")
 	case c == '(':
@@ -401,7 +396,7 @@ func (p *parser) boundary(i int) bool {
 		return true
 	}
 	c := p.In[i]
-	return isWS(c) || c == '.' || c == ';' || c == ','
+	return ntriples.IsSpace(c) || c == '.' || c == ';' || c == ','
 }
 
 func (p *parser) numericLiteral() (rdf.Term, error) {
@@ -450,20 +445,8 @@ done:
 }
 
 func (p *parser) literal() (rdf.Term, error) {
-	var lex string
-	var err error
-	if strings.HasPrefix(p.In[p.Pos:], `"""`) {
-		p.Pos += 3
-		end := strings.Index(p.In[p.Pos:], `"""`)
-		if end < 0 {
-			return rdf.Term{}, p.errorf("unterminated long string")
-		}
-		raw := p.In[p.Pos : p.Pos+end]
-		p.Pos += end + 3
-		if lex, err = ntriples.Unescape(raw); err != nil {
-			return rdf.Term{}, p.errorf("%v", err)
-		}
-	} else if lex, err = p.StringLiteral(); err != nil {
+	lex, err := p.StringLiteral()
+	if err != nil {
 		return rdf.Term{}, err
 	}
 
@@ -510,27 +493,6 @@ func (p *parser) blankNode() (uint32, rdf.TermKind, error) {
 	return p.intern(rdf.NewBlank(label)), rdf.Blank, nil
 }
 
-// prefixStops end the prefix part of a name.
-var prefixStops = ntriples.NewByteSet(": \t\n\r;,\"<")
-
-// scanName advances over a "prefix:local" name and returns the prefix
-// and the local part, substrings of the name p.In[start:p.Pos].
-func (p *parser) scanName() (prefix, local string, err error) {
-	start := p.Pos
-	for !p.eof() && !prefixStops[p.In[p.Pos]] {
-		p.Pos++
-	}
-	if p.eof() || p.In[p.Pos] != ':' {
-		p.Pos = start
-		return "", "", p.errorf("expected a prefixed name")
-	}
-	prefix = p.In[start:p.Pos]
-	p.Pos++
-	localStart := p.Pos
-	p.Name() // the local part may be empty ("ex:")
-	return prefix, p.In[localStart:p.Pos], nil
-}
-
 // expand resolves a scanned name through the prefix table.
 func (p *parser) expand(prefix, local string) (string, error) {
 	ns, ok := p.prefixes[prefix]
@@ -545,7 +507,7 @@ func (p *parser) expand(prefix, local string) (string, error) {
 // is a probe of p.names.
 func (p *parser) prefixedName() (uint32, rdf.TermKind, error) {
 	start := p.Pos
-	prefix, local, err := p.scanName()
+	prefix, local, err := p.PName()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -565,31 +527,11 @@ func (p *parser) prefixedName() (uint32, rdf.TermKind, error) {
 // datatypeName parses a name after '^^': the expansion is the literal's
 // datatype, not a term, so it is never interned (nor cached).
 func (p *parser) datatypeName() (string, error) {
-	prefix, local, err := p.scanName()
+	prefix, local, err := p.PName()
 	if err != nil {
 		return "", err
 	}
 	return p.expand(prefix, local)
 }
 
-// skip consumes whitespace and comments.
-func (p *parser) skip() {
-	for !p.eof() {
-		c := p.In[p.Pos]
-		if isWS(c) {
-			p.Pos++
-			continue
-		}
-		if c == '#' {
-			for !p.eof() && p.In[p.Pos] != '\n' {
-				p.Pos++
-			}
-			continue
-		}
-		return
-	}
-}
-
 func (p *parser) eof() bool { return p.Pos >= len(p.In) }
-
-func isWS(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -129,7 +129,8 @@ func TestErrors(t *testing.T) {
 		"ex:s ex:p ex:o .", // undeclared prefix
 		"@prefix ex: <http://x/> .\nex:s ex:p [ ex:q 1 ] .", // anon blank
 		"@prefix ex: <http://x/> .\nex:s ex:p ( 1 2 ) .",    // collection
-		"@prefix ex: <http://x/> .\nex:s ex:p 'single' .",   // single quotes
+		"@prefix ex: <http://x/> .\nex:s ex:p 'open .",      // unterminated single quotes
+		"@prefix a b: <http://x/> .\na:s a:p a:o .",         // a prefix is one name
 		"@prefix ex: <http://x/> .\nex:s ex:p \"open .",     // unterminated
 		"@prefix ex: <http://x/> \nex:s ex:p ex:o .",        // @prefix missing dot... (SPARQL form ok, @ form needs '.')
 		"@prefix ex: <http://x/> .\nex:s ex:p ex:o ,",       // dangling comma
@@ -162,7 +163,7 @@ func TestErrorPositions(t *testing.T) {
 		{"ex:s ex:p ex:o .", 1, 5, "undeclared prefix \"ex\""},
 		{"@prefix ex: <http://x/> .\nex:s ex:p [ ex:q 1 ] .", 2, 11, "anonymous blank nodes '[...]' are not supported by this subset"},
 		{"@prefix ex: <http://x/> .\nex:s ex:p ( 1 2 ) .", 2, 11, "collections '(...)' are not supported by this subset"},
-		{"@prefix ex: <http://x/> .\nex:s ex:p 'single' .", 2, 11, "single-quoted strings are not supported by this subset"},
+		{"@prefix ex: <http://x/> .\nex:s ex:p 'open .", 2, 18, "unterminated string"},
 		{"@prefix ex: <http://x/> .\nex:s ex:p \"open .", 2, 18, "unterminated string"},
 		{"@prefix ex: <http://x/> \nex:s ex:p ex:o .", 2, 1, "@-directive must end with '.'"},
 		{"@prefix ex: <http://x/> .\nex:s ex:p ex:o ,", 2, 17, "expected an object"},
@@ -191,7 +192,10 @@ func TestErrorPositions(t *testing.T) {
 		{"@prefix ex: <http://x/> .\nex:s ex:p -x .", 2, 12, "malformed numeric literal \"-\""},
 		{"@prefix ex: <http://x/> .\n_:b ex:p _: .", 2, 12, "empty blank node label"},
 		{"@prefix ex: <http://x/> .\n_b ex:p ex:o .", 2, 1, "blank node must start with \"_:\""},
-		{"@prefix ex <http://x/> .", 1, 18, "expected '<IRI>'"},
+		{"@prefix ex <http://x/> .", 1, 9, "prefix declaration: expected a prefix name and ':'"},
+		{"@prefix a b: <http://x/> .", 1, 9, "prefix declaration: expected a prefix name and ':'"},
+		{"PREFIX ex : <http://x/>", 1, 8, "prefix declaration: expected a prefix name and ':'"},
+		{"@prefix ex: <http://x/> .\nex:s ex:p \"\"\"a\\\"\"\"", 2, 14, "unterminated long string"},
 		{"@prefix ex: http://x/ .", 1, 13, "expected '<IRI>'"},
 		{"@prefix ex: <http://x/> .\nex:s ex:p ex:o", 2, 15, "expected ';' or '.' after objects"},
 		{"@prefix ex: <http://x/> .\nex:s ex:p ex:o ; ex:q", 2, 22, "expected an object"},
@@ -223,6 +227,9 @@ func TestSpellingsYieldEqualTerms(t *testing.T) {
 		{"escaped quote and long string", `"a\"b"`, `"""a"b"""`},
 		{"long string holding quotes", `"""long "" string"""`, `"long \"\" string"`},
 		{"escaped newline and long string", `"x\ny"`, "\"\"\"x\ny\"\"\""},
+		{"escaped quote closing a long string", `"""a\""""`, `"a\""`},
+		{"single and double quotes", `'a"b\''`, `"a\"b'"`},
+		{"single-quoted long string", "'''x\ny'''", `"x\ny"`},
 		{"base-relative IRI", `<rel>`, `<http://b/rel>`},
 		{"escaped base-relative IRI", `<r\u0065l>`, `<http://b/rel>`},
 		{"dotted non-ASCII local name", `ex:a.é`, `<http://a/a.é>`},
