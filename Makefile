@@ -113,8 +113,9 @@ bench-smoke:
 # the weak summary and its pruner — the sequence benchmark/ times as
 # setup_s) on one CPU under the CPU profiler: the top 20 functions by
 # cumulative time, then who calls the run sort (store.sortTriples) and for
-# how long — one caller, WriteSnapshotV2, means the boot sorts its triples
-# only to write snapshot-1, which it then serves; a reopen sorts nothing.
+# how long — one caller, the store.NewIndex a fresh store writes
+# snapshot-1 from, means the boot sorts its triples only to write that
+# file, which it then serves; a reopen sorts nothing.
 # BOOT picks the arm: bsbm-nt (BSBM as N-Triples, what probe-bsbm and
 # mixed-bsbm boot from), lubm-ttl-gz (LUBM as gzipped Turtle, scan-lubm's
 # cold boot) or lubm-reopen (scan-lubm's restart: reopen that store under
@@ -136,9 +137,13 @@ boot-profile:
 # is still in use when the process exits with the store open (the
 # live-heap breakdown: dictionary, components, index runs, builders,
 # cached summaries and their name overlays), then what the compactions
-# allocated on the way, and what the delete stream allocated — where the
-# delta tail and DeleteBatch's component copies set the peak of
-# probe-bsbm and scan-lubm.
+# allocated on the way — the snapshot writer's chunk, the dictionary's
+# directory, the merge's tombstone lists and decoding windows, and nothing
+# a triple: each column is merged from the published runs, not gathered
+# and sorted — and what the delete stream allocated, where the delta tail
+# and DeleteBatch's component copies set the peak of probe-bsbm and
+# scan-lubm; mixed-bsbm's is set in its compaction cycles, a few MB above
+# its delete stream (docs/benchmarks/pr57-runs.md).
 heap-profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) test -run 'XXX-none' -bench 'BenchmarkLiveCycle$$' -benchtime 3x -cpu 1 \

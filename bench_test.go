@@ -465,29 +465,76 @@ func writeCompressed(b *testing.B, path string, plain []byte, codec rdfsum.Compr
 }
 
 // BenchmarkLiveCompact is one compaction of a ≈ 58k-triple BSBM store
-// that has taken a 512-triple batch since the last one: gather the
-// graph's triples, sort and stream the snapshot one column at a time, map
-// it, swap generations. B/op (-benchmem) is the figure: the two 12 B a
-// triple sort buffers, and little else — the published index is the
-// mapped file.
+// (BSBM 1000 products): scan the published index in each order, stream
+// the snapshot one column at a time, map it, swap generations. Two
+// shapes of what came since the last compaction:
+//
+//   - steady: one 512-triple batch, so the index is the mapped base and
+//     one delta run;
+//   - cycle0: 100 add batches of ≈ 63 triples interleaved with 100
+//     delete batches, each deleting one batch the previous compaction
+//     mapped, as the harness's first cycle compacts the write window's
+//     delta and tombstone runs. The store is the same size at every
+//     compaction; its setup skips fsync.
+//
+// B/op (-benchmem) is the figure: the write gathers and sorts nothing,
+// so it is the container's 256 KB chunk, the dictionary's directory and
+// symbol table, the merge's tombstone lists and decoding windows, and what
+// mapping the new file and publishing it cost.
 func BenchmarkLiveCompact(b *testing.B) {
-	lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: bsbmGraph(b, 1000)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer lv.Close() //nolint:errcheck
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := lv.AddBatch(incBatch(i, 512)); err != nil {
+	b.Run("steady", func(b *testing.B) {
+		lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: bsbmGraph(b, 1000)})
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
+		defer lv.Close() //nolint:errcheck
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := lv.AddBatch(incBatch(i, 512)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := lv.Compact(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cycle0", func(b *testing.B) {
+		const batches = 100
+		batch := func(gen, j int) []rdfsum.Triple { return incBatch(1_000_000+gen*batches+j, 50) }
+		lv, err := rdfsum.OpenLive(filepath.Join(b.TempDir(), "store"), &rdfsum.LiveOptions{Seed: bsbmGraph(b, 1000), NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer lv.Close() //nolint:errcheck
+		for j := 0; j < batches; j++ {
+			if err := lv.AddBatch(batch(0, j)); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if err := lv.Compact(); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := 0; j < batches; j++ {
+				if err := lv.AddBatch(batch(i+1, j)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := lv.DeleteBatch(batch(i, j)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			if err := lv.Compact(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // liveCycleStore keeps BenchmarkLiveCycle's store reachable once the

@@ -623,3 +623,56 @@ func BenchmarkMetricsMiddleware(b *testing.B) {
 	b.Run("bare", func(b *testing.B) { run(b, srv.mux()) })
 	b.Run("instrumented", func(b *testing.B) { run(b, srv.handler()) })
 }
+
+// TestMetricsExpositionChecksumFailures: a compaction that finds a mapped
+// section changed since its open (a bit flipped in the generation's
+// column on disk) fails, and the scrape counts the section in
+// rdfsum_snapshot_checksum_failures_total{section} and still lints.
+func TestMetricsExpositionChecksumFailures(t *testing.T) {
+	ts, srv := liveTestServer(t, nil)
+	if code, body := postBody(t, ts.URL+"/v1/triples", ntBody(0, 400)); code != http.StatusOK {
+		t.Fatalf("POST /v1/triples: %d %v", code, body)
+	}
+	if code, body := postBody(t, ts.URL+"/v1/compact", ""); code != http.StatusOK {
+		t.Fatalf("POST /v1/compact: %d %v", code, body)
+	}
+	path := filepath.Join(srv.lv.Dir(), "snapshot-2.rdfsum")
+	info, err := rdfsum.InspectSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Mmap {
+		t.Skip("this build reads snapshots into the heap: a change to the file does not reach what it serves")
+	}
+	const series = `rdfsum_snapshot_checksum_failures_total{section="col-spo"}`
+	body, _ := scrapeMetrics(t, ts)
+	before := scrapeValues(t, body)[series]
+	for _, s := range info.Sections {
+		if s.Name != "col-spo" {
+			continue
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := []byte{0}
+		if _, err := f.ReadAt(b, int64(s.Off+s.Len/2)); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if _, err := f.WriteAt(b, int64(s.Off+s.Len/2)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if code, body := postBody(t, ts.URL+"/v1/compact", ""); code == http.StatusOK {
+		t.Fatalf("POST /v1/compact over a changed column: %d %v, want a failure", code, body)
+	}
+	body, _ = scrapeMetrics(t, ts)
+	if err := obs.LintExposition(strings.NewReader(body)); err != nil {
+		t.Errorf("exposition lint: %v", err)
+	}
+	if got := scrapeValues(t, body)[series]; got != before+1 {
+		t.Errorf("%s = %v after the refused compaction, want %v", series, got, before+1)
+	}
+}

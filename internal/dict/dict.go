@@ -77,6 +77,9 @@ func WithBase(m *Mapped) (*Dict, error) {
 	return d, nil
 }
 
+// Base returns the mapped layer d was built over (WithBase), or nil.
+func (d *Dict) Base() *Mapped { return d.base }
+
 // Share switches d into shared mode: from now on every method is safe for
 // concurrent use by multiple goroutines. The switch itself must happen
 // before the dictionary is shared (it is not itself synchronized), and

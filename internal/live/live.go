@@ -361,7 +361,7 @@ func Open(dir string, opts *Options) (*Live, error) {
 func (l *Live) initGeneration(seed *store.Graph) error {
 	if seed != nil && seed.NumEdges() > 0 {
 		t0 := time.Now()
-		if err := l.writeSnapshotFile(1, seed); err != nil {
+		if err := l.writeSnapshotFile(1, seed, store.NewIndex(seed)); err != nil {
 			return err
 		}
 		l.boot.Snapshot = time.Since(t0)
@@ -792,8 +792,12 @@ func (l *Live) Stats() Stats {
 }
 
 // Compact folds the WAL into a fresh store snapshot and starts an empty
-// log: it writes snapshot-<gen+1> from the writer graph (whose triples
-// are the published epoch's), maps it, creates wal-<gen+1>, atomically
+// log: it writes snapshot-<gen+1> from the writer graph's dictionary and
+// the published epoch's index, whose runs it merges in each order as it
+// writes (store.WriteSnapshotV2) after checking the mapped sections it
+// reads against their checksums — a mismatch fails the Compact with
+// store.ErrSnapshotChecksum and nothing written — then maps the file,
+// creates wal-<gen+1>, atomically
 // swaps CURRENT to the new generation, deletes the old generation's
 // files, and publishes an epoch whose index is the new file's mapped
 // runs, resetting read amplification. A crash at any point leaves either
@@ -806,15 +810,16 @@ func (l *Live) Compact() error {
 	err := l.compactLocked()
 	l.mu.Unlock()
 	if err == nil {
-		// A generation's worth of heap just died at once (old delta runs,
-		// the snapshot's sort buffers), and a GC cycle that marked while
-		// it was live has set the next heap goal tens of MB too high.
+		// A generation's worth of heap just died at once (the old delta
+		// and tombstone runs), and a GC cycle that marked while it was
+		// live has set the next heap goal tens of MB too high.
 		// Collecting now paces the next allocation burst — usually the
 		// summaries that follow a compaction — against the real live
 		// heap, for ≈ 50 ms (when added, it cut probe-bsbm's peak RSS
-		// from 230 to 216 MB; that peak has since moved to the delete
-		// stream). It also unmaps the old generation's file once no
-		// epoch reads it.
+		// from 230 to 216 MB; on probe-bsbm and scan-lubm that peak has
+		// since moved to the delete stream, while on mixed-bsbm the
+		// compactions still set it, by a few MB). It also unmaps the old
+		// generation's file once no epoch reads it.
 		runtime.GC()
 	}
 	return err
@@ -828,8 +833,9 @@ func (l *Live) compactLocked() error {
 	if l.dir == "" {
 		return errors.New("live: memory-only store cannot compact (no directory)")
 	}
-	// Under l.mu the published epoch is the writer's head, so the writer
-	// graph's triples are exactly what it serves. The new file is mapped
+	// Under l.mu the published epoch is the writer's head, so its index
+	// holds exactly the writer graph's triples: the new file's columns
+	// are that index's merged runs. The new file is mapped
 	// and checked before anything points at it: if it cannot be opened,
 	// the compaction fails here and the published epoch keeps serving the
 	// old generation. Until CURRENT is replaced, a failure removes what
@@ -837,7 +843,7 @@ func (l *Live) compactLocked() error {
 	// directory holds.
 	newGen := l.gen + 1
 	snapPath, walPath := l.snapshotPath(newGen), l.walPath(newGen)
-	if err := l.writeSnapshotFile(newGen, l.graph()); err != nil {
+	if err := l.writeSnapshotFile(newGen, l.graph(), l.cur.Load().Index); err != nil {
 		os.Remove(snapPath) // renamed into place, if only the directory sync failed
 		return err
 	}
@@ -940,15 +946,15 @@ var openSnapshotFile = func(path string) (*store.SnapshotFile, error) {
 // fsync + rename. The writer streams and places the file's header last,
 // so the tmp file is a snapshot only once WriteSnapshotV2 has returned;
 // neither a crash nor a failed write leaves anything under the final
-// name. Its columns are sorted from one gathered copy of g's triples.
-func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph) error {
+// name. Its columns are the ordered scans of ix, which holds g's triples.
+func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph, ix *store.Index) error {
 	path := l.snapshotPath(gen)
 	tmp := path + ".tmp"
 	f, err := createSnapshotFile(tmp)
 	if err != nil {
 		return err
 	}
-	if err := store.WriteSnapshotV2(f, g, g.All(), nil); err != nil {
+	if err := store.WriteSnapshotV2(f, g, ix); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

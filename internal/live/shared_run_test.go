@@ -164,7 +164,7 @@ func TestLiveCompactAbandonedBeforeManifestSwap(t *testing.T) {
 		acked = removeAll(acked, acked[60:65])
 		// The first steps of Compact, as it performs them, then the crash.
 		l.mu.Lock()
-		if err := l.writeSnapshotFile(l.gen+1, l.graph()); err != nil {
+		if err := l.writeSnapshotFile(l.gen+1, l.graph(), l.cur.Load().Index); err != nil {
 			t.Fatal(err)
 		}
 		if withWAL {

@@ -49,6 +49,8 @@ var termRows = []termRow{
 	{"string with an escaped surrogate", `"\uDC00" .`, nil},
 	{"string with a dangling backslash", `"a\`, nil},
 	{"unterminated string", `"a .`, nil},
+	{"string with a raw carriage return", "\"a\rb\" .", nil},
+	{"single-quoted string with a raw carriage return", "'a\rb' .", nil},
 
 	{"long string whose close is escaped", `"""a\""" .`, nil},
 	{"long string with an unknown escape", `"""a\qb""" .`, nil},
@@ -57,7 +59,12 @@ var termRows = []termRow{
 
 	{"language tag", `"v"@en-GB .`, lit("v", "en-GB", "")},
 	{"language tag with digits", `"v"@x-1a .`, lit("v", "x-1a", "")},
-	{"language tag ending in '-'", `"v"@en- .`, lit("v", "en-", "")},
+	{"language tag with several subtags", `"v"@de-CH-1901 .`, lit("v", "de-CH-1901", "")},
+	{"language tag ending in '-'", `"v"@en- .`, nil},
+	{"language tag starting with a digit", `"v"@1 .`, nil},
+	{"language tag starting with '-'", `"v"@-x .`, nil},
+	{"language tag with an empty subtag", `"v"@en--x .`, nil},
+	{"language tag with a digit in its first subtag", `"v"@en1 .`, nil},
 	{"language tag before the final dot", `"v"@en.`, lit("v", "en", "")},
 	{"empty language tag", `"v"@ .`, nil},
 	{"language tag with '_'", `"v"@en_US .`, nil},
@@ -71,7 +78,8 @@ var termRows = []termRow{
 	{"blank label", `_:b0 .`, blank("b0")},
 	{"blank label of a digit", `_:0 .`, blank("0")},
 	{"blank label with '_' and '-'", `_:a_b-c .`, blank("a_b-c")},
-	{"blank label starting with '-'", `_:-a .`, blank("-a")},
+	{"blank label starting with '_'", `_:_a .`, blank("_a")},
+	{"blank label starting with '-'", `_:-a .`, nil},
 	{"blank label with a letter beyond ASCII", `_:é .`, blank("é")},
 	{"blank label with an inner dot", `_:a.b .`, blank("a.b")},
 	{"blank label with inner dots", `_:a..b .`, blank("a..b")},
@@ -162,6 +170,9 @@ func TestPrefixNames(t *testing.T) {
 		{"ex :", false},
 		{"a/b:", false},
 		{"a.:", false},
+		{"1a:", false},
+		{"_a:", false},
+		{"-a:", false},
 		{"ex", false},
 	} {
 		prefix := strings.TrimSuffix(row.decl, ":")

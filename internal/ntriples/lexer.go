@@ -62,11 +62,15 @@ func newByteSet(s string) *byteSet {
 
 var (
 	iriStops     = newByteSet(">\\ \t\n") // close, escape, and the whitespace an IRI may not hold
-	stringStops  = newByteSet("\"\\\n")   // close, escape, and the newline a string may not hold
-	sstringStops = newByteSet("'\\\n")    // the same for a '-quoted string
-	langBytes    = newByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-")
-	nameBytes    = newByteSet("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+	stringStops  = newByteSet("\"\\\n\r") // close, escape, and the line breaks a string may not hold
+	sstringStops = newByteSet("'\\\n\r")  // the same for a '-quoted string
+	langBytes    = newByteSet(letters + "0123456789-")
+	nameBytes    = newByteSet(letters + "0123456789_-")
 )
+
+// letters are the ASCII letters: a language tag's first subtag, and with
+// digits and '-' its others.
+const letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 // cleanSpan returns the length of the longest prefix of s free of stop
 // bytes, and whether that prefix is valid UTF-8 (the builders substitute
@@ -129,7 +133,9 @@ func (l *Lexer) StringLiteral() (string, error) {
 }
 
 // shortString reads a string quoted by q on one line; stops are q, the
-// backslash and the newline.
+// backslash and the two line breaks, neither of which it may hold raw
+// (STRING_LITERAL_QUOTE and STRING_LITERAL_SINGLE_QUOTE exclude #xA and
+// #xD).
 func (l *Lexer) shortString(q byte, stops *byteSet) (string, error) {
 	l.Pos++ // the quote
 	if !builderOnly {
@@ -152,6 +158,8 @@ func (l *Lexer) shortString(q byte, stops *byteSet) (string, error) {
 			if err := l.escape(&b, false); err != nil {
 				return "", err
 			}
+		case '\r':
+			return "", l.fail("carriage return inside a one-line string (write it as \\r)")
 		default:
 			l.copyRune(&b)
 		}
@@ -253,17 +261,25 @@ func (l *Lexer) copyRune(b *strings.Builder) {
 	l.Pos += size
 }
 
-// LangTag reads "@tag" and returns the tag: letters, digits and '-'.
+// LangTag reads "@tag" and returns the tag, a LANGTAG: letters, then
+// any number of subtags of letters and digits, each after a '-'.
 func (l *Lexer) LangTag() (string, error) {
 	l.Pos++ // '@'
 	start := l.Pos
 	for !l.eof() && langBytes[l.In[l.Pos]] {
 		l.Pos++
 	}
-	if l.Pos == start {
+	tag := l.In[start:l.Pos]
+	first, _, _ := strings.Cut(tag, "-")
+	switch {
+	case tag == "":
 		return "", l.fail("empty language tag")
+	case first == "" || strings.Trim(first, letters) != "":
+		return "", l.fail("language tag %q does not begin with letters", tag)
+	case strings.HasSuffix(tag, "-") || strings.Contains(tag, "--"):
+		return "", l.fail("language tag %q has an empty subtag", tag)
 	}
-	return l.In[start:l.Pos], nil
+	return tag, nil
 }
 
 // BlankLabel reads "_:label" and returns the label, a Name.
@@ -273,6 +289,9 @@ func (l *Lexer) BlankLabel() (string, error) {
 	}
 	l.Pos += 2
 	start := l.Pos
+	if !l.eof() && l.In[l.Pos] == '-' {
+		return "", l.fail("blank node label starts with '-'")
+	}
 	if !l.Name() {
 		return "", l.fail("empty blank node label")
 	}
@@ -292,9 +311,10 @@ func (l *Lexer) PName() (prefix, local string, err error) {
 	return prefix, l.In[start:l.Pos], nil
 }
 
-// PNameNS reads "prefix:", where the prefix is a Name or, for the default
-// prefix, nothing, and returns the prefix. It reports false, and leaves
-// Pos where it was, on anything else.
+// PNameNS reads "prefix:", where the prefix is a Name that begins with a
+// letter (PN_PREFIX) or, for the default prefix, nothing, and returns the
+// prefix. It reports false, and leaves Pos where it was, on anything
+// else.
 func (l *Lexer) PNameNS() (string, bool) {
 	start := l.Pos
 	l.Name()
@@ -302,8 +322,13 @@ func (l *Lexer) PNameNS() (string, bool) {
 		l.Pos = start
 		return "", false
 	}
+	prefix := l.In[start:l.Pos]
+	if r, _ := utf8.DecodeRuneInString(prefix); prefix != "" && !unicode.IsLetter(r) {
+		l.Pos = start
+		return "", false
+	}
 	l.Pos++
-	return l.In[start : l.Pos-1], true
+	return prefix, true
 }
 
 // Name advances over a name — the label of a blank node, the prefix or

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"iter"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -91,55 +93,70 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // uvarintLen is the number of bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// writeCol streams ts — sorted in ord — as one column payload to w: a
-// snapshot's column section, or the heap bytes of a folded run
+// writeCol streams n triples, sorted in ord, as one column payload to w:
+// a snapshot's column section, or the heap bytes of a folded run
 // (encodeCols). The skip index precedes the blocks and holds their
-// offsets, so ts is read twice: once sizing the steps to fill the skip
-// index (stepLen), once encoding them (appendStep). A w that can Grow (a
-// bytes.Buffer) is grown once, to the payload's size.
-func writeCol(w io.Writer, ord Order, ts []Triple) {
-	n := len(ts)
+// offsets, so ts is ranged over twice and nothing is buffered: the first
+// pass writes each block's skip entry, its offset summed from the sizes
+// of the steps before it (stepLen), the second the steps (appendStep).
+// Either pass failing to find exactly n triples is an error. A w that can
+// Grow (a bytes.Buffer) is grown to the skip index, then to the steps.
+func writeCol(w io.Writer, ord Order, n int, ts iter.Seq[Triple]) error {
 	nBlocks := (n + colBlockTriples - 1) / colBlockTriples
+	grow, _ := w.(interface{ Grow(int) })
+	if grow != nil {
+		grow.Grow(8 + nBlocks*colSkipEntryBytes)
+	}
+	var e [colSkipEntryBytes]byte
+	binary.LittleEndian.PutUint32(e[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(e[4:8], uint32(nBlocks))
+	w.Write(e[:8]) //nolint:errcheck // sticky
 
-	head := make([]byte, 8, 8+nBlocks*colSkipEntryBytes)
-	binary.LittleEndian.PutUint32(head[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(head[4:8], uint32(nBlocks))
-	off := uint64(cap(head))
-	for b := 0; b < nBlocks; b++ {
-		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
-		p1, p2, p3 := ord.key(block[0])
-		head = binary.LittleEndian.AppendUint32(head, uint32(p1))
-		head = binary.LittleEndian.AppendUint32(head, uint32(p2))
-		head = binary.LittleEndian.AppendUint32(head, uint32(p3))
-		head = binary.LittleEndian.AppendUint64(head, off)
-		for _, t := range block[1:] {
-			c1, c2, c3 := ord.key(t)
+	head := uint64(8 + nBlocks*colSkipEntryBytes)
+	off, i := head, 0
+	var p1, p2, p3 dict.ID
+	for t := range ts {
+		c1, c2, c3 := ord.key(t)
+		if i%colBlockTriples == 0 {
+			binary.LittleEndian.PutUint32(e[0:4], uint32(c1))
+			binary.LittleEndian.PutUint32(e[4:8], uint32(c2))
+			binary.LittleEndian.PutUint32(e[8:12], uint32(c3))
+			binary.LittleEndian.PutUint64(e[12:20], off)
+			w.Write(e[:]) //nolint:errcheck // sticky
+		} else {
 			off += uint64(stepLen(p1, p2, p3, c1, c2, c3))
-			p1, p2, p3 = c1, c2, c3
 		}
+		p1, p2, p3 = c1, c2, c3
+		i++
 	}
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(int(off))
+	if i != n {
+		return fmt.Errorf("store: column %v of %d triples handed %d", ord, n, i)
 	}
-	w.Write(head) //nolint:errcheck // sticky
+	if grow != nil {
+		grow.Grow(int(off - head))
+	}
 
 	// The steps pass through one chunk, handed to w whenever it might not
 	// hold another.
 	chunk := make([]byte, 0, colChunkBytes)
-	for b := 0; b < nBlocks; b++ {
-		block := ts[b*colBlockTriples : min(n, (b+1)*colBlockTriples)]
-		p1, p2, p3 := ord.key(block[0]) // lives in the skip entry
-		for _, t := range block[1:] {
+	i = 0
+	for t := range ts {
+		c1, c2, c3 := ord.key(t)
+		if i%colBlockTriples != 0 { // a block's first triple lives in its skip entry
 			if len(chunk) > colChunkBytes-maxStepBytes {
 				w.Write(chunk) //nolint:errcheck // sticky
 				chunk = chunk[:0]
 			}
-			c1, c2, c3 := ord.key(t)
 			chunk = appendStep(chunk, p1, p2, p3, c1, c2, c3)
-			p1, p2, p3 = c1, c2, c3
 		}
+		p1, p2, p3 = c1, c2, c3
+		i++
+	}
+	if i != n {
+		return fmt.Errorf("store: column %v of %d triples handed %d", ord, n, i)
 	}
 	w.Write(chunk) //nolint:errcheck // sticky
+	return nil
 }
 
 // colChunkBytes is the size of the chunk writeCol encodes through.
@@ -545,6 +562,7 @@ func (m *encCol) window(i, hi int, buf []Triple) []Triple {
 type encCols struct {
 	n    int
 	cols [NumOrders]*encCol
+	src  *container // the snapshot the columns are sections of; nil for heap payloads
 }
 
 func (m *encCols) length() int     { return m.n }
@@ -571,7 +589,7 @@ func encodeCols(ts []Triple) *encCols {
 // heapCol encodes ts, sorted in ord, as a heap-resident column.
 func heapCol(ord Order, ts []Triple) *encCol {
 	var b bytes.Buffer
-	writeCol(&b, ord, ts)
+	writeCol(&b, ord, len(ts), slices.Values(ts)) //nolint:errcheck // a slice holds its length
 	return must(openCol(ord, b.Bytes(), len(ts), nil))
 }
 

@@ -85,7 +85,7 @@ func TestColumnTags(t *testing.T) {
 			ts := slices.Clone(tc.ts)
 			slices.SortFunc(ts, o.compare)
 			var b bytes.Buffer
-			writeCol(&b, o, ts)
+			writeCol(&b, o, len(ts), slices.Values(ts)) //nolint:errcheck // a slice holds its length
 			payload := b.Bytes()
 			pos := 8 + (len(ts)+colBlockTriples-1)/colBlockTriples*colSkipEntryBytes
 			for i := 1; i < len(ts); i++ {
@@ -181,7 +181,7 @@ func FuzzColumn(f *testing.F) {
 	ts = append(ts, ts[:4]...)
 	slices.SortFunc(ts, OrderPOS.compare)
 	var tagged bytes.Buffer
-	writeCol(&tagged, OrderPOS, ts)
+	writeCol(&tagged, OrderPOS, len(ts), slices.Values(ts)) //nolint:errcheck // a slice holds its length
 	f.Add(tagged.Bytes())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var n int

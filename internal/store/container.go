@@ -117,12 +117,35 @@ func (c *container) verify(r io.ReaderAt) error {
 			off += uint64(len(chunk))
 		}
 		if crc != s.crc {
-			return fmt.Errorf("%w: section %s (computed %08x, TOC carries %08x)",
-				ErrSnapshotChecksum, sectionName(s.id), crc, s.crc)
+			return checksumMismatch(s, crc)
 		}
 		snapshotSectionsVerified.Inc()
 	}
 	return nil
+}
+
+// checkMapped checks the named sections' checksums over the bytes the
+// container serves — its mapping, which a write of the next snapshot
+// reads in full anyway (checkSources).
+func (c *container) checkMapped(ids ...byte) error {
+	for _, id := range ids {
+		s, err := c.section(id)
+		if err != nil {
+			return err
+		}
+		if crc := crc32.ChecksumIEEE(s.raw); crc != s.crc {
+			return checksumMismatch(s, crc)
+		}
+	}
+	return nil
+}
+
+// checksumMismatch counts a section whose bytes do not match its TOC
+// checksum and returns the error that says so.
+func checksumMismatch(s *section, crc uint32) error {
+	snapshotChecksumFailures.With(sectionName(s.id)).Inc()
+	return fmt.Errorf("%w: section %s (computed %08x, TOC carries %08x)",
+		ErrSnapshotChecksum, sectionName(s.id), crc, s.crc)
 }
 
 // container is a parsed v2 snapshot file.

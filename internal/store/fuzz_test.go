@@ -88,7 +88,7 @@ func serveAll(g *Graph, sf *SnapshotFile) {
 		ix.Contains(t)
 	}
 	g.Add(rdf.NewTriple(rdf.NewIRI("http://x/new"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("new")))
-	if err := WriteSnapshotV2(&memFile{}, g, g.All(), nil); err != nil {
+	if err := WriteSnapshotV2(&memFile{}, g, NewIndex(g)); err != nil {
 		panic(err)
 	}
 }

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -212,8 +214,11 @@ func (ix *Index) foldTail(start, minLevel int) {
 // The surviving adds of every run are gathered — window-internal
 // tombstone suppression applied — and handed to the run-sort kernel:
 // O(n) whatever the run count, and measured 2–4× faster than k-way
-// merging the sorted columns on an 8-run fold and a 25-run compaction.
-// The tombstones are retained (union) unless the window starts at the
+// merging the sorted columns on an 8-run fold. (A compaction merges
+// instead — Index.scans — because the gathered copy and the sort's
+// scratch, 24 B a triple of the whole index, were what set its memory
+// peak; a fold gathers only its window.) The tombstones are retained
+// (union) unless the window starts at the
 // oldest run of the index, where they have nothing left to suppress;
 // runs newer than the window keep suppressing the merged run's triples
 // at read time exactly as before.
@@ -415,6 +420,162 @@ func (ix *Index) merge(s, p, o dict.ID, bufs [][]Triple, fn func(Triple) bool) b
 			return false
 		}
 	}
+}
+
+// scans returns, for each order, every visible triple of the index, with
+// multiplicity, in that order, as a sequence that can be ranged over
+// again (a snapshot's column writer ranges over each twice): a k-way
+// merge over every run's whole column, a tournament tree (scanTree)
+// picking the next cursor in log2(runs) compares. A copy surfaced by run
+// ri is dead when a newer run tombstones it; the merge walks the
+// tombstones (tombsIn) in step with its output, one key compare a
+// triple, where a map lookup a triple took half the merge's time on
+// BenchmarkLiveCompact's cycle0 tail (100 add and 100 delete batches). A
+// lone run without tombstones is read straight off its cursor.
+func (ix *Index) scans() [NumOrders]iter.Seq[Triple] {
+	var seqs [NumOrders]iter.Seq[Triple]
+	for o := range seqs {
+		ord, tombs := Order(o), ix.tombsIn(Order(o))
+		seqs[o] = func(yield func(Triple) bool) { ix.scan(ord, tombs, yield) }
+	}
+	return seqs
+}
+
+// tomb is a tombstoned triple's key in one order and the newest run
+// tombstoning it: its copies in older runs are dead.
+type tomb struct {
+	key sortKey
+	run int
+}
+
+// tombsIn lists each tombstoned triple once, with the newest run
+// tombstoning it, sorted in ord.
+func (ix *Index) tombsIn(ord Order) []tomb {
+	if ix.tombs == 0 {
+		return nil
+	}
+	ts := make([]tomb, 0, ix.tombs)
+	for j, r := range ix.runs {
+		for _, t := range r.dels {
+			ts = append(ts, tomb{key: ord.sortKey(t), run: j})
+		}
+	}
+	slices.SortFunc(ts, func(a, b tomb) int { // by key, newest run first
+		if c := cmp.Compare(a.key.hi, b.key.hi); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.key.lo, b.key.lo); c != 0 {
+			return c
+		}
+		return b.run - a.run
+	})
+	return slices.CompactFunc(ts, func(a, b tomb) bool { return a.key == b.key })
+}
+
+// scan is one of scans' sequences: the merge in ord, against tombs.
+func (ix *Index) scan(ord Order, tombs []tomb, yield func(Triple) bool) {
+	var cs []Cursor
+	var runs []int // the run each cursor reads
+	left := 0
+	for ri, r := range ix.runs {
+		if c := r.cols.col(ord).Cursor(0, r.length()); c.Valid() {
+			cs, runs = append(cs, c), append(runs, ri)
+			left += r.length()
+		}
+	}
+	switch {
+	case len(cs) == 0:
+		return
+	case len(cs) == 1 && tombs == nil:
+		for c := &cs[0]; c.Valid(); {
+			if !yield(c.Next()) {
+				return
+			}
+		}
+		return
+	}
+	t := newScanTree(cs, ord)
+	next := 0 // tombs[next:] reach the key of the triple being merged
+	for ; left > 0; left-- {
+		i, key := t.tree[0].cursor(), t.tree[0].key()
+		c := &cs[i]
+		tr := c.Next()
+		if c.Valid() {
+			t.up(newScanEntry(ord.sortKey(c.Peek()), i))
+		} else {
+			t.up(scanEntry{hi: math.MaxUint64, rest: math.MaxUint32<<32 | scanDone | uint64(i)})
+		}
+		for next < len(tombs) && key.reaches(tombs[next].key, true) {
+			next++
+		}
+		if next < len(tombs) && tombs[next].key == key && tombs[next].run > runs[i] {
+			continue
+		}
+		if !yield(tr) {
+			return
+		}
+	}
+}
+
+// scanTree is scan's merge: a tournament tree of losers over k
+// cursors, each entry the key of a cursor's next triple, so that the
+// next triple overall is the winner's and advancing the winner replays
+// one match a level: log2(k) compares, each against an entry held in the
+// tree and each without a branch, since which run's triple comes next is
+// what a merge of interleaved runs cannot predict.
+type scanTree struct {
+	k    int
+	tree []scanEntry // tree[0] the winner, tree[1:k] the loser of each match
+}
+
+// scanEntry is a cursor's next key packed to compare as one 128-bit
+// number: the sortKey's hi, then its lo, a done bit — set past the
+// cursor's end, where the key is the largest — and the cursor's index.
+type scanEntry struct{ hi, rest uint64 }
+
+const scanDone = 1 << 31
+
+func newScanEntry(k sortKey, i int) scanEntry {
+	return scanEntry{hi: k.hi, rest: uint64(k.lo)<<32 | uint64(i)}
+}
+
+func (e scanEntry) key() sortKey { return sortKey{hi: e.hi, lo: uint32(e.rest >> 32)} }
+func (e scanEntry) cursor() int  { return int(e.rest & (scanDone - 1)) }
+
+// newScanTree plays every match between the cursors, each at its next
+// triple in ord: cursor i is leaf k+i, match n is between the winners
+// below 2n and 2n+1.
+func newScanTree(cs []Cursor, ord Order) *scanTree {
+	k := len(cs)
+	t := &scanTree{k: k, tree: make([]scanEntry, k)}
+	win := make([]scanEntry, 2*k)
+	for i := range cs {
+		win[k+i] = newScanEntry(ord.sortKey(cs[i].Peek()), i)
+	}
+	for n := k - 1; n >= 1; n-- {
+		a, b := win[2*n], win[2*n+1]
+		if b.hi < a.hi || b.hi == a.hi && b.rest < a.rest {
+			a, b = b, a
+		}
+		win[n], t.tree[n] = a, b
+	}
+	t.tree[0] = win[1]
+	return t
+}
+
+// up replays the matches from w's leaf to the root, w being the last
+// winner's cursor at its next key: at each, the lesser of w and the loser
+// held there goes on up, chosen by masks rather than a branch.
+func (t *scanTree) up(w scanEntry) {
+	for n := (t.k + w.cursor()) / 2; n >= 1; n /= 2 {
+		o := t.tree[n]
+		_, lt := bits.Sub64(o.rest, w.rest, 0)
+		_, lt = bits.Sub64(o.hi, w.hi, lt) // 1 when o < w
+		dh, dr := (o.hi^w.hi)&-lt, (o.rest^w.rest)&-lt
+		t.tree[n] = scanEntry{hi: o.hi ^ dh, rest: o.rest ^ dr}
+		w = scanEntry{hi: w.hi ^ dh, rest: w.rest ^ dr}
+	}
+	t.tree[0] = w
 }
 
 // props yields every property some run holds a triple of — tombstoned

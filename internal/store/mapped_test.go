@@ -26,7 +26,7 @@ func mappedRun(t *testing.T, path string, ts []Triple, maxID uint32) *encCols {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshotV2(f, g, g.All(), nil); err != nil {
+	if err := WriteSnapshotV2(f, g, NewIndex(g)); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	if err := f.Close(); err != nil {

@@ -13,6 +13,9 @@ var indexFoldSeconds = obs.Default.Histogram("rdfsum_index_fold_seconds",
 var (
 	snapshotSectionsVerified = obs.Default.Counter("rdfsum_snapshot_sections_verified_total",
 		"Snapshot file sections whose CRC has been verified (every section, at each open that serves a snapshot).")
+	snapshotChecksumFailures = obs.Default.CounterVec("rdfsum_snapshot_checksum_failures_total",
+		"Snapshot sections whose bytes did not match their TOC checksum, at an open or when a write re-read them, by section.",
+		"section")
 	snapshotOpensV2 = obs.Default.Counter("rdfsum_snapshot_opens_v2_total",
 		"Snapshot files opened in the v2 mapped format.")
 )

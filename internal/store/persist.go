@@ -44,13 +44,15 @@ func truncatedOr(err error) error {
 }
 
 // SaveFile writes a snapshot to path in the current (v2) format,
-// replacing any existing file.
+// replacing any existing file. Its columns are scanned from a fresh
+// index over g (NewIndex): 24 B a triple while it is written, 36 while
+// NewIndex sorts.
 func SaveFile(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteSnapshotV2(f, g, g.All(), nil); err != nil {
+	if err := WriteSnapshotV2(f, g, NewIndex(g)); err != nil {
 		f.Close()
 		return err
 	}

@@ -28,25 +28,29 @@ import (
 // layout (a retired section, or no symbol table) is refused at open
 // (parseContainer).
 
-// WriteSnapshotV2 serializes the graph to f in snapshot format v2,
-// streaming: a section passes through the container writer's one chunk
-// buffer on its way to f, so writing holds O(terms) of its own (the
-// dictionary's directory, 8 B per 16 terms), not the file. The
-// header is placed last — what f holds before WriteSnapshotV2 returns nil
-// is not a snapshot, and callers publish it (rename) only then.
+// WriteSnapshotV2 serializes the graph g to f in snapshot format v2,
+// taking its triples from ix, which must hold exactly g's triple
+// multiset: the index an epoch publishes over g, or NewIndex(g) for a
+// bare graph. It streams: a section passes through the container
+// writer's one chunk buffer on its way to f, and each column is the
+// index's ordered scan (Index.scans) ranged over twice (writeCol), so
+// writing holds O(terms) of its own (the dictionary's directory, 8 B per
+// 16 terms), not the file, and sorts nothing. The header is placed last —
+// what f holds before WriteSnapshotV2 returns nil is not a snapshot, and
+// callers publish it (rename) only then. The dictionary section lists
+// terms 1..Len.
 //
-// buf must hold exactly g's triple multiset, in any order (g.All(), say).
-// The writer sorts it in place into SPO and then POS order, encoding each
-// column section before the next sort, so the columns cost buf plus one
-// scratch buffer: 24 B a triple. scratch may be nil, and is then
-// allocated when the sort needs it. The dictionary section lists terms
-// 1..Len.
-func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
-	if len(buf) != g.NumEdges() {
-		return fmt.Errorf("store: snapshot buffer holds %d triples, graph %d", len(buf), g.NumEdges())
+// Before writing anything it checks every mapped section the write reads
+// against its file's checksum (checkSources): a byte that changed since
+// the open checked it fails the write with ErrSnapshotChecksum instead
+// of reaching the new file under a fresh checksum.
+func WriteSnapshotV2(f File, g *Graph, ix *Index) error {
+	n := g.NumEdges()
+	if ix.Len() != n {
+		return fmt.Errorf("store: snapshot index holds %d triples, graph %d", ix.Len(), n)
 	}
-	if len(buf) >= radixCutoff && len(scratch) < len(buf) {
-		scratch = make([]Triple, len(buf))
+	if err := checkSources(g, ix); err != nil {
+		return err
 	}
 	w := newContainerWriter(f)
 	w.begin()
@@ -57,14 +61,39 @@ func WriteSnapshotV2(f File, g *Graph, buf, scratch []Triple) error {
 	w.end(secDictPages)
 	w.section(secDictDir, dir)
 	w.section(secDictSyms, symbols)
+	scans := ix.scans()
 	for o, id := range colSectionIDs {
-		sortTriples(Order(o), buf, scratch)
 		w.begin()
-		writeCol(w, Order(o), buf)
+		if err := writeCol(w, Order(o), n, scans[o]); err != nil {
+			return err
+		}
 		w.end(id)
 	}
 	w.section(secVocab, encodeVocabSec(g.Vocab()))
 	return w.finish([4]uint64{uint64(nTerms), uint64(len(g.Data)), uint64(len(g.Types)), uint64(len(g.Schema))})
+}
+
+// checkSources checks every mapped section a write of g from ix reads —
+// the three sections of the dictionary's mapped base, the two column
+// sections of each mapped run — against the checksum its file's TOC
+// carries (container.checkMapped). The open checked them; this sees what
+// changed under the mapping since.
+func checkSources(g *Graph, ix *Index) error {
+	if m := g.Dict().Base(); m != nil {
+		if c, ok := m.Owner.(*container); ok {
+			if err := c.checkMapped(secDictPages, secDictDir, secDictSyms); err != nil {
+				return err
+			}
+		}
+	}
+	for _, r := range ix.runs {
+		if c, ok := r.cols.(*encCols); ok && c.src != nil {
+			if err := c.src.checkMapped(secColSPO, secColPOS); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // colSectionIDs maps each sort order to its column section.
@@ -151,7 +180,7 @@ func newSnapshotFile(file *mapping, check io.ReaderAt) (*SnapshotFile, error) {
 		}
 	}
 	c.file = file
-	runs := &encCols{n: int(c.nData + c.nTypes + c.nSchema)}
+	runs := &encCols{n: int(c.nData + c.nTypes + c.nSchema), src: c}
 	for o, id := range colSectionIDs {
 		sec, err := c.section(id)
 		if err != nil {
@@ -194,7 +223,7 @@ func (sf *SnapshotFile) graph() (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	md.Owner = c.file
+	md.Owner = c // keeps c.file mapped; checkSources finds the checksums here
 	d, err := dict.WithBase(md)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)

@@ -30,7 +30,7 @@ func v2Sample(t testing.TB) (*Graph, []byte) {
 		rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/q"), rdf.NewTypedLiteral("3", "http://www.w3.org/2001/XMLSchema#int")),
 	})
 	var f memFile
-	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
+	if err := WriteSnapshotV2(&f, g, NewIndex(g)); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	return g, f.b
@@ -426,7 +426,7 @@ func TestSnapshotV2BitFlips(t *testing.T) {
 func TestReadGraphRefusesMalformedSections(t *testing.T) {
 	g := v2RandomGraph(t, 3, 600) // dozens of dictionary blocks, two column blocks
 	var f memFile
-	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
+	if err := WriteSnapshotV2(&f, g, NewIndex(g)); err != nil {
 		t.Fatal(err)
 	}
 	data := f.b
@@ -582,7 +582,7 @@ func spoCheckCases(t testing.TB, data []byte) []spoCase {
 func TestOpenChecksSPOColumn(t *testing.T) {
 	g := withFreshSubjects(v2RandomGraph(t, 3, 600), 600)
 	var f memFile
-	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
+	if err := WriteSnapshotV2(&f, g, NewIndex(g)); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range spoCheckCases(t, f.b) {
@@ -725,16 +725,17 @@ func rebuilt(t testing.TB, data []byte, put func(w *containerWriter, s *section)
 	return f.b
 }
 
-// TestWriteSnapshotV2ByteIdentical: whatever order the writer is handed a
-// graph's triples in — the graph's own, reversed, the SPO scan of the
-// snapshot's mapped base, the scan of a tiered index fed them in slices —
-// the file is the same, byte for byte, and a second write of the same
-// graph writes it again.
+// TestWriteSnapshotV2ByteIdentical: whatever index the writer scans a
+// graph's triples from — a heap run sorted from the graph's own order or
+// from its reverse, the snapshot's mapped base, a tiered index fed them
+// in slices with a delete and a re-add on the way — the file is the
+// same, byte for byte, and a second write of the same graph writes it
+// again.
 func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
-	write := func(g *Graph, buf []Triple) []byte {
+	write := func(g *Graph, ix *Index) []byte {
 		t.Helper()
 		var f memFile
-		if err := WriteSnapshotV2(&f, g, buf, nil); err != nil {
+		if err := WriteSnapshotV2(&f, g, ix); err != nil {
 			t.Fatal(err)
 		}
 		return f.b
@@ -748,12 +749,12 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		g.AddEncoded(dup.S, dup.P, dup.O)
 		want := goldenRandom[n]
 
-		file := write(g, g.All())
+		file := write(g, NewIndex(g))
 		want.check(t, fmt.Sprintf("n=%d: graph order", n), file)
-		want.check(t, fmt.Sprintf("n=%d: written again", n), write(g, g.All()))
+		want.check(t, fmt.Sprintf("n=%d: written again", n), write(g, NewIndex(g)))
 		reversed := g.All()
 		slices.Reverse(reversed)
-		want.check(t, fmt.Sprintf("n=%d: reversed", n), write(g, reversed))
+		want.check(t, fmt.Sprintf("n=%d: reversed", n), write(g, NewIndexFromBase(NewRunCols(reversed))))
 		path := filepath.Join(t.TempDir(), "g.rdfsum")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
@@ -762,11 +763,11 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.check(t, fmt.Sprintf("n=%d: mapped base scan", n), write(g, scanAll(NewIndexFromBase(sf.Runs()))))
+		want.check(t, fmt.Sprintf("n=%d: mapped base", n), write(g, NewIndexFromBase(sf.Runs())))
 		sf.Close()
 
 		// A tiered index fed the same triples in slices, with a delete
-		// and re-add on the way, scans to the same multiset.
+		// and re-add on the way, holds the same multiset.
 		all := g.All()
 		ix := newIndexWidth(NewRunCols(nil), 3)
 		for lo := 0; lo < len(all); lo += 97 {
@@ -774,11 +775,22 @@ func TestWriteSnapshotV2ByteIdentical(t *testing.T) {
 		}
 		ix = ix.Applied(nil, []Triple{all[0]})
 		ix = ix.Applied(naiveMatch(all, all[0].S, all[0].P, all[0].O), nil)
-		want.check(t, fmt.Sprintf("n=%d: tiered index scan", n), write(g, scanAll(ix)))
+		want.check(t, fmt.Sprintf("n=%d: tiered index", n), write(g, ix))
 	}
 	g, _ := v2Sample(t)
-	if err := WriteSnapshotV2(&memFile{}, g, g.All()[1:], nil); err == nil {
-		t.Fatal("a buffer that does not hold the graph's triples was accepted")
+	if err := WriteSnapshotV2(&memFile{}, g, NewIndexFromBase(NewRunCols(g.All()[1:]))); err == nil {
+		t.Fatal("an index that does not hold the graph's triples was accepted")
+	}
+
+	// No triple left: an empty graph's own index, and a tiered one whose
+	// every triple a later run tombstones, write the same empty columns.
+	empty := FromTriples(nil)
+	want := write(empty, NewIndex(empty))
+	if got := write(empty, NewIndex(g).Applied(nil, g.All())); !bytes.Equal(got, want) {
+		t.Fatal("an index whose every triple is tombstoned wrote other bytes than an empty one")
+	}
+	if back, _, err := ReadGraph(bytes.NewReader(want)); err != nil || back.NumEdges() != 0 {
+		t.Fatalf("the empty snapshot reads back as %v, %v", back, err)
 	}
 }
 
@@ -862,10 +874,10 @@ func TestWriteSnapshotV2OverMappedBase(t *testing.T) {
 				reopened.Add(tr)
 			}
 			var want, got memFile
-			if err := WriteSnapshotV2(&want, heap, heap.All(), nil); err != nil {
+			if err := WriteSnapshotV2(&want, heap, NewIndex(heap)); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteSnapshotV2(&got, reopened, reopened.All(), nil); err != nil {
+			if err := WriteSnapshotV2(&got, reopened, NewIndex(reopened)); err != nil {
 				t.Fatal(err)
 			}
 			sf.Close()
@@ -945,9 +957,9 @@ func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
 // zeros.
 func TestSectionWriterFailsClean(t *testing.T) {
 	g := v2RandomGraph(t, 5, 60000) // several chunks
-	buf := g.All()
+	ix := NewIndex(g)
 	var whole failFile
-	if err := WriteSnapshotV2(&whole, g, buf, nil); err != nil {
+	if err := WriteSnapshotV2(&whole, g, ix); err != nil {
 		t.Fatal(err)
 	}
 	if whole.ops < 4 {
@@ -958,7 +970,7 @@ func TestSectionWriterFailsClean(t *testing.T) {
 	}
 	for k := 1; k <= whole.ops; k++ {
 		f := failFile{failAt: k}
-		if err := WriteSnapshotV2(&f, g, buf, nil); !errors.Is(err, errInjected) {
+		if err := WriteSnapshotV2(&f, g, ix); !errors.Is(err, errInjected) {
 			t.Fatalf("operation %d of %d failed, WriteSnapshotV2 returned %v", k, whole.ops, err)
 		}
 		if f.ops != k {

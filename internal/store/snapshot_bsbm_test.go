@@ -13,9 +13,9 @@ import (
 )
 
 // writeTemp writes g's snapshot to a fresh temp file from the caller's
-// triple and scratch buffers, and returns the path and what the write
-// allocated (runtime.MemStats.TotalAlloc).
-func writeTemp(t *testing.T, g *store.Graph, buf, scratch []store.Triple) (path string, allocated uint64) {
+// index over it, and returns the path and what the write allocated
+// (runtime.MemStats.TotalAlloc).
+func writeTemp(t *testing.T, g *store.Graph, ix *store.Index) (path string, allocated uint64) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "g.rdfsum")
 	f, err := os.Create(path)
@@ -25,7 +25,7 @@ func writeTemp(t *testing.T, g *store.Graph, buf, scratch []store.Triple) (path 
 	defer f.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := store.WriteSnapshotV2(f, g, buf, scratch); err != nil {
+	if err := store.WriteSnapshotV2(f, g, ix); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -37,7 +37,7 @@ func writeTemp(t *testing.T, g *store.Graph, buf, scratch []store.Triple) (path 
 // TestWriteSnapshotV2ByteIdentical).
 func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(300))
-	path, _ := writeTemp(t, g, g.All(), nil)
+	path, _ := writeTemp(t, g, store.NewIndex(g))
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -48,25 +48,56 @@ func TestWriteSnapshotV2ByteIdenticalBSBM(t *testing.T) {
 	}
 }
 
-// TestSnapshotWriteAllocBound: handed its triple and scratch buffers,
-// writing a snapshot allocates one chunk buffer and O(terms) — the
-// dictionary's directory, 8 B per 16 terms — whatever the file's size:
-// at most 256 KB + 64 KB + 2 B × terms. The whole-buffer writer this
-// replaced allocated about five times the file; the writer that still
-// wrote the sorted permutation, 482 KB on this graph.
+// TestSnapshotWriteAllocBound: handed its index, writing a snapshot
+// allocates one chunk buffer and O(terms) — the dictionary's directory,
+// 8 B per 16 terms — whatever the file's size: at most 256 KB + 64 KB +
+// 2 B × terms over a heap index. Over a tiered one — the graph's mapped
+// snapshot under delta and tombstone runs — the merge sorts and gathers
+// nothing: it adds the tombstone lists, at most 64 B a tombstone, and one
+// 6 KB decoding window for the mapped run each time a pass ranges over
+// it, four in all. The whole-buffer writer this replaced allocated about
+// five times the file; the writer that still wrote the sorted
+// permutation, 482 KB on this graph.
 func TestSnapshotWriteAllocBound(t *testing.T) {
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(1000))
-	buf := g.All()
-	path, allocated := writeTemp(t, g, buf, make([]store.Triple, len(buf)))
-	st, err := os.Stat(path)
+	check := func(name string, ix *store.Index) {
+		t.Helper()
+		path, allocated := writeTemp(t, g, ix)
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := uint64(256<<10 + 64<<10 + 2*g.Dict().Len())
+		if ix.Runs() > 1 {
+			bound += uint64(64*ix.Tombstones() + 4*6<<10)
+		}
+		t.Logf("%s: %d triples in %d runs, %d tombstones, %d terms: file %d bytes, allocated %d (bound %d)",
+			name, g.NumEdges(), ix.Runs(), ix.Tombstones(), g.Dict().Len(), st.Size(), allocated, bound)
+		if allocated > bound {
+			t.Fatalf("%s: WriteSnapshotV2 allocated %d bytes for a %d-byte file, more than its bound %d",
+				name, allocated, st.Size(), bound)
+		}
+	}
+	check("heap", store.NewIndex(g))
+
+	// The same triples over the graph's own mapped snapshot, 20 batches
+	// of which are deleted and added back, one run each.
+	path := filepath.Join(t.TempDir(), "base.rdfsum")
+	if err := store.SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := store.OpenSnapshotFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := uint64(256<<10 + 64<<10 + 2*g.Dict().Len())
-	t.Logf("%d triples, %d terms: file %d bytes, allocated %d (bound %d)",
-		g.NumEdges(), g.Dict().Len(), st.Size(), allocated, bound)
-	if allocated > bound {
-		t.Fatalf("WriteSnapshotV2 allocated %d bytes for a %d-byte file, more than 256 KB + 64 KB + 2 B × %d terms = %d",
-			allocated, st.Size(), g.Dict().Len(), bound)
+	defer sf.Close()
+	ix, all := store.NewIndexFromBase(sf.Runs()), g.All()
+	for i := 0; i < 20; i++ {
+		batch := all[i*100 : (i+1)*100]
+		ix = ix.Applied(nil, batch).Applied(batch, nil)
 	}
+	if ix.Runs() < 3 || ix.Tombstones() == 0 {
+		t.Fatalf("the tiered index holds %d runs and %d tombstones, want a merge", ix.Runs(), ix.Tombstones())
+	}
+	check("tiered", ix)
 }

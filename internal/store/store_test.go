@@ -197,7 +197,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://x/p"), O: rdf.NewLangLiteral("é", "fr")},
 	})
 	var f memFile
-	if err := WriteSnapshotV2(&f, g, g.All(), nil); err != nil {
+	if err := WriteSnapshotV2(&f, g, NewIndex(g)); err != nil {
 		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	h, _, err := ReadGraph(bytes.NewReader(f.b))
